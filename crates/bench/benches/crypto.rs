@@ -8,9 +8,13 @@
 //!   must be ≥ 4x faster than `ed25519/verify_256B_naive` (the kept
 //!   double-and-add oracle);
 //! * a 200-bundle sync-encounter verification with warm caches must be
-//!   ≥ 3x faster wall-clock than the naive per-bundle path.
+//!   ≥ 3x faster wall-clock than the naive per-bundle path;
+//! * `ed25519/verify_batch_64` (ns per signature through
+//!   `ed25519::verify_batch`, one author) must be ≤ 0.8 × the warm single
+//!   `ed25519/verify_256B` — a ratio of two single-thread timings, so a
+//!   1-core runner can fire it.
 //!
-//! Both invariants are asserted — a run that violates them fails loudly
+//! All three invariants are asserted — a run that violates them fails loudly
 //! — and every measurement is written to `BENCH_crypto.json` at the
 //! workspace root so the perf trajectory is tracked across PRs. Set
 //! `SOS_BENCH_SMOKE=1` (as CI does) for a few-iteration smoke run.
@@ -84,6 +88,44 @@ fn bench_signatures(_c: &mut Criterion) {
     assert!(
         speedup >= 4.0,
         "verify fast path regressed: only {speedup:.1}x over naive"
+    );
+
+    // One author's frame through the random-linear-combination check,
+    // recorded per signature so the sizes compare with each other and
+    // with the warm single verification above.
+    let signed: Vec<(Vec<u8>, ed25519::Signature)> = (0..200u8)
+        .map(|i| {
+            let msg = vec![i; 256];
+            let sig = sk.sign(&msg);
+            (msg, sig)
+        })
+        .collect();
+    let batch_per_sig = |n: usize| {
+        let items: Vec<_> = signed[..n]
+            .iter()
+            .map(|(msg, sig)| (&vk, msg.as_slice(), sig))
+            .collect();
+        let name = format!("ed25519/verify_batch_{n}");
+        let whole = sos_bench::emit::time_mean(5, || {
+            assert!(ed25519::verify_batch(std::hint::black_box(&items)));
+        });
+        let per_sig = whole / n as f64;
+        println!(
+            "{name:<50} time: {:<12} per signature",
+            sos_bench::emit::pretty_ns(per_sig)
+        );
+        SUITE.record(&name, per_sig);
+        per_sig
+    };
+    batch_per_sig(8);
+    let per_sig_64 = batch_per_sig(64);
+    batch_per_sig(200);
+    let ratio = per_sig_64 / fast;
+    SUITE.record("ed25519/batch_64_over_single", ratio);
+    println!("ed25519 batch-64 per signature / warm single: {ratio:.2} (gate: <= 0.8)");
+    assert!(
+        ratio <= 0.8,
+        "batch verification regressed: {ratio:.2} of a warm single verify per signature"
     );
 }
 
@@ -202,8 +244,40 @@ fn verify_batch_fast(bundles: &[Bundle], validator: &Validator) {
     }
 }
 
+/// Verifies the batch the way `Sos` receives it since ISSUE 13: as
+/// `Bundles` frames of ~67 (what the 32 KiB sync budget packs), each
+/// frame's envelope checks first, then its signatures as one
+/// `ed25519::verify_batch`.
+fn verify_batch_framed(bundles: &[Bundle], validator: &Validator) {
+    for frame in bundles.chunks(67) {
+        let signed: Vec<Vec<u8>> = frame
+            .iter()
+            .map(|b| {
+                validator
+                    .validate(&b.author_certificate, 10)
+                    .expect("cert valid");
+                assert_eq!(b.author_certificate.subject, b.message.id.author);
+                let m = &b.message;
+                SosMessage::signing_bytes(&m.id, m.created_at, m.kind, &m.payload)
+            })
+            .collect();
+        let items: Vec<_> = frame
+            .iter()
+            .zip(&signed)
+            .map(|(b, signed)| {
+                (
+                    &b.author_certificate.ed25519_public,
+                    signed.as_slice(),
+                    &b.message.signature,
+                )
+            })
+            .collect();
+        assert!(ed25519::verify_batch(&items), "frame valid");
+    }
+}
+
 /// The headline end-to-end number: what the security layer costs per
-/// 200-bundle encounter, naive vs cold-cache vs warm-cache.
+/// 200-bundle encounter, naive vs cold-cache vs warm-cache vs batched.
 fn bench_encounter(_c: &mut Criterion) {
     let (bundles, ca) = encounter_fixture();
     let root = ca.root_certificate().clone();
@@ -225,6 +299,11 @@ fn bench_encounter(_c: &mut Criterion) {
     let warm = measure("encounter/verify_200_warm_cache", || {
         verify_batch_fast(&bundles, &warm_validator)
     });
+
+    let batched = measure("encounter/verify_200_batched", || {
+        verify_batch_framed(&bundles, &warm_validator)
+    });
+    SUITE.record("encounter/batched_over_warm", batched / warm);
 
     let warm_speedup = naive / warm;
     let cold_speedup = naive / cold;

@@ -170,6 +170,25 @@ impl Bundle {
     ///
     /// The specific [`BundleRejection`] for the first failed check.
     pub fn verify(&self, validator: &Validator, now_secs: u64) -> Result<(), BundleRejection> {
+        self.check_envelope(validator, now_secs)?;
+        if !self
+            .message
+            .verify_signature(&self.author_certificate.ed25519_public)
+        {
+            return Err(BundleRejection::BadSignature);
+        }
+        Ok(())
+    }
+
+    /// Every check of [`Bundle::verify`] that precedes the author
+    /// signature, in its order. The middleware runs this alone over a
+    /// whole received frame, then checks the survivors' signatures as
+    /// one batch.
+    pub(crate) fn check_envelope(
+        &self,
+        validator: &Validator,
+        now_secs: u64,
+    ) -> Result<(), BundleRejection> {
         // Message numbers start at 1 (§V-A); number 0 is unrepresentable
         // in the sync protocol's have-ranges, so a signed-but-zero
         // number would poison every future request for its author.
@@ -181,12 +200,6 @@ impl Bundle {
             .map_err(BundleRejection::Certificate)?;
         if self.author_certificate.subject != self.message.id.author {
             return Err(BundleRejection::AuthorMismatch);
-        }
-        if !self
-            .message
-            .verify_signature(&self.author_certificate.ed25519_public)
-        {
-            return Err(BundleRejection::BadSignature);
         }
         Ok(())
     }

@@ -14,7 +14,7 @@
 //! and deterministic given the RNG.
 
 use crate::adhoc::AdHocManager;
-use crate::error::SosError;
+use crate::error::{BundleRejection, SosError};
 use crate::message::{Bundle, MessageId, MessageKind, SosMessage, MAX_PAYLOAD};
 use crate::routing::{RoutingContext, RoutingScheme, SchemeKind};
 use crate::store::{InsertOutcome, MessageStore};
@@ -863,12 +863,8 @@ impl Sos {
                 let legacy = SyncMsg::is_v1_request(bytes);
                 self.serve_request(from, &wants, legacy, now, out)
             }
-            SyncMsg::Bundle(bundle) => self.receive_bundle(from, *bundle, now),
-            SyncMsg::Bundles(bundles) => {
-                for bundle in bundles {
-                    self.receive_bundle(from, bundle, now);
-                }
-            }
+            SyncMsg::Bundle(bundle) => self.receive_frame(from, vec![*bundle], now),
+            SyncMsg::Bundles(bundles) => self.receive_frame(from, bundles, now),
             SyncMsg::Done => {
                 // One Done arrives per Request frame we sent; close only
                 // on the last, or a chunked request would lose every
@@ -1050,6 +1046,81 @@ impl Sos {
         }
     }
 
+    /// Receives one frame's bundles: the signatures of everything that
+    /// would reach the signature check are verified as one batch, then
+    /// [`Sos::receive_bundle`] consumes the bundles in frame order, so
+    /// stats, journal entries, events and rejection causes come out
+    /// exactly as if each bundle had arrived in a frame of its own.
+    fn receive_frame(&mut self, from: PeerId, bundles: Vec<Bundle>, now: SimTime) {
+        let verified = self.verify_frame(&bundles, now);
+        // `RoutingContext::summary` for `should_carry`: built at the
+        // frame's first accepted bundle and bumped per insert, not
+        // rescanned from the whole store for every bundle.
+        let mut summary = None;
+        for (bundle, verified) in bundles.into_iter().zip(verified) {
+            self.receive_bundle(from, bundle, verified, &mut summary, now);
+        }
+    }
+
+    /// The frame pre-pass: `true` at `i` means `bundles[i].verify(..)`
+    /// is known to return `Ok(())` now. Bundles the per-bundle path
+    /// would not signature-check anyway (content-equal to a held copy,
+    /// or failing an envelope check) are left `false`, as is the whole
+    /// frame when the batch does not verify — `receive_bundle` then
+    /// verifies serially and finds which bundle is bad, so a hostile
+    /// frame costs at most one batch plus the serial checks.
+    fn verify_frame(&self, bundles: &[Bundle], now: SimTime) -> Vec<bool> {
+        let _span = sos_obs::profile::span("core/verify_frame");
+        let validator = self.adhoc.identity().validator();
+        let candidates: Vec<(usize, Vec<u8>)> = bundles
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| {
+                let held_equal = self
+                    .store
+                    .get(&b.message.id)
+                    .is_some_and(|held| b.content_matches(held));
+                !held_equal && b.check_envelope(validator, now.as_secs()).is_ok()
+            })
+            .map(|(i, b)| {
+                let m = &b.message;
+                let signed = SosMessage::signing_bytes(&m.id, m.created_at, m.kind, &m.payload);
+                (i, signed)
+            })
+            .collect();
+        let items: Vec<_> = candidates
+            .iter()
+            .map(|(i, signed)| {
+                let b = &bundles[*i];
+                (
+                    &b.author_certificate.ed25519_public,
+                    signed.as_slice(),
+                    &b.message.signature,
+                )
+            })
+            .collect();
+        let mut verified = vec![false; bundles.len()];
+        if sos_crypto::ed25519::verify_batch(&items) {
+            for (i, _) in &candidates {
+                verified[*i] = true;
+            }
+        }
+        verified
+    }
+
+    /// `Bundle::verify`, skipped when the frame pre-pass already proved it.
+    fn verify_unless(
+        &self,
+        verified: bool,
+        bundle: &Bundle,
+        now: SimTime,
+    ) -> Result<(), BundleRejection> {
+        if verified {
+            return Ok(());
+        }
+        bundle.verify(self.adhoc.identity().validator(), now.as_secs())
+    }
+
     /// Receiver side: deduplicate against the store, verify (§IV) only
     /// what is actually new, store per the routing scheme, and surface
     /// to the application.
@@ -1062,7 +1133,19 @@ impl Sos {
     /// is guarded by content equality, so a forged bundle reusing a
     /// stored id cannot poison hop counts without passing the full
     /// verification itself.
-    fn receive_bundle(&mut self, from: PeerId, mut bundle: Bundle, now: SimTime) {
+    ///
+    /// `verified` is the frame pre-pass's verdict ([`Sos::verify_frame`]):
+    /// when set, the full `Bundle::verify` is already known to pass and
+    /// is not repeated. `summary` is the frame's lazily built
+    /// `author → latest held` dictionary.
+    fn receive_bundle(
+        &mut self,
+        from: PeerId,
+        mut bundle: Bundle,
+        verified: bool,
+        summary: &mut Option<BTreeMap<UserId, u64>>,
+        now: SimTime,
+    ) {
         let _span = sos_obs::profile::span("core/receive_bundle");
         self.stats.bundles_received.inc();
         let id = bundle.message.id;
@@ -1090,8 +1173,7 @@ impl Sos {
             // to classify what we got — and only a certificate-renewal
             // duplicate may still touch the stored copy.
             let same_message = bundle.message == held.message;
-            let validator = self.adhoc.identity().validator();
-            let (detail, cause) = match bundle.verify(validator, now.as_secs()) {
+            let (detail, cause) = match self.verify_unless(verified, &bundle, now) {
                 Ok(()) if same_message => {
                     // The identical signed message wrapped in a
                     // *different but valid* certificate for the same
@@ -1153,8 +1235,7 @@ impl Sos {
                 .push_back(SosEvent::SecurityAlert { peer: from, detail });
             return;
         }
-        let validator = self.adhoc.identity().validator();
-        if let Err(rejection) = bundle.verify(validator, now.as_secs()) {
+        if let Err(rejection) = self.verify_unless(verified, &bundle, now) {
             self.stats.security_rejections.inc();
             self.stats.security_alerts.inc();
             self.note(
@@ -1180,8 +1261,8 @@ impl Sos {
             *gain += 1;
         }
         let me = self.user_id();
-        let summary = self.store.summary();
-        let ctx = Self::routing_ctx(&me, &self.subscriptions, &summary, now);
+        let summary = summary.get_or_insert_with(|| self.store.summary());
+        let ctx = Self::routing_ctx(&me, &self.subscriptions, summary, now);
         let carried = self.scheme.should_carry(&ctx, &bundle);
         let interested = self.subscriptions.contains(&id.author) || id.author == me;
         let event = SosEvent::MessageReceived {
@@ -1197,6 +1278,12 @@ impl Sos {
         let stored = carried || interested;
         if stored {
             self.store.insert(bundle);
+            // The id was not held (checked on entry), so the author's
+            // latest can only have grown to this number.
+            let latest = summary.entry(id.author).or_insert(0);
+            *latest = (*latest).max(id.number);
+            #[cfg(test)]
+            assert_eq!(*summary, self.store.summary(), "bumped summary drifted");
         }
         self.note(
             now,
@@ -1320,13 +1407,13 @@ mod tests {
         };
 
         // First copy arrives over a long path: stored with hops 5+1.
-        bob.receive_bundle(PeerId(9), far, SimTime::from_secs(2));
+        bob.receive_frame(PeerId(9), vec![far], SimTime::from_secs(2));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6);
 
         // The same bundle straight from the author must lower the
         // stored count through the *middleware* duplicate path, not
         // just via MessageStore::insert in isolation.
-        bob.receive_bundle(PeerId(9), near, SimTime::from_secs(3));
+        bob.receive_frame(PeerId(9), vec![near], SimTime::from_secs(3));
         assert_eq!(bob.stats().bundles_duplicate, 1);
         assert_eq!(bob.store.get(&id).unwrap().hops, 1);
         assert_eq!(bob.store.len(), 1);
@@ -1355,13 +1442,13 @@ mod tests {
         let id = msg.id;
         let mut genuine = Bundle::new(msg, cert);
         genuine.hops = 5;
-        bob.receive_bundle(PeerId(9), genuine.clone(), SimTime::from_secs(2));
+        bob.receive_frame(PeerId(9), vec![genuine.clone()], SimTime::from_secs(2));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6);
 
         let mut forged = genuine.clone();
         forged.message.payload = b"forgery".to_vec();
         forged.hops = 0;
-        bob.receive_bundle(PeerId(9), forged, SimTime::from_secs(3));
+        bob.receive_frame(PeerId(9), vec![forged], SimTime::from_secs(3));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6, "hop count poisoned");
         assert_eq!(bob.store.get(&id).unwrap().message.payload, b"genuine");
         assert_eq!(bob.stats().security_rejections, 1);
@@ -1398,11 +1485,11 @@ mod tests {
             b
         };
         // First copy arrives within the certificate's validity.
-        bob.receive_bundle(PeerId(9), far, SimTime::from_secs(50));
+        bob.receive_frame(PeerId(9), vec![far], SimTime::from_secs(50));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6);
         // Second copy arrives long after expiry: verification would
         // reject it, but the content-equal dedup path never runs it.
-        bob.receive_bundle(PeerId(9), near, SimTime::from_secs(10_000));
+        bob.receive_frame(PeerId(9), vec![near], SimTime::from_secs(10_000));
         assert_eq!(bob.stats().bundles_duplicate, 1);
         assert_eq!(bob.stats().security_rejections, 0);
         assert_eq!(bob.store.get(&id).unwrap().hops, 1, "merge still applies");
@@ -1434,9 +1521,9 @@ mod tests {
         old_env.hops = 5;
         let new_env = Bundle::new(msg, cert_v2);
 
-        bob.receive_bundle(PeerId(9), old_env, SimTime::from_secs(2));
+        bob.receive_frame(PeerId(9), vec![old_env], SimTime::from_secs(2));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6);
-        bob.receive_bundle(PeerId(9), new_env.clone(), SimTime::from_secs(3));
+        bob.receive_frame(PeerId(9), vec![new_env.clone()], SimTime::from_secs(3));
         assert_eq!(bob.stats().bundles_duplicate, 1);
         assert_eq!(bob.stats().security_rejections, 0);
         assert_eq!(bob.store.get(&id).unwrap().hops, 1, "merge applies");
@@ -1470,8 +1557,8 @@ mod tests {
             );
             Bundle::new(msg, cert.clone())
         };
-        bob.receive_bundle(PeerId(9), make(b"version one"), SimTime::from_secs(2));
-        bob.receive_bundle(PeerId(9), make(b"version two"), SimTime::from_secs(3));
+        bob.receive_frame(PeerId(9), vec![make(b"version one")], SimTime::from_secs(2));
+        bob.receive_frame(PeerId(9), vec![make(b"version two")], SimTime::from_secs(3));
         let id = MessageId {
             author: alice,
             number: 1,
@@ -2187,5 +2274,301 @@ mod tests {
         browse(&mut bob, &mut alice, SimTime::from_secs(60));
         assert_eq!(alice.stats().sessions_initiated, before);
         assert_eq!(alice.stats().bundles_duplicate, 0);
+    }
+
+    // -----------------------------------------------------------------
+    // One `Bundles` frame ⇔ the same bundles in frames of one
+    // -----------------------------------------------------------------
+
+    /// Epidemic-like scheme that writes down what the middleware tells
+    /// it: the summary each `should_carry` saw, and every incident.
+    struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<String>>>);
+
+    impl RoutingScheme for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn interests(&mut self, ctx: &RoutingContext<'_>, ad: &Advertisement) -> Vec<UserId> {
+            ad.users_with_news(ctx.summary)
+        }
+        fn should_carry(&mut self, ctx: &RoutingContext<'_>, bundle: &Bundle) -> bool {
+            let line = format!("carry {:?} seeing {:?}", bundle.message.id, ctx.summary);
+            self.0.lock().unwrap().push(line);
+            true
+        }
+        fn on_security_incident(&mut self, peer_user: &UserId, now: SimTime) {
+            let line = format!("incident {} at {now:?}", peer_user.display());
+            self.0.lock().unwrap().push(line);
+        }
+    }
+
+    /// Everything a delivery can leave behind, rendered comparable.
+    #[derive(Debug, PartialEq)]
+    struct Aftermath {
+        store: Vec<Bundle>,
+        stats: SosStats,
+        journal: String,
+        events: Vec<String>,
+        scheme_calls: Vec<String>,
+    }
+
+    impl Aftermath {
+        fn stored(&self, like: &Bundle) -> &Bundle {
+            let held = self.store.iter().find(|b| b.message.id == like.message.id);
+            held.expect("bundle is stored")
+        }
+    }
+
+    /// An author outside the network: signs bundles for the frames.
+    struct Author {
+        sk: SigningKey,
+        uid: UserId,
+        cert: sos_crypto::Certificate,
+    }
+
+    impl Author {
+        fn new(ca: &mut CertificateAuthority, seed: u8, name: &str, issued_at: u64) -> Author {
+            let sk = SigningKey::from_seed([seed; 32]);
+            let ak = AgreementKey::from_secret([seed.wrapping_add(1); 32]);
+            let uid = uid(name);
+            let cert = ca.issue(uid, name, sk.verifying_key(), *ak.public(), issued_at);
+            Author { sk, uid, cert }
+        }
+
+        fn bundle(&self, number: u64, payload: &[u8]) -> Bundle {
+            let msg = SosMessage::create(
+                &self.sk,
+                self.uid,
+                number,
+                SimTime::from_secs(number),
+                MessageKind::Post,
+                payload.to_vec(),
+            );
+            Bundle::new(msg, self.cert.clone())
+        }
+    }
+
+    /// Delivers `preload` (one frame) and then `frame` — whole when
+    /// `batched`, else one bundle per frame — to a fresh receiver that
+    /// holds an open session with the relay, and collects the aftermath.
+    fn deliver(
+        ca: &mut CertificateAuthority,
+        preload: &[Bundle],
+        frame: &[Bundle],
+        now: SimTime,
+        batched: bool,
+    ) -> Aftermath {
+        let mut relay = node(ca, 0, 10, "relay", SchemeKind::Epidemic);
+        let mut bob = node(ca, 1, 20, "bob", SchemeKind::Epidemic);
+        let calls = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        bob.set_custom_scheme(Box::new(Recorder(calls.clone())));
+        let journal = sos_obs::journal::JournalHandle::new();
+        bob.attach_obs(NodeObs::new(1, journal.clone()));
+
+        // Open a session and stop before the relay answers the request,
+        // so the relay's user is chargeable for what "it" delivers.
+        relay
+            .post(MessageKind::Post, b"bait".to_vec(), SimTime::ZERO)
+            .unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let ad = Frame::Advertisement(relay.advertisement(now));
+        let init = bob.handle_frame(relay.peer_id(), ad, now, &mut rng);
+        let resp = relay.handle_frame(bob.peer_id(), init[0].1.clone(), now, &mut rng);
+        bob.handle_frame(relay.peer_id(), resp[0].1.clone(), now, &mut rng);
+        assert_eq!(bob.adhoc.peer_user(relay.peer_id()), Some(uid("relay")));
+
+        bob.receive_frame(relay.peer_id(), preload.to_vec(), now);
+        if batched {
+            bob.receive_frame(relay.peer_id(), frame.to_vec(), now);
+        } else {
+            for bundle in frame {
+                bob.receive_frame(relay.peer_id(), vec![bundle.clone()], now);
+            }
+        }
+        let scheme_calls = calls.lock().unwrap().clone();
+        Aftermath {
+            store: bob.store.iter().cloned().collect(),
+            stats: bob.stats(),
+            journal: journal.snapshot().to_jsonl(),
+            events: bob.poll_events().iter().map(|e| format!("{e:?}")).collect(),
+            scheme_calls,
+        }
+    }
+
+    /// Asserts the two deliveries are indistinguishable and returns one.
+    fn assert_frame_equals_singles(
+        ca: &mut CertificateAuthority,
+        preload: &[Bundle],
+        frame: &[Bundle],
+        now: SimTime,
+    ) -> Aftermath {
+        let whole = deliver(ca, preload, frame, now, true);
+        let singles = deliver(ca, preload, frame, now, false);
+        assert_eq!(whole, singles);
+        whole
+    }
+
+    /// Twelve valid bundles of two authors: enough of each for the
+    /// frame to be checked as one batch.
+    fn twelve(alice: &Author, carol: &Author) -> Vec<Bundle> {
+        (1..=12u64)
+            .map(|n| {
+                let who = if n % 3 == 0 { carol } else { alice };
+                who.bundle(n, format!("post {n}").as_bytes())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn frame_of_valid_bundles_equals_singles() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let (alice, carol) = (
+            Author::new(&mut ca, 2, "alice", 0),
+            Author::new(&mut ca, 4, "carol", 0),
+        );
+        let frame = twelve(&alice, &carol);
+        let got = assert_frame_equals_singles(&mut ca, &[], &frame, SimTime::from_secs(20));
+        assert_eq!(got.store.len(), 12);
+        assert_eq!(got.stats.bundles_received, 12);
+        assert_eq!(got.stats.security_rejections, 0);
+        // Each should_carry saw the store as it stood before its insert.
+        assert_eq!(got.scheme_calls.len(), 12);
+        assert!(got.scheme_calls[0].ends_with("seeing {}"));
+    }
+
+    #[test]
+    fn frame_with_a_forgery_in_the_middle_equals_singles() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let (alice, carol) = (
+            Author::new(&mut ca, 2, "alice", 0),
+            Author::new(&mut ca, 4, "carol", 0),
+        );
+        let mut frame = twelve(&alice, &carol);
+        frame[6].message.payload = b"tampered in transit".to_vec();
+        let got = assert_frame_equals_singles(&mut ca, &[], &frame, SimTime::from_secs(20));
+        assert_eq!(got.store.len(), 11, "everything but the forgery lands");
+        assert_eq!(got.stats.security_rejections, 1);
+        assert!(got.journal.contains("verify_failed"));
+        let incidents: Vec<_> = got
+            .scheme_calls
+            .iter()
+            .filter(|c| c.starts_with("incident relay"))
+            .collect();
+        assert_eq!(incidents.len(), 1, "the sender is charged, once");
+        // The alert sits between the deliveries of bundles 6 and 8.
+        let alert = got
+            .events
+            .iter()
+            .position(|e| e.starts_with("SecurityAlert"))
+            .unwrap();
+        let received = |e: &String| e.starts_with("MessageReceived");
+        assert_eq!(
+            got.events[..alert].iter().filter(|e| received(e)).count(),
+            6
+        );
+        assert_eq!(
+            got.events[alert..].iter().filter(|e| received(e)).count(),
+            5
+        );
+    }
+
+    #[test]
+    fn frame_repeating_an_id_equals_singles() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let (alice, carol) = (
+            Author::new(&mut ca, 2, "alice", 0),
+            Author::new(&mut ca, 4, "carol", 0),
+        );
+        let mut frame = twelve(&alice, &carol);
+        // The same signed bytes again, over a shorter path ...
+        let mut again = frame[1].clone();
+        frame[1].hops = 4;
+        again.hops = 1;
+        frame.insert(8, again);
+        // ... and a different validly signed content under a used id.
+        frame.push(alice.bundle(2, b"second thoughts"));
+        let got = assert_frame_equals_singles(&mut ca, &[], &frame, SimTime::from_secs(20));
+        assert_eq!(got.store.len(), 12);
+        assert_eq!(got.stats.bundles_duplicate, 1);
+        let merged = got.stored(&frame[1]).hops;
+        assert_eq!(merged, 2, "the in-frame duplicate merged hops");
+        assert!(got.journal.contains("equivocation"));
+    }
+
+    #[test]
+    fn frame_diverging_from_held_bundles_equals_singles() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let (alice, carol) = (
+            Author::new(&mut ca, 2, "alice", 0),
+            Author::new(&mut ca, 4, "carol", 0),
+        );
+        let held = twelve(&alice, &carol);
+        let renewed = Author {
+            cert: ca.issue(
+                alice.uid,
+                "alice",
+                alice.sk.verifying_key(),
+                *AgreementKey::from_secret([3u8; 32]).public(),
+                1,
+            ),
+            sk: alice.sk.clone(),
+            uid: alice.uid,
+        };
+        let mut frame = vec![
+            // Equivocation: validly signed other content for a held id.
+            alice.bundle(1, b"a different story"),
+            // Renewed certificate around the identical signed message.
+            Bundle::new(held[1].message.clone(), renewed.cert.clone()),
+            // Forged duplicate: a held id with tampered bytes.
+            {
+                let mut forged = held[3].clone();
+                forged.message.payload = b"poison".to_vec();
+                forged.hops = 0;
+                forged
+            },
+            // A plain content-equal duplicate.
+            held[4].clone(),
+        ];
+        // And enough fresh bundles that the frame is worth a batch.
+        frame.extend((13..=20u64).map(|n| carol.bundle(n, b"fresh")));
+        let got = assert_frame_equals_singles(&mut ca, &held, &frame, SimTime::from_secs(30));
+        assert_eq!(got.store.len(), 20);
+        assert_eq!(got.stats.bundles_duplicate, 2, "renewal + plain duplicate");
+        assert_eq!(got.stats.security_rejections, 2, "equivocation + forgery");
+        assert!(got.journal.contains("equivocation"));
+        assert!(got.journal.contains("forged_duplicate"));
+        assert_eq!(got.stored(&held[1]).author_certificate, renewed.cert);
+        assert_eq!(got.stored(&held[3]).message, held[3].message);
+        let incidents = got
+            .scheme_calls
+            .iter()
+            .filter(|c| c.starts_with("incident"));
+        assert_eq!(incidents.count(), 1, "only the forgery charges the relay");
+    }
+
+    #[test]
+    fn frame_with_an_expired_author_equals_singles() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let (alice, carol) = (
+            Author::new(&mut ca, 2, "alice", 0),
+            Author::new(&mut ca, 4, "carol", 0),
+        );
+        let year = std::mem::replace(&mut ca.default_validity_secs, 100);
+        let lapsed = Author::new(&mut ca, 6, "dave", 0);
+        ca.default_validity_secs = year;
+        let mut frame = twelve(&alice, &carol);
+        frame.insert(5, lapsed.bundle(1, b"from beyond"));
+        frame.insert(9, lapsed.bundle(2, b"still beyond"));
+        let got = assert_frame_equals_singles(&mut ca, &[], &frame, SimTime::from_secs(5_000));
+        assert_eq!(got.store.len(), 12, "the valid authors are unaffected");
+        assert_eq!(got.stats.security_rejections, 2);
+        assert_eq!(got.journal.matches("verify_failed").count(), 2);
+        let alerts: Vec<_> = got
+            .events
+            .iter()
+            .filter(|e| e.starts_with("SecurityAlert"))
+            .collect();
+        assert_eq!(alerts.len(), 2);
+        assert!(alerts.iter().all(|a| a.contains("originator certificate")));
     }
 }

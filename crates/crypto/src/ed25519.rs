@@ -2,14 +2,49 @@
 //! [`crate::scalar`].
 //!
 //! Implements key generation from a 32-byte seed, deterministic signing,
-//! and verification with the cofactorless equation `[S]B = R + [k]A`.
-//! Not constant-time; see the crate-level side-channel note.
+//! and verification. Not constant-time; see the crate-level side-channel
+//! note.
+//!
+//! ## The acceptance predicate
+//!
+//! Every verification flavour in this module — [`VerifyingKey::verify`],
+//! [`VerifyingKey::verify_uncached`], [`VerifyingKey::verify_naive`] (the
+//! oracle), [`PreparedVerifyingKey::verify`] and [`verify_batch`] —
+//! accepts exactly the signatures `(R, s)` that satisfy RFC 8032
+//! §5.1.7's primary, *cofactored* equation
+//!
+//! ```text
+//! [8][s]B = [8]R + [8][k]A,    k = SHA-512(R ‖ A ‖ M) mod ℓ
+//! ```
+//!
+//! with `s` canonical (`< ℓ`), `R` a canonical encoding (`y < p`) of a
+//! curve point, and `A` decompressible.
+//!
+//! Why cofactored: a batch is checked as one random linear combination
+//! `Σ zᵢ·([sᵢ]B − [kᵢ]Aᵢ − Rᵢ)`, and a combination cannot soundly check
+//! the *cofactorless* equation `[s]B = R + [k]A`. A key holder can sign
+//! with `R = [r]B + T` for a small-order `T`; the per-signature residue
+//! is then `−T`, which the cofactorless check always rejects but which
+//! `[zᵢ]` kills whenever `zᵢ` is a multiple of `T`'s order (probability
+//! ≥ 1/8). Batch and serial would disagree depending on `z`. Clearing
+//! the cofactor on both sides removes every small-order residue, so all
+//! flavours agree on every input, whatever `z` is.
+//!
+//! What changes against the cofactorless check this module used to
+//! run: only signatures whose residue `[s]B − [k]A − R` is a non-zero
+//! small-order point are now accepted, and producing one needs the
+//! secret key (or a small-order public key, which no honest key
+//! generation yields). Every honestly produced signature has a zero
+//! residue and every RFC 8032 vector verifies as before; forgeries stay
+//! forgeries. The serial flavours keep the compress-and-compare test as
+//! their accept fast path (`R' = [s]B − [k]A` encodes to `sig.R` ⇒
+//! residue zero ⇒ accept), so an honest verification costs what it did.
 //!
 //! ## Fast paths
 //!
 //! The original double-and-add routines ([`EdwardsPoint::mul_bytes`],
-//! [`VerifyingKey::verify_naive`]) are kept verbatim as reference
-//! oracles; everything hot now runs through precomputation:
+//! [`VerifyingKey::verify_naive`]) are kept as reference oracles;
+//! everything hot runs through precomputation:
 //!
 //! * [`basepoint_table`] — a lazily built signed radix-16 fixed-window
 //!   table of the basepoint (64 windows × 8 odd/even multiples), making
@@ -24,6 +59,10 @@
 //!   author cost two table sums plus one addition. A bounded
 //!   process-wide cache makes [`VerifyingKey::verify`] hit this path
 //!   automatically.
+//! * [`verify_batch`] — one random-linear-combination check for a whole
+//!   `SyncMsg::Bundles` frame: a single `[Σzᵢsᵢ]B` table sum, one
+//!   `[Σzᵢkᵢ](−A)` table sum per distinct author, and the `[zᵢ](−Rᵢ)`
+//!   terms (128-bit `zᵢ`) through one shared Straus/w-NAF chain.
 
 use crate::field25519::{sqrt_m1, Fe};
 use crate::scalar::Scalar;
@@ -276,11 +315,13 @@ impl EdwardsPoint {
         let y2 = y.square();
         let u = y2.sub(&Fe::ONE);
         let v = y2.mul(&d()).add(&Fe::ONE);
-        // Candidate root x = (u/v)^((p+3)/8) = u v^3 (u v^7)^((p-5)/8);
-        // equivalently (u v) * (u v^3 ... ); we use x = (u/v)^((p+3)/8)
-        // computed directly via an inversion, which is simpler and the
-        // performance is irrelevant here.
-        let x_candidate = u.mul(&v.invert()).pow_p38();
+        // Candidate root x = (u/v)^((p+3)/8) = u·v³·(u·v⁷)^((p−5)/8): the
+        // second form needs no inversion (v ≠ 0 always, −1/d being a
+        // non-square), and this is the largest per-signature term of a
+        // batch verification.
+        let v3 = v.square().mul(&v);
+        let v7 = v3.square().mul(&v);
+        let x_candidate = u.mul(&v3).mul(&u.mul(&v7).pow_p58());
         let vx2 = v.mul(&x_candidate.square());
         let x = if vx2 == u {
             x_candidate
@@ -309,6 +350,28 @@ impl EdwardsPoint {
     pub fn equals(&self, other: &EdwardsPoint) -> bool {
         // X1 Z2 == X2 Z1 and Y1 Z2 == Y2 Z1
         self.x.mul(&other.z) == other.x.mul(&self.z) && self.y.mul(&other.z) == other.y.mul(&self.z)
+    }
+
+    /// Decompresses the `R` half of a signature: as
+    /// [`EdwardsPoint::decompress`], but a non-canonical encoding
+    /// (`y ≥ p`, which `Fe::from_bytes` would silently reduce) is
+    /// rejected, as RFC 8032 §5.1.3 requires.
+    fn decompress_canonical(bytes: &[u8; 32]) -> Option<EdwardsPoint> {
+        // p = 2^255 − 19: the 19 values p..2^255 − 1 are exactly those
+        // with bits 8..255 all set and a low byte of at least 0xed.
+        let y_below_p =
+            bytes[0] < 0xed || bytes[31] & 0x7f != 0x7f || bytes[1..31].iter().any(|&b| b != 0xff);
+        if !y_below_p {
+            return None;
+        }
+        EdwardsPoint::decompress(bytes)
+    }
+
+    /// True when `[8]·self` is the neutral element, i.e. `self` lies in
+    /// the small-order subgroup — the cofactored equation's "= O".
+    fn is_small_order(&self) -> bool {
+        let p8 = self.double().double().double();
+        p8.x.is_zero() && p8.y == p8.z
     }
 }
 
@@ -543,11 +606,10 @@ impl VerifyingKey {
         &self.0
     }
 
-    /// Verifies `signature` over `message` (RFC 8032 §5.1.7).
-    ///
-    /// Checks that `s` is canonical and that `[s]B = R + [k]A` using the
-    /// cofactorless equation. Repeat verifications by the same key hit a
-    /// bounded process-wide [`PreparedVerifyingKey`] cache, skipping
+    /// Verifies `signature` over `message` (RFC 8032 §5.1.7; the
+    /// module header states the one acceptance predicate every flavour
+    /// implements). Repeat verifications by the same key hit a bounded
+    /// process-wide [`PreparedVerifyingKey`] cache, skipping
     /// decompression and the doubling chain entirely — the hot path of a
     /// sync encounter, where one author's bundles arrive in batches.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
@@ -570,36 +632,26 @@ impl VerifyingKey {
             None => return false,
         };
         let r_prime = EdwardsPoint::double_scalar_mul_basepoint(&s, &k, &a.neg());
-        crate::hmac::ct_eq(&r_prime.compress(), &r_enc)
+        residue_accepted(&r_prime, &r_enc)
     }
 
-    /// The original double-and-add verification, kept verbatim as the
-    /// reference oracle for the windowed fast paths.
+    /// The reference oracle for every other flavour: the acceptance
+    /// predicate written out with double-and-add multiplications, no
+    /// tables, no caches and no accept fast path.
     pub fn verify_naive(&self, message: &[u8], signature: &Signature) -> bool {
-        let sig = &signature.0;
-        let mut r_enc = [0u8; 32];
-        r_enc.copy_from_slice(&sig[..32]);
-        let mut s_bytes = [0u8; 32];
-        s_bytes.copy_from_slice(&sig[32..]);
-        let s = match Scalar::from_canonical_bytes(&s_bytes) {
-            Some(s) => s,
-            None => return false,
+        let Some((s, k, r_enc)) = self.verify_parts(message, signature) else {
+            return false;
         };
-        let a = match EdwardsPoint::decompress(&self.0) {
-            Some(a) => a,
-            None => return false,
+        let (Some(a), Some(r)) = (
+            EdwardsPoint::decompress(&self.0),
+            EdwardsPoint::decompress_canonical(&r_enc),
+        ) else {
+            return false;
         };
-        let mut h = Sha512::new();
-        h.update(&r_enc);
-        h.update(&self.0);
-        h.update(message);
-        let k = Scalar::from_bytes_mod_order(&h.finalize());
-
-        // R' = [s]B + [k](-A); valid iff R' encodes to sig.R
+        // [8]([s]B − [k]A − R) = O
         let sb = EdwardsPoint::basepoint().mul_scalar_naive(&s);
         let ka = a.neg().mul_scalar_naive(&k);
-        let r_prime = sb.add(&ka);
-        crate::hmac::ct_eq(&r_prime.compress(), &r_enc)
+        sb.add(&ka).add(&r.neg()).is_small_order()
     }
 
     /// Shared front half of every verification flavour: parses `s`
@@ -621,6 +673,25 @@ impl VerifyingKey {
         h.update(message);
         let k = Scalar::from_bytes_mod_order(&h.finalize());
         Some((s, k, r_enc))
+    }
+}
+
+/// Shared back half of the serial fast flavours: decides the acceptance
+/// predicate given `R' = [s]B − [k]A` and the signature's `R` encoding.
+///
+/// `R'` encoding to exactly `sig.R` (every honest signature) means the
+/// residue `R' − R` is zero and `R` is canonical, so the compress-and-
+/// compare of the old cofactorless check stays as the accept fast path.
+/// Only on a mismatch is `R` decompressed to see whether the residue is a
+/// non-zero small-order point, which the cofactored equation also
+/// accepts.
+fn residue_accepted(r_prime: &EdwardsPoint, r_enc: &[u8; 32]) -> bool {
+    if crate::hmac::ct_eq(&r_prime.compress(), r_enc) {
+        return true;
+    }
+    match EdwardsPoint::decompress_canonical(r_enc) {
+        Some(r) => r_prime.add(&r.neg()).is_small_order(),
+        None => false,
     }
 }
 
@@ -675,8 +746,7 @@ impl PreparedVerifyingKey {
         // R' = [s]B + [k](-A), both halves through fixed tables.
         let sb = basepoint_table().mul(&s);
         let ka = self.neg_table.mul(&k);
-        let r_prime = sb.add(&ka);
-        crate::hmac::ct_eq(&r_prime.compress(), &r_enc)
+        residue_accepted(&sb.add(&ka), &r_enc)
     }
 }
 
@@ -735,6 +805,117 @@ fn prepared_cache_lookup(key: &VerifyingKey) -> Option<std::sync::Arc<PreparedVe
         map.clear();
     }
     Some(map.entry(key.0).or_insert(prepared).clone())
+}
+
+/// Smallest batch [`verify_batch`] checks as one combination; below it
+/// (and whenever signatures do not outnumber distinct keys two to one)
+/// the serial path runs. Measured, not configured: the combination
+/// spends one table sum on `B`, one per distinct key and a shared
+/// 128-doubling chain before its per-signature work gets cheaper than
+/// two table sums, which is break-even at about 4 signatures of one
+/// author and a 2x loss at 1 (see `BENCH_crypto.json`,
+/// `ed25519/verify_batch_*`).
+const BATCH_MIN: usize = 5;
+
+/// Highest index a width-4 NAF digit of a 128-bit `z` can occupy.
+const Z_NAF_TOP: usize = 128;
+
+/// Verifies a whole batch of `(key, message, signature)` triples at
+/// once: true exactly when every triple passes [`VerifyingKey::verify`].
+/// An empty batch is vacuously valid.
+///
+/// Large enough batches are checked as one random linear combination
+/// `[8]·([Σzᵢsᵢ]B + Σ_A [Σzᵢkᵢ](−A) + Σ [zᵢ](−Rᵢ)) = O`: the `B` and
+/// per-key `−A` terms are doubling-free fixed-table sums (the keys'
+/// tables come from the same process-wide cache `verify` uses), and the
+/// `Rᵢ` terms share one Straus/w-NAF doubling chain. Every check the
+/// serial path makes is kept — canonical `s`, canonical decompressible
+/// `R`, decompressible `A` — and because both paths decide the
+/// cofactored equation (module header), a batch of individually valid
+/// signatures passes for *every* choice of `zᵢ`, while a batch holding
+/// an invalid one passes with probability about 2⁻¹²⁸.
+///
+/// The 128-bit `zᵢ` are derived by hashing the batch itself (every key,
+/// `R`, `s` and challenge) and expanding the digest with ChaCha20, so
+/// the function is deterministic and draws nothing from any caller's
+/// random number generator.
+///
+/// A `false` says only that *some* triple is invalid; callers that need
+/// to know which one verify serially after a failed batch.
+pub fn verify_batch(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
+    let serial = || items.iter().all(|(key, msg, sig)| key.verify(msg, sig));
+    if items.len() < BATCH_MIN {
+        return serial();
+    }
+    let mut keys: Vec<&[u8; 32]> = items.iter().map(|(key, _, _)| &key.0).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    if items.len() < 2 * keys.len() {
+        return serial();
+    }
+    let Some(prepared) = keys
+        .iter()
+        .map(|bytes| prepared_cache_lookup(&VerifyingKey(**bytes)))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return false;
+    };
+
+    // Parse everything first: any malformed part fails the batch, and
+    // the transcript must cover every item before the first z is drawn.
+    let mut parts = Vec::with_capacity(items.len());
+    let mut transcript = Sha512::new();
+    transcript.update(b"sos-ed25519-batch-v1");
+    transcript.update(&(items.len() as u64).to_le_bytes());
+    for (key, msg, sig) in items {
+        let Some((s, k, r_enc)) = key.verify_parts(msg, sig) else {
+            return false;
+        };
+        let Some(r) = EdwardsPoint::decompress_canonical(&r_enc) else {
+            return false;
+        };
+        transcript.update(&key.0);
+        transcript.update(&sig.0);
+        transcript.update(&k.to_bytes());
+        let slot = keys.partition_point(|held| *held < &key.0);
+        parts.push((slot, s, k, r));
+    }
+    let digest = transcript.finalize();
+    let mut z_key = [0u8; 32];
+    z_key.copy_from_slice(&digest[..32]);
+    let mut z_nonce = [0u8; 12];
+    z_nonce.copy_from_slice(&digest[32..44]);
+
+    let mut b_coeff = Scalar::ZERO;
+    let mut a_coeffs = vec![Scalar::ZERO; prepared.len()];
+    let mut r_terms = Vec::with_capacity(parts.len());
+    // One ChaCha20 block is four 128-bit coefficients.
+    for (block, four) in (0u32..).zip(parts.chunks(4)) {
+        let z_block = crate::chacha20::chacha20_block(&z_key, block, &z_nonce);
+        for ((slot, s, k, r), z_bytes) in four.iter().zip(z_block.chunks_exact(16)) {
+            let mut z = [0u8; 16];
+            z.copy_from_slice(z_bytes);
+            let z = Scalar::from_u128(u128::from_le_bytes(z));
+            b_coeff = b_coeff.add(&z.mul(s));
+            a_coeffs[*slot] = a_coeffs[*slot].add(&z.mul(k));
+            r_terms.push((z.non_adjacent_form4(), OddMultiples::new(&r.neg())));
+        }
+    }
+
+    let mut q = EdwardsPoint::identity();
+    for i in (0..=Z_NAF_TOP).rev() {
+        q = q.double();
+        for (naf, odd) in &r_terms {
+            if naf[i] != 0 {
+                q = odd.apply(&q, naf[i]);
+            }
+        }
+    }
+    q = q.add(&basepoint_table().mul(&b_coeff));
+    for (key, coeff) in prepared.iter().zip(&a_coeffs) {
+        q = q.add(&key.neg_table.mul(coeff));
+    }
+    q.is_small_order()
 }
 
 /// A detached 64-byte Ed25519 signature.
@@ -997,6 +1178,109 @@ mod tests {
         let s = Scalar::from_bytes_mod_order(&h);
         assert!(table.mul(&s).equals(&p.mul_scalar_naive(&s)));
         assert!(table.mul(&Scalar::ZERO).equals(&EdwardsPoint::identity()));
+    }
+
+    /// The body `decompress` had before it dropped the inversion
+    /// (`(u/v)^((p+3)/8)` computed literally), kept as its oracle.
+    fn decompress_reference(bytes: &[u8; 32]) -> Option<EdwardsPoint> {
+        let y = Fe::from_bytes(bytes);
+        let sign = (bytes[31] >> 7) & 1;
+        let y2 = y.square();
+        let u = y2.sub(&Fe::ONE);
+        let v = y2.mul(&d()).add(&Fe::ONE);
+        let x_candidate = u.mul(&v.invert()).pow_p38();
+        let vx2 = v.mul(&x_candidate.square());
+        let x = if vx2 == u {
+            x_candidate
+        } else if vx2 == u.neg() {
+            x_candidate.mul(&sqrt_m1())
+        } else {
+            return None;
+        };
+        if x.is_zero() && sign == 1 {
+            return None;
+        }
+        let x = if (x.is_negative() as u8) != sign {
+            x.neg()
+        } else {
+            x
+        };
+        Some(EdwardsPoint {
+            x,
+            y,
+            z: Fe::ONE,
+            t: x.mul(&y),
+        })
+    }
+
+    fn assert_decompress_matches_reference(bytes: &[u8; 32]) {
+        match (EdwardsPoint::decompress(bytes), decompress_reference(bytes)) {
+            (None, None) => {}
+            (Some(new), Some(old)) => {
+                let same = new.x == old.x && new.y == old.y && new.z == old.z && new.t == old.t;
+                assert!(same, "coordinates differ for {}", crate::hex::encode(bytes));
+            }
+            (new, old) => panic!(
+                "{}: new {:?}, reference {:?}",
+                crate::hex::encode(bytes),
+                new.is_some(),
+                old.is_some()
+            ),
+        }
+    }
+
+    #[test]
+    fn decompress_matches_reference_on_edge_encodings() {
+        // Small y (torsion points among them), y around p, both signs.
+        for low in 0..=255u8 {
+            for sign in [0u8, 0x80] {
+                let mut small = [0u8; 32];
+                small[0] = low;
+                small[31] = sign;
+                assert_decompress_matches_reference(&small);
+                let mut near_p = [0xffu8; 32];
+                near_p[0] = low;
+                near_p[31] = 0x7f | sign;
+                assert_decompress_matches_reference(&near_p);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decompress_matches_reference_body(bytes in proptest::prop::array::uniform32(proptest::any::<u8>())) {
+            assert_decompress_matches_reference(&bytes);
+            // And on a certain curve point derived from the same bytes.
+            let on_curve = basepoint_table()
+                .mul(&Scalar::from_bytes_mod_order(&bytes))
+                .compress();
+            assert_decompress_matches_reference(&on_curve);
+            assert!(EdwardsPoint::decompress(&on_curve).is_some());
+        }
+    }
+
+    #[test]
+    fn non_canonical_r_encodings_are_refused() {
+        // p − 1 (y = −1, the order-2 point) is the largest canonical y.
+        let mut enc = [0xffu8; 32];
+        enc[31] = 0x7f;
+        enc[0] = 0xec;
+        assert!(EdwardsPoint::decompress_canonical(&enc).is_some());
+        // p + 0 and p + 1 name y = 0 and y = 1 again: `decompress`
+        // reduces them, the signature path must not.
+        for low in [0xedu8, 0xee] {
+            enc[0] = low;
+            assert!(EdwardsPoint::decompress(&enc).is_some());
+            assert!(EdwardsPoint::decompress_canonical(&enc).is_none());
+        }
+        // Everything up to 2^255 − 1, with either sign bit.
+        for low in 0xed..=0xffu8 {
+            for top in [0x7fu8, 0xff] {
+                enc[0] = low;
+                enc[31] = top;
+                assert!(EdwardsPoint::decompress_canonical(&enc).is_none());
+            }
+        }
     }
 
     #[test]

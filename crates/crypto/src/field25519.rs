@@ -263,6 +263,15 @@ impl Fe {
         z_250_0.sq_n(2).mul(self).mul(self)
     }
 
+    /// Raises to (p − 5) / 8 = 2^252 − 3; with it point decompression
+    /// takes its square root of a ratio in one exponentiation
+    /// (`u·v³·(u·v⁷)^((p−5)/8)`) instead of an inversion plus one.
+    pub fn pow_p58(&self) -> Fe {
+        // 2^252 − 3 = (2^250 − 1)·2^2 + 1.
+        let (z_250_0, _) = self.pow_chain_core();
+        z_250_0.sq_n(2).mul(self)
+    }
+
     /// True if the canonical encoding is odd (the "sign" bit of RFC 8032).
     pub fn is_negative(&self) -> bool {
         self.to_bytes()[0] & 1 == 1
@@ -376,18 +385,21 @@ mod tests {
 
     #[test]
     fn addition_chain_matches_ladder() {
-        // The invert/pow_p38 addition chains must agree with the naive
-        // square-and-multiply oracle `pow_le` on the same exponents.
+        // The invert/pow_p38/pow_p58 addition chains must agree with the
+        // naive square-and-multiply oracle `pow_le` on the same exponents.
         let mut inv_exp = [0xffu8; 32]; // p − 2 = 2^255 − 21
         inv_exp[0] = 0xeb;
         inv_exp[31] = 0x7f;
         let mut p38_exp = [0xffu8; 32]; // (p + 3)/8 = 2^252 − 2
         p38_exp[0] = 0xfe;
         p38_exp[31] = 0x0f;
+        let mut p58_exp = p38_exp; // (p − 5)/8 = 2^252 − 3
+        p58_exp[0] = 0xfd;
         for seed in [1u64, 2, 19, 987654321, u64::MAX] {
             let a = fe(seed).add(&fe(3).mul(&fe(seed).square()));
             assert_eq!(a.invert(), a.pow_le(&inv_exp));
             assert_eq!(a.pow_p38(), a.pow_le(&p38_exp));
+            assert_eq!(a.pow_p58(), a.pow_le(&p58_exp));
         }
     }
 

@@ -95,6 +95,12 @@ impl Scalar {
         Scalar([v, 0, 0, 0])
     }
 
+    /// Constructs a scalar from a 128-bit integer (always below ℓ): the
+    /// random coefficients of batch verification.
+    pub(crate) fn from_u128(v: u128) -> Scalar {
+        Scalar([v as u64, (v >> 64) as u64, 0, 0])
+    }
+
     /// Serializes to 32 little-endian bytes (canonical).
     pub fn to_bytes(self) -> [u8; 32] {
         let mut out = [0u8; 32];

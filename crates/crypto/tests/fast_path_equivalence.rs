@@ -154,7 +154,7 @@ proptest! {
         prop_assert!(vk.verify_naive(&msg, &sig));
         prop_assert!(prepared.verify(&msg, &sig));
         // Corrupt one signature bit; every flavour must agree on the
-        // verdict (the cofactorless equation either holds or it does not).
+        // verdict (the one cofactored predicate holds or it does not).
         let mut bad = Signature(*sig.as_bytes());
         bad.0[flip / 8] ^= 1 << (flip % 8);
         let naive = vk.verify_naive(&msg, &bad);
