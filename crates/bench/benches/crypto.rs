@@ -12,9 +12,13 @@
 //! * `ed25519/verify_batch_64` (ns per signature through
 //!   `ed25519::verify_batch`, one author) must be ≤ 0.8 × the warm single
 //!   `ed25519/verify_256B` — a ratio of two single-thread timings, so a
-//!   1-core runner can fire it.
+//!   1-core runner can fire it;
+//! * `x25519/keygen` (a public key through the fixed-base table, ISSUE
+//!   14) must be ≤ 0.6 × `x25519/agree` (the Montgomery ladder) — the
+//!   same kind of ratio. A key generation that quietly went back to the
+//!   ladder reads 1.0.
 //!
-//! All three invariants are asserted — a run that violates them fails loudly
+//! All four invariants are asserted — a run that violates them fails loudly
 //! — and every measurement is written to `BENCH_crypto.json` at the
 //! workspace root so the perf trajectory is tracked across PRs. Set
 //! `SOS_BENCH_SMOKE=1` (as CI does) for a few-iteration smoke run.
@@ -29,6 +33,8 @@ use sos_crypto::cert::UserId;
 use sos_crypto::ed25519::{self, PreparedVerifyingKey, SigningKey};
 use sos_crypto::sha2;
 use sos_crypto::x25519::AgreementKey;
+use sos_crypto::DeviceIdentity;
+use sos_net::handshake::{Initiator, Responder};
 use sos_sim::SimTime;
 
 /// Bundles per encounter: PR 2's batched sync serves up to this many
@@ -66,6 +72,10 @@ fn bench_signatures(_c: &mut Criterion) {
     let msg = vec![0x5au8; 256];
     let sig = sk.sign(&msg);
     let prepared = PreparedVerifyingKey::new(&vk).expect("key decompresses");
+    // What a prepared-key cache miss pays before it can verify.
+    measure("ed25519/prepared_new", || {
+        PreparedVerifyingKey::new(std::hint::black_box(&vk)).expect("key decompresses")
+    });
 
     measure("ed25519/sign_256B", || sk.sign(std::hint::black_box(&msg)));
     // The default path: process-wide prepared cache, warm after the
@@ -132,8 +142,64 @@ fn bench_signatures(_c: &mut Criterion) {
 fn bench_agreement(_c: &mut Criterion) {
     let a = AgreementKey::from_secret([1; 32]);
     let b_key = AgreementKey::from_secret([2; 32]);
-    measure("x25519/agree", || {
+    let agree = measure("x25519/agree", || {
         a.agree(std::hint::black_box(b_key.public())).unwrap()
+    });
+    // Both ephemeral keys of every handshake and every provisioned
+    // identity: fixed base, so no ladder.
+    // (A hashed secret: a repeated-byte one has half its radix-16 digits
+    // zero and would skip half the table additions.)
+    let secret = sha2::sha256(b"x25519/keygen");
+    let keygen = measure("x25519/keygen", || {
+        AgreementKey::from_secret(std::hint::black_box(secret))
+    });
+    let ratio = keygen / agree;
+    SUITE.record("x25519/keygen_over_agree", ratio);
+    println!("x25519 fixed-base keygen / ladder agreement: {ratio:.2} (gate: <= 0.6)");
+    assert!(
+        ratio <= 0.6,
+        "fixed-base key generation regressed: {ratio:.2} of a ladder multiplication"
+    );
+}
+
+fn identity(ca: &mut CertificateAuthority, seed: u8, name: &str) -> DeviceIdentity {
+    let signing = SigningKey::from_seed([seed; 32]);
+    let agreement = AgreementKey::from_secret([seed.wrapping_add(50); 32]);
+    let uid = UserId::from_str_padded(name);
+    let cert = ca.issue(uid, name, signing.verifying_key(), *agreement.public(), 0);
+    let validator = Validator::new(ca.root_certificate().clone());
+    DeviceIdentity::new(uid, signing, agreement, cert, validator)
+}
+
+/// One whole connection establishment (Fig. 2b), start → respond →
+/// finish: two key generations, two ladders, two signatures, two
+/// certificate checks and two signature verifications.
+fn bench_handshake(_c: &mut Criterion) {
+    use rand::SeedableRng;
+    let mut ca = CertificateAuthority::new("Root", [1; 32], 0, u64::MAX);
+    let root = ca.root_certificate().clone();
+    let mut alice = identity(&mut ca, 10, "alice");
+    let mut bob = identity(&mut ca, 20, "bob");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let mut handshake = |alice: &DeviceIdentity, bob: &DeviceIdentity| {
+        let init = Initiator::start(bob, &mut rng);
+        let (response, alice_sess, _) =
+            Responder::respond(alice, init.message(), 100, &mut rng).expect("bob is valid");
+        let (bob_sess, _) = init.finish(bob, &response, 100).expect("alice is valid");
+        (alice_sess, bob_sess)
+    };
+    // Warm: the two have met before, so both certificates and all three
+    // prepared keys (CA, alice, bob) are cached — `study_replay`'s case.
+    handshake(&alice, &bob);
+    measure("handshake/full_warm", || handshake(&alice, &bob));
+    // Cold: strangers on both sides — each validator proves the peer's
+    // certificate and three key tables are built (`encounter_churn`
+    // sits between the two).
+    measure("handshake/full_cold", || {
+        ed25519::clear_prepared_cache();
+        *alice.validator_mut() = Validator::new(root.clone());
+        *bob.validator_mut() = Validator::new(root.clone());
+        handshake(&alice, &bob)
     });
 }
 
@@ -329,6 +395,7 @@ criterion_group!(
     bench_hashes,
     bench_signatures,
     bench_agreement,
+    bench_handshake,
     bench_aead,
     bench_certificates,
     bench_encounter,

@@ -9,11 +9,12 @@
 //! limitation), which we model with a signed revocation list that devices
 //! refresh only when "online".
 
+use crate::bounded::FifoMap;
 use crate::cert::{Certificate, UserId, MAX_FIELD_LEN};
 use crate::ed25519::{Signature, SigningKey, VerifyingKey};
 use crate::error::CertError;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::{Mutex, PoisonError};
 
 /// A signed certificate revocation list.
@@ -184,8 +185,8 @@ struct CachedCert {
     not_after: u64,
 }
 
-/// Cap on each validator's verified-certificate cache; a full cache is
-/// simply dropped (no LRU bookkeeping on the hot path).
+/// Cap on each validator's verified-certificate cache; a full cache
+/// gives up its oldest entry per newcomer.
 const CERT_CACHE_CAP: usize = 4096;
 
 /// Device-side certificate validator: holds the root certificate and the
@@ -199,7 +200,7 @@ const CERT_CACHE_CAP: usize = 4096;
 /// Validation results are cached by certificate-bytes hash: the issuer
 /// signature over a given byte string never changes, so each author's
 /// chain is verified once per node instead of once per received bundle
-/// (~180 µs → ~1 µs on repeats). The validity window is re-checked at
+/// (~25 µs → ~1 µs on repeats). The validity window is re-checked at
 /// every hit and the revocation list at every hit *and* on
 /// [`Validator::install_crl`], so expiry and revocation invalidate
 /// cached certificates immediately.
@@ -209,7 +210,7 @@ pub struct Validator {
     crl: Option<RevocationList>,
     /// fingerprint → proven-signature facts; interior mutability keeps
     /// `validate(&self)` signature-compatible and the validator `Sync`.
-    cache: Mutex<HashMap<[u8; 32], CachedCert>>,
+    cache: Mutex<FifoMap<[u8; 32], CachedCert>>,
 }
 
 // Cache locks recover from poisoning (`PoisonError::into_inner`) rather
@@ -237,7 +238,7 @@ impl Validator {
         Validator {
             root,
             crl: None,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(FifoMap::new(CERT_CACHE_CAP)),
         }
     }
 
@@ -323,18 +324,15 @@ impl Validator {
                 return Err(CertError::Revoked);
             }
         }
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if cache.len() >= CERT_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(
-            fp,
-            CachedCert {
-                serial: cert.serial,
-                not_before: cert.not_before,
-                not_after: cert.not_after,
-            },
-        );
+        let proven = CachedCert {
+            serial: cert.serial,
+            not_before: cert.not_before,
+            not_after: cert.not_after,
+        };
+        self.cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(fp, proven);
         Ok(())
     }
 
@@ -573,6 +571,28 @@ mod tests {
             validator.validate(&cert, 40).unwrap_err(),
             CertError::Revoked
         );
+    }
+
+    #[test]
+    fn full_cache_gives_up_one_certificate_not_all() {
+        let (mut ca, validator) = setup();
+        let (sk, ak) = device_keys(9);
+        let mut issue = |n: usize| {
+            ca.issue(
+                UserId::from_str_padded(&format!("u{n}")),
+                "U",
+                sk.verifying_key(),
+                *ak.public(),
+                0,
+            )
+        };
+        for n in 0..CERT_CACHE_CAP {
+            assert!(validator.validate(&issue(n), 10).is_ok());
+        }
+        assert_eq!(validator.cached_certs(), CERT_CACHE_CAP);
+        // The newcomer that used to empty the cache now costs one entry.
+        assert!(validator.validate(&issue(CERT_CACHE_CAP), 10).is_ok());
+        assert_eq!(validator.cached_certs(), CERT_CACHE_CAP);
     }
 
     #[test]

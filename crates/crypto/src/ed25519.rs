@@ -49,7 +49,10 @@
 //! * [`basepoint_table`] — a lazily built signed radix-16 fixed-window
 //!   table of the basepoint (64 windows × 8 odd/even multiples), making
 //!   `[s]B` a ~64-addition sum with **zero** doublings. Used by signing,
-//!   key generation, and the `[s]B` half of verification.
+//!   key generation, the `[s]B` half of verification — and, mapped to
+//!   Montgomery form, by every X25519 public key
+//!   ([`crate::x25519::x25519_base`]: both ephemeral keys of a
+//!   handshake).
 //! * [`EdwardsPoint::mul_scalar`] — 4-bit sliding-window (w-NAF)
 //!   variable-base multiplication (≈ 51 additions instead of ≈ 128).
 //! * [`EdwardsPoint::double_scalar_mul_basepoint`] — Straus/Shamir
@@ -58,16 +61,24 @@
 //!   a fixed-window table of `-A`, so repeat verifications by the same
 //!   author cost two table sums plus one addition. A bounded
 //!   process-wide cache makes [`VerifyingKey::verify`] hit this path
-//!   automatically.
+//!   automatically; when full it evicts its one oldest entry, so a node
+//!   that meets `n` authors with room for `cap < n` keeps about `cap/n`
+//!   of its hits.
 //! * [`verify_batch`] — one random-linear-combination check for a whole
 //!   `SyncMsg::Bundles` frame: a single `[Σzᵢsᵢ]B` table sum, one
 //!   `[Σzᵢkᵢ](−A)` table sum per distinct author, and the `[zᵢ](−Rᵢ)`
 //!   terms (128-bit `zᵢ`) through one shared Straus/w-NAF chain.
+//!
+//! Underneath all of them, [`Fe::square`] is a dedicated 15-product
+//! squaring: point doublings, inversions, decompression and the X25519
+//! ladder are mostly squarings.
 
+use crate::bounded::FifoMap;
 use crate::field25519::{sqrt_m1, Fe};
 use crate::scalar::Scalar;
 use crate::sha2::Sha512;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Little-endian bytes of the Edwards curve constant
 /// d = −121665/121666 mod p.
@@ -307,6 +318,17 @@ impl EdwardsPoint {
         out
     }
 
+    /// The u-coordinate of this point's image on Curve25519 under the
+    /// birational map `u = (1 + y)/(1 − y) = (Z + Y)/(Z − Y)`, encoded as
+    /// X25519 encodes it. The neutral element (`Z = Y`) maps to `u = 0`,
+    /// the ladder's encoding of the point at infinity, because
+    /// [`Fe::invert`] sends 0 to 0.
+    pub(crate) fn to_montgomery_u(self) -> [u8; 32] {
+        let num = self.z.add(&self.y);
+        let den = self.z.sub(&self.y);
+        num.mul(&den.invert()).to_bytes()
+    }
+
     /// Decompresses a 32-byte encoding, returning `None` if the bytes do
     /// not name a curve point (RFC 8032 §5.1.3).
     pub fn decompress(bytes: &[u8; 32]) -> Option<EdwardsPoint> {
@@ -416,10 +438,11 @@ impl OddMultiples {
 /// for 64 windows, so `[s]P` is a sum of at most 64 precomputed points
 /// with **no doublings** at multiplication time.
 ///
-/// Building costs ~520 point operations (~60 µs); one multiplication
-/// through it costs ~64 mixed additions (~15 µs). It pays for itself
-/// after a single reuse, which is why it backs both the static
-/// [`basepoint_table`] and the per-author [`PreparedVerifyingKey`].
+/// Building costs ~520 point operations (~115 µs); one multiplication
+/// through it costs at most 64 mixed additions (~11 µs; the 255-step
+/// X25519 ladder takes ~42 µs). It pays for itself within a handful of
+/// reuses, which is why it backs both the static [`basepoint_table`] and
+/// the per-author [`PreparedVerifyingKey`].
 pub struct FixedWindowTable {
     windows: Vec<[PNiels; 8]>,
 }
@@ -697,13 +720,15 @@ fn residue_accepted(r_prime: &EdwardsPoint, r_enc: &[u8; 32]) -> bool {
 
 /// A verifying key prepared for repeat use: the decompressed point plus
 /// a fixed-window table of `-A`, so each verification is two
-/// doubling-free table sums and one addition (~5–6x faster than the
-/// naive path; see `cargo bench -p sos-bench --bench crypto`).
+/// doubling-free table sums and one addition (~25 µs, 4.5–5x faster
+/// than the naive path; see `cargo bench -p sos-bench --bench crypto`).
 ///
-/// Building one costs about three naive verifications' worth of point
-/// additions amortized away after the first few signatures — exactly
-/// the SOS workload, where a sync encounter delivers an author's bundles
-/// in batches (~200 per session).
+/// Building one costs ~120 µs (`ed25519/prepared_new`: one naive
+/// verification, or five prepared ones), against ~60 µs for a one-shot
+/// [`VerifyingKey::verify_uncached`] — amortized away by an author's
+/// fourth signature, which is exactly the SOS workload: a sync encounter
+/// delivers an author's bundles in batches (~200 per session), and a
+/// handshake peer is usually met again.
 pub struct PreparedVerifyingKey {
     compressed: [u8; 32],
     neg_table: FixedWindowTable,
@@ -774,19 +799,29 @@ pub fn clear_prepared_cache() {
         .clear();
 }
 
-type PreparedMap = std::collections::HashMap<[u8; 32], std::sync::Arc<PreparedVerifyingKey>>;
+/// Prepared-key tables built for the cache since the process started:
+/// every cache miss on a decompressible key is one build, so the
+/// difference across a call tells a test whether it hit.
+#[doc(hidden)]
+pub fn prepared_cache_builds() -> u64 {
+    PREPARED_BUILDS.load(Relaxed)
+}
+
+static PREPARED_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+type PreparedMap = FifoMap<[u8; 32], Arc<PreparedVerifyingKey>>;
 
 // Lookups recover from a poisoned lock (`PoisonError::into_inner`)
 // instead of panicking: entries are pure functions of the key bytes, so
 // a writer that died mid-insert cannot corrupt what a reader sees.
 fn prepared_cache() -> &'static Mutex<PreparedMap> {
     static CACHE: OnceLock<Mutex<PreparedMap>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(std::collections::HashMap::new()))
+    CACHE.get_or_init(|| Mutex::new(FifoMap::new(PREPARED_CACHE_CAP)))
 }
 
 /// Looks up (building on miss) the prepared form of `key` in the
 /// process-wide cache. Returns `None` only for undecompressible keys.
-fn prepared_cache_lookup(key: &VerifyingKey) -> Option<std::sync::Arc<PreparedVerifyingKey>> {
+fn prepared_cache_lookup(key: &VerifyingKey) -> Option<Arc<PreparedVerifyingKey>> {
     let cache = prepared_cache();
     if let Some(hit) = cache
         .lock()
@@ -795,16 +830,17 @@ fn prepared_cache_lookup(key: &VerifyingKey) -> Option<std::sync::Arc<PreparedVe
     {
         return Some(hit.clone());
     }
-    // Build outside the lock: table construction is ~60 µs and must not
-    // serialize other threads' verifications.
-    let prepared = std::sync::Arc::new(PreparedVerifyingKey::new(key)?);
-    let mut map = cache.lock().unwrap_or_else(PoisonError::into_inner);
-    if map.len() >= PREPARED_CACHE_CAP {
-        // Rare full-drop keeps the code free of LRU bookkeeping on the
-        // hot path; the next encounters simply rebuild their authors.
-        map.clear();
-    }
-    Some(map.entry(key.0).or_insert(prepared).clone())
+    // Build outside the lock: table construction is ~120 µs and must not
+    // serialize other threads' verifications. A full cache gives up its
+    // oldest entry, so meeting more authors than the cap costs a share
+    // of the hits, not all of them.
+    let prepared = Arc::new(PreparedVerifyingKey::new(key)?);
+    PREPARED_BUILDS.fetch_add(1, Relaxed);
+    cache
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(key.0, prepared.clone());
+    Some(prepared)
 }
 
 /// Smallest batch [`verify_batch`] checks as one combination; below it
@@ -1154,6 +1190,40 @@ mod tests {
         assert!(!vk.verify_uncached(b"m", &sig));
         assert!(!vk.verify_naive(b"m", &sig));
         assert!(PreparedVerifyingKey::new(&vk).is_none());
+    }
+
+    #[test]
+    fn poisoned_cache_lock_is_recovered_not_propagated() {
+        // A thread that dies holding the cache lock poisons it for good;
+        // every accessor must keep working (entries are pure functions of
+        // their key, so nothing half-written can be observed).
+        let died = std::thread::spawn(|| {
+            let _guard = prepared_cache()
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            panic!("poisoning the prepared-key cache on purpose");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(prepared_cache().is_poisoned());
+        let sk = SigningKey::from_seed([0x70; 32]);
+        let sig = sk.sign(b"after the poison");
+        assert!(sk.verifying_key().verify(b"after the poison", &sig)); // miss
+        assert!(sk.verifying_key().verify(b"after the poison", &sig)); // hit
+        assert!(prepared_cache_len() >= 1);
+    }
+
+    #[test]
+    fn montgomery_image_of_the_basepoint_and_the_neutral_element() {
+        assert_eq!(
+            EdwardsPoint::basepoint().to_montgomery_u(),
+            crate::x25519::BASEPOINT
+        );
+        // Z = Y: the inversion of zero yields zero, the ladder's encoding
+        // of the point at infinity.
+        assert_eq!(EdwardsPoint::identity().to_montgomery_u(), [0u8; 32]);
+        let scaled = basepoint_table().mul(&Scalar::ZERO);
+        assert_eq!(scaled.to_montgomery_u(), [0u8; 32]);
     }
 
     #[test]

@@ -166,9 +166,27 @@ impl Fe {
         Self::carry_wide([r0, r1, r2, r3, r4])
     }
 
-    /// Field squaring.
+    /// Field squaring: the 25 limb products of [`Fe::mul`] folded into
+    /// the 15 distinct ones (each cross term once, doubled).
+    ///
+    /// The doubling and the `·19` wrap are applied to one operand in
+    /// `u64` first — a limb below 2^52 times 38 stays below 2^58 — so
+    /// every product is a single 64×64→128 multiplication and each sum
+    /// has the bound of the matching `mul` row (< 2^111).
     pub fn square(&self) -> Fe {
-        self.mul(self)
+        let [a0, a1, a2, a3, a4] = self.0;
+        let m = |x: u64, y: u64| x as u128 * y as u128;
+        let (d0, d1) = (2 * a0, 2 * a1);
+        let (a3_19, a4_19) = (19 * a3, 19 * a4);
+        let (d2_19, d4_19) = (38 * a2, 38 * a4);
+
+        let r0 = m(a0, a0) + m(d4_19, a1) + m(d2_19, a3);
+        let r1 = m(d0, a1) + m(d4_19, a2) + m(a3_19, a3);
+        let r2 = m(d0, a2) + m(a1, a1) + m(d4_19, a3);
+        let r3 = m(d0, a3) + m(d1, a2) + m(a4_19, a4);
+        let r4 = m(d0, a4) + m(d1, a3) + m(a2, a2);
+
+        Self::carry_wide([r0, r1, r2, r3, r4])
     }
 
     /// Multiplication by a small scalar (fits in 32 bits).
@@ -400,6 +418,56 @@ mod tests {
             assert_eq!(a.invert(), a.pow_le(&inv_exp));
             assert_eq!(a.pow_p38(), a.pow_le(&p38_exp));
             assert_eq!(a.pow_p58(), a.pow_le(&p58_exp));
+        }
+    }
+
+    /// The dedicated squaring against the general multiplication, limb
+    /// for limb: both end in the same `carry_wide` over equal column
+    /// sums, so not only the field element but its representation agrees.
+    fn assert_square_is_mul(x: Fe) {
+        assert_eq!(x.square().0, x.mul(&x).0, "limbs {:?}", x.0);
+    }
+
+    #[test]
+    fn square_matches_mul_on_edge_values() {
+        const TOP: u64 = (1 << 52) - 1; // the documented public limb bound
+        let p_minus_one = Fe([MASK - 19, MASK, MASK, MASK, MASK]); // 2^255 − 20
+        let p = Fe([MASK - 18, MASK, MASK, MASK, MASK]); // zero, unreduced
+        assert_eq!(p_minus_one, Fe::ZERO.sub(&Fe::ONE));
+        assert_eq!(p, Fe::ZERO);
+        for x in [
+            Fe::ZERO,
+            Fe::ONE,
+            p_minus_one,
+            p,
+            Fe([MASK; 5]), // 2^255 − 1 ≡ 18, unreduced
+            Fe([TOP; 5]),  // every limb at the bound
+            Fe([TOP, 0, TOP, 0, TOP]),
+            Fe([0, TOP, 0, TOP, 0]),
+        ] {
+            assert_square_is_mul(x);
+        }
+        assert_eq!(p_minus_one.square(), Fe::ONE);
+        assert_eq!(p.square(), Fe::ZERO);
+        assert_eq!(Fe([MASK; 5]).square(), fe(18 * 18));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+        #[test]
+        fn square_matches_mul_on_unreduced_limbs(
+            limbs in (0u64..1 << 52, 0u64..1 << 52, 0u64..1 << 52, 0u64..1 << 52, 0u64..1 << 52),
+            pinned in 0u8..32,
+        ) {
+            // Limbs anywhere below the public bound, a random subset of
+            // them pinned to it (where the carries are longest).
+            let mut x = Fe([limbs.0, limbs.1, limbs.2, limbs.3, limbs.4]);
+            for (i, limb) in x.0.iter_mut().enumerate() {
+                if pinned >> i & 1 == 1 {
+                    *limb = (1 << 52) - 1;
+                }
+            }
+            assert_square_is_mul(x);
         }
     }
 

@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod aead;
+mod bounded;
 pub mod ca;
 pub mod cert;
 pub mod chacha20;

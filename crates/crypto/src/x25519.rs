@@ -1,6 +1,49 @@
 //! X25519 Diffie–Hellman key agreement (RFC 7748).
+//!
+//! ## Two multiplications, two algorithms
+//!
+//! A key agreement multiplies a point only the peer chose, so
+//! [`x25519`] walks the 255-step Montgomery ladder of RFC 7748 §5: five
+//! multiplications and four squarings per scalar bit, nothing
+//! precomputable. A *public key* multiplies the one fixed base point
+//! `u = 9`, and for a fixed point the doublings can be paid once, ahead
+//! of time. [`x25519_base`] therefore does not run the ladder. It
+//! computes the same point on the birationally equivalent Edwards curve,
+//! where [`crate::ed25519::basepoint_table`] already holds every
+//! `j·16^i·B`, and maps the result back:
+//!
+//! ```text
+//! (x, y) on edwards25519  ↦  u = (1 + y)/(1 − y) = (Z + Y)/(Z − Y)
+//! ```
+//!
+//! The Ed25519 base point `B` (`y = 4/5`) is the image of `u = 9` under
+//! this map, and the map is a group homomorphism, so
+//! `u([k]B) = X25519(k, 9)` for every `k` — about 64 mixed additions and
+//! one inversion instead of 255 ladder steps (ring's
+//! `x25519_ge_scalarmult_base` does exactly this).
+//!
+//! * **`k mod ℓ` is sound.** The table multiplies by canonical scalars.
+//!   A clamped `k` lies in `[2^254, 2^255)`, above `ℓ ≈ 2^252`, but `B`
+//!   has order `ℓ`, so `[k]B = [k mod ℓ]B`. (The ladder needs no such
+//!   step and would not survive it: an arbitrary `u` may have a
+//!   component of order 8, which is what clamping's low three zero bits
+//!   are for.)
+//! * **The neutral element.** `(0, 1)` has `Z − Y = 0`; with
+//!   `Fe::invert(0) = 0` it maps to `u = 0`, which is also how the
+//!   ladder encodes the point at infinity. No clamped scalar reaches it
+//!   (`8ℓ > 2^255` is the smallest non-zero multiple of `ℓ` divisible by
+//!   8), so the case needs no branch, only agreement — and the two
+//!   functions agree.
+//!
+//! The ladder stays the only variable-base path and is the oracle the
+//! fixed-base path is tested against
+//! (`tests/fast_path_equivalence.rs`): every public key, hence every
+//! certificate, handshake frame and session key, is bit-identical to
+//! what the ladder produced.
 
+use crate::ed25519::basepoint_table;
 use crate::field25519::Fe;
+use crate::scalar::Scalar;
 
 /// The u-coordinate of the X25519 base point.
 pub const BASEPOINT: [u8; 32] = {
@@ -53,9 +96,11 @@ pub fn x25519(k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     x2.mul(&z2.invert()).to_bytes()
 }
 
-/// Computes the public key for a secret scalar: `X25519(k, 9)`.
+/// Computes the public key for a secret scalar: `X25519(k, 9)`, through
+/// the doubling-free Edwards basepoint table (module header).
 pub fn x25519_base(k: &[u8; 32]) -> [u8; 32] {
-    x25519(k, &BASEPOINT)
+    let k = Scalar::from_bytes_mod_order(&clamp(*k));
+    basepoint_table().mul(&k).to_montgomery_u()
 }
 
 /// An X25519 key pair for key agreement.

@@ -2,8 +2,9 @@
 //! naive double-and-add oracles it replaced (ISSUE 3 tentpole): the
 //! fixed-window basepoint table, the 4-bit sliding-window variable-base
 //! multiplication, the Straus/Shamir interleaved double-scalar
-//! multiplication, the prepared/cached verification flavours, and the
-//! validator's certificate cache.
+//! multiplication, the prepared/cached verification flavours, the
+//! validator's certificate cache, and (ISSUE 14) the fixed-base X25519
+//! public-key derivation against the Montgomery ladder.
 //!
 //! Random inputs come from proptest; the edge scalars the recodings are
 //! most likely to mishandle (0, 1, ℓ−1, ℓ, 2²⁵⁶−1) are exercised
@@ -16,7 +17,7 @@ use sos_crypto::ed25519::{
     basepoint_table, EdwardsPoint, FixedWindowTable, PreparedVerifyingKey, Signature, SigningKey,
 };
 use sos_crypto::scalar::Scalar;
-use sos_crypto::x25519::AgreementKey;
+use sos_crypto::x25519::{x25519, x25519_base, AgreementKey, BASEPOINT};
 
 /// ℓ − 1 as canonical little-endian bytes.
 fn l_minus_one_bytes() -> [u8; 32] {
@@ -98,6 +99,75 @@ fn non_canonical_byte_inputs_reduce_like_subgroup_order() {
         let naive = EdwardsPoint::basepoint().mul_bytes(&raw);
         let fast = basepoint_table().mul(&Scalar::from_bytes_mod_order(&raw));
         assert!(fast.equals(&naive));
+    }
+}
+
+/// The fixed-base public key against the ladder oracle, byte for byte.
+fn assert_base_matches_ladder(k: &[u8; 32]) {
+    assert_eq!(
+        x25519_base(k),
+        x25519(k, &BASEPOINT),
+        "fixed-base and ladder public keys differ for k = {k:02x?}"
+    );
+}
+
+#[test]
+fn x25519_base_matches_ladder_on_rfc7748_keys() {
+    // RFC 7748 §6.1: both secret keys and the public keys they must give.
+    for (secret, public) in [
+        (
+            "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
+            "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a",
+        ),
+        (
+            "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb",
+            "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f",
+        ),
+    ] {
+        let k = sos_crypto::hex::decode_array::<32>(secret).expect("hex");
+        assert_base_matches_ladder(&k);
+        assert_eq!(sos_crypto::hex::encode(&x25519_base(&k)), public);
+    }
+}
+
+#[test]
+fn x25519_base_matches_ladder_on_edge_scalars() {
+    // Clamping turns all-zero into 2^254 and all-0xff into 2^255 − 8:
+    // the smallest and largest scalars either path ever multiplies by.
+    assert_base_matches_ladder(&[0u8; 32]);
+    assert_base_matches_ladder(&[0xffu8; 32]);
+    // Every single-bit k, including the eight bits clamping discards.
+    for bit in 0..256 {
+        let mut k = [0u8; 32];
+        k[bit / 8] = 1 << (bit % 8);
+        assert_base_matches_ladder(&k);
+    }
+    // ℓ and ℓ − 1 as raw bytes: `k mod ℓ` must happen after clamping,
+    // not instead of it.
+    assert_base_matches_ladder(&l_bytes());
+    assert_base_matches_ladder(&l_minus_one_bytes());
+}
+
+#[test]
+fn agreement_is_symmetric_across_fixed_base_and_ladder_keys() {
+    // Alice's public key comes from the fixed-base path, Bob's from the
+    // ladder; both directions of the exchange must meet.
+    let alice = AgreementKey::from_secret([0xa1; 32]);
+    let bob_secret = [0xb0; 32];
+    let bob_public = x25519(&bob_secret, &BASEPOINT);
+    let shared = alice.agree(&bob_public).expect("contributory");
+    assert_eq!(shared, x25519(&bob_secret, alice.public()));
+    assert_eq!(
+        Some(shared),
+        AgreementKey::from_secret(bob_secret).agree(alice.public())
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn x25519_base_matches_ladder(k in prop::array::uniform32(any::<u8>())) {
+        prop_assert_eq!(x25519_base(&k), x25519(&k, &BASEPOINT));
     }
 }
 

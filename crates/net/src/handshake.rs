@@ -306,6 +306,53 @@ mod tests {
     }
 
     #[test]
+    fn ephemeral_public_keys_are_the_ladder_image_of_the_rng_stream() {
+        // Pins the transcript: the ephemeral secrets are the next 32
+        // bytes of the caller's RNG, initiator first, and each public key
+        // is X25519(secret, 9) as the Montgomery ladder computes it —
+        // however `AgreementKey` derives it. A keygen change that drew
+        // differently from the RNG, or produced another encoding, would
+        // change every handshake frame on the wire and fails here.
+        use rand::RngCore;
+        use sos_crypto::x25519::{x25519, BASEPOINT};
+        let (alice, bob) = pair();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20170605);
+        let mut oracle = rng.clone();
+        let mut next_secret = || {
+            let mut secret = [0u8; 32];
+            oracle.fill_bytes(&mut secret);
+            secret
+        };
+
+        let init = Initiator::start(&bob, &mut rng);
+        let init_secret = next_secret();
+        assert_eq!(
+            init.message().ephemeral_public,
+            x25519(&init_secret, &BASEPOINT)
+        );
+        let (response, mut alice_sess, _) =
+            Responder::respond(&alice, init.message(), 0, &mut rng).unwrap();
+        let resp_secret = next_secret();
+        assert_eq!(response.ephemeral_public, x25519(&resp_secret, &BASEPOINT));
+        // And the session keys are derived from the ladder's shared
+        // secret over exactly those two public keys.
+        let shared = x25519(&init_secret, &response.ephemeral_public);
+        assert_eq!(
+            shared,
+            x25519(&resp_secret, &init.message().ephemeral_public)
+        );
+        let (i2r, _) = derive_keys(
+            &shared,
+            &init.message().ephemeral_public,
+            &response.ephemeral_public,
+        );
+        let (mut bob_sess, _) = init.finish(&bob, &response, 0).unwrap();
+        assert_eq!(bob_sess.send_key, i2r);
+        let (seq, ct) = bob_sess.seal(b"", b"pinned");
+        assert_eq!(alice_sess.open(seq, b"", &ct).unwrap(), b"pinned");
+    }
+
+    #[test]
     fn sequence_gap_detected() {
         let (alice, bob) = pair();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);

@@ -174,9 +174,20 @@ fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The enable flag is process-wide and `cargo test` runs tests on
+    /// parallel threads: every test that depends on its value holds this
+    /// lock for as long as it does. (Recovered when poisoned, so one
+    /// failing test does not fail the others.)
+    fn flag_lock() -> MutexGuard<'static, ()> {
+        static FLAG: Mutex<()> = Mutex::new(());
+        FLAG.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _flag = flag_lock();
         set_enabled(false);
         let _ = take(); // drain anything a prior test left behind
         {
@@ -187,6 +198,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_aggregate() {
+        let _flag = flag_lock();
         set_enabled(true);
         let _ = take();
         for _ in 0..3 {
