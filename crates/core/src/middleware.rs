@@ -857,13 +857,7 @@ impl Sos {
             }
         };
         match msg {
-            SyncMsg::Request { wants } => {
-                // A v1 peer cannot decode v2 batch frames: answer its
-                // watermark request with v1 single-bundle frames.
-                let legacy = SyncMsg::is_v1_request(bytes);
-                self.serve_request(from, &wants, legacy, now, out)
-            }
-            SyncMsg::Bundle(bundle) => self.receive_frame(from, vec![*bundle], now),
+            SyncMsg::Request { wants } => self.serve_request(from, &wants, now, out),
             SyncMsg::Bundles(bundles) => self.receive_frame(from, bundles, now),
             SyncMsg::Done => {
                 // One Done arrives per Request frame we sent; close only
@@ -916,14 +910,12 @@ impl Sos {
     }
 
     /// Advertiser side of Fig. 2b: serve the complement of the
-    /// requester's held ranges, packed into size-budgeted batch frames
-    /// (or one v1 frame per bundle when `legacy` requesters ask), then
-    /// signal completion.
+    /// requester's held ranges, packed into size-budgeted batch frames,
+    /// then signal completion.
     fn serve_request(
         &mut self,
         from: PeerId,
         wants: &[AuthorWant],
-        legacy: bool,
         now: SimTime,
         out: &mut Vec<(PeerId, Frame)>,
     ) {
@@ -973,21 +965,6 @@ impl Sos {
             let mut outgoing = stored.clone();
             outgoing.copies = granted_copies;
             let body = outgoing.encode();
-            if legacy {
-                let payload = SyncMsg::encode_single_bundle(&body);
-                match self.adhoc.send_payload(from, &payload) {
-                    Ok(frame) => {
-                        self.stats.bundles_sent.inc();
-                        self.stats.sync_frames_sent.inc();
-                        out.push((from, frame));
-                    }
-                    Err(_) => {
-                        self.close_broken_session(from, now, out);
-                        return;
-                    }
-                }
-                continue;
-            }
             if !batch.is_empty() && batch_bytes + body.len() > sos_net::SYNC_BATCH_BUDGET {
                 if !self.flush_batch(from, now, &mut batch, out) {
                     return;
@@ -2112,7 +2089,7 @@ mod tests {
             have: vec![],
         }];
         let mut out = Vec::new();
-        alice.serve_request(PeerId(9), &wants, false, SimTime::ZERO, &mut out);
+        alice.serve_request(PeerId(9), &wants, SimTime::ZERO, &mut out);
         assert!(out.is_empty(), "no session ⇒ nothing to transmit");
         assert!(
             alice
@@ -2177,50 +2154,53 @@ mod tests {
         );
     }
 
-    /// A v1 (watermark) requester must be answered with frames its
-    /// decoder understands: single-bundle frames and Done, never a v2
-    /// batch.
+    /// A payload tagged 1 or 2 (what a peer speaking a watermark
+    /// dialect would send) is malformed like any other unknown tag: the
+    /// session closes with a protocol error and nothing is served.
     #[test]
-    fn v1_requester_served_with_v1_frames() {
-        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
-        let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::Epidemic);
-        let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
-        for n in 0..3u8 {
+    fn unknown_sync_tags_close_the_session_with_a_protocol_error() {
+        for payload in [vec![1u8, 0, 0], vec![2u8]] {
+            let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+            let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::Epidemic);
+            let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
             alice
-                .post(MessageKind::Post, vec![n], SimTime::ZERO)
+                .post(MessageKind::Post, vec![7], SimTime::ZERO)
                 .unwrap();
-        }
-        // Establish a real session bob → alice.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let init = bob.adhoc.connect(alice.peer_id(), &mut rng).unwrap();
-        let reply = match alice.adhoc.on_frame(bob.peer_id(), init, 0, &mut rng) {
-            Ok(SessionEvent::Reply(f)) => f,
-            other => panic!("{other:?}"),
-        };
-        assert!(matches!(
-            bob.adhoc.on_frame(alice.peer_id(), reply, 0, &mut rng),
-            Ok(SessionEvent::Established(_))
-        ));
-        // Bob speaks v1: watermark request for everything of alice's.
-        let v1 = SyncMsg::encode_v1_request(&[(uid("alice"), 0)]);
-        let mut out = Vec::new();
-        alice.on_sync_payload(bob.peer_id(), &v1, SimTime::ZERO, &mut out);
-        assert_eq!(alice.stats().bundles_sent, 3);
-        // Decrypt each reply at bob and check it is v1-parseable.
-        let mut kinds = Vec::new();
-        for (_, frame) in out {
-            match bob.adhoc.on_frame(alice.peer_id(), frame, 0, &mut rng) {
-                Ok(SessionEvent::Payload(bytes)) => {
-                    kinds.push(match SyncMsg::decode(&bytes).unwrap() {
-                        SyncMsg::Bundle(_) => "bundle",
-                        SyncMsg::Done => "done",
-                        other => panic!("v1 peer cannot parse {other:?}"),
-                    });
-                }
+            // Establish a real session bob → alice.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+            let init = bob.adhoc.connect(alice.peer_id(), &mut rng).unwrap();
+            let reply = match alice.adhoc.on_frame(bob.peer_id(), init, 0, &mut rng) {
+                Ok(SessionEvent::Reply(f)) => f,
                 other => panic!("{other:?}"),
-            }
+            };
+            assert!(matches!(
+                bob.adhoc.on_frame(alice.peer_id(), reply, 0, &mut rng),
+                Ok(SessionEvent::Established(_))
+            ));
+            alice.poll_events();
+
+            let mut out = Vec::new();
+            alice.on_sync_payload(bob.peer_id(), &payload, SimTime::ZERO, &mut out);
+            assert_eq!(alice.stats().requests_served, 0, "tag {}", payload[0]);
+            assert_eq!(alice.stats().bundles_sent, 0);
+            assert!(
+                matches!(
+                    out.as_slice(),
+                    [(
+                        peer,
+                        Frame::Disconnect {
+                            reason: DisconnectReason::ProtocolError
+                        }
+                    )] if *peer == bob.peer_id()
+                ),
+                "tag {}: {out:?}",
+                payload[0]
+            );
+            assert!(alice
+                .poll_events()
+                .iter()
+                .any(|e| matches!(e, SosEvent::SessionClosed { peer } if *peer == bob.peer_id())));
         }
-        assert_eq!(kinds, vec!["bundle", "bundle", "bundle", "done"]);
     }
 
     /// A chunked (multi-frame) request is answered with one Done per

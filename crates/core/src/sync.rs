@@ -3,31 +3,29 @@
 //! certificate exchange): the browser requests the authors it is
 //! interested in, the advertiser streams the bundles, then signals done.
 //!
-//! # Protocol v2: gap-aware ranged wants + batched bundle frames
+//! # Gap-aware ranged wants + batched bundle frames
 //!
-//! The original (v1) request carried `(author, highest number I hold)`
-//! watermarks. That loses information as soon as TTL or capacity
-//! eviction — or a capped, interrupted serve — leaves a *hole* in an
-//! author's sequence: a node holding `{5}` advertises watermark 5 and
-//! can never re-request `{1..4}`, so those messages are unreachable
-//! forever. v2 requests instead carry, per author, the **contiguous
-//! ranges the requester already holds** ([`AuthorWant`]); the advertiser
-//! serves exactly the complement of that range set, so evicted or missed
-//! middles are re-fetched at the next encounter.
+//! A `(author, highest number I hold)` watermark loses information as
+//! soon as TTL or capacity eviction — or a capped, interrupted serve —
+//! leaves a *hole* in an author's sequence: a node holding `{5}`
+//! advertises watermark 5 and can never re-request `{1..4}`, so those
+//! messages are unreachable forever. Requests therefore carry, per
+//! author, the **contiguous ranges the requester already holds**
+//! ([`AuthorWant`]); the advertiser serves exactly the complement of
+//! that range set, so evicted or missed middles are re-fetched at the
+//! next encounter.
 //!
-//! v2 also batches served bundles into [`SyncMsg::Bundles`] frames up to
-//! a size budget ([`sos_net::SYNC_BATCH_BUDGET`]) instead of one frame
+//! Served bundles are batched into [`SyncMsg::Bundles`] frames up to a
+//! size budget ([`sos_net::SYNC_BATCH_BUDGET`]) instead of one frame
 //! per bundle, cutting per-encounter frame count by an order of
 //! magnitude at scale. A mid-transfer disconnection still loses only the
 //! tail — at batch granularity — and the ranged wants re-fetch exactly
 //! the lost remainder at the next encounter.
 //!
-//! The wire tag doubles as the version: v1 frames (watermark requests,
-//! single-bundle frames) still decode, and the serve path answers a
-//! v1-framed request with v1 single-bundle frames (see
-//! [`SyncMsg::is_v1_request`]), so a v2 node fully interoperates with a
-//! v1 peer. Requests and batches between v2 nodes always use the v2
-//! frames.
+//! There is one dialect: tags 3 (`Done`), 4 (ranged request) and 5
+//! (bundle batch). Any other tag — 1 and 2 included, which a peer
+//! speaking a watermark dialect would send — is [`SosError::Malformed`],
+//! and the middleware closes the session with a protocol error.
 
 use crate::error::SosError;
 use crate::message::Bundle;
@@ -71,9 +69,6 @@ pub enum SyncMsg {
         /// Per-author range sets held by the requester.
         wants: Vec<AuthorWant>,
     },
-    /// One bundle in flight (legacy v1 framing; still decoded and
-    /// served for interop, no longer produced by the serve path).
-    Bundle(Box<Bundle>),
     /// A batch of bundles packed up to [`sos_net::SYNC_BATCH_BUDGET`]
     /// encoded bytes. Mid-transfer disconnections lose only the tail, at
     /// batch granularity; ranged wants re-fetch the remainder at the
@@ -83,18 +78,15 @@ pub enum SyncMsg {
     Done,
 }
 
-const TAG_REQUEST_V1: u8 = 1;
-const TAG_BUNDLE: u8 = 2;
 const TAG_DONE: u8 = 3;
-const TAG_REQUEST_V2: u8 = 4;
+const TAG_REQUEST: u8 = 4;
 const TAG_BUNDLES: u8 = 5;
 
 /// Cap pre-allocations derived from attacker-controlled count fields.
 const MAX_PREALLOC: usize = 1024;
 
 impl SyncMsg {
-    /// Encodes for transmission inside a session payload. Requests are
-    /// always emitted in the v2 (ranged) format.
+    /// Encodes for transmission inside a session payload.
     ///
     /// # Errors
     ///
@@ -113,7 +105,7 @@ impl SyncMsg {
                 }
                 let ranges: usize = wants.iter().map(|w| w.have.len()).sum();
                 let mut buf = Vec::with_capacity(3 + wants.len() * 12 + ranges * 16);
-                buf.push(TAG_REQUEST_V2);
+                buf.push(TAG_REQUEST);
                 let count = u16::try_from(wants.len()).map_err(|_| SosError::RequestTooLarge {
                     entries: wants.len(),
                 })?;
@@ -135,13 +127,6 @@ impl SyncMsg {
                         buf.extend_from_slice(&end.to_le_bytes());
                     }
                 }
-                Ok(buf)
-            }
-            SyncMsg::Bundle(bundle) => {
-                let body = bundle.encode();
-                let mut buf = Vec::with_capacity(1 + body.len());
-                buf.push(TAG_BUNDLE);
-                buf.extend_from_slice(&body);
                 Ok(buf)
             }
             SyncMsg::Bundles(bundles) => {
@@ -195,13 +180,6 @@ impl SyncMsg {
         out
     }
 
-    /// True if `bytes` frame a v1 (watermark) request. The serve path
-    /// uses this to answer v1 peers with v1 single-bundle frames they
-    /// can decode, instead of v2 batches.
-    pub fn is_v1_request(bytes: &[u8]) -> bool {
-        bytes.first() == Some(&TAG_REQUEST_V1)
-    }
-
     /// Encodes a batched bundle frame directly from pre-encoded bundle
     /// bodies. Wire-identical to encoding [`SyncMsg::Bundles`] of the
     /// same bundles — the serve path sizes its batches by encoded
@@ -221,41 +199,7 @@ impl SyncMsg {
         buf
     }
 
-    /// Encodes a v1 single-bundle frame from a pre-encoded bundle body
-    /// (the legacy serve path for v1 requesters).
-    pub fn encode_single_bundle(body: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(1 + body.len());
-        buf.push(TAG_BUNDLE);
-        buf.extend_from_slice(body);
-        buf
-    }
-
-    /// Encodes a v1 (watermark) request: `(author, highest number held)`
-    /// pairs. Kept for wire back-compat tests and for driving v1-only
-    /// peers; new code sends ranged requests via [`SyncMsg::encode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics past [`MAX_REQUEST_AUTHORS`] entries (the legacy format
-    /// cannot express more; v1 senders never reached this in practice).
-    pub fn encode_v1_request(wants: &[(UserId, u64)]) -> Vec<u8> {
-        assert!(wants.len() <= MAX_REQUEST_AUTHORS, "v1 request overflow");
-        let mut buf = Vec::with_capacity(3 + wants.len() * 18);
-        buf.push(TAG_REQUEST_V1);
-        // sos-lint: allow(no-narrow-cast) reason="bounded by the MAX_REQUEST_AUTHORS assert above (legacy v1 API, documented panic)"
-        buf.extend_from_slice(&(wants.len() as u16).to_le_bytes());
-        for (user, after) in wants {
-            buf.extend_from_slice(user.as_bytes());
-            buf.extend_from_slice(&after.to_le_bytes());
-        }
-        buf
-    }
-
-    /// Decodes a session payload (either protocol version).
-    ///
-    /// A v1 watermark `(author, after)` decodes as the range set
-    /// `[1..=after]` — the complement, and therefore the serve
-    /// behaviour, is exactly what a v1 peer expects.
+    /// Decodes a session payload.
     ///
     /// # Errors
     ///
@@ -265,34 +209,7 @@ impl SyncMsg {
     pub fn decode(bytes: &[u8]) -> Result<SyncMsg, SosError> {
         let (&tag, rest) = bytes.split_first().ok_or(SosError::Malformed)?;
         match tag {
-            TAG_REQUEST_V1 => {
-                if rest.len() < 2 {
-                    return Err(SosError::Malformed);
-                }
-                let count = u16::from_le_bytes([rest[0], rest[1]]) as usize;
-                let body = &rest[2..];
-                if body.len() != count * 18 {
-                    return Err(SosError::Malformed);
-                }
-                let mut wants = Vec::with_capacity(count.min(MAX_PREALLOC));
-                for chunk in body.chunks_exact(18) {
-                    let mut user = [0u8; 10];
-                    user.copy_from_slice(&chunk[..10]);
-                    let mut after_bytes = [0u8; 8];
-                    after_bytes.copy_from_slice(&chunk[10..]);
-                    let after = u64::from_le_bytes(after_bytes);
-                    wants.push(AuthorWant {
-                        author: UserId(user),
-                        have: if after == 0 {
-                            Vec::new()
-                        } else {
-                            vec![(1, after)]
-                        },
-                    });
-                }
-                Ok(SyncMsg::Request { wants })
-            }
-            TAG_REQUEST_V2 => {
+            TAG_REQUEST => {
                 let mut cur = Cursor(rest);
                 let count = cur.u16()? as usize;
                 let mut wants = Vec::with_capacity(count.min(MAX_PREALLOC));
@@ -322,9 +239,6 @@ impl SyncMsg {
                 cur.finish()?;
                 Ok(SyncMsg::Request { wants })
             }
-            TAG_BUNDLE => Bundle::decode(rest)
-                .map(|b| SyncMsg::Bundle(Box::new(b)))
-                .map_err(|_| SosError::Malformed),
             TAG_BUNDLES => {
                 let mut cur = Cursor(rest);
                 let count = cur.u32()? as usize;
@@ -451,12 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn bundle_roundtrip() {
-        let msg = SyncMsg::Bundle(Box::new(test_bundle(1)));
-        assert_eq!(SyncMsg::decode(&msg.encode().unwrap()).unwrap(), msg);
-    }
-
-    #[test]
     fn bundles_batch_roundtrip() {
         let msg = SyncMsg::Bundles(vec![test_bundle(1), test_bundle(2), test_bundle(3)]);
         assert_eq!(SyncMsg::decode(&msg.encode().unwrap()).unwrap(), msg);
@@ -471,35 +379,6 @@ mod tests {
         assert_eq!(
             SyncMsg::encode_bundle_batch(&bodies),
             SyncMsg::Bundles(bundles.clone()).encode().unwrap()
-        );
-        assert_eq!(
-            SyncMsg::encode_single_bundle(&bodies[0]),
-            SyncMsg::Bundle(Box::new(bundles[0].clone()))
-                .encode()
-                .unwrap()
-        );
-    }
-
-    #[test]
-    fn v1_request_detection() {
-        let v1 = SyncMsg::encode_v1_request(&[(UserId::from_str_padded("alice"), 3)]);
-        assert!(SyncMsg::is_v1_request(&v1));
-        let v2 = SyncMsg::Request { wants: vec![] }.encode().unwrap();
-        assert!(!SyncMsg::is_v1_request(&v2));
-        assert!(!SyncMsg::is_v1_request(&[]));
-    }
-
-    #[test]
-    fn v1_watermark_decodes_as_prefix_ranges() {
-        let uid_a = UserId::from_str_padded("alice");
-        let uid_b = UserId::from_str_padded("bob");
-        let bytes = SyncMsg::encode_v1_request(&[(uid_a, 5), (uid_b, 0)]);
-        let decoded = SyncMsg::decode(&bytes).unwrap();
-        assert_eq!(
-            decoded,
-            SyncMsg::Request {
-                wants: vec![want("alice", &[(1, 5)]), want("bob", &[])],
-            }
         );
     }
 
@@ -522,7 +401,7 @@ mod tests {
             vec![(1, u64::MAX), (3, 4)], // nothing may follow a MAX end
         ] {
             // Hand-encode: the encoder is not the unit under test here.
-            let mut buf = vec![4u8, 1, 0]; // TAG_REQUEST_V2, one author
+            let mut buf = vec![4u8, 1, 0]; // TAG_REQUEST, one author
             buf.extend_from_slice(UserId::from_str_padded("alice").as_bytes());
             buf.extend_from_slice(&(have.len() as u16).to_le_bytes());
             for (s, e) in &have {
@@ -539,8 +418,8 @@ mod tests {
 
     #[test]
     fn oversized_request_errors_instead_of_truncating() {
-        // One author over the u16 boundary must refuse to encode: the v1
-        // encoder silently truncated the count field here.
+        // One author over the u16 boundary must refuse to encode rather
+        // than truncate the count field.
         let wants: Vec<AuthorWant> = (0..MAX_REQUEST_AUTHORS + 1)
             .map(|i| want(&format!("u{i}"), &[]))
             .collect();
@@ -584,13 +463,15 @@ mod tests {
             SyncMsg::decode(&[TAG_DONE, 1]).unwrap_err(),
             SosError::Malformed
         );
+        // Tags 1 and 2 belong to no dialect this node speaks.
         assert_eq!(
-            SyncMsg::decode(&[TAG_REQUEST_V1, 2, 0, 1]).unwrap_err(),
+            SyncMsg::decode(&[1, 0, 0]).unwrap_err(),
             SosError::Malformed
         );
-        // Truncated v2 request and truncated batch.
+        assert_eq!(SyncMsg::decode(&[2]).unwrap_err(), SosError::Malformed);
+        // Truncated request and truncated batch.
         assert_eq!(
-            SyncMsg::decode(&[TAG_REQUEST_V2, 1, 0, 7]).unwrap_err(),
+            SyncMsg::decode(&[TAG_REQUEST, 1, 0, 7]).unwrap_err(),
             SosError::Malformed
         );
         assert_eq!(
@@ -657,7 +538,7 @@ mod tests {
                 let _ = crate::message::Bundle::decode(&bytes);
             }
 
-            /// Ditto with a valid v2 tag in front of arbitrary bytes.
+            /// Ditto with every tag value in front of arbitrary bytes.
             #[test]
             fn tagged_decode_never_panics(tag in 0u8..8, bytes in prop::collection::vec(any::<u8>(), 0..256)) {
                 let mut framed = vec![tag];

@@ -5,7 +5,8 @@
 //! at the paper's ten students and reconstructed Fig. 4a digraph. An
 //! imported corpus (CRAWDAD `CONN` log, Reality-Mining scans, SASSY
 //! ranging — see `sos_trace::corpora`) brings its own population, so
-//! this module builds the study around the trace itself:
+//! this module builds the study around the trace itself, from the one
+//! provisioning every transport shares (`sos_node::provision`):
 //!
 //! * one AlleyOop app per trace node, signed up with a fresh cloud CA
 //!   (handles derived from the corpus's original device ids);
@@ -18,42 +19,20 @@
 //!   `TraceContactSource` replay.
 //!
 //! Everything is a pure function of `(trace, config)`, so corpus runs
-//! are as reproducible as the recorded-tape replays.
+//! are as reproducible as the recorded-tape replays — and a corpus
+//! study, a mesh run and a socket run of one `(trace, plan)` host the
+//! same population posting the same workload.
 
 use crate::driver::{Driver, DriverConfig, RunMetrics};
 use crate::observe::RunObserver;
 use alleyoop::app::AlleyOopApp;
-use alleyoop::cloud::Cloud;
-use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
-use sos_net::PeerId;
-use sos_sim::{EncounterSource, SimDuration, SimTime};
+use sos_node::provision::{followers_from_trace, post_schedule, provision_apps};
 use sos_trace::{ContactTrace, TraceContactSource};
 
-/// Corpus-study parameters (the trace supplies population and span).
-#[derive(Clone, Debug)]
-pub struct CorpusStudyConfig {
-    /// Master seed; the run is a pure function of `(trace, config)`.
-    pub seed: u64,
-    /// Unique posts, spread uniformly over nodes and the first 90% of
-    /// the trace span (so late posts still have time to propagate).
-    pub total_posts: usize,
-    /// Routing scheme under test.
-    pub scheme: SchemeKind,
-    /// Advertisement broadcast period.
-    pub ad_interval: SimDuration,
-}
-
-impl Default for CorpusStudyConfig {
-    fn default() -> Self {
-        CorpusStudyConfig {
-            seed: 7,
-            total_posts: 40,
-            scheme: SchemeKind::InterestBased,
-            ad_interval: SimDuration::from_secs(60),
-        }
-    }
-}
+/// Corpus-study parameters (the trace supplies population and span):
+/// the plan every lockstep transport takes.
+pub use sos_node::provision::RunPlan as CorpusStudyConfig;
 
 /// What a corpus run measured.
 #[derive(Clone, Debug)]
@@ -85,18 +64,6 @@ impl CorpusOutcome {
             self.frames_sent,
         )
     }
-}
-
-/// The follow digraph an imported corpus implies: `followers[a]` lists
-/// the nodes following `a`, namely every node that ever shared a
-/// contact with `a` in the trace (mutual follows on the aggregate
-/// contact graph).
-///
-/// The canonical implementation lives in `sos_node::provision` — the
-/// in-vivo daemons must derive the identical digraph from the same
-/// trace; this re-export keeps the historical `experiments` path alive.
-pub fn followers_from_trace(trace: &ContactTrace) -> Vec<Vec<usize>> {
-    sos_node::provision::followers_from_trace(trace)
 }
 
 /// Everything a corpus run produced: the summary [`CorpusOutcome`],
@@ -136,81 +103,29 @@ pub fn run_corpus_study_full(
     config: &CorpusStudyConfig,
     obs: Option<&RunObserver>,
 ) -> CorpusRun {
-    let n = trace.node_count();
-    assert!(n >= 2, "corpus study needs at least 2 nodes, got {n}");
-
-    // The replay source the driver will consume; device identity comes
-    // through its `EncounterSource::node_label` surface, the same
-    // interface any other labeled source would provide it on.
-    let source = TraceContactSource::new(trace.clone());
-
-    // Apps: one per trace node. Handles carry the corpus's original
-    // device id where available; the dense-index prefix keeps the
-    // 10-byte-truncated UserIds unique regardless of label shape.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let mut cloud = Cloud::new("Corpus Root CA", {
-        let mut seed = [0u8; 32];
-        seed[..8].copy_from_slice(&config.seed.to_le_bytes());
-        seed
-    });
-    let mut apps: Vec<AlleyOopApp> = (0..n)
-        .map(|i| {
-            let handle = match source.node_label(i) {
-                Some(label) => format!("{i}-{label}"),
-                None => format!("{i}-node"),
-            };
-            AlleyOopApp::sign_up(
-                &mut cloud,
-                PeerId(i as u32),
-                &handle,
-                config.scheme,
-                SimTime::ZERO,
-                &mut rng,
-            )
-            // sos-lint: allow(no-panic) reason="experiment setup: handles are index-prefixed and therefore unique by construction; a collision is a generator bug, not runtime input"
-            .expect("index-prefixed handles are unique")
-        })
-        .collect();
-
-    // Subscriptions from the aggregate contact graph.
-    let followers = followers_from_trace(trace);
-    for (author, subs) in followers.iter().enumerate() {
-        let author_user = apps[author].user_id();
-        for &follower in subs {
-            apps[follower].follow(author_user);
-        }
-    }
-
-    // Post workload: uniform over nodes and the first 90% of the span.
-    let end = trace.end_time();
-    let horizon = end.as_millis() * 9 / 10;
-    let mut post_rng = rand::rngs::StdRng::seed_from_u64(config.seed ^ 0xbeef);
-    let mut posts: Vec<(SimTime, usize)> = (0..config.total_posts)
-        .map(|_| {
-            let at = SimTime::from_millis(post_rng.gen_range(0..horizon.max(1)));
-            let node = post_rng.gen_range(0..n);
-            (at, node)
-        })
-        .collect();
-    posts.sort_by_key(|(t, _)| *t);
-
     let driver_cfg = DriverConfig {
         ad_interval: config.ad_interval,
         infra_available: false,
         seed: config.seed ^ 0xace,
     };
-    let mut driver = Driver::new(apps, source, followers, driver_cfg, end);
+    let mut driver = Driver::new(
+        provision_apps(trace, config),
+        TraceContactSource::new(trace.clone()),
+        followers_from_trace(trace),
+        driver_cfg,
+        trace.end_time(),
+    );
     if let Some(o) = obs {
         driver.attach_observer(&o.registry, &o.journal);
     }
-    for (at, node) in posts {
+    for (at, node, _number) in post_schedule(trace, config) {
         driver.schedule_post(at, node);
     }
     let (metrics, apps) = driver.run();
     let totals = crate::driver::aggregate_stats(&apps);
     let outcome = CorpusOutcome {
         scheme: config.scheme,
-        nodes: n,
+        nodes: trace.node_count(),
         posts: metrics.posts,
         transfers: totals.bundles_received,
         interested_deliveries: metrics.delays.len(),
@@ -243,17 +158,11 @@ pub fn run_corpus_study_all_schemes(
         .collect()
 }
 
-/// A comparison table over per-scheme outcomes (rendered by
-/// [`report::corpus_scheme_table`](crate::report::corpus_scheme_table);
-/// kept here as the historical entry point).
-pub fn scheme_table(outcomes: &[CorpusOutcome]) -> String {
-    crate::report::corpus_scheme_table(outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sos_sim::world::{ContactEvent, ContactPhase};
+    use sos_sim::SimTime;
 
     /// A small dense synthetic "corpus": 4 nodes meeting pairwise
     /// repeatedly over 6 hours, with labels like an imported trace.
@@ -333,6 +242,5 @@ mod tests {
             .find(|o| o.scheme == SchemeKind::Direct)
             .unwrap();
         assert!(epi.transfers >= direct.transfers);
-        assert!(scheme_table(&outcomes).contains("Epidemic"));
     }
 }

@@ -21,9 +21,11 @@
 //! in-vivo TCP daemons run. The driver is a thin client that adds the
 //! physics the paper's field study had for free: link selection by
 //! distance, loss, serialization delay, and in-order delivery per
-//! directed link. Frames cross the boundary via the runtime's *typed*
-//! surface (`push_frame_in` / `poll_frames`) with the driver's shared
-//! RNG, so the refactor changes no byte of any recorded run.
+//! directed link. Frames cross the boundary as typed values
+//! (`push_frame` / `poll_frames`) with the driver's one shared RNG, so
+//! the driver pays no codec cost; and the runtime's peer set is the
+//! only record of who is connected to whom — the driver keeps just the
+//! distance each open contact was frozen at.
 
 use alleyoop::app::AlleyOopApp;
 use rand::SeedableRng;
@@ -31,7 +33,7 @@ use sos_core::message::MessageKind;
 use sos_core::middleware::{SosEvent, SosStats};
 use sos_net::{Frame, LinkModel, PeerId};
 use sos_node::provision::ad_phase;
-use sos_node::runtime::{NodeConfig, NodeRuntime};
+use sos_node::runtime::{ad_period, NodeConfig, NodeRuntime};
 use sos_obs::journal::ObsEvent;
 use sos_obs::{Histogram, JournalEntry, JournalHandle, NodeObs, Registry};
 use sos_sim::metrics::{DelayRecorder, DeliveryRecorder};
@@ -129,17 +131,17 @@ pub struct RunMetrics {
 /// a `sos-trace` recorded/synthetic trace replay.
 pub struct Driver<C: EncounterSource = World> {
     /// One sans-I/O runtime per node: the middleware loop the in-vivo
-    /// daemons run verbatim, driven here through its typed surface.
+    /// daemons run verbatim. Their peer sets are the connectivity truth
+    /// for advertisements and deliveries.
     nodes: Vec<NodeRuntime>,
     source: C,
     /// follower sets: `follows[author] = set of follower node indices`.
     followers: Vec<Vec<usize>>,
     user_index: BTreeMap<sos_crypto::UserId, usize>,
     queue: EventQueue<Event>,
-    /// Open contacts and their frozen up-distance: the single source
-    /// of connectivity truth for advertisements, transmissions, and
-    /// deliveries.
-    links: LinkTable,
+    /// The up-distance each open contact was frozen at, by normalized
+    /// `(lo, hi)` pair: what [`Self::transmit`] picks the bearer from.
+    links: BTreeMap<(usize, usize), f64>,
     /// Last scheduled arrival per directed `(src, dst)` pair: the MPC
     /// substrate is a reliable *ordered* byte stream, so a small frame
     /// (shorter serialization delay) must never overtake a large one
@@ -198,10 +200,6 @@ impl<C: EncounterSource> Driver<C> {
                     NodeConfig {
                         ad_interval: config.ad_interval,
                         ad_phase: ad_phase(config.ad_interval, i, n),
-                        // The runtime-internal RNG backs only the byte
-                        // surface; the driver injects its shared RNG on
-                        // every typed call, so this seed is inert here.
-                        seed: config.seed,
                     },
                 )
             })
@@ -212,7 +210,7 @@ impl<C: EncounterSource> Driver<C> {
             followers,
             user_index,
             queue: EventQueue::new(),
-            links: LinkTable::default(),
+            links: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             rng,
             config,
@@ -286,7 +284,7 @@ impl<C: EncounterSource> Driver<C> {
             let mut t = SimTime::ZERO + ad_phase(self.config.ad_interval, node, n);
             while t <= self.end {
                 self.enqueue(t, Event::Advertise(node));
-                t += self.config.ad_interval;
+                t += ad_period(self.config.ad_interval);
             }
         }
     }
@@ -338,14 +336,14 @@ impl<C: EncounterSource> Driver<C> {
                 }
                 Event::ContactUp { a, b, distance_m } => {
                     let _span = sos_obs::profile::span("driver/contact");
-                    self.links.insert(a, b, distance_m);
+                    self.links.insert(pair(a, b), distance_m);
                     self.note_contact(now, a, b, true);
                     self.nodes[a].on_encounter_up(PeerId(b as u32));
                     self.nodes[b].on_encounter_up(PeerId(a as u32));
                 }
                 Event::ContactDown { a, b } => {
                     let _span = sos_obs::profile::span("driver/contact");
-                    self.links.remove(a, b);
+                    self.links.remove(&pair(a, b));
                     self.note_contact(now, a, b, false);
                     self.nodes[a].on_encounter_down(PeerId(b as u32));
                     self.nodes[b].on_encounter_down(PeerId(a as u32));
@@ -376,9 +374,8 @@ impl<C: EncounterSource> Driver<C> {
 
     /// An advertisement wake: the runtime advances to `now` (an exact
     /// ad boundary by construction of [`Self::schedule_advertisements`])
-    /// and emits the broadcast to its in-range peers — ascending, the
-    /// order the link table's sorted adjacency produced before the
-    /// sans-I/O split. The driver then gives each copy its physics.
+    /// and emits the broadcast to its in-range peers, ascending. The
+    /// driver then gives each copy its physics.
     fn on_advertise(&mut self, node: usize, now: SimTime) {
         self.nodes[node].advance_to(now);
         for (to, frame) in self.nodes[node].poll_frames() {
@@ -387,7 +384,7 @@ impl<C: EncounterSource> Driver<C> {
     }
 
     fn transmit(&mut self, src: usize, dst: usize, frame: Frame, now: SimTime) {
-        let Some(distance) = self.links.distance(src, dst) else {
+        let Some(&distance) = self.links.get(&pair(src, dst)) else {
             return; // contact closed before transmission
         };
         let Some(link) = LinkModel::for_distance(distance, self.config.infra_available) else {
@@ -415,11 +412,9 @@ impl<C: EncounterSource> Driver<C> {
     }
 
     fn on_deliver(&mut self, src: usize, dst: usize, frame: Frame, now: SimTime) {
-        // The runtime's peer set mirrors the link table (both fed by the
-        // same contact transitions), so its gate drops frames whose
-        // contact closed mid-flight exactly as the old `connected`
-        // check did.
-        if !self.nodes[dst].push_frame_in(PeerId(src as u32), frame, now, &mut self.rng) {
+        // The runtime's gate drops a frame whose contact closed while it
+        // was in flight.
+        if !self.nodes[dst].push_frame(PeerId(src as u32), frame, now, &mut self.rng) {
             return;
         }
         self.collect_app_events(dst);
@@ -495,6 +490,11 @@ impl<C: EncounterSource> Driver<C> {
     }
 }
 
+/// The normalized `(lo, hi)` key of the `a`–`b` contact.
+fn pair(a: usize, b: usize) -> (usize, usize) {
+    (a.min(b), a.max(b))
+}
+
 /// Sums middleware stats over a slice of applications
 /// (via [`SosStats::merge`], so new counters are never dropped).
 pub fn aggregate_stats(apps: &[AlleyOopApp]) -> SosStats {
@@ -503,165 +503,4 @@ pub fn aggregate_stats(apps: &[AlleyOopApp]) -> SosStats {
         total.merge(&app.middleware().stats());
     }
     total
-}
-
-/// The live link table: open contacts keyed by normalized `(lo, hi)`
-/// pair with the distance frozen at contact-up, plus a per-node
-/// adjacency index kept O(degree) instead of scanning every open link
-/// (the full-corpus runs open tens of thousands of links while a
-/// node's degree stays in single digits).
-///
-/// Peer lists are kept sorted ascending — exactly the order the old
-/// full scan over ascending `(lo, hi)` keys produced (partners below
-/// the node first, then partners above, both ascending). The runtime's
-/// `BTreeSet` peer set emits advertisements in the same ascending
-/// order, so the sans-I/O split changes no advertisement order and
-/// replay byte-identity holds.
-#[derive(Debug, Default)]
-struct LinkTable {
-    /// Frozen up-distance per open contact, normalized `(lo, hi)` keys.
-    links: BTreeMap<(usize, usize), f64>,
-    /// Sorted peers per node; entries are removed when emptied so the
-    /// map stays proportional to currently-connected nodes.
-    adj: BTreeMap<usize, Vec<usize>>,
-}
-
-impl LinkTable {
-    /// Opens (or re-freezes) the `a`–`b` contact at `distance_m`.
-    fn insert(&mut self, a: usize, b: usize, distance_m: f64) {
-        if self
-            .links
-            .insert((a.min(b), a.max(b)), distance_m)
-            .is_none()
-        {
-            Self::link(&mut self.adj, a, b);
-            Self::link(&mut self.adj, b, a);
-        }
-    }
-
-    /// Closes the `a`–`b` contact (no-op when not open).
-    fn remove(&mut self, a: usize, b: usize) {
-        if self.links.remove(&(a.min(b), a.max(b))).is_some() {
-            Self::unlink(&mut self.adj, a, b);
-            Self::unlink(&mut self.adj, b, a);
-        }
-    }
-
-    /// The frozen distance of the open `a`–`b` contact, if any.
-    fn distance(&self, a: usize, b: usize) -> Option<f64> {
-        self.links.get(&(a.min(b), a.max(b))).copied()
-    }
-
-    /// Whether the `a`–`b` contact is open. Production connectivity
-    /// gating moved into `NodeRuntime`'s peer set (fed by the same
-    /// transitions); the table's view is kept for its invariant tests.
-    #[cfg(test)]
-    fn connected(&self, a: usize, b: usize) -> bool {
-        self.links.contains_key(&(a.min(b), a.max(b)))
-    }
-
-    /// The peers currently connected to `node`, ascending.
-    #[cfg(test)]
-    fn peers_of(&self, node: usize) -> &[usize] {
-        self.adj.get(&node).map_or(&[], Vec::as_slice)
-    }
-
-    fn link(adj: &mut BTreeMap<usize, Vec<usize>>, node: usize, peer: usize) {
-        let peers = adj.entry(node).or_default();
-        if let Err(at) = peers.binary_search(&peer) {
-            peers.insert(at, peer);
-        }
-    }
-
-    fn unlink(adj: &mut BTreeMap<usize, Vec<usize>>, node: usize, peer: usize) {
-        if let Some(peers) = adj.get_mut(&node) {
-            if let Ok(at) = peers.binary_search(&peer) {
-                peers.remove(at);
-            }
-            if peers.is_empty() {
-                adj.remove(&node);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The pre-index implementation `connected_peers` used: a full scan
-    /// over ascending normalized keys. The index must reproduce its
-    /// output exactly — order included — for replay byte-identity.
-    fn naive_peers(links: &BTreeMap<(usize, usize), f64>, node: usize) -> Vec<usize> {
-        links
-            .keys()
-            .filter_map(|&(a, b)| {
-                if a == node {
-                    Some(b)
-                } else if b == node {
-                    Some(a)
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn adjacency_index_matches_naive_scan() {
-        // Deterministic pseudo-random churn (xorshift) over a small
-        // node population: open/close contacts and compare the index
-        // against the naive scan after every transition.
-        let mut table = LinkTable::default();
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut rand = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        const NODES: usize = 17;
-        for _ in 0..4000 {
-            let a = (rand() % NODES as u64) as usize;
-            let b = (rand() % NODES as u64) as usize;
-            if a == b {
-                continue;
-            }
-            if rand() % 3 == 0 {
-                table.remove(a, b);
-            } else {
-                table.insert(a, b, (rand() % 250) as f64);
-            }
-            for node in 0..NODES {
-                assert_eq!(
-                    table.peers_of(node),
-                    naive_peers(&table.links, node).as_slice(),
-                    "index diverged from the naive scan at node {node}"
-                );
-            }
-        }
-        // Distances and membership agree with the backing map too.
-        for (&(a, b), &d) in &table.links {
-            assert!(table.connected(a, b));
-            assert_eq!(table.distance(a, b), Some(d));
-            assert_eq!(table.distance(b, a), Some(d));
-        }
-    }
-
-    #[test]
-    fn adjacency_index_reopen_refreezes_distance() {
-        let mut table = LinkTable::default();
-        table.insert(3, 1, 10.0);
-        assert_eq!(table.distance(1, 3), Some(10.0));
-        // Re-inserting an open link re-freezes the distance without
-        // duplicating the adjacency entry.
-        table.insert(1, 3, 25.0);
-        assert_eq!(table.distance(3, 1), Some(25.0));
-        assert_eq!(table.peers_of(1), &[3]);
-        assert_eq!(table.peers_of(3), &[1]);
-        table.remove(3, 1);
-        assert!(!table.connected(1, 3));
-        assert!(table.peers_of(1).is_empty());
-        assert!(table.adj.is_empty(), "emptied nodes must be evicted");
-    }
 }

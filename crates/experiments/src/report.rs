@@ -268,8 +268,7 @@ pub fn text_metrics(outcome: &FieldStudyOutcome) -> String {
     out
 }
 
-/// The per-scheme comparison table over corpus outcomes — the single
-/// renderer behind `corpus::scheme_table` and the import example.
+/// The per-scheme comparison table over corpus outcomes.
 pub fn corpus_scheme_table(outcomes: &[CorpusOutcome]) -> String {
     let mut out = String::new();
     for o in outcomes {

@@ -1,21 +1,21 @@
 //! The `sos-broker`: conducts an in-vivo run across N `sos-node`
 //! processes.
 //!
-//! The broker owns no middleware state. It walks the
-//! [`lockstep`](crate::lockstep) schedule derived from `(trace, plan)`
-//! and, over one control connection per daemon, feeds encounter
-//! transitions and posts, broadcasts advertisement ticks, and drives
-//! the barrier rounds:
+//! The broker owns no middleware state. Its daemons are the socket
+//! fleet the [`lockstep`](crate::lockstep) conductor walks the schedule
+//! over: encounter transitions, posts and advertisement ticks are
+//! broadcast on one control connection per daemon, and one exchange
+//! round is
 //!
 //! 1. `Collect` until the cumulative remote sent/received counters
 //!    balance (nothing in flight anywhere);
-//! 2. `Process` everywhere; repeat while anything was emitted.
+//! 2. `Process` everywhere, summing what the daemons emitted.
 //!
 //! At the end it gathers each daemon's report stream (stats, delivered
 //! set, journal) into an [`InVivoOutcome`] directly comparable to
 //! [`MeshOutcome`](crate::mesh::MeshOutcome).
 
-use crate::lockstep::build_schedule;
+use crate::lockstep::{conduct, Fleet, MAX_ROUNDS_PER_TICK};
 use crate::proto::{
     parse_delivered_line, parse_stats_line, scheme_to_byte, InVivoError, Msg, MsgStream, ReportKind,
 };
@@ -33,10 +33,6 @@ pub const MAX_COLLECT_RETRIES: u64 = 20_000;
 
 /// Sleep between collect retries while frames drain through loopback.
 pub const COLLECT_RETRY_SLEEP: Duration = Duration::from_millis(1);
-
-/// Exchange rounds per tick before the run is declared divergent
-/// (mirrors the mesh's cap).
-pub const MAX_ROUNDS_PER_TICK: u64 = 10_000;
 
 /// Accept-loop polls (at [`ACCEPT_POLL_SLEEP`] each) while waiting for
 /// daemons to connect.
@@ -123,40 +119,12 @@ impl Broker {
     pub fn run(self, trace: &ContactTrace) -> Result<InVivoOutcome, InVivoError> {
         let mut daemons = self.accept_daemons()?;
         self.assign(trace, &mut daemons)?;
-
-        let mut posts = 0u64;
-        let mut rounds = 0u64;
-        for (now, step) in build_schedule(trace, &self.config.plan) {
-            for &(a, b, up) in &step.encounters {
-                broadcast(
-                    &mut daemons,
-                    &Msg::Encounter {
-                        a: a as u32,
-                        b: b as u32,
-                        up,
-                    },
-                )?;
-            }
-            for &(node, number) in &step.posts {
-                broadcast(
-                    &mut daemons,
-                    &Msg::Post {
-                        node: node as u32,
-                        number,
-                        now_ms: now.as_millis(),
-                    },
-                )?;
-                posts += 1;
-            }
-            if step.tick {
-                rounds += drive_rounds(&mut daemons, now)?;
-            }
-        }
-
-        let mut outcome = gather_reports(&mut daemons, trace.node_count())?;
+        let mut fleet = SocketFleet { daemons, now_ms: 0 };
+        let (posts, rounds) = conduct(&mut fleet, trace, &self.config.plan)?;
+        let mut outcome = gather_reports(&mut fleet.daemons, trace.node_count())?;
         outcome.posts = posts;
         outcome.rounds = rounds;
-        broadcast(&mut daemons, &Msg::Shutdown)?;
+        broadcast(&mut fleet.daemons, &Msg::Shutdown)?;
         Ok(outcome)
     }
 
@@ -237,25 +205,40 @@ fn broadcast(daemons: &mut [(MsgStream, String)], msg: &Msg) -> Result<(), InViv
     Ok(())
 }
 
-/// One tick's barrier rounds: collect until in-flight drains, process,
-/// repeat while anything was emitted. Returns the round count.
-fn drive_rounds(daemons: &mut [(MsgStream, String)], now: SimTime) -> Result<u64, InVivoError> {
-    broadcast(
-        daemons,
-        &Msg::Tick {
-            now_ms: now.as_millis(),
-        },
-    )?;
-    let mut rounds = 0u64;
-    loop {
+/// The daemons as the conductor's fleet: every schedule event is a
+/// broadcast, every round a collect barrier plus a `Process`.
+struct SocketFleet {
+    daemons: Vec<(MsgStream, String)>,
+    /// The last tick, for naming a barrier that never converges.
+    now_ms: u64,
+}
+
+impl Fleet for SocketFleet {
+    type Error = InVivoError;
+
+    fn stalled(at: SimTime) -> InVivoError {
+        InVivoError::Protocol(format!(
+            "exchange rounds at t={}ms exceeded {MAX_ROUNDS_PER_TICK}",
+            at.as_millis()
+        ))
+    }
+
+    fn event(&mut self, msg: &Msg) -> Result<(), InVivoError> {
+        if let Msg::Tick { now_ms } = *msg {
+            self.now_ms = now_ms;
+        }
+        broadcast(&mut self.daemons, msg)
+    }
+
+    fn round(&mut self) -> Result<u64, InVivoError> {
         // Collect barrier: cumulative remote sent == received means no
         // frame is still inside a socket buffer or reader thread.
         let mut retries = 0u64;
         loop {
-            broadcast(daemons, &Msg::Collect)?;
+            broadcast(&mut self.daemons, &Msg::Collect)?;
             let mut sent = 0u64;
             let mut recv = 0u64;
-            for (control, _) in daemons.iter_mut() {
+            for (control, _) in self.daemons.iter_mut() {
                 match control.recv()? {
                     Msg::CollectAck { sent: s, recv: r } => {
                         sent += s;
@@ -275,15 +258,15 @@ fn drive_rounds(daemons: &mut [(MsgStream, String)], now: SimTime) -> Result<u64
             if retries > MAX_COLLECT_RETRIES {
                 return Err(InVivoError::Protocol(format!(
                     "collect barrier never converged at t={}ms ({sent} sent, {recv} received)",
-                    now.as_millis()
+                    self.now_ms
                 )));
             }
             std::thread::sleep(COLLECT_RETRY_SLEEP);
         }
 
-        broadcast(daemons, &Msg::Process)?;
+        broadcast(&mut self.daemons, &Msg::Process)?;
         let mut emitted = 0u64;
-        for (control, _) in daemons.iter_mut() {
+        for (control, _) in self.daemons.iter_mut() {
             match control.recv()? {
                 Msg::ProcessAck { emitted: e } => emitted += e,
                 other => {
@@ -293,16 +276,7 @@ fn drive_rounds(daemons: &mut [(MsgStream, String)], now: SimTime) -> Result<u64
                 }
             }
         }
-        rounds += 1;
-        if emitted == 0 {
-            return Ok(rounds);
-        }
-        if rounds > MAX_ROUNDS_PER_TICK {
-            return Err(InVivoError::Protocol(format!(
-                "exchange rounds at t={}ms exceeded {MAX_ROUNDS_PER_TICK}",
-                now.as_millis()
-            )));
-        }
+        Ok(emitted)
     }
 }
 

@@ -1,6 +1,9 @@
 //! The `sos-node` daemon: one OS process hosting a slice of the node
-//! population, exchanging real middleware frames over TCP and obeying
-//! the broker's lockstep conducting.
+//! population — a `Host` of the nodes `i % num_procs == proc_index` —
+//! exchanging real middleware frames over TCP and obeying the broker's
+//! lockstep conducting. The daemon itself is only sockets: every
+//! control message maps to one `Host` call, and the frames a flush
+//! reports as remote ride the data plane.
 //!
 //! Two planes:
 //!
@@ -16,14 +19,12 @@
 //! No wall clock anywhere: virtual time arrives in `Tick` messages,
 //! and hang protection is socket read timeouts, not `Instant::now`.
 
+use crate::host::{Flushed, Host, WireFrame};
 use crate::proto::{
     delivered_line, scheme_from_byte, stats_line, InVivoError, Msg, MsgStream, ReportKind,
 };
-use crate::provision::{load_trace_bytes, provision_apps, provision_runtime, RunPlan};
-use crate::runtime::{NodeError, NodeRuntime};
-use sos_net::PeerId;
-use sos_obs::{JournalHandle, NodeObs};
-use sos_sim::{SimDuration, SimTime};
+use crate::provision::{load_trace_bytes, RunPlan};
+use sos_sim::SimDuration;
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -34,27 +35,16 @@ use std::time::Duration;
 /// the run is dead and the daemon should exit instead of hanging CI.
 pub const CONTROL_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// One received data frame: `(from, to, seq, frame bytes)`.
-type DataFrame = (u32, u32, u64, Vec<u8>);
-
-/// The provisioned state a daemon holds between `Assign` and `Finish`.
+/// The state a daemon holds between `Assign` and `Finish`: its slice
+/// of the population and the sockets to the other slices.
 struct World {
-    /// Hosted runtimes, keyed by global node index.
-    runtimes: BTreeMap<usize, NodeRuntime>,
-    /// Data addresses of every process.
+    /// The round engine over the hosted nodes.
+    host: Host,
+    /// Data addresses of every process; never empty (`build_world`
+    /// checks it against the process count).
     hosts: Vec<String>,
-    /// This process's index (node `i` lives on process `i % num_procs`).
-    proc_index: usize,
-    /// Total processes.
-    num_procs: usize,
-    /// Shared journal behind every hosted node's `NodeObs`.
-    journal: JournalHandle,
     /// Cached outbound data connections, by remote process index.
     dials: BTreeMap<usize, TcpStream>,
-    /// Per-`(from, to)` sequence counters for frames this process sends.
-    seqs: BTreeMap<(u32, u32), u64>,
-    /// Round buffer: frames awaiting the next `Process`.
-    buffer: Vec<DataFrame>,
     /// Cumulative frames sent to *other* processes.
     sent_remote: u64,
     /// Cumulative frames received from *other* processes.
@@ -62,57 +52,22 @@ struct World {
 }
 
 impl World {
-    fn hosts_node(&self, node: usize) -> bool {
-        node % self.num_procs == self.proc_index
+    /// Puts the remote frames of one flush on their data connections.
+    /// Returns the number of frames the flush emitted, local included.
+    fn ship(&mut self, flushed: Flushed) -> Result<u64, InVivoError> {
+        for frame in flushed.remote {
+            self.send_data(frame)?;
+        }
+        Ok(flushed.emitted)
     }
 
-    /// Drains every hosted runtime's outbox: frames to locally hosted
-    /// nodes land straight in the round buffer; frames to remote nodes
-    /// ride a data connection. Returns the number emitted.
-    fn flush(&mut self) -> Result<u64, InVivoError> {
-        let mut emitted = 0u64;
-        let mut remote: Vec<DataFrame> = Vec::new();
-        let node_ids: Vec<usize> = self.runtimes.keys().copied().collect();
-        for from in node_ids {
-            let out = match self.runtimes.get_mut(&from) {
-                Some(rt) => rt.poll_output(),
-                None => continue,
-            };
-            let from = from as u32;
-            for (to, bytes) in out {
-                let seq = self.seqs.entry((from, to.0)).or_insert(0);
-                let frame = (from, to.0, *seq, bytes);
-                *seq += 1;
-                emitted += 1;
-                if self.hosts_node(to.0 as usize) {
-                    self.buffer.push(frame);
-                } else {
-                    remote.push(frame);
-                }
-            }
-        }
-        for (from, to, seq, bytes) in remote {
-            self.send_data(from, to, seq, bytes)?;
-        }
-        Ok(emitted)
-    }
-
-    /// Ships one frame to the process hosting `to`, dialing (and
-    /// caching) the data connection on first use.
-    fn send_data(
-        &mut self,
-        from: u32,
-        to: u32,
-        seq: u64,
-        frame: Vec<u8>,
-    ) -> Result<(), InVivoError> {
+    /// Ships one frame to the process hosting its destination, dialing
+    /// (and caching) the data connection on first use.
+    fn send_data(&mut self, (from, to, seq, frame): WireFrame) -> Result<(), InVivoError> {
         use std::io::Write;
-        let proc = to as usize % self.num_procs;
+        let proc = to as usize % self.hosts.len();
         if !self.dials.contains_key(&proc) {
-            let addr = self.hosts.get(proc).ok_or_else(|| {
-                InVivoError::Protocol(format!("no host registered for process {proc}"))
-            })?;
-            let stream = TcpStream::connect(addr.as_str())?;
+            let stream = TcpStream::connect(self.hosts[proc].as_str())?;
             stream.set_nodelay(true)?;
             self.dials.insert(proc, stream);
         }
@@ -129,60 +84,33 @@ impl World {
         self.sent_remote += 1;
         Ok(())
     }
-
-    /// Processes the round buffer in the layout-invariant
-    /// `(to, from, seq)` order, then flushes replies.
-    fn process_round(&mut self) -> Result<u64, InVivoError> {
-        self.buffer.sort_by_key(|x| (x.1, x.0, x.2));
-        let round = std::mem::take(&mut self.buffer);
-        for (from, to, _seq, bytes) in round {
-            let Some(rt) = self.runtimes.get_mut(&(to as usize)) else {
-                return Err(InVivoError::Protocol(format!(
-                    "data frame for node {to}, which this process does not host"
-                )));
-            };
-            match rt.push_frame(PeerId(from), &bytes) {
-                // Racing a contact-down: dropped, as in simulation.
-                Ok(()) | Err(NodeError::NotInContact { .. }) => {}
-                Err(NodeError::Codec(e)) => return Err(InVivoError::Codec(e)),
-            }
-        }
-        self.flush()
-    }
 }
 
 /// Builds the hosted world from the broker's [`Msg::Assign`]; any
 /// other message is a protocol violation.
 fn build_world(assign: Msg) -> Result<World, InVivoError> {
-    let (proc_index, num_procs, scheme, seed, total_posts, ad_interval_ms, trace_text, hosts) =
-        match assign {
-            Msg::Assign {
-                proc_index,
-                num_procs,
-                scheme,
-                seed,
-                total_posts,
-                ad_interval_ms,
-                trace_text,
-                hosts,
-            } => (
-                proc_index,
-                num_procs,
-                scheme,
-                seed,
-                total_posts,
-                ad_interval_ms,
-                trace_text,
-                hosts,
-            ),
-            other => {
-                return Err(InVivoError::Protocol(format!(
-                    "expected Assign, got {other:?}"
-                )))
-            }
-        };
+    let Msg::Assign {
+        proc_index,
+        num_procs,
+        scheme,
+        seed,
+        total_posts,
+        ad_interval_ms,
+        trace_text,
+        hosts,
+    } = assign
+    else {
+        return Err(InVivoError::Protocol(format!(
+            "expected Assign, got {assign:?}"
+        )));
+    };
     let scheme = scheme_from_byte(scheme)
         .ok_or_else(|| InVivoError::Protocol(format!("unknown scheme byte {scheme}")))?;
+    if ad_interval_ms == 0 {
+        return Err(InVivoError::Protocol(
+            "advertisement interval must be at least 1 ms".into(),
+        ));
+    }
     let trace = load_trace_bytes(trace_text.as_bytes()).map_err(InVivoError::Trace)?;
     let plan = RunPlan {
         scheme,
@@ -190,36 +118,18 @@ fn build_world(assign: Msg) -> Result<World, InVivoError> {
         total_posts: total_posts as usize,
         ad_interval: SimDuration::from_millis(ad_interval_ms),
     };
-    let n = trace.node_count();
     let num_procs = num_procs as usize;
     let proc_index = proc_index as usize;
-    if proc_index >= num_procs {
+    if proc_index >= num_procs || hosts.len() != num_procs {
         return Err(InVivoError::Protocol(format!(
-            "process index {proc_index} out of range for {num_procs} processes"
+            "process index {proc_index} and {} data addresses for {num_procs} processes",
+            hosts.len()
         )));
     }
-    let journal = JournalHandle::new();
-    // Every process rebuilds the whole population (same CA ⇒ mutually
-    // valid certificates), then keeps only its slice.
-    let runtimes: BTreeMap<usize, NodeRuntime> = provision_apps(&trace, &plan)
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| i % num_procs == proc_index)
-        .map(|(i, mut app)| {
-            app.middleware_mut()
-                .attach_obs(NodeObs::new(i as u32, journal.clone()));
-            (i, provision_runtime(app, i, n, &plan))
-        })
-        .collect();
     Ok(World {
-        runtimes,
+        host: Host::new(&trace, &plan, proc_index, num_procs),
         hosts,
-        proc_index,
-        num_procs,
-        journal,
         dials: BTreeMap::new(),
-        seqs: BTreeMap::new(),
-        buffer: Vec::new(),
         sent_remote: 0,
         recv_remote: 0,
     })
@@ -227,7 +137,7 @@ fn build_world(assign: Msg) -> Result<World, InVivoError> {
 
 /// Accept loop + per-connection readers for the data plane; every
 /// decoded [`Msg::Data`] is forwarded to `tx`.
-fn spawn_data_plane(listener: TcpListener, tx: mpsc::Sender<DataFrame>) {
+fn spawn_data_plane(listener: TcpListener, tx: mpsc::Sender<WireFrame>) {
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(stream) = conn else { break };
@@ -238,7 +148,7 @@ fn spawn_data_plane(listener: TcpListener, tx: mpsc::Sender<DataFrame>) {
 }
 
 /// Reads one data connection to EOF, forwarding frames.
-fn read_data_conn(mut stream: TcpStream, tx: &mpsc::Sender<DataFrame>) {
+fn read_data_conn(mut stream: TcpStream, tx: &mpsc::Sender<WireFrame>) {
     let mut reader = sos_net::WireReader::new();
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -283,47 +193,28 @@ pub fn run_daemon(broker_addr: &str) -> Result<(), InVivoError> {
 
     let data_listener = TcpListener::bind("127.0.0.1:0")?;
     let data_addr = data_listener.local_addr()?.to_string();
-    let (tx, rx) = mpsc::channel::<DataFrame>();
+    let (tx, rx) = mpsc::channel::<WireFrame>();
     spawn_data_plane(data_listener, tx);
 
     control.send(&Msg::Hello { data_addr })?;
     let mut world = build_world(control.recv()?)?;
 
     loop {
-        match control.recv()? {
-            Msg::Encounter { a, b, up } => {
-                let (a, b) = (a as usize, b as usize);
-                for (node, peer) in [(a, b), (b, a)] {
-                    if let Some(rt) = world.runtimes.get_mut(&node) {
-                        if up {
-                            rt.on_encounter_up(PeerId(peer as u32));
-                        } else {
-                            rt.on_encounter_down(PeerId(peer as u32));
-                        }
-                    }
-                }
-            }
-            Msg::Post {
-                node,
-                number,
-                now_ms,
-            } => {
-                if let Some(rt) = world.runtimes.get_mut(&(node as usize)) {
-                    let text = format!("post #{number} by {}", rt.app().handle());
-                    rt.post(&text, SimTime::from_millis(now_ms));
-                }
-            }
-            Msg::Tick { now_ms } => {
-                let now = SimTime::from_millis(now_ms);
-                for rt in world.runtimes.values_mut() {
-                    rt.advance_to(now);
-                }
-                world.flush()?;
-            }
+        let msg = control.recv()?;
+        if let Some(flushed) = world.host.apply(&msg) {
+            world.ship(flushed)?;
+            continue;
+        }
+        match msg {
             Msg::Collect => {
                 while let Ok(frame) = rx.try_recv() {
+                    let to = frame.1;
+                    if !world.host.accept(frame) {
+                        return Err(InVivoError::Protocol(format!(
+                            "data frame for node {to}, which this process does not host"
+                        )));
+                    }
                     world.recv_remote += 1;
-                    world.buffer.push(frame);
                 }
                 control.send(&Msg::CollectAck {
                     sent: world.sent_remote,
@@ -331,7 +222,8 @@ pub fn run_daemon(broker_addr: &str) -> Result<(), InVivoError> {
                 })?;
             }
             Msg::Process => {
-                let emitted = world.process_round()?;
+                let flushed = world.host.process_round()?;
+                let emitted = world.ship(flushed)?;
                 control.send(&Msg::ProcessAck { emitted })?;
             }
             Msg::Finish => {
@@ -350,28 +242,66 @@ pub fn run_daemon(broker_addr: &str) -> Result<(), InVivoError> {
 /// Streams the per-node reports: stats and delivered lines for hosted
 /// nodes, journal JSONL, then `ReportDone`.
 fn send_reports(control: &mut MsgStream, world: &mut World) -> Result<(), InVivoError> {
-    for (&node, rt) in &mut world.runtimes {
-        rt.take_events();
+    let reports = world.host.reports();
+    let mut send = |kind: ReportKind, line: String| {
         control.send(&Msg::Report {
-            kind: ReportKind::Stats.to_byte(),
-            line: stats_line(node as u32, &rt.stats()),
-        })?;
+            kind: kind.to_byte(),
+            line,
+        })
+    };
+    for (node, stats) in &reports.stats {
+        send(ReportKind::Stats, stats_line(*node, stats))?;
     }
-    for (&node, rt) in &world.runtimes {
-        for bundle in rt.app().middleware().store().iter() {
-            let id = &bundle.message.id;
-            control.send(&Msg::Report {
-                kind: ReportKind::Delivered.to_byte(),
-                line: delivered_line(node as u32, id.author.as_bytes(), id.number),
-            })?;
-        }
+    for (node, author, number) in &reports.delivered {
+        let line = delivered_line(*node, author.as_bytes(), *number);
+        send(ReportKind::Delivered, line)?;
     }
-    for entry in world.journal.snapshot().entries() {
-        control.send(&Msg::Report {
-            kind: ReportKind::Journal.to_byte(),
-            line: entry.to_jsonl(),
-        })?;
+    for entry in &reports.journal {
+        send(ReportKind::Journal, entry.to_jsonl())?;
     }
     control.send(&Msg::ReportDone)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sos_sim::world::{ContactEvent, ContactPhase};
+    use sos_sim::SimTime;
+    use sos_trace::{codec_text, ContactTrace};
+
+    fn assign(ad_interval_ms: u64) -> Msg {
+        let event = |secs, phase| ContactEvent {
+            time: SimTime::from_secs(secs),
+            a: 0,
+            b: 1,
+            phase,
+            distance_m: 5.0,
+        };
+        let events = vec![event(10, ContactPhase::Up), event(90, ContactPhase::Down)];
+        let trace = ContactTrace::new(2, None, events).expect("valid trace");
+        Msg::Assign {
+            proc_index: 0,
+            num_procs: 1,
+            scheme: 0,
+            seed: 7,
+            total_posts: 2,
+            ad_interval_ms,
+            trace_text: codec_text::to_text(&trace),
+            hosts: vec!["127.0.0.1:1".into()],
+        }
+    }
+
+    #[test]
+    fn build_world_refuses_a_zero_advertisement_interval() {
+        assert!(
+            build_world(assign(1)).is_ok(),
+            "the assignment is otherwise valid"
+        );
+        match build_world(assign(0)) {
+            Err(InVivoError::Protocol(what)) => assert!(what.contains("interval"), "{what}"),
+            Err(other) => panic!("wrong refusal: {other}"),
+            Ok(_) => panic!("a zero interval must be refused"),
+        }
+    }
 }

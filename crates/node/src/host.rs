@@ -1,0 +1,365 @@
+//! The per-process round engine of a lockstep run: the runtimes one
+//! process hosts, each node's own seeded randomness, the wire codec at
+//! the edge, and the exchange-round buffer.
+//!
+//! A [`Host`] that hosts every node *is* the in-process
+//! [`mesh`](crate::mesh); a [`Host`] that hosts the nodes
+//! `i % num_procs == proc_index` plus sockets for the frames
+//! [`Flushed::remote`] names is the TCP [`daemon`](crate::daemon).
+//! Either way a frame is encoded when it leaves a runtime, carries the
+//! next sequence number of its `(from, to)` directed pair, and is
+//! decoded, in `(to, from, seq)` order, when its round is processed.
+//! That order does not depend on which process hosts which node, which
+//! is the whole cross-process determinism contract: any sharding of
+//! the population computes the byte-identical run.
+
+use crate::proto::Msg;
+use crate::provision::{node_seed, provision_apps, provision_runtime, RunPlan};
+use crate::runtime::NodeRuntime;
+use rand::SeedableRng;
+use sos_core::middleware::SosStats;
+use sos_crypto::UserId;
+use sos_net::{Frame, NetError, PeerId};
+use sos_obs::{JournalEntry, JournalHandle, NodeObs};
+use sos_sim::SimTime;
+use sos_trace::ContactTrace;
+use std::collections::BTreeMap;
+
+/// One encoded frame in flight: `(from, to, seq, frame bytes)`.
+pub(crate) type WireFrame = (u32, u32, u64, Vec<u8>);
+
+/// What one drain of the hosted outboxes produced.
+#[derive(Default)]
+pub(crate) struct Flushed {
+    /// Frames emitted, local and remote.
+    pub(crate) emitted: u64,
+    /// The emitted frames addressed to nodes another process hosts; the
+    /// caller owns getting them there before the next round. Frames to
+    /// hosted nodes are already in the round buffer.
+    pub(crate) remote: Vec<WireFrame>,
+}
+
+/// What the hosted nodes hold at the end of a run.
+pub(crate) struct Reports {
+    /// Middleware counters per hosted node, ascending by node.
+    pub(crate) stats: Vec<(u32, SosStats)>,
+    /// Every stored bundle: `(holding node, author, post number)`.
+    pub(crate) delivered: Vec<(u32, UserId, u64)>,
+    /// The hosted nodes' journal, in the order events happened here.
+    pub(crate) journal: Vec<JournalEntry>,
+    /// Frames processed across all rounds (dropped ones included).
+    pub(crate) frames: u64,
+}
+
+/// The round engine; see the module documentation.
+pub(crate) struct Host {
+    /// Hosted runtimes with their session randomness, by node index.
+    nodes: BTreeMap<u32, (NodeRuntime, rand::rngs::StdRng)>,
+    /// Shared journal behind every hosted node's `NodeObs`.
+    journal: JournalHandle,
+    /// Next sequence number per `(from, to)` directed pair.
+    seqs: BTreeMap<(u32, u32), u64>,
+    /// Frames awaiting the next round.
+    buffer: Vec<WireFrame>,
+    /// Frames processed across all rounds (dropped ones included).
+    frames: u64,
+}
+
+impl Host {
+    /// Provisions the whole population of `(trace, plan)` — the same CA
+    /// everywhere, so certificates issued in one process validate in
+    /// every other — and keeps the slice process `proc_index` of
+    /// `num_procs` hosts.
+    pub(crate) fn new(
+        trace: &ContactTrace,
+        plan: &RunPlan,
+        proc_index: usize,
+        num_procs: usize,
+    ) -> Host {
+        let n = trace.node_count();
+        let journal = JournalHandle::new();
+        let nodes = provision_apps(trace, plan)
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| i % num_procs == proc_index)
+            .map(|(i, mut app)| {
+                app.middleware_mut()
+                    .attach_obs(NodeObs::new(i as u32, journal.clone()));
+                let rng = rand::rngs::StdRng::seed_from_u64(node_seed(plan.seed, i));
+                (i as u32, (provision_runtime(app, i, n, plan), rng))
+            })
+            .collect();
+        Host {
+            nodes,
+            journal,
+            seqs: BTreeMap::new(),
+            buffer: Vec::new(),
+            frames: 0,
+        }
+    }
+
+    /// Applies one schedule event — [`Msg::Encounter`], [`Msg::Post`] or
+    /// [`Msg::Tick`] — to whichever of the nodes it names are hosted, and
+    /// returns what that made them emit: nothing, except on a tick, where
+    /// every hosted clock advances and the due advertisements drain.
+    /// `None`, nothing done, for a message that is not a schedule event.
+    pub(crate) fn apply(&mut self, msg: &Msg) -> Option<Flushed> {
+        match *msg {
+            Msg::Encounter { a, b, up } => {
+                for (node, peer) in [(a, b), (b, a)] {
+                    if let Some((rt, _)) = self.nodes.get_mut(&node) {
+                        if up {
+                            rt.on_encounter_up(PeerId(peer));
+                        } else {
+                            rt.on_encounter_down(PeerId(peer));
+                        }
+                    }
+                }
+            }
+            Msg::Post {
+                node,
+                number,
+                now_ms,
+            } => {
+                if let Some((rt, _)) = self.nodes.get_mut(&node) {
+                    let text = format!("post #{number} by {}", rt.app().handle());
+                    rt.post(&text, SimTime::from_millis(now_ms));
+                }
+            }
+            Msg::Tick { now_ms } => {
+                for (rt, _) in self.nodes.values_mut() {
+                    rt.advance_to(SimTime::from_millis(now_ms));
+                }
+                return Some(self.flush());
+            }
+            _ => return None,
+        }
+        Some(Flushed::default())
+    }
+
+    /// Drains every hosted outbox, ascending by node: each frame is
+    /// encoded and numbered; frames to hosted nodes join the round
+    /// buffer, the rest are handed back.
+    fn flush(&mut self) -> Flushed {
+        let mut flushed = Flushed::default();
+        let out: Vec<(u32, PeerId, Frame)> = self
+            .nodes
+            .iter_mut()
+            .flat_map(|(&from, (rt, _))| {
+                let frames = rt.poll_frames().into_iter();
+                frames.map(move |(to, frame)| (from, to, frame))
+            })
+            .collect();
+        for (from, PeerId(to), frame) in out {
+            let seq = self.seqs.entry((from, to)).or_insert(0);
+            let wire = (from, to, *seq, frame.encode());
+            *seq += 1;
+            flushed.emitted += 1;
+            if self.nodes.contains_key(&to) {
+                self.buffer.push(wire);
+            } else {
+                flushed.remote.push(wire);
+            }
+        }
+        flushed
+    }
+
+    /// Queues a frame that arrived from another process for the next
+    /// round. Returns `false`, queueing nothing, if its destination is
+    /// not hosted here.
+    pub(crate) fn accept(&mut self, frame: WireFrame) -> bool {
+        let hosted = self.nodes.contains_key(&frame.1);
+        if hosted {
+            self.buffer.push(frame);
+        }
+        hosted
+    }
+
+    /// Runs one exchange round: the buffered frames are decoded and fed
+    /// to their runtimes in `(to, from, seq)` order, then the replies
+    /// are drained. A frame whose contact closed while it was in flight
+    /// is dropped, exactly as the simulation drops it.
+    ///
+    /// # Errors
+    ///
+    /// The codec's error if a frame does not decode — a bug in the
+    /// sending process, not an input condition.
+    pub(crate) fn process_round(&mut self) -> Result<Flushed, NetError> {
+        self.buffer
+            .sort_by_key(|&(from, to, seq, _)| (to, from, seq));
+        let round = std::mem::take(&mut self.buffer);
+        self.frames += round.len() as u64;
+        for (from, to, _seq, bytes) in round {
+            let frame = Frame::decode(&bytes)?;
+            if let Some((rt, rng)) = self.nodes.get_mut(&to) {
+                let now = rt.now();
+                rt.push_frame(PeerId(from), frame, now, rng);
+            }
+        }
+        Ok(self.flush())
+    }
+
+    /// The end-of-run reports of the hosted nodes.
+    pub(crate) fn reports(&mut self) -> Reports {
+        let mut stats = Vec::with_capacity(self.nodes.len());
+        let mut delivered = Vec::new();
+        for (&node, (rt, _)) in &mut self.nodes {
+            rt.take_events();
+            stats.push((node, rt.stats()));
+            for bundle in rt.app().middleware().store().iter() {
+                let id = &bundle.message.id;
+                delivered.push((node, id.author, id.number));
+            }
+        }
+        Reports {
+            stats,
+            delivered,
+            journal: self.journal.snapshot().entries().cloned().collect(),
+            frames: self.frames,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lockstep::{conduct, Fleet};
+    use crate::mesh::MeshError;
+    use crate::provision::load_trace_bytes;
+    use sos_core::routing::SchemeKind;
+    use sos_sim::SimDuration;
+
+    /// K hosts in one address space — the conductor's seam with plain
+    /// queues where the daemons have sockets. Frames a host reports as
+    /// remote reach their host's round buffer only after every host has
+    /// finished the step that emitted them, which is what the broker's
+    /// collect barrier guarantees.
+    struct Shards(Vec<Host>);
+
+    impl Shards {
+        fn deliver(&mut self, flushed: Vec<Flushed>) -> u64 {
+            let mut emitted = 0;
+            for f in flushed {
+                emitted += f.emitted;
+                for frame in f.remote {
+                    let proc = frame.1 as usize % self.0.len();
+                    assert!(self.0[proc].accept(frame), "misrouted frame");
+                }
+            }
+            emitted
+        }
+    }
+
+    impl Fleet for Shards {
+        type Error = MeshError;
+
+        fn stalled(at: SimTime) -> MeshError {
+            MeshError::RoundsExhausted { at }
+        }
+
+        fn event(&mut self, msg: &Msg) -> Result<(), MeshError> {
+            let flushed = self.0.iter_mut().filter_map(|h| h.apply(msg)).collect();
+            self.deliver(flushed);
+            Ok(())
+        }
+
+        fn round(&mut self) -> Result<u64, MeshError> {
+            let flushed = self
+                .0
+                .iter_mut()
+                .map(|h| h.process_round().map_err(MeshError::Frame))
+                .collect::<Result<_, _>>()?;
+            Ok(self.deliver(flushed))
+        }
+    }
+
+    /// Everything a run leaves behind, in sharding-independent form.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        delivered: Vec<(u32, UserId, u64)>,
+        stats: Vec<(u32, SosStats)>,
+        /// Stably sorted by node: each node's own event order survives,
+        /// which is stricter than the sorted multiset sockets compare.
+        journal: Vec<JournalEntry>,
+        frames: u64,
+        posts: u64,
+        rounds: u64,
+    }
+
+    fn run_sharded(trace: &ContactTrace, plan: &RunPlan, k: usize) -> Outcome {
+        let mut shards = Shards((0..k).map(|i| Host::new(trace, plan, i, k)).collect());
+        let (posts, rounds) = conduct(&mut shards, trace, plan).expect("lockstep run");
+        let mut out = Outcome {
+            delivered: Vec::new(),
+            stats: Vec::new(),
+            journal: Vec::new(),
+            frames: 0,
+            posts,
+            rounds,
+        };
+        for host in &mut shards.0 {
+            let reports = host.reports();
+            out.delivered.extend(reports.delivered);
+            out.stats.extend(reports.stats);
+            out.journal.extend(reports.journal);
+            out.frames += reports.frames;
+        }
+        out.delivered.sort();
+        out.stats.sort_by_key(|&(node, _)| node);
+        out.journal.sort_by_key(|e| e.node);
+        out
+    }
+
+    /// Seven nodes, every pair in contact at once: each advertiser is
+    /// answered by six peers in the same round, so the order frames
+    /// reach one runtime — the thing the `(to, from, seq)` sort fixes —
+    /// shows in that node's journal. (`haggle_mini` never overlaps two
+    /// contacts of one node, so on it alone any order passes: the test
+    /// was run with the sort removed to find that out.)
+    fn clique() -> ContactTrace {
+        use sos_sim::world::{ContactEvent, ContactPhase};
+        let pairs = (0..7).flat_map(|a| (a + 1..7).map(move |b| (a, b)));
+        let at = |secs, phase| {
+            move |(a, b)| ContactEvent {
+                time: SimTime::from_secs(secs),
+                a,
+                b,
+                phase,
+                distance_m: 5.0,
+            }
+        };
+        let ups = pairs.clone().map(at(10, ContactPhase::Up));
+        let downs = pairs.map(at(130, ContactPhase::Down));
+        ContactTrace::new(7, None, ups.chain(downs).collect()).expect("valid trace")
+    }
+
+    #[test]
+    fn outcome_is_invariant_to_how_nodes_are_sharded() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../trace/tests/fixtures/haggle_mini.conn"
+        );
+        let bytes = std::fs::read(path).expect("fixture");
+        let haggle = load_trace_bytes(&bytes).expect("fixture imports");
+        let long_cadence = SimDuration::from_secs(600);
+        let short_cadence = SimDuration::from_secs(60);
+        for (trace, ad_interval) in [(haggle, long_cadence), (clique(), short_cadence)] {
+            for scheme in [SchemeKind::Epidemic, SchemeKind::SprayAndWait] {
+                let plan = RunPlan {
+                    scheme,
+                    total_posts: 12,
+                    ad_interval,
+                    ..RunPlan::default()
+                };
+                let one = run_sharded(&trace, &plan, 1);
+                assert!(
+                    one.stats.iter().any(|(_, s)| s.bundles_received > 0),
+                    "{scheme}: bundles must move"
+                );
+                for k in [2, 3] {
+                    assert_eq!(run_sharded(&trace, &plan, k), one, "{scheme}, K = {k}");
+                }
+            }
+        }
+    }
+}

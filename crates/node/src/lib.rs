@@ -6,22 +6,29 @@
 //! real packets. This crate makes that literal for the reproduction:
 //!
 //! - [`runtime`] — [`runtime::NodeRuntime`], the pure
-//!   state machine: middleware + app behind a transport-agnostic API
-//!   (`push_frame` / `poll_output` / `on_encounter_up` / `advance_to`).
-//!   No sockets, no clocks, no threads; time is always injected.
+//!   state machine: middleware + app behind one transport-agnostic
+//!   frame surface (`push_frame` / `poll_frames` / `on_encounter_up` /
+//!   `advance_to`). No sockets, no clocks, no codec, no RNG of its own;
+//!   time and randomness are injected per call.
 //! - [`provision`] — deterministic world building: every transport
 //!   rebuilds the same population (CA, keys, subscriptions, workload)
 //!   from `(trace, plan)`.
 //! - [`lockstep`] — the barrier-synchronized schedule that makes a
-//!   socket run reproduce the in-process run byte-for-byte.
+//!   socket run reproduce the in-process run byte-for-byte, and the one
+//!   conductor that walks it.
+//! - `host` (crate-private) — the per-process round engine: hosted
+//!   runtimes, per-node RNG streams, `(from, to)` sequence numbers, the
+//!   wire codec at the edge and the `(to, from, seq)`-ordered exchange
+//!   round.
 //! - [`mesh`] — the in-process reference transport
-//!   ([`mesh::run_mesh`]): the lockstep protocol with
-//!   function calls instead of sockets.
+//!   ([`mesh::run_mesh`]): one `Host` of every node under the
+//!   conductor.
 //! - [`proto`] — the broker⇄daemon control codec and report lines.
 //! - [`daemon`] / [`broker`] — the real-socket transport: N OS
-//!   processes (`sos-node` binaries) exchanging frames over TCP
-//!   loopback, conducted by a broker (`sos-broker`) that feeds them
-//!   encounter events from any contact trace.
+//!   processes (`sos-node` binaries), each a `Host` of the nodes
+//!   `i % N == k` plus TCP for the frames addressed elsewhere,
+//!   conducted by a broker (`sos-broker`) that feeds them encounter
+//!   events from any contact trace.
 //!
 //! The simulation driver in `sos-experiments` is a thin client of
 //! [`runtime`]: it adds link physics (loss, delay, range) on top of the
@@ -29,6 +36,7 @@
 
 pub mod broker;
 pub mod daemon;
+mod host;
 pub mod lockstep;
 pub mod mesh;
 pub mod proto;
@@ -39,4 +47,4 @@ pub use broker::{run_broker, Broker, BrokerConfig, InVivoOutcome};
 pub use lockstep::{build_schedule, Step};
 pub use mesh::{run_mesh, MeshOutcome};
 pub use provision::{provision_apps, provision_runtime, RunPlan};
-pub use runtime::{NodeConfig, NodeError, NodeRuntime};
+pub use runtime::{NodeConfig, NodeRuntime};

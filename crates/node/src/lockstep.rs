@@ -19,8 +19,16 @@
 //! are pruned from the schedule (nothing could be emitted — the
 //! runtime skips ads when alone), which keeps the step count
 //! proportional to contact time instead of trace length.
+//!
+//! The walk over that schedule is written once, `conduct`, against
+//! the crate-private `Fleet` seam: the in-process `Host` and the
+//! broker's socket fleet are its two transports, and the schedule
+//! events it hands them are the control codec's own
+//! [`Msg::Encounter`], [`Msg::Post`] and [`Msg::Tick`].
 
+use crate::proto::Msg;
 use crate::provision::{ad_phase, post_schedule, RunPlan};
+use crate::runtime::ad_period;
 use sos_sim::world::ContactPhase;
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
@@ -66,7 +74,7 @@ pub fn build_schedule(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, Ste
     // open contact. Interval ends are exclusive (a contact-down on the
     // boundary is applied before the tick), starts inclusive.
     let n = trace.node_count();
-    let interval = plan.ad_interval.as_millis().max(1);
+    let interval = ad_period(plan.ad_interval).as_millis();
     let mut ticks: BTreeSet<SimTime> = BTreeSet::new();
     for iv in trace.intervals(end) {
         for node in [iv.a, iv.b] {
@@ -85,6 +93,80 @@ pub fn build_schedule(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, Ste
     }
 
     steps.into_iter().collect()
+}
+
+/// Rounds a single tick may run before the exchange is declared
+/// divergent. A sync session between two nodes needs a handful of
+/// rounds; hitting this cap means a protocol loop, and the run aborts
+/// with an error instead of spinning.
+pub(crate) const MAX_ROUNDS_PER_TICK: u64 = 10_000;
+
+/// The whole node population as the conductor sees it: something that
+/// hands a schedule event to every process, and runs one
+/// barrier-synchronized exchange round at a time.
+pub(crate) trait Fleet {
+    /// The transport's failure type.
+    type Error;
+
+    /// The failure to report when the rounds of the tick at `at` did
+    /// not quiesce within [`MAX_ROUNDS_PER_TICK`].
+    fn stalled(at: SimTime) -> Self::Error;
+
+    /// Applies one schedule event — [`Msg::Encounter`], [`Msg::Post`] or
+    /// [`Msg::Tick`] — wherever the nodes it names are hosted.
+    fn event(&mut self, msg: &Msg) -> Result<(), Self::Error>;
+
+    /// One exchange round: every frame emitted so far is delivered and
+    /// processed everywhere. Returns how many frames that emitted.
+    fn round(&mut self) -> Result<u64, Self::Error>;
+}
+
+/// Walks the schedule of `(trace, plan)` over `fleet`: per step the
+/// encounters, then the posts, then — on a tick — exchange rounds until
+/// one emits nothing. Returns `(posts injected, rounds run)`.
+///
+/// # Errors
+///
+/// The fleet's own failures, or [`Fleet::stalled`] for a tick whose
+/// rounds never quiesce.
+pub(crate) fn conduct<F: Fleet>(
+    fleet: &mut F,
+    trace: &ContactTrace,
+    plan: &RunPlan,
+) -> Result<(u64, u64), F::Error> {
+    let mut posts = 0u64;
+    let mut rounds = 0u64;
+    for (now, step) in build_schedule(trace, plan) {
+        let now_ms = now.as_millis();
+        for &(a, b, up) in &step.encounters {
+            let (a, b) = (a as u32, b as u32);
+            fleet.event(&Msg::Encounter { a, b, up })?;
+        }
+        for &(node, number) in &step.posts {
+            let node = node as u32;
+            fleet.event(&Msg::Post {
+                node,
+                number,
+                now_ms,
+            })?;
+            posts += 1;
+        }
+        if !step.tick {
+            continue;
+        }
+        fleet.event(&Msg::Tick { now_ms })?;
+        let cap = rounds + MAX_ROUNDS_PER_TICK;
+        loop {
+            if rounds == cap {
+                return Err(F::stalled(now));
+            }
+            rounds += 1;
+            if fleet.round()? == 0 {
+                break;
+            }
+        }
+    }
+    Ok((posts, rounds))
 }
 
 #[cfg(test)]

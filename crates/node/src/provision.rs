@@ -118,9 +118,9 @@ pub fn ad_phase(ad_interval: SimDuration, node: usize, n: usize) -> SimDuration 
     SimDuration::from_millis(ad_interval.as_millis() * node as u64 / (n as u64).max(1))
 }
 
-/// The per-node RNG seed behind the runtime's byte surface; every
+/// The seed of a node's session randomness in a lockstep run; every
 /// process derives the same stream for the same node.
-pub fn node_seed(seed: u64, node: usize) -> u64 {
+pub(crate) fn node_seed(seed: u64, node: usize) -> u64 {
     seed ^ 0x6e6f_6465 ^ ((node as u64) << 32 | node as u64)
 }
 
@@ -131,7 +131,6 @@ pub fn provision_runtime(app: AlleyOopApp, node: usize, n: usize, plan: &RunPlan
         NodeConfig {
             ad_interval: plan.ad_interval,
             ad_phase: ad_phase(plan.ad_interval, node, n),
-            seed: node_seed(plan.seed, node),
         },
     )
 }

@@ -2,71 +2,43 @@
 //! session lifecycles, advertisement cadence, peer connectivity — as a
 //! pure state machine with frames at the edge and time always injected.
 //!
-//! Two drivers move its frames:
-//!
-//! * the **simulation driver** (`sos_experiments::driver`, downstream
-//!   of this crate) uses the typed surface
-//!   ([`push_frame_in`](NodeRuntime::push_frame_in) /
-//!   [`poll_frames`](NodeRuntime::poll_frames)) with its own shared RNG,
-//!   preserving record→replay byte-identity through the refactor;
-//! * a **real transport** (the loopback TCP daemon, or the in-process
-//!   [`mesh`](crate::mesh) twin) uses the byte surface
-//!   ([`push_frame`](NodeRuntime::push_frame) /
-//!   [`poll_output`](NodeRuntime::poll_output)) with the runtime's own
-//!   seeded RNG and injected clock.
+//! There is one frame surface — [`push_frame`](NodeRuntime::push_frame)
+//! in, [`poll_frames`](NodeRuntime::poll_frames) out — and the caller
+//! injects both the time and the randomness of every call. The
+//! simulation driver (`sos_experiments::driver`, downstream of this
+//! crate) passes its one shared RNG; the lockstep `Host` (`host.rs`)
+//! behind the mesh and the TCP daemon passes each node's own seeded
+//! stream and owns the wire codec, so the runtime never sees bytes.
 //!
 //! Nothing here reads a wall clock: [`advance_to`](NodeRuntime::advance_to)
 //! is the only way time moves, so the no-wallclock lint holds for in-vivo
 //! builds exactly as for simulation.
 
 use alleyoop::app::AlleyOopApp;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use sos_core::message::MessageId;
 use sos_core::middleware::{SosEvent, SosStats};
-use sos_net::{Frame, NetError, PeerId};
+use sos_net::{Frame, PeerId};
 use sos_sim::{SimDuration, SimTime};
 use std::collections::{BTreeSet, VecDeque};
 
-/// Errors surfaced by the runtime's byte edge.
-#[derive(Debug)]
-pub enum NodeError {
-    /// Inbound bytes did not decode to a frame (or exceeded caps).
-    Codec(NetError),
-    /// A frame arrived from a peer no encounter connects us to; on a
-    /// real transport this means the remote's contact view is stale,
-    /// and the frame is dropped exactly as the simulation driver drops
-    /// frames that arrive after contact-down.
-    NotInContact {
-        /// The sender.
-        peer: PeerId,
-    },
+/// The advertisement period a run actually uses: `ad_interval` floored
+/// at 1 ms. A zero interval (which the control codec can carry) would
+/// otherwise never move an advertisement boundary past `now`, and every
+/// loop that steps by the interval — here, in the lockstep schedule, in
+/// the simulation driver — would spin forever.
+pub fn ad_period(ad_interval: SimDuration) -> SimDuration {
+    SimDuration::from_millis(ad_interval.as_millis().max(1))
 }
 
-impl std::fmt::Display for NodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NodeError::Codec(e) => write!(f, "inbound frame rejected: {e}"),
-            NodeError::NotInContact { peer } => {
-                write!(f, "frame from peer {} outside any contact", peer.0)
-            }
-        }
-    }
-}
-
-impl std::error::Error for NodeError {}
-
-/// Runtime configuration: the advertisement cadence and the node's own
-/// randomness seed (used only on the byte surface; the simulation
-/// driver injects its shared RNG instead).
+/// Runtime configuration: the advertisement cadence.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
-    /// Advertisement broadcast period.
+    /// Advertisement broadcast period (floored by [`ad_period`]).
     pub ad_interval: SimDuration,
     /// Phase offset of the first advertisement (stagger nodes across
     /// the interval so simultaneous session collisions are rare).
     pub ad_phase: SimDuration,
-    /// Seed for the runtime-internal RNG behind the byte surface.
-    pub seed: u64,
 }
 
 impl Default for NodeConfig {
@@ -74,7 +46,6 @@ impl Default for NodeConfig {
         NodeConfig {
             ad_interval: SimDuration::from_secs(60),
             ad_phase: SimDuration::from_millis(0),
-            seed: 7,
         }
     }
 }
@@ -89,8 +60,8 @@ impl Default for NodeConfig {
 pub struct NodeRuntime {
     app: AlleyOopApp,
     /// Peers inside an open contact, ascending — the emission order for
-    /// advertisement broadcasts (matching the simulation driver's
-    /// sorted adjacency).
+    /// advertisement broadcasts, and the only record of connectivity:
+    /// the frame gate in [`push_frame`](Self::push_frame) reads it.
     peers: BTreeSet<u32>,
     /// Frames awaiting the transport, in emission order.
     outbox: VecDeque<(PeerId, Frame)>,
@@ -100,7 +71,6 @@ pub struct NodeRuntime {
     clock: SimTime,
     next_ad: SimTime,
     ad_interval: SimDuration,
-    rng: rand::rngs::StdRng,
 }
 
 impl NodeRuntime {
@@ -113,8 +83,7 @@ impl NodeRuntime {
             events: VecDeque::new(),
             clock: SimTime::ZERO,
             next_ad: SimTime::ZERO + config.ad_phase,
-            ad_interval: config.ad_interval,
-            rng: rand::rngs::StdRng::seed_from_u64(config.seed),
+            ad_interval: ad_period(config.ad_interval),
         }
     }
 
@@ -139,8 +108,7 @@ impl NodeRuntime {
 
     /// Advances the injected clock and emits the advertisement broadcast
     /// if `now` lands exactly on an ad boundary (`phase + k·interval`)
-    /// and any peer is in range — the same skip-when-alone semantics the
-    /// simulation driver had. Boundaries strictly before `now` that were
+    /// and any peer is in range. Boundaries strictly before `now` that were
     /// never visited are dropped, not emitted late: the pacer (driver
     /// tick or broker step) owns the decision to wake the node on a
     /// boundary.
@@ -158,13 +126,12 @@ impl NodeRuntime {
         }
     }
 
-    /// The typed frame surface for the simulation driver: feeds `frame`
-    /// from `peer` through the middleware with the driver's shared RNG,
-    /// queueing replies on the outbox and application events (stamped
-    /// `now`) on the event buffer. Returns `false` (frame dropped) when
-    /// no open encounter connects the peer — the contact closed while
-    /// the frame was in flight.
-    pub fn push_frame_in<R: RngCore>(
+    /// Feeds `frame` from `peer` through the middleware at `now` with
+    /// the caller's RNG, queueing replies on the outbox and application
+    /// events (stamped `now`) on the event buffer. Returns `false`
+    /// (frame dropped) when no open encounter connects the peer — the
+    /// contact closed while the frame was in flight.
+    pub fn push_frame<R: RngCore>(
         &mut self,
         peer: PeerId,
         frame: Frame,
@@ -186,44 +153,9 @@ impl NodeRuntime {
         true
     }
 
-    /// The byte surface for real transports: decodes and feeds one wire
-    /// frame at the runtime's current clock, using the runtime's own
-    /// seeded RNG.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Codec`] when the bytes do not decode;
-    /// [`NodeError::NotInContact`] when no encounter connects the peer
-    /// (the frame is dropped, mirroring the simulation's mid-flight
-    /// contact close).
-    pub fn push_frame(&mut self, peer: PeerId, bytes: &[u8]) -> Result<(), NodeError> {
-        let frame = Frame::decode(bytes).map_err(NodeError::Codec)?;
-        if !self.peers.contains(&peer.0) {
-            return Err(NodeError::NotInContact { peer });
-        }
-        let now = self.clock;
-        let replies = self
-            .app
-            .middleware_mut()
-            .handle_frame(peer, frame, now, &mut self.rng);
-        for event in self.app.process_events_at(now) {
-            self.events.push_back((now, event));
-        }
-        self.outbox.extend(replies);
-        Ok(())
-    }
-
-    /// Drains the outbox as typed frames (simulation surface).
+    /// Drains the outbox in emission order.
     pub fn poll_frames(&mut self) -> Vec<(PeerId, Frame)> {
         self.outbox.drain(..).collect()
-    }
-
-    /// Drains the outbox as encoded wire frames (transport surface).
-    pub fn poll_output(&mut self) -> Vec<(PeerId, Vec<u8>)> {
-        self.outbox
-            .drain(..)
-            .map(|(peer, frame)| (peer, frame.encode()))
-            .collect()
     }
 
     /// Drains buffered application events with the injected time each
@@ -268,7 +200,10 @@ impl NodeRuntime {
 mod tests {
     use super::*;
     use alleyoop::cloud::Cloud;
+    use rand::SeedableRng;
     use sos_core::routing::SchemeKind;
+    use sos_obs::journal::ObsEvent;
+    use sos_obs::{JournalHandle, NodeObs};
 
     fn two_nodes(scheme: SchemeKind) -> (NodeRuntime, NodeRuntime) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -288,30 +223,35 @@ mod tests {
                 NodeConfig {
                     ad_interval: SimDuration::from_secs(60),
                     ad_phase: SimDuration::from_millis(u64::from(i) * 100),
-                    seed: 100 + u64::from(i),
                 },
             )
         };
         (mk(0, "alice"), mk(1, "bob"))
     }
 
-    /// Shuttles bytes between two runtimes until both outboxes drain.
-    fn pump(a: &mut NodeRuntime, b: &mut NodeRuntime) {
-        loop {
-            let a_out = a.poll_output();
-            let b_out = b.poll_output();
-            if a_out.is_empty() && b_out.is_empty() {
-                break;
-            }
-            for (to, bytes) in a_out {
-                assert_eq!(to, PeerId(1));
-                let _ = b.push_frame(PeerId(0), &bytes);
-            }
-            for (to, bytes) in b_out {
-                assert_eq!(to, PeerId(0));
-                let _ = a.push_frame(PeerId(1), &bytes);
-            }
+    /// Moves everything `from` (node index `from_id`) has queued into
+    /// `to`, as bytes: each frame crosses the wire codec the way the
+    /// lockstep host carries it. Returns how many frames moved.
+    fn carry(
+        from: &mut NodeRuntime,
+        from_id: u32,
+        to: &mut NodeRuntime,
+        rng: &mut rand::rngs::StdRng,
+    ) -> usize {
+        let out = from.poll_frames();
+        for (dest, frame) in &out {
+            assert_eq!(*dest, PeerId(1 - from_id));
+            let frame = Frame::decode(&frame.encode()).expect("own frames decode");
+            let now = to.now();
+            to.push_frame(PeerId(from_id), frame, now, rng);
         }
+        out.len()
+    }
+
+    /// Shuttles frames between two runtimes until both outboxes drain.
+    fn pump(a: &mut NodeRuntime, b: &mut NodeRuntime) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(100);
+        while carry(a, 0, b, &mut rng) + carry(b, 1, a, &mut rng) > 0 {}
     }
 
     #[test]
@@ -327,7 +267,7 @@ mod tests {
         bob.on_encounter_up(PeerId(0));
 
         // Alice's phase-0 boundary at t=60 emits the ad; the session
-        // handshake, browse, and transfer all ride the byte surface.
+        // handshake, browse, and transfer all cross as encoded frames.
         alice.advance_to(SimTime::from_secs(60));
         bob.advance_to(SimTime::from_secs(60));
         pump(&mut alice, &mut bob);
@@ -361,51 +301,82 @@ mod tests {
     }
 
     #[test]
+    fn zero_ad_interval_still_advances() {
+        let (alice, _) = two_nodes(SchemeKind::Epidemic);
+        let mut alice = NodeRuntime::new(
+            alice.into_app(),
+            NodeConfig {
+                ad_interval: SimDuration::from_millis(0),
+                ad_phase: SimDuration::from_millis(0),
+            },
+        );
+        alice.on_encounter_up(PeerId(1));
+        // Floored to 1 ms: every millisecond is a boundary, `now` is one
+        // of them, and the call returns.
+        alice.advance_to(SimTime::from_millis(250));
+        assert_eq!(alice.poll_frames().len(), 1);
+        assert_eq!(alice.now(), SimTime::from_millis(250));
+    }
+
+    #[test]
     fn frames_outside_contact_are_dropped() {
         let (mut alice, mut bob) = two_nodes(SchemeKind::Epidemic);
+        alice.post("news", SimTime::from_secs(1));
         alice.on_encounter_up(PeerId(1));
         bob.on_encounter_up(PeerId(0));
         alice.advance_to(SimTime::from_secs(60));
-        let out = alice.poll_output();
+        let out = alice.poll_frames();
         assert_eq!(out.len(), 1);
 
-        // Contact closes at bob before the ad arrives: dropped, and the
-        // typed surface agrees.
+        // Contact closes at bob before the ad arrives: dropped, nothing
+        // handled, nothing queued.
         bob.on_encounter_down(PeerId(0));
-        let err = bob.push_frame(PeerId(0), &out[0].1).unwrap_err();
-        assert!(matches!(err, NodeError::NotInContact { .. }));
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let frame = Frame::decode(&out[0].1).unwrap();
-        assert!(!bob.push_frame_in(PeerId(0), frame, SimTime::from_secs(60), &mut rng));
+        let (_, ad) = out.into_iter().next().expect("one ad");
+        assert!(!bob.push_frame(PeerId(0), ad.clone(), SimTime::from_secs(60), &mut rng));
+        assert!(bob.poll_frames().is_empty());
+        assert_eq!(bob.stats().sessions_initiated, 0);
 
-        // Garbage bytes are a codec error, not a panic.
+        // Back in contact, the same frame is handled.
         bob.on_encounter_up(PeerId(0));
-        let err = bob.push_frame(PeerId(0), b"\xff\xff\xff").unwrap_err();
-        assert!(matches!(err, NodeError::Codec(_)));
+        assert!(bob.push_frame(PeerId(0), ad, SimTime::from_secs(60), &mut rng));
+        assert_eq!(bob.stats().sessions_initiated, 1);
     }
 
     #[test]
     fn encounter_down_journals_out_of_range_via_middleware() {
         let (mut alice, mut bob) = two_nodes(SchemeKind::Epidemic);
+        let journal = JournalHandle::new();
+        bob.app_mut()
+            .middleware_mut()
+            .attach_obs(NodeObs::new(1, journal.clone()));
         alice.post("x", SimTime::from_secs(1));
         alice.on_encounter_up(PeerId(1));
         bob.on_encounter_up(PeerId(0));
         alice.advance_to(SimTime::from_secs(60));
         bob.advance_to(SimTime::from_secs(60));
-        pump(&mut alice, &mut bob);
-        // A session existed; losing the peer must close it.
+
+        // Ad → bob's handshake init → alice's handshake reply: bob now
+        // holds an established session and has a request queued for
+        // alice. The contact tears before that request leaves.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(100);
+        assert_eq!(carry(&mut alice, 0, &mut bob, &mut rng), 1);
+        assert_eq!(carry(&mut bob, 1, &mut alice, &mut rng), 1);
+        assert_eq!(carry(&mut alice, 0, &mut bob, &mut rng), 1);
+        assert_eq!(bob.stats().sessions_initiated, 1);
+        assert_eq!(bob.stats().bundles_received, 0, "torn before any transfer");
+
         bob.on_encounter_down(PeerId(0));
-        let closed = bob
-            .take_events()
-            .into_iter()
-            .any(|(_, e)| matches!(e, SosEvent::SessionClosed { .. }));
-        // SessionClosed may also have been drained during the pump; the
-        // stats tell the durable story either way.
-        let _ = closed;
-        assert_eq!(
-            bob.stats().sessions_initiated + bob.stats().sessions_accepted,
-            1
-        );
+
         assert!(!bob.in_contact(PeerId(0)));
+        let closes: Vec<_> = journal
+            .snapshot()
+            .entries()
+            .filter_map(|e| match e.event {
+                ObsEvent::SessionClose { peer, reason } => Some((e.node, peer, reason)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(closes, vec![(1, 0, "out_of_range")]);
     }
 }

@@ -20,11 +20,10 @@
 //! ```
 
 use sos::core::routing::SchemeKind;
-use sos::experiments::corpus::{
-    followers_from_trace, run_corpus_study, run_corpus_study_full, CorpusStudyConfig,
-};
+use sos::experiments::corpus::{run_corpus_study, run_corpus_study_full, CorpusStudyConfig};
 use sos::experiments::observe::RunObserver;
 use sos::experiments::report::{follower_destinations, path_report, scheme_traits};
+use sos::node::provision::followers_from_trace;
 use sos::obs::{DropCause, Forensics};
 use sos::trace::corpora::{import_bytes, CorpusFormat};
 use std::path::PathBuf;

@@ -20,6 +20,7 @@
 //! | [`obs`] | observability: metrics registry, event journal, span profiler |
 //! | [`core`] | the SOS middleware: ad hoc / message / routing managers |
 //! | [`social`] | AlleyOop Social: accounts, posts, follows, feeds, cloud |
+//! | [`node`] | sans-I/O node runtime, deterministic provisioning, lockstep mesh / TCP daemon / broker |
 //! | [`experiments`] | the §VI field-study scenario and the `repro` harness |
 //!
 //! ## Where to start
@@ -40,6 +41,7 @@ pub use sos_engine as engine;
 pub use sos_experiments as experiments;
 pub use sos_graph as graph;
 pub use sos_net as net;
+pub use sos_node as node;
 pub use sos_obs as obs;
 pub use sos_sim as sim;
 pub use sos_trace as trace;

@@ -5,9 +5,10 @@
 //! unaccounted for — and the classification is deterministic.
 
 use sos::core::routing::SchemeKind;
-use sos::experiments::corpus::{followers_from_trace, run_corpus_study_full, CorpusStudyConfig};
+use sos::experiments::corpus::{run_corpus_study_full, CorpusStudyConfig};
 use sos::experiments::observe::RunObserver;
 use sos::experiments::report::{follower_destinations, path_report, scheme_traits};
+use sos::node::provision::followers_from_trace;
 use sos::obs::Verdict;
 use sos::trace::corpora::{import_bytes, CorpusFormat};
 use std::path::PathBuf;
