@@ -16,9 +16,11 @@
 //! * `x25519/keygen` (a public key through the fixed-base table, ISSUE
 //!   14) must be ≤ 0.6 × `x25519/agree` (the Montgomery ladder) — the
 //!   same kind of ratio. A key generation that quietly went back to the
-//!   ladder reads 1.0.
+//!   ladder reads 1.0;
+//! * `handshake/resumed` (both sides of a session opened from a
+//!   resumption ticket, ISSUE 16) must be ≤ 0.2 × `handshake/full_warm`.
 //!
-//! All four invariants are asserted — a run that violates them fails loudly
+//! All five invariants are asserted — a run that violates them fails loudly
 //! — and every measurement is written to `BENCH_crypto.json` at the
 //! workspace root so the perf trajectory is tracked across PRs. Set
 //! `SOS_BENCH_SMOKE=1` (as CI does) for a few-iteration smoke run.
@@ -34,7 +36,7 @@ use sos_crypto::ed25519::{self, PreparedVerifyingKey, SigningKey};
 use sos_crypto::sha2;
 use sos_crypto::x25519::AgreementKey;
 use sos_crypto::DeviceIdentity;
-use sos_net::handshake::{Initiator, Responder};
+use sos_net::handshake::{Initiator, Responder, Ticket};
 use sos_sim::SimTime;
 
 /// Bundles per encounter: PR 2's batched sync serves up to this many
@@ -172,8 +174,10 @@ fn identity(ca: &mut CertificateAuthority, seed: u8, name: &str) -> DeviceIdenti
 }
 
 /// One whole connection establishment (Fig. 2b), start → respond →
-/// finish: two key generations, two ladders, two signatures, two
-/// certificate checks and two signature verifications.
+/// finish, both sides. In full: two key generations, two ladders, two
+/// signatures, two certificate checks and two signature verifications.
+/// Resumed from the tickets a first meeting left: two cached certificate
+/// checks and a dozen HMACs.
 fn bench_handshake(_c: &mut Criterion) {
     use rand::SeedableRng;
     let mut ca = CertificateAuthority::new("Root", [1; 32], 0, u64::MAX);
@@ -181,17 +185,33 @@ fn bench_handshake(_c: &mut Criterion) {
     let mut alice = identity(&mut ca, 10, "alice");
     let mut bob = identity(&mut ca, 20, "bob");
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let mut handshake = |alice: &DeviceIdentity, bob: &DeviceIdentity| {
-        let init = Initiator::start(bob, &mut rng);
-        let (response, alice_sess, _) =
-            Responder::respond(alice, init.message(), 100, &mut rng).expect("bob is valid");
-        let (bob_sess, _) = init.finish(bob, &response, 100).expect("alice is valid");
-        (alice_sess, bob_sess)
-    };
+    // `tickets` = what (alice, bob) hold for each other.
+    let mut handshake =
+        |alice: &DeviceIdentity, bob: &DeviceIdentity, tickets: Option<&(Ticket, Ticket)>| {
+            let (of_bob, of_alice) = tickets.map(|(a, b)| (a, b)).unzip();
+            let (init, msg) = Initiator::start(bob, of_alice, &mut rng);
+            let (response, accepted) =
+                Responder::respond(alice, &msg, of_bob, 100, &mut rng).expect("bob is valid");
+            let (alice_sess, of_bob) = accepted.expect("the tickets are in step");
+            let (bob_sess, of_alice) = init.finish(bob, &response, 100).expect("alice is valid");
+            ((alice_sess, bob_sess), (of_bob, of_alice))
+        };
     // Warm: the two have met before, so both certificates and all three
     // prepared keys (CA, alice, bob) are cached — `study_replay`'s case.
-    handshake(&alice, &bob);
-    measure("handshake/full_warm", || handshake(&alice, &bob));
+    let (_, tickets) = handshake(&alice, &bob, None);
+    let full = measure("handshake/full_warm", || handshake(&alice, &bob, None));
+    // Resumed: every iteration spends the same first-generation tickets
+    // (a chain would hit the resumption cap and fall back to full).
+    let resumed = measure("handshake/resumed", || {
+        handshake(&alice, &bob, Some(&tickets))
+    });
+    let ratio = resumed / full;
+    SUITE.record("handshake/resumed_over_full_warm", ratio);
+    println!("resumed handshake / full warm handshake: {ratio:.2} (gate: <= 0.2)");
+    assert!(
+        ratio <= 0.2,
+        "a resumed handshake costs {ratio:.2} of a full one: resumption no longer pays"
+    );
     // Cold: strangers on both sides — each validator proves the peer's
     // certificate and three key tables are built (`encounter_churn`
     // sits between the two).
@@ -199,7 +219,7 @@ fn bench_handshake(_c: &mut Criterion) {
         ed25519::clear_prepared_cache();
         *alice.validator_mut() = Validator::new(root.clone());
         *bob.validator_mut() = Validator::new(root.clone());
-        handshake(&alice, &bob)
+        handshake(&alice, &bob, None)
     });
 }
 

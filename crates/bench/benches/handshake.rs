@@ -1,6 +1,7 @@
 //! Cost of an encrypted payload over an established session (Fig. 2b).
 //! The handshake itself is timed, recorded and gated by the `crypto`
-//! bench (`handshake/full_warm`, `handshake/full_cold`).
+//! bench (`handshake/full_warm`, `handshake/full_cold`,
+//! `handshake/resumed`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -32,9 +33,9 @@ fn bench_handshake(c: &mut Criterion) {
 
     c.bench_function("handshake/session_payload_roundtrip_1KiB", |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let init = Initiator::start(&bob, &mut rng);
-        let (response, mut alice_sess, _) =
-            Responder::respond(&alice, init.message(), 100, &mut rng).unwrap();
+        let (init, msg) = Initiator::start(&bob, None, &mut rng);
+        let (response, accepted) = Responder::respond(&alice, &msg, None, 100, &mut rng).unwrap();
+        let (mut alice_sess, _) = accepted.unwrap();
         let (mut bob_sess, _) = init.finish(&bob, &response, 100).unwrap();
         let payload = vec![0u8; 1024];
         b.iter(|| {

@@ -9,11 +9,16 @@
 //! layers of Fig. 1: applications and routing schemes cannot reach the
 //! key material it holds.
 
+use sos_crypto::bounded::FifoMap;
 use sos_crypto::{DeviceIdentity, UserId};
 use sos_net::frame::DisconnectReason;
 use sos_net::session::{SessionEndpoint, SessionEvent, SessionState};
-use sos_net::{Frame, NetError, PeerId};
+use sos_net::{Frame, HandshakeResponse, NetError, PeerId, Ticket};
 use std::collections::HashMap;
+
+/// Peers whose resumption ticket a device keeps (about 330 bytes each);
+/// past it the pair met longest ago pays one full handshake again.
+const TICKET_CAP: usize = 256;
 
 /// Per-peer session bookkeeping.
 #[derive(Debug)]
@@ -22,7 +27,8 @@ struct SessionCtx {
     peer_user: Option<UserId>,
 }
 
-/// The ad hoc manager: identity plus one session slot per peer.
+/// The ad hoc manager: identity, one session slot per peer, and the
+/// resumption ticket of every peer it has authenticated before.
 ///
 /// Sessions are serial per peer: while one is open, new invitations from
 /// the same peer are refused and retried at the next advertisement.
@@ -31,6 +37,10 @@ pub struct AdHocManager {
     peer_id: PeerId,
     identity: DeviceIdentity,
     sessions: HashMap<PeerId, SessionCtx>,
+    /// What the last handshake with each peer left behind
+    /// (`sos_net::handshake`): a session with a ticket holder opens
+    /// without certificates, signatures or Diffie–Hellman.
+    tickets: FifoMap<PeerId, Ticket>,
 }
 
 impl AdHocManager {
@@ -40,6 +50,7 @@ impl AdHocManager {
             peer_id,
             identity,
             sessions: HashMap::new(),
+            tickets: FifoMap::new(TICKET_CAP),
         }
     }
 
@@ -95,7 +106,7 @@ impl AdHocManager {
             return Err(NetError::UnexpectedHandshake);
         }
         let mut endpoint = SessionEndpoint::new();
-        let frame = endpoint.connect(&self.identity, rng)?;
+        let frame = endpoint.connect(&self.identity, self.tickets.get(&peer), rng)?;
         self.sessions.insert(
             peer,
             SessionCtx {
@@ -109,8 +120,11 @@ impl AdHocManager {
     /// Feeds a session-layer frame from `peer` through its session.
     /// Creates a responder session on an incoming `HandshakeInit`.
     ///
-    /// On any error the session slot is removed so a later encounter can
-    /// retry from scratch.
+    /// An error that tears the session down also removes its slot, so a
+    /// later encounter can retry from scratch. An error the endpoint
+    /// merely refuses (a handshake frame in the wrong state, data before
+    /// the keys exist) leaves the slot as it was: such frames are
+    /// unauthenticated and must not end a live session.
     ///
     /// # Errors
     ///
@@ -136,21 +150,30 @@ impl AdHocManager {
             );
         }
         let ctx = self.sessions.get_mut(&peer).ok_or(NetError::NotConnected)?;
-        match ctx.endpoint.on_frame(&self.identity, frame, now_secs, rng) {
-            Ok(event) => {
-                if let Some(cert) = ctx.endpoint.peer_certificate() {
-                    ctx.peer_user = Some(cert.subject);
-                }
-                if matches!(event, SessionEvent::Closed(_)) {
-                    self.sessions.remove(&peer);
-                }
-                Ok(event)
-            }
-            Err(e) => {
-                self.sessions.remove(&peer);
-                Err(e)
-            }
+        let held = self.tickets.get(&peer);
+        let result = ctx
+            .endpoint
+            .on_frame(&self.identity, frame, held, now_secs, rng);
+        if let Some(ticket) = ctx.endpoint.take_ticket() {
+            ctx.peer_user = Some(ticket.certificate().subject);
+            self.tickets.insert(peer, ticket);
         }
+        match &result {
+            // The peer missed the ticket we offered: it is stale.
+            Ok(SessionEvent::Reply(Frame::HandshakeInit(_))) => {
+                self.tickets.remove(&peer);
+            }
+            // We missed the peer's: no session came of it yet.
+            Ok(SessionEvent::Reply(Frame::HandshakeResponse(HandshakeResponse::Miss)))
+            | Ok(SessionEvent::Closed(_)) => {
+                self.sessions.remove(&peer);
+            }
+            Err(_) if ctx.endpoint.state() == SessionState::Disconnected => {
+                self.sessions.remove(&peer);
+            }
+            _ => {}
+        }
+        result
     }
 
     /// Encrypts `payload` for `peer` over the established session.
@@ -193,10 +216,12 @@ impl AdHocManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sos_crypto::ca::{CertificateAuthority, Validator};
     use sos_crypto::ed25519::SigningKey;
     use sos_crypto::x25519::AgreementKey;
+    use sos_net::HandshakeInit;
 
     fn identity(ca: &mut CertificateAuthority, seed: u8, name: &str) -> DeviceIdentity {
         let signing = SigningKey::from_seed([seed; 32]);
@@ -244,6 +269,207 @@ mod tests {
         let data = bob.send_payload(PeerId(0), b"hi").unwrap();
         match alice.on_frame(PeerId(1), data, 0, &mut rng).unwrap() {
             SessionEvent::Payload(p) => assert_eq!(p, b"hi"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Runs `from`'s connection request to `to` until it is established,
+    /// returning the handshake frames that crossed, in order.
+    fn open(from: &mut AdHocManager, to: &mut AdHocManager, rng: &mut StdRng) -> Vec<Frame> {
+        let mut frame = from.connect(to.peer_id(), rng).unwrap();
+        let mut crossed = Vec::new();
+        loop {
+            crossed.push(frame.clone());
+            let (rx, tx) = if crossed.len() % 2 == 1 {
+                (&mut *to, from.peer_id())
+            } else {
+                (&mut *from, to.peer_id())
+            };
+            match rx.on_frame(tx, frame, 0, rng).unwrap() {
+                SessionEvent::Reply(next) => frame = next,
+                SessionEvent::Established(_) => return crossed,
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    fn hang_up(a: &mut AdHocManager, b: &mut AdHocManager) {
+        a.close(b.peer_id(), DisconnectReason::Done);
+        b.close(a.peer_id(), DisconnectReason::Done);
+    }
+
+    fn is_resume_init(frame: &Frame) -> bool {
+        matches!(frame, Frame::HandshakeInit(HandshakeInit::Resume { .. }))
+    }
+
+    #[test]
+    fn second_meeting_resumes_and_authenticates_the_same_user() {
+        let (mut alice, mut bob) = managers();
+        let mut rng = StdRng::seed_from_u64(6);
+        let first = open(&mut bob, &mut alice, &mut rng);
+        assert!(!is_resume_init(&first[0]));
+        let users = (alice.peer_user(PeerId(1)), bob.peer_user(PeerId(0)));
+        hang_up(&mut alice, &mut bob);
+
+        // Either side may initiate the resumed session.
+        let second = open(&mut alice, &mut bob, &mut rng);
+        assert_eq!(second.len(), 2);
+        assert!(is_resume_init(&second[0]));
+        assert_eq!(
+            (alice.peer_user(PeerId(1)), bob.peer_user(PeerId(0))),
+            users
+        );
+        assert_eq!(users.0, Some(UserId::from_str_padded("bob")));
+        let data = alice.send_payload(PeerId(1), b"again").unwrap();
+        match bob.on_frame(PeerId(0), data, 0, &mut rng).unwrap() {
+            SessionEvent::Payload(p) => assert_eq!(p, b"again"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A resumed response lost on the air leaves the responder one
+    /// ratchet step ahead. The next meeting is a `Miss`, answered inside
+    /// the same session slot by a full handshake, and the one after
+    /// resumes again.
+    #[test]
+    fn lost_resume_response_heals_by_miss_then_full_then_resumes_again() {
+        let (mut alice, mut bob) = managers();
+        let mut rng = StdRng::seed_from_u64(7);
+        open(&mut bob, &mut alice, &mut rng);
+        hang_up(&mut alice, &mut bob);
+
+        let init = bob.connect(PeerId(0), &mut rng).unwrap();
+        assert!(is_resume_init(&init));
+        let _lost = alice.on_frame(PeerId(1), init, 0, &mut rng).unwrap();
+        hang_up(&mut alice, &mut bob);
+
+        let healed = open(&mut bob, &mut alice, &mut rng);
+        assert!(is_resume_init(&healed[0]));
+        assert_eq!(healed[1], Frame::HandshakeResponse(HandshakeResponse::Miss));
+        assert!(matches!(
+            healed[2],
+            Frame::HandshakeInit(HandshakeInit::Full { .. })
+        ));
+        assert_eq!(healed.len(), 4);
+        assert!(alice.is_connected(PeerId(1)) && bob.is_connected(PeerId(0)));
+        hang_up(&mut alice, &mut bob);
+
+        let resumed = open(&mut alice, &mut bob, &mut rng);
+        assert!(is_resume_init(&resumed[0]) && resumed.len() == 2);
+    }
+
+    /// A `Miss` is not a session: the responder keeps no slot for it and
+    /// its own ticket is not touched by an offer it cannot match.
+    #[test]
+    fn missed_offer_leaves_no_slot_and_no_trace_on_the_responder() {
+        let (mut alice, mut bob) = managers();
+        let mut rng = StdRng::seed_from_u64(8);
+        open(&mut bob, &mut alice, &mut rng);
+        hang_up(&mut alice, &mut bob);
+        let stale = bob.connect(PeerId(0), &mut rng).unwrap();
+        hang_up(&mut alice, &mut bob);
+        open(&mut bob, &mut alice, &mut rng); // both ratchet past `stale`
+        hang_up(&mut alice, &mut bob);
+
+        let held = *alice.tickets.get(&PeerId(1)).unwrap().id();
+        match alice.on_frame(PeerId(1), stale, 0, &mut rng).unwrap() {
+            SessionEvent::Reply(Frame::HandshakeResponse(HandshakeResponse::Miss)) => {}
+            other => panic!("{other:?}"),
+        }
+        assert!(!alice.has_session(PeerId(1)));
+        assert_eq!(*alice.tickets.get(&PeerId(1)).unwrap().id(), held);
+        // The live generation still resumes afterwards.
+        assert!(is_resume_init(&open(&mut bob, &mut alice, &mut rng)[0]));
+    }
+
+    /// A forged proof under a live ticket id fails the session but not
+    /// the ticket: the genuine holder still resumes next time.
+    #[test]
+    fn forged_proof_on_a_live_ticket_fails_the_session_and_keeps_the_ticket() {
+        let (mut alice, mut bob) = managers();
+        let mut rng = StdRng::seed_from_u64(9);
+        open(&mut bob, &mut alice, &mut rng);
+        hang_up(&mut alice, &mut bob);
+
+        let mut forged = bob.connect(PeerId(0), &mut rng).unwrap();
+        if let Frame::HandshakeInit(HandshakeInit::Resume { mac, .. }) = &mut forged {
+            mac[0] ^= 1;
+        }
+        let err = alice.on_frame(PeerId(1), forged, 0, &mut rng).unwrap_err();
+        assert_eq!(err, NetError::BadResumeProof);
+        assert!(!alice.has_session(PeerId(1)));
+        hang_up(&mut alice, &mut bob);
+
+        let init = bob.connect(PeerId(0), &mut rng).unwrap();
+        let mut reply = match alice.on_frame(PeerId(1), init, 0, &mut rng).unwrap() {
+            SessionEvent::Reply(f) => f,
+            other => panic!("{other:?}"),
+        };
+        if let Frame::HandshakeResponse(HandshakeResponse::Resume { confirm, .. }) = &mut reply {
+            confirm[0] ^= 1;
+        }
+        let err = bob.on_frame(PeerId(0), reply, 0, &mut rng).unwrap_err();
+        assert_eq!(err, NetError::BadResumeProof);
+        assert!(!bob.has_session(PeerId(0)));
+        assert!(bob.tickets.get(&PeerId(0)).is_some());
+    }
+
+    #[test]
+    fn ticket_table_evicts_first_in_first_out_at_the_cap() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let mut hub = AdHocManager::new(PeerId(0), identity(&mut ca, 1, "hub"));
+        let mut spoke = AdHocManager::new(PeerId(1), identity(&mut ca, 2, "spoke"));
+        let mut rng = StdRng::seed_from_u64(10);
+        // One real ticket, then the same peer under TICKET_CAP other
+        // ids: the table is keyed by peer, not by who the peer is.
+        for id in 1..=u32::try_from(TICKET_CAP).unwrap() + 1 {
+            spoke.peer_id = PeerId(id);
+            spoke.tickets.remove(&PeerId(0));
+            assert!(!is_resume_init(&open(&mut spoke, &mut hub, &mut rng)[0]));
+            hub.close(PeerId(id), DisconnectReason::Done);
+            spoke.close(PeerId(0), DisconnectReason::Done);
+            // A re-met peer keeps its age: 2 is refreshed, never moved.
+            if id == 2 {
+                assert!(is_resume_init(&open(&mut spoke, &mut hub, &mut rng)[0]));
+                hub.close(PeerId(id), DisconnectReason::Done);
+                spoke.close(PeerId(0), DisconnectReason::Done);
+            }
+        }
+        assert!(hub.tickets.get(&PeerId(1)).is_none(), "the oldest went");
+        assert!(hub.tickets.get(&PeerId(2)).is_some());
+        assert!(hub
+            .tickets
+            .get(&PeerId(u32::try_from(TICKET_CAP).unwrap() + 1))
+            .is_some());
+    }
+
+    /// Handshake frames are unauthenticated; one that arrives in the
+    /// wrong state must not be able to end an established session.
+    #[test]
+    fn unsolicited_handshake_frames_leave_an_established_session_alone() {
+        let (mut alice, mut bob) = managers();
+        let mut rng = StdRng::seed_from_u64(11);
+        let crossed = open(&mut bob, &mut alice, &mut rng);
+        let stray_init = AdHocManager::new(PeerId(1), bob.identity.clone())
+            .connect(PeerId(0), &mut rng)
+            .unwrap();
+        for (to_bob, stray) in [
+            (true, crossed[1].clone()), // duplicate response
+            (true, Frame::HandshakeResponse(HandshakeResponse::Miss)),
+            (false, stray_init), // init on a live slot
+        ] {
+            let (rx, tx) = if to_bob {
+                (&mut bob, PeerId(0))
+            } else {
+                (&mut alice, PeerId(1))
+            };
+            let err = rx.on_frame(tx, stray, 0, &mut rng).unwrap_err();
+            assert_eq!(err, NetError::UnexpectedHandshake);
+            assert!(rx.is_connected(tx));
+        }
+        let data = bob.send_payload(PeerId(0), b"still here").unwrap();
+        match alice.on_frame(PeerId(1), data, 0, &mut rng).unwrap() {
+            SessionEvent::Payload(p) => assert_eq!(p, b"still here"),
             other => panic!("{other:?}"),
         }
     }

@@ -19,10 +19,11 @@ use crate::message::{Bundle, MessageId, MessageKind, SosMessage, MAX_PAYLOAD};
 use crate::routing::{RoutingContext, RoutingScheme, SchemeKind};
 use crate::store::{InsertOutcome, MessageStore};
 use crate::sync::{AuthorWant, SyncMsg};
+use sos_crypto::bounded::FifoMap;
 use sos_crypto::{DeviceIdentity, UserId};
 use sos_net::frame::DisconnectReason;
 use sos_net::session::SessionEvent;
-use sos_net::{Advertisement, Frame, NetError, PeerId};
+use sos_net::{Advertisement, Frame, HandshakeInit, HandshakeResponse, NetError, PeerId};
 use sos_obs::journal::ObsEvent;
 use sos_obs::{Counter, NodeObs, Registry};
 use sos_sim::SimTime;
@@ -61,6 +62,10 @@ impl Default for SosConfig {
 /// holes the plain-text advertisement cannot reveal.
 const FUTILE_RETRY_BACKOFF: sos_sim::SimDuration = sos_sim::SimDuration::from_mins(30);
 
+/// Peers a node remembers a fruitless browse for. Past it the oldest
+/// mark is forgotten, which costs that peer one early retry.
+const FUTILE_CAP: usize = 4096;
+
 /// The browse state a fruitless session is remembered by: retrying is
 /// pointless until one of the two summaries changes or the backoff
 /// expires.
@@ -93,6 +98,13 @@ pub struct SosStats {
     pub sessions_initiated: u64,
     /// Sessions this node accepted as responder.
     pub sessions_accepted: u64,
+    /// Sessions (either role) this node established from a resumption
+    /// ticket instead of the full certificate handshake.
+    pub sessions_resumed: u64,
+    /// Resumptions this node offered that the peer could not match
+    /// (unknown, stale or used-up ticket); each fell back to the full
+    /// handshake inside the same session.
+    pub resume_misses: u64,
     /// Sync requests served.
     pub requests_served: u64,
     /// Encrypted sync payload frames sent (requests, batched bundle
@@ -119,6 +131,8 @@ impl SosStats {
         self.security_rejections += other.security_rejections;
         self.sessions_initiated += other.sessions_initiated;
         self.sessions_accepted += other.sessions_accepted;
+        self.sessions_resumed += other.sessions_resumed;
+        self.resume_misses += other.resume_misses;
         self.requests_served += other.requests_served;
         self.sync_frames_sent += other.sync_frames_sent;
         self.security_alerts += other.security_alerts;
@@ -139,6 +153,8 @@ struct StatCells {
     security_rejections: Counter,
     sessions_initiated: Counter,
     sessions_accepted: Counter,
+    sessions_resumed: Counter,
+    resume_misses: Counter,
     requests_served: Counter,
     sync_frames_sent: Counter,
     security_alerts: Counter,
@@ -154,6 +170,8 @@ impl StatCells {
             security_rejections: self.security_rejections.get(),
             sessions_initiated: self.sessions_initiated.get(),
             sessions_accepted: self.sessions_accepted.get(),
+            sessions_resumed: self.sessions_resumed.get(),
+            resume_misses: self.resume_misses.get(),
             requests_served: self.requests_served.get(),
             sync_frames_sent: self.sync_frames_sent.get(),
             security_alerts: self.security_alerts.get(),
@@ -183,6 +201,11 @@ impl StatCells {
             &format!("{prefix}/sessions_accepted"),
             &self.sessions_accepted,
         );
+        registry.register_counter(
+            &format!("{prefix}/sessions_resumed"),
+            &self.sessions_resumed,
+        );
+        registry.register_counter(&format!("{prefix}/resume_misses"), &self.resume_misses);
         registry.register_counter(&format!("{prefix}/requests_served"), &self.requests_served);
         registry.register_counter(
             &format!("{prefix}/sync_frames_sent"),
@@ -197,6 +220,15 @@ impl StatCells {
 /// report identically).
 fn reason_tag(reason: DisconnectReason) -> &'static str {
     reason.as_tag()
+}
+
+/// True for the handshake frames of a resumed (ticket) exchange.
+fn is_resumed_form(frame: &Frame) -> bool {
+    matches!(
+        frame,
+        Frame::HandshakeInit(HandshakeInit::Resume { .. })
+            | Frame::HandshakeResponse(HandshakeResponse::Resume { .. })
+    )
 }
 
 /// Events surfaced to the overlay application (§III-A: applications are
@@ -260,7 +292,7 @@ pub struct Sos {
     browse_progress: HashMap<PeerId, (BTreeMap<UserId, u64>, u64)>,
     /// Peers whose last browse yielded nothing, with the state it
     /// happened under (see [`FUTILE_RETRY_BACKOFF`]).
-    futile: HashMap<PeerId, FutileMark>,
+    futile: FifoMap<PeerId, FutileMark>,
     events: VecDeque<SosEvent>,
     stats: StatCells,
     /// Journal scope, when a driver attached one ([`Sos::attach_obs`]).
@@ -294,7 +326,7 @@ impl Sos {
             pending_interests: HashMap::new(),
             pending_dones: HashMap::new(),
             browse_progress: HashMap::new(),
-            futile: HashMap::new(),
+            futile: FifoMap::new(FUTILE_CAP),
             events: VecDeque::new(),
             stats: StatCells::default(),
             obs: None,
@@ -647,6 +679,7 @@ impl Sos {
                     ObsEvent::SessionOpen {
                         peer: from.0,
                         initiated: true,
+                        resumed: is_resumed_form(&frame),
                     },
                 );
                 out.push((from, frame));
@@ -666,21 +699,35 @@ impl Sos {
         out: &mut Vec<(PeerId, Frame)>,
     ) {
         let was_init = matches!(frame, Frame::HandshakeInit(_));
+        let resumed = is_resumed_form(&frame);
         match self.adhoc.on_frame(from, frame, now.as_secs(), rng) {
             Ok(SessionEvent::Reply(reply)) => {
-                if was_init {
-                    self.stats.sessions_accepted.inc();
-                    self.note(
-                        now,
-                        ObsEvent::SessionOpen {
-                            peer: from.0,
-                            initiated: false,
-                        },
-                    );
+                match reply {
+                    // Our ticket missed; the session carries on in full.
+                    Frame::HandshakeInit(_) => self.stats.resume_misses.inc(),
+                    // The peer's ticket missed: nothing opened yet.
+                    Frame::HandshakeResponse(HandshakeResponse::Miss) => {}
+                    _ => {
+                        self.stats.sessions_accepted.inc();
+                        if resumed {
+                            self.stats.sessions_resumed.inc();
+                        }
+                        self.note(
+                            now,
+                            ObsEvent::SessionOpen {
+                                peer: from.0,
+                                initiated: false,
+                                resumed,
+                            },
+                        );
+                    }
                 }
                 out.push((from, reply));
             }
             Ok(SessionEvent::Established(cert)) => {
+                if resumed {
+                    self.stats.sessions_resumed.inc();
+                }
                 let user = cert.subject;
                 self.events
                     .push_back(SosEvent::SessionEstablished { peer: from, user });
@@ -711,14 +758,18 @@ impl Sos {
                 // endpoints bounce Disconnects forever.
             }
             Err(NetError::UnexpectedHandshake) => {
-                // Collision refusal: tell the peer to retry later, but do
-                // not touch our existing session.
-                out.push((
-                    from,
-                    Frame::Disconnect {
-                        reason: DisconnectReason::ProtocolError,
-                    },
-                ));
+                // Our session with this peer stays as it is. An init is
+                // a collision (both sides connected at once): tell the
+                // peer to retry later. A response nobody asked for is a
+                // duplicate or a forgery and gets no answer.
+                if was_init {
+                    out.push((
+                        from,
+                        Frame::Disconnect {
+                            reason: DisconnectReason::ProtocolError,
+                        },
+                    ));
+                }
             }
             Err(e) => {
                 // The shared teardown classification (also recorded by
@@ -877,10 +928,6 @@ impl Sos {
                 // encounter (see FUTILE_RETRY_BACKOFF).
                 if let Some((ad_summary, gain)) = self.browse_progress.remove(&from) {
                     if gain == 0 {
-                        if self.futile.len() >= 4096 {
-                            self.futile
-                                .retain(|_, m| now.since(m.at) < FUTILE_RETRY_BACKOFF);
-                        }
                         self.futile.insert(
                             from,
                             FutileMark {
@@ -2097,6 +2144,128 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e, SosEvent::SessionClosed { peer } if *peer == PeerId(9))),
             "failure surfaced as SessionClosed"
+        );
+    }
+
+    /// Session opens minus closes in a journal: 0 when every session
+    /// that opened also closed.
+    fn open_sessions(journal: &sos_obs::journal::JournalHandle) -> i64 {
+        let snapshot = journal.snapshot();
+        snapshot
+            .entries()
+            .map(|e| match e.event {
+                ObsEvent::SessionOpen { .. } => 1,
+                ObsEvent::SessionClose { .. } => -1,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// A duplicate (or forged — it is unauthenticated) `HandshakeResponse`
+    /// reaching an initiator whose session is already up used to remove
+    /// the live slot silently: no `SessionClose`, request state leaked,
+    /// and the bundles already on their way undecryptable.
+    #[test]
+    fn unsolicited_handshake_response_leaves_the_session_and_its_journal_intact() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::Epidemic);
+        let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
+        let journal = sos_obs::journal::JournalHandle::new();
+        alice.attach_obs(NodeObs::new(0, journal.clone()));
+        bob.attach_obs(NodeObs::new(1, journal.clone()));
+        alice
+            .post(MessageKind::Post, b"hello".to_vec(), SimTime::ZERO)
+            .unwrap();
+        let now = SimTime::from_secs(1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let ad = Frame::Advertisement(alice.advertisement(now));
+        let init = bob.handle_frame(alice.peer_id(), ad, now, &mut rng);
+        let resp = alice.handle_frame(bob.peer_id(), init[0].1.clone(), now, &mut rng);
+        let request = bob.handle_frame(alice.peer_id(), resp[0].1.clone(), now, &mut rng);
+        assert!(matches!(request[0].1, Frame::Data { .. }));
+
+        // The response arrives a second time, mid-session.
+        let out = bob.handle_frame(alice.peer_id(), resp[0].1.clone(), now, &mut rng);
+        assert!(out.is_empty(), "no answer to an unsolicited response");
+        assert!(bob.adhoc.is_connected(alice.peer_id()));
+        assert_eq!(bob.pending_dones.get(&alice.peer_id()), Some(&1));
+
+        // The request is still served, and what comes back decrypts.
+        pump(&mut bob, &mut alice, request, now);
+        assert_eq!(bob.store.len(), 1, "the bundle arrived");
+        assert_eq!((bob.session_count(), alice.session_count()), (0, 0));
+        assert!(bob.pending_dones.is_empty() && bob.browse_progress.is_empty());
+        assert_eq!(open_sessions(&journal), 0, "no open without its close");
+        assert_eq!(bob.stats().security_alerts, 0);
+    }
+
+    /// The miss path, end to end: after a lost resumed response the next
+    /// meeting falls back to the full handshake inside one session — no
+    /// `Disconnect`, no `SessionClose` but the final "done", no alert,
+    /// one `SessionOpen` a side — and the meeting after resumes again.
+    #[test]
+    fn ticket_miss_falls_back_quietly_inside_one_session() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::Epidemic);
+        let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
+        let journal = sos_obs::journal::JournalHandle::new();
+        alice.attach_obs(NodeObs::new(0, journal.clone()));
+        bob.attach_obs(NodeObs::new(1, journal.clone()));
+        let post = |alice: &mut Sos, at: u64| {
+            let body = at.to_le_bytes().to_vec();
+            alice
+                .post(MessageKind::Post, body, SimTime::from_secs(at))
+                .unwrap();
+        };
+        post(&mut alice, 1);
+        browse(&mut alice, &mut bob, SimTime::from_secs(2));
+        assert_eq!((bob.store.len(), bob.stats().sessions_resumed), (1, 0));
+
+        // Second meeting: resumed, but alice's response is lost and the
+        // contact ends. She has ratcheted; bob has not.
+        post(&mut alice, 3);
+        let now = SimTime::from_secs(4);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let ad = Frame::Advertisement(alice.advertisement(now));
+        let init = bob.handle_frame(alice.peer_id(), ad, now, &mut rng);
+        assert!(is_resumed_form(&init[0].1));
+        let _lost = alice.handle_frame(bob.peer_id(), init[0].1.clone(), now, &mut rng);
+        alice.on_peer_lost(bob.peer_id());
+        bob.on_peer_lost(alice.peer_id());
+        assert_eq!(open_sessions(&journal), 0);
+
+        // Third meeting: Miss → full, all in one session.
+        let before = journal.snapshot().entries().count();
+        browse(&mut alice, &mut bob, SimTime::from_secs(5));
+        assert_eq!(bob.store.len(), 2, "the fallback session delivered");
+        assert_eq!(
+            (bob.stats().resume_misses, alice.stats().resume_misses),
+            (1, 0)
+        );
+        let snapshot = journal.snapshot();
+        let third: Vec<_> = snapshot.entries().skip(before).collect();
+        let opens = third
+            .iter()
+            .filter(|e| matches!(e.event, ObsEvent::SessionOpen { .. }));
+        assert_eq!(opens.count(), 2, "one open a side");
+        assert!(third.iter().all(|e| !matches!(
+            e.event,
+            ObsEvent::SessionClose { reason, .. } if reason != "done"
+        )));
+        assert_eq!(open_sessions(&journal), 0);
+        assert_eq!(
+            bob.stats().security_alerts + alice.stats().security_alerts,
+            0
+        );
+
+        // Fourth meeting: the fallback left fresh tickets behind.
+        post(&mut alice, 6);
+        browse(&mut alice, &mut bob, SimTime::from_secs(7));
+        assert_eq!(bob.store.len(), 3);
+        assert_eq!(
+            (bob.stats().sessions_resumed, alice.stats().sessions_resumed),
+            (1, 2),
+            "alice also counts the resumption whose response was lost"
         );
     }
 

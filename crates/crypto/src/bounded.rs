@@ -1,6 +1,7 @@
-//! The bounded map behind both of this crate's caches: the process-wide
-//! prepared-key cache of [`crate::ed25519`] and each
-//! [`crate::ca::Validator`]'s verified-certificate cache.
+//! The one bounded map of the workspace: the process-wide prepared-key
+//! cache of [`crate::ed25519`], each [`crate::ca::Validator`]'s
+//! verified-certificate cache, and — from `sos-core` — the ad hoc
+//! manager's resumption tickets and the middleware's futile-browse marks.
 //!
 //! A full map gives up **one** entry per insert — the one inserted
 //! longest ago — so a working set of `n > cap` keys degrades the hit
@@ -15,7 +16,7 @@ use std::hash::Hash;
 /// A `HashMap` holding at most `cap` entries, evicting first-in
 /// first-out.
 #[derive(Clone, Debug)]
-pub(crate) struct FifoMap<K, V> {
+pub struct FifoMap<K, V> {
     cap: usize,
     map: HashMap<K, V>,
     /// The map's keys, oldest insertion first.
@@ -24,7 +25,7 @@ pub(crate) struct FifoMap<K, V> {
 
 impl<K: Copy + Eq + Hash, V> FifoMap<K, V> {
     /// An empty map that will hold up to `cap` (at least one) entries.
-    pub(crate) fn new(cap: usize) -> FifoMap<K, V> {
+    pub fn new(cap: usize) -> FifoMap<K, V> {
         debug_assert!(cap > 0, "a FifoMap must hold something");
         FifoMap {
             cap,
@@ -38,7 +39,7 @@ impl<K: Copy + Eq + Hash, V> FifoMap<K, V> {
     }
 
     /// Looks `key` up; a hit does not change its place in the queue.
-    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+    pub fn get(&self, key: &K) -> Option<&V> {
         self.map.get(key)
     }
 
@@ -46,7 +47,7 @@ impl<K: Copy + Eq + Hash, V> FifoMap<K, V> {
     /// map is full; returns the evicted key. Re-inserting a held key
     /// replaces its value in place: nothing is evicted and the key keeps
     /// its age.
-    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<K> {
+    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
         if let Some(held) = self.map.get_mut(&key) {
             *held = value;
             return None;
@@ -69,6 +70,14 @@ impl<K: Copy + Eq + Hash, V> FifoMap<K, V> {
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
         self.map.retain(|k, v| keep(k, v));
         self.order.retain(|k| self.map.contains_key(k));
+    }
+
+    /// Removes `key`, returning its value; the remaining entries keep
+    /// their relative age. Costs a scan of the queue only on a hit.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let value = self.map.remove(key)?;
+        self.order.retain(|k| k != key);
+        Some(value)
     }
 
     pub(crate) fn clear(&mut self) {
@@ -129,6 +138,23 @@ mod tests {
         assert_eq!(m.len(), 0);
         assert_eq!(m.insert(9, 90), None);
         assert_eq!(m.get(&9), Some(&90));
+    }
+
+    #[test]
+    fn remove_frees_a_slot_and_forgets_the_key_s_age() {
+        let mut m = FifoMap::new(3);
+        for k in 1u8..=3 {
+            m.insert(k, k * 10);
+        }
+        assert_eq!(m.remove(&9), None);
+        assert_eq!(m.remove(&1), Some(10));
+        assert_eq!((m.len(), m.get(&1)), (2, None));
+        // The freed slot is filled without a victim; re-inserted, 1 is
+        // now the youngest, so 2 and 3 go first.
+        assert_eq!(m.insert(1, 11), None);
+        assert_eq!(m.insert(4, 40), Some(2));
+        assert_eq!(m.insert(5, 50), Some(3));
+        assert_eq!(m.insert(6, 60), Some(1));
     }
 
     #[test]

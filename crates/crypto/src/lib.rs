@@ -18,6 +18,8 @@
 //! * [`cert`], [`ca`], [`keystore`] — certificates, the CA of the
 //!   one-time infrastructure requirement, and device identities
 //! * [`sealed`] — sealed boxes for end-to-end encrypted direct messages
+//! * [`bounded`] — the FIFO-bounded map behind every cache and ticket
+//!   table in the workspace
 //! * [`quorum`] — distributed CA functionality via community
 //!   endorsements (the §IV extension of Kong et al.)
 //!
@@ -59,7 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod aead;
-mod bounded;
+pub mod bounded;
 pub mod ca;
 pub mod cert;
 pub mod chacha20;

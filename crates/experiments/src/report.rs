@@ -401,6 +401,13 @@ pub fn run_report(
     ));
     out.push_str("per-node middleware counters:\n");
     out.push_str(&per_node_table(apps));
+    let opened = totals.sessions_initiated + totals.sessions_accepted;
+    out.push_str(&format!(
+        "sessions resumed from a ticket: {} of {opened} opened ({:.1} %), {} ticket miss(es)\n",
+        totals.sessions_resumed,
+        100.0 * totals.sessions_resumed as f64 / opened.max(1) as f64,
+        totals.resume_misses,
+    ));
     out.push('\n');
     out.push_str(&drop_cause_breakdown(journal));
     out.push('\n');

@@ -14,6 +14,8 @@ pub enum NetError {
     Crypto(CryptoError),
     /// The peer's handshake signature did not verify.
     BadHandshakeSignature,
+    /// A resumed handshake's proof of the ticket secret did not verify.
+    BadResumeProof,
     /// A frame could not be decoded.
     BadFrame,
     /// A data frame arrived out of order (sequence gap — the simulated
@@ -43,6 +45,7 @@ impl fmt::Display for NetError {
             NetError::Certificate(e) => write!(f, "certificate rejected: {e}"),
             NetError::Crypto(e) => write!(f, "crypto failure: {e}"),
             NetError::BadHandshakeSignature => f.write_str("handshake signature invalid"),
+            NetError::BadResumeProof => f.write_str("resumption proof invalid"),
             NetError::BadFrame => f.write_str("malformed frame"),
             NetError::OutOfOrder { expected, got } => {
                 write!(f, "sequence gap: expected {expected}, got {got}")

@@ -41,7 +41,7 @@ pub enum DisconnectReason {
 impl DisconnectReason {
     /// The canonical teardown classification for a transport-layer
     /// error: security rejections (bad certificate, bad signature, bad
-    /// tag) are [`SecurityFailure`](DisconnectReason::SecurityFailure),
+    /// resumption proof, bad tag) are [`SecurityFailure`](DisconnectReason::SecurityFailure),
     /// everything else (malformed frames, sequence gaps, state-machine
     /// violations) is [`ProtocolError`](DisconnectReason::ProtocolError).
     ///
@@ -51,9 +51,10 @@ impl DisconnectReason {
     /// report teardown causes identically.
     pub fn for_error(e: &NetError) -> DisconnectReason {
         match e {
-            NetError::Certificate(_) | NetError::Crypto(_) | NetError::BadHandshakeSignature => {
-                DisconnectReason::SecurityFailure
-            }
+            NetError::Certificate(_)
+            | NetError::Crypto(_)
+            | NetError::BadHandshakeSignature
+            | NetError::BadResumeProof => DisconnectReason::SecurityFailure,
             _ => DisconnectReason::ProtocolError,
         }
     }
@@ -122,6 +123,11 @@ const TAG_HS_INIT: u8 = 3;
 const TAG_HS_RESP: u8 = 4;
 const TAG_DATA: u8 = 5;
 const TAG_DISCONNECT: u8 = 6;
+// The resumed handshake forms have tags of their own, so a full
+// handshake's frames are byte-for-byte what they were before resumption.
+const TAG_HS_RESUME_INIT: u8 = 7;
+const TAG_HS_RESUME_RESP: u8 = 8;
+const TAG_HS_MISS: u8 = 9;
 
 fn put_cert(buf: &mut BytesMut, cert: &Certificate) {
     let bytes = cert.to_bytes();
@@ -155,6 +161,15 @@ fn get_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], NetError> {
     Ok(out)
 }
 
+fn get_full_handshake(
+    buf: &mut &[u8],
+) -> Result<(Box<Certificate>, [u8; 32], Signature), NetError> {
+    let certificate = Box::new(get_cert(buf)?);
+    let ephemeral_public = get_array::<32>(buf)?;
+    let signature = Signature::from_slice(get_slice(buf, 64)?).ok_or(NetError::BadFrame)?;
+    Ok((certificate, ephemeral_public, signature))
+}
+
 impl Frame {
     /// Encodes the frame for transmission.
     pub fn encode(&self) -> Vec<u8> {
@@ -181,18 +196,39 @@ impl Frame {
                 buf.put_u8(TAG_INVITE);
                 buf.put_u32_le(from.0);
             }
-            Frame::HandshakeInit(hs) => {
-                buf.put_u8(TAG_HS_INIT);
-                put_cert(&mut buf, &hs.certificate);
-                buf.put_slice(&hs.ephemeral_public);
-                buf.put_slice(hs.signature.as_bytes());
+            // Both full messages share one layout under their own tags.
+            Frame::HandshakeInit(HandshakeInit::Full {
+                certificate,
+                ephemeral_public,
+                signature,
+            })
+            | Frame::HandshakeResponse(HandshakeResponse::Full {
+                certificate,
+                ephemeral_public,
+                signature,
+            }) => {
+                let is_init = matches!(self, Frame::HandshakeInit(_));
+                buf.put_u8(if is_init { TAG_HS_INIT } else { TAG_HS_RESP });
+                put_cert(&mut buf, certificate);
+                buf.put_slice(ephemeral_public);
+                buf.put_slice(signature.as_bytes());
             }
-            Frame::HandshakeResponse(hs) => {
-                buf.put_u8(TAG_HS_RESP);
-                put_cert(&mut buf, &hs.certificate);
-                buf.put_slice(&hs.ephemeral_public);
-                buf.put_slice(hs.signature.as_bytes());
+            Frame::HandshakeInit(HandshakeInit::Resume {
+                ticket_id,
+                nonce,
+                mac,
+            }) => {
+                buf.put_u8(TAG_HS_RESUME_INIT);
+                buf.put_slice(ticket_id);
+                buf.put_slice(nonce);
+                buf.put_slice(mac);
             }
+            Frame::HandshakeResponse(HandshakeResponse::Resume { nonce, confirm }) => {
+                buf.put_u8(TAG_HS_RESUME_RESP);
+                buf.put_slice(nonce);
+                buf.put_slice(confirm);
+            }
+            Frame::HandshakeResponse(HandshakeResponse::Miss) => buf.put_u8(TAG_HS_MISS),
             Frame::Data { seq, ciphertext } => {
                 buf.put_u8(TAG_DATA);
                 buf.put_u64_le(*seq);
@@ -250,27 +286,31 @@ impl Frame {
                 }
             }
             TAG_HS_INIT => {
-                let certificate = get_cert(buf)?;
-                let ephemeral_public = get_array::<32>(buf)?;
-                let signature =
-                    Signature::from_slice(get_slice(buf, 64)?).ok_or(NetError::BadFrame)?;
-                Frame::HandshakeInit(HandshakeInit {
+                let (certificate, ephemeral_public, signature) = get_full_handshake(buf)?;
+                Frame::HandshakeInit(HandshakeInit::Full {
                     certificate,
                     ephemeral_public,
                     signature,
                 })
             }
             TAG_HS_RESP => {
-                let certificate = get_cert(buf)?;
-                let ephemeral_public = get_array::<32>(buf)?;
-                let signature =
-                    Signature::from_slice(get_slice(buf, 64)?).ok_or(NetError::BadFrame)?;
-                Frame::HandshakeResponse(HandshakeResponse {
+                let (certificate, ephemeral_public, signature) = get_full_handshake(buf)?;
+                Frame::HandshakeResponse(HandshakeResponse::Full {
                     certificate,
                     ephemeral_public,
                     signature,
                 })
             }
+            TAG_HS_RESUME_INIT => Frame::HandshakeInit(HandshakeInit::Resume {
+                ticket_id: get_array(buf)?,
+                nonce: get_array(buf)?,
+                mac: get_array(buf)?,
+            }),
+            TAG_HS_RESUME_RESP => Frame::HandshakeResponse(HandshakeResponse::Resume {
+                nonce: get_array(buf)?,
+                confirm: get_array(buf)?,
+            }),
+            TAG_HS_MISS => Frame::HandshakeResponse(HandshakeResponse::Miss),
             TAG_DATA => {
                 if buf.remaining() < 12 {
                     return Err(NetError::BadFrame);
@@ -351,9 +391,35 @@ mod tests {
     fn handshake_roundtrip() {
         let id = identity();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let init = crate::handshake::Initiator::start(&id, &mut rng);
-        let frame = Frame::HandshakeInit(init.message().clone());
+        let (_, init) = crate::handshake::Initiator::start(&id, None, &mut rng);
+        let frame = Frame::HandshakeInit(init);
         assert_eq!(Frame::decode(&frame.encode()).unwrap(), frame);
+    }
+
+    #[test]
+    fn resumed_handshake_forms_roundtrip_at_exactly_one_length() {
+        let forms = [
+            Frame::HandshakeInit(HandshakeInit::Resume {
+                ticket_id: [1; 16],
+                nonce: [2; 32],
+                mac: [3; 32],
+            }),
+            Frame::HandshakeResponse(HandshakeResponse::Resume {
+                nonce: [4; 32],
+                confirm: [5; 32],
+            }),
+            Frame::HandshakeResponse(HandshakeResponse::Miss),
+        ];
+        for (frame, size) in forms.iter().zip([81, 65, 1]) {
+            let mut bytes = frame.encode();
+            assert_eq!(bytes.len(), size);
+            assert_eq!(&Frame::decode(&bytes).unwrap(), frame);
+            for cut in 0..bytes.len() {
+                assert!(Frame::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            bytes.push(0);
+            assert_eq!(Frame::decode(&bytes).unwrap_err(), NetError::BadFrame);
+        }
     }
 
     #[test]
@@ -420,6 +486,19 @@ mod tests {
             #[test]
             fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
                 let _ = Frame::decode(&bytes);
+            }
+
+            /// The resumed handshake tags, which random first bytes
+            /// rarely hit: fixed layouts, so exactly one body length
+            /// decodes and every other one is a BadFrame.
+            #[test]
+            fn resumed_tags_accept_exactly_one_length(
+                tag in TAG_HS_RESUME_INIT..=TAG_HS_MISS,
+                body in prop::collection::vec(any::<u8>(), 0..100),
+            ) {
+                let want = [80, 64, 0][usize::from(tag - TAG_HS_RESUME_INIT)];
+                let bytes = [&[tag][..], &body].concat();
+                prop_assert_eq!(Frame::decode(&bytes).is_ok(), body.len() == want);
             }
 
             /// Valid frames survive bit flips without panicking, and a

@@ -16,7 +16,8 @@
 //!   dictionary devices broadcast while roaming (§V-A)
 //! * [`frame`] — the wire codec for invitations, handshakes and data
 //! * [`handshake`] — certificate exchange + X25519 key agreement +
-//!   ChaCha20-Poly1305 session encryption (Figs. 2b and 3)
+//!   ChaCha20-Poly1305 session encryption (Figs. 2b and 3), and the
+//!   ratcheted per-pair ticket that resumes it at later meetings
 //! * [`link`] — per-bearer latency/bandwidth/loss models
 //! * [`session`] — the connection state machine the ad hoc manager runs
 //!   per peer
@@ -38,7 +39,9 @@ pub mod wire;
 pub use advertisement::Advertisement;
 pub use error::NetError;
 pub use frame::{DisconnectReason, Frame, SYNC_BATCH_BUDGET};
-pub use handshake::{HandshakeInit, HandshakeResponse, Initiator, Responder, SessionCrypto};
+pub use handshake::{
+    HandshakeInit, HandshakeResponse, Initiator, Responder, SessionCrypto, Ticket,
+};
 pub use link::LinkModel;
 pub use peer::PeerId;
 pub use session::{SessionEndpoint, SessionState};

@@ -7,7 +7,7 @@
 
 use crate::error::NetError;
 use crate::frame::{DisconnectReason, Frame};
-use crate::handshake::{Initiator, Responder, SessionCrypto};
+use crate::handshake::{HandshakeResponse, Initiator, Responder, SessionCrypto, Ticket};
 use sos_crypto::cert::Certificate;
 use sos_crypto::DeviceIdentity;
 
@@ -48,7 +48,9 @@ pub struct SessionEndpoint {
     state: SessionState,
     initiator: Option<Initiator>,
     crypto: Option<SessionCrypto>,
-    peer_certificate: Option<Certificate>,
+    /// What the handshake left for the pair's next meeting, until the
+    /// caller collects it ([`SessionEndpoint::take_ticket`]).
+    ticket: Option<Ticket>,
     /// Why the session reached `Disconnected` (set on every teardown
     /// path, local or remote), so the transport can report the cause.
     close_reason: Option<DisconnectReason>,
@@ -62,7 +64,7 @@ impl SessionEndpoint {
             state: SessionState::Idle,
             initiator: None,
             crypto: None,
-            peer_certificate: None,
+            ticket: None,
             close_reason: None,
         }
     }
@@ -89,12 +91,16 @@ impl SessionEndpoint {
         self.close_reason.get_or_insert(reason);
     }
 
-    /// The validated peer certificate, once connected.
-    pub fn peer_certificate(&self) -> Option<&Certificate> {
-        self.peer_certificate.as_ref()
+    /// Hands over the ticket the handshake that just connected this
+    /// endpoint produced (once): the authenticated peer certificate and
+    /// the secret the pair's next session can resume from.
+    pub fn take_ticket(&mut self) -> Option<Ticket> {
+        self.ticket.take()
     }
 
-    /// Starts a handshake as initiator, returning the frame to send.
+    /// Starts a handshake as initiator, returning the frame to send —
+    /// resumed from `ticket`, the caller's ticket for this peer, when it
+    /// has one.
     ///
     /// # Errors
     ///
@@ -102,20 +108,26 @@ impl SessionEndpoint {
     pub fn connect<R: rand::RngCore>(
         &mut self,
         identity: &DeviceIdentity,
+        ticket: Option<&Ticket>,
         rng: &mut R,
     ) -> Result<Frame, NetError> {
         if self.state != SessionState::Idle {
             return Err(NetError::UnexpectedHandshake);
         }
         let _span = sos_obs::profile::span("net/handshake");
-        let init = Initiator::start(identity, rng);
-        let frame = Frame::HandshakeInit(init.message().clone());
+        let (init, msg) = Initiator::start(identity, ticket, rng);
         self.initiator = Some(init);
         self.state = SessionState::Connecting;
-        Ok(frame)
+        Ok(Frame::HandshakeInit(msg))
     }
 
-    /// Feeds an incoming frame through the state machine.
+    /// Feeds an incoming frame through the state machine; `ticket` is
+    /// the caller's ticket for this peer, consulted when the frame is a
+    /// resumed `HandshakeInit`.
+    ///
+    /// A handshake frame in the wrong state is refused without touching
+    /// the session: it is unauthenticated, so it must not be able to end
+    /// an established one.
     ///
     /// On security failures the session transitions to `Disconnected`
     /// and the error is returned so the caller can log/count it; the
@@ -129,6 +141,7 @@ impl SessionEndpoint {
         &mut self,
         identity: &DeviceIdentity,
         frame: Frame,
+        ticket: Option<&Ticket>,
         now_secs: u64,
         rng: &mut R,
     ) -> Result<SessionEvent, NetError> {
@@ -138,11 +151,15 @@ impl SessionEndpoint {
                     return Err(NetError::UnexpectedHandshake);
                 }
                 let _span = sos_obs::profile::span("net/handshake");
-                match Responder::respond(identity, &init, now_secs, rng) {
-                    Ok((response, crypto, peer_cert)) => {
-                        self.crypto = Some(crypto);
-                        self.peer_certificate = Some(peer_cert);
-                        self.state = SessionState::Connected;
+                match Responder::respond(identity, &init, ticket, now_secs, rng) {
+                    Ok((response, accepted)) => {
+                        // A `Miss` leaves the endpoint idle: the peer
+                        // starts over with a full init.
+                        if let Some((crypto, ticket)) = accepted {
+                            self.crypto = Some(crypto);
+                            self.ticket = Some(ticket);
+                            self.state = SessionState::Connected;
+                        }
                         Ok(SessionEvent::Reply(Frame::HandshakeResponse(response)))
                     }
                     Err(e) => {
@@ -163,12 +180,20 @@ impl SessionEndpoint {
                     self.disconnect(DisconnectReason::ProtocolError);
                     return Err(NetError::UnexpectedHandshake);
                 };
+                if matches!(resp, HandshakeResponse::Miss) && init.resuming() {
+                    // Our ticket is unknown or stale over there: same
+                    // session, full handshake.
+                    let (init, msg) = Initiator::start(identity, None, rng);
+                    self.initiator = Some(init);
+                    return Ok(SessionEvent::Reply(Frame::HandshakeInit(msg)));
+                }
                 match init.finish(identity, &resp, now_secs) {
-                    Ok((crypto, peer_cert)) => {
+                    Ok((crypto, ticket)) => {
+                        let peer_cert = Box::new(ticket.certificate().clone());
                         self.crypto = Some(crypto);
-                        self.peer_certificate = Some(peer_cert.clone());
+                        self.ticket = Some(ticket);
                         self.state = SessionState::Connected;
-                        Ok(SessionEvent::Established(Box::new(peer_cert)))
+                        Ok(SessionEvent::Established(peer_cert))
                     }
                     Err(e) => {
                         self.disconnect(DisconnectReason::for_error(&e));
@@ -266,16 +291,16 @@ mod tests {
         let mut alice_ep = SessionEndpoint::new();
 
         // Bob connects to Alice.
-        let init = bob_ep.connect(&bob, &mut rng).unwrap();
+        let init = bob_ep.connect(&bob, None, &mut rng).unwrap();
         assert_eq!(bob_ep.state(), SessionState::Connecting);
 
-        let reply = match alice_ep.on_frame(&alice, init, 0, &mut rng).unwrap() {
+        let reply = match alice_ep.on_frame(&alice, init, None, 0, &mut rng).unwrap() {
             SessionEvent::Reply(f) => f,
             other => panic!("expected reply, got {other:?}"),
         };
         assert_eq!(alice_ep.state(), SessionState::Connected);
 
-        match bob_ep.on_frame(&bob, reply, 0, &mut rng).unwrap() {
+        match bob_ep.on_frame(&bob, reply, None, 0, &mut rng).unwrap() {
             SessionEvent::Established(cert) => {
                 assert_eq!(cert.subject, *alice.user_id());
             }
@@ -285,12 +310,12 @@ mod tests {
 
         // Encrypted payload both ways.
         let data = bob_ep.send_payload(b"ping").unwrap();
-        match alice_ep.on_frame(&alice, data, 0, &mut rng).unwrap() {
+        match alice_ep.on_frame(&alice, data, None, 0, &mut rng).unwrap() {
             SessionEvent::Payload(p) => assert_eq!(p, b"ping"),
             other => panic!("{other:?}"),
         }
         let data = alice_ep.send_payload(b"pong").unwrap();
-        match bob_ep.on_frame(&bob, data, 0, &mut rng).unwrap() {
+        match bob_ep.on_frame(&bob, data, None, 0, &mut rng).unwrap() {
             SessionEvent::Payload(p) => assert_eq!(p, b"pong"),
             other => panic!("{other:?}"),
         }
@@ -308,15 +333,15 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let mut bob_ep = SessionEndpoint::new();
         let mut alice_ep = SessionEndpoint::new();
-        let init = bob_ep.connect(&bob, &mut rng).unwrap();
-        let reply = match alice_ep.on_frame(&alice, init, 0, &mut rng).unwrap() {
+        let init = bob_ep.connect(&bob, None, &mut rng).unwrap();
+        let reply = match alice_ep.on_frame(&alice, init, None, 0, &mut rng).unwrap() {
             SessionEvent::Reply(f) => f,
             _ => unreachable!(),
         };
-        bob_ep.on_frame(&bob, reply, 0, &mut rng).unwrap();
+        bob_ep.on_frame(&bob, reply, None, 0, &mut rng).unwrap();
 
         let bye = bob_ep.close(DisconnectReason::Done);
-        match alice_ep.on_frame(&alice, bye, 0, &mut rng).unwrap() {
+        match alice_ep.on_frame(&alice, bye, None, 0, &mut rng).unwrap() {
             SessionEvent::Closed(DisconnectReason::Done) => {}
             other => panic!("{other:?}"),
         }
@@ -330,16 +355,18 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let mut bob_ep = SessionEndpoint::new();
         let mut alice_ep = SessionEndpoint::new();
-        let init = bob_ep.connect(&bob, &mut rng).unwrap();
-        let reply = match alice_ep.on_frame(&alice, init, 0, &mut rng).unwrap() {
+        let init = bob_ep.connect(&bob, None, &mut rng).unwrap();
+        let reply = match alice_ep.on_frame(&alice, init, None, 0, &mut rng).unwrap() {
             SessionEvent::Reply(f) => f,
             _ => unreachable!(),
         };
-        bob_ep.on_frame(&bob, reply, 0, &mut rng).unwrap();
+        bob_ep.on_frame(&bob, reply, None, 0, &mut rng).unwrap();
 
         let _lost = bob_ep.send_payload(b"frame0").unwrap();
         let second = bob_ep.send_payload(b"frame1").unwrap();
-        let err = alice_ep.on_frame(&alice, second, 0, &mut rng).unwrap_err();
+        let err = alice_ep
+            .on_frame(&alice, second, None, 0, &mut rng)
+            .unwrap_err();
         assert!(matches!(err, NetError::OutOfOrder { .. }));
         assert_eq!(alice_ep.state(), SessionState::Disconnected);
     }
@@ -352,8 +379,10 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let mut mallory_ep = SessionEndpoint::new();
         let mut alice_ep = SessionEndpoint::new();
-        let init = mallory_ep.connect(&mallory, &mut rng).unwrap();
-        let err = alice_ep.on_frame(&alice, init, 0, &mut rng).unwrap_err();
+        let init = mallory_ep.connect(&mallory, None, &mut rng).unwrap();
+        let err = alice_ep
+            .on_frame(&alice, init, None, 0, &mut rng)
+            .unwrap_err();
         assert!(matches!(err, NetError::Certificate(_)));
         assert_eq!(alice_ep.state(), SessionState::Disconnected);
     }
@@ -377,7 +406,7 @@ mod tests {
         let bye = Frame::Disconnect {
             reason: DisconnectReason::OutOfRange,
         };
-        ep.on_frame(&alice, bye, 0, &mut rng).unwrap();
+        ep.on_frame(&alice, bye, None, 0, &mut rng).unwrap();
         assert_eq!(ep.close_reason(), Some(DisconnectReason::OutOfRange));
 
         // Security failure: impostor certificate on handshake.
@@ -385,8 +414,10 @@ mod tests {
         let mallory = identity(&mut evil_ca, 7, "bob");
         let mut mallory_ep = SessionEndpoint::new();
         let mut alice_ep = SessionEndpoint::new();
-        let init = mallory_ep.connect(&mallory, &mut rng).unwrap();
-        alice_ep.on_frame(&alice, init, 0, &mut rng).unwrap_err();
+        let init = mallory_ep.connect(&mallory, None, &mut rng).unwrap();
+        alice_ep
+            .on_frame(&alice, init, None, 0, &mut rng)
+            .unwrap_err();
         assert_eq!(
             alice_ep.close_reason(),
             Some(DisconnectReason::SecurityFailure)
@@ -395,15 +426,17 @@ mod tests {
         // Protocol error: sequence gap on an established session.
         let mut bob_ep = SessionEndpoint::new();
         let mut alice_ep = SessionEndpoint::new();
-        let init = bob_ep.connect(&bob, &mut rng).unwrap();
-        let reply = match alice_ep.on_frame(&alice, init, 0, &mut rng).unwrap() {
+        let init = bob_ep.connect(&bob, None, &mut rng).unwrap();
+        let reply = match alice_ep.on_frame(&alice, init, None, 0, &mut rng).unwrap() {
             SessionEvent::Reply(f) => f,
             _ => unreachable!(),
         };
-        bob_ep.on_frame(&bob, reply, 0, &mut rng).unwrap();
+        bob_ep.on_frame(&bob, reply, None, 0, &mut rng).unwrap();
         let _lost = bob_ep.send_payload(b"frame0").unwrap();
         let second = bob_ep.send_payload(b"frame1").unwrap();
-        alice_ep.on_frame(&alice, second, 0, &mut rng).unwrap_err();
+        alice_ep
+            .on_frame(&alice, second, None, 0, &mut rng)
+            .unwrap_err();
         assert_eq!(
             alice_ep.close_reason(),
             Some(DisconnectReason::ProtocolError)
@@ -422,9 +455,9 @@ mod tests {
         let (_, bob) = pair();
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let mut ep = SessionEndpoint::new();
-        ep.connect(&bob, &mut rng).unwrap();
+        ep.connect(&bob, None, &mut rng).unwrap();
         assert_eq!(
-            ep.connect(&bob, &mut rng).unwrap_err(),
+            ep.connect(&bob, None, &mut rng).unwrap_err(),
             NetError::UnexpectedHandshake
         );
     }

@@ -518,8 +518,8 @@ impl Msg {
 pub fn stats_line(node: u32, s: &SosStats) -> String {
     format!(
         "node={node} posts={} bundles_sent={} bundles_received={} bundles_duplicate={} \
-         security_rejections={} sessions_initiated={} sessions_accepted={} requests_served={} \
-         sync_frames_sent={} security_alerts={}",
+         security_rejections={} sessions_initiated={} sessions_accepted={} sessions_resumed={} \
+         resume_misses={} requests_served={} sync_frames_sent={} security_alerts={}",
         s.posts,
         s.bundles_sent,
         s.bundles_received,
@@ -527,6 +527,8 @@ pub fn stats_line(node: u32, s: &SosStats) -> String {
         s.security_rejections,
         s.sessions_initiated,
         s.sessions_accepted,
+        s.sessions_resumed,
+        s.resume_misses,
         s.requests_served,
         s.sync_frames_sent,
         s.security_alerts,
@@ -549,6 +551,8 @@ pub fn parse_stats_line(line: &str) -> Option<(u32, SosStats)> {
             "security_rejections" => s.security_rejections = v,
             "sessions_initiated" => s.sessions_initiated = v,
             "sessions_accepted" => s.sessions_accepted = v,
+            "sessions_resumed" => s.sessions_resumed = v,
+            "resume_misses" => s.resume_misses = v,
             "requests_served" => s.requests_served = v,
             "sync_frames_sent" => s.sync_frames_sent = v,
             "security_alerts" => s.security_alerts = v,
@@ -666,6 +670,8 @@ mod tests {
             requests_served: 8,
             sync_frames_sent: 9,
             security_alerts: 10,
+            sessions_resumed: 11,
+            resume_misses: 12,
         };
         let (node, parsed) = parse_stats_line(&stats_line(3, &s)).expect("parse");
         assert_eq!(node, 3);

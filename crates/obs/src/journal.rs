@@ -56,6 +56,12 @@ pub enum ObsEvent {
         peer: u32,
         /// `true` when this node initiated the handshake.
         initiated: bool,
+        /// `true` when it opened with the resumed (ticket) exchange
+        /// instead of the certificate handshake. An initiator journals
+        /// what it offered; if the peer misses the ticket the same
+        /// session falls back to the full handshake (the middleware
+        /// counts that in `resume_misses`).
+        resumed: bool,
     },
     /// A session ended.
     SessionClose {
@@ -180,8 +186,15 @@ impl ObsEvent {
 
     pub(crate) fn fields_jsonl(&self, out: &mut String) {
         match self {
-            ObsEvent::SessionOpen { peer, initiated } => {
-                let _ = write!(out, r#","peer":{peer},"initiated":{initiated}"#);
+            ObsEvent::SessionOpen {
+                peer,
+                initiated,
+                resumed,
+            } => {
+                let _ = write!(
+                    out,
+                    r#","peer":{peer},"initiated":{initiated},"resumed":{resumed}"#
+                );
             }
             ObsEvent::SessionClose { peer, reason } => {
                 let _ = write!(out, r#","peer":{peer},"reason":"{reason}""#);
@@ -384,6 +397,7 @@ impl JournalEntry {
             "session_open" => ObsEvent::SessionOpen {
                 peer: u32of("peer")?,
                 initiated: boolean("initiated")?,
+                resumed: boolean("resumed")?,
             },
             "session_close" => ObsEvent::SessionClose {
                 peer: u32of("peer")?,
@@ -674,6 +688,7 @@ mod tests {
             ObsEvent::SessionOpen {
                 peer: 4,
                 initiated: true,
+                resumed: true,
             },
             ObsEvent::SessionClose {
                 peer: 4,

@@ -28,6 +28,7 @@ fn entry_of((sel, t, node, peer, seq, flag): RawEntry) -> JournalEntry {
         0 => ObsEvent::SessionOpen {
             peer,
             initiated: flag % 2 == 0,
+            resumed: flag % 3 == 0,
         },
         1 => ObsEvent::SessionClose { peer, reason },
         2 => ObsEvent::BundlePost { author, seq },

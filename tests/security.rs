@@ -9,7 +9,7 @@ use sos::crypto::ca::{CertificateAuthority, Validator};
 use sos::crypto::ed25519::SigningKey;
 use sos::crypto::x25519::AgreementKey;
 use sos::crypto::{DeviceIdentity, UserId};
-use sos::net::Frame;
+use sos::net::{Frame, HandshakeInit, HandshakeResponse};
 use sos::social::{AlleyOopApp, Cloud};
 use std::collections::VecDeque;
 
@@ -18,6 +18,19 @@ fn rng(seed: u64) -> rand::rngs::StdRng {
 }
 
 fn pump(a: &mut AlleyOopApp, b: &mut AlleyOopApp, now: SimTime, seed: u64) {
+    pump_through(a, b, now, seed, |_| {});
+}
+
+/// [`pump`] with an attacker on the air who may rewrite every session
+/// frame in flight; returns the frames as delivered.
+fn pump_through(
+    a: &mut AlleyOopApp,
+    b: &mut AlleyOopApp,
+    now: SimTime,
+    seed: u64,
+    mut on_air: impl FnMut(&mut Frame),
+) -> Vec<Frame> {
+    let mut crossed = Vec::new();
     let mut r = rng(seed);
     let ad = a.middleware().advertisement(now);
     let mut queue: VecDeque<(PeerId, PeerId, Frame)> = b
@@ -27,9 +40,11 @@ fn pump(a: &mut AlleyOopApp, b: &mut AlleyOopApp, now: SimTime, seed: u64) {
         .map(|(dst, f)| (b.peer_id(), dst, f))
         .collect();
     let mut guard = 0;
-    while let Some((src, dst, frame)) = queue.pop_front() {
+    while let Some((src, dst, mut frame)) = queue.pop_front() {
         guard += 1;
         assert!(guard < 100_000, "frame storm");
+        on_air(&mut frame);
+        crossed.push(frame.clone());
         let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
         for (d, f) in target
             .middleware_mut()
@@ -39,6 +54,7 @@ fn pump(a: &mut AlleyOopApp, b: &mut AlleyOopApp, now: SimTime, seed: u64) {
             queue.push_back((s, d, f));
         }
     }
+    crossed
 }
 
 /// A device with a certificate from a *different* CA (an impostor
@@ -286,4 +302,207 @@ fn identity_assembly_is_strict() {
         cert,
         Validator::new(ca.root_certificate().clone()),
     );
+}
+
+// ------------------------------------------------- resumed sessions
+//
+// Two devices that authenticated each other once open later sessions
+// from a ratcheted ticket instead of certificates and signatures. Every
+// property the full handshake enforces must hold on that path too.
+
+fn signed_up(cloud: &mut Cloud, id: u32, name: &str) -> AlleyOopApp {
+    let scheme = SchemeKind::InterestBased;
+    AlleyOopApp::sign_up(
+        cloud,
+        PeerId(id),
+        name,
+        scheme,
+        SimTime::ZERO,
+        &mut rng(id.into()),
+    )
+    .unwrap()
+}
+
+/// `bob` (following `alice`) fetches one new post of hers at `at`.
+fn fetch(
+    alice: &mut AlleyOopApp,
+    bob: &mut AlleyOopApp,
+    at: u64,
+    on_air: impl FnMut(&mut Frame),
+) -> (Vec<Frame>, Vec<SosEvent>) {
+    alice.post(&format!("post at {at}"), SimTime::from_secs(at));
+    let now = SimTime::from_secs(at + 1);
+    let crossed = pump_through(alice, bob, now, at, on_air);
+    (crossed, bob.process_events_at(now))
+}
+
+fn established_users(events: &[SosEvent]) -> Vec<UserId> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            SosEvent::SessionEstablished { user, .. } => Some(*user),
+            _ => None,
+        })
+        .collect()
+}
+
+fn alert_details(events: &[SosEvent]) -> Vec<String> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            SosEvent::SecurityAlert { detail, .. } => Some(detail.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Mutual authentication without certificates on the air: the second
+/// meeting exchanges two short resumed frames, authenticates the same
+/// user to the application, and delivers.
+#[test]
+fn repeat_meeting_resumes_and_authenticates_the_same_user() {
+    let mut cloud = Cloud::new("AlleyOop Root CA", [1; 32]);
+    let mut alice = signed_up(&mut cloud, 0, "alice");
+    let mut bob = signed_up(&mut cloud, 1, "bob");
+    bob.follow(alice.user_id());
+
+    let (first, events) = fetch(&mut alice, &mut bob, 10, |_| {});
+    assert!(matches!(
+        first[0],
+        Frame::HandshakeInit(HandshakeInit::Full { .. })
+    ));
+    assert_eq!(established_users(&events), [alice.user_id()]);
+
+    let (second, events) = fetch(&mut alice, &mut bob, 20, |_| {});
+    assert!(matches!(
+        (&second[0], &second[1]),
+        (
+            Frame::HandshakeInit(HandshakeInit::Resume { .. }),
+            Frame::HandshakeResponse(HandshakeResponse::Resume { .. })
+        )
+    ));
+    assert!(second[0].wire_size() + second[1].wire_size() < first[0].wire_size());
+    assert_eq!(established_users(&events), [alice.user_id()]);
+    assert_eq!(bob.feed().len(), 2);
+    for app in [&alice, &bob] {
+        let stats = app.middleware().stats();
+        assert_eq!((stats.sessions_resumed, stats.resume_misses), (1, 0));
+        assert_eq!(stats.security_alerts, 0);
+    }
+}
+
+/// Revocation at session time: a CRL installed between two meetings
+/// cuts off the resumed session with the very alert a stranger's full
+/// handshake with the revoked device raises.
+#[test]
+fn revocation_between_meetings_refuses_the_resumed_session_like_a_full_one() {
+    let mut cloud = Cloud::new("AlleyOop Root CA", [1; 32]);
+    let mut alice = signed_up(&mut cloud, 0, "alice");
+    let mut bob = signed_up(&mut cloud, 1, "bob");
+    let mut carol = signed_up(&mut cloud, 2, "carol");
+    bob.follow(alice.user_id());
+    carol.follow(alice.user_id());
+    fetch(&mut alice, &mut bob, 10, |_| {}); // bob now holds a ticket
+
+    cloud.revoke_user(&alice.user_id()).unwrap();
+    for app in [&mut bob, &mut carol] {
+        app.set_online(true);
+        app.sync_with_cloud(&mut cloud, SimTime::from_secs(20));
+    }
+    let (resumed, bob_events) = fetch(&mut alice, &mut bob, 30, |_| {});
+    let (full, carol_events) = fetch(&mut alice, &mut carol, 40, |_| {});
+    assert!(matches!(
+        resumed[0],
+        Frame::HandshakeInit(HandshakeInit::Resume { .. })
+    ));
+    assert!(matches!(
+        full[0],
+        Frame::HandshakeInit(HandshakeInit::Full { .. })
+    ));
+    assert_eq!(bob.feed().len(), 1, "nothing new from the revoked device");
+    let alerts = alert_details(&bob_events);
+    assert_eq!(alerts.len(), 1);
+    assert!(alerts[0].contains("revoked"), "{alerts:?}");
+    assert_eq!(alerts, alert_details(&carol_events));
+    assert!(established_users(&bob_events).is_empty());
+}
+
+/// Tamper detection: a resumed frame altered in flight under a live
+/// ticket is a security failure (alert, `Disconnect`), not a quiet miss —
+/// and it does not cost the honest pair their ticket.
+#[test]
+fn tampered_resumed_handshake_raises_an_alert_and_keeps_the_ticket() {
+    let mut cloud = Cloud::new("AlleyOop Root CA", [1; 32]);
+    let mut alice = signed_up(&mut cloud, 0, "alice");
+    let mut bob = signed_up(&mut cloud, 1, "bob");
+    bob.follow(alice.user_id());
+    fetch(&mut alice, &mut bob, 10, |_| {});
+
+    // The initiator's proof, then (next meeting) the responder's.
+    let (crossed, _) = fetch(&mut alice, &mut bob, 20, |frame| {
+        if let Frame::HandshakeInit(HandshakeInit::Resume { nonce, .. }) = frame {
+            nonce[7] ^= 0x80;
+        }
+    });
+    assert!(crossed.contains(&Frame::Disconnect {
+        reason: sos::net::DisconnectReason::SecurityFailure
+    }));
+    assert_eq!(alice.middleware().stats().security_alerts, 1);
+    let (_, events) = fetch(&mut alice, &mut bob, 30, |frame| {
+        if let Frame::HandshakeResponse(HandshakeResponse::Resume { confirm, .. }) = frame {
+            confirm[0] ^= 1;
+        }
+    });
+    assert_eq!(alert_details(&events), ["resumption proof invalid"]);
+    assert_eq!(bob.feed().len(), 1, "neither forged session moved content");
+
+    // Alice ratcheted alone in the second attack; one miss heals that,
+    // and the pair resumes again afterwards.
+    let (healed, _) = fetch(&mut alice, &mut bob, 40, |_| {});
+    assert!(healed.contains(&Frame::HandshakeResponse(HandshakeResponse::Miss)));
+    let (resumed, _) = fetch(&mut alice, &mut bob, 50, |_| {});
+    assert!(matches!(
+        resumed[1],
+        Frame::HandshakeResponse(HandshakeResponse::Resume { .. })
+    ));
+    assert_eq!(bob.feed().len(), 5);
+    assert_eq!(bob.middleware().stats().security_alerts, 1);
+}
+
+/// Replay resistance and strict sequencing: a recorded resumed session
+/// replayed at the responder finds no ticket (`Miss`), and its recorded
+/// data frames no session to decrypt in.
+#[test]
+fn replayed_resumed_session_is_a_miss_and_moves_nothing() {
+    let mut cloud = Cloud::new("AlleyOop Root CA", [1; 32]);
+    let mut alice = signed_up(&mut cloud, 0, "alice");
+    let mut bob = signed_up(&mut cloud, 1, "bob");
+    bob.follow(alice.user_id());
+    fetch(&mut alice, &mut bob, 10, |_| {});
+    let (recorded, _) = fetch(&mut alice, &mut bob, 20, |_| {});
+    let before = alice.middleware().stats();
+
+    let now = SimTime::from_secs(30);
+    let mut answers = Vec::new();
+    for frame in recorded {
+        // Everything bob sent, played back at alice by someone else.
+        if matches!(frame, Frame::HandshakeInit(_) | Frame::Data { .. }) {
+            answers.extend(alice.middleware_mut().handle_frame(
+                bob.peer_id(),
+                frame,
+                now,
+                &mut rng(3),
+            ));
+        }
+    }
+    let answers: Vec<Frame> = answers.into_iter().map(|(_, f)| f).collect();
+    assert_eq!(answers, [Frame::HandshakeResponse(HandshakeResponse::Miss)]);
+    assert_eq!(alice.middleware().stats(), before);
+    assert_eq!(alice.middleware().session_count(), 0);
+    // The genuine bob is unaffected.
+    let (next, _) = fetch(&mut alice, &mut bob, 40, |_| {});
+    assert!(matches!(
+        next[1],
+        Frame::HandshakeResponse(HandshakeResponse::Resume { .. })
+    ));
 }
