@@ -4,7 +4,17 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--seed N] [--days N] [--posts N] [--scheme NAME] <command>
+//! repro [--seed N] [--days N] [--posts N] [--scheme NAME]
+//!       [--attend P] [--wknd P] [--visit P] [--pref S]
+//!       [--holdoff MINS] [--visit-mins MINS] <command>
+//!
+//! calibration flags (mobility and routing parameters of the scenario):
+//!   --attend P         weekday campus attendance probability
+//!   --wknd P           weekend campus attendance probability
+//!   --visit P          evening social-visit probability
+//!   --pref S           building-preference strength
+//!   --holdoff MINS     interest-based forwarder holdoff, minutes
+//!   --visit-mins MINS  longest social visit (shortest is half of it)
 //!
 //! commands:
 //!   fig4a      social relationship digraph statistics
@@ -13,7 +23,7 @@
 //!   fig4d      per-subscription delivery ratio CDF
 //!   text       §VI text metrics (259 messages, 967 transfers, ...)
 //!   key        one-line key metrics (calibration sweeps)
-//!   ablation   routing-scheme comparison (extension)
+//!   ablation   routing-scheme comparison: a one-seed sweep (extension)
 //!   density    conventional-sim vs field-study density (extension)
 //!   all        every figure above
 //! ```
@@ -22,7 +32,7 @@
 
 use sos_core::routing::SchemeKind;
 use sos_experiments::scenario::{run_field_study, FieldStudyConfig};
-use sos_experiments::{ablation, report};
+use sos_experiments::{report, sweep};
 
 fn parse_scheme(name: &str) -> Option<SchemeKind> {
     SchemeKind::ALL.into_iter().find(|k| k.name() == name)
@@ -31,6 +41,7 @@ fn parse_scheme(name: &str) -> Option<SchemeKind> {
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--seed N] [--days N] [--posts N] [--scheme NAME] \
+         [--attend P] [--wknd P] [--visit P] [--pref S] [--holdoff MINS] [--visit-mins MINS] \
          <fig4a|fig4b|fig4c|fig4d|text|key|ablation|density|all>"
     );
     eprintln!(
@@ -124,14 +135,15 @@ fn main() {
             SchemeKind::ALL.len(),
             config.seed
         );
-        let rows = ablation::run_ablation(&config, &SchemeKind::ALL);
-        println!("{}", ablation::format_table(&rows));
+        let cells = sweep::scheme_sweep(&config, &SchemeKind::ALL, &[config.seed], 0);
+        println!("Routing-scheme ablation (same scenario, same seed)");
+        println!("{}", report::sweep_table(&cells));
         return;
     }
     if command == "density" {
         eprintln!("running density sweep (seed {}) ...", config.seed);
         let rows = sos_experiments::density::standard_sweep(config.seed);
-        println!("{}", sos_experiments::density::format_table(&rows));
+        println!("{}", report::density_table(&rows));
         return;
     }
 
@@ -141,7 +153,7 @@ fn main() {
     );
     let outcome = run_field_study(&config);
     let output = match command.as_str() {
-        "fig4a" => report::fig4a(&outcome),
+        "fig4a" => report::fig4a(),
         "fig4b" => report::fig4b(&outcome, 66, 24),
         "fig4c" => report::fig4c(&outcome),
         "fig4d" => report::fig4d(&outcome),

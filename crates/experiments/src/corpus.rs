@@ -15,17 +15,16 @@
 //!   the same "social structure from encounters" reading the paper
 //!   applies to its own deployment;
 //! * a seeded uniform post workload over the trace's span;
-//! * the identical [`Driver`] the live scenario uses, fed by
-//!   `TraceContactSource` replay.
+//! * the identical driver the live scenario uses ([`run_study`]), fed
+//!   by `TraceContactSource` replay.
 //!
 //! Everything is a pure function of `(trace, config)`, so corpus runs
 //! are as reproducible as the recorded-tape replays — and a corpus
 //! study, a mesh run and a socket run of one `(trace, plan)` host the
 //! same population posting the same workload.
 
-use crate::driver::{Driver, DriverConfig, RunMetrics};
+use crate::driver::{run_study, DriverConfig, Study};
 use crate::observe::RunObserver;
-use alleyoop::app::AlleyOopApp;
 use sos_core::routing::SchemeKind;
 use sos_node::provision::{followers_from_trace, post_schedule, provision_apps};
 use sos_trace::{ContactTrace, TraceContactSource};
@@ -34,109 +33,43 @@ use sos_trace::{ContactTrace, TraceContactSource};
 /// the plan every lockstep transport takes.
 pub use sos_node::provision::RunPlan as CorpusStudyConfig;
 
-/// What a corpus run measured.
-#[derive(Clone, Debug)]
-pub struct CorpusOutcome {
-    /// The scheme that was driven.
-    pub scheme: SchemeKind,
-    /// Population size (from the trace).
-    pub nodes: usize,
-    /// Unique posts injected.
-    pub posts: u64,
-    /// Successful D2D bundle transfers.
-    pub transfers: u64,
-    /// Deliveries to interested subscribers.
-    pub interested_deliveries: usize,
-    /// Total frames transmitted.
-    pub frames_sent: u64,
-    /// Security alerts raised (0 in a benign replay).
-    pub security_alerts: u64,
-}
-
-impl CorpusOutcome {
-    /// One table row: scheme, deliveries, transfers, frames.
-    pub fn table_line(&self) -> String {
-        format!(
-            "{:>18}  delivered {:>5}  transfers {:>6}  frames {:>7}",
-            format!("{:?}", self.scheme),
-            self.interested_deliveries,
-            self.transfers,
-            self.frames_sent,
-        )
-    }
-}
-
-/// Everything a corpus run produced: the summary [`CorpusOutcome`],
-/// the raw per-run [`RunMetrics`], and the final apps for per-node
-/// inspection — the inputs [`report::run_report`](crate::report::run_report)
-/// renders.
-#[derive(Debug)]
-pub struct CorpusRun {
-    /// The summary row-level outcome.
-    pub outcome: CorpusOutcome,
-    /// Raw driver measurements (delays, frames, recorders).
-    pub metrics: RunMetrics,
-    /// The final applications, one per trace node.
-    pub apps: Vec<AlleyOopApp>,
-}
+/// What a corpus run produced: the one result type of every
+/// driver-based study (summarise it with
+/// [`summary`](CorpusRun::summary), render it with
+/// [`report::run_report`](crate::report::run_report)).
+pub use crate::driver::StudyRun as CorpusRun;
 
 /// Runs one routing scheme over an imported corpus via the replay
-/// driver.
+/// driver, optionally attaching a [`RunObserver`] (whose
+/// registry/journal then capture the run without changing it).
 ///
 /// # Panics
 ///
 /// Panics if the trace has fewer than 2 nodes — an imported corpus
 /// without encounters cannot host a field study.
-pub fn run_corpus_study(trace: &ContactTrace, config: &CorpusStudyConfig) -> CorpusOutcome {
-    run_corpus_study_full(trace, config, None).outcome
-}
-
-/// [`run_corpus_study`], keeping the raw metrics and final apps, and
-/// optionally attaching a [`RunObserver`] (whose registry/journal then
-/// capture the run without changing it).
-///
-/// # Panics
-///
-/// Panics if the trace has fewer than 2 nodes.
 pub fn run_corpus_study_full(
     trace: &ContactTrace,
     config: &CorpusStudyConfig,
     obs: Option<&RunObserver>,
 ) -> CorpusRun {
-    let driver_cfg = DriverConfig {
-        ad_interval: config.ad_interval,
-        infra_available: false,
-        seed: config.seed ^ 0xace,
-    };
-    let mut driver = Driver::new(
-        provision_apps(trace, config),
-        TraceContactSource::new(trace.clone()),
-        followers_from_trace(trace),
-        driver_cfg,
-        trace.end_time(),
-    );
-    if let Some(o) = obs {
-        driver.attach_observer(&o.registry, &o.journal);
-    }
-    for (at, node, _number) in post_schedule(trace, config) {
-        driver.schedule_post(at, node);
-    }
-    let (metrics, apps) = driver.run();
-    let totals = crate::driver::aggregate_stats(&apps);
-    let outcome = CorpusOutcome {
+    let study = Study {
         scheme: config.scheme,
-        nodes: trace.node_count(),
-        posts: metrics.posts,
-        transfers: totals.bundles_received,
-        interested_deliveries: metrics.delays.len(),
-        frames_sent: metrics.frames_sent,
-        security_alerts: metrics.security_alerts,
+        seed: config.seed,
+        apps: provision_apps(trace, config),
+        source: TraceContactSource::new(trace.clone()),
+        followers: followers_from_trace(trace),
+        posts: post_schedule(trace, config)
+            .into_iter()
+            .map(|(at, node, _number)| (at, node))
+            .collect(),
+        driver: DriverConfig {
+            ad_interval: config.ad_interval,
+            infra_available: false,
+            seed: config.seed ^ 0xace,
+        },
+        end: trace.end_time(),
     };
-    CorpusRun {
-        outcome,
-        metrics,
-        apps,
-    }
+    run_study(study, obs)
 }
 
 /// Runs **all five** routing schemes over the same imported corpus —
@@ -145,7 +78,7 @@ pub fn run_corpus_study_full(
 pub fn run_corpus_study_all_schemes(
     trace: &ContactTrace,
     base: &CorpusStudyConfig,
-) -> Vec<CorpusOutcome> {
+) -> Vec<CorpusRun> {
     SchemeKind::ALL
         .iter()
         .map(|&scheme| {
@@ -153,20 +86,20 @@ pub fn run_corpus_study_all_schemes(
                 scheme,
                 ..base.clone()
             };
-            run_corpus_study(trace, &config)
+            run_corpus_study_full(trace, &config, None)
         })
         .collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sos_sim::world::{ContactEvent, ContactPhase};
     use sos_sim::SimTime;
 
     /// A small dense synthetic "corpus": 4 nodes meeting pairwise
     /// repeatedly over 6 hours, with labels like an imported trace.
-    fn mini_corpus() -> ContactTrace {
+    pub(crate) fn mini_corpus() -> ContactTrace {
         let mut events = Vec::new();
         let pairs = [(0usize, 1usize), (1, 2), (2, 3), (0, 3), (0, 2)];
         for round in 0u64..6 {
@@ -214,16 +147,16 @@ mod tests {
             scheme: SchemeKind::Epidemic,
             ..CorpusStudyConfig::default()
         };
-        let a = run_corpus_study(&trace, &cfg);
-        assert_eq!(a.posts, 20);
-        assert_eq!(a.nodes, 4);
-        assert!(a.transfers > 0, "dense corpus must deliver: {a:?}");
-        assert!(a.interested_deliveries > 0);
-        assert_eq!(a.security_alerts, 0);
-        let b = run_corpus_study(&trace, &cfg);
-        assert_eq!(a.transfers, b.transfers);
-        assert_eq!(a.frames_sent, b.frames_sent);
-        assert_eq!(a.interested_deliveries, b.interested_deliveries);
+        let a = run_corpus_study_full(&trace, &cfg, None);
+        assert_eq!(a.metrics.posts, 20);
+        assert_eq!(a.apps.len(), 4);
+        assert!(a.transfers() > 0, "dense corpus must deliver: {a:?}");
+        assert!(!a.metrics.delays.is_empty());
+        assert_eq!(a.metrics.security_alerts, 0);
+        let b = run_corpus_study_full(&trace, &cfg, None);
+        assert_eq!(a.transfers(), b.transfers());
+        assert_eq!(a.metrics.frames_sent, b.metrics.frames_sent);
+        assert_eq!(a.metrics.delays.len(), b.metrics.delays.len());
     }
 
     #[test]
@@ -232,8 +165,8 @@ mod tests {
         let outcomes = run_corpus_study_all_schemes(&trace, &CorpusStudyConfig::default());
         assert_eq!(outcomes.len(), 5);
         for o in &outcomes {
-            assert_eq!(o.posts, 40, "{:?}", o.scheme);
-            assert_eq!(o.security_alerts, 0, "{:?}", o.scheme);
+            assert_eq!(o.metrics.posts, 40, "{:?}", o.scheme);
+            assert_eq!(o.metrics.security_alerts, 0, "{:?}", o.scheme);
         }
         // Epidemic floods at least as much as Direct delivers.
         let epi = &outcomes[0];
@@ -241,6 +174,6 @@ mod tests {
             .iter()
             .find(|o| o.scheme == SchemeKind::Direct)
             .unwrap();
-        assert!(epi.transfers >= direct.transfers);
+        assert!(epi.transfers() >= direct.transfers());
     }
 }

@@ -13,7 +13,8 @@
 //! drives delivery ratio and delay — the gap the paper warns about when
 //! extrapolating simulation results to reality.
 
-use crate::driver::{Driver, DriverConfig};
+use crate::driver::{run_study, DriverConfig, RunSummary, Study, StudyRun};
+use crate::observe::RunObserver;
 use alleyoop::app::AlleyOopApp;
 use alleyoop::cloud::Cloud;
 use rand::{Rng, SeedableRng};
@@ -59,27 +60,35 @@ impl DensityConfig {
     }
 }
 
-/// Aggregate outcome of one density point.
-#[derive(Clone, Debug)]
+/// One row of the density comparison.
+#[derive(Clone, Debug, PartialEq)]
 pub struct DensityOutcome {
-    /// The configuration that produced it.
+    /// Number of nodes.
     pub nodes: usize,
     /// Area in km².
     pub area_km2: f64,
-    /// Node density per km².
-    pub density_per_km2: f64,
-    /// Interested deliveries.
-    pub deliveries: usize,
-    /// Overall delivery ratio.
-    pub delivery_ratio: f64,
-    /// Median delivery delay in hours (NaN when nothing delivered).
-    pub median_delay_hours: f64,
-    /// Total transfers.
-    pub transfers: u64,
+    /// What the run at that density delivered.
+    pub summary: RunSummary,
 }
 
-/// Runs one density point.
-pub fn run_density(cfg: &DensityConfig) -> DensityOutcome {
+impl DensityOutcome {
+    /// Summarises `run`, the result of [`run_density`] on `cfg`.
+    pub fn new(cfg: &DensityConfig, run: &StudyRun) -> DensityOutcome {
+        DensityOutcome {
+            nodes: cfg.nodes,
+            area_km2: cfg.area_km2,
+            summary: run.summary(),
+        }
+    }
+
+    /// Node density per km².
+    pub fn density_per_km2(&self) -> f64 {
+        self.nodes as f64 / self.area_km2
+    }
+}
+
+/// Runs one density point, optionally observed.
+pub fn run_density(cfg: &DensityConfig, obs: Option<&RunObserver>) -> StudyRun {
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let mut cloud = Cloud::new("Density CA", {
         let mut s = [0u8; 32];
@@ -128,89 +137,45 @@ pub fn run_density(cfg: &DensityConfig) -> DensityOutcome {
             rwp.generate(&mut trng, SimDuration::from_hours(cfg.hours))
         })
         .collect();
-    let world = World::new(
+    let source = World::new(
         trajectories,
         RadioTech::max_range_m(false),
         SimDuration::from_secs(30),
     );
 
     let end = SimTime::from_hours(cfg.hours);
-    let mut driver = Driver::new(
+    let mut post_rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdead);
+    let posts = (0..cfg.posts)
+        .map(|_| {
+            let node = post_rng.gen_range(0..cfg.nodes);
+            let at = SimTime::from_millis(post_rng.gen_range(0..end.as_millis() * 3 / 4));
+            (at, node)
+        })
+        .collect();
+    let study = Study {
+        scheme: cfg.scheme,
+        seed: cfg.seed,
         apps,
-        world,
+        source,
         followers,
-        DriverConfig {
+        posts,
+        driver: DriverConfig {
             ad_interval: SimDuration::from_secs(60),
             infra_available: false,
             seed: cfg.seed ^ 0xd5,
         },
         end,
-    );
-    let mut post_rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdead);
-    for _ in 0..cfg.posts {
-        let node = post_rng.gen_range(0..cfg.nodes);
-        let at = SimTime::from_millis(post_rng.gen_range(0..end.as_millis() * 3 / 4));
-        driver.schedule_post(at, node);
-    }
-
-    let (metrics, apps) = driver.run();
-    let transfers = apps
-        .iter()
-        .map(|a| a.middleware().stats().bundles_received)
-        .sum();
-    let cdf = metrics.delays.cdf_all_hours();
-    DensityOutcome {
-        nodes: cfg.nodes,
-        area_km2: cfg.area_km2,
-        density_per_km2: cfg.nodes as f64 / cfg.area_km2,
-        deliveries: metrics.delays.len(),
-        delivery_ratio: metrics.delivery.overall_ratio(),
-        median_delay_hours: if cdf.is_empty() {
-            f64::NAN
-        } else {
-            cdf.quantile(0.5)
-        },
-        transfers,
-    }
-}
-
-/// Formats density outcomes as a table.
-pub fn format_table(rows: &[DensityOutcome]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Density comparison (paper §VI-B): conventional simulation vs field-study density\n",
-    );
-    out.push_str("nodes  area(km²)  density(/km²)  deliveries  ratio  median-delay  transfers\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:>5} {:>10.2} {:>14.2} {:>11} {:>6.3} {:>11} {:>10}\n",
-            r.nodes,
-            r.area_km2,
-            r.density_per_km2,
-            r.deliveries,
-            r.delivery_ratio,
-            if r.median_delay_hours.is_nan() {
-                "-".to_string()
-            } else {
-                format!("{:.2} h", r.median_delay_hours)
-            },
-            r.transfers,
-        ));
-    }
-    out.push_str(
-        "expected: delivery ratio rises and delay collapses with density —\n\
-         the gap between lab simulations and the paper's in-vivo deployment.\n",
-    );
-    out
+    };
+    run_study(study, obs)
 }
 
 /// The sweep the `repro density` command runs: two conventional setups
 /// and one field-study-density setup.
 pub fn standard_sweep(seed: u64) -> Vec<DensityOutcome> {
-    vec![
-        run_density(&DensityConfig::conventional(50, 1.0, seed)),
-        run_density(&DensityConfig::conventional(50, 4.0, seed)),
-        run_density(&DensityConfig {
+    [
+        DensityConfig::conventional(50, 1.0, seed),
+        DensityConfig::conventional(50, 4.0, seed),
+        DensityConfig {
             // The field study's density: 10 nodes over 88 km².
             nodes: 10,
             area_km2: 88.0,
@@ -219,8 +184,11 @@ pub fn standard_sweep(seed: u64) -> Vec<DensityOutcome> {
             follows_per_node: 4,
             scheme: SchemeKind::InterestBased,
             seed,
-        }),
+        },
     ]
+    .iter()
+    .map(|cfg| DensityOutcome::new(cfg, &run_density(cfg, None)))
+    .collect()
 }
 
 #[cfg(test)]
@@ -229,37 +197,43 @@ mod tests {
 
     #[test]
     fn density_drives_delivery() {
-        let dense = run_density(&DensityConfig::conventional(30, 0.25, 3));
-        let sparse = run_density(&DensityConfig {
-            nodes: 10,
-            area_km2: 88.0,
-            hours: 12,
-            posts: 40,
-            follows_per_node: 4,
-            scheme: SchemeKind::InterestBased,
-            seed: 3,
-        });
+        let dense = run_density(&DensityConfig::conventional(30, 0.25, 3), None).summary();
+        let sparse = run_density(
+            &DensityConfig {
+                nodes: 10,
+                area_km2: 88.0,
+                hours: 12,
+                posts: 40,
+                follows_per_node: 4,
+                scheme: SchemeKind::InterestBased,
+                seed: 3,
+            },
+            None,
+        )
+        .summary();
         assert!(
             dense.delivery_ratio > sparse.delivery_ratio,
             "dense {} <= sparse {}",
             dense.delivery_ratio,
             sparse.delivery_ratio
         );
-        assert!(dense.deliveries > 0);
+        assert!(dense.deliveries > 0.0);
     }
 
     #[test]
     fn outcome_fields_consistent() {
-        let o = run_density(&DensityConfig::conventional(20, 1.0, 5));
+        let cfg = DensityConfig::conventional(20, 1.0, 5);
+        let o = DensityOutcome::new(&cfg, &run_density(&cfg, None));
         assert_eq!(o.nodes, 20);
-        assert!((o.density_per_km2 - 20.0).abs() < 1e-9);
-        assert!(o.delivery_ratio >= 0.0 && o.delivery_ratio <= 1.0);
+        assert!((o.density_per_km2() - 20.0).abs() < 1e-9);
+        assert!(o.summary.delivery_ratio >= 0.0 && o.summary.delivery_ratio <= 1.0);
     }
 
     #[test]
     fn table_renders() {
-        let rows = vec![run_density(&DensityConfig::conventional(10, 1.0, 1))];
-        let table = format_table(&rows);
+        let cfg = DensityConfig::conventional(10, 1.0, 1);
+        let rows = vec![DensityOutcome::new(&cfg, &run_density(&cfg, None))];
+        let table = crate::report::density_table(&rows);
         assert!(table.contains("density"));
     }
 }

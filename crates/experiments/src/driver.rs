@@ -26,11 +26,20 @@
 //! the driver pays no codec cost; and the runtime's peer set is the
 //! only record of who is connected to whom — the driver keeps just the
 //! distance each open contact was frozen at.
+//!
+//! **One study plane:** every driver-based experiment (field study,
+//! replay, corpus, density, sweep) provisions a [`Study`] and hands it
+//! to [`run_study`], the one place that wires the driver, attaches the
+//! observer, schedules the posts, runs and totals. What comes back is
+//! always a [`StudyRun`], and the numbers every table reports are its
+//! [`RunSummary`].
 
+use crate::observe::RunObserver;
 use alleyoop::app::AlleyOopApp;
 use rand::SeedableRng;
 use sos_core::message::MessageKind;
 use sos_core::middleware::{SosEvent, SosStats};
+use sos_core::routing::SchemeKind;
 use sos_net::{Frame, LinkModel, PeerId};
 use sos_node::provision::ad_phase;
 use sos_node::runtime::{ad_period, NodeConfig, NodeRuntime};
@@ -122,6 +131,125 @@ pub struct RunMetrics {
     pub frames_lost: u64,
     /// Security alerts raised by any node.
     pub security_alerts: u64,
+}
+
+/// A provisioned study: everything a scenario decides, and all
+/// [`run_study`] needs. Scenarios only fill this in.
+pub struct Study<S: EncounterSource> {
+    /// The routing scheme the apps were signed up with.
+    pub scheme: SchemeKind,
+    /// The scenario seed the inputs below were derived from.
+    pub seed: u64,
+    /// One app per node of `source`, subscriptions already wired.
+    pub apps: Vec<AlleyOopApp>,
+    /// The encounter timeline.
+    pub source: S,
+    /// `followers[author]` = node indices subscribed to `author`.
+    pub followers: Vec<Vec<usize>>,
+    /// The post workload as `(time, author node)`, in scheduling order.
+    pub posts: Vec<(SimTime, usize)>,
+    /// Link and advertisement parameters (and the driver's own seed).
+    pub driver: DriverConfig,
+    /// When the run stops.
+    pub end: SimTime,
+}
+
+/// Everything a driver-based study produced, whatever the scenario.
+#[derive(Debug)]
+pub struct StudyRun {
+    /// The scheme that was run.
+    pub scheme: SchemeKind,
+    /// The scenario seed that was run.
+    pub seed: u64,
+    /// Per-run measurements.
+    pub metrics: RunMetrics,
+    /// Middleware counters summed over `apps`.
+    pub totals: SosStats,
+    /// The final applications (feeds, local databases), one per node.
+    pub apps: Vec<AlleyOopApp>,
+}
+
+impl StudyRun {
+    /// Total user-to-user transfers (paper §VI-B: 967 with IB). Counts
+    /// received bundles, i.e. successful D2D message transfers.
+    pub fn transfers(&self) -> u64 {
+        self.totals.bundles_received
+    }
+
+    /// Fraction of interested deliveries that arrived in one hop
+    /// (paper: 0.826).
+    pub fn one_hop_fraction(&self) -> f64 {
+        self.metrics.delays.fraction_one_hop()
+    }
+
+    /// The row every comparison table prints for this run.
+    pub fn summary(&self) -> RunSummary {
+        let cdf = self.metrics.delays.cdf_all_hours();
+        RunSummary {
+            deliveries: self.metrics.delays.len() as f64,
+            transfers: self.transfers() as f64,
+            one_hop_fraction: self.one_hop_fraction(),
+            median_delay_hours: (!cdf.is_empty()).then(|| cdf.quantile(0.5)),
+            delivery_ratio: self.metrics.delivery.overall_ratio(),
+        }
+    }
+}
+
+/// What a comparison table says about one run — or, the counts being
+/// `f64`, about the mean of several (see
+/// [`SweepCell::mean`](crate::sweep::SweepCell::mean)). Plain data, so
+/// it can cross the sweep's worker-thread boundary.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RunSummary {
+    /// Deliveries to interested subscribers.
+    pub deliveries: f64,
+    /// Total user-to-user transfers (cost).
+    pub transfers: f64,
+    /// Fraction of deliveries at one hop.
+    pub one_hop_fraction: f64,
+    /// Median delivery delay in hours (`None` if nothing was delivered).
+    pub median_delay_hours: Option<f64>,
+    /// Overall delivery ratio across subscriptions.
+    pub delivery_ratio: f64,
+}
+
+impl RunSummary {
+    /// Transfers per delivery (lower is better; infinite when nothing
+    /// was delivered).
+    pub fn overhead(&self) -> f64 {
+        if self.deliveries == 0.0 {
+            f64::INFINITY
+        } else {
+            self.transfers / self.deliveries
+        }
+    }
+}
+
+/// Runs a provisioned study to its end. With `obs`, every node's stat
+/// cells are adopted into its registry and lifecycle events flow into
+/// its journal; the run itself is byte-identical to the blind one.
+pub fn run_study<S: EncounterSource>(study: Study<S>, obs: Option<&RunObserver>) -> StudyRun {
+    let mut driver = Driver::new(
+        study.apps,
+        study.source,
+        study.followers,
+        study.driver,
+        study.end,
+    );
+    if let Some(o) = obs {
+        driver.attach_observer(&o.registry, &o.journal);
+    }
+    for (at, node) in study.posts {
+        driver.schedule_post(at, node);
+    }
+    let (metrics, apps) = driver.run();
+    StudyRun {
+        scheme: study.scheme,
+        seed: study.seed,
+        totals: aggregate_stats(&apps),
+        metrics,
+        apps,
+    }
 }
 
 /// The simulation driver: apps + encounter source + queue + recorders.
@@ -476,17 +604,6 @@ impl<C: EncounterSource> Driver<C> {
                 _ => {}
             }
         }
-    }
-
-    /// Aggregated middleware stats across nodes (available after `run`
-    /// via the returned apps; exposed here for mid-run inspection in
-    /// tests).
-    pub fn total_stats(&self) -> SosStats {
-        let mut total = SosStats::default();
-        for node in &self.nodes {
-            total.merge(&node.stats());
-        }
-        total
     }
 }
 

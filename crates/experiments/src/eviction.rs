@@ -15,6 +15,7 @@
 //! advertisements, certificate handshakes, encrypted session frames,
 //! batched bundle transfer.
 
+use crate::observe::RunObserver;
 use rand::SeedableRng;
 use sos_core::middleware::{Sos, SosConfig};
 use sos_core::routing::SchemeKind;
@@ -54,7 +55,7 @@ impl Default for EvictionStudyConfig {
 }
 
 /// What the scenario measures.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EvictionOutcome {
     /// Total messages the author posted.
     pub posts: u64,
@@ -154,25 +155,13 @@ pub fn encounter<R: rand::RngCore>(
     frames
 }
 
-/// Runs the scenario.
-pub fn run_eviction_study(config: &EvictionStudyConfig) -> EvictionOutcome {
-    run_eviction_study_inner(config, None)
-}
-
-/// [`run_eviction_study`] with a [`RunObserver`](crate::observe::RunObserver)
-/// attached: the three nodes' counters land in the observer's registry
-/// (as `node{0,1,2}/sos/…`) and every session/bundle/evict event lands
-/// in its journal — the flight-recorder example's entry point.
-pub fn run_eviction_study_observed(
+/// Runs the scenario. With `obs`, the three nodes' counters land in
+/// the observer's registry (as `node{0,1,2}/sos/…`) and every
+/// session/bundle/evict event lands in its journal — the
+/// flight-recorder example's entry point — without changing the run.
+pub fn run_eviction_study(
     config: &EvictionStudyConfig,
-    obs: &crate::observe::RunObserver,
-) -> EvictionOutcome {
-    run_eviction_study_inner(config, Some(obs))
-}
-
-fn run_eviction_study_inner(
-    config: &EvictionStudyConfig,
-    obs: Option<&crate::observe::RunObserver>,
+    obs: Option<&RunObserver>,
 ) -> EvictionOutcome {
     let mut ca = CertificateAuthority::new("Eviction Root", [42u8; 32], 0, u64::MAX);
     let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
@@ -254,7 +243,7 @@ mod tests {
     #[test]
     fn relay_cap_creates_holes_and_author_heals_them() {
         let config = EvictionStudyConfig::default();
-        let outcome = run_eviction_study(&config);
+        let outcome = run_eviction_study(&config, None);
         assert_eq!(outcome.posts, 60);
         assert!(
             outcome.delivered_via_relay < outcome.posts,
@@ -288,7 +277,7 @@ mod tests {
             relay_capacity: 10_000,
             ..EvictionStudyConfig::default()
         };
-        let outcome = run_eviction_study(&config);
+        let outcome = run_eviction_study(&config, None);
         assert_eq!(outcome.delivered_via_relay, outcome.posts);
         assert!(outcome.holes_before_heal.is_empty());
         assert_eq!(outcome.delivered_final, outcome.posts);

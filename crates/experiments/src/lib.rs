@@ -4,12 +4,17 @@
 //! simulated substrate and regenerates every figure.
 //!
 //! * [`social`] — the reconstructed Fig. 4a follow digraph
-//! * [`driver`] — the discrete-event network driver over `sos-sim`
+//! * [`driver`] — the discrete-event network driver over `sos-sim`, and
+//!   the one study plane beside it: a scenario provisions a
+//!   [`driver::Study`], [`driver::run_study`] runs it (with an optional
+//!   observer) into a [`driver::StudyRun`], whose
+//!   [`driver::RunSummary`] is the row every comparison table prints
 //! * [`scenario`] — the 10-node / 7-day / 259-post Gainesville scenario
-//! * [`report`] — paper-vs-measured tables and figure series
-//! * [`ablation`] — the routing-scheme comparison (extension)
-//! * [`sweep`] — parallel multi-seed scheme sweeps on the
-//!   `sos-engine` grid contact kernel (extension)
+//! * [`report`] — paper-vs-measured tables, figure series, run reports
+//!   and the one aligned table renderer
+//! * [`sweep`] — the routing-scheme comparison: parallel multi-seed
+//!   scheme sweeps on the `sos-engine` grid contact kernel (extension;
+//!   with one seed, `repro ablation`)
 //! * [`density`] — conventional-simulation vs field-study density
 //!   (the §VI-B discussion, extension)
 //! * [`eviction`] — delivery under store eviction: holes punched by
@@ -35,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod corpus;
 pub mod density;
 pub mod driver;
@@ -48,8 +52,6 @@ pub mod scenario;
 pub mod social;
 pub mod sweep;
 
+pub use driver::{run_study, RunSummary, Study, StudyRun};
 pub use observe::{RunObservation, RunObserver};
-pub use scenario::{
-    run_field_study, run_field_study_observed, run_field_study_on, run_field_study_with,
-    run_field_study_with_observed, FieldStudyConfig, FieldStudyOutcome,
-};
+pub use scenario::{run_field_study, run_field_study_with, FieldStudyConfig};

@@ -13,12 +13,30 @@
 //! reduced state machine that keeps exactly what delivery/delay/cost
 //! metrics need: one have-bitset per node per scheme, per-node
 //! subscription lists, and (for spray-and-wait) sparse copy counters.
-//! Exchange rules mirror `sos_core::routing` semantics: epidemic
-//! floods, direct waits for the author, interest-based pulls
-//! subscribed posts, interest-predictive additionally prefetches what
-//! recent partners subscribe to, and spray-and-wait hands off half its
-//! copies. Contacts are processed in stream order and both directions
-//! of a contact exchange sequentially (lower node first), so the whole
+//! The exchange rules are a *reduced model*, not a mirror of
+//! `sos_core::routing`: epidemic floods, direct waits for the author,
+//! interest-based pulls subscribed posts, interest-predictive
+//! additionally prefetches what recent partners subscribe to, and
+//! spray-and-wait hands off half its copies — but they diverge from
+//! the middleware in ways known to move scheme rankings (Moreira &
+//! Mendes, *Impact of Human Behavior on Social Opportunistic
+//! Forwarding*). The named divergences, which are the specification
+//! for ROADMAP's differential harness:
+//!
+//! * subscriptions are per *post* here and per *author* in the
+//!   middleware;
+//! * interest-based has no 2 h forwarder holdoff;
+//! * interest-predictive prefetches for a ring of the last
+//!   `recent_partners` (4) partners, where the middleware keeps a
+//!   decayed request-demand score with a threshold;
+//! * spray-and-wait deliveries to subscribers do not spend copy
+//!   budget, and there is no `should_advertise` wait phase;
+//! * no TTL, store capacity, advertisement cadence, handshake refusals
+//!   or link loss;
+//! * `TrustAware` is absent.
+//!
+//! Contacts are processed in stream order and both directions of a
+//! contact exchange sequentially (lower node first), so the whole
 //! evaluation is deterministic for a given seed and — because the
 //! sharded kernel's stream is byte-identical at any shard count —
 //! independent of `shards`/`threads`.
@@ -461,18 +479,18 @@ impl SchemeState {
     }
 }
 
-/// Runs the metropolis scenario once: generates the city and its
-/// population, streams the sharded contact kernel over the full
+/// Runs the metropolis scenario once, blind: generates the city and
+/// its population, streams the sharded contact kernel over the full
 /// window, and evaluates all five schemes in that single pass.
 pub fn run_metropolis(cfg: &MetroConfig) -> MetroOutcome {
-    run_metropolis_inner(cfg, None)
+    run_metropolis_observed(cfg, None)
 }
 
-/// [`run_metropolis`] with a [`RunObserver`] attached: the merged
-/// contact stream is journaled (attributed to the lower node of each
-/// edge), run totals land in the registry as `metro/*` counters, and
-/// per-scheme delivery/transfer counters plus delivery-delay histograms
-/// land under `metro/<scheme>/*`.
+/// [`run_metropolis`], optionally with a [`RunObserver`] attached: the
+/// merged contact stream is journaled (attributed to the lower node of
+/// each edge), run totals land in the registry as `metro/*` counters,
+/// and per-scheme delivery/transfer counters land under
+/// `metro/<scheme>/*`.
 ///
 /// Observation is passive — the returned outcome is byte-identical to
 /// the blind run — and the captured journal inherits the sharded
@@ -481,11 +499,7 @@ pub fn run_metropolis(cfg: &MetroConfig) -> MetroOutcome {
 /// that is reported honestly via [`sos_obs::Journal::dropped`] (size
 /// the ring with [`RunObserver::with_journal_capacity`] to keep the
 /// whole stream).
-pub fn run_metropolis_observed(cfg: &MetroConfig, observer: &RunObserver) -> MetroOutcome {
-    run_metropolis_inner(cfg, Some(observer))
-}
-
-fn run_metropolis_inner(cfg: &MetroConfig, observer: Option<&RunObserver>) -> MetroOutcome {
+pub fn run_metropolis_observed(cfg: &MetroConfig, observer: Option<&RunObserver>) -> MetroOutcome {
     assert!(cfg.nodes >= 2, "metropolis needs at least two nodes");
     assert!(cfg.days > 0, "metropolis needs a non-empty window");
     assert!(cfg.posts > 0, "metropolis needs posts to route");
@@ -568,10 +582,6 @@ fn run_metropolis_inner(cfg: &MetroConfig, observer: Option<&RunObserver>) -> Me
             registry
                 .counter(&format!("{prefix}/transfers"))
                 .add(s.transfers);
-            let delays = registry.histogram(&format!("{prefix}/delay_h"));
-            for q in [s.delay_p50_h, s.delay_p90_h].into_iter().flatten() {
-                delays.record(q.round() as u64);
-            }
         }
     }
     outcome
@@ -593,7 +603,7 @@ pub fn metro_report(outcome: &MetroOutcome, observation: &RunObservation) -> Str
         "posts {}  contact-ups {}  transitions {}\n\n",
         outcome.posts, outcome.contacts, outcome.events
     ));
-    out.push_str(&format_table(std::slice::from_ref(outcome)));
+    out.push_str(&crate::report::metro_table(std::slice::from_ref(outcome)));
     out.push_str("\nmetro counters:\n");
     for (name, v) in &observation.metrics.counters {
         if name.starts_with("metro/") {
@@ -626,37 +636,6 @@ pub fn metropolis_sweep(base: &MetroConfig, populations: &[usize]) -> Vec<MetroO
             })
         })
         .collect()
-}
-
-/// Formats sweep outcomes as an aligned text table.
-pub fn format_table(outcomes: &[MetroOutcome]) -> String {
-    let mut out = String::from(
-        "nodes     districts  contacts   scheme               delivered  ratio  transfers  p50-h  p90-h\n",
-    );
-    for o in outcomes {
-        for (i, s) in o.schemes.iter().enumerate() {
-            let head = if i == 0 {
-                format!("{:<9} {:>9} {:>9}", o.nodes, o.districts, o.contacts)
-            } else {
-                format!("{:<9} {:>9} {:>9}", "", "", "")
-            };
-            let fmt_q = |q: Option<f64>| match q {
-                Some(v) => format!("{v:.2}"),
-                None => "-".to_string(),
-            };
-            out.push_str(&format!(
-                "{} {:<20} {:>9} {:>6.3} {:>10} {:>6} {:>6}\n",
-                head,
-                s.scheme.name(),
-                s.delivered,
-                s.delivery_ratio(),
-                s.transfers,
-                fmt_q(s.delay_p50_h),
-                fmt_q(s.delay_p90_h),
-            ));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -731,7 +710,7 @@ mod tests {
                     threads,
                     ..base.clone()
                 },
-                &observer,
+                Some(&observer),
             );
             let observation = observer.finish();
             let report = metro_report(&outcome, &observation);
@@ -753,6 +732,8 @@ mod tests {
         let journal = &obs_one.journal;
         assert_eq!(journal.len() as u64 + journal.dropped(), one.events);
         assert_eq!(obs_one.metrics.counters["metro/contacts"], one.contacts);
+        // Counters are the whole registry surface of a metropolis run.
+        assert!(obs_one.metrics.histograms.is_empty());
     }
 
     #[test]
@@ -764,7 +745,7 @@ mod tests {
         // Post corpus comes from `for_nodes` scaling (floored at 16).
         assert_eq!(outcomes[0].posts, MetroConfig::for_nodes(240).posts);
         assert_eq!(outcomes[1].posts, MetroConfig::for_nodes(480).posts);
-        let table = format_table(&outcomes);
-        assert!(table.contains("epidemic") || table.contains("Epidemic"));
+        let table = crate::report::metro_table(&outcomes);
+        assert!(table.contains("  epidemic  "), "{table}");
     }
 }

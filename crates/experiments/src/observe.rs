@@ -13,10 +13,11 @@ use sos_obs::{
     profile, GlobalTimeline, Journal, JournalHandle, MetricsSnapshot, Profile, Provenance, Registry,
 };
 
-/// The observability context of one run: hand `registry` + `journal`
-/// to [`Driver::attach_observer`](crate::driver::Driver::attach_observer)
-/// (done for you by the `*_observed` entry points), then [`finish`]
-/// after the run.
+/// The observability context of one run: pass `Some(&observer)` to any
+/// study entry point (each takes an `Option<&RunObserver>`; the
+/// driver-based ones hand it to [`run_study`](crate::driver::run_study),
+/// which attaches `registry` and `journal` to the driver), then
+/// [`finish`] after the run.
 ///
 /// [`finish`]: RunObserver::finish
 #[derive(Clone, Debug)]
@@ -114,67 +115,118 @@ impl RunObservation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_field_study, run_field_study_observed, small_test_config};
+    use crate::corpus::{run_corpus_study_full, CorpusStudyConfig};
+    use crate::density::{run_density, DensityConfig};
+    use crate::driver::StudyRun;
+    use crate::eviction::{run_eviction_study, EvictionStudyConfig};
+    use crate::replay::{record_field_study_trace, replay_field_study};
+    use crate::scenario::{field_study_world, run_field_study_with, small_test_config};
     use sos_core::routing::SchemeKind;
     use sos_obs::journal::ObsEvent;
 
+    /// Observation is passive for every driver-based scenario: each is
+    /// run blind and observed through the one run function and must
+    /// agree on metrics and totals, while the observer's journal and
+    /// registry agree with what the stats count.
     #[test]
     fn observed_run_matches_blind_run_and_captures_events() {
         let cfg = small_test_config(11, SchemeKind::InterestBased);
-        let blind = run_field_study(&cfg);
+        let tape = record_field_study_trace(&cfg);
+        let corpus = crate::corpus::tests::mini_corpus();
+        let corpus_cfg = CorpusStudyConfig::default();
+        let density_cfg = DensityConfig {
+            hours: 4,
+            posts: 30,
+            ..DensityConfig::conventional(12, 0.25, 3)
+        };
+        type Scenario<'a> = Box<dyn Fn(Option<&RunObserver>) -> StudyRun + 'a>;
+        let scenarios: [(&str, Scenario<'_>); 4] = [
+            (
+                "field study",
+                Box::new(|obs| run_field_study_with(&cfg, field_study_world(&cfg), obs)),
+            ),
+            (
+                "replay",
+                Box::new(|obs| replay_field_study(&cfg, &tape, obs)),
+            ),
+            (
+                "corpus",
+                Box::new(|obs| run_corpus_study_full(&corpus, &corpus_cfg, obs)),
+            ),
+            ("density", Box::new(|obs| run_density(&density_cfg, obs))),
+        ];
+        for (name, run) in &scenarios {
+            let blind = run(None);
+            let observer = RunObserver::new();
+            let observed = run(Some(&observer));
+            let observation = observer.finish();
+
+            // Observation is passive: the run itself is byte-identical.
+            assert_eq!(blind.metrics, observed.metrics, "{name}");
+            assert_eq!(blind.totals, observed.totals, "{name}");
+
+            // The journal saw the sessions and transfers the stats count.
+            let journal = &observation.journal;
+            assert!(!journal.is_empty(), "{name}");
+            let opens = journal
+                .entries()
+                .filter(|e| matches!(e.event, ObsEvent::SessionOpen { .. }))
+                .count() as u64;
+            assert_eq!(
+                opens,
+                observed.totals.sessions_initiated + observed.totals.sessions_accepted,
+                "{name}"
+            );
+            let accepts = journal
+                .entries()
+                .filter(|e| matches!(e.event, ObsEvent::BundleAccept { .. }))
+                .count() as u64;
+            assert_eq!(
+                accepts,
+                observed.totals.bundles_received
+                    - observed.totals.bundles_duplicate
+                    - observed.totals.security_rejections,
+                "{name}"
+            );
+
+            // The registry's adopted cells agree with the aggregate stats.
+            let posts: u64 = observation
+                .metrics
+                .counters
+                .iter()
+                .filter(|(k, _)| k.ends_with("/posts") && k.starts_with("node"))
+                .map(|(_, v)| v)
+                .sum();
+            assert_eq!(posts, observed.totals.posts, "{name}");
+            assert_eq!(
+                observation.metrics.counters["driver/frames_sent"], observed.metrics.frames_sent,
+                "{name}"
+            );
+            // The journal itself is deterministic: a second observed run
+            // produces byte-identical JSONL. (Timestamps need not be
+            // globally monotone — a peer-lost close is stamped with the
+            // middleware's last-seen time, which can precede the driver's
+            // contact-down tick — but the order and content are fixed.)
+            let observer2 = RunObserver::new();
+            run(Some(&observer2));
+            assert_eq!(
+                observation.journal.to_jsonl(),
+                observer2.finish().journal.to_jsonl(),
+                "{name}"
+            );
+        }
+    }
+
+    /// The eviction study drives three bare middlewares, not the
+    /// driver, but takes its observer the same way — and as passively.
+    #[test]
+    fn observed_eviction_study_matches_the_blind_one() {
+        let config = EvictionStudyConfig::default();
         let observer = RunObserver::new();
-        let observed = run_field_study_observed(&cfg, &observer);
-        let observation = observer.finish();
-
-        // Observation is passive: the run itself is byte-identical.
-        assert_eq!(blind.metrics, observed.metrics);
-        assert_eq!(blind.totals, observed.totals);
-
-        // The journal saw the sessions and transfers the stats count.
-        let journal = &observation.journal;
-        assert!(!journal.is_empty());
-        let opens = journal
-            .entries()
-            .filter(|e| matches!(e.event, ObsEvent::SessionOpen { .. }))
-            .count() as u64;
         assert_eq!(
-            opens,
-            observed.totals.sessions_initiated + observed.totals.sessions_accepted
+            run_eviction_study(&config, None),
+            run_eviction_study(&config, Some(&observer))
         );
-        let accepts = journal
-            .entries()
-            .filter(|e| matches!(e.event, ObsEvent::BundleAccept { .. }))
-            .count() as u64;
-        assert_eq!(
-            accepts,
-            observed.totals.bundles_received
-                - observed.totals.bundles_duplicate
-                - observed.totals.security_rejections
-        );
-
-        // The registry's adopted cells agree with the aggregate stats.
-        let posts: u64 = observation
-            .metrics
-            .counters
-            .iter()
-            .filter(|(k, _)| k.ends_with("/posts") && k.starts_with("node"))
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(posts, observed.totals.posts);
-        assert_eq!(
-            observation.metrics.counters["driver/frames_sent"],
-            observed.metrics.frames_sent
-        );
-        // The journal itself is deterministic: a second observed run
-        // produces byte-identical JSONL. (Timestamps need not be
-        // globally monotone — a peer-lost close is stamped with the
-        // middleware's last-seen time, which can precede the driver's
-        // contact-down tick — but the order and content are fixed.)
-        let observer2 = RunObserver::new();
-        let _ = run_field_study_observed(&cfg, &observer2);
-        assert_eq!(
-            observation.journal.to_jsonl(),
-            observer2.finish().journal.to_jsonl()
-        );
+        assert!(!observer.finish().journal.is_empty());
     }
 }

@@ -9,12 +9,15 @@
 //! sets, delays, stats), and different schemes compared on one tape
 //! see precisely the same opportunities, the way Fig. 4's comparisons
 //! assume.
+//!
+//! The module adds only the tape: [`record_field_study_trace`] writes
+//! it, [`replay_field_study`] hands it to [`run_field_study_with`] as
+//! the encounter source, and [`delivered_set`] is the ground truth any
+//! two runs are compared on.
 
+use crate::driver::StudyRun;
 use crate::observe::RunObserver;
-use crate::scenario::{
-    field_study_world, run_field_study, run_field_study_with, run_field_study_with_observed,
-    FieldStudyConfig, FieldStudyOutcome,
-};
+use crate::scenario::{field_study_world, run_field_study, run_field_study_with, FieldStudyConfig};
 use sos_core::message::MessageId;
 use sos_sim::SimTime;
 use sos_trace::{ContactTrace, TraceContactSource};
@@ -32,34 +35,29 @@ pub fn record_field_study_trace(config: &FieldStudyConfig) -> ContactTrace {
 
 /// Runs the field study live and returns the outcome together with
 /// the recorded encounter tape.
-pub fn record_field_study(config: &FieldStudyConfig) -> (FieldStudyOutcome, ContactTrace) {
+pub fn record_field_study(config: &FieldStudyConfig) -> (StudyRun, ContactTrace) {
     (run_field_study(config), record_field_study_trace(config))
 }
 
 /// Replays a recorded (or imported, or synthetic) tape through the
 /// identical scenario machinery: same apps, same subscriptions, same
 /// post workload, same driver — only the encounter source differs.
-pub fn replay_field_study(config: &FieldStudyConfig, trace: &ContactTrace) -> FieldStudyOutcome {
-    run_field_study_with(config, TraceContactSource::new(trace.clone()))
-}
-
-/// [`replay_field_study`] with an observer attached — instrumentation
-/// is passive, so the outcome stays byte-identical to the unobserved
-/// replay (asserted by `tests/obs_determinism` at the workspace root).
-pub fn replay_field_study_observed(
+/// Observing the replay leaves it byte-identical (asserted by
+/// `tests/obs_determinism` at the workspace root).
+pub fn replay_field_study(
     config: &FieldStudyConfig,
     trace: &ContactTrace,
-    obs: &RunObserver,
-) -> FieldStudyOutcome {
-    run_field_study_with_observed(config, TraceContactSource::new(trace.clone()), obs)
+    obs: Option<&RunObserver>,
+) -> StudyRun {
+    run_field_study_with(config, TraceContactSource::new(trace.clone()), obs)
 }
 
 /// The delivered set of a run: every `(node, message)` pair present in
 /// a node's local store at the end — the ground truth that replay
 /// determinism is asserted on.
-pub fn delivered_set(outcome: &FieldStudyOutcome) -> BTreeSet<(usize, MessageId)> {
+pub fn delivered_set(run: &StudyRun) -> BTreeSet<(usize, MessageId)> {
     let mut set = BTreeSet::new();
-    for (node, app) in outcome.apps.iter().enumerate() {
+    for (node, app) in run.apps.iter().enumerate() {
         for bundle in app.middleware().store().iter() {
             set.insert((node, bundle.message.id));
         }
@@ -85,7 +83,7 @@ pub struct ReplayCheck {
 /// are indistinguishable.
 pub fn check_replay_determinism(config: &FieldStudyConfig) -> ReplayCheck {
     let (live, trace) = record_field_study(config);
-    let replayed = replay_field_study(config, &trace);
+    let replayed = replay_field_study(config, &trace, None);
     let live_set = delivered_set(&live);
     let replay_set = delivered_set(&replayed);
     let identical = live_set == replay_set
@@ -125,7 +123,7 @@ mod tests {
             let mut cfg = cfg.clone();
             cfg.scheme = scheme;
             let live = run_field_study(&cfg);
-            let replayed = replay_field_study(&cfg, &trace);
+            let replayed = replay_field_study(&cfg, &trace, None);
             assert_eq!(
                 delivered_set(&live),
                 delivered_set(&replayed),
@@ -153,7 +151,7 @@ mod tests {
         let via_binary = codec_binary::from_binary(&codec_binary::to_binary(&trace)).unwrap();
         assert_eq!(via_text, trace);
         assert_eq!(via_binary, trace);
-        let replayed = replay_field_study(&cfg, &via_binary);
+        let replayed = replay_field_study(&cfg, &via_binary, None);
         assert_eq!(delivered_set(&live), delivered_set(&replayed));
         assert_eq!(live.totals, replayed.totals);
     }

@@ -1,10 +1,14 @@
-//! Report formatting: regenerates each figure's data series and prints
-//! paper-vs-measured comparisons.
+//! Report formatting: regenerates each figure's data series, prints
+//! paper-vs-measured comparisons, and renders every comparison table
+//! (scheme sweep, corpus, density, metropolis) through the one aligned
+//! [`table`] renderer.
 
-use crate::corpus::CorpusOutcome;
-use crate::driver::{aggregate_stats, MapEventKind, RunMetrics};
+use crate::density::DensityOutcome;
+use crate::driver::{aggregate_stats, MapEventKind, RunMetrics, RunSummary, StudyRun};
+use crate::metropolis::MetroOutcome;
 use crate::observe::RunObservation;
-use crate::scenario::FieldStudyOutcome;
+use crate::social;
+use crate::sweep::SweepCell;
 use alleyoop::app::AlleyOopApp;
 use sos_core::routing::SchemeKind;
 use sos_obs::{Journal, SchemeTraits};
@@ -42,9 +46,10 @@ pub mod paper {
     pub const DELIVERY_ABOVE_070_ALL: f64 = 0.50;
 }
 
-/// Renders the Fig. 4a table: paper vs measured social-graph metrics.
-pub fn fig4a(outcome: &FieldStudyOutcome) -> String {
-    let s = &outcome.social;
+/// Renders the Fig. 4a table: paper vs measured social-graph metrics
+/// (the reconstructed graph is the same for every run).
+pub fn fig4a() -> String {
+    let s = social::field_study_report();
     let mut out = String::new();
     out.push_str("Fig. 4a — social relationship digraph (10 active users)\n");
     out.push_str("metric                     paper    measured\n");
@@ -95,7 +100,7 @@ pub fn fig4a(outcome: &FieldStudyOutcome) -> String {
 
 /// Renders the Fig. 4b ASCII density map: message generation (`o`) and
 /// dissemination (`x`) over the ~11 km × 8 km plane.
-pub fn fig4b(outcome: &FieldStudyOutcome, cols: usize, rows: usize) -> String {
+pub fn fig4b(outcome: &StudyRun, cols: usize, rows: usize) -> String {
     let map = &outcome.metrics.map;
     let (width, height) = (11_000.0f64, 8_000.0f64);
     let mut created = vec![vec![0u32; cols]; rows];
@@ -160,7 +165,7 @@ fn cdf_series_lines(cdf: &Cdf, label: &str) -> String {
 }
 
 /// Renders Fig. 4c: delivery-delay CDFs for "1-hop" and "All".
-pub fn fig4c(outcome: &FieldStudyOutcome) -> String {
+pub fn fig4c(outcome: &StudyRun) -> String {
     let all = outcome.metrics.delays.cdf_all_hours();
     let one = outcome.metrics.delays.cdf_one_hop_hours();
     let mut out = String::new();
@@ -181,7 +186,7 @@ pub fn fig4c(outcome: &FieldStudyOutcome) -> String {
 }
 
 /// Renders Fig. 4d: the per-subscription delivery-ratio CDF.
-pub fn fig4d(outcome: &FieldStudyOutcome) -> String {
+pub fn fig4d(outcome: &StudyRun) -> String {
     let delivery = &outcome.metrics.delivery;
     let cdf = delivery.ratio_cdf();
     let mut out = String::new();
@@ -213,7 +218,7 @@ pub fn fig4d(outcome: &FieldStudyOutcome) -> String {
 }
 
 /// Renders the §VI text metrics: message counts, transfers, hop mix.
-pub fn text_metrics(outcome: &FieldStudyOutcome) -> String {
+pub fn text_metrics(outcome: &StudyRun) -> String {
     let m = &outcome.metrics;
     let all = m.delays.cdf_all_hours();
     let mut out = String::new();
@@ -232,7 +237,7 @@ pub fn text_metrics(outcome: &FieldStudyOutcome) -> String {
     out.push_str(&format!(
         "subscriptions                  {}       {}\n",
         paper::SUBSCRIPTIONS,
-        outcome.social.subscriptions
+        social::field_study_report().subscriptions
     ));
     out.push_str(&format!(
         "1-hop delivery fraction        {:.3}    {:.3}\n",
@@ -268,14 +273,132 @@ pub fn text_metrics(outcome: &FieldStudyOutcome) -> String {
     out
 }
 
-/// The per-scheme comparison table over corpus outcomes.
-pub fn corpus_scheme_table(outcomes: &[CorpusOutcome]) -> String {
+/// Renders `header` (column titles, whitespace-separated) over `rows`
+/// as an aligned text table: every column is as wide as its widest
+/// cell, label columns are left-aligned and number columns (whose cells
+/// all parse as numbers, `-` or blank) right-aligned, two spaces apart.
+pub fn table(header: &str, rows: &[Vec<String>]) -> String {
+    let header: Vec<String> = header.split_whitespace().map(str::to_string).collect();
+    let columns: Vec<(usize, bool)> = (0..header.len())
+        .map(|c| {
+            let cells = || rows.iter().filter_map(move |r| r.get(c));
+            let width = cells().chain([&header[c]]).map(|s| s.chars().count());
+            let label = cells().any(|s| !(s.is_empty() || s == "-" || s.parse::<f64>().is_ok()));
+            (width.max().unwrap_or(0), label)
+        })
+        .collect();
     let mut out = String::new();
-    for o in outcomes {
-        out.push_str(&o.table_line());
+    for row in std::iter::once(&header).chain(rows) {
+        let cells: Vec<String> = row
+            .iter()
+            .zip(&columns)
+            .map(|(cell, &(width, label))| {
+                if label {
+                    format!("{cell:<width$}")
+                } else {
+                    format!("{cell:>width$}")
+                }
+            })
+            .collect();
+        out.push_str(cells.join("  ").trim_end());
         out.push('\n');
     }
     out
+}
+
+/// A delay in hours as a table cell, `-` when nothing was delivered.
+fn hours_cell(hours: Option<f64>) -> String {
+    hours.map_or("-".to_string(), |h| format!("{h:.2}"))
+}
+
+/// The columns every run comparison shares, after its own label cells.
+const SUMMARY_COLUMNS: &str = "deliveries transfers overhead 1-hop ratio median-delay-h";
+
+/// `label` cells followed by the [`SUMMARY_COLUMNS`] cells of `s`, the
+/// counts printed with `decimals` places (0 for one run, 1 for means).
+fn summary_row(mut label: Vec<String>, s: &RunSummary, decimals: usize) -> Vec<String> {
+    label.extend([
+        format!("{:.decimals$}", s.deliveries),
+        format!("{:.decimals$}", s.transfers),
+        format!("{:.2}", s.overhead()),
+        format!("{:.3}", s.one_hop_fraction),
+        format!("{:.3}", s.delivery_ratio),
+        hours_cell(s.median_delay_hours),
+    ]);
+    label
+}
+
+/// The scheme comparison over sweep cells: means across each cell's
+/// seeds (with one seed, the routing-scheme ablation).
+pub fn sweep_table(cells: &[SweepCell]) -> String {
+    let decimals = usize::from(cells.iter().any(|cell| cell.replicas.len() > 1));
+    let rows: Vec<Vec<String>> = cells
+        .iter()
+        .map(|cell| summary_row(vec![cell.scheme.name().into()], &cell.mean(), decimals))
+        .collect();
+    table(&format!("scheme {SUMMARY_COLUMNS}"), &rows)
+}
+
+/// The per-scheme comparison over corpus runs.
+pub fn corpus_scheme_table(runs: &[StudyRun]) -> String {
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|run| {
+            let mut row = summary_row(vec![run.scheme.name().into()], &run.summary(), 0);
+            row.push(run.metrics.frames_sent.to_string());
+            row
+        })
+        .collect();
+    table(&format!("scheme {SUMMARY_COLUMNS} frames"), &rows)
+}
+
+/// The density comparison (paper §VI-B), titled and annotated.
+pub fn density_table(outcomes: &[DensityOutcome]) -> String {
+    let rows: Vec<Vec<String>> = outcomes
+        .iter()
+        .map(|o| {
+            let label = vec![
+                o.nodes.to_string(),
+                format!("{:.2}", o.area_km2),
+                format!("{:.2}", o.density_per_km2()),
+            ];
+            summary_row(label, &o.summary, 0)
+        })
+        .collect();
+    let header = format!("nodes area(km²) density(/km²) {SUMMARY_COLUMNS}");
+    format!(
+        "Density comparison (paper §VI-B): conventional simulation vs field-study density\n\
+         {}\
+         expected: delivery ratio rises and delay collapses with density —\n\
+         the gap between lab simulations and the paper's in-vivo deployment.\n",
+        table(&header, &rows)
+    )
+}
+
+/// The metropolis comparison: one block of scheme rows per population.
+pub fn metro_table(outcomes: &[MetroOutcome]) -> String {
+    let mut rows = Vec::new();
+    for o in outcomes {
+        for (i, s) in o.schemes.iter().enumerate() {
+            // The population's own columns print once per block.
+            let head = |v: String| if i == 0 { v } else { String::new() };
+            rows.push(vec![
+                head(o.nodes.to_string()),
+                head(o.districts.to_string()),
+                head(o.contacts.to_string()),
+                s.scheme.name().to_string(),
+                s.delivered.to_string(),
+                format!("{:.3}", s.delivery_ratio()),
+                s.transfers.to_string(),
+                hours_cell(s.delay_p50_h),
+                hours_cell(s.delay_p90_h),
+            ]);
+        }
+    }
+    table(
+        "nodes districts contacts scheme delivered ratio transfers p50-h p90-h",
+        &rows,
+    )
 }
 
 /// Per-node middleware counters, one row per app — the per-scheme ×
@@ -629,7 +752,7 @@ pub fn path_report(
 
 /// One-line key metrics, used for calibration sweeps:
 /// `transfers 1hop d24 d94 ratio subs>0.8 subs>0.7`.
-pub fn key_line(outcome: &FieldStudyOutcome) -> String {
+pub fn key_line(outcome: &StudyRun) -> String {
     let all = outcome.metrics.delays.cdf_all_hours();
     let d = &outcome.metrics.delivery;
     let mut hops = [0usize; 3];
@@ -662,13 +785,13 @@ pub fn key_line(outcome: &FieldStudyOutcome) -> String {
 }
 
 /// The full report: every figure plus the run parameters.
-pub fn full_report(outcome: &FieldStudyOutcome) -> String {
+pub fn full_report(outcome: &StudyRun) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "=== SOS field-study reproduction (scheme={}, seed={}) ===\n\n",
         outcome.scheme, outcome.seed
     ));
-    out.push_str(&fig4a(outcome));
+    out.push_str(&fig4a());
     out.push('\n');
     out.push_str(&fig4b(outcome, 66, 24));
     out.push('\n');
@@ -685,7 +808,8 @@ mod tests {
     use super::*;
     use crate::observe::RunObserver;
     use crate::scenario::{
-        field_study_followers, run_field_study, run_field_study_observed, small_test_config,
+        field_study_followers, field_study_world, run_field_study, run_field_study_with,
+        small_test_config,
     };
     use sos_core::routing::SchemeKind;
 
@@ -693,7 +817,7 @@ mod tests {
     fn path_report_renders_and_forensics_account_for_every_post() {
         let cfg = small_test_config(3, SchemeKind::Epidemic);
         let observer = RunObserver::new();
-        let outcome = run_field_study_observed(&cfg, &observer);
+        let outcome = run_field_study_with(&cfg, field_study_world(&cfg), Some(&observer));
         let observation = observer.finish();
         let followers = field_study_followers();
         let report = path_report("field-study", &observation, &followers, cfg.scheme, 5);
@@ -710,6 +834,20 @@ mod tests {
         assert_eq!(forensics.authored() as u64, outcome.totals.posts);
         assert!(forensics.accounts_for_everything());
         assert_eq!(forensics.truncated, 0);
+    }
+
+    #[test]
+    fn table_aligns_labels_left_and_numbers_right() {
+        let rows = [
+            vec!["epidemic".to_string(), "12".into(), "-".into()],
+            vec!["interest-based".to_string(), "7".into(), "1.50".into()],
+        ];
+        assert_eq!(
+            table("scheme n delay-h", &rows),
+            "scheme           n  delay-h\n\
+             epidemic        12        -\n\
+             interest-based   7     1.50\n"
+        );
     }
 
     #[test]

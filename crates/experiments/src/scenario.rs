@@ -1,8 +1,15 @@
 //! The Gainesville field-study scenario (paper §VI): ten students, seven
 //! days, an ~11 km × 8 km area, 259 unique posts, Interest-Based
 //! routing, and the reconstructed Fig. 4a social graph.
+//!
+//! This module only provisions: the ten apps, the Fig. 4a follower
+//! lists, the mobility and the post schedule, all pure functions of a
+//! [`FieldStudyConfig`]. Running, observing and summarising are
+//! [`run_study`]'s. [`run_field_study_with`] is the one full entry
+//! point (any encounter source, optional observer);
+//! [`run_field_study`] is the blind run on the scenario's own mobility.
 
-use crate::driver::{Driver, DriverConfig, RunMetrics};
+use crate::driver::{run_study, DriverConfig, Study, StudyRun};
 use crate::observe::RunObserver;
 use crate::social;
 use alleyoop::app::AlleyOopApp;
@@ -10,7 +17,6 @@ use alleyoop::cloud::Cloud;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
-use sos_graph::SocialGraphReport;
 use sos_net::PeerId;
 use sos_sim::mobility::schedule::{DailySchedule, ScheduleConfig};
 use sos_sim::mobility::trace::Trajectory;
@@ -73,38 +79,6 @@ impl Default for FieldStudyConfig {
     }
 }
 
-/// Everything the evaluation section reports, computed from one run.
-#[derive(Debug)]
-pub struct FieldStudyOutcome {
-    /// The Fig. 4a social graph statistics (identical across runs — the
-    /// graph is the reconstructed one).
-    pub social: SocialGraphReport,
-    /// Per-run measurements.
-    pub metrics: RunMetrics,
-    /// Aggregated middleware counters.
-    pub totals: sos_core::middleware::SosStats,
-    /// The scheme that was run.
-    pub scheme: SchemeKind,
-    /// The seed that was run.
-    pub seed: u64,
-    /// The final applications (feeds, local databases) for inspection.
-    pub apps: Vec<AlleyOopApp>,
-}
-
-impl FieldStudyOutcome {
-    /// Total user-to-user transfers (paper §VI-B: 967 with IB). Counts
-    /// received bundles, i.e. successful D2D message transfers.
-    pub fn transfers(&self) -> u64 {
-        self.totals.bundles_received
-    }
-
-    /// Fraction of interested deliveries that arrived in one hop
-    /// (paper: 0.826).
-    pub fn one_hop_fraction(&self) -> f64 {
-        self.metrics.delays.fraction_one_hop()
-    }
-}
-
 /// Builds the ten apps, signs them up with the cloud (the one-time
 /// infrastructure requirement), and wires subscriptions from the
 /// reconstructed digraph.
@@ -149,7 +123,8 @@ fn build_apps(config: &FieldStudyConfig, rng: &mut rand::rngs::StdRng) -> Vec<Al
 
 /// Generates the post workload: `total_posts` posts spread uniformly
 /// over nodes and days, at waking hours (9:00–23:00).
-fn post_schedule(config: &FieldStudyConfig, rng: &mut rand::rngs::StdRng) -> Vec<(SimTime, usize)> {
+fn post_schedule(config: &FieldStudyConfig) -> Vec<(SimTime, usize)> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed ^ 0xbeef);
     let mut posts = Vec::with_capacity(config.total_posts);
     for _ in 0..config.total_posts {
         let node = rng.gen_range(0..social::NODES);
@@ -159,22 +134,11 @@ fn post_schedule(config: &FieldStudyConfig, rng: &mut rand::rngs::StdRng) -> Vec
         posts.push((at, node));
     }
     posts.sort_by_key(|(t, _)| *t);
+    // Shuffle ties deterministically so same-time posts do not always
+    // favour low node indices.
+    posts.shuffle(&mut rng);
+    posts.sort_by_key(|(t, _)| *t);
     posts
-}
-
-/// Builds the apps and the mobility they move with in one pass over
-/// the master RNG stream (apps first, then homes/schedules — the
-/// ordering every entry point must replicate for byte-identical runs).
-fn build_apps_and_trajectories(config: &FieldStudyConfig) -> (Vec<AlleyOopApp>, Vec<Trajectory>) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let apps = build_apps(config, &mut rng);
-    let mut sched_cfg = config.schedule.clone();
-    sched_cfg.days = config.days;
-    let buildings = sched_cfg.campus_buildings;
-    let mut schedule = DailySchedule::new(sched_cfg, social::NODES, &mut rng);
-    schedule.set_building_preferences(social::building_preferences(buildings));
-    schedule.set_friends(social::friend_lists());
-    (apps, schedule.generate_all(config.seed ^ 0xfeed))
 }
 
 /// The field study's mobility, reproduced standalone: the exact
@@ -182,7 +146,17 @@ fn build_apps_and_trajectories(config: &FieldStudyConfig) -> (Vec<AlleyOopApp>, 
 /// the scenario's encounter timeline (`experiments::replay`) without
 /// running it.
 pub fn field_study_trajectories(config: &FieldStudyConfig) -> Vec<Trajectory> {
-    build_apps_and_trajectories(config).1
+    // Homes and schedules are drawn from the master stream after the
+    // apps' draws, so the apps are built (and dropped) to reach them.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+    build_apps(config, &mut rng);
+    let mut sched_cfg = config.schedule.clone();
+    sched_cfg.days = config.days;
+    let buildings = sched_cfg.campus_buildings;
+    let mut schedule = DailySchedule::new(sched_cfg, social::NODES, &mut rng);
+    schedule.set_building_preferences(social::building_preferences(buildings));
+    schedule.set_friends(social::friend_lists());
+    schedule.generate_all(config.seed ^ 0xfeed)
 }
 
 /// The [`World`] a `run_field_study(config)` call simulates on.
@@ -192,76 +166,6 @@ pub fn field_study_world(config: &FieldStudyConfig) -> World {
         RadioTech::max_range_m(config.infra_available),
         config.contact_tick,
     )
-}
-
-/// Runs the complete field study on the contact source built by
-/// `make_source` from `(trajectories, range_m, tick)`.
-///
-/// `run_field_study` passes [`World::new`] here; scheme sweeps pass
-/// `sos-engine`'s grid kernel constructor instead. Both receive
-/// identical trajectories, so results depend only on the source's
-/// contact semantics (which the engine matches exactly).
-pub fn run_field_study_on<C, F>(config: &FieldStudyConfig, make_source: F) -> FieldStudyOutcome
-where
-    C: EncounterSource,
-    F: FnOnce(Vec<Trajectory>, f64, SimDuration) -> C,
-{
-    let (apps, trajectories) = build_apps_and_trajectories(config);
-    let source = make_source(
-        trajectories,
-        RadioTech::max_range_m(config.infra_available),
-        config.contact_tick,
-    );
-    drive_field_study(config, apps, source, None)
-}
-
-/// Runs the complete field study on an arbitrary [`EncounterSource`] —
-/// the entry point for trace replay: pass a
-/// `sos_trace::TraceContactSource` holding a recorded (or imported, or
-/// synthetic) timeline and the identical scheme/workload machinery
-/// runs over it.
-///
-/// Everything except the encounter timeline is a pure function of
-/// `config`, so two sources with the same timeline yield
-/// byte-identical outcomes.
-pub fn run_field_study_with<S>(config: &FieldStudyConfig, source: S) -> FieldStudyOutcome
-where
-    S: EncounterSource,
-{
-    // Apps are a pure function of the seed's stream prefix, so this
-    // matches the apps a geometric run builds alongside its mobility.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let apps = build_apps(config, &mut rng);
-    drive_field_study(config, apps, source, None)
-}
-
-/// [`run_field_study`] with an observer attached: every node's stat
-/// cells are adopted into `obs.registry`, lifecycle events flow into
-/// `obs.journal`, and the run itself is byte-identical to the
-/// unobserved one.
-pub fn run_field_study_observed(config: &FieldStudyConfig, obs: &RunObserver) -> FieldStudyOutcome {
-    let (apps, trajectories) = build_apps_and_trajectories(config);
-    let source = World::new(
-        trajectories,
-        RadioTech::max_range_m(config.infra_available),
-        config.contact_tick,
-    );
-    drive_field_study(config, apps, source, Some(obs))
-}
-
-/// [`run_field_study_with`] with an observer attached — the observed
-/// entry point for trace replay.
-pub fn run_field_study_with_observed<S>(
-    config: &FieldStudyConfig,
-    source: S,
-    obs: &RunObserver,
-) -> FieldStudyOutcome
-where
-    S: EncounterSource,
-{
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let apps = build_apps(config, &mut rng);
-    drive_field_study(config, apps, source, Some(obs))
 }
 
 /// The field study's follower lists: `followers[author]` = node
@@ -274,58 +178,45 @@ pub fn field_study_followers() -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// The shared back half of every entry point: wire subscriptions,
-/// schedule the post workload, and run the driver over `source`,
-/// optionally with an observer attached.
-fn drive_field_study<S>(
+/// Runs the complete field study on an arbitrary [`EncounterSource`]:
+/// the scenario's own [`field_study_world`], `sos-engine`'s grid or
+/// sharded kernel over the same trajectories, or a
+/// `sos_trace::TraceContactSource` holding a recorded (or imported, or
+/// synthetic) timeline. With `obs`, the run is captured without being
+/// changed.
+///
+/// Everything except the encounter timeline is a pure function of
+/// `config`, so two sources with the same timeline yield
+/// byte-identical outcomes.
+pub fn run_field_study_with<S: EncounterSource>(
     config: &FieldStudyConfig,
-    apps: Vec<AlleyOopApp>,
     source: S,
     obs: Option<&RunObserver>,
-) -> FieldStudyOutcome
-where
-    S: EncounterSource,
-{
-    let world = source;
-    let end = SimTime::from_hours(config.days * 24);
-    // followers[author] = indices following `author`.
-    let followers = field_study_followers();
-
-    let driver_cfg = DriverConfig {
-        ad_interval: config.ad_interval,
-        infra_available: config.infra_available,
-        seed: config.seed ^ 0xace,
-    };
-    let mut driver = Driver::new(apps, world, followers, driver_cfg, end);
-    if let Some(o) = obs {
-        driver.attach_observer(&o.registry, &o.journal);
-    }
-    let mut post_rng = rand::rngs::StdRng::seed_from_u64(config.seed ^ 0xbeef);
-    let mut schedule_times = post_schedule(config, &mut post_rng);
-    // Shuffle ties deterministically so same-time posts do not always
-    // favour low node indices.
-    schedule_times.shuffle(&mut post_rng);
-    schedule_times.sort_by_key(|(t, _)| *t);
-    for (at, node) in schedule_times {
-        driver.schedule_post(at, node);
-    }
-
-    let (metrics, apps) = driver.run();
-    let totals = crate::driver::aggregate_stats(&apps);
-    FieldStudyOutcome {
-        social: social::field_study_report(),
-        metrics,
-        totals,
+) -> StudyRun {
+    // Apps are a pure function of the seed's stream prefix, so these
+    // are the apps the mobility of `field_study_trajectories` follows.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
+    let study = Study {
         scheme: config.scheme,
         seed: config.seed,
-        apps,
-    }
+        apps: build_apps(config, &mut rng),
+        source,
+        followers: field_study_followers(),
+        posts: post_schedule(config),
+        driver: DriverConfig {
+            ad_interval: config.ad_interval,
+            infra_available: config.infra_available,
+            seed: config.seed ^ 0xace,
+        },
+        end: SimTime::from_hours(config.days * 24),
+    };
+    run_study(study, obs)
 }
 
-/// Runs the complete field study on the naive [`World`] contact scan
-/// and returns the outcome.
-pub fn run_field_study(config: &FieldStudyConfig) -> FieldStudyOutcome {
-    run_field_study_on(config, World::new)
+/// Runs the complete field study, blind, on the naive [`World`]
+/// contact scan over its own mobility.
+pub fn run_field_study(config: &FieldStudyConfig) -> StudyRun {
+    run_field_study_with(config, field_study_world(config), None)
 }
 
 /// A reduced-size scenario for fast tests: 2 days, 40 posts, smaller

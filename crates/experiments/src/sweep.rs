@@ -1,37 +1,33 @@
-//! Parallel routing-scheme sweeps on the grid contact engine.
+//! Parallel routing-scheme sweeps on the grid contact engine — the
+//! comparison the paper's companion platform calls for (§III-B
+//! motivates the modular routing manager precisely so such comparisons
+//! are easy).
 //!
-//! The ablation module runs each scheme once, inline, on the naive
-//! contact scan. This module is the scaled-up version the paper's
-//! companion platform calls for: every `(scheme, seed)` replica is an
-//! independent job, contact detection runs on `sos-engine`'s
-//! grid-indexed event-driven kernel, and replicas execute across
-//! threads via [`sos_engine::run_replicas`]. Per-scheme cells
-//! aggregate means over seeds, giving Fig. 4-style comparisons
-//! (epidemic vs. interest-based vs. spray-and-wait vs. direct) with
-//! seed noise averaged out.
+//! Every `(scheme, seed)` replica is an independent field-study run
+//! whose contact detection is `sos-engine`'s grid-indexed event-driven
+//! kernel, and replicas execute across threads via
+//! [`sos_engine::run_replicas`]. Per-scheme cells aggregate means over
+//! seeds, giving Fig. 4-style comparisons (epidemic vs. interest-based
+//! vs. spray-and-wait vs. direct) with seed noise averaged out; with
+//! one seed a sweep is the routing-scheme ablation `repro ablation`
+//! prints. [`report::sweep_table`](crate::report::sweep_table) renders
+//! the cells.
 
-use crate::scenario::{run_field_study_on, FieldStudyConfig};
+use crate::driver::RunSummary;
+use crate::scenario::{field_study_world, run_field_study_with, FieldStudyConfig};
 use sos_core::routing::SchemeKind;
 use sos_engine::{run_replicas, GridContactEngine};
 
-/// Aggregates from one `(scheme, seed)` replica (plain data so it can
-/// cross the worker-thread boundary cheaply).
+/// One `(scheme, seed)` replica (plain data so it can cross the
+/// worker-thread boundary cheaply).
 #[derive(Clone, Copy, Debug)]
 pub struct ReplicaOutcome {
     /// The routing scheme.
     pub scheme: SchemeKind,
     /// The seed.
     pub seed: u64,
-    /// Interested deliveries achieved.
-    pub deliveries: usize,
-    /// Total user-to-user transfers (cost).
-    pub transfers: u64,
-    /// Fraction of deliveries at one hop.
-    pub one_hop_fraction: f64,
-    /// Median delivery delay in hours (`None` if no deliveries).
-    pub median_delay_hours: Option<f64>,
-    /// Overall delivery ratio across subscriptions.
-    pub delivery_ratio: f64,
+    /// What the replica delivered.
+    pub summary: RunSummary,
 }
 
 /// Per-scheme aggregate over all seeds.
@@ -44,47 +40,26 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// Mean transfers across seeds.
-    pub fn mean_transfers(&self) -> f64 {
-        mean(self.replicas.iter().map(|r| r.transfers as f64))
-    }
-
-    /// Mean deliveries across seeds.
-    pub fn mean_deliveries(&self) -> f64 {
-        mean(self.replicas.iter().map(|r| r.deliveries as f64))
-    }
-
-    /// Mean delivery ratio across seeds.
-    pub fn mean_delivery_ratio(&self) -> f64 {
-        mean(self.replicas.iter().map(|r| r.delivery_ratio))
-    }
-
-    /// Mean one-hop fraction across seeds.
-    pub fn mean_one_hop_fraction(&self) -> f64 {
-        mean(self.replicas.iter().map(|r| r.one_hop_fraction))
-    }
-
-    /// Mean transfers per delivery (infinite when nothing delivers).
-    pub fn mean_overhead(&self) -> f64 {
-        let deliveries = self.mean_deliveries();
-        if deliveries == 0.0 {
-            f64::INFINITY
-        } else {
-            self.mean_transfers() / deliveries
+    /// The mean of the replicas' summaries, number by number (the
+    /// median delay over the seeds that delivered anything), so its
+    /// [`overhead`](RunSummary::overhead) is mean transfers per mean
+    /// delivery.
+    pub fn mean(&self) -> RunSummary {
+        let mean = |of: fn(&RunSummary) -> Option<f64>| {
+            let values: Vec<f64> = self
+                .replicas
+                .iter()
+                .filter_map(|r| of(&r.summary))
+                .collect();
+            (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
+        };
+        RunSummary {
+            deliveries: mean(|s| Some(s.deliveries)).unwrap_or(0.0),
+            transfers: mean(|s| Some(s.transfers)).unwrap_or(0.0),
+            one_hop_fraction: mean(|s| Some(s.one_hop_fraction)).unwrap_or(0.0),
+            median_delay_hours: mean(|s| s.median_delay_hours),
+            delivery_ratio: mean(|s| Some(s.delivery_ratio)).unwrap_or(0.0),
         }
-    }
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut count) = (0.0, 0u32);
-    for v in values {
-        sum += v;
-        count += 1;
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
     }
 }
 
@@ -95,21 +70,11 @@ pub fn run_replica(base: &FieldStudyConfig, scheme: SchemeKind, seed: u64) -> Re
         seed,
         ..base.clone()
     };
-    let outcome = run_field_study_on(&cfg, GridContactEngine::new);
-    let deliveries = outcome.metrics.delays.len();
-    let cdf = outcome.metrics.delays.cdf_all_hours();
+    let source = GridContactEngine::from_world(field_study_world(&cfg));
     ReplicaOutcome {
         scheme,
         seed,
-        deliveries,
-        transfers: outcome.transfers(),
-        one_hop_fraction: outcome.one_hop_fraction(),
-        median_delay_hours: if cdf.is_empty() {
-            None
-        } else {
-            Some(cdf.quantile(0.5))
-        },
-        delivery_ratio: outcome.metrics.delivery.overall_ratio(),
+        summary: run_field_study_with(&cfg, source, None).summary(),
     }
 }
 
@@ -141,64 +106,39 @@ pub fn scheme_sweep(
         .collect()
 }
 
-/// Formats sweep cells as an aligned text table.
-pub fn format_table(cells: &[SweepCell]) -> String {
-    let mut out = String::from(
-        "scheme               deliveries  transfers  overhead  1-hop  ratio  median-delay-h\n",
-    );
-    for cell in cells {
-        let delay = cell
-            .replicas
-            .iter()
-            .filter_map(|r| r.median_delay_hours)
-            .collect::<Vec<_>>();
-        let delay = if delay.is_empty() {
-            "-".to_string()
-        } else {
-            format!("{:.2}", delay.iter().sum::<f64>() / delay.len() as f64)
-        };
-        out.push_str(&format!(
-            "{:<20} {:>10.1} {:>10.1} {:>9.2} {:>6.3} {:>6.3} {:>15}\n",
-            format!("{:?}", cell.scheme),
-            cell.mean_deliveries(),
-            cell.mean_transfers(),
-            cell.mean_overhead(),
-            cell.mean_one_hop_fraction(),
-            cell.mean_delivery_ratio(),
-            delay,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::small_test_config;
+    use crate::scenario::{run_field_study, small_test_config};
 
     #[test]
     fn sweep_runs_end_to_end_on_grid_engine() {
         let base = small_test_config(11, SchemeKind::InterestBased);
         let cells = scheme_sweep(
             &base,
-            &[SchemeKind::InterestBased, SchemeKind::Epidemic],
+            &[
+                SchemeKind::InterestBased,
+                SchemeKind::Epidemic,
+                SchemeKind::Direct,
+            ],
             &[11, 12],
             2,
         );
-        assert_eq!(cells.len(), 2);
+        assert_eq!(cells.len(), 3);
         for cell in &cells {
             assert_eq!(cell.replicas.len(), 2);
             assert!(
-                cell.mean_transfers() > 0.0,
+                cell.mean().transfers > 0.0,
                 "{:?} made no transfers",
                 cell.scheme
             );
         }
-        // Epidemic floods; it can never transfer less than IB on
-        // identical encounters (same property the ablation asserts).
-        assert!(cells[1].mean_transfers() >= cells[0].mean_transfers());
-        let table = format_table(&cells);
-        assert!(table.contains("Epidemic"));
+        // Epidemic floods; it can never transfer less than IB, nor than
+        // Direct, on identical encounters.
+        assert!(cells[1].mean().transfers >= cells[0].mean().transfers);
+        assert!(cells[1].mean().transfers >= cells[2].mean().transfers);
+        let table = crate::report::sweep_table(&cells);
+        assert!(table.contains("\nepidemic "), "{table}");
     }
 
     #[test]
@@ -207,15 +147,10 @@ mod tests {
         // grid engine produces byte-identical metrics to the naive
         // World scan, because the contact streams are identical.
         let cfg = small_test_config(5, SchemeKind::InterestBased);
-        let naive = crate::scenario::run_field_study(&cfg);
-        let grid = run_field_study_on(&cfg, sos_engine::GridContactEngine::new);
-        assert_eq!(naive.transfers(), grid.transfers());
-        assert_eq!(naive.metrics.posts, grid.metrics.posts);
-        assert_eq!(naive.metrics.frames_sent, grid.metrics.frames_sent);
-        assert_eq!(naive.metrics.frames_lost, grid.metrics.frames_lost);
-        assert_eq!(
-            naive.metrics.delays.records().len(),
-            grid.metrics.delays.records().len()
-        );
+        let naive = run_field_study(&cfg);
+        let source = GridContactEngine::from_world(field_study_world(&cfg));
+        let grid = run_field_study_with(&cfg, source, None);
+        assert_eq!(naive.metrics, grid.metrics);
+        assert_eq!(naive.totals, grid.totals);
     }
 }

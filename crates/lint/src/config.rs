@@ -69,6 +69,9 @@ impl Config {
                 // processing order is the cross-process determinism
                 // contract, so no hash order may reach it.
                 "/host.rs",
+                // The metropolis generator and evaluator: METRO-REPORT
+                // is byte-compared across shard counts.
+                "/metropolis.rs",
             ]),
             // Everything that parses or emits wire bytes or imports
             // foreign corpora (R4/R5 motivation: the PR 5 `as u64`

@@ -20,7 +20,7 @@
 //! ```
 
 use sos::core::routing::SchemeKind;
-use sos::experiments::corpus::{run_corpus_study, run_corpus_study_full, CorpusStudyConfig};
+use sos::experiments::corpus::{run_corpus_study_full, CorpusStudyConfig};
 use sos::experiments::observe::RunObserver;
 use sos::experiments::report::{follower_destinations, path_report, scheme_traits};
 use sos::node::provision::followers_from_trace;
@@ -65,9 +65,10 @@ fn main() {
         let observation = observer.finish();
 
         // Passive: the observed outcome matches a blind run.
-        let blind = run_corpus_study(trace, &cfg);
+        let blind = run_corpus_study_full(trace, &cfg, None);
         assert_eq!(
-            blind.interested_deliveries, run.outcome.interested_deliveries,
+            blind.metrics.delays.len(),
+            run.metrics.delays.len(),
             "{scheme:?}: observation changed the run"
         );
 
@@ -81,7 +82,7 @@ fn main() {
         );
         assert_eq!(
             forensics.authored() as u64,
-            run.outcome.posts,
+            run.metrics.posts,
             "{scheme:?}: authored != posts"
         );
 

@@ -20,7 +20,7 @@ fn main() {
         "eviction scenario: {} rounds x {} posts, relay cap {}\n",
         config.rounds, config.posts_per_round, config.relay_capacity
     );
-    let outcome = run_eviction_study(&config);
+    let outcome = run_eviction_study(&config, None);
     println!("{}", outcome.format_report());
     assert_eq!(
         outcome.delivered_final, outcome.posts,

@@ -30,7 +30,10 @@ fn main() {
     println!("{}", report::full_report(&outcome));
 
     // A few sanity properties the reproduction must satisfy.
-    assert_eq!(outcome.social.subscriptions, 46);
+    assert_eq!(
+        sos::experiments::social::field_study_report().subscriptions,
+        46
+    );
     assert!(outcome.metrics.posts == config.total_posts as u64);
     assert!(
         outcome.one_hop_fraction() > 0.5,

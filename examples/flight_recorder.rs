@@ -16,7 +16,7 @@
 //! cargo run --release --example flight_recorder
 //! ```
 
-use sos::experiments::eviction::{run_eviction_study_observed, EvictionStudyConfig};
+use sos::experiments::eviction::{run_eviction_study, EvictionStudyConfig};
 use sos::experiments::observe::RunObserver;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     );
 
     let observer = RunObserver::with_profiling();
-    let outcome = run_eviction_study_observed(&config, &observer);
+    let outcome = run_eviction_study(&config, Some(&observer));
     let observation = observer.finish();
     print!("{}", outcome.format_report());
 
@@ -67,7 +67,7 @@ fn main() {
 
     // Determinism: a second observed run dumps byte-identical JSONL.
     let observer2 = RunObserver::new();
-    let outcome2 = run_eviction_study_observed(&config, &observer2);
+    let outcome2 = run_eviction_study(&config, Some(&observer2));
     assert_eq!(outcome2.delivered_final, outcome.delivered_final);
     assert_eq!(
         observer2.finish().journal.to_jsonl(),

@@ -17,7 +17,8 @@
 //! population) but shares the seed, window, and kernel parameters, so
 //! rows are comparable.
 
-use sos::experiments::metropolis::{format_table, metropolis_sweep, MetroConfig};
+use sos::experiments::metropolis::{metropolis_sweep, MetroConfig};
+use sos::experiments::report::metro_table;
 use std::time::Instant;
 
 fn env_usize_list(key: &str, default: &[usize]) -> Vec<usize> {
@@ -49,6 +50,6 @@ fn main() {
     );
     let start = Instant::now();
     let outcomes = metropolis_sweep(&base, &populations);
-    println!("{}", format_table(&outcomes));
+    println!("{}", metro_table(&outcomes));
     println!("sweep wall time: {:.2?}", start.elapsed());
 }

@@ -15,8 +15,9 @@
 use rand::SeedableRng;
 use sos::core::routing::SchemeKind;
 use sos::engine::GridContactEngine;
+use sos::experiments::report::sweep_table;
 use sos::experiments::scenario::small_test_config;
-use sos::experiments::sweep::{format_table, scheme_sweep};
+use sos::experiments::sweep::scheme_sweep;
 use sos::sim::geo::Bounds;
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::{ContactSource, SimDuration, SimTime};
@@ -42,7 +43,7 @@ fn main() {
     );
     let start = Instant::now();
     let cells = scheme_sweep(&base, &schemes, &seeds, 0);
-    println!("{}", format_table(&cells));
+    println!("{}", sweep_table(&cells));
     println!("sweep wall time: {:.2?}\n", start.elapsed());
 
     // Part 2: raw contact detection at a population the O(n²) scan

@@ -69,7 +69,7 @@ fn main() {
     );
 
     // --- 3. Replay and verify determinism.
-    let replayed = replay_field_study(&cfg, &reloaded);
+    let replayed = replay_field_study(&cfg, &reloaded, None);
     let live_set = delivered_set(&live);
     let replay_set = delivered_set(&replayed);
     assert_eq!(

@@ -49,7 +49,7 @@ fn forensics_is_exhaustive_for_every_scheme_on_every_fixture() {
             // delivered/undelivered split covers all of them.
             assert_eq!(
                 forensics.authored() as u64,
-                run.outcome.posts,
+                run.metrics.posts,
                 "{name}/{scheme:?}: authored != posts"
             );
             assert!(

@@ -37,11 +37,15 @@ fn all_five_schemes_complete_on_every_imported_fixture() {
         );
         assert_eq!(outcomes.len(), 5, "{name}");
         for o in &outcomes {
-            assert_eq!(o.posts, 15, "{name}/{:?} did not complete", o.scheme);
-            assert_eq!(o.security_alerts, 0, "{name}/{:?}", o.scheme);
+            assert_eq!(
+                o.metrics.posts, 15,
+                "{name}/{:?} did not complete",
+                o.scheme
+            );
+            assert_eq!(o.metrics.security_alerts, 0, "{name}/{:?}", o.scheme);
         }
         assert!(
-            outcomes.iter().any(|o| o.interested_deliveries > 0),
+            outcomes.iter().any(|o| !o.metrics.delays.is_empty()),
             "{name}: no scheme delivered anything"
         );
     }

@@ -34,7 +34,7 @@ fn record_replay_is_exact_across_kernels() {
     assert_eq!(tape, engine_tape, "kernels must record identical tapes");
 
     let live = run_field_study(&cfg);
-    let replayed = replay_field_study(&cfg, &tape);
+    let replayed = replay_field_study(&cfg, &tape, None);
     assert_eq!(delivered_set(&live), delivered_set(&replayed));
     assert_eq!(live.totals, replayed.totals);
 }
@@ -56,7 +56,7 @@ fn synthetic_social_trace_drives_schemes() {
     let mut cfg = small_test_config(3, SchemeKind::Epidemic);
     cfg.days = 2;
     cfg.total_posts = 20;
-    let outcome = run_field_study_with(&cfg, TraceContactSource::new(synthetic));
+    let outcome = run_field_study_with(&cfg, TraceContactSource::new(synthetic), None);
     assert_eq!(outcome.metrics.posts, 20);
     assert!(
         outcome.totals.bundles_received > 0,
@@ -138,6 +138,6 @@ fn replay_is_tick_free() {
     cfg.contact_tick = SimDuration::from_secs(120); // coarse recording
     let tape = record_field_study_trace(&cfg);
     let live = run_field_study(&cfg);
-    let replayed = replay_field_study(&cfg, &tape);
+    let replayed = replay_field_study(&cfg, &tape, None);
     assert_eq!(delivered_set(&live), delivered_set(&replayed));
 }
