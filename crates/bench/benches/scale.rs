@@ -1,33 +1,49 @@
-//! Scaling gates for the sharded contact kernel (`sos_engine::shard`).
+//! Scaling gates for the contact kernel (`sos_engine::{tick, shard}`).
 //!
-//! Three measurements, written to `BENCH_scale.json`:
+//! Five measurements, written to `BENCH_scale.json`:
 //!
-//! * **identity** — at 10 k metropolis nodes, the sharded kernel's
-//!   merged contact stream is asserted byte-identical to the
-//!   single-loop kernel (the correctness contract, re-checked at a
-//!   scale the unit tests cannot afford);
-//! * **speedup** — at 100 k nodes, wall time of the single-loop kernel
-//!   vs. the sharded kernel with one shard per core. The **≥ 4×
-//!   speedup gate** is asserted when the machine has ≥ 4 cores (the
-//!   protocol cannot beat the single loop on fewer; the core count is
-//!   recorded so the JSON says which regime produced the numbers), and
-//!   the two streams are byte-compared here too;
+//! * **identity** — at 10 k metropolis nodes the merged stream at K = 4
+//!   is asserted byte-identical to K = 1, and at 1 500 nodes K = 1 is
+//!   asserted byte-identical to the O(n²) [`World`] scan (the two-step
+//!   oracle chain of the engine's test suites, re-checked at a scale
+//!   they cannot afford);
+//! * **epoch overhead** — K = 1 over a city day with the default
+//!   32-tick epochs ÷ the same loop with one whole-window epoch, median
+//!   of alternating repetitions. The **≤ 1.15 gate** is what one core
+//!   can assert about the epoch protocol: per-epoch set-up (re-hosting,
+//!   wake calendar, handoff write-back) must stay a small tax on the
+//!   tick loop. It also yields `k1/ns_per_transition`;
+//! * **halo duplication** — mean over a day's epochs of Σ hosted ÷ n at
+//!   K = 2 and K = 4: the work the reach rule (hull of owned extents)
+//!   makes several shards repeat. Recorded, not gated;
+//! * **speedup** — at 100 k nodes, wall time of one shard vs. one
+//!   shard per core, both streamed, and the sharded stream
+//!   byte-compared with the single-loop front's. The **≥ 4× gate**
+//!   needs ≥ 4 cores; on fewer the ratio and the core count are only
+//!   recorded, so the JSON says which regime produced the numbers;
 //! * **million-node movement** — a full position step over 10⁶
 //!   metropolis nodes must complete (the SoA layout gate: flat
 //!   waypoint arrays, no per-node allocation on the hot path).
 //!
 //! Set `SOS_BENCH_SMOKE=1` (as CI does) to shrink every population and
-//! skip the JSON write.
+//! skip the JSON write; the identity and epoch-overhead gates still
+//! run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use sos_bench::emit::{pretty_ns, smoke, Suite};
 use sos_engine::{GridContactEngine, ShardConfig, ShardedContactEngine};
 use sos_sim::mobility::{Metropolis, MetropolisConfig, TrajectorySet};
-use sos_sim::{ContactSource, SimDuration, SimTime};
+use sos_sim::{ContactSource, SimDuration, SimTime, World};
 
 /// Required sharded-vs-single speedup at 100 k nodes on ≥ 4 cores.
 const SPEEDUP_GATE: f64 = 4.0;
+
+/// Allowed cost of 32-tick epochs over one whole-window epoch at K = 1.
+const EPOCH_OVERHEAD_GATE: f64 = 1.15;
+
+/// Alternating repetitions behind the epoch-overhead median.
+const EPOCH_REPS: usize = 5;
 
 /// The contact-detection tick every measurement uses.
 const TICK_SECS: u64 = 30;
@@ -57,43 +73,122 @@ fn time_once<O>(f: impl FnOnce() -> O) -> (f64, O) {
     (start.elapsed().as_secs_f64() * 1e9, out)
 }
 
-fn sharded(set: TrajectorySet, shards: usize) -> ShardedContactEngine {
+fn sharded(set: TrajectorySet, shards: usize, epoch_ticks: u64) -> ShardedContactEngine {
     ShardedContactEngine::new(
         set,
         60.0,
         SimDuration::from_secs(TICK_SECS),
         ShardConfig {
             shards,
-            epoch_ticks: 32,
+            epoch_ticks,
             threads: 0,
         },
     )
 }
 
-/// Byte-identity of the merged stream at a scale unit tests cannot
-/// afford: 10 k nodes, one simulated hour, K = 4.
+/// Times `engine` over `[0, end]` as a stream: (nanoseconds, events).
+fn time_streamed(engine: &ShardedContactEngine, end: SimTime) -> (f64, u64) {
+    time_once(|| {
+        let mut count = 0u64;
+        engine.for_each_epoch(SimTime::ZERO, end, |epoch| count += epoch.len() as u64);
+        count
+    })
+}
+
+/// Byte-identity of the stream at scales unit tests cannot afford:
+/// K = 4 against K = 1 at 10 k nodes over one simulated hour, and
+/// K = 1 against the naive scan at 1 500 nodes over twenty minutes.
 fn bench_identity(_c: &mut Criterion) {
     let nodes = if smoke() { 1_500 } else { 10_000 };
     let end = SimTime::from_mins(if smoke() { 20 } else { 60 });
     let set = city(nodes, 1, 11);
-    let single = GridContactEngine::new(
-        set.to_trajectories(),
-        60.0,
-        SimDuration::from_secs(TICK_SECS),
-    );
-    let engine = sharded(set, 4);
-    let expected = ContactSource::contact_events(&single, SimTime::ZERO, end);
-    let got = ContactSource::contact_events(&engine, SimTime::ZERO, end);
+    let expected = sharded(set.clone(), 1, 32).contact_events(SimTime::ZERO, end);
+    let got = sharded(set, 4, 32).contact_events(SimTime::ZERO, end);
     assert_eq!(
         expected, got,
-        "sharded stream diverged from the single loop at {nodes} nodes"
+        "K=4 stream diverged from K=1 at {nodes} nodes"
     );
     println!(
-        "identity/{nodes}_nodes: {} contact transitions, byte-identical at K=4",
+        "identity/{nodes}_nodes: {} contact transitions, byte-identical at K=4 and K=1",
         expected.len()
     );
     SUITE.record("identity/nodes", nodes as f64);
     SUITE.record("identity/transitions", expected.len() as f64);
+
+    let (nodes, end) = (1_500, SimTime::from_mins(20));
+    let set = city(nodes, 1, 11);
+    let tick = SimDuration::from_secs(TICK_SECS);
+    let world = World::new(set.to_trajectories(), 60.0, tick);
+    let expected = World::contact_events(&world, SimTime::ZERO, end);
+    let got = sharded(set, 1, 32).contact_events(SimTime::ZERO, end);
+    assert_eq!(
+        expected, got,
+        "K=1 stream diverged from the naive scan at {nodes} nodes"
+    );
+    println!(
+        "identity/{nodes}_nodes: {} contact transitions, K=1 byte-identical to the naive scan",
+        expected.len()
+    );
+    SUITE.record("identity/world_nodes", nodes as f64);
+    SUITE.record("identity/world_transitions", expected.len() as f64);
+}
+
+/// The one-core gate: what the epoch protocol costs the tick loop.
+fn bench_epoch_overhead(_c: &mut Criterion) {
+    let nodes = if smoke() { 4_000 } else { 10_000 };
+    let end = SimTime::from_hours(24);
+    let set = city(nodes, 1, 11);
+    let engines = [sharded(set.clone(), 1, 32), sharded(set, 1, u64::MAX)];
+    let mut runs = [Vec::new(), Vec::new()];
+    let mut transitions = 0u64;
+    for _ in 0..EPOCH_REPS {
+        for (engine, runs) in engines.iter().zip(&mut runs) {
+            let (ns, count) = time_streamed(engine, end);
+            assert!(transitions == 0 || transitions == count);
+            transitions = count;
+            runs.push(ns);
+        }
+    }
+    let [epochs_ns, whole_ns] = runs.map(|mut ns| {
+        ns.sort_unstable_by(f64::total_cmp);
+        ns[ns.len() / 2]
+    });
+    let ratio = epochs_ns / whole_ns;
+    println!(
+        "epoch/{nodes}_nodes: K=1 day in {} with 32-tick epochs, {} as one epoch: \
+         {ratio:.3}x, {:.0} ns/transition",
+        pretty_ns(epochs_ns),
+        pretty_ns(whole_ns),
+        epochs_ns / transitions as f64,
+    );
+    SUITE.record("epoch/nodes", nodes as f64);
+    SUITE.record("epoch/epochs32_ns", epochs_ns);
+    SUITE.record("epoch/whole_window_ns", whole_ns);
+    SUITE.record("epoch/overhead_ratio", ratio);
+    SUITE.record("k1/transitions", transitions as f64);
+    SUITE.record("k1/ns_per_transition", epochs_ns / transitions as f64);
+    assert!(
+        ratio <= EPOCH_OVERHEAD_GATE,
+        "32-tick epochs cost {ratio:.3}x one whole-window epoch at K=1 \
+         ({nodes} nodes, median of {EPOCH_REPS}; gate {EPOCH_OVERHEAD_GATE}x)"
+    );
+}
+
+/// What the reach rule makes several shards repeat: hosted nodes per
+/// epoch, summed over the shards, per node of the city.
+fn bench_halo_duplication(_c: &mut Criterion) {
+    let nodes = if smoke() { 1_500 } else { 10_000 };
+    let set = city(nodes, 1, 11);
+    for k in [2, 4] {
+        let totals =
+            sharded(set.clone(), k, 32).hosted_totals(SimTime::ZERO, SimTime::from_hours(24));
+        let mean = totals.iter().sum::<usize>() as f64 / (totals.len() * nodes) as f64;
+        println!(
+            "halo/{nodes}_nodes: K={k} hosts {mean:.2}x the city per epoch ({} epochs)",
+            totals.len()
+        );
+        SUITE.record(&format!("halo/duplication_k{k}"), mean);
+    }
 }
 
 /// The headline gate: single loop vs. one-shard-per-core at 100 k.
@@ -102,21 +197,32 @@ fn bench_speedup(_c: &mut Criterion) {
     let end = SimTime::from_mins(if smoke() { 10 } else { 30 });
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let set = city(nodes, 1, 23);
-    let single = GridContactEngine::new(
+    let front = GridContactEngine::new(
         set.to_trajectories(),
         60.0,
         SimDuration::from_secs(TICK_SECS),
     );
-    let engine = sharded(set, 0);
+    let single = sharded(set.clone(), 1, 32);
+    let engine = sharded(set, 0, 32);
 
-    let (single_ns, expected) =
-        time_once(|| ContactSource::contact_events(&single, SimTime::ZERO, end));
-    let (sharded_ns, got) =
-        time_once(|| ContactSource::contact_events(&engine, SimTime::ZERO, end));
-    assert_eq!(
-        expected, got,
-        "sharded stream diverged from the single loop at {nodes} nodes"
-    );
+    // Timed as streams (a count per epoch), so the clock sees the
+    // kernels and not the allocator growing two 10⁶-event buffers.
+    let (single_ns, transitions) = time_streamed(&single, end);
+    let (sharded_ns, streamed) = time_streamed(&engine, end);
+    assert_eq!(transitions, streamed);
+    // Byte-compared, untimed: the single-loop front's collected stream
+    // against the sharded engine's, epoch by epoch.
+    let expected = ContactSource::contact_events(&front, SimTime::ZERO, end);
+    let mut at = 0;
+    engine.for_each_epoch(SimTime::ZERO, end, |epoch| {
+        let until = (at + epoch.len()).min(expected.len());
+        assert!(
+            expected[at..until] == *epoch,
+            "sharded stream diverged from the single loop at {nodes} nodes"
+        );
+        at = until;
+    });
+    assert_eq!(at as u64, transitions);
     let speedup = single_ns / sharded_ns;
     println!(
         "speedup/{nodes}_nodes: single {} -> sharded {} on {cores} cores (K={}): {speedup:.2}x",
@@ -178,6 +284,8 @@ fn emit_json(_c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_identity,
+    bench_epoch_overhead,
+    bench_halo_duplication,
     bench_speedup,
     bench_million_movement,
     emit_json,

@@ -1,39 +1,29 @@
-//! The event-driven contact kernel.
+//! The single-loop front of the contact kernel.
 //!
 //! [`GridContactEngine`] produces the same contact-transition stream as
 //! the naive [`World`](sos_sim::World) scan — same pairs, same up/down
 //! tick times, same distances — without touching every pair on every
-//! tick. Two mechanisms make it cheap:
-//!
-//! 1. **Per-node re-index events** on [`sos_sim::EventQueue`]: a node
-//!    schedules its own next position update. While it moves it wakes
-//!    every discovery tick; while it waits at a waypoint (or after its
-//!    trajectory ends) it sleeps until the first tick after the wait —
-//!    dormant nodes cost nothing. The paper's population is stationary
-//!    5–8 h/day, so this skips most of the simulated week.
-//! 2. **A uniform-grid spatial hash** ([`UniformGrid`]) with cell size
-//!    equal to the radio range: a moving node compares itself only
-//!    against the 3×3 cell block around it (for new contacts) and its
-//!    currently-open contacts (for breaks), not against all n nodes.
-//!
-//! Contact state between two nodes can only change on a tick where at
-//! least one of them moved, so checking moved nodes against their
-//! neighborhoods is *exhaustive*, not approximate — the equivalence
-//! tests in `tests/equivalence.rs` assert byte-for-byte identical
-//! event streams against the naive scan.
+//! tick. It owns no loop of its own: the crate has one tick loop
+//! (`crate::tick`: a wake calendar that skips dormant nodes, and a
+//! mover-centric pair check over a [`UniformGrid`](crate::UniformGrid)
+//! and the open-contact lists), and this type is
+//! [`ShardedContactEngine`] with **one shard, one thread and one epoch
+//! spanning the whole window**, behind the constructor a caller with
+//! per-node [`Trajectory`] values wants. The equivalence tests in
+//! `tests/equivalence.rs` assert byte-for-byte identical event streams
+//! against the naive scan; `tests/shard_equivalence.rs` then compares
+//! every other shard count and epoch length with this one.
 
-use crate::grid::UniformGrid;
+use crate::shard::{ShardConfig, ShardedContactEngine};
 use sos_sim::mobility::trace::Trajectory;
-use sos_sim::world::{ContactEvent, ContactPhase, ContactSource};
-use sos_sim::{EventQueue, Point, SimDuration, SimTime};
-use std::collections::HashSet;
+use sos_sim::world::{ContactEvent, ContactSource};
+use sos_sim::{Point, SimDuration, SimTime};
 
 /// The spatial-grid, event-driven contact source.
 #[derive(Clone, Debug)]
 pub struct GridContactEngine {
     trajectories: Vec<Trajectory>,
-    range_m: f64,
-    tick: SimDuration,
+    engine: ShardedContactEngine,
 }
 
 impl GridContactEngine {
@@ -48,13 +38,14 @@ impl GridContactEngine {
         range_m: f64,
         tick: SimDuration,
     ) -> GridContactEngine {
-        assert!(!trajectories.is_empty(), "engine needs nodes");
-        assert!(range_m > 0.0, "range must be positive");
-        assert!(tick > SimDuration::ZERO, "tick must be positive");
+        let config = ShardConfig {
+            shards: 1,
+            epoch_ticks: u64::MAX,
+            threads: 1,
+        };
         GridContactEngine {
+            engine: ShardedContactEngine::from_trajectories(&trajectories, range_m, tick, config),
             trajectories,
-            range_m,
-            tick,
         }
     }
 
@@ -68,64 +59,12 @@ impl GridContactEngine {
 
     /// The discovery tick.
     pub fn tick(&self) -> SimDuration {
-        self.tick
+        self.engine.tick()
     }
 
     /// All trajectories, in node order.
     pub fn trajectories(&self) -> &[Trajectory] {
         &self.trajectories
-    }
-
-    /// The smallest tick-aligned time at or after `at`, given the tick
-    /// grid anchored at `start`. Waking *at* a span boundary matters:
-    /// trajectories may hold equal-timestamp waypoints (teleports), so
-    /// the position can already differ at the boundary tick itself.
-    fn next_tick_at_or_after(&self, start: SimTime, at: SimTime) -> SimTime {
-        let tick = self.tick.as_millis();
-        let steps = (at.as_millis() - start.as_millis()).div_ceil(tick);
-        SimTime::from_millis(start.as_millis() + steps * tick)
-    }
-
-    /// Schedules `node`'s next re-index after its wake-up at `now`:
-    /// the next tick while it is moving, the first tick after a waiting
-    /// span, or never once its trajectory has ended.
-    fn schedule_next(
-        &self,
-        queue: &mut EventQueue<usize>,
-        node: usize,
-        start: SimTime,
-        now: SimTime,
-        end: SimTime,
-    ) {
-        let wps = self.trajectories[node].waypoints();
-        let last = wps[wps.len() - 1].0;
-        if now >= last {
-            return; // parked at the final waypoint forever
-        }
-        let idx = wps.partition_point(|(wt, _)| *wt <= now);
-        let next = if idx == 0 {
-            // Before the first waypoint: parked until it. Both span
-            // ends use at-or-after: with duplicate timestamps the
-            // position can jump exactly at the boundary, and waking a
-            // tick early on a plain waypoint is a harmless no-op.
-            self.next_tick_at_or_after(start, wps[0].0)
-        } else {
-            let (_, p0) = wps[idx - 1];
-            let (t1, p1) = wps[idx];
-            if p0 == p1 {
-                // Waiting span: position is constant until t1.
-                self.next_tick_at_or_after(start, t1)
-            } else {
-                now + self.tick
-            }
-        };
-        if next <= end {
-            // `next` is strictly after `now`, the time of the wake being
-            // processed (= the queue clock), so this cannot fail.
-            queue
-                .schedule(next, node)
-                .expect("re-index wakes are scheduled in the future");
-        }
     }
 }
 
@@ -135,7 +74,7 @@ impl ContactSource for GridContactEngine {
     }
 
     fn range_m(&self) -> f64 {
-        self.range_m
+        self.engine.range_m()
     }
 
     fn position(&self, node: usize, t: SimTime) -> Point {
@@ -143,121 +82,7 @@ impl ContactSource for GridContactEngine {
     }
 
     fn contact_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
-        let _span = sos_obs::profile::span("engine/contact_events");
-        let n = self.trajectories.len();
-        let mut events = Vec::new();
-        if start > end {
-            return events;
-        }
-
-        let mut positions: Vec<Point> = (0..n).map(|i| self.position(i, start)).collect();
-        let mut grid = UniformGrid::new(n, self.range_m);
-        for (i, p) in positions.iter().enumerate() {
-            grid.update(i, *p);
-        }
-        // open[a] = partners with a currently-open contact.
-        let mut open: Vec<HashSet<usize>> = vec![HashSet::new(); n];
-
-        // Initial tick: every node is "new", so every in-range pair
-        // comes up — identical to the naive scan's first sample.
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        let mut scratch: Vec<usize> = Vec::new();
-        for (a, p) in positions.iter().enumerate() {
-            scratch.clear();
-            grid.neighbors_into(*p, &mut scratch);
-            for &b in &scratch {
-                if b > a {
-                    pairs.push((a, b));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        for &(a, b) in &pairs {
-            let d = positions[a].distance(&positions[b]);
-            if d <= self.range_m {
-                open[a].insert(b);
-                open[b].insert(a);
-                events.push(ContactEvent {
-                    time: start,
-                    a,
-                    b,
-                    phase: ContactPhase::Up,
-                    distance_m: d,
-                });
-            }
-        }
-
-        // Per-node wake-ups from here on.
-        let mut queue: EventQueue<usize> = EventQueue::new();
-        for node in 0..n {
-            self.schedule_next(&mut queue, node, start, start, end);
-        }
-
-        let mut moved: Vec<usize> = Vec::new();
-        while let Some(now) = queue.peek_time() {
-            debug_assert!(now <= end, "events are never scheduled past the window");
-            // Drain the whole tick batch so pair checks see every
-            // node's settled position.
-            moved.clear();
-            while queue.peek_time() == Some(now) {
-                let (_, node) = queue.pop().expect("peeked event");
-                let p = self.position(node, now);
-                if p != positions[node] {
-                    positions[node] = p;
-                    grid.update(node, p);
-                    moved.push(node);
-                }
-                self.schedule_next(&mut queue, node, start, now, end);
-            }
-            if moved.is_empty() {
-                continue;
-            }
-            // Candidates: the 3×3 neighborhood of each moved node (new
-            // contacts) plus its open contacts (breaks can move a
-            // partner out of the neighborhood entirely).
-            pairs.clear();
-            for &a in &moved {
-                scratch.clear();
-                grid.neighbors_into(positions[a], &mut scratch);
-                for &b in &scratch {
-                    if b != a {
-                        pairs.push((a.min(b), a.max(b)));
-                    }
-                }
-                for &b in &open[a] {
-                    pairs.push((a.min(b), a.max(b)));
-                }
-            }
-            pairs.sort_unstable();
-            pairs.dedup();
-            for &(a, b) in &pairs {
-                let d = positions[a].distance(&positions[b]);
-                let now_up = d <= self.range_m;
-                let was_up = open[a].contains(&b);
-                if now_up != was_up {
-                    if now_up {
-                        open[a].insert(b);
-                        open[b].insert(a);
-                    } else {
-                        open[a].remove(&b);
-                        open[b].remove(&a);
-                    }
-                    events.push(ContactEvent {
-                        time: now,
-                        a,
-                        b,
-                        phase: if now_up {
-                            ContactPhase::Up
-                        } else {
-                            ContactPhase::Down
-                        },
-                        distance_m: d,
-                    });
-                }
-            }
-        }
-        events
+        self.engine.contact_events(start, end)
     }
 }
 

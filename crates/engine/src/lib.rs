@@ -12,15 +12,19 @@
 //! * [`grid`] — a uniform-grid spatial hash with cell size equal to the
 //!   radio range, updated incrementally as nodes move; range queries
 //!   touch only the 3×3 cell neighborhood instead of every pair.
-//! * [`kernel`] — [`GridContactEngine`], an event-driven simulation
-//!   kernel on [`sos_sim::EventQueue`]: each node schedules its own
-//!   re-index events and *skips its dormant spans entirely* (the paper
-//!   notes nodes are stationary 5–8 h/day), so work per tick is
-//!   proportional to nodes actually moving times local density.
-//! * [`shard`] — [`ShardedContactEngine`], the kernel partitioned into
+//! * the tick loop (private module `tick`) — the one contact kernel:
+//!   each node schedules its own next position sample on a per-epoch
+//!   wake calendar and *skips its dormant spans entirely* (the paper
+//!   notes nodes are stationary 5–8 h/day), and only nodes that moved
+//!   are compared, against their open contacts and their grid
+//!   neighborhood — work per tick is proportional to nodes actually
+//!   moving times local density.
+//! * [`shard`] — [`ShardedContactEngine`], that loop partitioned into
 //!   K strips stepped by scoped threads with an epoch-barrier
-//!   boundary-handoff protocol; its merged stream is byte-identical to
-//!   the single loop, so one world can use every core.
+//!   boundary-handoff protocol; its merged stream is byte-identical for
+//!   every K, so one world can use every core.
+//! * [`kernel`] — [`GridContactEngine`], the single-loop front: one
+//!   shard, one epoch, built from per-node trajectories.
 //! * [`runner`] — a scoped-thread batch runner that executes many
 //!   independent scenario replicas in parallel and returns their
 //!   results in order, for scheme-comparison sweeps.
@@ -50,6 +54,7 @@ pub mod grid;
 pub mod kernel;
 pub mod runner;
 pub mod shard;
+mod tick;
 
 pub use grid::UniformGrid;
 pub use kernel::GridContactEngine;

@@ -1,13 +1,17 @@
 //! The sharded contact kernel: one world stepped across all cores.
 //!
-//! [`GridContactEngine`](crate::kernel::GridContactEngine) is a single
-//! event-driven loop; [`ShardedContactEngine`] runs the *same*
-//! computation partitioned into K vertical strips of the plane, each
-//! strip stepped by its own worker with its own event queue, local
-//! uniform grid, and cache-linear struct-of-arrays node state
-//! ([`TrajectorySet`]). The merged `ContactUp`/`ContactDown` stream is
-//! **byte-identical** to the single-loop kernel — the property tests in
-//! `tests/shard_equivalence.rs` assert it event for event, bit for bit.
+//! [`ShardedContactEngine`] partitions the plane into K vertical strips
+//! and steps each strip with its own worker: its own wake calendar,
+//! local uniform grid, open-contact lists and cache-linear
+//! struct-of-arrays node state ([`TrajectorySet`]). Every worker runs
+//! the crate's one tick loop (`crate::tick`); with one shard and one
+//! epoch the engine *is* the single loop, which is what
+//! [`GridContactEngine`](crate::kernel::GridContactEngine) wraps. The
+//! merged `ContactUp`/`ContactDown` stream is **byte-identical** for
+//! every K, epoch length and thread count — `tests/equivalence.rs`
+//! pins K = 1 to the naive [`World`](sos_sim::World) scan and
+//! `tests/shard_equivalence.rs` pins every other configuration to
+//! K = 1, event for event, bit for bit.
 //!
 //! # Epochs and the boundary-handoff protocol
 //!
@@ -24,49 +28,72 @@
 //!    range `r`. A shard *hosts* every node whose extent intersects its
 //!    reach — owned nodes plus a halo of potential contact partners.
 //!    This is the handoff: nodes crossing a strip edge (or within a
-//!    halo of it) are handed to every shard that might see them.
-//! 2. **Parallel step.** Each worker replays the event-driven kernel
-//!    over its hosted set for the epoch window, seeded with the open
-//!    contacts among its hosted nodes. A pair `(a, b)` (`a < b`) is
-//!    *emitted* only by the shard owning `a`; other shards hosting both
-//!    compute the identical transitions silently. Because the owner's
-//!    reach covers `extent(a) ± r`, any node able to touch `a` during
-//!    the epoch is hosted there — so every transition is emitted
-//!    exactly once.
-//! 3. **Barrier merge.** Per-shard streams (each already in `(time, a,
-//!    b)` order) are merged by a deterministic sort on `(time, a, b)` —
-//!    never by map iteration — and applied to the global open-contact
-//!    adjacency (sorted `Vec`s, no hashing) and stored positions,
-//!    which seed the next epoch.
+//!    halo of it) are handed to every shard that might see them. With
+//!    one shard there is nothing to decide and the step is skipped.
+//! 2. **Parallel step.** Each worker steps its hosted set through the
+//!    epoch window with the tick loop. A worker whose hosted set is the
+//!    one it had last epoch carries its local state over — at an epoch
+//!    boundary that state is exact for every hosted node and pair, since
+//!    a transition depends on the two trajectories alone; any other
+//!    worker rebuilds positions, grid, open lists (the global open pairs
+//!    whose endpoints are both hosted, translated through a dense
+//!    global→local table) and next wakes in O(hosted + their open
+//!    degree). A pair `(a, b)` (`a < b`) is *emitted* only by the shard
+//!    owning `a`; other shards hosting both compute the identical
+//!    transitions silently. Because the owner's reach covers
+//!    `extent(a) ± r`, any node able to touch `a` during the epoch is
+//!    hosted there — so every transition is emitted exactly once.
+//! 3. **Barrier merge and handoff.** Per-shard streams (each already in
+//!    `(time, a, b)` order, keys unique) are merged as K sorted runs —
+//!    never by map iteration; a single shard's stream is passed on as it
+//!    is. Then every shard writes back the position and the open list of
+//!    each node it *owns* that changed during the epoch — the owner
+//!    hosts every partner an owned node can have, so its list is the
+//!    whole list — which keeps the global positions and open-contact
+//!    adjacency (unordered `Vec`s, no hashing) exact for whichever shard
+//!    rebuilds from them next.
 //!
 //! # Why the streams are identical
 //!
-//! The single-loop kernel's stream is totally ordered by `(time, a,
-//! b)`: ticks advance monotonically and within a tick candidate pairs
-//! are sorted. Both kernels sample the same trajectories at the same
-//! tick grid with the same `f64` arithmetic ([`TrajectorySet`] mirrors
-//! `Trajectory::position_at` operation for operation), wake nodes by
-//! the same schedule, and a transition for `(a, b)` depends only on the
-//! two nodes' waypoints — so the owning shard reproduces exactly the
-//! transitions the single loop finds, and exactly-once emission plus
-//! the `(time, a, b)` merge reproduces the order.
+//! Within a shard the stream is totally ordered by `(time, a, b)`:
+//! ticks advance monotonically and each tick's transitions are sorted
+//! before they are emitted (`crate::tick` says why that tick's set is
+//! exact). Every shard samples the same trajectories at the same tick
+//! grid with the same `f64` arithmetic ([`TrajectorySet`] mirrors
+//! `Trajectory::position_at` operation for operation), wakes nodes by
+//! the same rule, and a transition for `(a, b)` depends only on the two
+//! nodes' waypoints — so the owning shard finds exactly the transitions
+//! a shard hosting everyone finds, and exactly-once emission plus the
+//! `(time, a, b)` merge reproduces the order.
 //!
 //! # Sizing K
 //!
-//! Each extra shard adds a halo of doubly-hosted nodes around its strip
-//! edges, so K should track physical cores, not go beyond them:
-//! `ShardConfig::default()` (`shards: 0`) resolves K to the available
-//! parallelism. Longer epochs amortize barrier cost but widen extents
-//! (more halo); the default of 32 ticks suits walking/driving speeds at
-//! city scale.
+//! Each extra shard adds a halo of doubly-hosted nodes, so K should
+//! track physical cores, not go beyond them: `ShardConfig::default()`
+//! (`shards: 0`) resolves K to the available parallelism. The halo is
+//! not thin: a reach is the *hull* of the owned extents, so one
+//! cross-town rider makes its shard host most of the city for that
+//! epoch. On the 10 k-node city of `BENCH_scale.json` the shards
+//! together host 1.5× the population per epoch at K = 2 and 2.4× at
+//! K = 4 (`halo/duplication_k*`, from
+//! [`ShardedContactEngine::hosted_totals`]) — work that is repeated,
+//! not shared, and the reason two shards on two cores do not beat one.
+//! Longer epochs amortize barrier cost but widen extents (more halo);
+//! the default of 32 ticks suits walking/driving speeds at city scale.
 
-use crate::grid::UniformGrid;
 use crate::runner::run_replicas;
+use crate::tick::{EpochCtx, Shard};
 use sos_sim::mobility::soa::TrajectorySet;
 use sos_sim::mobility::trace::Trajectory;
-use sos_sim::world::{ContactEvent, ContactPhase, ContactSource};
-use sos_sim::{EventQueue, Point, SimDuration, SimTime};
+use sos_sim::world::{ContactEvent, ContactSource};
+use sos_sim::{Point, SimDuration, SimTime};
 use std::cmp::Ordering;
+
+/// The longest epoch the kernel steps in one go, in ticks. The wake
+/// calendar holds one list head per tick of an epoch; capping it keeps
+/// "one epoch for the whole window" (`epoch_ticks: u64::MAX`) bounded in
+/// memory for any tick. Streams do not depend on epoch length.
+const MAX_EPOCH_TICKS: u64 = 1 << 20;
 
 /// Sharding parameters.
 #[derive(Clone, Copy, Debug)]
@@ -93,9 +120,9 @@ impl Default for ShardConfig {
 
 /// The sharded, epoch-barrier contact source.
 ///
-/// Produces a contact stream byte-identical to
-/// [`GridContactEngine`](crate::kernel::GridContactEngine) for the same
-/// trajectories, range, and tick — for any shard count.
+/// Produces a contact stream byte-identical to the naive
+/// [`World`](sos_sim::World) scan for the same trajectories, range, and
+/// tick — for any shard count, epoch length and thread count.
 #[derive(Clone, Debug)]
 pub struct ShardedContactEngine {
     set: TrajectorySet,
@@ -111,7 +138,7 @@ impl ShardedContactEngine {
     ///
     /// Panics if the set is empty, `range_m` is not positive, `tick` is
     /// zero, or `config.epoch_ticks` is zero — the same constructor
-    /// contract as the single-loop kernel.
+    /// contract as [`sos_sim::World::new`].
     pub fn new(
         set: TrajectorySet,
         range_m: f64,
@@ -174,34 +201,36 @@ impl ShardedContactEngine {
     ///
     /// `f` is called once per epoch with that epoch's merged, globally
     /// ordered slice of the stream; the concatenation over all epochs
-    /// is byte-identical to
-    /// `GridContactEngine::contact_events(start, end)`. Use this
-    /// instead of [`ContactSource::contact_events`] when the full
+    /// is byte-identical to `World::contact_events(start, end)`. Use
+    /// this instead of [`ContactSource::contact_events`] when the full
     /// stream would not fit in memory (a 1M-node day is tens of
     /// millions of events).
+    ///
+    /// The slice is valid for the call only: with one shard it *is*
+    /// that shard's output buffer (nothing is copied or re-sorted), and
+    /// the next epoch overwrites it.
     pub fn for_each_epoch(&self, start: SimTime, end: SimTime, mut f: impl FnMut(&[ContactEvent])) {
         let _span = sos_obs::profile::span("engine/sharded_contact_events");
-        if start > end {
-            return;
-        }
         let n = self.set.node_count();
         let k = self.shards();
-        let epoch_dur = SimDuration::from_millis(self.tick.as_millis() * self.config.epoch_ticks);
 
-        // Stored positions at the current epoch boundary. At every tick
-        // boundary the single-loop kernel's stored positions equal the
-        // sampled positions, so maintaining these across epochs (from
-        // the workers' write-backs) reproduces its state exactly.
+        // Stored positions at the current epoch boundary. A node's
+        // position is constant between its wakes, so at every tick
+        // boundary the stored positions equal the sampled ones, and
+        // carrying them across epochs (from the workers' write-backs)
+        // loses nothing.
         let mut positions: Vec<Point> = (0..n).map(|i| self.set.position_at(i, start)).collect();
-        // Global open-contact adjacency: sorted partner lists.
+        // Global open-contact adjacency: unordered partner lists.
         let mut open: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut owner = vec![0u32; n];
+        let mut shards: Vec<Shard> = (0..k).map(|_| Shard::new(self.range_m)).collect();
+        if k == 1 {
+            // One shard owns and hosts everything, every epoch.
+            shards[0].host((0..n as u32).collect());
+        }
+        let mut merged: Vec<ContactEvent> = Vec::new();
 
-        let mut epoch_start = start;
-        let mut initial = true;
-        loop {
-            let target = epoch_start + epoch_dur;
-            let epoch_end = if target > end { end } else { target };
-
+        for (epoch_start, epoch_end) in self.epochs(start, end) {
             // -- Partition: owners, extents, reaches, hosted sets. --
             // Spans live on this (caller) thread: the profiler
             // aggregates thread-locally, so worker-side spans would be
@@ -209,31 +238,12 @@ impl ShardedContactEngine {
             // setup; the step span covers the parallel workers
             // wall-clock (what the caller actually waits on).
             let partition_span = sos_obs::profile::span("engine/epoch_partition");
-            let boundaries = owner_boundaries(&positions, k);
-            let owner: Vec<u32> = positions
-                .iter()
-                .map(|p| owner_of(&boundaries, p.x))
-                .collect();
-            let extents = self.parallel_extents(k, epoch_start, epoch_end);
-            let mut reach: Vec<(f64, f64)> = vec![(f64::INFINITY, f64::NEG_INFINITY); k];
-            for (i, &(lo, hi)) in extents.iter().enumerate() {
-                let r = &mut reach[owner[i] as usize];
-                r.0 = r.0.min(lo);
-                r.1 = r.1.max(hi);
-            }
-            for r in &mut reach {
-                r.0 -= self.range_m;
-                r.1 += self.range_m;
-            }
-            let mut hosted: Vec<Vec<u32>> = vec![Vec::new(); k];
-            for (i, &(lo, hi)) in extents.iter().enumerate() {
-                for (s, r) in reach.iter().enumerate() {
-                    if lo <= r.1 && hi >= r.0 {
-                        hosted[s].push(i as u32);
-                    }
+            if k > 1 {
+                let hosted = self.partition(k, &positions, epoch_start, epoch_end, &mut owner);
+                for (shard, hosted) in shards.iter_mut().zip(hosted) {
+                    shard.host(hosted);
                 }
             }
-
             drop(partition_span);
 
             // -- Parallel step. --
@@ -245,48 +255,90 @@ impl ShardedContactEngine {
                 owner: &owner,
                 range_m: self.range_m,
                 tick: self.tick,
-                anchor: start,
                 epoch_start,
                 epoch_end,
-                initial,
+                initial: epoch_start == start,
             };
-            let outputs = run_replicas(hosted, self.config.threads, |shard, hosted_s| {
-                run_shard(&ctx, shard as u32, &hosted_s)
+            shards = run_replicas(shards, self.config.threads, |id, mut shard| {
+                shard.run_epoch(&ctx, id as u32);
+                shard
             });
             drop(step_span);
 
-            // -- Barrier: deterministic merge + handoff state. --
+            // -- Barrier: deterministic merge, then handoff state. --
             let merge_span = sos_obs::profile::span("engine/epoch_merge");
-            let mut merged: Vec<ContactEvent> = Vec::new();
-            for out in &outputs {
-                merged.extend_from_slice(&out.events);
+            if k > 1 {
+                merge_runs(&shards, &mut merged);
             }
-            // Every (time, a, b) key is unique (one transition per pair
-            // per tick, emitted by exactly one shard), so this sort is a
-            // total, deterministic order — no map iteration anywhere.
-            merged.sort_unstable_by_key(|e| (e.time, e.a, e.b));
             drop(merge_span);
-            let handoff_span = sos_obs::profile::span("engine/epoch_handoff");
-            for ev in &merged {
-                match ev.phase {
-                    ContactPhase::Up => adj_insert(&mut open, ev.a, ev.b),
-                    ContactPhase::Down => adj_remove(&mut open, ev.a, ev.b),
+            f(if k > 1 { &merged } else { &shards[0].events });
+            if epoch_end < end {
+                let _span = sos_obs::profile::span("engine/epoch_handoff");
+                for (id, shard) in shards.iter_mut().enumerate() {
+                    shard.write_back(id as u32, &owner, &mut positions, &mut open);
                 }
             }
-            for out in &outputs {
-                for &(node, p) in &out.moved {
-                    positions[node as usize] = p;
-                }
-            }
-            drop(handoff_span);
-            f(&merged);
-
-            if epoch_end >= end {
-                return;
-            }
-            epoch_start = epoch_end;
-            initial = false;
         }
+    }
+
+    /// The number of nodes hosted per epoch of `[start, end]`, summed
+    /// over the shards: `n` per epoch with one shard, more by the halo
+    /// of doubly-hosted nodes with several (module docs, "Sizing K").
+    pub fn hosted_totals(&self, start: SimTime, end: SimTime) -> Vec<usize> {
+        let n = self.set.node_count();
+        let mut owner = vec![0u32; n];
+        let hosted_total = |(t0, t1): (SimTime, SimTime)| {
+            let positions: Vec<Point> = (0..n).map(|i| self.set.position_at(i, t0)).collect();
+            let hosted = self.partition(self.shards(), &positions, t0, t1, &mut owner);
+            hosted.iter().map(Vec::len).sum()
+        };
+        self.epochs(start, end).map(hosted_total).collect()
+    }
+
+    /// The epochs of `[start, end]` (none when it is empty): each
+    /// `epoch_ticks` ticks long, saturating at the clock's end, the last
+    /// one cut at the window's.
+    fn epochs(&self, start: SimTime, end: SimTime) -> impl Iterator<Item = (SimTime, SimTime)> {
+        let ticks = self.config.epoch_ticks.min(MAX_EPOCH_TICKS);
+        let len = self.tick.as_millis().saturating_mul(ticks);
+        let mut next = (start <= end).then_some(start);
+        std::iter::from_fn(move || {
+            let t0 = next?;
+            let t1 = SimTime::from_millis(t0.as_millis().saturating_add(len)).min(end);
+            next = (t1 < end).then_some(t1);
+            Some((t0, t1))
+        })
+    }
+
+    /// The partition step for the epoch `[t0, t1]`: every node's owner
+    /// shard into `owner`, and every shard's hosted set (ascending).
+    fn partition(
+        &self,
+        k: usize,
+        positions: &[Point],
+        t0: SimTime,
+        t1: SimTime,
+        owner: &mut [u32],
+    ) -> Vec<Vec<u32>> {
+        let boundaries = owner_boundaries(positions, k);
+        for (o, p) in owner.iter_mut().zip(positions) {
+            *o = owner_of(&boundaries, p.x);
+        }
+        let extents = self.parallel_extents(k, t0, t1);
+        let mut reach = vec![(f64::INFINITY, f64::NEG_INFINITY); k];
+        for (&(lo, hi), &o) in extents.iter().zip(owner.iter()) {
+            let r = &mut reach[o as usize];
+            r.0 = r.0.min(lo);
+            r.1 = r.1.max(hi);
+        }
+        let hosted_by = |r: &(f64, f64)| {
+            let (lo, hi) = (r.0 - self.range_m, r.1 + self.range_m);
+            let inside = extents.iter().zip(0u32..);
+            inside
+                .filter_map(|(e, i)| (e.0 <= hi && e.1 >= lo).then_some(i))
+                .collect()
+        };
+        reach.iter().map(hosted_by).collect()
     }
 
     /// Per-node x-extents over the epoch window, computed in parallel
@@ -335,9 +387,6 @@ impl ContactSource for ShardedContactEngine {
 /// `total_cmp` keeps it total — and therefore deterministic — even for
 /// pathological coordinates.
 fn owner_boundaries(positions: &[Point], k: usize) -> Vec<f64> {
-    if k <= 1 {
-        return Vec::new();
-    }
     let stride = (positions.len() / 4096).max(1);
     let mut xs: Vec<f64> = positions.iter().step_by(stride).map(|p| p.x).collect();
     xs.sort_unstable_by(f64::total_cmp);
@@ -350,241 +399,19 @@ fn owner_of(boundaries: &[f64], x: f64) -> u32 {
     boundaries.partition_point(|b| b.total_cmp(&x) != Ordering::Greater) as u32
 }
 
-fn adj_insert(adj: &mut [Vec<u32>], a: usize, b: usize) {
-    if let Err(i) = adj[a].binary_search(&(b as u32)) {
-        adj[a].insert(i, b as u32);
-    }
-    if let Err(i) = adj[b].binary_search(&(a as u32)) {
-        adj[b].insert(i, a as u32);
-    }
-}
-
-fn adj_remove(adj: &mut [Vec<u32>], a: usize, b: usize) {
-    if let Ok(i) = adj[a].binary_search(&(b as u32)) {
-        adj[a].remove(i);
-    }
-    if let Ok(i) = adj[b].binary_search(&(a as u32)) {
-        adj[b].remove(i);
-    }
-}
-
-/// Read-only state shared by all shard workers of one epoch.
-struct EpochCtx<'a> {
-    set: &'a TrajectorySet,
-    positions: &'a [Point],
-    open: &'a [Vec<u32>],
-    owner: &'a [u32],
-    range_m: f64,
-    tick: SimDuration,
-    /// Global tick-grid anchor (the window start).
-    anchor: SimTime,
-    epoch_start: SimTime,
-    epoch_end: SimTime,
-    /// Whether this epoch opens the window (emit the initial full
-    /// scan at `anchor`).
-    initial: bool,
-}
-
-/// One worker's epoch result.
-struct ShardOutput {
-    /// Emitted (owned-pair) events, in `(time, a, b)` order.
-    events: Vec<ContactEvent>,
-    /// Owned nodes whose stored position changed, with their position
-    /// at the epoch end — the handoff write-back.
-    moved: Vec<(u32, Point)>,
-}
-
-/// Replays the event-driven kernel over `hosted` for one epoch,
-/// emitting only the pairs this shard owns. Mirrors
-/// `GridContactEngine::contact_events` exactly: same initial scan, same
-/// wake schedule, same candidate generation, same transition logic.
-fn run_shard(ctx: &EpochCtx<'_>, shard: u32, hosted: &[u32]) -> ShardOutput {
-    let mut out = ShardOutput {
-        events: Vec::new(),
-        moved: Vec::new(),
-    };
-    let h = hosted.len();
-    if h == 0 {
-        return out;
-    }
-    let mut pos_l: Vec<Point> = hosted.iter().map(|&g| ctx.positions[g as usize]).collect();
-    let mut grid = UniformGrid::new(h, ctx.range_m);
-    for (l, p) in pos_l.iter().enumerate() {
-        grid.update(l, *p);
-    }
-    // Local open adjacency (local indices), seeded with the global open
-    // pairs whose endpoints are both hosted here. A pair with an
-    // unhosted endpoint cannot be owned by this shard, so dropping it
-    // is exact. `hosted` ascending makes local order global order.
-    let mut open_l: Vec<Vec<u32>> = vec![Vec::new(); h];
-    for (la, &ga) in hosted.iter().enumerate() {
-        for &gb in &ctx.open[ga as usize] {
-            if let Ok(lb) = hosted.binary_search(&gb) {
-                open_l[la].push(lb as u32);
-            }
-        }
-    }
-
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let mut scratch: Vec<usize> = Vec::new();
-
-    if ctx.initial {
-        // Initial tick at the window anchor: every in-range hosted pair
-        // comes up; only owned pairs are emitted.
-        for (la, p) in pos_l.iter().enumerate() {
-            scratch.clear();
-            grid.neighbors_into(*p, &mut scratch);
-            for &lb in &scratch {
-                if lb > la {
-                    pairs.push((la as u32, lb as u32));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        for &(la, lb) in &pairs {
-            let d = pos_l[la as usize].distance(&pos_l[lb as usize]);
-            if d <= ctx.range_m {
-                adj_insert(&mut open_l, la as usize, lb as usize);
-                let ga = hosted[la as usize] as usize;
-                if ctx.owner[ga] == shard {
-                    out.events.push(ContactEvent {
-                        time: ctx.anchor,
-                        a: ga,
-                        b: hosted[lb as usize] as usize,
-                        phase: ContactPhase::Up,
-                        distance_m: d,
-                    });
-                }
-            }
-        }
-    }
-
-    // Per-node wake-ups, re-derived at the epoch boundary. For every
-    // hosted node this yields exactly the wake times the single-loop
-    // kernel would schedule inside this window (see module docs).
-    let mut queue: EventQueue<usize> = EventQueue::new();
-    for (l, &g) in hosted.iter().enumerate() {
-        schedule_next(ctx, &mut queue, g as usize, l, ctx.epoch_start);
-    }
-
-    let mut moved_l: Vec<usize> = Vec::new();
-    while let Some(now) = queue.peek_time() {
-        moved_l.clear();
-        while queue.peek_time() == Some(now) {
-            let (_, l) = queue.pop().expect("peeked event");
-            let g = hosted[l] as usize;
-            let p = ctx.set.position_at(g, now);
-            if p != pos_l[l] {
-                pos_l[l] = p;
-                grid.update(l, p);
-                moved_l.push(l);
-            }
-            schedule_next(ctx, &mut queue, g, l, now);
-        }
-        if moved_l.is_empty() {
-            continue;
-        }
-        pairs.clear();
-        for &a in &moved_l {
-            scratch.clear();
-            grid.neighbors_into(pos_l[a], &mut scratch);
-            for &b in &scratch {
-                if b != a {
-                    pairs.push((a.min(b) as u32, a.max(b) as u32));
-                }
-            }
-            for &b in &open_l[a] {
-                let b = b as usize;
-                pairs.push((a.min(b) as u32, a.max(b) as u32));
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        for &(la, lb) in &pairs {
-            let (la, lb) = (la as usize, lb as usize);
-            let d = pos_l[la].distance(&pos_l[lb]);
-            let now_up = d <= ctx.range_m;
-            let was_up = open_l[la].binary_search(&(lb as u32)).is_ok();
-            if now_up != was_up {
-                if now_up {
-                    adj_insert(&mut open_l, la, lb);
-                } else {
-                    adj_remove(&mut open_l, la, lb);
-                }
-                let ga = hosted[la] as usize;
-                if ctx.owner[ga] == shard {
-                    out.events.push(ContactEvent {
-                        time: now,
-                        a: ga,
-                        b: hosted[lb] as usize,
-                        phase: if now_up {
-                            ContactPhase::Up
-                        } else {
-                            ContactPhase::Down
-                        },
-                        distance_m: d,
-                    });
-                }
-            }
-        }
-    }
-
-    // Handoff write-back: final stored positions of owned nodes that
-    // moved this epoch.
-    for (l, &g) in hosted.iter().enumerate() {
-        let g = g as usize;
-        if ctx.owner[g] == shard && pos_l[l] != ctx.positions[g] {
-            out.moved.push((g as u32, pos_l[l]));
-        }
-    }
-    out
-}
-
-/// The smallest tick-aligned time at or after `at` on the grid anchored
-/// at `anchor`. Same arithmetic as the single-loop kernel.
-fn next_tick_at_or_after(anchor: SimTime, tick: SimDuration, at: SimTime) -> SimTime {
-    let tick = tick.as_millis();
-    let steps = (at.as_millis() - anchor.as_millis()).div_ceil(tick);
-    SimTime::from_millis(anchor.as_millis() + steps * tick)
-}
-
-/// Schedules hosted node `local`'s next wake after `now`: the next tick
-/// while its trajectory is moving, the first tick after a waiting span,
-/// or never once parked at its final waypoint. Mirrors
-/// `GridContactEngine::schedule_next` on the struct-of-arrays storage;
-/// wakes beyond the epoch end are dropped and re-derived — identically
-/// — at the next epoch boundary.
-fn schedule_next(
-    ctx: &EpochCtx<'_>,
-    queue: &mut EventQueue<usize>,
-    global: usize,
-    local: usize,
-    now: SimTime,
-) {
-    let times = ctx.set.times(global);
-    let last = times[times.len() - 1];
-    if now >= last {
-        return; // parked at the final waypoint forever
-    }
-    let idx = times.partition_point(|wt| *wt <= now);
-    let next = if idx == 0 {
-        next_tick_at_or_after(ctx.anchor, ctx.tick, times[0])
-    } else {
-        let p0 = ctx.set.point(global, idx - 1);
-        let p1 = ctx.set.point(global, idx);
-        if p0 == p1 {
-            next_tick_at_or_after(ctx.anchor, ctx.tick, times[idx])
-        } else {
-            now + ctx.tick
-        }
-    };
-    if next <= ctx.epoch_end {
-        // `next` is strictly after `now` (= at or after the queue
-        // clock), so this cannot fail.
-        queue
-            .schedule(next, local)
-            .expect("re-index wakes are scheduled in the future");
+/// Merges the shards' event runs — each already in `(time, a, b)`
+/// order, every key unique (one transition per pair per tick, emitted
+/// by exactly one shard) — into one run in that order.
+fn merge_runs(shards: &[Shard], merged: &mut Vec<ContactEvent>) {
+    merged.clear();
+    let mut heads = vec![0usize; shards.len()];
+    loop {
+        let next = (shards.iter().zip(&heads).enumerate())
+            .filter_map(|(s, (shard, &at))| shard.events.get(at).map(|e| ((e.time, e.a, e.b), s)))
+            .min();
+        let Some((_, s)) = next else { return };
+        merged.push(shards[s].events[heads[s]]);
+        heads[s] += 1;
     }
 }
 
@@ -672,20 +499,5 @@ mod tests {
         assert_eq!(owners, sorted, "owners are monotone in x");
         assert!(owners.iter().all(|&s| s < 4));
         assert_eq!(owner_boundaries(&positions, 1), Vec::<f64>::new());
-    }
-
-    #[test]
-    fn adjacency_helpers_keep_lists_sorted() {
-        let mut adj = vec![Vec::new(); 4];
-        adj_insert(&mut adj, 2, 0);
-        adj_insert(&mut adj, 2, 3);
-        adj_insert(&mut adj, 2, 1);
-        adj_insert(&mut adj, 2, 1); // duplicate is a no-op
-        assert_eq!(adj[2], vec![0, 1, 3]);
-        assert_eq!(adj[1], vec![2]);
-        adj_remove(&mut adj, 2, 1);
-        adj_remove(&mut adj, 2, 1); // absent is a no-op
-        assert_eq!(adj[2], vec![0, 3]);
-        assert!(adj[1].is_empty());
     }
 }

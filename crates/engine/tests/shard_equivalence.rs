@@ -3,12 +3,20 @@
 //! emits a contact stream *byte-identical* to the single-loop
 //! [`GridContactEngine`] — same pairs, same tick times, same distances.
 //!
-//! The cases here deliberately stress the boundary-handoff protocol:
-//! nodes oscillating back and forth across shard boundaries (ownership
-//! churn every epoch), nodes parked *exactly on* a boundary coordinate
-//! (quantile boundaries are sampled from node positions, so exact ties
-//! happen), and pairs separated by almost exactly the radio range
-//! across a boundary (the halo width).
+//! The first group of cases deliberately stresses the boundary-handoff
+//! protocol: nodes oscillating back and forth across shard boundaries
+//! (ownership churn every epoch), nodes parked *exactly on* a boundary
+//! coordinate (quantile boundaries are sampled from node positions, so
+//! exact ties happen), and pairs separated by almost exactly the radio
+//! range across a boundary (the halo width).
+//!
+//! The second group goes straight to the O(n²) [`World`] scan at
+//! K ∈ {1, 2, 4} and aims at the tick loop's own rule — a pair is
+//! examined once, from its lowest-indexed mover, through the open list
+//! or the 3×3 block but never both: crowds where both ends of most
+//! pairs move every tick, partners that leave the block in one tick,
+//! pairs at exactly the radio range, epochs longer than the clock, and
+//! a small city with the dense housing blocks of the real workload.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -16,7 +24,9 @@ use sos_engine::{GridContactEngine, ShardConfig, ShardedContactEngine};
 use sos_sim::geo::{Bounds, Point};
 use sos_sim::mobility::random_waypoint::RandomWaypoint;
 use sos_sim::mobility::trace::Trajectory;
-use sos_sim::{ContactSource, SimDuration, SimTime};
+use sos_sim::mobility::{Metropolis, MetropolisConfig};
+use sos_sim::world::{ContactEvent, ContactPhase};
+use sos_sim::{ContactSource, SimDuration, SimTime, World};
 
 fn assert_sharded_matches(
     trajectories: &[Trajectory],
@@ -201,4 +211,183 @@ fn more_shards_than_nodes() {
         16,
         4,
     );
+}
+
+/// Asserts the sharded stream of `[start, end]` equals the naive
+/// [`World`] scan's for every `(K, epoch_ticks)` given, and returns it.
+fn assert_matches_world(
+    trajectories: &[Trajectory],
+    range_m: f64,
+    tick: SimDuration,
+    (start, end): (SimTime, SimTime),
+    configs: &[(usize, u64)],
+) -> Vec<ContactEvent> {
+    let world = World::new(trajectories.to_vec(), range_m, tick);
+    let expected = World::contact_events(&world, start, end);
+    for &(shards, epoch_ticks) in configs {
+        let config = ShardConfig {
+            shards,
+            epoch_ticks,
+            threads: 0,
+        };
+        let engine = ShardedContactEngine::from_trajectories(trajectories, range_m, tick, config);
+        assert_eq!(
+            expected,
+            ContactSource::contact_events(&engine, start, end),
+            "diverged from the naive scan (K={shards}, epoch_ticks={epoch_ticks})"
+        );
+    }
+    expected
+}
+
+/// K ∈ {1, 2, 4}, epochs of five ticks.
+const K124: [(usize, u64); 3] = [(1, 5), (2, 5), (4, 5)];
+
+/// A trajectory that stands still between the given `(secs, x, y)`
+/// stops and jumps from one to the next in no time.
+fn teleporter(stops: &[(u64, f64, f64)]) -> Trajectory {
+    let mut points: Vec<(SimTime, Point)> = Vec::new();
+    for &(t, x, y) in stops {
+        if let Some(&(_, last)) = points.last() {
+            points.push((SimTime::from_secs(t), last));
+        }
+        points.push((SimTime::from_secs(t), Point::new(x, y)));
+    }
+    Trajectory::new(points).unwrap()
+}
+
+#[test]
+fn crowd_of_movers_in_two_adjacent_cells() {
+    // 48 nodes that never rest inside the two 60 m cells x ∈ [0, 120),
+    // y ∈ [0, 60): on most ticks both ends of a pair move, the pair is
+    // in the 3×3 block of both *and* (when open) in both open lists.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(48);
+    let end = SimTime::from_mins(20);
+    let trajectories: Vec<Trajectory> = (0..48)
+        .map(|_| {
+            let mut t = 0u64;
+            let mut points = Vec::new();
+            while SimTime::from_secs(t) <= end {
+                let p = Point::new(rng.gen_range(0.0..120.0), rng.gen_range(0.0..60.0));
+                points.push((SimTime::from_secs(t), p));
+                t += rng.gen_range(15u64..50);
+            }
+            Trajectory::new(points).unwrap()
+        })
+        .collect();
+    let tick = SimDuration::from_secs(10);
+    let events = assert_matches_world(&trajectories, 60.0, tick, (SimTime::ZERO, end), &K124);
+    let both_moving = events.iter().filter(|e| e.time > SimTime::ZERO).count();
+    assert!(both_moving > 5_000, "only {both_moving} transitions");
+}
+
+#[test]
+fn open_partner_leaves_the_block_in_one_tick() {
+    // The Down of a pair whose partner jumps kilometres away is
+    // reachable through the open list only; both ends jumping apart in
+    // the same tick is examined from the lower index only.
+    let trajectories = vec![
+        Trajectory::stationary(Point::new(0.0, 0.0)),
+        teleporter(&[(0, 10.0, 0.0), (100, 5_000.0, 5_000.0), (200, 10.0, 0.0)]),
+        teleporter(&[(0, 20.0, 5.0), (300, -4_000.0, 20.0), (400, 25.0, 5.0)]),
+        teleporter(&[(0, 15.0, 9.0), (300, 7_000.0, -3_000.0), (400, 5.0, 9.0)]),
+        Trajectory::stationary(Point::new(5_010.0, 5_000.0)),
+    ];
+    for tick_secs in [7, 10, 100] {
+        let events = assert_matches_world(
+            &trajectories,
+            60.0,
+            SimDuration::from_secs(tick_secs),
+            (SimTime::ZERO, SimTime::from_secs(500)),
+            &K124,
+        );
+        let downs = events.iter().filter(|e| e.distance_m > 1_000.0).count();
+        assert_eq!(downs, 3 + 1 + 5, "tick {tick_secs}s: {events:?}");
+    }
+}
+
+#[test]
+fn pairs_at_exactly_the_radio_range() {
+    // `d <= range` on the `sqrt` form: exactly 60 m is in contact, one
+    // ulp more is not. Node 1 visits 60 m, then an ulp outside, then an
+    // ulp inside along the x-axis; node 2 does the same on the 3-4-5
+    // diagonal (36² + 48² = 60² exactly).
+    let (inside, outside) = (60.0f64.next_down(), 60.0f64.next_up());
+    let trajectories = vec![
+        Trajectory::stationary(Point::new(0.0, 0.0)),
+        teleporter(&[
+            (0, 500.0, 0.0),
+            (100, 60.0, 0.0),
+            (200, outside, 0.0),
+            (300, inside, 0.0),
+        ]),
+        teleporter(&[
+            (0, 0.0, 900.0),
+            (100, -36.0, 48.0),
+            (200, -36.0, 48.0f64.next_up()),
+            (300, -36.0, 48.0f64.next_down()),
+        ]),
+    ];
+    let events = assert_matches_world(
+        &trajectories,
+        60.0,
+        SimDuration::from_secs(10),
+        (SimTime::ZERO, SimTime::from_secs(400)),
+        &K124,
+    );
+    let with_anchor: Vec<(usize, bool, f64)> = events
+        .iter()
+        .filter(|e| e.a == 0)
+        .map(|e| (e.b, e.phase == ContactPhase::Up, e.distance_m))
+        .collect();
+    assert_eq!(with_anchor.len(), 6, "{events:?}");
+    for (b, up, d) in with_anchor {
+        assert_eq!(up, d <= 60.0, "node {b} at {d}");
+    }
+    assert!(events.iter().any(|e| e.distance_m == 60.0));
+}
+
+#[test]
+fn epochs_longer_than_the_clock() {
+    // `epoch_ticks = u64::MAX` is how one asks for a single epoch; the
+    // epoch arithmetic must saturate, not wrap, whatever the window
+    // start is.
+    let trajectories = oscillating_population(11, 12, SimTime::from_secs(12_000));
+    let configs: Vec<(usize, u64)> = [1, 3]
+        .iter()
+        .flat_map(|&k| [1, 7, u64::MAX].map(|epoch_ticks| (k, epoch_ticks)))
+        .collect();
+    for start_secs in [0, 10_000] {
+        let window = (
+            SimTime::from_secs(start_secs),
+            SimTime::from_secs(start_secs + 1_500),
+        );
+        let tick = SimDuration::from_secs(30);
+        let events = assert_matches_world(&trajectories, 60.0, tick, window, &configs);
+        assert!(events.len() > 20, "window at {start_secs}s is too quiet");
+    }
+}
+
+#[test]
+fn small_metropolis_morning() {
+    // The workload's shape at a size the naive scan can follow: 300
+    // residents of one district, housing blocks whose members are all
+    // in range of each other, from midnight through the morning
+    // commute (nobody moves before 06:00, so the window runs to 10:00).
+    let nodes = 300;
+    let config = MetropolisConfig {
+        days: 1,
+        ..MetropolisConfig::for_population(nodes)
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let city = Metropolis::new(config, nodes, &mut rng).generate_all(5);
+    let events = assert_matches_world(
+        &city.to_trajectories(),
+        60.0,
+        SimDuration::from_secs(30),
+        (SimTime::ZERO, SimTime::from_hours(10)),
+        &[(1, 32), (2, 32), (4, 32)],
+    );
+    let later = events.iter().filter(|e| e.time > SimTime::ZERO).count();
+    assert!(later > 1_000, "only {later} transitions after midnight");
 }

@@ -47,9 +47,12 @@ impl Config {
             wallclock_exempt_crates: s(&["obs", "bench"]),
             // Frame/bundle encoders, trace codecs + the recorder that
             // feeds them, everything that renders RUN-REPORTs or
-            // BENCH-JSON, and the sharded kernel's stream merge (its
-            // output must be byte-identical to the single loop, so
-            // hash-iteration order must never reach it).
+            // BENCH-JSON, and the contact kernel end to end — the tick
+            // loop, the grid whose hash-keyed cells feed it, the stream
+            // merge and the single-loop front: the stream must be
+            // byte-identical for every shard count, and only the tick
+            // loop's per-tick sort stands between bucket order and the
+            // output, so no hash-iteration order may join it.
             ordered_output_files: s(&[
                 "/codec_",
                 "/frame.rs",
@@ -61,6 +64,9 @@ impl Config {
                 "/journal.rs",
                 "/emit.rs",
                 "/shard.rs",
+                "/tick.rs",
+                "/kernel.rs",
+                "/grid.rs",
                 // The in-vivo control protocol renders report lines
                 // (stats / delivered / journal) that cross-process
                 // comparisons diff verbatim.

@@ -157,9 +157,35 @@ impl TrajectorySet {
             return Point::new(self.xs[hi - 1], self.ys[hi - 1]);
         }
         let idx = times.partition_point(|wt| *wt <= t);
-        let (t0, t1) = (times[idx - 1], times[idx]);
-        let p0 = Point::new(self.xs[lo + idx - 1], self.ys[lo + idx - 1]);
-        let p1 = Point::new(self.xs[lo + idx], self.ys[lo + idx]);
+        self.interpolate(lo + idx, t)
+    }
+
+    /// [`TrajectorySet::position_at`] together with the waypoint
+    /// segment it was read from: the index of `node`'s first waypoint
+    /// strictly after `t` (the waypoint count once the trajectory has
+    /// ended). One search serves both, so a caller that needs to know
+    /// what the node does *next* (the contact kernel's wake rule) does
+    /// not search the same waypoints twice.
+    pub fn position_and_next(&self, node: usize, t: SimTime) -> (Point, usize) {
+        let (lo, hi) = self.span(node);
+        let times = &self.times[lo..hi];
+        let idx = times.partition_point(|wt| *wt <= t);
+        let p = if t <= times[0] {
+            Point::new(self.xs[lo], self.ys[lo])
+        } else if idx == times.len() {
+            Point::new(self.xs[hi - 1], self.ys[hi - 1])
+        } else {
+            self.interpolate(lo + idx, t)
+        };
+        (p, idx)
+    }
+
+    /// Interpolates at `t` inside the segment ending at flat waypoint
+    /// index `i` (`times[i - 1] <= t < times[i]`).
+    fn interpolate(&self, i: usize, t: SimTime) -> Point {
+        let (t0, t1) = (self.times[i - 1], self.times[i]);
+        let p0 = Point::new(self.xs[i - 1], self.ys[i - 1]);
+        let p1 = Point::new(self.xs[i], self.ys[i]);
         if t1 == t0 {
             return p1;
         }
@@ -241,6 +267,37 @@ mod tests {
                 let b = set.position_at(n, at);
                 assert_eq!(a.x.to_bits(), b.x.to_bits(), "node {n} at {ms} ms");
                 assert_eq!(a.y.to_bits(), b.y.to_bits(), "node {n} at {ms} ms");
+            }
+        }
+    }
+
+    #[test]
+    fn position_and_next_agrees_with_position_at() {
+        // Duplicate timestamps at the head, in the middle and at the
+        // tail: the early-outs of `position_at` win over the segment
+        // the search lands in, and the pair accessor must keep that.
+        let trs = vec![
+            tr(&[(5, 1.0, 2.0), (5, 9.0, 9.0), (20, 3.0, 4.0)]),
+            tr(&[
+                (0, 0.0, 0.0),
+                (10, 100.0, 50.0),
+                (10, 3.0, 4.0),
+                (30, 9.0, 9.0),
+            ]),
+            tr(&[(0, 0.0, 0.0), (10, 7.0, 7.0), (10, 8.0, 8.0)]),
+            tr(&[(5, 1.0, 2.0)]),
+        ];
+        let set = TrajectorySet::from_trajectories(&trs);
+        for n in 0..set.node_count() {
+            for ms in (0..40_000).step_by(125) {
+                let at = SimTime::from_millis(ms);
+                let (p, next) = set.position_and_next(n, at);
+                let q = set.position_at(n, at);
+                assert_eq!(p.x.to_bits(), q.x.to_bits(), "node {n} at {ms} ms");
+                assert_eq!(p.y.to_bits(), q.y.to_bits(), "node {n} at {ms} ms");
+                let times = set.times(n);
+                assert!(times[..next].iter().all(|wt| *wt <= at));
+                assert!(times[next..].iter().all(|wt| *wt > at));
             }
         }
     }
