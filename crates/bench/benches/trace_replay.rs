@@ -10,14 +10,30 @@
 //! that violates it fails loudly) and every measurement is written to
 //! `BENCH_trace.json` at the workspace root. Set `SOS_BENCH_SMOKE=1`
 //! (as CI does) for a few-iteration smoke run.
+//!
+//! The researcher's import path is measured beside it: the tape
+//! rendered as a CRAWDAD `CONN` log through `import_bytes`, and the
+//! analytics pass. One ratio of it is gated, in smoke runs too —
+//! `import/over_text_decode`, sanitizing import ns per line over
+//! strict `from_text` ns per event on the same tape, ≤ 2.5: what
+//! repairing a log costs over merely parsing one (2.8–3.6 before ids
+//! were interned at parse time, 1.4–1.65 since). Both sides are
+//! single-thread timings taken in one process, so the ratio holds on a
+//! busy one-core runner. `codec/decode_over_encode` (binary) is
+//! recorded, not gated: on this small tape encode is 5–7 ns per event,
+//! so the ratio (8, down from 19–20 while the validator walked a tree
+//! per event) mostly reports how cheap writing is.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use sos_bench::emit::Suite;
 use sos_sim::mobility::random_waypoint::RandomWaypoint;
 use sos_sim::mobility::trace::Trajectory;
+use sos_sim::world::ContactPhase;
 use sos_sim::{EncounterSource, SimDuration, SimTime, World};
-use sos_trace::{codec_binary, codec_text, ContactTrace, TraceContactSource};
+use sos_trace::corpora::{import_bytes, CorpusFormat};
+use sos_trace::{codec_binary, codec_text, ContactTrace, TraceAnalytics, TraceContactSource};
+use std::fmt::Write as _;
 
 const NODES: usize = 120;
 const HOURS: u64 = 6;
@@ -49,6 +65,29 @@ fn workload() -> World {
         .map(|_| model.generate(&mut rng, SimDuration::from_hours(HOURS)))
         .collect();
     World::new(trajectories, 60.0, SimDuration::from_secs(30))
+}
+
+/// The tape as the `CONN` log a published corpus of it would be:
+/// `<time_s> CONN <a> <b> <up|down>`, 1-based device ids as the iMote
+/// corpora have them.
+fn render_conn(tape: &ContactTrace) -> String {
+    let mut out = String::with_capacity(tape.len() * 28);
+    for ev in tape.events() {
+        let ms = ev.time.as_millis();
+        let phase = match ev.phase {
+            ContactPhase::Up => "up",
+            ContactPhase::Down => "down",
+        };
+        let _ = writeln!(
+            out,
+            "{}.{:03} CONN {} {} {phase}",
+            ms / 1000,
+            ms % 1000,
+            ev.a + 1,
+            ev.b + 1
+        );
+    }
+    out
 }
 
 fn bench_trace_replay(_c: &mut Criterion) {
@@ -85,15 +124,38 @@ fn bench_trace_replay(_c: &mut Criterion) {
     let text = codec_text::to_text(&tape);
     record("codec/binary_bytes_per_event", binary.len() as f64 / events);
     record("codec/text_bytes_per_event", text.len() as f64 / events);
-    measure("codec/binary_encode", || {
+    let encode_ns = measure("codec/binary_encode", || {
         codec_binary::to_binary(&tape).len()
     });
-    measure("codec/binary_decode", || {
+    let decode_ns = measure("codec/binary_decode", || {
         codec_binary::from_binary(std::hint::black_box(&binary)).unwrap()
     });
+    record("codec/decode_over_encode", decode_ns / encode_ns);
     measure("codec/text_encode", || codec_text::to_text(&tape).len());
-    measure("codec/text_decode", || {
+    let text_decode_ns = measure("codec/text_decode", || {
         codec_text::from_text(std::hint::black_box(&text)).unwrap()
+    });
+
+    // --- The import path: sanitizing CONN import and analytics.
+    let conn = render_conn(&tape);
+    let imported = import_bytes(CorpusFormat::Crawdad, conn.as_bytes()).expect("imports");
+    assert!(
+        imported.report.accounts_for_everything() && imported.report.records == tape.len(),
+        "the rendered log must import whole: {:?}",
+        imported.report
+    );
+    let import_ns = measure("import/conn", || {
+        import_bytes(CorpusFormat::Crawdad, std::hint::black_box(conn.as_bytes())).unwrap()
+    });
+    record("import/conn_ns_per_line", import_ns / events);
+    let import_ratio = import_ns / text_decode_ns;
+    record("import/over_text_decode", import_ratio);
+    println!(
+        "import: {:.0} ns/line, {import_ratio:.2}x strict text decode (gate <= 2.5)\n",
+        import_ns / events
+    );
+    measure("analytics/compute", || {
+        TraceAnalytics::compute(std::hint::black_box(&tape)).contacts
     });
 
     // --- Acceptance gates (checked in smoke runs too: CI executes this
@@ -109,6 +171,10 @@ fn bench_trace_replay(_c: &mut Criterion) {
     assert!(
         binary.len() < text.len(),
         "binary codec must be more compact than text"
+    );
+    assert!(
+        import_ratio <= 2.5,
+        "sanitizing import must cost <= 2.5x strict text decode per event, got {import_ratio:.2}x"
     );
 }
 

@@ -78,6 +78,13 @@ impl Config {
                 // The metropolis generator and evaluator: METRO-REPORT
                 // is byte-compared across shard counts.
                 "/metropolis.rs",
+                // The trace pipeline's pair table and its heaviest
+                // reader: the table's slot order is the one way hash
+                // order could now reach a timeline, a label list or an
+                // analytics report, so neither file may hold a second,
+                // std hash container beside it.
+                "/pair_table.rs",
+                "/analytics.rs",
             ]),
             // Everything that parses or emits wire bytes or imports
             // foreign corpora (R4/R5 motivation: the PR 5 `as u64`

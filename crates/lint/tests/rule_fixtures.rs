@@ -64,8 +64,18 @@ fn no_hash_order_fires_in_ordered_output_files_only() {
     assert_eq!(rules_fired(&bad), ["no-hash-order"]);
     assert!(!bad.findings.is_empty());
 
+    // The trace pipeline's pair table and its analytics reader are
+    // ordered-output files too: the table's slot order is how hash
+    // order could reach a timeline or a report.
+    for path in [
+        "crates/trace/src/pair_table.rs",
+        "crates/trace/src/analytics.rs",
+    ] {
+        assert_eq!(rules_fired(&lint(path, src)), ["no-hash-order"], "{path}");
+    }
+
     // Same source away from encoded output: no findings.
-    assert!(lint("crates/trace/src/analytics.rs", src).is_clean());
+    assert!(lint("crates/trace/src/synthetic.rs", src).is_clean());
 
     // Ordered collections pass even in ordered-output files.
     let good = lint(

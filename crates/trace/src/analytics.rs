@@ -8,13 +8,21 @@
 //! aggregate contact graph, fed into `sos-graph`'s metrics so a trace
 //! can be compared against the paper's Fig. 4a social structure.
 
+use crate::pair_table::PairTable;
 use crate::record::ContactTrace;
 use sos_graph::{GraphMetrics, Undirected};
 use sos_sim::metrics::Cdf;
-use sos_sim::world::ContactInterval;
+use sos_sim::world::ContactPhase;
 use sos_sim::SimTime;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// What the one pass of [`TraceAnalytics::compute`] remembers of a
+/// pair: when its open contact began, when its last closed one ended.
+#[derive(Clone, Copy, Default)]
+struct PairHistory {
+    open_since: Option<SimTime>,
+    last_end: Option<SimTime>,
+}
 
 /// Summary statistics of an encounter timeline.
 #[derive(Clone, Debug)]
@@ -48,31 +56,49 @@ impl TraceAnalytics {
     /// semantics).
     pub fn compute(trace: &ContactTrace) -> TraceAnalytics {
         let end = trace.end_time();
-        let intervals: Vec<ContactInterval> = trace.intervals(end);
-        let mut per_pair: BTreeMap<(usize, usize), Vec<&ContactInterval>> = BTreeMap::new();
-        for iv in &intervals {
-            per_pair.entry((iv.a, iv.b)).or_default().push(iv);
-        }
-
-        let mut durations = Vec::with_capacity(intervals.len());
+        let mut durations = Vec::with_capacity(trace.len() / 2);
         let mut gaps = Vec::new();
-        let mut graph = Undirected::new(trace.node_count());
         let mut total_ms = 0u64;
-        for ((a, b), ivs) in &per_pair {
-            graph.add_edge(*a, *b);
-            for iv in ivs {
-                durations.push(iv.duration().as_millis() as f64 / 60_000.0);
-                total_ms += iv.duration().as_millis();
+        // One contact: its duration, and the gap since the pair's
+        // previous one. A pair's contacts follow each other in event
+        // order, so "previous" is simply the last one closed; both
+        // sample lists are sorted by `Cdf`, so the order in which
+        // pairs contribute to them does not reach the result.
+        let mut contact = |history: &mut PairHistory, start: SimTime, end: SimTime| {
+            let length = (end - start).as_millis();
+            durations.push(length as f64 / 60_000.0);
+            total_ms += length;
+            if let Some(previous) = history.last_end {
+                gaps.push((start - previous).as_millis() as f64 / 3.6e6);
             }
-            for w in ivs.windows(2) {
-                gaps.push((w[1].start - w[0].end).as_millis() as f64 / 3.6e6);
+            history.last_end = Some(end);
+        };
+        let mut pairs: PairTable<PairHistory> = PairTable::new();
+        for ev in trace.events() {
+            let history = pairs.slot(ev.a, ev.b);
+            match ev.phase {
+                ContactPhase::Up => history.open_since = Some(ev.time),
+                ContactPhase::Down => {
+                    if let Some(start) = history.open_since.take() {
+                        contact(history, start, ev.time);
+                    }
+                }
+            }
+        }
+        // Ascending by pair, as the aggregate graph has always been
+        // built; contacts still open are closed at the last event.
+        let mut graph = Undirected::new(trace.node_count());
+        for ((a, b), mut history) in pairs.sorted() {
+            graph.add_edge(a, b);
+            if let Some(start) = history.open_since {
+                contact(&mut history, start, end);
             }
         }
 
         TraceAnalytics {
             nodes: trace.node_count(),
-            contacts: intervals.len(),
-            unique_pairs: per_pair.len(),
+            contacts: durations.len(),
+            unique_pairs: pairs.len(),
             total_contact_hours: total_ms as f64 / 3.6e6,
             duration_mins: Cdf::from_samples(durations),
             intercontact_hours: Cdf::from_samples(gaps),

@@ -7,6 +7,7 @@
 //! magic    b"SOSTRC01"            8 bytes
 //! flags    u8                     bit 0: range_m present
 //!                                 bit 1: node-id labels present
+//!                                 bits 2–7: must be zero
 //! range_m  f64 LE                 8 bytes, only if flag 0 set
 //! nodes    varint
 //! labels   nodes ×:               only if flag 1 set
@@ -19,6 +20,10 @@
 //!   b        varint
 //!   distance f64 LE               8 bytes (bit-exact round trip)
 //! ```
+//!
+//! The buffer must end with the last event: bytes after it (a second
+//! trace appended, a count that undercounts) are an error, not
+//! silently dropped data.
 //!
 //! The label section preserves an imported corpus's node-id remapping
 //! (dense index → original sparse/hex device id) through the binary
@@ -126,6 +131,9 @@ pub fn from_binary(buf: &[u8]) -> Result<ContactTrace, TraceError> {
     let mut pos = MAGIC.len();
     let flags = *buf.get(pos).ok_or(TraceError::Truncated)?;
     pos += 1;
+    if flags & !(FLAG_RANGE | FLAG_LABELS) != 0 {
+        return Err(TraceError::UnknownFlags { flags });
+    }
     let range_m = if flags & FLAG_RANGE != 0 {
         Some(get_f64(buf, &mut pos)?)
     } else {
@@ -181,6 +189,11 @@ pub fn from_binary(buf: &[u8]) -> Result<ContactTrace, TraceError> {
                 ContactPhase::Down
             },
             distance_m,
+        });
+    }
+    if pos != buf.len() {
+        return Err(TraceError::TrailingBytes {
+            extra: buf.len() - pos,
         });
     }
     ContactTrace::new_labeled(nodes, range_m, labels, events)
@@ -284,6 +297,57 @@ mod tests {
                 "cut at {cut}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn every_proper_prefix_and_every_extension_is_rejected() {
+        let labeled = ContactTrace::new_labeled(
+            2,
+            None,
+            Some(vec!["a".into(), "b".into()]),
+            vec![ev(5, 0, 1, ContactPhase::Up, 1.5)],
+        )
+        .unwrap();
+        let empty = ContactTrace::new(0, None, Vec::new()).unwrap();
+        for trace in [sample(), labeled, empty] {
+            let good = to_binary(&trace);
+            for cut in 0..good.len() {
+                assert!(from_binary(&good[..cut]).is_err(), "prefix of {cut} bytes");
+            }
+            // Anything after the last event — one byte, a whole second
+            // trace — used to be ignored (the concatenation decoded
+            // as its first half).
+            for tail in [&[0u8][..], &[0xff; 11], &good[..]] {
+                let mut longer = good.clone();
+                longer.extend_from_slice(tail);
+                assert_eq!(
+                    from_binary(&longer),
+                    Err(TraceError::TrailingBytes { extra: tail.len() })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_flag_bits_are_rejected() {
+        let good = to_binary(&sample());
+        for bit in 2..8 {
+            let mut bad = good.clone();
+            bad[MAGIC.len()] |= 1 << bit;
+            assert_eq!(
+                from_binary(&bad),
+                Err(TraceError::UnknownFlags {
+                    flags: good[MAGIC.len()] | 1 << bit
+                }),
+                "flag bit {bit}"
+            );
+        }
+        assert!(TraceError::UnknownFlags { flags: 0b100 }
+            .to_string()
+            .contains("0b00000100"));
+        assert!(TraceError::TrailingBytes { extra: 3 }
+            .to_string()
+            .contains("3 bytes"));
     }
 
     #[test]

@@ -31,6 +31,7 @@
 
 use crate::error::TraceError;
 use crate::record::ContactTrace;
+use crate::scan::{split, Lines};
 use sos_sim::world::{ContactEvent, ContactPhase};
 use sos_sim::SimTime;
 use std::fmt::Write as _;
@@ -60,7 +61,12 @@ pub(crate) fn exact_millis_from_secs(secs: f64) -> Option<u64> {
 /// whenever the file contains comments, blank lines, or CONN lines, so
 /// reporting the raw index would point users at the wrong line; the
 /// wrapped error keeps the index.
-fn map_timeline_error(err: TraceError, event_lines: &[usize]) -> TraceError {
+///
+/// Every record line of a file that got this far parsed into exactly
+/// one event, so event `i` sits on the `i`-th record line: the line is
+/// found by scanning again, on the error path only, instead of by
+/// keeping a line number per event on every path.
+fn map_timeline_error(err: TraceError, text: &str) -> TraceError {
     let index = match &err {
         TraceError::NodeOutOfRange { index, .. }
         | TraceError::UnorderedPair { index }
@@ -69,13 +75,31 @@ fn map_timeline_error(err: TraceError, event_lines: &[usize]) -> TraceError {
         | TraceError::BadDistance { index } => Some(*index),
         _ => None,
     };
-    match index.and_then(|i| event_lines.get(i).copied()) {
-        Some(line) => TraceError::InvalidAtLine {
+    let mut lines = Lines::new(text);
+    match index.and_then(|i| std::iter::from_fn(|| lines.next_record()).nth(i)) {
+        Some((line, _)) => TraceError::InvalidAtLine {
             line,
             error: Box::new(err),
         },
         None => err,
     }
+}
+
+/// Appends `value` in decimal: the three integers of an event line do
+/// not need `fmt`'s machinery.
+fn push_decimal(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    // ASCII digits are UTF-8, so the fallback is never taken.
+    out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
 }
 
 /// Serializes a trace to the canonical text format.
@@ -91,19 +115,16 @@ pub fn to_text(trace: &ContactTrace) -> String {
         let _ = writeln!(out, "# range_m {r:?}");
     }
     for ev in trace.events() {
-        let phase = match ev.phase {
-            ContactPhase::Up => "up",
-            ContactPhase::Down => "down",
-        };
-        let _ = writeln!(
-            out,
-            "{} {} {} {} {:?}",
-            ev.time.as_millis(),
-            ev.a,
-            ev.b,
-            phase,
-            ev.distance_m
-        );
+        push_decimal(&mut out, ev.time.as_millis());
+        out.push(' ');
+        push_decimal(&mut out, ev.a as u64);
+        out.push(' ');
+        push_decimal(&mut out, ev.b as u64);
+        out.push_str(match ev.phase {
+            ContactPhase::Up => " up ",
+            ContactPhase::Down => " down ",
+        });
+        let _ = writeln!(out, "{:?}", ev.distance_m);
     }
     out
 }
@@ -111,13 +132,15 @@ pub fn to_text(trace: &ContactTrace) -> String {
 /// Parses an `up`/`down` token (shared with the corpora adapters so
 /// strict and sanitizing CONN parsing cannot drift apart).
 pub(crate) fn parse_phase(token: &str, line: usize) -> Result<ContactPhase, TraceError> {
-    match token.to_ascii_lowercase().as_str() {
-        "up" => Ok(ContactPhase::Up),
-        "down" => Ok(ContactPhase::Down),
-        other => Err(TraceError::Parse {
+    if token.eq_ignore_ascii_case("up") {
+        Ok(ContactPhase::Up)
+    } else if token.eq_ignore_ascii_case("down") {
+        Ok(ContactPhase::Down)
+    } else {
+        Err(TraceError::Parse {
             line,
-            reason: format!("unknown phase {other:?}"),
-        }),
+            reason: format!("unknown phase {:?}", token.to_ascii_lowercase()),
+        })
     }
 }
 
@@ -150,15 +173,10 @@ pub fn from_text(text: &str) -> Result<ContactTrace, TraceError> {
     let mut labels: Option<Vec<String>> = None;
     let mut labels_line = 0usize;
     let mut events: Vec<ContactEvent> = Vec::new();
-    let mut event_lines: Vec<usize> = Vec::new();
     let mut max_node = 0usize;
 
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        let content = raw.trim();
-        if content.is_empty() {
-            continue;
-        }
+    let mut lines = Lines::new(text);
+    while let Some((line, content)) = lines.next_line() {
         if let Some(comment) = content.strip_prefix('#') {
             let mut it = comment.split_whitespace();
             match it.next() {
@@ -184,8 +202,8 @@ pub fn from_text(text: &str) -> Result<ContactTrace, TraceError> {
             }
             continue;
         }
-        let tokens: Vec<&str> = content.split_whitespace().collect();
-        let ev = if tokens.len() == 5 && tokens[1].eq_ignore_ascii_case("CONN") {
+        let (tokens, count) = split::<5>(content);
+        let ev = if count == 5 && tokens[1].eq_ignore_ascii_case("CONN") {
             // ONE style: <time_s> CONN <a> <b> <up|down>
             let ms = parse_secs_as_millis(tokens[0], line)?;
             let a: usize = parse_num(tokens[2], line, "node")?;
@@ -207,7 +225,7 @@ pub fn from_text(text: &str) -> Result<ContactTrace, TraceError> {
                 phase: parse_phase(tokens[4], line)?,
                 distance_m: 0.0,
             }
-        } else if tokens.len() == 5 {
+        } else if count == 5 {
             // Canonical: <time_ms> <a> <b> <up|down> <distance_m>
             ContactEvent {
                 time: SimTime::from_millis(parse_num(tokens[0], line, "time")?),
@@ -219,12 +237,11 @@ pub fn from_text(text: &str) -> Result<ContactTrace, TraceError> {
         } else {
             return Err(TraceError::Parse {
                 line,
-                reason: format!("expected 5 fields, got {}", tokens.len()),
+                reason: format!("expected 5 fields, got {count}"),
             });
         };
         max_node = max_node.max(ev.b).max(ev.a);
         events.push(ev);
-        event_lines.push(line);
     }
 
     let nodes = nodes
@@ -236,7 +253,7 @@ pub fn from_text(text: &str) -> Result<ContactTrace, TraceError> {
             line: labels_line,
             error: Box::new(err),
         },
-        other => map_timeline_error(other, &event_lines),
+        other => map_timeline_error(other, text),
     })
 }
 
@@ -397,6 +414,53 @@ mod tests {
                 assert!(matches!(*error, TraceError::InvalidLabels { .. }));
             }
             other => panic!("expected line-mapped InvalidLabels, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_leading_byte_order_mark_does_not_hide_the_header() {
+        // U+FEFF ahead of `# sos-trace v1` used to make line 1 a
+        // non-comment with three fields.
+        let trace = sample();
+        let marked = format!("\u{feff}{}", to_text(&trace));
+        assert_eq!(from_text(&marked).unwrap(), trace);
+        // Ahead of a header that matters, and ahead of an event line.
+        let parsed = from_text("\u{feff}# nodes 50\n0 0 1 up 1.0\n").unwrap();
+        assert_eq!(parsed.node_count(), 50);
+        let parsed = from_text("\u{feff}0 0 1 up 1.0\n").unwrap();
+        assert_eq!(parsed.len(), 1);
+        // Line numbers are unchanged by it.
+        let err = from_text("\u{feff}# nodes 2\n0 0 1 down 1.0\n").unwrap_err();
+        assert!(
+            matches!(err, TraceError::InvalidAtLine { line: 2, .. }),
+            "{err:?}"
+        );
+        // A second mark, or one further down, is still a bad token.
+        for bad in [
+            "\u{feff}\u{feff}0 0 1 up 1.0\n",
+            "0 0 1 up 1.0\n\u{feff}5 0 1 down 1.0\n",
+        ] {
+            let err = from_text(bad).unwrap_err();
+            assert!(matches!(err, TraceError::Parse { .. }), "{bad:?}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn push_decimal_writes_what_display_writes() {
+        for value in [
+            0u64,
+            7,
+            10,
+            99,
+            100,
+            12_345,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut out = String::from("x");
+            push_decimal(&mut out, value);
+            assert_eq!(out, format!("x{value}"));
         }
     }
 

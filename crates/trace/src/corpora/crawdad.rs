@@ -18,9 +18,11 @@
 //! through the [`sanitize`](fn@crate::corpora::sanitize) pipeline,
 //! counting each repair in the returned [`ImportReport`].
 
-use crate::corpora::sanitize::RawEvent;
+use crate::codec_text::{parse_phase, parse_secs_as_millis};
+use crate::corpora::sanitize::{sanitize_interned, IdTable, Transition};
 use crate::corpora::{ImportReport, ImportedCorpus};
 use crate::error::TraceError;
+use crate::scan::{split, Lines};
 
 /// Imports a CRAWDAD/ONE `CONN` log, sanitizing real-log noise.
 ///
@@ -29,19 +31,12 @@ use crate::error::TraceError;
 /// line number — hardening is for *semantic* noise, not for feeding
 /// the importer the wrong file.
 pub fn import_str(text: &str) -> Result<ImportedCorpus, TraceError> {
-    let mut raw: Vec<RawEvent> = Vec::new();
-    let mut lines_total = 0usize;
-    let mut lines_skipped = 0usize;
-    for (idx, line_text) in text.lines().enumerate() {
-        let line = idx + 1;
-        lines_total += 1;
-        let content = line_text.trim();
-        if content.is_empty() || content.starts_with('#') {
-            lines_skipped += 1;
-            continue;
-        }
-        let tokens: Vec<&str> = content.split_whitespace().collect();
-        if tokens.len() != 5 || !tokens[1].eq_ignore_ascii_case("CONN") {
+    let mut ids = IdTable::default();
+    let mut raw: Vec<Transition> = Vec::new();
+    let mut lines = Lines::new(text);
+    while let Some((line, content)) = lines.next_record() {
+        let ([time, conn, a, b, phase], count) = split::<5>(content);
+        if count != 5 || !conn.eq_ignore_ascii_case("CONN") {
             return Err(TraceError::Parse {
                 line,
                 reason: format!("expected `<time_s> CONN <a> <b> <up|down>`, got {content:?}"),
@@ -50,22 +45,21 @@ pub fn import_str(text: &str) -> Result<ImportedCorpus, TraceError> {
         // Time and phase parsing are shared with the strict parser in
         // `codec_text::from_text`, so the two CONN readers cannot
         // drift; only the noise policy differs (sanitize vs error).
-        let time_ms = crate::codec_text::parse_secs_as_millis(tokens[0], line)?;
-        let phase = crate::codec_text::parse_phase(tokens[4], line)?;
-        crate::corpora::validate_device_id(tokens[2], line)?;
-        crate::corpora::validate_device_id(tokens[3], line)?;
-        raw.push(RawEvent {
+        let time_ms = parse_secs_as_millis(time, line)?;
+        let phase = parse_phase(phase, line)?;
+        raw.push(Transition {
             time_ms,
-            a: tokens[2].to_string(),
-            b: tokens[3].to_string(),
+            a: ids.device(a, line)?,
+            b: ids.device(b, line)?,
             phase,
             distance_m: 0.0,
             line,
         });
     }
+    let (lines_total, lines_skipped) = (lines.lines_read(), lines.lines_skipped());
 
     let records = raw.len();
-    let (trace, id_map, sanitize) = crate::corpora::sanitize(raw, None)?;
+    let (trace, id_map, sanitize) = sanitize_interned(&ids, raw, None)?;
     let report = ImportReport {
         format: "crawdad-conn",
         lines_total,

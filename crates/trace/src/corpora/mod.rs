@@ -24,6 +24,16 @@
 //! indices with the mapping preserved as node labels, which both
 //! codecs round-trip (`# node_ids` header / binary label section).
 //!
+//! Every importer reads its lines through the crate's one line
+//! scanner (numbering, trimming, blank/`#` skipping, one leading
+//! byte-order mark, allocation-free field splitting) and **interns
+//! device ids at parse time**: a token becomes a small integer in the
+//! import's id table the moment it is read, the sanitizer runs on
+//! `Copy` transitions carrying those integers, and the adapters'
+//! tie-break sorts compare labels through the table's lexical ranks.
+//! No adapter builds a string-keyed [`RawEvent`]; that type is the
+//! input of the public [`sanitize()`] front only.
+//!
 //! The acceptance check for an import is its [`TraceAnalytics`]
 //! inter-contact CCDF fingerprint: `crates/trace/tests/fixtures/`
 //! holds miniature files per format together with their expected
@@ -41,6 +51,7 @@ pub mod sassy;
 use crate::analytics::TraceAnalytics;
 use crate::error::TraceError;
 use crate::record::ContactTrace;
+use crate::scan::{split, Lines};
 use std::fmt::Write as _;
 
 pub use sanitize::{raw_events_from_trace, NodeIdMap, RawEvent, SanitizeReport};
@@ -205,17 +216,12 @@ pub fn check_ccdf_fingerprint(
     tolerance: f64,
 ) -> Result<usize, String> {
     let mut checked = 0usize;
-    for (idx, line) in expected.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let parse = |tok: Option<&str>| tok.and_then(|t| t.parse::<f64>().ok());
-        let (Some(x), Some(p)) = (parse(it.next()), parse(it.next())) else {
+    let mut lines = Lines::new(expected);
+    while let Some((number, line)) = lines.next_record() {
+        let ([x, p], _) = split::<2>(line);
+        let (Ok(x), Ok(p)) = (x.parse::<f64>(), p.parse::<f64>()) else {
             return Err(format!(
-                "fingerprint line {}: expected `<x_hours> <p>`, got {line:?}",
-                idx + 1
+                "fingerprint line {number}: expected `<x_hours> <p>`, got {line:?}"
             ));
         };
         let got = analytics.intercontact_hours.fraction_gt(x);
@@ -273,6 +279,54 @@ mod tests {
             import_bytes(CorpusFormat::Crawdad, &bad),
             Err(TraceError::Gzip { .. })
         ));
+    }
+
+    #[test]
+    fn a_leading_byte_order_mark_is_not_part_of_line_one() {
+        // A corpus that passed through a Windows tool starts with
+        // U+FEFF; it used to make line 1 `bad time "\u{feff}0"` (or,
+        // for SASSY, turn the first row into a skipped "header").
+        for (format, text) in [
+            (CorpusFormat::Crawdad, "0 CONN 1 2 up\n60 CONN 1 2 down\n"),
+            (CorpusFormat::RealityMining, "0 aa bb\n300 aa bb\n"),
+            (CorpusFormat::Sassy, "T1,T2,0,60,4.5\nT2,T3,30,90\n"),
+        ] {
+            let plain = import_bytes(format, text.as_bytes()).unwrap();
+            let marked = format!("\u{feff}{text}");
+            let with_bom = import_bytes(format, marked.as_bytes()).unwrap();
+            assert_eq!(with_bom.trace, plain.trace, "{format:?}");
+            assert_eq!(with_bom.report, plain.report, "{format:?}");
+            assert!(!plain.trace.is_empty(), "{format:?}");
+            // Inside a gzip frame too: the mark is stripped from the
+            // text, after decompression.
+            let zipped = import_bytes(format, &inflate::gzip_stored(marked.as_bytes())).unwrap();
+            assert_eq!(zipped.trace, plain.trace, "{format:?} gzip");
+            // Only the first one, and only at the very start: a mark
+            // anywhere else is part of a token — a bad time where a
+            // line starts with one, a device nobody else names where
+            // it starts with an id (SASSY).
+            for bad in [
+                format!("\u{feff}\u{feff}{text}"),
+                format!("\n\u{feff}{text}"),
+                format!("{text}\u{feff}{text}"),
+            ] {
+                match import_bytes(format, bad.as_bytes()) {
+                    Err(TraceError::Parse { reason, .. }) => {
+                        assert!(reason.contains("bad time"), "{format:?}: {reason}")
+                    }
+                    Ok(corpus) if format == CorpusFormat::Sassy => {
+                        assert!(corpus.id_map.index_of("\u{feff}T1").is_some())
+                    }
+                    other => panic!("{format:?}: {other:?}"),
+                }
+            }
+        }
+        // A marked comment line is still a comment line.
+        let corpus = import_bytes(
+            CorpusFormat::Crawdad,
+            "\u{feff}# log\n0 CONN 1 2 up\n".as_bytes(),
+        );
+        assert_eq!(corpus.unwrap().report.lines_skipped, 1);
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! pipeline like every other corpus.
 
 use crate::codec_text::{exact_millis_from_secs, parse_secs_as_millis};
-use crate::corpora::sanitize::RawEvent;
+use crate::corpora::sanitize::{sanitize_interned, IdTable, Transition};
 use crate::corpora::{ImportReport, ImportedCorpus};
 use crate::error::TraceError;
+use crate::scan::{split, Lines};
 use sos_sim::world::ContactPhase;
-use std::collections::BTreeMap;
 
 /// Scan-interval inference parameters.
 #[derive(Clone, Debug)]
@@ -97,23 +97,15 @@ pub fn import_str(text: &str, config: &RealityConfig) -> Result<ImportedCorpus, 
     // sos-lint: allow(no-narrow-cast) reason="guarded: gap proven finite and non-negative above; saturation needs > 2^64 ms (585 million years)"
     let merge_gap_ms = gap.round() as u64;
 
-    // Sightings per (unordered) pair, in original id order.
-    let mut sightings: BTreeMap<(String, String), Vec<(u64, usize)>> = BTreeMap::new();
-    let mut lines_total = 0usize;
-    let mut lines_skipped = 0usize;
-    let mut records = 0usize;
+    // One `(a, b, time_ms, line)` per sighting, in file order.
+    let mut ids = IdTable::default();
+    let mut sightings: Vec<(u32, u32, u64, usize)> = Vec::new();
     let mut records_out_of_order = 0usize;
     let mut running_max = 0u64;
-    for (idx, line_text) in text.lines().enumerate() {
-        let line = idx + 1;
-        lines_total += 1;
-        let content = line_text.trim();
-        if content.is_empty() || content.starts_with('#') {
-            lines_skipped += 1;
-            continue;
-        }
-        let tokens: Vec<&str> = content.split_whitespace().collect();
-        if tokens.len() != 3 {
+    let mut lines = Lines::new(text);
+    while let Some((line, content)) = lines.next_record() {
+        let ([time, a, b], count) = split::<3>(content);
+        if count != 3 {
             return Err(TraceError::Parse {
                 line,
                 reason: format!("expected `<time_s> <a> <b>`, got {content:?}"),
@@ -121,32 +113,37 @@ pub fn import_str(text: &str, config: &RealityConfig) -> Result<ImportedCorpus, 
         }
         // Shared with the strict CONN parser: a 1e300 scan timestamp
         // must error, not saturate to u64::MAX.
-        let time_ms = parse_secs_as_millis(tokens[0], line)?;
-        crate::corpora::validate_device_id(tokens[1], line)?;
-        crate::corpora::validate_device_id(tokens[2], line)?;
-        records += 1;
+        let time_ms = parse_secs_as_millis(time, line)?;
+        sightings.push((ids.device(a, line)?, ids.device(b, line)?, time_ms, line));
         if time_ms < running_max {
             records_out_of_order += 1;
         } else {
             running_max = time_ms;
         }
-        let (a, b) = (tokens[1].to_string(), tokens[2].to_string());
-        let key = if a <= b {
-            (a.clone(), b.clone())
-        } else {
-            (b.clone(), a.clone())
-        };
-        sightings.entry(key).or_default().push((time_ms, line));
     }
+    let (lines_total, lines_skipped) = (lines.lines_read(), lines.lines_skipped());
+    let records = sightings.len();
+
+    // Group the sightings per (unordered) pair, lower label first, in
+    // original-id order, each pair's by time (equal times keep file
+    // order): one stable sort. Lexical ranks stand in for the labels,
+    // so no string is compared or cloned per sighting.
+    let label = ids.lexical_ranks();
+    for (a, b, ..) in &mut sightings {
+        if label[*a as usize] > label[*b as usize] {
+            std::mem::swap(a, b);
+        }
+    }
+    sightings.sort_by_key(|&(a, b, t, _)| (label[a as usize], label[b as usize], t));
 
     // Inference: merge sighting runs into [first, last + interval].
-    let mut raw: Vec<RawEvent> = Vec::new();
-    for ((a, b), mut times) in sightings {
-        times.sort_by_key(|&(t, _)| t);
-        let mut run_start = times[0];
-        let mut run_last = times[0];
+    let mut raw: Vec<Transition> = Vec::new();
+    for pair in sightings.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+        let (a, b, first, first_line) = pair[0];
+        let mut run_start = (first, first_line);
+        let mut run_last = run_start;
         let mut runs: Vec<((u64, usize), (u64, usize))> = Vec::new();
-        for &(t, line) in &times[1..] {
+        for &(_, _, t, line) in &pair[1..] {
             if t.saturating_sub(run_last.0) <= merge_gap_ms {
                 run_last = (t, line);
             } else {
@@ -157,18 +154,18 @@ pub fn import_str(text: &str, config: &RealityConfig) -> Result<ImportedCorpus, 
         }
         runs.push((run_start, run_last));
         for ((start, start_line), (last, last_line)) in runs {
-            raw.push(RawEvent {
+            raw.push(Transition {
                 time_ms: start,
-                a: a.clone(),
-                b: b.clone(),
+                a,
+                b,
                 phase: ContactPhase::Up,
                 distance_m: 0.0,
                 line: start_line,
             });
-            raw.push(RawEvent {
+            raw.push(Transition {
                 time_ms: last.saturating_add(interval_ms),
-                a: a.clone(),
-                b: b.clone(),
+                a,
+                b,
                 phase: ContactPhase::Down,
                 distance_m: 0.0,
                 line: last_line,
@@ -178,17 +175,17 @@ pub fn import_str(text: &str, config: &RealityConfig) -> Result<ImportedCorpus, 
     // Per-pair inference emits pair-grouped events; order them by time
     // (ties by pair) before the sanitizer so cross-pair interleaving is
     // not misreported as out-of-order noise.
-    raw.sort_by(|x, y| {
-        (x.time_ms, &x.a, &x.b, x.phase == ContactPhase::Up).cmp(&(
-            y.time_ms,
-            &y.a,
-            &y.b,
-            y.phase == ContactPhase::Up,
-        ))
+    raw.sort_by_key(|ev| {
+        (
+            ev.time_ms,
+            label[ev.a as usize],
+            label[ev.b as usize],
+            ev.phase == ContactPhase::Up,
+        )
     });
 
     let raw_events = raw.len();
-    let (trace, id_map, sanitize) = crate::corpora::sanitize(raw, None)?;
+    let (trace, id_map, sanitize) = sanitize_interned(&ids, raw, None)?;
     let report = ImportReport {
         format: "reality-scans",
         lines_total,

@@ -28,13 +28,41 @@
 //! counted. Sanitizing is a **fixpoint**: running the pipeline on its
 //! own output changes nothing and reports zero repairs (property-tested
 //! in `crates/trace/tests/corpora_import.rs`).
+//!
+//! # What is interned where
+//!
+//! A log names a few hundred devices a few million times, so no step
+//! above touches a device id as a string. Each adapter interns a token
+//! the moment it has parsed it (`IdTable::device`) and builds `Copy`
+//! `Transition`s that carry the two integers; the public
+//! [`sanitize`] is the same thing for callers holding [`RawEvent`]s.
+//! Steps 1–5 then run on integers, in place, in one `Vec`. Labels are
+//! read again in exactly two places: `node_order` sorts the ids
+//! present into [`NodeIdMap`] order — once over everything that
+//! survives step 1 (the *interim* order step 4 keys on and step 5
+//! closes by) and once over what survives step 5 (the final one) — and
+//! step 6 copies each surviving id's label into the result.
+//!
+//! # Why no table order can leak
+//!
+//! Two hash structures sit in the pipeline, and neither is ever
+//! enumerated in its own order. The id table is looked up and
+//! appended to, never iterated: intern numbers follow first sight in
+//! the file, and everything derived from them (ranks, labels) goes
+//! through a sort of the labels. The pair table of step 4 has one
+//! enumeration, `PairTable::sorted`, ascending by the interim ranks
+//! it is keyed on — which is the documented order of the dangling
+//! closes. `crates/trace/tests/import_golden.rs` pins the result,
+//! report and close order included, against the string-keyed
+//! implementation this replaced.
 
+use crate::corpora::validate_device_id;
 use crate::error::TraceError;
+use crate::pair_table::PairTable;
 use crate::record::ContactTrace;
 use sos_sim::world::{ContactEvent, ContactPhase};
 use sos_sim::SimTime;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// One parsed-but-unvalidated contact transition from a real-world
 /// log, carrying the original device identifiers and source line.
@@ -109,19 +137,7 @@ pub struct NodeIdMap {
 }
 
 impl NodeIdMap {
-    /// Builds the mapping from every id that appears in `events`.
-    pub fn from_events(events: &[RawEvent]) -> NodeIdMap {
-        let mut ids: BTreeSet<&str> = BTreeSet::new();
-        for ev in events {
-            ids.insert(&ev.a);
-            ids.insert(&ev.b);
-        }
-        let mut labels: Vec<String> = ids.into_iter().map(str::to_string).collect();
-        if labels.iter().all(|id| id.parse::<u64>().is_ok()) {
-            // Every id was just verified numeric; the fallback arm is
-            // unreachable and only exists to keep the sort total.
-            labels.sort_by_key(|id| id.parse::<u64>().unwrap_or(u64::MAX));
-        }
+    fn from_labels(labels: Vec<String>) -> NodeIdMap {
         let index = labels
             .iter()
             .enumerate()
@@ -151,17 +167,149 @@ impl NodeIdMap {
     }
 }
 
+/// The device ids of one import, interned in order of first sight.
+///
+/// Every adapter hands each device token to [`IdTable::device`] as it
+/// parses it and keeps the small integer; from there on the pipeline
+/// compares, sorts and keys on integers, and a label is looked at
+/// again only to rank the ids and to name the nodes of the result.
+///
+/// The lookup is std's `HashMap` with its keyed SipHash on purpose:
+/// the keys are strings out of a foreign file, the map is never
+/// iterated (labels live in a `Vec` in first-seen order), so no hash
+/// order can reach an output.
+#[derive(Default)]
+pub(crate) struct IdTable {
+    labels: Vec<String>,
+    index: HashMap<String, u32>,
+}
+
+impl IdTable {
+    /// Interns a device token an adapter has just parsed. A token not
+    /// seen before must pass [`validate_device_id`] first — one that
+    /// was seen has — so a malformed id is still a parse error on the
+    /// first line that carries it, and every id in the table is valid.
+    pub(crate) fn device(&mut self, token: &str, line: usize) -> Result<u32, TraceError> {
+        if let Some(&interned) = self.index.get(token) {
+            return Ok(interned);
+        }
+        validate_device_id(token, line)?;
+        self.intern(token, line)
+    }
+
+    /// The integer standing for `id` in this import, unvalidated;
+    /// `line` names the source line should the table be full.
+    fn intern(&mut self, id: &str, line: usize) -> Result<u32, TraceError> {
+        if let Some(&interned) = self.index.get(id) {
+            return Ok(interned);
+        }
+        let interned = u32::try_from(self.labels.len()).map_err(|_| TraceError::Parse {
+            line,
+            reason: format!("more than {} distinct device ids", u32::MAX),
+        })?;
+        self.labels.push(id.into());
+        self.index.insert(id.into(), interned);
+        Ok(interned)
+    }
+
+    /// Every interned id, sorted by its label.
+    fn lexical_order(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.labels.len())
+            .filter_map(|id| u32::try_from(id).ok())
+            .collect();
+        order.sort_by_key(|&id| &self.labels[id as usize]);
+        order
+    }
+
+    /// For each interned id, its position among all labels in lexical
+    /// order: comparing two ranks is comparing the two labels. The
+    /// interval adapters' tie-break sorts go through this.
+    pub(crate) fn lexical_ranks(&self) -> Vec<usize> {
+        invert(&self.lexical_order(), self.labels.len())
+    }
+}
+
+/// `rank[id]` for every id in `order` (ids not in it keep
+/// `usize::MAX`, which no pair of a live event ever looks up).
+fn invert(order: &[u32], ids: usize) -> Vec<usize> {
+    let mut rank = vec![usize::MAX; ids];
+    for (position, &id) in order.iter().enumerate() {
+        rank[id as usize] = position;
+    }
+    rank
+}
+
+/// [`RawEvent`] with its device ids interned: what the adapters build
+/// and the pipeline runs on. `Copy`, half the size, no heap.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Transition {
+    pub(crate) time_ms: u64,
+    pub(crate) a: u32,
+    pub(crate) b: u32,
+    pub(crate) phase: ContactPhase,
+    pub(crate) distance_m: f64,
+    pub(crate) line: usize,
+}
+
+/// The ids that `events` mention, in [`NodeIdMap`] order: lexical, or
+/// numeric when every one of them parses as an integer (a stable sort
+/// of the lexical order, so `"01"` stays ahead of `"1"`).
+fn node_order(ids: &IdTable, events: &[Transition]) -> Vec<u32> {
+    let mut present = vec![false; ids.labels.len()];
+    for ev in events {
+        present[ev.a as usize] = true;
+        present[ev.b as usize] = true;
+    }
+    let mut order = ids.lexical_order();
+    order.retain(|&id| present[id as usize]);
+    let numeric: Option<Vec<(u64, u32)>> = order
+        .iter()
+        .map(|&id| Some((ids.labels[id as usize].parse::<u64>().ok()?, id)))
+        .collect();
+    if let Some(mut keyed) = numeric {
+        keyed.sort_by_key(|&(number, _)| number);
+        order = keyed.into_iter().map(|(_, id)| id).collect();
+    }
+    order
+}
+
 /// Runs the full sanitizer pipeline over raw transitions, producing a
 /// valid labeled [`ContactTrace`], the id mapping, and the repair
 /// accounting.
+///
+/// This is the string-keyed front for callers that hold [`RawEvent`]s
+/// (tests, re-sanitizing a trace): it interns the ids and runs the one
+/// pipeline the adapters call directly.
 pub fn sanitize(
-    mut raw: Vec<RawEvent>,
+    raw: Vec<RawEvent>,
+    range_m: Option<f64>,
+) -> Result<(ContactTrace, NodeIdMap, SanitizeReport), TraceError> {
+    let mut ids = IdTable::default();
+    let mut interned = Vec::with_capacity(raw.len());
+    for ev in &raw {
+        interned.push(Transition {
+            time_ms: ev.time_ms,
+            a: ids.intern(&ev.a, ev.line)?,
+            b: ids.intern(&ev.b, ev.line)?,
+            phase: ev.phase,
+            distance_m: ev.distance_m,
+            line: ev.line,
+        });
+    }
+    sanitize_interned(&ids, interned, range_m)
+}
+
+/// The pipeline itself, over transitions whose ids `ids` interned.
+pub(crate) fn sanitize_interned(
+    ids: &IdTable,
+    mut raw: Vec<Transition>,
     range_m: Option<f64>,
 ) -> Result<(ContactTrace, NodeIdMap, SanitizeReport), TraceError> {
     let mut report = SanitizeReport::default();
 
     // 1. Self-contacts carry no encounter information; drop them
-    //    (recording their source lines).
+    //    (recording their source lines). Interning is exact, so equal
+    //    integers are equal ids.
     raw.retain(|ev| {
         if ev.a == ev.b {
             report.self_contacts_dropped += 1;
@@ -174,17 +322,14 @@ pub fn sanitize(
 
     // 2. Distances the validators would reject are zeroed ("range
     //    unknown"), matching formats that carry no range at all.
+    // 3. Count how many lines a buffered collector wrote late, then
+    //    stable-sort (equal timestamps keep their input order).
+    let mut running_max = 0u64;
     for ev in &mut raw {
         if !(ev.distance_m.is_finite() && ev.distance_m >= 0.0) {
             ev.distance_m = 0.0;
             report.bad_distances_zeroed += 1;
         }
-    }
-
-    // 3. Count how many lines a buffered collector wrote late, then
-    //    stable-sort (equal timestamps keep their input order).
-    let mut running_max = 0u64;
-    for ev in &raw {
         if ev.time_ms < running_max {
             report.out_of_order_events += 1;
         } else {
@@ -193,71 +338,66 @@ pub fn sanitize(
     }
     raw.sort_by_key(|ev| ev.time_ms);
 
-    // 4. Collapse duplicate transitions with a per-pair state machine.
-    //    Pairs are keyed by interim dense indices (built over *all*
-    //    remaining ids) so the hot loop does lookups on `(usize,
-    //    usize)` instead of allocating a `(String, String)` key per
-    //    event — full-size corpora run to millions of lines.
-    let interim = NodeIdMap::from_events(&raw);
-    let key = |ev: &RawEvent| -> (usize, usize) {
-        // The interim map was built from these exact events one
-        // statement above, so lookups cannot miss; usize::MAX keys
-        // would simply collapse into one (nonexistent) pair.
-        let x = interim.index_of(&ev.a).unwrap_or(usize::MAX);
-        let y = interim.index_of(&ev.b).unwrap_or(usize::MAX);
-        (x.min(y), x.max(y))
-    };
-    let mut open: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-    let mut clean: Vec<RawEvent> = Vec::with_capacity(raw.len());
-    for ev in raw {
-        match ev.phase {
-            ContactPhase::Up => match open.entry(key(&ev)) {
-                Entry::Occupied(_) => {
-                    report.duplicate_ups_dropped += 1;
-                    report.dropped_lines.push(ev.line);
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(ev.distance_m);
-                    clean.push(ev);
-                }
-            },
-            ContactPhase::Down => {
-                if open.remove(&key(&ev)).is_some() {
-                    clean.push(ev);
-                } else {
-                    report.orphan_downs_dropped += 1;
-                    report.dropped_lines.push(ev.line);
-                }
+    // 4. Collapse duplicate transitions with a per-pair state machine,
+    //    in place. Pairs are keyed by *interim* rank — the NodeIdMap
+    //    order of every id still present, which is not the final order
+    //    when an event dropped below carried the only non-numeric id —
+    //    because step 5 closes dangling contacts in that order.
+    let interim = node_order(ids, &raw);
+    let rank = invert(&interim, ids.labels.len());
+    let mut open: PairTable<Option<f64>> = PairTable::new();
+    raw.retain(|ev| {
+        let (x, y) = (rank[ev.a as usize], rank[ev.b as usize]);
+        let contact = open.slot(x.min(y), x.max(y));
+        let keep = match ev.phase {
+            ContactPhase::Up if contact.is_none() => {
+                *contact = Some(ev.distance_m);
+                true
             }
+            ContactPhase::Up => {
+                report.duplicate_ups_dropped += 1;
+                false
+            }
+            ContactPhase::Down if contact.take().is_some() => true,
+            ContactPhase::Down => {
+                report.orphan_downs_dropped += 1;
+                false
+            }
+        };
+        if !keep {
+            report.dropped_lines.push(ev.line);
         }
-    }
+        keep
+    });
 
     // 5. Close contacts dangling past the end of the log at the last
-    //    timestamp (ties ordered by pair for determinism).
-    let end = clean.last().map_or(0, |ev| ev.time_ms);
-    for ((x, y), distance_m) in open {
-        clean.push(RawEvent {
-            time_ms: end,
-            a: interim.labels()[x].clone(),
-            b: interim.labels()[y].clone(),
-            phase: ContactPhase::Down,
-            distance_m,
-            line: 0,
-        });
-        report.dangling_contacts_closed += 1;
+    //    timestamp, ties ordered by pair. `sorted` is the table's only
+    //    enumeration, so its slot order cannot reach the timeline.
+    let end = raw.last().map_or(0, |ev| ev.time_ms);
+    for ((x, y), contact) in open.sorted() {
+        if let Some(distance_m) = contact {
+            raw.push(Transition {
+                time_ms: end,
+                a: interim[x],
+                b: interim[y],
+                phase: ContactPhase::Down,
+                distance_m,
+                line: 0,
+            });
+            report.dangling_contacts_closed += 1;
+        }
     }
 
     // 6. Remap ids to dense indices — from the *surviving* events only,
     //    so the node set is exactly the devices present in the final
     //    timeline (this is what makes sanitize a fixpoint: a second
     //    pass sees the same id population).
-    let map = NodeIdMap::from_events(&clean);
-    let events: Vec<ContactEvent> = clean
+    let order = node_order(ids, &raw);
+    let node = invert(&order, ids.labels.len());
+    let events: Vec<ContactEvent> = raw
         .iter()
         .map(|ev| {
-            // Built from `clean` itself directly above — cannot miss.
-            let x = map.index_of(&ev.a).unwrap_or(usize::MAX);
-            let y = map.index_of(&ev.b).unwrap_or(usize::MAX);
+            let (x, y) = (node[ev.a as usize], node[ev.b as usize]);
             ContactEvent {
                 time: SimTime::from_millis(ev.time_ms),
                 a: x.min(y),
@@ -267,9 +407,15 @@ pub fn sanitize(
             }
         })
         .collect();
+    let labels: Vec<String> = order
+        .iter()
+        .map(|&id| ids.labels[id as usize].clone())
+        .collect();
 
-    let trace = ContactTrace::new_labeled(map.len(), range_m, Some(map.labels().to_vec()), events)?;
-    Ok((trace, map, report))
+    // The constructor validates the timeline again: the sanitizer's
+    // output gets no trusted path into a `ContactTrace`.
+    let trace = ContactTrace::new_labeled(labels.len(), range_m, Some(labels.clone()), events)?;
+    Ok((trace, NodeIdMap::from_labels(labels), report))
 }
 
 /// Re-expands a trace into raw events (labels as device ids), so a

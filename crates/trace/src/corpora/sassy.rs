@@ -23,60 +23,55 @@
 //! unioned into a longer contact.
 
 use crate::codec_text::parse_secs_as_millis;
-use crate::corpora::sanitize::RawEvent;
+use crate::corpora::sanitize::{sanitize_interned, IdTable, Transition};
 use crate::corpora::{ImportReport, ImportedCorpus};
 use crate::error::TraceError;
+use crate::scan::{first_n, Lines};
 use sos_sim::world::ContactPhase;
 
 /// Imports a SASSY-style interval/ranging CSV, sanitizing the result.
 pub fn import_str(text: &str) -> Result<ImportedCorpus, TraceError> {
-    let mut raw: Vec<RawEvent> = Vec::new();
-    let mut lines_total = 0usize;
-    let mut lines_skipped = 0usize;
+    let mut ids = IdTable::default();
+    let mut raw: Vec<Transition> = Vec::new();
+    let mut first_data_line = true;
+    let mut header_lines = 0usize;
     let mut records = 0usize;
     let mut records_dropped = 0usize;
     let mut records_out_of_order = 0usize;
     let mut running_max = 0u64;
-    let mut first_data_line = true;
-    for (idx, line_text) in text.lines().enumerate() {
-        let line = idx + 1;
-        lines_total += 1;
-        let content = line_text.trim();
-        if content.is_empty() || content.starts_with('#') {
-            lines_skipped += 1;
-            continue;
-        }
-        let fields: Vec<&str> = content.split(',').map(str::trim).collect();
-        if !(4..=5).contains(&fields.len()) {
+    let mut lines = Lines::new(text);
+    while let Some((line, content)) = lines.next_record() {
+        let (fields, count) = first_n::<5>(content.split(',').map(str::trim));
+        if !(4..=5).contains(&count) {
             return Err(TraceError::Parse {
                 line,
                 reason: format!("expected `a,b,start_s,end_s[,range_m]`, got {content:?}"),
             });
         }
+        let [a, b, start, end, range] = fields;
         // Only the *first* non-blank, non-comment line is
         // header-eligible; a later non-numeric time column is a real
         // parse error (otherwise a whole wrong-format file would
         // silently import as all-headers → empty corpus).
         if first_data_line {
             first_data_line = false;
-            if fields[2].parse::<f64>().is_err() {
-                lines_skipped += 1;
+            if start.parse::<f64>().is_err() {
+                header_lines += 1;
                 continue;
             }
         }
         // CSV fields can be empty or hold embedded whitespace; catch
         // bad device ids here with the line number rather than letting
         // them fail label validation deep in the trace constructor.
-        crate::corpora::validate_device_id(fields[0], line)?;
-        crate::corpora::validate_device_id(fields[1], line)?;
-        let start_ms = parse_secs_as_millis(fields[2], line)?;
-        let end_ms = parse_secs_as_millis(fields[3], line)?;
-        let range_m: f64 = match fields.get(4) {
-            Some(f) => f.parse().map_err(|_| TraceError::Parse {
+        let (a, b) = (ids.device(a, line)?, ids.device(b, line)?);
+        let start_ms = parse_secs_as_millis(start, line)?;
+        let end_ms = parse_secs_as_millis(end, line)?;
+        let range_m: f64 = match count {
+            5 => range.parse().map_err(|_| TraceError::Parse {
                 line,
-                reason: format!("bad range {f:?}"),
+                reason: format!("bad range {range:?}"),
             })?,
-            None => 0.0,
+            _ => 0.0,
         };
         records += 1;
         if end_ms <= start_ms {
@@ -93,39 +88,36 @@ pub fn import_str(text: &str) -> Result<ImportedCorpus, TraceError> {
         } else {
             running_max = start_ms;
         }
-        let (a, b) = (fields[0].to_string(), fields[1].to_string());
-        raw.push(RawEvent {
-            time_ms: start_ms,
-            a: a.clone(),
-            b: b.clone(),
-            phase: ContactPhase::Up,
-            distance_m: range_m,
-            line,
-        });
-        raw.push(RawEvent {
-            time_ms: end_ms,
-            a,
-            b,
-            phase: ContactPhase::Down,
-            distance_m: range_m,
-            line,
-        });
+        for (time_ms, phase) in [(start_ms, ContactPhase::Up), (end_ms, ContactPhase::Down)] {
+            raw.push(Transition {
+                time_ms,
+                a,
+                b,
+                phase,
+                distance_m: range_m,
+                line,
+            });
+        }
     }
+    let lines_total = lines.lines_read();
+    let lines_skipped = lines.lines_skipped() + header_lines;
 
     // Interval records interleave across pairs by nature; order the
     // expanded transitions by time before the sanitizer (ties: ups
-    // after downs so back-to-back intervals stay closed-then-open).
-    raw.sort_by(|x, y| {
-        (x.time_ms, x.phase == ContactPhase::Up, &x.a, &x.b).cmp(&(
-            y.time_ms,
-            y.phase == ContactPhase::Up,
-            &y.a,
-            &y.b,
-        ))
+    // after downs so back-to-back intervals stay closed-then-open,
+    // then by the two labels, which their lexical ranks stand in for).
+    let label = ids.lexical_ranks();
+    raw.sort_by_key(|ev| {
+        (
+            ev.time_ms,
+            ev.phase == ContactPhase::Up,
+            label[ev.a as usize],
+            label[ev.b as usize],
+        )
     });
 
     let raw_events = raw.len();
-    let (trace, id_map, sanitize) = crate::corpora::sanitize(raw, None)?;
+    let (trace, id_map, sanitize) = sanitize_interned(&ids, raw, None)?;
     let report = ImportReport {
         format: "sassy-ranging",
         lines_total,

@@ -80,6 +80,18 @@ pub enum TraceError {
     Truncated,
     /// A varint exceeded 64 bits.
     VarintOverflow,
+    /// The binary header sets flag bits this format version does not
+    /// define: a newer writer, or not a trace at all.
+    UnknownFlags {
+        /// The flag byte as read.
+        flags: u8,
+    },
+    /// The binary buffer goes on after its last event: a second trace
+    /// appended to the first, or a wrong event count.
+    TrailingBytes {
+        /// Bytes left unread.
+        extra: usize,
+    },
     /// A trajectory embedded in the ingested data was malformed.
     Trajectory(SimError),
 }
@@ -109,6 +121,15 @@ impl fmt::Display for TraceError {
             TraceError::BadMagic => f.write_str("not a sos-trace binary (bad magic)"),
             TraceError::Truncated => f.write_str("binary trace truncated mid-record"),
             TraceError::VarintOverflow => f.write_str("varint exceeds 64 bits"),
+            TraceError::UnknownFlags { flags } => {
+                write!(
+                    f,
+                    "binary trace header has unknown flag bits ({flags:#010b})"
+                )
+            }
+            TraceError::TrailingBytes { extra } => {
+                write!(f, "{extra} bytes follow the last event of the binary trace")
+            }
             TraceError::Trajectory(e) => write!(f, "embedded trajectory: {e}"),
         }
     }

@@ -64,7 +64,9 @@ pub mod codec_binary;
 pub mod codec_text;
 pub mod corpora;
 pub mod error;
+mod pair_table;
 pub mod record;
+mod scan;
 pub mod source;
 pub mod synthetic;
 

@@ -7,9 +7,9 @@
 //! [`TraceContactSource`]: crate::TraceContactSource
 
 use crate::error::TraceError;
+use crate::pair_table::PairTable;
 use sos_sim::world::{collapse_intervals, ContactEvent, ContactInterval, ContactPhase};
 use sos_sim::{EncounterSource, SimTime};
-use std::collections::BTreeMap;
 
 /// A recorded (or synthesized, or imported) encounter timeline: every
 /// pairwise contact transition of a node population over a window,
@@ -75,7 +75,7 @@ impl ContactTrace {
             }
         }
         let mut last_time = SimTime::ZERO;
-        let mut open: BTreeMap<(usize, usize), bool> = BTreeMap::new();
+        let mut open: PairTable<bool> = PairTable::new();
         for (index, ev) in events.iter().enumerate() {
             if ev.a >= ev.b {
                 return Err(TraceError::UnorderedPair { index });
@@ -94,7 +94,7 @@ impl ContactTrace {
             if !(ev.distance_m.is_finite() && ev.distance_m >= 0.0) {
                 return Err(TraceError::BadDistance { index });
             }
-            let up = open.entry((ev.a, ev.b)).or_insert(false);
+            let up = open.slot(ev.a, ev.b);
             match ev.phase {
                 ContactPhase::Up if !*up => *up = true,
                 ContactPhase::Down if *up => *up = false,
@@ -183,6 +183,7 @@ impl ContactTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sos_sim::mobility::trace::Trajectory;
     use sos_sim::{Point, SimDuration, World};
 
@@ -279,6 +280,107 @@ mod tests {
                 ContactTrace::new_labeled(2, None, Some(bad), events.clone()).unwrap_err(),
                 TraceError::InvalidLabels { .. }
             ));
+        }
+    }
+
+    /// The validator as it was before the pair table: the same checks
+    /// in the same order over a `BTreeMap`. Test-only, the reference
+    /// the proptest below compares [`ContactTrace::new`] against.
+    fn reference_validate(nodes: usize, events: &[ContactEvent]) -> Result<(), TraceError> {
+        let mut last_time = SimTime::ZERO;
+        let mut open: std::collections::BTreeMap<(usize, usize), bool> = Default::default();
+        for (index, ev) in events.iter().enumerate() {
+            if ev.a >= ev.b {
+                return Err(TraceError::UnorderedPair { index });
+            }
+            if ev.b >= nodes {
+                let node = ev.b;
+                return Err(TraceError::NodeOutOfRange { index, node, nodes });
+            }
+            if index > 0 && ev.time < last_time {
+                return Err(TraceError::UnorderedEvents { index });
+            }
+            last_time = ev.time;
+            if !(ev.distance_m.is_finite() && ev.distance_m >= 0.0) {
+                return Err(TraceError::BadDistance { index });
+            }
+            let up = open.entry((ev.a, ev.b)).or_insert(false);
+            match ev.phase {
+                ContactPhase::Up if !*up => *up = true,
+                ContactPhase::Down if *up => *up = false,
+                _ => return Err(TraceError::PhaseViolation { index }),
+            }
+        }
+        Ok(())
+    }
+
+    /// Mostly-valid timelines: each draw advances time and toggles one
+    /// pair, and about one draw in forty injects a fault of some class
+    /// instead, so failures land deep into the pair state.
+    fn event_soup() -> impl Strategy<Value = (usize, Vec<ContactEvent>)> {
+        let draw = (0usize..9, 0usize..9, 0u64..5_000, 0u32..240, 0u32..4);
+        (9usize..11, prop::collection::vec(draw, 0..120)).prop_map(|(nodes, draws)| {
+            let mut open = std::collections::BTreeSet::new();
+            let mut now = 10_000u64;
+            let mut events = Vec::with_capacity(draws.len());
+            for (x, y, dt, fault, flavour) in draws {
+                if x == y {
+                    continue;
+                }
+                let (mut a, mut b) = (x.min(y), x.max(y));
+                now += dt;
+                let toggled_up = !open.contains(&(a, b));
+                let mut up = toggled_up;
+                let mut time = now;
+                let mut distance_m = (dt % 97) as f64 / 2.0;
+                match fault {
+                    0 => up = !up, // duplicate up / orphan down
+                    1 => (a, b) = (b, a),
+                    2 => b = a,
+                    3 => b += 9 * flavour as usize, // maybe out of range
+                    4 => time = now.saturating_sub(7_000 * u64::from(flavour)),
+                    5 => distance_m = [f64::NAN, -1.0, f64::INFINITY, -0.0][flavour as usize],
+                    _ => {}
+                }
+                if fault > 5 || (fault == 5 && flavour == 3) {
+                    // Valid events move the pair state the faults test.
+                    if toggled_up {
+                        open.insert((a, b));
+                    } else {
+                        open.remove(&(a, b));
+                    }
+                }
+                events.push(ContactEvent {
+                    time: SimTime::from_millis(time),
+                    a,
+                    b,
+                    phase: if up {
+                        ContactPhase::Up
+                    } else {
+                        ContactPhase::Down
+                    },
+                    distance_m,
+                });
+            }
+            (nodes, events)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Same `Ok`, or the same error variant at the same index, as
+        /// the tree-based validator it replaced.
+        #[test]
+        fn validation_agrees_with_the_btreemap_reference(soup in event_soup()) {
+            let (nodes, events) = soup;
+            let want = reference_validate(nodes, &events);
+            let got = ContactTrace::new(nodes, Some(60.0), events.clone());
+            match (got, want) {
+                (Ok(trace), Ok(())) => prop_assert_eq!(trace.events(), &events[..]),
+                (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                (got, want) => prop_assert!(false, "{:?} vs reference {:?}", got.err(), want),
+            }
         }
     }
 
