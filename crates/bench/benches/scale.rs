@@ -31,7 +31,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
-use sos_bench::emit::{pretty_ns, smoke, Suite};
+use sos_bench::emit::{pretty_ns, smoke, time_once, Suite};
 use sos_engine::{GridContactEngine, ShardConfig, ShardedContactEngine};
 use sos_sim::mobility::{Metropolis, MetropolisConfig, TrajectorySet};
 use sos_sim::{ContactSource, SimDuration, SimTime, World};
@@ -59,18 +59,6 @@ fn city(nodes: usize, days: u64, seed: u64) -> TrajectorySet {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     Metropolis::new(cfg, nodes, &mut rng).generate_all(seed)
-}
-
-/// Times one call of `f`, returning (nanoseconds, output). The big
-/// workloads here run seconds per call; a single timed call is the
-/// whole budget, so no adaptive windowing.
-// sos-bench is one of the two sanctioned wall-clock readers (see
-// clippy.toml `disallowed-methods`): timing is its whole job.
-#[allow(clippy::disallowed_methods)]
-fn time_once<O>(f: impl FnOnce() -> O) -> (f64, O) {
-    let start = std::time::Instant::now();
-    let out = std::hint::black_box(f());
-    (start.elapsed().as_secs_f64() * 1e9, out)
 }
 
 fn sharded(set: TrajectorySet, shards: usize, epoch_ticks: u64) -> ShardedContactEngine {

@@ -50,6 +50,17 @@ pub fn time_mean<O, F: FnMut() -> O>(min_iters: u64, mut f: F) -> f64 {
     start.elapsed().as_secs_f64() * 1e9 / iters as f64
 }
 
+/// Times one call of `f`, returning (nanoseconds, output): for
+/// workloads that run milliseconds to seconds per call, where a single
+/// timed call is the whole budget and the caller takes its own median.
+// The other sanctioned wall-clock read in this crate (see `time_mean`).
+#[allow(clippy::disallowed_methods)]
+pub fn time_once<O>(f: impl FnOnce() -> O) -> (f64, O) {
+    let start = Instant::now();
+    let out = std::hint::black_box(f());
+    (start.elapsed().as_secs_f64() * 1e9, out)
+}
+
 /// Formats mean nanoseconds the way the bench output always has.
 pub fn pretty_ns(mean: f64) -> String {
     if mean < 1e3 {
@@ -112,7 +123,11 @@ impl Suite {
         ));
         for (i, (name, mean)) in results.iter().enumerate() {
             let comma = if i + 1 == results.len() { "" } else { "," };
-            out.push_str(&format!("    \"{name}\": {mean:.1}{comma}\n"));
+            // Ratios and gates live below 10 (a size computed instead
+            // of encoded reads 1e-4 of the encode); a tenth is too
+            // coarse for them and finer than needed for nanoseconds.
+            let digits = if mean.abs() < 10.0 { 6 } else { 1 };
+            out.push_str(&format!("    \"{name}\": {mean:.digits$}{comma}\n"));
         }
         out.push_str("  }\n}\n");
         std::fs::write(&path, out).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));

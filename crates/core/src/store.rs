@@ -79,25 +79,28 @@ impl MessageStore {
     /// The advertisement dictionary: `author → latest number held`,
     /// filtered by `advertise` (routing schemes may hide exhausted
     /// spray-and-wait bundles, for example).
+    ///
+    /// `advertise` is called newest-first and only until its first hit
+    /// per author, so it must be a pure predicate of the bundle: one
+    /// that counts its calls, or expects to see every bundle, is not
+    /// served. The cost is O(authors · log) when each author's newest
+    /// bundle is advertised, plus one step per hidden bundle above the
+    /// newest advertised one.
     pub fn summary_filtered<F>(&self, mut advertise: F) -> BTreeMap<UserId, u64>
     where
         F: FnMut(&Bundle) -> bool,
     {
-        let mut out = BTreeMap::new();
-        for (author, msgs) in &self.by_author {
-            let latest = msgs
-                .values()
-                .filter(|b| advertise(b))
-                .map(|b| b.message.id.number)
-                .max();
-            if let Some(latest) = latest {
-                out.insert(*author, latest);
-            }
-        }
-        out
+        self.by_author
+            .iter()
+            .filter_map(|(author, msgs)| {
+                let (&latest, _) = msgs.iter().rev().find(|(_, b)| advertise(b))?;
+                Some((*author, latest))
+            })
+            .collect()
     }
 
-    /// The unfiltered advertisement dictionary.
+    /// The unfiltered advertisement dictionary: each author's last key,
+    /// O(authors · log).
     pub fn summary(&self) -> BTreeMap<UserId, u64> {
         self.summary_filtered(|_| true)
     }
@@ -149,21 +152,11 @@ impl MessageStore {
     /// held (0 if message 1 is missing). Unlike [`MessageStore::latest_for`],
     /// this watermark never jumps over a hole, so comparing it against an
     /// advertised latest detects missing middles.
+    ///
+    /// O(log) unless the author's sequence starts at 1 and has a hole,
+    /// the one case that is walked (up to the hole).
     pub fn contiguous_prefix_for(&self, author: &UserId) -> u64 {
-        // Hot path: called per author on every advertisement received
-        // (via sync_summary), so walk keys directly and stop at the
-        // first discontinuity instead of materializing the range set.
-        let Some(msgs) = self.by_author.get(author) else {
-            return 0;
-        };
-        let mut expected = 1u64;
-        for &n in msgs.keys() {
-            if n != expected {
-                break;
-            }
-            expected += 1;
-        }
-        expected - 1
+        self.by_author.get(author).map_or(0, contiguous_prefix)
     }
 
     /// The browse-side summary for gap-aware sync decisions:
@@ -171,10 +164,14 @@ impl MessageStore {
     /// bottom of their sequence maps to a low watermark, so any peer
     /// advertising beyond it — including peers carrying only the evicted
     /// middles — registers as news.
+    ///
+    /// Called on every advertisement received: O(authors · log) plus the
+    /// walk [`contiguous_prefix_for`](MessageStore::contiguous_prefix_for)
+    /// makes for an author with a hole above message 1.
     pub fn sync_summary(&self) -> BTreeMap<UserId, u64> {
         self.by_author
-            .keys()
-            .map(|author| (*author, self.contiguous_prefix_for(author)))
+            .iter()
+            .map(|(author, msgs)| (*author, contiguous_prefix(msgs)))
             .collect()
     }
 
@@ -302,10 +299,35 @@ impl MessageStore {
     }
 }
 
+/// The contiguous prefix of one author's held numbers, from the two
+/// ends of the map: nothing without message 1, everything when the
+/// `len` keys end at `len` (they are distinct and start at 1, so they
+/// are exactly `1..=len`), and a walk to the first hole otherwise.
+fn contiguous_prefix(msgs: &BTreeMap<u64, Bundle>) -> u64 {
+    let (Some((&first, _)), Some((&last, _))) = (msgs.first_key_value(), msgs.last_key_value())
+    else {
+        return 0;
+    };
+    if first != 1 {
+        return 0;
+    }
+    if last == msgs.len() as u64 {
+        return last;
+    }
+    let mut expected = 1u64;
+    for &n in msgs.keys() {
+        if n != expected {
+            break;
+        }
+        expected += 1;
+    }
+    expected - 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{MessageKind, SosMessage};
+    use crate::message::{MessageId, MessageKind, SosMessage};
     use sos_crypto::ca::CertificateAuthority;
     use sos_crypto::ed25519::SigningKey;
     use sos_crypto::x25519::AgreementKey;
@@ -544,6 +566,140 @@ mod tests {
         assert_eq!(store.ranges_for(&alice), vec![(4, 6)]);
         assert_eq!(store.holes_for(&alice), vec![(1, 3)]);
         assert_eq!(store.contiguous_prefix_for(&alice), 0);
+    }
+
+    /// The walk-everything answers the summary functions gave before
+    /// they read each per-author map from its ends, rebuilt from the
+    /// public iterator alone.
+    mod reference {
+        use super::*;
+
+        pub(super) fn summary_filtered(
+            store: &MessageStore,
+            mut advertise: impl FnMut(&Bundle) -> bool,
+        ) -> BTreeMap<UserId, u64> {
+            let mut out = BTreeMap::new();
+            for b in store.iter().filter(|b| advertise(b)) {
+                let latest = out.entry(b.message.id.author).or_insert(0);
+                *latest = b.message.id.number.max(*latest);
+            }
+            out
+        }
+
+        pub(super) fn contiguous_prefix_for(store: &MessageStore, author: &UserId) -> u64 {
+            let mut numbers: Vec<u64> = store
+                .iter()
+                .filter(|b| b.message.id.author == *author)
+                .map(|b| b.message.id.number)
+                .collect();
+            numbers.sort_unstable();
+            let mut expected = 1u64;
+            for n in numbers {
+                if n != expected {
+                    break;
+                }
+                expected += 1;
+            }
+            expected - 1
+        }
+
+        pub(super) fn sync_summary(store: &MessageStore) -> BTreeMap<UserId, u64> {
+            store
+                .authors()
+                .map(|author| (*author, contiguous_prefix_for(store, author)))
+                .collect()
+        }
+    }
+
+    mod summaries {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        const AUTHORS: [&str; 3] = ["alice", "bob", "carol"];
+
+        /// A stand-in bundle (the store never looks at signatures):
+        /// one signed template, renumbered.
+        fn cheap_bundle(
+            author: usize,
+            number: u64,
+            created_secs: u64,
+            copies: Option<u32>,
+        ) -> Bundle {
+            static TEMPLATE: OnceLock<Bundle> = OnceLock::new();
+            let mut b = TEMPLATE.get_or_init(|| bundle("template", 1)).clone();
+            b.message.id = MessageId {
+                author: UserId::from_str_padded(AUTHORS[author]),
+                number,
+            };
+            b.message.created_at = SimTime::from_secs(created_secs);
+            b.copies = copies;
+            b
+        }
+
+        proptest! {
+            /// Stores grown and shrunk by random inserts and both kinds
+            /// of eviction — holes at the bottom and in the middle,
+            /// number 1 missing, authors emptied and refilled, numbers
+            /// up against `u64::MAX` — answer all four summary questions
+            /// as a walk over every bundle does, under pure predicates
+            /// of several shapes (spray-style copy budgets among them).
+            #[test]
+            fn answers_from_the_ends_equal_walking_everything(
+                ops in prop::collection::vec((0u8..10, 0usize..3, 1u64..14, any::<u64>()), 1..70),
+                modulus in 2u64..5,
+                fresh_secs in 0u64..100,
+            ) {
+                let mut store = MessageStore::new();
+                for (kind, author, number, aux) in ops {
+                    let me = UserId::from_str_padded(AUTHORS[author]);
+                    match kind {
+                        // Mostly inserts, low numbers, any creation order.
+                        0..=5 => {
+                            let copies = [None, Some(1), Some(4)][(aux % 3) as usize];
+                            store.insert(cheap_bundle(author, number, aux % 100, copies));
+                        }
+                        6 => {
+                            store.insert(cheap_bundle(author, u64::MAX - number % 3, aux % 100, None));
+                        }
+                        7 => {
+                            store.evict_older_than(SimTime::from_secs(aux % 120), |b| {
+                                aux % 2 == 0 && b.message.id.author == me
+                            });
+                        }
+                        _ => {
+                            store.evict_to_capacity((aux % 12) as usize, |b| {
+                                aux % 5 == 0 && b.message.id.author == me
+                            });
+                        }
+                    }
+
+                    prop_assert_eq!(store.summary(), reference::summary_filtered(&store, |_| true));
+                    prop_assert_eq!(store.sync_summary(), reference::sync_summary(&store));
+                    for name in AUTHORS {
+                        let author = UserId::from_str_padded(name);
+                        prop_assert_eq!(
+                            store.contiguous_prefix_for(&author),
+                            reference::contiguous_prefix_for(&store, &author)
+                        );
+                    }
+                    let fresh = SimTime::from_secs(fresh_secs);
+                    let predicates: [&dyn Fn(&Bundle) -> bool; 5] = [
+                        &|b| b.copies.is_none_or(|c| c > 1),
+                        &|b| b.message.id.author == me || b.copies.is_none_or(|c| c > 1),
+                        &|b| b.message.id.number % modulus != 0,
+                        &|b| b.message.created_at >= fresh,
+                        &|_| false,
+                    ];
+                    for advertise in predicates {
+                        prop_assert_eq!(
+                            store.summary_filtered(advertise),
+                            reference::summary_filtered(&store, advertise)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -178,6 +178,15 @@ impl Certificate {
         buf
     }
 
+    /// The length of [`Certificate::to_bytes`], without encoding: the
+    /// fixed-width fields plus the two length-prefixed names.
+    pub fn encoded_len(&self) -> usize {
+        // version, serial, subject, two keys, validity window, signature
+        // and the two name-length bytes.
+        const FIXED: usize = 1 + 8 + 10 + 32 + 32 + 8 + 8 + 64 + 2;
+        FIXED + self.display_name.len() + self.issuer.len()
+    }
+
     /// Parses the wire encoding produced by [`Certificate::to_bytes`].
     ///
     /// # Errors
@@ -282,6 +291,7 @@ mod tests {
     fn wire_roundtrip() {
         let (cert, _) = sample_cert();
         let bytes = cert.to_bytes();
+        assert_eq!(cert.encoded_len(), bytes.len());
         let parsed = Certificate::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, cert);
     }

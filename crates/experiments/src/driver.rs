@@ -15,6 +15,26 @@
 //! therefore produce byte-identical runs, which is what makes
 //! `sos-trace` record→replay exact (see `experiments::replay`).
 //!
+//! **Wakes follow contacts:** a node is woken for an advertisement only
+//! on the boundaries of its cadence that fall inside a window during
+//! which it has a peer — the rule the lockstep schedule has always had
+//! (`sos_node::provision::ad_boundaries`, shared with it). A boundary
+//! outside every window found the advertiser alone: the runtime emitted
+//! no frame, so nothing was drawn from the RNG that link loss and the
+//! middleware share, and nothing was journaled. Leaving those wakes out
+//! of the queue is therefore invisible in every output, and the wakes
+//! that remain are enqueued in the order they always were (after the
+//! contacts, node by node, time ascending), so equal-time events still
+//! pop in the same order. A run costs what its contacts warrant, not
+//! what its span does: on the paper-shaped week of ten phones, 87 % of
+//! all boundaries find the advertiser alone.
+//! Windows mean what the runtime's peer set means — a contact-up on a
+//! boundary admits it, a contact-down on it excludes it — and a contact
+//! still open at the end of the run stays open *through* the end: the
+//! advertisement due at that last instant is sent and counted, though
+//! its frames arrive too late. (The lockstep schedule closes such a
+//! contact *at* the end instead; see `sos_node::lockstep`.)
+//!
 //! **Sans-I/O split:** the middleware loop itself — session
 //! lifecycles, advertisement cadence, peer connectivity — lives in
 //! [`sos_node::runtime::NodeRuntime`], the same state machine the
@@ -23,9 +43,11 @@
 //! distance, loss, serialization delay, and in-order delivery per
 //! directed link. Frames cross the boundary as typed values
 //! (`push_frame` / `poll_frames`) with the driver's one shared RNG, so
-//! the driver pays no codec cost; and the runtime's peer set is the
-//! only record of who is connected to whom — the driver keeps just the
-//! distance each open contact was frozen at.
+//! the driver pays no codec cost — the link model costs a frame by
+//! [`Frame::wire_size`], which is computed from the frame's fields, not
+//! by encoding it; and the runtime's peer set is the only record of who
+//! is connected to whom — the driver keeps just the distance each open
+//! contact was frozen at.
 //!
 //! **One study plane:** every driver-based experiment (field study,
 //! replay, corpus, density, sweep) provisions a [`Study`] and hands it
@@ -41,13 +63,13 @@ use sos_core::message::MessageKind;
 use sos_core::middleware::{SosEvent, SosStats};
 use sos_core::routing::SchemeKind;
 use sos_net::{Frame, LinkModel, PeerId};
-use sos_node::provision::ad_phase;
-use sos_node::runtime::{ad_period, NodeConfig, NodeRuntime};
+use sos_node::provision::{ad_boundaries, ad_phase};
+use sos_node::runtime::{NodeConfig, NodeRuntime};
 use sos_obs::journal::ObsEvent;
 use sos_obs::{Histogram, JournalEntry, JournalHandle, NodeObs, Registry};
 use sos_sim::metrics::{DelayRecorder, DeliveryRecorder};
 use sos_sim::{EncounterSource, EventQueue, SimDuration, SimTime, World};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Where on the map something happened (for Fig. 4b).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,7 +93,11 @@ pub enum MapEventKind {
 
 /// Driver events.
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // Deliver(Frame) dominates by design
+// Deliver(Frame) dominates by design. `Box<Frame>` (48 B queue entries,
+// one allocation per delivery) was timed against this on `study_replay`
+// once the queue held ~14 k entries instead of ~101 k: a tie (-3.5 %
+// median, 10 of 14 pairs, inside the quartiles), so the frame stays inline.
+#[allow(clippy::large_enum_variant)]
 enum Event {
     /// `node` broadcasts its advertisement to everyone in range.
     Advertise(usize),
@@ -89,6 +115,11 @@ enum Event {
     /// A contact closed; both ends lose the peer.
     ContactDown { a: usize, b: usize },
 }
+
+/// A stretch of the run during which a node has at least one peer:
+/// from the instant its peer set stops being empty to the instant it
+/// is empty again (`None`: never, within the timeline).
+type Window = (SimTime, Option<SimTime>);
 
 /// Driver configuration.
 #[derive(Clone, Debug)]
@@ -401,18 +432,17 @@ impl<C: EncounterSource> Driver<C> {
         self.enqueue(at, Event::Post { node });
     }
 
-    /// Schedules the periodic advertisement broadcasts for every node,
-    /// phase-shifted so simultaneous session collisions are rare.
-    fn schedule_advertisements(&mut self) {
-        let n = self.nodes.len();
-        for node in 0..n {
-            // Phase-stagger nodes across the interval (the same offset
-            // the node's runtime was configured with, so every scheduled
-            // wake lands exactly on one of its ad boundaries).
-            let mut t = SimTime::ZERO + ad_phase(self.config.ad_interval, node, n);
-            while t <= self.end {
-                self.enqueue(t, Event::Advertise(node));
-                t += ad_period(self.config.ad_interval);
+    /// Schedules each node's advertisement wakes, node-major and time
+    /// ascending, on the boundaries (phase-staggered across the
+    /// interval, the same offset the node's runtime was configured
+    /// with) that fall inside one of its `windows`.
+    fn schedule_advertisements(&mut self, windows: &[Vec<Window>]) {
+        let (interval, n, end) = (self.config.ad_interval, self.nodes.len(), self.end);
+        for (node, node_windows) in windows.iter().enumerate() {
+            for &(start, stop) in node_windows {
+                for t in ad_boundaries(interval, node, n, start, stop, end) {
+                    self.enqueue(t, Event::Advertise(node));
+                }
             }
         }
     }
@@ -426,25 +456,55 @@ impl<C: EncounterSource> Driver<C> {
     /// broadcast on the tick a contact comes up reaches the new peer,
     /// and one on the tick it goes down does not, matching the
     /// geometric sampling semantics this replaces.
-    fn schedule_contacts(&mut self) {
-        for ev in self.source.encounter_events(SimTime::ZERO, self.end) {
-            let event = match ev.phase {
-                sos_sim::ContactPhase::Up => Event::ContactUp {
+    ///
+    /// Returns, per node, the windows during which it has a peer, in
+    /// time order: what its runtime's peer set will hold once the queue
+    /// has applied these events. A window opens when the set of
+    /// *distinct* peers goes 0 → 1 and closes when it goes 1 → 0 (a
+    /// repeated `Up`, or a `Down` for a closed pair, changes nothing,
+    /// as in [`NodeRuntime::on_encounter_up`]); one still open at the
+    /// end of the timeline has no close.
+    fn schedule_contacts(&mut self) -> Vec<Vec<Window>> {
+        let mut events = self.source.encounter_events(SimTime::ZERO, self.end);
+        // The queue applies equal-time events in scheduling order, so a
+        // stable sort by time is the order it will apply these in,
+        // whatever order the source listed them in.
+        events.sort_by_key(|ev| ev.time);
+        let n = self.nodes.len();
+        let mut peers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        let mut windows: Vec<Vec<Window>> = vec![Vec::new(); n];
+        for ev in events {
+            let up = ev.phase == sos_sim::ContactPhase::Up;
+            for (node, peer) in [(ev.a, ev.b), (ev.b, ev.a)] {
+                if up {
+                    if peers[node].insert(peer) && peers[node].len() == 1 {
+                        windows[node].push((ev.time, None));
+                    }
+                } else if peers[node].remove(&peer) && peers[node].is_empty() {
+                    if let Some(open) = windows[node].last_mut() {
+                        open.1 = Some(ev.time);
+                    }
+                }
+            }
+            let event = if up {
+                Event::ContactUp {
                     a: ev.a,
                     b: ev.b,
                     distance_m: ev.distance_m,
-                },
-                sos_sim::ContactPhase::Down => Event::ContactDown { a: ev.a, b: ev.b },
+                }
+            } else {
+                Event::ContactDown { a: ev.a, b: ev.b }
             };
             self.enqueue(ev.time, event);
         }
+        windows
     }
 
     /// Runs the simulation to the end and returns the metrics and the
     /// final applications (whose local databases hold every feed).
     pub fn run(mut self) -> (RunMetrics, Vec<AlleyOopApp>) {
-        self.schedule_contacts();
-        self.schedule_advertisements();
+        let windows = self.schedule_contacts();
+        self.schedule_advertisements(&windows);
         while let Some((now, event)) = self.queue.pop() {
             if now > self.end {
                 break;
@@ -620,4 +680,118 @@ pub fn aggregate_stats(apps: &[AlleyOopApp]) -> SosStats {
         total.merge(&app.middleware().stats());
     }
     total
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sos_node::provision::{provision_apps, RunPlan};
+    use sos_sim::world::{ContactEvent, ContactPhase};
+    use sos_trace::ContactTrace;
+
+    /// A timeline handed over as listed: unvalidated, unsorted.
+    struct Raw(usize, Vec<ContactEvent>);
+
+    impl EncounterSource for Raw {
+        fn node_count(&self) -> usize {
+            self.0
+        }
+
+        fn encounter_events(&self, _start: SimTime, _end: SimTime) -> Vec<ContactEvent> {
+            self.1.clone()
+        }
+    }
+
+    fn ev(secs: u64, a: usize, b: usize, up: bool) -> ContactEvent {
+        ContactEvent {
+            time: SimTime::from_secs(secs),
+            a,
+            b,
+            phase: if up {
+                ContactPhase::Up
+            } else {
+                ContactPhase::Down
+            },
+            distance_m: 5.0,
+        }
+    }
+
+    /// A driver over `events` for `n` strangers (nobody follows anybody,
+    /// nobody posts: advertisements are all that moves), advertising
+    /// every 60 s until `end_secs`.
+    fn driver(n: usize, events: Vec<ContactEvent>, end_secs: u64) -> Driver<Raw> {
+        let plan = RunPlan::default();
+        let population = ContactTrace::new(n, None, vec![ev(0, 0, 1, true)]).expect("valid trace");
+        Driver::new(
+            provision_apps(&population, &plan),
+            Raw(n, events),
+            vec![Vec::new(); n],
+            DriverConfig::default(),
+            SimTime::from_secs(end_secs),
+        )
+    }
+
+    fn secs(start: u64, stop: Option<u64>) -> Window {
+        (SimTime::from_secs(start), stop.map(SimTime::from_secs))
+    }
+
+    #[test]
+    fn windows_follow_what_the_runtime_peer_sets_will_hold() {
+        let events = vec![
+            ev(100, 0, 1, true),
+            ev(150, 0, 1, true),  // repeated `Up`: opens nothing
+            ev(160, 0, 2, false), // `Down` for a closed pair: closes nothing
+            ev(200, 1, 2, true),  // node 1's contacts overlap
+            ev(300, 0, 1, false),
+            ev(300, 0, 3, true), // node 0: last peer out, next in, one instant
+            ev(400, 1, 2, false),
+            ev(500, 2, 4, true),
+            ev(500, 2, 4, false), // zero length
+            ev(450, 0, 3, false), // listed late, applied on time
+            ev(600, 3, 4, true),  // never closed
+        ];
+        let windows = driver(6, events, 1_000).schedule_contacts();
+        assert_eq!(
+            windows,
+            vec![
+                vec![secs(100, Some(300)), secs(300, Some(450))],
+                vec![secs(100, Some(400))],
+                vec![secs(200, Some(400)), secs(500, Some(500))],
+                vec![secs(300, Some(450)), secs(600, None)],
+                vec![secs(500, Some(500)), secs(600, None)],
+                vec![],
+            ]
+        );
+    }
+
+    #[test]
+    fn wakes_are_scheduled_inside_windows_only() {
+        // Two nodes, 60 s period, phases 0 and 30 s; together 90–200 s
+        // out of a day: node 0 is due at 120 and 180, node 1 at 90
+        // (the `Up` admits it) and 150, and at 210 neither is.
+        let events = vec![ev(90, 0, 1, true), ev(200, 0, 1, false)];
+        let mut d = driver(2, events, 86_400);
+        let windows = d.schedule_contacts();
+        d.schedule_advertisements(&windows);
+        let mut wakes = Vec::new();
+        while let Some((at, event)) = d.queue.pop() {
+            if let Event::Advertise(node) = event {
+                wakes.push((at.as_secs(), node));
+            }
+        }
+        assert_eq!(wakes, vec![(90, 1), (120, 0), (150, 1), (180, 0)]);
+    }
+
+    /// The one point where the driver and the lockstep schedule read a
+    /// window differently: a contact still open at the end stays open
+    /// *through* it, so an advertiser due exactly at the end sends, and
+    /// the frame counts although it arrives too late. (The other side
+    /// is `a_contact_dangling_at_the_end_does_not_tick_there` in
+    /// `sos_node::lockstep`.)
+    #[test]
+    fn a_contact_dangling_through_the_end_advertises_at_the_end() {
+        // Node 0 is due at 60 and 120 = the end; node 1 at 30 and 90.
+        let (metrics, _) = driver(2, vec![ev(10, 0, 1, true)], 120).run();
+        assert_eq!(metrics.frames_sent, 4);
+    }
 }

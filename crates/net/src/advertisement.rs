@@ -62,9 +62,12 @@ impl Advertisement {
 
     /// Wire size in bytes of the plain-text dictionary (10-byte key +
     /// 8-byte value per entry, plus the advertiser header), used by the
-    /// link model to cost discovery traffic.
+    /// link model to cost discovery traffic: what
+    /// [`Frame::encode`](crate::Frame::encode) writes after the frame's
+    /// tag byte, which keeps only the first 65 535 entries of a larger
+    /// dictionary.
     pub fn wire_size(&self) -> usize {
-        4 + 10 + 2 + self.summary.len() * 18
+        4 + 10 + 2 + self.summary.len().min(usize::from(u16::MAX)) * 18
     }
 }
 
@@ -109,5 +112,8 @@ mod tests {
         let base = ad.wire_size();
         ad.insert(uid("b"), 1);
         assert_eq!(ad.wire_size(), base + 18);
+        // The frame adds its tag byte to exactly this.
+        let framed = crate::Frame::Advertisement(ad.clone());
+        assert_eq!(framed.encode().len(), 1 + ad.wire_size());
     }
 }

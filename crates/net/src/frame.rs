@@ -336,9 +336,38 @@ impl Frame {
         Ok(frame)
     }
 
-    /// Encoded size in bytes (used by the link model).
+    /// The length of [`Frame::encode`] in bytes (what the link model
+    /// costs a transmission by), from the fields alone: nothing is
+    /// encoded.
     pub fn wire_size(&self) -> usize {
-        self.encode().len()
+        // The tag byte, then the variant's layout as `encode` writes it.
+        1 + match self {
+            Frame::Advertisement(ad) => ad.wire_size(),
+            Frame::Invite { .. } => 4,
+            Frame::HandshakeInit(HandshakeInit::Full {
+                certificate,
+                ephemeral_public,
+                signature,
+            })
+            | Frame::HandshakeResponse(HandshakeResponse::Full {
+                certificate,
+                ephemeral_public,
+                signature,
+            }) => {
+                2 + certificate.encoded_len() + ephemeral_public.len() + signature.as_bytes().len()
+            }
+            Frame::HandshakeInit(HandshakeInit::Resume {
+                ticket_id,
+                nonce,
+                mac,
+            }) => ticket_id.len() + nonce.len() + mac.len(),
+            Frame::HandshakeResponse(HandshakeResponse::Resume { nonce, confirm }) => {
+                nonce.len() + confirm.len()
+            }
+            Frame::HandshakeResponse(HandshakeResponse::Miss) => 0,
+            Frame::Data { ciphertext, .. } => 8 + 4 + ciphertext.len(),
+            Frame::Disconnect { .. } => 1,
+        }
     }
 }
 
@@ -476,11 +505,112 @@ mod tests {
         }
     }
 
+    /// A certificate whose two variable-length fields are `name` and
+    /// `issuer` (unsigned: sizes do not look at the signature).
+    fn cert_named(name: &str, issuer: &str) -> Box<Certificate> {
+        let mut cert = identity().certificate().clone();
+        cert.display_name = name.to_string();
+        cert.issuer = issuer.to_string();
+        Box::new(cert)
+    }
+
+    /// An advertisement carrying `authors` dictionary entries.
+    fn ad_of(authors: usize) -> Frame {
+        let mut ad = Advertisement::new(PeerId(7), UserId::from_str_padded("alice"));
+        for i in 0..authors {
+            let mut user = [0u8; 10];
+            user[..8].copy_from_slice(&(i as u64).to_be_bytes());
+            ad.insert(UserId(user), i as u64);
+        }
+        Frame::Advertisement(ad)
+    }
+
+    #[test]
+    fn wire_size_is_the_encoded_length_at_the_extremes() {
+        let mut frames = vec![
+            Frame::Invite { from: PeerId(3) },
+            Frame::HandshakeResponse(HandshakeResponse::Miss),
+            // One author past the u16 count field: the dictionary is
+            // truncated on the wire, and the size says so.
+            ad_of(0),
+            ad_of(1),
+            ad_of(usize::from(u16::MAX) + 1),
+        ];
+        for len in [0, 1, 64 * 1024] {
+            frames.push(Frame::Data {
+                seq: u64::MAX,
+                ciphertext: vec![0xa5; len],
+            });
+        }
+        for byte in 0..4 {
+            let reason = DisconnectReason::from_byte(byte).unwrap();
+            frames.push(Frame::Disconnect { reason });
+        }
+        for frame in &frames {
+            assert_eq!(frame.wire_size(), frame.encode().len(), "{frame:?}");
+        }
+        let capped = ad_of(usize::from(u16::MAX) + 1);
+        assert_eq!(capped.wire_size(), ad_of(usize::from(u16::MAX)).wire_size());
+    }
+
     mod fuzz {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            /// All nine wire forms, with every variable-length field
+            /// varied: the computed size is the encoded length.
+            #[test]
+            fn wire_size_is_the_encoded_length(
+                names in ("[a-zA-Z0-9 é✓]{0,60}", "[a-zA-Z0-9 é✓]{0,60}"),
+                seq in any::<u64>(),
+                payload in prop::collection::vec(any::<u8>(), 0..2048),
+                authors in 0usize..40,
+                fill in any::<u8>(),
+            ) {
+                let full = |init: bool| {
+                    let certificate = cert_named(&names.0, &names.1);
+                    let ephemeral_public = [fill; 32];
+                    let signature = Signature([fill; 64]);
+                    if init {
+                        Frame::HandshakeInit(HandshakeInit::Full {
+                            certificate,
+                            ephemeral_public,
+                            signature,
+                        })
+                    } else {
+                        Frame::HandshakeResponse(HandshakeResponse::Full {
+                            certificate,
+                            ephemeral_public,
+                            signature,
+                        })
+                    }
+                };
+                let forms = [
+                    ad_of(authors),
+                    Frame::Invite { from: PeerId(u32::from(fill)) },
+                    full(true),
+                    full(false),
+                    Frame::HandshakeInit(HandshakeInit::Resume {
+                        ticket_id: [fill; 16],
+                        nonce: [fill; 32],
+                        mac: [fill; 32],
+                    }),
+                    Frame::HandshakeResponse(HandshakeResponse::Resume {
+                        nonce: [fill; 32],
+                        confirm: [fill; 32],
+                    }),
+                    Frame::HandshakeResponse(HandshakeResponse::Miss),
+                    Frame::Data { seq, ciphertext: payload },
+                    Frame::Disconnect {
+                        reason: DisconnectReason::from_byte(fill % 4).unwrap(),
+                    },
+                ];
+                for frame in &forms {
+                    prop_assert_eq!(frame.wire_size(), frame.encode().len());
+                }
+            }
+
             /// Arbitrary bytes from the air must never panic the
             /// decoder — they either parse or return BadFrame.
             #[test]

@@ -18,7 +18,14 @@
 //! Advertisement boundaries where the advertiser has no open contact
 //! are pruned from the schedule (nothing could be emitted — the
 //! runtime skips ads when alone), which keeps the step count
-//! proportional to contact time instead of trace length.
+//! proportional to contact time instead of trace length. The rule and
+//! its arithmetic are [`provision::ad_boundaries`](crate::provision::ad_boundaries),
+//! shared with the simulation driver; the two differ on one point. A
+//! contact still open at the trace's end is closed *at* the end here,
+//! exclusive, so no tick lands on the last instant — a tick there
+//! would run exchange rounds that deliver — while the driver keeps it
+//! open *through* its end and sends that last advertisement, whose
+//! frames count as sent and arrive too late.
 //!
 //! The walk over that schedule is written once, `conduct`, against
 //! the crate-private `Fleet` seam: the in-process `Host` and the
@@ -27,8 +34,7 @@
 //! [`Msg::Encounter`], [`Msg::Post`] and [`Msg::Tick`].
 
 use crate::proto::Msg;
-use crate::provision::{ad_phase, post_schedule, RunPlan};
-use crate::runtime::ad_period;
+use crate::provision::{ad_boundaries, post_schedule, RunPlan};
 use sos_sim::world::ContactPhase;
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
@@ -71,21 +77,20 @@ pub fn build_schedule(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, Ste
     }
 
     // Advertisement boundaries, pruned to moments the advertiser has an
-    // open contact. Interval ends are exclusive (a contact-down on the
-    // boundary is applied before the tick), starts inclusive.
+    // open contact. `intervals` closes a contact still open at `end`
+    // there, and interval ends are exclusive: no tick at `end`.
     let n = trace.node_count();
-    let interval = ad_period(plan.ad_interval).as_millis();
     let mut ticks: BTreeSet<SimTime> = BTreeSet::new();
     for iv in trace.intervals(end) {
         for node in [iv.a, iv.b] {
-            let phase = ad_phase(plan.ad_interval, node, n).as_millis();
-            let start = iv.start.as_millis();
-            let k = (start.saturating_sub(phase)).div_ceil(interval);
-            let mut t = phase + k * interval;
-            while t < iv.end.as_millis() && t <= end.as_millis() {
-                ticks.insert(SimTime::from_millis(t));
-                t += interval;
-            }
+            ticks.extend(ad_boundaries(
+                plan.ad_interval,
+                node,
+                n,
+                iv.start,
+                Some(iv.end),
+                end,
+            ));
         }
     }
     for t in ticks {
@@ -222,6 +227,151 @@ mod tests {
             tick_times.iter().all(|&t| t == 120 || t >= 200),
             "no ticks while everyone is alone: {tick_times:?}"
         );
+    }
+
+    /// The one point where this schedule and the simulation driver
+    /// read a window differently: a contact still open at the trace's
+    /// end. Here it is closed *at* the end, exclusive, so the end never
+    /// ticks, even when an advertiser in contact is due exactly there.
+    /// (The driver's side of the pair is pinned by
+    /// `a_contact_dangling_through_the_end_advertises_at_the_end` in
+    /// `sos_experiments::driver`.)
+    #[test]
+    fn a_contact_dangling_at_the_end_does_not_tick_there() {
+        let plan = RunPlan {
+            ad_interval: SimDuration::from_secs(60),
+            ..RunPlan::default()
+        };
+        // The trace ends at 240 s = 4 · 60 s, a boundary of node 0
+        // (phase 0), whose second contact with node 1 is never closed.
+        let mk = |time, a, b, phase| ContactEvent {
+            time: SimTime::from_secs(time),
+            a,
+            b,
+            phase,
+            distance_m: 5.0,
+        };
+        let events = vec![
+            mk(100, 0, 1, ContactPhase::Up),
+            mk(130, 0, 1, ContactPhase::Down),
+            mk(150, 0, 1, ContactPhase::Up),
+            mk(240, 2, 3, ContactPhase::Up),
+        ];
+        let trace = ContactTrace::new(4, None, events).expect("valid trace");
+        let schedule = build_schedule(&trace, &plan);
+        let (last_time, last) = schedule.last().expect("a non-empty schedule");
+        assert_eq!(*last_time, SimTime::from_secs(240));
+        assert!(!last.tick, "a tick at the end would run delivering rounds");
+        // Node 0 at 120 in the first contact, then at 180 — and not at
+        // 240; node 1 (phase 15 s) at 195.
+        let ticks: Vec<u64> = schedule
+            .iter()
+            .filter(|(_, s)| s.tick)
+            .map(|(t, _)| t.as_secs())
+            .collect();
+        assert_eq!(ticks, vec![120, 180, 195]);
+    }
+
+    /// `build_schedule` as it stood before the boundary arithmetic moved
+    /// to `provision::ad_boundaries`: the reference the proptest below
+    /// holds the shared helper to.
+    fn build_schedule_reference(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, Step)> {
+        use crate::provision::ad_phase;
+        use crate::runtime::ad_period;
+        let mut steps: BTreeMap<SimTime, Step> = BTreeMap::new();
+        let end = trace.end_time();
+        for ev in trace.events() {
+            if ev.time > end {
+                continue;
+            }
+            steps.entry(ev.time).or_default().encounters.push((
+                ev.a,
+                ev.b,
+                ev.phase == ContactPhase::Up,
+            ));
+        }
+        for (at, node, number) in post_schedule(trace, plan) {
+            steps.entry(at).or_default().posts.push((node, number));
+        }
+        let n = trace.node_count();
+        let interval = ad_period(plan.ad_interval).as_millis();
+        let mut ticks: BTreeSet<SimTime> = BTreeSet::new();
+        for iv in trace.intervals(end) {
+            for node in [iv.a, iv.b] {
+                let phase = ad_phase(plan.ad_interval, node, n).as_millis();
+                let start = iv.start.as_millis();
+                let k = (start.saturating_sub(phase)).div_ceil(interval);
+                let mut t = phase + k * interval;
+                while t < iv.end.as_millis() && t <= end.as_millis() {
+                    ticks.insert(SimTime::from_millis(t));
+                    t += interval;
+                }
+            }
+        }
+        for t in ticks {
+            steps.entry(t).or_default().tick = true;
+        }
+        steps.into_iter().collect()
+    }
+
+    mod schedule {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Random small traces — contacts of random length, some
+            /// left open, periods down to the 1 ms floor — schedule
+            /// exactly as they did.
+            #[test]
+            fn build_schedule_equals_its_former_body(
+                contacts in prop::collection::vec((0usize..5, 1usize..5, 0u64..900, 0u64..400), 1..10),
+                ad_interval_ms in 0u64..120,
+                total_posts in 0usize..6,
+            ) {
+                // Per pair: contacts laid end to end, each opening a
+                // gap after the previous one closed; a zero length
+                // leaves the pair's last contact open.
+                let mut free_from: BTreeMap<(usize, usize), Option<u64>> = BTreeMap::new();
+                let mut events = Vec::new();
+                for (a, step, gap_ms, len_ms) in contacts {
+                    let pair = (a, (a + step) % 6);
+                    let pair = (pair.0.min(pair.1), pair.0.max(pair.1));
+                    if pair.0 == pair.1 {
+                        continue;
+                    }
+                    let Some(free) = *free_from.entry(pair).or_insert(Some(0)) else {
+                        continue; // left open: nothing may follow it
+                    };
+                    let mk = |ms, phase| ContactEvent {
+                        time: SimTime::from_millis(ms),
+                        a: pair.0,
+                        b: pair.1,
+                        phase,
+                        distance_m: 5.0,
+                    };
+                    let up = free + gap_ms;
+                    events.push(mk(up, ContactPhase::Up));
+                    if len_ms == 0 {
+                        free_from.insert(pair, None);
+                    } else {
+                        events.push(mk(up + len_ms, ContactPhase::Down));
+                        free_from.insert(pair, Some(up + len_ms + 1));
+                    }
+                }
+                prop_assume!(!events.is_empty());
+                events.sort_by_key(|ev| ev.time);
+                let trace = ContactTrace::new(6, None, events).expect("valid trace");
+                let plan = RunPlan {
+                    ad_interval: SimDuration::from_millis(ad_interval_ms),
+                    total_posts,
+                    ..RunPlan::default()
+                };
+                prop_assert_eq!(
+                    build_schedule(&trace, &plan),
+                    build_schedule_reference(&trace, &plan)
+                );
+            }
+        }
     }
 
     #[test]

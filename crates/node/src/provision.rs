@@ -8,7 +8,7 @@
 //! assigned slice: certificates issued on one host validate on every
 //! other because the issuing CA is byte-identical everywhere.
 
-use crate::runtime::{NodeConfig, NodeRuntime};
+use crate::runtime::{ad_period, NodeConfig, NodeRuntime};
 use alleyoop::app::AlleyOopApp;
 use alleyoop::cloud::Cloud;
 use rand::{Rng, SeedableRng};
@@ -116,6 +116,36 @@ pub fn provision_apps(trace: &ContactTrace, plan: &RunPlan) -> Vec<AlleyOopApp> 
 /// across the interval (the simulation driver's formula).
 pub fn ad_phase(ad_interval: SimDuration, node: usize, n: usize) -> SimDuration {
     SimDuration::from_millis(ad_interval.as_millis() * node as u64 / (n as u64).max(1))
+}
+
+/// The advertisement boundaries of `node` — `ad_phase + k · ad_period`
+/// — that fall inside one window during which it has a peer,
+/// ascending: `start` inclusive (a contact-up on a boundary is applied
+/// before the wake), `stop` exclusive (so is a contact-down), and none
+/// after `end`.
+///
+/// Both pacers prune their wakes with this — the simulation driver per
+/// node window, [`build_schedule`](crate::lockstep::build_schedule) per
+/// contact interval — and they differ in one place, a contact still
+/// open at `end`. The driver leaves it unclosed (`stop = None`): an
+/// advertisement due exactly at `end` is sent and counted even though
+/// its frames arrive too late. The lockstep schedule closes it at `end`
+/// (`stop = Some(end)`), so nothing ticks there: a tick would run
+/// exchange rounds that deliver.
+pub fn ad_boundaries(
+    ad_interval: SimDuration,
+    node: usize,
+    n: usize,
+    start: SimTime,
+    stop: Option<SimTime>,
+    end: SimTime,
+) -> impl Iterator<Item = SimTime> {
+    let period = ad_period(ad_interval).as_millis();
+    let phase = ad_phase(ad_interval, node, n).as_millis();
+    let first = phase + start.as_millis().saturating_sub(phase).div_ceil(period) * period;
+    std::iter::successors(Some(first), move |t| t.checked_add(period))
+        .map(SimTime::from_millis)
+        .take_while(move |&t| t <= end && stop.is_none_or(|stop| t < stop))
 }
 
 /// The seed of a node's session randomness in a lockstep run; every
@@ -230,6 +260,61 @@ mod tests {
         let bin = codec_binary::to_binary(&trace);
         let reloaded = load_trace_bytes(&bin).expect("binary reload");
         assert_eq!(reloaded.events(), trace.events());
+    }
+
+    mod boundaries {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Over one node's windows, the helper picks out exactly the
+            /// boundaries a brute-force filter of *every* boundary up to
+            /// `end` keeps by "has a peer at `t`" — `Up` inclusive,
+            /// `Down` exclusive — with a last window that is never
+            /// closed (the driver's reading) or closed at `end` (the
+            /// lockstep schedule's).
+            #[test]
+            fn helper_equals_filtering_every_boundary(
+                interval_ms in 0u64..40,
+                node in 0usize..6,
+                end_ms in 0u64..1_500,
+                edges in prop::collection::vec(0u64..1_600, 0..9),
+                close_at_end in any::<bool>(),
+            ) {
+                let (n, interval) = (6, SimDuration::from_millis(interval_ms));
+                let end = SimTime::from_millis(end_ms);
+                // Sorted edges pair up into windows; equal edges make
+                // empty ones, an odd one out dangles.
+                let mut edges = edges;
+                edges.sort_unstable();
+                let windows: Vec<(SimTime, Option<SimTime>)> = edges
+                    .chunks(2)
+                    .map(|w| {
+                        let stop = w.get(1).map(|&ms| SimTime::from_millis(ms));
+                        let stop = stop.or(close_at_end.then_some(end));
+                        (SimTime::from_millis(w[0]), stop)
+                    })
+                    .collect();
+
+                let helper: Vec<SimTime> = windows
+                    .iter()
+                    .flat_map(|&(start, stop)| ad_boundaries(interval, node, n, start, stop, end))
+                    .collect();
+
+                let period = ad_period(interval).as_millis();
+                let phase = ad_phase(interval, node, n).as_millis();
+                let brute: Vec<SimTime> = (0..)
+                    .map(|k| SimTime::from_millis(phase + k * period))
+                    .take_while(|&t| t <= end)
+                    .filter(|&t| {
+                        windows
+                            .iter()
+                            .any(|&(start, stop)| start <= t && stop.is_none_or(|stop| t < stop))
+                    })
+                    .collect();
+                prop_assert_eq!(helper, brute);
+            }
+        }
     }
 
     #[test]

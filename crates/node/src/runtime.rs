@@ -111,19 +111,25 @@ impl NodeRuntime {
     /// and any peer is in range. Boundaries strictly before `now` that were
     /// never visited are dropped, not emitted late: the pacer (driver
     /// tick or broker step) owns the decision to wake the node on a
-    /// boundary.
+    /// boundary. Pacers wake a node only while it has a peer, so `now`
+    /// may be days past the last visit: the boundaries in between are
+    /// stepped over arithmetically, not one by one.
     pub fn advance_to(&mut self, now: SimTime) {
         self.clock = self.clock.max(now);
-        while self.next_ad <= now {
-            if self.next_ad == now && !self.peers.is_empty() {
-                let ad = self.app.middleware().advertisement(now);
-                for &p in &self.peers {
-                    self.outbox
-                        .push_back((PeerId(p), Frame::Advertisement(ad.clone())));
-                }
-            }
-            self.next_ad += self.ad_interval;
+        if self.next_ad > now {
+            return;
         }
+        let interval = self.ad_interval.as_millis();
+        let skipped = now.since(self.next_ad).as_millis() / interval;
+        let last = self.next_ad + SimDuration::from_millis(skipped * interval);
+        if last == now && !self.peers.is_empty() {
+            let ad = self.app.middleware().advertisement(now);
+            for &p in &self.peers {
+                self.outbox
+                    .push_back((PeerId(p), Frame::Advertisement(ad.clone())));
+            }
+        }
+        self.next_ad = last + self.ad_interval;
     }
 
     /// Feeds `frame` from `peer` through the middleware at `now` with
@@ -316,6 +322,98 @@ mod tests {
         alice.advance_to(SimTime::from_millis(250));
         assert_eq!(alice.poll_frames().len(), 1);
         assert_eq!(alice.now(), SimTime::from_millis(250));
+    }
+
+    /// A runtime with one peer in range, advertising every `interval`
+    /// from `phase`.
+    fn lone_advertiser(interval: SimDuration, phase: SimDuration) -> NodeRuntime {
+        let (alice, _) = two_nodes(SchemeKind::Epidemic);
+        let mut alice = NodeRuntime::new(
+            alice.into_app(),
+            NodeConfig {
+                ad_interval: interval,
+                ad_phase: phase,
+            },
+        );
+        alice.on_encounter_up(PeerId(1));
+        alice
+    }
+
+    #[test]
+    fn a_month_of_idle_boundaries_is_jumped_not_stepped() {
+        let month = SimDuration::from_hours(30 * 24);
+        // At the 1 ms floor a zero interval gets, a month is 2.6e9
+        // boundaries: stepping them one by one takes seconds per wake.
+        let mut floor = lone_advertiser(SimDuration::ZERO, SimDuration::ZERO);
+        let wake = SimTime::ZERO + month;
+        floor.advance_to(wake);
+        assert_eq!(floor.poll_frames().len(), 1, "every millisecond is due");
+        assert_eq!(floor.next_ad, wake + SimDuration::from_millis(1));
+
+        // At a real period the wake must land on a boundary to fire:
+        // 1 ms either side of `phase + k · 60 s` emits nothing, and
+        // leaves the next boundary where it belongs.
+        let minute = SimDuration::from_secs(60);
+        let phase = SimDuration::from_millis(17_500);
+        let boundary = SimTime::ZERO + phase + month;
+        for (offset, fires) in [(0, false), (1, true), (2, false)] {
+            let mut alice = lone_advertiser(minute, phase);
+            let now = SimTime::from_millis(boundary.as_millis() - 1 + offset);
+            alice.advance_to(now);
+            assert_eq!(alice.poll_frames().len(), usize::from(fires), "{now:?}");
+            let next = if offset == 0 {
+                boundary
+            } else {
+                boundary + minute
+            };
+            assert_eq!(alice.next_ad, next, "{now:?}");
+        }
+    }
+
+    mod cadence {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The arithmetic catch-up against the loop it replaced —
+            /// one step per boundary, firing only when the boundary is
+            /// `now` and a peer is present — over wakes up to 10 000
+            /// periods apart, on and off boundaries, alone and not.
+            #[test]
+            fn catch_up_equals_stepping_every_boundary(
+                interval_ms in 0u64..5_000,
+                phase_ms in 0u64..5_000,
+                wakes in prop::collection::vec((0u64..=10_000, 0u64..3, any::<bool>()), 1..12),
+            ) {
+                let interval = SimDuration::from_millis(interval_ms);
+                let mut alice = lone_advertiser(interval, SimDuration::from_millis(phase_ms));
+                let period = ad_period(interval);
+                let mut next_ad = SimTime::from_millis(phase_ms);
+                let mut now = SimTime::ZERO;
+                for (periods, nudge_ms, alone) in wakes {
+                    // Mostly a whole number of periods on from the last
+                    // wake, sometimes a millisecond or two past that.
+                    now += SimDuration::from_millis(periods * period.as_millis() + nudge_ms);
+                    if alone {
+                        alice.on_encounter_down(PeerId(1));
+                    } else {
+                        alice.on_encounter_up(PeerId(1));
+                    }
+                    let mut fired = 0;
+                    while next_ad <= now {
+                        if next_ad == now && !alone {
+                            fired += 1;
+                        }
+                        next_ad += period;
+                    }
+                    alice.advance_to(now);
+                    prop_assert_eq!(alice.poll_frames().len(), fired);
+                    prop_assert_eq!(alice.next_ad, next_ad);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,365 @@
+//! Golden digests of every driver-based study, pinned at the commit
+//! *before* the study-plane fast path (advertisement wakes enqueued
+//! only inside a node's contact windows, store summaries read from the
+//! ends of each per-author map, frame sizes computed instead of
+//! encoded) and reproduced by it: the driver may change what it
+//! schedules, never what a run returns.
+//!
+//! A pruned wake must have been a no-op — no frame, no draw from the
+//! RNG link loss and the middleware share, no journal entry — so one
+//! extra or missing wake shows up in `frames_lost` at the latest. Each
+//! constant below is the digest, over all five schemes, of an observed
+//! run's `(RunMetrics, per-node SosStats, per-node store, per-node
+//! feed, journal JSONL)`.
+
+use sos::core::routing::SchemeKind;
+use sos::engine::GridContactEngine;
+use sos::experiments::corpus::{run_corpus_study_full, CorpusStudyConfig};
+use sos::experiments::density::{run_density, DensityConfig};
+use sos::experiments::driver::{run_study, DriverConfig, Study, StudyRun};
+use sos::experiments::observe::RunObserver;
+use sos::experiments::scenario::{
+    field_study_trajectories, field_study_world, run_field_study_with, small_test_config,
+};
+use sos::node::provision::{followers_from_trace, provision_apps};
+use sos::sim::radio::RadioTech;
+use sos::sim::world::{ContactEvent, ContactPhase};
+use sos::sim::{EncounterSource, SimDuration, SimTime};
+use sos::trace::corpora::{import_bytes, CorpusFormat};
+use sos::trace::{generate_social_trace, ContactTrace, SocialTraceConfig};
+use std::path::PathBuf;
+
+/// Seed 99 was not used while the fast path was sized.
+const SEEDS: [u64; 3] = [7, 20_170_605, 99];
+
+/// FNV-1a over length-prefixed parts, so part boundaries count.
+#[derive(Clone, Copy)]
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(mut self, part: &[u8]) -> Digest {
+        for &byte in (part.len() as u64).to_le_bytes().iter().chain(part) {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    fn text(self, part: &str) -> Digest {
+        self.bytes(part.as_bytes())
+    }
+
+    fn hex(self) -> String {
+        format!("{:016x}", self.0)
+    }
+}
+
+/// Folds everything a run returned, and everything its observer saw,
+/// into `digest`.
+fn fold_run(mut digest: Digest, run: &StudyRun, observer: &RunObserver) -> Digest {
+    // Field by field: `DeliveryRecorder` keeps a `HashMap`, whose
+    // `Debug` order differs from process to process.
+    let m = &run.metrics;
+    digest = digest.text(&format!(
+        "{} {} {} {} {:?} {:?} {:?}",
+        m.posts,
+        m.frames_sent,
+        m.frames_lost,
+        m.security_alerts,
+        m.delays,
+        m.delivery.ratios(),
+        m.map
+    ));
+    for app in &run.apps {
+        digest = digest.text(&format!("{:?}", app.middleware().stats()));
+        for bundle in app.middleware().store().iter() {
+            let id = bundle.message.id;
+            digest = digest.bytes(id.author.as_bytes()).text(&format!(
+                "{} {} {:?}",
+                id.number, bundle.hops, bundle.copies
+            ));
+        }
+        for post in app.feed() {
+            digest = digest.text(&format!("{post:?}"));
+        }
+    }
+    digest.text(&observer.finish().journal.to_jsonl())
+}
+
+/// The digest of `run(scheme)` over all five schemes, each observed.
+fn digest_schemes(run: impl Fn(SchemeKind, &RunObserver) -> StudyRun) -> String {
+    let mut digest = Digest::new();
+    for scheme in SchemeKind::ALL {
+        let observer = RunObserver::new();
+        let outcome = run(scheme, &observer);
+        assert!(outcome.metrics.frames_sent > 0, "{scheme:?}: an idle run");
+        digest = fold_run(digest, &outcome, &observer);
+    }
+    digest.hex()
+}
+
+/// Compares one scenario's per-seed digests with its pinned row,
+/// printing the whole computed row on a mismatch.
+fn assert_pinned(scenario: &str, pinned: [&str; 3], digest_of: impl Fn(u64) -> String) {
+    let computed: Vec<String> = SEEDS.iter().map(|&seed| digest_of(seed)).collect();
+    assert_eq!(
+        computed, pinned,
+        "{scenario}: a driver-based run no longer returns what it did (seeds {SEEDS:?})"
+    );
+}
+
+fn corpus_digest(trace: &ContactTrace, seed: u64, total_posts: usize, ad_secs: u64) -> String {
+    digest_schemes(|scheme, observer| {
+        let config = CorpusStudyConfig {
+            scheme,
+            seed,
+            total_posts,
+            ad_interval: SimDuration::from_secs(ad_secs),
+        };
+        run_corpus_study_full(trace, &config, Some(observer))
+    })
+}
+
+fn fixture(name: &str, format: CorpusFormat) -> ContactTrace {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/trace/tests/fixtures")
+        .join(name);
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    import_bytes(format, &bytes).expect("fixture imports").trace
+}
+
+/// The paper-shaped study `study_replay` measures: 10 nodes, 7 days, 3
+/// communities, 60 s advertisements — phones alone most of the time.
+#[test]
+fn social_trace_week_is_pinned() {
+    assert_pinned(
+        "social week",
+        ["1d30622999f28904", "24d6f547422f4ad9", "66c500e319a4f8f8"],
+        |seed| {
+            let trace = generate_social_trace(&SocialTraceConfig {
+                nodes: 10,
+                days: 7,
+                communities: 3,
+                seed,
+                ..SocialTraceConfig::default()
+            })
+            .expect("valid synthetic trace");
+            corpus_digest(&trace, seed, 259, 60)
+        },
+    );
+}
+
+#[test]
+fn haggle_fixture_is_pinned() {
+    let trace = fixture("haggle_mini.conn", CorpusFormat::Crawdad);
+    assert_pinned(
+        "haggle_mini",
+        ["5bc3d18ce4b09848", "f33c5d2a81096f54", "b990d172b3c61103"],
+        |seed| corpus_digest(&trace, seed, 40, 60),
+    );
+}
+
+#[test]
+fn reality_fixture_is_pinned() {
+    let trace = fixture("reality_mini.txt", CorpusFormat::RealityMining);
+    assert_pinned(
+        "reality_mini",
+        ["a0187dd08784f15c", "8fcb375b74edcd78", "9af3e891c0dc252d"],
+        |seed| corpus_digest(&trace, seed, 40, 60),
+    );
+}
+
+#[test]
+fn sassy_fixture_is_pinned() {
+    let trace = fixture("sassy_mini.csv", CorpusFormat::Sassy);
+    assert_pinned(
+        "sassy_mini",
+        ["4e9c38c91d738265", "fc04ef099da70674", "68f95fd0b2f5d477"],
+        |seed| corpus_digest(&trace, seed, 40, 60),
+    );
+}
+
+/// The geometric field study, on the naive `World` scan and on the
+/// grid engine: one timeline, so one row of digests for both.
+#[test]
+fn geometric_field_study_is_pinned_on_world_and_grid() {
+    const PINNED: [&str; 3] = ["fe5babd1688a1c4b", "6f7f79a67bf34856", "f43230c7bf6dbd04"];
+    assert_pinned("field study on World", PINNED, |seed| {
+        digest_schemes(|scheme, observer| {
+            let cfg = small_test_config(seed, scheme);
+            run_field_study_with(&cfg, field_study_world(&cfg), Some(observer))
+        })
+    });
+    assert_pinned("field study on the grid engine", PINNED, |seed| {
+        digest_schemes(|scheme, observer| {
+            let cfg = small_test_config(seed, scheme);
+            let grid = GridContactEngine::new(
+                field_study_trajectories(&cfg),
+                RadioTech::max_range_m(cfg.infra_available),
+                cfg.contact_tick,
+            );
+            run_field_study_with(&cfg, grid, Some(observer))
+        })
+    });
+}
+
+#[test]
+fn density_point_is_pinned() {
+    assert_pinned(
+        "density",
+        ["d8a68baa1db7bbd3", "ae4bf73226ed2276", "7484bc64e99a31ff"],
+        |seed| {
+            digest_schemes(|scheme, observer| {
+                let cfg = DensityConfig {
+                    hours: 4,
+                    posts: 40,
+                    scheme,
+                    ..DensityConfig::conventional(12, 0.25, seed)
+                };
+                run_density(&cfg, Some(observer))
+            })
+        },
+    );
+}
+
+/// A timeline no [`ContactTrace`] would validate, handed to the driver
+/// raw, the way a geometric source could.
+struct RawTimeline {
+    nodes: usize,
+    events: Vec<ContactEvent>,
+}
+
+impl EncounterSource for RawTimeline {
+    fn node_count(&self) -> usize {
+        self.nodes
+    }
+
+    fn encounter_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
+        self.events
+            .iter()
+            .filter(|ev| start <= ev.time && ev.time <= end)
+            .copied()
+            .collect()
+    }
+}
+
+/// Eight nodes advertising every 80 s, so node `i` is due at
+/// `10 i + 80 k` seconds, until `EDGE_END` — itself a boundary of
+/// node 6.
+const EDGE_NODES: usize = 8;
+const EDGE_AD_SECS: u64 = 80;
+const EDGE_END: u64 = 3660;
+
+fn edge_event(secs: u64, a: usize, b: usize, up: bool, distance_m: f64) -> ContactEvent {
+    ContactEvent {
+        time: SimTime::from_secs(secs),
+        a,
+        b,
+        phase: if up {
+            ContactPhase::Up
+        } else {
+            ContactPhase::Down
+        },
+        distance_m,
+    }
+}
+
+/// Every edge of the window rule in one timeline.
+fn edge_timeline() -> Vec<ContactEvent> {
+    let ev = edge_event;
+    vec![
+        // An `Up` exactly on node 0's boundary (240 = 3 · 80) admits
+        // it; the `Down` exactly on its boundary at 480 excludes that
+        // one. Node 1 is due at 250, 330, 410 in between.
+        ev(240, 0, 1, true, 5.0),
+        // A `Down` for a pair that was never up, while node 0 has
+        // another peer: node 0 is still due at 320 and 400.
+        ev(270, 0, 2, false, 5.0),
+        ev(480, 0, 1, false, 5.0),
+        // Node 2's two contacts overlap: one window, 600 to 1100.
+        ev(600, 1, 2, true, 5.0),
+        ev(700, 2, 3, true, 8.0),
+        ev(900, 1, 2, false, 5.0),
+        ev(1100, 2, 3, false, 8.0),
+        // Node 0 loses its only peer and gains another at the instant
+        // of its boundary 1200 = 15 · 80: the boundary is admitted.
+        ev(960, 0, 3, true, 5.0),
+        ev(1200, 0, 3, false, 5.0),
+        ev(1200, 0, 1, true, 5.0),
+        // A repeated `Up` for the open pair (it re-freezes the link
+        // distance and opens nothing).
+        ev(1300, 0, 1, true, 40.0),
+        ev(1500, 0, 1, false, 5.0),
+        // A zero-length contact on node 0's boundary 2000 = 25 · 80:
+        // up and down both precede the wake, which finds it alone.
+        ev(2000, 0, 5, true, 5.0),
+        ev(2000, 0, 5, false, 5.0),
+        // A contact left dangling through `EDGE_END`, where node 6 is
+        // due: the ad is sent (and counted) and arrives too late.
+        ev(3000, 5, 6, true, 5.0),
+        // Out of time order in the source: two contacts of one pair,
+        // both `Up`s listed before either `Down`. The queue applies
+        // them by time, 1700–1800 and 1850–1950 (nodes 3 and 4 are due
+        // at 1870 and 1880); read in source order the second contact
+        // would vanish. Node 7 never meets anyone.
+        ev(1700, 3, 4, true, 12.0),
+        ev(1850, 3, 4, true, 12.0),
+        ev(1800, 3, 4, false, 12.0),
+        ev(1950, 3, 4, false, 12.0),
+    ]
+}
+
+#[test]
+fn edge_timeline_is_pinned() {
+    let events = edge_timeline();
+    // Provisioning wants a trace that validates: the same pairs, each
+    // opened once.
+    let mut met: Vec<(usize, usize)> = events.iter().map(|ev| (ev.a, ev.b)).collect();
+    met.sort_unstable();
+    met.dedup();
+    let meetings = met
+        .iter()
+        .enumerate()
+        .map(|(k, &(a, b))| edge_event(k as u64, a, b, true, 5.0))
+        .collect();
+    let population = ContactTrace::new(EDGE_NODES, None, meetings).expect("valid trace");
+
+    assert_pinned(
+        "edge timeline",
+        ["08386f612747a1c1", "02640cff9cfd2163", "24e74fc9a06a4499"],
+        |seed| {
+            digest_schemes(|scheme, observer| {
+                let plan = CorpusStudyConfig {
+                    scheme,
+                    seed,
+                    total_posts: 0,
+                    ad_interval: SimDuration::from_secs(EDGE_AD_SECS),
+                };
+                let study = Study {
+                    scheme,
+                    seed,
+                    apps: provision_apps(&population, &plan),
+                    source: RawTimeline {
+                        nodes: EDGE_NODES,
+                        events: events.clone(),
+                    },
+                    followers: followers_from_trace(&population),
+                    posts: (0..32)
+                        .map(|k| (SimTime::from_secs(50 + k * 110), k as usize % EDGE_NODES))
+                        .collect(),
+                    driver: DriverConfig {
+                        ad_interval: plan.ad_interval,
+                        infra_available: false,
+                        seed: seed ^ 0xace,
+                    },
+                    end: SimTime::from_secs(EDGE_END),
+                };
+                run_study(study, Some(observer))
+            })
+        },
+    );
+}
