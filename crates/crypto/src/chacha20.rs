@@ -15,24 +15,25 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// Computes one 64-byte ChaCha20 keystream block.
-pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
+/// The 16-word input state of block `counter`: constants, key,
+/// counter, nonce.
+fn initial_state(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u32; 16] {
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&SIGMA);
-    for i in 0..8 {
-        state[4 + i] =
-            u32::from_le_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+    for (slot, bytes) in state[4..12].iter_mut().zip(key.chunks_exact(4)) {
+        *slot = word(bytes);
     }
     state[12] = counter;
-    for i in 0..3 {
-        state[13 + i] = u32::from_le_bytes([
-            nonce[4 * i],
-            nonce[4 * i + 1],
-            nonce[4 * i + 2],
-            nonce[4 * i + 3],
-        ]);
+    for (slot, bytes) in state[13..].iter_mut().zip(nonce.chunks_exact(4)) {
+        *slot = word(bytes);
     }
-    let mut working = state;
+    state
+}
+
+/// The 16 keystream words of the block whose input state is `state`.
+fn keystream_words(state: &[u32; 16]) -> [u32; 16] {
+    let mut working = *state;
     for _ in 0..10 {
         quarter_round(&mut working, 0, 4, 8, 12);
         quarter_round(&mut working, 1, 5, 9, 13);
@@ -43,24 +44,45 @@ pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64
         quarter_round(&mut working, 2, 7, 8, 13);
         quarter_round(&mut working, 3, 4, 9, 14);
     }
+    for (word, input) in working.iter_mut().zip(state) {
+        *word = word.wrapping_add(*input);
+    }
+    working
+}
+
+/// Computes one 64-byte ChaCha20 keystream block.
+pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
+    let words = keystream_words(&initial_state(key, counter, nonce));
     let mut out = [0u8; 64];
-    for i in 0..16 {
-        let word = working[i].wrapping_add(state[i]);
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+    for (bytes, word) in out.chunks_exact_mut(4).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
     }
     out
 }
 
 /// Encrypts or decrypts `data` in place with the keystream starting at block
 /// `counter` (the operation is its own inverse).
+///
+/// The state is parsed from key and nonce once per call; each 64-byte
+/// block only bumps the counter word and XORs word-wise.
 pub fn chacha20_xor(key: &[u8; 32], counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
-    let mut block_counter = counter;
+    let mut state = initial_state(key, counter, nonce);
     for chunk in data.chunks_mut(64) {
-        let keystream = chacha20_block(key, block_counter, nonce);
-        for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
-            *b ^= k;
+        let keystream = keystream_words(&state);
+        state[12] = state[12].wrapping_add(1);
+        let whole_words = chunk.len() / 4;
+        let mut quads = chunk.chunks_exact_mut(4);
+        for (quad, word) in quads.by_ref().zip(keystream) {
+            let mixed = u32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]) ^ word;
+            quad.copy_from_slice(&mixed.to_le_bytes());
         }
-        block_counter = block_counter.wrapping_add(1);
+        // A final short chunk may end inside a word.
+        let tail_key = keystream
+            .get(whole_words)
+            .map_or([0; 4], |w| w.to_le_bytes());
+        for (byte, k) in quads.into_remainder().iter_mut().zip(tail_key) {
+            *byte ^= k;
+        }
     }
 }
 
@@ -107,6 +129,29 @@ only one tip for the future, sunscreen would be it.";
         // Round-trips back to the plaintext.
         chacha20_xor(&key, 1, &nonce, &mut data);
         assert_eq!(&data, plaintext);
+    }
+
+    #[test]
+    fn xor_equals_the_block_function_at_every_length() {
+        // Lengths that end on a block, on a word and inside a word, and
+        // a counter that wraps.
+        let key = test_key();
+        let nonce = [3u8; 12];
+        for counter in [0u32, 7, u32::MAX] {
+            for len in 0..=200usize {
+                let mut data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+                let expected: Vec<u8> = data
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| {
+                        let block = counter.wrapping_add((i / 64) as u32);
+                        b ^ chacha20_block(&key, block, &nonce)[i % 64]
+                    })
+                    .collect();
+                chacha20_xor(&key, counter, &nonce, &mut data);
+                assert_eq!(data, expected, "counter {counter}, {len} bytes");
+            }
+        }
     }
 
     #[test]

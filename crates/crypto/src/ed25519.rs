@@ -47,12 +47,20 @@
 //! everything hot runs through precomputation:
 //!
 //! * [`basepoint_table`] — a lazily built signed radix-16 fixed-window
-//!   table of the basepoint (64 windows × 8 odd/even multiples), making
-//!   `[s]B` a ~64-addition sum with **zero** doublings. Used by signing,
-//!   key generation, the `[s]B` half of verification — and, mapped to
+//!   table of the basepoint (64 windows × 8 multiples), making `[s]B` a
+//!   ~64-addition sum with **zero** doublings. Its entries — and the
+//!   basepoint's odd multiples behind the Straus path — are stored in
+//!   *affine* Niels form (`Z = 1`: `y+x, y−x, 2d·x·y`), normalised once
+//!   at build with a single shared inversion, so each addition is 7
+//!   field multiplications instead of 8. Used by signing, key
+//!   generation, the `[s]B` half of verification — and, mapped to
 //!   Montgomery form, by every X25519 public key
 //!   ([`crate::x25519::x25519_base`]: both ephemeral keys of a
-//!   handshake).
+//!   handshake). Per-author tables stay projective: normalising one
+//!   costs three quarters of building it (~3 600 multiplications and an
+//!   inversion) to save one multiplication in each of ~60 additions
+//!   per verification, which only some sixty signatures by one author
+//!   per cache entry would repay.
 //! * [`EdwardsPoint::mul_scalar`] — 4-bit sliding-window (w-NAF)
 //!   variable-base multiplication (≈ 51 additions instead of ≈ 128).
 //! * [`EdwardsPoint::double_scalar_mul_basepoint`] — Straus/Shamir
@@ -69,9 +77,13 @@
 //!   `[Σzᵢkᵢ](−A)` table sum per distinct author, and the `[zᵢ](−Rᵢ)`
 //!   terms (128-bit `zᵢ`) through one shared Straus/w-NAF chain.
 //!
-//! Underneath all of them, [`Fe::square`] is a dedicated 15-product
-//! squaring: point doublings, inversions, decompression and the X25519
-//! ladder are mostly squarings.
+//! Underneath all of them sits the arithmetic floor: [`Fe::square`] is
+//! a dedicated 15-product squaring (point doublings, inversions,
+//! decompression and the X25519 ladder are mostly squarings), field
+//! additions are lazy — no carry chain between an addition and the
+//! multiplication it feeds ([`crate::field25519`] states the limb
+//! bounds) — and scalars mod ℓ are reduced and recoded a word at a time
+//! ([`crate::scalar`]).
 
 use crate::bounded::FifoMap;
 use crate::field25519::{sqrt_m1, Fe};
@@ -146,20 +158,7 @@ impl EdwardsPoint {
 
     /// Unified point addition (complete for a = −1, d non-square).
     pub fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
-        let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
-        let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
-        let c = self.t.mul(&d2()).mul(&other.t);
-        let dd = self.z.mul(&other.z).mul_small(2);
-        let e = b.sub(&a);
-        let f = dd.sub(&c);
-        let g = dd.add(&c);
-        let h = b.add(&a);
-        EdwardsPoint {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            t: e.mul(&h),
-            z: f.mul(&g),
-        }
+        self.add_pniels(&other.to_pniels(), false)
     }
 
     /// Point doubling.
@@ -200,17 +199,28 @@ impl EdwardsPoint {
         }
     }
 
-    /// Mixed addition with a precomputed point (one multiplication
-    /// cheaper than [`EdwardsPoint::add`]: `2d·T2` is pre-multiplied).
-    fn add_pniels(&self, n: &PNiels) -> EdwardsPoint {
-        let a = self.y.sub(&self.x).mul(&n.y_minus_x);
-        let b = self.y.add(&self.x).mul(&n.y_plus_x);
-        let c = n.t2d.mul(&self.t);
-        let dd = self.z.mul(&n.z).mul_small(2);
+    /// Shared body of the mixed additions: `self ± N` for a precomputed
+    /// `N = (Y+X, Y−X, 2d·T)` over the denominator `zz = Z₁·Z₂`.
+    /// Subtracting is adding `−N = (Y−X, Y+X, −2d·T)`: the two factors
+    /// swap and `c` changes sides, with no negation computed.
+    ///
+    /// Limb bounds (`field25519` header): coordinates of a point are
+    /// always reduced, so each `add` below sums two reduced elements and
+    /// feeds a `mul`; `dd` is carried by `mul_small` because it is added
+    /// to once more.
+    fn add_niels(&self, plus: &Fe, minus: &Fe, t2d: &Fe, zz: &Fe, negate: bool) -> EdwardsPoint {
+        let (plus, minus) = if negate { (minus, plus) } else { (plus, minus) };
+        let a = self.y.sub(&self.x).mul(minus);
+        let b = self.y.add(&self.x).mul(plus);
+        let c = t2d.mul(&self.t);
+        let dd = zz.mul_small(2);
         let e = b.sub(&a);
-        let f = dd.sub(&c);
-        let g = dd.add(&c);
         let h = b.add(&a);
+        let (f, g) = if negate {
+            (dd.add(&c), dd.sub(&c))
+        } else {
+            (dd.sub(&c), dd.add(&c))
+        };
         EdwardsPoint {
             x: e.mul(&f),
             y: g.mul(&h),
@@ -219,16 +229,18 @@ impl EdwardsPoint {
         }
     }
 
-    /// Mixed subtraction of a precomputed point (adds its negation by
-    /// swapping `Y±X` and negating `2d·T`).
-    fn sub_pniels(&self, n: &PNiels) -> EdwardsPoint {
-        let neg = PNiels {
-            y_plus_x: n.y_minus_x,
-            y_minus_x: n.y_plus_x,
-            z: n.z,
-            t2d: n.t2d.neg(),
-        };
-        self.add_pniels(&neg)
+    /// Mixed addition (subtraction when `negate`) of a precomputed
+    /// projective point: 8 multiplications, one fewer than adding two
+    /// extended points because `2d·T₂` is pre-multiplied.
+    fn add_pniels(&self, n: &PNiels, negate: bool) -> EdwardsPoint {
+        let zz = self.z.mul(&n.z);
+        self.add_niels(&n.y_plus_x, &n.y_minus_x, &n.t2d, &zz, negate)
+    }
+
+    /// Mixed addition (subtraction when `negate`) of a precomputed
+    /// *affine* point: `Z₂ = 1`, so 7 multiplications.
+    fn add_affine_niels(&self, n: &AffineNiels, negate: bool) -> EdwardsPoint {
+        self.add_niels(&n.y_plus_x, &n.y_minus_x, &n.xy2d, &self.z, negate)
     }
 
     /// Scalar multiplication by a canonical scalar, using a 4-bit
@@ -238,7 +250,7 @@ impl EdwardsPoint {
     /// (`mul_bytes(&scalar.to_bytes())`) for every point, proven by the
     /// property tests in `tests/fast_path_equivalence.rs`.
     pub fn mul_scalar(&self, scalar: &Scalar) -> EdwardsPoint {
-        let odd = OddMultiples::new(self);
+        let odd = OddMultiples::projective(self);
         let naf = scalar.non_adjacent_form4();
         let mut q = EdwardsPoint::identity();
         let mut started = false;
@@ -271,7 +283,7 @@ impl EdwardsPoint {
     /// because its fixed table removes the doubling chain entirely.
     pub fn double_scalar_mul_basepoint(s: &Scalar, k: &Scalar, a: &EdwardsPoint) -> EdwardsPoint {
         let b_odd = basepoint_odd_multiples();
-        let a_odd = OddMultiples::new(a);
+        let a_odd = OddMultiples::projective(a);
         let s_naf = s.non_adjacent_form4();
         let k_naf = k.non_adjacent_form4();
         let mut q = EdwardsPoint::identity();
@@ -407,99 +419,190 @@ struct PNiels {
     t2d: Fe,
 }
 
-/// Odd multiples `[P, 3P, 5P, 7P]` backing the 4-bit sliding windows.
-struct OddMultiples([PNiels; 4]);
+/// A point in "affine Niels" form `(y+x, y−x, 2d·x·y)`: a [`PNiels`]
+/// normalised to `Z = 1`, which saves its additions the `Z₁·Z₂`
+/// product. Normalising costs an inversion, so only the static
+/// basepoint tables — built once per process, with one inversion
+/// shared by all their entries — are kept in this form.
+#[derive(Clone, Copy, Debug)]
+struct AffineNiels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
 
-impl OddMultiples {
-    fn new(p: &EdwardsPoint) -> OddMultiples {
-        let p2 = p.double();
-        let p3 = p2.add(p);
-        let p5 = p3.add(&p2);
-        let p7 = p5.add(&p2);
-        OddMultiples([
-            p.to_pniels(),
-            p3.to_pniels(),
-            p5.to_pniels(),
-            p7.to_pniels(),
-        ])
+impl AffineNiels {
+    /// Normalises `points` with a single inversion (Montgomery's trick:
+    /// invert the product of all `Z`, then peel one factor per point).
+    fn batch(points: &[EdwardsPoint]) -> Vec<AffineNiels> {
+        // before[i] = Z₀ ⋯ Zᵢ₋₁
+        let mut product = Fe::ONE;
+        let mut before = Vec::with_capacity(points.len());
+        for p in points {
+            before.push(product);
+            product = product.mul(&p.z);
+        }
+        let mut inverse = product.invert(); // 1 / (Z₀ ⋯ Zᵢ) as i walks down
+        let mut out = Vec::with_capacity(points.len());
+        for (p, before) in points.iter().zip(&before).rev() {
+            let z_inv = inverse.mul(before);
+            inverse = inverse.mul(&p.z);
+            let (x, y) = (p.x.mul(&z_inv), p.y.mul(&z_inv));
+            out.push(AffineNiels {
+                y_plus_x: y.add(&x),
+                y_minus_x: y.sub(&x),
+                xy2d: x.mul(&y).mul(&d2()),
+            });
+        }
+        out.reverse();
+        out
     }
+}
 
+/// A table entry: the precomputed operand of a mixed addition.
+trait Addend {
+    /// `q + self`, or `q − self` when `negate`.
+    fn add_to(&self, q: &EdwardsPoint, negate: bool) -> EdwardsPoint;
+}
+
+impl Addend for PNiels {
+    fn add_to(&self, q: &EdwardsPoint, negate: bool) -> EdwardsPoint {
+        q.add_pniels(self, negate)
+    }
+}
+
+impl Addend for AffineNiels {
+    fn add_to(&self, q: &EdwardsPoint, negate: bool) -> EdwardsPoint {
+        q.add_affine_niels(self, negate)
+    }
+}
+
+/// Odd multiples `[P, 3P, 5P, 7P]` backing the 4-bit sliding windows.
+struct OddMultiples<E>([E; 4]);
+
+impl OddMultiples<PNiels> {
+    fn projective(p: &EdwardsPoint) -> OddMultiples<PNiels> {
+        OddMultiples(odd_multiples(p).map(EdwardsPoint::to_pniels))
+    }
+}
+
+fn odd_multiples(p: &EdwardsPoint) -> [EdwardsPoint; 4] {
+    let p2 = p.double().to_pniels();
+    let p3 = p.add_pniels(&p2, false);
+    let p5 = p3.add_pniels(&p2, false);
+    let p7 = p5.add_pniels(&p2, false);
+    [*p, p3, p5, p7]
+}
+
+impl<E: Addend> OddMultiples<E> {
     /// Adds `digit·P` to `q` for a w-NAF digit in `{±1, ±3, ±5, ±7}`.
     fn apply(&self, q: &EdwardsPoint, digit: i8) -> EdwardsPoint {
-        if digit > 0 {
-            q.add_pniels(&self.0[(digit as usize) / 2])
-        } else {
-            q.sub_pniels(&self.0[((-digit) as usize) / 2])
+        self.0[digit.unsigned_abs() as usize / 2].add_to(q, digit < 0)
+    }
+}
+
+/// Calls `emit` with `(j+1)·16^i·P` for each of 64 windows `i` and
+/// `j < 8`, in the order the window tables store them.
+fn window_multiples(p: &EdwardsPoint, mut emit: impl FnMut(EdwardsPoint)) {
+    let mut base = *p;
+    for i in 0..64 {
+        let step = base.to_pniels();
+        let mut acc = base;
+        emit(acc);
+        for _ in 1..8 {
+            acc = acc.add_pniels(&step, false);
+            emit(acc);
+        }
+        if i < 63 {
+            base = acc.double(); // 16·base from 8·base
         }
     }
 }
 
-/// A signed radix-16 fixed-window table: `windows[i][j] = (j+1)·16^i·P`
-/// for 64 windows, so `[s]P` is a sum of at most 64 precomputed points
-/// with **no doublings** at multiplication time.
+/// `[s]P` as a doubling-free sum over the signed radix-16 digits of
+/// `s`, from a table holding `entries[8·i + j] = (j+1)·16^i·P`.
+fn window_sum<E: Addend>(entries: &[E], s: &Scalar) -> EdwardsPoint {
+    let mut q = EdwardsPoint::identity();
+    for (row, &d) in entries.chunks_exact(8).zip(s.to_radix16().iter()) {
+        if d != 0 {
+            q = row[d.unsigned_abs() as usize - 1].add_to(&q, d < 0);
+        }
+    }
+    q
+}
+
+/// A signed radix-16 fixed-window table: every `(j+1)·16^i·P` for 64
+/// windows `i` and `j < 8`, so `[s]P` is a sum of at most 64
+/// precomputed points with **no doublings** at multiplication time.
 ///
-/// Building costs ~520 point operations (~115 µs); one multiplication
-/// through it costs at most 64 mixed additions (~11 µs; the 255-step
-/// X25519 ladder takes ~42 µs). It pays for itself within a handful of
-/// reuses, which is why it backs both the static [`basepoint_table`] and
-/// the per-author [`PreparedVerifyingKey`].
+/// Building costs ~520 point operations (~120 µs); one multiplication
+/// through it costs at most 64 mixed additions (~11 µs, ~10 µs through
+/// the affine [`BasepointTable`]; the 255-step X25519 ladder takes
+/// ~43 µs). It pays for itself within a handful of reuses, which is why
+/// it backs the per-author [`PreparedVerifyingKey`].
 pub struct FixedWindowTable {
-    windows: Vec<[PNiels; 8]>,
+    entries: Vec<PNiels>,
 }
 
 impl std::fmt::Debug for FixedWindowTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FixedWindowTable({} windows)", self.windows.len())
+        write!(f, "FixedWindowTable({} windows)", self.entries.len() / 8)
     }
 }
 
 impl FixedWindowTable {
     /// Precomputes the table for `p`.
     pub fn new(p: &EdwardsPoint) -> FixedWindowTable {
-        let mut windows = Vec::with_capacity(64);
-        let mut base = *p;
-        for i in 0..64 {
-            let mut acc = base;
-            let mut row = [acc.to_pniels(); 8];
-            for entry in row.iter_mut().skip(1) {
-                acc = acc.add(&base);
-                *entry = acc.to_pniels();
-            }
-            if i < 63 {
-                base = acc.double(); // 16·base from 8·base
-            }
-            windows.push(row);
-        }
-        FixedWindowTable { windows }
+        let mut entries = Vec::with_capacity(512);
+        window_multiples(p, |multiple| entries.push(multiple.to_pniels()));
+        FixedWindowTable { entries }
     }
 
     /// Computes `[s]P` as a doubling-free sum over the signed radix-16
     /// digits of `s`.
     pub fn mul(&self, s: &Scalar) -> EdwardsPoint {
-        let digits = s.to_radix16();
-        let mut q = EdwardsPoint::identity();
-        for (i, &d) in digits.iter().enumerate() {
-            if d > 0 {
-                q = q.add_pniels(&self.windows[i][(d - 1) as usize]);
-            } else if d < 0 {
-                q = q.sub_pniels(&self.windows[i][(-d - 1) as usize]);
-            }
-        }
-        q
+        window_sum(&self.entries, s)
+    }
+}
+
+/// The fixed-window table of the RFC 8032 basepoint: the layout of a
+/// [`FixedWindowTable`] with every entry normalised to affine Niels
+/// form (`Z = 1`), so each of the ≤ 64 additions of a `[s]B` saves a
+/// multiplication. Obtained from [`basepoint_table`].
+pub struct BasepointTable {
+    entries: Vec<AffineNiels>,
+}
+
+impl BasepointTable {
+    /// Computes `[s]B` as a doubling-free sum over the signed radix-16
+    /// digits of `s`.
+    pub fn mul(&self, s: &Scalar) -> EdwardsPoint {
+        window_sum(&self.entries, s)
     }
 }
 
 /// The lazily built fixed-window table of the RFC 8032 basepoint, shared
 /// by signing, key generation, and the `[s]B` half of verification.
-pub fn basepoint_table() -> &'static FixedWindowTable {
-    static TABLE: OnceLock<FixedWindowTable> = OnceLock::new();
-    TABLE.get_or_init(|| FixedWindowTable::new(&EdwardsPoint::basepoint()))
+pub fn basepoint_table() -> &'static BasepointTable {
+    static TABLE: OnceLock<BasepointTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut multiples = Vec::with_capacity(512);
+        window_multiples(&EdwardsPoint::basepoint(), |multiple| {
+            multiples.push(multiple)
+        });
+        BasepointTable {
+            entries: AffineNiels::batch(&multiples),
+        }
+    })
 }
 
 /// Odd multiples of the basepoint for the Straus interleaved path.
-fn basepoint_odd_multiples() -> &'static OddMultiples {
-    static ODD: OnceLock<OddMultiples> = OnceLock::new();
-    ODD.get_or_init(|| OddMultiples::new(&EdwardsPoint::basepoint()))
+fn basepoint_odd_multiples() -> &'static OddMultiples<AffineNiels> {
+    static ODD: OnceLock<OddMultiples<AffineNiels>> = OnceLock::new();
+    ODD.get_or_init(|| {
+        let affine = AffineNiels::batch(&odd_multiples(&EdwardsPoint::basepoint()));
+        OddMultiples([affine[0], affine[1], affine[2], affine[3]])
+    })
 }
 
 /// An Ed25519 signing key: the 32-byte seed plus its expanded parts.
@@ -720,13 +823,13 @@ fn residue_accepted(r_prime: &EdwardsPoint, r_enc: &[u8; 32]) -> bool {
 
 /// A verifying key prepared for repeat use: the decompressed point plus
 /// a fixed-window table of `-A`, so each verification is two
-/// doubling-free table sums and one addition (~25 µs, 4.5–5x faster
+/// doubling-free table sums and one addition (~26 µs, 5–5.5x faster
 /// than the naive path; see `cargo bench -p sos-bench --bench crypto`).
 ///
-/// Building one costs ~120 µs (`ed25519/prepared_new`: one naive
-/// verification, or five prepared ones), against ~60 µs for a one-shot
-/// [`VerifyingKey::verify_uncached`] — amortized away by an author's
-/// fourth signature, which is exactly the SOS workload: a sync encounter
+/// Building one costs ~125 µs (`ed25519/prepared_new`: a little under
+/// one naive verification, or five prepared ones), against ~63 µs for a
+/// one-shot [`VerifyingKey::verify_uncached`] — amortized away by an
+/// author's fourth signature, which is exactly the SOS workload: a sync encounter
 /// delivers an author's bundles in batches (~200 per session), and a
 /// handshake peer is usually met again.
 pub struct PreparedVerifyingKey {
@@ -830,7 +933,7 @@ fn prepared_cache_lookup(key: &VerifyingKey) -> Option<Arc<PreparedVerifyingKey>
     {
         return Some(hit.clone());
     }
-    // Build outside the lock: table construction is ~120 µs and must not
+    // Build outside the lock: table construction is ~125 µs and must not
     // serialize other threads' verifications. A full cache gives up its
     // oldest entry, so meeting more authors than the cap costs a share
     // of the hits, not all of them.
@@ -847,10 +950,12 @@ fn prepared_cache_lookup(key: &VerifyingKey) -> Option<Arc<PreparedVerifyingKey>
 /// (and whenever signatures do not outnumber distinct keys two to one)
 /// the serial path runs. Measured, not configured: the combination
 /// spends one table sum on `B`, one per distinct key and a shared
-/// 128-doubling chain before its per-signature work gets cheaper than
-/// two table sums, which is break-even at about 4 signatures of one
-/// author and a 2x loss at 1 (see `BENCH_crypto.json`,
-/// `ed25519/verify_batch_*`).
+/// 128-doubling chain (~38 µs together) before its per-signature work
+/// (~12 µs) gets cheaper than two table sums (~26 µs). Measured for
+/// one author, batch ÷ serial: 1.19 at 2 signatures, 0.95 at 3, 0.82
+/// at 4, 0.76 at 5, 0.64 at 8 — break-even at 3, a 2x loss at 1 (see
+/// `BENCH_crypto.json`, `ed25519/verify_batch_*`, for the large-batch
+/// end).
 const BATCH_MIN: usize = 5;
 
 /// Highest index a width-4 NAF digit of a 128-bit `z` can occupy.
@@ -934,7 +1039,7 @@ pub fn verify_batch(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
             let z = Scalar::from_u128(u128::from_le_bytes(z));
             b_coeff = b_coeff.add(&z.mul(s));
             a_coeffs[*slot] = a_coeffs[*slot].add(&z.mul(k));
-            r_terms.push((z.non_adjacent_form4(), OddMultiples::new(&r.neg())));
+            r_terms.push((z.non_adjacent_form4(), OddMultiples::projective(&r.neg())));
         }
     }
 
@@ -1248,6 +1353,101 @@ mod tests {
         let s = Scalar::from_bytes_mod_order(&h);
         assert!(table.mul(&s).equals(&p.mul_scalar_naive(&s)));
         assert!(table.mul(&Scalar::ZERO).equals(&EdwardsPoint::identity()));
+    }
+
+    /// `[s]B` through the affine table against the double-and-add
+    /// oracle on the same 32 bytes, compared as compressed encodings.
+    /// (`mul_bytes` takes the raw bytes; `B` has order ℓ, so reducing
+    /// them first for the table names the same point.)
+    fn assert_basepoint_table_matches_mul_bytes(bytes: &[u8; 32]) {
+        let fast = basepoint_table().mul(&Scalar::from_bytes_mod_order(bytes));
+        let naive = EdwardsPoint::basepoint().mul_bytes(bytes);
+        assert_eq!(fast.compress(), naive.compress(), "{}", hex::encode(bytes));
+    }
+
+    #[test]
+    fn basepoint_table_matches_mul_bytes_on_single_bits_and_edges() {
+        for bit in 0..256 {
+            let mut bytes = [0u8; 32];
+            bytes[bit / 8] = 1 << (bit % 8);
+            assert_basepoint_table_matches_mul_bytes(&bytes);
+        }
+        assert_basepoint_table_matches_mul_bytes(&[0u8; 32]);
+        let l_minus_one = hex::decode_array::<32>(
+            "ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010",
+        )
+        .unwrap();
+        let l_minus_one = Scalar::from_canonical_bytes(&l_minus_one).expect("ℓ − 1 is canonical");
+        assert_eq!(l_minus_one.add(&Scalar::ONE), Scalar::ZERO);
+        assert_basepoint_table_matches_mul_bytes(&l_minus_one.to_bytes());
+        // [ℓ − 1]B = −B.
+        assert!(basepoint_table()
+            .mul(&l_minus_one)
+            .equals(&EdwardsPoint::basepoint().neg()));
+    }
+
+    #[test]
+    fn affine_basepoint_entries_are_normalised_curve_points() {
+        // −x² + y² = 1 + d·x²·y², the third coordinate is 2d·x·y, and
+        // entry (i, j) is (j+1)·16^i·B.
+        let table = basepoint_table();
+        assert_eq!(table.entries.len(), 512);
+        let half = Fe::from_u64(2).invert();
+        let affine = |n: &AffineNiels| {
+            let x = n.y_plus_x.sub(&n.y_minus_x).mul(&half);
+            let y = n.y_plus_x.add(&n.y_minus_x).mul(&half);
+            (x, y)
+        };
+        let odd = basepoint_odd_multiples();
+        for n in table.entries.iter().chain(&odd.0) {
+            let (x, y) = affine(n);
+            let (x2, y2) = (x.square(), y.square());
+            assert_eq!(y2.sub(&x2), x2.mul(&y2).mul(&d()).add(&Fe::ONE));
+            assert_eq!(n.xy2d, x.mul(&y).mul(&d2()));
+        }
+        let mut sixteen_to_the_i = EdwardsPoint::basepoint();
+        for row in table.entries.chunks_exact(8) {
+            let mut expected = sixteen_to_the_i;
+            for n in row {
+                let (x, y) = affine(n);
+                let zinv = expected.z.invert();
+                assert_eq!(x, expected.x.mul(&zinv));
+                assert_eq!(y, expected.y.mul(&zinv));
+                expected = expected.add(&sixteen_to_the_i);
+            }
+            sixteen_to_the_i = sixteen_to_the_i.mul_scalar_naive(&Scalar::from_u64(16));
+        }
+        for (k, n) in [1u64, 3, 5, 7].iter().zip(&odd.0) {
+            let expected = EdwardsPoint::basepoint().mul_scalar_naive(&Scalar::from_u64(*k));
+            let (x, y) = affine(n);
+            assert_eq!(x.mul(&expected.z), expected.x);
+            assert_eq!(y.mul(&expected.z), expected.y);
+        }
+    }
+
+    #[test]
+    fn mixed_subtraction_is_addition_of_the_negation() {
+        let q = EdwardsPoint::basepoint().mul_scalar_naive(&Scalar::from_u64(1234567));
+        let p = EdwardsPoint::basepoint().mul_scalar_naive(&Scalar::from_u64(89));
+        let affine = AffineNiels::batch(&[p])[0];
+        for negate in [false, true] {
+            let expected = if negate { q.add(&p.neg()) } else { q.add(&p) };
+            assert!(q.add_pniels(&p.to_pniels(), negate).equals(&expected));
+            assert!(q.add_affine_niels(&affine, negate).equals(&expected));
+        }
+        // The neutral element on either side, and a point minus itself.
+        let id = EdwardsPoint::identity();
+        assert!(id.add_affine_niels(&affine, true).equals(&p.neg()));
+        assert!(p.add_affine_niels(&affine, true).equals(&id));
+        assert!(p.add_pniels(&id.to_pniels(), true).equals(&p));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn basepoint_table_matches_mul_bytes(bytes in proptest::prop::array::uniform32(proptest::any::<u8>())) {
+            assert_basepoint_table_matches_mul_bytes(&bytes);
+        }
     }
 
     /// The body `decompress` had before it dropped the inversion

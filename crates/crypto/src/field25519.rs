@@ -4,14 +4,53 @@
 //! This implementation favours clarity and testability over side-channel
 //! hardening: scalar multiplications built on it are not constant-time.
 //! That trade-off is documented at the crate root.
+//!
+//! ## The limb-bound contract
+//!
+//! An element is five `u64` limbs, `Σ limb[i]·2^(51·i)`, and a limb may
+//! run past 51 bits. Two sizes matter: **reduced** — every limb below
+//! 2^52 — and **lazy** — every limb below 2^53, what adding two
+//! reduced elements without carrying gives. Additions feed
+//! multiplications almost everywhere (eight of them per point
+//! addition), and a multiplication carries anyway, so [`Fe::add`] does
+//! not.
+//!
+//! | operation | accepts | returns | carries |
+//! |---|---|---|---|
+//! | [`Fe::from_bytes`], [`Fe::from_u64`] | — | limbs < 2^51 | — |
+//! | [`Fe::add`] | two elements whose limb sums stay below 2^53 (any two reduced ones) | lazy | no |
+//! | [`Fe::sub`], [`Fe::neg`] | lazy | reduced: limb 0 < 2^51 + 2^9, the rest < 2^51 | once (after a 16p bias) |
+//! | [`Fe::mul`], [`Fe::square`], [`Fe::mul_small`] | lazy | reduced: limb 1 < 2^51 + 2^16, the rest < 2^51 | once, from `u128` columns |
+//! | [`Fe::invert`], `pow_*` | lazy | reduced | (chains of the above) |
+//! | [`Fe::to_bytes`], `==`, [`Fe::is_zero`], [`Fe::is_negative`] | lazy | canonical bytes | fully |
+//!
+//! So: the sum of two reduced elements may go straight into any other
+//! operation, but not into a second `add` — put a `sub`, `mul`,
+//! `square` or `mul_small` (each returns a reduced element) in between.
+//! Every entry that relies on a bound `debug_assert!`s it, so a debug
+//! build trips on a violation instead of wrapping; the callers are the
+//! X25519 ladder and the point formulas of [`crate::ed25519`], whose
+//! coordinates are always products, differences or parsed bytes.
+//!
+//! Why the bounds are safe: with limbs below 2^53, `19·g` fits `u64`
+//! (< 2^58), each of the 25 products of a multiplication is one
+//! 64×64→128 multiply below 2^111 and a column of five sums below
+//! 2^113; the carry out of the top column is then below 2^62, so its
+//! `·19` fold is done in `u128` — in `u64` it would wrap.
 
 const MASK: u64 = (1 << 51) - 1;
 
+/// Limbs of a lazy element (the widest any operation accepts) stay
+/// below `2^LAZY_BITS`.
+const LAZY_BITS: u32 = 53;
+
 /// An element of GF(2^255 − 19) as five 51-bit limbs, little-endian.
 ///
-/// Limbs may temporarily exceed 51 bits between reductions; all public
-/// operations return weakly reduced values (each limb below 2^52) and
-/// [`Fe::to_bytes`] performs the final canonical reduction.
+/// Limbs may temporarily exceed 51 bits between reductions: every
+/// public operation except [`Fe::add`] returns weakly reduced values
+/// (each limb below 2^52), `add` returns the uncarried sum (below 2^53;
+/// module header), and [`Fe::to_bytes`] performs the final canonical
+/// reduction.
 #[derive(Clone, Copy)]
 pub struct Fe(pub(crate) [u64; 5]);
 
@@ -58,6 +97,16 @@ impl Fe {
         fe
     }
 
+    /// The entry check of the limb-bound contract (module header).
+    #[inline(always)]
+    fn debug_assert_lazy(&self, what: &str) {
+        debug_assert!(
+            self.0.iter().all(|&limb| limb < 1 << LAZY_BITS),
+            "{what}: limbs {:x?} exceed 2^{LAZY_BITS}",
+            self.0
+        );
+    }
+
     fn weak_reduce(mut t: [u64; 5]) -> [u64; 5] {
         let mut c;
         c = t[0] >> 51;
@@ -81,6 +130,7 @@ impl Fe {
     /// Serializes to the canonical 32-byte little-endian encoding
     /// (fully reduced below 2^255 − 19).
     pub fn to_bytes(self) -> [u8; 32] {
+        self.debug_assert_lazy("to_bytes operand");
         let mut t = Self::weak_reduce(Self::weak_reduce(Self::weak_reduce(self.0)));
         // After three weak reductions every limb above 0 is < 2^51 and limb 0
         // is < 2^51 + 19·4, so at most two subtractions of p are needed.
@@ -120,28 +170,35 @@ impl Fe {
         out
     }
 
-    /// Field addition.
+    /// Field addition, without a carry: the sum of two reduced elements
+    /// is lazy (module header), ready for any operation but another
+    /// `add`.
     pub fn add(&self, rhs: &Fe) -> Fe {
-        let mut t = [0u64; 5];
-        for (i, limb) in t.iter_mut().enumerate() {
-            *limb = self.0[i] + rhs.0[i];
+        let mut t = self.0;
+        for (limb, r) in t.iter_mut().zip(rhs.0) {
+            *limb += r;
         }
-        Fe(Self::weak_reduce(t))
+        let sum = Fe(t);
+        sum.debug_assert_lazy("add result (carry an operand first)");
+        sum
     }
 
-    /// Field subtraction (adds 2p before subtracting to avoid underflow).
+    /// Field subtraction: adds 16p before subtracting, so that no limb
+    /// of a lazy `rhs` can underflow, then carries once.
     pub fn sub(&self, rhs: &Fe) -> Fe {
-        // 2p in 51-bit limbs.
-        const TWO_P: [u64; 5] = [
-            0xfffffffffffda,
-            0xffffffffffffe,
-            0xffffffffffffe,
-            0xffffffffffffe,
-            0xffffffffffffe,
+        // 16p in 51-bit limbs: each at least 2^55 − 304.
+        const P16: [u64; 5] = [
+            0x7ffffffffffed0,
+            0x7ffffffffffff0,
+            0x7ffffffffffff0,
+            0x7ffffffffffff0,
+            0x7ffffffffffff0,
         ];
+        self.debug_assert_lazy("sub minuend");
+        rhs.debug_assert_lazy("sub subtrahend");
         let mut t = [0u64; 5];
         for i in 0..5 {
-            t[i] = self.0[i] + TWO_P[i] - rhs.0[i];
+            t[i] = self.0[i] + P16[i] - rhs.0[i];
         }
         Fe(Self::weak_reduce(t))
     }
@@ -152,16 +209,22 @@ impl Fe {
     }
 
     /// Field multiplication.
+    ///
+    /// The `·19` wrap is applied to `rhs`'s limbs in `u64` first — a
+    /// lazy limb times 19 stays below 2^58 — so each of the 25 products
+    /// is a single 64×64→128 multiplication.
     pub fn mul(&self, rhs: &Fe) -> Fe {
-        let f = self.0.map(|x| x as u128);
-        let g = rhs.0.map(|x| x as u128);
-        let g19: [u128; 5] = [g[0], g[1] * 19, g[2] * 19, g[3] * 19, g[4] * 19];
+        self.debug_assert_lazy("mul operand");
+        rhs.debug_assert_lazy("mul operand");
+        let (f, g) = (self.0, rhs.0);
+        let m = |x: u64, y: u64| x as u128 * y as u128;
+        let (g1_19, g2_19, g3_19, g4_19) = (19 * g[1], 19 * g[2], 19 * g[3], 19 * g[4]);
 
-        let r0 = f[0] * g[0] + f[1] * g19[4] + f[2] * g19[3] + f[3] * g19[2] + f[4] * g19[1];
-        let r1 = f[0] * g[1] + f[1] * g[0] + f[2] * g19[4] + f[3] * g19[3] + f[4] * g19[2];
-        let r2 = f[0] * g[2] + f[1] * g[1] + f[2] * g[0] + f[3] * g19[4] + f[4] * g19[3];
-        let r3 = f[0] * g[3] + f[1] * g[2] + f[2] * g[1] + f[3] * g[0] + f[4] * g19[4];
-        let r4 = f[0] * g[4] + f[1] * g[3] + f[2] * g[2] + f[3] * g[1] + f[4] * g[0];
+        let r0 = m(f[0], g[0]) + m(f[1], g4_19) + m(f[2], g3_19) + m(f[3], g2_19) + m(f[4], g1_19);
+        let r1 = m(f[0], g[1]) + m(f[1], g[0]) + m(f[2], g4_19) + m(f[3], g3_19) + m(f[4], g2_19);
+        let r2 = m(f[0], g[2]) + m(f[1], g[1]) + m(f[2], g[0]) + m(f[3], g4_19) + m(f[4], g3_19);
+        let r3 = m(f[0], g[3]) + m(f[1], g[2]) + m(f[2], g[1]) + m(f[3], g[0]) + m(f[4], g4_19);
+        let r4 = m(f[0], g[4]) + m(f[1], g[3]) + m(f[2], g[2]) + m(f[3], g[1]) + m(f[4], g[0]);
 
         Self::carry_wide([r0, r1, r2, r3, r4])
     }
@@ -170,10 +233,11 @@ impl Fe {
     /// the 15 distinct ones (each cross term once, doubled).
     ///
     /// The doubling and the `·19` wrap are applied to one operand in
-    /// `u64` first — a limb below 2^52 times 38 stays below 2^58 — so
-    /// every product is a single 64×64→128 multiplication and each sum
-    /// has the bound of the matching `mul` row (< 2^111).
+    /// `u64` first — a lazy limb times 38 stays below 2^59 — so every
+    /// product is a single 64×64→128 multiplication and each sum has
+    /// the bound of the matching `mul` row (< 2^113).
     pub fn square(&self) -> Fe {
+        self.debug_assert_lazy("square operand");
         let [a0, a1, a2, a3, a4] = self.0;
         let m = |x: u64, y: u64| x as u128 * y as u128;
         let (d0, d1) = (2 * a0, 2 * a1);
@@ -191,11 +255,14 @@ impl Fe {
 
     /// Multiplication by a small scalar (fits in 32 bits).
     pub fn mul_small(&self, n: u32) -> Fe {
+        self.debug_assert_lazy("mul_small operand");
         let n = n as u128;
         let f = self.0.map(|x| x as u128);
         Self::carry_wide([f[0] * n, f[1] * n, f[2] * n, f[3] * n, f[4] * n])
     }
 
+    /// Carries five column sums (each below 2^113) into a reduced
+    /// element: limb 1 ends below 2^51 + 2^16, the rest below 2^51.
     fn carry_wide(mut r: [u128; 5]) -> Fe {
         let mut t = [0u64; 5];
         let mut c: u128 = 0;
@@ -204,11 +271,10 @@ impl Fe {
             t[i] = (r[i] as u64) & MASK;
             c = r[i] >> 51;
         }
-        let mut t0 = t[0] + (c as u64) * 19;
-        let c2 = t0 >> 51;
-        t0 &= MASK;
-        t[0] = t0;
-        t[1] += c2;
+        // c < 2^62 for lazy operands: c·19 does not fit 64 bits.
+        let t0 = t[0] as u128 + c * 19;
+        t[0] = (t0 as u64) & MASK;
+        t[1] += (t0 >> 51) as u64;
         Fe(t)
     }
 
@@ -469,6 +535,210 @@ mod tests {
             }
             assert_square_is_mul(x);
         }
+    }
+
+    /// The arithmetic this module shipped with before additions went
+    /// lazy, made indifferent to its operands' limb sizes: every
+    /// operation carries its inputs first and its result after, and
+    /// every product is widened to `u128` before the `·19` fold.
+    #[derive(Clone, Copy)]
+    struct RefFe([u64; 5]);
+
+    impl RefFe {
+        fn carried(t: [u64; 5]) -> [u64; 5] {
+            let mut t = t;
+            for _ in 0..2 {
+                let mut c = 0;
+                for limb in t.iter_mut() {
+                    *limb += c;
+                    c = *limb >> 51;
+                    *limb &= MASK;
+                }
+                t[0] += c * 19;
+            }
+            t
+        }
+
+        fn of(x: &Fe) -> RefFe {
+            RefFe(Self::carried(x.0))
+        }
+
+        fn add(&self, rhs: &RefFe) -> RefFe {
+            RefFe(Self::carried(std::array::from_fn(|i| self.0[i] + rhs.0[i])))
+        }
+
+        fn sub(&self, rhs: &RefFe) -> RefFe {
+            // 4p: above any carried limb.
+            RefFe(Self::carried(std::array::from_fn(|i| {
+                let four_p = if i == 0 { 4 * (MASK - 18) } else { 4 * MASK };
+                self.0[i] + four_p - rhs.0[i]
+            })))
+        }
+
+        fn neg(&self) -> RefFe {
+            RefFe([0; 5]).sub(self)
+        }
+
+        fn mul(&self, rhs: &RefFe) -> RefFe {
+            let (f, g) = (self.0.map(u128::from), rhs.0.map(u128::from));
+            let mut r = [0u128; 5];
+            for i in 0..5 {
+                for j in 0..5 {
+                    let wrap = if i + j >= 5 { 19 } else { 1 };
+                    r[(i + j) % 5] += f[i] * g[j] * wrap;
+                }
+            }
+            Self::carried_wide(r)
+        }
+
+        fn mul_small(&self, n: u32) -> RefFe {
+            Self::carried_wide(self.0.map(|limb| limb as u128 * n as u128))
+        }
+
+        fn carried_wide(mut r: [u128; 5]) -> RefFe {
+            for _ in 0..2 {
+                let mut c = 0u128;
+                for limb in r.iter_mut() {
+                    *limb += c;
+                    c = *limb >> 51;
+                    *limb &= MASK as u128;
+                }
+                r[0] += c * 19;
+            }
+            RefFe(Self::carried(r.map(|limb| limb as u64)))
+        }
+
+        fn to_bytes(self) -> [u8; 32] {
+            // Canonical: subtract p while the value is at least p.
+            let mut t = Self::carried(self.0);
+            while t[1..].iter().all(|&limb| limb == MASK) && t[0] >= MASK - 18 {
+                t = [t[0] - (MASK - 18), 0, 0, 0, 0];
+            }
+            let mut out = [0u8; 32];
+            for (i, limb) in t.iter().enumerate() {
+                for bit in 0..51 {
+                    let at = 51 * i + bit;
+                    out[at / 8] |= ((limb >> bit & 1) as u8) << (at % 8);
+                }
+            }
+            out
+        }
+    }
+
+    /// Limbs uniformly below `2^bits`, a random subset pinned to the
+    /// bound itself (where carries run longest and sums come closest
+    /// to wrapping).
+    fn pinned(limbs: (u64, u64, u64, u64, u64), pins: u8, bits: u32) -> Fe {
+        let mut x = Fe([limbs.0, limbs.1, limbs.2, limbs.3, limbs.4]);
+        for (i, limb) in x.0.iter_mut().enumerate() {
+            *limb &= (1 << bits) - 1;
+            if pins >> i & 1 == 1 {
+                *limb = (1 << bits) - 1;
+            }
+        }
+        x
+    }
+
+    fn five_limbs() -> impl proptest::Strategy<Value = (u64, u64, u64, u64, u64)> {
+        use proptest::any;
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        )
+    }
+
+    /// What the contract in the module header calls *reduced*: a limb
+    /// below 2^52 (*lazy* is `LAZY_BITS`).
+    const REDUCED: u32 = 52;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+        #[test]
+        fn lazy_chains_match_the_always_carrying_reference(
+            a in five_limbs(),
+            b in five_limbs(),
+            c in five_limbs(),
+            d in five_limbs(),
+            pins in proptest::any::<u32>(),
+            n in proptest::any::<u32>(),
+        ) {
+            let [a, b, c, d] = [(a, 0), (b, 5), (c, 10), (d, 15)].map(|(limbs, shift)| {
+                pinned(limbs, (pins >> shift) as u8, REDUCED)
+            });
+            let [ra, rb, rc, rd] = [a, b, c, d].map(|x| RefFe::of(&x));
+            // One lazy sum feeding each consumer the contract allows.
+            let (ab, cd) = (a.add(&b), c.add(&d));
+            let (rab, rcd) = (ra.add(&rb), rc.add(&rd));
+            assert_eq!(ab.mul(&cd).to_bytes(), rab.mul(&rcd).to_bytes());
+            assert_eq!(ab.sub(&cd).square().to_bytes(), rab.sub(&rcd).mul(&rab.sub(&rcd)).to_bytes());
+            assert_eq!(ab.neg().to_bytes(), rab.neg().to_bytes());
+            assert_eq!(cd.mul_small(n).to_bytes(), rcd.mul_small(n).to_bytes());
+            assert_eq!(ab.to_bytes(), rab.to_bytes());
+            // A difference (reduced) may be added once more.
+            assert_eq!(
+                a.sub(&cd).add(&b).square().to_bytes(),
+                ra.sub(&rcd).add(&rb).mul(&ra.sub(&rcd).add(&rb)).to_bytes()
+            );
+        }
+
+        #[test]
+        fn every_consumer_accepts_limbs_at_the_lazy_bound(
+            a in five_limbs(),
+            b in five_limbs(),
+            pins in proptest::any::<u16>(),
+            n in proptest::any::<u32>(),
+        ) {
+            let a = pinned(a, pins as u8, LAZY_BITS);
+            let b = pinned(b, (pins >> 5) as u8, LAZY_BITS);
+            let (ra, rb) = (RefFe::of(&a), RefFe::of(&b));
+            assert_eq!(a.mul(&b).to_bytes(), ra.mul(&rb).to_bytes());
+            assert_eq!(a.square().to_bytes(), ra.mul(&ra).to_bytes());
+            assert_eq!(a.mul_small(n).to_bytes(), ra.mul_small(n).to_bytes());
+            assert_eq!(a.to_bytes(), ra.to_bytes());
+            assert_eq!(a.sub(&b).to_bytes(), ra.sub(&rb).to_bytes());
+            assert_eq!(b.neg().to_bytes(), rb.neg().to_bytes());
+            // Results are reduced again, whatever came in.
+            for out in [a.mul(&b), a.square(), a.mul_small(n), a.sub(&b), b.neg()] {
+                assert!(out.0.iter().all(|&limb| limb < 1 << REDUCED), "{:?}", out.0);
+            }
+            assert_square_is_mul(a);
+        }
+    }
+
+    #[test]
+    fn reference_field_is_sound_on_known_values() {
+        // The reference itself, pinned to facts older than both
+        // implementations: 2^255 − 19 encodes as zero, −1 as 2^255 − 20,
+        // and its product agrees with the squaring of the same value
+        // re-parsed from canonical bytes.
+        let top = RefFe([(1 << LAZY_BITS) - 1; 5]);
+        let as_fe = Fe::from_bytes(&top.to_bytes());
+        assert_eq!(top.mul(&top).to_bytes(), as_fe.square().to_bytes());
+        assert_eq!(
+            RefFe([MASK - 18, MASK, MASK, MASK, MASK]).to_bytes(),
+            [0u8; 32]
+        );
+        let mut minus_one = [0xffu8; 32];
+        (minus_one[0], minus_one[31]) = (0xec, 0x7f);
+        assert_eq!(RefFe([1, 0, 0, 0, 0]).neg().to_bytes(), minus_one);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "add result")]
+    fn a_second_lazy_add_trips_the_debug_build() {
+        let top = Fe([(1 << REDUCED) - 1; 5]);
+        let _ = top.add(&top).add(&top);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "mul operand")]
+    fn an_oversized_limb_trips_the_debug_build() {
+        let _ = Fe([1 << LAZY_BITS, 0, 0, 0, 0]).mul(&Fe::ONE);
     }
 
     #[test]

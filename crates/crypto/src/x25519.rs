@@ -77,6 +77,9 @@ pub fn x25519(k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
         Fe::cswap(swap, &mut z2, &mut z3);
         swap = k_t;
 
+        // Limb bounds (`field25519` header): x1..z3 are parsed bytes,
+        // products or squares, hence reduced; each `add` below sums two
+        // reduced elements and feeds a `mul` or `square` directly.
         let a = x2.add(&z2);
         let aa = a.square();
         let b = x2.sub(&z2);
