@@ -1,6 +1,6 @@
 //! Scaling gates for the contact kernel (`sos_engine::{tick, shard}`).
 //!
-//! Five measurements, written to `BENCH_scale.json`:
+//! Six measurements, written to `BENCH_scale.json`:
 //!
 //! * **identity** — at 10 k metropolis nodes the merged stream at K = 4
 //!   is asserted byte-identical to K = 1, and at 1 500 nodes K = 1 is
@@ -10,9 +10,17 @@
 //! * **epoch overhead** — K = 1 over a city day with the default
 //!   32-tick epochs ÷ the same loop with one whole-window epoch, median
 //!   of alternating repetitions. The **≤ 1.15 gate** is what one core
-//!   can assert about the epoch protocol: per-epoch set-up (re-hosting,
-//!   wake calendar, handoff write-back) must stay a small tax on the
-//!   tick loop. It also yields `k1/ns_per_transition`;
+//!   can assert about the epoch protocol: per-epoch set-up (the wake
+//!   calendar; one shard is never re-hosted and hands nothing off) must
+//!   stay a small tax on the tick loop. It also yields
+//!   `k1/ns_per_transition`;
+//! * **evaluation over kernel** — `run_metropolis` (city generation,
+//!   kernel, all five reduced schemes) ÷ the K = 1 kernel alone on the
+//!   same city day, median of alternating repetitions. The **≤ 1.40
+//!   gate** is what one core can assert about the scheme evaluators:
+//!   the (offer, want) fold must stay a fraction of the contact
+//!   detection it rides on (1.45 to 1.48 while each scheme walked its
+//!   posts one by one, on a kernel that also handed off to itself);
 //! * **halo duplication** — mean over a day's epochs of Σ hosted ÷ n at
 //!   K = 2 and K = 4: the work the reach rule (hull of owned extents)
 //!   makes several shards repeat. Recorded, not gated;
@@ -33,6 +41,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use sos_bench::emit::{pretty_ns, smoke, time_once, Suite};
 use sos_engine::{GridContactEngine, ShardConfig, ShardedContactEngine};
+use sos_experiments::metropolis::{run_metropolis, MetroConfig};
 use sos_sim::mobility::{Metropolis, MetropolisConfig, TrajectorySet};
 use sos_sim::{ContactSource, SimDuration, SimTime, World};
 
@@ -42,7 +51,10 @@ const SPEEDUP_GATE: f64 = 4.0;
 /// Allowed cost of 32-tick epochs over one whole-window epoch at K = 1.
 const EPOCH_OVERHEAD_GATE: f64 = 1.15;
 
-/// Alternating repetitions behind the epoch-overhead median.
+/// Allowed cost of a whole `run_metropolis` over its K = 1 kernel.
+const EVAL_OVER_KERNEL_GATE: f64 = 1.40;
+
+/// Alternating repetitions behind the two ratio gates' medians.
 const EPOCH_REPS: usize = 5;
 
 /// The contact-detection tick every measurement uses.
@@ -81,6 +93,12 @@ fn time_streamed(engine: &ShardedContactEngine, end: SimTime) -> (f64, u64) {
         engine.for_each_epoch(SimTime::ZERO, end, |epoch| count += epoch.len() as u64);
         count
     })
+}
+
+/// The median of the timings behind a ratio gate.
+fn median(mut ns: Vec<f64>) -> f64 {
+    ns.sort_unstable_by(f64::total_cmp);
+    ns[ns.len() / 2]
 }
 
 /// Byte-identity of the stream at scales unit tests cannot afford:
@@ -137,10 +155,7 @@ fn bench_epoch_overhead(_c: &mut Criterion) {
             runs.push(ns);
         }
     }
-    let [epochs_ns, whole_ns] = runs.map(|mut ns| {
-        ns.sort_unstable_by(f64::total_cmp);
-        ns[ns.len() / 2]
-    });
+    let [epochs_ns, whole_ns] = runs.map(median);
     let ratio = epochs_ns / whole_ns;
     println!(
         "epoch/{nodes}_nodes: K=1 day in {} with 32-tick epochs, {} as one epoch: \
@@ -159,6 +174,44 @@ fn bench_epoch_overhead(_c: &mut Criterion) {
         ratio <= EPOCH_OVERHEAD_GATE,
         "32-tick epochs cost {ratio:.3}x one whole-window epoch at K=1 \
          ({nodes} nodes, median of {EPOCH_REPS}; gate {EPOCH_OVERHEAD_GATE}x)"
+    );
+}
+
+/// The other one-core gate: what the five reduced scheme evaluators
+/// (and city generation) add to the contact kernel they ride on.
+fn bench_eval_over_kernel(_c: &mut Criterion) {
+    let nodes = if smoke() { 4_000 } else { 10_000 };
+    let cfg = MetroConfig {
+        days: 1,
+        seed: 11,
+        shards: 1,
+        threads: 1,
+        ..MetroConfig::for_nodes(nodes)
+    };
+    let kernel = sharded(city(nodes, cfg.days, cfg.seed), 1, cfg.epoch_ticks);
+    let mut runs = [Vec::new(), Vec::new()];
+    for _ in 0..EPOCH_REPS {
+        let (ns, outcome) = time_once(|| run_metropolis(&cfg));
+        runs[0].push(ns);
+        let (ns, transitions) = time_streamed(&kernel, SimTime::from_hours(24));
+        runs[1].push(ns);
+        assert_eq!(outcome.events, transitions, "the two runs saw other cities");
+    }
+    let [metro_ns, kernel_ns] = runs.map(median);
+    let ratio = metro_ns / kernel_ns;
+    println!(
+        "metro/{nodes}_nodes: run_metropolis day in {}, its K=1 kernel alone in {}: {ratio:.3}x",
+        pretty_ns(metro_ns),
+        pretty_ns(kernel_ns),
+    );
+    SUITE.record("metro/nodes", nodes as f64);
+    SUITE.record("metro/run_ns", metro_ns);
+    SUITE.record("metro/kernel_ns", kernel_ns);
+    SUITE.record("metro/eval_over_kernel", ratio);
+    assert!(
+        ratio <= EVAL_OVER_KERNEL_GATE,
+        "run_metropolis costs {ratio:.3}x its kernel alone ({nodes} nodes, \
+         median of {EPOCH_REPS}; gate {EVAL_OVER_KERNEL_GATE}x)"
     );
 }
 
@@ -273,6 +326,7 @@ criterion_group!(
     benches,
     bench_identity,
     bench_epoch_overhead,
+    bench_eval_over_kernel,
     bench_halo_duplication,
     bench_speedup,
     bench_million_movement,

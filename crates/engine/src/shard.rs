@@ -53,6 +53,16 @@
 //!    adjacency (unordered `Vec`s, no hashing) exact for whichever shard
 //!    rebuilds from them next.
 //!
+//! # One shard
+//!
+//! With K = 1 the single shard is hosted once, with every node, and
+//! never rebuilt: the global positions and open lists are read by its
+//! first build and by nothing after it. So the shard neither marks what
+//! changed during an epoch nor writes anything back — there is no
+//! handoff to itself. This is exact because the only reader of the
+//! global state is a rebuild, and a rebuild needs a hosted set that
+//! changed; K is a fact the engine holds, not an option.
+//!
 //! # Why the streams are identical
 //!
 //! Within a shard the stream is totally ordered by `(time, a, b)`:
@@ -258,6 +268,7 @@ impl ShardedContactEngine {
                 epoch_start,
                 epoch_end,
                 initial: epoch_start == start,
+                handoff: k > 1,
             };
             shards = run_replicas(shards, self.config.threads, |id, mut shard| {
                 shard.run_epoch(&ctx, id as u32);
@@ -272,7 +283,7 @@ impl ShardedContactEngine {
             }
             drop(merge_span);
             f(if k > 1 { &merged } else { &shards[0].events });
-            if epoch_end < end {
+            if k > 1 && epoch_end < end {
                 let _span = sos_obs::profile::span("engine/epoch_handoff");
                 for (id, shard) in shards.iter_mut().enumerate() {
                     shard.write_back(id as u32, &owner, &mut positions, &mut open);

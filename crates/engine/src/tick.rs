@@ -68,6 +68,10 @@ pub(crate) struct EpochCtx<'a> {
     /// Whether this epoch opens the window (run the full scan at
     /// `epoch_start`).
     pub initial: bool,
+    /// Whether a shard may be rebuilt from the global state after this
+    /// epoch, so changes must be tracked for [`Shard::write_back`]:
+    /// always, unless there is one shard.
+    pub handoff: bool,
 }
 
 /// One shard: the nodes it hosts, what it emitted last epoch, and its
@@ -223,7 +227,7 @@ impl Shard {
                 if p != self.pos[l as usize] {
                     self.pos[l as usize] = p;
                     self.grid.update(l, p);
-                    self.mark_dirty(l);
+                    self.mark_dirty(ctx, l);
                     self.is_mover[l as usize] = true;
                     self.movers.push(l);
                 }
@@ -260,8 +264,8 @@ impl Shard {
         }
     }
 
-    fn mark_dirty(&mut self, l: u32) {
-        if !std::mem::replace(&mut self.dirty[l as usize], true) {
+    fn mark_dirty(&mut self, ctx: &EpochCtx<'_>, l: u32) {
+        if ctx.handoff && !std::mem::replace(&mut self.dirty[l as usize], true) {
             self.dirty_list.push(l);
         }
     }
@@ -348,7 +352,7 @@ impl Shard {
                     let at = row.iter().position(|&p| p == y);
                     row.swap_remove(at.expect("a pair that goes down is open"));
                 }
-                self.mark_dirty(x);
+                self.mark_dirty(ctx, x);
             }
             let (ga, gb) = (self.hosted[a as usize], self.hosted[b as usize]);
             if ctx.owner[ga as usize] == id {
@@ -440,6 +444,7 @@ mod tests {
                 epoch_start,
                 epoch_end,
                 initial: epoch == 0,
+                handoff: true,
             };
             for (id, shard) in shards.iter_mut().enumerate() {
                 // Local state is rebuilt when the hosted set changed,

@@ -4,42 +4,76 @@
 //! exists to answer "what happens at city scale". This module is that
 //! experiment: a districts-and-transit metropolis population
 //! ([`sos_sim::mobility::Metropolis`]) streamed through the sharded
-//! contact kernel ([`sos_engine::ShardedContactEngine`]), with all five
-//! built-in routing schemes evaluated *in one pass* over the contact
-//! stream.
+//! contact kernel ([`sos_engine::ShardedContactEngine`]), all five
+//! built-in routing schemes evaluated *in one pass* over the stream.
 //!
 //! The full middleware stack (stores, sync frames, crypto) costs too
 //! much per node to carry to 10⁶ nodes, so the schemes run on a
-//! reduced state machine that keeps exactly what delivery/delay/cost
-//! metrics need: one have-bitset per node per scheme, per-node
-//! subscription lists, and (for spray-and-wait) sparse copy counters.
-//! The exchange rules are a *reduced model*, not a mirror of
-//! `sos_core::routing`: epidemic floods, direct waits for the author,
-//! interest-based pulls subscribed posts, interest-predictive
-//! additionally prefetches what recent partners subscribe to, and
-//! spray-and-wait hands off half its copies — but they diverge from
-//! the middleware in ways known to move scheme rankings (Moreira &
-//! Mendes, *Impact of Human Behavior on Social Opportunistic
-//! Forwarding*). The named divergences, which are the specification
-//! for ROADMAP's differential harness:
+//! *reduced model*: a node-major bit grid — per node one contiguous
+//! block holding its subscription mask and one have-row per scheme — on
+//! which a contact moves, a word at a time,
 //!
-//! * subscriptions are per *post* here and per *author* in the
-//!   middleware;
-//! * interest-based has no 2 h forwarder holdoff;
-//! * interest-predictive prefetches for a ring of the last
-//!   `recent_partners` (4) partners, where the middleware keeps a
-//!   decayed request-demand score with a threshold;
-//! * spray-and-wait deliveries to subscribers do not spend copy
-//!   budget, and there is no `should_advertise` wait phase;
+//! ```text
+//! fresh = have[from] & offer(from) & want(to) & !have[to]
+//! ```
+//!
+//! and a scheme is one row of the table `RULES` naming its two masks:
+//!
+//! | scheme              | offer(from)        | want(to)                  |
+//! |---------------------|--------------------|---------------------------|
+//! | epidemic            | all                | all                       |
+//! | interest-predictive | all                | `subs[to] ∪ subs[ring(to)]` |
+//! | interest-based      | all                | `subs[to]`                |
+//! | direct              | authored by `from` | `subs[to]`                |
+//!
+//! Spray-and-wait keeps sparse copy counters beside its have-row: a
+//! holder of `c` copies serves a subscriber for free and hands anyone
+//! else `c / 2` of them while `c ≥ 2`.
+//!
+//! # What each mask reduces
+//!
+//! The table is the reduced model's specification, written against
+//! [`sos_core::routing::RoutingScheme`]:
+//!
+//! * `want(to)` is `interests(ctx, ad)`, the receiver's browse decision
+//!   over an advertisement listing `from`'s holdings, and `& !have[to]`
+//!   is the `users_with_news` filter every scheme starts from.
+//! * `offer(from)` is what a holder lets others pull later: everything
+//!   `should_carry` let it keep and `should_advertise` still lists.
+//!   Direct's `should_carry` is `false` and its `interests` pull from
+//!   the author alone, so its offer is "authored by `from`".
+//! * Spray-and-wait's halving is `on_serve`, its budget
+//!   `initial_copies`.
+//!
+//! The unit tests hold the table, decision by decision, to `Epidemic`,
+//! `Direct` and `InterestBased` without holdoff, and the word-level
+//! fold to a per-post reference.
+//!
+//! # Divergences from the middleware
+//!
+//! The model diverges from `sos_core::routing` in ways known to move
+//! scheme rankings (Moreira & Mendes, *Impact of Human Behavior on
+//! Social Opportunistic Forwarding*). Against the table, for ROADMAP's
+//! run-level differential harness:
+//!
+//! * every mask is per *post*; the middleware subscribes, advertises
+//!   and pulls per *author*;
+//! * interest-based's `want` has no 2 h forwarder holdoff;
+//! * interest-predictive's `want` adds the subscriptions of a ring of
+//!   the last `recent_partners` (4) partners, where the middleware adds
+//!   authors whose decayed request-demand score passes a threshold, and
+//!   its `offer` is everything held, where `should_carry` applies the
+//!   same score;
+//! * spray-and-wait serves subscribers without spending copy budget and
+//!   a holder of one copy serves nobody else, where `on_serve` hands out
+//!   terminal copies and `should_advertise` hides an exhausted bundle;
 //! * no TTL, store capacity, advertisement cadence, handshake refusals
 //!   or link loss;
 //! * `TrustAware` is absent.
 //!
-//! Contacts are processed in stream order and both directions of a
-//! contact exchange sequentially (lower node first), so the whole
-//! evaluation is deterministic for a given seed and — because the
-//! sharded kernel's stream is byte-identical at any shard count —
-//! independent of `shards`/`threads`.
+//! Contacts are folded in stream order, so a run is deterministic for
+//! its seed and — the sharded kernel's stream being byte-identical at
+//! any shard count — independent of `shards`/`threads`.
 
 use crate::observe::{RunObservation, RunObserver};
 use rand::rngs::StdRng;
@@ -50,14 +84,37 @@ use sos_obs::{JournalEntry, ObsEvent};
 use sos_sim::mobility::{Metropolis, MetropolisConfig};
 use sos_sim::{ContactPhase, SimDuration, SimTime};
 
-/// The five built-in schemes the scenario compares, in report order.
-pub const METRO_SCHEMES: [SchemeKind; 5] = [
-    SchemeKind::Epidemic,
-    SchemeKind::InterestPredictive,
-    SchemeKind::InterestBased,
-    SchemeKind::SprayAndWait,
-    SchemeKind::Direct,
+/// What a holder lets a peer pull.
+#[derive(Clone, Copy, Debug)]
+enum Offer {
+    All,
+    /// Only the posts `from` wrote itself.
+    Authored,
+}
+
+/// What a node pulls from a peer's holdings.
+#[derive(Clone, Copy, Debug)]
+enum Want {
+    All,
+    Subscribed,
+    /// Its own subscriptions and those of its recent partners.
+    SubscribedOrRing,
+}
+
+/// The reduced model, one row per scheme in report order: its two
+/// masks, or `None` for spray-and-wait's copy counters (module docs).
+#[rustfmt::skip]
+const RULES: [(SchemeKind, Option<(Offer, Want)>); 5] = [
+    (SchemeKind::Epidemic,           Some((Offer::All,      Want::All))),
+    (SchemeKind::InterestPredictive, Some((Offer::All,      Want::SubscribedOrRing))),
+    (SchemeKind::InterestBased,      Some((Offer::All,      Want::Subscribed))),
+    (SchemeKind::SprayAndWait,       None),
+    (SchemeKind::Direct,             Some((Offer::Authored, Want::Subscribed))),
 ];
+
+/// The five built-in schemes the scenario compares, in report order.
+pub const METRO_SCHEMES: [SchemeKind; 5] =
+    [RULES[0].0, RULES[1].0, RULES[2].0, RULES[3].0, RULES[4].0];
 
 /// Configuration of one metropolis run.
 #[derive(Clone, Debug)]
@@ -161,40 +218,97 @@ pub struct MetroOutcome {
     pub schemes: Vec<SchemeMetrics>,
 }
 
-/// The post corpus: authorship, injection times (ascending), and
-/// subscriber sets, plus the per-node inverse index.
-struct Posts {
-    authors: Vec<u32>,
-    times: Vec<SimTime>,
-    /// Sorted subscriber node ids per post.
-    subs: Vec<Vec<u32>>,
-    /// Sorted post ids each node subscribes to.
-    sub_of: Vec<Vec<u32>>,
-    targets: usize,
+/// Rows of a node's block: the subscription mask, a have-row per rule.
+const ROWS: usize = 1 + RULES.len();
+
+/// An empty slot of a partner ring.
+const NO_PARTNER: u32 = u32::MAX;
+
+/// The positions of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let at = word.trailing_zeros() as usize;
+        (word != 0).then(|| {
+            word &= word - 1;
+            at
+        })
+    })
 }
 
-impl Posts {
-    fn generate(cfg: &MetroConfig, metro: &Metropolis, rng: &mut StdRng) -> Posts {
+/// What one scheme has moved so far.
+#[derive(Default)]
+struct Tally {
+    transfers: u64,
+    /// One delay (ms) per delivered `(post, subscriber)` pair.
+    delays: Vec<u64>,
+}
+
+/// The reduced model's whole state: the post corpus, the node-major bit
+/// grid, and what the two stateful schemes keep beside it.
+struct Evaluator {
+    /// Author and injection time per post, times ascending.
+    authors: Vec<u32>,
+    times: Vec<SimTime>,
+    /// Total `(post, subscriber)` pairs.
+    targets: usize,
+    /// Words per row.
+    words: usize,
+    /// `nodes × ROWS × words`.
+    bits: Vec<u64>,
+    /// Per node, bit `i` set once it holds anything under `RULES[i]`:
+    /// most have-rows stay empty, and two empty rows exchange nothing.
+    live: Vec<u8>,
+    /// Interest-predictive: `ring_cap` recent partners per node, oldest
+    /// first, padded with [`NO_PARTNER`].
+    ring: Vec<u32>,
+    ring_cap: usize,
+    /// Spray-and-wait: sparse `(post, copies)` per node, sorted by post.
+    copies: Vec<Vec<(u32, u32)>>,
+    spray_copies: u32,
+    tallies: [Tally; RULES.len()],
+}
+
+impl Evaluator {
+    /// An evaluator for posts injected at `times` (ascending), with no
+    /// author or subscriber yet.
+    fn new(nodes: usize, times: Vec<SimTime>, recent_partners: usize, spray_copies: u32) -> Self {
+        let words = times.len().div_ceil(64);
+        let ring_cap = recent_partners.max(1);
+        Evaluator {
+            authors: Vec::with_capacity(times.len()),
+            times,
+            targets: 0,
+            words,
+            bits: vec![0; nodes * ROWS * words],
+            live: vec![0; nodes],
+            ring: vec![NO_PARTNER; nodes * ring_cap],
+            ring_cap,
+            copies: vec![Vec::new(); nodes],
+            spray_copies: spray_copies.max(1),
+            tallies: Default::default(),
+        }
+    }
+
+    /// Draws the corpus: injection times over the first half of the
+    /// window (so late posts still have time to propagate), then per
+    /// post an author and its subscribers.
+    fn generate(cfg: &MetroConfig, metro: &Metropolis, rng: &mut StdRng) -> Evaluator {
         let nodes = cfg.nodes;
-        // Injection times fill the first half of the window so late
-        // posts still have time to propagate; sorted so the run loop
-        // can inject with a single cursor.
         let horizon = SimTime::from_hours(24 * cfg.days).as_millis() / 2;
         let mut times: Vec<SimTime> = (0..cfg.posts)
             .map(|_| SimTime::from_millis(rng.gen_range(0..horizon.max(1))))
             .collect();
         times.sort_unstable();
-        let mut authors = Vec::with_capacity(cfg.posts);
-        let mut subs = Vec::with_capacity(cfg.posts);
-        let mut sub_of = vec![Vec::new(); nodes];
+        let mut eval = Evaluator::new(nodes, times, cfg.recent_partners, cfg.spray_copies);
         for m in 0..cfg.posts {
             let author = rng.gen_range(0..nodes) as u32;
+            eval.authors.push(author);
             let local = metro.district_members(metro.home_district(author as usize));
-            let mut set: Vec<u32> = Vec::with_capacity(cfg.subscribers_per_post);
+            let mut drawn = 0;
             // Bounded attempts so tiny populations cannot loop forever
             // when the district has fewer members than requested.
             for _ in 0..cfg.subscribers_per_post * 8 {
-                if set.len() == cfg.subscribers_per_post {
+                if drawn == cfg.subscribers_per_post {
                     break;
                 }
                 let cand = if rng.gen_bool(cfg.local_bias.clamp(0.0, 1.0)) && !local.is_empty() {
@@ -202,280 +316,180 @@ impl Posts {
                 } else {
                     rng.gen_range(0..nodes) as u32
                 };
-                if cand == author {
-                    continue;
-                }
-                if let Err(at) = set.binary_search(&cand) {
-                    set.insert(at, cand);
+                if cand != author && eval.subscribe(cand as usize, m) {
+                    drawn += 1;
                 }
             }
-            for &s in &set {
-                sub_of[s as usize].push(m as u32);
-            }
-            authors.push(author);
-            subs.push(set);
         }
-        let targets = subs.iter().map(Vec::len).sum();
-        Posts {
-            authors,
-            times,
-            subs,
-            sub_of,
-            targets,
-        }
+        eval
     }
 
-    fn len(&self) -> usize {
-        self.authors.len()
-    }
-}
-
-/// A flat `nodes × posts` bitset: word-addressed so the epidemic
-/// exchange is a per-word union instead of a per-post loop.
-struct BitGrid {
-    words_per_node: usize,
-    bits: Vec<u64>,
-}
-
-impl BitGrid {
-    fn new(nodes: usize, posts: usize) -> BitGrid {
-        let words_per_node = posts.div_ceil(64);
-        BitGrid {
-            words_per_node,
-            bits: vec![0; nodes * words_per_node],
-        }
+    /// Index of word `w` of `node`'s `row`.
+    fn at(&self, node: usize, row: usize, w: usize) -> usize {
+        (node * ROWS + row) * self.words + w
     }
 
-    fn has(&self, node: usize, post: u32) -> bool {
-        let w = node * self.words_per_node + post as usize / 64;
-        self.bits[w] >> (post % 64) & 1 == 1
+    fn subs(&self, node: usize, w: usize) -> u64 {
+        self.bits[self.at(node, 0, w)]
     }
 
-    /// Sets the bit; returns `true` if it was newly set.
-    fn set(&mut self, node: usize, post: u32) -> bool {
-        let w = node * self.words_per_node + post as usize / 64;
-        let mask = 1u64 << (post % 64);
-        let fresh = self.bits[w] & mask == 0;
-        self.bits[w] |= mask;
+    /// Subscribes `node` to post `m`; `false` if it already was.
+    fn subscribe(&mut self, node: usize, m: usize) -> bool {
+        let (at, bit) = (self.at(node, 0, m / 64), 1u64 << (m % 64));
+        let fresh = self.bits[at] & bit == 0;
+        self.bits[at] |= bit;
+        self.targets += usize::from(fresh);
         fresh
     }
 
-    fn words(&self, node: usize) -> &[u64] {
-        &self.bits[node * self.words_per_node..(node + 1) * self.words_per_node]
-    }
-}
-
-/// One scheme's full state over the population.
-struct SchemeState {
-    kind: SchemeKind,
-    have: BitGrid,
-    /// Spray-and-wait only: sparse `(post, copies)` per node, sorted
-    /// by post id.
-    copies: Vec<Vec<(u32, u32)>>,
-    /// Interest-predictive only: recent-partner ring per node.
-    recent: Vec<Vec<u32>>,
-    /// Delivery time (ms, `u64::MAX` = undelivered) per post per
-    /// subscriber rank, mirroring `Posts::subs`.
-    delivered: Vec<Vec<u64>>,
-    spray_copies: u32,
-    recent_cap: usize,
-    transfers: u64,
-    deliveries: usize,
-}
-
-impl SchemeState {
-    fn new(kind: SchemeKind, cfg: &MetroConfig, posts: &Posts) -> SchemeState {
-        let snw = kind == SchemeKind::SprayAndWait;
-        let ip = kind == SchemeKind::InterestPredictive;
-        SchemeState {
-            kind,
-            have: BitGrid::new(cfg.nodes, posts.len()),
-            copies: vec![Vec::new(); if snw { cfg.nodes } else { 0 }],
-            recent: vec![Vec::new(); if ip { cfg.nodes } else { 0 }],
-            delivered: posts.subs.iter().map(|s| vec![u64::MAX; s.len()]).collect(),
-            spray_copies: cfg.spray_copies.max(1),
-            recent_cap: cfg.recent_partners.max(1),
-            transfers: 0,
-            deliveries: 0,
+    /// The author publishes post `m` under every scheme.
+    fn inject(&mut self, m: usize) {
+        let author = self.authors[m] as usize;
+        for row in 1..ROWS {
+            let at = self.at(author, row, m / 64);
+            self.bits[at] |= 1 << (m % 64);
         }
+        self.live[author] = !0;
+        // Posts are injected in time order, not id order.
+        let list = &mut self.copies[author];
+        let at = list.partition_point(|&(p, _)| p < m as u32);
+        list.insert(at, (m as u32, self.spray_copies));
     }
 
-    /// The author publishes post `m`.
-    fn inject(&mut self, posts: &Posts, m: u32) {
-        let author = posts.authors[m as usize] as usize;
-        self.have.set(author, m);
-        if self.kind == SchemeKind::SprayAndWait {
-            // Posts are injected in time order, not id order, so keep
-            // the per-node copy list sorted by id for lookups.
-            let list = &mut self.copies[author];
-            if let Err(at) = list.binary_search_by_key(&m, |&(p, _)| p) {
-                list.insert(at, (m, self.spray_copies));
+    /// One contact between `a` and `b` at `t`, folded over both blocks
+    /// once: every scheme, both directions. A post only moves to a node
+    /// that lacks it and nothing one side gains is news to the other,
+    /// so both directions read the same two words.
+    fn contact(&mut self, a: usize, b: usize, t: SimTime) {
+        let live = self.live[a] | self.live[b];
+        for (i, (_, masks)) in RULES.iter().enumerate() {
+            if live >> i & 1 == 0 {
+                continue;
             }
-        }
-    }
-
-    /// Node `to` newly stores post `m` at `t`: record the delivery if
-    /// `to` subscribes to it.
-    fn record(&mut self, posts: &Posts, to: usize, m: u32, t: SimTime) {
-        if let Ok(rank) = posts.subs[m as usize].binary_search(&(to as u32)) {
-            let slot = &mut self.delivered[m as usize][rank];
-            if *slot == u64::MAX {
-                *slot = t.as_millis();
-                self.deliveries += 1;
-            }
-        }
-    }
-
-    /// Gives `to` a copy of `m` if it lacks one; counts the transfer.
-    fn hand_over(&mut self, posts: &Posts, to: usize, m: u32, t: SimTime) {
-        if self.have.set(to, m) {
-            self.transfers += 1;
-            self.record(posts, to, m, t);
-        }
-    }
-
-    /// One directed exchange `from → to` at `t`. `scratch` is a
-    /// reusable word buffer for the epidemic union.
-    fn exchange(
-        &mut self,
-        posts: &Posts,
-        from: usize,
-        to: usize,
-        t: SimTime,
-        scratch: &mut Vec<u64>,
-    ) {
-        match self.kind {
-            SchemeKind::Epidemic => {
-                scratch.clear();
-                scratch.extend_from_slice(self.have.words(from));
-                let base = to * self.have.words_per_node;
-                for (w, &s) in scratch.iter().enumerate() {
-                    let fresh = s & !self.have.bits[base + w];
-                    if fresh == 0 {
+            for w in 0..self.words {
+                let (ha, hb) = (
+                    self.bits[self.at(a, 1 + i, w)],
+                    self.bits[self.at(b, 1 + i, w)],
+                );
+                for (from, to, news) in [(a, b, ha & !hb), (b, a, hb & !ha)] {
+                    if news == 0 {
                         continue;
                     }
-                    self.have.bits[base + w] |= fresh;
-                    self.transfers += u64::from(fresh.count_ones());
-                    let mut bits = fresh;
-                    while bits != 0 {
-                        let m = (w * 64) as u32 + bits.trailing_zeros();
-                        self.record(posts, to, m, t);
-                        bits &= bits - 1;
+                    match *masks {
+                        Some((offer, want)) => {
+                            let fresh = self.admit(offer, want, from, to, w, news);
+                            self.take(i, to, w, fresh, t);
+                        }
+                        None => self.spray(i, from, to, w, news, t),
                     }
                 }
             }
-            SchemeKind::Direct => {
-                for i in 0..posts.sub_of[to].len() {
-                    let m = posts.sub_of[to][i];
-                    if posts.authors[m as usize] as usize == from && self.have.has(from, m) {
-                        self.hand_over(posts, to, m, t);
-                    }
-                }
-            }
-            SchemeKind::InterestBased => {
-                for i in 0..posts.sub_of[to].len() {
-                    let m = posts.sub_of[to][i];
-                    if self.have.has(from, m) {
-                        self.hand_over(posts, to, m, t);
-                    }
-                }
-            }
-            SchemeKind::InterestPredictive => {
-                for i in 0..posts.sub_of[to].len() {
-                    let m = posts.sub_of[to][i];
-                    if self.have.has(from, m) {
-                        self.hand_over(posts, to, m, t);
-                    }
-                }
+        }
+        self.remember(a, b as u32);
+        self.remember(b, a as u32);
+    }
+
+    /// The part of `news` (word `w` of what `from` holds and `to`
+    /// lacks) that `from` offers and `to` wants.
+    fn admit(&self, offer: Offer, want: Want, from: usize, to: usize, w: usize, news: u64) -> u64 {
+        let wanted = news
+            & match want {
+                Want::All => !0,
+                Want::Subscribed => self.subs(to, w),
                 // Prefetch what recently-met nodes subscribe to, so a
-                // later contact with them can deliver at one hop
-                // (opportunistic caching on predicted encounters).
-                for r in 0..self.recent[to].len() {
-                    let partner = self.recent[to][r] as usize;
-                    for i in 0..posts.sub_of[partner].len() {
-                        let m = posts.sub_of[partner][i];
-                        if self.have.has(from, m) {
-                            self.hand_over(posts, to, m, t);
-                        }
-                    }
-                }
-            }
-            SchemeKind::SprayAndWait => {
-                for i in 0..self.copies[from].len() {
-                    let (m, c) = self.copies[from][i];
-                    if c == 0 {
-                        continue;
-                    }
-                    let subscribed = posts.subs[m as usize].binary_search(&(to as u32)).is_ok();
-                    if subscribed {
-                        // Direct delivery to an interested node keeps
-                        // the copy budget intact.
-                        self.hand_over(posts, to, m, t);
-                    } else if c >= 2 && !self.have.has(to, m) {
-                        // Binary spray: hand half the budget onward.
-                        let give = c / 2;
-                        self.copies[from][i].1 = c - give;
-                        let list = &mut self.copies[to];
-                        if let Err(at) = list.binary_search_by_key(&m, |&(p, _)| p) {
-                            list.insert(at, (m, give));
-                        }
-                        self.hand_over(posts, to, m, t);
-                    }
-                }
-            }
-            SchemeKind::Custom(_) => {}
+                // later contact with them can deliver at one hop.
+                Want::SubscribedOrRing => self.ring[to * self.ring_cap..][..self.ring_cap]
+                    .iter()
+                    .take_while(|&&p| p != NO_PARTNER)
+                    .fold(self.subs(to, w), |acc, &p| acc | self.subs(p as usize, w)),
+            };
+        match offer {
+            Offer::All => wanted,
+            // Authorship is kept per post, not as a sixth row: the few
+            // wanted bits are checked one by one.
+            Offer::Authored => set_bits(wanted)
+                .filter(|k| self.authors[w * 64 + k] as usize == from)
+                .fold(0, |fresh, k| fresh | 1 << k),
         }
     }
 
-    /// Both directions of one contact, lower-indexed node first, then
-    /// the recent-partner rings update (IP only).
-    fn contact(&mut self, posts: &Posts, a: usize, b: usize, t: SimTime, scratch: &mut Vec<u64>) {
-        self.exchange(posts, a, b, t, scratch);
-        self.exchange(posts, b, a, t, scratch);
-        if self.kind == SchemeKind::InterestPredictive {
-            self.remember(a, b as u32);
-            self.remember(b, a as u32);
-        }
-    }
-
-    fn remember(&mut self, node: usize, partner: u32) {
-        let ring = &mut self.recent[node];
-        if ring.contains(&partner) {
+    /// Node `to` stores the posts `fresh` of word `w` under scheme `i`
+    /// at `t`: each is a transfer, and a delivery where `to` subscribes.
+    fn take(&mut self, i: usize, to: usize, w: usize, fresh: u64, t: SimTime) {
+        if fresh == 0 {
             return;
         }
-        if ring.len() == self.recent_cap {
-            ring.remove(0);
+        let at = self.at(to, 1 + i, w);
+        self.bits[at] |= fresh;
+        self.live[to] |= 1 << i;
+        let delivered = fresh & self.subs(to, w);
+        let tally = &mut self.tallies[i];
+        tally.transfers += u64::from(fresh.count_ones());
+        for k in set_bits(delivered) {
+            let published = self.times[w * 64 + k].as_millis();
+            tally.delays.push(t.as_millis().saturating_sub(published));
         }
-        ring.push(partner);
     }
 
-    fn metrics(self, posts: &Posts) -> SchemeMetrics {
-        let mut delays: Vec<f64> = Vec::with_capacity(self.deliveries);
-        for (m, ranks) in self.delivered.iter().enumerate() {
-            let published = posts.times[m].as_millis();
-            for &at in ranks {
-                if at != u64::MAX {
-                    delays.push((at.saturating_sub(published)) as f64 / 3_600_000.0);
+    /// Spray-and-wait `from → to` over `news`: a subscriber is served
+    /// for free and receives no budget; anyone else takes half of a
+    /// budget that can still be halved.
+    fn spray(&mut self, i: usize, from: usize, to: usize, w: usize, news: u64, t: SimTime) {
+        for k in 0..self.copies[from].len() {
+            let (m, c) = self.copies[from][k];
+            let bit = 1u64 << (m % 64);
+            if m as usize / 64 != w || news & bit == 0 {
+                continue;
+            }
+            if self.subs(to, w) & bit == 0 {
+                if c < 2 {
+                    continue;
                 }
+                let give = c / 2;
+                self.copies[from][k].1 = c - give;
+                let list = &mut self.copies[to];
+                let at = list.partition_point(|&(p, _)| p < m);
+                list.insert(at, (m, give));
+            }
+            self.take(i, to, w, bit, t);
+        }
+    }
+
+    /// Puts `partner` on `node`'s ring unless it is there, pushing the
+    /// oldest partner out of a full ring.
+    fn remember(&mut self, node: usize, partner: u32) {
+        let ring = &mut self.ring[node * self.ring_cap..][..self.ring_cap];
+        // Padding follows the partners, so a hit is `partner` itself or
+        // the first free slot.
+        match ring.iter().position(|&p| p == partner || p == NO_PARTNER) {
+            Some(at) => ring[at] = partner,
+            None => {
+                ring.copy_within(1.., 0);
+                ring[self.ring_cap - 1] = partner;
             }
         }
-        delays.sort_unstable_by(f64::total_cmp);
-        let quantile = |q: f64| -> Option<f64> {
-            if delays.is_empty() {
-                None
-            } else {
-                let at = ((delays.len() - 1) as f64 * q).round() as usize;
-                Some(delays[at.min(delays.len() - 1)])
+    }
+
+    fn metrics(mut self) -> Vec<SchemeMetrics> {
+        let targets = self.targets;
+        let of = |(&(scheme, _), tally): (&(SchemeKind, _), &mut Tally)| {
+            let delays = &mut tally.delays;
+            delays.sort_unstable();
+            let quantile = |q: f64| -> Option<f64> {
+                let last = delays.len().checked_sub(1)?;
+                let at = ((last as f64 * q).round() as usize).min(last);
+                Some(delays[at] as f64 / 3_600_000.0)
+            };
+            SchemeMetrics {
+                scheme,
+                delivered: delays.len(),
+                targets,
+                transfers: tally.transfers,
+                delay_p50_h: quantile(0.5),
+                delay_p90_h: quantile(0.9),
             }
         };
-        SchemeMetrics {
-            scheme: self.kind,
-            delivered: self.deliveries,
-            targets: posts.targets,
-            transfers: self.transfers,
-            delay_p50_h: quantile(0.5),
-            delay_p90_h: quantile(0.9),
-        }
+        RULES.iter().zip(&mut self.tallies).map(of).collect()
     }
 }
 
@@ -509,7 +523,7 @@ pub fn run_metropolis_observed(cfg: &MetroConfig, observer: Option<&RunObserver>
     };
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let metro = Metropolis::new(mcfg, cfg.nodes, &mut rng);
-    let posts = Posts::generate(cfg, &metro, &mut rng);
+    let mut eval = Evaluator::generate(cfg, &metro, &mut rng);
     let districts = metro.district_count();
     let set = metro.generate_all(cfg.seed);
     let engine = ShardedContactEngine::new(
@@ -524,28 +538,19 @@ pub fn run_metropolis_observed(cfg: &MetroConfig, observer: Option<&RunObserver>
     );
     let end = SimTime::from_hours(24 * cfg.days);
 
-    let mut states: Vec<SchemeState> = METRO_SCHEMES
-        .iter()
-        .map(|&kind| SchemeState::new(kind, cfg, &posts))
-        .collect();
-    let mut scratch: Vec<u64> = Vec::new();
     let mut cursor = 0usize;
     let (mut contacts, mut events) = (0u64, 0u64);
     let journal = observer.map(|o| o.journal.clone());
     engine.for_each_epoch(SimTime::ZERO, end, |epoch| {
         for ev in epoch {
             events += 1;
-            while cursor < posts.len() && posts.times[cursor] <= ev.time {
-                for st in &mut states {
-                    st.inject(&posts, cursor as u32);
-                }
+            while cursor < eval.times.len() && eval.times[cursor] <= ev.time {
+                eval.inject(cursor);
                 cursor += 1;
             }
             if ev.phase == ContactPhase::Up {
                 contacts += 1;
-                for st in &mut states {
-                    st.contact(&posts, ev.a, ev.b, ev.time, &mut scratch);
-                }
+                eval.contact(ev.a, ev.b, ev.time);
             }
             if let Some(journal) = &journal {
                 let (a, b) = (ev.a as u32, ev.b as u32);
@@ -564,10 +569,10 @@ pub fn run_metropolis_observed(cfg: &MetroConfig, observer: Option<&RunObserver>
     let outcome = MetroOutcome {
         nodes: cfg.nodes,
         districts,
-        posts: posts.len(),
+        posts: eval.times.len(),
         contacts,
         events,
-        schemes: states.into_iter().map(|s| s.metrics(&posts)).collect(),
+        schemes: eval.metrics(),
     };
     if let Some(observer) = observer {
         let registry = &observer.registry;
@@ -610,14 +615,8 @@ pub fn metro_report(outcome: &MetroOutcome, observation: &RunObservation) -> Str
             out.push_str(&format!("    {name:<32} {v}\n"));
         }
     }
-    out.push_str(&format!(
-        "\njournal: {} entrie(s) retained, {} dropped\n",
-        observation.journal.len(),
-        observation.journal.dropped()
-    ));
-    for (kind, n) in observation.journal.counts_by_kind() {
-        out.push_str(&format!("    {kind:<18} {n}\n"));
-    }
+    out.push('\n');
+    out.push_str(&crate::report::journal_summary(&observation.journal));
     out
 }
 
@@ -641,6 +640,15 @@ pub fn metropolis_sweep(base: &MetroConfig, populations: &[usize]) -> Vec<MetroO
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sos_core::routing::{InterestBased, RoutingContext, RoutingScheme};
+    use sos_core::{Bundle, MessageKind, SosMessage};
+    use sos_crypto::ca::CertificateAuthority;
+    use sos_crypto::ed25519::SigningKey;
+    use sos_crypto::x25519::AgreementKey;
+    use sos_crypto::UserId;
+    use sos_net::{Advertisement, PeerId};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn tiny() -> MetroConfig {
         MetroConfig {
@@ -747,5 +755,307 @@ mod tests {
         assert_eq!(outcomes[1].posts, MetroConfig::for_nodes(480).posts);
         let table = crate::report::metro_table(&outcomes);
         assert!(table.contains("  epidemic  "), "{table}");
+    }
+
+    /// The per-post rule the mask rule replaced, kept as its reference:
+    /// one have-set per scheme per node, walked a post at a time, the
+    /// subscribers looked up per post.
+    struct Reference {
+        authors: Vec<u32>,
+        times: Vec<SimTime>,
+        /// Subscriber nodes per post.
+        subs: Vec<BTreeSet<usize>>,
+        /// `have[scheme][node]`.
+        have: Vec<Vec<BTreeSet<usize>>>,
+        copies: Vec<BTreeMap<usize, u32>>,
+        recent: Vec<Vec<usize>>,
+        recent_cap: usize,
+        spray_copies: u32,
+        transfers: Vec<u64>,
+        /// Delays in hours per scheme.
+        delays: Vec<Vec<f64>>,
+    }
+
+    impl Reference {
+        fn inject(&mut self, m: usize) {
+            let author = self.authors[m] as usize;
+            for have in &mut self.have {
+                have[author].insert(m);
+            }
+            self.copies[author].insert(m, self.spray_copies);
+        }
+
+        fn hand_over(&mut self, i: usize, to: usize, m: usize, t: SimTime) {
+            if self.have[i][to].insert(m) {
+                self.transfers[i] += 1;
+                if self.subs[m].contains(&to) {
+                    let ms = t.as_millis() - self.times[m].as_millis();
+                    self.delays[i].push(ms as f64 / 3_600_000.0);
+                }
+            }
+        }
+
+        fn exchange(&mut self, i: usize, from: usize, to: usize, t: SimTime) {
+            let held: Vec<usize> = self.have[i][from].iter().copied().collect();
+            for m in held {
+                let subscribed = self.subs[m].contains(&to);
+                let hand_over = match METRO_SCHEMES[i] {
+                    SchemeKind::Epidemic => true,
+                    SchemeKind::InterestBased => subscribed,
+                    SchemeKind::Direct => subscribed && self.authors[m] as usize == from,
+                    SchemeKind::InterestPredictive => {
+                        let ring = &self.recent[to];
+                        subscribed || ring.iter().any(|r| self.subs[m].contains(r))
+                    }
+                    SchemeKind::SprayAndWait => match self.copies[from].get(&m).copied() {
+                        None => false,
+                        Some(_) if subscribed => true,
+                        Some(c) if c >= 2 && !self.have[i][to].contains(&m) => {
+                            self.copies[from].insert(m, c - c / 2);
+                            self.copies[to].insert(m, c / 2);
+                            true
+                        }
+                        Some(_) => false,
+                    },
+                    SchemeKind::Custom(name) => panic!("{name} is not a metropolis scheme"),
+                };
+                if hand_over {
+                    self.hand_over(i, to, m, t);
+                }
+            }
+        }
+
+        /// Both directions, lower-indexed call first, then the rings.
+        fn contact(&mut self, a: usize, b: usize, t: SimTime) {
+            for i in 0..METRO_SCHEMES.len() {
+                self.exchange(i, a, b, t);
+                self.exchange(i, b, a, t);
+            }
+            for (node, partner) in [(a, b), (b, a)] {
+                let ring = &mut self.recent[node];
+                if !ring.contains(&partner) {
+                    if ring.len() == self.recent_cap {
+                        ring.remove(0);
+                    }
+                    ring.push(partner);
+                }
+            }
+        }
+
+        fn metrics(mut self) -> Vec<SchemeMetrics> {
+            let targets = self.subs.iter().map(BTreeSet::len).sum();
+            let of = |(i, &scheme): (usize, &SchemeKind)| {
+                let delays = &mut self.delays[i];
+                delays.sort_unstable_by(f64::total_cmp);
+                let quantile = |q: f64| {
+                    let at = ((delays.len().max(1) - 1) as f64 * q).round() as usize;
+                    delays.get(at).copied()
+                };
+                SchemeMetrics {
+                    scheme,
+                    delivered: delays.len(),
+                    targets,
+                    transfers: self.transfers[i],
+                    delay_p50_h: quantile(0.5),
+                    delay_p90_h: quantile(0.9),
+                }
+            };
+            METRO_SCHEMES.iter().enumerate().map(of).collect()
+        }
+    }
+
+    /// The posts `node` holds under scheme `i`, read off the grid.
+    fn holdings(eval: &Evaluator, i: usize, node: usize) -> BTreeSet<usize> {
+        (0..eval.times.len())
+            .filter(|m| eval.bits[eval.at(node, 1 + i, m / 64)] >> (m % 64) & 1 == 1)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random streams — repeated pairs, equal timestamps, posts
+        /// injected mid-stream — folded by the mask rule and by the
+        /// per-post reference: same metrics, same final state.
+        #[test]
+        fn mask_rule_matches_the_per_post_reference(
+            seed in any::<u64>(),
+            nodes in 2usize..=48,
+            posts in 1usize..=200,
+            contacts in 0usize..=3000,
+            recent_partners in 1usize..=6,
+            spray_copies in 1u32..=16,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // About one step in three shares its timestamp with the last.
+            let end = contacts as u64 * 20_000;
+            let mut times: Vec<SimTime> = (0..posts)
+                .map(|_| SimTime::from_millis(rng.gen_range(0..=end)))
+                .collect();
+            times.sort_unstable();
+            let mut eval = Evaluator::new(nodes, times.clone(), recent_partners, spray_copies);
+            let mut subs = vec![BTreeSet::new(); posts];
+            for (m, subscribers) in subs.iter_mut().enumerate() {
+                let author = rng.gen_range(0..nodes);
+                eval.authors.push(author as u32);
+                for _ in 0..rng.gen_range(0..8) {
+                    let node = rng.gen_range(0..nodes);
+                    if node != author {
+                        assert_eq!(eval.subscribe(node, m), subscribers.insert(node));
+                    }
+                }
+            }
+            let mut reference = Reference {
+                authors: eval.authors.clone(),
+                times,
+                subs,
+                have: vec![vec![BTreeSet::new(); nodes]; METRO_SCHEMES.len()],
+                copies: vec![BTreeMap::new(); nodes],
+                recent: vec![Vec::new(); nodes],
+                recent_cap: recent_partners,
+                spray_copies,
+                transfers: vec![0; METRO_SCHEMES.len()],
+                delays: vec![Vec::new(); METRO_SCHEMES.len()],
+            };
+
+            // A few nodes meet again and again; the rest now and then.
+            let crowd = nodes.min(6);
+            let (mut now, mut cursor) = (0u64, 0usize);
+            for _ in 0..contacts {
+                now += [0u64, 15_000, 45_000][rng.gen_range(0..3usize)];
+                let t = SimTime::from_millis(now);
+                while cursor < posts && reference.times[cursor] <= t {
+                    eval.inject(cursor);
+                    reference.inject(cursor);
+                    cursor += 1;
+                }
+                let pool = if rng.gen_bool(0.5) { crowd } else { nodes };
+                let (a, b) = (rng.gen_range(0..pool), rng.gen_range(0..pool));
+                if a != b {
+                    eval.contact(a.min(b), a.max(b), t);
+                    reference.contact(a.min(b), a.max(b), t);
+                }
+            }
+
+            for (i, scheme) in METRO_SCHEMES.iter().enumerate() {
+                for (node, expected) in reference.have[i].iter().enumerate() {
+                    let held = holdings(&eval, i, node);
+                    prop_assert_eq!(&held, expected, "{} at node {}", scheme, node);
+                }
+            }
+            for node in 0..nodes {
+                let copies: BTreeMap<usize, u32> =
+                    eval.copies[node].iter().map(|&(m, c)| (m as usize, c)).collect();
+                prop_assert_eq!(&copies, &reference.copies[node], "copies at node {}", node);
+                let ring: Vec<usize> = eval.ring[node * eval.ring_cap..][..eval.ring_cap]
+                    .iter()
+                    .take_while(|&&p| p != NO_PARTNER)
+                    .map(|&p| p as usize)
+                    .collect();
+                prop_assert_eq!(&ring, &reference.recent[node], "ring of node {}", node);
+            }
+            prop_assert_eq!(eval.metrics(), reference.metrics());
+        }
+    }
+
+    /// A signed post by `author`, as `should_carry` wants to see one.
+    fn bundle_from(author: UserId) -> Bundle {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let sk = SigningKey::from_seed([2u8; 32]);
+        let ak = AgreementKey::from_secret([3u8; 32]);
+        let cert = ca.issue(author, "author", sk.verifying_key(), *ak.public(), 0);
+        let post = MessageKind::Post;
+        let msg = SosMessage::create(&sk, author, 1, SimTime::ZERO, post, b"x".to_vec());
+        Bundle::new(msg, cert)
+    }
+
+    /// Decision-level differential against `sos_core::routing`, in a
+    /// universe where per-post and per-author subscriptions coincide:
+    /// three authors with one post each, `from` one of them, `to` a
+    /// fourth user, every subscription set of `to` and every holding
+    /// set of both.
+    ///
+    /// Covered: `Epidemic`, `Direct`, `InterestBased` without holdoff.
+    /// Not covered, each for the divergence that prevents it:
+    ///
+    /// * interest-predictive — a partner ring here, a decayed
+    ///   request-demand score with a threshold there;
+    /// * spray-and-wait — free deliveries to subscribers and no wait
+    ///   phase here, `on_serve` budgets and `should_advertise` there.
+    #[test]
+    fn table_decides_what_the_middleware_schemes_decide() {
+        const TO: usize = 3;
+        let users: Vec<UserId> = ["alice", "bob", "carol", "dave"]
+            .iter()
+            .map(|name| UserId::from_str_padded(name))
+            .collect();
+        let bundles: Vec<Bundle> = users[..TO].iter().map(|&u| bundle_from(u)).collect();
+        let set_of = |mask: u64| (0..TO).filter(move |m| mask >> m & 1 == 1);
+        let real = |scheme: SchemeKind| -> Box<dyn RoutingScheme> {
+            match scheme {
+                SchemeKind::InterestBased => {
+                    Box::new(InterestBased::with_holdoff(SimDuration::ZERO))
+                }
+                other => other.build(),
+            }
+        };
+        let covered = [
+            SchemeKind::Epidemic,
+            SchemeKind::Direct,
+            SchemeKind::InterestBased,
+        ];
+        for (i, &(kind, masks)) in RULES.iter().enumerate() {
+            let Some((offer, want)) = masks.filter(|_| covered.contains(&kind)) else {
+                continue;
+            };
+            let mut scheme = real(kind);
+            for from in 0..TO {
+                for (subs, held, mine) in (0..1u64 << (3 * TO)).map(|n| (n & 7, n >> 3 & 7, n >> 6))
+                {
+                    let mut eval = Evaluator::new(TO + 1, vec![SimTime::ZERO; TO], 4, 8);
+                    eval.authors = (0..TO as u32).collect();
+                    for m in set_of(subs) {
+                        eval.subscribe(TO, m);
+                    }
+                    let at = eval.at(from, 1 + i, 0);
+                    eval.bits[at] = held;
+                    let at = eval.at(TO, 1 + i, 0);
+                    eval.bits[at] = mine;
+                    let fresh = eval.admit(offer, want, from, TO, 0, held & !mine);
+
+                    let subscriptions = set_of(subs).map(|m| users[m]).collect();
+                    let summary = set_of(mine).map(|m| (users[m], 1)).collect();
+                    let ctx = RoutingContext {
+                        me: &users[TO],
+                        subscriptions: &subscriptions,
+                        summary: &summary,
+                        now: SimTime::ZERO,
+                    };
+                    let mut ad = Advertisement::new(PeerId(from as u32), users[from]);
+                    for m in set_of(held) {
+                        ad.insert(users[m], 1);
+                    }
+                    let mut pulled = scheme.interests(&ctx, &ad);
+                    pulled.sort_unstable();
+                    let case = format!(
+                        "{kind}: {from} → to, subs {subs:03b}, held {held:03b}, mine {mine:03b}"
+                    );
+                    assert_eq!(
+                        set_of(fresh).map(|m| users[m]).collect::<Vec<_>>(),
+                        pulled,
+                        "{case}"
+                    );
+
+                    // What `to` took it offers later exactly where the
+                    // real scheme carries it.
+                    eval.take(i, TO, 0, fresh, SimTime::ZERO);
+                    let offered = eval.admit(offer, Want::All, TO, from, 0, fresh);
+                    for m in set_of(fresh) {
+                        let carried = scheme.should_carry(&ctx, &bundles[m]);
+                        assert_eq!(offered >> m & 1 == 1, carried, "{case}, post {m}");
+                    }
+                }
+            }
+        }
     }
 }

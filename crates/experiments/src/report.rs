@@ -499,6 +499,24 @@ pub fn drop_cause_breakdown(journal: &Journal) -> String {
     out
 }
 
+/// The journal footer line every observed report carries.
+fn journal_line(journal: &Journal) -> String {
+    format!(
+        "journal: {} entrie(s) retained, {} dropped\n",
+        journal.len(),
+        journal.dropped()
+    )
+}
+
+/// [`journal_line`] followed by the retained entries counted by kind.
+pub(crate) fn journal_summary(journal: &Journal) -> String {
+    let mut out = journal_line(journal);
+    for (kind, n) in journal.counts_by_kind() {
+        out.push_str(&format!("    {kind:<18} {n}\n"));
+    }
+    out
+}
+
 /// The complete RUN-REPORT for one observed run: aggregate counters,
 /// per-node table, drop causes, delay quantiles, journal summary, and
 /// — when profiling was on — the self-profile table.
@@ -542,14 +560,7 @@ pub fn run_report(
         "delay quantiles, h (1-hop): {}\n\n",
         delay_quantiles_line(&metrics.delays.cdf_one_hop_hours())
     ));
-    out.push_str(&format!(
-        "journal: {} entrie(s) retained, {} dropped\n",
-        journal.len(),
-        journal.dropped()
-    ));
-    for (kind, n) in journal.counts_by_kind() {
-        out.push_str(&format!("    {kind:<18} {n}\n"));
-    }
+    out.push_str(&journal_summary(journal));
     let histograms = &observation.metrics.histograms;
     if !histograms.is_empty() {
         out.push_str("\nregistry histograms:\n");
@@ -657,11 +668,7 @@ pub fn path_report(
     out.push_str(&format!(
         "=== PATH-REPORT {title} (scheme={scheme:?}) ===\n"
     ));
-    out.push_str(&format!(
-        "journal: {} entrie(s) retained, {} dropped\n",
-        observation.journal.len(),
-        observation.journal.dropped()
-    ));
+    out.push_str(&journal_line(&observation.journal));
     out.push_str(&format!(
         "bundles authored {}  delivered {}  undelivered {}\n",
         forensics.authored(),
