@@ -2,6 +2,7 @@
 
 use sos_crypto::CertError;
 use sos_net::NetError;
+use sos_sim::codec::ReadError;
 use std::error::Error;
 use std::fmt;
 
@@ -90,6 +91,18 @@ impl Error for SosError {
             SosError::InvalidTrajectory(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<ReadError> for SosError {
+    fn from(_: ReadError) -> SosError {
+        SosError::Malformed
+    }
+}
+
+impl From<ReadError> for BundleRejection {
+    fn from(_: ReadError) -> BundleRejection {
+        BundleRejection::Malformed
     }
 }
 

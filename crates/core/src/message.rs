@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use sos_crypto::ca::Validator;
 use sos_crypto::cert::Certificate;
 use sos_crypto::{Signature, SigningKey, UserId};
+use sos_sim::codec::{Count, Reader, Writer, NO_CAP};
 use sos_sim::SimTime;
 
 /// Maximum application payload size in bytes (64 KiB).
@@ -88,14 +89,8 @@ impl SosMessage {
         payload: &[u8],
     ) -> Vec<u8> {
         let mut buf = Vec::with_capacity(40 + payload.len());
-        buf.extend_from_slice(b"SOSMSG1");
-        buf.extend_from_slice(id.author.as_bytes());
-        buf.extend_from_slice(&id.number.to_le_bytes());
-        buf.extend_from_slice(&created_at.as_millis().to_le_bytes());
-        buf.push(kind.to_byte());
-        // sos-lint: allow(no-narrow-cast) reason="payload is validated against MAX_PAYLOAD (64 KiB) before signing; the u32 wire field is immutable"
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(payload);
+        buf.bytes(b"SOSMSG1");
+        write_signed_fields(&mut buf, id, created_at, kind, payload);
         buf
     }
 
@@ -220,29 +215,29 @@ impl Bundle {
         self.message == other.message && self.author_certificate == other.author_certificate
     }
 
-    /// Wire encoding.
-    pub fn encode(&self) -> Vec<u8> {
-        let cert = self.author_certificate.to_bytes();
-        let mut buf = Vec::with_capacity(128 + self.message.payload.len() + cert.len());
-        buf.extend_from_slice(self.message.id.author.as_bytes());
-        buf.extend_from_slice(&self.message.id.number.to_le_bytes());
-        buf.extend_from_slice(&self.message.created_at.as_millis().to_le_bytes());
-        buf.push(self.message.kind.to_byte());
-        // sos-lint: allow(no-narrow-cast) reason="payload was validated against MAX_PAYLOAD (64 KiB) at create/decode; the u32 wire field is immutable"
-        buf.extend_from_slice(&(self.message.payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&self.message.payload);
-        buf.extend_from_slice(self.message.signature.as_bytes());
-        // sos-lint: allow(no-narrow-cast) reason="certificates are fixed-layout (subject + key + signature), a few hundred bytes, far under u16"
-        buf.extend_from_slice(&(cert.len() as u16).to_le_bytes());
-        buf.extend_from_slice(&cert);
-        buf.extend_from_slice(&self.hops.to_le_bytes());
+    /// The bundle's layout, written once: on a `Vec<u8>` it is
+    /// [`Bundle::encode`], on a [`Count`] it is [`Bundle::wire_size`].
+    fn write(&self, w: &mut impl Writer) {
+        let m = &self.message;
+        write_signed_fields(w, &m.id, m.created_at, m.kind, &m.payload);
+        w.bytes(m.signature.as_bytes());
+        w.bytes16(&self.author_certificate.to_bytes());
+        w.u32(self.hops);
         match self.copies {
             Some(c) => {
-                buf.push(1);
-                buf.extend_from_slice(&c.to_le_bytes());
+                w.u8(1);
+                w.u32(c);
             }
-            None => buf.push(0),
+            None => w.u8(0),
         }
+    }
+
+    /// Wire encoding.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(
+            128 + self.message.payload.len() + self.author_certificate.encoded_len(),
+        );
+        self.write(&mut buf);
         buf
     }
 
@@ -253,66 +248,31 @@ impl Bundle {
     /// [`BundleRejection::Malformed`] for any structural problem,
     /// including oversized payloads.
     pub fn decode(bytes: &[u8]) -> Result<Bundle, BundleRejection> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], BundleRejection> {
-            if *pos + n > bytes.len() {
-                return Err(BundleRejection::Malformed);
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        // Fixed-width reads land in arrays directly, so the int
-        // conversions below need no fallible slice-to-array step.
-        fn take_arr<const N: usize>(
-            bytes: &[u8],
-            pos: &mut usize,
-        ) -> Result<[u8; N], BundleRejection> {
-            if *pos + N > bytes.len() {
-                return Err(BundleRejection::Malformed);
-            }
-            let mut arr = [0u8; N];
-            arr.copy_from_slice(&bytes[*pos..*pos + N]);
-            *pos += N;
-            Ok(arr)
-        }
-        let author: [u8; 10] = take_arr(bytes, &mut pos)?;
-        let number = u64::from_le_bytes(take_arr(bytes, &mut pos)?);
+        let mut r = Reader::new(bytes);
+        let author = UserId(r.array()?);
+        let number = r.u64()?;
         if number == 0 {
             // Numbers start at 1; zero cannot be expressed as a sync
             // have-range and is rejected at the wire.
             return Err(BundleRejection::Malformed);
         }
-        let created = u64::from_le_bytes(take_arr(bytes, &mut pos)?);
-        let kind =
-            MessageKind::from_byte(take(&mut pos, 1)?[0]).ok_or(BundleRejection::Malformed)?;
-        let payload_len = u32::from_le_bytes(take_arr(bytes, &mut pos)?) as usize;
-        if payload_len > MAX_PAYLOAD {
-            return Err(BundleRejection::Malformed);
-        }
-        let payload = take(&mut pos, payload_len)?.to_vec();
-        let signature =
-            Signature::from_slice(take(&mut pos, 64)?).ok_or(BundleRejection::Malformed)?;
-        let cert_len = u16::from_le_bytes(take_arr(bytes, &mut pos)?) as usize;
-        let cert_bytes = take(&mut pos, cert_len)?;
+        let created_at = SimTime::from_millis(r.u64()?);
+        let kind = MessageKind::from_byte(r.u8()?).ok_or(BundleRejection::Malformed)?;
+        let payload = r.bytes32(MAX_PAYLOAD)?.to_vec();
+        let signature = Signature(r.array()?);
         let author_certificate =
-            Certificate::from_bytes(cert_bytes).map_err(|_| BundleRejection::Malformed)?;
-        let hops = u32::from_le_bytes(take_arr(bytes, &mut pos)?);
-        let copies = match take(&mut pos, 1)?[0] {
+            Certificate::from_bytes(r.bytes16(NO_CAP)?).map_err(|_| BundleRejection::Malformed)?;
+        let hops = r.u32()?;
+        let copies = match r.u8()? {
             0 => None,
-            1 => Some(u32::from_le_bytes(take_arr(bytes, &mut pos)?)),
+            1 => Some(r.u32()?),
             _ => return Err(BundleRejection::Malformed),
         };
-        if pos != bytes.len() {
-            return Err(BundleRejection::Malformed);
-        }
+        r.finish()?;
         Ok(Bundle {
             message: SosMessage {
-                id: MessageId {
-                    author: UserId(author),
-                    number,
-                },
-                created_at: SimTime::from_millis(created),
+                id: MessageId { author, number },
+                created_at,
                 kind,
                 payload,
                 signature,
@@ -323,10 +283,29 @@ impl Bundle {
         })
     }
 
-    /// Encoded size in bytes.
+    /// Encoded size in bytes: the encoder run on a byte counter, so the
+    /// payload is not copied.
     pub fn wire_size(&self) -> usize {
-        self.encode().len()
+        Count::of(|w| self.write(w))
     }
+}
+
+/// The fields an author signs, in the order both the signed string
+/// (after its domain tag) and the bundle encoding carry them. The
+/// payload was validated against [`MAX_PAYLOAD`] at create / decode, far
+/// inside its `u32` length field.
+fn write_signed_fields(
+    w: &mut impl Writer,
+    id: &MessageId,
+    created_at: SimTime,
+    kind: MessageKind,
+    payload: &[u8],
+) {
+    w.bytes(id.author.as_bytes());
+    w.u64(id.number);
+    w.u64(created_at.as_millis());
+    w.u8(kind.to_byte());
+    w.bytes32(payload);
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 use crate::error::SosError;
 use crate::message::Bundle;
 use sos_crypto::UserId;
+use sos_sim::codec::{Count, Reader, Writer, NO_CAP};
 
 /// Maximum authors in one encoded request (u16 count field).
 pub const MAX_REQUEST_AUTHORS: usize = u16::MAX as usize;
@@ -98,53 +99,30 @@ impl SyncMsg {
     pub fn encode(&self) -> Result<Vec<u8>, SosError> {
         match self {
             SyncMsg::Request { wants } => {
+                let too_large = |entries| Err(SosError::RequestTooLarge { entries });
                 if wants.len() > MAX_REQUEST_AUTHORS {
-                    return Err(SosError::RequestTooLarge {
-                        entries: wants.len(),
-                    });
+                    return too_large(wants.len());
                 }
                 let ranges: usize = wants.iter().map(|w| w.have.len()).sum();
                 let mut buf = Vec::with_capacity(3 + wants.len() * 12 + ranges * 16);
-                buf.push(TAG_REQUEST);
-                let count = u16::try_from(wants.len()).map_err(|_| SosError::RequestTooLarge {
-                    entries: wants.len(),
-                })?;
-                buf.extend_from_slice(&count.to_le_bytes());
+                buf.u8(TAG_REQUEST);
+                buf.len16(wants.len());
                 for want in wants {
                     if want.have.len() > MAX_RANGES_PER_AUTHOR {
-                        return Err(SosError::RequestTooLarge {
-                            entries: want.have.len(),
-                        });
+                        return too_large(want.have.len());
                     }
-                    let ranges =
-                        u16::try_from(want.have.len()).map_err(|_| SosError::RequestTooLarge {
-                            entries: want.have.len(),
-                        })?;
-                    buf.extend_from_slice(want.author.as_bytes());
-                    buf.extend_from_slice(&ranges.to_le_bytes());
-                    for (start, end) in &want.have {
-                        buf.extend_from_slice(&start.to_le_bytes());
-                        buf.extend_from_slice(&end.to_le_bytes());
+                    buf.bytes(want.author.as_bytes());
+                    buf.len16(want.have.len());
+                    for &(start, end) in &want.have {
+                        buf.u64(start);
+                        buf.u64(end);
                     }
                 }
                 Ok(buf)
             }
             SyncMsg::Bundles(bundles) => {
-                let mut buf = Vec::with_capacity(32);
-                buf.push(TAG_BUNDLES);
-                let count =
-                    u32::try_from(bundles.len()).map_err(|_| SosError::RequestTooLarge {
-                        entries: bundles.len(),
-                    })?;
-                buf.extend_from_slice(&count.to_le_bytes());
-                for bundle in bundles {
-                    let body = bundle.encode();
-                    let body_len = u32::try_from(body.len())
-                        .map_err(|_| SosError::PayloadTooLarge { size: body.len() })?;
-                    buf.extend_from_slice(&body_len.to_le_bytes());
-                    buf.extend_from_slice(&body);
-                }
-                Ok(buf)
+                let bodies: Vec<Vec<u8>> = bundles.iter().map(Bundle::encode).collect();
+                Ok(Self::encode_bundle_batch(&bodies))
             }
             SyncMsg::Done => Ok(Self::encode_done()),
         }
@@ -180,22 +158,23 @@ impl SyncMsg {
         out
     }
 
-    /// Encodes a batched bundle frame directly from pre-encoded bundle
-    /// bodies. Wire-identical to encoding [`SyncMsg::Bundles`] of the
-    /// same bundles — the serve path sizes its batches by encoded
-    /// length, so this avoids serializing every bundle a second time.
+    /// Encodes a batched bundle frame from pre-encoded bundle bodies —
+    /// the serve path sizes its batches by encoded length, so it has the
+    /// bodies already. Serve batches are sized under
+    /// [`sos_net::SYNC_BATCH_BUDGET`] and a body is a header,
+    /// [`MAX_PAYLOAD`](crate::MAX_PAYLOAD) and a certificate, far inside
+    /// the `u32` count and length fields.
     pub fn encode_bundle_batch(bodies: &[Vec<u8>]) -> Vec<u8> {
-        let total: usize = bodies.iter().map(|b| 4 + b.len()).sum();
-        // sos-lint: allow(no-unbounded-prealloc) reason="total sums already-allocated in-memory bodies, not attacker-controlled wire lengths"
-        let mut buf = Vec::with_capacity(5 + total);
-        buf.push(TAG_BUNDLES);
-        // sos-lint: allow(no-narrow-cast) reason="serve batches are sized under SYNC_BATCH_BUDGET (32 KiB), so counts and body lengths stay far below u32"
-        buf.extend_from_slice(&(bodies.len() as u32).to_le_bytes());
-        for body in bodies {
-            // sos-lint: allow(no-narrow-cast) reason="bundle bodies are header + MAX_PAYLOAD + cert, bounded well under u32"
-            buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            buf.extend_from_slice(body);
+        fn write(w: &mut impl Writer, bodies: &[Vec<u8>]) {
+            w.u8(TAG_BUNDLES);
+            let count = w.len32(bodies.len());
+            for body in &bodies[..count] {
+                w.bytes32(body);
+            }
         }
+        // sos-lint: allow(no-unbounded-prealloc) reason="the size counts in-memory bodies through the layout itself, not an attacker-controlled wire length"
+        let mut buf = Vec::with_capacity(Count::of(|w| write(w, bodies)));
+        write(&mut buf, bodies);
         buf
     }
 
@@ -207,20 +186,20 @@ impl SyncMsg {
     /// non-canonical range sets (unordered, overlapping or adjacent
     /// ranges, zero message numbers, inverted bounds).
     pub fn decode(bytes: &[u8]) -> Result<SyncMsg, SosError> {
-        let (&tag, rest) = bytes.split_first().ok_or(SosError::Malformed)?;
-        match tag {
+        let mut r = Reader::new(bytes);
+        let msg = match r.u8()? {
             TAG_REQUEST => {
-                let mut cur = Cursor(rest);
-                let count = cur.u16()? as usize;
+                // An author entry is at least its id and a range count.
+                let count = r.count16(10 + 2)?;
                 let mut wants = Vec::with_capacity(count.min(MAX_PREALLOC));
                 for _ in 0..count {
-                    let author = UserId(cur.array::<10>()?);
-                    let ranges = cur.u16()? as usize;
+                    let author = UserId(r.array()?);
+                    let ranges = r.count16(8 + 8)?;
                     let mut have = Vec::with_capacity(ranges.min(MAX_PREALLOC));
                     let mut prev_end: Option<u64> = None;
                     for _ in 0..ranges {
-                        let start = cur.u64()?;
-                        let end = cur.u64()?;
+                        let start = r.u64()?;
+                        let end = r.u64()?;
                         // Canonical form only: numbers start at 1, ranges
                         // ascend, and adjacent runs must be merged.
                         if start == 0 || end < start {
@@ -236,72 +215,23 @@ impl SyncMsg {
                     }
                     wants.push(AuthorWant { author, have });
                 }
-                cur.finish()?;
-                Ok(SyncMsg::Request { wants })
+                SyncMsg::Request { wants }
             }
             TAG_BUNDLES => {
-                let mut cur = Cursor(rest);
-                let count = cur.u32()? as usize;
+                // A body is at least its length prefix.
+                let count = r.count32(4)?;
                 let mut bundles = Vec::with_capacity(count.min(MAX_PREALLOC));
                 for _ in 0..count {
-                    let len = cur.u32()? as usize;
-                    let body = cur.slice(len)?;
-                    let bundle = Bundle::decode(body).map_err(|_| SosError::Malformed)?;
-                    bundles.push(bundle);
+                    let body = r.bytes32(NO_CAP)?;
+                    bundles.push(Bundle::decode(body).map_err(|_| SosError::Malformed)?);
                 }
-                cur.finish()?;
-                Ok(SyncMsg::Bundles(bundles))
+                SyncMsg::Bundles(bundles)
             }
-            TAG_DONE => {
-                if rest.is_empty() {
-                    Ok(SyncMsg::Done)
-                } else {
-                    Err(SosError::Malformed)
-                }
-            }
-            _ => Err(SosError::Malformed),
-        }
-    }
-}
-
-/// A panic-free little-endian read cursor for hostile bytes.
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn slice(&mut self, n: usize) -> Result<&'a [u8], SosError> {
-        if self.0.len() < n {
-            return Err(SosError::Malformed);
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], SosError> {
-        let raw = self.slice(N)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(raw);
-        Ok(out)
-    }
-
-    fn u16(&mut self) -> Result<u16, SosError> {
-        Ok(u16::from_le_bytes(self.array::<2>()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, SosError> {
-        Ok(u32::from_le_bytes(self.array::<4>()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, SosError> {
-        Ok(u64::from_le_bytes(self.array::<8>()?))
-    }
-
-    fn finish(&self) -> Result<(), SosError> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(SosError::Malformed)
-        }
+            TAG_DONE => SyncMsg::Done,
+            _ => return Err(SosError::Malformed),
+        };
+        r.finish()?;
+        Ok(msg)
     }
 }
 

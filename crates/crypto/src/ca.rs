@@ -10,7 +10,7 @@
 //! refresh only when "online".
 
 use crate::bounded::FifoMap;
-use crate::cert::{Certificate, UserId, MAX_FIELD_LEN};
+use crate::cert::{clamp_field, Certificate, UserId, MAX_FIELD_LEN};
 use crate::ed25519::{Signature, SigningKey, VerifyingKey};
 use crate::error::CertError;
 use serde::{Deserialize, Serialize};
@@ -123,7 +123,8 @@ impl CertificateAuthority {
     /// Issues a certificate binding `subject` to the provided public keys.
     ///
     /// Mirrors Fig. 2a: the device submits its identifier and keys, the CA
-    /// returns the signed certificate.
+    /// returns the signed certificate. A `display_name` longer than
+    /// [`MAX_FIELD_LEN`] bytes is cut there, on a character boundary.
     pub fn issue(
         &mut self,
         subject: UserId,
@@ -137,7 +138,7 @@ impl CertificateAuthority {
         let mut cert = Certificate {
             serial,
             subject,
-            display_name: display_name.chars().take(MAX_FIELD_LEN).collect(),
+            display_name: clamp_field(display_name).to_string(),
             ed25519_public,
             x25519_public,
             issuer: self.name.clone(),
@@ -392,6 +393,44 @@ mod tests {
         assert!(validator
             .validate_identity(&cert, &UserId::from_str_padded("alice"), 100)
             .is_ok());
+    }
+
+    /// 255 *characters* of a two-byte letter are 510 bytes: a handle is
+    /// cut to what the certificate's one-byte length field holds, on a
+    /// character boundary, so the certificate that is signed is the one
+    /// that is sent. Held in debug (an assertion used to fire) and in
+    /// release (the length byte used to wrap to 144 and the certificate
+    /// no longer parsed).
+    #[test]
+    fn a_long_multibyte_handle_is_cut_to_the_length_byte_and_round_trips() {
+        let (mut ca, validator) = setup();
+        let (sk, ak) = device_keys(1);
+        let subject = UserId::from_str_padded("elodie");
+        for (handle, kept) in [
+            ("é".repeat(200), "é".repeat(127)),
+            (
+                format!("x{}", "é".repeat(200)),
+                format!("x{}", "é".repeat(127)),
+            ),
+            ("é".repeat(127), "é".repeat(127)),
+        ] {
+            let cert = ca.issue(subject, &handle, sk.verifying_key(), *ak.public(), 100);
+            assert_eq!(cert.display_name, kept);
+            let bytes = cert.to_bytes();
+            assert_eq!(cert.encoded_len(), bytes.len());
+            assert_eq!(Certificate::from_bytes(&bytes).unwrap(), cert);
+            assert!(validator.validate(&cert, 100).is_ok());
+        }
+        // A certificate built by hand around an over-long name encodes
+        // the same prefix instead of panicking or wrapping its length.
+        let mut cert = ca.issue(subject, "e", sk.verifying_key(), *ak.public(), 100);
+        cert.display_name = "é".repeat(200);
+        let bytes = cert.to_bytes();
+        assert_eq!(cert.encoded_len(), bytes.len());
+        assert_eq!(
+            Certificate::from_bytes(&bytes).unwrap().display_name,
+            "é".repeat(127)
+        );
     }
 
     #[test]

@@ -106,10 +106,21 @@ impl std::fmt::Debug for Certificate {
     }
 }
 
-fn put_var(buf: &mut Vec<u8>, bytes: &[u8]) {
-    debug_assert!(bytes.len() <= MAX_FIELD_LEN);
-    buf.push(bytes.len() as u8);
-    buf.extend_from_slice(bytes);
+/// The longest prefix of `s` that fits a certificate's one-byte length
+/// field and ends on a character boundary: what [`put_var`] writes of a
+/// name, and what [`Certificate::from_bytes`] reads back as UTF-8.
+pub(crate) fn clamp_field(s: &str) -> &str {
+    let mut end = s.len().min(MAX_FIELD_LEN);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
+}
+
+fn put_var(buf: &mut Vec<u8>, field: &str) {
+    let field = clamp_field(field).as_bytes();
+    buf.push(u8::try_from(field.len()).unwrap_or(u8::MAX));
+    buf.extend_from_slice(field);
 }
 
 struct Reader<'a> {
@@ -123,11 +134,9 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CertError> {
-        if self.pos + n > self.data.len() {
-            return Err(CertError::Malformed);
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self.pos.checked_add(n).ok_or(CertError::Malformed)?;
+        let out = self.data.get(self.pos..end).ok_or(CertError::Malformed)?;
+        self.pos = end;
         Ok(out)
     }
 
@@ -162,10 +171,10 @@ impl Certificate {
         buf.push(CERT_VERSION);
         buf.extend_from_slice(&self.serial.to_le_bytes());
         buf.extend_from_slice(self.subject.as_bytes());
-        put_var(&mut buf, self.display_name.as_bytes());
+        put_var(&mut buf, &self.display_name);
         buf.extend_from_slice(self.ed25519_public.as_bytes());
         buf.extend_from_slice(&self.x25519_public);
-        put_var(&mut buf, self.issuer.as_bytes());
+        put_var(&mut buf, &self.issuer);
         buf.extend_from_slice(&self.not_before.to_le_bytes());
         buf.extend_from_slice(&self.not_after.to_le_bytes());
         buf
@@ -184,7 +193,7 @@ impl Certificate {
         // version, serial, subject, two keys, validity window, signature
         // and the two name-length bytes.
         const FIXED: usize = 1 + 8 + 10 + 32 + 32 + 8 + 8 + 64 + 2;
-        FIXED + self.display_name.len() + self.issuer.len()
+        FIXED + clamp_field(&self.display_name).len() + clamp_field(&self.issuer).len()
     }
 
     /// Parses the wire encoding produced by [`Certificate::to_bytes`].

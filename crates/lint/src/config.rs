@@ -18,7 +18,8 @@ pub struct Config {
     /// (`no-hash-order`): wire encoders and report/journal renderers.
     pub ordered_output_files: Vec<String>,
     /// Path substrings of wire codec / corpus adapter files
-    /// (`no-narrow-cast` + `no-unbounded-prealloc`).
+    /// (`no-narrow-cast` + `no-unbounded-prealloc`, and `no-panic`
+    /// whatever crate they are in).
     pub wire_files: Vec<String>,
 }
 
@@ -102,6 +103,12 @@ impl Config {
                 // daemon control codec parse bytes straight off TCP.
                 "/wire.rs",
                 "/proto.rs",
+                // The bounded reader / counting writer all of the above
+                // parse and emit through, and the certificate codec
+                // (sos-crypto keeps its own reader: no workspace
+                // dependency).
+                "/codec.rs",
+                "/cert.rs",
             ]),
         }
     }

@@ -93,7 +93,8 @@ impl FileCtx<'_> {
 /// Runs every applicable rule over one file.
 pub fn run_rules(ctx: &FileCtx<'_>, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
-    if cfg.panic_crates.iter().any(|c| c == ctx.crate_name) {
+    let wire_file = Config::path_matches(ctx.rel_path, &cfg.wire_files);
+    if wire_file || cfg.panic_crates.iter().any(|c| c == ctx.crate_name) {
         no_panic(ctx, &mut out);
     }
     if !cfg
@@ -106,7 +107,7 @@ pub fn run_rules(ctx: &FileCtx<'_>, cfg: &Config) -> Vec<Finding> {
     if Config::path_matches(ctx.rel_path, &cfg.ordered_output_files) {
         no_hash_order(ctx, &mut out);
     }
-    if Config::path_matches(ctx.rel_path, &cfg.wire_files) {
+    if wire_file {
         no_narrow_cast(ctx, &mut out);
         no_unbounded_prealloc(ctx, &mut out);
     }
@@ -115,6 +116,8 @@ pub fn run_rules(ctx: &FileCtx<'_>, cfg: &Config) -> Vec<Finding> {
 
 /// R1 — decode/forward paths must return errors, not abort the process.
 /// Motivated by PR 4 (panicking trace ingestion on malformed input).
+/// Applies to the panic-free crates and to every wire file wherever it
+/// lives: the shared byte reader sits in `sos-sim`, which is not one.
 fn no_panic(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
     for (i, &ti) in ctx.code.iter().enumerate() {
@@ -214,11 +217,10 @@ fn int_width(name: &str) -> Option<u32> {
 /// operand (wire reads, lengths, and time extractors).
 fn source_width(name: &str) -> Option<u32> {
     Some(match name {
-        "get_u8" => 8,
-        "get_u16_le" | "u16" => 16,
-        "get_u32_le" | "u32" | "bits" => 32,
-        "get_u64_le" | "u64" | "get_varint" | "len" | "wire_size" | "capacity" | "as_millis"
-        | "as_secs" => 64,
+        "u8" => 8,
+        "u16" => 16,
+        "u32" | "bits" => 32,
+        "u64" | "varint" | "len" | "wire_size" | "capacity" | "as_millis" | "as_secs" => 64,
         _ => return None,
     })
 }
@@ -226,7 +228,7 @@ fn source_width(name: &str) -> Option<u32> {
 /// R4 — the PR 5 saturation class: a cast on a wire- or time-derived
 /// value that silently narrows (or truncates a float) corrupts frames
 /// instead of erroring. Heuristic: the rule inspects the cast's own
-/// source line for reads of known width (`get_varint`, `.len()`,
+/// source line for reads of known width (`.varint()`, `.len()`,
 /// `uNN::from_le_bytes`, cursor `.u16()`...) and float producers
 /// (`.round()`, `f64`); cross-line dataflow is out of scope — the
 /// `clippy.toml` gate and code review carry the rest.

@@ -46,6 +46,23 @@ fn no_panic_scopes_to_protocol_crates() {
 }
 
 #[test]
+fn no_panic_follows_a_wire_file_into_any_crate() {
+    // sos-sim is not a panic-free crate, but the byte reader every
+    // codec parses through lives there: the rule goes with the file.
+    let src = include_str!("fixtures/no_panic_bad.rs");
+    let bad = lint("crates/sim/src/codec.rs", src);
+    assert_eq!(rules_fired(&bad), ["no-panic"]);
+    assert_eq!(bad.findings.len(), 6, "{:#?}", bad.findings);
+    assert!(lint("crates/sim/src/world.rs", src).is_clean());
+    // The certificate codec is a wire file too.
+    let narrow = include_str!("fixtures/no_narrow_cast_bad.rs");
+    assert_eq!(
+        rules_fired(&lint("crates/crypto/src/cert.rs", narrow)),
+        ["no-narrow-cast"]
+    );
+}
+
+#[test]
 fn no_wallclock_fires_outside_exempt_crates() {
     let src = include_str!("fixtures/no_wallclock.rs");
     let bad = lint("crates/net/src/fixture.rs", src);

@@ -9,9 +9,11 @@
 //! is the latest MessageNumber that the advertising device has for the
 //! particular UserID."
 
+use crate::error::NetError;
 use crate::peer::PeerId;
 use serde::{Deserialize, Serialize};
 use sos_crypto::UserId;
+use sos_sim::codec::{Count, Reader, Writer};
 use std::collections::BTreeMap;
 
 /// A broadcast advertisement: which users' messages this device carries,
@@ -60,14 +62,44 @@ impl Advertisement {
             .collect()
     }
 
-    /// Wire size in bytes of the plain-text dictionary (10-byte key +
-    /// 8-byte value per entry, plus the advertiser header), used by the
-    /// link model to cost discovery traffic: what
-    /// [`Frame::encode`](crate::Frame::encode) writes after the frame's
-    /// tag byte, which keeps only the first 65 535 entries of a larger
-    /// dictionary.
+    /// The dictionary's layout (what a [`Frame`](crate::Frame) carries
+    /// after its tag byte): advertiser header, a `u16` count, then
+    /// 10-byte key + 8-byte value per entry in ascending key order. A
+    /// summary holds one entry per known author; past the `u16` field
+    /// the first 65 535 are kept rather than letting the count wrap.
+    /// Dropped authors are re-requested at later encounters — sync still
+    /// converges.
+    pub(crate) fn write(&self, w: &mut impl Writer) {
+        w.u32(self.peer.0);
+        w.bytes(self.user_id.as_bytes());
+        let count = w.len16(self.summary.len());
+        for (user, latest) in self.summary.iter().take(count) {
+            w.bytes(user.as_bytes());
+            w.u64(*latest);
+        }
+    }
+
+    /// Reads what [`Advertisement::write`] wrote, and only that: keys
+    /// out of order or repeated are malformed, never silently merged.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Advertisement, NetError> {
+        let mut ad = Advertisement::new(PeerId(r.u32()?), UserId(r.array()?));
+        let mut prev = None;
+        for _ in 0..r.count16(10 + 8)? {
+            let user = UserId(r.array()?);
+            if prev >= Some(user) {
+                return Err(NetError::BadFrame);
+            }
+            prev = Some(user);
+            ad.summary.insert(user, r.u64()?);
+        }
+        Ok(ad)
+    }
+
+    /// Wire size in bytes of the plain-text dictionary, used by the
+    /// link model to cost discovery traffic: the encoder run on a byte
+    /// counter.
     pub fn wire_size(&self) -> usize {
-        4 + 10 + 2 + self.summary.len().min(usize::from(u16::MAX)) * 18
+        Count::of(|w| self.write(w))
     }
 }
 

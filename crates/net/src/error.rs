@@ -1,6 +1,7 @@
 //! Error types for the transport substrate.
 
 use sos_crypto::{CertError, CryptoError};
+use sos_sim::codec::ReadError;
 use std::error::Error;
 use std::fmt;
 
@@ -30,7 +31,8 @@ pub enum NetError {
     NotConnected,
     /// A handshake message arrived in the wrong state.
     UnexpectedHandshake,
-    /// A wire-framing length prefix exceeded
+    /// A length prefix — of the stream framing, or of a field of a
+    /// control message that travels in it — exceeded
     /// [`MAX_WIRE_FRAME`](crate::wire::MAX_WIRE_FRAME); rejected before
     /// any buffer is allocated for it.
     FrameTooLarge {
@@ -65,6 +67,17 @@ impl Error for NetError {
             NetError::Certificate(e) => Some(e),
             NetError::Crypto(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl From<ReadError> for NetError {
+    /// A length prefix above its cap keeps its name; every other way a
+    /// read fails is a frame that does not decode.
+    fn from(e: ReadError) -> NetError {
+        match e {
+            ReadError::TooLong { len } => NetError::FrameTooLarge { len },
+            _ => NetError::BadFrame,
         }
     }
 }

@@ -9,10 +9,9 @@ use crate::advertisement::Advertisement;
 use crate::error::NetError;
 use crate::handshake::{HandshakeInit, HandshakeResponse};
 use crate::peer::PeerId;
-use bytes::{Buf, BufMut, BytesMut};
 use sos_crypto::cert::Certificate;
-use sos_crypto::{Signature, UserId};
-use std::collections::BTreeMap;
+use sos_crypto::Signature;
+use sos_sim::codec::{Count, Reader, Writer, NO_CAP};
 
 /// Size budget, in encoded bundle bytes, for one batched sync payload
 /// (`SyncMsg::Bundles`). The message manager packs served bundles into a
@@ -129,72 +128,27 @@ const TAG_HS_RESUME_INIT: u8 = 7;
 const TAG_HS_RESUME_RESP: u8 = 8;
 const TAG_HS_MISS: u8 = 9;
 
-fn put_cert(buf: &mut BytesMut, cert: &Certificate) {
-    let bytes = cert.to_bytes();
-    // sos-lint: allow(no-narrow-cast) reason="certificates are fixed-layout (MAX_FIELD_LEN-bounded names + key + signature), a few hundred bytes, far under u16"
-    buf.put_u16_le(bytes.len() as u16);
-    buf.put_slice(&bytes);
-}
-
-fn get_slice<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], NetError> {
-    if buf.remaining() < n {
-        return Err(NetError::BadFrame);
-    }
-    let out = &buf[..n];
-    buf.advance(n);
-    Ok(out)
-}
-
-fn get_cert(buf: &mut &[u8]) -> Result<Certificate, NetError> {
-    if buf.remaining() < 2 {
-        return Err(NetError::BadFrame);
-    }
-    let len = buf.get_u16_le() as usize;
-    let raw = get_slice(buf, len)?;
-    Certificate::from_bytes(raw).map_err(|_| NetError::BadFrame)
-}
-
-fn get_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], NetError> {
-    let raw = get_slice(buf, N)?;
-    let mut out = [0u8; N];
-    out.copy_from_slice(raw);
-    Ok(out)
-}
-
-fn get_full_handshake(
-    buf: &mut &[u8],
+/// The body both full handshake messages share under their own tags.
+fn read_full_handshake(
+    r: &mut Reader<'_>,
 ) -> Result<(Box<Certificate>, [u8; 32], Signature), NetError> {
-    let certificate = Box::new(get_cert(buf)?);
-    let ephemeral_public = get_array::<32>(buf)?;
-    let signature = Signature::from_slice(get_slice(buf, 64)?).ok_or(NetError::BadFrame)?;
-    Ok((certificate, ephemeral_public, signature))
+    let certificate =
+        Certificate::from_bytes(r.bytes16(NO_CAP)?).map_err(|_| NetError::BadFrame)?;
+    Ok((Box::new(certificate), r.array()?, Signature(r.array()?)))
 }
 
 impl Frame {
-    /// Encodes the frame for transmission.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(256);
+    /// The frame's layout, written once: on a `Vec<u8>` it is
+    /// [`Frame::encode`], on a [`Count`] it is [`Frame::wire_size`].
+    fn write(&self, w: &mut impl Writer) {
         match self {
             Frame::Advertisement(ad) => {
-                buf.put_u8(TAG_ADVERTISEMENT);
-                buf.put_u32_le(ad.peer.0);
-                buf.put_slice(ad.user_id.as_bytes());
-                // A summary holds one entry per known author; past the
-                // u16 wire field the encoder keeps the first 65535 in
-                // BTreeMap (deterministic) order rather than letting the
-                // cast silently corrupt the count. Dropped authors are
-                // re-requested at later encounters — sync still
-                // converges.
-                let count = u16::try_from(ad.summary.len()).unwrap_or(u16::MAX);
-                buf.put_u16_le(count);
-                for (user, latest) in ad.summary.iter().take(count as usize) {
-                    buf.put_slice(user.as_bytes());
-                    buf.put_u64_le(*latest);
-                }
+                w.u8(TAG_ADVERTISEMENT);
+                ad.write(w);
             }
             Frame::Invite { from } => {
-                buf.put_u8(TAG_INVITE);
-                buf.put_u32_le(from.0);
+                w.u8(TAG_INVITE);
+                w.u32(from.0);
             }
             // Both full messages share one layout under their own tags.
             Frame::HandshakeInit(HandshakeInit::Full {
@@ -208,85 +162,61 @@ impl Frame {
                 signature,
             }) => {
                 let is_init = matches!(self, Frame::HandshakeInit(_));
-                buf.put_u8(if is_init { TAG_HS_INIT } else { TAG_HS_RESP });
-                put_cert(&mut buf, certificate);
-                buf.put_slice(ephemeral_public);
-                buf.put_slice(signature.as_bytes());
+                w.u8(if is_init { TAG_HS_INIT } else { TAG_HS_RESP });
+                w.bytes16(&certificate.to_bytes());
+                w.bytes(ephemeral_public);
+                w.bytes(signature.as_bytes());
             }
             Frame::HandshakeInit(HandshakeInit::Resume {
                 ticket_id,
                 nonce,
                 mac,
             }) => {
-                buf.put_u8(TAG_HS_RESUME_INIT);
-                buf.put_slice(ticket_id);
-                buf.put_slice(nonce);
-                buf.put_slice(mac);
+                w.u8(TAG_HS_RESUME_INIT);
+                w.bytes(ticket_id);
+                w.bytes(nonce);
+                w.bytes(mac);
             }
             Frame::HandshakeResponse(HandshakeResponse::Resume { nonce, confirm }) => {
-                buf.put_u8(TAG_HS_RESUME_RESP);
-                buf.put_slice(nonce);
-                buf.put_slice(confirm);
+                w.u8(TAG_HS_RESUME_RESP);
+                w.bytes(nonce);
+                w.bytes(confirm);
             }
-            Frame::HandshakeResponse(HandshakeResponse::Miss) => buf.put_u8(TAG_HS_MISS),
+            Frame::HandshakeResponse(HandshakeResponse::Miss) => w.u8(TAG_HS_MISS),
             Frame::Data { seq, ciphertext } => {
-                buf.put_u8(TAG_DATA);
-                buf.put_u64_le(*seq);
-                // sos-lint: allow(no-narrow-cast) reason="ciphertext is a sealed sync payload: MAX_PAYLOAD (64 KiB) plus framing and tag, far under u32"
-                buf.put_u32_le(ciphertext.len() as u32);
-                buf.put_slice(ciphertext);
+                w.u8(TAG_DATA);
+                w.u64(*seq);
+                w.bytes32(ciphertext);
             }
             Frame::Disconnect { reason } => {
-                buf.put_u8(TAG_DISCONNECT);
-                buf.put_u8(reason.to_byte());
+                w.u8(TAG_DISCONNECT);
+                w.u8(reason.to_byte());
             }
         }
-        buf.to_vec()
+    }
+
+    /// Encodes the frame for transmission.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(256);
+        self.write(&mut buf);
+        buf
     }
 
     /// Decodes a frame.
     ///
     /// # Errors
     ///
-    /// [`NetError::BadFrame`] for truncated, oversized or unknown input.
-    pub fn decode(mut bytes: &[u8]) -> Result<Frame, NetError> {
-        let buf = &mut bytes;
-        if buf.remaining() < 1 {
-            return Err(NetError::BadFrame);
-        }
-        let tag = buf.get_u8();
-        let frame = match tag {
-            TAG_ADVERTISEMENT => {
-                if buf.remaining() < 4 + 10 + 2 {
-                    return Err(NetError::BadFrame);
-                }
-                let peer = PeerId(buf.get_u32_le());
-                let user_id = UserId(get_array::<10>(buf)?);
-                let count = buf.get_u16_le() as usize;
-                let mut summary = BTreeMap::new();
-                for _ in 0..count {
-                    let user = UserId(get_array::<10>(buf)?);
-                    if buf.remaining() < 8 {
-                        return Err(NetError::BadFrame);
-                    }
-                    summary.insert(user, buf.get_u64_le());
-                }
-                Frame::Advertisement(Advertisement {
-                    peer,
-                    user_id,
-                    summary,
-                })
-            }
-            TAG_INVITE => {
-                if buf.remaining() < 4 {
-                    return Err(NetError::BadFrame);
-                }
-                Frame::Invite {
-                    from: PeerId(buf.get_u32_le()),
-                }
-            }
+    /// [`NetError::BadFrame`] for truncated, oversized, unknown or
+    /// non-canonical input (anything [`Frame::encode`] cannot produce).
+    pub fn decode(bytes: &[u8]) -> Result<Frame, NetError> {
+        let mut r = Reader::new(bytes);
+        let frame = match r.u8()? {
+            TAG_ADVERTISEMENT => Frame::Advertisement(Advertisement::read(&mut r)?),
+            TAG_INVITE => Frame::Invite {
+                from: PeerId(r.u32()?),
+            },
             TAG_HS_INIT => {
-                let (certificate, ephemeral_public, signature) = get_full_handshake(buf)?;
+                let (certificate, ephemeral_public, signature) = read_full_handshake(&mut r)?;
                 Frame::HandshakeInit(HandshakeInit::Full {
                     certificate,
                     ephemeral_public,
@@ -294,7 +224,7 @@ impl Frame {
                 })
             }
             TAG_HS_RESP => {
-                let (certificate, ephemeral_public, signature) = get_full_handshake(buf)?;
+                let (certificate, ephemeral_public, signature) = read_full_handshake(&mut r)?;
                 Frame::HandshakeResponse(HandshakeResponse::Full {
                     certificate,
                     ephemeral_public,
@@ -302,72 +232,34 @@ impl Frame {
                 })
             }
             TAG_HS_RESUME_INIT => Frame::HandshakeInit(HandshakeInit::Resume {
-                ticket_id: get_array(buf)?,
-                nonce: get_array(buf)?,
-                mac: get_array(buf)?,
+                ticket_id: r.array()?,
+                nonce: r.array()?,
+                mac: r.array()?,
             }),
             TAG_HS_RESUME_RESP => Frame::HandshakeResponse(HandshakeResponse::Resume {
-                nonce: get_array(buf)?,
-                confirm: get_array(buf)?,
+                nonce: r.array()?,
+                confirm: r.array()?,
             }),
             TAG_HS_MISS => Frame::HandshakeResponse(HandshakeResponse::Miss),
-            TAG_DATA => {
-                if buf.remaining() < 12 {
-                    return Err(NetError::BadFrame);
-                }
-                let seq = buf.get_u64_le();
-                let len = buf.get_u32_le() as usize;
-                let ciphertext = get_slice(buf, len)?.to_vec();
-                Frame::Data { seq, ciphertext }
-            }
-            TAG_DISCONNECT => {
-                if buf.remaining() < 1 {
-                    return Err(NetError::BadFrame);
-                }
-                Frame::Disconnect {
-                    reason: DisconnectReason::from_byte(buf.get_u8())?,
-                }
-            }
+            TAG_DATA => Frame::Data {
+                seq: r.u64()?,
+                ciphertext: r.bytes32(NO_CAP)?.to_vec(),
+            },
+            TAG_DISCONNECT => Frame::Disconnect {
+                reason: DisconnectReason::from_byte(r.u8()?)?,
+            },
             _ => return Err(NetError::BadFrame),
         };
-        if buf.remaining() != 0 {
-            return Err(NetError::BadFrame);
-        }
+        r.finish()?;
         Ok(frame)
     }
 
     /// The length of [`Frame::encode`] in bytes (what the link model
-    /// costs a transmission by), from the fields alone: nothing is
-    /// encoded.
+    /// costs a transmission by): the same layout run on a byte counter,
+    /// so nothing is copied and, for every form without a certificate,
+    /// nothing is allocated.
     pub fn wire_size(&self) -> usize {
-        // The tag byte, then the variant's layout as `encode` writes it.
-        1 + match self {
-            Frame::Advertisement(ad) => ad.wire_size(),
-            Frame::Invite { .. } => 4,
-            Frame::HandshakeInit(HandshakeInit::Full {
-                certificate,
-                ephemeral_public,
-                signature,
-            })
-            | Frame::HandshakeResponse(HandshakeResponse::Full {
-                certificate,
-                ephemeral_public,
-                signature,
-            }) => {
-                2 + certificate.encoded_len() + ephemeral_public.len() + signature.as_bytes().len()
-            }
-            Frame::HandshakeInit(HandshakeInit::Resume {
-                ticket_id,
-                nonce,
-                mac,
-            }) => ticket_id.len() + nonce.len() + mac.len(),
-            Frame::HandshakeResponse(HandshakeResponse::Resume { nonce, confirm }) => {
-                nonce.len() + confirm.len()
-            }
-            Frame::HandshakeResponse(HandshakeResponse::Miss) => 0,
-            Frame::Data { ciphertext, .. } => 8 + 4 + ciphertext.len(),
-            Frame::Disconnect { .. } => 1,
-        }
+        Count::of(|w| self.write(w))
     }
 }
 
@@ -378,7 +270,7 @@ mod tests {
     use sos_crypto::ca::{CertificateAuthority, Validator};
     use sos_crypto::ed25519::SigningKey;
     use sos_crypto::x25519::AgreementKey;
-    use sos_crypto::DeviceIdentity;
+    use sos_crypto::{DeviceIdentity, UserId};
 
     fn identity() -> DeviceIdentity {
         let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);

@@ -16,6 +16,7 @@
 //!   missing bytes arrive.
 
 use crate::error::NetError;
+use sos_sim::codec::{ReadError, Reader, Writer};
 
 /// Upper bound on a single wire message's payload, in bytes.
 ///
@@ -37,15 +38,13 @@ const PREFIX: usize = 4;
 /// [`MAX_WIRE_FRAME`] — the cap is symmetric so anything we emit can be
 /// read back.
 pub fn encode_wire(payload: &[u8]) -> Result<Vec<u8>, NetError> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l as usize <= MAX_WIRE_FRAME)
-        .ok_or(NetError::FrameTooLarge {
+    if payload.len() > MAX_WIRE_FRAME {
+        return Err(NetError::FrameTooLarge {
             len: payload.len() as u64,
-        })?;
+        });
+    }
     let mut out = Vec::with_capacity(PREFIX + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
+    out.bytes32(payload);
     Ok(out)
 }
 
@@ -93,22 +92,17 @@ impl WireReader {
         if self.poisoned {
             return Err(NetError::BadFrame);
         }
-        let pending = &self.buf[self.pos..];
-        if pending.len() < PREFIX {
-            return Ok(None);
-        }
-        let mut prefix = [0u8; PREFIX];
-        prefix.copy_from_slice(&pending[..PREFIX]);
-        let len = u32::from_le_bytes(prefix) as usize;
-        if len > MAX_WIRE_FRAME {
-            self.poisoned = true;
-            return Err(NetError::FrameTooLarge { len: len as u64 });
-        }
-        if pending.len() < PREFIX + len {
-            return Ok(None); // truncated so far; wait for the rest
-        }
-        let msg = pending[PREFIX..PREFIX + len].to_vec();
-        self.pos += PREFIX + len;
+        // The reader only ever slices bytes that have arrived: a short
+        // buffer is "not yet", an oversized prefix is fatal.
+        let msg = match Reader::new(&self.buf[self.pos..]).bytes32(MAX_WIRE_FRAME) {
+            Ok(msg) => msg.to_vec(),
+            Err(ReadError::Truncated) => return Ok(None),
+            Err(e) => {
+                self.poisoned = true;
+                return Err(e.into());
+            }
+        };
+        self.pos += PREFIX + msg.len();
         if self.pos * 2 >= self.buf.len() {
             self.buf.drain(..self.pos);
             self.pos = 0;

@@ -8,7 +8,8 @@
 
 use sos_core::middleware::SosStats;
 use sos_core::routing::SchemeKind;
-use sos_net::{encode_wire, NetError, WireReader};
+use sos_net::{encode_wire, NetError, WireReader, MAX_WIRE_FRAME};
+use sos_sim::codec::{Reader, Writer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -273,77 +274,17 @@ const TAG_REPORT_DONE: u8 = 12;
 const TAG_SHUTDOWN: u8 = 13;
 const TAG_DATA: u8 = 14;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// Hosts in one [`Msg::Assign`]: a count above it is refused before a
+/// vector is sized for it.
+const MAX_FLEET: usize = 4096;
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    // Saturation cannot reach the wire: a field this long makes the
-    // whole message exceed MAX_WIRE_FRAME, so encode_wire refuses to
-    // frame it before any socket sees the bytes.
-    put_u32(out, u32::try_from(b.len()).unwrap_or(u32::MAX));
-    out.extend_from_slice(b);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-/// Bounds-checked cursor over a received message.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn u8(&mut self) -> Result<u8, NetError> {
-        let b = *self.buf.get(self.pos).ok_or(NetError::BadFrame)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        let end = self.pos.checked_add(4).ok_or(NetError::BadFrame)?;
-        let slice = self.buf.get(self.pos..end).ok_or(NetError::BadFrame)?;
-        let mut arr = [0u8; 4];
-        arr.copy_from_slice(slice);
-        self.pos = end;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        let end = self.pos.checked_add(8).ok_or(NetError::BadFrame)?;
-        let slice = self.buf.get(self.pos..end).ok_or(NetError::BadFrame)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(slice);
-        self.pos = end;
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, NetError> {
-        let len = self.u32()? as usize;
-        let end = self.pos.checked_add(len).ok_or(NetError::BadFrame)?;
-        let slice = self.buf.get(self.pos..end).ok_or(NetError::BadFrame)?;
-        let out = slice.to_vec();
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn string(&mut self) -> Result<String, NetError> {
-        String::from_utf8(self.bytes()?).map_err(|_| NetError::BadFrame)
-    }
-
-    fn done(&self) -> Result<(), NetError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(NetError::BadFrame)
-        }
-    }
+/// A length-prefixed UTF-8 field. A message arrives through
+/// [`sos_net::wire`], so no field of it is longer than a wire frame —
+/// and a field that long cannot leave either: `encode_wire` refuses to
+/// frame the message before any socket sees the bytes.
+fn read_string(r: &mut Reader<'_>) -> Result<String, NetError> {
+    let bytes = r.bytes32(MAX_WIRE_FRAME)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| NetError::BadFrame)
 }
 
 impl Msg {
@@ -352,8 +293,8 @@ impl Msg {
         let mut out = Vec::new();
         match self {
             Msg::Hello { data_addr } => {
-                out.push(TAG_HELLO);
-                put_str(&mut out, data_addr);
+                out.u8(TAG_HELLO);
+                out.bytes32(data_addr.as_bytes());
             }
             Msg::Assign {
                 proc_index,
@@ -365,69 +306,69 @@ impl Msg {
                 trace_text,
                 hosts,
             } => {
-                out.push(TAG_ASSIGN);
-                put_u32(&mut out, *proc_index);
-                put_u32(&mut out, *num_procs);
-                out.push(*scheme);
-                put_u64(&mut out, *seed);
-                put_u64(&mut out, *total_posts);
-                put_u64(&mut out, *ad_interval_ms);
-                put_str(&mut out, trace_text);
-                put_u32(&mut out, u32::try_from(hosts.len()).unwrap_or(u32::MAX));
-                for h in hosts {
-                    put_str(&mut out, h);
+                out.u8(TAG_ASSIGN);
+                out.u32(*proc_index);
+                out.u32(*num_procs);
+                out.u8(*scheme);
+                out.u64(*seed);
+                out.u64(*total_posts);
+                out.u64(*ad_interval_ms);
+                out.bytes32(trace_text.as_bytes());
+                let count = out.len32(hosts.len());
+                for host in &hosts[..count] {
+                    out.bytes32(host.as_bytes());
                 }
             }
             Msg::Encounter { a, b, up } => {
-                out.push(TAG_ENCOUNTER);
-                put_u32(&mut out, *a);
-                put_u32(&mut out, *b);
-                out.push(u8::from(*up));
+                out.u8(TAG_ENCOUNTER);
+                out.u32(*a);
+                out.u32(*b);
+                out.u8(u8::from(*up));
             }
             Msg::Post {
                 node,
                 number,
                 now_ms,
             } => {
-                out.push(TAG_POST);
-                put_u32(&mut out, *node);
-                put_u64(&mut out, *number);
-                put_u64(&mut out, *now_ms);
+                out.u8(TAG_POST);
+                out.u32(*node);
+                out.u64(*number);
+                out.u64(*now_ms);
             }
             Msg::Tick { now_ms } => {
-                out.push(TAG_TICK);
-                put_u64(&mut out, *now_ms);
+                out.u8(TAG_TICK);
+                out.u64(*now_ms);
             }
-            Msg::Collect => out.push(TAG_COLLECT),
+            Msg::Collect => out.u8(TAG_COLLECT),
             Msg::CollectAck { sent, recv } => {
-                out.push(TAG_COLLECT_ACK);
-                put_u64(&mut out, *sent);
-                put_u64(&mut out, *recv);
+                out.u8(TAG_COLLECT_ACK);
+                out.u64(*sent);
+                out.u64(*recv);
             }
-            Msg::Process => out.push(TAG_PROCESS),
+            Msg::Process => out.u8(TAG_PROCESS),
             Msg::ProcessAck { emitted } => {
-                out.push(TAG_PROCESS_ACK);
-                put_u64(&mut out, *emitted);
+                out.u8(TAG_PROCESS_ACK);
+                out.u64(*emitted);
             }
-            Msg::Finish => out.push(TAG_FINISH),
+            Msg::Finish => out.u8(TAG_FINISH),
             Msg::Report { kind, line } => {
-                out.push(TAG_REPORT);
-                out.push(*kind);
-                put_str(&mut out, line);
+                out.u8(TAG_REPORT);
+                out.u8(*kind);
+                out.bytes32(line.as_bytes());
             }
-            Msg::ReportDone => out.push(TAG_REPORT_DONE),
-            Msg::Shutdown => out.push(TAG_SHUTDOWN),
+            Msg::ReportDone => out.u8(TAG_REPORT_DONE),
+            Msg::Shutdown => out.u8(TAG_SHUTDOWN),
             Msg::Data {
                 from,
                 to,
                 seq,
                 frame,
             } => {
-                out.push(TAG_DATA);
-                put_u32(&mut out, *from);
-                put_u32(&mut out, *to);
-                put_u64(&mut out, *seq);
-                put_bytes(&mut out, frame);
+                out.u8(TAG_DATA);
+                out.u32(*from);
+                out.u32(*to);
+                out.u64(*seq);
+                out.bytes32(frame);
             }
         }
         out
@@ -438,32 +379,30 @@ impl Msg {
     /// # Errors
     ///
     /// [`NetError::BadFrame`] on unknown tags, truncation, bad UTF-8,
-    /// or trailing bytes.
+    /// a flag byte other than 0 or 1, or trailing bytes;
+    /// [`NetError::FrameTooLarge`] on a field longer than a wire frame.
     pub fn decode(bytes: &[u8]) -> Result<Msg, NetError> {
-        let mut rd = Rd { buf: bytes, pos: 0 };
-        let msg = match rd.u8()? {
+        let mut r = Reader::new(bytes);
+        let msg = match r.u8()? {
             TAG_HELLO => Msg::Hello {
-                data_addr: rd.string()?,
+                data_addr: read_string(&mut r)?,
             },
             TAG_ASSIGN => {
-                let proc_index = rd.u32()?;
-                let num_procs = rd.u32()?;
-                let scheme = rd.u8()?;
-                let seed = rd.u64()?;
-                let total_posts = rd.u64()?;
-                let ad_interval_ms = rd.u64()?;
-                let trace_text = rd.string()?;
-                let count = rd.u32()? as usize;
-                // Bounded by the remaining buffer: each host needs at
-                // least a 4-byte length, so a hostile count cannot force
-                // a large preallocation; MAX_FLEET caps it visibly too.
-                const MAX_FLEET: usize = 4096;
-                if count > MAX_FLEET || count > rd.buf.len().saturating_sub(rd.pos) / 4 {
+                let proc_index = r.u32()?;
+                let num_procs = r.u32()?;
+                let scheme = r.u8()?;
+                let seed = r.u64()?;
+                let total_posts = r.u64()?;
+                let ad_interval_ms = r.u64()?;
+                let trace_text = read_string(&mut r)?;
+                // A host is at least its length prefix.
+                let count = r.count32(4)?;
+                if count > MAX_FLEET {
                     return Err(NetError::BadFrame);
                 }
                 let mut hosts = Vec::with_capacity(count.min(MAX_FLEET));
                 for _ in 0..count {
-                    hosts.push(rd.string()?);
+                    hosts.push(read_string(&mut r)?);
                 }
                 Msg::Assign {
                     proc_index,
@@ -477,39 +416,43 @@ impl Msg {
                 }
             }
             TAG_ENCOUNTER => Msg::Encounter {
-                a: rd.u32()?,
-                b: rd.u32()?,
-                up: rd.u8()? != 0,
+                a: r.u32()?,
+                b: r.u32()?,
+                up: match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(NetError::BadFrame),
+                },
             },
             TAG_POST => Msg::Post {
-                node: rd.u32()?,
-                number: rd.u64()?,
-                now_ms: rd.u64()?,
+                node: r.u32()?,
+                number: r.u64()?,
+                now_ms: r.u64()?,
             },
-            TAG_TICK => Msg::Tick { now_ms: rd.u64()? },
+            TAG_TICK => Msg::Tick { now_ms: r.u64()? },
             TAG_COLLECT => Msg::Collect,
             TAG_COLLECT_ACK => Msg::CollectAck {
-                sent: rd.u64()?,
-                recv: rd.u64()?,
+                sent: r.u64()?,
+                recv: r.u64()?,
             },
             TAG_PROCESS => Msg::Process,
-            TAG_PROCESS_ACK => Msg::ProcessAck { emitted: rd.u64()? },
+            TAG_PROCESS_ACK => Msg::ProcessAck { emitted: r.u64()? },
             TAG_FINISH => Msg::Finish,
             TAG_REPORT => Msg::Report {
-                kind: rd.u8()?,
-                line: rd.string()?,
+                kind: r.u8()?,
+                line: read_string(&mut r)?,
             },
             TAG_REPORT_DONE => Msg::ReportDone,
             TAG_SHUTDOWN => Msg::Shutdown,
             TAG_DATA => Msg::Data {
-                from: rd.u32()?,
-                to: rd.u32()?,
-                seq: rd.u64()?,
-                frame: rd.bytes()?,
+                from: r.u32()?,
+                to: r.u32()?,
+                seq: r.u64()?,
+                frame: r.bytes32(MAX_WIRE_FRAME)?.to_vec(),
             },
             _ => return Err(NetError::BadFrame),
         };
-        rd.done()?;
+        r.finish()?;
         Ok(msg)
     }
 }

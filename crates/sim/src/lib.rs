@@ -8,6 +8,9 @@
 //! replaces the people with a seeded, deterministic substrate:
 //!
 //! * [`time`] — millisecond-resolution simulated clock types
+//! * [`codec`] — the bounded byte reader and the counting writer behind
+//!   every binary format of the workspace (here because every crate that
+//!   parses bytes already depends on this one)
 //! * [`event`] — a generic discrete-event queue
 //! * [`encounter`] — the [`EncounterSource`] timeline abstraction that
 //!   decouples scheme evaluation from geometry (implemented by every
@@ -31,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod encounter;
 pub mod error;
 pub mod event;

@@ -37,6 +37,7 @@
 
 use crate::error::TraceError;
 use crate::record::ContactTrace;
+use sos_sim::codec::{Reader, Writer, NO_CAP};
 use sos_sim::world::{ContactEvent, ContactPhase};
 use sos_sim::SimTime;
 
@@ -44,52 +45,11 @@ const MAGIC: &[u8; 8] = b"SOSTRC01";
 const FLAG_RANGE: u8 = 0b0000_0001;
 const FLAG_LABELS: u8 = 0b0000_0010;
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos).ok_or(TraceError::Truncated)?;
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return Err(TraceError::VarintOverflow);
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(TraceError::VarintOverflow);
-        }
-    }
-}
-
-fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, TraceError> {
-    let end = pos.checked_add(8).ok_or(TraceError::Truncated)?;
-    let bytes = buf.get(*pos..end).ok_or(TraceError::Truncated)?;
-    *pos = end;
-    let mut arr = [0u8; 8];
-    arr.copy_from_slice(bytes);
-    Ok(f64::from_le_bytes(arr))
-}
-
 /// Serializes a trace to the compact binary format.
 pub fn to_binary(trace: &ContactTrace) -> Vec<u8> {
     let _span = sos_obs::profile::span("trace/binary_encode");
     let mut out = Vec::with_capacity(32 + trace.len() * 14);
-    out.extend_from_slice(MAGIC);
+    out.bytes(MAGIC);
     let mut flags = 0u8;
     if trace.range_m().is_some() {
         flags |= FLAG_RANGE;
@@ -97,27 +57,26 @@ pub fn to_binary(trace: &ContactTrace) -> Vec<u8> {
     if trace.node_labels().is_some() {
         flags |= FLAG_LABELS;
     }
-    out.push(flags);
+    out.u8(flags);
     if let Some(r) = trace.range_m() {
-        out.extend_from_slice(&r.to_le_bytes());
+        out.f64(r);
     }
-    put_varint(&mut out, trace.node_count() as u64);
+    out.varint(trace.node_count() as u64);
     if let Some(labels) = trace.node_labels() {
         for label in labels {
-            put_varint(&mut out, label.len() as u64);
-            out.extend_from_slice(label.as_bytes());
+            out.bytes_varint(label.as_bytes());
         }
     }
-    put_varint(&mut out, trace.len() as u64);
+    out.varint(trace.len() as u64);
     let mut prev = 0u64;
     for ev in trace.events() {
         let t = ev.time.as_millis();
-        put_varint(&mut out, t - prev);
+        out.varint(t - prev);
         prev = t;
         let phase_bit = u64::from(ev.phase == ContactPhase::Up);
-        put_varint(&mut out, (ev.a as u64) << 1 | phase_bit);
-        put_varint(&mut out, ev.b as u64);
-        out.extend_from_slice(&ev.distance_m.to_le_bytes());
+        out.varint((ev.a as u64) << 1 | phase_bit);
+        out.varint(ev.b as u64);
+        out.f64(ev.distance_m);
     }
     out
 }
@@ -125,60 +84,49 @@ pub fn to_binary(trace: &ContactTrace) -> Vec<u8> {
 /// Parses the compact binary format.
 pub fn from_binary(buf: &[u8]) -> Result<ContactTrace, TraceError> {
     let _span = sos_obs::profile::span("trace/binary_decode");
-    if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
+    let mut r = Reader::new(buf);
+    if r.take(MAGIC.len()) != Ok(MAGIC) {
         return Err(TraceError::BadMagic);
     }
-    let mut pos = MAGIC.len();
-    let flags = *buf.get(pos).ok_or(TraceError::Truncated)?;
-    pos += 1;
+    let flags = r.u8()?;
     if flags & !(FLAG_RANGE | FLAG_LABELS) != 0 {
         return Err(TraceError::UnknownFlags { flags });
     }
     let range_m = if flags & FLAG_RANGE != 0 {
-        Some(get_f64(buf, &mut pos)?)
+        Some(r.f64()?)
     } else {
         None
     };
-    let nodes = get_varint(buf, &mut pos)? as usize;
-    let labels = if flags & FLAG_LABELS != 0 {
+    let (nodes, labels) = if flags & FLAG_LABELS != 0 {
         // A hostile node count must not drive label-loop allocations:
         // every label costs ≥ 1 byte (its length varint).
-        if nodes > buf.len().saturating_sub(pos) {
-            return Err(TraceError::Truncated);
-        }
+        let nodes = r.count_varint(1)?;
         let mut labels = Vec::with_capacity(nodes.min(buf.len()));
         for _ in 0..nodes {
-            let len = get_varint(buf, &mut pos)? as usize;
-            let end = pos.checked_add(len).ok_or(TraceError::Truncated)?;
-            let bytes = buf.get(pos..end).ok_or(TraceError::Truncated)?;
-            pos = end;
-            let label = std::str::from_utf8(bytes)
-                .map_err(|_| TraceError::InvalidLabels {
+            let label = std::str::from_utf8(r.bytes_varint(NO_CAP)?).map_err(|_| {
+                TraceError::InvalidLabels {
                     reason: "label is not UTF-8".into(),
-                })?
-                .to_string();
-            labels.push(label);
+                }
+            })?;
+            labels.push(label.to_string());
         }
-        Some(labels)
+        (nodes, Some(labels))
     } else {
-        None
+        (r.varint()? as usize, None)
     };
-    let count = get_varint(buf, &mut pos)? as usize;
     // Each event costs ≥ 11 bytes (three 1-byte varints + 8-byte
-    // distance); reject counts the remaining buffer cannot possibly
-    // hold before allocating (a hostile header must not OOM the
+    // distance); a count the remaining buffer cannot possibly hold is
+    // rejected before allocating (a hostile header must not OOM the
     // process).
-    if count > buf.len().saturating_sub(pos) / 11 {
-        return Err(TraceError::Truncated);
-    }
+    let count = r.count_varint(11)?;
     let mut events = Vec::with_capacity(count.min(buf.len() / 11));
     let mut t = 0u64;
     for _ in 0..count {
-        let dt = get_varint(buf, &mut pos)?;
+        let dt = r.varint()?;
         t = t.checked_add(dt).ok_or(TraceError::VarintOverflow)?;
-        let a_phase = get_varint(buf, &mut pos)?;
-        let b = get_varint(buf, &mut pos)? as usize;
-        let distance_m = get_f64(buf, &mut pos)?;
+        let a_phase = r.varint()?;
+        let b = r.varint()? as usize;
+        let distance_m = r.f64()?;
         events.push(ContactEvent {
             time: SimTime::from_millis(t),
             a: (a_phase >> 1) as usize,
@@ -191,11 +139,7 @@ pub fn from_binary(buf: &[u8]) -> Result<ContactTrace, TraceError> {
             distance_m,
         });
     }
-    if pos != buf.len() {
-        return Err(TraceError::TrailingBytes {
-            extra: buf.len() - pos,
-        });
-    }
+    r.finish()?;
     ContactTrace::new_labeled(nodes, range_m, labels, events)
 }
 
@@ -259,15 +203,15 @@ mod tests {
         let mut lie = Vec::new();
         lie.extend_from_slice(MAGIC);
         lie.push(FLAG_LABELS);
-        put_varint(&mut lie, 2); // nodes
-        put_varint(&mut lie, u64::MAX); // label 0 length
+        lie.varint(2); // nodes
+        lie.varint(u64::MAX); // label 0 length
         lie.extend_from_slice(&[0u8; 16]);
         assert_eq!(from_binary(&lie), Err(TraceError::Truncated));
         // A lying node count with labels flagged is rejected cheaply too.
         let mut lie = Vec::new();
         lie.extend_from_slice(MAGIC);
         lie.push(FLAG_LABELS);
-        put_varint(&mut lie, u64::MAX); // nodes
+        lie.varint(u64::MAX); // nodes
         lie.extend_from_slice(&[1u8; 8]);
         assert_eq!(from_binary(&lie), Err(TraceError::Truncated));
     }
@@ -360,8 +304,8 @@ mod tests {
             let mut buf = Vec::new();
             buf.extend_from_slice(b"SOSTRC01");
             buf.push(0); // no range
-            put_varint(&mut buf, 10); // nodes
-            put_varint(&mut buf, lie);
+            buf.varint(10); // nodes
+            buf.varint(lie);
             buf.extend_from_slice(&[0u8; 64]); // far fewer than 11 * lie
             assert_eq!(from_binary(&buf), Err(TraceError::Truncated), "count {lie}");
         }

@@ -5,6 +5,7 @@
 //! the process (the same contract as [`sos_sim::SimError`], which this
 //! type wraps for trajectory-level faults).
 
+use sos_sim::codec::ReadError;
 use sos_sim::SimError;
 use std::error::Error;
 use std::fmt;
@@ -78,7 +79,8 @@ pub enum TraceError {
     BadMagic,
     /// The binary buffer ended mid-record.
     Truncated,
-    /// A varint exceeded 64 bits.
+    /// A varint exceeded 64 bits, or was padded with a zero final byte
+    /// (only the minimal form decodes).
     VarintOverflow,
     /// The binary header sets flag bits this format version does not
     /// define: a newer writer, or not a trace at all.
@@ -141,6 +143,17 @@ impl Error for TraceError {
             TraceError::Trajectory(e) => Some(e),
             TraceError::InvalidAtLine { error, .. } => Some(error.as_ref()),
             _ => None,
+        }
+    }
+}
+
+impl From<ReadError> for TraceError {
+    fn from(e: ReadError) -> TraceError {
+        match e {
+            // A length above its cap cannot be present either.
+            ReadError::Truncated | ReadError::TooLong { .. } => TraceError::Truncated,
+            ReadError::BadVarint => TraceError::VarintOverflow,
+            ReadError::TrailingBytes { extra } => TraceError::TrailingBytes { extra },
         }
     }
 }

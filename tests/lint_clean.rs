@@ -28,4 +28,28 @@ fn workspace_is_lint_clean() {
         assert!(!allow.reason.is_empty(), "{}:{}", allow.file, allow.line);
         assert!(allow.suppressed > 0, "{}:{}", allow.file, allow.line);
     }
+    // The escape hatch is a ratchet: a rule's allowed findings may fall
+    // below its ceiling (lower the ceiling then), never rise above it.
+    for (rule, ceiling) in ALLOW_CEILINGS {
+        let allowed: u32 = report
+            .allows
+            .iter()
+            .filter(|a| a.rules.iter().any(|r| r == rule))
+            .map(|a| a.suppressed)
+            .sum();
+        assert!(
+            allowed <= ceiling,
+            "{rule}: {allowed} allowed findings, ceiling {ceiling}"
+        );
+    }
 }
+
+/// Allowed findings per rule at this commit (the scoreboard's "allow
+/// counts" line).
+const ALLOW_CEILINGS: [(&str, u32); 5] = [
+    ("no-panic", 8),
+    ("no-wallclock", 0),
+    ("no-hash-order", 0),
+    ("no-narrow-cast", 5),
+    ("no-unbounded-prealloc", 1),
+];
