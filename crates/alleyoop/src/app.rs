@@ -65,6 +65,36 @@ impl AlleyOopApp {
         })
     }
 
+    /// Signs a whole study population up at once: a fresh [`Cloud`]
+    /// named `ca_name` whose CA key is `seed` (little-endian, zero
+    /// padded), then one [`sign_up`](Self::sign_up) per handle in order
+    /// — `PeerId(i)` for the `i`-th, at [`SimTime::ZERO`], two key
+    /// draws from `rng` each. The cloud is dropped afterwards: a study
+    /// meets its infrastructure once (Fig. 2a).
+    ///
+    /// # Panics
+    ///
+    /// Panics if two handles pad to the same [`UserId`]; callers format
+    /// handles from the node index.
+    pub fn sign_up_fleet<R: rand::RngCore>(
+        ca_name: &str,
+        seed: u64,
+        handles: impl IntoIterator<Item = String>,
+        scheme: SchemeKind,
+        rng: &mut R,
+    ) -> Vec<AlleyOopApp> {
+        let mut ca_seed = [0u8; 32];
+        ca_seed[..8].copy_from_slice(&seed.to_le_bytes());
+        let mut cloud = Cloud::new(ca_name, ca_seed);
+        (0u32..)
+            .zip(handles)
+            .map(|(i, handle)| {
+                AlleyOopApp::sign_up(&mut cloud, PeerId(i), &handle, scheme, SimTime::ZERO, rng)
+                    .expect("fleet handles are unique")
+            })
+            .collect()
+    }
+
     /// The user's handle.
     pub fn handle(&self) -> &str {
         &self.handle
@@ -93,11 +123,6 @@ impl AlleyOopApp {
     /// The local database.
     pub fn db(&self) -> &LocalDb {
         &self.db
-    }
-
-    /// Whether the device currently has Internet connectivity.
-    pub fn is_online(&self) -> bool {
-        self.online
     }
 
     /// Sets Internet availability (driven by the scenario; D2D
@@ -504,5 +529,67 @@ mod tests {
         // post was never pulled.
         assert_eq!(bob.feed().len(), 0);
         assert_eq!(bob.middleware().store().latest_for(&alice.user_id()), 1);
+    }
+
+    /// The loop `scenario::build_apps`, `density::run_density` and
+    /// `provision::provision_apps` each spelled out before
+    /// [`AlleyOopApp::sign_up_fleet`] replaced it, kept as its reference.
+    fn spelled_out(
+        ca_name: &str,
+        seed: u64,
+        handles: &[String],
+        rng: &mut impl rand::RngCore,
+    ) -> Vec<AlleyOopApp> {
+        let mut cloud = Cloud::new(ca_name, {
+            let mut s = [0u8; 32];
+            s[..8].copy_from_slice(&seed.to_le_bytes());
+            s
+        });
+        (0..handles.len())
+            .map(|i| {
+                AlleyOopApp::sign_up(
+                    &mut cloud,
+                    PeerId(i as u32),
+                    &handles[i],
+                    SchemeKind::InterestBased,
+                    SimTime::ZERO,
+                    rng,
+                )
+                .expect("unique handles")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fleet_sign_up_equals_the_loop_it_replaces() {
+        use rand::RngCore;
+        // A corpus trace's handles with and without device labels.
+        let labelled = ["0-3f2a", "1-9c41", "2-00b7"].map(String::from);
+        let unlabelled = ["0-node", "1-node", "2-node", "3-node"].map(String::from);
+        for (seed, handles) in [(20170605u64, &labelled[..]), (7, &unlabelled[..])] {
+            let (mut r_loop, mut r_fleet) = (rng(seed), rng(seed));
+            let by_loop = spelled_out("Corpus Root CA", seed, handles, &mut r_loop);
+            let fleet = AlleyOopApp::sign_up_fleet(
+                "Corpus Root CA",
+                seed,
+                handles.iter().cloned(),
+                SchemeKind::InterestBased,
+                &mut r_fleet,
+            );
+            assert_eq!(fleet.len(), handles.len());
+            for (a, b) in by_loop.iter().zip(&fleet) {
+                assert_eq!(
+                    (a.user_id(), a.peer_id(), a.handle()),
+                    (b.user_id(), b.peer_id(), b.handle())
+                );
+                let cert = |app: &AlleyOopApp| app.middleware().identity().certificate().to_bytes();
+                assert_eq!(cert(a), cert(b));
+            }
+            assert_eq!(
+                r_loop.next_u64(),
+                r_fleet.next_u64(),
+                "same RNG position afterwards"
+            );
+        }
     }
 }

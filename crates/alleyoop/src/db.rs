@@ -1,7 +1,6 @@
 //! The on-device database (paper §V: "saves the action to the local
 //! database on the mobile device" before any dissemination).
 
-use serde::{Deserialize, Serialize};
 use sos_core::message::MessageId;
 use sos_crypto::UserId;
 use sos_sim::SimTime;
@@ -9,7 +8,7 @@ use std::collections::BTreeMap;
 
 /// A post as stored on the receiving device, with the delivery metadata
 /// the evaluation measures.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReceivedPost {
     /// The message id (author + number).
     pub id: MessageId,
@@ -32,7 +31,7 @@ impl ReceivedPost {
 
 /// A queued action awaiting cloud synchronization (§V: actions sync
 /// "when the Internet becomes available").
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PendingAction {
     /// Follow `user`.
     Follow(UserId),
@@ -41,7 +40,7 @@ pub enum PendingAction {
 }
 
 /// A decrypted direct message in the inbox.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirectMessage {
     /// The sender.
     pub from: UserId,
@@ -75,11 +74,6 @@ impl LocalDb {
         }
         self.posts.insert(post.id, post);
         true
-    }
-
-    /// True if this post has been stored.
-    pub fn has_post(&self, id: &MessageId) -> bool {
-        self.posts.contains_key(id)
     }
 
     /// All posts by `author`, ascending by number.

@@ -1,14 +1,11 @@
 //! # sos-bench
 //!
-//! Criterion benchmarks for the SOS middleware reproduction. Each
-//! `benches/fig4*.rs` target regenerates the data behind one figure of
-//! the paper's evaluation (on a reduced scenario, so a bench iteration
-//! stays sub-second); the remaining targets profile the substrates the
-//! figures depend on (crypto, handshake, routing decisions, store and
-//! discovery, graph analytics).
-//!
-//! Run all of them with `cargo bench --workspace`; results land in
-//! `target/criterion/`.
+//! The benchmarks that record and gate: each `benches/*.rs` target
+//! (`crypto`, `obs`, `scale`, `store_and_discovery`, `trace_replay`)
+//! asserts its own ratio gates on every run and, on a full run (no
+//! `SOS_BENCH_SMOKE`), rewrites one `BENCH_*.json` at the repository
+//! root through [`emit`]. End-to-end numbers live in the perf ledger
+//! (`examples/ledger`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,8 +15,8 @@ pub mod emit;
 use sos_core::routing::SchemeKind;
 use sos_experiments::scenario::{small_test_config, FieldStudyConfig};
 
-/// A one-day, low-volume field-study configuration used by the
-/// figure benches so each iteration completes quickly.
+/// A one-day, low-volume field-study configuration, so that one
+/// iteration of the `obs` overhead probes stays sub-second.
 pub fn bench_config(scheme: SchemeKind) -> FieldStudyConfig {
     let mut cfg = small_test_config(7, scheme);
     cfg.days = 1;

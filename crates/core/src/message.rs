@@ -7,7 +7,6 @@
 //! a hop counter used for the paper's "1-hop" vs "All" analysis.
 
 use crate::error::BundleRejection;
-use serde::{Deserialize, Serialize};
 use sos_crypto::ca::Validator;
 use sos_crypto::cert::Certificate;
 use sos_crypto::{Signature, SigningKey, UserId};
@@ -21,7 +20,7 @@ pub const MAX_PAYLOAD: usize = 64 * 1024;
 ///
 /// This is exactly the granularity of the plain-text advertisement
 /// dictionary (`UserID → MessageNumber`, §V-A).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MessageId {
     /// The author's 10-byte user id.
     pub author: UserId,
@@ -31,7 +30,7 @@ pub struct MessageId {
 
 /// What kind of action the message carries (AlleyOop saves user actions
 /// to the local database and disseminates them, §V).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MessageKind {
     /// A public post.
     Post,
@@ -65,7 +64,7 @@ impl MessageKind {
 }
 
 /// A signed, immutable application message.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SosMessage {
     /// Author + per-author number.
     pub id: MessageId,
@@ -132,7 +131,7 @@ impl SosMessage {
 /// A message in transit: the signed message, the originator's
 /// certificate, the hop count, and an optional spray-and-wait copy
 /// budget.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Bundle {
     /// The signed message.
     pub message: SosMessage,

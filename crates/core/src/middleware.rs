@@ -646,7 +646,6 @@ impl Sos {
         rng: &mut R,
         out: &mut Vec<(PeerId, Frame)>,
     ) {
-        self.scheme.on_encounter(&ad.user_id, now);
         let me = self.user_id();
         // Browse with the *contiguous-prefix* summary, not the raw
         // latest: a node holding {5} of an author with {1..4} evicted
@@ -1802,62 +1801,6 @@ mod tests {
             .filter(|e| matches!(e, SosEvent::SecurityAlert { .. }))
             .count();
         assert_eq!(alerts, 1);
-    }
-
-    #[test]
-    fn trust_aware_scheme_shuns_bad_forwarders() {
-        use crate::routing::TrustAware;
-        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
-        let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::Epidemic);
-        let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
-        let mut carol = node(&mut ca, 2, 30, "carol", SchemeKind::Epidemic);
-        carol.set_custom_scheme(Box::new(TrustAware::new()));
-        assert_eq!(carol.scheme_kind(), SchemeKind::Custom("trust-aware"));
-        carol.subscribe(uid("alice"));
-
-        // Bob (a forwarder) picks up two of alice's posts, then his
-        // device corrupts the first one.
-        alice
-            .post(MessageKind::Post, b"one".to_vec(), SimTime::ZERO)
-            .unwrap();
-        alice
-            .post(MessageKind::Post, b"two".to_vec(), SimTime::ZERO)
-            .unwrap();
-        browse(&mut alice, &mut bob, SimTime::from_secs(10));
-        assert_eq!(bob.store().latest_for(&uid("alice")), 2);
-        bob.store
-            .get_mut(&MessageId {
-                author: uid("alice"),
-                number: 1,
-            })
-            .unwrap()
-            .message
-            .payload = b"corrupted".to_vec();
-
-        // Carol pulls from bob (initial trust passes the threshold): the
-        // tampered bundle is rejected, the clean one accepted, and bob's
-        // trust craters.
-        browse(&mut bob, &mut carol, SimTime::from_secs(20));
-        assert_eq!(carol.stats().security_rejections, 1);
-        assert_eq!(carol.store().latest_for(&uid("alice")), 2);
-
-        // Alice posts again; bob picks it up; carol now refuses bob as a
-        // forwarder...
-        alice
-            .post(MessageKind::Post, b"three".to_vec(), SimTime::from_secs(30))
-            .unwrap();
-        browse(&mut alice, &mut bob, SimTime::from_secs(40));
-        let before = carol.stats().sessions_initiated;
-        browse(&mut bob, &mut carol, SimTime::from_secs(50));
-        assert_eq!(
-            carol.stats().sessions_initiated,
-            before,
-            "distrusted forwarder must not be pulled from"
-        );
-        assert_eq!(carol.store().latest_for(&uid("alice")), 2);
-        // ...but still pulls directly from the author.
-        browse(&mut alice, &mut carol, SimTime::from_secs(60));
-        assert_eq!(carol.store().latest_for(&uid("alice")), 3);
     }
 
     #[test]

@@ -20,20 +20,23 @@
 //! Schemes never see key material or sessions; the blue layers of Fig. 1
 //! are closed to them. Both of the paper's schemes are under 100 lines
 //! here too.
+//!
+//! Five schemes are built in ([`SchemeKind::ALL`]), and every one of
+//! them runs in the studies, sweeps and goldens; anything else is a
+//! researcher's own, installed with `Sos::set_custom_scheme`
+//! (`examples/custom_scheme.rs`).
 
 pub mod direct;
 pub mod epidemic;
 pub mod interest_based;
 pub mod interest_predictive;
 pub mod spray_and_wait;
-pub mod trust_aware;
 
 pub use direct::Direct;
 pub use epidemic::Epidemic;
 pub use interest_based::InterestBased;
 pub use interest_predictive::InterestPredictive;
 pub use spray_and_wait::SprayAndWait;
-pub use trust_aware::TrustAware;
 
 use crate::message::Bundle;
 use sos_crypto::UserId;
@@ -93,12 +96,6 @@ pub trait RoutingScheme: Send {
         true
     }
 
-    /// Encounter hook: `peer_user` was met at `now` (used by
-    /// predictability-maintaining schemes).
-    fn on_encounter(&mut self, peer_user: &UserId, now: SimTime) {
-        let _ = (peer_user, now);
-    }
-
     /// Observation hook: `peer_user` requested `author`'s messages from
     /// us — evidence of interest in `author` in this neighbourhood.
     fn on_peer_request(&mut self, peer_user: &UserId, author: &UserId, now: SimTime) {
@@ -106,9 +103,9 @@ pub trait RoutingScheme: Send {
     }
 
     /// Security hook: a bundle or handshake from `peer_user` failed
-    /// validation. Trust-maintaining schemes use this to demote the
-    /// peer; the default ignores it (the message manager already
-    /// discarded the offending data).
+    /// validation. A trust-maintaining scheme would demote the peer
+    /// here; no built-in scheme does, and the default ignores it (the
+    /// message manager already discarded the offending data).
     fn on_security_incident(&mut self, peer_user: &UserId, now: SimTime) {
         let _ = (peer_user, now);
     }

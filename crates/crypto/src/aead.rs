@@ -7,10 +7,6 @@ use crate::poly1305::Poly1305;
 
 /// Length of the authentication tag in bytes.
 pub const TAG_LEN: usize = 16;
-/// Length of the nonce in bytes.
-pub const NONCE_LEN: usize = 12;
-/// Length of the key in bytes.
-pub const KEY_LEN: usize = 32;
 
 fn compute_tag(poly_key: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
     let mut mac = Poly1305::new(poly_key);

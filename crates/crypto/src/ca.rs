@@ -13,12 +13,11 @@ use crate::bounded::FifoMap;
 use crate::cert::{clamp_field, Certificate, UserId, MAX_FIELD_LEN};
 use crate::ed25519::{Signature, SigningKey, VerifyingKey};
 use crate::error::CertError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, PoisonError};
 
 /// A signed certificate revocation list.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RevocationList {
     /// Monotonically increasing CRL version.
     pub version: u64,
@@ -156,11 +155,6 @@ impl CertificateAuthority {
         if self.revoked.insert(serial) {
             self.crl_version += 1;
         }
-    }
-
-    /// True if the serial has been revoked.
-    pub fn is_revoked(&self, serial: u64) -> bool {
-        self.revoked.contains(&serial)
     }
 
     /// Produces the current signed revocation list.

@@ -9,7 +9,6 @@
 
 use crate::ed25519::{Signature, VerifyingKey};
 use crate::error::CertError;
-use serde::{Deserialize, Serialize};
 
 /// Maximum length of variable-size certificate fields (names, issuer).
 pub const MAX_FIELD_LEN: usize = 255;
@@ -17,7 +16,7 @@ pub const MAX_FIELD_LEN: usize = 255;
 /// The 10-byte unique user identification string of the paper (§V-A:
 /// "The key field in the dictionary is a 10 byte unique user
 /// identification string").
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub [u8; 10]);
 
 impl UserId {
@@ -72,7 +71,7 @@ impl std::fmt::Display for UserId {
 }
 
 /// A certificate: the to-be-signed fields plus the issuer signature.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Issuer-unique serial number.
     pub serial: u64,

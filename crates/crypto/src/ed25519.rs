@@ -702,24 +702,6 @@ impl SigningKey {
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VerifyingKey(pub [u8; 32]);
 
-impl serde::Serialize for VerifyingKey {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.0.to_vec().serialize(s)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for VerifyingKey {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v: Vec<u8> = serde::Deserialize::deserialize(d)?;
-        if v.len() != 32 {
-            return Err(serde::de::Error::invalid_length(v.len(), &"32 bytes"));
-        }
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&v);
-        Ok(VerifyingKey(out))
-    }
-}
-
 impl std::fmt::Debug for VerifyingKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "VerifyingKey({})", crate::hex::encode(&self.0))
@@ -1062,20 +1044,6 @@ pub fn verify_batch(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
 /// A detached 64-byte Ed25519 signature.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Signature(pub [u8; 64]);
-
-impl serde::Serialize for Signature {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.0.to_vec().serialize(s)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Signature {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v: Vec<u8> = serde::Deserialize::deserialize(d)?;
-        Signature::from_slice(&v)
-            .ok_or_else(|| serde::de::Error::invalid_length(v.len(), &"64 bytes"))
-    }
-}
 
 impl std::fmt::Debug for Signature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -20,8 +20,6 @@
 //! * [`sealed`] — sealed boxes for end-to-end encrypted direct messages
 //! * [`bounded`] — the FIFO-bounded map behind every cache and ticket
 //!   table in the workspace
-//! * [`quorum`] — distributed CA functionality via community
-//!   endorsements (the §IV extension of Kong et al.)
 //!
 //! ## Quickstart
 //!
@@ -73,7 +71,6 @@ pub mod hkdf;
 pub mod hmac;
 pub mod keystore;
 pub mod poly1305;
-pub mod quorum;
 pub mod scalar;
 pub mod sealed;
 pub mod sha2;

@@ -6,10 +6,11 @@
 //! tick. It owns no loop of its own: the crate has one tick loop
 //! (`crate::tick`: a wake calendar that skips dormant nodes, and a
 //! mover-centric pair check over a [`UniformGrid`](crate::UniformGrid)
-//! and the open-contact lists), and this type is
+//! and the open-contact lists), and this type is a newtype over
 //! [`ShardedContactEngine`] with **one shard, one thread and one epoch
 //! spanning the whole window**, behind the constructor a caller with
-//! per-node [`Trajectory`] values wants. The equivalence tests in
+//! per-node [`Trajectory`] values wants; the waypoints are stored once,
+//! in the engine's trajectory set. The equivalence tests in
 //! `tests/equivalence.rs` assert byte-for-byte identical event streams
 //! against the naive scan; `tests/shard_equivalence.rs` then compares
 //! every other shard count and epoch length with this one.
@@ -19,12 +20,13 @@ use sos_sim::mobility::trace::Trajectory;
 use sos_sim::world::{ContactEvent, ContactSource};
 use sos_sim::{Point, SimDuration, SimTime};
 
-/// The spatial-grid, event-driven contact source.
+/// The spatial-grid, event-driven contact source: a
+/// [`ShardedContactEngine`] pinned to one shard, one thread and one
+/// epoch. It keeps no waypoints of its own; positions come from the
+/// engine's [`TrajectorySet`](sos_sim::mobility::TrajectorySet), whose
+/// `position_at` is bit-identical to [`Trajectory::position_at`].
 #[derive(Clone, Debug)]
-pub struct GridContactEngine {
-    trajectories: Vec<Trajectory>,
-    engine: ShardedContactEngine,
-}
+pub struct GridContactEngine(ShardedContactEngine);
 
 impl GridContactEngine {
     /// Creates an engine over the given trajectories.
@@ -43,10 +45,12 @@ impl GridContactEngine {
             epoch_ticks: u64::MAX,
             threads: 1,
         };
-        GridContactEngine {
-            engine: ShardedContactEngine::from_trajectories(&trajectories, range_m, tick, config),
-            trajectories,
-        }
+        GridContactEngine(ShardedContactEngine::from_trajectories(
+            &trajectories,
+            range_m,
+            tick,
+            config,
+        ))
     }
 
     /// Rebuilds an engine from an existing [`sos_sim::World`],
@@ -59,30 +63,25 @@ impl GridContactEngine {
 
     /// The discovery tick.
     pub fn tick(&self) -> SimDuration {
-        self.engine.tick()
-    }
-
-    /// All trajectories, in node order.
-    pub fn trajectories(&self) -> &[Trajectory] {
-        &self.trajectories
+        self.0.tick()
     }
 }
 
 impl ContactSource for GridContactEngine {
     fn node_count(&self) -> usize {
-        self.trajectories.len()
+        self.0.node_count()
     }
 
     fn range_m(&self) -> f64 {
-        self.engine.range_m()
+        self.0.range_m()
     }
 
     fn position(&self, node: usize, t: SimTime) -> Point {
-        self.trajectories[node].position_at(t)
+        self.0.position(node, t)
     }
 
     fn contact_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
-        self.engine.contact_events(start, end)
+        self.0.contact_events(start, end)
     }
 }
 

@@ -23,8 +23,9 @@
 //!   K strips stepped by scoped threads with an epoch-barrier
 //!   boundary-handoff protocol; its merged stream is byte-identical for
 //!   every K, so one world can use every core.
-//! * [`kernel`] — [`GridContactEngine`], the single-loop front: one
-//!   shard, one epoch, built from per-node trajectories.
+//! * [`kernel`] — [`GridContactEngine`], the single-loop front: a
+//!   newtype over [`ShardedContactEngine`] with one shard and one
+//!   epoch, built from per-node trajectories.
 //! * [`runner`] — a scoped-thread batch runner that executes many
 //!   independent scenario replicas in parallel and returns their
 //!   results in order, for scheme-comparison sweeps.

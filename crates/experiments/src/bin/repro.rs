@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 use sos_core::routing::SchemeKind;
+use sos_experiments::driver::StudyRun;
 use sos_experiments::scenario::{run_field_study, FieldStudyConfig};
 use sos_experiments::{report, sweep};
 
@@ -55,71 +56,34 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The value after a flag, parsed; a missing or malformed one is a
+/// usage error.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = FieldStudyConfig::default();
     let mut command: Option<String> = None;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => {
-                config.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--days" => {
-                config.days = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--posts" => {
-                config.total_posts = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--seed" => config.seed = value(&mut args),
+            "--days" => config.days = value(&mut args),
+            "--posts" => config.total_posts = value(&mut args),
             "--scheme" => {
-                let name = iter.next().unwrap_or_else(|| usage());
+                let name: String = value(&mut args);
                 config.scheme = parse_scheme(&name).unwrap_or_else(|| usage());
             }
-            "--attend" => {
-                config.schedule.weekday_attendance = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--wknd" => {
-                config.schedule.weekend_attendance = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--visit" => {
-                config.schedule.social_visit_prob = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--pref" => {
-                config.schedule.preference_strength = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--holdoff" => {
-                config.ib_holdoff_mins = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--attend" => config.schedule.weekday_attendance = value(&mut args),
+            "--wknd" => config.schedule.weekend_attendance = value(&mut args),
+            "--visit" => config.schedule.social_visit_prob = value(&mut args),
+            "--pref" => config.schedule.preference_strength = value(&mut args),
+            "--holdoff" => config.ib_holdoff_mins = Some(value(&mut args)),
             "--visit-mins" => {
-                let v: u64 = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                let v: u64 = value(&mut args);
                 config.schedule.visit_minutes_min = v / 2;
                 config.schedule.visit_minutes_max = v;
             }
@@ -127,40 +91,42 @@ fn main() {
             _ => usage(),
         }
     }
-    let command = command.unwrap_or_else(|| "all".to_string());
-
-    if command == "ablation" {
-        eprintln!(
-            "running ablation over {} schemes (seed {}) ...",
-            SchemeKind::ALL.len(),
-            config.seed
-        );
-        let cells = sweep::scheme_sweep(&config, &SchemeKind::ALL, &[config.seed], 0);
-        println!("Routing-scheme ablation (same scenario, same seed)");
-        println!("{}", report::sweep_table(&cells));
-        return;
-    }
-    if command == "density" {
-        eprintln!("running density sweep (seed {}) ...", config.seed);
-        let rows = sos_experiments::density::standard_sweep(config.seed);
-        println!("{}", report::density_table(&rows));
-        return;
-    }
-
+    // The command picks the renderer before anything runs: a typo costs
+    // no simulated week, and Fig. 4a, a property of the follow graph
+    // alone, needs none.
+    let render: fn(&StudyRun) -> String = match command.as_deref().unwrap_or("all") {
+        "fig4a" => {
+            println!("{}", report::fig4a());
+            return;
+        }
+        "ablation" => {
+            eprintln!(
+                "running ablation over {} schemes (seed {}) ...",
+                SchemeKind::ALL.len(),
+                config.seed
+            );
+            let cells = sweep::scheme_sweep(&config, &SchemeKind::ALL, &[config.seed], 0);
+            println!("Routing-scheme ablation (same scenario, same seed)");
+            println!("{}", report::sweep_table(&cells));
+            return;
+        }
+        "density" => {
+            eprintln!("running density sweep (seed {}) ...", config.seed);
+            let rows = sos_experiments::density::standard_sweep(config.seed);
+            println!("{}", report::density_table(&rows));
+            return;
+        }
+        "fig4b" => |run| report::fig4b(run, 66, 24),
+        "fig4c" => report::fig4c,
+        "fig4d" => report::fig4d,
+        "text" => report::text_metrics,
+        "key" => report::key_line,
+        "all" => report::full_report,
+        _ => usage(),
+    };
     eprintln!(
         "running field study: {} days, {} posts, scheme {}, seed {} ...",
         config.days, config.total_posts, config.scheme, config.seed
     );
-    let outcome = run_field_study(&config);
-    let output = match command.as_str() {
-        "fig4a" => report::fig4a(),
-        "fig4b" => report::fig4b(&outcome, 66, 24),
-        "fig4c" => report::fig4c(&outcome),
-        "fig4d" => report::fig4d(&outcome),
-        "text" => report::text_metrics(&outcome),
-        "key" => report::key_line(&outcome),
-        "all" => report::full_report(&outcome),
-        _ => usage(),
-    };
-    println!("{output}");
+    println!("{}", render(&run_field_study(&config)));
 }

@@ -16,10 +16,8 @@
 use crate::driver::{run_study, DriverConfig, RunSummary, Study, StudyRun};
 use crate::observe::RunObserver;
 use alleyoop::app::AlleyOopApp;
-use alleyoop::cloud::Cloud;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
-use sos_net::PeerId;
 use sos_sim::geo::Bounds;
 use sos_sim::mobility::random_waypoint::RandomWaypoint;
 use sos_sim::radio::RadioTech;
@@ -90,25 +88,13 @@ impl DensityOutcome {
 /// Runs one density point, optionally observed.
 pub fn run_density(cfg: &DensityConfig, obs: Option<&RunObserver>) -> StudyRun {
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-    let mut cloud = Cloud::new("Density CA", {
-        let mut s = [0u8; 32];
-        s[..8].copy_from_slice(&cfg.seed.to_le_bytes());
-        s
-    });
-    let mut apps: Vec<AlleyOopApp> = (0..cfg.nodes)
-        .map(|i| {
-            AlleyOopApp::sign_up(
-                &mut cloud,
-                PeerId(i as u32),
-                &format!("d{i:03}"),
-                cfg.scheme,
-                SimTime::ZERO,
-                &mut rng,
-            )
-            // sos-lint: allow(no-panic) reason="experiment setup: handles are formatted from the node index and unique by construction"
-            .expect("unique handles")
-        })
-        .collect();
+    let mut apps = AlleyOopApp::sign_up_fleet(
+        "Density CA",
+        cfg.seed,
+        (0..cfg.nodes).map(|i| format!("d{i:03}")),
+        cfg.scheme,
+        &mut rng,
+    );
 
     // Random follow graph: each node follows `follows_per_node` others.
     let mut followers: Vec<Vec<usize>> = vec![Vec::new(); cfg.nodes];

@@ -68,8 +68,7 @@
 //!   a holder of one copy serves nobody else, where `on_serve` hands out
 //!   terminal copies and `should_advertise` hides an exhausted bundle;
 //! * no TTL, store capacity, advertisement cadence, handshake refusals
-//!   or link loss;
-//! * `TrustAware` is absent.
+//!   or link loss.
 //!
 //! Contacts are folded in stream order, so a run is deterministic for
 //! its seed and — the sharded kernel's stream being byte-identical at

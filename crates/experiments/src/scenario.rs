@@ -13,11 +13,9 @@ use crate::driver::{run_study, DriverConfig, Study, StudyRun};
 use crate::observe::RunObserver;
 use crate::social;
 use alleyoop::app::AlleyOopApp;
-use alleyoop::cloud::Cloud;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
-use sos_net::PeerId;
 use sos_sim::mobility::schedule::{DailySchedule, ScheduleConfig};
 use sos_sim::mobility::trace::Trajectory;
 use sos_sim::radio::RadioTech;
@@ -83,28 +81,15 @@ impl Default for FieldStudyConfig {
 /// infrastructure requirement), and wires subscriptions from the
 /// reconstructed digraph.
 fn build_apps(config: &FieldStudyConfig, rng: &mut rand::rngs::StdRng) -> Vec<AlleyOopApp> {
-    let mut cloud = Cloud::new("AlleyOop Root CA", {
-        let mut seed = [0u8; 32];
-        seed[..8].copy_from_slice(&config.seed.to_le_bytes());
-        seed
-    });
-    let graph = social::field_study_digraph();
-    let mut apps: Vec<AlleyOopApp> = (0..social::NODES)
-        .map(|i| {
-            AlleyOopApp::sign_up(
-                &mut cloud,
-                PeerId(i as u32),
-                &format!("node-{i}"),
-                config.scheme,
-                SimTime::ZERO,
-                rng,
-            )
-            // sos-lint: allow(no-panic) reason="experiment setup: handles are formatted from the node index and unique by construction"
-            .expect("unique handles")
-        })
-        .collect();
+    let mut apps = AlleyOopApp::sign_up_fleet(
+        "AlleyOop Root CA",
+        config.seed,
+        (0..social::NODES).map(|i| format!("node-{i}")),
+        config.scheme,
+        rng,
+    );
     // Subscriptions: follower -> followee edges of Fig. 4a.
-    for (follower, followee) in graph.edges() {
+    for (follower, followee) in social::field_study_digraph().edges() {
         let followee_user = apps[followee].user_id();
         apps[follower].follow(followee_user);
     }

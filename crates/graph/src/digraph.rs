@@ -1,14 +1,13 @@
 //! A compact directed graph over dense node indices.
 
 use crate::undirected::Undirected;
-use serde::{Deserialize, Serialize};
 
 /// A directed graph on nodes `0..n`, stored as adjacency lists.
 ///
 /// In the social-network interpretation, an edge `i → j` means
 /// "user *i* follows user *j*" (paper §VI-A), i.e. *i* subscribes to *j*'s
 /// messages.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Digraph {
     n: usize,
     out: Vec<Vec<usize>>,

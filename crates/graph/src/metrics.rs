@@ -2,10 +2,9 @@
 
 use crate::digraph::Digraph;
 use crate::undirected::Undirected;
-use serde::{Deserialize, Serialize};
 
 /// Distance-based metrics of an undirected graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphMetrics {
     /// Average shortest path length over all unordered reachable pairs:
     /// `Σ_{i≥j} l(i,j) / (n(n−1)/2)`.
@@ -83,7 +82,7 @@ impl GraphMetrics {
 
 /// The complete set of social-graph statistics the paper publishes for
 /// Fig. 4a, computed from a follow digraph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SocialGraphReport {
     /// Number of participating users (n = 10 in the field study).
     pub nodes: usize,

@@ -1,9 +1,7 @@
 //! An undirected simple graph with triangle/triad counting.
 
-use serde::{Deserialize, Serialize};
-
 /// An undirected graph on nodes `0..n`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Undirected {
     n: usize,
     adj: Vec<Vec<usize>>,
@@ -46,11 +44,6 @@ impl Undirected {
     /// True if `a — b` exists.
     pub fn has_edge(&self, a: usize, b: usize) -> bool {
         a < self.n && self.adj[a].contains(&b)
-    }
-
-    /// Neighbours of `node`.
-    pub fn neighbors(&self, node: usize) -> &[usize] {
-        &self.adj[node]
     }
 
     /// Degree of `node`.

@@ -11,7 +11,6 @@
 
 use crate::error::NetError;
 use crate::peer::PeerId;
-use serde::{Deserialize, Serialize};
 use sos_crypto::UserId;
 use sos_sim::codec::{Count, Reader, Writer};
 use std::collections::BTreeMap;
@@ -20,7 +19,7 @@ use std::collections::BTreeMap;
 /// and up to which message number. Deliberately unencrypted — it contains
 /// no message content, only availability (the paper accepts this
 /// metadata exposure to enable connection decisions without a session).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Advertisement {
     /// The advertising device.
     pub peer: PeerId,

@@ -69,7 +69,6 @@
 
 use crate::error::NetError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use sos_crypto::aead;
 use sos_crypto::cert::Certificate;
 use sos_crypto::hkdf::{hkdf, hkdf_expand, hkdf_extract};
@@ -91,7 +90,7 @@ const MAX_RESUMPTIONS: u32 = 32;
 
 /// First handshake message (Bob requests a connection from Alice in
 /// Fig. 2b: "Bob sends his certificate").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum HandshakeInit {
     /// The certificate exchange of a first meeting.
     Full {
@@ -115,7 +114,7 @@ pub enum HandshakeInit {
 }
 
 /// Second handshake message.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum HandshakeResponse {
     /// Answer to [`HandshakeInit::Full`].
     Full {
@@ -263,11 +262,6 @@ impl SessionCrypto {
         let plain = aead::open(&self.recv_key, &nonce, aad, ciphertext)?;
         self.recv_seq += 1;
         Ok(plain)
-    }
-
-    /// Number of payloads sent so far.
-    pub fn sent_count(&self) -> u64 {
-        self.send_seq
     }
 }
 

@@ -1,11 +1,9 @@
 //! Peer identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a physical device in the neighbourhood, analogous to
 /// MPC's `MCPeerID`. Distinct from the 10-byte application-level
 /// [`sos_crypto::UserId`]: the advertisement binds the two together.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PeerId(pub u32);
 
 impl std::fmt::Display for PeerId {

@@ -19,7 +19,7 @@ use crate::lockstep::{conduct, Fleet, MAX_ROUNDS_PER_TICK};
 use crate::proto::{
     parse_delivered_line, parse_stats_line, scheme_to_byte, InVivoError, Msg, MsgStream, ReportKind,
 };
-use crate::provision::RunPlan;
+use crate::provision::{require_population, RunPlan};
 use sos_core::middleware::SosStats;
 use sos_sim::SimTime;
 use sos_trace::{codec_text, ContactTrace};
@@ -117,6 +117,7 @@ impl Broker {
     /// [`InVivoError`] when daemons fail to connect in time, violate
     /// the protocol, or a barrier never converges.
     pub fn run(self, trace: &ContactTrace) -> Result<InVivoOutcome, InVivoError> {
+        require_population(trace)?;
         let mut daemons = self.accept_daemons()?;
         self.assign(trace, &mut daemons)?;
         let mut fleet = SocketFleet { daemons, now_ms: 0 };

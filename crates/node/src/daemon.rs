@@ -23,7 +23,7 @@ use crate::host::{Flushed, Host, WireFrame};
 use crate::proto::{
     delivered_line, scheme_from_byte, stats_line, InVivoError, Msg, MsgStream, ReportKind,
 };
-use crate::provision::{load_trace_bytes, RunPlan};
+use crate::provision::{load_trace_bytes, require_population, RunPlan};
 use sos_sim::SimDuration;
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -112,6 +112,7 @@ fn build_world(assign: Msg) -> Result<World, InVivoError> {
         ));
     }
     let trace = load_trace_bytes(trace_text.as_bytes()).map_err(InVivoError::Trace)?;
+    require_population(&trace)?;
     let plan = RunPlan {
         scheme,
         seed,
@@ -266,6 +267,7 @@ fn send_reports(control: &mut MsgStream, world: &mut World) -> Result<(), InVivo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::{Broker, BrokerConfig};
     use sos_sim::world::{ContactEvent, ContactPhase};
     use sos_sim::SimTime;
     use sos_trace::{codec_text, ContactTrace};
@@ -280,6 +282,10 @@ mod tests {
         };
         let events = vec![event(10, ContactPhase::Up), event(90, ContactPhase::Down)];
         let trace = ContactTrace::new(2, None, events).expect("valid trace");
+        assign_trace(&trace, ad_interval_ms)
+    }
+
+    fn assign_trace(trace: &ContactTrace, ad_interval_ms: u64) -> Msg {
         Msg::Assign {
             proc_index: 0,
             num_procs: 1,
@@ -287,7 +293,7 @@ mod tests {
             seed: 7,
             total_posts: 2,
             ad_interval_ms,
-            trace_text: codec_text::to_text(&trace),
+            trace_text: codec_text::to_text(trace),
             hosts: vec!["127.0.0.1:1".into()],
         }
     }
@@ -302,6 +308,25 @@ mod tests {
             Err(InVivoError::Protocol(what)) => assert!(what.contains("interval"), "{what}"),
             Err(other) => panic!("wrong refusal: {other}"),
             Ok(_) => panic!("a zero interval must be refused"),
+        }
+    }
+
+    #[test]
+    fn a_one_node_trace_is_refused_at_both_outside_edges() {
+        let lonely = ContactTrace::new(1, None, Vec::new()).expect("one node is a valid trace");
+        let refusals = [
+            build_world(assign_trace(&lonely, 1)).map(|_| ()),
+            // Refused before the broker waits for any daemon.
+            Broker::bind(BrokerConfig::default())
+                .and_then(|broker| broker.run(&lonely))
+                .map(|_| ()),
+        ];
+        for refusal in refusals {
+            match refusal {
+                Err(InVivoError::Protocol(what)) => assert!(what.contains("2 nodes"), "{what}"),
+                Err(other) => panic!("wrong refusal: {other}"),
+                Ok(()) => panic!("a one-node trace must be refused"),
+            }
         }
     }
 }

@@ -8,12 +8,11 @@
 //! assigned slice: certificates issued on one host validate on every
 //! other because the issuing CA is byte-identical everywhere.
 
+use crate::proto::InVivoError;
 use crate::runtime::{ad_period, NodeConfig, NodeRuntime};
 use alleyoop::app::AlleyOopApp;
-use alleyoop::cloud::Cloud;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
-use sos_net::PeerId;
 use sos_sim::{SimDuration, SimTime};
 use sos_trace::corpora::{self, CorpusFormat};
 use sos_trace::{codec_binary, codec_text, ContactTrace, TraceError};
@@ -67,6 +66,19 @@ pub fn followers_from_trace(trace: &ContactTrace) -> Vec<Vec<usize>> {
     followers
 }
 
+/// Refuses a trace [`provision_apps`] would panic on. The two edges
+/// that take a trace from outside the process — the broker's file and
+/// a daemon's `Assign` — ask this before they provision.
+pub(crate) fn require_population(trace: &ContactTrace) -> Result<(), InVivoError> {
+    let n = trace.node_count();
+    if n < 2 {
+        return Err(InVivoError::Protocol(format!(
+            "a run needs at least 2 nodes, the trace has {n}"
+        )));
+    }
+    Ok(())
+}
+
 /// Builds the full population for a `(trace, plan)` run: one app per
 /// trace node, signed up against the deterministic cloud CA, subscribed
 /// along [`followers_from_trace`].
@@ -78,29 +90,9 @@ pub fn provision_apps(trace: &ContactTrace, plan: &RunPlan) -> Vec<AlleyOopApp> 
     let n = trace.node_count();
     assert!(n >= 2, "a run needs at least 2 nodes, got {n}");
     let mut rng = rand::rngs::StdRng::seed_from_u64(plan.seed);
-    let mut cloud = Cloud::new("Corpus Root CA", {
-        let mut seed = [0u8; 32];
-        seed[..8].copy_from_slice(&plan.seed.to_le_bytes());
-        seed
-    });
-    let mut apps: Vec<AlleyOopApp> = (0..n)
-        .map(|i| {
-            let handle = match trace.node_label(i) {
-                Some(label) => format!("{i}-{label}"),
-                None => format!("{i}-node"),
-            };
-            AlleyOopApp::sign_up(
-                &mut cloud,
-                PeerId(i as u32),
-                &handle,
-                plan.scheme,
-                SimTime::ZERO,
-                &mut rng,
-            )
-            // sos-lint: allow(no-panic) reason="provisioning setup: handles are index-prefixed and therefore unique by construction; a collision is a generator bug, not runtime input"
-            .expect("index-prefixed handles are unique")
-        })
-        .collect();
+    let handles = (0..n).map(|i| format!("{i}-{}", trace.node_label(i).unwrap_or("node")));
+    let mut apps =
+        AlleyOopApp::sign_up_fleet("Corpus Root CA", plan.seed, handles, plan.scheme, &mut rng);
 
     let followers = followers_from_trace(trace);
     for (author, subs) in followers.iter().enumerate() {

@@ -255,12 +255,6 @@ pub struct BundlePath {
 }
 
 impl BundlePath {
-    /// Whether `node` received (was handed a verified copy of) the
-    /// bundle.
-    pub fn delivered_to(&self, node: u32) -> bool {
-        self.arrivals.contains_key(&node)
-    }
-
     /// The hop chain `origin → … → node`, or `None` when `node` never
     /// received the bundle or the chain's root fell out of a truncated
     /// journal.

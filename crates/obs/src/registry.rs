@@ -315,18 +315,6 @@ impl Registry {
         map.insert(name.to_string(), Metric::Counter(counter.clone()));
     }
 
-    /// Adopts an existing gauge cell under `name`.
-    pub fn register_gauge(&self, name: &str, gauge: &Gauge) {
-        let mut map = self.metrics.lock().expect("registry lock");
-        map.insert(name.to_string(), Metric::Gauge(gauge.clone()));
-    }
-
-    /// Adopts an existing histogram under `name`.
-    pub fn register_histogram(&self, name: &str, histogram: &Histogram) {
-        let mut map = self.metrics.lock().expect("registry lock");
-        map.insert(name.to_string(), Metric::Histogram(histogram.clone()));
-    }
-
     /// A point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let map = self.metrics.lock().expect("registry lock");

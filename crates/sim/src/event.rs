@@ -98,11 +98,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// The queue's clock: the time of the most recently popped event.
     pub fn now(&self) -> SimTime {
         self.now

@@ -3,10 +3,8 @@
 //! The field study area is ~11 km × 8 km (paper Fig. 4b); at that scale a
 //! flat plane in metres is an adequate model and keeps distances exact.
 
-use serde::{Deserialize, Serialize};
-
 /// A position in metres on the simulation plane.
-#[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct Point {
     /// East–west coordinate in metres.
     pub x: f64,
@@ -37,7 +35,7 @@ impl Point {
 }
 
 /// A rectangular simulation area `[0, width] × [0, height]`, in metres.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Bounds {
     /// Width (east–west extent) in metres.
     pub width: f64,

@@ -3,11 +3,10 @@
 //! delivery ratios (Fig. 4d).
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An empirical cumulative distribution over `f64` samples.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -88,7 +87,7 @@ impl Cdf {
 }
 
 /// One recorded delivery: a message reached an interested subscriber.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeliveryRecord {
     /// When the originator created the message.
     pub created: SimTime,
@@ -108,7 +107,7 @@ impl DeliveryRecord {
 
 /// Records delays for Fig. 4c: CDFs of delivery delay for "1-hop" copies
 /// and for "All" copies.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DelayRecorder {
     records: Vec<DeliveryRecord>,
 }
@@ -179,7 +178,7 @@ impl DelayRecorder {
 ///
 /// A subscription is a directed follow edge; its delivery ratio is the
 /// fraction of the followee's messages that reached the follower.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeliveryRecorder {
     /// (follower, followee) → (delivered, expected)
     counts: HashMap<(usize, usize), (u64, u64)>,

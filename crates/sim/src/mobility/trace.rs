@@ -4,14 +4,13 @@
 use crate::error::SimError;
 use crate::geo::Point;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A node's movement as a sequence of `(time, position)` waypoints with
 /// linear interpolation between them.
 ///
 /// Before the first waypoint the node sits at the first position; after
 /// the last it sits at the last.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Trajectory {
     waypoints: Vec<(SimTime, Point)>,
 }

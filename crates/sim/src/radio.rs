@@ -5,10 +5,8 @@
 //! company does not disclose specific details on how MPC works"), so we
 //! use typical figures for the underlying technologies.
 
-use serde::{Deserialize, Serialize};
-
 /// A device-to-device bearer available to the ad hoc manager.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RadioTech {
     /// Bluetooth personal area network (~10 m).
     Bluetooth,

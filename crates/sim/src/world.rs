@@ -4,10 +4,9 @@
 use crate::geo::Point;
 use crate::mobility::trace::Trajectory;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Whether a contact came up or went down.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ContactPhase {
     /// The pair moved within communication range.
     Up,
@@ -16,7 +15,7 @@ pub enum ContactPhase {
 }
 
 /// A pairwise contact transition.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ContactEvent {
     /// When the transition was detected (sampled time).
     pub time: SimTime,
@@ -31,7 +30,7 @@ pub struct ContactEvent {
 }
 
 /// An interval during which a pair was continuously in range.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ContactInterval {
     /// Lower node index.
     pub a: usize,

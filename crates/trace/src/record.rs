@@ -173,11 +173,6 @@ impl ContactTrace {
     pub fn intervals(&self, end: SimTime) -> Vec<ContactInterval> {
         collapse_intervals(&self.events, end)
     }
-
-    /// Consumes the trace into its raw events.
-    pub fn into_events(self) -> Vec<ContactEvent> {
-        self.events
-    }
 }
 
 #[cfg(test)]

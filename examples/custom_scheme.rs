@@ -25,7 +25,7 @@ use sos::sim::geo::Bounds;
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::radio::RadioTech;
 use sos::sim::{SimDuration, SimTime, World};
-use sos::social::{AlleyOopApp, Cloud};
+use sos::social::AlleyOopApp;
 use sos_crypto::UserId;
 
 /// Epidemic replication that refuses to carry stale content.
@@ -66,20 +66,8 @@ const HOURS: u64 = 8;
 
 fn run(use_custom: bool) -> (usize, u64, f64) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let mut cloud = Cloud::new("CA", [1; 32]);
-    let mut apps: Vec<AlleyOopApp> = (0..NODES)
-        .map(|i| {
-            AlleyOopApp::sign_up(
-                &mut cloud,
-                PeerId(i as u32),
-                &format!("n{i:02}"),
-                SchemeKind::Epidemic,
-                SimTime::ZERO,
-                &mut rng,
-            )
-            .unwrap()
-        })
-        .collect();
+    let handles = (0..NODES).map(|i| format!("n{i:02}"));
+    let mut apps = AlleyOopApp::sign_up_fleet("CA", 1, handles, SchemeKind::Epidemic, &mut rng);
     if use_custom {
         for app in &mut apps {
             app.middleware_mut()

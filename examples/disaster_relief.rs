@@ -19,32 +19,18 @@ use sos::sim::geo::Bounds;
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::radio::RadioTech;
 use sos::sim::{SimDuration, SimTime, World};
-use sos::social::{AlleyOopApp, Cloud};
+use sos::social::AlleyOopApp;
 
 const SURVIVORS: usize = 30;
 const FAMILY_SIZE: usize = 5;
 const HOURS: u64 = 12;
 
 fn build_apps(scheme: SchemeKind, rng: &mut rand::rngs::StdRng) -> Vec<AlleyOopApp> {
-    let mut cloud = Cloud::new("Emergency CA", [9; 32]);
-    let mut apps: Vec<AlleyOopApp> = (0..SURVIVORS)
-        .map(|i| {
-            let handle = if i == 0 {
-                "coord".to_string()
-            } else {
-                format!("person-{i:02}")
-            };
-            AlleyOopApp::sign_up(
-                &mut cloud,
-                PeerId(i as u32),
-                &handle,
-                scheme,
-                SimTime::ZERO,
-                rng,
-            )
-            .expect("unique handles")
-        })
-        .collect();
+    let handles = (0..SURVIVORS).map(|i| match i {
+        0 => "coord".to_string(),
+        i => format!("person-{i:02}"),
+    });
+    let mut apps = AlleyOopApp::sign_up_fleet("Emergency CA", 9, handles, scheme, rng);
     // Everyone follows the coordinator's bulletins; families follow each
     // other's check-ins.
     let coord = apps[0].user_id();

@@ -19,7 +19,7 @@ use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::mobility::trace::{Trajectory, TrajectoryBuilder};
 use sos::sim::radio::RadioTech;
 use sos::sim::{SimDuration, SimTime, World};
-use sos::social::{AlleyOopApp, Cloud};
+use sos::social::AlleyOopApp;
 
 const SENSORS: usize = 8;
 const BUSES: usize = 2;
@@ -59,28 +59,16 @@ fn main() {
     let n = total_nodes();
 
     // Signup: city infrastructure enrolls devices once at install time.
-    let mut cloud = Cloud::new("SmartCity CA", [3; 32]);
-    let mut apps: Vec<AlleyOopApp> = (0..n)
-        .map(|i| {
-            let handle = match i {
-                0 => "collector".to_string(),
-                i if i <= SENSORS => format!("sensor-{i:02}"),
-                i if i <= SENSORS + BUSES => format!("bus-{}", i - SENSORS),
-                i => format!("walker-{}", i - SENSORS - BUSES),
-            };
-            // Epidemic: city data is public and replication is cheap
-            // relative to the value of delivery.
-            AlleyOopApp::sign_up(
-                &mut cloud,
-                PeerId(i as u32),
-                &handle,
-                SchemeKind::Epidemic,
-                SimTime::ZERO,
-                &mut rng,
-            )
-            .expect("unique handles")
-        })
-        .collect();
+    // Epidemic: city data is public and replication is cheap relative
+    // to the value of delivery.
+    let handles = (0..n).map(|i| match i {
+        0 => "collector".to_string(),
+        i if i <= SENSORS => format!("sensor-{i:02}"),
+        i if i <= SENSORS + BUSES => format!("bus-{}", i - SENSORS),
+        i => format!("walker-{}", i - SENSORS - BUSES),
+    });
+    let mut apps =
+        AlleyOopApp::sign_up_fleet("SmartCity CA", 3, handles, SchemeKind::Epidemic, &mut rng);
 
     // The collector subscribes to every sensor; buses and pedestrians
     // are pure mules (epidemic carries without subscription).

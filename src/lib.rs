@@ -26,10 +26,9 @@
 //! ## Where to start
 //!
 //! * `cargo run --example quickstart` — two phones, one secure D2D post.
-//! * `cargo run --release --example field_study` — the full 7-day
-//!   Gainesville reproduction with paper-vs-measured tables.
-//! * `cargo run --release -p sos-experiments --bin repro -- all` — every
-//!   figure of the evaluation.
+//! * `cargo run --release -p sos-experiments --bin repro -- all` — the
+//!   full 7-day Gainesville reproduction: every figure of the
+//!   evaluation, paper-vs-measured.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
