@@ -2564,6 +2564,34 @@ mod tests {
         );
     }
 
+    /// 67 bundles of one author's backlog: a frame large enough for
+    /// `verify_batch` to split across cores (from 40), with the forgery
+    /// in the last sub-batch — a worker's, not the caller's.
+    #[test]
+    fn forked_frame_with_a_late_forgery_equals_singles() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let alice = Author::new(&mut ca, 2, "alice", 0);
+        let mut frame: Vec<Bundle> = (1..=67u64)
+            .map(|n| alice.bundle(n, format!("backlog {n}").as_bytes()))
+            .collect();
+        frame[60].message.payload = b"tampered in transit".to_vec();
+        let got = assert_frame_equals_singles(&mut ca, &[], &frame, SimTime::from_secs(100));
+        assert_eq!(got.store.len(), 66, "everything but the forgery lands");
+        assert_eq!(got.stats.bundles_received, 67);
+        assert_eq!(got.stats.security_rejections, 1);
+        assert_eq!(got.journal.matches("verify_failed").count(), 1);
+        let alert = got
+            .events
+            .iter()
+            .position(|e| e.starts_with("SecurityAlert"))
+            .unwrap();
+        let received = |e: &String| e.starts_with("MessageReceived");
+        assert_eq!(
+            got.events[..alert].iter().filter(|e| received(e)).count(),
+            60
+        );
+    }
+
     #[test]
     fn frame_repeating_an_id_equals_singles() {
         let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);

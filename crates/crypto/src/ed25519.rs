@@ -75,7 +75,13 @@
 //! * [`verify_batch`] — one random-linear-combination check for a whole
 //!   `SyncMsg::Bundles` frame: a single `[Σzᵢsᵢ]B` table sum, one
 //!   `[Σzᵢkᵢ](−A)` table sum per distinct author, and the `[zᵢ](−Rᵢ)`
-//!   terms (128-bit `zᵢ`) through one shared Straus/w-NAF chain.
+//!   terms (128-bit `zᵢ`) through one shared Straus/w-NAF chain. A frame
+//!   of 40 or more signatures is split into contiguous sub-batches, one
+//!   per core, each that same combination on a scoped thread (the first
+//!   on the caller's). Every sub-batch decides the one cofactored
+//!   predicate above, so the AND of their verdicts is the verdict of the
+//!   whole, whatever the split; on one core, or below the threshold, the
+//!   path is the single combination.
 //!
 //! Underneath all of them sits the arithmetic floor: [`Fe::square`] is
 //! a dedicated 15-product squaring (point doublings, inversions,
@@ -933,19 +939,61 @@ fn prepared_cache_lookup(key: &VerifyingKey) -> Option<Arc<PreparedVerifyingKey>
 /// the serial path runs. Measured, not configured: the combination
 /// spends one table sum on `B`, one per distinct key and a shared
 /// 128-doubling chain (~38 µs together) before its per-signature work
-/// (~12 µs) gets cheaper than two table sums (~26 µs). Measured for
-/// one author, batch ÷ serial: 1.19 at 2 signatures, 0.95 at 3, 0.82
-/// at 4, 0.76 at 5, 0.64 at 8 — break-even at 3, a 2x loss at 1 (see
-/// `BENCH_crypto.json`, `ed25519/verify_batch_*`, for the large-batch
-/// end).
-const BATCH_MIN: usize = 5;
+/// (~12 µs) gets cheaper than two table sums (~26 µs). Measured with
+/// the crossover set to 2, batch ÷ serial (medians of 21 alternating
+/// rounds; before this split was added → after): one author 1.27 → 1.29
+/// at 2 signatures, 0.99 → 1.00 at 3, 0.84 → 0.85 at 4, 0.76 → 0.77 at
+/// 5, 0.65 → 0.66 at 8; two authors, two signatures each, 0.96 → 0.97
+/// at 4. Break-even is 3, and a 4-signature frame gains on both sides
+/// (see `BENCH_crypto.json`, `ed25519/verify_batch_*`, for the
+/// large-batch end).
+const BATCH_MIN: usize = 4;
+
+/// Smallest sub-batch [`verify_batch`] gives a core of its own: a batch
+/// of `n` is split into `min(cores, n / PAR_MIN)` contiguous parts, so a
+/// frame forks from 40 signatures. Measured, not configured. Per batch,
+/// one author on a 2-core box, two parts on two threads ÷ one part on
+/// one (medians of 21 alternating rounds, two sessions): 0.97 at 8
+/// signatures, 0.87 at 9, 0.72–0.93 at 16, 0.63–0.70 at 32, 0.59–0.60 at
+/// 40, 0.56 at 77, 0.52 at 200 — two beat one from 9. With a busy loop
+/// holding the other core the same ratios read 1.1–1.6 at every size.
+/// And the first fork taxes the whole process: once a second thread has
+/// existed, glibc's `malloc` takes its arena lock on every call (a loop
+/// of 64 B – 4 KiB allocations: +47 %), which cost the ledger's
+/// `study_replay` about 3 % of its wall when its 16 frames of 32–37
+/// signatures (of 9 628) forked. So only frames holding more than half
+/// the 32 KiB budget fork — a full one holds ~77 bundles and splits in
+/// two — where the idle win is 0.6.
+const PAR_MIN: usize = 20;
 
 /// Highest index a width-4 NAF digit of a 128-bit `z` can occupy.
 const Z_NAF_TOP: usize = 128;
 
+/// The cores this process may run on, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// Verifies a whole batch of `(key, message, signature)` triples at
 /// once: true exactly when every triple passes [`VerifyingKey::verify`].
 /// An empty batch is vacuously valid.
+///
+/// A batch of at least `2·PAR_MIN` signatures on a multi-core machine
+/// is split into one contiguous sub-batch per core (at most `n /
+/// PAR_MIN` of them), each checked exactly as a whole batch is below:
+/// its own transcript, `zᵢ`, table sums and doubling chain. All but the
+/// first run on scoped threads while the caller checks the first, and
+/// the verdict is the AND of theirs. Each sub-batch decides the one
+/// cofactored predicate of the module header, so the verdict is the
+/// same for every split, one part included. A thread that cannot be
+/// spawned leaves its part to the caller; one that panics fails the
+/// batch, which sends callers to their serial fallback. The threads are
+/// scoped, spawned per batch, rather than a pool's: a sub-batch borrows
+/// the caller's keys, messages and signatures, and lending borrows to a
+/// thread that outlives the call would take `unsafe` this crate forbids
+/// (or copying the frame), and a spawn and join (~15 µs) is small
+/// against the ≥ 150 µs a part of `PAR_MIN` or more signatures takes.
 ///
 /// Large enough batches are checked as one random linear combination
 /// `[8]·([Σzᵢsᵢ]B + Σ_A [Σzᵢkᵢ](−A) + Σ [zᵢ](−Rᵢ)) = O`: the `B` and
@@ -966,6 +1014,41 @@ const Z_NAF_TOP: usize = 128;
 /// A `false` says only that *some* triple is invalid; callers that need
 /// to know which one verify serially after a failed batch.
 pub fn verify_batch(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
+    verify_split(items, cores().min(items.len() / PAR_MIN))
+}
+
+/// Checks `items` as `parts` contiguous sub-batches of near-equal size
+/// (one when `parts ≤ 1`): parts after the first on scoped threads, the
+/// first on the caller. Every worker is joined before the verdicts are
+/// combined, so `scope` never re-raises a worker's panic.
+fn verify_split(items: &[(&VerifyingKey, &[u8], &Signature)], parts: usize) -> bool {
+    if parts <= 1 {
+        return verify_combined(items);
+    }
+    let part = |i: usize| &items[i * items.len() / parts..(i + 1) * items.len() / parts];
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..parts)
+            .map(|i| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || verify_combined(part(i)))
+                    .map_err(|_| part(i))
+            })
+            .collect();
+        let first = verify_combined(part(0));
+        workers.into_iter().fold(first, |all, worker| {
+            let verdict = match worker {
+                Ok(handle) => handle.join().unwrap_or(false),
+                Err(unspawned) => verify_combined(unspawned),
+            };
+            verdict && all
+        })
+    })
+}
+
+/// One sub-batch as one random linear combination (the body of
+/// [`verify_batch`]'s doc), or serially when it is too small or has too
+/// few signatures per key for the combination to pay.
+fn verify_combined(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
     let serial = || items.iter().all(|(key, msg, sig)| key.verify(msg, sig));
     if items.len() < BATCH_MIN {
         return serial();
@@ -1517,6 +1600,41 @@ mod tests {
                 enc[0] = low;
                 enc[31] = top;
                 assert!(EdwardsPoint::decompress_canonical(&enc).is_none());
+            }
+        }
+    }
+
+    /// The split forced to 1, 2, 3 and 8 parts, whatever this machine's
+    /// core count: an honest batch passes every split, and a forgery at
+    /// either end of any part — the caller's or a worker's — fails it.
+    #[test]
+    fn every_split_gives_the_one_verdict() {
+        // 72 signatures of two authors: even 8 parts of 9 are each a
+        // combination, not the serial fallback.
+        let authors = [0x61u8, 0x62].map(|seed| SigningKey::from_seed([seed; 32]));
+        let signed: Vec<(VerifyingKey, Vec<u8>, Signature)> = (0..72usize)
+            .map(|i| {
+                let sk = &authors[i % 2];
+                let msg = format!("split {i}").into_bytes();
+                (sk.verifying_key(), msg.clone(), sk.sign(&msg))
+            })
+            .collect();
+        let items: Vec<_> = signed
+            .iter()
+            .map(|(k, m, s)| (k, m.as_slice(), s))
+            .collect();
+        let n = items.len();
+        for parts in [1, 2, 3, 8] {
+            assert!(verify_split(&items, parts), "honest, {parts} parts");
+            for p in 0..parts {
+                for at in [p * n / parts, (p + 1) * n / parts - 1] {
+                    let mut forged = items.clone();
+                    forged[at].1 = b"not what was signed";
+                    assert!(
+                        !verify_split(&forged, parts),
+                        "forgery at {at} (part {p} of {parts}) accepted"
+                    );
+                }
             }
         }
     }

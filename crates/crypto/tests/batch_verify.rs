@@ -10,7 +10,8 @@
 //! messages and corrupt them; the adversarial tests build fixed vectors
 //! (small-order `R` and `A`, mixed-order `R`, malformed `s` and `R`) and
 //! re-check each inside a thousand different batches, i.e. under a
-//! thousand different coefficient draws.
+//! thousand different coefficient draws, and inside batches large
+//! enough to be split across cores.
 
 use proptest::prelude::*;
 use sos_crypto::ed25519::{
@@ -22,9 +23,13 @@ use std::sync::OnceLock;
 
 /// Smallest size `verify_batch` checks as a combination (its private
 /// crossover); the sizes below sit on both sides of it.
-const CROSSOVER: usize = 5;
+const CROSSOVER: usize = 4;
+/// Smallest sub-batch `verify_batch` gives a core of its own (its
+/// private `PAR_MIN`): a batch of `n` is checked as `min(cores, n /
+/// PAR_MIN)` contiguous sub-batches.
+const PAR_MIN: usize = 20;
 const POOL_AUTHORS: usize = 16;
-const POOL_PER_AUTHOR: usize = 200;
+const POOL_PER_AUTHOR: usize = 201;
 /// Batches each adversarial vector is re-checked in.
 const TRANSCRIPTS: usize = 1_000;
 
@@ -114,8 +119,13 @@ fn valid_and_corrupted_batches_agree_at_every_size() {
         CROSSOVER - 1,
         CROSSOVER,
         CROSSOVER + 1,
+        PAR_MIN - 1,
+        PAR_MIN,
+        2 * PAR_MIN - 1,
+        2 * PAR_MIN + 1,
         67,
-        POOL_PER_AUTHOR,
+        200,
+        201,
     ];
     for n in sizes {
         for authors in [1, 3, POOL_AUTHORS] {
@@ -127,6 +137,9 @@ fn valid_and_corrupted_batches_agree_at_every_size() {
             if n == 0 {
                 continue;
             }
+            // However many sub-batches a batch is split into, 0 is in the
+            // first, n / 2 in a middle one (the last of two) and n − 1 in
+            // the last.
             for (at, how) in [
                 (0, Corruption::SignatureBit(3)),
                 (n / 2, Corruption::SignatureBit(300)),
@@ -296,7 +309,9 @@ fn key_holder_signature(seed: &[u8; 32], r: &Scalar, r_enc: [u8; 32], msg: &[u8]
 /// Asserts that all five flavours give `expect` for `vector`:
 /// the four serial ones directly, `verify_batch` with the vector at a
 /// moving position among ever-different honest companions of one other
-/// author (a different transcript, hence different `z`, every time).
+/// author (a different transcript, hence different `z`, every time), and
+/// `verify_batch` once more with the vector first, in the middle and
+/// last of a batch large enough to fork.
 fn assert_same_verdict_everywhere(vector: &Signed, expect: bool, what: &str) {
     let Signed { key, msg, sig } = vector;
     assert_eq!(key.verify(msg, sig), expect, "{what}: verify");
@@ -316,6 +331,12 @@ fn assert_same_verdict_everywhere(vector: &Signed, expect: bool, what: &str) {
             .collect();
         batch.insert(t % CROSSOVER, vector.clone());
         assert_eq!(batch_verdict(&batch), expect, "{what}: batch #{t}");
+    }
+    let forking = 2 * PAR_MIN + 1;
+    for at in [0, forking / 2, forking - 1] {
+        let mut batch = companions[..forking - 1].to_vec();
+        batch.insert(at, vector.clone());
+        assert_eq!(batch_verdict(&batch), expect, "{what}: forked batch @{at}");
     }
 }
 
