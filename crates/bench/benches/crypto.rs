@@ -27,9 +27,12 @@
 //! * `scalar/mul` (a product mod ℓ, ISSUE 21) must be ≤ 8 ×
 //!   `fe/mul` (a product mod p): both are a schoolbook product plus a
 //!   word-level reduction, so they cost the same order. A reduction
-//!   that went back to one shift–compare–subtract per bit reads ≈ 37.
+//!   that went back to one shift–compare–subtract per bit reads ≈ 37;
+//! * `sha2/sha512_112B` must be ≤ 0.30 × `sha2/sha512_1024B`: two
+//!   compressions against nine, so ≈ 0.22 when the padding is written
+//!   in one step, 0.40 when it was fed one zero byte at a time.
 //!
-//! All seven invariants are asserted — a run that violates them fails loudly
+//! All eight invariants are asserted — a run that violates them fails loudly
 //! — and every measurement is written to `BENCH_crypto.json` at the
 //! workspace root so the perf trajectory is tracked across PRs. Set
 //! `SOS_BENCH_SMOKE=1` (as CI does) for a few-iteration smoke run.
@@ -147,6 +150,30 @@ fn bench_hashes(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // 112 bytes are the shortest SHA-512 message whose padding spills
+    // into a second block; 1 024 bytes take nine blocks. Padded in one
+    // step, the ratio is the block count's, 2/9 ≈ 0.22; it read 0.40
+    // when every zero byte of the padding was a call to `update`.
+    let (short, long) = ([0xabu8; 112], [0xabu8; 1024]);
+    let [short, long] = measure_alternating(
+        ["sha2/sha512_112B", "sha2/sha512_1024B"],
+        [
+            &mut || {
+                std::hint::black_box(sha2::sha512(std::hint::black_box(&short)));
+            },
+            &mut || {
+                std::hint::black_box(sha2::sha512(std::hint::black_box(&long)));
+            },
+        ],
+    );
+    let ratio = short / long;
+    SUITE.record("sha2/sha512_112B_over_1024B", ratio);
+    println!("sha512 112 B / 1 024 B: {ratio:.2} (gate: <= 0.30)");
+    assert!(
+        ratio <= 0.30,
+        "SHA-2 padding regressed: a 112-byte SHA-512 costs {ratio:.2} of a 1 024-byte one"
+    );
 }
 
 /// Signing and every verification flavour, with the fast-vs-naive

@@ -9,7 +9,7 @@
 use crate::error::BundleRejection;
 use sos_crypto::ca::Validator;
 use sos_crypto::cert::Certificate;
-use sos_crypto::{Signature, SigningKey, UserId};
+use sos_crypto::{CertError, Signature, SigningKey, UserId};
 use sos_sim::codec::{Count, Reader, Writer, NO_CAP};
 use sos_sim::SimTime;
 
@@ -164,7 +164,7 @@ impl Bundle {
     ///
     /// The specific [`BundleRejection`] for the first failed check.
     pub fn verify(&self, validator: &Validator, now_secs: u64) -> Result<(), BundleRejection> {
-        self.check_envelope(validator, now_secs)?;
+        self.check_envelope(|cert| validator.validate(cert, now_secs))?;
         if !self
             .message
             .verify_signature(&self.author_certificate.ed25519_public)
@@ -177,11 +177,12 @@ impl Bundle {
     /// Every check of [`Bundle::verify`] that precedes the author
     /// signature, in its order. The middleware runs this alone over a
     /// whole received frame, then checks the survivors' signatures as
-    /// one batch.
-    pub(crate) fn check_envelope(
-        &self,
-        validator: &Validator,
-        now_secs: u64,
+    /// one batch. The certificate check is the caller's —
+    /// `Validator::validate` at one clock, or a frame's memo of it — and
+    /// runs only once the number check has passed.
+    pub(crate) fn check_envelope<'a>(
+        &'a self,
+        validate: impl FnOnce(&'a Certificate) -> Result<(), CertError>,
     ) -> Result<(), BundleRejection> {
         // Message numbers start at 1 (§V-A); number 0 is unrepresentable
         // in the sync protocol's have-ranges, so a signed-but-zero
@@ -189,9 +190,7 @@ impl Bundle {
         if self.message.id.number == 0 {
             return Err(BundleRejection::Malformed);
         }
-        validator
-            .validate(&self.author_certificate, now_secs)
-            .map_err(BundleRejection::Certificate)?;
+        validate(&self.author_certificate).map_err(BundleRejection::Certificate)?;
         if self.author_certificate.subject != self.message.id.author {
             return Err(BundleRejection::AuthorMismatch);
         }

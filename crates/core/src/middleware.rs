@@ -20,7 +20,7 @@ use crate::routing::{RoutingContext, RoutingScheme, SchemeKind};
 use crate::store::{InsertOutcome, MessageStore};
 use crate::sync::{AuthorWant, SyncMsg};
 use sos_crypto::bounded::FifoMap;
-use sos_crypto::{DeviceIdentity, UserId};
+use sos_crypto::{CertError, Certificate, DeviceIdentity, UserId};
 use sos_net::frame::DisconnectReason;
 use sos_net::session::SessionEvent;
 use sos_net::{Advertisement, Frame, HandshakeInit, HandshakeResponse, NetError, PeerId};
@@ -1092,9 +1092,15 @@ impl Sos {
     /// frame when the batch does not verify — `receive_bundle` then
     /// verifies serially and finds which bundle is bad, so a hostile
     /// frame costs at most one batch plus the serial checks.
+    ///
+    /// A frame carries few authors, so each distinct certificate is
+    /// validated once, at its first bundle that reaches the check, and
+    /// its verdict reused for the rest: clock and CRL are fixed for the
+    /// frame, so the memo answers what a repeated call would.
     fn verify_frame(&self, bundles: &[Bundle], now: SimTime) -> Vec<bool> {
         let _span = sos_obs::profile::span("core/verify_frame");
         let validator = self.adhoc.identity().validator();
+        let mut validated: Vec<(&Certificate, Result<(), CertError>)> = Vec::new();
         let candidates: Vec<(usize, Vec<u8>)> = bundles
             .iter()
             .enumerate()
@@ -1103,7 +1109,16 @@ impl Sos {
                     .store
                     .get(&b.message.id)
                     .is_some_and(|held| b.content_matches(held));
-                !held_equal && b.check_envelope(validator, now.as_secs()).is_ok()
+                !held_equal
+                    && b.check_envelope(|cert| {
+                        if let Some((_, verdict)) = validated.iter().find(|(c, _)| *c == cert) {
+                            return verdict.clone();
+                        }
+                        let verdict = validator.validate(cert, now.as_secs());
+                        validated.push((cert, verdict.clone()));
+                        verdict
+                    })
+                    .is_ok()
             })
             .map(|(i, b)| {
                 let m = &b.message;
@@ -2690,5 +2705,104 @@ mod tests {
             .collect();
         assert_eq!(alerts.len(), 2);
         assert!(alerts.iter().all(|a| a.contains("originator certificate")));
+    }
+
+    /// The frame pre-pass against its definition, bundle by bundle:
+    /// marked verified exactly when not content-equal to a held copy and
+    /// `check_envelope` passes. Validating each certificate once per
+    /// frame changes how many checks run, never what they answer —
+    /// across interleaved authors, an expired certificate of an author
+    /// whose current one is also in the frame, a revoked certificate, a
+    /// subject mismatch, a number-0 bundle and held duplicates.
+    #[test]
+    fn frame_pre_pass_matches_per_bundle_envelope_checks() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let (alice, carol) = (
+            Author::new(&mut ca, 2, "alice", 0),
+            Author::new(&mut ca, 4, "carol", 0),
+        );
+        // Alice again, under an earlier certificate that has expired:
+        // same subject, same key, another verdict.
+        let year = std::mem::replace(&mut ca.default_validity_secs, 100);
+        let lapsed = Author {
+            cert: ca.issue(
+                alice.uid,
+                "alice",
+                alice.sk.verifying_key(),
+                *AgreementKey::from_secret([3u8; 32]).public(),
+                0,
+            ),
+            sk: alice.sk.clone(),
+            uid: alice.uid,
+        };
+        ca.default_validity_secs = year;
+        let revoked = Author::new(&mut ca, 8, "erin", 0);
+        let mallory = Author::new(&mut ca, 12, "mallory", 0);
+        ca.revoke(revoked.cert.serial);
+        let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
+        let crl = ca.revocation_list(10);
+        assert!(bob.identity_mut().validator_mut().install_crl(crl));
+        let held = [alice.bundle(1, b"held"), carol.bundle(1, b"held")];
+        for bundle in &held {
+            bob.store.insert(bundle.clone());
+        }
+        // Alice's message number 5, signed by Mallory under her own
+        // certificate: valid signature, valid certificate, wrong subject.
+        let mismatch = Bundle::new(
+            SosMessage::create(
+                &mallory.sk,
+                alice.uid,
+                5,
+                SimTime::from_secs(5),
+                MessageKind::Post,
+                b"in alice's name".to_vec(),
+            ),
+            mallory.cert.clone(),
+        );
+        let mut farther = held[1].clone();
+        farther.hops = 3;
+        let frame = vec![
+            alice.bundle(2, b"a"),
+            carol.bundle(2, b"b"),
+            alice.bundle(3, b"a again"),
+            lapsed.bundle(6, b"expired"),
+            alice.bundle(4, b"between the lapsed"),
+            lapsed.bundle(7, b"expired again"),
+            revoked.bundle(1, b"revoked"),
+            carol.bundle(3, b"between the revoked"),
+            revoked.bundle(2, b"revoked again"),
+            mismatch,
+            alice.bundle(0, b"number zero"),
+            held[0].clone(),
+            farther,
+            mallory.bundle(1, b"mallory as herself"),
+            carol.bundle(4, b"last"),
+        ];
+        let now = SimTime::from_secs(5_000);
+        let per_bundle: Vec<bool> = frame
+            .iter()
+            .map(|b| {
+                let held_equal = bob
+                    .store
+                    .get(&b.message.id)
+                    .is_some_and(|held| b.content_matches(held));
+                let validator = bob.adhoc.identity().validator();
+                !held_equal
+                    && b.check_envelope(|cert| validator.validate(cert, now.as_secs()))
+                        .is_ok()
+            })
+            .collect();
+        // The fixtures do what they claim: only the plain bundles of
+        // alice (under her current certificate), carol and mallory pass.
+        let pass = [0, 1, 2, 4, 7, 13, 14];
+        let expected: Vec<bool> = (0..frame.len()).map(|i| pass.contains(&i)).collect();
+        assert_eq!(per_bundle, expected);
+        assert_eq!(bob.verify_frame(&frame, now), per_bundle);
+        // Again with every passing certificate now cached, and in the
+        // reverse order, where the failures come first.
+        assert_eq!(bob.verify_frame(&frame, now), per_bundle);
+        let reversed: Vec<Bundle> = frame.iter().rev().cloned().collect();
+        let flipped: Vec<bool> = per_bundle.iter().rev().copied().collect();
+        assert_eq!(bob.verify_frame(&reversed, now), flipped);
     }
 }

@@ -9,6 +9,16 @@
 //! misses. The victim is chosen by insertion order alone (a queue of
 //! keys beside the map), never by hash order, so which keys survive is
 //! the same on every run.
+//!
+//! Within the crate a caller may also admit by second chance, as the
+//! prepared-key cache does: a lookup through `get_and_mark` marks the
+//! entry it hits, and before inserting a newcomer into a full map the
+//! caller asks `second_chance` about the oldest entry. A marked one is
+//! unmarked and requeued at the back, and the newcomer stays out; an
+//! unmarked one is the victim of the insert. An entry hit since it was
+//! queued thus outlives one first sight, while the rest leave in
+//! insertion order. Callers that never mark see plain first-in
+//! first-out.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -18,7 +28,10 @@ use std::hash::Hash;
 #[derive(Clone, Debug)]
 pub struct FifoMap<K, V> {
     cap: usize,
-    map: HashMap<K, V>,
+    /// Each value beside its mark: set by a hit through
+    /// [`FifoMap::get_and_mark`], cleared when
+    /// [`FifoMap::second_chance`] requeues the entry.
+    map: HashMap<K, (V, bool)>,
     /// The map's keys, oldest insertion first.
     order: VecDeque<K>,
 }
@@ -40,15 +53,43 @@ impl<K: Copy + Eq + Hash, V> FifoMap<K, V> {
 
     /// Looks `key` up; a hit does not change its place in the queue.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key)
+        self.map.get(key).map(|(value, _)| value)
+    }
+
+    /// [`FifoMap::get`], and a hit marks its entry for
+    /// [`FifoMap::second_chance`].
+    pub(crate) fn get_and_mark(&mut self, key: &K) -> Option<&V> {
+        let (value, marked) = self.map.get_mut(key)?;
+        *marked = true;
+        Some(value)
+    }
+
+    /// Second-chance admission for a newcomer. When the map is full and
+    /// its oldest entry is marked, unmarks that entry, moves it to the
+    /// back of the queue and returns `true`: the caller keeps its
+    /// newcomer out. Otherwise returns `false`, and an insert may
+    /// proceed — evicting the oldest entry, unmarked, when full.
+    pub(crate) fn second_chance(&mut self) -> bool {
+        if self.order.len() < self.cap {
+            return false;
+        }
+        let Some((_, marked)) = self.order.front().and_then(|k| self.map.get_mut(k)) else {
+            return false;
+        };
+        if !*marked {
+            return false;
+        }
+        *marked = false;
+        self.order.rotate_left(1);
+        true
     }
 
     /// Inserts `key → value`, first evicting the oldest entry when the
     /// map is full; returns the evicted key. Re-inserting a held key
     /// replaces its value in place: nothing is evicted and the key keeps
-    /// its age.
+    /// its age and its mark.
     pub fn insert(&mut self, key: K, value: V) -> Option<K> {
-        if let Some(held) = self.map.get_mut(&key) {
+        if let Some((held, _)) = self.map.get_mut(&key) {
             *held = value;
             return None;
         }
@@ -60,7 +101,7 @@ impl<K: Copy + Eq + Hash, V> FifoMap<K, V> {
         if let Some(victim) = &evicted {
             self.map.remove(victim);
         }
-        self.map.insert(key, value);
+        self.map.insert(key, (value, false));
         self.order.push_back(key);
         evicted
     }
@@ -68,14 +109,14 @@ impl<K: Copy + Eq + Hash, V> FifoMap<K, V> {
     /// Keeps only the entries `keep` approves of; survivors keep their
     /// relative age.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
-        self.map.retain(|k, v| keep(k, v));
+        self.map.retain(|k, (v, _)| keep(k, v));
         self.order.retain(|k| self.map.contains_key(k));
     }
 
     /// Removes `key`, returning its value; the remaining entries keep
     /// their relative age. Costs a scan of the queue only on a hit.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let value = self.map.remove(key)?;
+        let (value, _) = self.map.remove(key)?;
         self.order.retain(|k| k != key);
         Some(value)
     }
@@ -119,6 +160,31 @@ mod tests {
         assert_eq!(m.get(&1), Some(&"uno"));
         // 1 kept its age, so it is still the next victim.
         assert_eq!(m.insert(3, "three"), Some(1));
+    }
+
+    #[test]
+    fn a_marked_oldest_entry_is_requeued_once_and_an_unmarked_one_evicted() {
+        let mut m = FifoMap::new(3);
+        // Room left: admission never declines, marks or not.
+        m.insert(1u8, 'a');
+        assert_eq!(m.get_and_mark(&1), Some(&'a'));
+        assert!(!m.second_chance());
+        m.insert(2, 'b');
+        m.insert(3, 'c');
+        // Full, oldest (1) marked: it is unmarked and requeued behind 3.
+        assert!(m.second_chance());
+        assert_eq!(m.len(), 3);
+        // Now 2 is oldest and unmarked: the newcomer may evict it.
+        assert!(!m.second_chance());
+        assert_eq!(m.insert(4, 'd'), Some(2));
+        // 3 is oldest, unmarked; then 1, whose mark was spent.
+        assert_eq!(m.insert(5, 'e'), Some(3));
+        assert!(!m.second_chance());
+        assert_eq!(m.insert(6, 'f'), Some(1));
+        // A plain `get` never marks.
+        assert_eq!(m.get(&4), Some(&'d'));
+        assert!(!m.second_chance());
+        assert_eq!(m.get_and_mark(&9), None);
     }
 
     #[test]

@@ -69,9 +69,15 @@
 //!   a fixed-window table of `-A`, so repeat verifications by the same
 //!   author cost two table sums plus one addition. A bounded
 //!   process-wide cache makes [`VerifyingKey::verify`] hit this path
-//!   automatically; when full it evicts its one oldest entry, so a node
-//!   that meets `n` authors with room for `cap < n` keeps about `cap/n`
-//!   of its hits.
+//!   automatically, and admits by second chance: a hit marks its entry,
+//!   and a miss on a *full* cache looks at the oldest entry. A marked
+//!   one is unmarked and requeued while the newcomer is checked with
+//!   [`VerifyingKey::verify_uncached`] (~36 µs, no table built); an
+//!   unmarked one is evicted and the newcomer's table (~64 µs) built
+//!   and inserted. A key met once therefore costs one one-shot check
+//!   instead of a table nobody reuses, while keys that earn hits stay.
+//!   [`verify_batch`] always takes tables (its per-author sums need
+//!   them), evicting the oldest entry as a plain insert does.
 //! * [`verify_batch`] — one random-linear-combination check for a whole
 //!   `SyncMsg::Bundles` frame: a single `[Σzᵢsᵢ]B` table sum, one
 //!   `[Σzᵢkᵢ](−A)` table sum per distinct author, and the `[zᵢ](−Rᵢ)`
@@ -725,11 +731,15 @@ impl VerifyingKey {
     /// implements). Repeat verifications by the same key hit a bounded
     /// process-wide [`PreparedVerifyingKey`] cache, skipping
     /// decompression and the doubling chain entirely — the hot path of a
-    /// sync encounter, where one author's bundles arrive in batches.
+    /// sync encounter, where one author's bundles arrive in batches. A
+    /// miss that a full cache declines (its oldest entry was hit since
+    /// it was queued; module header) runs [`VerifyingKey::verify_uncached`].
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        match prepared_cache_lookup(self) {
+        match prepared_cache_lookup(self, true) {
             Some(prepared) => prepared.verify(message, signature),
-            None => false,
+            // Declined by a full cache, or a key off the curve (which
+            // the one-shot path refuses as well).
+            None => self.verify_uncached(message, signature),
         }
     }
 
@@ -814,12 +824,14 @@ fn residue_accepted(r_prime: &EdwardsPoint, r_enc: &[u8; 32]) -> bool {
 /// doubling-free table sums and one addition (~26 µs, 5–5.5x faster
 /// than the naive path; see `cargo bench -p sos-bench --bench crypto`).
 ///
-/// Building one costs ~125 µs (`ed25519/prepared_new`: a little under
-/// one naive verification, or five prepared ones), against ~63 µs for a
-/// one-shot [`VerifyingKey::verify_uncached`] — amortized away by an
-/// author's fourth signature, which is exactly the SOS workload: a sync encounter
+/// Building one costs ~64 µs (`ed25519/prepared_new`: four to five
+/// prepared verifications), against ~36 µs for a one-shot
+/// [`VerifyingKey::verify_uncached`] — amortized away by an author's
+/// third signature, which is exactly the SOS workload: a sync encounter
 /// delivers an author's bundles in batches (~200 per session), and a
-/// handshake peer is usually met again.
+/// handshake peer is usually met again. A key seen only once never
+/// repays its table, which is what the cache's second-chance admission
+/// (module header) declines to build.
 pub struct PreparedVerifyingKey {
     compressed: [u8; 32],
     neg_table: FixedWindowTable,
@@ -891,8 +903,8 @@ pub fn clear_prepared_cache() {
 }
 
 /// Prepared-key tables built for the cache since the process started:
-/// every cache miss on a decompressible key is one build, so the
-/// difference across a call tells a test whether it hit.
+/// every miss on a decompressible key that the cache admits is one
+/// build; a hit or a declined miss builds nothing.
 #[doc(hidden)]
 pub fn prepared_cache_builds() -> u64 {
     PREPARED_BUILDS.load(Relaxed)
@@ -910,21 +922,29 @@ fn prepared_cache() -> &'static Mutex<PreparedMap> {
     CACHE.get_or_init(|| Mutex::new(FifoMap::new(PREPARED_CACHE_CAP)))
 }
 
-/// Looks up (building on miss) the prepared form of `key` in the
-/// process-wide cache. Returns `None` only for undecompressible keys.
-fn prepared_cache_lookup(key: &VerifyingKey) -> Option<Arc<PreparedVerifyingKey>> {
+/// Looks up the prepared form of `key` in the process-wide cache,
+/// marking the entry on a hit. A miss builds the table and inserts it,
+/// evicting the oldest entry of a full cache — unless `second_chance`
+/// is set and that oldest entry is marked: it is then unmarked and
+/// requeued instead, nothing is built, and `None` sends the caller to
+/// [`VerifyingKey::verify_uncached`]. Also `None` for undecompressible
+/// keys.
+fn prepared_cache_lookup(
+    key: &VerifyingKey,
+    second_chance: bool,
+) -> Option<Arc<PreparedVerifyingKey>> {
     let cache = prepared_cache();
-    if let Some(hit) = cache
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&key.0)
     {
-        return Some(hit.clone());
+        let mut held = cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = held.get_and_mark(&key.0) {
+            return Some(hit.clone());
+        }
+        if second_chance && held.second_chance() {
+            return None;
+        }
     }
-    // Build outside the lock: table construction is ~125 µs and must not
-    // serialize other threads' verifications. A full cache gives up its
-    // oldest entry, so meeting more authors than the cap costs a share
-    // of the hits, not all of them.
+    // Build outside the lock: table construction is ~64 µs and must not
+    // serialize other threads' verifications.
     let prepared = Arc::new(PreparedVerifyingKey::new(key)?);
     PREPARED_BUILDS.fetch_add(1, Relaxed);
     cache
@@ -1061,7 +1081,7 @@ fn verify_combined(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
     }
     let Some(prepared) = keys
         .iter()
-        .map(|bytes| prepared_cache_lookup(&VerifyingKey(**bytes)))
+        .map(|bytes| prepared_cache_lookup(&VerifyingKey(**bytes), false))
         .collect::<Option<Vec<_>>>()
     else {
         return false;

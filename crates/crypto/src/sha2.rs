@@ -167,16 +167,23 @@ impl Sha256 {
     }
 
     /// Completes the hash and returns the 32-byte digest.
+    ///
+    /// The padding (FIPS 180-4 §5.1.1: `0x80`, zeros, the 64-bit message
+    /// length in bits) is written straight into the buffered tail: one
+    /// block, or two when fewer than 9 bytes of the tail are free.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        // The two updates above also advanced total_len, but bit_len was
-        // captured before padding, as required by FIPS 180-4.
-        self.total_len = 0;
-        self.update(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -298,15 +305,23 @@ impl Sha512 {
         self
     }
 
-    /// Completes the hash and returns the 64-byte digest.
+    /// Completes the hash and returns the 64-byte digest; padded as
+    /// [`Sha256::finalize`] is, with a 128-bit length (§5.1.2), so a
+    /// second block is needed when fewer than 17 bytes of the tail are
+    /// free.
     pub fn finalize(mut self) -> [u8; 64] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0x00]);
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 112 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 128];
         }
-        self.total_len = 0;
-        self.update(&bit_len.to_be_bytes());
+        self.buf[112..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
         let mut out = [0u8; 64];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 8..i * 8 + 8].copy_from_slice(&word.to_be_bytes());
@@ -454,6 +469,167 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018\
              501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"
         );
+    }
+
+    /// The message the boundary vectors hash a prefix of:
+    /// `(7·i + 3) mod 256` for byte `i`.
+    fn boundary_message(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    /// Digests of `boundary_message(len)` from Python's `hashlib`, at
+    /// every length where the padding changes shape: the length field
+    /// fits in the tail or spills into a second block (SHA-256 at 55/56,
+    /// SHA-512 at 111/112), and the tail is empty, one short of full or
+    /// full (63/64, 127/128/129, 239/240).
+    const SHA256_BOUNDARY: [(usize, &str); 13] = [
+        (
+            0,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            55,
+            "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+        ),
+        (
+            56,
+            "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+        ),
+        (
+            63,
+            "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+        ),
+        (
+            64,
+            "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+        ),
+        (
+            111,
+            "67d9492e628fd376e0b2efec8ca2b99b123e202cf620deb270728df979b2f73e",
+        ),
+        (
+            112,
+            "96b928cff8528dbb99602c709a65b846cb6467acb8b722f0d758e4dc27bfc508",
+        ),
+        (
+            119,
+            "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
+        ),
+        (
+            127,
+            "a8d23e75d936f303d248888d9b165ee543f4cbafcad3c9dd2a79bd84faa11d07",
+        ),
+        (
+            128,
+            "d2742f1f4ac6bb7ca2b239ee18402ba8b3f9f8e652d2a72973c2b9ba11c08cf6",
+        ),
+        (
+            129,
+            "307f8fc2c1622b92762e818d39a185d4d667ad49a4b07ceae1f4afa008a93ec4",
+        ),
+        (
+            239,
+            "8fac859e9c893811bb92a43a2732590fe20bb1649726400d0ca05c6261ef2062",
+        ),
+        (
+            240,
+            "93fa68266890012c592634767c711c9c23c685eeeff6ddbc76051c0b4e6249bb",
+        ),
+    ];
+
+    const SHA512_BOUNDARY: [(usize, &str); 13] = [
+        (
+            0,
+            "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
+             47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e",
+        ),
+        (
+            55,
+            "14fd424b1fcadee624da946ab03f7e1def7c0d6e00f689594319881a26ff30b8\
+              75ba4c622ac13100c8cc784c9c2eb23159aecbb4a02e3999062f551193e2b256",
+        ),
+        (
+            56,
+            "480fa85be41ef55a41208ca28ffc8743c91cf7d24758defe6f95bfb16de614fc\
+              86b701034896b047dd571de4318853d80e0809df162f1752cb26da6ddb94a0dd",
+        ),
+        (
+            63,
+            "ecd42a703a4e93e163d60d55e3785b1a763838b0351bc2e6f7c94b4bfb24f9aa\
+              15da5d744ebcebe11f0fc4315d45ba3a047b6e60e07448357f2795bf34b73502",
+        ),
+        (
+            64,
+            "8f3cc30b3fb5bf963688a46488249248ac2c67f0f85a145233c6c1e3c16dcd1d\
+              f634c07d1d31da02576f65b9cf64e1c3fdb318b689b8a14e2e9552bcf30fb133",
+        ),
+        (
+            111,
+            "68cffa6d0d76f309c9ce0d35280939f8e25990c43b7b086ccdf709be35b07d4d\
+               dba599541ff2b1c19d34ea49aeafb9659adb7ac3c0b078bb30a22d57fc6687ef",
+        ),
+        (
+            112,
+            "d0865c524d1dddf7c23b799c413f5adcd7caefd3f66a9b49750ec81066012c25\
+               a8bcf94ddea6dc525691673097ca40e0101e897fc97218cfdb0704084e2bef4b",
+        ),
+        (
+            119,
+            "236bdd7f38a611b5014b239245c381ae5d20a96f1e5b3178227c00056b7fa8c4\
+               4ef54880085d82b7e20cd65f2bfda1326696c3f94a6a5bad0cb5ce289aa46167",
+        ),
+        (
+            127,
+            "e0b6a20f1c0c88970a9340152cd5a1c1ecf3d3b8de5510274187943807947354\
+               0133b812706e5dbec322c8c9523b6fc8c6d16ee626e87ad5fe3d2916afedc369",
+        ),
+        (
+            128,
+            "99b16f17aa0b969a5b8f08f367719d516e330ccd2660b6f0688ec031dbc783de\
+               50a1cd185a2568dba75070a2403d17d4741d163578515dfd2ff756ddfe4d47b1",
+        ),
+        (
+            129,
+            "a1556e29185778aa5991e34b8884c840d589f0fbb4b8ed590e51e9ac4eb03a00\
+               8125000db2671f8fe7f485b59a77b518670078ecb41a54b4cd02a7f1d2ca4c6d",
+        ),
+        (
+            239,
+            "18ee83f30261c3c645d52aee6a209105b25bba39d33845ef48984cc238e4f216\
+               61fb7bd7dd4336f71c40fe87d95e5115d6c7be52e0d3e7e7877d24500b5b58df",
+        ),
+        (
+            240,
+            "9d60ee60d29ec4fa0b9690c04c1c29413bbe3ed345639182d9d53dcc05926b77\
+               b04f4fec1562fb85182954c96b7cbb5d5e4410251ff4f352d09a2da90419fb13",
+        ),
+    ];
+
+    #[test]
+    fn boundary_lengths_match_reference_digests() {
+        for (len, want) in SHA256_BOUNDARY {
+            assert_eq!(hex::encode(&sha256(&boundary_message(len))), want, "{len}");
+        }
+        for (len, want) in SHA512_BOUNDARY {
+            assert_eq!(hex::encode(&sha512(&boundary_message(len))), want, "{len}");
+        }
+    }
+
+    /// Byte-at-a-time streaming leaves the tail at every fill level
+    /// `finalize` can meet, so each padding branch is checked against
+    /// the one-shot digest at every length up to 300.
+    #[test]
+    fn byte_at_a_time_matches_oneshot_at_every_length() {
+        let msg = boundary_message(300);
+        for len in 0..=msg.len() {
+            let (mut h256, mut h512) = (Sha256::new(), Sha512::new());
+            for byte in &msg[..len] {
+                h256.update(std::slice::from_ref(byte));
+                h512.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(h256.finalize(), sha256(&msg[..len]), "sha256, {len}");
+            assert_eq!(h512.finalize(), sha512(&msg[..len]), "sha512, {len}");
+        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Behaviour of the process-wide prepared-key cache at and across its
-//! cap (ISSUE 14): a full cache gives up its single oldest entry per
-//! newcomer instead of emptying itself.
+//! cap: below it every first sight builds a table; a full cache admits
+//! by second chance — a miss looks at the oldest entry, requeues it and
+//! declines the newcomer (checked without a table) when that entry was
+//! hit since it was queued, and evicts it for the newcomer's table
+//! otherwise. `verify_batch` always takes tables.
 //!
 //! The cache is one per process, so this file is its own test binary and
 //! holds exactly one `#[test]`: nothing else may verify a signature
@@ -15,7 +18,6 @@ use sos_crypto::ed25519::{
 /// it is a visible decision (the ledger's `encounter_churn` workload is
 /// sized as 1.5× this number).
 const CAP: usize = 256;
-const EXTRA: usize = 64;
 
 struct Author {
     sk: SigningKey,
@@ -38,56 +40,66 @@ fn author(i: usize) -> Author {
     }
 }
 
-/// Verifies `a`'s signature through the cache and reports whether that
-/// was a hit (no table built).
-fn verify_is_hit(a: &Author) -> bool {
+/// Verifies `sig` by `a` over its message through the cache, asserts the
+/// verdict, and returns how many tables that built.
+fn builds(a: &Author, sig: &Signature, valid: bool) -> u64 {
     let before = prepared_cache_builds();
-    assert!(a.key.verify(&a.msg, &a.sig), "valid signature refused");
-    prepared_cache_builds() == before
+    assert_eq!(a.key.verify(&a.msg, sig), valid, "wrong verdict");
+    prepared_cache_builds() - before
+}
+
+/// `builds` for `a`'s honest signature.
+fn honest(a: &Author) -> u64 {
+    builds(a, &a.sig, true)
 }
 
 #[test]
-fn a_full_cache_evicts_one_victim_in_insertion_order() {
-    let authors: Vec<Author> = (0..CAP + EXTRA).map(author).collect();
+fn a_full_cache_admits_newcomers_by_second_chance() {
+    let authors: Vec<Author> = (0..CAP + 2).map(author).collect();
+    let (newcomer, late) = (&authors[CAP], &authors[CAP + 1]);
+    let mut forged = newcomer.sig;
+    forged.0[3] ^= 0x40;
+    let mut forged_late = late.sig;
+    forged_late.0[3] ^= 0x40;
     clear_prepared_cache();
     assert_eq!(prepared_cache_len(), 0);
 
-    // Fill to the cap, then push EXTRA more through the boundary: the
-    // length climbs to CAP and stays there, every first sight is a miss.
-    for (i, a) in authors.iter().enumerate() {
-        assert!(!verify_is_hit(a), "author {i} was never seen before");
-        assert_eq!(prepared_cache_len(), (i + 1).min(CAP));
+    // Below the cap every first sight builds, and the length climbs to
+    // CAP. Queue: 0, 1, …, CAP − 1, none marked.
+    for (i, a) in authors.iter().enumerate().take(CAP) {
+        assert_eq!(honest(a), 1, "author {i} was never seen before");
+        assert_eq!(prepared_cache_len(), i + 1);
     }
 
-    // The CAP most recently inserted keys all survived (the old
-    // clear-when-full policy kept only the last EXTRA of them) …
-    for (i, a) in authors.iter().enumerate().skip(EXTRA) {
-        assert!(verify_is_hit(a), "author {i} should still be cached");
-    }
-    // … a forged signature by a cached author is refused without a build …
-    let before = prepared_cache_builds();
-    let mut forged = authors[CAP].sig;
-    forged.0[3] ^= 0x40;
-    assert!(!authors[CAP].key.verify(&authors[CAP].msg, &forged));
-    assert_eq!(prepared_cache_builds(), before);
-    // … and the EXTRA oldest are exactly the ones that went. Each of
-    // these misses re-inserts its key and evicts the then-oldest entry:
-    // authors EXTRA..2·EXTRA, in that order.
-    for (i, a) in authors.iter().enumerate().take(EXTRA) {
-        assert!(!verify_is_hit(a), "author {i} should have been evicted");
-        assert_eq!(prepared_cache_len(), CAP);
-    }
-    for (i, a) in authors.iter().enumerate().take(2 * EXTRA).skip(EXTRA) {
-        assert!(!verify_is_hit(a), "author {i} was the FIFO victim");
-    }
-    // Hits never refreshed anyone's age: the second sweep above evicted
-    // authors 2·EXTRA..3·EXTRA, and everything younger is still a hit.
-    for (i, a) in authors.iter().enumerate().skip(3 * EXTRA) {
-        assert!(verify_is_hit(a), "author {i} is younger than every victim");
-    }
+    // A hit marks the oldest entry; the newcomer is then declined: no
+    // table, the length stays CAP, the signature still verifies. The
+    // marked entry is requeued unmarked. Queue: 1, …, CAP − 1, 0.
+    assert_eq!(honest(&authors[0]), 0);
+    assert_eq!(honest(newcomer), 0, "declined: checked without a table");
+    assert_eq!(prepared_cache_len(), CAP);
 
-    // A key that names no curve point is refused, builds nothing and
-    // takes no slot, on a full cache as on an empty one.
+    // The newcomer's second try meets an unmarked oldest entry (1),
+    // which is evicted for its table. Queue: 2, …, CAP − 1, 0, CAP.
+    assert_eq!(honest(newcomer), 1);
+    assert_eq!(prepared_cache_len(), CAP);
+    // 1 is gone: seeing it again builds, evicting 2 in turn.
+    // Queue: 3, …, CAP − 1, 0, CAP, 1.
+    assert_eq!(honest(&authors[1]), 1, "author 1 was the victim");
+    assert_eq!(prepared_cache_len(), CAP);
+
+    // A forgery by a cached author is refused on the hit path …
+    assert_eq!(builds(newcomer, &forged, false), 0);
+    // … and by a newcomer on the declined path (3, the oldest, marked
+    // by a hit first, is requeued). Queue: 4, …, CAP − 1, 0, CAP, 1, 3.
+    assert_eq!(honest(&authors[3]), 0);
+    assert_eq!(builds(late, &forged_late, false), 0);
+    assert_eq!(prepared_cache_len(), CAP);
+
+    // The second chance kept author 0 through two newcomers.
+    assert_eq!(honest(&authors[0]), 0);
+
+    // A key that names no curve point is refused and builds nothing;
+    // the oldest entry (4) is unmarked, so nothing is requeued either.
     let off_curve = (0..=255u8)
         .map(|b0| {
             let mut bytes = [0u8; 32];
@@ -102,24 +114,26 @@ fn a_full_cache_evicts_one_victim_in_insertion_order() {
     assert_eq!(prepared_cache_builds(), before);
     assert_eq!(prepared_cache_len(), CAP);
 
-    // `verify_batch` draws its per-author tables from the same cache:
-    // a batch over one cached and one evicted author accepts, costs one
-    // build, and keeps the cache at its cap; a forgery in it fails.
-    let cached = &authors[CAP + EXTRA - 1];
-    let evicted = &authors[2 * EXTRA];
+    // `verify_batch` draws its per-author tables from the same cache and
+    // always takes them: with the oldest entry (4) marked, a batch over
+    // one cached author (0) and one absent one (`late`) accepts, builds
+    // exactly the missing table and keeps the cache at its cap; a
+    // forgery in it fails.
+    assert_eq!(honest(&authors[4]), 0);
+    let cached = &authors[0];
     let second = |a: &Author, tag: u8| {
         let msg = vec![tag; 40];
         let sig = a.sk.sign(&msg);
         (msg, sig)
     };
     let more: Vec<(Vec<u8>, Signature)> = (0..4u8)
-        .flat_map(|t| [second(cached, t), second(evicted, t)])
+        .flat_map(|t| [second(cached, t), second(late, t)])
         .collect();
     let mut items: Vec<(&VerifyingKey, &[u8], &Signature)> = more
         .iter()
         .enumerate()
         .map(|(n, (msg, sig))| {
-            let a = if n % 2 == 0 { cached } else { evicted };
+            let a = if n % 2 == 0 { cached } else { late };
             (&a.key, msg.as_slice(), sig)
         })
         .collect();
@@ -127,13 +141,14 @@ fn a_full_cache_evicts_one_victim_in_insertion_order() {
     assert!(verify_batch(&items), "eight honest signatures, two authors");
     assert_eq!(prepared_cache_builds(), before + 1);
     assert_eq!(prepared_cache_len(), CAP);
+    assert_eq!(honest(late), 0, "the batch's table serves verify too");
     items[5].2 = &forged;
     assert!(!verify_batch(&items));
     assert_eq!(prepared_cache_len(), CAP);
 
-    // Clearing still empties it, and the next sight of anyone is a miss.
+    // Clearing still empties it, and the next sight of anyone builds.
     clear_prepared_cache();
     assert_eq!(prepared_cache_len(), 0);
-    assert!(!verify_is_hit(cached));
+    assert_eq!(honest(cached), 1);
     assert_eq!(prepared_cache_len(), 1);
 }
