@@ -8,23 +8,43 @@
 //! signing and verifying data sent and received." It is one of the blue
 //! layers of Fig. 1: applications and routing schemes cannot reach the
 //! key material it holds.
+//!
+//! A session slot also carries what the message manager still owes the
+//! session it initiated (a `Browse`), so that record is dropped with
+//! the slot on every path that ends the session.
 
 use sos_crypto::bounded::FifoMap;
 use sos_crypto::{DeviceIdentity, UserId};
 use sos_net::frame::DisconnectReason;
 use sos_net::session::{SessionEndpoint, SessionEvent, SessionState};
 use sos_net::{Frame, HandshakeResponse, NetError, PeerId, Ticket};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Peers whose resumption ticket a device keeps (about 330 bytes each);
 /// past it the pair met longest ago pays one full handshake again.
 const TICKET_CAP: usize = 256;
+
+/// The message manager's record of a browse: a session this node
+/// initiated after an advertisement. Responder slots have none.
+#[derive(Debug, Default)]
+pub(crate) struct Browse {
+    /// Authors picked at advertisement time, until the request goes out.
+    pub(crate) interests: Vec<UserId>,
+    /// The peer's advertised summary when we browsed.
+    pub(crate) ad_summary: BTreeMap<UserId, u64>,
+    /// `Done` frames still expected: one per Request frame sent (a
+    /// chunked request gets one Done per chunk from the server).
+    pub(crate) dones: usize,
+    /// New bundles gained so far.
+    pub(crate) gain: u64,
+}
 
 /// Per-peer session bookkeeping.
 #[derive(Debug)]
 struct SessionCtx {
     endpoint: SessionEndpoint,
     peer_user: Option<UserId>,
+    browse: Option<Browse>,
 }
 
 /// The ad hoc manager: identity, one session slot per peer, and the
@@ -74,13 +94,6 @@ impl AdHocManager {
         self.sessions.contains_key(&peer)
     }
 
-    /// True if the session with `peer` is established.
-    pub fn is_connected(&self, peer: PeerId) -> bool {
-        self.sessions
-            .get(&peer)
-            .is_some_and(|s| s.endpoint.state() == SessionState::Connected)
-    }
-
     /// The authenticated user behind `peer`, once known.
     pub fn peer_user(&self, peer: PeerId) -> Option<UserId> {
         self.sessions.get(&peer).and_then(|s| s.peer_user)
@@ -91,15 +104,22 @@ impl AdHocManager {
         self.sessions.len()
     }
 
+    /// The browse record of our session with `peer`, if we initiated it.
+    pub(crate) fn browse_mut(&mut self, peer: PeerId) -> Option<&mut Browse> {
+        self.sessions.get_mut(&peer)?.browse.as_mut()
+    }
+
     /// Initiates a secure session with `peer` (Fig. 2b connection
-    /// request), returning the handshake frame to transmit.
+    /// request) that carries `browse`, returning the handshake frame to
+    /// transmit.
     ///
     /// # Errors
     ///
     /// [`NetError::UnexpectedHandshake`] if a session already exists.
-    pub fn connect<R: rand::RngCore>(
+    pub(crate) fn connect<R: rand::RngCore>(
         &mut self,
         peer: PeerId,
+        browse: Browse,
         rng: &mut R,
     ) -> Result<Frame, NetError> {
         if self.sessions.contains_key(&peer) {
@@ -112,6 +132,7 @@ impl AdHocManager {
             SessionCtx {
                 endpoint,
                 peer_user: None,
+                browse: Some(browse),
             },
         );
         Ok(frame)
@@ -146,6 +167,7 @@ impl AdHocManager {
                 SessionCtx {
                     endpoint: SessionEndpoint::new(),
                     peer_user: None,
+                    browse: None,
                 },
             );
         }
@@ -193,24 +215,6 @@ impl AdHocManager {
             .remove(&peer)
             .map(|mut ctx| ctx.endpoint.close(reason))
     }
-
-    /// Drops all sessions with peers not in `still_visible` (radio range
-    /// lost without a goodbye), returning the affected peers.
-    pub fn prune_sessions<F>(&mut self, mut still_visible: F) -> Vec<PeerId>
-    where
-        F: FnMut(PeerId) -> bool,
-    {
-        let gone: Vec<PeerId> = self
-            .sessions
-            .keys()
-            .copied()
-            .filter(|p| !still_visible(*p))
-            .collect();
-        for p in &gone {
-            self.sessions.remove(p);
-        }
-        gone
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +254,7 @@ mod tests {
         let (mut alice, mut bob) = managers();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 
-        let init = bob.connect(PeerId(0), &mut rng).unwrap();
+        let init = bob.connect(PeerId(0), Browse::default(), &mut rng).unwrap();
         let reply = match alice.on_frame(PeerId(1), init, 0, &mut rng).unwrap() {
             SessionEvent::Reply(f) => f,
             other => panic!("{other:?}"),
@@ -259,8 +263,8 @@ mod tests {
             bob.on_frame(PeerId(0), reply, 0, &mut rng).unwrap(),
             SessionEvent::Established(_)
         ));
-        assert!(alice.is_connected(PeerId(1)));
-        assert!(bob.is_connected(PeerId(0)));
+        // Bob's side is shown connected by the payload sent below.
+        assert!(alice.send_payload(PeerId(1), b"").is_ok());
         assert_eq!(
             alice.peer_user(PeerId(1)),
             Some(UserId::from_str_padded("bob"))
@@ -276,7 +280,7 @@ mod tests {
     /// Runs `from`'s connection request to `to` until it is established,
     /// returning the handshake frames that crossed, in order.
     fn open(from: &mut AdHocManager, to: &mut AdHocManager, rng: &mut StdRng) -> Vec<Frame> {
-        let mut frame = from.connect(to.peer_id(), rng).unwrap();
+        let mut frame = from.connect(to.peer_id(), Browse::default(), rng).unwrap();
         let mut crossed = Vec::new();
         loop {
             crossed.push(frame.clone());
@@ -338,7 +342,7 @@ mod tests {
         open(&mut bob, &mut alice, &mut rng);
         hang_up(&mut alice, &mut bob);
 
-        let init = bob.connect(PeerId(0), &mut rng).unwrap();
+        let init = bob.connect(PeerId(0), Browse::default(), &mut rng).unwrap();
         assert!(is_resume_init(&init));
         let _lost = alice.on_frame(PeerId(1), init, 0, &mut rng).unwrap();
         hang_up(&mut alice, &mut bob);
@@ -351,7 +355,8 @@ mod tests {
             Frame::HandshakeInit(HandshakeInit::Full { .. })
         ));
         assert_eq!(healed.len(), 4);
-        assert!(alice.is_connected(PeerId(1)) && bob.is_connected(PeerId(0)));
+        assert!(alice.send_payload(PeerId(1), b"").is_ok());
+        assert!(bob.send_payload(PeerId(0), b"").is_ok());
         hang_up(&mut alice, &mut bob);
 
         let resumed = open(&mut alice, &mut bob, &mut rng);
@@ -366,7 +371,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         open(&mut bob, &mut alice, &mut rng);
         hang_up(&mut alice, &mut bob);
-        let stale = bob.connect(PeerId(0), &mut rng).unwrap();
+        let stale = bob.connect(PeerId(0), Browse::default(), &mut rng).unwrap();
         hang_up(&mut alice, &mut bob);
         open(&mut bob, &mut alice, &mut rng); // both ratchet past `stale`
         hang_up(&mut alice, &mut bob);
@@ -391,7 +396,7 @@ mod tests {
         open(&mut bob, &mut alice, &mut rng);
         hang_up(&mut alice, &mut bob);
 
-        let mut forged = bob.connect(PeerId(0), &mut rng).unwrap();
+        let mut forged = bob.connect(PeerId(0), Browse::default(), &mut rng).unwrap();
         if let Frame::HandshakeInit(HandshakeInit::Resume { mac, .. }) = &mut forged {
             mac[0] ^= 1;
         }
@@ -400,7 +405,7 @@ mod tests {
         assert!(!alice.has_session(PeerId(1)));
         hang_up(&mut alice, &mut bob);
 
-        let init = bob.connect(PeerId(0), &mut rng).unwrap();
+        let init = bob.connect(PeerId(0), Browse::default(), &mut rng).unwrap();
         let mut reply = match alice.on_frame(PeerId(1), init, 0, &mut rng).unwrap() {
             SessionEvent::Reply(f) => f,
             other => panic!("{other:?}"),
@@ -451,7 +456,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let crossed = open(&mut bob, &mut alice, &mut rng);
         let stray_init = AdHocManager::new(PeerId(1), bob.identity.clone())
-            .connect(PeerId(0), &mut rng)
+            .connect(PeerId(0), Browse::default(), &mut rng)
             .unwrap();
         for (to_bob, stray) in [
             (true, crossed[1].clone()), // duplicate response
@@ -465,11 +470,17 @@ mod tests {
             };
             let err = rx.on_frame(tx, stray, 0, &mut rng).unwrap_err();
             assert_eq!(err, NetError::UnexpectedHandshake);
-            assert!(rx.is_connected(tx));
+            assert!(rx.has_session(tx));
         }
+        // Both sessions are still established: payloads cross both ways.
         let data = bob.send_payload(PeerId(0), b"still here").unwrap();
         match alice.on_frame(PeerId(1), data, 0, &mut rng).unwrap() {
             SessionEvent::Payload(p) => assert_eq!(p, b"still here"),
+            other => panic!("{other:?}"),
+        }
+        let data = alice.send_payload(PeerId(1), b"so am I").unwrap();
+        match bob.on_frame(PeerId(0), data, 0, &mut rng).unwrap() {
+            SessionEvent::Payload(p) => assert_eq!(p, b"so am I"),
             other => panic!("{other:?}"),
         }
     }
@@ -478,9 +489,11 @@ mod tests {
     fn collision_refused() {
         let (mut alice, mut bob) = managers();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let _ = alice.connect(PeerId(1), &mut rng).unwrap();
+        let _ = alice
+            .connect(PeerId(1), Browse::default(), &mut rng)
+            .unwrap();
         // Bob's init arrives while Alice already initiated to him.
-        let bob_init = bob.connect(PeerId(0), &mut rng).unwrap();
+        let bob_init = bob.connect(PeerId(0), Browse::default(), &mut rng).unwrap();
         assert_eq!(
             alice
                 .on_frame(PeerId(1), bob_init, 0, &mut rng)
@@ -497,28 +510,18 @@ mod tests {
         let mut evil_ca = CertificateAuthority::new("Root", [9u8; 32], 0, u64::MAX);
         let mut mallory = AdHocManager::new(PeerId(2), identity(&mut evil_ca, 30, "mallory"));
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let init = mallory.connect(PeerId(0), &mut rng).unwrap();
+        let init = mallory
+            .connect(PeerId(0), Browse::default(), &mut rng)
+            .unwrap();
         assert!(alice.on_frame(PeerId(2), init, 0, &mut rng).is_err());
         assert!(!alice.has_session(PeerId(2)), "failed session removed");
-    }
-
-    #[test]
-    fn prune_drops_vanished_peers() {
-        let (mut alice, mut bob) = managers();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let init = bob.connect(PeerId(0), &mut rng).unwrap();
-        let _ = alice.on_frame(PeerId(1), init, 0, &mut rng).unwrap();
-        assert!(alice.has_session(PeerId(1)));
-        let gone = alice.prune_sessions(|_| false);
-        assert_eq!(gone, vec![PeerId(1)]);
-        assert!(!alice.has_session(PeerId(1)));
     }
 
     #[test]
     fn close_emits_goodbye() {
         let (mut alice, mut bob) = managers();
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let init = bob.connect(PeerId(0), &mut rng).unwrap();
+        let init = bob.connect(PeerId(0), Browse::default(), &mut rng).unwrap();
         let _ = alice.on_frame(PeerId(1), init, 0, &mut rng).unwrap();
         let bye = alice.close(PeerId(1), DisconnectReason::Done).unwrap();
         assert!(matches!(bye, Frame::Disconnect { .. }));

@@ -13,7 +13,7 @@
 //! transmits the frames returned. All state transitions are synchronous
 //! and deterministic given the RNG.
 
-use crate::adhoc::AdHocManager;
+use crate::adhoc::{AdHocManager, Browse};
 use crate::error::{BundleRejection, SosError};
 use crate::message::{Bundle, MessageId, MessageKind, SosMessage, MAX_PAYLOAD};
 use crate::routing::{RoutingContext, RoutingScheme, SchemeKind};
@@ -27,7 +27,7 @@ use sos_net::{Advertisement, Frame, HandshakeInit, HandshakeResponse, NetError, 
 use sos_obs::journal::ObsEvent;
 use sos_obs::{Counter, NodeObs, Registry};
 use sos_sim::SimTime;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Middleware configuration.
 #[derive(Clone, Debug)]
@@ -215,11 +215,34 @@ impl StatCells {
     }
 }
 
-/// Renders a disconnect reason as the journal's stable tag vocabulary
-/// (the canonical mapping lives on [`DisconnectReason`] so transports
-/// report identically).
-fn reason_tag(reason: DisconnectReason) -> &'static str {
-    reason.as_tag()
+/// Why a session ends: what [`Sos::end_session`] is told.
+enum Teardown {
+    /// The peer left radio range: no goodbye, and nothing to record
+    /// unless a session was open.
+    OutOfRange,
+    /// The peer said goodbye; the ad hoc manager dropped the slot.
+    Goodbye(DisconnectReason),
+    /// The session layer refused a frame and dropped the slot; the peer
+    /// is told why.
+    Failed(NetError),
+    /// The exchange is complete.
+    Done,
+    /// The peer's sync payload did not decode.
+    Malformed,
+    /// Our own send path failed.
+    SendFailed,
+}
+
+impl Teardown {
+    fn reason(&self) -> DisconnectReason {
+        match self {
+            Teardown::OutOfRange => DisconnectReason::OutOfRange,
+            Teardown::Goodbye(reason) => *reason,
+            Teardown::Failed(e) => DisconnectReason::for_error(e),
+            Teardown::Done => DisconnectReason::Done,
+            Teardown::Malformed | Teardown::SendFailed => DisconnectReason::ProtocolError,
+        }
+    }
 }
 
 /// True for the handshake frames of a resumed (ticket) exchange.
@@ -283,15 +306,9 @@ pub struct Sos {
     scheme: Box<dyn RoutingScheme>,
     scheme_kind: SchemeKind,
     subscriptions: BTreeSet<UserId>,
-    pending_interests: HashMap<PeerId, Vec<UserId>>,
-    /// `Done` frames still expected per peer: one per Request frame we
-    /// sent (a chunked request gets one Done per chunk from the server).
-    pending_dones: HashMap<PeerId, usize>,
-    /// Sessions we initiated that are still open: the peer's advertised
-    /// summary and the count of new bundles gained so far.
-    browse_progress: HashMap<PeerId, (BTreeMap<UserId, u64>, u64)>,
     /// Peers whose last browse yielded nothing, with the state it
-    /// happened under (see [`FUTILE_RETRY_BACKOFF`]).
+    /// happened under (see [`FUTILE_RETRY_BACKOFF`]). Unlike a browse
+    /// record, it outlives the session.
     futile: FifoMap<PeerId, FutileMark>,
     events: VecDeque<SosEvent>,
     stats: StatCells,
@@ -323,9 +340,6 @@ impl Sos {
             scheme: scheme.build(),
             scheme_kind: scheme,
             subscriptions: BTreeSet::new(),
-            pending_interests: HashMap::new(),
-            pending_dones: HashMap::new(),
-            browse_progress: HashMap::new(),
             futile: FifoMap::new(FUTILE_CAP),
             events: VecDeque::new(),
             stats: StatCells::default(),
@@ -529,25 +543,56 @@ impl Sos {
     /// simply re-requested at the next encounter thanks to the summary
     /// mechanism).
     pub fn on_peer_lost(&mut self, peer: PeerId) {
-        self.pending_interests.remove(&peer);
-        self.pending_dones.remove(&peer);
-        self.browse_progress.remove(&peer);
-        if self
-            .adhoc
-            .close(peer, DisconnectReason::OutOfRange)
-            .is_some()
-        {
-            // This entry point carries no clock; the hint from the last
-            // frame/post/maintain call is the session's last live time.
-            self.note(
-                self.now_hint,
-                ObsEvent::SessionClose {
-                    peer: peer.0,
-                    reason: "out_of_range",
-                },
-            );
-            self.events.push_back(SosEvent::SessionClosed { peer });
+        // This entry point carries no clock; the hint from the last
+        // frame/post/maintain call is the session's last live time.
+        self.end_session(peer, Teardown::OutOfRange, self.now_hint, &mut Vec::new());
+    }
+
+    /// The one place a session ends. Drops the slot, and the browse
+    /// record in it. Sends the goodbye: always on a failed frame (the
+    /// slot is already gone), never to a peer out of range, otherwise
+    /// when a slot was open. Then journals the one `SessionClose` and
+    /// surfaces the one app event: [`SosEvent::SecurityAlert`] on a
+    /// security failure, else [`SosEvent::SessionClosed`]. A peer out of
+    /// range with no session open leaves no record.
+    fn end_session(
+        &mut self,
+        peer: PeerId,
+        cause: Teardown,
+        now: SimTime,
+        out: &mut Vec<(PeerId, Frame)>,
+    ) {
+        let reason = cause.reason();
+        let bye = self.adhoc.close(peer, reason);
+        match &cause {
+            Teardown::OutOfRange if bye.is_none() => return,
+            Teardown::OutOfRange => {}
+            Teardown::Failed(_) => out.push((peer, Frame::Disconnect { reason })),
+            _ => out.extend(bye.map(|bye| (peer, bye))),
         }
+        let tag = match cause {
+            Teardown::SendFailed => "send_failure",
+            _ => reason.as_tag(),
+        };
+        self.note(
+            now,
+            ObsEvent::SessionClose {
+                peer: peer.0,
+                reason: tag,
+            },
+        );
+        let event = match cause {
+            Teardown::Failed(e) if reason == DisconnectReason::SecurityFailure => {
+                self.stats.security_rejections.inc();
+                self.stats.security_alerts.inc();
+                SosEvent::SecurityAlert {
+                    peer,
+                    detail: e.to_string(),
+                }
+            }
+            _ => SosEvent::SessionClosed { peer },
+        };
+        self.events.push_back(event);
     }
 
     /// Runs store maintenance: expires carried bundles past the TTL and
@@ -668,10 +713,13 @@ impl Sos {
                 return;
             }
         }
-        match self.adhoc.connect(from, rng) {
+        let browse = Browse {
+            interests,
+            ad_summary: ad.summary.clone(),
+            ..Browse::default()
+        };
+        match self.adhoc.connect(from, browse, rng) {
             Ok(frame) => {
-                self.pending_interests.insert(from, interests);
-                self.browse_progress.insert(from, (ad.summary.clone(), 0));
                 self.stats.sessions_initiated.inc();
                 self.note(
                     now,
@@ -736,18 +784,7 @@ impl Sos {
                 self.on_sync_payload(from, &bytes, now, out);
             }
             Ok(SessionEvent::Closed(reason)) => {
-                self.pending_interests.remove(&from);
-                self.pending_dones.remove(&from);
-                self.browse_progress.remove(&from);
-                self.note(
-                    now,
-                    ObsEvent::SessionClose {
-                        peer: from.0,
-                        reason: reason_tag(reason),
-                    },
-                );
-                self.events
-                    .push_back(SosEvent::SessionClosed { peer: from });
+                self.end_session(from, Teardown::Goodbye(reason), now, out);
             }
             Ok(SessionEvent::None) => {}
             Err(NetError::NotConnected) => {
@@ -770,34 +807,7 @@ impl Sos {
                     ));
                 }
             }
-            Err(e) => {
-                // The shared teardown classification (also recorded by
-                // `SessionEndpoint::close_reason`): journal tags and the
-                // goodbye frame stay in lockstep with the transport's view.
-                let reason = DisconnectReason::for_error(&e);
-                if reason == DisconnectReason::SecurityFailure {
-                    self.stats.security_rejections.inc();
-                    self.stats.security_alerts.inc();
-                    self.events.push_back(SosEvent::SecurityAlert {
-                        peer: from,
-                        detail: e.to_string(),
-                    });
-                } else {
-                    self.events
-                        .push_back(SosEvent::SessionClosed { peer: from });
-                }
-                self.note(
-                    now,
-                    ObsEvent::SessionClose {
-                        peer: from.0,
-                        reason: reason.as_tag(),
-                    },
-                );
-                self.pending_interests.remove(&from);
-                self.pending_dones.remove(&from);
-                self.browse_progress.remove(&from);
-                out.push((from, Frame::Disconnect { reason }));
-            }
+            Err(e) => self.end_session(from, Teardown::Failed(e), now, out),
         }
     }
 
@@ -806,18 +816,13 @@ impl Sos {
     /// as gap-aware range sets — the peer serves exactly what our held
     /// ranges are missing, holes included.
     fn send_request(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<(PeerId, Frame)>) {
-        let interests = self.pending_interests.remove(&peer).unwrap_or_default();
+        let interests = self
+            .adhoc
+            .browse_mut(peer)
+            .map(|browse| std::mem::take(&mut browse.interests))
+            .unwrap_or_default();
         if interests.is_empty() {
-            if let Some(bye) = self.adhoc.close(peer, DisconnectReason::Done) {
-                self.note(
-                    now,
-                    ObsEvent::SessionClose {
-                        peer: peer.0,
-                        reason: "done",
-                    },
-                );
-                out.push((peer, bye));
-            }
+            self.end_session(peer, Teardown::Done, now, out);
             return;
         }
         let wants: Vec<AuthorWant> = interests
@@ -840,45 +845,23 @@ impl Sos {
         // The advertiser answers every Request frame with its own Done;
         // remember how many to expect so a chunked (multi-frame) request
         // is not torn down after the first chunk's Done.
-        self.pending_dones.insert(peer, requests.len());
+        if let Some(browse) = self.adhoc.browse_mut(peer) {
+            browse.dones = requests.len();
+        }
         for msg in requests {
             // `requests` chunks to the wire limits, so encode cannot
             // reject; treat a failure like any other broken send.
-            let Ok(payload) = msg.encode() else {
-                self.close_broken_session(peer, now, out);
+            let sent = msg
+                .encode()
+                .ok()
+                .and_then(|payload| self.adhoc.send_payload(peer, &payload).ok());
+            let Some(frame) = sent else {
+                self.end_session(peer, Teardown::SendFailed, now, out);
                 return;
             };
-            match self.adhoc.send_payload(peer, &payload) {
-                Ok(frame) => {
-                    self.stats.sync_frames_sent.inc();
-                    out.push((peer, frame));
-                }
-                Err(_) => {
-                    self.close_broken_session(peer, now, out);
-                    return;
-                }
-            }
+            self.stats.sync_frames_sent.inc();
+            out.push((peer, frame));
         }
-    }
-
-    /// Tears down a session whose send path failed: notify the peer (if
-    /// a session still exists) so it does not idle until peer-loss, and
-    /// surface the closure to the application.
-    fn close_broken_session(&mut self, peer: PeerId, now: SimTime, out: &mut Vec<(PeerId, Frame)>) {
-        if let Some(bye) = self.adhoc.close(peer, DisconnectReason::ProtocolError) {
-            out.push((peer, bye));
-        }
-        self.note(
-            now,
-            ObsEvent::SessionClose {
-                peer: peer.0,
-                reason: "send_failure",
-            },
-        );
-        self.pending_interests.remove(&peer);
-        self.pending_dones.remove(&peer);
-        self.browse_progress.remove(&peer);
-        self.events.push_back(SosEvent::SessionClosed { peer });
     }
 
     fn on_sync_payload(
@@ -888,69 +871,37 @@ impl Sos {
         now: SimTime,
         out: &mut Vec<(PeerId, Frame)>,
     ) {
-        let msg = match SyncMsg::decode(bytes) {
-            Ok(m) => m,
-            Err(_) => {
-                if let Some(bye) = self.adhoc.close(from, DisconnectReason::ProtocolError) {
-                    out.push((from, bye));
-                }
-                self.note(
-                    now,
-                    ObsEvent::SessionClose {
-                        peer: from.0,
-                        reason: "protocol_error",
-                    },
-                );
-                self.events
-                    .push_back(SosEvent::SessionClosed { peer: from });
-                return;
-            }
+        let Ok(msg) = SyncMsg::decode(bytes) else {
+            self.end_session(from, Teardown::Malformed, now, out);
+            return;
         };
         match msg {
             SyncMsg::Request { wants } => self.serve_request(from, &wants, now, out),
             SyncMsg::Bundles(bundles) => self.receive_frame(from, bundles, now),
             SyncMsg::Done => {
-                // One Done arrives per Request frame we sent; close only
-                // on the last, or a chunked request would lose every
-                // chunk after the first.
-                match self.pending_dones.get_mut(&from) {
-                    Some(remaining) if *remaining > 1 => {
-                        *remaining -= 1;
+                if let Some(browse) = self.adhoc.browse_mut(from) {
+                    // One Done arrives per Request frame we sent; close
+                    // only on the last, or a chunked request would lose
+                    // every chunk after the first.
+                    if browse.dones > 1 {
+                        browse.dones -= 1;
                         return;
                     }
-                    _ => {
-                        self.pending_dones.remove(&from);
-                    }
-                }
-                // Remember a browse that gained nothing, so identical
-                // conditions do not re-trigger a session every
-                // encounter (see FUTILE_RETRY_BACKOFF).
-                if let Some((ad_summary, gain)) = self.browse_progress.remove(&from) {
-                    if gain == 0 {
-                        self.futile.insert(
-                            from,
-                            FutileMark {
-                                ad_summary,
-                                my_summary: self.store.sync_summary(),
-                                at: now,
-                            },
-                        );
+                    // Remember a browse that gained nothing, so identical
+                    // conditions do not re-trigger a session every
+                    // encounter (see FUTILE_RETRY_BACKOFF).
+                    if browse.gain == 0 {
+                        let mark = FutileMark {
+                            ad_summary: std::mem::take(&mut browse.ad_summary),
+                            my_summary: self.store.sync_summary(),
+                            at: now,
+                        };
+                        self.futile.insert(from, mark);
                     } else {
                         self.futile.remove(&from);
                     }
                 }
-                if let Some(bye) = self.adhoc.close(from, DisconnectReason::Done) {
-                    out.push((from, bye));
-                }
-                self.note(
-                    now,
-                    ObsEvent::SessionClose {
-                        peer: from.0,
-                        reason: "done",
-                    },
-                );
-                self.events
-                    .push_back(SosEvent::SessionClosed { peer: from });
+                self.end_session(from, Teardown::Done, now, out);
             }
         }
     }
@@ -1037,7 +988,7 @@ impl Sos {
                     },
                 );
             }
-            Err(_) => self.close_broken_session(from, now, out),
+            Err(_) => self.end_session(from, Teardown::SendFailed, now, out),
         }
     }
 
@@ -1063,7 +1014,7 @@ impl Sos {
                 true
             }
             Err(_) => {
-                self.close_broken_session(peer, now, out);
+                self.end_session(peer, Teardown::SendFailed, now, out);
                 false
             }
         }
@@ -1295,8 +1246,8 @@ impl Sos {
             return;
         }
         bundle.hops += 1;
-        if let Some((_, gain)) = self.browse_progress.get_mut(&from) {
-            *gain += 1;
+        if let Some(browse) = self.adhoc.browse_mut(from) {
+            browse.gain += 1;
         }
         let me = self.user_id();
         let summary = summary.get_or_insert_with(|| self.store.summary());
@@ -2105,18 +2056,25 @@ mod tests {
         );
     }
 
-    /// Session opens minus closes in a journal: 0 when every session
-    /// that opened also closed.
-    fn open_sessions(journal: &sos_obs::journal::JournalHandle) -> i64 {
+    /// The sessions a journal leaves open. Panics unless, for each
+    /// `(node, peer)`, opens and closes alternate starting with an open.
+    fn unclosed_sessions(journal: &sos_obs::journal::JournalHandle) -> usize {
         let snapshot = journal.snapshot();
-        snapshot
-            .entries()
-            .map(|e| match e.event {
-                ObsEvent::SessionOpen { .. } => 1,
-                ObsEvent::SessionClose { .. } => -1,
-                _ => 0,
-            })
-            .sum()
+        let mut open = BTreeMap::new();
+        for e in snapshot.entries() {
+            let (peer, opens) = match e.event {
+                ObsEvent::SessionOpen { peer, .. } => (peer, true),
+                ObsEvent::SessionClose { peer, .. } => (peer, false),
+                _ => continue,
+            };
+            let was_open = open.insert((e.node, peer), opens).unwrap_or(false);
+            assert_ne!(
+                was_open, opens,
+                "node {}: {:?} out of turn",
+                e.node, e.event
+            );
+        }
+        open.values().filter(|&&open| open).count()
     }
 
     /// A duplicate (or forged — it is unauthenticated) `HandshakeResponse`
@@ -2145,15 +2103,15 @@ mod tests {
         // The response arrives a second time, mid-session.
         let out = bob.handle_frame(alice.peer_id(), resp[0].1.clone(), now, &mut rng);
         assert!(out.is_empty(), "no answer to an unsolicited response");
-        assert!(bob.adhoc.is_connected(alice.peer_id()));
-        assert_eq!(bob.pending_dones.get(&alice.peer_id()), Some(&1));
+        let dones = bob.adhoc.browse_mut(alice.peer_id()).map(|b| b.dones);
+        assert_eq!(dones, Some(1), "the established browse is still there");
 
         // The request is still served, and what comes back decrypts.
         pump(&mut bob, &mut alice, request, now);
         assert_eq!(bob.store.len(), 1, "the bundle arrived");
         assert_eq!((bob.session_count(), alice.session_count()), (0, 0));
-        assert!(bob.pending_dones.is_empty() && bob.browse_progress.is_empty());
-        assert_eq!(open_sessions(&journal), 0, "no open without its close");
+        assert!(bob.adhoc.browse_mut(alice.peer_id()).is_none());
+        assert_eq!(unclosed_sessions(&journal), 0, "no open without its close");
         assert_eq!(bob.stats().security_alerts, 0);
     }
 
@@ -2190,7 +2148,7 @@ mod tests {
         let _lost = alice.handle_frame(bob.peer_id(), init[0].1.clone(), now, &mut rng);
         alice.on_peer_lost(bob.peer_id());
         bob.on_peer_lost(alice.peer_id());
-        assert_eq!(open_sessions(&journal), 0);
+        assert_eq!(unclosed_sessions(&journal), 0);
 
         // Third meeting: Miss → full, all in one session.
         let before = journal.snapshot().entries().count();
@@ -2210,7 +2168,7 @@ mod tests {
             e.event,
             ObsEvent::SessionClose { reason, .. } if reason != "done"
         )));
-        assert_eq!(open_sessions(&journal), 0);
+        assert_eq!(unclosed_sessions(&journal), 0);
         assert_eq!(
             bob.stats().security_alerts + alice.stats().security_alerts,
             0
@@ -2295,7 +2253,10 @@ mod tests {
                 .unwrap();
             // Establish a real session bob → alice.
             let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-            let init = bob.adhoc.connect(alice.peer_id(), &mut rng).unwrap();
+            let init = bob
+                .adhoc
+                .connect(alice.peer_id(), Browse::default(), &mut rng)
+                .unwrap();
             let reply = match alice.adhoc.on_frame(bob.peer_id(), init, 0, &mut rng) {
                 Ok(SessionEvent::Reply(f)) => f,
                 other => panic!("{other:?}"),
@@ -2330,6 +2291,48 @@ mod tests {
         }
     }
 
+    /// The browsing side of an unknown sync tag: the protocol error
+    /// closes bob's session and takes his browse record with it, and
+    /// the next honest browse still delivers.
+    #[test]
+    fn undecodable_payload_leaves_no_browse_state_behind() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::Epidemic);
+        let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
+        let journal = sos_obs::journal::JournalHandle::new();
+        bob.attach_obs(NodeObs::new(1, journal.clone()));
+        alice
+            .post(MessageKind::Post, b"hello".to_vec(), SimTime::ZERO)
+            .unwrap();
+        let now = SimTime::from_secs(1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let ad = Frame::Advertisement(alice.advertisement(now));
+        let init = bob.handle_frame(alice.peer_id(), ad, now, &mut rng);
+        let resp = alice.handle_frame(bob.peer_id(), init[0].1.clone(), now, &mut rng);
+        bob.handle_frame(alice.peer_id(), resp[0].1.clone(), now, &mut rng);
+        assert!(bob.adhoc.browse_mut(alice.peer_id()).is_some());
+
+        let junk = alice.adhoc.send_payload(bob.peer_id(), &[1, 0, 0]).unwrap();
+        let out = bob.handle_frame(alice.peer_id(), junk, now, &mut rng);
+        assert!(matches!(
+            out.as_slice(),
+            [(
+                _,
+                Frame::Disconnect {
+                    reason: DisconnectReason::ProtocolError
+                }
+            )]
+        ));
+        assert!(journal.snapshot().to_jsonl().contains("protocol_error"));
+        assert!(bob.adhoc.browse_mut(alice.peer_id()).is_none());
+        assert_eq!(bob.session_count(), 0);
+        alice.handle_frame(bob.peer_id(), out[0].1.clone(), now, &mut rng);
+
+        browse(&mut alice, &mut bob, SimTime::from_secs(2));
+        assert_eq!(bob.store.len(), 1, "the second browse delivered");
+        assert_eq!(unclosed_sessions(&journal), 0);
+    }
+
     /// A chunked (multi-frame) request is answered with one Done per
     /// chunk; the browser must keep the session open until the last one
     /// or every chunk after the first is lost.
@@ -2338,9 +2341,17 @@ mod tests {
         let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
         let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::Epidemic);
         let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
-        // Establish a real session bob → alice.
+        // Establish a real session bob → alice, in which bob sent a
+        // two-chunk request (simulated): two Dones expected.
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let init = bob.adhoc.connect(alice.peer_id(), &mut rng).unwrap();
+        let browse = Browse {
+            dones: 2,
+            ..Browse::default()
+        };
+        let init = bob
+            .adhoc
+            .connect(alice.peer_id(), browse, &mut rng)
+            .unwrap();
         let reply = match alice.adhoc.on_frame(bob.peer_id(), init, 0, &mut rng) {
             Ok(SessionEvent::Reply(f)) => f,
             other => panic!("{other:?}"),
@@ -2349,8 +2360,6 @@ mod tests {
             bob.adhoc.on_frame(alice.peer_id(), reply, 0, &mut rng),
             Ok(SessionEvent::Established(_))
         ));
-        // Bob sent a two-chunk request (simulated): two Dones expected.
-        bob.pending_dones.insert(alice.peer_id(), 2);
         let done = SyncMsg::Done.encode().unwrap();
         let mut out = Vec::new();
         bob.on_sync_payload(alice.peer_id(), &done, SimTime::ZERO, &mut out);

@@ -44,10 +44,9 @@ impl DisconnectReason {
     /// everything else (malformed frames, sequence gaps, state-machine
     /// violations) is [`ProtocolError`](DisconnectReason::ProtocolError).
     ///
-    /// Both the middleware's journal tags and the session endpoint's
-    /// [`close_reason`](crate::SessionEndpoint::close_reason) derive
-    /// from this one mapping, so simulation and in-vivo transports
-    /// report teardown causes identically.
+    /// When a frame fails, the middleware's journal tag and the goodbye
+    /// it sends both derive from this one mapping, so simulation and
+    /// in-vivo transports report teardown causes identically.
     pub fn for_error(e: &NetError) -> DisconnectReason {
         match e {
             NetError::Certificate(_)

@@ -51,9 +51,6 @@ pub struct SessionEndpoint {
     /// What the handshake left for the pair's next meeting, until the
     /// caller collects it ([`SessionEndpoint::take_ticket`]).
     ticket: Option<Ticket>,
-    /// Why the session reached `Disconnected` (set on every teardown
-    /// path, local or remote), so the transport can report the cause.
-    close_reason: Option<DisconnectReason>,
 }
 
 impl SessionEndpoint {
@@ -65,30 +62,12 @@ impl SessionEndpoint {
             initiator: None,
             crypto: None,
             ticket: None,
-            close_reason: None,
         }
     }
 
     /// Current state.
     pub fn state(&self) -> SessionState {
         self.state
-    }
-
-    /// Why the session was torn down (`None` until it reaches
-    /// [`SessionState::Disconnected`]). Remote teardowns carry the
-    /// peer's stated reason; local error teardowns are classified by
-    /// [`DisconnectReason::for_error`] — so the journal's session-close
-    /// causes come out identically whether the endpoint runs under the
-    /// simulation driver or a real socket transport.
-    pub fn close_reason(&self) -> Option<DisconnectReason> {
-        self.close_reason
-    }
-
-    /// Transitions to `Disconnected`, recording the first cause (a
-    /// teardown cause is never overwritten by a later one).
-    fn disconnect(&mut self, reason: DisconnectReason) {
-        self.state = SessionState::Disconnected;
-        self.close_reason.get_or_insert(reason);
     }
 
     /// Hands over the ticket the handshake that just connected this
@@ -163,7 +142,7 @@ impl SessionEndpoint {
                         Ok(SessionEvent::Reply(Frame::HandshakeResponse(response)))
                     }
                     Err(e) => {
-                        self.disconnect(DisconnectReason::for_error(&e));
+                        self.state = SessionState::Disconnected;
                         Err(e)
                     }
                 }
@@ -177,7 +156,7 @@ impl SessionEndpoint {
                 // invariant is ever broken, fail the handshake instead
                 // of taking the process down.
                 let Some(init) = self.initiator.take() else {
-                    self.disconnect(DisconnectReason::ProtocolError);
+                    self.state = SessionState::Disconnected;
                     return Err(NetError::UnexpectedHandshake);
                 };
                 if matches!(resp, HandshakeResponse::Miss) && init.resuming() {
@@ -196,7 +175,7 @@ impl SessionEndpoint {
                         Ok(SessionEvent::Established(peer_cert))
                     }
                     Err(e) => {
-                        self.disconnect(DisconnectReason::for_error(&e));
+                        self.state = SessionState::Disconnected;
                         Err(e)
                     }
                 }
@@ -210,13 +189,13 @@ impl SessionEndpoint {
                         // Sequence gap or tag failure: the link dropped or
                         // an attacker injected; tear down (the message
                         // manager will re-sync on the next encounter).
-                        self.disconnect(DisconnectReason::for_error(&e));
+                        self.state = SessionState::Disconnected;
                         Err(e)
                     }
                 }
             }
             Frame::Disconnect { reason } => {
-                self.disconnect(reason);
+                self.state = SessionState::Disconnected;
                 Ok(SessionEvent::Closed(reason))
             }
             Frame::Advertisement(_) | Frame::Invite { .. } => {
@@ -244,7 +223,7 @@ impl SessionEndpoint {
     /// Marks the session closed locally and produces the notification
     /// frame for the peer.
     pub fn close(&mut self, reason: DisconnectReason) -> Frame {
-        self.disconnect(reason);
+        self.state = SessionState::Disconnected;
         Frame::Disconnect { reason }
     }
 }
@@ -387,27 +366,35 @@ mod tests {
         assert_eq!(alice_ep.state(), SessionState::Disconnected);
     }
 
-    /// Every teardown path must leave a close reason behind for the
-    /// transport: local close, remote disconnect, security failure,
-    /// and protocol error each surface their own cause.
+    /// Every teardown path ends in `Disconnected` and classifies as its
+    /// own cause: local close, remote disconnect, security failure and
+    /// protocol error.
     #[test]
-    fn close_reason_surfaces_each_teardown_cause() {
+    fn each_teardown_cause_is_classified() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
 
         // Local close: done.
         let (alice, bob) = pair();
         let mut ep = SessionEndpoint::new();
-        assert_eq!(ep.close_reason(), None);
-        ep.close(DisconnectReason::Done);
-        assert_eq!(ep.close_reason(), Some(DisconnectReason::Done));
+        let bye = ep.close(DisconnectReason::Done);
+        assert_eq!(
+            bye,
+            Frame::Disconnect {
+                reason: DisconnectReason::Done
+            }
+        );
+        assert_eq!(ep.state(), SessionState::Disconnected);
 
         // Remote disconnect carries the peer's stated reason.
         let mut ep = SessionEndpoint::new();
         let bye = Frame::Disconnect {
             reason: DisconnectReason::OutOfRange,
         };
-        ep.on_frame(&alice, bye, None, 0, &mut rng).unwrap();
-        assert_eq!(ep.close_reason(), Some(DisconnectReason::OutOfRange));
+        assert!(matches!(
+            ep.on_frame(&alice, bye, None, 0, &mut rng),
+            Ok(SessionEvent::Closed(DisconnectReason::OutOfRange))
+        ));
+        assert_eq!(ep.state(), SessionState::Disconnected);
 
         // Security failure: impostor certificate on handshake.
         let mut evil_ca = CertificateAuthority::new("Root", [9u8; 32], 0, u64::MAX);
@@ -415,13 +402,14 @@ mod tests {
         let mut mallory_ep = SessionEndpoint::new();
         let mut alice_ep = SessionEndpoint::new();
         let init = mallory_ep.connect(&mallory, None, &mut rng).unwrap();
-        alice_ep
+        let err = alice_ep
             .on_frame(&alice, init, None, 0, &mut rng)
             .unwrap_err();
         assert_eq!(
-            alice_ep.close_reason(),
-            Some(DisconnectReason::SecurityFailure)
+            DisconnectReason::for_error(&err),
+            DisconnectReason::SecurityFailure
         );
+        assert_eq!(alice_ep.state(), SessionState::Disconnected);
 
         // Protocol error: sequence gap on an established session.
         let mut bob_ep = SessionEndpoint::new();
@@ -434,20 +422,14 @@ mod tests {
         bob_ep.on_frame(&bob, reply, None, 0, &mut rng).unwrap();
         let _lost = bob_ep.send_payload(b"frame0").unwrap();
         let second = bob_ep.send_payload(b"frame1").unwrap();
-        alice_ep
+        let err = alice_ep
             .on_frame(&alice, second, None, 0, &mut rng)
             .unwrap_err();
         assert_eq!(
-            alice_ep.close_reason(),
-            Some(DisconnectReason::ProtocolError)
+            DisconnectReason::for_error(&err),
+            DisconnectReason::ProtocolError
         );
-
-        // The first cause sticks: a later local close cannot rewrite it.
-        alice_ep.close(DisconnectReason::Done);
-        assert_eq!(
-            alice_ep.close_reason(),
-            Some(DisconnectReason::ProtocolError)
-        );
+        assert_eq!(alice_ep.state(), SessionState::Disconnected);
     }
 
     #[test]

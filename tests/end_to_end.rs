@@ -7,24 +7,12 @@ use sos::experiments::driver::{Driver, DriverConfig};
 use sos::sim::geo::Point;
 use sos::sim::mobility::trace::Trajectory;
 use sos::sim::{SimDuration, SimTime, World};
-use sos::social::{AlleyOopApp, Cloud};
+use sos::social::AlleyOopApp;
 
 fn sign_up_group(n: usize, scheme: SchemeKind, seed: u64) -> Vec<AlleyOopApp> {
+    let handles = (0..n).map(|i| format!("user-{i}"));
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cloud = Cloud::new("Test CA", [1; 32]);
-    (0..n)
-        .map(|i| {
-            AlleyOopApp::sign_up(
-                &mut cloud,
-                PeerId(i as u32),
-                &format!("user-{i}"),
-                scheme,
-                SimTime::ZERO,
-                &mut rng,
-            )
-            .expect("unique handle")
-        })
-        .collect()
+    AlleyOopApp::sign_up_fleet("Test CA", 1, handles, scheme, &mut rng)
 }
 
 /// Two stationary nodes in range: a post propagates within an ad period.

@@ -2,8 +2,9 @@
 //! every allow in effect must suppress something and carry a reason.
 //! This is the same gate CI runs via the binary; failing here means a
 //! new violation (or a stale allow) slipped into production code.
-//! Beside it, two checks of the same kind on files `sos-lint` does not
-//! read: the workspace manifests and the changelog.
+//! Beside it, three checks of the same kind: the scoreboard, and two on
+//! files `sos-lint` does not read, the workspace manifests and the
+//! changelog.
 
 use sos_lint::{lint_workspace, Config};
 use std::path::Path;
@@ -55,6 +56,71 @@ const ALLOW_CEILINGS: [(&str, u32); 5] = [
     ("no-narrow-cast", 5),
     ("no-unbounded-prealloc", 1),
 ];
+
+/// The scoreboard's ceilings: non-test lines of code and public items.
+/// Like the allows, a ratchet: a PR that grows either number raises the
+/// constant in its own diff.
+const SCOREBOARD_CEILINGS: (usize, usize) = (17_316, 1_160);
+
+/// The scoreboard, counted over `crates/*/src` and `src`: in each file,
+/// the lines before the first `#[cfg(test)]` that are neither blank nor
+/// comments, and among them the public items (`pub fn`, `pub struct`,
+/// `pub enum`, `pub trait`, `pub const`, `pub static`, `pub type`,
+/// `pub mod`, `pub use`).
+#[test]
+fn scoreboard_stays_under_its_ceilings() {
+    fn rust_files(dir: &Path, files: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                rust_files(&path, files);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    const KINDS: [&str; 9] = [
+        "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "use",
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let src = krate.expect("crate entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let (mut loc, mut public) = (0, 0);
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("source file");
+        let code = text
+            .lines()
+            .map(str::trim)
+            .take_while(|line| !line.starts_with("#[cfg(test)]"))
+            .filter(|line| !line.is_empty() && !line.starts_with("//"));
+        for line in code {
+            loc += 1;
+            let kind = line.strip_prefix("pub ").and_then(|rest| {
+                rest.split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .next()
+            });
+            if kind.is_some_and(|word| KINDS.contains(&word)) {
+                public += 1;
+            }
+        }
+    }
+    assert!(files.len() > 100, "scan looks wrong: {} files", files.len());
+    let (loc_ceiling, public_ceiling) = SCOREBOARD_CEILINGS;
+    assert!(
+        loc <= loc_ceiling,
+        "{loc} non-test LOC, ceiling {loc_ceiling}"
+    );
+    assert!(
+        public <= public_ceiling,
+        "{public} public items, ceiling {public_ceiling}"
+    );
+}
 
 /// A vendored stand-in exists for its dependents: one that no member's
 /// manifest names through `workspace = true` builds on every

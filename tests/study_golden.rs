@@ -22,11 +22,13 @@ use sos::experiments::scenario::{
     field_study_trajectories, field_study_world, run_field_study_with, small_test_config,
 };
 use sos::node::provision::{followers_from_trace, provision_apps};
+use sos::obs::journal::{Journal, ObsEvent};
 use sos::sim::radio::RadioTech;
 use sos::sim::world::{ContactEvent, ContactPhase};
 use sos::sim::{EncounterSource, SimDuration, SimTime};
 use sos::trace::corpora::{import_bytes, CorpusFormat};
 use sos::trace::{generate_social_trace, ContactTrace, SocialTraceConfig};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Seed 99 was not used while the fast path was sized.
@@ -87,7 +89,28 @@ fn fold_run(mut digest: Digest, run: &StudyRun, observer: &RunObserver) -> Diges
             digest = digest.text(&format!("{post:?}"));
         }
     }
-    digest.text(&observer.finish().journal.to_jsonl())
+    let journal = observer.finish().journal;
+    assert_sessions_pair(&journal);
+    digest.text(&journal.to_jsonl())
+}
+
+/// For each `(node, peer)`, `SessionOpen` and `SessionClose` alternate,
+/// starting with an open; only the run's end may leave one open.
+fn assert_sessions_pair(journal: &Journal) {
+    let mut open = BTreeMap::new();
+    for e in journal.entries() {
+        let (peer, opens) = match e.event {
+            ObsEvent::SessionOpen { peer, .. } => (peer, true),
+            ObsEvent::SessionClose { peer, .. } => (peer, false),
+            _ => continue,
+        };
+        let was_open = open.insert((e.node, peer), opens).unwrap_or(false);
+        assert_ne!(
+            was_open, opens,
+            "node {}: {:?} out of turn",
+            e.node, e.event
+        );
+    }
 }
 
 /// The digest of `run(scheme)` over all five schemes, each observed.
