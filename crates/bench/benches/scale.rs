@@ -26,7 +26,7 @@
 //!   makes several shards repeat. Recorded, not gated;
 //! * **speedup** — at 100 k nodes, wall time of one shard vs. one
 //!   shard per core, both streamed, and the sharded stream
-//!   byte-compared with the single-loop front's. The **≥ 4× gate**
+//!   byte-compared with the single loop's. The **≥ 4× gate**
 //!   needs ≥ 4 cores; on fewer the ratio and the core count are only
 //!   recorded, so the JSON says which regime produced the numbers;
 //! * **million-node movement** — a full position step over 10⁶
@@ -40,10 +40,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use sos_bench::emit::{pretty_ns, smoke, time_once, Suite};
-use sos_engine::{GridContactEngine, ShardConfig, ShardedContactEngine};
+use sos_engine::{ShardConfig, ShardedContactEngine};
 use sos_experiments::metropolis::{run_metropolis, MetroConfig};
 use sos_sim::mobility::{Metropolis, MetropolisConfig, TrajectorySet};
-use sos_sim::{ContactSource, SimDuration, SimTime, World};
+use sos_sim::{EncounterSource, SimDuration, SimTime, World};
 
 /// Required sharded-vs-single speedup at 100 k nodes on ≥ 4 cores.
 const SPEEDUP_GATE: f64 = 4.0;
@@ -108,8 +108,8 @@ fn bench_identity(_c: &mut Criterion) {
     let nodes = if smoke() { 1_500 } else { 10_000 };
     let end = SimTime::from_mins(if smoke() { 20 } else { 60 });
     let set = city(nodes, 1, 11);
-    let expected = sharded(set.clone(), 1, 32).contact_events(SimTime::ZERO, end);
-    let got = sharded(set, 4, 32).contact_events(SimTime::ZERO, end);
+    let expected = sharded(set.clone(), 1, 32).encounter_events(SimTime::ZERO, end);
+    let got = sharded(set, 4, 32).encounter_events(SimTime::ZERO, end);
     assert_eq!(
         expected, got,
         "K=4 stream diverged from K=1 at {nodes} nodes"
@@ -125,8 +125,8 @@ fn bench_identity(_c: &mut Criterion) {
     let set = city(nodes, 1, 11);
     let tick = SimDuration::from_secs(TICK_SECS);
     let world = World::new(set.to_trajectories(), 60.0, tick);
-    let expected = World::contact_events(&world, SimTime::ZERO, end);
-    let got = sharded(set, 1, 32).contact_events(SimTime::ZERO, end);
+    let expected = world.encounter_events(SimTime::ZERO, end);
+    let got = sharded(set, 1, 32).encounter_events(SimTime::ZERO, end);
     assert_eq!(
         expected, got,
         "K=1 stream diverged from the naive scan at {nodes} nodes"
@@ -238,10 +238,11 @@ fn bench_speedup(_c: &mut Criterion) {
     let end = SimTime::from_mins(if smoke() { 10 } else { 30 });
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let set = city(nodes, 1, 23);
-    let front = GridContactEngine::new(
-        set.to_trajectories(),
+    let front = ShardedContactEngine::new(
+        set.clone(),
         60.0,
         SimDuration::from_secs(TICK_SECS),
+        ShardConfig::SINGLE,
     );
     let single = sharded(set.clone(), 1, 32);
     let engine = sharded(set, 0, 32);
@@ -251,9 +252,9 @@ fn bench_speedup(_c: &mut Criterion) {
     let (single_ns, transitions) = time_streamed(&single, end);
     let (sharded_ns, streamed) = time_streamed(&engine, end);
     assert_eq!(transitions, streamed);
-    // Byte-compared, untimed: the single-loop front's collected stream
+    // Byte-compared, untimed: the single loop's collected stream
     // against the sharded engine's, epoch by epoch.
-    let expected = ContactSource::contact_events(&front, SimTime::ZERO, end);
+    let expected = front.encounter_events(SimTime::ZERO, end);
     let mut at = 0;
     engine.for_each_epoch(SimTime::ZERO, end, |epoch| {
         let until = (at + epoch.len()).min(expected.len());

@@ -36,7 +36,7 @@ use sos_net::{Advertisement, Frame, PeerId};
 use sos_node::provision::{followers_from_trace, post_schedule, provision_apps, RunPlan};
 use sos_sim::world::{ContactEvent, ContactPhase};
 use sos_sim::{SimDuration, SimTime};
-use sos_trace::{generate_social_trace, ContactTrace, SocialTraceConfig, TraceContactSource};
+use sos_trace::{generate_social_trace, ContactTrace, SocialTraceConfig};
 use std::collections::BTreeMap;
 
 /// Allowed cost of 28 appended idle days on a 2-day study.
@@ -214,16 +214,12 @@ fn bench_discovery(_c: &mut Criterion) {
 /// The study a trace gets here: the population and the post list are
 /// `plain`'s whichever trace is replayed, so the padded run differs
 /// only in what was appended.
-fn study(
-    plain: &ContactTrace,
-    replayed: &ContactTrace,
-    plan: &RunPlan,
-) -> Study<TraceContactSource> {
+fn study(plain: &ContactTrace, replayed: &ContactTrace, plan: &RunPlan) -> Study<ContactTrace> {
     Study {
         scheme: plan.scheme,
         seed: plan.seed,
         apps: provision_apps(plain, plan),
-        source: TraceContactSource::new(replayed.clone()),
+        source: replayed.clone(),
         followers: followers_from_trace(plain),
         posts: post_schedule(plain, plan)
             .into_iter()

@@ -2,11 +2,10 @@
 //! trace versus computing it live from geometry.
 //!
 //! The acceptance gate for the sos-trace subsystem: replaying a
-//! recorded tape ([`TraceContactSource::encounter_events`]) must emit
-//! events at ≥ 5x the rate of the live naive scan
-//! (`World::contact_events`) on the same workload — the floor is
-//! deliberately conservative; replay skips geometry entirely and
-//! measures orders of magnitude faster. The gate is asserted (a run
+//! recorded tape (`ContactTrace`'s `encounter_events`) must emit
+//! events at ≥ 5x the rate of the live naive scan (`World`'s) on the
+//! same workload — the floor is deliberately conservative; replay
+//! skips geometry entirely and measures orders of magnitude faster. The gate is asserted (a run
 //! that violates it fails loudly) and every measurement is written to
 //! `BENCH_trace.json` at the workspace root. Set `SOS_BENCH_SMOKE=1`
 //! (as CI does) for a few-iteration smoke run.
@@ -32,7 +31,7 @@ use sos_sim::mobility::trace::Trajectory;
 use sos_sim::world::ContactPhase;
 use sos_sim::{EncounterSource, SimDuration, SimTime, World};
 use sos_trace::corpora::{import_bytes, CorpusFormat};
-use sos_trace::{codec_binary, codec_text, ContactTrace, TraceAnalytics, TraceContactSource};
+use sos_trace::{codec_binary, codec_text, ContactTrace, TraceAnalytics};
 use std::fmt::Write as _;
 
 const NODES: usize = 120;
@@ -99,14 +98,13 @@ fn bench_trace_replay(_c: &mut Criterion) {
         "workload: {NODES} nodes, {HOURS} h, {} events on the tape\n",
         tape.len()
     );
-    let replay = TraceContactSource::new(tape.clone());
 
     // --- Timeline production: live geometry vs tape replay.
     let live_ns = measure("timeline/live_world_scan", || {
         world.encounter_events(SimTime::ZERO, end).len()
     });
     let replay_ns = measure("timeline/trace_replay", || {
-        replay.encounter_events(SimTime::ZERO, end).len()
+        tape.encounter_events(SimTime::ZERO, end).len()
     });
     let live_rate = events / (live_ns / 1e9);
     let replay_rate = events / (replay_ns / 1e9);
@@ -161,7 +159,7 @@ fn bench_trace_replay(_c: &mut Criterion) {
     // --- Acceptance gates (checked in smoke runs too: CI executes this
     // with SOS_BENCH_SMOKE=1, so a rotted replay path fails CI).
     assert!(
-        replay.encounter_events(SimTime::ZERO, end) == world.encounter_events(SimTime::ZERO, end),
+        tape.encounter_events(SimTime::ZERO, end) == world.encounter_events(SimTime::ZERO, end),
         "replayed timeline must equal the recorded one"
     );
     assert!(

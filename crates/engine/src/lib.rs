@@ -22,42 +22,44 @@
 //! * [`shard`] — [`ShardedContactEngine`], that loop partitioned into
 //!   K strips stepped by scoped threads with an epoch-barrier
 //!   boundary-handoff protocol; its merged stream is byte-identical for
-//!   every K, so one world can use every core.
-//! * [`kernel`] — [`GridContactEngine`], the single-loop front: a
-//!   newtype over [`ShardedContactEngine`] with one shard and one
-//!   epoch, built from per-node trajectories.
+//!   every K, so one world can use every core. [`ShardConfig::SINGLE`]
+//!   is the single loop: one shard, one thread, one epoch.
 //! * [`runner`] — a scoped-thread batch runner that executes many
 //!   independent scenario replicas in parallel and returns their
 //!   results in order, for scheme-comparison sweeps.
 //!
-//! The kernel implements [`sos_sim::ContactSource`], the trait the
+//! The engine implements [`sos_sim::EncounterSource`], the trait the
 //! experiment driver consumes, and is *exactly equivalent* to the naive
 //! scan at tick resolution: same pairs, same up/down times, same
 //! distances (verified by the equivalence property tests in
 //! `tests/equivalence.rs`).
 //!
 //! ```
-//! use sos_engine::GridContactEngine;
+//! use sos_engine::{ShardConfig, ShardedContactEngine};
 //! use sos_sim::mobility::trace::Trajectory;
-//! use sos_sim::{ContactSource, Point, SimDuration, SimTime};
+//! use sos_sim::{EncounterSource, Point, SimDuration, SimTime};
 //!
 //! let a = Trajectory::stationary(Point::new(0.0, 0.0));
 //! let b = Trajectory::stationary(Point::new(30.0, 0.0));
-//! let engine = GridContactEngine::new(vec![a, b], 60.0, SimDuration::from_secs(30));
-//! let intervals = engine.contact_intervals(SimTime::ZERO, SimTime::from_hours(1));
+//! let engine = ShardedContactEngine::from_trajectories(
+//!     &[a, b],
+//!     60.0,
+//!     SimDuration::from_secs(30),
+//!     ShardConfig::SINGLE,
+//! );
+//! let intervals = engine.encounter_intervals(SimTime::ZERO, SimTime::from_hours(1));
 //! assert_eq!(intervals.len(), 1);
+//! assert_eq!(engine.range_hint_m(), Some(60.0));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod grid;
-pub mod kernel;
 pub mod runner;
 pub mod shard;
 mod tick;
 
 pub use grid::UniformGrid;
-pub use kernel::GridContactEngine;
 pub use runner::run_replicas;
 pub use shard::{ShardConfig, ShardedContactEngine};

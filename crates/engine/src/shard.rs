@@ -5,8 +5,7 @@
 //! local uniform grid, open-contact lists and cache-linear
 //! struct-of-arrays node state ([`TrajectorySet`]). Every worker runs
 //! the crate's one tick loop (`crate::tick`); with one shard and one
-//! epoch the engine *is* the single loop, which is what
-//! [`GridContactEngine`](crate::kernel::GridContactEngine) wraps. The
+//! epoch ([`ShardConfig::SINGLE`]) the engine *is* the single loop. The
 //! merged `ContactUp`/`ContactDown` stream is **byte-identical** for
 //! every K, epoch length and thread count — `tests/equivalence.rs`
 //! pins K = 1 to the naive [`World`](sos_sim::World) scan and
@@ -95,8 +94,8 @@ use crate::runner::run_replicas;
 use crate::tick::{EpochCtx, Shard};
 use sos_sim::mobility::soa::TrajectorySet;
 use sos_sim::mobility::trace::Trajectory;
-use sos_sim::world::{ContactEvent, ContactSource};
-use sos_sim::{Point, SimDuration, SimTime};
+use sos_sim::world::ContactEvent;
+use sos_sim::{EncounterSource, Point, SimDuration, SimTime};
 use std::cmp::Ordering;
 
 /// The longest epoch the kernel steps in one go, in ticks. The wake
@@ -116,6 +115,18 @@ pub struct ShardConfig {
     pub epoch_ticks: u64,
     /// Worker threads for the parallel phase; `0` = one per core.
     pub threads: usize,
+}
+
+impl ShardConfig {
+    /// One shard, one thread and one epoch spanning the whole window:
+    /// the single tick loop, and the configuration a caller that wants
+    /// no parallelism inside one world (a sweep that already fans out
+    /// across replicas) asks for.
+    pub const SINGLE: ShardConfig = ShardConfig {
+        shards: 1,
+        epoch_ticks: u64::MAX,
+        threads: 1,
+    };
 }
 
 impl Default for ShardConfig {
@@ -182,21 +193,6 @@ impl ShardedContactEngine {
         )
     }
 
-    /// The discovery tick.
-    pub fn tick(&self) -> SimDuration {
-        self.tick
-    }
-
-    /// The sharding configuration.
-    pub fn config(&self) -> ShardConfig {
-        self.config
-    }
-
-    /// The node state the engine steps.
-    pub fn trajectory_set(&self) -> &TrajectorySet {
-        &self.set
-    }
-
     /// The resolved shard count (`config.shards`, or one per available
     /// core when 0).
     pub fn shards(&self) -> usize {
@@ -211,10 +207,10 @@ impl ShardedContactEngine {
     ///
     /// `f` is called once per epoch with that epoch's merged, globally
     /// ordered slice of the stream; the concatenation over all epochs
-    /// is byte-identical to `World::contact_events(start, end)`. Use
-    /// this instead of [`ContactSource::contact_events`] when the full
-    /// stream would not fit in memory (a 1M-node day is tens of
-    /// millions of events).
+    /// is byte-identical to the naive scan's `encounter_events(start,
+    /// end)`. Use this instead of [`EncounterSource::encounter_events`]
+    /// when the full stream would not fit in memory (a 1M-node day is
+    /// tens of millions of events).
     ///
     /// The slice is valid for the call only: with one shard it *is*
     /// that shard's output buffer (nothing is copied or re-sorted), and
@@ -372,23 +368,23 @@ impl ShardedContactEngine {
     }
 }
 
-impl ContactSource for ShardedContactEngine {
+impl EncounterSource for ShardedContactEngine {
     fn node_count(&self) -> usize {
         self.set.node_count()
     }
 
-    fn range_m(&self) -> f64 {
-        self.range_m
-    }
-
-    fn position(&self, node: usize, t: SimTime) -> Point {
-        self.set.position_at(node, t)
-    }
-
-    fn contact_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
+    fn encounter_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
         let mut events = Vec::new();
         self.for_each_epoch(start, end, |epoch| events.extend_from_slice(epoch));
         events
+    }
+
+    fn node_position(&self, node: usize, t: SimTime) -> Option<Point> {
+        Some(self.set.position_at(node, t))
+    }
+
+    fn range_hint_m(&self) -> Option<f64> {
+        Some(self.range_m)
     }
 }
 
@@ -429,7 +425,8 @@ fn merge_runs(shards: &[Shard], merged: &mut Vec<ContactEvent>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::GridContactEngine;
+    use sos_sim::world::ContactInterval;
+    use sos_sim::World;
 
     fn crossing() -> Vec<Trajectory> {
         vec![
@@ -455,12 +452,16 @@ mod tests {
         }
     }
 
+    /// The single tick loop ([`ShardConfig::SINGLE`]) at a 60 m range.
+    fn single(trajectories: &[Trajectory], tick: SimDuration) -> ShardedContactEngine {
+        ShardedContactEngine::from_trajectories(trajectories, 60.0, tick, ShardConfig::SINGLE)
+    }
+
     #[test]
     fn matches_single_loop_kernel_exactly() {
         let tick = SimDuration::from_secs(10);
         let end = SimTime::from_secs(1000);
-        let single = GridContactEngine::new(crossing(), 60.0, tick);
-        let expected = ContactSource::contact_events(&single, SimTime::ZERO, end);
+        let expected = single(&crossing(), tick).encounter_events(SimTime::ZERO, end);
         assert!(!expected.is_empty());
         for shards in [1, 2, 4] {
             for epoch_ticks in [1, 7, 1000] {
@@ -471,7 +472,7 @@ mod tests {
                     config(shards, epoch_ticks),
                 );
                 assert_eq!(
-                    ContactSource::contact_events(&sharded, SimTime::ZERO, end),
+                    sharded.encounter_events(SimTime::ZERO, end),
                     expected,
                     "shards {shards}, epoch_ticks {epoch_ticks}"
                 );
@@ -485,7 +486,7 @@ mod tests {
         let end = SimTime::from_secs(1000);
         let engine =
             ShardedContactEngine::from_trajectories(&crossing(), 60.0, tick, config(2, 16));
-        let full = ContactSource::contact_events(&engine, SimTime::ZERO, end);
+        let full = engine.encounter_events(SimTime::ZERO, end);
         let mut streamed = Vec::new();
         let mut epochs = 0;
         engine.for_each_epoch(SimTime::ZERO, end, |chunk| {
@@ -510,5 +511,123 @@ mod tests {
         assert_eq!(owners, sorted, "owners are monotone in x");
         assert!(owners.iter().all(|&s| s < 4));
         assert_eq!(owner_boundaries(&positions, 1), Vec::<f64>::new());
+    }
+
+    #[test]
+    fn crossing_pair_matches_naive_scan() {
+        let tick = SimDuration::from_secs(10);
+        let end = SimTime::from_secs(1000);
+        let pair = &crossing()[..2];
+        let world = World::new(pair.to_vec(), 60.0, tick);
+        assert_eq!(
+            single(pair, tick).encounter_events(SimTime::ZERO, end),
+            world.encounter_events(SimTime::ZERO, end)
+        );
+    }
+
+    #[test]
+    fn stationary_pair_contact_spans_whole_window() {
+        let engine = single(
+            &[
+                Trajectory::stationary(Point::new(0.0, 0.0)),
+                Trajectory::stationary(Point::new(30.0, 0.0)),
+            ],
+            SimDuration::from_secs(30),
+        );
+        let ivs = engine.encounter_intervals(SimTime::ZERO, SimTime::from_hours(1));
+        assert_eq!(
+            ivs,
+            vec![ContactInterval {
+                a: 0,
+                b: 1,
+                start: SimTime::ZERO,
+                end: SimTime::from_hours(1),
+            }]
+        );
+        // Dormant nodes schedule no wake-ups, so this costs two
+        // initial inserts and nothing per tick (observable only as
+        // speed, asserted structurally: no events beyond the initial).
+        let events = engine.encounter_events(SimTime::ZERO, SimTime::from_hours(1));
+        assert_eq!(events.len(), 1);
+    }
+
+    #[test]
+    fn distant_mover_never_contacts() {
+        let engine = single(
+            &[
+                Trajectory::stationary(Point::new(0.0, 0.0)),
+                Trajectory::new(vec![
+                    (SimTime::ZERO, Point::new(5000.0, 0.0)),
+                    (SimTime::from_secs(100), Point::new(5000.0, 4000.0)),
+                ])
+                .expect("valid"),
+            ],
+            SimDuration::from_secs(10),
+        );
+        assert!(engine
+            .encounter_events(SimTime::ZERO, SimTime::from_secs(200))
+            .is_empty());
+    }
+
+    #[test]
+    fn world_parameters_are_kept() {
+        // Built from a world's trajectories, range and tick, the single
+        // loop reports the world's range, population and positions, and
+        // its stream is the world's.
+        let tick = SimDuration::from_secs(10);
+        let end = SimTime::from_secs(1000);
+        let pair = &crossing()[..2];
+        let world = World::new(pair.to_vec(), 60.0, tick);
+        let engine = single(pair, tick);
+        assert_eq!(engine.range_hint_m(), Some(60.0));
+        assert_eq!(engine.range_hint_m(), world.range_hint_m());
+        assert_eq!(engine.node_count(), world.node_count());
+        for secs in [0, 250, 500, 1000] {
+            let t = SimTime::from_secs(secs);
+            for node in 0..2 {
+                assert_eq!(engine.node_position(node, t), world.node_position(node, t));
+            }
+        }
+        assert_eq!(
+            engine.encounter_events(SimTime::ZERO, end),
+            world.encounter_events(SimTime::ZERO, end)
+        );
+    }
+
+    #[test]
+    fn equal_timestamp_waypoints_match_naive_scan() {
+        // Trajectory::new permits duplicate timestamps (teleports);
+        // the kernel must wake on the boundary tick itself, or the
+        // jump lands one tick late relative to the naive scan.
+        let teleporter = Trajectory::new(vec![
+            (SimTime::ZERO, Point::new(1000.0, 0.0)),
+            (SimTime::from_secs(100), Point::new(1000.0, 0.0)),
+            (SimTime::from_secs(100), Point::new(10.0, 0.0)), // jump into range
+            (SimTime::from_secs(300), Point::new(10.0, 0.0)),
+            (SimTime::from_secs(300), Point::new(2000.0, 0.0)), // jump out
+        ])
+        .expect("valid");
+        let anchor = Trajectory::stationary(Point::new(0.0, 0.0));
+        for tick_secs in [7, 10, 30] {
+            let tick = SimDuration::from_secs(tick_secs);
+            let end = SimTime::from_secs(400);
+            let trajs = vec![anchor.clone(), teleporter.clone()];
+            let world = World::new(trajs.clone(), 60.0, tick);
+            let naive = world.encounter_events(SimTime::ZERO, end);
+            assert_eq!(
+                single(&trajs, tick).encounter_events(SimTime::ZERO, end),
+                naive,
+                "tick {tick_secs}s"
+            );
+            assert!(!naive.is_empty(), "teleport should create a contact");
+        }
+    }
+
+    #[test]
+    fn empty_window_is_empty() {
+        let engine = single(&crossing()[..2], SimDuration::from_secs(10));
+        assert!(engine
+            .encounter_events(SimTime::from_secs(10), SimTime::from_secs(5))
+            .is_empty());
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! A [`Shard`] steps a set of *hosted* nodes through one epoch window
 //! after another and emits the contact transitions of the pairs it
-//! owns. Both engines sit on it:
-//! [`ShardedContactEngine`](crate::ShardedContactEngine) runs K of these
-//! per epoch, and [`GridContactEngine`](crate::GridContactEngine) is
-//! that engine with one shard and one whole-window epoch.
+//! owns. [`ShardedContactEngine`](crate::ShardedContactEngine) runs K
+//! of these per epoch; with
+//! [`ShardConfig::SINGLE`](crate::ShardConfig::SINGLE) it runs one over
+//! one whole-window epoch.
 //!
 //! Two mechanisms make a tick cheap:
 //!

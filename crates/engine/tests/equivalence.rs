@@ -5,18 +5,19 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use sos_engine::GridContactEngine;
+use sos_engine::{ShardConfig, ShardedContactEngine};
 use sos_sim::geo::{Bounds, Point};
 use sos_sim::mobility::random_waypoint::RandomWaypoint;
 use sos_sim::mobility::schedule::{DailySchedule, ScheduleConfig};
 use sos_sim::mobility::trace::Trajectory;
-use sos_sim::{ContactSource, SimDuration, SimTime, World};
+use sos_sim::{EncounterSource, SimDuration, SimTime, World};
 
 fn assert_equivalent(trajectories: Vec<Trajectory>, range_m: f64, tick: SimDuration, end: SimTime) {
     let world = World::new(trajectories.clone(), range_m, tick);
-    let engine = GridContactEngine::new(trajectories, range_m, tick);
-    let naive = World::contact_events(&world, SimTime::ZERO, end);
-    let grid = ContactSource::contact_events(&engine, SimTime::ZERO, end);
+    let engine =
+        ShardedContactEngine::from_trajectories(&trajectories, range_m, tick, ShardConfig::SINGLE);
+    let naive = world.encounter_events(SimTime::ZERO, end);
+    let grid = engine.encounter_events(SimTime::ZERO, end);
     assert_eq!(
         naive, grid,
         "grid kernel diverged from naive scan (range {range_m} m, tick {tick:?})"
@@ -24,8 +25,8 @@ fn assert_equivalent(trajectories: Vec<Trajectory>, range_m: f64, tick: SimDurat
     // Intervals follow from events, but assert them too: they are what
     // the driver's contact-down scheduling actually consumes.
     assert_eq!(
-        World::contact_intervals(&world, SimTime::ZERO, end),
-        engine.contact_intervals(SimTime::ZERO, end),
+        world.encounter_intervals(SimTime::ZERO, end),
+        engine.encounter_intervals(SimTime::ZERO, end),
     );
 }
 

@@ -1,7 +1,8 @@
 //! The sharded kernel's correctness contract: on any trajectory set,
 //! any shard count, and any epoch length, [`ShardedContactEngine`]
-//! emits a contact stream *byte-identical* to the single-loop
-//! [`GridContactEngine`] — same pairs, same tick times, same distances.
+//! emits a contact stream *byte-identical* to the single loop
+//! ([`ShardConfig::SINGLE`]) — same pairs, same tick times, same
+//! distances.
 //!
 //! The first group of cases deliberately stresses the boundary-handoff
 //! protocol: nodes oscillating back and forth across shard boundaries
@@ -20,13 +21,13 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use sos_engine::{GridContactEngine, ShardConfig, ShardedContactEngine};
+use sos_engine::{ShardConfig, ShardedContactEngine};
 use sos_sim::geo::{Bounds, Point};
 use sos_sim::mobility::random_waypoint::RandomWaypoint;
 use sos_sim::mobility::trace::Trajectory;
 use sos_sim::mobility::{Metropolis, MetropolisConfig};
 use sos_sim::world::{ContactEvent, ContactPhase};
-use sos_sim::{ContactSource, SimDuration, SimTime, World};
+use sos_sim::{EncounterSource, SimDuration, SimTime, World};
 
 fn assert_sharded_matches(
     trajectories: &[Trajectory],
@@ -36,7 +37,8 @@ fn assert_sharded_matches(
     shards: usize,
     epoch_ticks: u64,
 ) {
-    let single = GridContactEngine::new(trajectories.to_vec(), range_m, tick);
+    let single =
+        ShardedContactEngine::from_trajectories(trajectories, range_m, tick, ShardConfig::SINGLE);
     let sharded = ShardedContactEngine::from_trajectories(
         trajectories,
         range_m,
@@ -47,8 +49,8 @@ fn assert_sharded_matches(
             threads: 0,
         },
     );
-    let expected = ContactSource::contact_events(&single, SimTime::ZERO, end);
-    let got = ContactSource::contact_events(&sharded, SimTime::ZERO, end);
+    let expected = single.encounter_events(SimTime::ZERO, end);
+    let got = sharded.encounter_events(SimTime::ZERO, end);
     assert_eq!(
         expected, got,
         "sharded stream diverged (K={shards}, epoch_ticks={epoch_ticks}, range {range_m} m)"
@@ -177,8 +179,9 @@ fn deterministic_across_shard_counts_and_reruns() {
         .collect();
     let tick = SimDuration::from_secs(30);
     let end = SimTime::from_mins(25);
-    let single = GridContactEngine::new(trajectories.clone(), 60.0, tick);
-    let expected = ContactSource::contact_events(&single, SimTime::ZERO, end);
+    let single =
+        ShardedContactEngine::from_trajectories(&trajectories, 60.0, tick, ShardConfig::SINGLE);
+    let expected = single.encounter_events(SimTime::ZERO, end);
     assert!(!expected.is_empty(), "scenario should produce contacts");
     for k in [1usize, 4, 16] {
         let engine = ShardedContactEngine::from_trajectories(
@@ -191,8 +194,8 @@ fn deterministic_across_shard_counts_and_reruns() {
                 threads: 0,
             },
         );
-        let first = ContactSource::contact_events(&engine, SimTime::ZERO, end);
-        let second = ContactSource::contact_events(&engine, SimTime::ZERO, end);
+        let first = engine.encounter_events(SimTime::ZERO, end);
+        let second = engine.encounter_events(SimTime::ZERO, end);
         assert_eq!(expected, first, "K={k} diverged from the single loop");
         assert_eq!(first, second, "K={k} was not deterministic across reruns");
     }
@@ -223,7 +226,7 @@ fn assert_matches_world(
     configs: &[(usize, u64)],
 ) -> Vec<ContactEvent> {
     let world = World::new(trajectories.to_vec(), range_m, tick);
-    let expected = World::contact_events(&world, start, end);
+    let expected = world.encounter_events(start, end);
     for &(shards, epoch_ticks) in configs {
         let config = ShardConfig {
             shards,
@@ -233,7 +236,7 @@ fn assert_matches_world(
         let engine = ShardedContactEngine::from_trajectories(trajectories, range_m, tick, config);
         assert_eq!(
             expected,
-            ContactSource::contact_events(&engine, start, end),
+            engine.encounter_events(start, end),
             "diverged from the naive scan (K={shards}, epoch_ticks={epoch_ticks})"
         );
     }

@@ -16,7 +16,7 @@
 //!   applies to its own deployment;
 //! * a seeded uniform post workload over the trace's span;
 //! * the identical driver the live scenario uses ([`run_study`]), fed
-//!   by `TraceContactSource` replay.
+//!   by the trace itself (a `ContactTrace` is an encounter source).
 //!
 //! Everything is a pure function of `(trace, config)`, so corpus runs
 //! are as reproducible as the recorded-tape replays — and a corpus
@@ -27,7 +27,7 @@ use crate::driver::{run_study, DriverConfig, Study};
 use crate::observe::RunObserver;
 use sos_core::routing::SchemeKind;
 use sos_node::provision::{followers_from_trace, post_schedule, provision_apps};
-use sos_trace::{ContactTrace, TraceContactSource};
+use sos_trace::ContactTrace;
 
 /// Corpus-study parameters (the trace supplies population and span):
 /// the plan every lockstep transport takes.
@@ -56,7 +56,7 @@ pub fn run_corpus_study_full(
         scheme: config.scheme,
         seed: config.seed,
         apps: provision_apps(trace, config),
-        source: TraceContactSource::new(trace.clone()),
+        source: trace.clone(),
         followers: followers_from_trace(trace),
         posts: post_schedule(trace, config)
             .into_iter()

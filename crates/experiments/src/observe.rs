@@ -87,7 +87,7 @@ impl RunObserver {
 /// Everything a finished run's observability captured.
 #[derive(Clone, Debug)]
 pub struct RunObservation {
-    /// Every registered counter/gauge/histogram at end of run.
+    /// Every registered counter and histogram at end of run.
     pub metrics: MetricsSnapshot,
     /// The retained event journal.
     pub journal: Journal,

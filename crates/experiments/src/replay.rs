@@ -20,7 +20,7 @@ use crate::observe::RunObserver;
 use crate::scenario::{field_study_world, run_field_study, run_field_study_with, FieldStudyConfig};
 use sos_core::message::MessageId;
 use sos_sim::SimTime;
-use sos_trace::{ContactTrace, TraceContactSource};
+use sos_trace::ContactTrace;
 use std::collections::BTreeSet;
 
 /// Records the encounter timeline that `config`'s field study drives,
@@ -49,7 +49,7 @@ pub fn replay_field_study(
     trace: &ContactTrace,
     obs: Option<&RunObserver>,
 ) -> StudyRun {
-    run_field_study_with(config, TraceContactSource::new(trace.clone()), obs)
+    run_field_study_with(config, trace.clone(), obs)
 }
 
 /// The delivered set of a run: every `(node, message)` pair present in

@@ -164,11 +164,10 @@ pub fn field_study_followers() -> Vec<Vec<usize>> {
 }
 
 /// Runs the complete field study on an arbitrary [`EncounterSource`]:
-/// the scenario's own [`field_study_world`], `sos-engine`'s grid or
-/// sharded kernel over the same trajectories, or a
-/// `sos_trace::TraceContactSource` holding a recorded (or imported, or
-/// synthetic) timeline. With `obs`, the run is captured without being
-/// changed.
+/// the scenario's own [`field_study_world`], `sos-engine`'s kernel over
+/// the same trajectories, or a recorded (or imported, or synthetic)
+/// `sos_trace::ContactTrace`. With `obs`, the run is captured without
+/// being changed.
 ///
 /// Everything except the encounter timeline is a pure function of
 /// `config`, so two sources with the same timeline yield

@@ -1,22 +1,24 @@
-//! Parallel routing-scheme sweeps on the grid contact engine — the
+//! Parallel routing-scheme sweeps on the contact kernel — the
 //! comparison the paper's companion platform calls for (§III-B
 //! motivates the modular routing manager precisely so such comparisons
 //! are easy).
 //!
 //! Every `(scheme, seed)` replica is an independent field-study run
 //! whose contact detection is `sos-engine`'s grid-indexed event-driven
-//! kernel, and replicas execute across threads via
-//! [`sos_engine::run_replicas`]. Per-scheme cells aggregate means over
-//! seeds, giving Fig. 4-style comparisons (epidemic vs. interest-based
-//! vs. spray-and-wait vs. direct) with seed noise averaged out; with
-//! one seed a sweep is the routing-scheme ablation `repro ablation`
-//! prints. [`report::sweep_table`](crate::report::sweep_table) renders
-//! the cells.
+//! kernel as a single loop ([`ShardConfig::SINGLE`]: the sweep's
+//! parallelism is across replicas, not inside one), and replicas
+//! execute across threads via [`sos_engine::run_replicas`]. Per-scheme
+//! cells aggregate means over seeds, giving Fig. 4-style comparisons
+//! (epidemic vs. interest-based vs. spray-and-wait vs. direct) with
+//! seed noise averaged out; with one seed a sweep is the routing-scheme
+//! ablation `repro ablation` prints. The cells render through
+//! [`report::sweep_table`](crate::report::sweep_table).
 
 use crate::driver::RunSummary;
-use crate::scenario::{field_study_world, run_field_study_with, FieldStudyConfig};
+use crate::scenario::{field_study_trajectories, run_field_study_with, FieldStudyConfig};
 use sos_core::routing::SchemeKind;
-use sos_engine::{run_replicas, GridContactEngine};
+use sos_engine::{run_replicas, ShardConfig, ShardedContactEngine};
+use sos_sim::radio::RadioTech;
 
 /// One `(scheme, seed)` replica (plain data so it can cross the
 /// worker-thread boundary cheaply).
@@ -63,18 +65,29 @@ impl SweepCell {
     }
 }
 
-/// Runs one `(scheme, seed)` replica on the grid engine.
+/// The single-loop kernel over `config`'s field-study mobility: the
+/// timeline of `field_study_world(config)`, found without the O(n²)
+/// scan.
+fn single_loop(config: &FieldStudyConfig) -> ShardedContactEngine {
+    ShardedContactEngine::from_trajectories(
+        &field_study_trajectories(config),
+        RadioTech::max_range_m(config.infra_available),
+        config.contact_tick,
+        ShardConfig::SINGLE,
+    )
+}
+
+/// Runs one `(scheme, seed)` replica on the single-loop kernel.
 pub fn run_replica(base: &FieldStudyConfig, scheme: SchemeKind, seed: u64) -> ReplicaOutcome {
     let cfg = FieldStudyConfig {
         scheme,
         seed,
         ..base.clone()
     };
-    let source = GridContactEngine::from_world(field_study_world(&cfg));
     ReplicaOutcome {
         scheme,
         seed,
-        summary: run_field_study_with(&cfg, source, None).summary(),
+        summary: run_field_study_with(&cfg, single_loop(&cfg), None).summary(),
     }
 }
 
@@ -148,8 +161,7 @@ mod tests {
         // World scan, because the contact streams are identical.
         let cfg = small_test_config(5, SchemeKind::InterestBased);
         let naive = run_field_study(&cfg);
-        let source = GridContactEngine::from_world(field_study_world(&cfg));
-        let grid = run_field_study_with(&cfg, source, None);
+        let grid = run_field_study_with(&cfg, single_loop(&cfg), None);
         assert_eq!(naive.metrics, grid.metrics);
         assert_eq!(naive.totals, grid.totals);
     }

@@ -49,8 +49,8 @@ impl Config {
             // Frame/bundle encoders, trace codecs + the recorder that
             // feeds them, everything that renders RUN-REPORTs or
             // BENCH-JSON, and the contact kernel end to end — the tick
-            // loop, the grid whose hash-keyed cells feed it, the stream
-            // merge and the single-loop front: the stream must be
+            // loop, the grid whose hash-keyed cells feed it and the
+            // stream merge: the stream must be
             // byte-identical for every shard count, and only the tick
             // loop's per-tick sort stands between bucket order and the
             // output, so no hash-iteration order may join it.
@@ -66,7 +66,6 @@ impl Config {
                 "/emit.rs",
                 "/shard.rs",
                 "/tick.rs",
-                "/kernel.rs",
                 "/grid.rs",
                 // The in-vivo control protocol renders report lines
                 // (stats / delivered / journal) that cross-process

@@ -281,14 +281,17 @@ impl Fleet for SocketFleet {
     }
 }
 
-/// Collects every daemon's report stream into one outcome.
+/// Collects every daemon's report stream into one outcome. Every node
+/// must report its stats exactly once across the fleet: a node missing
+/// or reported twice is a protocol violation, not a row of zeros or a
+/// silent overwrite.
 fn gather_reports(
     daemons: &mut [(MsgStream, String)],
     node_count: usize,
 ) -> Result<InVivoOutcome, InVivoError> {
     broadcast(daemons, &Msg::Finish)?;
     let mut delivered = BTreeSet::new();
-    let mut stats = vec![SosStats::default(); node_count];
+    let mut stats: Vec<Option<SosStats>> = vec![None; node_count];
     let mut journal: Vec<String> = Vec::new();
     for (control, _) in daemons.iter_mut() {
         loop {
@@ -301,7 +304,11 @@ fn gather_reports(
                         let slot = stats.get_mut(node as usize).ok_or_else(|| {
                             InVivoError::Protocol(format!("stats for unknown node {node}"))
                         })?;
-                        *slot = s;
+                        if slot.replace(s).is_some() {
+                            return Err(InVivoError::Protocol(format!(
+                                "stats for node {node} reported twice"
+                            )));
+                        }
                     }
                     Some(ReportKind::Delivered) => {
                         let entry = parse_delivered_line(&line).ok_or_else(|| {
@@ -323,6 +330,11 @@ fn gather_reports(
             }
         }
     }
+    let stats = (stats.into_iter().enumerate())
+        .map(|(node, s)| {
+            s.ok_or_else(|| InVivoError::Protocol(format!("no stats for node {node}")))
+        })
+        .collect::<Result<Vec<SosStats>, InVivoError>>()?;
     journal.sort();
     Ok(InVivoOutcome {
         delivered,
@@ -345,4 +357,51 @@ pub fn run_broker(
     config: BrokerConfig,
 ) -> Result<InVivoOutcome, InVivoError> {
     Broker::bind(config)?.run(trace)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::stats_line;
+    use std::net::TcpStream;
+
+    /// Gathers a `node_count`-node run from one daemon over a loopback
+    /// control connection, the daemon having reported stats for `nodes`
+    /// (node `i` with `posts = i + 1`) and then `ReportDone`.
+    fn gather_from(nodes: &[u32], node_count: usize) -> Result<InVivoOutcome, InVivoError> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let connect = TcpStream::connect(listener.local_addr().expect("address"));
+        let mut daemon = MsgStream::new(connect.expect("connect"));
+        let (broker_end, _) = listener.accept().expect("accept");
+        for &node in nodes {
+            let stats = SosStats {
+                posts: u64::from(node) + 1,
+                ..SosStats::default()
+            };
+            let line = stats_line(node, &stats);
+            let kind = ReportKind::Stats.to_byte();
+            daemon.send(&Msg::Report { kind, line }).expect("send");
+        }
+        daemon.send(&Msg::ReportDone).expect("send");
+        gather_reports(
+            &mut [(MsgStream::new(broker_end), String::new())],
+            node_count,
+        )
+    }
+
+    #[test]
+    fn every_node_reports_stats_exactly_once() {
+        let outcome = gather_from(&[1, 0], 2).expect("complete reports");
+        let posts: Vec<u64> = outcome.stats.iter().map(|s| s.posts).collect();
+        assert_eq!(posts, [1, 2]);
+        for (nodes, violation) in [
+            (&[0, 1, 1][..], "stats for node 1 reported twice"),
+            (&[0][..], "no stats for node 1"),
+        ] {
+            match gather_from(nodes, 2) {
+                Err(InVivoError::Protocol(what)) => assert_eq!(what, violation),
+                other => panic!("{nodes:?}: expected {violation:?}, got {other:?}"),
+            }
+        }
+    }
 }

@@ -10,6 +10,7 @@ use sos_core::middleware::SosStats;
 use sos_core::routing::SchemeKind;
 use sos_net::{encode_wire, NetError, WireReader, MAX_WIRE_FRAME};
 use sos_sim::codec::{Reader, Writer};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -478,13 +479,20 @@ pub fn stats_line(node: u32, s: &SosStats) -> String {
     )
 }
 
-/// Parses a [`stats_line`].
+/// Parses a [`stats_line`]: `node` and each of the twelve counters
+/// exactly once, in any order. A missing, repeated or unknown key is
+/// `None`, so a report that lost or doubled a counter cannot pass for
+/// one whose counter is 0.
 pub fn parse_stats_line(line: &str) -> Option<(u32, SosStats)> {
     let mut node = None;
     let mut s = SosStats::default();
+    let mut seen = BTreeSet::new();
     for field in line.split_whitespace() {
         let (key, value) = field.split_once('=')?;
         let v: u64 = value.parse().ok()?;
+        if !seen.insert(key) {
+            return None;
+        }
         match key {
             "node" => node = Some(u32::try_from(v).ok()?),
             "posts" => s.posts = v,
@@ -502,7 +510,8 @@ pub fn parse_stats_line(line: &str) -> Option<(u32, SosStats)> {
             _ => return None,
         }
     }
-    Some((node?, s))
+    // Thirteen distinct known keys: `node` and all twelve counters.
+    (seen.len() == 13).then_some((node?, s))
 }
 
 /// Lowercase hex of an author id, the delivered-line key.
@@ -616,15 +625,42 @@ mod tests {
             sessions_resumed: 11,
             resume_misses: 12,
         };
-        let (node, parsed) = parse_stats_line(&stats_line(3, &s)).expect("parse");
+        let line = stats_line(3, &s);
+        let (node, parsed) = parse_stats_line(&line).expect("parse");
         assert_eq!(node, 3);
         assert_eq!(parsed, s);
+        // Field order is free; completeness is not.
+        let reversed: Vec<&str> = line.split_whitespace().rev().collect();
+        assert_eq!(parse_stats_line(&reversed.join(" ")), Some((3, s)));
 
         let line = delivered_line(4, &[0xab; 10], 17);
         let (node, author, number) = parse_delivered_line(&line).expect("parse");
         assert_eq!(node, 4);
         assert_eq!(author, "ab".repeat(10));
         assert_eq!(number, 17);
+    }
+
+    #[test]
+    fn stats_lines_carry_every_counter_exactly_once() {
+        let full = stats_line(3, &SosStats::default());
+        assert!(parse_stats_line(&full).is_some());
+        // A dropped counter does not read as 0.
+        assert_eq!(parse_stats_line("node=3 posts=1"), None);
+        let fields: Vec<&str> = full.split_whitespace().collect();
+        assert_eq!(fields.len(), 13, "node and twelve counters");
+        for (i, field) in fields.iter().enumerate() {
+            let (key, _) = field.split_once('=').expect("key=value");
+            let mut dropped = fields.clone();
+            dropped.remove(i);
+            assert_eq!(parse_stats_line(&dropped.join(" ")), None, "{key} dropped");
+            // A repeated key does not overwrite the first.
+            assert_eq!(
+                parse_stats_line(&format!("{full} {key}=9")),
+                None,
+                "{key} repeated"
+            );
+        }
+        assert_eq!(parse_stats_line(&format!("{full} gossip=1")), None);
     }
 
     #[test]

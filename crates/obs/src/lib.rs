@@ -5,8 +5,8 @@
 //! per-pipeline-stage attribution of delivery, drops, and overhead)
 //! built as three small, zero-external-dependency pieces:
 //!
-//! * [`registry`] — named monotonic [`Counter`]s, [`Gauge`]s, and
-//!   log-bucketed [`Histogram`]s with p50/p90/p99 extraction. Handles
+//! * [`registry`] — named monotonic [`Counter`]s and log-bucketed
+//!   [`Histogram`]s with p50/p90/p99 extraction. Handles
 //!   are plain atomic cells behind `Arc`s: incrementing takes no lock
 //!   and is cheap enough for the middleware's hot paths (the
 //!   `sos-bench --bench obs` gate holds total instrumentation overhead
@@ -54,4 +54,4 @@ pub use provenance::{
     Arrival, BundleKey, BundlePath, Contact, DropCause, Forensics, GlobalTimeline, Provenance,
     SchemeTraits, TimelineEvent, Verdict,
 };
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use registry::{Counter, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};

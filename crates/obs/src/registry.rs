@@ -1,7 +1,7 @@
-//! The metrics registry: named monotonic counters, gauges, and
-//! log-bucketed histograms.
+//! The metrics registry: named monotonic counters and log-bucketed
+//! histograms.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-shared
+//! Handles ([`Counter`], [`Histogram`]) are `Arc`-shared
 //! atomic cells: incrementing is a single relaxed atomic op, no lock is
 //! taken on any hot path, and handles stay valid (and cheap) whether or
 //! not they are registered. The [`Registry`] itself is only consulted
@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 /// A monotonic counter: a shared `u64` cell incremented without locks.
@@ -40,34 +40,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Relaxed)
-    }
-}
-
-/// A gauge: a shared signed cell that can move both ways.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Creates a detached gauge.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Relaxed)
     }
 }
@@ -235,7 +207,6 @@ impl HistogramSnapshot {
 #[derive(Clone, Debug)]
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -243,7 +214,6 @@ impl Metric {
     fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
     }
@@ -281,18 +251,6 @@ impl Registry {
         }
     }
 
-    /// Returns the gauge registered under `name`, creating it if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        match self.get_or_insert(name, || Metric::Gauge(Gauge::new())) {
-            Metric::Gauge(g) => g,
-            other => panic!("metric {name:?} is a {}, not a gauge", other.kind()),
-        }
-    }
-
     /// Returns the histogram registered under `name`, creating it if
     /// absent.
     ///
@@ -324,9 +282,6 @@ impl Registry {
                 Metric::Counter(c) => {
                     snap.counters.insert(name.clone(), c.get());
                 }
-                Metric::Gauge(g) => {
-                    snap.gauges.insert(name.clone(), g.get());
-                }
                 Metric::Histogram(h) => {
                     snap.histograms.insert(name.clone(), h.snapshot());
                 }
@@ -341,21 +296,16 @@ impl Registry {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot as an aligned text table (counters and
-    /// gauges one per line, histograms as count/mean/p50/p90/p99/max).
+    /// Renders the snapshot as an aligned text table (counters one per
+    /// line, histograms as count/mean/p50/p90/p99/max).
     pub fn table(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
-            let _ = writeln!(out, "  {name:<44} {v:>12}");
-        }
-        for (name, v) in &self.gauges {
             let _ = writeln!(out, "  {name:<44} {v:>12}");
         }
         for (name, h) in &self.histograms {
@@ -379,7 +329,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let reg = Registry::new();
         let c = reg.counter("a/hits");
         c.inc();
@@ -387,22 +337,17 @@ mod tests {
         assert_eq!(c.get(), 5);
         // Same name returns the same cell.
         assert_eq!(reg.counter("a/hits").get(), 5);
-        let g = reg.gauge("a/level");
-        g.set(7);
-        g.add(-2);
-        assert_eq!(g.get(), 5);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["a/hits"], 5);
-        assert_eq!(snap.gauges["a/level"], 5);
         assert!(snap.table().contains("a/hits"));
     }
 
     #[test]
-    #[should_panic(expected = "not a gauge")]
+    #[should_panic(expected = "not a histogram")]
     fn kind_mismatch_panics() {
         let reg = Registry::new();
         reg.counter("x");
-        reg.gauge("x");
+        reg.histogram("x");
     }
 
     #[test]

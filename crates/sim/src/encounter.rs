@@ -6,13 +6,14 @@
 //! geometry but a **timeline**: pairwise `ContactUp` / `ContactDown`
 //! transitions. [`EncounterSource`] captures exactly that interface.
 //!
-//! Every geometric [`ContactSource`] (the naive [`World`](crate::World)
-//! scan, `sos-engine`'s grid kernel) adapts onto it through a blanket
-//! implementation, and `sos-trace` implements it directly for recorded
-//! and synthetic traces — so the experiment driver is decoupled from
-//! geometry entirely and can replay a field study, a CRAWDAD import, or
-//! a community-structured synthetic trace through the identical code
-//! path.
+//! It has three implementations, one per way a timeline comes to be:
+//! the naive [`World`](crate::World) scan (simulated, and the reference
+//! the others are tested against), `sos-engine`'s
+//! `ShardedContactEngine` (simulated at scale), and `sos-trace`'s
+//! `ContactTrace` (recorded, imported or synthetic) — so the experiment
+//! driver is decoupled from geometry entirely and can replay a field
+//! study, a CRAWDAD import, or a community-structured synthetic trace
+//! through the identical code path.
 //!
 //! Determinism rule: the driver derives **all** connectivity and link
 //! state from the event timeline (never from positions), so two sources
@@ -20,7 +21,7 @@
 
 use crate::geo::Point;
 use crate::time::SimTime;
-use crate::world::{collapse_intervals, ContactEvent, ContactInterval, ContactSource};
+use crate::world::{collapse_intervals, ContactEvent, ContactInterval};
 
 /// A timeline of pairwise contact transitions over a node population.
 ///
@@ -77,27 +78,6 @@ pub trait EncounterSource {
     }
 }
 
-/// Every geometric contact source is an encounter source: the adapter
-/// that lets `World` and `GridContactEngine` drive the same
-/// encounter-level evaluation path as replayed traces.
-impl<C: ContactSource> EncounterSource for C {
-    fn node_count(&self) -> usize {
-        ContactSource::node_count(self)
-    }
-
-    fn encounter_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
-        self.contact_events(start, end)
-    }
-
-    fn node_position(&self, node: usize, t: SimTime) -> Option<Point> {
-        Some(self.position(node, t))
-    }
-
-    fn range_hint_m(&self) -> Option<f64> {
-        Some(self.range_m())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,14 +100,12 @@ mod tests {
     fn world_adapts_onto_encounter_source() {
         let w = two_node_world();
         let end = SimTime::from_hours(1);
-        assert_eq!(EncounterSource::node_count(&w), 2);
-        assert_eq!(
-            w.encounter_events(SimTime::ZERO, end),
-            w.contact_events(SimTime::ZERO, end)
-        );
+        assert_eq!(w.node_count(), 2);
+        let events = w.encounter_events(SimTime::ZERO, end);
+        assert_eq!(events.len(), 1);
         assert_eq!(
             w.encounter_intervals(SimTime::ZERO, end),
-            w.contact_intervals(SimTime::ZERO, end)
+            collapse_intervals(&events, end)
         );
         assert_eq!(w.range_hint_m(), Some(60.0));
         assert_eq!(

@@ -13,8 +13,9 @@
 //!   parses bytes already depends on this one)
 //! * [`event`] — a generic discrete-event queue
 //! * [`encounter`] — the [`EncounterSource`] timeline abstraction that
-//!   decouples scheme evaluation from geometry (implemented by every
-//!   geometric [`ContactSource`] and by `sos-trace` replay sources)
+//!   decouples scheme evaluation from geometry (implemented by the naive
+//!   [`World`] scan, `sos-engine`'s kernel and `sos-trace`'s
+//!   `ContactTrace`)
 //! * [`error`] — typed substrate errors ([`SimError`]): malformed
 //!   external inputs surface as errors, never panics
 //! * [`geo`] — a metric plane and distances
@@ -52,10 +53,11 @@ pub use geo::Point;
 pub use metrics::{Cdf, DelayRecorder, DeliveryRecorder};
 pub use radio::RadioTech;
 pub use time::{SimDuration, SimTime};
-pub use world::{ContactEvent, ContactInterval, ContactPhase, ContactSource, World};
+pub use world::{ContactEvent, ContactInterval, ContactPhase, World};
 
 #[cfg(test)]
 mod proptests {
+    use crate::encounter::EncounterSource;
     use crate::geo::{Bounds, Point};
     use crate::metrics::Cdf;
     use crate::mobility::trace::Trajectory;
@@ -97,7 +99,7 @@ mod proptests {
         #[test]
         fn contact_events_alternate(tra in arb_trajectory(), trb in arb_trajectory()) {
             let world = World::new(vec![tra, trb], 60.0, SimDuration::from_secs(30));
-            let events = world.contact_events(SimTime::ZERO, SimTime::from_secs(20_000));
+            let events = world.encounter_events(SimTime::ZERO, SimTime::from_secs(20_000));
             let mut up = false;
             for ev in events {
                 match ev.phase {
@@ -117,7 +119,7 @@ mod proptests {
         #[test]
         fn contact_intervals_disjoint(tra in arb_trajectory(), trb in arb_trajectory()) {
             let world = World::new(vec![tra, trb], 60.0, SimDuration::from_secs(30));
-            let ivs = world.contact_intervals(SimTime::ZERO, SimTime::from_secs(20_000));
+            let ivs = world.encounter_intervals(SimTime::ZERO, SimTime::from_secs(20_000));
             for w in ivs.windows(2) {
                 prop_assert!(w[0].end <= w[1].start, "overlapping intervals");
             }

@@ -1,6 +1,7 @@
 //! Contact detection: turning trajectories into the pairwise
 //! contact-up / contact-down event stream that drives peer discovery.
 
+use crate::encounter::EncounterSource;
 use crate::geo::Point;
 use crate::mobility::trace::Trajectory;
 use crate::time::{SimDuration, SimTime};
@@ -85,50 +86,13 @@ pub fn collapse_intervals(events: &[ContactEvent], end: SimTime) -> Vec<ContactI
     intervals
 }
 
-/// Anything that can answer "who is where, and when are pairs in
-/// range" — the interface between mobility substrates and the
-/// experiment driver.
-///
-/// Two implementations exist: [`World`] (the original all-pairs
-/// tick scan, exact but O(n²) per tick) and `sos-engine`'s
-/// grid-indexed event-driven kernel (same contact semantics at tick
-/// resolution, near-linear in practice). The driver and every
-/// scenario are generic over this trait, so substrates are
-/// interchangeable.
-pub trait ContactSource {
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-
-    /// Communication range in metres.
-    fn range_m(&self) -> f64;
-
-    /// Position of `node` at `t`.
-    fn position(&self, node: usize, t: SimTime) -> Point;
-
-    /// Distance between two nodes at `t`.
-    fn distance(&self, a: usize, b: usize, t: SimTime) -> f64 {
-        self.position(a, t).distance(&self.position(b, t))
-    }
-
-    /// True if `a` and `b` are within range at `t`.
-    fn in_range(&self, a: usize, b: usize, t: SimTime) -> bool {
-        self.distance(a, b, t) <= self.range_m()
-    }
-
-    /// Every contact transition in `[start, end]`, in time order.
-    fn contact_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent>;
-
-    /// Closed contact intervals over `[start, end]`.
-    fn contact_intervals(&self, start: SimTime, end: SimTime) -> Vec<ContactInterval> {
-        collapse_intervals(&self.contact_events(start, end), end)
-    }
-}
-
 /// The simulated world: node trajectories plus a communication range.
 ///
 /// Contact detection samples all trajectories on a fixed tick and applies
 /// a range threshold; this mirrors MPC's periodic Bonjour/BLE discovery
-/// scans rather than instantaneous geometric intersection.
+/// scans rather than instantaneous geometric intersection. This naive
+/// all-pairs scan is O(n²) per tick; it stays as the reference that
+/// `sos-engine`'s kernel is proven equivalent to.
 #[derive(Clone, Debug)]
 pub struct World {
     trajectories: Vec<Trajectory>,
@@ -153,66 +117,26 @@ impl World {
             tick,
         }
     }
+}
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+impl EncounterSource for World {
+    fn node_count(&self) -> usize {
         self.trajectories.len()
-    }
-
-    /// Communication range in metres.
-    pub fn range_m(&self) -> f64 {
-        self.range_m
-    }
-
-    /// Discovery tick.
-    pub fn tick(&self) -> SimDuration {
-        self.tick
-    }
-
-    /// Position of `node` at `t`.
-    pub fn position(&self, node: usize, t: SimTime) -> Point {
-        self.trajectories[node].position_at(t)
-    }
-
-    /// The trajectory of `node`.
-    pub fn trajectory(&self, node: usize) -> &Trajectory {
-        &self.trajectories[node]
-    }
-
-    /// All trajectories, in node order.
-    pub fn trajectories(&self) -> &[Trajectory] {
-        &self.trajectories
-    }
-
-    /// Consumes the world into its trajectories (for handing them to a
-    /// different [`ContactSource`] implementation).
-    pub fn into_trajectories(self) -> Vec<Trajectory> {
-        self.trajectories
-    }
-
-    /// Distance between two nodes at `t`.
-    pub fn distance(&self, a: usize, b: usize, t: SimTime) -> f64 {
-        self.position(a, t).distance(&self.position(b, t))
-    }
-
-    /// True if `a` and `b` are within range at `t`.
-    pub fn in_range(&self, a: usize, b: usize, t: SimTime) -> bool {
-        self.distance(a, b, t) <= self.range_m
     }
 
     /// Scans `[start, end]` on the discovery tick and emits every contact
     /// transition, in time order.
     #[allow(clippy::needless_range_loop)] // triangular a<b pair walk
-    pub fn contact_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
-        let n = self.node_count();
+    fn encounter_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
+        let n = self.trajectories.len();
         let mut up = vec![vec![false; n]; n];
         let mut events = Vec::new();
         let mut t = start;
         while t <= end {
             for a in 0..n {
-                let pa = self.position(a, t);
+                let pa = self.trajectories[a].position_at(t);
                 for b in (a + 1)..n {
-                    let d = pa.distance(&self.position(b, t));
+                    let d = pa.distance(&self.trajectories[b].position_at(t));
                     let now_up = d <= self.range_m;
                     if now_up != up[a][b] {
                         up[a][b] = now_up;
@@ -235,28 +159,12 @@ impl World {
         events
     }
 
-    /// Collapses the event stream into closed contact intervals.
-    /// Contacts still open at `end` are closed there.
-    pub fn contact_intervals(&self, start: SimTime, end: SimTime) -> Vec<ContactInterval> {
-        collapse_intervals(&self.contact_events(start, end), end)
-    }
-}
-
-impl ContactSource for World {
-    fn node_count(&self) -> usize {
-        World::node_count(self)
+    fn node_position(&self, node: usize, t: SimTime) -> Option<Point> {
+        Some(self.trajectories[node].position_at(t))
     }
 
-    fn range_m(&self) -> f64 {
-        World::range_m(self)
-    }
-
-    fn position(&self, node: usize, t: SimTime) -> Point {
-        World::position(self, node, t)
-    }
-
-    fn contact_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
-        World::contact_events(self, start, end)
+    fn range_hint_m(&self) -> Option<f64> {
+        Some(self.range_m)
     }
 }
 
@@ -282,7 +190,7 @@ mod tests {
     #[test]
     fn crossing_nodes_meet_once() {
         let w = crossing_world();
-        let events = w.contact_events(SimTime::ZERO, SimTime::from_secs(1000));
+        let events = w.encounter_events(SimTime::ZERO, SimTime::from_secs(1000));
         assert_eq!(events.len(), 2, "one up and one down: {events:?}");
         assert_eq!(events[0].phase, ContactPhase::Up);
         assert_eq!(events[1].phase, ContactPhase::Down);
@@ -295,7 +203,7 @@ mod tests {
     #[test]
     fn intervals_match_events() {
         let w = crossing_world();
-        let ivs = w.contact_intervals(SimTime::ZERO, SimTime::from_secs(1000));
+        let ivs = w.encounter_intervals(SimTime::ZERO, SimTime::from_secs(1000));
         assert_eq!(ivs.len(), 1);
         assert!(ivs[0].duration() > SimDuration::from_secs(5));
         assert_eq!((ivs[0].a, ivs[0].b), (0, 1));
@@ -311,7 +219,7 @@ mod tests {
             60.0,
             SimDuration::from_secs(30),
         );
-        let ivs = w.contact_intervals(SimTime::ZERO, SimTime::from_hours(1));
+        let ivs = w.encounter_intervals(SimTime::ZERO, SimTime::from_hours(1));
         assert_eq!(ivs.len(), 1);
         assert_eq!(ivs[0].start, SimTime::ZERO);
         assert_eq!(ivs[0].end, SimTime::from_hours(1));
@@ -328,7 +236,7 @@ mod tests {
             SimDuration::from_secs(30),
         );
         assert!(w
-            .contact_events(SimTime::ZERO, SimTime::from_hours(1))
+            .encounter_events(SimTime::ZERO, SimTime::from_hours(1))
             .is_empty());
     }
 
@@ -343,7 +251,7 @@ mod tests {
             60.0,
             SimDuration::from_secs(30),
         );
-        let ivs = w.contact_intervals(SimTime::ZERO, SimTime::from_secs(60));
+        let ivs = w.encounter_intervals(SimTime::ZERO, SimTime::from_secs(60));
         // 0-1 (30m), 1-2 (25m), 0-2 (55m) all within 60m.
         assert_eq!(ivs.len(), 3);
     }

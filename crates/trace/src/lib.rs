@@ -10,7 +10,8 @@
 //! as a first-class, storable, replayable object:
 //!
 //! * [`record`] — [`ContactTrace`], a validated encounter timeline,
-//!   recordable from any [`sos_sim::EncounterSource`]
+//!   recordable from any [`sos_sim::EncounterSource`] and itself one,
+//!   so the experiment driver replays it deterministically
 //! * [`codec_text`] — the ONE/CRAWDAD-compatible text format (import
 //!   published traces, diff recorded ones)
 //! * [`codec_binary`] — a compact delta-encoded binary format with
@@ -19,8 +20,6 @@
 //!   datasets (CRAWDAD haggle/infocom `CONN` logs, Reality-Mining
 //!   Bluetooth scans, SASSY ranging logs) with a sanitizer pipeline
 //!   for noisy logs, node-id remapping, and gzip framing
-//! * [`source`] — [`TraceContactSource`], replaying a trace through
-//!   the experiment driver's event kernel deterministically
 //! * [`synthetic`] — community-structured, diurnal social-trace
 //!   generation at the encounter level (no geometry required)
 //! * [`analytics`] — inter-contact-time CCDF, contact durations, and
@@ -33,7 +32,7 @@
 //! connectivity from the timeline, never from geometry.
 //!
 //! ```
-//! use sos_trace::{ContactTrace, TraceContactSource, codec_binary};
+//! use sos_trace::{ContactTrace, codec_binary};
 //! use sos_sim::mobility::trace::Trajectory;
 //! use sos_sim::{EncounterSource, Point, SimDuration, SimTime, World};
 //!
@@ -49,9 +48,9 @@
 //! let trace = ContactTrace::record(&world, SimTime::ZERO, end).unwrap();
 //! // Serialize, reload, replay: the timeline survives unchanged.
 //! let reloaded = codec_binary::from_binary(&codec_binary::to_binary(&trace)).unwrap();
-//! let replay = TraceContactSource::new(reloaded);
+//! assert_eq!(reloaded.range_hint_m(), Some(60.0));
 //! assert_eq!(
-//!     replay.encounter_events(SimTime::ZERO, end),
+//!     reloaded.encounter_events(SimTime::ZERO, end),
 //!     world.encounter_events(SimTime::ZERO, end),
 //! );
 //! ```
@@ -67,11 +66,9 @@ pub mod error;
 mod pair_table;
 pub mod record;
 mod scan;
-pub mod source;
 pub mod synthetic;
 
 pub use analytics::TraceAnalytics;
 pub use error::TraceError;
 pub use record::ContactTrace;
-pub use source::TraceContactSource;
 pub use synthetic::{generate_social_trace, SocialTraceConfig};

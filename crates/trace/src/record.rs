@@ -1,15 +1,14 @@
 //! [`ContactTrace`]: a validated, self-contained encounter timeline.
 //!
 //! This is the interchange value of the whole subsystem: recorders
-//! produce it, codecs serialize it, [`TraceContactSource`] replays it,
-//! analytics summarize it.
-//!
-//! [`TraceContactSource`]: crate::TraceContactSource
+//! produce it, codecs serialize it, the experiment driver replays it
+//! (it is an [`EncounterSource`] itself), analytics summarize it.
 
 use crate::error::TraceError;
 use crate::pair_table::PairTable;
 use sos_sim::world::{collapse_intervals, ContactEvent, ContactInterval, ContactPhase};
 use sos_sim::{EncounterSource, SimTime};
+use std::collections::BTreeMap;
 
 /// A recorded (or synthesized, or imported) encounter timeline: every
 /// pairwise contact transition of a node population over a window,
@@ -111,8 +110,7 @@ impl ContactTrace {
 
     /// Records the encounter timeline of any [`EncounterSource`] over
     /// `[start, end]` — the "field study tape recorder". The recorded
-    /// trace replayed through
-    /// [`TraceContactSource`](crate::TraceContactSource) reproduces the
+    /// trace, replayed as an [`EncounterSource`] itself, reproduces the
     /// source's timeline exactly.
     pub fn record<S: EncounterSource>(
         source: &S,
@@ -175,10 +173,68 @@ impl ContactTrace {
     }
 }
 
+/// Replaying the recorded timeline drives the experiment driver's event
+/// kernel through the exact same schedule as the original run — which
+/// is what makes record→replay byte-identical.
+///
+/// Windowed queries mirror the geometric sources' semantics: a contact
+/// already open at the window start is reported as an `Up` at the
+/// start (with its original up-distance), and contacts still open at
+/// the window end get no closing event. A trace knows no geometry, so
+/// `node_position` is `None`.
+impl EncounterSource for ContactTrace {
+    fn node_count(&self) -> usize {
+        self.nodes
+    }
+
+    fn encounter_events(&self, start: SimTime, end: SimTime) -> Vec<ContactEvent> {
+        if start > end {
+            return Vec::new();
+        }
+        // State strictly before the window: pairs still open carry
+        // their up-distance into a synthetic Up at `start`.
+        let mut open: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+        let first_in = self.events.partition_point(|ev| ev.time < start);
+        for ev in &self.events[..first_in] {
+            match ev.phase {
+                ContactPhase::Up => {
+                    open.insert((ev.a, ev.b), ev.distance_m);
+                }
+                ContactPhase::Down => {
+                    open.remove(&(ev.a, ev.b));
+                }
+            }
+        }
+        let mut out: Vec<ContactEvent> = open
+            .into_iter()
+            .map(|((a, b), distance_m)| ContactEvent {
+                time: start,
+                a,
+                b,
+                phase: ContactPhase::Up,
+                distance_m,
+            })
+            .collect();
+        let last_in = self.events.partition_point(|ev| ev.time <= end);
+        out.extend_from_slice(&self.events[first_in..last_in]);
+        out
+    }
+
+    fn range_hint_m(&self) -> Option<f64> {
+        self.range_m
+    }
+
+    fn node_label(&self, node: usize) -> Option<&str> {
+        ContactTrace::node_label(self, node)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sos_engine::{ShardConfig, ShardedContactEngine};
+    use sos_sim::mobility::random_waypoint::RandomWaypoint;
     use sos_sim::mobility::trace::Trajectory;
     use sos_sim::{Point, SimDuration, World};
 
@@ -206,10 +262,10 @@ mod tests {
         let trace = ContactTrace::record(&world, SimTime::ZERO, end).unwrap();
         assert_eq!(trace.node_count(), 2);
         assert_eq!(trace.range_m(), Some(60.0));
-        assert_eq!(trace.events(), world.contact_events(SimTime::ZERO, end));
+        assert_eq!(trace.events(), world.encounter_events(SimTime::ZERO, end));
         assert_eq!(
             trace.intervals(end),
-            world.contact_intervals(SimTime::ZERO, end)
+            world.encounter_intervals(SimTime::ZERO, end)
         );
     }
 
@@ -385,5 +441,115 @@ mod tests {
         assert!(trace.is_empty());
         assert_eq!(trace.end_time(), SimTime::ZERO);
         assert!(trace.intervals(SimTime::from_hours(1)).is_empty());
+    }
+
+    #[test]
+    fn full_window_replay_is_identity() {
+        use ContactPhase::{Down, Up};
+        let trace = ContactTrace::new(
+            3,
+            Some(60.0),
+            vec![
+                ev(0, 0, 1, Up, 5.0),
+                ev(60, 0, 1, Down, 70.0),
+                ev(90, 1, 2, Up, 12.0),
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            trace.encounter_events(SimTime::ZERO, SimTime::from_secs(1000)),
+            trace.events()
+        );
+        assert_eq!(trace.range_hint_m(), Some(60.0));
+        assert_eq!(EncounterSource::node_count(&trace), 3);
+        // Trace sources know no geometry.
+        assert_eq!(trace.node_position(0, SimTime::ZERO), None);
+    }
+
+    #[test]
+    fn open_contacts_surface_as_up_at_window_start() {
+        use ContactPhase::{Down, Up};
+        let trace = ContactTrace::new(
+            3,
+            None,
+            vec![
+                ev(10, 0, 1, Up, 5.0), // open across the window start
+                ev(20, 1, 2, Up, 9.0), // closed before the window
+                ev(40, 1, 2, Down, 80.0),
+                ev(100, 0, 1, Down, 75.0),
+            ],
+        )
+        .unwrap();
+        let window = trace.encounter_events(SimTime::from_secs(50), SimTime::from_secs(200));
+        assert_eq!(
+            window,
+            vec![
+                ev(50, 0, 1, Up, 5.0), // synthetic, original up-distance
+                ev(100, 0, 1, Down, 75.0),
+            ]
+        );
+        // Degenerate window.
+        assert!(trace
+            .encounter_events(SimTime::from_secs(9), SimTime::from_secs(5))
+            .is_empty());
+    }
+
+    /// The determinism cornerstone: record any geometric source, replay
+    /// the trace, and the timeline is identical — for both the naive
+    /// scan and the grid kernel, which record the same tape, range
+    /// included.
+    #[test]
+    fn record_replay_round_trip_against_geometric_sources() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let model = RandomWaypoint {
+            bounds: sos_sim::geo::Bounds::new(400.0, 400.0),
+            min_speed: 1.0,
+            max_speed: 3.0,
+            min_pause: SimDuration::ZERO,
+            max_pause: SimDuration::from_secs(60),
+        };
+        let trajectories: Vec<Trajectory> = (0..12)
+            .map(|_| model.generate(&mut rng, SimDuration::from_hours(2)))
+            .collect();
+        let end = SimTime::from_hours(2);
+        let tick = SimDuration::from_secs(30);
+
+        let world = World::new(trajectories.clone(), 60.0, tick);
+        let engine =
+            ShardedContactEngine::from_trajectories(&trajectories, 60.0, tick, ShardConfig::SINGLE);
+        let from_world = ContactTrace::record(&world, SimTime::ZERO, end).unwrap();
+        let from_engine = ContactTrace::record(&engine, SimTime::ZERO, end).unwrap();
+        assert_eq!(from_world, from_engine, "both kernels record one tape");
+        assert_eq!(from_world.range_m(), Some(60.0));
+        for replay in [from_world, from_engine] {
+            assert_eq!(
+                replay.encounter_events(SimTime::ZERO, end),
+                world.encounter_events(SimTime::ZERO, end),
+                "replayed timeline must match the recorded one"
+            );
+            // And windows agree with interval collapsing.
+            assert_eq!(
+                replay.encounter_intervals(SimTime::ZERO, end),
+                world.encounter_intervals(SimTime::ZERO, end)
+            );
+        }
+    }
+
+    #[test]
+    fn recording_then_recording_the_replay_is_a_fixpoint() {
+        let world = World::new(
+            vec![
+                Trajectory::stationary(Point::new(0.0, 0.0)),
+                Trajectory::stationary(Point::new(30.0, 0.0)),
+            ],
+            60.0,
+            SimDuration::from_secs(30),
+        );
+        let end = SimTime::from_hours(1);
+        let once = ContactTrace::record(&world, SimTime::ZERO, end).unwrap();
+        let twice: Result<ContactTrace, TraceError> =
+            ContactTrace::record(&once, SimTime::ZERO, end);
+        assert_eq!(twice.unwrap(), once);
     }
 }

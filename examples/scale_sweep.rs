@@ -5,8 +5,9 @@
 //!
 //! Runs the reduced field-study scenario under four routing schemes ×
 //! three seeds, every replica on `sos-engine`'s event-driven grid
-//! kernel, fanned out across CPU cores — then prints the per-scheme
-//! aggregate table and a raw contact-engine scaling demonstration.
+//! kernel as a single loop, replicas fanned out across CPU cores — then
+//! prints the per-scheme aggregate table and a raw contact-engine
+//! scaling demonstration.
 //!
 //! ```sh
 //! cargo run --release --example scale_sweep
@@ -14,13 +15,14 @@
 
 use rand::SeedableRng;
 use sos::core::routing::SchemeKind;
-use sos::engine::GridContactEngine;
+use sos::engine::{ShardConfig, ShardedContactEngine};
 use sos::experiments::report::sweep_table;
 use sos::experiments::scenario::small_test_config;
 use sos::experiments::sweep::scheme_sweep;
 use sos::sim::geo::Bounds;
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
-use sos::sim::{ContactSource, SimDuration, SimTime};
+use sos::sim::mobility::trace::Trajectory;
+use sos::sim::{EncounterSource, SimDuration, SimTime};
 use std::time::Instant;
 
 // Wall-clock is the point here: this example reports real elapsed
@@ -52,10 +54,16 @@ fn main() {
     let rwp = RandomWaypoint::pedestrian(Bounds::gainesville());
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let window = SimDuration::from_mins(10);
-    let trajectories = (0..nodes).map(|_| rwp.generate(&mut rng, window)).collect();
-    let engine = GridContactEngine::new(trajectories, 60.0, SimDuration::from_secs(30));
+    let trajectories: Vec<Trajectory> =
+        (0..nodes).map(|_| rwp.generate(&mut rng, window)).collect();
+    let engine = ShardedContactEngine::from_trajectories(
+        &trajectories,
+        60.0,
+        SimDuration::from_secs(30),
+        ShardConfig::SINGLE,
+    );
     let start = Instant::now();
-    let intervals = engine.contact_intervals(SimTime::ZERO, SimTime::ZERO + window);
+    let intervals = engine.encounter_intervals(SimTime::ZERO, SimTime::ZERO + window);
     println!(
         "grid engine: {} nodes, 10 min window -> {} contact intervals in {:.2?}",
         nodes,

@@ -13,7 +13,7 @@
 //! feed, journal JSONL)`.
 
 use sos::core::routing::SchemeKind;
-use sos::engine::GridContactEngine;
+use sos::engine::{ShardConfig, ShardedContactEngine};
 use sos::experiments::corpus::{run_corpus_study_full, CorpusStudyConfig};
 use sos::experiments::density::{run_density, DensityConfig};
 use sos::experiments::driver::{run_study, DriverConfig, Study, StudyRun};
@@ -220,10 +220,11 @@ fn geometric_field_study_is_pinned_on_world_and_grid() {
     assert_pinned("field study on the grid engine", PINNED, |seed| {
         digest_schemes(|scheme, observer| {
             let cfg = small_test_config(seed, scheme);
-            let grid = GridContactEngine::new(
-                field_study_trajectories(&cfg),
+            let grid = ShardedContactEngine::from_trajectories(
+                &field_study_trajectories(&cfg),
                 RadioTech::max_range_m(cfg.infra_available),
                 cfg.contact_tick,
+                ShardConfig::SINGLE,
             );
             run_field_study_with(&cfg, grid, Some(observer))
         })

@@ -4,7 +4,7 @@
 //! from a purely synthetic social trace (no geometry anywhere).
 
 use sos::core::routing::SchemeKind;
-use sos::engine::GridContactEngine;
+use sos::engine::{ShardConfig, ShardedContactEngine};
 use sos::experiments::replay::{delivered_set, record_field_study_trace, replay_field_study};
 use sos::experiments::scenario::{
     field_study_trajectories, run_field_study, run_field_study_with, small_test_config,
@@ -12,7 +12,7 @@ use sos::experiments::scenario::{
 use sos::sim::{EncounterSource, SimDuration, SimTime};
 use sos::trace::{
     codec_binary, codec_text, generate_social_trace, ContactTrace, SocialTraceConfig,
-    TraceAnalytics, TraceContactSource,
+    TraceAnalytics,
 };
 
 /// Recording from the naive scan and from the grid kernel produces the
@@ -24,10 +24,11 @@ fn record_replay_is_exact_across_kernels() {
     cfg.total_posts = 20;
 
     let tape = record_field_study_trace(&cfg);
-    let engine = GridContactEngine::new(
-        field_study_trajectories(&cfg),
+    let engine = ShardedContactEngine::from_trajectories(
+        &field_study_trajectories(&cfg),
         sos::sim::RadioTech::max_range_m(cfg.infra_available),
         cfg.contact_tick,
+        ShardConfig::SINGLE,
     );
     let end = SimTime::from_hours(cfg.days * 24);
     let engine_tape = ContactTrace::record(&engine, SimTime::ZERO, end).unwrap();
@@ -56,7 +57,7 @@ fn synthetic_social_trace_drives_schemes() {
     let mut cfg = small_test_config(3, SchemeKind::Epidemic);
     cfg.days = 2;
     cfg.total_posts = 20;
-    let outcome = run_field_study_with(&cfg, TraceContactSource::new(synthetic), None);
+    let outcome = run_field_study_with(&cfg, synthetic, None);
     assert_eq!(outcome.metrics.posts, 20);
     assert!(
         outcome.totals.bundles_received > 0,
@@ -72,10 +73,9 @@ fn windowed_replay_preserves_open_contacts() {
     let mut cfg = small_test_config(7, SchemeKind::Epidemic);
     cfg.days = 1;
     let tape = record_field_study_trace(&cfg);
-    let source = TraceContactSource::new(tape.clone());
     let mid = SimTime::from_hours(12);
     let end = SimTime::from_hours(24);
-    let window = source.encounter_events(mid, end);
+    let window = tape.encounter_events(mid, end);
     // Window invariant: phases alternate per pair starting Up — i.e.
     // the window itself is a valid trace.
     assert!(ContactTrace::new(tape.node_count(), tape.range_m(), window).is_ok());
