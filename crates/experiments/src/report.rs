@@ -454,7 +454,7 @@ pub fn stats_table(stats: &[sos_core::middleware::SosStats]) -> String {
 /// the per-node counter table, and the delivered set, all derived from
 /// deterministically ordered collections so two runs of the same plan
 /// diff clean.
-pub fn in_vivo_report(outcome: &sos_node::InVivoOutcome) -> String {
+pub fn in_vivo_report(outcome: &sos_node::Outcome) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "IN-VIVO-REPORT nodes={} posts={} rounds={} deliveries={} journal_lines={}\n",

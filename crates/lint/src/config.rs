@@ -67,9 +67,9 @@ impl Config {
                 "/shard.rs",
                 "/tick.rs",
                 "/grid.rs",
-                // The in-vivo control protocol renders report lines
-                // (stats / delivered / journal) that cross-process
-                // comparisons diff verbatim.
+                // The in-vivo control protocol carries the end-of-run
+                // reports (stats / delivered / journal) that
+                // cross-process comparisons check for equality.
                 "/proto.rs",
                 // The lockstep round engine: its `(to, from, seq)`
                 // processing order is the cross-process determinism

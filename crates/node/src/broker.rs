@@ -11,35 +11,32 @@
 //!    balance (nothing in flight anywhere);
 //! 2. `Process` everywhere, summing what the daemons emitted.
 //!
-//! At the end it gathers each daemon's report stream (stats, delivered
-//! set, journal) into an [`InVivoOutcome`] directly comparable to
-//! [`MeshOutcome`](crate::mesh::MeshOutcome).
+//! At the end each daemon streams its typed reports (stats, stored
+//! bundles, journal lines, frames processed) home, and the conductor
+//! folds them into the same [`Outcome`] [`run_mesh`](crate::mesh::run_mesh)
+//! returns.
 
-use crate::lockstep::{conduct, Fleet, MAX_ROUNDS_PER_TICK};
-use crate::proto::{
-    parse_delivered_line, parse_stats_line, scheme_to_byte, InVivoError, Msg, MsgStream, ReportKind,
-};
+use crate::host::Reports;
+use crate::lockstep::{conduct, Fleet, Outcome};
+use crate::proto::{scheme_to_byte, InVivoError, Msg, MsgStream};
 use crate::provision::{require_population, RunPlan};
-use sos_core::middleware::SosStats;
-use sos_sim::SimTime;
 use sos_trace::{codec_text, ContactTrace};
-use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
 /// Collect-barrier retries per round before the broker declares the
 /// fleet wedged (each retry sleeps [`COLLECT_RETRY_SLEEP`]).
-pub const MAX_COLLECT_RETRIES: u64 = 20_000;
+const MAX_COLLECT_RETRIES: u64 = 20_000;
 
 /// Sleep between collect retries while frames drain through loopback.
-pub const COLLECT_RETRY_SLEEP: Duration = Duration::from_millis(1);
+const COLLECT_RETRY_SLEEP: Duration = Duration::from_millis(1);
 
 /// Accept-loop polls (at [`ACCEPT_POLL_SLEEP`] each) while waiting for
 /// daemons to connect.
-pub const MAX_ACCEPT_POLLS: u64 = 60_000;
+const MAX_ACCEPT_POLLS: u64 = 60_000;
 
 /// Sleep between accept polls.
-pub const ACCEPT_POLL_SLEEP: Duration = Duration::from_millis(5);
+const ACCEPT_POLL_SLEEP: Duration = Duration::from_millis(5);
 
 /// Broker parameters.
 #[derive(Clone, Debug)]
@@ -60,22 +57,6 @@ impl Default for BrokerConfig {
             plan: RunPlan::default(),
         }
     }
-}
-
-/// What an in-vivo run produced, shaped for comparison against
-/// [`run_mesh`](crate::mesh::run_mesh).
-#[derive(Debug)]
-pub struct InVivoOutcome {
-    /// Every stored bundle: `(holding node, author hex, post number)`.
-    pub delivered: BTreeSet<(u32, String, u64)>,
-    /// Per-node middleware counters, by node index.
-    pub stats: Vec<SosStats>,
-    /// Journal JSONL lines from all processes, sorted.
-    pub journal: Vec<String>,
-    /// Posts injected by the schedule.
-    pub posts: u64,
-    /// Exchange rounds driven across all ticks.
-    pub rounds: u64,
 }
 
 /// A bound broker: create with [`Broker::bind`], learn the port from
@@ -116,15 +97,12 @@ impl Broker {
     ///
     /// [`InVivoError`] when daemons fail to connect in time, violate
     /// the protocol, or a barrier never converges.
-    pub fn run(self, trace: &ContactTrace) -> Result<InVivoOutcome, InVivoError> {
+    pub fn run(self, trace: &ContactTrace) -> Result<Outcome, InVivoError> {
         require_population(trace)?;
         let mut daemons = self.accept_daemons()?;
         self.assign(trace, &mut daemons)?;
         let mut fleet = SocketFleet { daemons, now_ms: 0 };
-        let (posts, rounds) = conduct(&mut fleet, trace, &self.config.plan)?;
-        let mut outcome = gather_reports(&mut fleet.daemons, trace.node_count())?;
-        outcome.posts = posts;
-        outcome.rounds = rounds;
+        let outcome = conduct(&mut fleet, trace, &self.config.plan)?;
         broadcast(&mut fleet.daemons, &Msg::Shutdown)?;
         Ok(outcome)
     }
@@ -207,7 +185,8 @@ fn broadcast(daemons: &mut [(MsgStream, String)], msg: &Msg) -> Result<(), InViv
 }
 
 /// The daemons as the conductor's fleet: every schedule event is a
-/// broadcast, every round a collect barrier plus a `Process`.
+/// broadcast, every round a collect barrier plus a `Process`, and the
+/// end a `Finish` answered by each daemon's report stream.
 struct SocketFleet {
     daemons: Vec<(MsgStream, String)>,
     /// The last tick, for naming a barrier that never converges.
@@ -215,15 +194,6 @@ struct SocketFleet {
 }
 
 impl Fleet for SocketFleet {
-    type Error = InVivoError;
-
-    fn stalled(at: SimTime) -> InVivoError {
-        InVivoError::Protocol(format!(
-            "exchange rounds at t={}ms exceeded {MAX_ROUNDS_PER_TICK}",
-            at.as_millis()
-        ))
-    }
-
     fn event(&mut self, msg: &Msg) -> Result<(), InVivoError> {
         if let Msg::Tick { now_ms } = *msg {
             self.now_ms = now_ms;
@@ -279,129 +249,23 @@ impl Fleet for SocketFleet {
         }
         Ok(emitted)
     }
-}
 
-/// Collects every daemon's report stream into one outcome. Every node
-/// must report its stats exactly once across the fleet: a node missing
-/// or reported twice is a protocol violation, not a row of zeros or a
-/// silent overwrite.
-fn gather_reports(
-    daemons: &mut [(MsgStream, String)],
-    node_count: usize,
-) -> Result<InVivoOutcome, InVivoError> {
-    broadcast(daemons, &Msg::Finish)?;
-    let mut delivered = BTreeSet::new();
-    let mut stats: Vec<Option<SosStats>> = vec![None; node_count];
-    let mut journal: Vec<String> = Vec::new();
-    for (control, _) in daemons.iter_mut() {
-        loop {
-            match control.recv()? {
-                Msg::Report { kind, line } => match ReportKind::from_byte(kind) {
-                    Some(ReportKind::Stats) => {
-                        let (node, s) = parse_stats_line(&line).ok_or_else(|| {
-                            InVivoError::Protocol(format!("bad stats line: {line}"))
-                        })?;
-                        let slot = stats.get_mut(node as usize).ok_or_else(|| {
-                            InVivoError::Protocol(format!("stats for unknown node {node}"))
-                        })?;
-                        if slot.replace(s).is_some() {
-                            return Err(InVivoError::Protocol(format!(
-                                "stats for node {node} reported twice"
-                            )));
-                        }
+    fn finish(&mut self) -> Result<Vec<Reports>, InVivoError> {
+        broadcast(&mut self.daemons, &Msg::Finish)?;
+        let streams = self.daemons.iter_mut().map(|(control, _)| {
+            let mut entries = Vec::new();
+            loop {
+                match control.recv()? {
+                    Msg::Report(entry) => entries.push(entry),
+                    Msg::ReportDone { frames } => return Ok(Reports { entries, frames }),
+                    other => {
+                        return Err(InVivoError::Protocol(format!(
+                            "expected Report, got {other:?}"
+                        )))
                     }
-                    Some(ReportKind::Delivered) => {
-                        let entry = parse_delivered_line(&line).ok_or_else(|| {
-                            InVivoError::Protocol(format!("bad delivered line: {line}"))
-                        })?;
-                        delivered.insert(entry);
-                    }
-                    Some(ReportKind::Journal) => journal.push(line),
-                    None => {
-                        return Err(InVivoError::Protocol(format!("unknown report kind {kind}")))
-                    }
-                },
-                Msg::ReportDone => break,
-                other => {
-                    return Err(InVivoError::Protocol(format!(
-                        "expected Report, got {other:?}"
-                    )))
                 }
             }
-        }
-    }
-    let stats = (stats.into_iter().enumerate())
-        .map(|(node, s)| {
-            s.ok_or_else(|| InVivoError::Protocol(format!("no stats for node {node}")))
-        })
-        .collect::<Result<Vec<SosStats>, InVivoError>>()?;
-    journal.sort();
-    Ok(InVivoOutcome {
-        delivered,
-        stats,
-        journal,
-        posts: 0,
-        rounds: 0,
-    })
-}
-
-/// Convenience: bind on `config.listen`, run, return the outcome. Use
-/// [`Broker::bind`] + [`Broker::run`] when the caller must learn the
-/// port before daemons start (tests, `--spawn`).
-///
-/// # Errors
-///
-/// Any [`InVivoError`] from bind or the run.
-pub fn run_broker(
-    trace: &ContactTrace,
-    config: BrokerConfig,
-) -> Result<InVivoOutcome, InVivoError> {
-    Broker::bind(config)?.run(trace)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::proto::stats_line;
-    use std::net::TcpStream;
-
-    /// Gathers a `node_count`-node run from one daemon over a loopback
-    /// control connection, the daemon having reported stats for `nodes`
-    /// (node `i` with `posts = i + 1`) and then `ReportDone`.
-    fn gather_from(nodes: &[u32], node_count: usize) -> Result<InVivoOutcome, InVivoError> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let connect = TcpStream::connect(listener.local_addr().expect("address"));
-        let mut daemon = MsgStream::new(connect.expect("connect"));
-        let (broker_end, _) = listener.accept().expect("accept");
-        for &node in nodes {
-            let stats = SosStats {
-                posts: u64::from(node) + 1,
-                ..SosStats::default()
-            };
-            let line = stats_line(node, &stats);
-            let kind = ReportKind::Stats.to_byte();
-            daemon.send(&Msg::Report { kind, line }).expect("send");
-        }
-        daemon.send(&Msg::ReportDone).expect("send");
-        gather_reports(
-            &mut [(MsgStream::new(broker_end), String::new())],
-            node_count,
-        )
-    }
-
-    #[test]
-    fn every_node_reports_stats_exactly_once() {
-        let outcome = gather_from(&[1, 0], 2).expect("complete reports");
-        let posts: Vec<u64> = outcome.stats.iter().map(|s| s.posts).collect();
-        assert_eq!(posts, [1, 2]);
-        for (nodes, violation) in [
-            (&[0, 1, 1][..], "stats for node 1 reported twice"),
-            (&[0][..], "no stats for node 1"),
-        ] {
-            match gather_from(nodes, 2) {
-                Err(InVivoError::Protocol(what)) => assert_eq!(what, violation),
-                other => panic!("{nodes:?}: expected {violation:?}, got {other:?}"),
-            }
-        }
+        });
+        streams.collect()
     }
 }

@@ -20,9 +20,7 @@
 //! and hang protection is socket read timeouts, not `Instant::now`.
 
 use crate::host::{Flushed, Host, WireFrame};
-use crate::proto::{
-    delivered_line, scheme_from_byte, stats_line, InVivoError, Msg, MsgStream, ReportKind,
-};
+use crate::proto::{scheme_from_byte, InVivoError, Msg, MsgStream};
 use crate::provision::{load_trace_bytes, require_population, RunPlan};
 use sos_sim::SimDuration;
 use std::collections::BTreeMap;
@@ -33,7 +31,7 @@ use std::time::Duration;
 
 /// Read timeout on the control plane: a broker silent this long means
 /// the run is dead and the daemon should exit instead of hanging CI.
-pub const CONTROL_TIMEOUT: Duration = Duration::from_secs(120);
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// The state a daemon holds between `Assign` and `Finish`: its slice
 /// of the population and the sockets to the other slices.
@@ -228,7 +226,13 @@ pub fn run_daemon(broker_addr: &str) -> Result<(), InVivoError> {
                 control.send(&Msg::ProcessAck { emitted })?;
             }
             Msg::Finish => {
-                send_reports(&mut control, &mut world)?;
+                let reports = world.host.reports();
+                for entry in reports.entries {
+                    control.send(&Msg::Report(entry))?;
+                }
+                control.send(&Msg::ReportDone {
+                    frames: reports.frames,
+                })?;
             }
             Msg::Shutdown => return Ok(()),
             other => {
@@ -238,30 +242,6 @@ pub fn run_daemon(broker_addr: &str) -> Result<(), InVivoError> {
             }
         }
     }
-}
-
-/// Streams the per-node reports: stats and delivered lines for hosted
-/// nodes, journal JSONL, then `ReportDone`.
-fn send_reports(control: &mut MsgStream, world: &mut World) -> Result<(), InVivoError> {
-    let reports = world.host.reports();
-    let mut send = |kind: ReportKind, line: String| {
-        control.send(&Msg::Report {
-            kind: kind.to_byte(),
-            line,
-        })
-    };
-    for (node, stats) in &reports.stats {
-        send(ReportKind::Stats, stats_line(*node, stats))?;
-    }
-    for (node, author, number) in &reports.delivered {
-        let line = delivered_line(*node, author.as_bytes(), *number);
-        send(ReportKind::Delivered, line)?;
-    }
-    for entry in &reports.journal {
-        send(ReportKind::Journal, entry.to_jsonl())?;
-    }
-    control.send(&Msg::ReportDone)?;
-    Ok(())
 }
 
 #[cfg(test)]

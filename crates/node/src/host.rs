@@ -13,14 +13,12 @@
 //! is the whole cross-process determinism contract: any sharding of
 //! the population computes the byte-identical run.
 
-use crate::proto::Msg;
+use crate::proto::{Msg, Report};
 use crate::provision::{node_seed, provision_apps, provision_runtime, RunPlan};
 use crate::runtime::NodeRuntime;
 use rand::SeedableRng;
-use sos_core::middleware::SosStats;
-use sos_crypto::UserId;
 use sos_net::{Frame, NetError, PeerId};
-use sos_obs::{JournalEntry, JournalHandle, NodeObs};
+use sos_obs::{JournalHandle, NodeObs};
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
 use std::collections::BTreeMap;
@@ -39,14 +37,13 @@ pub(crate) struct Flushed {
     pub(crate) remote: Vec<WireFrame>,
 }
 
-/// What the hosted nodes hold at the end of a run.
+/// What the hosted nodes hold at the end of a run: the report a daemon
+/// streams home, entry by entry, after `Finish`.
 pub(crate) struct Reports {
-    /// Middleware counters per hosted node, ascending by node.
-    pub(crate) stats: Vec<(u32, SosStats)>,
-    /// Every stored bundle: `(holding node, author, post number)`.
-    pub(crate) delivered: Vec<(u32, UserId, u64)>,
-    /// The hosted nodes' journal, in the order events happened here.
-    pub(crate) journal: Vec<JournalEntry>,
+    /// Per hosted node, ascending, its stats and then every bundle it
+    /// stores; after them the hosted nodes' journal lines, in the order
+    /// events happened here.
+    pub(crate) entries: Vec<Report>,
     /// Frames processed across all rounds (dropped ones included).
     pub(crate) frames: u64,
 }
@@ -201,20 +198,27 @@ impl Host {
 
     /// The end-of-run reports of the hosted nodes.
     pub(crate) fn reports(&mut self) -> Reports {
-        let mut stats = Vec::with_capacity(self.nodes.len());
-        let mut delivered = Vec::new();
+        let mut entries = Vec::new();
         for (&node, (rt, _)) in &mut self.nodes {
             rt.take_events();
-            stats.push((node, rt.stats()));
+            let stats = rt.stats();
+            entries.push(Report::Stats { node, stats });
             for bundle in rt.app().middleware().store().iter() {
                 let id = &bundle.message.id;
-                delivered.push((node, id.author, id.number));
+                entries.push(Report::Delivered {
+                    node,
+                    author: id.author,
+                    number: id.number,
+                });
             }
         }
+        for entry in self.journal.snapshot().entries() {
+            entries.push(Report::Journal {
+                line: entry.to_jsonl(),
+            });
+        }
         Reports {
-            stats,
-            delivered,
-            journal: self.journal.snapshot().entries().cloned().collect(),
+            entries,
             frames: self.frames,
         }
     }
@@ -223,10 +227,11 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockstep::{conduct, Fleet};
-    use crate::mesh::MeshError;
+    use crate::lockstep::{conduct, Fleet, Outcome};
+    use crate::proto::InVivoError;
     use crate::provision::load_trace_bytes;
     use sos_core::routing::SchemeKind;
+    use sos_obs::JournalEntry;
     use sos_sim::SimDuration;
 
     /// K hosts in one address space — the conductor's seam with plain
@@ -251,63 +256,36 @@ mod tests {
     }
 
     impl Fleet for Shards {
-        type Error = MeshError;
-
-        fn stalled(at: SimTime) -> MeshError {
-            MeshError::RoundsExhausted { at }
-        }
-
-        fn event(&mut self, msg: &Msg) -> Result<(), MeshError> {
+        fn event(&mut self, msg: &Msg) -> Result<(), InVivoError> {
             let flushed = self.0.iter_mut().filter_map(|h| h.apply(msg)).collect();
             self.deliver(flushed);
             Ok(())
         }
 
-        fn round(&mut self) -> Result<u64, MeshError> {
-            let flushed = self
-                .0
-                .iter_mut()
-                .map(|h| h.process_round().map_err(MeshError::Frame))
+        fn round(&mut self) -> Result<u64, InVivoError> {
+            let flushed = (self.0.iter_mut())
+                .map(Host::process_round)
                 .collect::<Result<_, _>>()?;
             Ok(self.deliver(flushed))
         }
-    }
 
-    /// Everything a run leaves behind, in sharding-independent form.
-    #[derive(Debug, PartialEq)]
-    struct Outcome {
-        delivered: Vec<(u32, UserId, u64)>,
-        stats: Vec<(u32, SosStats)>,
-        /// Stably sorted by node: each node's own event order survives,
-        /// which is stricter than the sorted multiset sockets compare.
-        journal: Vec<JournalEntry>,
-        frames: u64,
-        posts: u64,
-        rounds: u64,
-    }
-
-    fn run_sharded(trace: &ContactTrace, plan: &RunPlan, k: usize) -> Outcome {
-        let mut shards = Shards((0..k).map(|i| Host::new(trace, plan, i, k)).collect());
-        let (posts, rounds) = conduct(&mut shards, trace, plan).expect("lockstep run");
-        let mut out = Outcome {
-            delivered: Vec::new(),
-            stats: Vec::new(),
-            journal: Vec::new(),
-            frames: 0,
-            posts,
-            rounds,
-        };
-        for host in &mut shards.0 {
-            let reports = host.reports();
-            out.delivered.extend(reports.delivered);
-            out.stats.extend(reports.stats);
-            out.journal.extend(reports.journal);
-            out.frames += reports.frames;
+        fn finish(&mut self) -> Result<Vec<Reports>, InVivoError> {
+            Ok(self.0.iter_mut().map(Host::reports).collect())
         }
-        out.delivered.sort();
-        out.stats.sort_by_key(|&(node, _)| node);
-        out.journal.sort_by_key(|e| e.node);
-        out
+    }
+
+    /// The folded outcome of a run on `k` hosts, and its journal stably
+    /// sorted by node: each node's own event order survives, which is
+    /// stricter than the sorted lines the outcome compares.
+    fn run_sharded(trace: &ContactTrace, plan: &RunPlan, k: usize) -> (Outcome, Vec<JournalEntry>) {
+        let mut shards = Shards((0..k).map(|i| Host::new(trace, plan, i, k)).collect());
+        let outcome = conduct(&mut shards, trace, plan).expect("lockstep run");
+        let mut journal = Vec::new();
+        for host in &shards.0 {
+            journal.extend(host.journal.snapshot().entries().cloned());
+        }
+        journal.sort_by_key(|e| e.node);
+        (outcome, journal)
     }
 
     /// Seven nodes, every pair in contact at once: each advertiser is
@@ -353,7 +331,7 @@ mod tests {
                 };
                 let one = run_sharded(&trace, &plan, 1);
                 assert!(
-                    one.stats.iter().any(|(_, s)| s.bundles_received > 0),
+                    one.0.stats.iter().any(|s| s.bundles_received > 0),
                     "{scheme}: bundles must move"
                 );
                 for k in [2, 3] {

@@ -14,8 +14,9 @@
 //!   rebuilds the same population (CA, keys, subscriptions, workload)
 //!   from `(trace, plan)`.
 //! - [`lockstep`] — the barrier-synchronized schedule that makes a
-//!   socket run reproduce the in-process run byte-for-byte, and the one
-//!   conductor that walks it.
+//!   socket run reproduce the in-process run byte-for-byte, the one
+//!   conductor that walks it, and the one fold of every process's
+//!   reports into the [`Outcome`] both transports return.
 //! - `host` (crate-private) — the per-process round engine: hosted
 //!   runtimes, per-node RNG streams, `(from, to)` sequence numbers, the
 //!   wire codec at the edge and the `(to, from, seq)`-ordered exchange
@@ -23,7 +24,8 @@
 //! - [`mesh`] — the in-process reference transport
 //!   ([`mesh::run_mesh`]): one `Host` of every node under the
 //!   conductor.
-//! - [`proto`] — the broker⇄daemon control codec and report lines.
+//! - [`proto`] — the broker⇄daemon control codec, typed end-of-run
+//!   reports included.
 //! - [`daemon`] / [`broker`] — the real-socket transport: N OS
 //!   processes (`sos-node` binaries), each a `Host` of the nodes
 //!   `i % N == k` plus TCP for the frames addressed elsewhere,
@@ -43,8 +45,8 @@ pub mod proto;
 pub mod provision;
 pub mod runtime;
 
-pub use broker::{run_broker, Broker, BrokerConfig, InVivoOutcome};
-pub use lockstep::{build_schedule, Step};
-pub use mesh::{run_mesh, MeshOutcome};
+pub use broker::{Broker, BrokerConfig};
+pub use lockstep::{build_schedule, Outcome, Step};
+pub use mesh::run_mesh;
 pub use provision::{provision_apps, provision_runtime, RunPlan};
 pub use runtime::{NodeConfig, NodeRuntime};

@@ -31,10 +31,14 @@
 //! the crate-private `Fleet` seam: the in-process `Host` and the
 //! broker's socket fleet are its two transports, and the schedule
 //! events it hands them are the control codec's own
-//! [`Msg::Encounter`], [`Msg::Post`] and [`Msg::Tick`].
+//! [`Msg::Encounter`], [`Msg::Post`] and [`Msg::Tick`]. The result path
+//! is written once too: every process's end-of-run reports go through
+//! one fold into the one [`Outcome`] both transports return.
 
-use crate::proto::Msg;
+use crate::host::Reports;
+use crate::proto::{author_hex, InVivoError, Msg, Report};
 use crate::provision::{ad_boundaries, post_schedule, RunPlan};
+use sos_core::middleware::SosStats;
 use sos_sim::world::ContactPhase;
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
@@ -100,6 +104,27 @@ pub fn build_schedule(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, Ste
     steps.into_iter().collect()
 }
 
+/// Everything a lockstep run produces, whichever transport carried it:
+/// [`run_mesh`](crate::mesh::run_mesh) and
+/// [`Broker::run`](crate::broker::Broker::run) both return it, so a
+/// socket run matches the in-process one when the two are `==`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Outcome {
+    /// Every stored bundle: `(holding node, author hex, post number)`.
+    pub delivered: BTreeSet<(u32, String, u64)>,
+    /// Per-node middleware counters, by node index.
+    pub stats: Vec<SosStats>,
+    /// Journal JSONL lines, sorted (socket runs interleave processes'
+    /// lines arbitrarily; the sorted multiset is the invariant).
+    pub journal: Vec<String>,
+    /// Posts injected by the schedule.
+    pub posts: u64,
+    /// Frames processed across all rounds and processes.
+    pub frames: u64,
+    /// Exchange rounds run across all ticks.
+    pub rounds: u64,
+}
+
 /// Rounds a single tick may run before the exchange is declared
 /// divergent. A sync session between two nodes needs a handful of
 /// rounds; hitting this cap means a protocol loop, and the run aborts
@@ -107,38 +132,35 @@ pub fn build_schedule(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, Ste
 pub(crate) const MAX_ROUNDS_PER_TICK: u64 = 10_000;
 
 /// The whole node population as the conductor sees it: something that
-/// hands a schedule event to every process, and runs one
-/// barrier-synchronized exchange round at a time.
+/// hands a schedule event to every process, runs one
+/// barrier-synchronized exchange round at a time, and at the end hands
+/// back what every process holds.
 pub(crate) trait Fleet {
-    /// The transport's failure type.
-    type Error;
-
-    /// The failure to report when the rounds of the tick at `at` did
-    /// not quiesce within [`MAX_ROUNDS_PER_TICK`].
-    fn stalled(at: SimTime) -> Self::Error;
-
     /// Applies one schedule event — [`Msg::Encounter`], [`Msg::Post`] or
     /// [`Msg::Tick`] — wherever the nodes it names are hosted.
-    fn event(&mut self, msg: &Msg) -> Result<(), Self::Error>;
+    fn event(&mut self, msg: &Msg) -> Result<(), InVivoError>;
 
     /// One exchange round: every frame emitted so far is delivered and
     /// processed everywhere. Returns how many frames that emitted.
-    fn round(&mut self) -> Result<u64, Self::Error>;
+    fn round(&mut self) -> Result<u64, InVivoError>;
+
+    /// Ends the run: the reports of every process, one each.
+    fn finish(&mut self) -> Result<Vec<Reports>, InVivoError>;
 }
 
 /// Walks the schedule of `(trace, plan)` over `fleet`: per step the
 /// encounters, then the posts, then — on a tick — exchange rounds until
-/// one emits nothing. Returns `(posts injected, rounds run)`.
+/// one emits nothing. Then folds the fleet's reports into the outcome.
 ///
 /// # Errors
 ///
-/// The fleet's own failures, or [`Fleet::stalled`] for a tick whose
-/// rounds never quiesce.
+/// The fleet's own failures, [`InVivoError::Protocol`] for a tick whose
+/// rounds never quiesce, or reports [`fold`] refuses.
 pub(crate) fn conduct<F: Fleet>(
     fleet: &mut F,
     trace: &ContactTrace,
     plan: &RunPlan,
-) -> Result<(u64, u64), F::Error> {
+) -> Result<Outcome, InVivoError> {
     let mut posts = 0u64;
     let mut rounds = 0u64;
     for (now, step) in build_schedule(trace, plan) {
@@ -163,7 +185,9 @@ pub(crate) fn conduct<F: Fleet>(
         let cap = rounds + MAX_ROUNDS_PER_TICK;
         loop {
             if rounds == cap {
-                return Err(F::stalled(now));
+                return Err(InVivoError::Protocol(format!(
+                    "exchange rounds at t={now_ms}ms exceeded {MAX_ROUNDS_PER_TICK}"
+                )));
             }
             rounds += 1;
             if fleet.round()? == 0 {
@@ -171,7 +195,66 @@ pub(crate) fn conduct<F: Fleet>(
             }
         }
     }
-    Ok((posts, rounds))
+    fold(trace.node_count(), posts, rounds, fleet.finish()?)
+}
+
+/// Folds the reports of every process of a `node_count`-node run into
+/// its outcome — the one place an outcome is assembled. Every node must
+/// report its stats exactly once across the fleet, and only nodes of the
+/// population may report: a node missing, reported twice or unknown is
+/// a protocol violation, not a row of zeros, a silent overwrite or a
+/// stray entry.
+pub(crate) fn fold(
+    node_count: usize,
+    posts: u64,
+    rounds: u64,
+    reports: Vec<Reports>,
+) -> Result<Outcome, InVivoError> {
+    let violation = |what: String| Err(InVivoError::Protocol(what));
+    let mut stats: Vec<Option<SosStats>> = vec![None; node_count];
+    let mut delivered = BTreeSet::new();
+    let mut journal = Vec::new();
+    let mut frames = 0;
+    for process in reports {
+        frames += process.frames;
+        for entry in process.entries {
+            match entry {
+                Report::Stats { node, stats: s } => {
+                    let Some(slot) = stats.get_mut(node as usize) else {
+                        return violation(format!("stats for unknown node {node}"));
+                    };
+                    if slot.replace(s).is_some() {
+                        return violation(format!("stats for node {node} reported twice"));
+                    }
+                }
+                Report::Delivered {
+                    node,
+                    author,
+                    number,
+                } => {
+                    if node as usize >= node_count {
+                        return violation(format!("delivered entry for unknown node {node}"));
+                    }
+                    delivered.insert((node, author_hex(author.as_bytes()), number));
+                }
+                Report::Journal { line } => journal.push(line),
+            }
+        }
+    }
+    let stats = (stats.into_iter().enumerate())
+        .map(|(node, s)| {
+            s.ok_or_else(|| InVivoError::Protocol(format!("no stats for node {node}")))
+        })
+        .collect::<Result<Vec<SosStats>, InVivoError>>()?;
+    journal.sort();
+    Ok(Outcome {
+        delivered,
+        stats,
+        journal,
+        posts,
+        frames,
+        rounds,
+    })
 }
 
 #[cfg(test)]
@@ -371,6 +454,99 @@ mod tests {
                     build_schedule_reference(&trace, &plan)
                 );
             }
+        }
+    }
+
+    /// One process's reports: stats for `nodes` (node `i` with
+    /// `posts = i + 1`), a stored bundle for each of `holders`, a
+    /// journal line per stats entry, and `frames` processed.
+    fn reports(nodes: &[u32], holders: &[u32], frames: u64) -> Reports {
+        let stats = nodes.iter().map(|&node| Report::Stats {
+            node,
+            stats: SosStats {
+                posts: u64::from(node) + 1,
+                ..SosStats::default()
+            },
+        });
+        let delivered = holders.iter().map(|&node| Report::Delivered {
+            node,
+            author: sos_crypto::UserId([0xab; 10]),
+            number: 1,
+        });
+        let journal = nodes.iter().map(|node| Report::Journal {
+            line: format!("line of {node}"),
+        });
+        Reports {
+            entries: stats.chain(delivered).chain(journal).collect(),
+            frames,
+        }
+    }
+
+    #[test]
+    fn every_node_reports_stats_exactly_once() {
+        let two_processes = vec![reports(&[1], &[1], 5), reports(&[0], &[0, 1], 7)];
+        let outcome = fold(2, 3, 4, two_processes).expect("complete reports");
+        let posts: Vec<u64> = outcome.stats.iter().map(|s| s.posts).collect();
+        assert_eq!(posts, [1, 2]);
+        let author = "ab".repeat(10);
+        let held: Vec<(u32, &str, u64)> = (outcome.delivered.iter())
+            .map(|(node, by, number)| (*node, by.as_str(), *number))
+            .collect();
+        assert_eq!(held, [(0, author.as_str(), 1), (1, author.as_str(), 1)]);
+        assert_eq!(outcome.journal, ["line of 0", "line of 1"]);
+        assert_eq!((outcome.posts, outcome.frames, outcome.rounds), (3, 12, 4));
+
+        for (processes, violation) in [
+            (
+                vec![reports(&[0, 1], &[], 0), reports(&[1], &[], 0)],
+                "stats for node 1 reported twice",
+            ),
+            (vec![reports(&[0], &[], 0)], "no stats for node 1"),
+            (
+                vec![reports(&[0, 1, 2], &[], 0)],
+                "stats for unknown node 2",
+            ),
+            (
+                vec![reports(&[0, 1], &[2], 0)],
+                "delivered entry for unknown node 2",
+            ),
+        ] {
+            match fold(2, 0, 0, processes) {
+                Err(InVivoError::Protocol(what)) => assert_eq!(what, violation),
+                other => panic!("expected {violation:?}, got {other:?}"),
+            }
+        }
+    }
+
+    /// A fleet whose every round emits a frame: the first tick (node 0's
+    /// boundary at 120 s, inside its 100–130 s contact) never quiesces.
+    struct Chatter;
+
+    impl Fleet for Chatter {
+        fn event(&mut self, _: &Msg) -> Result<(), InVivoError> {
+            Ok(())
+        }
+
+        fn round(&mut self) -> Result<u64, InVivoError> {
+            Ok(1)
+        }
+
+        fn finish(&mut self) -> Result<Vec<Reports>, InVivoError> {
+            panic!("a run whose tick never quiesced has nothing to report")
+        }
+    }
+
+    #[test]
+    fn the_conductor_names_a_tick_that_never_quiesces() {
+        let plan = RunPlan {
+            ad_interval: SimDuration::from_secs(60),
+            ..RunPlan::default()
+        };
+        match conduct(&mut Chatter, &trace(), &plan) {
+            Err(InVivoError::Protocol(what)) => {
+                assert_eq!(what, "exchange rounds at t=120000ms exceeded 10000");
+            }
+            other => panic!("expected the stall, got {other:?}"),
         }
     }
 

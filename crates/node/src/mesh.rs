@@ -3,82 +3,29 @@
 //! broker runs over sockets.
 //!
 //! This is the oracle the loopback test compares a real-socket run
-//! against: same provisioning, same schedule, same round engine — so
-//! the delivered set, per-node stats, and journal must match
-//! byte-for-byte.
+//! against: same provisioning, same schedule, same round engine, same
+//! report fold — so the two [`Outcome`]s must be equal, field for
+//! field.
 
-use crate::host::Host;
-use crate::lockstep::{conduct, Fleet, MAX_ROUNDS_PER_TICK};
-use crate::proto::{author_hex, Msg};
+use crate::host::{Host, Reports};
+use crate::lockstep::{conduct, Fleet, Outcome};
+use crate::proto::{InVivoError, Msg};
 use crate::provision::RunPlan;
-use sos_core::middleware::SosStats;
-use sos_net::NetError;
-use sos_sim::SimTime;
 use sos_trace::ContactTrace;
-use std::collections::BTreeSet;
-
-/// Mesh transport failures.
-#[derive(Debug)]
-pub enum MeshError {
-    /// A tick's exchange rounds did not quiesce within the lockstep
-    /// round cap.
-    RoundsExhausted {
-        /// The tick that diverged.
-        at: SimTime,
-    },
-    /// A locally produced frame failed to decode on the receiving
-    /// side — impossible unless the codec round-trip is broken.
-    Frame(NetError),
-}
-
-impl std::fmt::Display for MeshError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MeshError::RoundsExhausted { at } => write!(
-                f,
-                "exchange rounds at t={}ms exceeded {MAX_ROUNDS_PER_TICK}",
-                at.as_millis()
-            ),
-            MeshError::Frame(e) => write!(f, "frame rejected in-process: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for MeshError {}
-
-/// Everything a lockstep run produces, in transport-comparable form.
-#[derive(Debug)]
-pub struct MeshOutcome {
-    /// Every stored bundle: `(holding node, author hex, post number)`.
-    pub delivered: BTreeSet<(u32, String, u64)>,
-    /// Per-node middleware counters, by node index.
-    pub stats: Vec<SosStats>,
-    /// Journal JSONL lines, sorted (socket runs interleave processes'
-    /// lines arbitrarily; the sorted multiset is the invariant).
-    pub journal: Vec<String>,
-    /// Posts injected.
-    pub posts: u64,
-    /// Frames exchanged across all rounds.
-    pub frames: u64,
-    /// Exchange rounds run across all ticks.
-    pub rounds: u64,
-}
 
 /// A host of every node is a whole fleet: nothing it emits is remote.
 impl Fleet for Host {
-    type Error = MeshError;
-
-    fn stalled(at: SimTime) -> MeshError {
-        MeshError::RoundsExhausted { at }
-    }
-
-    fn event(&mut self, msg: &Msg) -> Result<(), MeshError> {
+    fn event(&mut self, msg: &Msg) -> Result<(), InVivoError> {
         self.apply(msg);
         Ok(())
     }
 
-    fn round(&mut self) -> Result<u64, MeshError> {
-        Ok(self.process_round().map_err(MeshError::Frame)?.emitted)
+    fn round(&mut self) -> Result<u64, InVivoError> {
+        Ok(self.process_round()?.emitted)
+    }
+
+    fn finish(&mut self) -> Result<Vec<Reports>, InVivoError> {
+        Ok(vec![self.reports()])
     }
 }
 
@@ -86,36 +33,21 @@ impl Fleet for Host {
 ///
 /// # Errors
 ///
-/// [`MeshError::RoundsExhausted`] if a tick never quiesces;
-/// [`MeshError::Frame`] if a frame the mesh itself produced fails to
+/// [`InVivoError::Protocol`] if a tick never quiesces;
+/// [`InVivoError::Codec`] if a frame the mesh itself produced fails to
 /// decode (a codec bug, not an input condition).
-pub fn run_mesh(trace: &ContactTrace, plan: &RunPlan) -> Result<MeshOutcome, MeshError> {
-    let mut host = Host::new(trace, plan, 0, 1);
-    let (posts, rounds) = conduct(&mut host, trace, plan)?;
-    let reports = host.reports();
-    let mut journal: Vec<String> = reports.journal.iter().map(|e| e.to_jsonl()).collect();
-    journal.sort();
-    Ok(MeshOutcome {
-        delivered: reports
-            .delivered
-            .into_iter()
-            .map(|(node, author, number)| (node, author_hex(author.as_bytes()), number))
-            .collect(),
-        stats: reports.stats.into_iter().map(|(_, s)| s).collect(),
-        journal,
-        posts,
-        frames: reports.frames,
-        rounds,
-    })
+pub fn run_mesh(trace: &ContactTrace, plan: &RunPlan) -> Result<Outcome, InVivoError> {
+    conduct(&mut Host::new(trace, plan, 0, 1), trace, plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::author_hex;
     use crate::provision::{post_schedule, provision_apps};
     use sos_core::routing::SchemeKind;
     use sos_sim::world::{ContactEvent, ContactPhase};
-    use sos_sim::SimDuration;
+    use sos_sim::{SimDuration, SimTime};
 
     fn trace() -> ContactTrace {
         let mk = |time, a, b, up| ContactEvent {
@@ -186,10 +118,6 @@ mod tests {
         };
         let a = run_mesh(&trace(), &plan).expect("run a");
         let b = run_mesh(&trace(), &plan).expect("run b");
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.journal, b.journal);
-        assert_eq!(a.frames, b.frames);
-        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a, b);
     }
 }

@@ -8,9 +8,9 @@
 
 use sos_core::middleware::SosStats;
 use sos_core::routing::SchemeKind;
+use sos_crypto::UserId;
 use sos_net::{encode_wire, NetError, WireReader, MAX_WIRE_FRAME};
 use sos_sim::codec::{Reader, Writer};
-use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -32,7 +32,8 @@ pub enum Msg {
         proc_index: u32,
         /// Total participating processes.
         num_procs: u32,
-        /// Routing scheme (see [`scheme_to_byte`]).
+        /// Routing scheme: its index in
+        /// [`SchemeKind::ALL`](sos_core::routing::SchemeKind::ALL).
         scheme: u8,
         /// Master seed.
         seed: u64,
@@ -90,15 +91,14 @@ pub enum Msg {
     },
     /// Broker → daemon: the run is over; stream the per-node reports.
     Finish,
-    /// Daemon → broker: one report line (see [`ReportKind`]).
-    Report {
-        /// What the line describes.
-        kind: u8,
-        /// The line payload.
-        line: String,
-    },
+    /// Daemon → broker: one entry of the end-of-run report.
+    Report(Report),
     /// Daemon → broker: report stream complete.
-    ReportDone,
+    ReportDone {
+        /// Frames this process processed across all rounds (dropped
+        /// ones included).
+        frames: u64,
+    },
     /// Broker → daemon: exit cleanly.
     Shutdown,
     /// Daemon ⇄ daemon: one middleware frame from `from` to `to`, with
@@ -113,6 +113,33 @@ pub enum Msg {
         seq: u64,
         /// The encoded middleware [`Frame`](sos_net::Frame).
         frame: Vec<u8>,
+    },
+}
+
+/// One entry of a process's end-of-run report, streamed after
+/// [`Msg::Finish`]; on the wire, a kind byte after the tag selects it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Report {
+    /// Kind 0: a hosted node's middleware counters.
+    Stats {
+        /// The hosted node.
+        node: u32,
+        /// Its counters, as twelve `u64`s in declaration order.
+        stats: SosStats,
+    },
+    /// Kind 1: one bundle a hosted node stores.
+    Delivered {
+        /// The holding node.
+        node: u32,
+        /// The bundle's author.
+        author: UserId,
+        /// The author's post number.
+        number: u64,
+    },
+    /// Kind 2: one journal JSONL line of the hosted nodes.
+    Journal {
+        /// The line, without its newline.
+        line: String,
     },
 }
 
@@ -173,11 +200,6 @@ impl MsgStream {
         }
     }
 
-    /// The underlying stream (for timeouts / shutdown).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
-    }
-
     /// Writes one message.
     ///
     /// # Errors
@@ -214,41 +236,9 @@ impl MsgStream {
     }
 }
 
-/// Report line kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReportKind {
-    /// A per-node stats line ([`stats_line`]).
-    Stats,
-    /// A delivered-bundle line ([`delivered_line`]).
-    Delivered,
-    /// A journal JSONL line.
-    Journal,
-}
-
-impl ReportKind {
-    /// Wire byte for the kind.
-    pub fn to_byte(self) -> u8 {
-        match self {
-            ReportKind::Stats => 0,
-            ReportKind::Delivered => 1,
-            ReportKind::Journal => 2,
-        }
-    }
-
-    /// Parses the wire byte.
-    pub fn from_byte(b: u8) -> Option<ReportKind> {
-        match b {
-            0 => Some(ReportKind::Stats),
-            1 => Some(ReportKind::Delivered),
-            2 => Some(ReportKind::Journal),
-            _ => None,
-        }
-    }
-}
-
 /// Maps a built-in scheme to its wire byte (custom schemes cannot
 /// travel: each process instantiates schemes from the byte).
-pub fn scheme_to_byte(scheme: SchemeKind) -> Option<u8> {
+pub(crate) fn scheme_to_byte(scheme: SchemeKind) -> Option<u8> {
     SchemeKind::ALL
         .iter()
         .position(|&s| s == scheme)
@@ -256,7 +246,7 @@ pub fn scheme_to_byte(scheme: SchemeKind) -> Option<u8> {
 }
 
 /// Inverse of [`scheme_to_byte`].
-pub fn scheme_from_byte(b: u8) -> Option<SchemeKind> {
+pub(crate) fn scheme_from_byte(b: u8) -> Option<SchemeKind> {
     SchemeKind::ALL.get(b as usize).copied()
 }
 
@@ -275,6 +265,10 @@ const TAG_REPORT_DONE: u8 = 12;
 const TAG_SHUTDOWN: u8 = 13;
 const TAG_DATA: u8 = 14;
 
+const REPORT_STATS: u8 = 0;
+const REPORT_DELIVERED: u8 = 1;
+const REPORT_JOURNAL: u8 = 2;
+
 /// Hosts in one [`Msg::Assign`]: a count above it is refused before a
 /// vector is sized for it.
 const MAX_FLEET: usize = 4096;
@@ -286,6 +280,44 @@ const MAX_FLEET: usize = 4096;
 fn read_string(r: &mut Reader<'_>) -> Result<String, NetError> {
     let bytes = r.bytes32(MAX_WIRE_FRAME)?;
     String::from_utf8(bytes.to_vec()).map_err(|_| NetError::BadFrame)
+}
+
+/// The twelve counters of a stats report, in declaration order.
+fn write_stats(out: &mut Vec<u8>, s: &SosStats) {
+    for counter in [
+        s.posts,
+        s.bundles_sent,
+        s.bundles_received,
+        s.bundles_duplicate,
+        s.security_rejections,
+        s.sessions_initiated,
+        s.sessions_accepted,
+        s.sessions_resumed,
+        s.resume_misses,
+        s.requests_served,
+        s.sync_frames_sent,
+        s.security_alerts,
+    ] {
+        out.u64(counter);
+    }
+}
+
+/// Inverse of [`write_stats`].
+fn read_stats(r: &mut Reader<'_>) -> Result<SosStats, NetError> {
+    Ok(SosStats {
+        posts: r.u64()?,
+        bundles_sent: r.u64()?,
+        bundles_received: r.u64()?,
+        bundles_duplicate: r.u64()?,
+        security_rejections: r.u64()?,
+        sessions_initiated: r.u64()?,
+        sessions_accepted: r.u64()?,
+        sessions_resumed: r.u64()?,
+        resume_misses: r.u64()?,
+        requests_served: r.u64()?,
+        sync_frames_sent: r.u64()?,
+        security_alerts: r.u64()?,
+    })
 }
 
 impl Msg {
@@ -352,12 +384,34 @@ impl Msg {
                 out.u64(*emitted);
             }
             Msg::Finish => out.u8(TAG_FINISH),
-            Msg::Report { kind, line } => {
+            Msg::Report(report) => {
                 out.u8(TAG_REPORT);
-                out.u8(*kind);
-                out.bytes32(line.as_bytes());
+                match report {
+                    Report::Stats { node, stats } => {
+                        out.u8(REPORT_STATS);
+                        out.u32(*node);
+                        write_stats(&mut out, stats);
+                    }
+                    Report::Delivered {
+                        node,
+                        author,
+                        number,
+                    } => {
+                        out.u8(REPORT_DELIVERED);
+                        out.u32(*node);
+                        out.bytes(author.as_bytes());
+                        out.u64(*number);
+                    }
+                    Report::Journal { line } => {
+                        out.u8(REPORT_JOURNAL);
+                        out.bytes32(line.as_bytes());
+                    }
+                }
             }
-            Msg::ReportDone => out.u8(TAG_REPORT_DONE),
+            Msg::ReportDone { frames } => {
+                out.u8(TAG_REPORT_DONE);
+                out.u64(*frames);
+            }
             Msg::Shutdown => out.u8(TAG_SHUTDOWN),
             Msg::Data {
                 from,
@@ -379,8 +433,9 @@ impl Msg {
     ///
     /// # Errors
     ///
-    /// [`NetError::BadFrame`] on unknown tags, truncation, bad UTF-8,
-    /// a flag byte other than 0 or 1, or trailing bytes;
+    /// [`NetError::BadFrame`] on unknown tags or report kinds,
+    /// truncation, bad UTF-8, a flag byte other than 0 or 1, or trailing
+    /// bytes;
     /// [`NetError::FrameTooLarge`] on a field longer than a wire frame.
     pub fn decode(bytes: &[u8]) -> Result<Msg, NetError> {
         let mut r = Reader::new(bytes);
@@ -439,11 +494,22 @@ impl Msg {
             TAG_PROCESS => Msg::Process,
             TAG_PROCESS_ACK => Msg::ProcessAck { emitted: r.u64()? },
             TAG_FINISH => Msg::Finish,
-            TAG_REPORT => Msg::Report {
-                kind: r.u8()?,
-                line: read_string(&mut r)?,
-            },
-            TAG_REPORT_DONE => Msg::ReportDone,
+            TAG_REPORT => Msg::Report(match r.u8()? {
+                REPORT_STATS => Report::Stats {
+                    node: r.u32()?,
+                    stats: read_stats(&mut r)?,
+                },
+                REPORT_DELIVERED => Report::Delivered {
+                    node: r.u32()?,
+                    author: UserId(r.array()?),
+                    number: r.u64()?,
+                },
+                REPORT_JOURNAL => Report::Journal {
+                    line: read_string(&mut r)?,
+                },
+                _ => return Err(NetError::BadFrame),
+            }),
+            TAG_REPORT_DONE => Msg::ReportDone { frames: r.u64()? },
             TAG_SHUTDOWN => Msg::Shutdown,
             TAG_DATA => Msg::Data {
                 from: r.u32()?,
@@ -458,63 +524,7 @@ impl Msg {
     }
 }
 
-/// Renders one node's stats as a stable `key=value` report line.
-pub fn stats_line(node: u32, s: &SosStats) -> String {
-    format!(
-        "node={node} posts={} bundles_sent={} bundles_received={} bundles_duplicate={} \
-         security_rejections={} sessions_initiated={} sessions_accepted={} sessions_resumed={} \
-         resume_misses={} requests_served={} sync_frames_sent={} security_alerts={}",
-        s.posts,
-        s.bundles_sent,
-        s.bundles_received,
-        s.bundles_duplicate,
-        s.security_rejections,
-        s.sessions_initiated,
-        s.sessions_accepted,
-        s.sessions_resumed,
-        s.resume_misses,
-        s.requests_served,
-        s.sync_frames_sent,
-        s.security_alerts,
-    )
-}
-
-/// Parses a [`stats_line`]: `node` and each of the twelve counters
-/// exactly once, in any order. A missing, repeated or unknown key is
-/// `None`, so a report that lost or doubled a counter cannot pass for
-/// one whose counter is 0.
-pub fn parse_stats_line(line: &str) -> Option<(u32, SosStats)> {
-    let mut node = None;
-    let mut s = SosStats::default();
-    let mut seen = BTreeSet::new();
-    for field in line.split_whitespace() {
-        let (key, value) = field.split_once('=')?;
-        let v: u64 = value.parse().ok()?;
-        if !seen.insert(key) {
-            return None;
-        }
-        match key {
-            "node" => node = Some(u32::try_from(v).ok()?),
-            "posts" => s.posts = v,
-            "bundles_sent" => s.bundles_sent = v,
-            "bundles_received" => s.bundles_received = v,
-            "bundles_duplicate" => s.bundles_duplicate = v,
-            "security_rejections" => s.security_rejections = v,
-            "sessions_initiated" => s.sessions_initiated = v,
-            "sessions_accepted" => s.sessions_accepted = v,
-            "sessions_resumed" => s.sessions_resumed = v,
-            "resume_misses" => s.resume_misses = v,
-            "requests_served" => s.requests_served = v,
-            "sync_frames_sent" => s.sync_frames_sent = v,
-            "security_alerts" => s.security_alerts = v,
-            _ => return None,
-        }
-    }
-    // Thirteen distinct known keys: `node` and all twelve counters.
-    (seen.len() == 13).then_some((node?, s))
-}
-
-/// Lowercase hex of an author id, the delivered-line key.
+/// Lowercase hex of an author id, as an outcome's delivered set keys it.
 pub fn author_hex(author: &[u8]) -> String {
     let mut hex = String::with_capacity(author.len() * 2);
     for b in author {
@@ -522,28 +532,6 @@ pub fn author_hex(author: &[u8]) -> String {
         let _ = write!(hex, "{b:02x}");
     }
     hex
-}
-
-/// Renders a stored bundle as a stable delivered-set report line.
-pub fn delivered_line(node: u32, author: &[u8], number: u64) -> String {
-    format!("node={node} author={} number={number}", author_hex(author))
-}
-
-/// Parses a [`delivered_line`] into `(node, author_hex, number)`.
-pub fn parse_delivered_line(line: &str) -> Option<(u32, String, u64)> {
-    let mut node = None;
-    let mut author = None;
-    let mut number = None;
-    for field in line.split_whitespace() {
-        let (key, value) = field.split_once('=')?;
-        match key {
-            "node" => node = value.parse().ok(),
-            "author" => author = Some(value.to_string()),
-            "number" => number = value.parse().ok(),
-            _ => return None,
-        }
-    }
-    Some((node?, author?, number?))
 }
 
 #[cfg(test)]
@@ -582,11 +570,20 @@ mod tests {
             Msg::Process,
             Msg::ProcessAck { emitted: 4 },
             Msg::Finish,
-            Msg::Report {
-                kind: ReportKind::Stats.to_byte(),
-                line: "node=0 posts=1".into(),
-            },
-            Msg::ReportDone,
+            Msg::Report(Report::Stats {
+                node: 0,
+                stats: SosStats {
+                    posts: 1,
+                    ..SosStats::default()
+                },
+            }),
+            Msg::Report(Report::Delivered {
+                node: 1,
+                author: UserId([7; 10]),
+                number: 2,
+            }),
+            Msg::Report(Report::Journal { line: "{}".into() }),
+            Msg::ReportDone { frames: 41 },
             Msg::Shutdown,
             Msg::Data {
                 from: 1,
@@ -609,9 +606,12 @@ mod tests {
         }
     }
 
+    /// A stats report is the node and twelve counters in declaration
+    /// order, each at a fixed place; one cut short by any byte — a lost
+    /// counter — does not decode at all, let alone as a 0.
     #[test]
-    fn stats_and_delivered_lines_round_trip() {
-        let s = SosStats {
+    fn stats_lines_carry_every_counter_exactly_once() {
+        let stats = SosStats {
             posts: 1,
             bundles_sent: 2,
             bundles_received: 3,
@@ -619,48 +619,52 @@ mod tests {
             security_rejections: 5,
             sessions_initiated: 6,
             sessions_accepted: 7,
-            requests_served: 8,
-            sync_frames_sent: 9,
-            security_alerts: 10,
-            sessions_resumed: 11,
-            resume_misses: 12,
+            sessions_resumed: 8,
+            resume_misses: 9,
+            requests_served: 10,
+            sync_frames_sent: 11,
+            security_alerts: 12,
         };
-        let line = stats_line(3, &s);
-        let (node, parsed) = parse_stats_line(&line).expect("parse");
-        assert_eq!(node, 3);
-        assert_eq!(parsed, s);
-        // Field order is free; completeness is not.
-        let reversed: Vec<&str> = line.split_whitespace().rev().collect();
-        assert_eq!(parse_stats_line(&reversed.join(" ")), Some((3, s)));
-
-        let line = delivered_line(4, &[0xab; 10], 17);
-        let (node, author, number) = parse_delivered_line(&line).expect("parse");
-        assert_eq!(node, 4);
-        assert_eq!(author, "ab".repeat(10));
-        assert_eq!(number, 17);
+        let msg = Msg::Report(Report::Stats { node: 3, stats });
+        let bytes = msg.encode();
+        assert_eq!(bytes[..6], [TAG_REPORT, REPORT_STATS, 3, 0, 0, 0]);
+        let counters: Vec<u64> = bytes[6..]
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect();
+        assert_eq!(counters, (1..=12).collect::<Vec<u64>>());
+        assert_eq!(Msg::decode(&bytes).expect("round trip"), msg);
+        for cut in 0..bytes.len() {
+            assert!(Msg::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
+    /// Delivered and journal reports decode to what was sent, at their
+    /// fixed lengths, and a report kind past the last is refused.
     #[test]
-    fn stats_lines_carry_every_counter_exactly_once() {
-        let full = stats_line(3, &SosStats::default());
-        assert!(parse_stats_line(&full).is_some());
-        // A dropped counter does not read as 0.
-        assert_eq!(parse_stats_line("node=3 posts=1"), None);
-        let fields: Vec<&str> = full.split_whitespace().collect();
-        assert_eq!(fields.len(), 13, "node and twelve counters");
-        for (i, field) in fields.iter().enumerate() {
-            let (key, _) = field.split_once('=').expect("key=value");
-            let mut dropped = fields.clone();
-            dropped.remove(i);
-            assert_eq!(parse_stats_line(&dropped.join(" ")), None, "{key} dropped");
-            // A repeated key does not overwrite the first.
-            assert_eq!(
-                parse_stats_line(&format!("{full} {key}=9")),
-                None,
-                "{key} repeated"
-            );
+    fn stats_and_delivered_lines_round_trip() {
+        let delivered = Report::Delivered {
+            node: 4,
+            author: UserId([0xab; 10]),
+            number: 17,
+        };
+        let journal = Report::Journal {
+            line: r#"{"t":1}"#.into(),
+        };
+        for (report, len) in [(delivered, 1 + 1 + 4 + 10 + 8), (journal, 1 + 1 + 4 + 7)] {
+            let msg = Msg::Report(report);
+            let bytes = msg.encode();
+            assert_eq!(bytes.len(), len, "{msg:?}");
+            assert_eq!(Msg::decode(&bytes).expect("round trip"), msg);
         }
-        assert_eq!(parse_stats_line(&format!("{full} gossip=1")), None);
+
+        let mut unknown = Msg::Report(Report::Stats {
+            node: 0,
+            stats: SosStats::default(),
+        })
+        .encode();
+        unknown[1] = 3;
+        assert!(Msg::decode(&unknown).is_err(), "no report kind 3");
     }
 
     #[test]

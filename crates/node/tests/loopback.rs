@@ -4,16 +4,17 @@
 //! Two `sos-node` daemons launched as genuine OS processes exchange
 //! middleware frames over TCP loopback under the broker's lockstep
 //! conducting, on the imported `haggle_mini` CRAWDAD fixture. For both
-//! a flooding and a quota scheme, the delivered set, every node's
-//! `SosStats`, the journal (as a sorted line multiset), and the post
-//! count must equal the in-process [`run_mesh`] oracle — the paper's
-//! in-vivo claim made checkable: simulation and deployment run the
-//! same middleware, byte for byte.
+//! a flooding and a quota scheme, the whole outcome — delivered set,
+//! every node's `SosStats`, the journal (as a sorted line multiset),
+//! posts, rounds and frames — must equal the in-process [`run_mesh`]
+//! oracle: the paper's in-vivo claim made checkable, simulation and
+//! deployment run the same middleware, byte for byte.
 
 use sos_core::routing::SchemeKind;
 use sos_node::broker::{Broker, BrokerConfig};
 use sos_node::mesh::run_mesh;
 use sos_node::provision::{load_trace_bytes, RunPlan};
+use sos_node::Outcome;
 use sos_sim::SimDuration;
 use sos_trace::ContactTrace;
 use std::path::PathBuf;
@@ -28,7 +29,7 @@ fn haggle_trace() -> ContactTrace {
 
 /// Launches `procs` real daemon processes against a bound broker and
 /// conducts the run.
-fn run_in_vivo(trace: &ContactTrace, plan: RunPlan, procs: usize) -> sos_node::InVivoOutcome {
+fn run_in_vivo(trace: &ContactTrace, plan: RunPlan, procs: usize) -> Outcome {
     let broker = Broker::bind(BrokerConfig {
         listen: "127.0.0.1:0".into(),
         num_procs: procs,
@@ -76,19 +77,9 @@ fn two_process_loopback_reproduces_the_mesh_exactly() {
         assert!(mesh.posts > 0);
 
         let vivo = run_in_vivo(&trace, plan, 2);
-
         assert_eq!(
-            vivo.delivered, mesh.delivered,
-            "{scheme}: delivered set diverged between sockets and mesh"
+            vivo, mesh,
+            "{scheme}: outcome diverged between sockets and mesh"
         );
-        assert_eq!(
-            vivo.stats, mesh.stats,
-            "{scheme}: per-node SosStats diverged between sockets and mesh"
-        );
-        assert_eq!(
-            vivo.journal, mesh.journal,
-            "{scheme}: journal multiset diverged between sockets and mesh"
-        );
-        assert_eq!(vivo.posts, mesh.posts);
     }
 }

@@ -11,8 +11,9 @@
 //! broker and daemons carries a read timeout or a retry cap, so a hung
 //! or killed peer surfaces as a named error here instead of a stuck CI
 //! job. The run must shut down cleanly (all daemons exit zero after
-//! `Shutdown`) and deliver bundles, and its delivered set, per-node
-//! stats, and journal must equal `run_mesh` on the same plan.
+//! `Shutdown`) and deliver bundles, and its whole outcome — delivered
+//! set, per-node stats, journal, posts, rounds and frames — must equal
+//! `run_mesh` on the same plan.
 
 use sos_core::routing::SchemeKind;
 use sos_node::broker::{Broker, BrokerConfig};
@@ -105,8 +106,7 @@ fn main() -> Result<(), String> {
     if vivo.delivered.is_empty() {
         return Err("in-vivo run delivered nothing".into());
     }
-    if vivo.delivered != mesh.delivered || vivo.stats != mesh.stats || vivo.journal != mesh.journal
-    {
+    if vivo != mesh {
         return Err("in-vivo outcome diverged from the in-process mesh".into());
     }
     println!(

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use sos::core::sync::{AuthorWant, SyncMsg};
-use sos::core::{Bundle, MessageKind, SosMessage};
+use sos::core::{Bundle, MessageKind, SosMessage, SosStats};
 use sos::crypto::ca::CertificateAuthority;
 use sos::crypto::cert::Certificate;
 use sos::crypto::ed25519::SigningKey;
@@ -18,7 +18,7 @@ use sos::net::{
     encode_wire, Advertisement, DisconnectReason, Frame, HandshakeInit, HandshakeResponse, PeerId,
     WireReader,
 };
-use sos::node::proto::Msg;
+use sos::node::proto::{Msg, Report};
 use sos::sim::world::{ContactEvent, ContactPhase};
 use sos::sim::SimTime;
 use sos::trace::{codec_binary, ContactTrace};
@@ -132,7 +132,8 @@ fn frames(n: u8, blob: &[u8]) -> Vec<Frame> {
     ]
 }
 
-/// The fourteen control messages.
+/// The fourteen control messages, tag 11 in each of its three report
+/// kinds.
 fn msgs(n: u8, blob: &[u8]) -> Vec<Msg> {
     let text = || format!("host-{n}:é");
     vec![
@@ -163,11 +164,23 @@ fn msgs(n: u8, blob: &[u8]) -> Vec<Msg> {
         Msg::Process,
         Msg::ProcessAck { emitted: 4 },
         Msg::Finish,
-        Msg::Report {
-            kind: n % 3,
-            line: text(),
+        Msg::Report(Report::Stats {
+            node: u32::from(n),
+            stats: SosStats {
+                posts: u64::from(n),
+                security_alerts: u64::MAX - u64::from(n),
+                ..SosStats::default()
+            },
+        }),
+        Msg::Report(Report::Delivered {
+            node: u32::from(n),
+            author: uid(n),
+            number: u64::from(n) + 1,
+        }),
+        Msg::Report(Report::Journal { line: text() }),
+        Msg::ReportDone {
+            frames: u64::from(n) * 1_000,
         },
-        Msg::ReportDone,
         Msg::Shutdown,
         Msg::Data {
             from: 1,

@@ -6,6 +6,7 @@
 //! `wire_size`, and every vector decodes back to its instance.
 
 use sos::core::sync::{AuthorWant, SyncMsg};
+use sos::core::SosStats;
 use sos::core::{Bundle, MessageId, MessageKind, SosMessage};
 use sos::crypto::ca::CertificateAuthority;
 use sos::crypto::cert::Certificate;
@@ -15,7 +16,7 @@ use sos::crypto::{hex, sha2, Signature, UserId};
 use sos::net::{
     encode_wire, Advertisement, DisconnectReason, Frame, HandshakeInit, HandshakeResponse, PeerId,
 };
-use sos::node::proto::Msg;
+use sos::node::proto::{Msg, Report};
 use sos::sim::world::{ContactEvent, ContactPhase};
 use sos::sim::SimTime;
 use sos::trace::{codec_binary, ContactTrace};
@@ -35,8 +36,10 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     ("msg_tag_8", 1, "beead77994cf573341ec17b58bbf7eb34d2711c993c1d976b128b3188dc1829a"),
     ("msg_tag_9", 9, "f181110d78c178c75c78b226a3fe6cd39305cb2d9d734c1f497dd9aa4408da97"),
     ("msg_tag_10", 1, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
-    ("msg_tag_11", 39, "0a6615fd9d45e4811551729159e2d0c7218d6b9a2b2bd2a68268b57ad1a6f5bf"),
-    ("msg_tag_12", 1, "ef6cbd2161eaea7943ce8693b9824d23d1793ffb1c0fca05b600d3899b44c977"),
+    ("msg_tag_11", 24, "0dceb039cd4dcc220a29c346335e4d80aed7be9345405ef32bf0ba4692aa88d2"),
+    ("msg_tag_11_kind_0", 102, "7a7cefdaecf595af7bcd85f14e8fe3803cd933897fc46123ef8ed0e9bbb0c4a0"),
+    ("msg_tag_11_kind_2", 43, "312c7fdec09fe73ad9b14e91e1f1a7f342793cc2e4ad575c450e7aadfe62893f"),
+    ("msg_tag_12", 9, "6cd22afe245aa5305a7d36c8ebadea6561a2d6c74a8e374f4fdfe93c0baf30e9"),
     ("msg_tag_13", 1, "9d1e0e2d9459d06523ad13e28a4093c2316baafe7aec5b25f30eba2e113599c4"),
     ("msg_tag_14", 26, "ea7abc7877892d400455ec3d7d9258fa3e0bcfe83c86022d16459f727a6f14e2"),
     ("encode_wire", 14, "2a842aafef027657652a42bbbd35c48451139834091e03c8133073f7d8f4d9e6"),
@@ -271,11 +274,12 @@ fn the_fourteen_control_messages_and_the_stream_framing() {
         Msg::Process,
         Msg::ProcessAck { emitted: 4 },
         Msg::Finish,
-        Msg::Report {
-            kind: 1,
-            line: "node=0 author=616c696365 number=1".into(),
-        },
-        Msg::ReportDone,
+        Msg::Report(Report::Delivered {
+            node: 0,
+            author: uid("alice"),
+            number: 1,
+        }),
+        Msg::ReportDone { frames: 286 },
         Msg::Shutdown,
         Msg::Data {
             from: 1,
@@ -288,6 +292,33 @@ fn the_fourteen_control_messages_and_the_stream_framing() {
         let bytes = msg.encode();
         assert_eq!(bytes[0], tag, "{msg:?}");
         check(&format!("msg_tag_{tag}"), &bytes);
+        assert_eq!(Msg::decode(&bytes).expect("decodes"), msg);
+    }
+
+    // Tag 11's other two report kinds; kind 1 is `msg_tag_11` above.
+    let stats = SosStats {
+        posts: 1,
+        bundles_sent: 2,
+        bundles_received: 3,
+        bundles_duplicate: 4,
+        security_rejections: 5,
+        sessions_initiated: 6,
+        sessions_accepted: 7,
+        sessions_resumed: 8,
+        resume_misses: 9,
+        requests_served: 10,
+        sync_frames_sent: 11,
+        security_alerts: 12,
+    };
+    let line = r#"{"node":2,"t_ms":1234,"event":"post"}"#.into();
+    for (kind, report) in [
+        (0, Report::Stats { node: 3, stats }),
+        (2, Report::Journal { line }),
+    ] {
+        let msg = Msg::Report(report);
+        let bytes = msg.encode();
+        assert_eq!(bytes[..2], [11, kind], "{msg:?}");
+        check(&format!("msg_tag_11_kind_{kind}"), &bytes);
         assert_eq!(Msg::decode(&bytes).expect("decodes"), msg);
     }
 
