@@ -214,7 +214,7 @@ impl AlleyOopApp {
         self.sos.subscriptions().iter().copied().collect()
     }
 
-    fn apply_received(&mut self, event: &SosEvent, received_at: Option<SimTime>) {
+    fn apply_received(&mut self, event: &SosEvent, received_at: SimTime) {
         let SosEvent::MessageReceived {
             id,
             kind,
@@ -226,10 +226,6 @@ impl AlleyOopApp {
         else {
             return;
         };
-        // Without a driver clock we conservatively stamp receptions with
-        // the creation time (zero recorded delay); drivers should prefer
-        // `process_events_at`.
-        let received_at = received_at.unwrap_or(*created_at);
         match kind {
             MessageKind::Post => {
                 self.db.insert_post(ReceivedPost {
@@ -259,23 +255,14 @@ impl AlleyOopApp {
     }
 
     /// Drains middleware events, applying received posts and direct
-    /// messages to the local database. Returns the raw events for
-    /// callers that track deliveries or security alerts.
-    pub fn process_events(&mut self) -> Vec<SosEvent> {
-        let events = self.sos.poll_events();
-        for event in &events {
-            self.apply_received(event, None);
-        }
-        events
-    }
-
-    /// Like [`AlleyOopApp::process_events`] but stamping receptions with
-    /// the current time (the driver knows "now"; the middleware event
-    /// does not carry it).
+    /// messages to the local database stamped as received at `now` (the
+    /// driver knows "now"; the middleware event does not carry it).
+    /// Returns the raw events for callers that track deliveries or
+    /// security alerts.
     pub fn process_events_at(&mut self, now: SimTime) -> Vec<SosEvent> {
         let events = self.sos.poll_events();
         for event in &events {
-            self.apply_received(event, Some(now));
+            self.apply_received(event, now);
         }
         events
     }
@@ -531,7 +518,7 @@ mod tests {
         assert_eq!(bob.middleware().store().latest_for(&alice.user_id()), 1);
     }
 
-    /// The loop `scenario::build_apps`, `density::run_density` and
+    /// The loop `scenario::build_apps`, `density::density_study` and
     /// `provision::provision_apps` each spelled out before
     /// [`AlleyOopApp::sign_up_fleet`] replaced it, kept as its reference.
     fn spelled_out(

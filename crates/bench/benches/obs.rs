@@ -28,11 +28,12 @@ use sos_crypto::ca::{CertificateAuthority, Validator};
 use sos_crypto::ed25519::SigningKey;
 use sos_crypto::x25519::AgreementKey;
 use sos_crypto::{DeviceIdentity, UserId};
+use sos_experiments::driver::run_study;
 use sos_experiments::eviction::encounter;
 use sos_experiments::observe::RunObserver;
-use sos_experiments::replay::{record_field_study_trace, replay_field_study};
+use sos_experiments::replay::record_field_study_trace;
 use sos_experiments::report::{follower_destinations, scheme_traits};
-use sos_experiments::scenario::field_study_followers;
+use sos_experiments::scenario::{field_study, field_study_followers};
 use sos_net::PeerId;
 use sos_obs::journal::ObsEvent;
 use sos_obs::{profile, JournalEntry, JournalHandle, Registry};
@@ -185,9 +186,9 @@ fn bench_replay_overhead(_c: &mut Criterion) {
     let trace = record_field_study_trace(&cfg);
 
     // Identity first: observed replay is byte-identical to blind replay.
-    let blind = replay_field_study(&cfg, &trace, None);
+    let blind = run_study(field_study(&cfg, trace.clone()), None);
     let probe = RunObserver::new();
-    let observed = replay_field_study(&cfg, &trace, Some(&probe));
+    let observed = run_study(field_study(&cfg, trace.clone()), Some(&probe));
     assert_eq!(
         blind.metrics, observed.metrics,
         "observation changed the replay's measurements"
@@ -195,11 +196,13 @@ fn bench_replay_overhead(_c: &mut Criterion) {
     assert_eq!(blind.totals, observed.totals);
 
     let base = best_of_3(3, || {
-        replay_field_study(&cfg, &trace, None).metrics.frames_sent
+        run_study(field_study(&cfg, trace.clone()), None)
+            .metrics
+            .frames_sent
     });
     let instrumented = best_of_3(3, || {
         let obs = RunObserver::new();
-        replay_field_study(&cfg, &trace, Some(&obs))
+        run_study(field_study(&cfg, trace.clone()), Some(&obs))
             .metrics
             .frames_sent
     });
@@ -234,7 +237,7 @@ fn bench_provenance(_c: &mut Criterion) {
     let cfg = bench_config(SchemeKind::InterestBased);
     let trace = record_field_study_trace(&cfg);
     let obs = RunObserver::new();
-    replay_field_study(&cfg, &trace, Some(&obs));
+    run_study(field_study(&cfg, trace), Some(&obs));
     let observation = obs.finish();
     let followers = field_study_followers();
     let destinations = follower_destinations(&followers);

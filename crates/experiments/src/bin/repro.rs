@@ -31,9 +31,14 @@
 #![forbid(unsafe_code)]
 
 use sos_core::routing::SchemeKind;
-use sos_experiments::driver::StudyRun;
-use sos_experiments::scenario::{run_field_study, FieldStudyConfig};
-use sos_experiments::{report, sweep};
+use sos_engine::run_replicas;
+use sos_experiments::density::{density_study, DensityConfig};
+use sos_experiments::driver::{run_study, StudyRun};
+use sos_experiments::report;
+use sos_experiments::scenario::{
+    field_study, field_study_engine, run_field_study, FieldStudyConfig,
+};
+use std::num::NonZeroU64;
 
 fn parse_scheme(name: &str) -> Option<SchemeKind> {
     SchemeKind::ALL.into_iter().find(|k| k.name() == name)
@@ -71,7 +76,7 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => config.seed = value(&mut args),
-            "--days" => config.days = value(&mut args),
+            "--days" => config.days = value::<NonZeroU64>(&mut args).get(),
             "--posts" => config.total_posts = value(&mut args),
             "--scheme" => {
                 let name: String = value(&mut args);
@@ -105,15 +110,42 @@ fn main() {
                 SchemeKind::ALL.len(),
                 config.seed
             );
-            let cells = sweep::scheme_sweep(&config, &SchemeKind::ALL, &[config.seed], 0);
+            let rows = run_replicas(SchemeKind::ALL.to_vec(), 0, |_, scheme| {
+                let cfg = FieldStudyConfig {
+                    scheme,
+                    ..config.clone()
+                };
+                let run = run_study(field_study(&cfg, field_study_engine(&cfg)), None);
+                (vec![scheme.name().to_string()], run.summary())
+            });
             println!("Routing-scheme ablation (same scenario, same seed)");
-            println!("{}", report::sweep_table(&cells));
+            println!("{}", report::summary_table("scheme", &rows));
             return;
         }
         "density" => {
             eprintln!("running density sweep (seed {}) ...", config.seed);
-            let rows = sos_experiments::density::standard_sweep(config.seed);
-            println!("{}", report::density_table(&rows));
+            let points = vec![
+                DensityConfig::conventional(50, 1.0, config.seed),
+                DensityConfig::conventional(50, 4.0, config.seed),
+                DensityConfig::field_study(config.seed),
+            ];
+            let rows = run_replicas(points, 0, |_, cfg| {
+                let label = vec![
+                    cfg.nodes.to_string(),
+                    format!("{:.2}", cfg.area_km2),
+                    format!("{:.2}", cfg.nodes as f64 / cfg.area_km2),
+                ];
+                (label, run_study(density_study(&cfg), None).summary())
+            });
+            println!(
+                "Density comparison (paper §VI-B): conventional simulation vs field-study density"
+            );
+            print!(
+                "{}",
+                report::summary_table("nodes area(km²) density(/km²)", &rows)
+            );
+            println!("expected: delivery ratio rises and delay collapses with density —");
+            println!("the gap between lab simulations and the paper's in-vivo deployment.\n");
             return;
         }
         "fig4b" => |run| report::fig4b(run, 66, 24),

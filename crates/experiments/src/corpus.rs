@@ -15,8 +15,8 @@
 //!   the same "social structure from encounters" reading the paper
 //!   applies to its own deployment;
 //! * a seeded uniform post workload over the trace's span;
-//! * the identical driver the live scenario uses ([`run_study`]), fed
-//!   by the trace itself (a `ContactTrace` is an encounter source).
+//! * the trace itself as the encounter source, under the identical
+//!   driver the live scenario uses ([`run_study`]).
 //!
 //! Everything is a pure function of `(trace, config)`, so corpus runs
 //! are as reproducible as the recorded-tape replays — and a corpus
@@ -25,7 +25,6 @@
 
 use crate::driver::{run_study, DriverConfig, Study};
 use crate::observe::RunObserver;
-use sos_core::routing::SchemeKind;
 use sos_node::provision::{followers_from_trace, post_schedule, provision_apps};
 use sos_trace::ContactTrace;
 
@@ -39,20 +38,16 @@ pub use sos_node::provision::RunPlan as CorpusStudyConfig;
 /// [`report::run_report`](crate::report::run_report)).
 pub use crate::driver::StudyRun as CorpusRun;
 
-/// Runs one routing scheme over an imported corpus via the replay
-/// driver, optionally attaching a [`RunObserver`] (whose
-/// registry/journal then capture the run without changing it).
+/// One routing scheme's study over an imported corpus: every scheme
+/// built from one `(trace, config)` sees precisely the same
+/// real-deployment encounter opportunities.
 ///
 /// # Panics
 ///
 /// Panics if the trace has fewer than 2 nodes — an imported corpus
 /// without encounters cannot host a field study.
-pub fn run_corpus_study_full(
-    trace: &ContactTrace,
-    config: &CorpusStudyConfig,
-    obs: Option<&RunObserver>,
-) -> CorpusRun {
-    let study = Study {
+pub fn corpus_study(trace: &ContactTrace, config: &CorpusStudyConfig) -> Study<ContactTrace> {
+    Study {
         scheme: config.scheme,
         seed: config.seed,
         apps: provision_apps(trace, config),
@@ -68,32 +63,23 @@ pub fn run_corpus_study_full(
             seed: config.seed ^ 0xace,
         },
         end: trace.end_time(),
-    };
-    run_study(study, obs)
+    }
 }
 
-/// Runs **all five** routing schemes over the same imported corpus —
-/// the acceptance loop for every committed fixture: each scheme sees
-/// precisely the same real-deployment encounter opportunities.
-pub fn run_corpus_study_all_schemes(
+/// Runs [`corpus_study`], optionally attaching a [`RunObserver`]
+/// (whose registry/journal then capture the run without changing it).
+pub fn run_corpus_study_full(
     trace: &ContactTrace,
-    base: &CorpusStudyConfig,
-) -> Vec<CorpusRun> {
-    SchemeKind::ALL
-        .iter()
-        .map(|&scheme| {
-            let config = CorpusStudyConfig {
-                scheme,
-                ..base.clone()
-            };
-            run_corpus_study_full(trace, &config, None)
-        })
-        .collect()
+    config: &CorpusStudyConfig,
+    obs: Option<&RunObserver>,
+) -> CorpusRun {
+    run_study(corpus_study(trace, config), obs)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use sos_core::routing::SchemeKind;
     use sos_sim::world::{ContactEvent, ContactPhase};
     use sos_sim::SimTime;
 
@@ -162,7 +148,13 @@ pub(crate) mod tests {
     #[test]
     fn all_five_schemes_complete_on_a_corpus() {
         let trace = mini_corpus();
-        let outcomes = run_corpus_study_all_schemes(&trace, &CorpusStudyConfig::default());
+        let outcomes = sos_engine::run_replicas(SchemeKind::ALL.to_vec(), 0, |_, scheme| {
+            let config = CorpusStudyConfig {
+                scheme,
+                ..CorpusStudyConfig::default()
+            };
+            run_study(corpus_study(&trace, &config), None)
+        });
         assert_eq!(outcomes.len(), 5);
         for o in &outcomes {
             assert_eq!(o.metrics.posts, 40, "{:?}", o.scheme);

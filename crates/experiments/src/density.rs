@@ -11,10 +11,12 @@
 //! simulation conditions (many nodes, small area, random waypoint) and
 //! under the field study's density, quantifying how strongly density
 //! drives delivery ratio and delay — the gap the paper warns about when
-//! extrapolating simulation results to reality.
+//! extrapolating simulation results to reality. [`density_study`]
+//! provisions one point; `repro density` runs two
+//! [`conventional`](DensityConfig::conventional) points and the
+//! [`field_study`](DensityConfig::field_study) one side by side.
 
-use crate::driver::{run_study, DriverConfig, RunSummary, Study, StudyRun};
-use crate::observe::RunObserver;
+use crate::driver::{DriverConfig, Study};
 use alleyoop::app::AlleyOopApp;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
@@ -56,37 +58,20 @@ impl DensityConfig {
             seed,
         }
     }
-}
 
-/// One row of the density comparison.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DensityOutcome {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Area in km².
-    pub area_km2: f64,
-    /// What the run at that density delivered.
-    pub summary: RunSummary,
-}
-
-impl DensityOutcome {
-    /// Summarises `run`, the result of [`run_density`] on `cfg`.
-    pub fn new(cfg: &DensityConfig, run: &StudyRun) -> DensityOutcome {
-        DensityOutcome {
-            nodes: cfg.nodes,
-            area_km2: cfg.area_km2,
-            summary: run.summary(),
+    /// The field study's density: 10 nodes over 88 km², posting 40.
+    pub fn field_study(seed: u64) -> DensityConfig {
+        DensityConfig {
+            posts: 40,
+            ..DensityConfig::conventional(10, 88.0, seed)
         }
     }
-
-    /// Node density per km².
-    pub fn density_per_km2(&self) -> f64 {
-        self.nodes as f64 / self.area_km2
-    }
 }
 
-/// Runs one density point, optionally observed.
-pub fn run_density(cfg: &DensityConfig, obs: Option<&RunObserver>) -> StudyRun {
+/// One density point: `cfg.nodes` random-waypoint pedestrians in a
+/// square of `cfg.area_km2`, each following `cfg.follows_per_node`
+/// others at random.
+pub fn density_study(cfg: &DensityConfig) -> Study<World> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let mut apps = AlleyOopApp::sign_up_fleet(
         "Density CA",
@@ -138,7 +123,7 @@ pub fn run_density(cfg: &DensityConfig, obs: Option<&RunObserver>) -> StudyRun {
             (at, node)
         })
         .collect();
-    let study = Study {
+    Study {
         scheme: cfg.scheme,
         seed: cfg.seed,
         apps,
@@ -151,52 +136,24 @@ pub fn run_density(cfg: &DensityConfig, obs: Option<&RunObserver>) -> StudyRun {
             seed: cfg.seed ^ 0xd5,
         },
         end,
-    };
-    run_study(study, obs)
-}
-
-/// The sweep the `repro density` command runs: two conventional setups
-/// and one field-study-density setup.
-pub fn standard_sweep(seed: u64) -> Vec<DensityOutcome> {
-    [
-        DensityConfig::conventional(50, 1.0, seed),
-        DensityConfig::conventional(50, 4.0, seed),
-        DensityConfig {
-            // The field study's density: 10 nodes over 88 km².
-            nodes: 10,
-            area_km2: 88.0,
-            hours: 12,
-            posts: 40,
-            follows_per_node: 4,
-            scheme: SchemeKind::InterestBased,
-            seed,
-        },
-    ]
-    .iter()
-    .map(|cfg| DensityOutcome::new(cfg, &run_density(cfg, None)))
-    .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run_study;
+    use crate::report::summary_table;
+    use sos_sim::EncounterSource;
 
     #[test]
     fn density_drives_delivery() {
-        let dense = run_density(&DensityConfig::conventional(30, 0.25, 3), None).summary();
-        let sparse = run_density(
-            &DensityConfig {
-                nodes: 10,
-                area_km2: 88.0,
-                hours: 12,
-                posts: 40,
-                follows_per_node: 4,
-                scheme: SchemeKind::InterestBased,
-                seed: 3,
-            },
+        let dense = run_study(
+            density_study(&DensityConfig::conventional(30, 0.25, 3)),
             None,
-        )
-        .summary();
+        );
+        let sparse = run_study(density_study(&DensityConfig::field_study(3)), None);
+        let (dense, sparse) = (dense.summary(), sparse.summary());
         assert!(
             dense.delivery_ratio > sparse.delivery_ratio,
             "dense {} <= sparse {}",
@@ -209,17 +166,20 @@ mod tests {
     #[test]
     fn outcome_fields_consistent() {
         let cfg = DensityConfig::conventional(20, 1.0, 5);
-        let o = DensityOutcome::new(&cfg, &run_density(&cfg, None));
-        assert_eq!(o.nodes, 20);
-        assert!((o.density_per_km2() - 20.0).abs() < 1e-9);
-        assert!(o.summary.delivery_ratio >= 0.0 && o.summary.delivery_ratio <= 1.0);
+        let study = density_study(&cfg);
+        assert_eq!(study.apps.len(), 20);
+        assert_eq!(study.source.node_count(), 20);
+        assert_eq!(study.posts.len(), cfg.posts);
+        let s = run_study(study, None).summary();
+        assert!(s.delivery_ratio >= 0.0 && s.delivery_ratio <= 1.0);
     }
 
     #[test]
     fn table_renders() {
         let cfg = DensityConfig::conventional(10, 1.0, 1);
-        let rows = vec![DensityOutcome::new(&cfg, &run_density(&cfg, None))];
-        let table = crate::report::density_table(&rows);
-        assert!(table.contains("density"));
+        let summary = run_study(density_study(&cfg), None).summary();
+        let table = summary_table("nodes", &[(vec![cfg.nodes.to_string()], summary)]);
+        assert!(table.starts_with("nodes  deliveries"), "{table}");
+        assert_eq!(table.lines().count(), 2, "{table}");
     }
 }

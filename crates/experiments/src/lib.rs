@@ -5,24 +5,25 @@
 //!
 //! * [`social`] — the reconstructed Fig. 4a follow digraph
 //! * [`driver`] — the discrete-event network driver over `sos-sim`, and
-//!   the one study plane beside it: a scenario provisions a
+//!   the one study plane beside it: a scenario's builder provisions a
 //!   [`driver::Study`], [`driver::run_study`] runs it (with an optional
 //!   observer) into a [`driver::StudyRun`], whose
-//!   [`driver::RunSummary`] is the row every comparison table prints
+//!   [`driver::RunSummary`] is the row every comparison table prints;
+//!   many studies are one `sos_engine::run_replicas` over `run_study`
 //! * [`scenario`] — the 10-node / 7-day / 259-post Gainesville scenario
-//! * [`report`] — paper-vs-measured tables, figure series, run reports
-//!   and the one aligned table renderer
-//! * [`sweep`] — the routing-scheme comparison: parallel multi-seed
-//!   scheme sweeps on the `sos-engine` grid contact kernel (extension;
-//!   with one seed, `repro ablation`)
+//!   ([`scenario::field_study`] over any encounter source)
+//! * [`report`] — paper-vs-measured tables, figure series, run reports,
+//!   the one run-comparison table ([`report::summary_table`]) and the
+//!   aligned table renderer beneath it
 //! * [`density`] — conventional-simulation vs field-study density
 //!   (the §VI-B discussion, extension)
 //! * [`eviction`] — delivery under store eviction: holes punched by
 //!   TTL/capacity limits and their recovery by the gap-aware (v2) sync
 //!   protocol (extension)
 //! * [`replay`] — record the field study's encounter timeline with
-//!   `sos-trace` and re-drive any scheme from the tape, byte-identical
-//!   to the live run (the *in vivo* evaluation loop)
+//!   `sos-trace`; the tape re-drives any scheme as the field study's
+//!   encounter source, byte-identical to the live run (the *in vivo*
+//!   evaluation loop)
 //! * [`corpus`] — field studies on imported real-world corpora
 //!   (CRAWDAD / Reality-Mining / SASSY via `sos_trace::corpora`):
 //!   population, follow graph, and span derived from the trace itself
@@ -50,8 +51,7 @@ pub mod replay;
 pub mod report;
 pub mod scenario;
 pub mod social;
-pub mod sweep;
 
 pub use driver::{run_study, RunSummary, Study, StudyRun};
 pub use observe::{RunObservation, RunObserver};
-pub use scenario::{run_field_study, run_field_study_with, FieldStudyConfig};
+pub use scenario::{field_study, run_field_study, FieldStudyConfig};

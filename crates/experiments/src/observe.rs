@@ -13,11 +13,11 @@ use sos_obs::{
     profile, GlobalTimeline, Journal, JournalHandle, MetricsSnapshot, Profile, Provenance, Registry,
 };
 
-/// The observability context of one run: pass `Some(&observer)` to any
-/// study entry point (each takes an `Option<&RunObserver>`; the
-/// driver-based ones hand it to [`run_study`](crate::driver::run_study),
-/// which attaches `registry` and `journal` to the driver), then
-/// [`finish`] after the run.
+/// The observability context of one run: pass `Some(&observer)` to
+/// [`run_study`](crate::driver::run_study) (which attaches `registry`
+/// and `journal` to the driver) or to any other study entry point —
+/// each takes an `Option<&RunObserver>` — then [`finish`] after the
+/// run.
 ///
 /// [`finish`]: RunObserver::finish
 #[derive(Clone, Debug)]
@@ -116,11 +116,11 @@ impl RunObservation {
 mod tests {
     use super::*;
     use crate::corpus::{run_corpus_study_full, CorpusStudyConfig};
-    use crate::density::{run_density, DensityConfig};
-    use crate::driver::StudyRun;
+    use crate::density::{density_study, DensityConfig};
+    use crate::driver::{run_study, StudyRun};
     use crate::eviction::{run_eviction_study, EvictionStudyConfig};
-    use crate::replay::{record_field_study_trace, replay_field_study};
-    use crate::scenario::{field_study_world, run_field_study_with, small_test_config};
+    use crate::replay::record_field_study_trace;
+    use crate::scenario::{field_study, field_study_world, small_test_config};
     use sos_core::routing::SchemeKind;
     use sos_obs::journal::ObsEvent;
 
@@ -143,17 +143,20 @@ mod tests {
         let scenarios: [(&str, Scenario<'_>); 4] = [
             (
                 "field study",
-                Box::new(|obs| run_field_study_with(&cfg, field_study_world(&cfg), obs)),
+                Box::new(|obs| run_study(field_study(&cfg, field_study_world(&cfg)), obs)),
             ),
             (
                 "replay",
-                Box::new(|obs| replay_field_study(&cfg, &tape, obs)),
+                Box::new(|obs| run_study(field_study(&cfg, tape.clone()), obs)),
             ),
             (
                 "corpus",
                 Box::new(|obs| run_corpus_study_full(&corpus, &corpus_cfg, obs)),
             ),
-            ("density", Box::new(|obs| run_density(&density_cfg, obs))),
+            (
+                "density",
+                Box::new(|obs| run_study(density_study(&density_cfg), obs)),
+            ),
         ];
         for (name, run) in &scenarios {
             let blind = run(None);

@@ -1,14 +1,12 @@
 //! Report formatting: regenerates each figure's data series, prints
-//! paper-vs-measured comparisons, and renders every comparison table
-//! (scheme sweep, corpus, density, metropolis) through the one aligned
-//! [`table`] renderer.
+//! paper-vs-measured comparisons, and renders every comparison table —
+//! runs side by side through [`summary_table`], the metropolis through
+//! [`metro_table`] — on the one aligned [`table`] renderer.
 
-use crate::density::DensityOutcome;
 use crate::driver::{aggregate_stats, MapEventKind, RunMetrics, RunSummary, StudyRun};
 use crate::metropolis::MetroOutcome;
 use crate::observe::RunObservation;
 use crate::social;
-use crate::sweep::SweepCell;
 use alleyoop::app::AlleyOopApp;
 use sos_core::routing::SchemeKind;
 use sos_obs::{Journal, SchemeTraits};
@@ -16,34 +14,34 @@ use sos_sim::metrics::Cdf;
 use std::collections::BTreeMap;
 
 /// Paper-published values for §VI, used in the comparison tables.
-pub mod paper {
+mod paper {
     /// Undirected density of the social graph.
-    pub const DENSITY: f64 = 0.64;
+    pub(super) const DENSITY: f64 = 0.64;
     /// Average shortest path length.
-    pub const AVG_PATH: f64 = 1.3;
+    pub(super) const AVG_PATH: f64 = 1.3;
     /// Diameter.
-    pub const DIAMETER: usize = 2;
+    pub(super) const DIAMETER: usize = 2;
     /// Radius.
-    pub const RADIUS: usize = 1;
+    pub(super) const RADIUS: usize = 1;
     /// Transitivity.
-    pub const TRANSITIVITY: f64 = 0.80;
+    pub(super) const TRANSITIVITY: f64 = 0.80;
     /// Directed subscriptions.
-    pub const SUBSCRIPTIONS: usize = 46;
+    pub(super) const SUBSCRIPTIONS: usize = 46;
     /// Unique messages posted.
-    pub const UNIQUE_MESSAGES: u64 = 259;
+    pub(super) const UNIQUE_MESSAGES: u64 = 259;
     /// User-to-user transfers with IB routing.
-    pub const TRANSFERS: u64 = 967;
+    pub(super) const TRANSFERS: u64 = 967;
     /// Fraction of deliveries at one hop.
-    pub const ONE_HOP_FRACTION: f64 = 0.826;
+    pub(super) const ONE_HOP_FRACTION: f64 = 0.826;
     /// Delay CDF reference points: (hours, all-hops fraction, 1-hop fraction).
-    pub const DELAY_POINTS: [(f64, f64, f64); 2] = [(24.0, 0.43, 0.44), (94.0, 0.90, 0.92)];
+    pub(super) const DELAY_POINTS: [(f64, f64, f64); 2] = [(24.0, 0.43, 0.44), (94.0, 0.90, 0.92)];
     /// Fraction of messages delivered within 94 h.
-    pub const WITHIN_94H: f64 = 0.93;
+    pub(super) const WITHIN_94H: f64 = 0.93;
     /// Delivery-ratio reference points (all hops): fraction of
     /// subscriptions with ratio above the threshold.
-    pub const DELIVERY_ABOVE_080_ALL: f64 = 0.30;
+    pub(super) const DELIVERY_ABOVE_080_ALL: f64 = 0.30;
     /// Fraction of subscriptions above 0.70 (all hops).
-    pub const DELIVERY_ABOVE_070_ALL: f64 = 0.50;
+    pub(super) const DELIVERY_ABOVE_070_ALL: f64 = 0.50;
 }
 
 /// Renders the Fig. 4a table: paper vs measured social-graph metrics
@@ -314,65 +312,32 @@ fn hours_cell(hours: Option<f64>) -> String {
 /// The columns every run comparison shares, after its own label cells.
 const SUMMARY_COLUMNS: &str = "deliveries transfers overhead 1-hop ratio median-delay-h";
 
-/// `label` cells followed by the [`SUMMARY_COLUMNS`] cells of `s`, the
-/// counts printed with `decimals` places (0 for one run, 1 for means).
-fn summary_row(mut label: Vec<String>, s: &RunSummary, decimals: usize) -> Vec<String> {
-    label.extend([
-        format!("{:.decimals$}", s.deliveries),
-        format!("{:.decimals$}", s.transfers),
-        format!("{:.2}", s.overhead()),
-        format!("{:.3}", s.one_hop_fraction),
-        format!("{:.3}", s.delivery_ratio),
-        hours_cell(s.median_delay_hours),
-    ]);
-    label
-}
-
-/// The scheme comparison over sweep cells: means across each cell's
-/// seeds (with one seed, the routing-scheme ablation).
-pub fn sweep_table(cells: &[SweepCell]) -> String {
-    let decimals = usize::from(cells.iter().any(|cell| cell.replicas.len() > 1));
-    let rows: Vec<Vec<String>> = cells
+/// Runs side by side: one row per `(label cells, summary)`, under the
+/// `labels` column titles and the columns every run comparison shares
+/// (deliveries, transfers, overhead, 1-hop, ratio, median delay). The
+/// counts print as integers when every row's are whole (single runs)
+/// and with one decimal otherwise (means over seeds).
+pub fn summary_table(labels: &str, rows: &[(Vec<String>, RunSummary)]) -> String {
+    let decimals = usize::from(
+        rows.iter()
+            .any(|(_, s)| s.deliveries.fract() != 0.0 || s.transfers.fract() != 0.0),
+    );
+    let cells: Vec<Vec<String>> = rows
         .iter()
-        .map(|cell| summary_row(vec![cell.scheme.name().into()], &cell.mean(), decimals))
-        .collect();
-    table(&format!("scheme {SUMMARY_COLUMNS}"), &rows)
-}
-
-/// The per-scheme comparison over corpus runs.
-pub fn corpus_scheme_table(runs: &[StudyRun]) -> String {
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|run| {
-            let mut row = summary_row(vec![run.scheme.name().into()], &run.summary(), 0);
-            row.push(run.metrics.frames_sent.to_string());
+        .map(|(label, s)| {
+            let mut row = label.clone();
+            row.extend([
+                format!("{:.decimals$}", s.deliveries),
+                format!("{:.decimals$}", s.transfers),
+                format!("{:.2}", s.overhead()),
+                format!("{:.3}", s.one_hop_fraction),
+                format!("{:.3}", s.delivery_ratio),
+                hours_cell(s.median_delay_hours),
+            ]);
             row
         })
         .collect();
-    table(&format!("scheme {SUMMARY_COLUMNS} frames"), &rows)
-}
-
-/// The density comparison (paper §VI-B), titled and annotated.
-pub fn density_table(outcomes: &[DensityOutcome]) -> String {
-    let rows: Vec<Vec<String>> = outcomes
-        .iter()
-        .map(|o| {
-            let label = vec![
-                o.nodes.to_string(),
-                format!("{:.2}", o.area_km2),
-                format!("{:.2}", o.density_per_km2()),
-            ];
-            summary_row(label, &o.summary, 0)
-        })
-        .collect();
-    let header = format!("nodes area(km²) density(/km²) {SUMMARY_COLUMNS}");
-    format!(
-        "Density comparison (paper §VI-B): conventional simulation vs field-study density\n\
-         {}\
-         expected: delivery ratio rises and delay collapses with density —\n\
-         the gap between lab simulations and the paper's in-vivo deployment.\n",
-        table(&header, &rows)
-    )
+    table(&format!("{labels} {SUMMARY_COLUMNS}"), &cells)
 }
 
 /// The metropolis comparison: one block of scheme rows per population.
@@ -813,10 +778,10 @@ pub fn full_report(outcome: &StudyRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run_study;
     use crate::observe::RunObserver;
     use crate::scenario::{
-        field_study_followers, field_study_world, run_field_study, run_field_study_with,
-        small_test_config,
+        field_study, field_study_followers, field_study_world, run_field_study, small_test_config,
     };
     use sos_core::routing::SchemeKind;
 
@@ -824,7 +789,7 @@ mod tests {
     fn path_report_renders_and_forensics_account_for_every_post() {
         let cfg = small_test_config(3, SchemeKind::Epidemic);
         let observer = RunObserver::new();
-        let outcome = run_field_study_with(&cfg, field_study_world(&cfg), Some(&observer));
+        let outcome = run_study(field_study(&cfg, field_study_world(&cfg)), Some(&observer));
         let observation = observer.finish();
         let followers = field_study_followers();
         let report = path_report("field-study", &observation, &followers, cfg.scheme, 5);
@@ -854,6 +819,28 @@ mod tests {
             "scheme           n  delay-h\n\
              epidemic        12        -\n\
              interest-based   7     1.50\n"
+        );
+    }
+
+    #[test]
+    fn summary_table_prints_whole_counts_bare_and_means_to_one_decimal() {
+        let summary = |deliveries: f64| RunSummary {
+            deliveries,
+            transfers: 2.0 * deliveries,
+            one_hop_fraction: 0.5,
+            median_delay_hours: None,
+            delivery_ratio: 0.25,
+        };
+        let row = |label: &str, deliveries: f64| (vec![label.to_string()], summary(deliveries));
+        assert_eq!(
+            summary_table("scheme", &[row("direct", 3.0)]),
+            "scheme  deliveries  transfers  overhead  1-hop  ratio  median-delay-h\n\
+             direct           3          6      2.00  0.500  0.250               -\n"
+        );
+        let means = summary_table("scheme", &[row("direct", 3.0), row("epidemic", 4.5)]);
+        assert!(
+            means.contains("\ndirect           3.0        6.0  "),
+            "{means}"
         );
     }
 

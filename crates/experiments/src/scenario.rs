@@ -4,18 +4,18 @@
 //!
 //! This module only provisions: the ten apps, the Fig. 4a follower
 //! lists, the mobility and the post schedule, all pure functions of a
-//! [`FieldStudyConfig`]. Running, observing and summarising are
-//! [`run_study`]'s. [`run_field_study_with`] is the one full entry
-//! point (any encounter source, optional observer);
-//! [`run_field_study`] is the blind run on the scenario's own mobility.
+//! [`FieldStudyConfig`], which [`field_study`] gathers into a [`Study`]
+//! over any encounter source. Running, observing and summarising are
+//! [`run_study`]'s; [`run_field_study`] is the blind run on the
+//! scenario's own mobility.
 
 use crate::driver::{run_study, DriverConfig, Study, StudyRun};
-use crate::observe::RunObserver;
 use crate::social;
 use alleyoop::app::AlleyOopApp;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
+use sos_engine::{ShardConfig, ShardedContactEngine};
 use sos_sim::mobility::schedule::{DailySchedule, ScheduleConfig};
 use sos_sim::mobility::trace::Trajectory;
 use sos_sim::radio::RadioTech;
@@ -163,24 +163,29 @@ pub fn field_study_followers() -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Runs the complete field study on an arbitrary [`EncounterSource`]:
-/// the scenario's own [`field_study_world`], `sos-engine`'s kernel over
-/// the same trajectories, or a recorded (or imported, or synthetic)
-/// `sos_trace::ContactTrace`. With `obs`, the run is captured without
-/// being changed.
+/// The single-loop grid kernel over the same mobility: the timeline of
+/// [`field_study_world`], found without the O(n²) scan.
+pub fn field_study_engine(config: &FieldStudyConfig) -> ShardedContactEngine {
+    ShardedContactEngine::from_trajectories(
+        &field_study_trajectories(config),
+        RadioTech::max_range_m(config.infra_available),
+        config.contact_tick,
+        ShardConfig::SINGLE,
+    )
+}
+
+/// The complete field study on an arbitrary [`EncounterSource`]: the
+/// scenario's own [`field_study_world`], its [`field_study_engine`], or
+/// a recorded (or imported, or synthetic) `sos_trace::ContactTrace`.
 ///
 /// Everything except the encounter timeline is a pure function of
 /// `config`, so two sources with the same timeline yield
-/// byte-identical outcomes.
-pub fn run_field_study_with<S: EncounterSource>(
-    config: &FieldStudyConfig,
-    source: S,
-    obs: Option<&RunObserver>,
-) -> StudyRun {
+/// byte-identical runs.
+pub fn field_study<S: EncounterSource>(config: &FieldStudyConfig, source: S) -> Study<S> {
     // Apps are a pure function of the seed's stream prefix, so these
     // are the apps the mobility of `field_study_trajectories` follows.
     let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let study = Study {
+    Study {
         scheme: config.scheme,
         seed: config.seed,
         apps: build_apps(config, &mut rng),
@@ -193,14 +198,13 @@ pub fn run_field_study_with<S: EncounterSource>(
             seed: config.seed ^ 0xace,
         },
         end: SimTime::from_hours(config.days * 24),
-    };
-    run_study(study, obs)
+    }
 }
 
 /// Runs the complete field study, blind, on the naive [`World`]
 /// contact scan over its own mobility.
 pub fn run_field_study(config: &FieldStudyConfig) -> StudyRun {
-    run_field_study_with(config, field_study_world(config), None)
+    run_study(field_study(config, field_study_world(config)), None)
 }
 
 /// A reduced-size scenario for fast tests: 2 days, 40 posts, smaller
@@ -222,6 +226,7 @@ pub fn small_test_config(seed: u64, scheme: SchemeKind) -> FieldStudyConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::RunSummary;
 
     #[test]
     fn small_field_study_delivers_messages() {
@@ -284,5 +289,49 @@ mod tests {
         );
         // Direct deliveries are all 1-hop by construction.
         assert!(direct.one_hop_fraction() >= 0.999 || direct.metrics.delays.is_empty());
+    }
+
+    #[test]
+    fn grid_engine_field_study_matches_naive_world_run() {
+        // End-to-end equivalence: the full middleware stack over the
+        // grid engine produces byte-identical metrics to the naive
+        // World scan, because the contact streams are identical.
+        let cfg = small_test_config(5, SchemeKind::InterestBased);
+        let naive = run_field_study(&cfg);
+        let grid = run_study(field_study(&cfg, field_study_engine(&cfg)), None);
+        assert_eq!(naive.metrics, grid.metrics);
+        assert_eq!(naive.totals, grid.totals);
+    }
+
+    #[test]
+    fn scheme_means_over_seeds_on_the_grid_engine() {
+        let schemes = [
+            SchemeKind::InterestBased,
+            SchemeKind::Epidemic,
+            SchemeKind::Direct,
+        ];
+        let jobs: Vec<(SchemeKind, u64)> = schemes
+            .iter()
+            .flat_map(|&scheme| [11, 12].map(|seed| (scheme, seed)))
+            .collect();
+        let runs = sos_engine::run_replicas(jobs, 2, |_, (scheme, seed)| {
+            let cfg = small_test_config(seed, scheme);
+            run_study(field_study(&cfg, field_study_engine(&cfg)), None).summary()
+        });
+        let means: Vec<RunSummary> = runs.chunks(2).map(RunSummary::mean).collect();
+        for (scheme, mean) in schemes.iter().zip(&means) {
+            assert!(mean.transfers > 0.0, "{scheme:?} made no transfers");
+        }
+        // Epidemic floods; it can never transfer less than IB, nor than
+        // Direct, on identical encounters.
+        assert!(means[1].transfers >= means[0].transfers);
+        assert!(means[1].transfers >= means[2].transfers);
+        let rows: Vec<_> = schemes
+            .iter()
+            .zip(means)
+            .map(|(scheme, mean)| (vec![scheme.name().to_string()], mean))
+            .collect();
+        let table = crate::report::summary_table("scheme", &rows);
+        assert!(table.contains("\nepidemic "), "{table}");
     }
 }

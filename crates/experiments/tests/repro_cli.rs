@@ -9,14 +9,27 @@ fn repro(args: &[&str]) -> std::process::Output {
         .expect("repro runs")
 }
 
+/// `args` are a usage error: exit 2, the usage on stderr, nothing run.
+fn assert_refused(args: &[&str]) {
+    let out = repro(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("usage: repro"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("running"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}");
+}
+
 #[test]
 fn an_unknown_command_is_refused_before_the_study_runs() {
-    let out = repro(&["fig4z"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.starts_with("usage: repro"), "{stderr}");
-    assert!(!stderr.contains("running"), "{stderr}");
-    assert!(out.stdout.is_empty());
+    assert_refused(&["fig4z"]);
+}
+
+/// A study of zero days has no day to post on.
+#[test]
+fn zero_days_is_refused_before_the_study_runs() {
+    for command in ["text", "key", "ablation"] {
+        assert_refused(&["--days", "0", command]);
+    }
 }
 
 #[test]

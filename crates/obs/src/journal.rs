@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 /// [`Journal::dropped`] — provenance analysis downgrades every verdict
 /// to `JournalTruncated` when it is nonzero rather than guessing from a
 /// partial record.
-pub const DEFAULT_CAPACITY: usize = 65_536;
+const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Packs a 10-byte user id into the `u128` author tag journal events
 /// carry (zero-padded little-endian).
@@ -581,8 +581,8 @@ impl Journal {
 /// loop produced.
 ///
 /// The mutex is uncontended in the (single-threaded) event loops; it
-/// exists so the handle is `Send + Sync`, which `experiments::sweep`'s
-/// scoped threads require.
+/// exists so the handle is `Send + Sync`, which the scoped threads of
+/// `sos_engine::run_replicas` require.
 #[derive(Clone, Debug, Default)]
 pub struct JournalHandle(Arc<Mutex<Journal>>);
 

@@ -31,7 +31,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Whether profiling is currently enabled.
-pub fn is_enabled() -> bool {
+fn is_enabled() -> bool {
     ENABLED.load(Relaxed)
 }
 

@@ -23,8 +23,11 @@
 //!
 //! [`ImportReport`]: sos::trace::corpora::ImportReport
 
-use sos::experiments::corpus::{run_corpus_study_all_schemes, CorpusStudyConfig};
-use sos::experiments::report::corpus_scheme_table;
+use sos::core::routing::SchemeKind;
+use sos::engine::run_replicas;
+use sos::experiments::corpus::{corpus_study, CorpusStudyConfig};
+use sos::experiments::driver::run_study;
+use sos::experiments::report::summary_table;
 use sos::trace::corpora::{check_ccdf_fingerprint, import_bytes, CorpusFormat, ImportedCorpus};
 use sos::trace::{codec_binary, codec_text, TraceAnalytics};
 use std::path::PathBuf;
@@ -104,14 +107,19 @@ fn main() {
         codec_round_trip(&corpus);
 
         // All five schemes on the real-deployment timeline.
-        let outcomes = run_corpus_study_all_schemes(
-            &corpus.trace,
-            &CorpusStudyConfig {
+        let outcomes = run_replicas(SchemeKind::ALL.to_vec(), 0, |_, scheme| {
+            let config = CorpusStudyConfig {
+                scheme,
                 total_posts: 30,
                 ..CorpusStudyConfig::default()
-            },
-        );
-        print!("{}", corpus_scheme_table(&outcomes));
+            };
+            run_study(corpus_study(&corpus.trace, &config), None)
+        });
+        let rows: Vec<_> = outcomes
+            .iter()
+            .map(|o| (vec![o.scheme.name().to_string()], o.summary()))
+            .collect();
+        print!("{}", summary_table("scheme", &rows));
         for o in &outcomes {
             assert_eq!(
                 o.metrics.posts, 30,

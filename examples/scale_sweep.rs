@@ -15,10 +15,10 @@
 
 use rand::SeedableRng;
 use sos::core::routing::SchemeKind;
-use sos::engine::{ShardConfig, ShardedContactEngine};
-use sos::experiments::report::sweep_table;
-use sos::experiments::scenario::small_test_config;
-use sos::experiments::sweep::scheme_sweep;
+use sos::engine::{run_replicas, ShardConfig, ShardedContactEngine};
+use sos::experiments::driver::{run_study, RunSummary};
+use sos::experiments::report::summary_table;
+use sos::experiments::scenario::{field_study, field_study_engine, small_test_config};
 use sos::sim::geo::Bounds;
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::mobility::trace::Trajectory;
@@ -30,7 +30,6 @@ use std::time::Instant;
 #[allow(clippy::disallowed_methods)]
 fn main() {
     // Part 1: the scheme × seed sweep (middleware end-to-end).
-    let base = small_test_config(1, SchemeKind::InterestBased);
     let schemes = [
         SchemeKind::Direct,
         SchemeKind::InterestBased,
@@ -44,8 +43,20 @@ fn main() {
         seeds.len()
     );
     let start = Instant::now();
-    let cells = scheme_sweep(&base, &schemes, &seeds, 0);
-    println!("{}", sweep_table(&cells));
+    let jobs: Vec<(SchemeKind, u64)> = schemes
+        .iter()
+        .flat_map(|&scheme| seeds.map(|seed| (scheme, seed)))
+        .collect();
+    let runs = run_replicas(jobs, 0, |_, (scheme, seed)| {
+        let cfg = small_test_config(seed, scheme);
+        run_study(field_study(&cfg, field_study_engine(&cfg)), None).summary()
+    });
+    let rows: Vec<_> = schemes
+        .iter()
+        .zip(runs.chunks(seeds.len()))
+        .map(|(scheme, runs)| (vec![scheme.name().to_string()], RunSummary::mean(runs)))
+        .collect();
+    println!("{}", summary_table("scheme", &rows));
     println!("sweep wall time: {:.2?}\n", start.elapsed());
 
     // Part 2: raw contact detection at a population the O(n²) scan

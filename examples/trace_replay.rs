@@ -6,7 +6,8 @@
 //!    text format and the delta-encoded binary format — writing the
 //!    files under `target/`.
 //! 3. Replays the reloaded tape through the identical driver and
-//!    asserts the delivered set, stats, and delay records are
+//!    asserts the delivered set, stats, and every run metric (but the
+//!    Fig. 4b map, which needs positions a tape does not have) are
 //!    **byte-identical** to the live run.
 //! 4. Characterizes the tape (inter-contact CCDF, durations, aggregate
 //!    contact graph) and compares it against a synthetic
@@ -17,9 +18,10 @@
 //! ```
 
 use sos::core::routing::SchemeKind;
-use sos::experiments::replay::{delivered_set, record_field_study, replay_field_study};
+use sos::experiments::driver::run_study;
+use sos::experiments::replay::{delivered_set, record_field_study_trace};
 use sos::experiments::report::delay_quantiles_line;
-use sos::experiments::scenario::small_test_config;
+use sos::experiments::scenario::{field_study, run_field_study, small_test_config};
 use sos::trace::{
     codec_binary, codec_text, generate_social_trace, SocialTraceConfig, TraceAnalytics,
 };
@@ -34,7 +36,8 @@ fn main() {
         "recording a {}-day field study (seed {})...",
         cfg.days, cfg.seed
     );
-    let (live, tape) = record_field_study(&cfg);
+    let mut live = run_field_study(&cfg);
+    let tape = record_field_study_trace(&cfg);
     println!(
         "tape: {} events over {} nodes ({} contacts)\n",
         tape.len(),
@@ -69,7 +72,7 @@ fn main() {
     );
 
     // --- 3. Replay and verify determinism.
-    let replayed = replay_field_study(&cfg, &reloaded, None);
+    let replayed = run_study(field_study(&cfg, reloaded), None);
     let live_set = delivered_set(&live);
     let replay_set = delivered_set(&replayed);
     assert_eq!(
@@ -80,10 +83,11 @@ fn main() {
         live.totals, replayed.totals,
         "replay stats must be identical"
     );
+    // A tape has no positions, so the replay draws no Fig. 4b map.
+    live.metrics.map.clear();
     assert_eq!(
-        live.metrics.delays.records(),
-        replayed.metrics.delays.records(),
-        "replay delays must be identical"
+        live.metrics, replayed.metrics,
+        "replay must measure what the live run measured"
     );
     println!(
         "\nreplay: {} delivered (node, message) pairs — byte-identical to live",

@@ -3,7 +3,10 @@
 //! routing schemes complete a field study on the imported
 //! real-deployment timeline via the replay driver.
 
-use sos::experiments::corpus::{run_corpus_study_all_schemes, CorpusStudyConfig};
+use sos::core::routing::SchemeKind;
+use sos::engine::run_replicas;
+use sos::experiments::corpus::{corpus_study, CorpusStudyConfig};
+use sos::experiments::driver::run_study;
 use sos::trace::corpora::{import_bytes, CorpusFormat};
 use std::path::PathBuf;
 
@@ -28,13 +31,14 @@ fn all_five_schemes_complete_on_every_imported_fixture() {
             "{name}: {:?}",
             corpus.report
         );
-        let outcomes = run_corpus_study_all_schemes(
-            &corpus.trace,
-            &CorpusStudyConfig {
+        let outcomes = run_replicas(SchemeKind::ALL.to_vec(), 0, |_, scheme| {
+            let config = CorpusStudyConfig {
+                scheme,
                 total_posts: 15,
                 ..CorpusStudyConfig::default()
-            },
-        );
+            };
+            run_study(corpus_study(&corpus.trace, &config), None)
+        });
         assert_eq!(outcomes.len(), 5, "{name}");
         for o in &outcomes {
             assert_eq!(

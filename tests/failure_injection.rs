@@ -8,6 +8,7 @@ use rand::SeedableRng;
 use sos::core::prelude::*;
 use sos::core::SosConfig;
 use sos::experiments::driver::{Driver, DriverConfig};
+use sos::experiments::eviction::encounter;
 use sos::experiments::scenario::{run_field_study, small_test_config};
 use sos::sim::geo::Point;
 use sos::sim::mobility::trace::Trajectory;
@@ -120,33 +121,13 @@ fn store_pressure_keeps_node_functional() {
     for i in 0..30 {
         alice.post(&format!("flood {i}"), SimTime::from_secs(i));
     }
-    // Manual pump (stationary, always in range).
-    let mut queue: std::collections::VecDeque<(PeerId, PeerId, sos::net::Frame)> =
-        std::collections::VecDeque::new();
-    let ad = alice.middleware().advertisement(SimTime::from_secs(100));
-    for (d, f) in bob.middleware_mut().handle_frame(
-        alice.peer_id(),
-        sos::net::Frame::Advertisement(ad),
+    // One encounter (stationary, always in range).
+    encounter(
+        alice.middleware_mut(),
+        bob.middleware_mut(),
         SimTime::from_secs(100),
         &mut rng,
-    ) {
-        queue.push_back((bob.peer_id(), d, f));
-    }
-    while let Some((src, dst, frame)) = queue.pop_front() {
-        let target = if dst == alice.peer_id() {
-            &mut alice
-        } else {
-            &mut bob
-        };
-        for (d, f) in
-            target
-                .middleware_mut()
-                .handle_frame(src, frame, SimTime::from_secs(100), &mut rng)
-        {
-            let s = target.peer_id();
-            queue.push_back((s, d, f));
-        }
-    }
+    );
     bob.post("bob's own", SimTime::from_secs(200));
     assert_eq!(bob.middleware().store().len(), 31);
     // Maintenance with a cap of 5 drops oldest gossip, never bob's post.
@@ -238,35 +219,12 @@ fn hostile_swarm_rejected_honest_traffic_flows() {
     honest_a.post("bait", SimTime::from_secs(1));
     for attacker in &mut attackers {
         attacker.post("malware", SimTime::from_secs(1));
-        let ad = honest_a.middleware().advertisement(SimTime::from_secs(2));
-        let mut queue: std::collections::VecDeque<(PeerId, PeerId, sos::net::Frame)> =
-            std::collections::VecDeque::new();
-        for (d, f) in attacker.middleware_mut().handle_frame(
-            honest_a.peer_id(),
-            sos::net::Frame::Advertisement(ad),
+        encounter(
+            honest_a.middleware_mut(),
+            attacker.middleware_mut(),
             SimTime::from_secs(2),
             &mut rng,
-        ) {
-            queue.push_back((attacker.peer_id(), d, f));
-        }
-        let mut guard = 0;
-        while let Some((src, dst, frame)) = queue.pop_front() {
-            guard += 1;
-            assert!(guard < 1000);
-            let target: &mut AlleyOopApp = if dst == honest_a.peer_id() {
-                &mut honest_a
-            } else {
-                attacker
-            };
-            for (d, f) in
-                target
-                    .middleware_mut()
-                    .handle_frame(src, frame, SimTime::from_secs(2), &mut rng)
-            {
-                let s = target.peer_id();
-                queue.push_back((s, d, f));
-            }
-        }
+        );
     }
     assert_eq!(
         honest_a.middleware().store().len(),
@@ -283,32 +241,12 @@ fn hostile_swarm_rejected_honest_traffic_flows() {
     // Honest traffic still flows afterwards.
     honest_b.follow(honest_a.user_id());
     honest_a.post("all good", SimTime::from_secs(10));
-    let ad = honest_a.middleware().advertisement(SimTime::from_secs(11));
-    let mut queue: std::collections::VecDeque<(PeerId, PeerId, sos::net::Frame)> =
-        std::collections::VecDeque::new();
-    for (d, f) in honest_b.middleware_mut().handle_frame(
-        honest_a.peer_id(),
-        sos::net::Frame::Advertisement(ad),
+    encounter(
+        honest_a.middleware_mut(),
+        honest_b.middleware_mut(),
         SimTime::from_secs(11),
         &mut rng,
-    ) {
-        queue.push_back((honest_b.peer_id(), d, f));
-    }
-    while let Some((src, dst, frame)) = queue.pop_front() {
-        let target = if dst == honest_a.peer_id() {
-            &mut honest_a
-        } else {
-            &mut honest_b
-        };
-        for (d, f) in
-            target
-                .middleware_mut()
-                .handle_frame(src, frame, SimTime::from_secs(11), &mut rng)
-        {
-            let s = target.peer_id();
-            queue.push_back((s, d, f));
-        }
-    }
+    );
     honest_b.process_events_at(SimTime::from_secs(12));
     assert_eq!(honest_b.feed().len(), 2, "both of honest-a's posts arrive");
 }

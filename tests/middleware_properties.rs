@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use sos::core::prelude::*;
+use sos::experiments::eviction::encounter;
 use sos::net::{Advertisement, Frame};
 use sos::social::{AlleyOopApp, Cloud};
-use std::collections::VecDeque;
 
 fn two_apps(seed: u64, scheme: SchemeKind) -> (AlleyOopApp, AlleyOopApp) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -31,28 +31,11 @@ fn two_apps(seed: u64, scheme: SchemeKind) -> (AlleyOopApp, AlleyOopApp) {
     (a, b)
 }
 
+/// One encounter: `b` browses `a`'s advertisement, every session runs
+/// to quiet, on a fresh RNG seeded 9.
 fn pump(a: &mut AlleyOopApp, b: &mut AlleyOopApp, now: SimTime) {
     let mut r = rand::rngs::StdRng::seed_from_u64(9);
-    let ad = a.middleware().advertisement(now);
-    let mut queue: VecDeque<(PeerId, PeerId, Frame)> = b
-        .middleware_mut()
-        .handle_frame(a.peer_id(), Frame::Advertisement(ad), now, &mut r)
-        .into_iter()
-        .map(|(dst, f)| (b.peer_id(), dst, f))
-        .collect();
-    let mut guard = 0;
-    while let Some((src, dst, frame)) = queue.pop_front() {
-        guard += 1;
-        assert!(guard < 100_000);
-        let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
-        for (d, f) in target
-            .middleware_mut()
-            .handle_frame(src, frame, now, &mut r)
-        {
-            let s = target.peer_id();
-            queue.push_back((s, d, f));
-        }
-    }
+    encounter(a.middleware_mut(), b.middleware_mut(), now, &mut r);
 }
 
 proptest! {

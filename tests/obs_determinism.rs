@@ -10,11 +10,12 @@
 
 use sos::core::routing::SchemeKind;
 use sos::engine::{ShardConfig, ShardedContactEngine};
+use sos::experiments::driver::run_study;
 use sos::experiments::observe::RunObserver;
-use sos::experiments::replay::{delivered_set, record_field_study_trace, replay_field_study};
+use sos::experiments::replay::{delivered_set, record_field_study_trace};
 use sos::experiments::report::path_report;
 use sos::experiments::scenario::{
-    field_study_followers, field_study_trajectories, field_study_world, run_field_study_with,
+    field_study, field_study_followers, field_study_trajectories, field_study_world,
     small_test_config,
 };
 use sos::obs::journal::ObsEvent;
@@ -30,11 +31,11 @@ fn instrumented_replay_is_byte_identical_for_every_scheme() {
     for scheme in SchemeKind::ALL {
         let mut cfg = cfg.clone();
         cfg.scheme = scheme;
-        let blind = replay_field_study(&cfg, &trace, None);
+        let blind = run_study(field_study(&cfg, trace.clone()), None);
         // Profiling on: the spans around the driver tick, sync, verify,
         // and codec paths must also leave the run untouched.
         let observer = RunObserver::with_profiling();
-        let observed = replay_field_study(&cfg, &trace, Some(&observer));
+        let observed = run_study(field_study(&cfg, trace.clone()), Some(&observer));
         let observation = observer.finish();
 
         assert_eq!(
@@ -82,8 +83,8 @@ fn observed_journal_is_deterministic_across_runs() {
 
     let a = RunObserver::new();
     let b = RunObserver::new();
-    replay_field_study(&cfg, &trace, Some(&a));
-    replay_field_study(&cfg, &trace, Some(&b));
+    run_study(field_study(&cfg, trace.clone()), Some(&a));
+    run_study(field_study(&cfg, trace), Some(&b));
     let ja = a.finish().journal;
     let jb = b.finish().journal;
     assert_eq!(ja.to_jsonl(), jb.to_jsonl(), "journal must be reproducible");
@@ -108,11 +109,11 @@ fn path_report_is_byte_identical_across_record_and_replay() {
         cfg.scheme = scheme;
 
         let live_obs = RunObserver::new();
-        run_field_study_with(&cfg, field_study_world(&cfg), Some(&live_obs));
+        run_study(field_study(&cfg, field_study_world(&cfg)), Some(&live_obs));
         let live = path_report("live", &live_obs.finish(), &followers, scheme, 5);
 
         let replay_obs = RunObserver::new();
-        replay_field_study(&cfg, &trace, Some(&replay_obs));
+        run_study(field_study(&cfg, trace.clone()), Some(&replay_obs));
         let replayed = path_report("live", &replay_obs.finish(), &followers, scheme, 5);
 
         assert_eq!(
@@ -152,7 +153,7 @@ fn path_report_is_byte_identical_across_shard_counts() {
             },
         );
         let observer = RunObserver::new();
-        run_field_study_with(&cfg, source, Some(&observer));
+        run_study(field_study(&cfg, source), Some(&observer));
         reports.push(path_report(
             "sharded",
             &observer.finish(),

@@ -13,17 +13,15 @@
 //! feed, journal JSONL)`.
 
 use sos::core::routing::SchemeKind;
-use sos::engine::{ShardConfig, ShardedContactEngine};
 use sos::experiments::corpus::{run_corpus_study_full, CorpusStudyConfig};
-use sos::experiments::density::{run_density, DensityConfig};
+use sos::experiments::density::{density_study, DensityConfig};
 use sos::experiments::driver::{run_study, DriverConfig, Study, StudyRun};
 use sos::experiments::observe::RunObserver;
 use sos::experiments::scenario::{
-    field_study_trajectories, field_study_world, run_field_study_with, small_test_config,
+    field_study, field_study_engine, field_study_world, small_test_config,
 };
 use sos::node::provision::{followers_from_trace, provision_apps};
 use sos::obs::journal::{Journal, ObsEvent};
-use sos::sim::radio::RadioTech;
 use sos::sim::world::{ContactEvent, ContactPhase};
 use sos::sim::{EncounterSource, SimDuration, SimTime};
 use sos::trace::corpora::{import_bytes, CorpusFormat};
@@ -214,19 +212,13 @@ fn geometric_field_study_is_pinned_on_world_and_grid() {
     assert_pinned("field study on World", PINNED, |seed| {
         digest_schemes(|scheme, observer| {
             let cfg = small_test_config(seed, scheme);
-            run_field_study_with(&cfg, field_study_world(&cfg), Some(observer))
+            run_study(field_study(&cfg, field_study_world(&cfg)), Some(observer))
         })
     });
     assert_pinned("field study on the grid engine", PINNED, |seed| {
         digest_schemes(|scheme, observer| {
             let cfg = small_test_config(seed, scheme);
-            let grid = ShardedContactEngine::from_trajectories(
-                &field_study_trajectories(&cfg),
-                RadioTech::max_range_m(cfg.infra_available),
-                cfg.contact_tick,
-                ShardConfig::SINGLE,
-            );
-            run_field_study_with(&cfg, grid, Some(observer))
+            run_study(field_study(&cfg, field_study_engine(&cfg)), Some(observer))
         })
     });
 }
@@ -244,7 +236,7 @@ fn density_point_is_pinned() {
                     scheme,
                     ..DensityConfig::conventional(12, 0.25, seed)
                 };
-                run_density(&cfg, Some(observer))
+                run_study(density_study(&cfg), Some(observer))
             })
         },
     );

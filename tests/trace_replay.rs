@@ -4,16 +4,29 @@
 //! from a purely synthetic social trace (no geometry anywhere).
 
 use sos::core::routing::SchemeKind;
-use sos::engine::{ShardConfig, ShardedContactEngine};
-use sos::experiments::replay::{delivered_set, record_field_study_trace, replay_field_study};
+use sos::experiments::driver::run_study;
+use sos::experiments::replay::{delivered_set, record_field_study_trace};
 use sos::experiments::scenario::{
-    field_study_trajectories, run_field_study, run_field_study_with, small_test_config,
+    field_study, field_study_engine, run_field_study, small_test_config, FieldStudyConfig,
 };
 use sos::sim::{EncounterSource, SimDuration, SimTime};
 use sos::trace::{
     codec_binary, codec_text, generate_social_trace, ContactTrace, SocialTraceConfig,
     TraceAnalytics,
 };
+
+/// Replays `tape` under `cfg` and asserts the replay returns what the
+/// live run does: the whole `RunMetrics` (less the Fig. 4b map, which
+/// needs positions a tape does not have), the totals and the delivered
+/// set.
+fn assert_replay_is_exact(cfg: &FieldStudyConfig, tape: ContactTrace) {
+    let mut live = run_field_study(cfg);
+    let replayed = run_study(field_study(cfg, tape), None);
+    assert_eq!(delivered_set(&live), delivered_set(&replayed));
+    assert_eq!(live.totals, replayed.totals);
+    live.metrics.map.clear();
+    assert_eq!(live.metrics, replayed.metrics);
+}
 
 /// Recording from the naive scan and from the grid kernel produces the
 /// same tape, and replaying it reproduces the live run exactly.
@@ -24,20 +37,11 @@ fn record_replay_is_exact_across_kernels() {
     cfg.total_posts = 20;
 
     let tape = record_field_study_trace(&cfg);
-    let engine = ShardedContactEngine::from_trajectories(
-        &field_study_trajectories(&cfg),
-        sos::sim::RadioTech::max_range_m(cfg.infra_available),
-        cfg.contact_tick,
-        ShardConfig::SINGLE,
-    );
     let end = SimTime::from_hours(cfg.days * 24);
-    let engine_tape = ContactTrace::record(&engine, SimTime::ZERO, end).unwrap();
+    let engine_tape = ContactTrace::record(&field_study_engine(&cfg), SimTime::ZERO, end).unwrap();
     assert_eq!(tape, engine_tape, "kernels must record identical tapes");
 
-    let live = run_field_study(&cfg);
-    let replayed = replay_field_study(&cfg, &tape, None);
-    assert_eq!(delivered_set(&live), delivered_set(&replayed));
-    assert_eq!(live.totals, replayed.totals);
+    assert_replay_is_exact(&cfg, tape);
 }
 
 /// A synthetic community trace drives the full scheme machinery with
@@ -57,7 +61,7 @@ fn synthetic_social_trace_drives_schemes() {
     let mut cfg = small_test_config(3, SchemeKind::Epidemic);
     cfg.days = 2;
     cfg.total_posts = 20;
-    let outcome = run_field_study_with(&cfg, synthetic, None);
+    let outcome = run_study(field_study(&cfg, synthetic), None);
     assert_eq!(outcome.metrics.posts, 20);
     assert!(
         outcome.totals.bundles_received > 0,
@@ -136,8 +140,5 @@ fn replay_is_tick_free() {
     let mut cfg = small_test_config(11, SchemeKind::Direct);
     cfg.days = 1;
     cfg.contact_tick = SimDuration::from_secs(120); // coarse recording
-    let tape = record_field_study_trace(&cfg);
-    let live = run_field_study(&cfg);
-    let replayed = replay_field_study(&cfg, &tape, None);
-    assert_eq!(delivered_set(&live), delivered_set(&replayed));
+    assert_replay_is_exact(&cfg, record_field_study_trace(&cfg));
 }
