@@ -221,10 +221,7 @@ fn study(plain: &ContactTrace, replayed: &ContactTrace, plan: &RunPlan) -> Study
         apps: provision_apps(plain, plan),
         source: replayed.clone(),
         followers: followers_from_trace(plain),
-        posts: post_schedule(plain, plan)
-            .into_iter()
-            .map(|(at, node, _number)| (at, node))
-            .collect(),
+        posts: post_schedule(plain, plan),
         driver: DriverConfig {
             ad_interval: plan.ad_interval,
             infra_available: false,

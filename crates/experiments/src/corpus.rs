@@ -53,10 +53,7 @@ pub fn corpus_study(trace: &ContactTrace, config: &CorpusStudyConfig) -> Study<C
         apps: provision_apps(trace, config),
         source: trace.clone(),
         followers: followers_from_trace(trace),
-        posts: post_schedule(trace, config)
-            .into_iter()
-            .map(|(at, node, _number)| (at, node))
-            .collect(),
+        posts: post_schedule(trace, config),
         driver: DriverConfig {
             ad_interval: config.ad_interval,
             infra_available: false,

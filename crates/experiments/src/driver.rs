@@ -15,25 +15,14 @@
 //! therefore produce byte-identical runs, which is what makes
 //! `sos-trace` record→replay exact (see `experiments::replay`).
 //!
-//! **Wakes follow contacts:** a node is woken for an advertisement only
-//! on the boundaries of its cadence that fall inside a window during
-//! which it has a peer — the rule the lockstep schedule has always had
-//! (`sos_node::provision::ad_boundaries`, shared with it). A boundary
-//! outside every window found the advertiser alone: the runtime emitted
-//! no frame, so nothing was drawn from the RNG that link loss and the
-//! middleware share, and nothing was journaled. Leaving those wakes out
-//! of the queue is therefore invisible in every output, and the wakes
-//! that remain are enqueued in the order they always were (after the
-//! contacts, node by node, time ascending), so equal-time events still
-//! pop in the same order. A run costs what its contacts warrant, not
-//! what its span does: on the paper-shaped week of ten phones, 87 % of
-//! all boundaries find the advertiser alone.
-//! Windows mean what the runtime's peer set means — a contact-up on a
-//! boundary admits it, a contact-down on it excludes it — and a contact
-//! still open at the end of the run stays open *through* the end: the
-//! advertisement due at that last instant is sent and counted, though
-//! its frames arrive too late. (The lockstep schedule closes such a
-//! contact *at* the end instead; see `sos_node::lockstep`.)
+//! **One schedule:** a run walks the steps of
+//! [`sos_node::provision::schedule`] — contact transitions, posts and
+//! advertisement wakes — the one schedule the lockstep conductor walks
+//! too, under its one end-of-run rule; only frames in flight are queued
+//! between them. A node wakes only on the boundaries of its cadence
+//! that find it with a peer, so a run costs what its contacts warrant,
+//! not what its span does: on the paper-shaped week of ten phones, 87 %
+//! of all boundaries find the advertiser alone.
 //!
 //! **Sans-I/O split:** the middleware loop itself — session
 //! lifecycles, advertisement cadence, peer connectivity — lives in
@@ -51,10 +40,10 @@
 //!
 //! **One study plane:** every driver-based experiment (field study,
 //! replay, corpus, density) is a builder that provisions a [`Study`];
-//! [`run_study`] is the one place that wires the driver, attaches the
-//! observer, schedules the posts, runs and totals, and many studies are
-//! one `sos_engine::run_replicas` over it. What comes back is always a
-//! [`StudyRun`], and the numbers every table reports are its
+//! [`run_study`] is the only way to drive one: it builds the schedule,
+//! wires the driver, attaches the observer, runs and totals, and many
+//! studies are one `sos_engine::run_replicas` over it. What comes back
+//! is always a [`StudyRun`], and the numbers every table reports are its
 //! [`RunSummary`] (or their [`RunSummary::mean`]).
 
 use crate::observe::RunObserver;
@@ -64,13 +53,13 @@ use sos_core::message::MessageKind;
 use sos_core::middleware::{SosEvent, SosStats};
 use sos_core::routing::SchemeKind;
 use sos_net::{Frame, LinkModel, PeerId};
-use sos_node::provision::{ad_boundaries, ad_phase};
+use sos_node::provision::{ad_phase, schedule, Step};
 use sos_node::runtime::{NodeConfig, NodeRuntime};
 use sos_obs::journal::ObsEvent;
 use sos_obs::{Histogram, JournalEntry, JournalHandle, NodeObs, Registry};
 use sos_sim::metrics::{DelayRecorder, DeliveryRecorder};
-use sos_sim::{EncounterSource, EventQueue, SimDuration, SimTime, World};
-use std::collections::{BTreeMap, BTreeSet};
+use sos_sim::{ContactEvent, ContactPhase, EncounterSource, EventQueue, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// Where on the map something happened (for Fig. 4b).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -92,35 +81,13 @@ pub enum MapEventKind {
     Disseminated,
 }
 
-/// Driver events.
-#[derive(Debug)]
-// Deliver(Frame) dominates by design. `Box<Frame>` (48 B queue entries,
-// one allocation per delivery) was timed against this on `study_replay`
-// once the queue held ~14 k entries instead of ~101 k: a tie (-3.5 %
-// median, 10 of 14 pairs, inside the quartiles), so the frame stays inline.
-#[allow(clippy::large_enum_variant)]
-enum Event {
-    /// `node` broadcasts its advertisement to everyone in range.
-    Advertise(usize),
-    /// A frame arrives at `dst` (sent by `src` earlier).
-    Deliver {
-        src: usize,
-        dst: usize,
-        frame: Frame,
-    },
-    /// `node` authors a post.
-    Post { node: usize },
-    /// A contact opened; the pair can exchange frames at the given
-    /// link distance until it closes.
-    ContactUp { a: usize, b: usize, distance_m: f64 },
-    /// A contact closed; both ends lose the peer.
-    ContactDown { a: usize, b: usize },
+/// A frame on its way from `src` to `dst`: the only thing the driver
+/// queues, between the steps of the schedule it walks.
+struct Delivery {
+    src: usize,
+    dst: usize,
+    frame: Frame,
 }
-
-/// A stretch of the run during which a node has at least one peer:
-/// from the instant its peer set stops being empty to the instant it
-/// is empty again (`None`: never, within the timeline).
-type Window = (SimTime, Option<SimTime>);
 
 /// Driver configuration.
 #[derive(Clone, Debug)]
@@ -178,7 +145,8 @@ pub struct Study<S: EncounterSource> {
     pub source: S,
     /// `followers[author]` = node indices subscribed to `author`.
     pub followers: Vec<Vec<usize>>,
-    /// The post workload as `(time, author node)`, in scheduling order.
+    /// The post workload as `(time, author node)`; the schedule sorts it
+    /// by time and numbers it in that order.
     pub posts: Vec<(SimTime, usize)>,
     /// Link and advertisement parameters (and the driver's own seed).
     pub driver: DriverConfig,
@@ -278,23 +246,15 @@ impl RunSummary {
 /// cells are adopted into its registry and lifecycle events flow into
 /// its journal; the run itself is byte-identical to the blind one.
 pub fn run_study<S: EncounterSource>(study: Study<S>, obs: Option<&RunObserver>) -> StudyRun {
-    let mut driver = Driver::new(
-        study.apps,
-        study.source,
-        study.followers,
-        study.driver,
-        study.end,
-    );
+    let (scheme, seed) = (study.scheme, study.seed);
+    let mut driver = Driver::provision(study);
     if let Some(o) = obs {
         driver.attach_observer(&o.registry, &o.journal);
     }
-    for (at, node) in study.posts {
-        driver.schedule_post(at, node);
-    }
     let (metrics, apps) = driver.run();
     StudyRun {
-        scheme: study.scheme,
-        seed: study.seed,
+        scheme,
+        seed,
         totals: aggregate_stats(&apps),
         metrics,
         apps,
@@ -304,9 +264,9 @@ pub fn run_study<S: EncounterSource>(study: Study<S>, obs: Option<&RunObserver>)
 /// The simulation driver: apps + encounter source + queue + recorders.
 ///
 /// Generic over [`EncounterSource`], so the same driver runs on the
-/// naive [`World`] scan, on `sos-engine`'s grid-indexed kernel, or on
+/// naive `World` scan, on `sos-engine`'s grid-indexed kernel, or on
 /// a `sos-trace` recorded/synthetic trace replay.
-pub struct Driver<C: EncounterSource = World> {
+struct Driver<C: EncounterSource> {
     /// One sans-I/O runtime per node: the middleware loop the in-vivo
     /// daemons run verbatim. Their peer sets are the connectivity truth
     /// for advertisements and deliveries.
@@ -315,7 +275,10 @@ pub struct Driver<C: EncounterSource = World> {
     /// follower sets: `follows[author] = set of follower node indices`.
     followers: Vec<Vec<usize>>,
     user_index: BTreeMap<sos_crypto::UserId, usize>,
-    queue: EventQueue<Event>,
+    /// The steps of the run's schedule, walked in order by [`Self::run`].
+    schedule: Vec<(SimTime, Step)>,
+    /// Frames in flight, by arrival time and then send order.
+    queue: EventQueue<Delivery>,
     /// The up-distance each open contact was frozen at, by normalized
     /// `(lo, hi)` pair: what [`Self::transmit`] picks the bearer from.
     links: BTreeMap<(usize, usize), f64>,
@@ -344,23 +307,26 @@ struct DriverObs {
 }
 
 impl<C: EncounterSource> Driver<C> {
-    /// Creates a driver.
-    ///
-    /// `followers[a]` lists the node indices subscribed to node `a`'s
-    /// user; the driver uses it to register delivery expectations.
+    /// Wires a driver for `study`: one runtime per app, phase-staggered
+    /// across the advertisement interval, and the study's schedule.
     ///
     /// # Panics
     ///
-    /// Panics if `apps` and the world disagree on the node count.
-    pub fn new(
-        apps: Vec<AlleyOopApp>,
-        source: C,
-        followers: Vec<Vec<usize>>,
-        config: DriverConfig,
-        end: SimTime,
-    ) -> Driver<C> {
+    /// Panics if the apps, the source and the follower map disagree on
+    /// the node count.
+    fn provision(study: Study<C>) -> Driver<C> {
+        let Study {
+            apps,
+            source,
+            followers,
+            posts,
+            driver: config,
+            end,
+            ..
+        } = study;
         assert_eq!(apps.len(), source.node_count(), "node count mismatch");
         assert_eq!(apps.len(), followers.len(), "follower map mismatch");
+        let schedule = schedule(&source, end, posts, config.ad_interval);
         let user_index = apps
             .iter()
             .enumerate()
@@ -386,6 +352,7 @@ impl<C: EncounterSource> Driver<C> {
             source,
             followers,
             user_index,
+            schedule,
             queue: EventQueue::new(),
             links: BTreeMap::new(),
             in_flight: BTreeMap::new(),
@@ -403,7 +370,7 @@ impl<C: EncounterSource> Driver<C> {
     /// itself journals contact transitions and feeds the
     /// `driver/frame_bytes` and `driver/delivery_delay_ms` histograms.
     /// Purely passive: an observed run is byte-identical to a blind one.
-    pub fn attach_observer(&mut self, registry: &Registry, journal: &JournalHandle) {
+    fn attach_observer(&mut self, registry: &Registry, journal: &JournalHandle) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let mw = node.app_mut().middleware_mut();
             mw.attach_obs(NodeObs::new(i as u32, journal.clone()));
@@ -433,132 +400,69 @@ impl<C: EncounterSource> Driver<C> {
         }
     }
 
-    /// Enqueues a driver event. Every driver schedule is at or after
-    /// the queue clock by construction — contacts, advertisements, and
-    /// posts are laid out before the run starts (clock zero), and
-    /// deliveries arrive at `now` plus a non-negative latency — so
+    /// Enqueues a delivery. Frames are sent at the instant being
+    /// processed and arrive after a non-negative latency, and the queue
+    /// clock never runs ahead of that instant, so
     /// [`sos_sim::SimError::SchedulePast`] is unreachable here.
-    fn enqueue(&mut self, at: SimTime, event: Event) {
+    fn enqueue(&mut self, at: SimTime, delivery: Delivery) {
         self.queue
-            .schedule(at, event)
-            // sos-lint: allow(no-panic) reason="all driver event times are >= the queue clock by construction (see doc comment)"
-            .expect("driver events are never scheduled into the past");
-    }
-
-    /// Schedules a post by `node` at `at`.
-    pub fn schedule_post(&mut self, at: SimTime, node: usize) {
-        self.enqueue(at, Event::Post { node });
-    }
-
-    /// Schedules each node's advertisement wakes, node-major and time
-    /// ascending, on the boundaries (phase-staggered across the
-    /// interval, the same offset the node's runtime was configured
-    /// with) that fall inside one of its `windows`.
-    fn schedule_advertisements(&mut self, windows: &[Vec<Window>]) {
-        let (interval, n, end) = (self.config.ad_interval, self.nodes.len(), self.end);
-        for (node, node_windows) in windows.iter().enumerate() {
-            for &(start, stop) in node_windows {
-                for t in ad_boundaries(interval, node, n, start, stop, end) {
-                    self.enqueue(t, Event::Advertise(node));
-                }
-            }
-        }
-    }
-
-    /// Schedules the entire encounter timeline: contact-up events open
-    /// links (freezing the link distance for the contact's lifetime),
-    /// contact-down events close them and break sessions.
-    ///
-    /// Scheduled *before* the advertisements so that at equal
-    /// timestamps the FIFO queue applies the transition first — an ad
-    /// broadcast on the tick a contact comes up reaches the new peer,
-    /// and one on the tick it goes down does not, matching the
-    /// geometric sampling semantics this replaces.
-    ///
-    /// Returns, per node, the windows during which it has a peer, in
-    /// time order: what its runtime's peer set will hold once the queue
-    /// has applied these events. A window opens when the set of
-    /// *distinct* peers goes 0 → 1 and closes when it goes 1 → 0 (a
-    /// repeated `Up`, or a `Down` for a closed pair, changes nothing,
-    /// as in [`NodeRuntime::on_encounter_up`]); one still open at the
-    /// end of the timeline has no close.
-    fn schedule_contacts(&mut self) -> Vec<Vec<Window>> {
-        let mut events = self.source.encounter_events(SimTime::ZERO, self.end);
-        // The queue applies equal-time events in scheduling order, so a
-        // stable sort by time is the order it will apply these in,
-        // whatever order the source listed them in.
-        events.sort_by_key(|ev| ev.time);
-        let n = self.nodes.len();
-        let mut peers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        let mut windows: Vec<Vec<Window>> = vec![Vec::new(); n];
-        for ev in events {
-            let up = ev.phase == sos_sim::ContactPhase::Up;
-            for (node, peer) in [(ev.a, ev.b), (ev.b, ev.a)] {
-                if up {
-                    if peers[node].insert(peer) && peers[node].len() == 1 {
-                        windows[node].push((ev.time, None));
-                    }
-                } else if peers[node].remove(&peer) && peers[node].is_empty() {
-                    if let Some(open) = windows[node].last_mut() {
-                        open.1 = Some(ev.time);
-                    }
-                }
-            }
-            let event = if up {
-                Event::ContactUp {
-                    a: ev.a,
-                    b: ev.b,
-                    distance_m: ev.distance_m,
-                }
-            } else {
-                Event::ContactDown { a: ev.a, b: ev.b }
-            };
-            self.enqueue(ev.time, event);
-        }
-        windows
+            .schedule(at, delivery)
+            // sos-lint: allow(no-panic) reason="deliveries are scheduled at or after the instant being processed, never behind the queue clock (see doc comment)"
+            .expect("deliveries are never scheduled into the past");
     }
 
     /// Runs the simulation to the end and returns the metrics and the
     /// final applications (whose local databases hold every feed).
-    pub fn run(mut self) -> (RunMetrics, Vec<AlleyOopApp>) {
-        let windows = self.schedule_contacts();
-        self.schedule_advertisements(&windows);
-        while let Some((now, event)) = self.queue.pop() {
-            if now > self.end {
-                break;
+    ///
+    /// The schedule's steps run in time order, each one after every
+    /// frame due before it and before any frame due at its instant:
+    /// its contact transitions, then its posts, then its wakes. Frames
+    /// due at the end are delivered; later ones never arrive.
+    fn run(mut self) -> (RunMetrics, Vec<AlleyOopApp>) {
+        for (now, step) in std::mem::take(&mut self.schedule) {
+            self.deliver_before(now);
+            for ev in step.encounters {
+                let _span = sos_obs::profile::span("driver/contact");
+                self.on_contact(ev, now);
             }
-            match event {
-                Event::Advertise(node) => {
-                    let _span = sos_obs::profile::span("driver/advertise");
-                    self.on_advertise(node, now);
-                }
-                Event::Deliver { src, dst, frame } => {
-                    let _span = sos_obs::profile::span("driver/deliver");
-                    self.on_deliver(src, dst, frame, now);
-                }
-                Event::Post { node } => {
-                    let _span = sos_obs::profile::span("driver/post");
-                    self.on_post(node, now);
-                }
-                Event::ContactUp { a, b, distance_m } => {
-                    let _span = sos_obs::profile::span("driver/contact");
-                    self.links.insert(pair(a, b), distance_m);
-                    self.note_contact(now, a, b, true);
-                    self.nodes[a].on_encounter_up(PeerId(b as u32));
-                    self.nodes[b].on_encounter_up(PeerId(a as u32));
-                }
-                Event::ContactDown { a, b } => {
-                    let _span = sos_obs::profile::span("driver/contact");
-                    self.links.remove(&pair(a, b));
-                    self.note_contact(now, a, b, false);
-                    self.nodes[a].on_encounter_down(PeerId(b as u32));
-                    self.nodes[b].on_encounter_down(PeerId(a as u32));
-                }
+            for (node, number) in step.posts {
+                let _span = sos_obs::profile::span("driver/post");
+                self.on_post(node, number, now);
+            }
+            for node in step.wakes {
+                let _span = sos_obs::profile::span("driver/advertise");
+                self.on_advertise(node, now);
             }
         }
+        self.deliver_before(self.end + SimDuration::from_millis(1));
         self.export_metrics();
         let apps = self.nodes.into_iter().map(NodeRuntime::into_app).collect();
         (self.metrics, apps)
+    }
+
+    /// Delivers, in queue order, every frame due before `t`.
+    fn deliver_before(&mut self, t: SimTime) {
+        while let Some((now, Delivery { src, dst, frame })) = self.queue.pop_before(t) {
+            let _span = sos_obs::profile::span("driver/deliver");
+            self.on_deliver(src, dst, frame, now);
+        }
+    }
+
+    /// A contact transition: an `Up` opens the link, frozen at its
+    /// distance, a `Down` closes it; both ends' runtimes learn of it.
+    fn on_contact(&mut self, ev: ContactEvent, now: SimTime) {
+        let (a, b) = (ev.a, ev.b);
+        let up = ev.phase == ContactPhase::Up;
+        self.note_contact(now, a, b, up);
+        if up {
+            self.links.insert(pair(a, b), ev.distance_m);
+            self.nodes[a].on_encounter_up(PeerId(b as u32));
+            self.nodes[b].on_encounter_up(PeerId(a as u32));
+        } else {
+            self.links.remove(&pair(a, b));
+            self.nodes[a].on_encounter_down(PeerId(b as u32));
+            self.nodes[b].on_encounter_down(PeerId(a as u32));
+        }
     }
 
     /// Mirrors the final [`RunMetrics`] totals into the registry
@@ -579,7 +483,7 @@ impl<C: EncounterSource> Driver<C> {
     }
 
     /// An advertisement wake: the runtime advances to `now` (an exact
-    /// ad boundary by construction of [`Self::schedule_advertisements`])
+    /// ad boundary by construction of the schedule)
     /// and emits the broadcast to its in-range peers, ascending. The
     /// driver then gives each copy its physics.
     fn on_advertise(&mut self, node: usize, now: SimTime) {
@@ -614,7 +518,7 @@ impl<C: EncounterSource> Driver<C> {
             arrival = *slot;
         }
         *slot = arrival;
-        self.enqueue(arrival, Event::Deliver { src, dst, frame });
+        self.enqueue(arrival, Delivery { src, dst, frame });
     }
 
     fn on_deliver(&mut self, src: usize, dst: usize, frame: Frame, now: SimTime) {
@@ -629,9 +533,8 @@ impl<C: EncounterSource> Driver<C> {
         }
     }
 
-    fn on_post(&mut self, node: usize, now: SimTime) {
-        let n = self.metrics.posts + 1;
-        let text = format!("post #{n} by {}", self.nodes[node].app().handle());
+    fn on_post(&mut self, node: usize, number: u64, now: SimTime) {
+        let text = format!("post #{number} by {}", self.nodes[node].app().handle());
         self.nodes[node].post(&text, now);
         self.metrics.posts += 1;
         if let Some(pos) = self.source.node_position(node, now) {
@@ -703,55 +606,6 @@ pub fn aggregate_stats(apps: &[AlleyOopApp]) -> SosStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sos_node::provision::{provision_apps, RunPlan};
-    use sos_sim::world::{ContactEvent, ContactPhase};
-    use sos_trace::ContactTrace;
-
-    /// A timeline handed over as listed: unvalidated, unsorted.
-    struct Raw(usize, Vec<ContactEvent>);
-
-    impl EncounterSource for Raw {
-        fn node_count(&self) -> usize {
-            self.0
-        }
-
-        fn encounter_events(&self, _start: SimTime, _end: SimTime) -> Vec<ContactEvent> {
-            self.1.clone()
-        }
-    }
-
-    fn ev(secs: u64, a: usize, b: usize, up: bool) -> ContactEvent {
-        ContactEvent {
-            time: SimTime::from_secs(secs),
-            a,
-            b,
-            phase: if up {
-                ContactPhase::Up
-            } else {
-                ContactPhase::Down
-            },
-            distance_m: 5.0,
-        }
-    }
-
-    /// A driver over `events` for `n` strangers (nobody follows anybody,
-    /// nobody posts: advertisements are all that moves), advertising
-    /// every 60 s until `end_secs`.
-    fn driver(n: usize, events: Vec<ContactEvent>, end_secs: u64) -> Driver<Raw> {
-        let plan = RunPlan::default();
-        let population = ContactTrace::new(n, None, vec![ev(0, 0, 1, true)]).expect("valid trace");
-        Driver::new(
-            provision_apps(&population, &plan),
-            Raw(n, events),
-            vec![Vec::new(); n],
-            DriverConfig::default(),
-            SimTime::from_secs(end_secs),
-        )
-    }
-
-    fn secs(start: u64, stop: Option<u64>) -> Window {
-        (SimTime::from_secs(start), stop.map(SimTime::from_secs))
-    }
 
     #[test]
     fn the_mean_delay_skips_runs_that_delivered_nothing() {
@@ -765,65 +619,5 @@ mod tests {
         let mean = RunSummary::mean(&[run(4.0, Some(1.0)), run(0.0, None), run(2.0, Some(3.0))]);
         assert_eq!(mean, run(2.0, Some(2.0)));
         assert_eq!(RunSummary::mean(&[run(0.0, None)]), run(0.0, None));
-    }
-
-    #[test]
-    fn windows_follow_what_the_runtime_peer_sets_will_hold() {
-        let events = vec![
-            ev(100, 0, 1, true),
-            ev(150, 0, 1, true),  // repeated `Up`: opens nothing
-            ev(160, 0, 2, false), // `Down` for a closed pair: closes nothing
-            ev(200, 1, 2, true),  // node 1's contacts overlap
-            ev(300, 0, 1, false),
-            ev(300, 0, 3, true), // node 0: last peer out, next in, one instant
-            ev(400, 1, 2, false),
-            ev(500, 2, 4, true),
-            ev(500, 2, 4, false), // zero length
-            ev(450, 0, 3, false), // listed late, applied on time
-            ev(600, 3, 4, true),  // never closed
-        ];
-        let windows = driver(6, events, 1_000).schedule_contacts();
-        assert_eq!(
-            windows,
-            vec![
-                vec![secs(100, Some(300)), secs(300, Some(450))],
-                vec![secs(100, Some(400))],
-                vec![secs(200, Some(400)), secs(500, Some(500))],
-                vec![secs(300, Some(450)), secs(600, None)],
-                vec![secs(500, Some(500)), secs(600, None)],
-                vec![],
-            ]
-        );
-    }
-
-    #[test]
-    fn wakes_are_scheduled_inside_windows_only() {
-        // Two nodes, 60 s period, phases 0 and 30 s; together 90–200 s
-        // out of a day: node 0 is due at 120 and 180, node 1 at 90
-        // (the `Up` admits it) and 150, and at 210 neither is.
-        let events = vec![ev(90, 0, 1, true), ev(200, 0, 1, false)];
-        let mut d = driver(2, events, 86_400);
-        let windows = d.schedule_contacts();
-        d.schedule_advertisements(&windows);
-        let mut wakes = Vec::new();
-        while let Some((at, event)) = d.queue.pop() {
-            if let Event::Advertise(node) = event {
-                wakes.push((at.as_secs(), node));
-            }
-        }
-        assert_eq!(wakes, vec![(90, 1), (120, 0), (150, 1), (180, 0)]);
-    }
-
-    /// The one point where the driver and the lockstep schedule read a
-    /// window differently: a contact still open at the end stays open
-    /// *through* it, so an advertiser due exactly at the end sends, and
-    /// the frame counts although it arrives too late. (The other side
-    /// is `a_contact_dangling_at_the_end_does_not_tick_there` in
-    /// `sos_node::lockstep`.)
-    #[test]
-    fn a_contact_dangling_through_the_end_advertises_at_the_end() {
-        // Node 0 is due at 60 and 120 = the end; node 1 at 30 and 90.
-        let (metrics, _) = driver(2, vec![ev(10, 0, 1, true)], 120).run();
-        assert_eq!(metrics.frames_sent, 4);
     }
 }

@@ -19,7 +19,7 @@
 use crate::host::Reports;
 use crate::lockstep::{conduct, Fleet, Outcome};
 use crate::proto::{scheme_to_byte, InVivoError, Msg, MsgStream};
-use crate::provision::{require_population, RunPlan};
+use crate::provision::{require_ad_interval, require_population, RunPlan};
 use sos_trace::{codec_text, ContactTrace};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
@@ -73,11 +73,14 @@ impl Broker {
     /// # Errors
     ///
     /// [`InVivoError::Io`] if the address cannot be bound, or
-    /// [`InVivoError::Protocol`] for a zero-process configuration.
+    /// [`InVivoError::Protocol`] for a zero-process configuration or an
+    /// advertisement interval under 1 ms (which every daemon would
+    /// refuse).
     pub fn bind(config: BrokerConfig) -> Result<Broker, InVivoError> {
         if config.num_procs == 0 {
             return Err(InVivoError::Protocol("num_procs must be >= 1".into()));
         }
+        require_ad_interval(config.plan.ad_interval)?;
         let listener = TcpListener::bind(config.listen.as_str())?;
         Ok(Broker { listener, config })
     }
@@ -267,5 +270,31 @@ impl Fleet for SocketFleet {
             }
         });
         streams.collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sos_sim::SimDuration;
+
+    /// Every daemon refuses a zero advertisement interval in `Assign`,
+    /// so the broker refuses it before it accepts anyone, instead of
+    /// waiting for daemons that will hang up.
+    #[test]
+    fn a_plan_every_daemon_would_refuse_is_refused_at_bind() {
+        let config = BrokerConfig {
+            plan: RunPlan {
+                ad_interval: SimDuration::ZERO,
+                ..RunPlan::default()
+            },
+            ..BrokerConfig::default()
+        };
+        match Broker::bind(config) {
+            Err(InVivoError::Protocol(what)) => {
+                assert_eq!(what, "advertisement interval must be at least 1 ms");
+            }
+            other => panic!("expected the refusal, got {other:?}"),
+        }
     }
 }

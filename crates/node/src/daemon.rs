@@ -21,7 +21,7 @@
 
 use crate::host::{Flushed, Host, WireFrame};
 use crate::proto::{scheme_from_byte, InVivoError, Msg, MsgStream};
-use crate::provision::{load_trace_bytes, require_population, RunPlan};
+use crate::provision::{load_trace_bytes, require_ad_interval, require_population, RunPlan};
 use sos_sim::SimDuration;
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -104,18 +104,15 @@ fn build_world(assign: Msg) -> Result<World, InVivoError> {
     };
     let scheme = scheme_from_byte(scheme)
         .ok_or_else(|| InVivoError::Protocol(format!("unknown scheme byte {scheme}")))?;
-    if ad_interval_ms == 0 {
-        return Err(InVivoError::Protocol(
-            "advertisement interval must be at least 1 ms".into(),
-        ));
-    }
+    let ad_interval = SimDuration::from_millis(ad_interval_ms);
+    require_ad_interval(ad_interval)?;
     let trace = load_trace_bytes(trace_text.as_bytes()).map_err(InVivoError::Trace)?;
     require_population(&trace)?;
     let plan = RunPlan {
         scheme,
         seed,
         total_posts: total_posts as usize,
-        ad_interval: SimDuration::from_millis(ad_interval_ms),
+        ad_interval,
     };
     let num_procs = num_procs as usize;
     let proc_index = proc_index as usize;

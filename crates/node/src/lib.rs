@@ -46,7 +46,7 @@ pub mod provision;
 pub mod runtime;
 
 pub use broker::{Broker, BrokerConfig};
-pub use lockstep::{build_schedule, Outcome, Step};
+pub use lockstep::{build_schedule, Outcome};
 pub use mesh::run_mesh;
 pub use provision::{provision_apps, provision_runtime, RunPlan};
 pub use runtime::{NodeConfig, NodeRuntime};

@@ -15,17 +15,13 @@
 //! run, and the in-process [`mesh`](crate::mesh) all produce the
 //! byte-identical outcome.
 //!
-//! Advertisement boundaries where the advertiser has no open contact
-//! are pruned from the schedule (nothing could be emitted — the
-//! runtime skips ads when alone), which keeps the step count
-//! proportional to contact time instead of trace length. The rule and
-//! its arithmetic are [`provision::ad_boundaries`](crate::provision::ad_boundaries),
-//! shared with the simulation driver; the two differ on one point. A
-//! contact still open at the trace's end is closed *at* the end here,
-//! exclusive, so no tick lands on the last instant — a tick there
-//! would run exchange rounds that deliver — while the driver keeps it
-//! open *through* its end and sends that last advertisement, whose
-//! frames count as sent and arrive too late.
+//! The steps are the one [`schedule`] the simulation driver walks
+//! too. Advertisement boundaries where the advertiser has no open
+//! contact are pruned from it (nothing could be emitted — the runtime
+//! skips ads when alone), which keeps the step count proportional to
+//! contact time instead of trace length, and a contact still open at
+//! the trace's end wakes nobody there (the end rule is in that
+//! function's doc).
 //!
 //! The walk over that schedule is written once, `conduct`, against
 //! the crate-private `Fleet` seam: the in-process `Host` and the
@@ -37,71 +33,23 @@
 
 use crate::host::Reports;
 use crate::proto::{author_hex, InVivoError, Msg, Report};
-use crate::provision::{ad_boundaries, post_schedule, RunPlan};
+use crate::provision::{post_schedule, schedule, RunPlan, Step};
 use sos_core::middleware::SosStats;
 use sos_sim::world::ContactPhase;
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// One moment of the lockstep schedule. Within a step the order is
-/// fixed: encounter transitions first (the driver's contacts-before-ads
-/// FIFO rule), then posts, then — when `tick` is set — every runtime's
-/// clock advances to `now` and due advertisements are emitted, followed
-/// by the frame-exchange rounds.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Step {
-    /// Contact transitions at this time, in trace order: `(a, b, up)`.
-    pub encounters: Vec<(usize, usize, bool)>,
-    /// Posts at this time: `(author node, global post number)`.
-    pub posts: Vec<(usize, u64)>,
-    /// Whether an advertisement boundary (with the advertiser in
-    /// contact) lands here — only these steps run exchange rounds.
-    pub tick: bool,
-}
-
-/// Builds the full `(time → step)` schedule for a `(trace, plan)` run.
+/// The `(time → step)` schedule of a `(trace, plan)` run: the one
+/// [`schedule`] over the whole trace and its [`post_schedule`]. A step
+/// runs exchange rounds only when it wakes an advertiser.
 pub fn build_schedule(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, Step)> {
-    let mut steps: BTreeMap<SimTime, Step> = BTreeMap::new();
-    let end = trace.end_time();
-
-    for ev in trace.events() {
-        if ev.time > end {
-            continue;
-        }
-        steps.entry(ev.time).or_default().encounters.push((
-            ev.a,
-            ev.b,
-            ev.phase == ContactPhase::Up,
-        ));
-    }
-
-    for (at, node, number) in post_schedule(trace, plan) {
-        steps.entry(at).or_default().posts.push((node, number));
-    }
-
-    // Advertisement boundaries, pruned to moments the advertiser has an
-    // open contact. `intervals` closes a contact still open at `end`
-    // there, and interval ends are exclusive: no tick at `end`.
-    let n = trace.node_count();
-    let mut ticks: BTreeSet<SimTime> = BTreeSet::new();
-    for iv in trace.intervals(end) {
-        for node in [iv.a, iv.b] {
-            ticks.extend(ad_boundaries(
-                plan.ad_interval,
-                node,
-                n,
-                iv.start,
-                Some(iv.end),
-                end,
-            ));
-        }
-    }
-    for t in ticks {
-        steps.entry(t).or_default().tick = true;
-    }
-
-    steps.into_iter().collect()
+    schedule(
+        trace,
+        trace.end_time(),
+        post_schedule(trace, plan),
+        plan.ad_interval,
+    )
 }
 
 /// Everything a lockstep run produces, whichever transport carried it:
@@ -149,8 +97,9 @@ pub(crate) trait Fleet {
 }
 
 /// Walks the schedule of `(trace, plan)` over `fleet`: per step the
-/// encounters, then the posts, then — on a tick — exchange rounds until
-/// one emits nothing. Then folds the fleet's reports into the outcome.
+/// encounters, then the posts, then — when it wakes anyone — a tick and
+/// exchange rounds until one emits nothing. Then folds the fleet's
+/// reports into the outcome.
 ///
 /// # Errors
 ///
@@ -165,8 +114,9 @@ pub(crate) fn conduct<F: Fleet>(
     let mut rounds = 0u64;
     for (now, step) in build_schedule(trace, plan) {
         let now_ms = now.as_millis();
-        for &(a, b, up) in &step.encounters {
-            let (a, b) = (a as u32, b as u32);
+        for ev in &step.encounters {
+            let (a, b) = (ev.a as u32, ev.b as u32);
+            let up = ev.phase == ContactPhase::Up;
             fleet.event(&Msg::Encounter { a, b, up })?;
         }
         for &(node, number) in &step.posts {
@@ -178,7 +128,7 @@ pub(crate) fn conduct<F: Fleet>(
             })?;
             posts += 1;
         }
-        if !step.tick {
+        if step.wakes.is_empty() {
             continue;
         }
         fleet.event(&Msg::Tick { now_ms })?;
@@ -262,6 +212,7 @@ mod tests {
     use super::*;
     use sos_sim::world::ContactEvent;
     use sos_sim::SimDuration;
+    use std::collections::BTreeMap;
 
     fn trace() -> ContactTrace {
         let mk = |time, a, b, up| ContactEvent {
@@ -296,7 +247,7 @@ mod tests {
         let schedule = build_schedule(&trace(), &plan);
         let tick_times: Vec<u64> = schedule
             .iter()
-            .filter(|(_, s)| s.tick)
+            .filter(|(_, s)| !s.wakes.is_empty())
             .map(|(t, _)| t.as_secs())
             .collect();
         // Node 0 (phase 0s) has a boundary at 120s inside [100, 130);
@@ -312,56 +263,26 @@ mod tests {
         );
     }
 
-    /// The one point where this schedule and the simulation driver
-    /// read a window differently: a contact still open at the trace's
-    /// end. Here it is closed *at* the end, exclusive, so the end never
-    /// ticks, even when an advertiser in contact is due exactly there.
-    /// (The driver's side of the pair is pinned by
-    /// `a_contact_dangling_through_the_end_advertises_at_the_end` in
-    /// `sos_experiments::driver`.)
-    #[test]
-    fn a_contact_dangling_at_the_end_does_not_tick_there() {
-        let plan = RunPlan {
-            ad_interval: SimDuration::from_secs(60),
-            ..RunPlan::default()
-        };
-        // The trace ends at 240 s = 4 · 60 s, a boundary of node 0
-        // (phase 0), whose second contact with node 1 is never closed.
-        let mk = |time, a, b, phase| ContactEvent {
-            time: SimTime::from_secs(time),
-            a,
-            b,
-            phase,
-            distance_m: 5.0,
-        };
-        let events = vec![
-            mk(100, 0, 1, ContactPhase::Up),
-            mk(130, 0, 1, ContactPhase::Down),
-            mk(150, 0, 1, ContactPhase::Up),
-            mk(240, 2, 3, ContactPhase::Up),
-        ];
-        let trace = ContactTrace::new(4, None, events).expect("valid trace");
-        let schedule = build_schedule(&trace, &plan);
-        let (last_time, last) = schedule.last().expect("a non-empty schedule");
-        assert_eq!(*last_time, SimTime::from_secs(240));
-        assert!(!last.tick, "a tick at the end would run delivering rounds");
-        // Node 0 at 120 in the first contact, then at 180 — and not at
-        // 240; node 1 (phase 15 s) at 195.
-        let ticks: Vec<u64> = schedule
-            .iter()
-            .filter(|(_, s)| s.tick)
-            .map(|(t, _)| t.as_secs())
-            .collect();
-        assert_eq!(ticks, vec![120, 180, 195]);
+    /// A step as `build_schedule` built it before the one schedule
+    /// replaced it: contact transitions as `(a, b, up)`, posts, and
+    /// whether it ticks.
+    #[derive(Debug, Default, PartialEq)]
+    struct FormerStep {
+        encounters: Vec<(usize, usize, bool)>,
+        posts: Vec<(usize, u64)>,
+        tick: bool,
     }
 
     /// `build_schedule` as it stood before the boundary arithmetic moved
-    /// to `provision::ad_boundaries`: the reference the proptest below
-    /// holds the shared helper to.
-    fn build_schedule_reference(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, Step)> {
+    /// to `provision`: per contact interval of the trace, closed at its
+    /// end. The reference the proptest below holds the one schedule to.
+    fn build_schedule_reference(
+        trace: &ContactTrace,
+        plan: &RunPlan,
+    ) -> Vec<(SimTime, FormerStep)> {
         use crate::provision::ad_phase;
         use crate::runtime::ad_period;
-        let mut steps: BTreeMap<SimTime, Step> = BTreeMap::new();
+        let mut steps: BTreeMap<SimTime, FormerStep> = BTreeMap::new();
         let end = trace.end_time();
         for ev in trace.events() {
             if ev.time > end {
@@ -373,8 +294,12 @@ mod tests {
                 ev.phase == ContactPhase::Up,
             ));
         }
-        for (at, node, number) in post_schedule(trace, plan) {
-            steps.entry(at).or_default().posts.push((node, number));
+        for (k, (at, node)) in post_schedule(trace, plan).into_iter().enumerate() {
+            steps
+                .entry(at)
+                .or_default()
+                .posts
+                .push((node, k as u64 + 1));
         }
         let n = trace.node_count();
         let interval = ad_period(plan.ad_interval).as_millis();
@@ -449,10 +374,17 @@ mod tests {
                     total_posts,
                     ..RunPlan::default()
                 };
-                prop_assert_eq!(
-                    build_schedule(&trace, &plan),
-                    build_schedule_reference(&trace, &plan)
-                );
+                let schedule: Vec<(SimTime, FormerStep)> = build_schedule(&trace, &plan)
+                    .into_iter()
+                    .map(|(t, step)| {
+                        let encounters = (step.encounters.iter())
+                            .map(|ev| (ev.a, ev.b, ev.phase == ContactPhase::Up))
+                            .collect();
+                        let tick = !step.wakes.is_empty();
+                        (t, FormerStep { encounters, posts: step.posts, tick })
+                    })
+                    .collect();
+                prop_assert_eq!(schedule, build_schedule_reference(&trace, &plan));
             }
         }
     }

@@ -90,7 +90,7 @@ mod tests {
         assert!(
             post_schedule(&trace, &plan)
                 .iter()
-                .any(|&(at, node, _)| node == 0 && at < SimTime::from_secs(400)),
+                .any(|&(at, node)| node == 0 && at < SimTime::from_secs(400)),
             "node 0 must post before 400 s"
         );
         let author = author_hex(provision_apps(&trace, &plan)[0].user_id().as_bytes());

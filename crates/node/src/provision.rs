@@ -7,16 +7,24 @@
 //! handles, subscriptions, post workload) and then hosts only its
 //! assigned slice: certificates issued on one host validate on every
 //! other because the issuing CA is byte-identical everywhere.
+//!
+//! The [`schedule`] of a run is built here too, once, for both planes
+//! that drive [`NodeRuntime`]: the simulation driver in
+//! `sos-experiments` walks its steps between frame deliveries, and the
+//! lockstep conductor walks them over
+//! [`build_schedule`](crate::lockstep::build_schedule). Its doc holds
+//! the one end-of-run rule.
 
 use crate::proto::InVivoError;
 use crate::runtime::{ad_period, NodeConfig, NodeRuntime};
 use alleyoop::app::AlleyOopApp;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
-use sos_sim::{SimDuration, SimTime};
+use sos_sim::world::{ContactEvent, ContactPhase};
+use sos_sim::{EncounterSource, SimDuration, SimTime};
 use sos_trace::corpora::{self, CorpusFormat};
 use sos_trace::{codec_binary, codec_text, ContactTrace, TraceError};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything that parameterizes a lockstep run besides the trace.
 #[derive(Clone, Debug)]
@@ -79,6 +87,19 @@ pub(crate) fn require_population(trace: &ContactTrace) -> Result<(), InVivoError
     Ok(())
 }
 
+/// Refuses an advertisement interval under 1 ms, which a run would
+/// floor to 1 ms (see [`ad_period`]) and so not run as asked. The broker
+/// asks this when it binds, before it accepts a daemon, and a daemon
+/// when it is assigned a plan.
+pub(crate) fn require_ad_interval(ad_interval: SimDuration) -> Result<(), InVivoError> {
+    if ad_interval.as_millis() == 0 {
+        return Err(InVivoError::Protocol(
+            "advertisement interval must be at least 1 ms".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Builds the full population for a `(trace, plan)` run: one app per
 /// trace node, signed up against the deterministic cloud CA, subscribed
 /// along [`followers_from_trace`].
@@ -110,34 +131,115 @@ pub fn ad_phase(ad_interval: SimDuration, node: usize, n: usize) -> SimDuration 
     SimDuration::from_millis(ad_interval.as_millis() * node as u64 / (n as u64).max(1))
 }
 
-/// The advertisement boundaries of `node` — `ad_phase + k · ad_period`
-/// — that fall inside one window during which it has a peer,
-/// ascending: `start` inclusive (a contact-up on a boundary is applied
-/// before the wake), `stop` exclusive (so is a contact-down), and none
-/// after `end`.
+/// One moment of a run's [`schedule`]. Within a step the order is
+/// fixed: the encounter transitions first (an advertisement on the
+/// instant a contact comes up reaches the new peer, one on the instant
+/// it goes down does not), then the posts, then the wakes.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Step {
+    /// The source's contact transitions at this time, in source order,
+    /// each with the distance a transport may freeze link quality at.
+    pub encounters: Vec<ContactEvent>,
+    /// Posts at this time: `(author node, post number)`, numbered 1..
+    /// in schedule order.
+    pub posts: Vec<(usize, u64)>,
+    /// The nodes due to advertise at this time with a peer to hear
+    /// them, ascending.
+    pub wakes: Vec<usize>,
+}
+
+/// A stretch of the run during which a node has at least one peer:
+/// from the instant its peer set stops being empty to the instant it is
+/// empty again, or to the end of the run; exclusive either way.
+type Window = (SimTime, SimTime);
+
+/// The time-ordered steps of a run over `source` until `end`: every
+/// contact transition up to `end` (stably sorted by time, so the source
+/// may list them in any order), the `posts` up to `end` as `(time,
+/// author node)`, in any order, and the advertisement wakes.
 ///
-/// Both pacers prune their wakes with this — the simulation driver per
-/// node window, [`build_schedule`](crate::lockstep::build_schedule) per
-/// contact interval — and they differ in one place, a contact still
-/// open at `end`. The driver leaves it unclosed (`stop = None`): an
-/// advertisement due exactly at `end` is sent and counted even though
-/// its frames arrive too late. The lockstep schedule closes it at `end`
-/// (`stop = Some(end)`), so nothing ticks there: a tick would run
-/// exchange rounds that deliver.
-pub fn ad_boundaries(
+/// A node wakes only on the boundaries of its cadence — [`ad_phase`]
+/// plus a multiple of the interval — that fall inside a window during
+/// which it has a peer: a boundary outside every window finds the
+/// advertiser alone, and the runtime emits nothing there. Windows mean
+/// what the runtime's peer set means: a contact-up on a boundary admits
+/// it, a contact-down on it excludes it, and a repeated `Up` or a
+/// `Down` for a closed pair changes nothing.
+///
+/// **End of the run.** A window still open at `end` closes there,
+/// exclusive, so nothing wakes at `end`: frames sent on the last
+/// instant could never arrive, and a wake there would only count
+/// traffic (in the driver) or run exchange rounds past the run (in
+/// lockstep). Contact transitions and posts at `end` are still applied.
+pub fn schedule(
+    source: &impl EncounterSource,
+    end: SimTime,
+    posts: impl IntoIterator<Item = (SimTime, usize)>,
+    ad_interval: SimDuration,
+) -> Vec<(SimTime, Step)> {
+    let n = source.node_count();
+    let mut events = source.encounter_events(SimTime::ZERO, end);
+    events.retain(|ev| ev.time <= end);
+    events.sort_by_key(|ev| ev.time);
+    let mut steps: BTreeMap<SimTime, Step> = BTreeMap::new();
+    // Node-major, so every step's wakes come out ascending.
+    for (node, node_windows) in windows(&events, n, end).into_iter().enumerate() {
+        for (start, stop) in node_windows {
+            for t in ad_boundaries(ad_interval, node, n, start, stop) {
+                steps.entry(t).or_default().wakes.push(node);
+            }
+        }
+    }
+    for ev in events {
+        steps.entry(ev.time).or_default().encounters.push(ev);
+    }
+    let mut posts: Vec<(SimTime, usize)> = posts.into_iter().filter(|&(at, _)| at <= end).collect();
+    posts.sort_by_key(|&(at, _)| at);
+    for (k, (at, node)) in posts.into_iter().enumerate() {
+        let number = k as u64 + 1;
+        steps.entry(at).or_default().posts.push((node, number));
+    }
+    steps.into_iter().collect()
+}
+
+/// Per node, the windows during which it has a peer, in time order,
+/// from time-sorted `events`: one opens when the set of *distinct*
+/// peers goes 0 → 1 and closes when it goes 1 → 0, or at `end`.
+fn windows(events: &[ContactEvent], n: usize, end: SimTime) -> Vec<Vec<Window>> {
+    let mut peers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    let mut windows: Vec<Vec<Window>> = vec![Vec::new(); n];
+    for ev in events {
+        let up = ev.phase == ContactPhase::Up;
+        for (node, peer) in [(ev.a, ev.b), (ev.b, ev.a)] {
+            if up {
+                if peers[node].insert(peer) && peers[node].len() == 1 {
+                    windows[node].push((ev.time, end));
+                }
+            } else if peers[node].remove(&peer) && peers[node].is_empty() {
+                if let Some(open) = windows[node].last_mut() {
+                    open.1 = ev.time;
+                }
+            }
+        }
+    }
+    windows
+}
+
+/// The advertisement boundaries of `node` — `ad_phase + k · ad_period`
+/// — in `[start, stop)`, ascending.
+fn ad_boundaries(
     ad_interval: SimDuration,
     node: usize,
     n: usize,
     start: SimTime,
-    stop: Option<SimTime>,
-    end: SimTime,
+    stop: SimTime,
 ) -> impl Iterator<Item = SimTime> {
     let period = ad_period(ad_interval).as_millis();
     let phase = ad_phase(ad_interval, node, n).as_millis();
     let first = phase + start.as_millis().saturating_sub(phase).div_ceil(period) * period;
     std::iter::successors(Some(first), move |t| t.checked_add(period))
         .map(SimTime::from_millis)
-        .take_while(move |&t| t <= end && stop.is_none_or(|stop| t < stop))
+        .take_while(move |&t| t < stop)
 }
 
 /// The seed of a node's session randomness in a lockstep run; every
@@ -157,10 +259,10 @@ pub fn provision_runtime(app: AlleyOopApp, node: usize, n: usize, plan: &RunPlan
     )
 }
 
-/// The deterministic post workload: `total_posts` posts uniform over
-/// nodes and the first 90% of the trace span, sorted by time, numbered
-/// 1.. in schedule order (the driver's global post counter semantics).
-pub fn post_schedule(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, usize, u64)> {
+/// The deterministic post workload as `(time, author node)`:
+/// `total_posts` posts uniform over nodes and the first 90% of the
+/// trace span, sorted by time (the [`schedule`] numbers them).
+pub fn post_schedule(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, usize)> {
     let n = trace.node_count();
     let horizon = trace.end_time().as_millis() * 9 / 10;
     let mut post_rng = rand::rngs::StdRng::seed_from_u64(plan.seed ^ 0xbeef);
@@ -173,10 +275,6 @@ pub fn post_schedule(trace: &ContactTrace, plan: &RunPlan) -> Vec<(SimTime, usiz
         .collect();
     posts.sort_by_key(|(t, _)| *t);
     posts
-        .into_iter()
-        .enumerate()
-        .map(|(k, (at, node))| (at, node, k as u64 + 1))
-        .collect()
 }
 
 /// Loads a contact trace from raw bytes, sniffing the format: the
@@ -202,7 +300,6 @@ mod tests {
     use super::*;
 
     fn tiny_trace() -> ContactTrace {
-        use sos_sim::world::{ContactEvent, ContactPhase};
         let events = vec![
             ContactEvent {
                 time: SimTime::from_secs(100),
@@ -262,35 +359,31 @@ mod tests {
             /// Over one node's windows, the helper picks out exactly the
             /// boundaries a brute-force filter of *every* boundary up to
             /// `end` keeps by "has a peer at `t`" — `Up` inclusive,
-            /// `Down` exclusive — with a last window that is never
-            /// closed (the driver's reading) or closed at `end` (the
-            /// lockstep schedule's).
+            /// `Down` exclusive — with a last window closed at `end`.
             #[test]
             fn helper_equals_filtering_every_boundary(
                 interval_ms in 0u64..40,
                 node in 0usize..6,
                 end_ms in 0u64..1_500,
                 edges in prop::collection::vec(0u64..1_600, 0..9),
-                close_at_end in any::<bool>(),
             ) {
                 let (n, interval) = (6, SimDuration::from_millis(interval_ms));
                 let end = SimTime::from_millis(end_ms);
                 // Sorted edges pair up into windows; equal edges make
-                // empty ones, an odd one out dangles.
+                // empty ones, an odd one out dangles to `end`.
                 let mut edges = edges;
                 edges.sort_unstable();
-                let windows: Vec<(SimTime, Option<SimTime>)> = edges
+                let windows: Vec<Window> = edges
                     .chunks(2)
                     .map(|w| {
-                        let stop = w.get(1).map(|&ms| SimTime::from_millis(ms));
-                        let stop = stop.or(close_at_end.then_some(end));
-                        (SimTime::from_millis(w[0]), stop)
+                        let stop = w.get(1).map_or(end, |&ms| SimTime::from_millis(ms));
+                        (SimTime::from_millis(w[0]), stop.min(end))
                     })
                     .collect();
 
                 let helper: Vec<SimTime> = windows
                     .iter()
-                    .flat_map(|&(start, stop)| ad_boundaries(interval, node, n, start, stop, end))
+                    .flat_map(|&(start, stop)| ad_boundaries(interval, node, n, start, stop))
                     .collect();
 
                 let period = ad_period(interval).as_millis();
@@ -298,15 +391,163 @@ mod tests {
                 let brute: Vec<SimTime> = (0..)
                     .map(|k| SimTime::from_millis(phase + k * period))
                     .take_while(|&t| t <= end)
-                    .filter(|&t| {
-                        windows
-                            .iter()
-                            .any(|&(start, stop)| start <= t && stop.is_none_or(|stop| t < stop))
-                    })
+                    .filter(|&t| windows.iter().any(|&(start, stop)| start <= t && t < stop))
                     .collect();
                 prop_assert_eq!(helper, brute);
             }
         }
+    }
+
+    /// A timeline handed over as listed: unvalidated, unsorted.
+    struct Raw(usize, Vec<ContactEvent>);
+
+    impl EncounterSource for Raw {
+        fn node_count(&self) -> usize {
+            self.0
+        }
+
+        fn encounter_events(&self, _start: SimTime, _end: SimTime) -> Vec<ContactEvent> {
+            self.1.clone()
+        }
+    }
+
+    fn ev(secs: u64, a: usize, b: usize, up: bool) -> ContactEvent {
+        ContactEvent {
+            time: SimTime::from_secs(secs),
+            a,
+            b,
+            phase: if up {
+                ContactPhase::Up
+            } else {
+                ContactPhase::Down
+            },
+            distance_m: 5.0,
+        }
+    }
+
+    /// `(time in seconds, node)` of every wake of the 60 s schedule of
+    /// `events` over `n` nodes until `end_secs`.
+    fn wakes(n: usize, events: Vec<ContactEvent>, end_secs: u64) -> Vec<(u64, usize)> {
+        let end = SimTime::from_secs(end_secs);
+        schedule(&Raw(n, events), end, [], SimDuration::from_secs(60))
+            .into_iter()
+            .flat_map(|(t, step)| step.wakes.into_iter().map(move |node| (t.as_secs(), node)))
+            .collect()
+    }
+
+    #[test]
+    fn windows_follow_what_the_runtime_peer_sets_will_hold() {
+        let mut events = vec![
+            ev(100, 0, 1, true),
+            ev(150, 0, 1, true),  // repeated `Up`: opens nothing
+            ev(160, 0, 2, false), // `Down` for a closed pair: closes nothing
+            ev(200, 1, 2, true),  // node 1's contacts overlap
+            ev(300, 0, 1, false),
+            ev(300, 0, 3, true), // node 0: last peer out, next in, one instant
+            ev(400, 1, 2, false),
+            ev(500, 2, 4, true),
+            ev(500, 2, 4, false), // zero length
+            ev(450, 0, 3, false), // listed late, applied on time
+            ev(600, 3, 4, true),  // never closed: closed at the end
+        ];
+        // The schedule's own sort, which the windows are read after.
+        events.sort_by_key(|ev| ev.time);
+        let secs = |start, stop| (SimTime::from_secs(start), SimTime::from_secs(stop));
+        assert_eq!(
+            windows(&events, 6, SimTime::from_secs(1_000)),
+            vec![
+                vec![secs(100, 300), secs(300, 450)],
+                vec![secs(100, 400)],
+                vec![secs(200, 400), secs(500, 500)],
+                vec![secs(300, 450), secs(600, 1_000)],
+                vec![secs(500, 500), secs(600, 1_000)],
+                vec![],
+            ]
+        );
+    }
+
+    #[test]
+    fn wakes_are_scheduled_inside_windows_only() {
+        // Two nodes, 60 s period, phases 0 and 30 s; together 90–200 s
+        // out of a day: node 0 is due at 120 and 180, node 1 at 90
+        // (the `Up` admits it) and 150, and at 210 neither is.
+        let events = vec![ev(90, 0, 1, true), ev(200, 0, 1, false)];
+        assert_eq!(
+            wakes(2, events, 86_400),
+            vec![(90, 1), (120, 0), (150, 1), (180, 0)]
+        );
+    }
+
+    /// The end rule: a contact still open at the end is closed *at* the
+    /// end, exclusive, so nobody wakes there, even an advertiser in
+    /// contact that is due exactly then; what happens at the end is
+    /// still applied.
+    #[test]
+    fn a_contact_dangling_at_the_end_does_not_tick_there() {
+        // The run ends at 240 s = 4 · 60 s, a boundary of node 0
+        // (phase 0), whose second contact with node 1 is never closed.
+        let events = vec![
+            ev(100, 0, 1, true),
+            ev(130, 0, 1, false),
+            ev(150, 0, 1, true),
+            ev(240, 2, 3, true),
+        ];
+        let steps = schedule(
+            &Raw(4, events),
+            SimTime::from_secs(240),
+            [(SimTime::from_secs(240), 3)],
+            SimDuration::from_secs(60),
+        );
+        let (last_time, last) = steps.last().expect("a non-empty schedule");
+        assert_eq!(*last_time, SimTime::from_secs(240));
+        assert_eq!(
+            (last.encounters.len(), last.posts.as_slice()),
+            (1, &[(3, 1)][..])
+        );
+        assert!(last.wakes.is_empty(), "frames sent at the end never arrive");
+        // Node 0 at 120 in the first contact, then at 180 — and not at
+        // 240; node 1 (phase 15 s) at 195.
+        let wakes: Vec<(u64, usize)> = (steps.iter())
+            .flat_map(|(t, s)| s.wakes.iter().map(|&node| (t.as_secs(), node)))
+            .collect();
+        assert_eq!(wakes, vec![(120, 0), (180, 0), (195, 1)]);
+    }
+
+    #[test]
+    fn posts_are_numbered_in_time_order_and_wakes_ascend() {
+        // A 2 ms cadence over 3 nodes staggers them at 0, 0 and 1 ms, so
+        // nodes 0 and 1 share every even boundary. The post listed first
+        // is the later one, and is numbered second.
+        let up = |ms, a, b| ContactEvent {
+            time: SimTime::from_millis(ms),
+            a,
+            b,
+            phase: ContactPhase::Up,
+            distance_m: 5.0,
+        };
+        let steps = schedule(
+            &Raw(3, vec![up(2, 1, 2), up(2, 0, 1)]),
+            SimTime::from_millis(4),
+            [(SimTime::from_millis(3), 2), (SimTime::from_millis(2), 0)],
+            SimDuration::from_millis(2),
+        );
+        let at_2 = Step {
+            encounters: vec![up(2, 1, 2), up(2, 0, 1)],
+            posts: vec![(0, 1)],
+            wakes: vec![0, 1],
+        };
+        let at_3 = Step {
+            encounters: vec![],
+            posts: vec![(2, 2)],
+            wakes: vec![2],
+        };
+        assert_eq!(
+            steps,
+            vec![
+                (SimTime::from_millis(2), at_2),
+                (SimTime::from_millis(3), at_3)
+            ]
+        );
     }
 
     #[test]

@@ -98,6 +98,17 @@ impl<E> EventQueue<E> {
         })
     }
 
+    /// Pops the earliest event if it is due strictly before `t`, so a
+    /// caller can interleave the queue with a schedule of its own: every
+    /// event due before the schedule's next instant runs first.
+    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        if self.heap.peek().is_some_and(|e| e.time < t) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
     /// The queue's clock: the time of the most recently popped event.
     pub fn now(&self) -> SimTime {
         self.now
@@ -135,6 +146,20 @@ mod tests {
         q.schedule(SimTime::from_secs(2), 'b').unwrap();
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!['a', 'b', 'c']);
+    }
+
+    #[test]
+    fn pop_before_stops_short_of_the_bound() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2), 'b').unwrap();
+        q.schedule(SimTime::from_secs(1), 'a').unwrap();
+        assert_eq!(q.pop_before(SimTime::from_secs(1)), None);
+        assert_eq!(
+            q.pop_before(SimTime::from_secs(2)),
+            Some((SimTime::from_secs(1), 'a'))
+        );
+        assert_eq!(q.pop_before(SimTime::from_secs(2)), None);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

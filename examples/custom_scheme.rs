@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use sos::core::prelude::*;
 use sos::core::routing::RoutingContext;
 use sos::core::Bundle;
-use sos::experiments::driver::{Driver, DriverConfig};
+use sos::experiments::driver::{run_study, DriverConfig, Study};
 use sos::net::Advertisement;
 use sos::sim::geo::Bounds;
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
@@ -104,21 +104,26 @@ fn run(use_custom: bool) -> (usize, u64, f64) {
         RadioTech::max_range_m(false),
         SimDuration::from_secs(20),
     );
-    let mut driver = Driver::new(
-        apps,
-        world,
-        followers,
-        DriverConfig {
-            ad_interval: SimDuration::from_secs(30),
-            infra_available: false,
-            seed: 2,
+    let run = run_study(
+        Study {
+            scheme: apps[0].middleware().scheme_kind(),
+            seed: 5,
+            apps,
+            source: world,
+            followers,
+            posts: (0..HOURS)
+                .map(|h| (SimTime::from_hours(h) + SimDuration::from_mins(5), 0))
+                .collect(),
+            driver: DriverConfig {
+                ad_interval: SimDuration::from_secs(30),
+                infra_available: false,
+                seed: 2,
+            },
+            end: SimTime::from_hours(HOURS),
         },
-        SimTime::from_hours(HOURS),
+        None,
     );
-    for h in 0..HOURS {
-        driver.schedule_post(SimTime::from_hours(h) + SimDuration::from_mins(5), 0);
-    }
-    let (metrics, apps) = driver.run();
+    let (metrics, apps) = (run.metrics, run.apps);
     let transfers = apps
         .iter()
         .map(|a| a.middleware().stats().bundles_received)

@@ -14,7 +14,7 @@
 
 use rand::SeedableRng;
 use sos::core::prelude::*;
-use sos::experiments::driver::{Driver, DriverConfig};
+use sos::experiments::driver::{run_study, DriverConfig, Study};
 use sos::sim::geo::Bounds;
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::radio::RadioTech;
@@ -82,31 +82,38 @@ fn run(scheme: SchemeKind) -> (usize, u64, f64, f64) {
     }
 
     let end = SimTime::from_hours(HOURS);
-    let mut driver = Driver::new(
-        apps,
-        world,
-        followers,
-        DriverConfig {
-            ad_interval: SimDuration::from_secs(30),
-            infra_available: false,
-            seed: 99,
-        },
-        end,
-    );
     // Coordinator bulletin every 2 h; each survivor checks in twice.
     let mut post_rng = rand::rngs::StdRng::seed_from_u64(77);
-    for h in (1..HOURS).step_by(2) {
-        driver.schedule_post(SimTime::from_hours(h), 0);
-    }
+    let mut posts: Vec<(SimTime, usize)> = (1..HOURS)
+        .step_by(2)
+        .map(|h| (SimTime::from_hours(h), 0))
+        .collect();
     for i in 1..SURVIVORS {
         for _ in 0..2 {
             use rand::Rng;
             let at = SimTime::from_millis(post_rng.gen_range(0..end.as_millis()));
-            driver.schedule_post(at, i);
+            posts.push((at, i));
         }
     }
 
-    let (metrics, apps) = driver.run();
+    let run = run_study(
+        Study {
+            scheme,
+            seed: 2024,
+            apps,
+            source: world,
+            followers,
+            posts,
+            driver: DriverConfig {
+                ad_interval: SimDuration::from_secs(30),
+                infra_available: false,
+                seed: 99,
+            },
+            end,
+        },
+        None,
+    );
+    let (metrics, apps) = (run.metrics, run.apps);
     let transfers: u64 = apps
         .iter()
         .map(|a| a.middleware().stats().bundles_received)

@@ -13,7 +13,7 @@
 
 use rand::SeedableRng;
 use sos::core::prelude::*;
-use sos::experiments::driver::{Driver, DriverConfig};
+use sos::experiments::driver::{run_study, DriverConfig, Study};
 use sos::sim::geo::{Bounds, Point};
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::mobility::trace::{Trajectory, TrajectoryBuilder};
@@ -100,26 +100,32 @@ fn main() {
         SimDuration::from_secs(10),
     );
 
-    let end = SimTime::from_hours(HOURS);
-    let mut driver = Driver::new(
-        apps,
-        world,
-        followers,
-        DriverConfig {
-            ad_interval: SimDuration::from_secs(30),
-            infra_available: false,
-            seed: 55,
-        },
-        end,
-    );
     // Each sensor posts a reading every 2 hours.
-    for s in 1..=SENSORS {
-        for h in (0..HOURS).step_by(2) {
-            driver.schedule_post(SimTime::from_hours(h) + SimDuration::from_mins(s as u64), s);
-        }
-    }
-
-    let (metrics, apps) = driver.run();
+    let posts = (1..=SENSORS)
+        .flat_map(|s| {
+            (0..HOURS)
+                .step_by(2)
+                .map(move |h| (SimTime::from_hours(h) + SimDuration::from_mins(s as u64), s))
+        })
+        .collect();
+    let run = run_study(
+        Study {
+            scheme: SchemeKind::Epidemic,
+            seed: 11,
+            apps,
+            source: world,
+            followers,
+            posts,
+            driver: DriverConfig {
+                ad_interval: SimDuration::from_secs(30),
+                infra_available: false,
+                seed: 55,
+            },
+            end: SimTime::from_hours(HOURS),
+        },
+        None,
+    );
+    let (metrics, apps) = (run.metrics, run.apps);
     let cdf = metrics.delays.cdf_all_hours();
     println!("smart city: {SENSORS} sensors, {BUSES} buses, {PEDESTRIANS} pedestrians, {HOURS} h");
     println!("sensor readings posted:        {}", metrics.posts);

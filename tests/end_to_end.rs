@@ -3,7 +3,7 @@
 
 use rand::SeedableRng;
 use sos::core::prelude::*;
-use sos::experiments::driver::{Driver, DriverConfig};
+use sos::experiments::driver::{run_study, DriverConfig, Study};
 use sos::sim::geo::Point;
 use sos::sim::mobility::trace::Trajectory;
 use sos::sim::{SimDuration, SimTime, World};
@@ -30,21 +30,24 @@ fn colocated_pair_delivers_quickly() {
         60.0,
         SimDuration::from_secs(10),
     );
-    let followers = vec![vec![1], vec![]];
-    let end = SimTime::from_mins(30);
-    let mut driver = Driver::new(
-        apps,
-        world,
-        followers,
-        DriverConfig {
-            ad_interval: SimDuration::from_secs(60),
-            infra_available: false,
+    let run = run_study(
+        Study {
+            scheme: SchemeKind::InterestBased,
             seed: 5,
+            apps,
+            source: world,
+            followers: vec![vec![1], vec![]],
+            posts: vec![(SimTime::from_secs(10), 0)],
+            driver: DriverConfig {
+                ad_interval: SimDuration::from_secs(60),
+                infra_available: false,
+                seed: 5,
+            },
+            end: SimTime::from_mins(30),
         },
-        end,
+        None,
     );
-    driver.schedule_post(SimTime::from_secs(10), 0);
-    let (metrics, apps) = driver.run();
+    let (metrics, apps) = (run.metrics, run.apps);
 
     assert_eq!(metrics.posts, 1);
     assert_eq!(metrics.delays.len(), 1, "one interested delivery");
@@ -69,15 +72,20 @@ fn isolated_nodes_never_communicate() {
         60.0,
         SimDuration::from_secs(10),
     );
-    let mut driver = Driver::new(
-        apps,
-        world,
-        vec![vec![1], vec![]],
-        DriverConfig::default(),
-        SimTime::from_hours(2),
+    let run = run_study(
+        Study {
+            scheme: SchemeKind::Epidemic,
+            seed: 7,
+            apps,
+            source: world,
+            followers: vec![vec![1], vec![]],
+            posts: vec![(SimTime::from_secs(5), 0)],
+            driver: DriverConfig::default(),
+            end: SimTime::from_hours(2),
+        },
+        None,
     );
-    driver.schedule_post(SimTime::from_secs(5), 0);
-    let (metrics, apps) = driver.run();
+    let (metrics, apps) = (run.metrics, run.apps);
     assert_eq!(metrics.delays.len(), 0);
     assert_eq!(apps[1].feed().len(), 0);
     assert_eq!(apps[1].middleware().stats().bundles_received, 0);
@@ -109,19 +117,24 @@ fn store_carry_forward_two_hops() {
         60.0,
         SimDuration::from_secs(10),
     );
-    let mut driver = Driver::new(
-        apps,
-        world,
-        vec![vec![1, 2], vec![], vec![]],
-        DriverConfig {
-            ad_interval: SimDuration::from_secs(30),
-            infra_available: false,
+    let run = run_study(
+        Study {
+            scheme: SchemeKind::Epidemic,
             seed: 9,
+            apps,
+            source: world,
+            followers: vec![vec![1, 2], vec![], vec![]],
+            posts: vec![(SimTime::from_secs(60), 0)],
+            driver: DriverConfig {
+                ad_interval: SimDuration::from_secs(30),
+                infra_available: false,
+                seed: 9,
+            },
+            end: SimTime::from_hours(3),
         },
-        SimTime::from_hours(3),
+        None,
     );
-    driver.schedule_post(SimTime::from_secs(60), 0);
-    let (metrics, apps) = driver.run();
+    let (metrics, apps) = (run.metrics, run.apps);
 
     assert_eq!(metrics.delays.len(), 2, "B and C both interested");
     let hops: Vec<u32> = metrics.delays.records().iter().map(|r| r.hops).collect();
@@ -156,22 +169,25 @@ fn interrupted_transfer_resumes_next_encounter() {
         60.0,
         SimDuration::from_secs(10),
     );
-    let mut driver = Driver::new(
-        apps,
-        world,
-        vec![vec![1], vec![]],
-        DriverConfig {
-            ad_interval: SimDuration::from_secs(30),
-            infra_available: false,
+    let run = run_study(
+        Study {
+            scheme: SchemeKind::InterestBased,
             seed: 31,
+            apps,
+            source: world,
+            followers: vec![vec![1], vec![]],
+            // Many posts: some may not fit in the first brief contact.
+            posts: (0..20).map(|i| (SimTime::from_secs(30 + i), 0)).collect(),
+            driver: DriverConfig {
+                ad_interval: SimDuration::from_secs(30),
+                infra_available: false,
+                seed: 31,
+            },
+            end: SimTime::from_hours(2),
         },
-        SimTime::from_hours(2),
+        None,
     );
-    // Many posts: some may not fit in the first brief contact.
-    for i in 0..20 {
-        driver.schedule_post(SimTime::from_secs(30 + i), 0);
-    }
-    let (metrics, apps) = driver.run();
+    let (metrics, apps) = (run.metrics, run.apps);
     assert_eq!(
         metrics.delays.len(),
         20,

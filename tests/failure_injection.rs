@@ -7,7 +7,7 @@
 use rand::SeedableRng;
 use sos::core::prelude::*;
 use sos::core::SosConfig;
-use sos::experiments::driver::{Driver, DriverConfig};
+use sos::experiments::driver::{run_study, DriverConfig, Study};
 use sos::experiments::eviction::encounter;
 use sos::experiments::scenario::{run_field_study, small_test_config};
 use sos::sim::geo::Point;
@@ -68,21 +68,24 @@ fn flapping_contact_recovers() {
         60.0,
         SimDuration::from_secs(10),
     );
-    let mut driver = Driver::new(
-        apps,
-        world,
-        vec![vec![1], vec![]],
-        DriverConfig {
-            ad_interval: SimDuration::from_secs(45),
-            infra_available: false,
+    let run = run_study(
+        Study {
+            scheme: SchemeKind::InterestBased,
             seed: 3,
+            apps,
+            source: world,
+            followers: vec![vec![1], vec![]],
+            posts: (0..50).map(|i| (SimTime::from_secs(10 + i), 0)).collect(),
+            driver: DriverConfig {
+                ad_interval: SimDuration::from_secs(45),
+                infra_available: false,
+                seed: 3,
+            },
+            end: SimTime::from_hours(2),
         },
-        SimTime::from_hours(2),
+        None,
     );
-    for i in 0..50 {
-        driver.schedule_post(SimTime::from_secs(10 + i), 0);
-    }
-    let (metrics, apps) = driver.run();
+    let (metrics, apps) = (run.metrics, run.apps);
     assert_eq!(metrics.delays.len(), 50, "all posts delivered eventually");
     assert_eq!(apps[1].feed().len(), 50);
     assert_eq!(metrics.security_alerts, 0);
