@@ -44,7 +44,7 @@
 //! wires the driver, attaches the observer, runs and totals, and many
 //! studies are one `sos_engine::run_replicas` over it. What comes back
 //! is always a [`StudyRun`], and the numbers every table reports are its
-//! [`RunSummary`] (or their [`RunSummary::mean`]).
+//! [`RunSummary`].
 
 use crate::observe::RunObserver;
 use alleyoop::app::AlleyOopApp;
@@ -195,9 +195,8 @@ impl StudyRun {
     }
 }
 
-/// What a comparison table says about one run — or, the counts being
-/// `f64`, about the mean of several (see [`RunSummary::mean`]). Plain
-/// data, so it can cross `sos_engine::run_replicas`' worker threads.
+/// What a comparison table says about one run. Plain data, so it can
+/// cross `sos_engine::run_replicas`' worker threads.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunSummary {
     /// Deliveries to interested subscribers.
@@ -213,24 +212,6 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// The mean of `runs`, number by number (the median delay over the
-    /// runs that delivered anything), so its
-    /// [`overhead`](RunSummary::overhead) is mean transfers per mean
-    /// delivery.
-    pub fn mean(runs: &[RunSummary]) -> RunSummary {
-        let mean = |of: fn(&RunSummary) -> Option<f64>| {
-            let values: Vec<f64> = runs.iter().filter_map(of).collect();
-            (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
-        };
-        RunSummary {
-            deliveries: mean(|s| Some(s.deliveries)).unwrap_or(0.0),
-            transfers: mean(|s| Some(s.transfers)).unwrap_or(0.0),
-            one_hop_fraction: mean(|s| Some(s.one_hop_fraction)).unwrap_or(0.0),
-            median_delay_hours: mean(|s| s.median_delay_hours),
-            delivery_ratio: mean(|s| Some(s.delivery_ratio)).unwrap_or(0.0),
-        }
-    }
-
     /// Transfers per delivery (lower is better; infinite when nothing
     /// was delivered).
     pub fn overhead(&self) -> f64 {
@@ -601,23 +582,4 @@ pub fn aggregate_stats(apps: &[AlleyOopApp]) -> SosStats {
         total.merge(&app.middleware().stats());
     }
     total
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn the_mean_delay_skips_runs_that_delivered_nothing() {
-        let run = |deliveries: f64, median_delay_hours: Option<f64>| RunSummary {
-            deliveries,
-            transfers: 2.0 * deliveries,
-            one_hop_fraction: 1.0,
-            median_delay_hours,
-            delivery_ratio: 0.5,
-        };
-        let mean = RunSummary::mean(&[run(4.0, Some(1.0)), run(0.0, None), run(2.0, Some(3.0))]);
-        assert_eq!(mean, run(2.0, Some(2.0)));
-        assert_eq!(RunSummary::mean(&[run(0.0, None)]), run(0.0, None));
-    }
 }

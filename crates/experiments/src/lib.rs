@@ -36,7 +36,8 @@
 //!   that attaches to any run without changing its outcome
 //!
 //! Run `cargo run --release -p sos-experiments --bin repro -- all` to
-//! print every reproduced figure.
+//! print every reproduced figure; `repro eviction`, `corpus`, `replay`
+//! and `metro` print the extension studies from the same builders.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

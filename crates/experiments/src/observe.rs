@@ -222,14 +222,25 @@ mod tests {
 
     /// The eviction study drives three bare middlewares, not the
     /// driver, but takes its observer the same way — and as passively.
+    /// Its journal sees the capped relay evict, its registry mirrors the
+    /// author's post counter, and a second observed run dumps the same
+    /// JSONL.
     #[test]
     fn observed_eviction_study_matches_the_blind_one() {
         let config = EvictionStudyConfig::default();
         let observer = RunObserver::new();
+        let outcome = run_eviction_study(&config, Some(&observer));
+        assert_eq!(run_eviction_study(&config, None), outcome);
+        let observation = observer.finish();
+        let journal = &observation.journal;
+        assert!(!journal.is_empty());
+        assert!(journal.evicted_total() > 0, "the capped relay evicts");
         assert_eq!(
-            run_eviction_study(&config, None),
-            run_eviction_study(&config, Some(&observer))
+            observation.metrics.counters["node0/sos/posts"],
+            outcome.posts
         );
-        assert!(!observer.finish().journal.is_empty());
+        let again = RunObserver::new();
+        run_eviction_study(&config, Some(&again));
+        assert_eq!(again.finish().journal.to_jsonl(), journal.to_jsonl());
     }
 }

@@ -473,8 +473,9 @@ fn journal_line(journal: &Journal) -> String {
     )
 }
 
-/// [`journal_line`] followed by the retained entries counted by kind.
-pub(crate) fn journal_summary(journal: &Journal) -> String {
+/// The journal footer line (entries retained and dropped) followed by
+/// the retained entries counted by kind.
+pub fn journal_summary(journal: &Journal) -> String {
     let mut out = journal_line(journal);
     for (kind, n) in journal.counts_by_kind() {
         out.push_str(&format!("    {kind:<18} {n}\n"));

@@ -226,7 +226,6 @@ pub fn small_test_config(seed: u64, scheme: SchemeKind) -> FieldStudyConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::RunSummary;
 
     #[test]
     fn small_field_study_delivers_messages() {
@@ -304,34 +303,39 @@ mod tests {
     }
 
     #[test]
-    fn scheme_means_over_seeds_on_the_grid_engine() {
+    fn epidemic_transfers_most_on_every_seed_on_the_grid_engine() {
         let schemes = [
             SchemeKind::InterestBased,
             SchemeKind::Epidemic,
             SchemeKind::Direct,
         ];
-        let jobs: Vec<(SchemeKind, u64)> = schemes
+        let seeds = [11, 12];
+        let jobs: Vec<(u64, SchemeKind)> = seeds
             .iter()
-            .flat_map(|&scheme| [11, 12].map(|seed| (scheme, seed)))
+            .flat_map(|&seed| schemes.map(|scheme| (seed, scheme)))
             .collect();
-        let runs = sos_engine::run_replicas(jobs, 2, |_, (scheme, seed)| {
+        let runs = sos_engine::run_replicas(jobs, 2, |_, (seed, scheme)| {
             let cfg = small_test_config(seed, scheme);
             run_study(field_study(&cfg, field_study_engine(&cfg)), None).summary()
         });
-        let means: Vec<RunSummary> = runs.chunks(2).map(RunSummary::mean).collect();
-        for (scheme, mean) in schemes.iter().zip(&means) {
-            assert!(mean.transfers > 0.0, "{scheme:?} made no transfers");
+        for (seed, runs) in seeds.iter().zip(runs.chunks(schemes.len())) {
+            for (scheme, run) in schemes.iter().zip(runs) {
+                assert!(
+                    run.transfers > 0.0,
+                    "seed {seed}: {scheme:?} made no transfers"
+                );
+            }
+            // Epidemic floods; it can never transfer less than IB, nor
+            // than Direct, on identical encounters.
+            assert!(runs[1].transfers >= runs[0].transfers, "seed {seed}");
+            assert!(runs[1].transfers >= runs[2].transfers, "seed {seed}");
+            let rows: Vec<_> = schemes
+                .iter()
+                .zip(runs)
+                .map(|(scheme, run)| (vec![scheme.name().to_string()], *run))
+                .collect();
+            let table = crate::report::summary_table("scheme", &rows);
+            assert!(table.contains("\nepidemic "), "{table}");
         }
-        // Epidemic floods; it can never transfer less than IB, nor than
-        // Direct, on identical encounters.
-        assert!(means[1].transfers >= means[0].transfers);
-        assert!(means[1].transfers >= means[2].transfers);
-        let rows: Vec<_> = schemes
-            .iter()
-            .zip(means)
-            .map(|(scheme, mean)| (vec![scheme.name().to_string()], mean))
-            .collect();
-        let table = crate::report::summary_table("scheme", &rows);
-        assert!(table.contains("\nepidemic "), "{table}");
     }
 }

@@ -27,9 +27,25 @@ fn an_unknown_command_is_refused_before_the_study_runs() {
 /// A study of zero days has no day to post on.
 #[test]
 fn zero_days_is_refused_before_the_study_runs() {
-    for command in ["text", "key", "ablation"] {
+    for command in ["text", "key", "ablation", "replay", "metro"] {
         assert_refused(&["--days", "0", command]);
     }
+}
+
+/// `metro` needs one or more positive populations.
+#[test]
+fn a_bad_population_list_is_refused_before_the_sweep_runs() {
+    for nodes in ["", ",", "0", "1200,0", "1200,", "12x"] {
+        assert_refused(&["--nodes", nodes, "metro"]);
+    }
+}
+
+#[test]
+fn eviction_prints_the_same_bytes_every_run() {
+    let first = repro(&["eviction"]);
+    assert!(first.status.success());
+    assert!(!first.stdout.is_empty());
+    assert_eq!(first.stdout, repro(&["eviction"]).stdout);
 }
 
 #[test]

@@ -37,8 +37,8 @@
 //! The acceptance check for an import is its [`TraceAnalytics`]
 //! inter-contact CCDF fingerprint: `crates/trace/tests/fixtures/`
 //! holds miniature files per format together with their expected
-//! curves, asserted in tests and smoke-run in CI via
-//! `examples/import_corpus.rs`.
+//! curves, asserted in `tests/corpora_import.rs`, whose failure message
+//! carries the measured curve in the same format.
 //!
 //! [`TraceAnalytics`]: crate::TraceAnalytics
 
@@ -206,10 +206,8 @@ pub(crate) fn validate_device_id(id: &str, line: usize) -> Result<(), TraceError
 /// <P(gap > x)>` lines, `#` comments) against a trace's analytics.
 ///
 /// Every point must match within `tolerance` (absolute). Returns the
-/// number of points checked on success — the single source of truth
-/// the fixture tests and `examples/import_corpus.rs` both use, so
-/// `cargo test` and the CI example smoke enforce identical acceptance
-/// criteria.
+/// number of points checked on success: the one acceptance check the
+/// fixture tests apply.
 pub fn check_ccdf_fingerprint(
     analytics: &TraceAnalytics,
     expected: &str,

@@ -37,14 +37,31 @@ fn import_fixture(name: &str, format: CorpusFormat) -> ImportedCorpus {
     corpus
 }
 
+/// Where the committed fingerprints are evaluated, hours.
+const CCDF_XS_HOURS: [f64; 8] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0];
+
 /// `<x_hours> <p>` lines committed next to each fixture, compared via
-/// the same `check_ccdf_fingerprint` the CI example smoke uses.
+/// `check_ccdf_fingerprint`. A mismatch prints the measured curve in
+/// the same format: after editing a fixture, paste it into the `.ccdf`
+/// file.
 fn assert_fingerprint(name: &str, corpus: &ImportedCorpus) {
     let expected = String::from_utf8(fixture(name)).expect("fingerprint utf-8");
     let analytics = TraceAnalytics::compute(&corpus.trace);
+    let mut measured = String::from("# inter-contact CCDF fingerprint: <x_hours> <P(gap > x)>\n");
+    for (x, p) in analytics.intercontact_ccdf(&CCDF_XS_HOURS) {
+        measured.push_str(&format!("{x} {p:.6}\n"));
+    }
+    // The printed curve is itself a fingerprint this trace passes.
+    assert_eq!(
+        check_ccdf_fingerprint(&analytics, &measured, 1e-6),
+        Ok(CCDF_XS_HOURS.len())
+    );
     let checked = check_ccdf_fingerprint(&analytics, &expected, 0.02)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    assert!(checked >= 8, "{name}: fingerprint too short");
+        .unwrap_or_else(|e| panic!("{name}: {e}; measured curve:\n{measured}"));
+    assert!(
+        checked >= CCDF_XS_HOURS.len(),
+        "{name}: fingerprint too short; measured curve:\n{measured}"
+    );
 }
 
 #[test]

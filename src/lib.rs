@@ -5,9 +5,10 @@
 //! Middleware using a Delay Tolerant Social Network"* (ICDCS 2017,
 //! arXiv:1703.08947).
 //!
-//! Re-exports every workspace crate under one roof; the `examples/`
-//! directory and the cross-crate integration tests in `tests/` build
-//! against this crate.
+//! Re-exports every workspace crate under one roof; the builder demos
+//! in `examples/` and the cross-crate integration tests in `tests/`
+//! build against this crate. The paper's results and the extension
+//! studies print from one binary, `repro`.
 //!
 //! | Crate | Contents |
 //! |---|---|
@@ -28,7 +29,8 @@
 //! * `cargo run --example quickstart` — two phones, one secure D2D post.
 //! * `cargo run --release -p sos-experiments --bin repro -- all` — the
 //!   full 7-day Gainesville reproduction: every figure of the
-//!   evaluation, paper-vs-measured.
+//!   evaluation, paper-vs-measured. `repro eviction`, `corpus`,
+//!   `replay` and `metro` print the extension studies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
