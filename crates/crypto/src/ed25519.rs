@@ -46,25 +46,35 @@
 //! [`VerifyingKey::verify_naive`]) are kept as reference oracles;
 //! everything hot runs through precomputation:
 //!
-//! * [`basepoint_table`] — a lazily built signed radix-16 fixed-window
-//!   table of the basepoint (64 windows × 8 multiples), making `[s]B` a
-//!   ~64-addition sum with **zero** doublings. Its entries — and the
-//!   basepoint's odd multiples behind the Straus path — are stored in
-//!   *affine* Niels form (`Z = 1`: `y+x, y−x, 2d·x·y`), normalised once
-//!   at build with a single shared inversion, so each addition is 7
-//!   field multiplications instead of 8. Used by signing, key
-//!   generation, the `[s]B` half of verification — and, mapped to
-//!   Montgomery form, by every X25519 public key
+//! * [`basepoint_table`] — a lazily built signed radix-2^8 fixed-window
+//!   table of the basepoint (32 windows × 128 multiples, 480 KiB),
+//!   making `[s]B` a sum of at most 32 additions with **zero**
+//!   doublings (half the additions of the radix-16 table it replaced).
+//!   Its entries are stored in *affine* Niels form (`Z = 1`: `y+x, y−x,
+//!   2d·x·y`), normalised at build with one inversion shared by each
+//!   window's row, so each addition is 7 field multiplications instead
+//!   of 8. A sum gathers its entries before the first addition, so the
+//!   cache misses of a table evicted from L2 overlap instead of each
+//!   waiting for the addition before it. Every `[s]B` goes through it:
+//!   signing, key generation, the `[s]B` half of every verification
+//!   flavour — and, mapped to
+//!   Montgomery form, every X25519 public key
 //!   ([`crate::x25519::x25519_base`]: both ephemeral keys of a
-//!   handshake). Per-author tables stay projective: normalising one
-//!   costs three quarters of building it (~3 600 multiplications and an
-//!   inversion) to save one multiplication in each of ~60 additions
-//!   per verification, which only some sixty signatures by one author
-//!   per cache entry would repay.
+//!   handshake). Per-author tables stay radix 16 and projective: at
+//!   480 KiB a key the 256-entry cache would hold 120 MiB, and
+//!   normalising one costs three quarters of building it (~3 600
+//!   multiplications and an inversion) to save one multiplication in
+//!   each of ~60 additions per verification, which only some sixty
+//!   signatures by one author per cache entry would repay.
 //! * [`EdwardsPoint::mul_scalar`] — 4-bit sliding-window (w-NAF)
-//!   variable-base multiplication (≈ 51 additions instead of ≈ 128).
-//! * [`EdwardsPoint::double_scalar_mul_basepoint`] — Straus/Shamir
-//!   interleaving of `[s]B + [k]A` over one shared doubling chain.
+//!   variable-base multiplication (≈ 51 additions instead of ≈ 128). A
+//!   doubling whose result only feeds another doubling skips the
+//!   extended coordinate `T`: about 200 of its ≈ 252 doublings, one
+//!   field multiplication each.
+//! * [`EdwardsPoint::double_scalar_mul_basepoint`] — the one-shot
+//!   `[s]B + [k]A` of [`VerifyingKey::verify_uncached`]: a basepoint
+//!   table sum plus a w-NAF `[k]A`, where an interleaved Straus chain
+//!   spent ≈ 51 additions on the `B` half.
 //! * [`PreparedVerifyingKey`] — caches the decompressed public key *and*
 //!   a fixed-window table of `-A`, so repeat verifications by the same
 //!   author cost two table sums plus one addition. A bounded
@@ -72,8 +82,8 @@
 //!   automatically, and admits by second chance: a hit marks its entry,
 //!   and a miss on a *full* cache looks at the oldest entry. A marked
 //!   one is unmarked and requeued while the newcomer is checked with
-//!   [`VerifyingKey::verify_uncached`] (~36 µs, no table built); an
-//!   unmarked one is evicted and the newcomer's table (~64 µs) built
+//!   [`VerifyingKey::verify_uncached`] (~63 µs, no table built); an
+//!   unmarked one is evicted and the newcomer's table (~130 µs) built
 //!   and inserted. A key met once therefore costs one one-shot check
 //!   instead of a table nobody reuses, while keys that earn hits stay.
 //!   [`verify_batch`] always takes tables (its per-author sums need
@@ -175,6 +185,15 @@ impl EdwardsPoint {
 
     /// Point doubling.
     pub fn double(&self) -> EdwardsPoint {
+        self.double_keeping_t(true)
+    }
+
+    /// Point doubling that computes the extended coordinate `T` only
+    /// when `keep_t` is set. Doubling reads `X`, `Y` and `Z` alone, so a
+    /// result that feeds nothing but another doubling skips one field
+    /// multiplication; its `T` is then zero, not `X·Y/Z`, and it must
+    /// not be added, negated or converted.
+    fn double_keeping_t(&self, keep_t: bool) -> EdwardsPoint {
         let a = self.x.square();
         let b = self.y.square();
         let c = self.z.square().mul_small(2);
@@ -185,9 +204,18 @@ impl EdwardsPoint {
         EdwardsPoint {
             x: e.mul(&f),
             y: g.mul(&h),
-            t: e.mul(&h),
+            t: if keep_t { e.mul(&h) } else { Fe::ZERO },
             z: f.mul(&g),
         }
+    }
+
+    /// `[2^n]·self`: only the last doubling computes `T`.
+    fn doublings(&self, n: usize) -> EdwardsPoint {
+        let mut q = *self;
+        for left in (0..n).rev() {
+            q = q.double_keeping_t(left == 0);
+        }
+        q
     }
 
     /// Point negation.
@@ -256,7 +284,8 @@ impl EdwardsPoint {
     }
 
     /// Scalar multiplication by a canonical scalar, using a 4-bit
-    /// sliding window (w-NAF) over precomputed odd multiples.
+    /// sliding window (w-NAF) over precomputed odd multiples. Between two
+    /// non-zero digits only the last doubling computes `T`.
     ///
     /// Exactly equivalent to the double-and-add oracle
     /// (`mul_bytes(&scalar.to_bytes())`) for every point, proven by the
@@ -265,18 +294,15 @@ impl EdwardsPoint {
         let odd = OddMultiples::projective(self);
         let naf = scalar.non_adjacent_form4();
         let mut q = EdwardsPoint::identity();
-        let mut started = false;
-        for i in (0..256).rev() {
-            if started {
-                q = q.double();
+        let mut above = None; // position of the last digit applied
+        for i in (0..256).rev().filter(|&i| naf[i] != 0) {
+            if let Some(above) = above {
+                q = q.doublings(above - i);
             }
-            let digit = naf[i];
-            if digit != 0 {
-                started = true;
-                q = odd.apply(&q, digit);
-            }
+            q = odd.apply(&q, naf[i]);
+            above = Some(i);
         }
-        q
+        above.map_or(q, |above| q.doublings(above))
     }
 
     /// Scalar multiplication by double-and-add over the 256-bit scalar
@@ -287,33 +313,14 @@ impl EdwardsPoint {
         self.mul_bytes(&bytes)
     }
 
-    /// Computes `[s]B + [k]·self` with Straus/Shamir interleaving: one
-    /// shared doubling chain instead of two independent ones. The `[s]B`
-    /// half reads the static basepoint window; the `[k]` half uses odd
-    /// multiples of `self` computed on the fly. This is the one-shot
-    /// verification work-horse; [`PreparedVerifyingKey`] beats it only
-    /// because its fixed table removes the doubling chain entirely.
+    /// Computes `[s]B + [k]·self`: the `[s]B` half is a sum over the
+    /// static radix-2^8 basepoint table (≤ 32 additions, no doublings),
+    /// the `[k]` half a w-NAF [`EdwardsPoint::mul_scalar`]. This is the
+    /// one-shot verification work-horse; [`PreparedVerifyingKey`] beats
+    /// it only because its fixed table removes the doubling chain of the
+    /// second half too.
     pub fn double_scalar_mul_basepoint(s: &Scalar, k: &Scalar, a: &EdwardsPoint) -> EdwardsPoint {
-        let b_odd = basepoint_odd_multiples();
-        let a_odd = OddMultiples::projective(a);
-        let s_naf = s.non_adjacent_form4();
-        let k_naf = k.non_adjacent_form4();
-        let mut q = EdwardsPoint::identity();
-        let mut started = false;
-        for i in (0..256).rev() {
-            if started {
-                q = q.double();
-            }
-            if s_naf[i] != 0 {
-                started = true;
-                q = b_odd.apply(&q, s_naf[i]);
-            }
-            if k_naf[i] != 0 {
-                started = true;
-                q = a_odd.apply(&q, k_naf[i]);
-            }
-        }
-        q
+        basepoint_table().mul(s).add(&a.mul_scalar(k))
     }
 
     /// Scalar multiplication where the scalar is raw little-endian bytes
@@ -416,7 +423,7 @@ impl EdwardsPoint {
     /// True when `[8]·self` is the neutral element, i.e. `self` lies in
     /// the small-order subgroup — the cofactored equation's "= O".
     fn is_small_order(&self) -> bool {
-        let p8 = self.double().double().double();
+        let p8 = self.doublings(3);
         p8.x.is_zero() && p8.y == p8.z
     }
 }
@@ -434,8 +441,8 @@ struct PNiels {
 /// A point in "affine Niels" form `(y+x, y−x, 2d·x·y)`: a [`PNiels`]
 /// normalised to `Z = 1`, which saves its additions the `Z₁·Z₂`
 /// product. Normalising costs an inversion, so only the static
-/// basepoint tables — built once per process, with one inversion
-/// shared by all their entries — are kept in this form.
+/// basepoint table — built once per process, with one inversion shared
+/// by each row of 128 entries — is kept in this form.
 #[derive(Clone, Copy, Debug)]
 struct AffineNiels {
     y_plus_x: Fe,
@@ -490,57 +497,64 @@ impl Addend for AffineNiels {
 }
 
 /// Odd multiples `[P, 3P, 5P, 7P]` backing the 4-bit sliding windows.
-struct OddMultiples<E>([E; 4]);
+struct OddMultiples([PNiels; 4]);
 
-impl OddMultiples<PNiels> {
-    fn projective(p: &EdwardsPoint) -> OddMultiples<PNiels> {
-        OddMultiples(odd_multiples(p).map(EdwardsPoint::to_pniels))
+impl OddMultiples {
+    fn projective(p: &EdwardsPoint) -> OddMultiples {
+        let p2 = p.double().to_pniels();
+        let p3 = p.add_pniels(&p2, false);
+        let p5 = p3.add_pniels(&p2, false);
+        let p7 = p5.add_pniels(&p2, false);
+        OddMultiples([*p, p3, p5, p7].map(EdwardsPoint::to_pniels))
     }
-}
 
-fn odd_multiples(p: &EdwardsPoint) -> [EdwardsPoint; 4] {
-    let p2 = p.double().to_pniels();
-    let p3 = p.add_pniels(&p2, false);
-    let p5 = p3.add_pniels(&p2, false);
-    let p7 = p5.add_pniels(&p2, false);
-    [*p, p3, p5, p7]
-}
-
-impl<E: Addend> OddMultiples<E> {
     /// Adds `digit·P` to `q` for a w-NAF digit in `{±1, ±3, ±5, ±7}`.
     fn apply(&self, q: &EdwardsPoint, digit: i8) -> EdwardsPoint {
-        self.0[digit.unsigned_abs() as usize / 2].add_to(q, digit < 0)
+        q.add_pniels(&self.0[digit.unsigned_abs() as usize / 2], digit < 0)
     }
 }
 
-/// Calls `emit` with `(j+1)·16^i·P` for each of 64 windows `i` and
-/// `j < 8`, in the order the window tables store them.
-fn window_multiples(p: &EdwardsPoint, mut emit: impl FnMut(EdwardsPoint)) {
+/// Calls `emit` once per window `i` of the `256 / w`, with the row
+/// `(j+1)·2^(w·i)·P` for `j < 2^(w−1)`, in the order the window tables
+/// store them: the signed radix-2^w digits of a canonical scalar lie in
+/// `[−2^(w−1), 2^(w−1))`.
+fn window_multiples(p: &EdwardsPoint, w: usize, mut emit: impl FnMut(&[EdwardsPoint])) {
+    let per_row = 1 << (w - 1);
+    let mut row = Vec::with_capacity(per_row);
     let mut base = *p;
-    for i in 0..64 {
+    for _ in 0..256 / w {
         let step = base.to_pniels();
-        let mut acc = base;
-        emit(acc);
-        for _ in 1..8 {
-            acc = acc.add_pniels(&step, false);
-            emit(acc);
+        row.clear();
+        row.push(base);
+        while row.len() < per_row {
+            row.push(row[row.len() - 1].add_pniels(&step, false));
         }
-        if i < 63 {
-            base = acc.double(); // 16·base from 8·base
-        }
+        emit(&row);
+        base = row[row.len() - 1].double(); // 2^w·base from 2^(w−1)·base
     }
 }
 
-/// `[s]P` as a doubling-free sum over the signed radix-16 digits of
-/// `s`, from a table holding `entries[8·i + j] = (j+1)·16^i·P`.
-fn window_sum<E: Addend>(entries: &[E], s: &Scalar) -> EdwardsPoint {
-    let mut q = EdwardsPoint::identity();
-    for (row, &d) in entries.chunks_exact(8).zip(s.to_radix16().iter()) {
+/// `[s]P` as a doubling-free sum, one addition per non-zero digit, from
+/// a table holding `entries[n·i + j] = (j+1)·(2n)^i·P` and the `N`
+/// signed radix-2n digits of `s`. The entries are gathered before the
+/// first addition: their loads depend on the digits alone, so the cache
+/// misses of a table larger than the L2 cache overlap instead of each
+/// waiting for the addition before it.
+fn window_sum<E: Addend + Copy, const N: usize>(entries: &[E], digits: &[i8; N]) -> EdwardsPoint {
+    let n = entries.len() / N;
+    let mut picked = [(entries[0], false); N];
+    let mut count = 0;
+    for (row, &d) in entries.chunks_exact(n).zip(digits) {
         if d != 0 {
-            q = row[d.unsigned_abs() as usize - 1].add_to(&q, d < 0);
+            picked[count] = (row[d.unsigned_abs() as usize - 1], d < 0);
+            count += 1;
         }
     }
-    q
+    picked[..count]
+        .iter()
+        .fold(EdwardsPoint::identity(), |q, (entry, negate)| {
+            entry.add_to(&q, *negate)
+        })
 }
 
 /// A signed radix-16 fixed-window table: every `(j+1)·16^i·P` for 64
@@ -548,10 +562,11 @@ fn window_sum<E: Addend>(entries: &[E], s: &Scalar) -> EdwardsPoint {
 /// precomputed points with **no doublings** at multiplication time.
 ///
 /// Building costs ~520 point operations (~120 µs); one multiplication
-/// through it costs at most 64 mixed additions (~11 µs, ~10 µs through
-/// the affine [`BasepointTable`]; the 255-step X25519 ladder takes
-/// ~43 µs). It pays for itself within a handful of reuses, which is why
-/// it backs the per-author [`PreparedVerifyingKey`].
+/// through it costs at most 64 mixed additions (~11 µs; the 255-step
+/// X25519 ladder takes ~43 µs). It pays for itself within a handful of
+/// reuses, which is why it backs the per-author [`PreparedVerifyingKey`],
+/// and at 80 KiB it is small enough for 256 of them to be cached, which
+/// is why it stays radix 16 where the basepoint's is radix 2^8.
 pub struct FixedWindowTable {
     entries: Vec<PNiels>,
 }
@@ -566,54 +581,49 @@ impl FixedWindowTable {
     /// Precomputes the table for `p`.
     pub fn new(p: &EdwardsPoint) -> FixedWindowTable {
         let mut entries = Vec::with_capacity(512);
-        window_multiples(p, |multiple| entries.push(multiple.to_pniels()));
+        window_multiples(p, 4, |row| {
+            entries.extend(row.iter().map(|multiple| multiple.to_pniels()))
+        });
         FixedWindowTable { entries }
     }
 
     /// Computes `[s]P` as a doubling-free sum over the signed radix-16
     /// digits of `s`.
     pub fn mul(&self, s: &Scalar) -> EdwardsPoint {
-        window_sum(&self.entries, s)
+        window_sum(&self.entries, &s.to_radix16())
     }
 }
 
-/// The fixed-window table of the RFC 8032 basepoint: the layout of a
-/// [`FixedWindowTable`] with every entry normalised to affine Niels
-/// form (`Z = 1`), so each of the ≤ 64 additions of a `[s]B` saves a
-/// multiplication. Obtained from [`basepoint_table`].
+/// The fixed-window table of the RFC 8032 basepoint at radix 2^8: every
+/// `(j+1)·256^i·B` for 32 windows `i` and `j < 128`, normalised to
+/// affine Niels form (`Z = 1`) with one inversion per window. A `[s]B` is
+/// then at most 32 mixed additions of 7 multiplications each, half the
+/// additions of a radix-16 table (~5.8 µs against ~10.1 µs on a 2-core
+/// Xeon container). The 4 096 entries take 480 KiB and ~3 ms to build,
+/// once per process. Obtained from [`basepoint_table`].
 pub struct BasepointTable {
     entries: Vec<AffineNiels>,
 }
 
 impl BasepointTable {
-    /// Computes `[s]B` as a doubling-free sum over the signed radix-16
+    /// Computes `[s]B` as a doubling-free sum over the signed radix-2^8
     /// digits of `s`.
     pub fn mul(&self, s: &Scalar) -> EdwardsPoint {
-        window_sum(&self.entries, s)
+        window_sum(&self.entries, &s.to_radix256())
     }
 }
 
-/// The lazily built fixed-window table of the RFC 8032 basepoint, shared
-/// by signing, key generation, and the `[s]B` half of verification.
+/// The lazily built fixed-window table of the RFC 8032 basepoint, behind
+/// every `[s]B`: signing, key generation, X25519 public keys and the
+/// `[s]B` half of every verification flavour.
 pub fn basepoint_table() -> &'static BasepointTable {
     static TABLE: OnceLock<BasepointTable> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut multiples = Vec::with_capacity(512);
-        window_multiples(&EdwardsPoint::basepoint(), |multiple| {
-            multiples.push(multiple)
+        let mut entries = Vec::with_capacity(4096);
+        window_multiples(&EdwardsPoint::basepoint(), 8, |row| {
+            entries.extend(AffineNiels::batch(row))
         });
-        BasepointTable {
-            entries: AffineNiels::batch(&multiples),
-        }
-    })
-}
-
-/// Odd multiples of the basepoint for the Straus interleaved path.
-fn basepoint_odd_multiples() -> &'static OddMultiples<AffineNiels> {
-    static ODD: OnceLock<OddMultiples<AffineNiels>> = OnceLock::new();
-    ODD.get_or_init(|| {
-        let affine = AffineNiels::batch(&odd_multiples(&EdwardsPoint::basepoint()));
-        OddMultiples([affine[0], affine[1], affine[2], affine[3]])
+        BasepointTable { entries }
     })
 }
 
@@ -743,10 +753,11 @@ impl VerifyingKey {
         }
     }
 
-    /// One-shot verification via the Straus interleaved double-scalar
-    /// multiplication: no per-key table is built or cached. Useful when
-    /// a key is known to be seen once (equivalence-tested against both
-    /// the cached path and the naive oracle).
+    /// One-shot verification via
+    /// [`EdwardsPoint::double_scalar_mul_basepoint`]: no per-key table
+    /// is built or cached. Useful when a key is known to be seen once
+    /// (equivalence-tested against both the cached path and the naive
+    /// oracle).
     pub fn verify_uncached(&self, message: &[u8], signature: &Signature) -> bool {
         let Some((s, k, r_enc)) = self.verify_parts(message, signature) else {
             return false;
@@ -821,13 +832,13 @@ fn residue_accepted(r_prime: &EdwardsPoint, r_enc: &[u8; 32]) -> bool {
 
 /// A verifying key prepared for repeat use: the decompressed point plus
 /// a fixed-window table of `-A`, so each verification is two
-/// doubling-free table sums and one addition (~26 µs, 5–5.5x faster
+/// doubling-free table sums and one addition (~24 µs, about 6x faster
 /// than the naive path; see `cargo bench -p sos-bench --bench crypto`).
 ///
-/// Building one costs ~64 µs (`ed25519/prepared_new`: four to five
-/// prepared verifications), against ~36 µs for a one-shot
+/// Building one costs ~130 µs (`ed25519/prepared_new`: five to six
+/// prepared verifications), against ~63 µs for a one-shot
 /// [`VerifyingKey::verify_uncached`] — amortized away by an author's
-/// third signature, which is exactly the SOS workload: a sync encounter
+/// fourth signature, which is exactly the SOS workload: a sync encounter
 /// delivers an author's bundles in batches (~200 per session), and a
 /// handshake peer is usually met again. A key seen only once never
 /// repays its table, which is what the cache's second-chance admission
@@ -943,7 +954,7 @@ fn prepared_cache_lookup(
             return None;
         }
     }
-    // Build outside the lock: table construction is ~64 µs and must not
+    // Build outside the lock: table construction is ~130 µs and must not
     // serialize other threads' verifications.
     let prepared = Arc::new(PreparedVerifyingKey::new(key)?);
     PREPARED_BUILDS.fetch_add(1, Relaxed);
@@ -1002,7 +1013,9 @@ fn cores() -> usize {
 /// A batch of at least `2·PAR_MIN` signatures on a multi-core machine
 /// is split into one contiguous sub-batch per core (at most `n /
 /// PAR_MIN` of them), each checked exactly as a whole batch is below:
-/// its own transcript, `zᵢ`, table sums and doubling chain. All but the
+/// its own transcript, `zᵢ`, table sums and doubling chain; the keys'
+/// tables are taken from the cache once, before the split, so a cold
+/// author costs one table build however many parts there are. All but the
 /// first run on scoped threads while the caller checks the first, and
 /// the verdict is the AND of theirs. Each sub-batch decides the one
 /// cofactored predicate of the module header, so the verdict is the
@@ -1039,36 +1052,12 @@ pub fn verify_batch(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
 
 /// Checks `items` as `parts` contiguous sub-batches of near-equal size
 /// (one when `parts ≤ 1`): parts after the first on scoped threads, the
-/// first on the caller. Every worker is joined before the verdicts are
+/// first on the caller. The serial fallback is decided, and every
+/// distinct key's table taken from the cache, once for the whole batch
+/// before any thread starts, so a key the cache lacks is built once,
+/// not once per part. Every worker is joined before the verdicts are
 /// combined, so `scope` never re-raises a worker's panic.
 fn verify_split(items: &[(&VerifyingKey, &[u8], &Signature)], parts: usize) -> bool {
-    if parts <= 1 {
-        return verify_combined(items);
-    }
-    let part = |i: usize| &items[i * items.len() / parts..(i + 1) * items.len() / parts];
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (1..parts)
-            .map(|i| {
-                std::thread::Builder::new()
-                    .spawn_scoped(scope, move || verify_combined(part(i)))
-                    .map_err(|_| part(i))
-            })
-            .collect();
-        let first = verify_combined(part(0));
-        workers.into_iter().fold(first, |all, worker| {
-            let verdict = match worker {
-                Ok(handle) => handle.join().unwrap_or(false),
-                Err(unspawned) => verify_combined(unspawned),
-            };
-            verdict && all
-        })
-    })
-}
-
-/// One sub-batch as one random linear combination (the body of
-/// [`verify_batch`]'s doc), or serially when it is too small or has too
-/// few signatures per key for the combination to pay.
-fn verify_combined(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
     let serial = || items.iter().all(|(key, msg, sig)| key.verify(msg, sig));
     if items.len() < BATCH_MIN {
         return serial();
@@ -1079,14 +1068,46 @@ fn verify_combined(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
     if items.len() < 2 * keys.len() {
         return serial();
     }
-    let Some(prepared) = keys
+    let Some(tables) = keys
         .iter()
         .map(|bytes| prepared_cache_lookup(&VerifyingKey(**bytes), false))
         .collect::<Option<Vec<_>>>()
     else {
         return false;
     };
+    let check = |part| verify_combined(part, &keys, &tables);
+    if parts <= 1 {
+        return check(items);
+    }
+    let part = |i: usize| &items[i * items.len() / parts..(i + 1) * items.len() / parts];
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..parts)
+            .map(|i| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || check(part(i)))
+                    .map_err(|_| part(i))
+            })
+            .collect();
+        let first = check(part(0));
+        workers.into_iter().fold(first, |all, worker| {
+            let verdict = match worker {
+                Ok(handle) => handle.join().unwrap_or(false),
+                Err(unspawned) => check(unspawned),
+            };
+            verdict && all
+        })
+    })
+}
 
+/// One sub-batch as one random linear combination (the body of
+/// [`verify_batch`]'s doc), given the batch's sorted distinct `keys`
+/// and their `tables`. A key with no signature in this sub-batch has a
+/// zero coefficient and costs no table sum.
+fn verify_combined(
+    items: &[(&VerifyingKey, &[u8], &Signature)],
+    keys: &[&[u8; 32]],
+    tables: &[Arc<PreparedVerifyingKey>],
+) -> bool {
     // Parse everything first: any malformed part fails the batch, and
     // the transcript must cover every item before the first z is drawn.
     let mut parts = Vec::with_capacity(items.len());
@@ -1113,7 +1134,7 @@ fn verify_combined(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
     z_nonce.copy_from_slice(&digest[32..44]);
 
     let mut b_coeff = Scalar::ZERO;
-    let mut a_coeffs = vec![Scalar::ZERO; prepared.len()];
+    let mut a_coeffs = vec![Scalar::ZERO; tables.len()];
     let mut r_terms = Vec::with_capacity(parts.len());
     // One ChaCha20 block is four 128-bit coefficients.
     for (block, four) in (0u32..).zip(parts.chunks(4)) {
@@ -1128,6 +1149,8 @@ fn verify_combined(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
         }
     }
 
+    // This chain keeps `T` on every doubling: with more than a handful
+    // of terms nearly every position holds some term's digit.
     let mut q = EdwardsPoint::identity();
     for i in (0..=Z_NAF_TOP).rev() {
         q = q.double();
@@ -1138,8 +1161,10 @@ fn verify_combined(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
         }
     }
     q = q.add(&basepoint_table().mul(&b_coeff));
-    for (key, coeff) in prepared.iter().zip(&a_coeffs) {
-        q = q.add(&key.neg_table.mul(coeff));
+    for (table, coeff) in tables.iter().zip(&a_coeffs) {
+        if *coeff != Scalar::ZERO {
+            q = q.add(&table.neg_table.mul(coeff));
+        }
     }
     q.is_small_order()
 }
@@ -1460,39 +1485,39 @@ mod tests {
     #[test]
     fn affine_basepoint_entries_are_normalised_curve_points() {
         // −x² + y² = 1 + d·x²·y², the third coordinate is 2d·x·y, and
-        // entry (i, j) is (j+1)·16^i·B.
+        // entry (i, j) of the 32 × 128 layout is (j+1)·256^i·B.
         let table = basepoint_table();
-        assert_eq!(table.entries.len(), 512);
+        assert_eq!(table.entries.len(), 32 * 128);
         let half = Fe::from_u64(2).invert();
-        let affine = |n: &AffineNiels| {
-            let x = n.y_plus_x.sub(&n.y_minus_x).mul(&half);
-            let y = n.y_plus_x.add(&n.y_minus_x).mul(&half);
-            (x, y)
-        };
-        let odd = basepoint_odd_multiples();
-        for n in table.entries.iter().chain(&odd.0) {
-            let (x, y) = affine(n);
-            let (x2, y2) = (x.square(), y.square());
-            assert_eq!(y2.sub(&x2), x2.mul(&y2).mul(&d()).add(&Fe::ONE));
-            assert_eq!(n.xy2d, x.mul(&y).mul(&d2()));
-        }
-        let mut sixteen_to_the_i = EdwardsPoint::basepoint();
-        for row in table.entries.chunks_exact(8) {
-            let mut expected = sixteen_to_the_i;
+        let mut base = EdwardsPoint::basepoint(); // 256^i·B
+        for row in table.entries.chunks_exact(128) {
+            let mut expected = base;
             for n in row {
-                let (x, y) = affine(n);
-                let zinv = expected.z.invert();
-                assert_eq!(x, expected.x.mul(&zinv));
-                assert_eq!(y, expected.y.mul(&zinv));
-                expected = expected.add(&sixteen_to_the_i);
+                let x = n.y_plus_x.sub(&n.y_minus_x).mul(&half);
+                let y = n.y_plus_x.add(&n.y_minus_x).mul(&half);
+                let (x2, y2) = (x.square(), y.square());
+                assert_eq!(y2.sub(&x2), x2.mul(&y2).mul(&d()).add(&Fe::ONE));
+                assert_eq!(n.xy2d, x.mul(&y).mul(&d2()));
+                assert_eq!(x.mul(&expected.z), expected.x);
+                assert_eq!(y.mul(&expected.z), expected.y);
+                expected = expected.add(&base);
             }
-            sixteen_to_the_i = sixteen_to_the_i.mul_scalar_naive(&Scalar::from_u64(16));
+            base = base.mul_bytes(&Scalar::from_u64(256).to_bytes());
         }
-        for (k, n) in [1u64, 3, 5, 7].iter().zip(&odd.0) {
-            let expected = EdwardsPoint::basepoint().mul_scalar_naive(&Scalar::from_u64(*k));
-            let (x, y) = affine(n);
-            assert_eq!(x.mul(&expected.z), expected.x);
-            assert_eq!(y.mul(&expected.z), expected.y);
+    }
+
+    #[test]
+    fn doublings_without_t_then_an_addition_match_mul_bytes() {
+        // [2^n]P + P for chains of T-less doublings of every length a
+        // w-NAF gap or the cofactor check uses, against the oracle on
+        // the scalar 2^n + 1; the addition reads the last doubling's T.
+        let p = EdwardsPoint::basepoint().mul_bytes(&Scalar::from_u64(1234567).to_bytes());
+        for n in 0..12 {
+            let chained = p.doublings(n).add(&p);
+            let expected = p.mul_bytes(&Scalar::from_u64((1 << n) + 1).to_bytes());
+            assert_eq!(chained.compress(), expected.compress(), "n = {n}");
+            let expected_t = chained.x.mul(&chained.y);
+            assert_eq!(chained.t.mul(&chained.z), expected_t, "T of n = {n}");
         }
     }
 

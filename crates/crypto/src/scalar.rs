@@ -15,9 +15,9 @@
 //!   replaces (kept in the test module as the oracle) took 512
 //!   shift–compare–subtract steps.
 //! * **Recoding** ([`Scalar::non_adjacent_form4`],
-//!   [`Scalar::to_radix16`]) reads 4-bit windows straight out of the
-//!   limbs and threads a carry, instead of shifting the whole scalar
-//!   right one bit per digit.
+//!   [`Scalar::to_radix16`], `Scalar::to_radix256`) reads 4- or 8-bit
+//!   windows straight out of the limbs and threads a carry, instead of
+//!   shifting the whole scalar right one bit per digit.
 
 /// ℓ as four little-endian 64-bit limbs.
 const L: [u64; 4] = [
@@ -196,32 +196,46 @@ impl Scalar {
         self.mul(b).add(c)
     }
 
-    /// The four bits of `self` starting at bit `pos` (zeros past 256).
+    /// The `width` (≤ 8) bits of `self` starting at bit `pos` (zeros
+    /// past 256).
     #[inline(always)]
-    fn window4(&self, pos: usize) -> u64 {
+    fn window(&self, pos: usize, width: usize) -> u64 {
         let (limb, bit) = (pos / 64, pos % 64);
         let low = self.0.get(limb).map_or(0, |l| l >> bit);
         // `<< 1 << (63 − bit)` is `<< (64 − bit)` without the overflow at 0.
         let high = self.0.get(limb + 1).map_or(0, |l| l << 1 << (63 - bit));
-        (low | high) & 15
+        (low | high) & ((1 << width) - 1)
     }
 
-    /// Recodes into 64 signed radix-16 digits, each in `[-8, 8]`, with
-    /// `self = Σ digits[i]·16^i`. Drives the fixed-window table
-    /// multiplications of the Ed25519 fast path. Valid for canonical
-    /// scalars (< ℓ < 2^253), whose top nibble leaves room for the final
-    /// carry.
-    pub fn to_radix16(&self) -> [i8; 64] {
-        let mut e = [0i8; 64];
-        // Center each digit into [-8, 7], pushing the excess upward.
-        let mut carry = 0i8;
+    /// Recodes into `N` signed digits of `w = 256 / N` bits, each in
+    /// `[−2^(w−1), 2^(w−1))`, with `self = Σ digits[i]·2^(w·i)`. Valid
+    /// for canonical scalars (< ℓ < 2^253), whose top window leaves room
+    /// for the final carry.
+    fn to_signed_radix<const N: usize>(self) -> [i8; N] {
+        let width = 256 / N;
+        let half = 1i16 << (width - 1);
+        let mut e = [0i8; N];
+        // Center each digit, pushing the excess upward.
+        let mut carry = 0i16;
         for (i, d) in e.iter_mut().enumerate() {
-            let nibble = self.window4(4 * i) as i8 + carry;
-            carry = (nibble + 8) >> 4;
-            *d = nibble - (carry << 4);
+            let window = self.window(width * i, width) as i16 + carry;
+            carry = (window + half) >> width;
+            *d = (window - (carry << width)) as i8;
         }
-        debug_assert_eq!(carry, 0, "top digit ≤ 2 for canonical scalars");
+        debug_assert_eq!(carry, 0, "a canonical scalar leaves room for the top carry");
         e
+    }
+
+    /// 64 signed radix-16 digits in `[−8, 8)`: drives the per-author
+    /// fixed-window tables of the Ed25519 fast path.
+    pub fn to_radix16(&self) -> [i8; 64] {
+        self.to_signed_radix()
+    }
+
+    /// 32 signed radix-2^8 digits in `[−128, 128)`: drives the static
+    /// basepoint table, one addition per byte of the scalar.
+    pub(crate) fn to_radix256(self) -> [i8; 32] {
+        self.to_signed_radix()
     }
 
     /// Width-4 non-adjacent form: 256 digits in `{0, ±1, ±3, ±5, ±7}`
@@ -235,7 +249,7 @@ impl Scalar {
         // A carry out of the top window lands on bit `bits` itself.
         let (mut pos, mut carry) = (0usize, 0u64);
         while pos <= bits {
-            let window = self.window4(pos) + carry;
+            let window = self.window(pos, 4) + carry;
             if window & 1 == 0 {
                 pos += 1;
                 continue;
@@ -452,6 +466,17 @@ mod tests {
         assert_eq!(radix16[..], radix16_bytewise(s)[..], "radix 16 of {s:?}");
         assert!(radix16.iter().all(|d| (-8..=8).contains(d)));
         assert_eq!(resum(&radix16, 4), *s);
+        // Radix 2^8: the carry is threaded through an `i16`, so a digit
+        // that left [−128, 128) would wrap in the cast and miss the sum.
+        let radix256 = s.to_radix256();
+        let mut carry = 0i16;
+        for (byte, &d) in s.to_bytes().iter().zip(&radix256) {
+            let centred = i16::from(*byte) + carry - i16::from(d);
+            assert!(centred == 0 || centred == 256, "digit {d} of {s:?}");
+            carry = centred >> 8;
+        }
+        assert_eq!(carry, 0);
+        assert_eq!(resum(&radix256, 8), *s);
     }
 
     #[test]

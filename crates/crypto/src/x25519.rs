@@ -10,7 +10,7 @@
 //! of time. [`x25519_base`] therefore does not run the ladder. It
 //! computes the same point on the birationally equivalent Edwards curve,
 //! where [`crate::ed25519::basepoint_table`] already holds every
-//! `j·16^i·B`, and maps the result back:
+//! `j·256^i·B` (`1 ≤ j ≤ 128`), and maps the result back:
 //!
 //! ```text
 //! (x, y) on edwards25519  ↦  u = (1 + y)/(1 − y) = (Z + Y)/(Z − Y)
@@ -18,9 +18,10 @@
 //!
 //! The Ed25519 base point `B` (`y = 4/5`) is the image of `u = 9` under
 //! this map, and the map is a group homomorphism, so
-//! `u([k]B) = X25519(k, 9)` for every `k` — about 64 mixed additions and
-//! one inversion instead of 255 ladder steps (ring's
-//! `x25519_ge_scalarmult_base` does exactly this).
+//! `u([k]B) = X25519(k, 9)` for every `k` — at most 32 mixed additions
+//! and one inversion instead of 255 ladder steps (ring's
+//! `x25519_ge_scalarmult_base` does exactly this, over a radix-16
+//! table).
 //!
 //! * **`k mod ℓ` is sound.** The table multiplies by canonical scalars.
 //!   A clamped `k` lies in `[2^254, 2^255)`, above `ℓ ≈ 2^252`, but `B`

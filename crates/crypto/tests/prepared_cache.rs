@@ -3,7 +3,8 @@
 //! by second chance — a miss looks at the oldest entry, requeues it and
 //! declines the newcomer (checked without a table) when that entry was
 //! hit since it was queued, and evicts it for the newcomer's table
-//! otherwise. `verify_batch` always takes tables.
+//! otherwise. `verify_batch` always takes tables, one per distinct key
+//! however many cores it splits the batch across.
 //!
 //! The cache is one per process, so this file is its own test binary and
 //! holds exactly one `#[test]`: nothing else may verify a signature
@@ -144,6 +145,20 @@ fn a_full_cache_admits_newcomers_by_second_chance() {
     assert_eq!(honest(late), 0, "the batch's table serves verify too");
     items[5].2 = &forged;
     assert!(!verify_batch(&items));
+    assert_eq!(prepared_cache_len(), CAP);
+
+    // A batch large enough to be split across cores resolves each
+    // distinct key once, before it forks: a cold author's 80 signatures
+    // build one table, not one per sub-batch.
+    let cold = author(CAP + 2);
+    let signed: Vec<(Vec<u8>, Signature)> = (0..80u8).map(|t| second(&cold, t)).collect();
+    let items: Vec<(&VerifyingKey, &[u8], &Signature)> = signed
+        .iter()
+        .map(|(msg, sig)| (&cold.key, msg.as_slice(), sig))
+        .collect();
+    let before = prepared_cache_builds();
+    assert!(verify_batch(&items), "eighty honest signatures, one author");
+    assert_eq!(prepared_cache_builds(), before + 1, "one build per key");
     assert_eq!(prepared_cache_len(), CAP);
 
     // Clearing still empties it, and the next sight of anyone builds.

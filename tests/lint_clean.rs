@@ -7,7 +7,8 @@
 //! changelog and the documents.
 
 use sos_lint::{lint_workspace, Config};
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 #[test]
 fn workspace_is_lint_clean() {
@@ -60,7 +61,7 @@ const ALLOW_CEILINGS: [(&str, u32); 5] = [
 /// The scoreboard's ceilings: non-test lines of code and public items.
 /// Like the allows, a ratchet: a PR that grows either number raises the
 /// constant in its own diff.
-const SCOREBOARD_CEILINGS: (usize, usize) = (17_038, 1_078);
+const SCOREBOARD_CEILINGS: (usize, usize) = (17_036, 1_078);
 
 /// The scoreboard, counted over `crates/*/src` and `src`: in each file,
 /// the lines before the first `#[cfg(test)]` that are neither blank nor
@@ -69,28 +70,11 @@ const SCOREBOARD_CEILINGS: (usize, usize) = (17_038, 1_078);
 /// `pub mod`, `pub use`).
 #[test]
 fn scoreboard_stays_under_its_ceilings() {
-    fn rust_files(dir: &Path, files: &mut Vec<std::path::PathBuf>) {
-        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
-            let path = entry.expect("directory entry").path();
-            if path.is_dir() {
-                rust_files(&path, files);
-            } else if path.extension().is_some_and(|x| x == "rs") {
-                files.push(path);
-            }
-        }
-    }
     const KINDS: [&str; 9] = [
         "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "use",
     ];
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    rust_files(&root.join("src"), &mut files);
-    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
-        let src = krate.expect("crate entry").path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
-        }
-    }
+    let files = source_files(root);
     let (mut loc, mut public) = (0, 0);
     for file in &files {
         let text = std::fs::read_to_string(file).expect("source file");
@@ -120,6 +104,95 @@ fn scoreboard_stays_under_its_ceilings() {
         public <= public_ceiling,
         "{public} public items, ceiling {public_ceiling}"
     );
+}
+
+/// Every `.rs` file under `crates/*/src` and `src`.
+fn source_files(root: &Path) -> Vec<PathBuf> {
+    fn rust_files(dir: &Path, files: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                rust_files(&path, files);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let src = krate.expect("crate entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    files
+}
+
+/// Every name a workspace path may be built from, by a line scan of
+/// `crates/*/src` and `src`: the crates (`sos`, `sos_crypto`, ...), the
+/// modules a file or a `mod` line declares, every `fn`, `struct`,
+/// `enum`, `trait`, `type`, `const`, `static`, `union` and
+/// `macro_rules!` name, every `use ... as` alias, and every line that
+/// opens with a capitalised name and a `,`, `(`, `{` or `=` (enum
+/// variants, and some expressions: the index errs on the side of
+/// knowing a name).
+fn symbol_index(root: &Path) -> BTreeSet<String> {
+    const QUALIFIERS: [&str; 9] = [
+        "pub", "crate", "super", "in", "self", "async", "unsafe", "extern", "C",
+    ];
+    const ITEMS: [&str; 11] = [
+        "fn",
+        "struct",
+        "enum",
+        "trait",
+        "type",
+        "const",
+        "static",
+        "mut",
+        "mod",
+        "union",
+        "macro_rules",
+    ];
+    let mut index = BTreeSet::from(["sos".to_string()]);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let manifest = krate.expect("crate entry").path().join("Cargo.toml");
+        let text = std::fs::read_to_string(&manifest).unwrap_or_default();
+        if let Some(name) = text.lines().find_map(|l| l.strip_prefix("name = ")) {
+            index.insert(name.trim_matches('"').replace('-', "_"));
+        }
+    }
+    for file in source_files(root) {
+        let stem = file.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        index.insert(stem.to_string());
+        for line in std::fs::read_to_string(&file).expect("source").lines() {
+            let line = line.trim();
+            let words: Vec<&str> = line
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .collect();
+            let mut rest = words.iter().skip_while(|w| QUALIFIERS.contains(w));
+            let mut rest = rest.by_ref().skip_while(|w| ITEMS.contains(w)).peekable();
+            let declared = words.iter().any(|w| ITEMS.contains(w))
+                && words.iter().position(|w| ITEMS.contains(w))
+                    == words.iter().position(|w| !QUALIFIERS.contains(w));
+            if let Some(name) = rest.peek().filter(|_| declared) {
+                index.insert(name.to_string());
+            }
+            if line.starts_with("use ") || line.starts_with("pub use ") {
+                let aliases = words.windows(2).filter(|w| w[0] == "as");
+                index.extend(aliases.map(|w| w[1].to_string()));
+            }
+            if let Some(first) = words.first().filter(|w| line.starts_with(**w)) {
+                let after = line[first.len()..].chars().next();
+                let capitalised = first.starts_with(|c: char| c.is_ascii_uppercase());
+                if capitalised && after.is_none_or(|c| ",({ =".contains(c)) {
+                    index.insert(first.to_string());
+                }
+            }
+        }
+    }
+    index
 }
 
 /// A vendored stand-in exists for its dependents: one that no member's
@@ -183,13 +256,16 @@ fn changelog_entries_stay_under_the_cap() {
 /// What `README.md` and `docs/*.md` tell a reader to run or open must
 /// exist: every `repro <command>` (a match arm of the binary),
 /// `--example <name>`, `--bench <name>`, repo-relative path in code,
-/// and relative link. Code is what lies between backticks: a fence's
+/// relative link, and Rust path into the workspace (`a::b::c` whose
+/// first segment is a workspace name: every segment must be one, see
+/// `symbol_index`). Code is what lies between backticks: a fence's
 /// three open a span its closing three end.
 #[test]
 fn documents_name_only_what_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let repro = std::fs::read_to_string(root.join("crates/experiments/src/bin/repro.rs"))
         .expect("repro source");
+    let symbols = symbol_index(root);
     let docs = std::fs::read_dir(root.join("docs")).expect("docs/");
     let documents = docs
         .map(|entry| entry.expect("docs entry").path())
@@ -210,6 +286,17 @@ fn documents_name_only_what_exists() {
             let tokens: Vec<String> = code.split_whitespace().map(trim).collect();
             for (i, token) in tokens.iter().enumerate() {
                 let next = tokens.get(i + 1).cloned().unwrap_or_default();
+                // `Fe::invert(0)`, `TraceError::{A, B}`: the path before
+                // the first character no path holds.
+                let path = token
+                    .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+                    .next()
+                    .unwrap_or("");
+                let segments: Vec<&str> = path.split("::").filter(|s| !s.is_empty()).collect();
+                if path.contains("::") && symbols.contains(segments[0]) {
+                    let known = segments.iter().all(|s| symbols.contains(*s));
+                    named.push((path.to_string(), known));
+                }
                 match token.as_str() {
                     "repro" => {
                         // Skip `--` and every flag with its value.
