@@ -188,7 +188,7 @@ impl AlleyOopApp {
             .store()
             .iter()
             .find(|b| &b.message.id.author == user)
-            .map(|b| b.author_certificate.clone())
+            .map(|b| sos_crypto::Certificate::clone(&b.author_certificate))
     }
 
     /// The decrypted direct-message inbox, oldest first.

@@ -5,6 +5,10 @@
 //! author's certificate — forwarders relay the originator's certificate
 //! (paper Fig. 3b) so any receiver can verify provenance end-to-end — and
 //! a hop counter used for the paper's "1-hop" vs "All" analysis.
+//!
+//! The relayed certificate is per bundle on the wire, but not in memory:
+//! a bundle holds it behind an [`Arc`], and a decoded frame and a
+//! store hand every bundle of one author the same one.
 
 use crate::error::BundleRejection;
 use sos_crypto::ca::Validator;
@@ -12,6 +16,7 @@ use sos_crypto::cert::Certificate;
 use sos_crypto::{CertError, Signature, SigningKey, UserId};
 use sos_sim::codec::{Count, Reader, Writer, NO_CAP};
 use sos_sim::SimTime;
+use std::sync::Arc;
 
 /// Maximum application payload size in bytes (64 KiB).
 pub const MAX_PAYLOAD: usize = 64 * 1024;
@@ -131,12 +136,23 @@ impl SosMessage {
 /// A message in transit: the signed message, the originator's
 /// certificate, the hop count, and an optional spray-and-wait copy
 /// budget.
+///
+/// The certificate is shared, not owned: [`SyncMsg::decode`] gives every
+/// bundle of a frame that carries the same certificate bytes one
+/// [`Arc`], and [`MessageStore::insert`] gives a bundle the one its
+/// author's held bundles carry when the certificates are equal. Sharing
+/// never changes which certificate a bundle holds, only how many copies
+/// of it exist: a store of 200 bundles by one author keeps one parsed
+/// certificate, not 200, and a `Bundle` is 152 bytes inline, not 360.
+///
+/// [`SyncMsg::decode`]: crate::sync::SyncMsg::decode
+/// [`MessageStore::insert`]: crate::store::MessageStore::insert
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Bundle {
     /// The signed message.
     pub message: SosMessage,
     /// The *originator's* certificate, relayed hop by hop (Fig. 3b).
-    pub author_certificate: Certificate,
+    pub author_certificate: Arc<Certificate>,
     /// D2D transfers this copy has experienced (0 at the author).
     pub hops: u32,
     /// Remaining copy budget for spray-and-wait routing; `None` for
@@ -144,12 +160,16 @@ pub struct Bundle {
     pub copies: Option<u32>,
 }
 
+// A store keeps every bundle it holds inline in its B-tree leaves; the
+// certificate behind its `Arc` is what keeps this small.
+const _: () = assert!(size_of::<Bundle>() <= 160);
+
 impl Bundle {
     /// Wraps a freshly authored message (hops = 0).
     pub fn new(message: SosMessage, author_certificate: Certificate) -> Bundle {
         Bundle {
             message,
-            author_certificate,
+            author_certificate: Arc::new(author_certificate),
             hops: 0,
             copies: None,
         }
@@ -213,15 +233,18 @@ impl Bundle {
         self.message == other.message && self.author_certificate == other.author_certificate
     }
 
-    /// The bundle's layout, written once: on a `Vec<u8>` it is
-    /// [`Bundle::encode`], on a [`Count`] it is [`Bundle::wire_size`].
-    fn write(&self, w: &mut impl Writer) {
+    /// The bundle's layout with copy budget `copies`, written once: on
+    /// a `Vec<u8>` it is [`Bundle::encode`], on a [`Count`] it is
+    /// [`Bundle::wire_size`]. The certificate is streamed in behind its
+    /// `u16` length (at most a few hundred bytes, far inside it).
+    fn write(&self, copies: Option<u32>, w: &mut impl Writer) {
         let m = &self.message;
         write_signed_fields(w, &m.id, m.created_at, m.kind, &m.payload);
         w.bytes(m.signature.as_bytes());
-        w.bytes16(&self.author_certificate.to_bytes());
+        w.len16(self.author_certificate.encoded_len());
+        self.author_certificate.write(|b| w.bytes(b));
         w.u32(self.hops);
-        match self.copies {
+        match copies {
             Some(c) => {
                 w.u8(1);
                 w.u32(c);
@@ -232,10 +255,17 @@ impl Bundle {
 
     /// Wire encoding.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_with_copies(self.copies)
+    }
+
+    /// The wire encoding of this bundle with its copy budget replaced by
+    /// `copies`: what the serve path sends of a stored bundle, without
+    /// cloning it to change one field.
+    pub(crate) fn encode_with_copies(&self, copies: Option<u32>) -> Vec<u8> {
         let mut buf = Vec::with_capacity(
             128 + self.message.payload.len() + self.author_certificate.encoded_len(),
         );
-        self.write(&mut buf);
+        self.write(copies, &mut buf);
         buf
     }
 
@@ -246,6 +276,18 @@ impl Bundle {
     /// [`BundleRejection::Malformed`] for any structural problem,
     /// including oversized payloads.
     pub fn decode(bytes: &[u8]) -> Result<Bundle, BundleRejection> {
+        Self::decode_sharing(bytes, &mut None)
+    }
+
+    /// [`Bundle::decode`], except that a certificate whose bytes equal
+    /// the ones `last` was parsed from is not parsed again: the bundle
+    /// gets `last`'s `Arc`. A certificate that is parsed is left in
+    /// `last` for the next body. Equal bytes parse to equal
+    /// certificates, so the result is `decode`'s in every case.
+    pub(crate) fn decode_sharing<'a>(
+        bytes: &'a [u8],
+        last: &mut Option<(&'a [u8], Arc<Certificate>)>,
+    ) -> Result<Bundle, BundleRejection> {
         let mut r = Reader::new(bytes);
         let author = UserId(r.array()?);
         let number = r.u64()?;
@@ -258,8 +300,15 @@ impl Bundle {
         let kind = MessageKind::from_byte(r.u8()?).ok_or(BundleRejection::Malformed)?;
         let payload = r.bytes32(MAX_PAYLOAD)?.to_vec();
         let signature = Signature(r.array()?);
-        let author_certificate =
-            Certificate::from_bytes(r.bytes16(NO_CAP)?).map_err(|_| BundleRejection::Malformed)?;
+        let cert_bytes = r.bytes16(NO_CAP)?;
+        let author_certificate = match last {
+            Some((seen, cert)) if *seen == cert_bytes => Arc::clone(cert),
+            _ => {
+                let cert =
+                    Certificate::from_bytes(cert_bytes).map_err(|_| BundleRejection::Malformed)?;
+                Arc::clone(&last.insert((cert_bytes, Arc::new(cert))).1)
+            }
+        };
         let hops = r.u32()?;
         let copies = match r.u8()? {
             0 => None,
@@ -281,10 +330,11 @@ impl Bundle {
         })
     }
 
-    /// Encoded size in bytes: the encoder run on a byte counter, so the
-    /// payload is not copied.
+    /// Encoded size in bytes: the encoder run on a byte counter, so
+    /// nothing is copied or allocated — the payload and the certificate
+    /// are counted where they lie.
     pub fn wire_size(&self) -> usize {
-        Count::of(|w| self.write(w))
+        Count::of(|w| self.write(self.copies, w))
     }
 }
 
@@ -389,7 +439,7 @@ mod tests {
             0,
         );
         let mut forged = bundle.clone();
-        forged.author_certificate = mcert;
+        forged.author_certificate = Arc::new(mcert);
         assert_eq!(
             forged.verify(&validator, 100).unwrap_err(),
             BundleRejection::AuthorMismatch

@@ -959,9 +959,7 @@ impl Sos {
                 continue;
             };
             let granted_copies = self.scheme.on_serve(stored);
-            let mut outgoing = stored.clone();
-            outgoing.copies = granted_copies;
-            let body = outgoing.encode();
+            let body = stored.encode_with_copies(granted_copies);
             if !batch.is_empty() && batch_bytes + body.len() > sos_net::SYNC_BATCH_BUDGET {
                 if !self.flush_batch(from, now, &mut batch, out) {
                     return;
@@ -1296,6 +1294,7 @@ mod tests {
     use sos_crypto::ca::{CertificateAuthority, Validator};
     use sos_crypto::ed25519::SigningKey;
     use sos_crypto::x25519::AgreementKey;
+    use std::sync::Arc;
 
     fn identity(ca: &mut CertificateAuthority, seed: u8, name: &str) -> DeviceIdentity {
         let signing = SigningKey::from_seed([seed; 32]);
@@ -1523,6 +1522,55 @@ mod tests {
             new_env.author_certificate,
             "envelope upgraded to the renewal"
         );
+    }
+
+    /// The author's held bundles share one certificate, so the renewal
+    /// upgrade must replace the merged bundle's `Arc`, not the shared
+    /// certificate behind it: its neighbours keep the old one.
+    #[test]
+    fn renewal_upgrade_replaces_only_the_merged_bundles_certificate() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let mut bob = node(&mut ca, 1, 10, "bob", SchemeKind::Epidemic);
+        let sk = SigningKey::from_seed([2u8; 32]);
+        let ak = AgreementKey::from_secret([3u8; 32]);
+        let alice = uid("alice");
+        let cert_v1 = ca.issue(alice, "alice", sk.verifying_key(), *ak.public(), 0);
+        let cert_v2 = ca.issue(alice, "alice", sk.verifying_key(), *ak.public(), 1);
+        let held: Vec<Bundle> = (1..=3)
+            .map(|n| {
+                let msg = SosMessage::create(
+                    &sk,
+                    alice,
+                    n,
+                    SimTime::from_secs(n),
+                    MessageKind::Post,
+                    b"post".to_vec(),
+                );
+                Bundle::new(msg, cert_v1.clone())
+            })
+            .collect();
+        let payload = SyncMsg::Bundles(held.clone()).encode().unwrap();
+        let SyncMsg::Bundles(decoded) = SyncMsg::decode(&payload).unwrap() else {
+            unreachable!("a bundle batch decodes to one");
+        };
+        bob.receive_frame(PeerId(9), decoded, SimTime::from_secs(5));
+        let stored = |bob: &Sos, n: usize| bob.store.get(&held[n].message.id).unwrap().clone();
+        assert!(Arc::ptr_eq(
+            &stored(&bob, 0).author_certificate,
+            &stored(&bob, 2).author_certificate
+        ));
+
+        let renewal = Bundle::new(held[1].message.clone(), cert_v2.clone());
+        bob.receive_frame(PeerId(9), vec![renewal], SimTime::from_secs(6));
+        assert_eq!(bob.stats().bundles_duplicate, 1);
+        assert_eq!(*stored(&bob, 1).author_certificate, cert_v2, "upgraded");
+        for n in [0, 2] {
+            assert_eq!(*stored(&bob, n).author_certificate, cert_v1, "untouched");
+        }
+        assert!(Arc::ptr_eq(
+            &stored(&bob, 0).author_certificate,
+            &stored(&bob, 2).author_certificate
+        ));
     }
 
     /// Two *validly signed* contents under one message id (author
@@ -2681,7 +2729,7 @@ mod tests {
         assert_eq!(got.stats.security_rejections, 2, "equivocation + forgery");
         assert!(got.journal.contains("equivocation"));
         assert!(got.journal.contains("forged_duplicate"));
-        assert_eq!(got.stored(&held[1]).author_certificate, renewed.cert);
+        assert_eq!(*got.stored(&held[1]).author_certificate, renewed.cert);
         assert_eq!(got.stored(&held[3]).message, held[3].message);
         let incidents = got
             .scheme_calls

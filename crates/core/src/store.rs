@@ -4,6 +4,7 @@
 use crate::message::{Bundle, MessageId};
 use sos_crypto::UserId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Outcome of a store insertion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,19 +37,31 @@ impl MessageStore {
     /// duplicate, the stored copy keeps the minimum hop count of the
     /// two copies — a later arrival over a shorter path must not be
     /// reported (or relayed onward) with the stale, larger count.
-    pub fn insert(&mut self, bundle: Bundle) -> InsertOutcome {
+    ///
+    /// A new bundle whose certificate equals the one its author's held
+    /// neighbours (the next lower and next higher number) carry is
+    /// stored with their `Arc`, and its own copy is dropped: an author's
+    /// bundles share one certificate however many peers delivered
+    /// them. A certificate equal to neither, a renewal say, keeps its
+    /// own `Arc`, so no bundle ever points at a different certificate.
+    pub fn insert(&mut self, mut bundle: Bundle) -> InsertOutcome {
         let id = bundle.message.id;
         let per_author = self.by_author.entry(id.author).or_default();
-        match per_author.get_mut(&id.number) {
-            Some(held) => {
-                held.hops = held.hops.min(bundle.hops);
-                InsertOutcome::Duplicate
-            }
-            None => {
-                per_author.insert(id.number, bundle);
-                InsertOutcome::New
-            }
+        if let Some(held) = per_author.get_mut(&id.number) {
+            held.hops = held.hops.min(bundle.hops);
+            return InsertOutcome::Duplicate;
         }
+        let below = per_author.range(..id.number).next_back();
+        let above = per_author.range(id.number..).next();
+        if let Some((_, held)) = below
+            .into_iter()
+            .chain(above)
+            .find(|(_, held)| held.author_certificate == bundle.author_certificate)
+        {
+            bundle.author_certificate = Arc::clone(&held.author_certificate);
+        }
+        per_author.insert(id.number, bundle);
+        InsertOutcome::New
     }
 
     /// True if a message with this id is held.
@@ -348,6 +361,78 @@ mod tests {
             format!("msg {number}").into_bytes(),
         );
         Bundle::new(msg, cert)
+    }
+
+    /// Message `n` of alice under `cert`, with a certificate `Arc` of its
+    /// own.
+    fn under(cert: &sos_crypto::Certificate, n: u64) -> Bundle {
+        let sk = SigningKey::from_seed([2u8; 32]);
+        let msg = SosMessage::create(
+            &sk,
+            cert.subject,
+            n,
+            SimTime::from_secs(n),
+            MessageKind::Post,
+            vec![n as u8],
+        );
+        Bundle::new(msg, cert.clone())
+    }
+
+    /// Alice's original certificate and its renewal (same keys, later
+    /// serial and validity).
+    fn old_and_renewed() -> (sos_crypto::Certificate, sos_crypto::Certificate) {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let sk = SigningKey::from_seed([2u8; 32]);
+        let ak = AgreementKey::from_secret([3u8; 32]);
+        let uid = UserId::from_str_padded("alice");
+        let old = ca.issue(uid, "alice", sk.verifying_key(), *ak.public(), 0);
+        let renewed = ca.issue(uid, "alice", sk.verifying_key(), *ak.public(), 1);
+        (old, renewed)
+    }
+
+    #[test]
+    fn an_authors_bundles_share_one_certificate_per_distinct_certificate() {
+        let (old, renewed) = old_and_renewed();
+        let mut store = MessageStore::new();
+        for n in 1..=8 {
+            store.insert(under(if n <= 4 { &old } else { &renewed }, n));
+        }
+        let mut distinct: Vec<*const sos_crypto::Certificate> = store
+            .iter()
+            .map(|b| Arc::as_ptr(&b.author_certificate))
+            .collect();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 2, "one Arc per certificate, not per bundle");
+    }
+
+    /// Sharing gives a bundle another bundle's `Arc` only when the two
+    /// certificates are equal: under any insertion order of an author
+    /// whose bundles sit under an old and a renewed certificate, each
+    /// stored bundle's certificate equals the one it arrived with.
+    #[test]
+    fn sharing_never_changes_a_bundles_certificate() {
+        let (old, renewed) = old_and_renewed();
+        let cert_of = |n: u64| {
+            if [1, 2, 5, 8].contains(&n) {
+                &old
+            } else {
+                &renewed
+            }
+        };
+        for order in [
+            [5, 1, 8, 3, 2, 7, 4, 6],
+            [8, 7, 6, 5, 4, 3, 2, 1],
+            [2, 4, 6, 8, 1, 3, 5, 7],
+        ] {
+            let mut store = MessageStore::new();
+            for n in order {
+                store.insert(under(cert_of(n), n));
+            }
+            for b in store.iter() {
+                let n = b.message.id.number;
+                assert_eq!(*b.author_certificate, *cert_of(n), "order {order:?}, #{n}");
+            }
+        }
     }
 
     #[test]

@@ -180,6 +180,13 @@ impl SyncMsg {
 
     /// Decodes a session payload.
     ///
+    /// A bundle batch parses each run of identical certificate bytes
+    /// once: the bundles of the run share one `Arc<Certificate>`, so a
+    /// 200-bundle encounter with one author parses one certificate per
+    /// frame, not one per bundle. The bundles equal what
+    /// [`Bundle::decode`] makes of each body alone, and a body it
+    /// refuses fails the frame.
+    ///
     /// # Errors
     ///
     /// [`SosError::Malformed`] on any structural problem, including
@@ -221,9 +228,11 @@ impl SyncMsg {
                 // A body is at least its length prefix.
                 let count = r.count32(4)?;
                 let mut bundles = Vec::with_capacity(count.min(MAX_PREALLOC));
+                let mut last_cert = None;
                 for _ in 0..count {
                     let body = r.bytes32(NO_CAP)?;
-                    bundles.push(Bundle::decode(body).map_err(|_| SosError::Malformed)?);
+                    let bundle = Bundle::decode_sharing(body, &mut last_cert);
+                    bundles.push(bundle.map_err(|_| SosError::Malformed)?);
                 }
                 SyncMsg::Bundles(bundles)
             }
@@ -242,6 +251,7 @@ mod tests {
     use sos_crypto::ca::CertificateAuthority;
     use sos_crypto::ed25519::SigningKey;
     use sos_crypto::x25519::AgreementKey;
+    use sos_crypto::Certificate;
     use sos_sim::SimTime;
 
     fn test_bundle(number: u64) -> Bundle {
@@ -310,6 +320,62 @@ mod tests {
             SyncMsg::encode_bundle_batch(&bodies),
             SyncMsg::Bundles(bundles.clone()).encode().unwrap()
         );
+    }
+
+    /// Alice's original certificate, her renewal (same keys, later
+    /// serial and validity) and bob's.
+    fn three_certificates() -> [Certificate; 3] {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let mut issue = |name: &str, seed: u8, now: u64| {
+            let sk = SigningKey::from_seed([seed; 32]);
+            let ak = AgreementKey::from_secret([seed + 1; 32]);
+            let uid = UserId::from_str_padded(name);
+            ca.issue(uid, name, sk.verifying_key(), *ak.public(), now)
+        };
+        [
+            issue("alice", 2, 0),
+            issue("alice", 2, 1),
+            issue("bob", 4, 0),
+        ]
+    }
+
+    /// Message `n` by `cert`'s subject; decoding never checks the
+    /// signature, so it is left zero.
+    fn unsigned(cert: &Certificate, n: u64) -> Bundle {
+        let m = SosMessage {
+            id: crate::message::MessageId {
+                author: cert.subject,
+                number: n,
+            },
+            created_at: SimTime::from_secs(n),
+            kind: MessageKind::Post,
+            payload: vec![n as u8; 3],
+            signature: sos_crypto::Signature([0; 64]),
+        };
+        Bundle::new(m, cert.clone())
+    }
+
+    #[test]
+    fn a_frame_shares_a_certificate_per_run_and_keeps_each_bundles_own() {
+        let [old, renewed, bob] = three_certificates();
+        let certs = [&old, &old, &renewed, &renewed, &old, &bob, &bob];
+        let sent: Vec<Bundle> = (1..).zip(certs).map(|(n, c)| unsigned(c, n)).collect();
+        let payload = SyncMsg::Bundles(sent.clone()).encode().unwrap();
+        let SyncMsg::Bundles(got) = SyncMsg::decode(&payload).unwrap() else {
+            panic!("a bundle batch decodes to one");
+        };
+        assert_eq!(
+            got, sent,
+            "every bundle keeps a certificate equal to its own"
+        );
+        let shared = |i: usize, j: usize| {
+            std::sync::Arc::ptr_eq(&got[i].author_certificate, &got[j].author_certificate)
+        };
+        assert!(
+            shared(0, 1) && shared(2, 3) && shared(5, 6),
+            "one Arc per run"
+        );
+        assert!(!shared(1, 2) && !shared(3, 4), "a new run parses its own");
     }
 
     #[test]
@@ -474,6 +540,43 @@ mod tests {
                 let mut framed = vec![tag];
                 framed.extend_from_slice(&bytes);
                 let _ = SyncMsg::decode(&framed);
+            }
+
+            /// A frame decodes to exactly what each body decodes to
+            /// alone, however its 1–3 certificates alternate, and fails
+            /// whenever one body fails — with one byte of a later copy
+            /// of a certificate flipped, so a copy that differs from an
+            /// earlier one in one byte is parsed, never shared.
+            #[test]
+            fn batch_decode_equals_per_body_decode(
+                n_certs in 1usize..=3,
+                picks in prop::collection::vec(0usize..3, 1..10),
+                flip in (any::<bool>(), 1usize..10, any::<usize>(), 0u8..8),
+            ) {
+                let certs = three_certificates();
+                let mut bodies: Vec<Vec<u8>> = (1..)
+                    .zip(&picks)
+                    .map(|(n, &pick)| unsigned(&certs[pick % n_certs], n).encode())
+                    .collect();
+                let (flipped, body, at, bit) = flip;
+                if flipped && bodies.len() > 1 {
+                    // A later body's certificate: after the signed fields
+                    // (a 3-byte payload), the signature and its length,
+                    // before the hop count and the copy-budget flag.
+                    let start = 10 + 8 + 8 + 1 + 4 + 3 + 64 + 2;
+                    let later = 1 + body % (bodies.len() - 1);
+                    let body = &mut bodies[later];
+                    let len = body.len() - start - 5;
+                    body[start + at % len] ^= 1 << bit;
+                }
+                let frame = SyncMsg::encode_bundle_batch(&bodies);
+                let alone: Result<Vec<Bundle>, _> =
+                    bodies.iter().map(|b| Bundle::decode(b)).collect();
+                match (SyncMsg::decode(&frame), alone) {
+                    (Ok(SyncMsg::Bundles(got)), Ok(want)) => prop_assert_eq!(got, want),
+                    (Err(SosError::Malformed), Err(_)) => {}
+                    (got, want) => prop_assert!(false, "frame {got:?}, bodies {want:?}"),
+                }
             }
 
             /// Canonical ranged requests roundtrip exactly.

@@ -9,6 +9,7 @@
 
 use crate::ed25519::{Signature, VerifyingKey};
 use crate::error::CertError;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Maximum length of variable-size certificate fields (names, issuer).
 pub const MAX_FIELD_LEN: usize = 255;
@@ -106,8 +107,9 @@ impl std::fmt::Debug for Certificate {
 }
 
 /// The longest prefix of `s` that fits a certificate's one-byte length
-/// field and ends on a character boundary: what [`put_var`] writes of a
-/// name, and what [`Certificate::from_bytes`] reads back as UTF-8.
+/// field and ends on a character boundary: what [`Certificate::write`]
+/// writes of a name, and what [`Certificate::from_bytes`] reads back as
+/// UTF-8.
 pub(crate) fn clamp_field(s: &str) -> &str {
     let mut end = s.len().min(MAX_FIELD_LEN);
     while !s.is_char_boundary(end) {
@@ -116,11 +118,20 @@ pub(crate) fn clamp_field(s: &str) -> &str {
     &s[..end]
 }
 
-fn put_var(buf: &mut Vec<u8>, field: &str) {
+fn put_var(out: &mut impl FnMut(&[u8]), field: &str) {
     let field = clamp_field(field).as_bytes();
-    buf.push(u8::try_from(field.len()).unwrap_or(u8::MAX));
-    buf.extend_from_slice(field);
+    out(&[u8::try_from(field.len()).unwrap_or(u8::MAX)]);
+    out(field);
 }
+
+/// Calls of [`Certificate::from_bytes`] since the process started,
+/// malformed input included.
+#[doc(hidden)]
+pub fn certificates_parsed() -> u64 {
+    PARSED.load(Relaxed)
+}
+
+static PARSED: AtomicU64 = AtomicU64::new(0);
 
 struct Reader<'a> {
     data: &'a [u8],
@@ -163,26 +174,35 @@ impl<'a> Reader<'a> {
 const CERT_VERSION: u8 = 1;
 
 impl Certificate {
+    /// The wire encoding, streamed into `out` a field at a time: the
+    /// to-be-signed fields, then the 64-byte signature. This is the one
+    /// encoder; a caller that appends a certificate to a larger buffer,
+    /// hashes it or counts it builds no `Vec` of its own.
+    pub fn write(&self, mut out: impl FnMut(&[u8])) {
+        out(&[CERT_VERSION]);
+        out(&self.serial.to_le_bytes());
+        out(self.subject.as_bytes());
+        put_var(&mut out, &self.display_name);
+        out(self.ed25519_public.as_bytes());
+        out(&self.x25519_public);
+        put_var(&mut out, &self.issuer);
+        out(&self.not_before.to_le_bytes());
+        out(&self.not_after.to_le_bytes());
+        out(self.signature.as_bytes());
+    }
+
     /// The deterministic to-be-signed encoding: everything except the
     /// signature. This is what the CA signs and what validators verify.
     pub fn tbs_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(128);
-        buf.push(CERT_VERSION);
-        buf.extend_from_slice(&self.serial.to_le_bytes());
-        buf.extend_from_slice(self.subject.as_bytes());
-        put_var(&mut buf, &self.display_name);
-        buf.extend_from_slice(self.ed25519_public.as_bytes());
-        buf.extend_from_slice(&self.x25519_public);
-        put_var(&mut buf, &self.issuer);
-        buf.extend_from_slice(&self.not_before.to_le_bytes());
-        buf.extend_from_slice(&self.not_after.to_le_bytes());
+        let mut buf = self.to_bytes();
+        buf.truncate(buf.len() - self.signature.as_bytes().len());
         buf
     }
 
     /// Full wire encoding: TBS bytes followed by the 64-byte signature.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = self.tbs_bytes();
-        buf.extend_from_slice(self.signature.as_bytes());
+        let mut buf = Vec::with_capacity(256);
+        self.write(|b| buf.extend_from_slice(b));
         buf
     }
 
@@ -202,6 +222,7 @@ impl Certificate {
     /// Returns [`CertError::Malformed`] on truncation, trailing bytes,
     /// an unknown version, or invalid UTF-8 in name fields.
     pub fn from_bytes(bytes: &[u8]) -> Result<Certificate, CertError> {
+        PARSED.fetch_add(1, Relaxed);
         let mut r = Reader::new(bytes);
         if r.u8()? != CERT_VERSION {
             return Err(CertError::Malformed);
@@ -268,7 +289,11 @@ impl Certificate {
 
     /// A short fingerprint of the certificate (SHA-256 of the encoding).
     pub fn fingerprint(&self) -> [u8; 32] {
-        crate::sha2::sha256(&self.to_bytes())
+        let mut hash = crate::sha2::Sha256::new();
+        self.write(|b| {
+            hash.update(b);
+        });
+        hash.finalize()
     }
 }
 
@@ -300,6 +325,8 @@ mod tests {
         let (cert, _) = sample_cert();
         let bytes = cert.to_bytes();
         assert_eq!(cert.encoded_len(), bytes.len());
+        assert_eq!(cert.fingerprint(), crate::sha2::sha256(&bytes));
+        assert_eq!(bytes[..bytes.len() - 64], cert.tbs_bytes());
         let parsed = Certificate::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, cert);
     }

@@ -162,7 +162,8 @@ impl Frame {
             }) => {
                 let is_init = matches!(self, Frame::HandshakeInit(_));
                 w.u8(if is_init { TAG_HS_INIT } else { TAG_HS_RESP });
-                w.bytes16(&certificate.to_bytes());
+                w.len16(certificate.encoded_len());
+                certificate.write(|b| w.bytes(b));
                 w.bytes(ephemeral_public);
                 w.bytes(signature.as_bytes());
             }

@@ -251,6 +251,12 @@ pub(crate) struct Transition {
     pub(crate) line: usize,
 }
 
+// Step 6 of the pipeline collects `ContactEvent`s from `Transition`s in
+// place; that needs equal size and alignment, and without them the
+// collection silently allocates a second buffer.
+const _: () = assert!(size_of::<Transition>() == size_of::<ContactEvent>());
+const _: () = assert!(align_of::<Transition>() == align_of::<ContactEvent>());
+
 /// The ids that `events` mention, in [`NodeIdMap`] order: lexical, or
 /// numeric when every one of them parses as an integer (a stable sort
 /// of the lexical order, so `"01"` stays ahead of `"1"`).
@@ -323,7 +329,9 @@ pub(crate) fn sanitize_interned(
     // 2. Distances the validators would reject are zeroed ("range
     //    unknown"), matching formats that carry no range at all.
     // 3. Count how many lines a buffered collector wrote late, then
-    //    stable-sort (equal timestamps keep their input order).
+    //    stable-sort (equal timestamps keep their input order). A log
+    //    with none late is already its own stable sort, so it skips the
+    //    sort and the scratch buffer as long as the log that it takes.
     let mut running_max = 0u64;
     for ev in &mut raw {
         if !(ev.distance_m.is_finite() && ev.distance_m >= 0.0) {
@@ -336,7 +344,9 @@ pub(crate) fn sanitize_interned(
             running_max = ev.time_ms;
         }
     }
-    raw.sort_by_key(|ev| ev.time_ms);
+    if report.out_of_order_events > 0 {
+        raw.sort_by_key(|ev| ev.time_ms);
+    }
 
     // 4. Collapse duplicate transitions with a per-pair state machine,
     //    in place. Pairs are keyed by *interim* rank — the NodeIdMap
@@ -394,8 +404,10 @@ pub(crate) fn sanitize_interned(
     //    pass sees the same id population).
     let order = node_order(ids, &raw);
     let node = invert(&order, ids.labels.len());
+    //    `into_iter` turns each `Transition` into its `ContactEvent` in
+    //    the same allocation (the two are asserted the same size).
     let events: Vec<ContactEvent> = raw
-        .iter()
+        .into_iter()
         .map(|ev| {
             let (x, y) = (node[ev.a as usize], node[ev.b as usize]);
             ContactEvent {
