@@ -28,6 +28,11 @@
 //!   radix-16 table's 64;
 //! * `handshake/resumed` (both sides of a session opened from a
 //!   resumption ticket, ISSUE 16) must be ≤ 0.2 × `handshake/full_warm`;
+//! * `handshake/first_contact_builds` (prepared-key tables built per
+//!   full handshake between strangers, the CA's table cached) must be
+//!   exactly 0: a handshake checks a peer's signature through its table
+//!   only when the bundle path has already built one. It is a count, so
+//!   it fires on one core; a handshake that admitted its peers reads 2;
 //! * `scalar/mul` (a product mod ℓ, ISSUE 21) must be ≤ 8 ×
 //!   `fe/mul` (a product mod p): both are a schoolbook product plus a
 //!   word-level reduction, so they cost the same order. A reduction
@@ -36,7 +41,7 @@
 //!   compressions against nine, so ≈ 0.22 when the padding is written
 //!   in one step, 0.40 when it was fed one zero byte at a time.
 //!
-//! All nine invariants are asserted — a run that violates them fails loudly
+//! All ten invariants are asserted — a run that violates them fails loudly
 //! — and every measurement is written to `BENCH_crypto.json` at the
 //! workspace root so the perf trajectory is tracked across PRs. Set
 //! `SOS_BENCH_SMOKE=1` (as CI does) for a few-iteration smoke run.
@@ -340,6 +345,7 @@ fn identity(ca: &mut CertificateAuthority, seed: u8, name: &str) -> DeviceIdenti
 /// checks and a dozen HMACs.
 fn bench_handshake(_c: &mut Criterion) {
     use rand::SeedableRng;
+    use sos_bench::emit::{pretty_ns, time_once};
     let mut ca = CertificateAuthority::new("Root", [1; 32], 0, u64::MAX);
     let root = ca.root_certificate().clone();
     let mut alice = identity(&mut ca, 10, "alice");
@@ -356,9 +362,18 @@ fn bench_handshake(_c: &mut Criterion) {
             let (bob_sess, of_alice) = init.finish(bob, &response, 100).expect("alice is valid");
             ((alice_sess, bob_sess), (of_bob, of_alice))
         };
-    // Warm: the two have met before, so both certificates and all three
-    // prepared keys (CA, alice, bob) are cached — `study_replay`'s case.
+    // Warm: the two have met before and verified each other's bundles,
+    // so both certificates and all three prepared keys (CA, alice, bob)
+    // are cached — `study_replay`'s case. A handshake builds no table for
+    // its peers, so the bundle path (`VerifyingKey::verify`) builds
+    // alice's and bob's; the first handshake builds the CA's.
+    ed25519::clear_prepared_cache();
     let (_, tickets) = handshake(&alice, &bob, None);
+    for author in [&alice, &bob] {
+        let signature = author.sign(b"a bundle");
+        assert!(author.verifying_key().verify(b"a bundle", &signature));
+    }
+    assert_eq!(ed25519::prepared_cache_len(), 3, "CA, alice and bob");
     let full = measure("handshake/full_warm", || handshake(&alice, &bob, None));
     // Resumed: every iteration spends the same first-generation tickets
     // (a chain would hit the resumption cap and fall back to full).
@@ -372,15 +387,54 @@ fn bench_handshake(_c: &mut Criterion) {
         ratio <= 0.2,
         "a resumed handshake costs {ratio:.2} of a full one: resumption no longer pays"
     );
-    // Cold: strangers on both sides — each validator proves the peer's
-    // certificate and three key tables are built (`encounter_churn`
-    // sits between the two).
+    // Cold: strangers on both sides and empty caches — each validator
+    // proves the peer's certificate, the CA's table is built (the one
+    // table a handshake builds), and each peer's signature is checked
+    // one-shot (`encounter_churn` sits between warm and cold).
     measure("handshake/full_cold", || {
         ed25519::clear_prepared_cache();
         *alice.validator_mut() = Validator::new(root.clone());
         *bob.validator_mut() = Validator::new(root.clone());
         handshake(&alice, &bob, None)
     });
+    // First contact: fresh strangers, each pair meeting once, with the
+    // CA's table cached as on any node that has checked one certificate —
+    // the realistic first meeting, and most city pairs meet only once.
+    let strangers: Vec<_> = (32..=255u8)
+        .step_by(2)
+        .map(|seed| {
+            let first = identity(&mut ca, seed, &format!("stranger {seed}"));
+            (
+                first,
+                identity(&mut ca, seed + 1, &format!("stranger {seed}b")),
+            )
+        })
+        .collect();
+    ed25519::clear_prepared_cache();
+    Validator::new(root)
+        .validate(alice.certificate(), 100)
+        .expect("alice is valid");
+    let builds = ed25519::prepared_cache_builds();
+    let (total, ()) = time_once(|| {
+        for (first, second) in &strangers {
+            handshake(first, second, None);
+        }
+    });
+    let contacts = strangers.len() as f64;
+    let mean = total / contacts;
+    println!(
+        "{:<50} time: {:<12}",
+        "handshake/first_contact",
+        pretty_ns(mean)
+    );
+    SUITE.record("handshake/first_contact", mean);
+    let builds = (ed25519::prepared_cache_builds() - builds) as f64 / contacts;
+    SUITE.record("handshake/first_contact_builds", builds);
+    println!("prepared-key tables built per first contact: {builds:.2} (gate: == 0)");
+    assert!(
+        builds == 0.0,
+        "a first contact builds {builds:.2} key tables: the handshake admits its peers"
+    );
 }
 
 fn bench_aead(c: &mut Criterion) {

@@ -8,6 +8,7 @@
 //! ## The acceptance predicate
 //!
 //! Every verification flavour in this module — [`VerifyingKey::verify`],
+//! [`VerifyingKey::verify_without_admission`],
 //! [`VerifyingKey::verify_uncached`], [`VerifyingKey::verify_naive`] (the
 //! oracle), [`PreparedVerifyingKey::verify`] and [`verify_batch`] —
 //! accepts exactly the signatures `(R, s)` that satisfy RFC 8032
@@ -88,6 +89,14 @@
 //!   instead of a table nobody reuses, while keys that earn hits stay.
 //!   [`verify_batch`] always takes tables (its per-author sums need
 //!   them), evicting the oldest entry as a plain insert does.
+//!   [`VerifyingKey::verify_without_admission`] never builds one: a hit
+//!   is used and marked like any other, a miss is checked one-shot and
+//!   leaves the cache as it was. So tables are built only where
+//!   signatures repeat — bundles (`verify`, `verify_batch`) and
+//!   certificates against the CA key — and never for a handshake peer
+//!   (sos-net's handshake checks through the read-only flavour): a pair
+//!   resumes its next meetings from a ticket, without signatures, so a
+//!   peer's key signs once per full handshake.
 //! * [`verify_batch`] — one random-linear-combination check for a whole
 //!   `SyncMsg::Bundles` frame: a single `[Σzᵢsᵢ]B` table sum, one
 //!   `[Σzᵢkᵢ](−A)` table sum per distinct author, and the `[zᵢ](−Rᵢ)`
@@ -745,11 +754,27 @@ impl VerifyingKey {
     /// miss that a full cache declines (its oldest entry was hit since
     /// it was queued; module header) runs [`VerifyingKey::verify_uncached`].
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        match prepared_cache_lookup(self, true) {
-            Some(prepared) => prepared.verify(message, signature),
-            // Declined by a full cache, or a key off the curve (which
-            // the one-shot path refuses as well).
-            None => self.verify_uncached(message, signature),
+        self.verify_admitting(Admission::SecondChance, message, signature)
+    }
+
+    /// [`VerifyingKey::verify`] without admission: a key the
+    /// process-wide cache holds is checked through its table, and the
+    /// hit marks its entry as any hit does; any other key is checked by
+    /// [`VerifyingKey::verify_uncached`], and nothing is built or
+    /// inserted. For signatures a key makes once per meeting, such as a
+    /// handshake peer's, whose table would never be used again.
+    pub fn verify_without_admission(&self, message: &[u8], signature: &Signature) -> bool {
+        self.verify_admitting(Admission::Never, message, signature)
+    }
+
+    /// Verifies through the cached table when the lookup under
+    /// `admission` yields one, one-shot otherwise.
+    fn verify_admitting(&self, admission: Admission, msg: &[u8], sig: &Signature) -> bool {
+        match prepared_cache_lookup(self, admission) {
+            Some(prepared) => prepared.verify(msg, sig),
+            // Not admitted, or a key off the curve (which the one-shot
+            // path refuses as well).
+            None => self.verify_uncached(msg, sig),
         }
     }
 
@@ -757,8 +782,9 @@ impl VerifyingKey {
     /// [`EdwardsPoint::double_scalar_mul_basepoint`]: no per-key table
     /// is built or cached. Useful when a key is known to be seen once
     /// (equivalence-tested against both the cached path and the naive
-    /// oracle).
+    /// oracle). Every call counts in [`one_shot_verifies`].
     pub fn verify_uncached(&self, message: &[u8], signature: &Signature) -> bool {
+        ONE_SHOT_VERIFIES.fetch_add(1, Relaxed);
         let Some((s, k, r_enc)) = self.verify_parts(message, signature) else {
             return false;
         };
@@ -839,10 +865,10 @@ fn residue_accepted(r_prime: &EdwardsPoint, r_enc: &[u8; 32]) -> bool {
 /// prepared verifications), against ~63 µs for a one-shot
 /// [`VerifyingKey::verify_uncached`] — amortized away by an author's
 /// fourth signature, which is exactly the SOS workload: a sync encounter
-/// delivers an author's bundles in batches (~200 per session), and a
-/// handshake peer is usually met again. A key seen only once never
-/// repays its table, which is what the cache's second-chance admission
-/// (module header) declines to build.
+/// delivers an author's bundles in batches (~200 per session). A key
+/// seen only once never repays its table, which is what the cache's
+/// second-chance admission (module header) declines to build, and what
+/// [`VerifyingKey::verify_without_admission`] never builds.
 pub struct PreparedVerifyingKey {
     compressed: [u8; 32],
     neg_table: FixedWindowTable,
@@ -892,6 +918,9 @@ impl PreparedVerifyingKey {
 /// Cap on the process-wide prepared-key cache. Each entry holds a
 /// 64×8-point table (~80 KiB), so the cap bounds memory at ~20 MiB while
 /// covering far more concurrent authors than a node meets per session.
+/// Only bundle authors and the CA key fill it: a handshake peer's key is
+/// checked through [`VerifyingKey::verify_without_admission`], which
+/// never inserts.
 const PREPARED_CACHE_CAP: usize = 256;
 
 /// Number of keys currently in the process-wide prepared cache
@@ -923,6 +952,17 @@ pub fn prepared_cache_builds() -> u64 {
 
 static PREPARED_BUILDS: AtomicU64 = AtomicU64::new(0);
 
+/// Calls of [`VerifyingKey::verify_uncached`] since the process
+/// started, from any flavour that fell back to it or from a caller:
+/// with [`prepared_cache_builds`], what the verifications a workload
+/// made cost beyond table sums.
+#[doc(hidden)]
+pub fn one_shot_verifies() -> u64 {
+    ONE_SHOT_VERIFIES.load(Relaxed)
+}
+
+static ONE_SHOT_VERIFIES: AtomicU64 = AtomicU64::new(0);
+
 type PreparedMap = FifoMap<[u8; 32], Arc<PreparedVerifyingKey>>;
 
 // Lookups recover from a poisoned lock (`PoisonError::into_inner`)
@@ -933,16 +973,30 @@ fn prepared_cache() -> &'static Mutex<PreparedMap> {
     CACHE.get_or_init(|| Mutex::new(FifoMap::new(PREPARED_CACHE_CAP)))
 }
 
+/// What a miss in the prepared-key cache may do.
+#[derive(Clone, Copy, PartialEq)]
+enum Admission {
+    /// Build and insert, evicting the oldest entry of a full cache
+    /// ([`verify_batch`]).
+    Always,
+    /// Build and insert unless a full cache's oldest entry is marked
+    /// ([`VerifyingKey::verify`]).
+    SecondChance,
+    /// Build nothing ([`VerifyingKey::verify_without_admission`]).
+    Never,
+}
+
 /// Looks up the prepared form of `key` in the process-wide cache,
 /// marking the entry on a hit. A miss builds the table and inserts it,
-/// evicting the oldest entry of a full cache — unless `second_chance`
-/// is set and that oldest entry is marked: it is then unmarked and
-/// requeued instead, nothing is built, and `None` sends the caller to
-/// [`VerifyingKey::verify_uncached`]. Also `None` for undecompressible
-/// keys.
+/// evicting the oldest entry of a full cache, as `admission` allows:
+/// under [`Admission::SecondChance`] a marked oldest entry is unmarked
+/// and requeued instead, and under [`Admission::Never`] nothing is
+/// touched. A declined miss builds nothing, and its `None` sends the
+/// caller to [`VerifyingKey::verify_uncached`]. Also `None` for
+/// undecompressible keys.
 fn prepared_cache_lookup(
     key: &VerifyingKey,
-    second_chance: bool,
+    admission: Admission,
 ) -> Option<Arc<PreparedVerifyingKey>> {
     let cache = prepared_cache();
     {
@@ -950,7 +1004,9 @@ fn prepared_cache_lookup(
         if let Some(hit) = held.get_and_mark(&key.0) {
             return Some(hit.clone());
         }
-        if second_chance && held.second_chance() {
+        if admission == Admission::Never
+            || admission == Admission::SecondChance && held.second_chance()
+        {
             return None;
         }
     }
@@ -1070,7 +1126,7 @@ fn verify_split(items: &[(&VerifyingKey, &[u8], &Signature)], parts: usize) -> b
     }
     let Some(tables) = keys
         .iter()
-        .map(|bytes| prepared_cache_lookup(&VerifyingKey(**bytes), false))
+        .map(|bytes| prepared_cache_lookup(&VerifyingKey(**bytes), Admission::Always))
         .collect::<Option<Vec<_>>>()
     else {
         return false;
@@ -1359,12 +1415,14 @@ mod tests {
         let msg = b"every path, same verdict";
         let sig = sk.sign(msg);
         assert!(vk.verify(msg, &sig));
+        assert!(vk.verify_without_admission(msg, &sig));
         assert!(vk.verify_uncached(msg, &sig));
         assert!(vk.verify_naive(msg, &sig));
         assert!(prepared.verify(msg, &sig));
         let mut bad = sig;
         bad.0[5] ^= 1;
         assert!(!vk.verify(msg, &bad));
+        assert!(!vk.verify_without_admission(msg, &bad));
         assert!(!vk.verify_uncached(msg, &bad));
         assert!(!vk.verify_naive(msg, &bad));
         assert!(!prepared.verify(msg, &bad));
@@ -1388,6 +1446,7 @@ mod tests {
         let vk = off_curve.expect("some encoding must be off-curve");
         let sig = Signature([1u8; 64]);
         assert!(!vk.verify(b"m", &sig));
+        assert!(!vk.verify_without_admission(b"m", &sig));
         assert!(!vk.verify_uncached(b"m", &sig));
         assert!(!vk.verify_naive(b"m", &sig));
         assert!(PreparedVerifyingKey::new(&vk).is_none());

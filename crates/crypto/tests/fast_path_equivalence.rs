@@ -2,7 +2,8 @@
 //! naive double-and-add oracles it replaced (ISSUE 3 tentpole): the
 //! fixed-window basepoint table, the 4-bit sliding-window variable-base
 //! multiplication, the Straus/Shamir interleaved double-scalar
-//! multiplication, the prepared/cached verification flavours, the
+//! multiplication, the prepared/cached verification flavours (the
+//! read-only `verify_without_admission` on its hit and miss paths), the
 //! validator's certificate cache, and (ISSUE 14) the fixed-base X25519
 //! public-key derivation against the Montgomery ladder.
 //!
@@ -219,7 +220,12 @@ proptest! {
         let vk = sk.verifying_key();
         let prepared = PreparedVerifyingKey::new(&vk).expect("derived keys decompress");
         let sig = sk.sign(&msg);
+        // The read-only flavour first, while the key is most likely
+        // absent from the cache (its one-shot miss path), and again after
+        // `verify` has admitted it (its hit path).
+        prop_assert!(vk.verify_without_admission(&msg, &sig));
         prop_assert!(vk.verify(&msg, &sig));
+        prop_assert!(vk.verify_without_admission(&msg, &sig));
         prop_assert!(vk.verify_uncached(&msg, &sig));
         prop_assert!(vk.verify_naive(&msg, &sig));
         prop_assert!(prepared.verify(&msg, &sig));
@@ -229,8 +235,21 @@ proptest! {
         bad.0[flip / 8] ^= 1 << (flip % 8);
         let naive = vk.verify_naive(&msg, &bad);
         prop_assert_eq!(vk.verify(&msg, &bad), naive);
+        prop_assert_eq!(vk.verify_without_admission(&msg, &bad), naive);
         prop_assert_eq!(vk.verify_uncached(&msg, &bad), naive);
         prop_assert_eq!(prepared.verify(&msg, &bad), naive);
+        // The honest signature under another key: refused by every
+        // flavour, the read-only one on its miss path (checked before
+        // `verify` can admit that key; no other case derives it, barring
+        // a seed collision).
+        let mut other_seed = seed;
+        other_seed[0] ^= 0x80;
+        let other = SigningKey::from_seed(other_seed).verifying_key();
+        let naive = other.verify_naive(&msg, &sig);
+        prop_assert!(!naive);
+        prop_assert_eq!(other.verify_without_admission(&msg, &sig), naive);
+        prop_assert_eq!(other.verify_uncached(&msg, &sig), naive);
+        prop_assert_eq!(other.verify(&msg, &sig), naive);
     }
 
     #[test]

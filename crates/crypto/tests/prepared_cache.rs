@@ -5,14 +5,16 @@
 //! hit since it was queued, and evicts it for the newcomer's table
 //! otherwise. `verify_batch` always takes tables, one per distinct key
 //! however many cores it splits the batch across.
+//! `verify_without_admission` never builds or inserts: a miss is checked
+//! one-shot, and a hit marks its entry as any hit does.
 //!
 //! The cache is one per process, so this file is its own test binary and
 //! holds exactly one `#[test]`: nothing else may verify a signature
 //! while the counts below are taken.
 
 use sos_crypto::ed25519::{
-    clear_prepared_cache, prepared_cache_builds, prepared_cache_len, verify_batch, Signature,
-    SigningKey, VerifyingKey,
+    clear_prepared_cache, one_shot_verifies, prepared_cache_builds, prepared_cache_len,
+    verify_batch, Signature, SigningKey, VerifyingKey,
 };
 
 /// The cap is private to the crate; it is pinned here so that changing
@@ -54,6 +56,26 @@ fn honest(a: &Author) -> u64 {
     builds(a, &a.sig, true)
 }
 
+/// Verifies `sig` by `a` through `verify_without_admission`, asserts the
+/// verdict and that nothing was built or inserted, and returns how many
+/// one-shot verifications that ran.
+fn read_only(a: &Author, sig: &Signature, valid: bool) -> u64 {
+    let (builds, len, one_shots) = (
+        prepared_cache_builds(),
+        prepared_cache_len(),
+        one_shot_verifies(),
+    );
+    let verdict = a.key.verify_without_admission(&a.msg, sig);
+    assert_eq!(verdict, valid, "wrong verdict");
+    assert_eq!(
+        prepared_cache_builds(),
+        builds,
+        "the read-only flavour built"
+    );
+    assert_eq!(prepared_cache_len(), len, "the read-only flavour inserted");
+    one_shot_verifies() - one_shots
+}
+
 #[test]
 fn a_full_cache_admits_newcomers_by_second_chance() {
     let authors: Vec<Author> = (0..CAP + 2).map(author).collect();
@@ -63,6 +85,12 @@ fn a_full_cache_admits_newcomers_by_second_chance() {
     let mut forged_late = late.sig;
     forged_late.0[3] ^= 0x40;
     clear_prepared_cache();
+    assert_eq!(prepared_cache_len(), 0);
+
+    // The read-only flavour neither builds nor inserts, even into an
+    // empty cache: honest and forged signatures are checked one-shot.
+    assert_eq!(read_only(newcomer, &newcomer.sig, true), 1);
+    assert_eq!(read_only(newcomer, &forged, false), 1);
     assert_eq!(prepared_cache_len(), 0);
 
     // Below the cap every first sight builds, and the length climbs to
@@ -159,6 +187,23 @@ fn a_full_cache_admits_newcomers_by_second_chance() {
     let before = prepared_cache_builds();
     assert!(verify_batch(&items), "eighty honest signatures, one author");
     assert_eq!(prepared_cache_builds(), before + 1, "one build per key");
+    assert_eq!(prepared_cache_len(), CAP);
+
+    // The two batches' inserts evicted 4 and 5, so the oldest entry is
+    // now 6, unmarked. A read-only hit on it costs no one-shot check and
+    // marks it like any hit: a newcomer is then declined (checked
+    // one-shot, nothing built) while 6 is requeued and stays cached.
+    let (six, newcomer) = (&authors[6], author(CAP + 3));
+    assert_eq!(read_only(six, &six.sig, true), 0, "6 is cached");
+    let one_shots = one_shot_verifies();
+    assert_eq!(honest(&newcomer), 0, "declined: 6 was marked");
+    assert_eq!(one_shot_verifies(), one_shots + 1);
+    assert_eq!(read_only(six, &six.sig, true), 0, "6 kept its table");
+    // The next oldest, 7, was never hit: the newcomer's second try
+    // evicts it, and a read-only check of 7 is then a one-shot miss that
+    // builds nothing back.
+    assert_eq!(honest(&newcomer), 1);
+    assert_eq!(read_only(&authors[7], &authors[7].sig, true), 1);
     assert_eq!(prepared_cache_len(), CAP);
 
     // Clearing still empties it, and the next sight of anyone builds.

@@ -18,6 +18,18 @@
 //!    side keeps it with the peer's validated certificate as a
 //!    [`Ticket`].
 //!
+//! Which checks build key tables: the certificate check goes through the
+//! CA key, which every handshake uses, so its prepared-key table is built
+//! once and then hit. The peer's signature goes through
+//! [`VerifyingKey::verify_without_admission`]: through the peer's table
+//! when the bundle path has already built one, one-shot otherwise, and
+//! never building a table itself. A peer's key signs once per full
+//! handshake (the pair's next meetings resume from the ticket), so an
+//! 80 KiB table of it would be used once; a first contact between
+//! strangers therefore builds none.
+//!
+//! [`VerifyingKey::verify_without_admission`]: sos_crypto::ed25519::VerifyingKey::verify_without_admission
+//!
 //! # The resumed exchange
 //!
 //! A social contact process is a few pairs meeting again and again, so
@@ -306,9 +318,7 @@ impl Initiator {
             return (Initiator(Pending::Resume { ticket, nonce }), init);
         }
         let ephemeral = AgreementKey::generate(rng);
-        let mut signed = Vec::with_capacity(64);
-        signed.extend_from_slice(SIG_CONTEXT_INIT);
-        signed.extend_from_slice(ephemeral.public());
+        let signed = [SIG_CONTEXT_INIT, ephemeral.public()].concat();
         let init = HandshakeInit::Full {
             certificate: Box::new(identity.certificate().clone()),
             ephemeral_public: *ephemeral.public(),
@@ -348,11 +358,9 @@ impl Initiator {
                 },
             ) => {
                 identity.validator().validate(certificate, now_secs)?;
-                let mut signed = Vec::with_capacity(96);
-                signed.extend_from_slice(SIG_CONTEXT_RESP);
-                signed.extend_from_slice(ephemeral_public);
-                signed.extend_from_slice(ephemeral.public());
-                if !certificate.ed25519_public.verify(&signed, signature) {
+                let signed = [SIG_CONTEXT_RESP, ephemeral_public, ephemeral.public()].concat();
+                let key = certificate.ed25519_public;
+                if !key.verify_without_admission(&signed, signature) {
                     return Err(NetError::BadHandshakeSignature);
                 }
                 let shared = agree(&ephemeral, ephemeral_public)?;
@@ -416,18 +424,14 @@ impl Responder {
                 signature,
             } => {
                 identity.validator().validate(certificate, now_secs)?;
-                let mut signed = Vec::with_capacity(64);
-                signed.extend_from_slice(SIG_CONTEXT_INIT);
-                signed.extend_from_slice(ephemeral_public);
-                if !certificate.ed25519_public.verify(&signed, signature) {
+                let signed = [SIG_CONTEXT_INIT, ephemeral_public].concat();
+                let key = certificate.ed25519_public;
+                if !key.verify_without_admission(&signed, signature) {
                     return Err(NetError::BadHandshakeSignature);
                 }
                 let ephemeral = AgreementKey::generate(rng);
                 let shared = agree(&ephemeral, ephemeral_public)?;
-                let mut resp_signed = Vec::with_capacity(96);
-                resp_signed.extend_from_slice(SIG_CONTEXT_RESP);
-                resp_signed.extend_from_slice(ephemeral.public());
-                resp_signed.extend_from_slice(ephemeral_public);
+                let resp_signed = [SIG_CONTEXT_RESP, ephemeral.public(), ephemeral_public].concat();
                 let response = HandshakeResponse::Full {
                     certificate: Box::new(identity.certificate().clone()),
                     ephemeral_public: *ephemeral.public(),
