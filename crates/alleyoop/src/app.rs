@@ -338,29 +338,22 @@ mod tests {
         (cloud, alice, bob)
     }
 
-    /// Exchange frames between two apps until quiescent.
+    /// Exchange frames between two apps over an instant air until it is
+    /// quiet, `b` browsing `a`'s advertisement.
     fn pump(a: &mut AlleyOopApp, b: &mut AlleyOopApp, now: SimTime) {
         let mut r = rng(9);
-        let ad = a.middleware().advertisement(now);
-        let mut queue: std::collections::VecDeque<(PeerId, PeerId, Frame)> = b
-            .middleware_mut()
-            .handle_frame(a.peer_id(), Frame::Advertisement(ad), now, &mut r)
-            .into_iter()
-            .map(|(dst, f)| (b.peer_id(), dst, f))
-            .collect();
-        let mut guard = 0;
-        while let Some((src, dst, frame)) = queue.pop_front() {
-            guard += 1;
-            assert!(guard < 10_000);
-            let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
-            for (d, f) in target
-                .middleware_mut()
-                .handle_frame(src, frame, now, &mut r)
-            {
-                let s = target.peer_id();
-                queue.push_back((s, d, f));
-            }
-        }
+        let (a_id, b_id) = (a.peer_id(), b.peer_id());
+        let ad = Frame::Advertisement(a.middleware().advertisement(now));
+        let mut air = sos_net::Air::instant();
+        air.send(now, a_id, [(b_id, ad)], &mut r);
+        air.settle(
+            now + sos_sim::SimDuration::from_millis(1),
+            &mut r,
+            |at, src, dst, frame, r| {
+                let target = if dst == a_id { &mut *a } else { &mut *b };
+                target.middleware_mut().handle_frame(src, frame, at, r)
+            },
+        );
     }
 
     #[test]

@@ -1320,49 +1320,28 @@ mod tests {
         Sos::new(PeerId(idx), identity(ca, seed, name), kind)
     }
 
-    /// Delivers frames between two nodes until quiescent.
-    fn pump(a: &mut Sos, b: &mut Sos, initial: Vec<(PeerId, Frame)>, now: SimTime) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let mut queue: VecDeque<(PeerId, PeerId, Frame)> = initial
-            .into_iter()
-            .map(|(dst, f)| (a.peer_id(), dst, f))
-            .collect();
-        let mut steps = 0;
-        while let Some((src, dst, frame)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 10_000, "frame storm");
-            let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
-            let replies = target.handle_frame(src, frame, now, &mut rng);
-            let reply_src = target.peer_id();
-            for (d, f) in replies {
-                queue.push_back((reply_src, d, f));
-            }
-        }
+    /// Delivers `initial`, sent by `a`, and every reply between the two
+    /// nodes over an instant air until it is quiet.
+    fn pump(a: &mut Sos, b: &mut Sos, initial: Vec<(PeerId, Frame)>, now: SimTime, seed: u64) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a_id = a.peer_id();
+        let mut air = sos_net::Air::instant();
+        air.send(now, a_id, initial, &mut rng);
+        air.settle(
+            now + sos_sim::SimDuration::from_millis(1),
+            &mut rng,
+            |at, src, dst, frame, rng| {
+                let target = if dst == a_id { &mut *a } else { &mut *b };
+                target.handle_frame(src, frame, at, rng)
+            },
+        );
     }
 
     /// Runs a full advertisement → session → sync exchange from `b`
     /// browsing `a`'s advertisement.
     fn browse(a: &mut Sos, b: &mut Sos, now: SimTime) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let ad = a.advertisement(now);
-        let out = b.handle_frame(a.peer_id(), Frame::Advertisement(ad), now, &mut rng);
-        // Frames from b to a: pump with roles swapped.
-        let mut queue: VecDeque<(PeerId, PeerId, Frame)> = out
-            .into_iter()
-            .map(|(dst, f)| (b.peer_id(), dst, f))
-            .collect();
-        let mut steps = 0;
-        while let Some((src, dst, frame)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 10_000, "frame storm");
-            let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
-            let replies = target.handle_frame(src, frame, now, &mut rng);
-            let reply_src = target.peer_id();
-            for (d, f) in replies {
-                queue.push_back((reply_src, d, f));
-            }
-        }
-        let _ = pump; // silence unused in some test configurations
+        let ad = Frame::Advertisement(a.advertisement(now));
+        pump(a, b, vec![(b.peer_id(), ad)], now, 7);
     }
 
     fn uid(s: &str) -> UserId {
@@ -2155,7 +2134,7 @@ mod tests {
         assert_eq!(dones, Some(1), "the established browse is still there");
 
         // The request is still served, and what comes back decrypts.
-        pump(&mut bob, &mut alice, request, now);
+        pump(&mut bob, &mut alice, request, now, 99);
         assert_eq!(bob.store.len(), 1, "the bundle arrived");
         assert_eq!((bob.session_count(), alice.session_count()), (0, 0));
         assert!(bob.adhoc.browse_mut(alice.peer_id()).is_none());

@@ -18,10 +18,9 @@ use sos_core::{MessageKind, SchemeKind, Sos};
 use sos_crypto::ca::{CertificateAuthority, Validator};
 use sos_crypto::cert::certificates_parsed;
 use sos_crypto::{AgreementKey, DeviceIdentity, SigningKey, UserId};
-use sos_net::{Frame, PeerId};
-use sos_sim::SimTime;
+use sos_net::{Air, Frame, PeerId};
+use sos_sim::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) since start-up.
@@ -78,27 +77,31 @@ struct Encounter {
 }
 
 /// `subscriber` hears `author`'s advertisement; frames are exchanged
-/// until the air is quiet.
+/// over an instant air until it is quiet.
 fn encounter(author: &mut Sos, subscriber: &mut Sos, now: SimTime) -> Encounter {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let parsed_before = certificates_parsed();
     let mut cost = Encounter::default();
-    let ad = Frame::Advertisement(author.advertisement(now)).encode();
-    let mut air = VecDeque::from([(author.peer_id(), subscriber.peer_id(), ad)]);
-    while let Some((from, to, bytes)) = air.pop_front() {
-        let frame = Frame::decode(&bytes).expect("a frame the peer encoded decodes");
-        let (target, spent) = if to == author.peer_id() {
-            (&mut *author, &mut cost.author_allocations)
-        } else {
-            (&mut *subscriber, &mut cost.subscriber_allocations)
-        };
-        let before = ALLOCATIONS.load(Relaxed);
-        let replies = target.handle_frame(from, frame, now, &mut rng);
-        *spent += ALLOCATIONS.load(Relaxed) - before;
-        for (dst, reply) in replies {
-            air.push_back((to, dst, reply.encode()));
-        }
-    }
+    let author_id = author.peer_id();
+    let ad = Frame::Advertisement(author.advertisement(now));
+    let mut air = Air::instant();
+    air.send(now, author_id, [(subscriber.peer_id(), ad)], &mut rng);
+    air.settle(
+        now + SimDuration::from_millis(1),
+        &mut rng,
+        |at, from, to, frame, rng| {
+            let frame = Frame::decode(&frame.encode()).expect("a frame the peer encoded decodes");
+            let (target, spent) = if to == author_id {
+                (&mut *author, &mut cost.author_allocations)
+            } else {
+                (&mut *subscriber, &mut cost.subscriber_allocations)
+            };
+            let before = ALLOCATIONS.load(Relaxed);
+            let replies = target.handle_frame(from, frame, at, rng);
+            *spent += ALLOCATIONS.load(Relaxed) - before;
+            replies
+        },
+    );
     cost.certificates_parsed = certificates_parsed() - parsed_before;
     cost
 }

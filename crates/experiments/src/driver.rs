@@ -1,5 +1,5 @@
 //! The discrete-event driver: moves frames between AlleyOop apps
-//! according to an encounter timeline and link models, and records
+//! over a radio [`Air`] according to an encounter timeline, and records
 //! every metric the paper's evaluation reports.
 //!
 //! This is the substitute for physics: where the paper had ten iPhones
@@ -18,8 +18,8 @@
 //! **One schedule:** a run walks the steps of
 //! [`sos_node::provision::schedule`] — contact transitions, posts and
 //! advertisement wakes — the one schedule the lockstep conductor walks
-//! too, under its one end-of-run rule; only frames in flight are queued
-//! between them. A node wakes only on the boundaries of its cadence
+//! too, under its one end-of-run rule; only frames in flight wait on the
+//! air between them. A node wakes only on the boundaries of its cadence
 //! that find it with a peer, so a run costs what its contacts warrant,
 //! not what its span does: on the paper-shaped week of ten phones, 87 %
 //! of all boundaries find the advertiser alone.
@@ -27,16 +27,18 @@
 //! **Sans-I/O split:** the middleware loop itself — session
 //! lifecycles, advertisement cadence, peer connectivity — lives in
 //! [`sos_node::runtime::NodeRuntime`], the same state machine the
-//! in-vivo TCP daemons run. The driver is a thin client that adds the
-//! physics the paper's field study had for free: link selection by
-//! distance, loss, serialization delay, and in-order delivery per
-//! directed link. Frames cross the boundary as typed values
-//! (`push_frame` / `poll_frames`) with the driver's one shared RNG, so
-//! the driver pays no codec cost — the link model costs a frame by
-//! [`Frame::wire_size`], which is computed from the frame's fields, not
-//! by encoding it; and the runtime's peer set is the only record of who
-//! is connected to whom — the driver keeps just the distance each open
-//! contact was frozen at.
+//! in-vivo TCP daemons run. The physics the paper's field study had for
+//! free — bearer selection by distance, loss, serialization delay, and
+//! in-order delivery per directed link — lives in [`sos_net::Air`], the
+//! one medium the unit-test pumps move frames through too; the driver
+//! only tells it of contact transitions and hands it each node's frames.
+//! Frames cross the boundary as typed values (`push_frame` /
+//! `poll_frames`) with the driver's one shared RNG, so the driver pays
+//! no codec cost: the air costs a frame by
+//! [`sos_net::Frame::wire_size`], which is computed from the frame's
+//! fields, not by encoding it. Each delivered frame draws for the
+//! middleware first, then for the loss of its replies, in emission
+//! order.
 //!
 //! **One study plane:** every driver-based experiment (field study,
 //! replay, corpus, density) is a builder that provisions a [`Study`];
@@ -52,13 +54,13 @@ use rand::SeedableRng;
 use sos_core::message::MessageKind;
 use sos_core::middleware::{SosEvent, SosStats};
 use sos_core::routing::SchemeKind;
-use sos_net::{Frame, LinkModel, PeerId};
+use sos_net::{Air, PeerId};
 use sos_node::provision::{ad_phase, schedule, Step};
 use sos_node::runtime::{NodeConfig, NodeRuntime};
 use sos_obs::journal::ObsEvent;
 use sos_obs::{Histogram, JournalEntry, JournalHandle, NodeObs, Registry};
 use sos_sim::metrics::{DelayRecorder, DeliveryRecorder};
-use sos_sim::{ContactEvent, ContactPhase, EncounterSource, EventQueue, SimDuration, SimTime};
+use sos_sim::{ContactEvent, ContactPhase, EncounterSource, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Where on the map something happened (for Fig. 4b).
@@ -79,14 +81,6 @@ pub enum MapEventKind {
     Created,
     /// A message was received here via D2D (red in the paper).
     Disseminated,
-}
-
-/// A frame on its way from `src` to `dst`: the only thing the driver
-/// queues, between the steps of the schedule it walks.
-struct Delivery {
-    src: usize,
-    dst: usize,
-    frame: Frame,
 }
 
 /// Driver configuration.
@@ -126,7 +120,7 @@ pub struct RunMetrics {
     pub map: Vec<MapEvent>,
     /// Total frames transmitted (any type).
     pub frames_sent: u64,
-    /// Frames lost to the link model.
+    /// Frames lost on the air.
     pub frames_lost: u64,
     /// Security alerts raised by any node.
     pub security_alerts: u64,
@@ -242,7 +236,7 @@ pub fn run_study<S: EncounterSource>(study: Study<S>, obs: Option<&RunObserver>)
     }
 }
 
-/// The simulation driver: apps + encounter source + queue + recorders.
+/// The simulation driver: apps + encounter source + recorders.
 ///
 /// Generic over [`EncounterSource`], so the same driver runs on the
 /// naive `World` scan, on `sos-engine`'s grid-indexed kernel, or on
@@ -258,18 +252,6 @@ struct Driver<C: EncounterSource> {
     user_index: BTreeMap<sos_crypto::UserId, usize>,
     /// The steps of the run's schedule, walked in order by [`Self::run`].
     schedule: Vec<(SimTime, Step)>,
-    /// Frames in flight, by arrival time and then send order.
-    queue: EventQueue<Delivery>,
-    /// The up-distance each open contact was frozen at, by normalized
-    /// `(lo, hi)` pair: what [`Self::transmit`] picks the bearer from.
-    links: BTreeMap<(usize, usize), f64>,
-    /// Last scheduled arrival per directed `(src, dst)` pair: the MPC
-    /// substrate is a reliable *ordered* byte stream, so a small frame
-    /// (shorter serialization delay) must never overtake a large one
-    /// sent earlier on the same link — the session layer's strictly
-    /// increasing sequence numbers depend on it.
-    in_flight: BTreeMap<(usize, usize), SimTime>,
-    rng: rand::rngs::StdRng,
     config: DriverConfig,
     end: SimTime,
     metrics: RunMetrics,
@@ -281,8 +263,6 @@ struct Driver<C: EncounterSource> {
 struct DriverObs {
     registry: Registry,
     journal: JournalHandle,
-    /// Wire sizes of every transmitted frame.
-    frame_bytes: Histogram,
     /// Delivery delays (interested subscribers only), milliseconds.
     delay_ms: Histogram,
 }
@@ -313,7 +293,6 @@ impl<C: EncounterSource> Driver<C> {
             .enumerate()
             .map(|(i, app)| (app.user_id(), i))
             .collect();
-        let rng = rand::rngs::StdRng::seed_from_u64(config.seed);
         let n = apps.len();
         let nodes = apps
             .into_iter()
@@ -334,10 +313,6 @@ impl<C: EncounterSource> Driver<C> {
             followers,
             user_index,
             schedule,
-            queue: EventQueue::new(),
-            links: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
-            rng,
             config,
             end,
             metrics: RunMetrics::default(),
@@ -349,7 +324,8 @@ impl<C: EncounterSource> Driver<C> {
     /// gets a journal scope (events attributed by node index) and its
     /// live stat cells registered as `node<i>/sos/...`, while the driver
     /// itself journals contact transitions and feeds the
-    /// `driver/frame_bytes` and `driver/delivery_delay_ms` histograms.
+    /// `driver/delivery_delay_ms` histogram, and its air the
+    /// `driver/frame_bytes` one.
     /// Purely passive: an observed run is byte-identical to a blind one.
     fn attach_observer(&mut self, registry: &Registry, journal: &JournalHandle) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
@@ -360,36 +336,8 @@ impl<C: EncounterSource> Driver<C> {
         self.obs = Some(DriverObs {
             registry: registry.clone(),
             journal: journal.clone(),
-            frame_bytes: registry.histogram("driver/frame_bytes"),
             delay_ms: registry.histogram("driver/delivery_delay_ms"),
         });
-    }
-
-    /// Journals a driver-level (contact) event.
-    fn note_contact(&self, now: SimTime, a: usize, b: usize, up: bool) {
-        if let Some(obs) = &self.obs {
-            let (a, b) = (a as u32, b as u32);
-            obs.journal.push(JournalEntry {
-                time: now,
-                node: a,
-                event: if up {
-                    ObsEvent::ContactUp { a, b }
-                } else {
-                    ObsEvent::ContactDown { a, b }
-                },
-            });
-        }
-    }
-
-    /// Enqueues a delivery. Frames are sent at the instant being
-    /// processed and arrive after a non-negative latency, and the queue
-    /// clock never runs ahead of that instant, so
-    /// [`sos_sim::SimError::SchedulePast`] is unreachable here.
-    fn enqueue(&mut self, at: SimTime, delivery: Delivery) {
-        self.queue
-            .schedule(at, delivery)
-            // sos-lint: allow(no-panic) reason="deliveries are scheduled at or after the instant being processed, never behind the queue clock (see doc comment)"
-            .expect("deliveries are never scheduled into the past");
     }
 
     /// Runs the simulation to the end and returns the metrics and the
@@ -400,11 +348,15 @@ impl<C: EncounterSource> Driver<C> {
     /// its contact transitions, then its posts, then its wakes. Frames
     /// due at the end are delivered; later ones never arrive.
     fn run(mut self) -> (RunMetrics, Vec<AlleyOopApp>) {
+        let obs = self.obs.as_ref();
+        let frame_bytes = obs.map(|o| o.registry.histogram("driver/frame_bytes"));
+        let mut air = Air::radio(self.config.infra_available, frame_bytes);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
         for (now, step) in std::mem::take(&mut self.schedule) {
-            self.deliver_before(now);
+            self.deliver_before(&mut air, &mut rng, now);
             for ev in step.encounters {
                 let _span = sos_obs::profile::span("driver/contact");
-                self.on_contact(ev, now);
+                self.on_contact(&mut air, ev, now);
             }
             for (node, number) in step.posts {
                 let _span = sos_obs::profile::span("driver/post");
@@ -412,37 +364,60 @@ impl<C: EncounterSource> Driver<C> {
             }
             for node in step.wakes {
                 let _span = sos_obs::profile::span("driver/advertise");
-                self.on_advertise(node, now);
+                // An exact ad boundary by construction of the schedule:
+                // the broadcast goes to each in-range peer, ascending.
+                self.nodes[node].advance_to(now);
+                let frames = self.nodes[node].poll_frames();
+                air.send(now, PeerId(node as u32), frames, &mut rng);
             }
         }
-        self.deliver_before(self.end + SimDuration::from_millis(1));
+        self.deliver_before(&mut air, &mut rng, self.end + SimDuration::from_millis(1));
+        (self.metrics.frames_sent, self.metrics.frames_lost) = air.totals();
         self.export_metrics();
         let apps = self.nodes.into_iter().map(NodeRuntime::into_app).collect();
         (self.metrics, apps)
     }
 
-    /// Delivers, in queue order, every frame due before `t`.
-    fn deliver_before(&mut self, t: SimTime) {
-        while let Some((now, Delivery { src, dst, frame })) = self.queue.pop_before(t) {
+    /// Delivers, in air order, every frame due before `t`. The runtime's
+    /// gate drops a frame whose contact closed while it was in flight.
+    fn deliver_before(&mut self, air: &mut Air, rng: &mut rand::rngs::StdRng, t: SimTime) {
+        air.settle(t, rng, |now, src, dst, frame, rng| {
             let _span = sos_obs::profile::span("driver/deliver");
-            self.on_deliver(src, dst, frame, now);
-        }
+            let node = dst.0 as usize;
+            if !self.nodes[node].push_frame(src, frame, now, rng) {
+                return Vec::new();
+            }
+            self.collect_app_events(node);
+            self.nodes[node].poll_frames()
+        });
     }
 
     /// A contact transition: an `Up` opens the link, frozen at its
-    /// distance, a `Down` closes it; both ends' runtimes learn of it.
-    fn on_contact(&mut self, ev: ContactEvent, now: SimTime) {
-        let (a, b) = (ev.a, ev.b);
+    /// distance, a `Down` closes it; the journal and both ends' runtimes
+    /// learn of it.
+    fn on_contact(&mut self, air: &mut Air, ev: ContactEvent, now: SimTime) {
+        let (a, b) = (PeerId(ev.a as u32), PeerId(ev.b as u32));
         let up = ev.phase == ContactPhase::Up;
-        self.note_contact(now, a, b, up);
-        if up {
-            self.links.insert(pair(a, b), ev.distance_m);
-            self.nodes[a].on_encounter_up(PeerId(b as u32));
-            self.nodes[b].on_encounter_up(PeerId(a as u32));
-        } else {
-            self.links.remove(&pair(a, b));
-            self.nodes[a].on_encounter_down(PeerId(b as u32));
-            self.nodes[b].on_encounter_down(PeerId(a as u32));
+        if let Some(obs) = &self.obs {
+            let (a, b) = (a.0, b.0);
+            let event = if up {
+                ObsEvent::ContactUp { a, b }
+            } else {
+                ObsEvent::ContactDown { a, b }
+            };
+            obs.journal.push(JournalEntry {
+                time: now,
+                node: a,
+                event,
+            });
+        }
+        air.contact(a, b, up.then_some(ev.distance_m));
+        for (node, peer) in [(ev.a, b), (ev.b, a)] {
+            if up {
+                self.nodes[node].on_encounter_up(peer);
+            } else {
+                self.nodes[node].on_encounter_down(peer);
+            }
         }
     }
 
@@ -463,76 +438,27 @@ impl<C: EncounterSource> Driver<C> {
             .add(self.metrics.delays.len() as u64);
     }
 
-    /// An advertisement wake: the runtime advances to `now` (an exact
-    /// ad boundary by construction of the schedule)
-    /// and emits the broadcast to its in-range peers, ascending. The
-    /// driver then gives each copy its physics.
-    fn on_advertise(&mut self, node: usize, now: SimTime) {
-        self.nodes[node].advance_to(now);
-        for (to, frame) in self.nodes[node].poll_frames() {
-            self.transmit(node, to.0 as usize, frame, now);
-        }
-    }
-
-    fn transmit(&mut self, src: usize, dst: usize, frame: Frame, now: SimTime) {
-        let Some(&distance) = self.links.get(&pair(src, dst)) else {
-            return; // contact closed before transmission
-        };
-        let Some(link) = LinkModel::for_distance(distance, self.config.infra_available) else {
-            return; // up-distance beyond every available bearer
-        };
-        self.metrics.frames_sent += 1;
-        if let Some(obs) = &self.obs {
-            obs.frame_bytes.record(frame.wire_size() as u64);
-        }
-        if link.should_drop(&mut self.rng) {
-            self.metrics.frames_lost += 1;
-            return;
-        }
-        let delay = link.delay_for(frame.wire_size());
-        // In-order delivery per directed link (see `in_flight`): clamp
-        // the arrival to no earlier than the previous frame's; equal
-        // times pop FIFO, preserving the send order.
-        let mut arrival = now + delay;
-        let slot = self.in_flight.entry((src, dst)).or_insert(arrival);
-        if arrival < *slot {
-            arrival = *slot;
-        }
-        *slot = arrival;
-        self.enqueue(arrival, Delivery { src, dst, frame });
-    }
-
-    fn on_deliver(&mut self, src: usize, dst: usize, frame: Frame, now: SimTime) {
-        // The runtime's gate drops a frame whose contact closed while it
-        // was in flight.
-        if !self.nodes[dst].push_frame(PeerId(src as u32), frame, now, &mut self.rng) {
-            return;
-        }
-        self.collect_app_events(dst);
-        for (to, f) in self.nodes[dst].poll_frames() {
-            self.transmit(dst, to.0 as usize, f, now);
-        }
-    }
-
     fn on_post(&mut self, node: usize, number: u64, now: SimTime) {
         let text = format!("post #{number} by {}", self.nodes[node].app().handle());
         self.nodes[node].post(&text, now);
         self.metrics.posts += 1;
-        if let Some(pos) = self.source.node_position(node, now) {
-            self.metrics.map.push(MapEvent {
-                x: pos.x,
-                y: pos.y,
-                kind: MapEventKind::Created,
-            });
-        }
+        self.mark(node, now, MapEventKind::Created);
         for &follower in &self.followers[node] {
             self.metrics.delivery.expect_delivery(follower, node);
         }
     }
 
+    /// Puts `kind` on the Fig. 4b map where `node` is at `now`, if the
+    /// source knows.
+    fn mark(&mut self, node: usize, now: SimTime, kind: MapEventKind) {
+        if let Some(pos) = self.source.node_position(node, now) {
+            let (x, y) = (pos.x, pos.y);
+            self.metrics.map.push(MapEvent { x, y, kind });
+        }
+    }
+
     fn collect_app_events(&mut self, node: usize) {
-        let events = self.nodes[node].take_events();
-        for (now, event) in events {
+        for (now, event) in self.nodes[node].take_events() {
             match event {
                 SosEvent::MessageReceived {
                     id,
@@ -544,15 +470,8 @@ impl<C: EncounterSource> Driver<C> {
                     let Some(&author_idx) = self.user_index.get(&id.author) else {
                         continue;
                     };
-                    let interested = self.followers[author_idx].contains(&node);
-                    if let Some(pos) = self.source.node_position(node, now) {
-                        self.metrics.map.push(MapEvent {
-                            x: pos.x,
-                            y: pos.y,
-                            kind: MapEventKind::Disseminated,
-                        });
-                    }
-                    if interested {
+                    self.mark(node, now, MapEventKind::Disseminated);
+                    if self.followers[author_idx].contains(&node) {
                         self.metrics.delays.record(created_at, now, hops);
                         self.metrics.delivery.delivered(node, author_idx);
                         if let Some(obs) = &self.obs {
@@ -560,23 +479,16 @@ impl<C: EncounterSource> Driver<C> {
                         }
                     }
                 }
-                SosEvent::SecurityAlert { .. } => {
-                    self.metrics.security_alerts += 1;
-                }
+                SosEvent::SecurityAlert { .. } => self.metrics.security_alerts += 1,
                 _ => {}
             }
         }
     }
 }
 
-/// The normalized `(lo, hi)` key of the `a`–`b` contact.
-fn pair(a: usize, b: usize) -> (usize, usize) {
-    (a.min(b), a.max(b))
-}
-
 /// Sums middleware stats over a slice of applications
 /// (via [`SosStats::merge`], so new counters are never dropped).
-pub fn aggregate_stats(apps: &[AlleyOopApp]) -> SosStats {
+pub(crate) fn aggregate_stats(apps: &[AlleyOopApp]) -> SosStats {
     let mut total = SosStats::default();
     for app in apps {
         total.merge(&app.middleware().stats());

@@ -24,9 +24,8 @@ use sos_crypto::ca::{CertificateAuthority, Validator};
 use sos_crypto::ed25519::SigningKey;
 use sos_crypto::x25519::AgreementKey;
 use sos_crypto::{DeviceIdentity, UserId};
-use sos_net::{Frame, PeerId};
-use sos_sim::SimTime;
-use std::collections::VecDeque;
+use sos_net::{Air, Frame, PeerId};
+use sos_sim::{SimDuration, SimTime};
 
 /// Scenario parameters.
 #[derive(Clone, Debug)]
@@ -119,8 +118,9 @@ fn identity(ca: &mut CertificateAuthority, seed: u8, name: &str) -> DeviceIdenti
 }
 
 /// Runs one full encounter — `browser` sees `advertiser`'s broadcast,
-/// optionally connects, syncs, and both sides close — by pumping frames
-/// until the air is quiet. Returns the number of frames exchanged.
+/// optionally connects, syncs, and both sides close — on an instant
+/// [`Air`] until it is quiet. Returns the number of frames exchanged
+/// after the advertisement.
 ///
 /// # Panics
 ///
@@ -131,28 +131,19 @@ pub fn encounter<R: rand::RngCore>(
     now: SimTime,
     rng: &mut R,
 ) -> u64 {
-    let ad = advertiser.advertisement(now);
-    let mut queue: VecDeque<(PeerId, PeerId, Frame)> = browser
-        .handle_frame(advertiser.peer_id(), Frame::Advertisement(ad), now, rng)
-        .into_iter()
-        .map(|(dst, f)| (browser.peer_id(), dst, f))
-        .collect();
-    let mut frames = 0u64;
-    while let Some((src, dst, frame)) = queue.pop_front() {
-        frames += 1;
-        assert!(frames < 100_000, "frame storm");
-        let target = if dst == advertiser.peer_id() {
-            &mut *advertiser
+    let ad_from = advertiser.peer_id();
+    let ad = Frame::Advertisement(advertiser.advertisement(now));
+    let replies = browser.handle_frame(ad_from, ad, now, rng);
+    let mut air = Air::instant();
+    air.send(now, browser.peer_id(), replies, rng);
+    let until = now + SimDuration::from_millis(1);
+    air.settle(until, rng, |at, src, dst, frame, rng| {
+        if dst == ad_from {
+            advertiser.handle_frame(src, frame, at, rng)
         } else {
-            &mut *browser
-        };
-        let replies = target.handle_frame(src, frame, now, rng);
-        let reply_src = target.peer_id();
-        for (d, f) in replies {
-            queue.push_back((reply_src, d, f));
+            browser.handle_frame(src, frame, at, rng)
         }
-    }
-    frames
+    })
 }
 
 /// Runs the scenario. With `obs`, the three nodes' counters land in
@@ -201,7 +192,7 @@ pub fn run_eviction_study(
     for _ in 0..config.rounds {
         for _ in 0..config.posts_per_round {
             posted += 1;
-            t += sos_sim::SimDuration::from_secs(10);
+            t += SimDuration::from_secs(10);
             author
                 .post(MessageKind::Post, posted.to_le_bytes().to_vec(), t)
                 // sos-lint: allow(no-panic) reason="experiment setup: 8-byte payloads cannot exceed MAX_PAYLOAD; a post failure is a harness bug"
@@ -209,10 +200,10 @@ pub fn run_eviction_study(
         }
         // Relay visits the author, then carries the (capped) window to
         // the subscriber.
-        t += sos_sim::SimDuration::from_mins(10);
+        t += SimDuration::from_mins(10);
         encounter(&mut author, &mut relay, t, &mut rng);
         relay.maintain(t);
-        t += sos_sim::SimDuration::from_mins(10);
+        t += SimDuration::from_mins(10);
         encounter(&mut relay, &mut subscriber, t, &mut rng);
     }
 
@@ -221,7 +212,7 @@ pub fn run_eviction_study(
 
     // The subscriber finally meets the author: the gap-aware request
     // re-fetches every hole in one encounter.
-    t += sos_sim::SimDuration::from_mins(10);
+    t += SimDuration::from_mins(10);
     encounter(&mut author, &mut subscriber, t, &mut rng);
     let delivered_final = subscriber.store().bundles_after(&author_id, 0).len() as u64;
 

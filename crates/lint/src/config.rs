@@ -75,6 +75,10 @@ impl Config {
                 // processing order is the cross-process determinism
                 // contract, so no hash order may reach it.
                 "/host.rs",
+                // The air: its (arrival, send order) pop order is the
+                // simulation driver's determinism contract, so no hash
+                // order may reach it.
+                "/air.rs",
                 // The metropolis generator and evaluator: METRO-REPORT
                 // is byte-compared across shard counts.
                 "/metropolis.rs",

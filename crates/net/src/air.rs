@@ -1,0 +1,361 @@
+//! The air: the one medium every harness moves frames through — the
+//! simulation driver, the two-node encounter helper and the unit-test
+//! pumps alike.
+//!
+//! Multipeer Connectivity gave the paper's phones a reliable, in-order
+//! stream per peer over Bluetooth, peer-to-peer WiFi or infrastructure
+//! WiFi. A radio [`Air`] stands in for it: an open contact's bearer is
+//! frozen at its up-distance, each frame costs that bearer's latency
+//! plus its serialization time and may be lost, and frames on one
+//! directed link never overtake each other. [`Air::instant`] is the
+//! medium of the unit-test pumps: every pair linked, no latency, no loss
+//! and no random draw.
+//!
+//! Frames wait on one [`EventQueue`] and pop in (arrival, send order),
+//! which on an instant air is exactly the FIFO of a `VecDeque` pump.
+//! That order is the simulation driver's determinism contract, so no
+//! hash order may reach this file.
+
+use crate::{Frame, PeerId};
+use rand::{Rng, RngCore};
+use sos_obs::Histogram;
+use sos_sim::radio::RadioTech;
+use sos_sim::{EventQueue, SimTime};
+use std::collections::BTreeMap;
+
+/// Frames one [`Air::settle`] may deliver before it calls the exchange
+/// a storm: a protocol loop, never a real encounter or the frames
+/// between two steps of a study.
+const STORM: u64 = 100_000;
+
+/// The medium frames cross between devices. The default is an instant
+/// air ([`Air::instant`]).
+#[derive(Debug, Default)]
+pub struct Air {
+    /// `None` on an instant air. On a radio air, whether infrastructure
+    /// WiFi is there to extend the bearers' reach.
+    infra_available: Option<bool>,
+    /// Each open contact's bearer on a radio air, by normalized
+    /// `(lo, hi)` pair.
+    bearers: BTreeMap<(PeerId, PeerId), RadioTech>,
+    /// Per directed link with frames in flight: the latest arrival
+    /// scheduled on it, and the number of the frame sent last on it. A
+    /// small frame (shorter serialization delay) never lands before a
+    /// large one sent ahead of it on the same link, since the session
+    /// layer's strictly increasing sequence numbers depend on it. A slot
+    /// goes when its last frame lands: a later send arrives at least a
+    /// bearer's latency after that, so the slot could never bind again.
+    order: BTreeMap<(PeerId, PeerId), (SimTime, u64)>,
+    /// Frames in flight, each with its number, by arrival time and then
+    /// send order.
+    queue: EventQueue<(PeerId, PeerId, Frame, u64)>,
+    /// Wire sizes of every carried frame, if observed.
+    frame_bytes: Option<Histogram>,
+    /// Frames carried, and how many of them were lost.
+    totals: (u64, u64),
+}
+
+impl Air {
+    /// An air in which every pair sits on an instant link: zero latency,
+    /// no loss, and no draw from the RNG the caller passes.
+    pub fn instant() -> Air {
+        Air::default()
+    }
+
+    /// An air of MPC bearers: a pair is linked only while in contact,
+    /// over the best bearer for its up-distance. With `frame_bytes`,
+    /// every carried frame's wire size is recorded there.
+    pub fn radio(infra_available: bool, frame_bytes: Option<Histogram>) -> Air {
+        let mut air = Air::default();
+        (air.infra_available, air.frame_bytes) = (Some(infra_available), frame_bytes);
+        air
+    }
+
+    /// A contact transition on a radio air: `Some(distance)` opens the
+    /// `a`–`b` contact on the best bearer for that distance (on none, if
+    /// it is beyond them all), `None` closes it. An instant air links
+    /// every pair and ignores this.
+    pub fn contact(&mut self, a: PeerId, b: PeerId, up_distance_m: Option<f64>) {
+        let up = up_distance_m.zip(self.infra_available);
+        match up.and_then(|(d, infra)| RadioTech::best_for_distance(d, infra)) {
+            Some(tech) => self.bearers.insert(pair(a, b), tech),
+            None => self.bearers.remove(&pair(a, b)),
+        };
+    }
+
+    /// Puts `frames`, each `(to, frame)`, on the air from `src` at `now`,
+    /// in order. A frame to a peer `src` has no bearer to is neither
+    /// carried nor counted. On a radio air each carried frame draws once
+    /// from `rng` for loss.
+    ///
+    /// # Panics
+    ///
+    /// If `now` is before the last frame this air delivered: frames leave
+    /// no earlier than the instant being processed.
+    pub fn send<R: RngCore>(
+        &mut self,
+        now: SimTime,
+        src: PeerId,
+        frames: impl IntoIterator<Item = (PeerId, Frame)>,
+        rng: &mut R,
+    ) {
+        for (dst, frame) in frames {
+            let bearer = self.bearers.get(&pair(src, dst)).copied();
+            if bearer.is_none() && self.infra_available.is_some() {
+                continue; // no open contact, or none in reach
+            }
+            self.totals.0 += 1;
+            if let Some(h) = &self.frame_bytes {
+                h.record(frame.wire_size() as u64);
+            }
+            let mut arrival = now;
+            if let Some(tech) = bearer {
+                if rng.gen_bool(tech.loss_probability()) {
+                    self.totals.1 += 1;
+                    continue;
+                }
+                arrival += crate::link::delay(tech, frame.wire_size());
+            }
+            // In order per directed link (see `order`): never before the
+            // frame sent ahead; equal times pop in send order.
+            let number = self.totals.0;
+            let slot = self.order.entry((src, dst)).or_insert((arrival, number));
+            *slot = (slot.0.max(arrival), number);
+            self.queue
+                .schedule(slot.0, (src, dst, frame, number))
+                // sos-lint: allow(no-panic) reason="frames leave at or after the instant being processed, never behind the last delivery (see # Panics)"
+                .expect("frames are never sent into the past");
+        }
+    }
+
+    /// Delivers, in (arrival, send order), every frame due before
+    /// `until`: `deliver(at, src, dst, frame, rng)` hands one over and
+    /// returns `dst`'s replies, which go back on the air from `dst` at
+    /// `at`, after the draws `deliver` made. Returns the frames
+    /// delivered.
+    ///
+    /// # Panics
+    ///
+    /// On a frame storm: more than 100 000 frames in one call.
+    pub fn settle<R, F>(&mut self, until: SimTime, rng: &mut R, mut deliver: F) -> u64
+    where
+        R: RngCore,
+        F: FnMut(SimTime, PeerId, PeerId, Frame, &mut R) -> Vec<(PeerId, Frame)>,
+    {
+        let mut delivered = 0;
+        while let Some((at, (src, dst, frame, number))) = self.queue.pop_before(until) {
+            if self.order.get(&(src, dst)) == Some(&(at, number)) {
+                self.order.remove(&(src, dst)); // the link's last frame
+            }
+            delivered += 1;
+            assert!(delivered <= STORM, "frame storm: {delivered} frames");
+            let replies = deliver(at, src, dst, frame, rng);
+            self.send(at, dst, replies, rng);
+        }
+        delivered
+    }
+
+    /// Frames carried so far, and how many of them were lost.
+    pub fn totals(&self) -> (u64, u64) {
+        self.totals
+    }
+}
+
+/// The normalized `(lo, hi)` key of the `a`–`b` contact.
+fn pair(a: PeerId, b: PeerId) -> (PeerId, PeerId) {
+    (a.min(b), a.max(b))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DisconnectReason;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sos_sim::SimDuration;
+
+    const A: PeerId = PeerId(0);
+    const B: PeerId = PeerId(1);
+    const C: PeerId = PeerId(2);
+
+    fn data(seq: u64, bytes: usize) -> Frame {
+        Frame::Data {
+            seq,
+            ciphertext: vec![0; bytes],
+        }
+    }
+
+    /// Settles everything, returning `(at, src, dst, seq)` per delivered
+    /// data frame; nothing replies.
+    fn landed(air: &mut Air, rng: &mut StdRng) -> Vec<(SimTime, PeerId, PeerId, u64)> {
+        let mut out = Vec::new();
+        air.settle(SimTime::from_hours(1), rng, |at, src, dst, frame, _| {
+            if let Frame::Data { seq, .. } = frame {
+                out.push((at, src, dst, seq));
+            }
+            Vec::new()
+        });
+        out
+    }
+
+    #[test]
+    fn a_frame_costs_its_bearers_latency_plus_serialization() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut air = Air::radio(true, None);
+        air.contact(A, B, Some(5.0)); // peer-to-peer WiFi: 8 ms, 3 MB/s
+        air.contact(A, C, Some(80.0)); // infrastructure WiFi: 15 ms, 1.5 MB/s
+        let (small, large) = (data(1, 10), data(2, 1_000_000));
+        let (s, l) = (small.wire_size() as f64, large.wire_size() as f64);
+        let now = SimTime::from_secs(1);
+        air.send(
+            now,
+            A,
+            [(B, large.clone()), (C, small), (C, large)],
+            &mut rng,
+        );
+        air.send(now, A, [(B, data(3, 10))], &mut rng);
+        assert_eq!(air.totals(), (4, 0), "this seed loses nothing");
+        let ms = |latency: u64, bytes: f64, bps: f64| {
+            now + SimDuration::from_millis(latency + (bytes / bps * 1000.0).ceil() as u64)
+        };
+        let landed = landed(&mut air, &mut rng);
+        let at =
+            |seq: u64, dst: PeerId| landed.iter().find(|l| l.3 == seq && l.2 == dst).unwrap().0;
+        assert_eq!(
+            at(2, B),
+            ms(8, l, 3_000_000.0),
+            "1 MB over p2p WiFi: ~0.34 s"
+        );
+        assert_eq!(at(1, C), ms(15, s, 1_500_000.0));
+        assert_eq!(at(2, C), ms(15, l, 1_500_000.0), "1 MB via the AP: ~0.68 s");
+        // The small frame sent after the large one on A -> B waits for it.
+        assert_eq!(at(3, B), at(2, B));
+    }
+
+    #[test]
+    fn bearer_is_chosen_by_up_distance() {
+        let mut air = Air::radio(true, None);
+        air.contact(B, A, Some(5.0));
+        assert_eq!(air.bearers[&(A, B)], RadioTech::PeerToPeerWifi);
+        // Re-opened out of reach: the old bearer does not linger.
+        air.contact(A, B, Some(200.0));
+        assert!(air.bearers.is_empty());
+    }
+
+    #[test]
+    fn small_frames_never_overtake_on_their_own_link_only() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut air = Air::radio(false, None);
+        air.contact(A, B, Some(5.0));
+        air.contact(A, C, Some(5.0));
+        let now = SimTime::from_secs(1);
+        air.send(now, A, [(B, data(1, 300_000)), (B, data(2, 10))], &mut rng);
+        air.send(now, A, [(C, data(3, 10))], &mut rng);
+        assert_eq!(air.totals(), (3, 0), "this seed loses nothing");
+        let order: Vec<u64> = landed(&mut air, &mut rng).iter().map(|l| l.3).collect();
+        assert_eq!(order, [3, 1, 2], "the small frame to C lands first");
+    }
+
+    #[test]
+    fn unlinked_frames_are_neither_counted_nor_drawn_for() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut untouched = rng.clone();
+        let mut air = Air::radio(true, Some(Histogram::new()));
+        air.contact(A, C, Some(500.0)); // beyond every bearer
+        air.contact(A, B, Some(5.0));
+        air.contact(A, B, None); // closed again
+        air.send(
+            SimTime::ZERO,
+            A,
+            [(B, data(1, 10)), (C, data(2, 10))],
+            &mut rng,
+        );
+        assert_eq!(air.totals(), (0, 0));
+        assert_eq!(rng.next_u64(), untouched.next_u64());
+        assert!(landed(&mut air, &mut rng).is_empty());
+    }
+
+    /// `rounds` ping-pongs between A and B, then a disconnect.
+    fn rally(air: &mut Air, rng: &mut StdRng, rounds: u64) -> u64 {
+        air.send(SimTime::ZERO, A, [(B, data(0, 32))], rng);
+        air.settle(
+            SimTime::from_hours(1),
+            rng,
+            |_, src, _, frame, _| match frame {
+                Frame::Data { seq, .. } if seq < rounds => vec![(src, data(seq + 1, 32))],
+                Frame::Data { .. } => vec![(
+                    src,
+                    Frame::Disconnect {
+                        reason: DisconnectReason::Done,
+                    },
+                )],
+                _ => Vec::new(),
+            },
+        )
+    }
+
+    #[test]
+    fn an_instant_air_draws_nothing_and_keeps_send_order() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut untouched = rng.clone();
+        let mut air = Air::instant();
+        assert_eq!(rally(&mut air, &mut rng, 50), 52);
+        assert_eq!(air.totals(), (52, 0));
+        assert_eq!(rng.next_u64(), untouched.next_u64());
+        // FIFO across links at one instant, as a `VecDeque` pump.
+        air.send(
+            SimTime::ZERO,
+            A,
+            [(B, data(1, 9)), (C, data(2, 1))],
+            &mut rng,
+        );
+        air.send(SimTime::ZERO, C, [(A, data(3, 5))], &mut rng);
+        let order: Vec<_> = landed(&mut air, &mut rng).iter().map(|l| l.3).collect();
+        assert_eq!(order, [1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "frame storm")]
+    fn an_echo_loop_trips_the_storm_guard() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut air = Air::instant();
+        air.send(SimTime::ZERO, A, [(B, data(0, 1))], &mut rng);
+        air.settle(SimTime::from_secs(1), &mut rng, |_, src, _, frame, _| {
+            vec![(src, frame)]
+        });
+    }
+
+    #[test]
+    fn a_settled_air_holds_no_link_order_state() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut air = Air::radio(false, None);
+        air.contact(A, B, Some(5.0));
+        air.send(
+            SimTime::ZERO,
+            B,
+            [(A, data(0, 5_000)), (A, data(1, 10))],
+            &mut rng,
+        );
+        assert_eq!(air.order[&(B, A)].1, 2, "two frames in flight on B -> A");
+        rally(&mut air, &mut rng, 20);
+        assert!(air.order.is_empty(), "{:?}", air.order);
+        assert!(air.queue.is_empty());
+    }
+
+    #[test]
+    fn loss_rate_is_plausible() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut air = Air::radio(false, None);
+        air.contact(A, B, Some(5.0));
+        air.send(
+            SimTime::ZERO,
+            A,
+            (0..10_000).map(|i| (B, data(i, 1))),
+            &mut rng,
+        );
+        let (sent, lost) = air.totals();
+        assert_eq!(sent, 10_000);
+        // Expect ~1% ± generous tolerance.
+        assert!((50..200).contains(&lost), "lost = {lost}");
+    }
+}

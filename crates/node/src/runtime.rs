@@ -235,29 +235,34 @@ mod tests {
         (mk(0, "alice"), mk(1, "bob"))
     }
 
-    /// Moves everything `from` (node index `from_id`) has queued into
-    /// `to`, as bytes: each frame crosses the wire codec the way the
-    /// lockstep host carries it. Returns how many frames moved.
-    fn carry(
-        from: &mut NodeRuntime,
-        from_id: u32,
-        to: &mut NodeRuntime,
-        rng: &mut rand::rngs::StdRng,
-    ) -> usize {
-        let out = from.poll_frames();
-        for (dest, frame) in &out {
-            assert_eq!(*dest, PeerId(1 - from_id));
-            let frame = Frame::decode(&frame.encode()).expect("own frames decode");
-            let now = to.now();
-            to.push_frame(PeerId(from_id), frame, now, rng);
-        }
-        out.len()
-    }
-
-    /// Shuttles frames between two runtimes until both outboxes drain.
-    fn pump(a: &mut NodeRuntime, b: &mut NodeRuntime) {
+    /// Shuttles frames between two runtimes (nodes 0 and 1) over an
+    /// instant air until it is quiet, each frame crossing the wire codec
+    /// the way the lockstep host carries it. After `budget` frames have
+    /// landed, replies stay in their sender's outbox. Returns the frames
+    /// that landed.
+    fn pump(a: &mut NodeRuntime, b: &mut NodeRuntime, budget: u64) -> u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(100);
-        while carry(a, 0, b, &mut rng) + carry(b, 1, a, &mut rng) > 0 {}
+        let now = a.now().max(b.now());
+        let mut air = sos_net::Air::instant();
+        air.send(now, PeerId(0), a.poll_frames(), &mut rng);
+        air.send(now, PeerId(1), b.poll_frames(), &mut rng);
+        let mut landed = 0;
+        air.settle(
+            now + SimDuration::from_millis(1),
+            &mut rng,
+            |_, src, dst, frame, rng| {
+                let to = if dst == PeerId(0) { &mut *a } else { &mut *b };
+                let frame = Frame::decode(&frame.encode()).expect("own frames decode");
+                let now = to.now();
+                to.push_frame(src, frame, now, rng);
+                landed += 1;
+                if landed < budget {
+                    to.poll_frames()
+                } else {
+                    Vec::new()
+                }
+            },
+        )
     }
 
     #[test]
@@ -276,7 +281,7 @@ mod tests {
         // handshake, browse, and transfer all cross as encoded frames.
         alice.advance_to(SimTime::from_secs(60));
         bob.advance_to(SimTime::from_secs(60));
-        pump(&mut alice, &mut bob);
+        pump(&mut alice, &mut bob, u64::MAX);
 
         assert_eq!(bob.stats().bundles_received, 1);
         let delivered: Vec<_> = bob
@@ -457,10 +462,7 @@ mod tests {
         // Ad → bob's handshake init → alice's handshake reply: bob now
         // holds an established session and has a request queued for
         // alice. The contact tears before that request leaves.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(100);
-        assert_eq!(carry(&mut alice, 0, &mut bob, &mut rng), 1);
-        assert_eq!(carry(&mut bob, 1, &mut alice, &mut rng), 1);
-        assert_eq!(carry(&mut alice, 0, &mut bob, &mut rng), 1);
+        assert_eq!(pump(&mut alice, &mut bob, 3), 3);
         assert_eq!(bob.stats().sessions_initiated, 1);
         assert_eq!(bob.stats().bundles_received, 0, "torn before any transfer");
 

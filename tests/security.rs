@@ -9,9 +9,8 @@ use sos::crypto::ca::{CertificateAuthority, Validator};
 use sos::crypto::ed25519::SigningKey;
 use sos::crypto::x25519::AgreementKey;
 use sos::crypto::{DeviceIdentity, UserId};
-use sos::net::{Frame, HandshakeInit, HandshakeResponse};
+use sos::net::{Air, Frame, HandshakeInit, HandshakeResponse};
 use sos::social::{AlleyOopApp, Cloud};
-use std::collections::VecDeque;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
@@ -32,28 +31,23 @@ fn pump_through(
 ) -> Vec<Frame> {
     let mut crossed = Vec::new();
     let mut r = rng(seed);
+    let a_id = a.peer_id();
     let ad = a.middleware().advertisement(now);
-    let mut queue: VecDeque<(PeerId, PeerId, Frame)> = b
+    let replies = b
         .middleware_mut()
-        .handle_frame(a.peer_id(), Frame::Advertisement(ad), now, &mut r)
-        .into_iter()
-        .map(|(dst, f)| (b.peer_id(), dst, f))
-        .collect();
-    let mut guard = 0;
-    while let Some((src, dst, mut frame)) = queue.pop_front() {
-        guard += 1;
-        assert!(guard < 100_000, "frame storm");
-        on_air(&mut frame);
-        crossed.push(frame.clone());
-        let target = if dst == a.peer_id() { &mut *a } else { &mut *b };
-        for (d, f) in target
-            .middleware_mut()
-            .handle_frame(src, frame, now, &mut r)
-        {
-            let s = target.peer_id();
-            queue.push_back((s, d, f));
-        }
-    }
+        .handle_frame(a_id, Frame::Advertisement(ad), now, &mut r);
+    let mut air = Air::instant();
+    air.send(now, b.peer_id(), replies, &mut r);
+    air.settle(
+        now + SimDuration::from_millis(1),
+        &mut r,
+        |at, src, dst, mut frame, r| {
+            on_air(&mut frame);
+            crossed.push(frame.clone());
+            let target = if dst == a_id { &mut *a } else { &mut *b };
+            target.middleware_mut().handle_frame(src, frame, at, r)
+        },
+    );
     crossed
 }
 
