@@ -19,24 +19,27 @@
 //! [`sos_node::provision::schedule`] — contact transitions, posts and
 //! advertisement wakes — the one schedule the lockstep conductor walks
 //! too, under its one end-of-run rule; only frames in flight wait on the
-//! air between them. A node wakes only on the boundaries of its cadence
-//! that find it with a peer, so a run costs what its contacts warrant,
-//! not what its span does: on the paper-shaped week of ten phones, 87 %
-//! of all boundaries find the advertiser alone.
+//! air between them. The schedule is the one owner of the advertisement
+//! cadence: each wake is an exact boundary of its node, and the driver
+//! just calls that node's `advertise`. A node wakes only on the
+//! boundaries of its cadence that find it with a peer, so a run costs
+//! what its contacts warrant, not what its span does: on the
+//! paper-shaped week of ten phones, 87 % of all boundaries find the
+//! advertiser alone.
 //!
 //! **Sans-I/O split:** the middleware loop itself — session
-//! lifecycles, advertisement cadence, peer connectivity — lives in
+//! lifecycles, advertisement broadcasts, peer connectivity — lives in
 //! [`sos_node::runtime::NodeRuntime`], the same state machine the
-//! in-vivo TCP daemons run. The physics the paper's field study had for
-//! free — bearer selection by distance, loss, serialization delay, and
-//! in-order delivery per directed link — lives in [`sos_net::Air`], the
-//! one medium the unit-test pumps move frames through too; the driver
-//! only tells it of contact transitions and hands it each node's frames.
-//! Frames cross the boundary as typed values (`push_frame` /
-//! `poll_frames`) with the driver's one shared RNG, so the driver pays
-//! no codec cost: the air costs a frame by
-//! [`sos_net::Frame::wire_size`], which is computed from the frame's
-//! fields, not by encoding it. Each delivered frame draws for the
+//! in-vivo TCP daemons run, and which keeps no clock and no cadence.
+//! The physics the paper's field study had for free — bearer selection
+//! by distance, loss, serialization delay, and in-order delivery per
+//! directed link — lives in [`sos_net::Air`], the one medium the
+//! unit-test pumps move frames through too; the driver only tells it of
+//! contact transitions and hands it each node's frames. Frames cross the
+//! boundary as typed values (`push_frame` / `poll_frames`) with the
+//! driver's one shared RNG, so the driver pays no codec cost: the air
+//! costs a frame by [`sos_net::Frame::wire_size`], which is computed
+//! from the frame's fields, not by encoding it. Each delivered frame draws for the
 //! middleware first, then for the loss of its replies, in emission
 //! order.
 //!
@@ -55,8 +58,8 @@ use sos_core::message::MessageKind;
 use sos_core::middleware::{SosEvent, SosStats};
 use sos_core::routing::SchemeKind;
 use sos_net::{Air, PeerId};
-use sos_node::provision::{ad_phase, schedule, Step};
-use sos_node::runtime::{NodeConfig, NodeRuntime};
+use sos_node::provision::{schedule, Step};
+use sos_node::runtime::NodeRuntime;
 use sos_obs::journal::ObsEvent;
 use sos_obs::{Histogram, JournalEntry, JournalHandle, NodeObs, Registry};
 use sos_sim::metrics::{DelayRecorder, DeliveryRecorder};
@@ -268,8 +271,8 @@ struct DriverObs {
 }
 
 impl<C: EncounterSource> Driver<C> {
-    /// Wires a driver for `study`: one runtime per app, phase-staggered
-    /// across the advertisement interval, and the study's schedule.
+    /// Wires a driver for `study`: one runtime per app and the study's
+    /// schedule.
     ///
     /// # Panics
     ///
@@ -293,20 +296,7 @@ impl<C: EncounterSource> Driver<C> {
             .enumerate()
             .map(|(i, app)| (app.user_id(), i))
             .collect();
-        let n = apps.len();
-        let nodes = apps
-            .into_iter()
-            .enumerate()
-            .map(|(i, app)| {
-                NodeRuntime::new(
-                    app,
-                    NodeConfig {
-                        ad_interval: config.ad_interval,
-                        ad_phase: ad_phase(config.ad_interval, i, n),
-                    },
-                )
-            })
-            .collect();
+        let nodes = apps.into_iter().map(NodeRuntime::new).collect();
         Driver {
             nodes,
             source,
@@ -364,9 +354,9 @@ impl<C: EncounterSource> Driver<C> {
             }
             for node in step.wakes {
                 let _span = sos_obs::profile::span("driver/advertise");
-                // An exact ad boundary by construction of the schedule:
-                // the broadcast goes to each in-range peer, ascending.
-                self.nodes[node].advance_to(now);
+                // An ad boundary with a peer in range, by construction of
+                // the schedule: one copy to each such peer, ascending.
+                self.nodes[node].advertise(now);
                 let frames = self.nodes[node].poll_frames();
                 air.send(now, PeerId(node as u32), frames, &mut rng);
             }

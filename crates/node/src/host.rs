@@ -14,12 +14,12 @@
 //! the population computes the byte-identical run.
 
 use crate::proto::{Msg, Report};
-use crate::provision::{node_seed, provision_apps, provision_runtime, RunPlan};
+use crate::provision::{is_ad_boundary, node_seed, provision_apps, RunPlan};
 use crate::runtime::NodeRuntime;
 use rand::SeedableRng;
 use sos_net::{Frame, NetError, PeerId};
 use sos_obs::{JournalHandle, NodeObs};
-use sos_sim::SimTime;
+use sos_sim::{SimDuration, SimTime};
 use sos_trace::ContactTrace;
 use std::collections::BTreeMap;
 
@@ -60,6 +60,13 @@ pub(crate) struct Host {
     buffer: Vec<WireFrame>,
     /// Frames processed across all rounds (dropped ones included).
     frames: u64,
+    /// The time of the last tick: every frame of its rounds is handled
+    /// at it.
+    now: SimTime,
+    /// The run's advertisement interval and population, for
+    /// [`is_ad_boundary`].
+    ad_interval: SimDuration,
+    population: usize,
 }
 
 impl Host {
@@ -83,7 +90,7 @@ impl Host {
                 app.middleware_mut()
                     .attach_obs(NodeObs::new(i as u32, journal.clone()));
                 let rng = rand::rngs::StdRng::seed_from_u64(node_seed(plan.seed, i));
-                (i as u32, (provision_runtime(app, i, n, plan), rng))
+                (i as u32, (NodeRuntime::new(app), rng))
             })
             .collect();
         Host {
@@ -92,13 +99,17 @@ impl Host {
             seqs: BTreeMap::new(),
             buffer: Vec::new(),
             frames: 0,
+            now: SimTime::ZERO,
+            ad_interval: plan.ad_interval,
+            population: n,
         }
     }
 
     /// Applies one schedule event — [`Msg::Encounter`], [`Msg::Post`] or
     /// [`Msg::Tick`] — to whichever of the nodes it names are hosted, and
     /// returns what that made them emit: nothing, except on a tick, where
-    /// every hosted clock advances and the due advertisements drain.
+    /// every hosted node on an advertisement boundary advertises and the
+    /// broadcasts drain. The tick's time is kept: its rounds run at it.
     /// `None`, nothing done, for a message that is not a schedule event.
     pub(crate) fn apply(&mut self, msg: &Msg) -> Option<Flushed> {
         match *msg {
@@ -124,8 +135,11 @@ impl Host {
                 }
             }
             Msg::Tick { now_ms } => {
-                for (rt, _) in self.nodes.values_mut() {
-                    rt.advance_to(SimTime::from_millis(now_ms));
+                self.now = SimTime::from_millis(now_ms);
+                for (&node, (rt, _)) in &mut self.nodes {
+                    if is_ad_boundary(self.ad_interval, node as usize, self.population, self.now) {
+                        rt.advertise(self.now);
+                    }
                 }
                 return Some(self.flush());
             }
@@ -172,10 +186,11 @@ impl Host {
         hosted
     }
 
-    /// Runs one exchange round: the buffered frames are decoded and fed
-    /// to their runtimes in `(to, from, seq)` order, then the replies
-    /// are drained. A frame whose contact closed while it was in flight
-    /// is dropped, exactly as the simulation drops it.
+    /// Runs one exchange round at the last tick's time: the buffered
+    /// frames are decoded and fed to their runtimes in `(to, from, seq)`
+    /// order, then the replies are drained. A frame whose contact closed
+    /// while it was in flight is dropped, exactly as the simulation drops
+    /// it.
     ///
     /// # Errors
     ///
@@ -189,8 +204,7 @@ impl Host {
         for (from, to, _seq, bytes) in round {
             let frame = Frame::decode(&bytes)?;
             if let Some((rt, rng)) = self.nodes.get_mut(&to) {
-                let now = rt.now();
-                rt.push_frame(PeerId(from), frame, now, rng);
+                rt.push_frame(PeerId(from), frame, self.now, rng);
             }
         }
         Ok(self.flush())
@@ -232,7 +246,6 @@ mod tests {
     use crate::provision::load_trace_bytes;
     use sos_core::routing::SchemeKind;
     use sos_obs::JournalEntry;
-    use sos_sim::SimDuration;
 
     /// K hosts in one address space — the conductor's seam with plain
     /// queues where the daemons have sockets. Frames a host reports as

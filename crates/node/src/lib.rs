@@ -8,11 +8,13 @@
 //! - [`runtime`] — [`runtime::NodeRuntime`], the pure
 //!   state machine: middleware + app behind one transport-agnostic
 //!   frame surface (`push_frame` / `poll_frames` / `on_encounter_up` /
-//!   `advance_to`). No sockets, no clocks, no codec, no RNG of its own;
-//!   time and randomness are injected per call.
+//!   `advertise`). No sockets, no clocks, no cadence, no codec, no RNG
+//!   of its own; time and randomness are injected per call, and the
+//!   caller says when to advertise.
 //! - [`provision`] — deterministic world building: every transport
 //!   rebuilds the same population (CA, keys, subscriptions, workload)
-//!   from `(trace, plan)`.
+//!   from `(trace, plan)`; and [`provision::schedule`], the one owner of
+//!   the advertisement cadence, whose wakes both planes advertise on.
 //! - [`lockstep`] — the barrier-synchronized schedule that makes a
 //!   socket run reproduce the in-process run byte-for-byte, the one
 //!   conductor that walks it, and the one fold of every process's
@@ -48,5 +50,5 @@ pub mod runtime;
 pub use broker::{Broker, BrokerConfig};
 pub use lockstep::{build_schedule, Outcome};
 pub use mesh::run_mesh;
-pub use provision::{provision_apps, provision_runtime, RunPlan};
-pub use runtime::{NodeConfig, NodeRuntime};
+pub use provision::{provision_apps, RunPlan};
+pub use runtime::NodeRuntime;

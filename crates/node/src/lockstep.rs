@@ -280,8 +280,7 @@ mod tests {
         trace: &ContactTrace,
         plan: &RunPlan,
     ) -> Vec<(SimTime, FormerStep)> {
-        use crate::provision::ad_phase;
-        use crate::runtime::ad_period;
+        use crate::provision::{ad_period, ad_phase};
         let mut steps: BTreeMap<SimTime, FormerStep> = BTreeMap::new();
         let end = trace.end_time();
         for ev in trace.events() {

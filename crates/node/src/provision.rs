@@ -9,14 +9,16 @@
 //! other because the issuing CA is byte-identical everywhere.
 //!
 //! The [`schedule`] of a run is built here too, once, for both planes
-//! that drive [`NodeRuntime`]: the simulation driver in
-//! `sos-experiments` walks its steps between frame deliveries, and the
-//! lockstep conductor walks them over
+//! that drive [`NodeRuntime`](crate::runtime::NodeRuntime): the
+//! simulation driver in `sos-experiments` walks its steps between frame
+//! deliveries, and the lockstep conductor walks them over
 //! [`build_schedule`](crate::lockstep::build_schedule). Its doc holds
-//! the one end-of-run rule.
+//! the one end-of-run rule. The advertisement cadence lives here and
+//! nowhere else: a runtime keeps no clock and advertises when its
+//! caller says, on the schedule's wakes in the driver and where
+//! `is_ad_boundary` holds in the lockstep `Host`.
 
 use crate::proto::InVivoError;
-use crate::runtime::{ad_period, NodeConfig, NodeRuntime};
 use alleyoop::app::AlleyOopApp;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
@@ -125,9 +127,17 @@ pub fn provision_apps(trace: &ContactTrace, plan: &RunPlan) -> Vec<AlleyOopApp> 
     apps
 }
 
+/// The advertisement period a run actually uses: `ad_interval` floored
+/// at 1 ms. A zero interval (which the control codec can carry) would
+/// otherwise never move an advertisement boundary past the last one,
+/// and [`ad_boundaries`] would yield it forever.
+pub(crate) fn ad_period(ad_interval: SimDuration) -> SimDuration {
+    SimDuration::from_millis(ad_interval.as_millis().max(1))
+}
+
 /// The node's advertisement phase offset: nodes staggered uniformly
-/// across the interval (the simulation driver's formula).
-pub fn ad_phase(ad_interval: SimDuration, node: usize, n: usize) -> SimDuration {
+/// across the interval, so simultaneous session collisions are rare.
+pub(crate) fn ad_phase(ad_interval: SimDuration, node: usize, n: usize) -> SimDuration {
     SimDuration::from_millis(ad_interval.as_millis() * node as u64 / (n as u64).max(1))
 }
 
@@ -158,8 +168,9 @@ type Window = (SimTime, SimTime);
 /// may list them in any order), the `posts` up to `end` as `(time,
 /// author node)`, in any order, and the advertisement wakes.
 ///
-/// A node wakes only on the boundaries of its cadence — [`ad_phase`]
-/// plus a multiple of the interval — that fall inside a window during
+/// A node wakes only on the boundaries of its cadence — its phase
+/// (nodes staggered across the interval) plus a multiple of the
+/// interval, floored at 1 ms — that fall inside a window during
 /// which it has a peer: a boundary outside every window finds the
 /// advertiser alone, and the runtime emits nothing there. Windows mean
 /// what the runtime's peer set means: a contact-up on a boundary admits
@@ -242,21 +253,19 @@ fn ad_boundaries(
         .take_while(move |&t| t < stop)
 }
 
+/// Whether `t` is one of `node`'s advertisement boundaries: the
+/// lockstep `Host` asks this of each hosted node on a tick.
+pub(crate) fn is_ad_boundary(ad_interval: SimDuration, node: usize, n: usize, t: SimTime) -> bool {
+    let next = t + SimDuration::from_millis(1);
+    ad_boundaries(ad_interval, node, n, t, next)
+        .next()
+        .is_some()
+}
+
 /// The seed of a node's session randomness in a lockstep run; every
 /// process derives the same stream for the same node.
 pub(crate) fn node_seed(seed: u64, node: usize) -> u64 {
     seed ^ 0x6e6f_6465 ^ ((node as u64) << 32 | node as u64)
-}
-
-/// Wraps a provisioned app in a runtime configured for lockstep runs.
-pub fn provision_runtime(app: AlleyOopApp, node: usize, n: usize, plan: &RunPlan) -> NodeRuntime {
-    NodeRuntime::new(
-        app,
-        NodeConfig {
-            ad_interval: plan.ad_interval,
-            ad_phase: ad_phase(plan.ad_interval, node, n),
-        },
-    )
 }
 
 /// The deterministic post workload as `(time, author node)`:
@@ -359,7 +368,9 @@ mod tests {
             /// Over one node's windows, the helper picks out exactly the
             /// boundaries a brute-force filter of *every* boundary up to
             /// `end` keeps by "has a peer at `t`" — `Up` inclusive,
-            /// `Down` exclusive — with a last window closed at `end`.
+            /// `Down` exclusive — with a last window closed at `end`; and
+            /// `is_ad_boundary` holds on exactly every boundary, tried
+            /// on each millisecond up to `end`.
             #[test]
             fn helper_equals_filtering_every_boundary(
                 interval_ms in 0u64..40,
@@ -388,9 +399,17 @@ mod tests {
 
                 let period = ad_period(interval).as_millis();
                 let phase = ad_phase(interval, node, n).as_millis();
-                let brute: Vec<SimTime> = (0..)
+                let every: Vec<SimTime> = (0..)
                     .map(|k| SimTime::from_millis(phase + k * period))
                     .take_while(|&t| t <= end)
+                    .collect();
+                let ticks: Vec<SimTime> = (0..=end_ms)
+                    .map(SimTime::from_millis)
+                    .filter(|&t| is_ad_boundary(interval, node, n, t))
+                    .collect();
+                prop_assert_eq!(&ticks, &every);
+                let brute: Vec<SimTime> = every
+                    .into_iter()
                     .filter(|&t| windows.iter().any(|&(start, stop)| start <= t && t < stop))
                     .collect();
                 prop_assert_eq!(helper, brute);
@@ -476,6 +495,27 @@ mod tests {
             wakes(2, events, 86_400),
             vec![(90, 1), (120, 0), (150, 1), (180, 0)]
         );
+    }
+
+    /// The 1 ms floor: a zero interval gives every node phase 0 and a
+    /// boundary on every millisecond, so a one-second contact wakes both
+    /// ends a thousand times, on whole milliseconds inside the window,
+    /// and the schedule comes back.
+    #[test]
+    fn a_zero_interval_wakes_every_millisecond_inside_windows() {
+        let events = vec![ev(1, 0, 1, true), ev(2, 0, 1, false)];
+        let steps = schedule(
+            &Raw(3, events),
+            SimTime::from_secs(5),
+            [],
+            SimDuration::ZERO,
+        );
+        let wakes: Vec<(u64, Vec<usize>)> = (steps.into_iter())
+            .filter(|(_, step)| !step.wakes.is_empty())
+            .map(|(t, step)| (t.as_millis(), step.wakes))
+            .collect();
+        let every_ms: Vec<(u64, Vec<usize>)> = (1_000..2_000).map(|ms| (ms, vec![0, 1])).collect();
+        assert_eq!(wakes, every_ms);
     }
 
     /// The end rule: a contact still open at the end is closed *at* the

@@ -8,7 +8,10 @@
 /// A device-to-device bearer available to the ad hoc manager.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RadioTech {
-    /// Bluetooth personal area network (~10 m).
+    /// Bluetooth personal area network (~10 m). Modelled but never
+    /// selected: peer-to-peer WiFi out-ranges and out-runs it, so
+    /// [`best_for_distance`](RadioTech::best_for_distance) never returns
+    /// it.
     Bluetooth,
     /// Peer-to-peer WiFi / AWDL (~60 m line of sight).
     PeerToPeerWifi,
@@ -63,8 +66,10 @@ impl RadioTech {
 
     /// The best (highest-bandwidth) bearer usable at `distance_m`, if any.
     ///
-    /// Mirrors MPC behaviour: the framework silently picks a transport;
-    /// nearby devices get p2p WiFi, very close devices could use any.
+    /// Mirrors MPC behaviour: the framework silently picks a transport,
+    /// and nearby devices get p2p WiFi. Bluetooth is modelled but never
+    /// selected: within its 10 m, p2p WiFi is also in range and has the
+    /// higher bandwidth.
     pub fn best_for_distance(distance_m: f64, infra_available: bool) -> Option<RadioTech> {
         let mut best: Option<RadioTech> = None;
         for tech in RadioTech::ALL {

@@ -10,9 +10,8 @@
 
 use rand::SeedableRng;
 use sos::core::prelude::*;
-use sos::net::Frame;
+use sos::net::{Air, Frame};
 use sos::social::{AlleyOopApp, Cloud};
-use std::collections::VecDeque;
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -62,29 +61,22 @@ fn main() {
     );
 
     // Bob's device sees the advertisement, decides it is interesting
-    // (he follows alice and lacks #1), and requests a connection. We
-    // pump frames between the two devices until the exchange finishes —
-    // in the deployed system Multipeer Connectivity moves these bytes.
-    let mut queue: VecDeque<(PeerId, PeerId, Frame)> = bob
-        .middleware_mut()
-        .handle_frame(alice.peer_id(), Frame::Advertisement(ad), t, &mut rng)
-        .into_iter()
-        .map(|(dst, f)| (bob.peer_id(), dst, f))
-        .collect();
-    while let Some((src, dst, frame)) = queue.pop_front() {
+    // (he follows alice and lacks #1), and requests a connection. An
+    // instant air carries frames between the two devices until the
+    // exchange finishes — in the deployed system Multipeer Connectivity
+    // moves these bytes.
+    let mut air = Air::instant();
+    let to_bob = [(bob.peer_id(), Frame::Advertisement(ad))];
+    air.send(t, alice.peer_id(), to_bob, &mut rng);
+    let until = t + SimDuration::from_millis(1);
+    air.settle(until, &mut rng, |now, src, dst, frame, rng| {
         let target = if dst == alice.peer_id() {
             &mut alice
         } else {
             &mut bob
         };
-        for (d, f) in target
-            .middleware_mut()
-            .handle_frame(src, frame, t, &mut rng)
-        {
-            let s = target.peer_id();
-            queue.push_back((s, d, f));
-        }
-    }
+        target.middleware_mut().handle_frame(src, frame, now, rng)
+    });
 
     // The post arrived, was signature-verified against Alice's
     // certificate, and landed in Bob's feed.

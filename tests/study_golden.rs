@@ -23,6 +23,10 @@
 //! transition (270, 600 and 1 700 s), and the transition is now applied
 //! first: three `bundle_post` journal lines each swap places with that
 //! instant's contact line. Every other row is unchanged.
+//!
+//! One row holds the other plane: `mesh_outcomes_are_pinned` digests
+//! whole lockstep `run_mesh` outcomes, pinned before the runtime gave
+//! up its own advertisement clock to the schedule.
 
 use sos::core::routing::SchemeKind;
 use sos::experiments::corpus::{run_corpus_study_full, CorpusStudyConfig};
@@ -32,7 +36,9 @@ use sos::experiments::observe::RunObserver;
 use sos::experiments::scenario::{
     field_study, field_study_engine, field_study_world, small_test_config,
 };
+use sos::node::mesh::run_mesh;
 use sos::node::provision::{followers_from_trace, provision_apps};
+use sos::node::Outcome;
 use sos::obs::journal::{Journal, ObsEvent};
 use sos::sim::world::{ContactEvent, ContactPhase};
 use sos::sim::{EncounterSource, SimDuration, SimTime};
@@ -213,6 +219,60 @@ fn sassy_fixture_is_pinned() {
         "sassy_mini",
         ["4e9c38c91d738265", "fc04ef099da70674", "68f95fd0b2f5d477"],
         |seed| corpus_digest(&trace, seed, 40, 60),
+    );
+}
+
+/// Folds a lockstep [`Outcome`] whole: delivered set, per-node stats,
+/// journal, posts, frames and rounds.
+fn fold_outcome(mut digest: Digest, outcome: &Outcome) -> Digest {
+    for (node, author, number) in &outcome.delivered {
+        digest = digest.text(&format!("{node} {author} {number}"));
+    }
+    for stats in &outcome.stats {
+        digest = digest.text(&format!("{stats:?}"));
+    }
+    for line in &outcome.journal {
+        digest = digest.text(line);
+    }
+    let (posts, frames, rounds) = (outcome.posts, outcome.frames, outcome.rounds);
+    digest.text(&format!("{posts} {frames} {rounds}"))
+}
+
+/// The lockstep plane's own golden, pinned before the runtime gave up
+/// its advertisement clock: the three corpus fixtures, each a digest
+/// over the five schemes' `run_mesh` outcomes at seed 7. The other rows
+/// hold the driver; socket == mesh and driver ⊆ mesh only hold the mesh
+/// relative to something.
+#[test]
+fn mesh_outcomes_are_pinned() {
+    let fixtures = [
+        ("haggle_mini.conn", CorpusFormat::Crawdad),
+        ("reality_mini.txt", CorpusFormat::RealityMining),
+        ("sassy_mini.csv", CorpusFormat::Sassy),
+    ];
+    let computed: Vec<String> = fixtures
+        .iter()
+        .map(|&(name, format)| {
+            let trace = fixture(name, format);
+            let mut digest = Digest::new();
+            for scheme in SchemeKind::ALL {
+                let plan = CorpusStudyConfig {
+                    scheme,
+                    seed: 7,
+                    total_posts: 40,
+                    ad_interval: SimDuration::from_secs(60),
+                };
+                let outcome = run_mesh(&trace, &plan).expect("mesh run");
+                assert!(outcome.frames > 0, "{name}, {scheme:?}: an idle run");
+                digest = fold_outcome(digest, &outcome);
+            }
+            digest.hex()
+        })
+        .collect();
+    assert_eq!(
+        computed,
+        ["04c746d465de28b0", "1bdcf78b7aa3bec3", "977b5270981cd4e7"],
+        "a lockstep run no longer returns what it did (haggle, reality, sassy)"
     );
 }
 
