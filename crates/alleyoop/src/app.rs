@@ -345,13 +345,12 @@ mod tests {
         let (a_id, b_id) = (a.peer_id(), b.peer_id());
         let ad = Frame::Advertisement(a.middleware().advertisement(now));
         let mut air = sos_net::Air::instant();
-        air.send(now, a_id, [(b_id, ad)], &mut r);
+        air.send(now, a_id, [(b_id, ad)]);
         air.settle(
             now + sos_sim::SimDuration::from_millis(1),
-            &mut r,
-            |at, src, dst, frame, r| {
+            |at, src, dst, frame| {
                 let target = if dst == a_id { &mut *a } else { &mut *b };
-                target.middleware_mut().handle_frame(src, frame, at, r)
+                target.middleware_mut().handle_frame(src, frame, at, &mut r)
             },
         );
     }

@@ -31,8 +31,8 @@ use sos_crypto::ca::{CertificateAuthority, Validator};
 use sos_crypto::ed25519::SigningKey;
 use sos_crypto::x25519::AgreementKey;
 use sos_crypto::{DeviceIdentity, UserId};
-use sos_experiments::driver::{run_study, DriverConfig, Study};
-use sos_net::{Advertisement, Frame, PeerId};
+use sos_experiments::driver::{run_study, Study};
+use sos_net::{Advertisement, Frame, Medium, PeerId};
 use sos_node::provision::{followers_from_trace, post_schedule, provision_apps, RunPlan};
 use sos_sim::world::{ContactEvent, ContactPhase};
 use sos_sim::{SimDuration, SimTime};
@@ -222,11 +222,8 @@ fn study(plain: &ContactTrace, replayed: &ContactTrace, plan: &RunPlan) -> Study
         source: replayed.clone(),
         followers: followers_from_trace(plain),
         posts: post_schedule(plain, plan),
-        driver: DriverConfig {
-            ad_interval: plan.ad_interval,
-            infra_available: false,
-            seed: plan.seed ^ 0xace,
-        },
+        ad_interval: plan.ad_interval,
+        air: Medium::Radio { infra: false },
         end: replayed.end_time(),
     }
 }

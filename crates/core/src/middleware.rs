@@ -1326,13 +1326,12 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a_id = a.peer_id();
         let mut air = sos_net::Air::instant();
-        air.send(now, a_id, initial, &mut rng);
+        air.send(now, a_id, initial);
         air.settle(
             now + sos_sim::SimDuration::from_millis(1),
-            &mut rng,
-            |at, src, dst, frame, rng| {
+            |at, src, dst, frame| {
                 let target = if dst == a_id { &mut *a } else { &mut *b };
-                target.handle_frame(src, frame, at, rng)
+                target.handle_frame(src, frame, at, &mut rng)
             },
         );
     }

@@ -85,23 +85,19 @@ fn encounter(author: &mut Sos, subscriber: &mut Sos, now: SimTime) -> Encounter 
     let author_id = author.peer_id();
     let ad = Frame::Advertisement(author.advertisement(now));
     let mut air = Air::instant();
-    air.send(now, author_id, [(subscriber.peer_id(), ad)], &mut rng);
-    air.settle(
-        now + SimDuration::from_millis(1),
-        &mut rng,
-        |at, from, to, frame, rng| {
-            let frame = Frame::decode(&frame.encode()).expect("a frame the peer encoded decodes");
-            let (target, spent) = if to == author_id {
-                (&mut *author, &mut cost.author_allocations)
-            } else {
-                (&mut *subscriber, &mut cost.subscriber_allocations)
-            };
-            let before = ALLOCATIONS.load(Relaxed);
-            let replies = target.handle_frame(from, frame, at, rng);
-            *spent += ALLOCATIONS.load(Relaxed) - before;
-            replies
-        },
-    );
+    air.send(now, author_id, [(subscriber.peer_id(), ad)]);
+    air.settle(now + SimDuration::from_millis(1), |at, from, to, frame| {
+        let frame = Frame::decode(&frame.encode()).expect("a frame the peer encoded decodes");
+        let (target, spent) = if to == author_id {
+            (&mut *author, &mut cost.author_allocations)
+        } else {
+            (&mut *subscriber, &mut cost.subscriber_allocations)
+        };
+        let before = ALLOCATIONS.load(Relaxed);
+        let replies = target.handle_frame(from, frame, at, &mut rng);
+        *spent += ALLOCATIONS.load(Relaxed) - before;
+        replies
+    });
     cost.certificates_parsed = certificates_parsed() - parsed_before;
     cost
 }

@@ -23,8 +23,9 @@
 //! study, a mesh run and a socket run of one `(trace, plan)` host the
 //! same population posting the same workload.
 
-use crate::driver::{run_study, DriverConfig, Study};
+use crate::driver::{run_study, Study};
 use crate::observe::RunObserver;
+use sos_net::Medium;
 use sos_node::provision::{followers_from_trace, post_schedule, provision_apps};
 use sos_trace::ContactTrace;
 
@@ -54,11 +55,8 @@ pub fn corpus_study(trace: &ContactTrace, config: &CorpusStudyConfig) -> Study<C
         source: trace.clone(),
         followers: followers_from_trace(trace),
         posts: post_schedule(trace, config),
-        driver: DriverConfig {
-            ad_interval: config.ad_interval,
-            infra_available: false,
-            seed: config.seed ^ 0xace,
-        },
+        ad_interval: config.ad_interval,
+        air: Medium::Radio { infra: false },
         end: trace.end_time(),
     }
 }

@@ -16,10 +16,11 @@
 //! [`conventional`](DensityConfig::conventional) points and the
 //! [`field_study`](DensityConfig::field_study) one side by side.
 
-use crate::driver::{DriverConfig, Study};
+use crate::driver::Study;
 use alleyoop::app::AlleyOopApp;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
+use sos_net::Medium;
 use sos_sim::geo::Bounds;
 use sos_sim::mobility::random_waypoint::RandomWaypoint;
 use sos_sim::radio::RadioTech;
@@ -130,11 +131,8 @@ pub fn density_study(cfg: &DensityConfig) -> Study<World> {
         source,
         followers,
         posts,
-        driver: DriverConfig {
-            ad_interval: SimDuration::from_secs(60),
-            infra_available: false,
-            seed: cfg.seed ^ 0xd5,
-        },
+        ad_interval: SimDuration::from_secs(60),
+        air: Medium::Radio { infra: false },
         end,
     }
 }

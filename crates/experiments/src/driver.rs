@@ -5,15 +5,21 @@
 //! This is the substitute for physics: where the paper had ten iPhones
 //! radiating over Bluetooth and peer-to-peer WiFi, we have an
 //! [`EncounterSource`] timeline, per-bearer latency/bandwidth/loss,
-//! and a seeded RNG.
+//! and seeded randomness.
 //!
 //! **Determinism rule:** the driver derives *everything* from the
-//! encounter timeline — connectivity comes from `ContactUp` /
-//! `ContactDown` events, and each contact's link quality is frozen at
-//! its up-distance. Positions are consulted only for the Fig. 4b map
-//! overlay, never for behavior. Two sources emitting the same timeline
-//! therefore produce byte-identical runs, which is what makes
-//! `sos-trace` record→replay exact (see `experiments::replay`).
+//! encounter timeline and the study seed — connectivity comes from
+//! `ContactUp` / `ContactDown` events, and each contact's link quality is
+//! frozen at its up-distance. Positions are consulted only for the
+//! Fig. 4b map overlay, never for behavior. Two sources emitting the
+//! same timeline therefore produce byte-identical runs, which is what
+//! makes `sos-trace` record→replay exact (see `experiments::replay`).
+//! The randomness is the lockstep plane's: node `i` draws its session
+//! randomness from its own stream, [`sos_node::provision::node_seed`] of
+//! the study seed, as a lockstep `Host` gives it, and the air draws each
+//! directed link's losses from that link's own stream under a sibling
+//! seed. A draw therefore moves only what its node or its link does, and
+//! a frame more or less on one link shifts no other link's losses.
 //!
 //! **One schedule:** a run walks the steps of
 //! [`sos_node::provision::schedule`] — contact transitions, posts and
@@ -36,12 +42,17 @@
 //! directed link — lives in [`sos_net::Air`], the one medium the
 //! unit-test pumps move frames through too; the driver only tells it of
 //! contact transitions and hands it each node's frames. Frames cross the
-//! boundary as typed values (`push_frame` / `poll_frames`) with the
-//! driver's one shared RNG, so the driver pays no codec cost: the air
-//! costs a frame by [`sos_net::Frame::wire_size`], which is computed
-//! from the frame's fields, not by encoding it. Each delivered frame draws for the
-//! middleware first, then for the loss of its replies, in emission
-//! order.
+//! boundary as typed values (`push_frame` / `poll_frames`), so the
+//! driver pays no codec cost: the air costs a frame by
+//! [`sos_net::Frame::wire_size`], which is computed from the frame's
+//! fields, not by encoding it. The air lands one instant's frames as
+//! rounds in `(to, from, send number)` order, the order a lockstep
+//! `Host` decodes a round in, so on an instant air
+//! ([`Medium::Instant`]) a study computes exactly the lockstep
+//! [`run_mesh`](sos_node::mesh::run_mesh) run of the same
+//! `(trace, plan)`: delivered set, per-node stats and frame count
+//! (`tests/plane_differential.rs`). A radio air
+//! ([`Medium::Radio`]) adds latency, serialization and loss to that.
 //!
 //! **One study plane:** every driver-based experiment (field study,
 //! replay, corpus, density) is a builder that provisions a [`Study`];
@@ -53,12 +64,13 @@
 
 use crate::observe::RunObserver;
 use alleyoop::app::AlleyOopApp;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sos_core::message::MessageKind;
 use sos_core::middleware::{SosEvent, SosStats};
 use sos_core::routing::SchemeKind;
-use sos_net::{Air, PeerId};
-use sos_node::provision::{schedule, Step};
+use sos_net::{Air, Medium, PeerId};
+use sos_node::provision::{node_seed, schedule, Step};
 use sos_node::runtime::NodeRuntime;
 use sos_obs::journal::ObsEvent;
 use sos_obs::{Histogram, JournalEntry, JournalHandle, NodeObs, Registry};
@@ -84,27 +96,6 @@ pub enum MapEventKind {
     Created,
     /// A message was received here via D2D (red in the paper).
     Disseminated,
-}
-
-/// Driver configuration.
-#[derive(Clone, Debug)]
-pub struct DriverConfig {
-    /// Advertisement broadcast period per node.
-    pub ad_interval: SimDuration,
-    /// Whether infrastructure WiFi is available (extends range).
-    pub infra_available: bool,
-    /// RNG seed for link loss and middleware randomness.
-    pub seed: u64,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            ad_interval: SimDuration::from_secs(60),
-            infra_available: false,
-            seed: 7,
-        }
-    }
 }
 
 /// Everything measured during a run.
@@ -134,7 +125,11 @@ pub struct RunMetrics {
 pub struct Study<S: EncounterSource> {
     /// The routing scheme the apps were signed up with.
     pub scheme: SchemeKind,
-    /// The scenario seed the inputs below were derived from.
+    /// The scenario seed the inputs below were derived from, and the
+    /// root of the run's randomness: node `i` draws its session
+    /// randomness from the stream `provision::node_seed(seed, i)`, as in
+    /// a lockstep `Host`, and the air its losses from streams under a
+    /// sibling seed.
     pub seed: u64,
     /// One app per node of `source`, subscriptions already wired.
     pub apps: Vec<AlleyOopApp>,
@@ -145,8 +140,11 @@ pub struct Study<S: EncounterSource> {
     /// The post workload as `(time, author node)`; the schedule sorts it
     /// by time and numbers it in that order.
     pub posts: Vec<(SimTime, usize)>,
-    /// Link and advertisement parameters (and the driver's own seed).
-    pub driver: DriverConfig,
+    /// Advertisement broadcast period per node.
+    pub ad_interval: SimDuration,
+    /// The air frames cross: radio, with or without infrastructure WiFi,
+    /// or instant, where the run is the lockstep mesh's.
+    pub air: Medium,
     /// When the run stops.
     pub end: SimTime,
 }
@@ -239,6 +237,13 @@ pub fn run_study<S: EncounterSource>(study: Study<S>, obs: Option<&RunObserver>)
     }
 }
 
+/// What the study seed is XORed with to seed the air's loss streams, a
+/// sibling of the node streams' `node_seed(seed, i)` ("loss" where they
+/// have "node"). The air mixes each directed link `(s, d)` in as
+/// `s << 32 | d`, which keeps every link's stream apart from every
+/// node's below 2^25 nodes.
+const LOSS: u64 = 0x6c6f_7373;
+
 /// The simulation driver: apps + encounter source + recorders.
 ///
 /// Generic over [`EncounterSource`], so the same driver runs on the
@@ -249,13 +254,19 @@ struct Driver<C: EncounterSource> {
     /// daemons run verbatim. Their peer sets are the connectivity truth
     /// for advertisements and deliveries.
     nodes: Vec<NodeRuntime>,
+    /// Node `i`'s session randomness, the stream a lockstep `Host` gives
+    /// it.
+    streams: Vec<StdRng>,
     source: C,
     /// follower sets: `follows[author] = set of follower node indices`.
     followers: Vec<Vec<usize>>,
     user_index: BTreeMap<sos_crypto::UserId, usize>,
     /// The steps of the run's schedule, walked in order by [`Self::run`].
     schedule: Vec<(SimTime, Step)>,
-    config: DriverConfig,
+    air: Medium,
+    /// The study seed, whose sibling [`LOSS`] seeds the air's loss
+    /// streams.
+    seed: u64,
     end: SimTime,
     metrics: RunMetrics,
     obs: Option<DriverObs>,
@@ -271,40 +282,33 @@ struct DriverObs {
 }
 
 impl<C: EncounterSource> Driver<C> {
-    /// Wires a driver for `study`: one runtime per app and the study's
-    /// schedule.
+    /// Wires a driver for `study`: one runtime and one session stream
+    /// per app, and the study's schedule.
     ///
     /// # Panics
     ///
     /// Panics if the apps, the source and the follower map disagree on
     /// the node count.
     fn provision(study: Study<C>) -> Driver<C> {
-        let Study {
-            apps,
-            source,
-            followers,
-            posts,
-            driver: config,
-            end,
-            ..
-        } = study;
-        assert_eq!(apps.len(), source.node_count(), "node count mismatch");
-        assert_eq!(apps.len(), followers.len(), "follower map mismatch");
-        let schedule = schedule(&source, end, posts, config.ad_interval);
-        let user_index = apps
-            .iter()
-            .enumerate()
+        let n = study.apps.len();
+        assert_eq!(n, study.source.node_count(), "node count mismatch");
+        assert_eq!(n, study.followers.len(), "follower map mismatch");
+        let schedule = schedule(&study.source, study.end, study.posts, study.ad_interval);
+        let user_index = (study.apps.iter().enumerate())
             .map(|(i, app)| (app.user_id(), i))
             .collect();
-        let nodes = apps.into_iter().map(NodeRuntime::new).collect();
         Driver {
-            nodes,
-            source,
-            followers,
+            nodes: study.apps.into_iter().map(NodeRuntime::new).collect(),
+            streams: (0..n)
+                .map(|i| StdRng::seed_from_u64(node_seed(study.seed, i)))
+                .collect(),
+            source: study.source,
+            followers: study.followers,
             user_index,
             schedule,
-            config,
-            end,
+            air: study.air,
+            seed: study.seed,
+            end: study.end,
             metrics: RunMetrics::default(),
             obs: None,
         }
@@ -340,10 +344,9 @@ impl<C: EncounterSource> Driver<C> {
     fn run(mut self) -> (RunMetrics, Vec<AlleyOopApp>) {
         let obs = self.obs.as_ref();
         let frame_bytes = obs.map(|o| o.registry.histogram("driver/frame_bytes"));
-        let mut air = Air::radio(self.config.infra_available, frame_bytes);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.seed);
+        let mut air = Air::new(self.air, self.seed ^ LOSS, frame_bytes);
         for (now, step) in std::mem::take(&mut self.schedule) {
-            self.deliver_before(&mut air, &mut rng, now);
+            self.deliver_before(&mut air, now);
             for ev in step.encounters {
                 let _span = sos_obs::profile::span("driver/contact");
                 self.on_contact(&mut air, ev, now);
@@ -358,10 +361,10 @@ impl<C: EncounterSource> Driver<C> {
                 // the schedule: one copy to each such peer, ascending.
                 self.nodes[node].advertise(now);
                 let frames = self.nodes[node].poll_frames();
-                air.send(now, PeerId(node as u32), frames, &mut rng);
+                air.send(now, PeerId(node as u32), frames);
             }
         }
-        self.deliver_before(&mut air, &mut rng, self.end + SimDuration::from_millis(1));
+        self.deliver_before(&mut air, self.end + SimDuration::from_millis(1));
         (self.metrics.frames_sent, self.metrics.frames_lost) = air.totals();
         self.export_metrics();
         let apps = self.nodes.into_iter().map(NodeRuntime::into_app).collect();
@@ -370,11 +373,11 @@ impl<C: EncounterSource> Driver<C> {
 
     /// Delivers, in air order, every frame due before `t`. The runtime's
     /// gate drops a frame whose contact closed while it was in flight.
-    fn deliver_before(&mut self, air: &mut Air, rng: &mut rand::rngs::StdRng, t: SimTime) {
-        air.settle(t, rng, |now, src, dst, frame, rng| {
+    fn deliver_before(&mut self, air: &mut Air, t: SimTime) {
+        air.settle(t, |now, src, dst, frame| {
             let _span = sos_obs::profile::span("driver/deliver");
             let node = dst.0 as usize;
-            if !self.nodes[node].push_frame(src, frame, now, rng) {
+            if !self.nodes[node].push_frame(src, frame, now, &mut self.streams[node]) {
                 return Vec::new();
             }
             self.collect_app_events(node);

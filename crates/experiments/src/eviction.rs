@@ -135,9 +135,9 @@ pub fn encounter<R: rand::RngCore>(
     let ad = Frame::Advertisement(advertiser.advertisement(now));
     let replies = browser.handle_frame(ad_from, ad, now, rng);
     let mut air = Air::instant();
-    air.send(now, browser.peer_id(), replies, rng);
+    air.send(now, browser.peer_id(), replies);
     let until = now + SimDuration::from_millis(1);
-    air.settle(until, rng, |at, src, dst, frame, rng| {
+    air.settle(until, |at, src, dst, frame| {
         if dst == ad_from {
             advertiser.handle_frame(src, frame, at, rng)
         } else {

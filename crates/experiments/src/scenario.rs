@@ -9,13 +9,14 @@
 //! [`run_study`]'s; [`run_field_study`] is the blind run on the
 //! scenario's own mobility.
 
-use crate::driver::{run_study, DriverConfig, Study, StudyRun};
+use crate::driver::{run_study, Study, StudyRun};
 use crate::social;
 use alleyoop::app::AlleyOopApp;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sos_core::routing::SchemeKind;
 use sos_engine::{ShardConfig, ShardedContactEngine};
+use sos_net::Medium;
 use sos_sim::mobility::schedule::{DailySchedule, ScheduleConfig};
 use sos_sim::mobility::trace::Trajectory;
 use sos_sim::radio::RadioTech;
@@ -192,10 +193,9 @@ pub fn field_study<S: EncounterSource>(config: &FieldStudyConfig, source: S) -> 
         source,
         followers: field_study_followers(),
         posts: post_schedule(config),
-        driver: DriverConfig {
-            ad_interval: config.ad_interval,
-            infra_available: config.infra_available,
-            seed: config.seed ^ 0xace,
+        ad_interval: config.ad_interval,
+        air: Medium::Radio {
+            infra: config.infra_available,
         },
         end: SimTime::from_hours(config.days * 24),
     }

@@ -4,23 +4,29 @@
 //!
 //! Multipeer Connectivity gave the paper's phones a reliable, in-order
 //! stream per peer over Bluetooth, peer-to-peer WiFi or infrastructure
-//! WiFi. A radio [`Air`] stands in for it: an open contact's bearer is
-//! frozen at its up-distance, each frame costs that bearer's latency
-//! plus its serialization time and may be lost, and frames on one
-//! directed link never overtake each other. [`Air::instant`] is the
-//! medium of the unit-test pumps: every pair linked, no latency, no loss
-//! and no random draw.
+//! WiFi. A radio air ([`Medium::Radio`]) stands in for it: an open
+//! contact's bearer is frozen at its up-distance, each frame costs that
+//! bearer's latency plus its serialization time and may be lost, and
+//! frames on one directed link never overtake each other. Each directed
+//! link draws its losses from its own stream, seeded from the air's loss
+//! seed, so traffic on one link never moves the losses on another. An
+//! instant air ([`Air::instant`]) links every pair with no latency, no
+//! loss and no draw.
 //!
-//! Frames wait on one [`EventQueue`] and pop in (arrival, send order),
-//! which on an instant air is exactly the FIFO of a `VecDeque` pump.
-//! That order is the simulation driver's determinism contract, so no
-//! hash order may reach this file.
+//! Frames land in rounds: every frame due at one instant is a round,
+//! delivered in `(to, from, send number)` order, and replies that land
+//! at that same instant — only an instant air's do — form the next
+//! round. An instant air is therefore a lockstep round, the
+//! `(to, from, seq)` order of `sos_node`'s `Host`, which is what lets
+//! the simulation driver compute the lockstep mesh's run. That order is
+//! the driver's determinism contract, so no hash order may reach this
+//! file.
 
 use crate::{Frame, PeerId};
-use rand::{Rng, RngCore};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use sos_obs::Histogram;
 use sos_sim::radio::RadioTech;
-use sos_sim::{EventQueue, SimTime};
+use sos_sim::{EventQueue, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Frames one [`Air::settle`] may deliver before it calls the exchange
@@ -28,16 +34,34 @@ use std::collections::BTreeMap;
 /// between two steps of a study.
 const STORM: u64 = 100_000;
 
+/// What links a pair on an [`Air`]: the one choice a harness makes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Medium {
+    /// Every pair on an instant link: zero latency, no loss, no draw.
+    #[default]
+    Instant,
+    /// MPC bearers: a pair is linked only while in contact, over the
+    /// best bearer for its up-distance.
+    Radio {
+        /// Whether infrastructure WiFi is there to extend the bearers'
+        /// reach.
+        infra: bool,
+    },
+}
+
 /// The medium frames cross between devices. The default is an instant
 /// air ([`Air::instant`]).
 #[derive(Debug, Default)]
 pub struct Air {
-    /// `None` on an instant air. On a radio air, whether infrastructure
-    /// WiFi is there to extend the bearers' reach.
-    infra_available: Option<bool>,
+    medium: Medium,
+    /// The seed every directed link's loss stream derives from.
+    loss_seed: u64,
     /// Each open contact's bearer on a radio air, by normalized
     /// `(lo, hi)` pair.
     bearers: BTreeMap<(PeerId, PeerId), RadioTech>,
+    /// Each directed link's loss stream, from the first frame it carries
+    /// on a radio air.
+    loss: BTreeMap<(PeerId, PeerId), StdRng>,
     /// Per directed link with frames in flight: the latest arrival
     /// scheduled on it, and the number of the frame sent last on it. A
     /// small frame (shorter serialization delay) never lands before a
@@ -46,8 +70,7 @@ pub struct Air {
     /// goes when its last frame lands: a later send arrives at least a
     /// bearer's latency after that, so the slot could never bind again.
     order: BTreeMap<(PeerId, PeerId), (SimTime, u64)>,
-    /// Frames in flight, each with its number, by arrival time and then
-    /// send order.
+    /// Frames in flight, each with its number, by arrival time.
     queue: EventQueue<(PeerId, PeerId, Frame, u64)>,
     /// Wire sizes of every carried frame, if observed.
     frame_bytes: Option<Histogram>,
@@ -57,17 +80,17 @@ pub struct Air {
 
 impl Air {
     /// An air in which every pair sits on an instant link: zero latency,
-    /// no loss, and no draw from the RNG the caller passes.
+    /// no loss, and no draw.
     pub fn instant() -> Air {
         Air::default()
     }
 
-    /// An air of MPC bearers: a pair is linked only while in contact,
-    /// over the best bearer for its up-distance. With `frame_bytes`,
-    /// every carried frame's wire size is recorded there.
-    pub fn radio(infra_available: bool, frame_bytes: Option<Histogram>) -> Air {
+    /// An air of `medium` whose directed links draw their losses from
+    /// streams seeded by `loss_seed`. With `frame_bytes`, every carried
+    /// frame's wire size is recorded there.
+    pub fn new(medium: Medium, loss_seed: u64, frame_bytes: Option<Histogram>) -> Air {
         let mut air = Air::default();
-        (air.infra_available, air.frame_bytes) = (Some(infra_available), frame_bytes);
+        (air.medium, air.loss_seed, air.frame_bytes) = (medium, loss_seed, frame_bytes);
         air
     }
 
@@ -76,8 +99,10 @@ impl Air {
     /// it is beyond them all), `None` closes it. An instant air links
     /// every pair and ignores this.
     pub fn contact(&mut self, a: PeerId, b: PeerId, up_distance_m: Option<f64>) {
-        let up = up_distance_m.zip(self.infra_available);
-        match up.and_then(|(d, infra)| RadioTech::best_for_distance(d, infra)) {
+        let Medium::Radio { infra } = self.medium else {
+            return;
+        };
+        match up_distance_m.and_then(|d| RadioTech::best_for_distance(d, infra)) {
             Some(tech) => self.bearers.insert(pair(a, b), tech),
             None => self.bearers.remove(&pair(a, b)),
         };
@@ -86,22 +111,21 @@ impl Air {
     /// Puts `frames`, each `(to, frame)`, on the air from `src` at `now`,
     /// in order. A frame to a peer `src` has no bearer to is neither
     /// carried nor counted. On a radio air each carried frame draws once
-    /// from `rng` for loss.
+    /// for loss from its directed link's stream.
     ///
     /// # Panics
     ///
     /// If `now` is before the last frame this air delivered: frames leave
     /// no earlier than the instant being processed.
-    pub fn send<R: RngCore>(
+    pub fn send(
         &mut self,
         now: SimTime,
         src: PeerId,
         frames: impl IntoIterator<Item = (PeerId, Frame)>,
-        rng: &mut R,
     ) {
         for (dst, frame) in frames {
             let bearer = self.bearers.get(&pair(src, dst)).copied();
-            if bearer.is_none() && self.infra_available.is_some() {
+            if bearer.is_none() && self.medium != Medium::Instant {
                 continue; // no open contact, or none in reach
             }
             self.totals.0 += 1;
@@ -110,14 +134,17 @@ impl Air {
             }
             let mut arrival = now;
             if let Some(tech) = bearer {
-                if rng.gen_bool(tech.loss_probability()) {
+                let seed = self.loss_seed ^ (u64::from(src.0) << 32 | u64::from(dst.0));
+                let stream =
+                    (self.loss.entry((src, dst))).or_insert_with(|| StdRng::seed_from_u64(seed));
+                if stream.gen_bool(tech.loss_probability()) {
                     self.totals.1 += 1;
                     continue;
                 }
                 arrival += crate::link::delay(tech, frame.wire_size());
             }
             // In order per directed link (see `order`): never before the
-            // frame sent ahead; equal times pop in send order.
+            // frame sent ahead; equal times land by send number.
             let number = self.totals.0;
             let slot = self.order.entry((src, dst)).or_insert((arrival, number));
             *slot = (slot.0.max(arrival), number);
@@ -128,29 +155,34 @@ impl Air {
         }
     }
 
-    /// Delivers, in (arrival, send order), every frame due before
-    /// `until`: `deliver(at, src, dst, frame, rng)` hands one over and
-    /// returns `dst`'s replies, which go back on the air from `dst` at
-    /// `at`, after the draws `deliver` made. Returns the frames
-    /// delivered.
+    /// Delivers every frame due before `until`, a round at a time (see
+    /// the module documentation): `deliver(at, src, dst, frame)` hands
+    /// one over and returns `dst`'s replies, which go back on the air
+    /// from `dst` at `at`. Returns the frames delivered.
     ///
     /// # Panics
     ///
     /// On a frame storm: more than 100 000 frames in one call.
-    pub fn settle<R, F>(&mut self, until: SimTime, rng: &mut R, mut deliver: F) -> u64
+    pub fn settle<F>(&mut self, until: SimTime, mut deliver: F) -> u64
     where
-        R: RngCore,
-        F: FnMut(SimTime, PeerId, PeerId, Frame, &mut R) -> Vec<(PeerId, Frame)>,
+        F: FnMut(SimTime, PeerId, PeerId, Frame) -> Vec<(PeerId, Frame)>,
     {
         let mut delivered = 0;
-        while let Some((at, (src, dst, frame, number))) = self.queue.pop_before(until) {
-            if self.order.get(&(src, dst)) == Some(&(at, number)) {
-                self.order.remove(&(src, dst)); // the link's last frame
+        while let Some((at, first)) = self.queue.pop_before(until) {
+            // Time counts whole milliseconds: the instant ends before `next`.
+            let next = at + SimDuration::from_millis(1);
+            let rest = std::iter::from_fn(|| self.queue.pop_before(next).map(|(_, f)| f));
+            let mut round: Vec<_> = std::iter::once(first).chain(rest).collect();
+            round.sort_by_key(|&(src, dst, _, number)| (dst, src, number));
+            for (src, dst, frame, number) in round {
+                if self.order.get(&(src, dst)) == Some(&(at, number)) {
+                    self.order.remove(&(src, dst)); // the link's last frame
+                }
+                delivered += 1;
+                assert!(delivered <= STORM, "frame storm: {delivered} frames");
+                let replies = deliver(at, src, dst, frame);
+                self.send(at, dst, replies);
             }
-            delivered += 1;
-            assert!(delivered <= STORM, "frame storm: {delivered} frames");
-            let replies = deliver(at, src, dst, frame, rng);
-            self.send(at, dst, replies, rng);
         }
         delivered
     }
@@ -170,9 +202,7 @@ fn pair(a: PeerId, b: PeerId) -> (PeerId, PeerId) {
 mod tests {
     use super::*;
     use crate::DisconnectReason;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sos_sim::SimDuration;
+    use std::collections::BTreeSet;
 
     const A: PeerId = PeerId(0);
     const B: PeerId = PeerId(1);
@@ -185,11 +215,15 @@ mod tests {
         }
     }
 
+    fn radio(infra: bool, loss_seed: u64) -> Air {
+        Air::new(Medium::Radio { infra }, loss_seed, None)
+    }
+
     /// Settles everything, returning `(at, src, dst, seq)` per delivered
     /// data frame; nothing replies.
-    fn landed(air: &mut Air, rng: &mut StdRng) -> Vec<(SimTime, PeerId, PeerId, u64)> {
+    fn landed(air: &mut Air) -> Vec<(SimTime, PeerId, PeerId, u64)> {
         let mut out = Vec::new();
-        air.settle(SimTime::from_hours(1), rng, |at, src, dst, frame, _| {
+        air.settle(SimTime::from_hours(1), |at, src, dst, frame| {
             if let Frame::Data { seq, .. } = frame {
                 out.push((at, src, dst, seq));
             }
@@ -200,25 +234,19 @@ mod tests {
 
     #[test]
     fn a_frame_costs_its_bearers_latency_plus_serialization() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut air = Air::radio(true, None);
+        let mut air = radio(true, 4);
         air.contact(A, B, Some(5.0)); // peer-to-peer WiFi: 8 ms, 3 MB/s
         air.contact(A, C, Some(80.0)); // infrastructure WiFi: 15 ms, 1.5 MB/s
         let (small, large) = (data(1, 10), data(2, 1_000_000));
         let (s, l) = (small.wire_size() as f64, large.wire_size() as f64);
         let now = SimTime::from_secs(1);
-        air.send(
-            now,
-            A,
-            [(B, large.clone()), (C, small), (C, large)],
-            &mut rng,
-        );
-        air.send(now, A, [(B, data(3, 10))], &mut rng);
+        air.send(now, A, [(B, large.clone()), (C, small), (C, large)]);
+        air.send(now, A, [(B, data(3, 10))]);
         assert_eq!(air.totals(), (4, 0), "this seed loses nothing");
         let ms = |latency: u64, bytes: f64, bps: f64| {
             now + SimDuration::from_millis(latency + (bytes / bps * 1000.0).ceil() as u64)
         };
-        let landed = landed(&mut air, &mut rng);
+        let landed = landed(&mut air);
         let at =
             |seq: u64, dst: PeerId| landed.iter().find(|l| l.3 == seq && l.2 == dst).unwrap().0;
         assert_eq!(
@@ -234,7 +262,7 @@ mod tests {
 
     #[test]
     fn bearer_is_chosen_by_up_distance() {
-        let mut air = Air::radio(true, None);
+        let mut air = radio(true, 0);
         air.contact(B, A, Some(5.0));
         assert_eq!(air.bearers[&(A, B)], RadioTech::PeerToPeerWifi);
         // Re-opened out of reach: the old bearer does not linger.
@@ -244,115 +272,123 @@ mod tests {
 
     #[test]
     fn small_frames_never_overtake_on_their_own_link_only() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut air = Air::radio(false, None);
+        let mut air = radio(false, 3);
         air.contact(A, B, Some(5.0));
         air.contact(A, C, Some(5.0));
         let now = SimTime::from_secs(1);
-        air.send(now, A, [(B, data(1, 300_000)), (B, data(2, 10))], &mut rng);
-        air.send(now, A, [(C, data(3, 10))], &mut rng);
+        air.send(now, A, [(B, data(1, 300_000)), (B, data(2, 10))]);
+        air.send(now, A, [(C, data(3, 10))]);
         assert_eq!(air.totals(), (3, 0), "this seed loses nothing");
-        let order: Vec<u64> = landed(&mut air, &mut rng).iter().map(|l| l.3).collect();
+        let order: Vec<u64> = landed(&mut air).iter().map(|l| l.3).collect();
         assert_eq!(order, [3, 1, 2], "the small frame to C lands first");
     }
 
     #[test]
     fn unlinked_frames_are_neither_counted_nor_drawn_for() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut untouched = rng.clone();
-        let mut air = Air::radio(true, Some(Histogram::new()));
+        let mut air = Air::new(Medium::Radio { infra: true }, 5, Some(Histogram::new()));
         air.contact(A, C, Some(500.0)); // beyond every bearer
         air.contact(A, B, Some(5.0));
         air.contact(A, B, None); // closed again
-        air.send(
-            SimTime::ZERO,
-            A,
-            [(B, data(1, 10)), (C, data(2, 10))],
-            &mut rng,
-        );
+        air.send(SimTime::ZERO, A, [(B, data(1, 10)), (C, data(2, 10))]);
         assert_eq!(air.totals(), (0, 0));
-        assert_eq!(rng.next_u64(), untouched.next_u64());
-        assert!(landed(&mut air, &mut rng).is_empty());
+        assert!(air.loss.is_empty(), "no link drew");
+        assert!(landed(&mut air).is_empty());
     }
 
-    /// `rounds` ping-pongs between A and B, then a disconnect.
-    fn rally(air: &mut Air, rng: &mut StdRng, rounds: u64) -> u64 {
-        air.send(SimTime::ZERO, A, [(B, data(0, 32))], rng);
-        air.settle(
-            SimTime::from_hours(1),
-            rng,
-            |_, src, _, frame, _| match frame {
-                Frame::Data { seq, .. } if seq < rounds => vec![(src, data(seq + 1, 32))],
-                Frame::Data { .. } => vec![(
-                    src,
-                    Frame::Disconnect {
-                        reason: DisconnectReason::Done,
-                    },
-                )],
-                _ => Vec::new(),
-            },
-        )
+    /// The sequence numbers of the frames A sends B, `0..1000`, that are
+    /// lost on the way, with a frame to C sent ahead of each when `busy`.
+    fn lost_on_a_to_b(busy: bool) -> BTreeSet<u64> {
+        let mut air = radio(false, 11);
+        air.contact(A, B, Some(5.0));
+        air.contact(A, C, Some(5.0));
+        for seq in 0..1000 {
+            let to_c = busy.then(|| (C, data(seq, 1)));
+            air.send(
+                SimTime::ZERO,
+                A,
+                to_c.into_iter().chain([(B, data(seq, 1))]),
+            );
+        }
+        let mut lost: BTreeSet<u64> = (0..1000).collect();
+        for (_, _, dst, seq) in landed(&mut air) {
+            if dst == B {
+                lost.remove(&seq);
+            }
+        }
+        lost
     }
 
     #[test]
-    fn an_instant_air_draws_nothing_and_keeps_send_order() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut untouched = rng.clone();
+    fn loss_on_a_link_ignores_traffic_on_other_links() {
+        let quiet = lost_on_a_to_b(false);
+        assert!(!quiet.is_empty(), "1 000 frames lose some");
+        assert_eq!(lost_on_a_to_b(true), quiet);
+    }
+
+    /// `rounds` ping-pongs between A and B, then a disconnect.
+    fn rally(air: &mut Air, rounds: u64) -> u64 {
+        air.send(SimTime::ZERO, A, [(B, data(0, 32))]);
+        air.settle(SimTime::from_hours(1), |_, src, _, frame| match frame {
+            Frame::Data { seq, .. } if seq < rounds => vec![(src, data(seq + 1, 32))],
+            Frame::Data { .. } => vec![(
+                src,
+                Frame::Disconnect {
+                    reason: DisconnectReason::Done,
+                },
+            )],
+            _ => Vec::new(),
+        })
+    }
+
+    #[test]
+    fn an_instant_air_draws_nothing_and_lands_in_lockstep_rounds() {
         let mut air = Air::instant();
-        assert_eq!(rally(&mut air, &mut rng, 50), 52);
+        assert_eq!(rally(&mut air, 50), 52);
         assert_eq!(air.totals(), (52, 0));
-        assert_eq!(rng.next_u64(), untouched.next_u64());
-        // FIFO across links at one instant, as a `VecDeque` pump.
-        air.send(
-            SimTime::ZERO,
-            A,
-            [(B, data(1, 9)), (C, data(2, 1))],
-            &mut rng,
-        );
-        air.send(SimTime::ZERO, C, [(A, data(3, 5))], &mut rng);
-        let order: Vec<_> = landed(&mut air, &mut rng).iter().map(|l| l.3).collect();
-        assert_eq!(order, [1, 2, 3]);
+        assert!(air.loss.is_empty(), "no link drew");
+        // One instant's frames land in `(to, from, send number)` order,
+        // and the reply to frame 1 waits for the next round.
+        air.send(SimTime::ZERO, A, [(B, data(1, 9)), (C, data(2, 1))]);
+        air.send(SimTime::ZERO, C, [(A, data(3, 5))]);
+        let mut order = Vec::new();
+        air.settle(SimTime::from_secs(1), |_, _, _, frame| {
+            let Frame::Data { seq, .. } = frame else {
+                return Vec::new();
+            };
+            order.push(seq);
+            if seq == 1 {
+                vec![(A, data(4, 1))]
+            } else {
+                Vec::new()
+            }
+        });
+        assert_eq!(order, [3, 1, 2, 4]);
     }
 
     #[test]
     #[should_panic(expected = "frame storm")]
     fn an_echo_loop_trips_the_storm_guard() {
-        let mut rng = StdRng::seed_from_u64(1);
         let mut air = Air::instant();
-        air.send(SimTime::ZERO, A, [(B, data(0, 1))], &mut rng);
-        air.settle(SimTime::from_secs(1), &mut rng, |_, src, _, frame, _| {
-            vec![(src, frame)]
-        });
+        air.send(SimTime::ZERO, A, [(B, data(0, 1))]);
+        air.settle(SimTime::from_secs(1), |_, src, _, frame| vec![(src, frame)]);
     }
 
     #[test]
     fn a_settled_air_holds_no_link_order_state() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut air = Air::radio(false, None);
+        let mut air = radio(false, 2);
         air.contact(A, B, Some(5.0));
-        air.send(
-            SimTime::ZERO,
-            B,
-            [(A, data(0, 5_000)), (A, data(1, 10))],
-            &mut rng,
-        );
+        air.send(SimTime::ZERO, B, [(A, data(0, 5_000)), (A, data(1, 10))]);
         assert_eq!(air.order[&(B, A)].1, 2, "two frames in flight on B -> A");
-        rally(&mut air, &mut rng, 20);
+        rally(&mut air, 20);
         assert!(air.order.is_empty(), "{:?}", air.order);
         assert!(air.queue.is_empty());
     }
 
     #[test]
     fn loss_rate_is_plausible() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut air = Air::radio(false, None);
+        let mut air = radio(false, 1);
         air.contact(A, B, Some(5.0));
-        air.send(
-            SimTime::ZERO,
-            A,
-            (0..10_000).map(|i| (B, data(i, 1))),
-            &mut rng,
-        );
+        air.send(SimTime::ZERO, A, (0..10_000).map(|i| (B, data(i, 1))));
         let (sent, lost) = air.totals();
         assert_eq!(sent, 10_000);
         // Expect ~1% ± generous tolerance.

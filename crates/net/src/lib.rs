@@ -24,7 +24,9 @@
 //!   (the `sos-node` TCP loopback daemon)
 //! * [`Air`] — the one medium every harness moves frames through: each
 //!   open contact's bearer frozen at its up-distance, latency and loss
-//!   per frame, per-link order, and the instant air of the test pumps
+//!   per frame from each directed link's own stream, per-link order, and
+//!   the instant air whose rounds are the lockstep mesh's
+//!   ([`Medium`] picks one)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +41,7 @@ pub mod session;
 pub mod wire;
 
 pub use advertisement::Advertisement;
-pub use air::Air;
+pub use air::{Air, Medium};
 pub use error::NetError;
 pub use frame::{DisconnectReason, Frame, SYNC_BATCH_BUDGET};
 pub use handshake::{

@@ -262,9 +262,10 @@ pub(crate) fn is_ad_boundary(ad_interval: SimDuration, node: usize, n: usize, t:
         .is_some()
 }
 
-/// The seed of a node's session randomness in a lockstep run; every
-/// process derives the same stream for the same node.
-pub(crate) fn node_seed(seed: u64, node: usize) -> u64 {
+/// The seed of a node's session randomness, in a lockstep run and in a
+/// simulated study alike; every process derives the same stream for the
+/// same node.
+pub fn node_seed(seed: u64, node: usize) -> u64 {
     seed ^ 0x6e6f_6465 ^ ((node as u64) << 32 | node as u64)
 }
 

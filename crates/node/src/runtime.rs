@@ -5,11 +5,13 @@
 //!
 //! There is one frame surface — [`push_frame`](NodeRuntime::push_frame)
 //! in, [`poll_frames`](NodeRuntime::poll_frames) out — and the caller
-//! injects both the time and the randomness of every call. The
-//! simulation driver (`sos_experiments::driver`, downstream of this
-//! crate) passes its one shared RNG; the lockstep `Host` (`host.rs`)
-//! behind the mesh and the TCP daemon passes each node's own seeded
-//! stream and owns the wire codec, so the runtime never sees bytes.
+//! injects both the time and the randomness of every call. Both callers
+//! inject the same randomness: node `i`'s own stream, seeded by
+//! [`provision::node_seed`](crate::provision::node_seed). The lockstep
+//! `Host` (`host.rs`) behind the mesh and the TCP daemon also owns the
+//! wire codec, so the runtime never sees bytes; the simulation driver
+//! (`sos_experiments::driver`, downstream of this crate) hands it typed
+//! frames over a `sos_net::Air`.
 //!
 //! The runtime keeps no clock and no cadence: the caller says when it
 //! [`advertise`](NodeRuntime::advertise)s, and both callers take that
@@ -190,24 +192,20 @@ mod tests {
     fn pump(a: &mut NodeRuntime, b: &mut NodeRuntime, now: SimTime, budget: u64) -> u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(100);
         let mut air = sos_net::Air::instant();
-        air.send(now, PeerId(0), a.poll_frames(), &mut rng);
-        air.send(now, PeerId(1), b.poll_frames(), &mut rng);
+        air.send(now, PeerId(0), a.poll_frames());
+        air.send(now, PeerId(1), b.poll_frames());
         let mut landed = 0;
-        air.settle(
-            now + SimDuration::from_millis(1),
-            &mut rng,
-            |now, src, dst, frame, rng| {
-                let to = if dst == PeerId(0) { &mut *a } else { &mut *b };
-                let frame = Frame::decode(&frame.encode()).expect("own frames decode");
-                to.push_frame(src, frame, now, rng);
-                landed += 1;
-                if landed < budget {
-                    to.poll_frames()
-                } else {
-                    Vec::new()
-                }
-            },
-        )
+        air.settle(now + SimDuration::from_millis(1), |now, src, dst, frame| {
+            let to = if dst == PeerId(0) { &mut *a } else { &mut *b };
+            let frame = Frame::decode(&frame.encode()).expect("own frames decode");
+            to.push_frame(src, frame, now, &mut rng);
+            landed += 1;
+            if landed < budget {
+                to.poll_frames()
+            } else {
+                Vec::new()
+            }
+        })
     }
 
     #[test]

@@ -19,8 +19,8 @@ use rand::SeedableRng;
 use sos::core::prelude::*;
 use sos::core::routing::RoutingContext;
 use sos::core::Bundle;
-use sos::experiments::driver::{run_study, DriverConfig, Study};
-use sos::net::Advertisement;
+use sos::experiments::driver::{run_study, Study};
+use sos::net::{Advertisement, Medium};
 use sos::sim::geo::Bounds;
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::radio::RadioTech;
@@ -114,11 +114,8 @@ fn run(use_custom: bool) -> (usize, u64, f64) {
             posts: (0..HOURS)
                 .map(|h| (SimTime::from_hours(h) + SimDuration::from_mins(5), 0))
                 .collect(),
-            driver: DriverConfig {
-                ad_interval: SimDuration::from_secs(30),
-                infra_available: false,
-                seed: 2,
-            },
+            ad_interval: SimDuration::from_secs(30),
+            air: Medium::Radio { infra: false },
             end: SimTime::from_hours(HOURS),
         },
         None,

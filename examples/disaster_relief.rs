@@ -14,7 +14,8 @@
 
 use rand::SeedableRng;
 use sos::core::prelude::*;
-use sos::experiments::driver::{run_study, DriverConfig, Study};
+use sos::experiments::driver::{run_study, Study};
+use sos::net::Medium;
 use sos::sim::geo::Bounds;
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::radio::RadioTech;
@@ -104,11 +105,8 @@ fn run(scheme: SchemeKind) -> (usize, u64, f64, f64) {
             source: world,
             followers,
             posts,
-            driver: DriverConfig {
-                ad_interval: SimDuration::from_secs(30),
-                infra_available: false,
-                seed: 99,
-            },
+            ad_interval: SimDuration::from_secs(30),
+            air: Medium::Radio { infra: false },
             end,
         },
         None,

@@ -67,15 +67,17 @@ fn main() {
     // moves these bytes.
     let mut air = Air::instant();
     let to_bob = [(bob.peer_id(), Frame::Advertisement(ad))];
-    air.send(t, alice.peer_id(), to_bob, &mut rng);
+    air.send(t, alice.peer_id(), to_bob);
     let until = t + SimDuration::from_millis(1);
-    air.settle(until, &mut rng, |now, src, dst, frame, rng| {
+    air.settle(until, |now, src, dst, frame| {
         let target = if dst == alice.peer_id() {
             &mut alice
         } else {
             &mut bob
         };
-        target.middleware_mut().handle_frame(src, frame, now, rng)
+        target
+            .middleware_mut()
+            .handle_frame(src, frame, now, &mut rng)
     });
 
     // The post arrived, was signature-verified against Alice's

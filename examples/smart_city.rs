@@ -13,7 +13,8 @@
 
 use rand::SeedableRng;
 use sos::core::prelude::*;
-use sos::experiments::driver::{run_study, DriverConfig, Study};
+use sos::experiments::driver::{run_study, Study};
+use sos::net::Medium;
 use sos::sim::geo::{Bounds, Point};
 use sos::sim::mobility::random_waypoint::RandomWaypoint;
 use sos::sim::mobility::trace::{Trajectory, TrajectoryBuilder};
@@ -116,11 +117,8 @@ fn main() {
             source: world,
             followers,
             posts,
-            driver: DriverConfig {
-                ad_interval: SimDuration::from_secs(30),
-                infra_available: false,
-                seed: 55,
-            },
+            ad_interval: SimDuration::from_secs(30),
+            air: Medium::Radio { infra: false },
             end: SimTime::from_hours(HOURS),
         },
         None,

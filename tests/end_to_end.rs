@@ -3,7 +3,8 @@
 
 use rand::SeedableRng;
 use sos::core::prelude::*;
-use sos::experiments::driver::{run_study, DriverConfig, Study};
+use sos::experiments::driver::{run_study, Study};
+use sos::net::Medium;
 use sos::sim::geo::Point;
 use sos::sim::mobility::trace::Trajectory;
 use sos::sim::{SimDuration, SimTime, World};
@@ -38,11 +39,8 @@ fn colocated_pair_delivers_quickly() {
             source: world,
             followers: vec![vec![1], vec![]],
             posts: vec![(SimTime::from_secs(10), 0)],
-            driver: DriverConfig {
-                ad_interval: SimDuration::from_secs(60),
-                infra_available: false,
-                seed: 5,
-            },
+            ad_interval: SimDuration::from_secs(60),
+            air: Medium::Radio { infra: false },
             end: SimTime::from_mins(30),
         },
         None,
@@ -80,7 +78,8 @@ fn isolated_nodes_never_communicate() {
             source: world,
             followers: vec![vec![1], vec![]],
             posts: vec![(SimTime::from_secs(5), 0)],
-            driver: DriverConfig::default(),
+            ad_interval: SimDuration::from_secs(60),
+            air: Medium::Radio { infra: false },
             end: SimTime::from_hours(2),
         },
         None,
@@ -125,11 +124,8 @@ fn store_carry_forward_two_hops() {
             source: world,
             followers: vec![vec![1, 2], vec![], vec![]],
             posts: vec![(SimTime::from_secs(60), 0)],
-            driver: DriverConfig {
-                ad_interval: SimDuration::from_secs(30),
-                infra_available: false,
-                seed: 9,
-            },
+            ad_interval: SimDuration::from_secs(30),
+            air: Medium::Radio { infra: false },
             end: SimTime::from_hours(3),
         },
         None,
@@ -178,11 +174,8 @@ fn interrupted_transfer_resumes_next_encounter() {
             followers: vec![vec![1], vec![]],
             // Many posts: some may not fit in the first brief contact.
             posts: (0..20).map(|i| (SimTime::from_secs(30 + i), 0)).collect(),
-            driver: DriverConfig {
-                ad_interval: SimDuration::from_secs(30),
-                infra_available: false,
-                seed: 31,
-            },
+            ad_interval: SimDuration::from_secs(30),
+            air: Medium::Radio { infra: false },
             end: SimTime::from_hours(2),
         },
         None,

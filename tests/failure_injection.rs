@@ -7,9 +7,10 @@
 use rand::SeedableRng;
 use sos::core::prelude::*;
 use sos::core::SosConfig;
-use sos::experiments::driver::{run_study, DriverConfig, Study};
+use sos::experiments::driver::{run_study, Study};
 use sos::experiments::eviction::encounter;
 use sos::experiments::scenario::{run_field_study, small_test_config};
+use sos::net::Medium;
 use sos::sim::geo::Point;
 use sos::sim::mobility::trace::Trajectory;
 use sos::sim::{SimDuration, SimTime, World};
@@ -21,8 +22,9 @@ fn sign_up_group(n: usize, scheme: SchemeKind, seed: u64) -> Vec<AlleyOopApp> {
     AlleyOopApp::sign_up_fleet("Test CA", 1, handles, scheme, &mut rng)
 }
 
-/// The field study runs over lossy links (Bluetooth ~2 %, WiFi ~1 %
-/// frame loss); losses must occur *and* not prevent delivery.
+/// The field study runs over lossy links (the bearers that carry its
+/// frames: peer-to-peer WiFi 1 %, infrastructure WiFi 0.5 % frame loss);
+/// losses must occur *and* not prevent delivery.
 #[test]
 fn frame_loss_happens_and_is_survivable() {
     let outcome = run_field_study(&small_test_config(5, SchemeKind::InterestBased));
@@ -76,11 +78,8 @@ fn flapping_contact_recovers() {
             source: world,
             followers: vec![vec![1], vec![]],
             posts: (0..50).map(|i| (SimTime::from_secs(10 + i), 0)).collect(),
-            driver: DriverConfig {
-                ad_interval: SimDuration::from_secs(45),
-                infra_available: false,
-                seed: 3,
-            },
+            ad_interval: SimDuration::from_secs(45),
+            air: Medium::Radio { infra: false },
             end: SimTime::from_hours(2),
         },
         None,

@@ -37,15 +37,14 @@ fn pump_through(
         .middleware_mut()
         .handle_frame(a_id, Frame::Advertisement(ad), now, &mut r);
     let mut air = Air::instant();
-    air.send(now, b.peer_id(), replies, &mut r);
+    air.send(now, b.peer_id(), replies);
     air.settle(
         now + SimDuration::from_millis(1),
-        &mut r,
-        |at, src, dst, mut frame, r| {
+        |at, src, dst, mut frame| {
             on_air(&mut frame);
             crossed.push(frame.clone());
             let target = if dst == a_id { &mut *a } else { &mut *b };
-            target.middleware_mut().handle_frame(src, frame, at, r)
+            target.middleware_mut().handle_frame(src, frame, at, &mut r)
         },
     );
     crossed

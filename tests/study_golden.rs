@@ -1,16 +1,15 @@
-//! Golden digests of every driver-based study, pinned at the commit
-//! *before* the study-plane fast path (advertisement wakes enqueued
-//! only inside a node's contact windows, store summaries read from the
-//! ends of each per-author map, frame sizes computed instead of
-//! encoded) and reproduced by it: the driver may change what it
-//! schedules, never what a run returns.
+//! Golden digests of every driver-based study. Each constant below is
+//! the digest, over all five schemes, of an observed run's
+//! `(RunMetrics, per-node SosStats, per-node store, per-node feed,
+//! journal JSONL)`: a driver change that adds or drops one frame, one
+//! random draw or one journal entry fails here.
 //!
-//! A pruned wake must have been a no-op — no frame, no draw from the
-//! RNG link loss and the middleware share, no journal entry — so one
-//! extra or missing wake shows up in `frames_lost` at the latest. Each
-//! constant below is the digest, over all five schemes, of an observed
-//! run's `(RunMetrics, per-node SosStats, per-node store, per-node
-//! feed, journal JSONL)`.
+//! The rows were first pinned at the commit *before* the study-plane
+//! fast path (advertisement wakes enqueued only inside a node's contact
+//! windows, store summaries read from the ends of each per-author map,
+//! frame sizes computed instead of encoded) and reproduced by it: a
+//! pruned wake must have been a no-op — no frame, no random draw, no
+//! journal entry.
 //!
 //! Two rows were re-pinned when the driver and the lockstep conductor
 //! came to walk one schedule (`sos_node::provision::schedule`) under
@@ -18,24 +17,33 @@
 //! point (seed 99). In both, a contact still open at the end had woken
 //! an advertiser due on the last instant, whose frames count as sent and
 //! can never arrive: that wake is gone, so `frames_sent` falls by its
-//! copies (1 per edge run, 2 per density run) and nothing else moves.
+//! copies (1 per edge run, 2 per density run) and nothing else moved.
 //! The edge timeline also has posts on the instant of a contact
 //! transition (270, 600 and 1 700 s), and the transition is now applied
 //! first: three `bundle_post` journal lines each swap places with that
-//! instant's contact line. Every other row is unchanged.
+//! instant's contact line.
+//!
+//! All seven driver rows were re-pinned once more when the driver took
+//! the lockstep plane's randomness model: node `i` draws its session
+//! randomness from its own `node_seed` stream and each directed link its
+//! losses from its own stream, where one study RNG had served both, and
+//! frames landing at one instant land in `(to, from, send number)`
+//! order. Every draw moved, so every digest did.
 //!
 //! One row holds the other plane: `mesh_outcomes_are_pinned` digests
 //! whole lockstep `run_mesh` outcomes, pinned before the runtime gave
-//! up its own advertisement clock to the schedule.
+//! up its own advertisement clock to the schedule. On an instant air the
+//! driver computes those runs (`tests/plane_differential.rs`).
 
 use sos::core::routing::SchemeKind;
 use sos::experiments::corpus::{run_corpus_study_full, CorpusStudyConfig};
 use sos::experiments::density::{density_study, DensityConfig};
-use sos::experiments::driver::{run_study, DriverConfig, Study, StudyRun};
+use sos::experiments::driver::{run_study, Study, StudyRun};
 use sos::experiments::observe::RunObserver;
 use sos::experiments::scenario::{
     field_study, field_study_engine, field_study_world, small_test_config,
 };
+use sos::net::Medium;
 use sos::node::mesh::run_mesh;
 use sos::node::provision::{followers_from_trace, provision_apps};
 use sos::node::Outcome;
@@ -177,7 +185,7 @@ fn fixture(name: &str, format: CorpusFormat) -> ContactTrace {
 fn social_trace_week_is_pinned() {
     assert_pinned(
         "social week",
-        ["1d30622999f28904", "24d6f547422f4ad9", "66c500e319a4f8f8"],
+        ["462505b248ac1309", "95d04f9cfd2ebd44", "75c84491e93fd028"],
         |seed| {
             let trace = generate_social_trace(&SocialTraceConfig {
                 nodes: 10,
@@ -197,7 +205,7 @@ fn haggle_fixture_is_pinned() {
     let trace = fixture("haggle_mini.conn", CorpusFormat::Crawdad);
     assert_pinned(
         "haggle_mini",
-        ["5bc3d18ce4b09848", "f33c5d2a81096f54", "b990d172b3c61103"],
+        ["f83dfd28b2ac89f3", "695ec3a26f5a8998", "69e98f5a09e9f456"],
         |seed| corpus_digest(&trace, seed, 40, 60),
     );
 }
@@ -207,7 +215,7 @@ fn reality_fixture_is_pinned() {
     let trace = fixture("reality_mini.txt", CorpusFormat::RealityMining);
     assert_pinned(
         "reality_mini",
-        ["a0187dd08784f15c", "8fcb375b74edcd78", "9af3e891c0dc252d"],
+        ["4f28b0e59f48f65a", "fb15cba4de8b90db", "639c68c20711bc73"],
         |seed| corpus_digest(&trace, seed, 40, 60),
     );
 }
@@ -217,7 +225,7 @@ fn sassy_fixture_is_pinned() {
     let trace = fixture("sassy_mini.csv", CorpusFormat::Sassy);
     assert_pinned(
         "sassy_mini",
-        ["4e9c38c91d738265", "fc04ef099da70674", "68f95fd0b2f5d477"],
+        ["f81221d85454f6a9", "f7558e4c6f663633", "8aa5cb2ce96623a5"],
         |seed| corpus_digest(&trace, seed, 40, 60),
     );
 }
@@ -280,7 +288,7 @@ fn mesh_outcomes_are_pinned() {
 /// grid engine: one timeline, so one row of digests for both.
 #[test]
 fn geometric_field_study_is_pinned_on_world_and_grid() {
-    const PINNED: [&str; 3] = ["fe5babd1688a1c4b", "6f7f79a67bf34856", "f43230c7bf6dbd04"];
+    const PINNED: [&str; 3] = ["f0e4edaa4a29bbc6", "4070444a418c0c4b", "fb99f962350ffd6b"];
     assert_pinned("field study on World", PINNED, |seed| {
         digest_schemes(|scheme, observer| {
             let cfg = small_test_config(seed, scheme);
@@ -299,7 +307,7 @@ fn geometric_field_study_is_pinned_on_world_and_grid() {
 fn density_point_is_pinned() {
     assert_pinned(
         "density",
-        ["d8a68baa1db7bbd3", "ae4bf73226ed2276", "32de0470f0a111ea"],
+        ["919cf529b5ebb5ea", "a4cd52c6ef1c78d9", "70ef1998a1ae4b85"],
         |seed| {
             digest_schemes(|scheme, observer| {
                 let cfg = DensityConfig {
@@ -419,7 +427,7 @@ fn edge_timeline_is_pinned() {
 
     assert_pinned(
         "edge timeline",
-        ["c8504d36b01147ea", "67281346c7582b98", "89860411fa5ef6c8"],
+        ["16f6773c1d9581be", "556a3c4de1e84dfe", "77da0b982f08bc83"],
         |seed| {
             digest_schemes(|scheme, observer| {
                 let plan = CorpusStudyConfig {
@@ -440,11 +448,8 @@ fn edge_timeline_is_pinned() {
                     posts: (0..32)
                         .map(|k| (SimTime::from_secs(50 + k * 110), k as usize % EDGE_NODES))
                         .collect(),
-                    driver: DriverConfig {
-                        ad_interval: plan.ad_interval,
-                        infra_available: false,
-                        seed: seed ^ 0xace,
-                    },
+                    ad_interval: plan.ad_interval,
+                    air: Medium::Radio { infra: false },
                     end: SimTime::from_secs(EDGE_END),
                 };
                 run_study(study, Some(observer))
