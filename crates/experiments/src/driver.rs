@@ -70,7 +70,7 @@ use sos_core::message::MessageKind;
 use sos_core::middleware::{SosEvent, SosStats};
 use sos_core::routing::SchemeKind;
 use sos_net::{Air, Medium, PeerId};
-use sos_node::provision::{node_seed, schedule, Step};
+use sos_node::provision::{node_seed, post_text, schedule, Step};
 use sos_node::runtime::NodeRuntime;
 use sos_obs::journal::ObsEvent;
 use sos_obs::{Histogram, JournalEntry, JournalHandle, NodeObs, Registry};
@@ -432,7 +432,7 @@ impl<C: EncounterSource> Driver<C> {
     }
 
     fn on_post(&mut self, node: usize, number: u64, now: SimTime) {
-        let text = format!("post #{number} by {}", self.nodes[node].app().handle());
+        let text = post_text(number, self.nodes[node].app().handle());
         self.nodes[node].post(&text, now);
         self.metrics.posts += 1;
         self.mark(node, now, MapEventKind::Created);

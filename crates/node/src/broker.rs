@@ -3,9 +3,9 @@
 //!
 //! The broker owns no middleware state. Its daemons are the socket
 //! fleet the [`lockstep`](crate::lockstep) conductor walks the schedule
-//! over: encounter transitions, posts and advertisement ticks are
-//! broadcast on one control connection per daemon, and one exchange
-//! round is
+//! over: each schedule step — its encounter transitions, posts and
+//! advertisement wakes — is one `Msg::Step` broadcast on one control
+//! connection per daemon, and one exchange round is
 //!
 //! 1. `Collect` until the cumulative remote sent/received counters
 //!    balance (nothing in flight anywhere);
@@ -74,8 +74,8 @@ impl Broker {
     ///
     /// [`InVivoError::Io`] if the address cannot be bound, or
     /// [`InVivoError::Protocol`] for a zero-process configuration or an
-    /// advertisement interval under 1 ms (which every daemon would
-    /// refuse).
+    /// advertisement interval under 1 ms (which the schedule would floor
+    /// to 1 ms, so the run would not be the one asked for).
     pub fn bind(config: BrokerConfig) -> Result<Broker, InVivoError> {
         if config.num_procs == 0 {
             return Err(InVivoError::Protocol("num_procs must be >= 1".into()));
@@ -169,8 +169,6 @@ impl Broker {
                 num_procs: hosts.len() as u32,
                 scheme,
                 seed: plan.seed,
-                total_posts: plan.total_posts as u64,
-                ad_interval_ms: plan.ad_interval.as_millis(),
                 trace_text: trace_text.clone(),
                 hosts: hosts.clone(),
             })?;
@@ -187,18 +185,18 @@ fn broadcast(daemons: &mut [(MsgStream, String)], msg: &Msg) -> Result<(), InViv
     Ok(())
 }
 
-/// The daemons as the conductor's fleet: every schedule event is a
+/// The daemons as the conductor's fleet: every schedule step is a
 /// broadcast, every round a collect barrier plus a `Process`, and the
 /// end a `Finish` answered by each daemon's report stream.
 struct SocketFleet {
     daemons: Vec<(MsgStream, String)>,
-    /// The last tick, for naming a barrier that never converges.
+    /// The last step, for naming a barrier that never converges.
     now_ms: u64,
 }
 
 impl Fleet for SocketFleet {
-    fn event(&mut self, msg: &Msg) -> Result<(), InVivoError> {
-        if let Msg::Tick { now_ms } = *msg {
+    fn step(&mut self, msg: &Msg) -> Result<(), InVivoError> {
+        if let Msg::Step { now_ms, .. } = *msg {
             self.now_ms = now_ms;
         }
         broadcast(&mut self.daemons, msg)
@@ -278,9 +276,9 @@ mod tests {
     use super::*;
     use sos_sim::SimDuration;
 
-    /// Every daemon refuses a zero advertisement interval in `Assign`,
-    /// so the broker refuses it before it accepts anyone, instead of
-    /// waiting for daemons that will hang up.
+    /// A zero advertisement interval would run floored to 1 ms, not as
+    /// asked, so the broker refuses it before it accepts anyone, instead
+    /// of conducting a run nobody asked for.
     #[test]
     fn a_plan_every_daemon_would_refuse_is_refused_at_bind() {
         let config = BrokerConfig {

@@ -16,13 +16,13 @@
 //!   mid-round wait for the next barrier, which is what makes a
 //!   socket run reproduce the in-process mesh exactly.
 //!
-//! No wall clock anywhere: virtual time arrives in `Tick` messages,
-//! and hang protection is socket read timeouts, not `Instant::now`.
+//! No wall clock and no cadence anywhere: virtual time and the nodes
+//! due to advertise arrive in `Step` messages, and hang protection is
+//! socket read timeouts, not `Instant::now`.
 
 use crate::host::{Flushed, Host, WireFrame};
 use crate::proto::{scheme_from_byte, InVivoError, Msg, MsgStream};
-use crate::provision::{load_trace_bytes, require_ad_interval, require_population, RunPlan};
-use sos_sim::SimDuration;
+use crate::provision::{load_trace_bytes, require_population, RunPlan};
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -92,8 +92,6 @@ fn build_world(assign: Msg) -> Result<World, InVivoError> {
         num_procs,
         scheme,
         seed,
-        total_posts,
-        ad_interval_ms,
         trace_text,
         hosts,
     } = assign
@@ -104,15 +102,14 @@ fn build_world(assign: Msg) -> Result<World, InVivoError> {
     };
     let scheme = scheme_from_byte(scheme)
         .ok_or_else(|| InVivoError::Protocol(format!("unknown scheme byte {scheme}")))?;
-    let ad_interval = SimDuration::from_millis(ad_interval_ms);
-    require_ad_interval(ad_interval)?;
     let trace = load_trace_bytes(trace_text.as_bytes()).map_err(InVivoError::Trace)?;
     require_population(&trace)?;
+    // A host provisions from the scheme and seed alone; the workload
+    // and the cadence reach it step by step.
     let plan = RunPlan {
         scheme,
         seed,
-        total_posts: total_posts as usize,
-        ad_interval,
+        ..RunPlan::default()
     };
     let num_procs = num_procs as usize;
     let proc_index = proc_index as usize;
@@ -245,46 +242,16 @@ pub fn run_daemon(broker_addr: &str) -> Result<(), InVivoError> {
 mod tests {
     use super::*;
     use crate::broker::{Broker, BrokerConfig};
-    use sos_sim::world::{ContactEvent, ContactPhase};
-    use sos_sim::SimTime;
     use sos_trace::{codec_text, ContactTrace};
 
-    fn assign(ad_interval_ms: u64) -> Msg {
-        let event = |secs, phase| ContactEvent {
-            time: SimTime::from_secs(secs),
-            a: 0,
-            b: 1,
-            phase,
-            distance_m: 5.0,
-        };
-        let events = vec![event(10, ContactPhase::Up), event(90, ContactPhase::Down)];
-        let trace = ContactTrace::new(2, None, events).expect("valid trace");
-        assign_trace(&trace, ad_interval_ms)
-    }
-
-    fn assign_trace(trace: &ContactTrace, ad_interval_ms: u64) -> Msg {
+    fn assign_trace(trace: &ContactTrace) -> Msg {
         Msg::Assign {
             proc_index: 0,
             num_procs: 1,
             scheme: 0,
             seed: 7,
-            total_posts: 2,
-            ad_interval_ms,
             trace_text: codec_text::to_text(trace),
             hosts: vec!["127.0.0.1:1".into()],
-        }
-    }
-
-    #[test]
-    fn build_world_refuses_a_zero_advertisement_interval() {
-        assert!(
-            build_world(assign(1)).is_ok(),
-            "the assignment is otherwise valid"
-        );
-        match build_world(assign(0)) {
-            Err(InVivoError::Protocol(what)) => assert!(what.contains("interval"), "{what}"),
-            Err(other) => panic!("wrong refusal: {other}"),
-            Ok(_) => panic!("a zero interval must be refused"),
         }
     }
 
@@ -292,7 +259,7 @@ mod tests {
     fn a_one_node_trace_is_refused_at_both_outside_edges() {
         let lonely = ContactTrace::new(1, None, Vec::new()).expect("one node is a valid trace");
         let refusals = [
-            build_world(assign_trace(&lonely, 1)).map(|_| ()),
+            build_world(assign_trace(&lonely)).map(|_| ()),
             // Refused before the broker waits for any daemon.
             Broker::bind(BrokerConfig::default())
                 .and_then(|broker| broker.run(&lonely))

@@ -12,14 +12,20 @@
 //! That order does not depend on which process hosts which node, which
 //! is the whole cross-process determinism contract: any sharding of
 //! the population computes the byte-identical run.
+//!
+//! A `Host` knows no schedule and no cadence: it executes the
+//! conductor's steps, each one [`Msg::Step`] naming an instant's
+//! contact transitions, posts and wakes, and applies the share that
+//! names its hosted nodes. A node advertises when a step wakes it and
+//! at no other time.
 
 use crate::proto::{Msg, Report};
-use crate::provision::{is_ad_boundary, node_seed, provision_apps, RunPlan};
+use crate::provision::{node_seed, post_text, provision_apps, RunPlan};
 use crate::runtime::NodeRuntime;
 use rand::SeedableRng;
 use sos_net::{Frame, NetError, PeerId};
 use sos_obs::{JournalHandle, NodeObs};
-use sos_sim::{SimDuration, SimTime};
+use sos_sim::SimTime;
 use sos_trace::ContactTrace;
 use std::collections::BTreeMap;
 
@@ -60,13 +66,9 @@ pub(crate) struct Host {
     buffer: Vec<WireFrame>,
     /// Frames processed across all rounds (dropped ones included).
     frames: u64,
-    /// The time of the last tick: every frame of its rounds is handled
+    /// The time of the last step: every frame of its rounds is handled
     /// at it.
     now: SimTime,
-    /// The run's advertisement interval and population, for
-    /// [`is_ad_boundary`].
-    ad_interval: SimDuration,
-    population: usize,
 }
 
 impl Host {
@@ -80,7 +82,6 @@ impl Host {
         proc_index: usize,
         num_procs: usize,
     ) -> Host {
-        let n = trace.node_count();
         let journal = JournalHandle::new();
         let nodes = provision_apps(trace, plan)
             .into_iter()
@@ -100,52 +101,52 @@ impl Host {
             buffer: Vec::new(),
             frames: 0,
             now: SimTime::ZERO,
-            ad_interval: plan.ad_interval,
-            population: n,
         }
     }
 
-    /// Applies one schedule event — [`Msg::Encounter`], [`Msg::Post`] or
-    /// [`Msg::Tick`] — to whichever of the nodes it names are hosted, and
-    /// returns what that made them emit: nothing, except on a tick, where
-    /// every hosted node on an advertisement boundary advertises and the
-    /// broadcasts drain. The tick's time is kept: its rounds run at it.
-    /// `None`, nothing done, for a message that is not a schedule event.
+    /// Applies one [`Msg::Step`] to the nodes it names that are hosted
+    /// here, in the step's order: the contact transitions, the posts,
+    /// then `advertise` on the hosted wakes. When the step wakes anyone
+    /// the outboxes drain and their frames are returned; otherwise
+    /// nothing is. The step's time is kept: its rounds run at it.
+    /// `None`, nothing done, for any other message.
     pub(crate) fn apply(&mut self, msg: &Msg) -> Option<Flushed> {
-        match *msg {
-            Msg::Encounter { a, b, up } => {
-                for (node, peer) in [(a, b), (b, a)] {
-                    if let Some((rt, _)) = self.nodes.get_mut(&node) {
-                        if up {
-                            rt.on_encounter_up(PeerId(peer));
-                        } else {
-                            rt.on_encounter_down(PeerId(peer));
-                        }
-                    }
-                }
-            }
-            Msg::Post {
-                node,
-                number,
-                now_ms,
-            } => {
+        let Msg::Step {
+            now_ms,
+            encounters,
+            posts,
+            wakes,
+        } = msg
+        else {
+            return None;
+        };
+        self.now = SimTime::from_millis(*now_ms);
+        for &(a, b, up) in encounters {
+            for (node, peer) in [(a, b), (b, a)] {
                 if let Some((rt, _)) = self.nodes.get_mut(&node) {
-                    let text = format!("post #{number} by {}", rt.app().handle());
-                    rt.post(&text, SimTime::from_millis(now_ms));
-                }
-            }
-            Msg::Tick { now_ms } => {
-                self.now = SimTime::from_millis(now_ms);
-                for (&node, (rt, _)) in &mut self.nodes {
-                    if is_ad_boundary(self.ad_interval, node as usize, self.population, self.now) {
-                        rt.advertise(self.now);
+                    if up {
+                        rt.on_encounter_up(PeerId(peer));
+                    } else {
+                        rt.on_encounter_down(PeerId(peer));
                     }
                 }
-                return Some(self.flush());
             }
-            _ => return None,
         }
-        Some(Flushed::default())
+        for &(node, number) in posts {
+            if let Some((rt, _)) = self.nodes.get_mut(&node) {
+                let text = post_text(number, rt.app().handle());
+                rt.post(&text, self.now);
+            }
+        }
+        if wakes.is_empty() {
+            return Some(Flushed::default());
+        }
+        for node in wakes {
+            if let Some((rt, _)) = self.nodes.get_mut(node) {
+                rt.advertise(self.now);
+            }
+        }
+        Some(self.flush())
     }
 
     /// Drains every hosted outbox, ascending by node: each frame is
@@ -186,7 +187,7 @@ impl Host {
         hosted
     }
 
-    /// Runs one exchange round at the last tick's time: the buffered
+    /// Runs one exchange round at the last step's time: the buffered
     /// frames are decoded and fed to their runtimes in `(to, from, seq)`
     /// order, then the replies are drained. A frame whose contact closed
     /// while it was in flight is dropped, exactly as the simulation drops
@@ -246,6 +247,7 @@ mod tests {
     use crate::provision::load_trace_bytes;
     use sos_core::routing::SchemeKind;
     use sos_obs::JournalEntry;
+    use sos_sim::SimDuration;
 
     /// K hosts in one address space — the conductor's seam with plain
     /// queues where the daemons have sockets. Frames a host reports as
@@ -269,7 +271,7 @@ mod tests {
     }
 
     impl Fleet for Shards {
-        fn event(&mut self, msg: &Msg) -> Result<(), InVivoError> {
+        fn step(&mut self, msg: &Msg) -> Result<(), InVivoError> {
             let flushed = self.0.iter_mut().filter_map(|h| h.apply(msg)).collect();
             self.deliver(flushed);
             Ok(())

@@ -5,31 +5,32 @@
 //! advertiser would otherwise interleave nondeterministically, and a
 //! spray-and-wait copy budget handed out in a different order is a
 //! different run. The broker therefore walks a deterministic schedule
-//! of **steps** derived purely from `(trace, plan)` — encounter
-//! transitions, post injections, advertisement ticks — and after each
-//! tick drives frame exchange in barrier-synchronized **rounds**:
-//! everything sent in round *r* is delivered, sorted, and processed
-//! before round *r+1* begins. Frames are processed in
-//! `(to, from, seq)` order, which is invariant to how nodes are
-//! sharded across processes — so a 2-process TCP run, a 16-process
-//! run, and the in-process [`mesh`](crate::mesh) all produce the
-//! byte-identical outcome.
+//! of **steps** derived purely from `(trace, plan)` — each one
+//! instant's encounter transitions, post injections and advertisement
+//! wakes — and after each step that wakes anyone drives frame exchange
+//! in barrier-synchronized **rounds**: everything sent in round *r* is
+//! delivered, sorted, and processed before round *r+1* begins. Frames
+//! are processed in `(to, from, seq)` order, which is invariant to how
+//! nodes are sharded across processes — so a 2-process TCP run, a
+//! 16-process run, and the in-process [`mesh`](crate::mesh) all
+//! produce the byte-identical outcome.
 //!
 //! The steps are the one [`schedule`] the simulation driver walks
-//! too. Advertisement boundaries where the advertiser has no open
-//! contact are pruned from it (nothing could be emitted — the runtime
-//! skips ads when alone), which keeps the step count proportional to
-//! contact time instead of trace length, and a contact still open at
-//! the trace's end wakes nobody there (the end rule is in that
-//! function's doc).
+//! too, and the only place that decides who advertises when.
+//! Advertisement boundaries where the advertiser has no open contact
+//! are pruned from it (nothing could be emitted — the runtime skips
+//! ads when alone), which keeps the step count proportional to contact
+//! time instead of trace length, and a contact still open at the
+//! trace's end wakes nobody there (the end rule is in that function's
+//! doc).
 //!
 //! The walk over that schedule is written once, `conduct`, against
 //! the crate-private `Fleet` seam: the in-process `Host` and the
-//! broker's socket fleet are its two transports, and the schedule
-//! events it hands them are the control codec's own
-//! [`Msg::Encounter`], [`Msg::Post`] and [`Msg::Tick`]. The result path
-//! is written once too: every process's end-of-run reports go through
-//! one fold into the one [`Outcome`] both transports return.
+//! broker's socket fleet are its two transports, and each step reaches
+//! them whole, wakes included, as the control codec's own
+//! [`Msg::Step`]. The result path is written once too: every process's
+//! end-of-run reports go through one fold into the one [`Outcome`]
+//! both transports return.
 
 use crate::host::Reports;
 use crate::proto::{author_hex, InVivoError, Msg, Report};
@@ -69,24 +70,23 @@ pub struct Outcome {
     pub posts: u64,
     /// Frames processed across all rounds and processes.
     pub frames: u64,
-    /// Exchange rounds run across all ticks.
+    /// Exchange rounds run across all steps.
     pub rounds: u64,
 }
 
-/// Rounds a single tick may run before the exchange is declared
+/// Rounds a single step may run before the exchange is declared
 /// divergent. A sync session between two nodes needs a handful of
 /// rounds; hitting this cap means a protocol loop, and the run aborts
 /// with an error instead of spinning.
-pub(crate) const MAX_ROUNDS_PER_TICK: u64 = 10_000;
+pub(crate) const MAX_ROUNDS_PER_STEP: u64 = 10_000;
 
 /// The whole node population as the conductor sees it: something that
-/// hands a schedule event to every process, runs one
+/// hands a schedule step to every process, runs one
 /// barrier-synchronized exchange round at a time, and at the end hands
 /// back what every process holds.
 pub(crate) trait Fleet {
-    /// Applies one schedule event — [`Msg::Encounter`], [`Msg::Post`] or
-    /// [`Msg::Tick`] — wherever the nodes it names are hosted.
-    fn event(&mut self, msg: &Msg) -> Result<(), InVivoError>;
+    /// Applies one [`Msg::Step`] wherever the nodes it names are hosted.
+    fn step(&mut self, msg: &Msg) -> Result<(), InVivoError>;
 
     /// One exchange round: every frame emitted so far is delivered and
     /// processed everywhere. Returns how many frames that emitted.
@@ -96,14 +96,14 @@ pub(crate) trait Fleet {
     fn finish(&mut self) -> Result<Vec<Reports>, InVivoError>;
 }
 
-/// Walks the schedule of `(trace, plan)` over `fleet`: per step the
-/// encounters, then the posts, then — when it wakes anyone — a tick and
-/// exchange rounds until one emits nothing. Then folds the fleet's
-/// reports into the outcome.
+/// Walks the schedule of `(trace, plan)` over `fleet`: each step goes
+/// out whole as one [`Msg::Step`], and a step that wakes anyone is
+/// followed by exchange rounds until one emits nothing. Then folds the
+/// fleet's reports into the outcome.
 ///
 /// # Errors
 ///
-/// The fleet's own failures, [`InVivoError::Protocol`] for a tick whose
+/// The fleet's own failures, [`InVivoError::Protocol`] for a step whose
 /// rounds never quiesce, or reports [`fold`] refuses.
 pub(crate) fn conduct<F: Fleet>(
     fleet: &mut F,
@@ -114,29 +114,25 @@ pub(crate) fn conduct<F: Fleet>(
     let mut rounds = 0u64;
     for (now, step) in build_schedule(trace, plan) {
         let now_ms = now.as_millis();
-        for ev in &step.encounters {
-            let (a, b) = (ev.a as u32, ev.b as u32);
-            let up = ev.phase == ContactPhase::Up;
-            fleet.event(&Msg::Encounter { a, b, up })?;
-        }
-        for &(node, number) in &step.posts {
-            let node = node as u32;
-            fleet.event(&Msg::Post {
-                node,
-                number,
-                now_ms,
-            })?;
-            posts += 1;
-        }
+        posts += step.posts.len() as u64;
+        fleet.step(&Msg::Step {
+            now_ms,
+            encounters: (step.encounters.iter())
+                .map(|ev| (ev.a as u32, ev.b as u32, ev.phase == ContactPhase::Up))
+                .collect(),
+            posts: (step.posts.iter())
+                .map(|&(node, number)| (node as u32, number))
+                .collect(),
+            wakes: step.wakes.iter().map(|&node| node as u32).collect(),
+        })?;
         if step.wakes.is_empty() {
             continue;
         }
-        fleet.event(&Msg::Tick { now_ms })?;
-        let cap = rounds + MAX_ROUNDS_PER_TICK;
+        let cap = rounds + MAX_ROUNDS_PER_STEP;
         loop {
             if rounds == cap {
                 return Err(InVivoError::Protocol(format!(
-                    "exchange rounds at t={now_ms}ms exceeded {MAX_ROUNDS_PER_TICK}"
+                    "exchange rounds at t={now_ms}ms exceeded {MAX_ROUNDS_PER_STEP}"
                 )));
             }
             rounds += 1;
@@ -449,12 +445,12 @@ mod tests {
         }
     }
 
-    /// A fleet whose every round emits a frame: the first tick (node 0's
+    /// A fleet whose every round emits a frame: the first wake (node 0's
     /// boundary at 120 s, inside its 100–130 s contact) never quiesces.
     struct Chatter;
 
     impl Fleet for Chatter {
-        fn event(&mut self, _: &Msg) -> Result<(), InVivoError> {
+        fn step(&mut self, _: &Msg) -> Result<(), InVivoError> {
             Ok(())
         }
 
@@ -463,7 +459,7 @@ mod tests {
         }
 
         fn finish(&mut self) -> Result<Vec<Reports>, InVivoError> {
-            panic!("a run whose tick never quiesced has nothing to report")
+            panic!("a run whose step never quiesced has nothing to report")
         }
     }
 

@@ -15,7 +15,7 @@ use sos_trace::ContactTrace;
 
 /// A host of every node is a whole fleet: nothing it emits is remote.
 impl Fleet for Host {
-    fn event(&mut self, msg: &Msg) -> Result<(), InVivoError> {
+    fn step(&mut self, msg: &Msg) -> Result<(), InVivoError> {
         self.apply(msg);
         Ok(())
     }
@@ -33,7 +33,7 @@ impl Fleet for Host {
 ///
 /// # Errors
 ///
-/// [`InVivoError::Protocol`] if a tick never quiesces;
+/// [`InVivoError::Protocol`] if a step's rounds never quiesce;
 /// [`InVivoError::Codec`] if a frame the mesh itself produced fails to
 /// decode (a codec bug, not an input condition).
 pub fn run_mesh(trace: &ContactTrace, plan: &RunPlan) -> Result<Outcome, InVivoError> {

@@ -2,6 +2,12 @@
 //! protocol, hand-rolled over [`sos_net::wire`] length-prefixed
 //! framing.
 //!
+//! The control plane carries no schedule logic: `Assign` hands a daemon
+//! its slot, the scheme, the seed and the trace to provision from, and
+//! each step of the run then arrives whole as one [`Msg::Step`] — its
+//! time, contact transitions, posts and the nodes it wakes — so a daemon
+//! never re-derives the workload or the advertisement cadence.
+//!
 //! Decoding follows the frame codec's robustness rules: arbitrary
 //! bytes never panic, truncated messages fail with
 //! [`NetError::BadFrame`], trailing bytes are rejected.
@@ -37,39 +43,24 @@ pub enum Msg {
         scheme: u8,
         /// Master seed.
         seed: u64,
-        /// Posts in the workload.
-        total_posts: u64,
-        /// Advertisement period, milliseconds.
-        ad_interval_ms: u64,
         /// The full trace in the native text codec.
         trace_text: String,
         /// Data addresses of every process, indexed by process.
         hosts: Vec<String>,
     },
-    /// Broker → daemon: a contact transition for (possibly) one of the
-    /// daemon's nodes.
-    Encounter {
-        /// One endpoint.
-        a: u32,
-        /// The other endpoint.
-        b: u32,
-        /// Up (true) or down.
-        up: bool,
-    },
-    /// Broker → daemon: node authors post number `number` at `now_ms`.
-    Post {
-        /// Authoring node.
-        node: u32,
-        /// Global 1-based post number.
-        number: u64,
+    /// Broker → daemon: one step of the run's schedule, whole. The
+    /// daemon applies it to its hosted nodes in a fixed order: the
+    /// contact transitions, then the posts, then `advertise` on the
+    /// hosted nodes in `wakes` and, when `wakes` is not empty, a flush.
+    Step {
         /// Virtual time, milliseconds.
         now_ms: u64,
-    },
-    /// Broker → daemon: advance every hosted runtime to `now_ms`
-    /// (emitting due advertisements) and flush outboxes.
-    Tick {
-        /// Virtual time, milliseconds.
-        now_ms: u64,
+        /// Contact transitions `(a, b, up)`, in schedule order.
+        encounters: Vec<(u32, u32, bool)>,
+        /// Posts `(author node, global 1-based post number)`.
+        posts: Vec<(u32, u64)>,
+        /// The nodes that advertise at `now_ms`, ascending.
+        wakes: Vec<u32>,
     },
     /// Broker → daemon: drain received data frames into the round
     /// buffer and report cumulative counters.
@@ -252,9 +243,7 @@ pub(crate) fn scheme_from_byte(b: u8) -> Option<SchemeKind> {
 
 const TAG_HELLO: u8 = 1;
 const TAG_ASSIGN: u8 = 2;
-const TAG_ENCOUNTER: u8 = 3;
-const TAG_POST: u8 = 4;
-const TAG_TICK: u8 = 5;
+const TAG_STEP: u8 = 3;
 const TAG_COLLECT: u8 = 6;
 const TAG_COLLECT_ACK: u8 = 7;
 const TAG_PROCESS: u8 = 8;
@@ -280,6 +269,15 @@ const MAX_FLEET: usize = 4096;
 fn read_string(r: &mut Reader<'_>) -> Result<String, NetError> {
     let bytes = r.bytes32(MAX_WIRE_FRAME)?;
     String::from_utf8(bytes.to_vec()).map_err(|_| NetError::BadFrame)
+}
+
+/// A flag byte: 0 or 1, nothing else.
+fn read_flag(r: &mut Reader<'_>) -> Result<bool, NetError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(NetError::BadFrame),
+    }
 }
 
 /// The twelve counters of a stats report, in declaration order.
@@ -334,8 +332,6 @@ impl Msg {
                 num_procs,
                 scheme,
                 seed,
-                total_posts,
-                ad_interval_ms,
                 trace_text,
                 hosts,
             } => {
@@ -344,33 +340,35 @@ impl Msg {
                 out.u32(*num_procs);
                 out.u8(*scheme);
                 out.u64(*seed);
-                out.u64(*total_posts);
-                out.u64(*ad_interval_ms);
                 out.bytes32(trace_text.as_bytes());
                 let count = out.len32(hosts.len());
                 for host in &hosts[..count] {
                     out.bytes32(host.as_bytes());
                 }
             }
-            Msg::Encounter { a, b, up } => {
-                out.u8(TAG_ENCOUNTER);
-                out.u32(*a);
-                out.u32(*b);
-                out.u8(u8::from(*up));
-            }
-            Msg::Post {
-                node,
-                number,
+            Msg::Step {
                 now_ms,
+                encounters,
+                posts,
+                wakes,
             } => {
-                out.u8(TAG_POST);
-                out.u32(*node);
-                out.u64(*number);
+                out.u8(TAG_STEP);
                 out.u64(*now_ms);
-            }
-            Msg::Tick { now_ms } => {
-                out.u8(TAG_TICK);
-                out.u64(*now_ms);
+                let count = out.len32(encounters.len());
+                for &(a, b, up) in &encounters[..count] {
+                    out.u32(a);
+                    out.u32(b);
+                    out.u8(u8::from(up));
+                }
+                let count = out.len32(posts.len());
+                for &(node, number) in &posts[..count] {
+                    out.u32(node);
+                    out.u64(number);
+                }
+                let count = out.len32(wakes.len());
+                for &node in &wakes[..count] {
+                    out.u32(node);
+                }
             }
             Msg::Collect => out.u8(TAG_COLLECT),
             Msg::CollectAck { sent, recv } => {
@@ -448,8 +446,6 @@ impl Msg {
                 let num_procs = r.u32()?;
                 let scheme = r.u8()?;
                 let seed = r.u64()?;
-                let total_posts = r.u64()?;
-                let ad_interval_ms = r.u64()?;
                 let trace_text = read_string(&mut r)?;
                 // A host is at least its length prefix.
                 let count = r.count32(4)?;
@@ -465,27 +461,31 @@ impl Msg {
                     num_procs,
                     scheme,
                     seed,
-                    total_posts,
-                    ad_interval_ms,
                     trace_text,
                     hosts,
                 }
             }
-            TAG_ENCOUNTER => Msg::Encounter {
-                a: r.u32()?,
-                b: r.u32()?,
-                up: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(NetError::BadFrame),
-                },
-            },
-            TAG_POST => Msg::Post {
-                node: r.u32()?,
-                number: r.u64()?,
-                now_ms: r.u64()?,
-            },
-            TAG_TICK => Msg::Tick { now_ms: r.u64()? },
+            TAG_STEP => {
+                let now_ms = r.u64()?;
+                let count = r.count32(4 + 4 + 1)?;
+                let encounters = (0..count)
+                    .map(|_| -> Result<_, NetError> {
+                        Ok((r.u32()?, r.u32()?, read_flag(&mut r)?))
+                    })
+                    .collect::<Result<_, _>>()?;
+                let count = r.count32(4 + 8)?;
+                let posts = (0..count)
+                    .map(|_| -> Result<_, NetError> { Ok((r.u32()?, r.u64()?)) })
+                    .collect::<Result<_, _>>()?;
+                let count = r.count32(4)?;
+                let wakes = (0..count).map(|_| r.u32()).collect::<Result<_, _>>()?;
+                Msg::Step {
+                    now_ms,
+                    encounters,
+                    posts,
+                    wakes,
+                }
+            }
             TAG_COLLECT => Msg::Collect,
             TAG_COLLECT_ACK => Msg::CollectAck {
                 sent: r.u64()?,
@@ -549,22 +549,21 @@ mod tests {
                 num_procs: 3,
                 scheme: 0,
                 seed: 7,
-                total_posts: 12,
-                ad_interval_ms: 60_000,
                 trace_text: "# sos-trace v1\n".into(),
                 hosts: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
             },
-            Msg::Encounter {
-                a: 0,
-                b: 5,
-                up: true,
+            Msg::Step {
+                now_ms: 60_000,
+                encounters: vec![(0, 5, true), (1, 2, false)],
+                posts: vec![(2, 9)],
+                wakes: vec![0, 5],
             },
-            Msg::Post {
-                node: 2,
-                number: 9,
-                now_ms: 1234,
+            Msg::Step {
+                now_ms: 0,
+                encounters: vec![],
+                posts: vec![],
+                wakes: vec![],
             },
-            Msg::Tick { now_ms: 60_000 },
             Msg::Collect,
             Msg::CollectAck { sent: 10, recv: 9 },
             Msg::Process,
@@ -677,6 +676,19 @@ mod tests {
         assert_eq!(scheme_to_byte(SchemeKind::Custom("x")), None);
     }
 
+    /// Tags 4 and 5 carried per-event schedule messages before one
+    /// `Step` (tag 3) replaced them; they decode as nothing now.
+    #[test]
+    fn retired_tags_are_refused() {
+        for tag in [4, 5] {
+            let bytes = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
+            assert!(
+                matches!(Msg::decode(&bytes), Err(NetError::BadFrame)),
+                "tag {tag}"
+            );
+        }
+    }
+
     mod fuzz {
         use super::*;
         use proptest::prelude::*;
@@ -686,6 +698,21 @@ mod tests {
             #[test]
             fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
                 let _ = Msg::decode(&bytes);
+            }
+
+            /// Any step — empty lists, long ones, any ids and times —
+            /// decodes to itself, and one byte short it does not decode.
+            #[test]
+            fn steps_round_trip(
+                now_ms in any::<u64>(),
+                encounters in prop::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 0..300),
+                posts in prop::collection::vec((any::<u32>(), any::<u64>()), 0..300),
+                wakes in prop::collection::vec(any::<u32>(), 0..300),
+            ) {
+                let msg = Msg::Step { now_ms, encounters, posts, wakes };
+                let bytes = msg.encode();
+                prop_assert_eq!(Msg::decode(&bytes).expect("round trip"), msg);
+                prop_assert!(Msg::decode(&bytes[..bytes.len() - 1]).is_err());
             }
         }
     }

@@ -15,8 +15,9 @@
 //! [`build_schedule`](crate::lockstep::build_schedule). Its doc holds
 //! the one end-of-run rule. The advertisement cadence lives here and
 //! nowhere else: a runtime keeps no clock and advertises when its
-//! caller says, on the schedule's wakes in the driver and where
-//! `is_ad_boundary` holds in the lockstep `Host`.
+//! caller says, and both callers say so on the schedule's wakes — the
+//! driver as it walks the steps, the lockstep `Host` as each step
+//! reaches it whole.
 
 use crate::proto::InVivoError;
 use alleyoop::app::AlleyOopApp;
@@ -89,10 +90,10 @@ pub(crate) fn require_population(trace: &ContactTrace) -> Result<(), InVivoError
     Ok(())
 }
 
-/// Refuses an advertisement interval under 1 ms, which a run would
-/// floor to 1 ms (see [`ad_period`]) and so not run as asked. The broker
-/// asks this when it binds, before it accepts a daemon, and a daemon
-/// when it is assigned a plan.
+/// Refuses an advertisement interval under 1 ms, which the schedule
+/// would floor to 1 ms (see [`ad_period`]) and so not run as asked. The
+/// broker asks this when it binds, before it accepts a daemon; the
+/// daemons never see an interval, only the steps built from it.
 pub(crate) fn require_ad_interval(ad_interval: SimDuration) -> Result<(), InVivoError> {
     if ad_interval.as_millis() == 0 {
         return Err(InVivoError::Protocol(
@@ -253,20 +254,17 @@ fn ad_boundaries(
         .take_while(move |&t| t < stop)
 }
 
-/// Whether `t` is one of `node`'s advertisement boundaries: the
-/// lockstep `Host` asks this of each hosted node on a tick.
-pub(crate) fn is_ad_boundary(ad_interval: SimDuration, node: usize, n: usize, t: SimTime) -> bool {
-    let next = t + SimDuration::from_millis(1);
-    ad_boundaries(ad_interval, node, n, t, next)
-        .next()
-        .is_some()
-}
-
 /// The seed of a node's session randomness, in a lockstep run and in a
 /// simulated study alike; every process derives the same stream for the
 /// same node.
 pub fn node_seed(seed: u64, node: usize) -> u64 {
     seed ^ 0x6e6f_6465 ^ ((node as u64) << 32 | node as u64)
+}
+
+/// The text of post number `number` by the user `handle`, on both
+/// planes.
+pub fn post_text(number: u64, handle: &str) -> String {
+    format!("post #{number} by {handle}")
 }
 
 /// The deterministic post workload as `(time, author node)`:
@@ -369,9 +367,7 @@ mod tests {
             /// Over one node's windows, the helper picks out exactly the
             /// boundaries a brute-force filter of *every* boundary up to
             /// `end` keeps by "has a peer at `t`" — `Up` inclusive,
-            /// `Down` exclusive — with a last window closed at `end`; and
-            /// `is_ad_boundary` holds on exactly every boundary, tried
-            /// on each millisecond up to `end`.
+            /// `Down` exclusive — with a last window closed at `end`.
             #[test]
             fn helper_equals_filtering_every_boundary(
                 interval_ms in 0u64..40,
@@ -404,11 +400,6 @@ mod tests {
                     .map(|k| SimTime::from_millis(phase + k * period))
                     .take_while(|&t| t <= end)
                     .collect();
-                let ticks: Vec<SimTime> = (0..=end_ms)
-                    .map(SimTime::from_millis)
-                    .filter(|&t| is_ad_boundary(interval, node, n, t))
-                    .collect();
-                prop_assert_eq!(&ticks, &every);
                 let brute: Vec<SimTime> = every
                     .into_iter()
                     .filter(|&t| windows.iter().any(|&(start, stop)| start <= t && t < stop))

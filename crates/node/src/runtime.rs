@@ -73,11 +73,6 @@ impl NodeRuntime {
         }
     }
 
-    /// Whether `peer` is inside an open encounter.
-    pub fn in_contact(&self, peer: PeerId) -> bool {
-        self.peers.contains(&peer.0)
-    }
-
     /// Queues the advertisement broadcast of `now`: one
     /// `Frame::Advertisement` per peer in range, ascending, and nothing
     /// when the node is alone. Whether `now` is one of the node's
@@ -301,7 +296,12 @@ mod tests {
 
         bob.on_encounter_down(PeerId(0));
 
-        assert!(!bob.in_contact(PeerId(0)));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let invite = Frame::Invite { from: PeerId(0) };
+        assert!(
+            !bob.push_frame(PeerId(0), invite, now, &mut rng),
+            "out of contact"
+        );
         let closes: Vec<_> = journal
             .snapshot()
             .entries()

@@ -17,7 +17,7 @@
 //! | `sos_net::wire` | the 4-byte length prefix of a TCP stream |
 //! | `sos_core::message` | `Bundle` and the bytes an author signs |
 //! | `sos_core::sync` | the three in-session `SyncMsg` forms |
-//! | `sos_node::proto` | the fourteen broker⇄daemon `Msg` forms |
+//! | `sos_node::proto` | the twelve broker⇄daemon `Msg` forms |
 //! | `sos_trace::codec_binary` | the varint trace format |
 //!
 //! It lives in `sos-sim` because that is the one crate all four of

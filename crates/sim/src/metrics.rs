@@ -3,7 +3,7 @@
 //! delivery ratios (Fig. 4d).
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// An empirical cumulative distribution over `f64` samples.
 #[derive(Clone, Debug, PartialEq)]
@@ -181,7 +181,7 @@ impl DelayRecorder {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeliveryRecorder {
     /// (follower, followee) → (delivered, expected)
-    counts: HashMap<(usize, usize), (u64, u64)>,
+    counts: BTreeMap<(usize, usize), (u64, u64)>,
 }
 
 impl DeliveryRecorder {
@@ -200,20 +200,12 @@ impl DeliveryRecorder {
         self.counts.entry((follower, followee)).or_insert((0, 0)).0 += 1;
     }
 
-    /// Per-subscription delivery ratios (subscriptions with zero expected
-    /// messages are skipped).
+    /// Per-subscription delivery ratios in `(follower, followee)` order
+    /// (subscriptions with zero expected messages are skipped).
     pub fn ratios(&self) -> Vec<f64> {
-        let mut keys: Vec<_> = self.counts.keys().copied().collect();
-        keys.sort_unstable();
-        keys.iter()
-            .filter_map(|k| {
-                let (d, e) = self.counts[k];
-                if e == 0 {
-                    None
-                } else {
-                    Some(d as f64 / e as f64)
-                }
-            })
+        (self.counts.values())
+            .filter(|&&(_, e)| e != 0)
+            .map(|&(d, e)| d as f64 / e as f64)
             .collect()
     }
 

@@ -132,7 +132,7 @@ fn frames(n: u8, blob: &[u8]) -> Vec<Frame> {
     ]
 }
 
-/// The fourteen control messages, tag 11 in each of its three report
+/// The twelve control messages, tag 11 in each of its three report
 /// kinds.
 fn msgs(n: u8, blob: &[u8]) -> Vec<Msg> {
     let text = || format!("host-{n}:é");
@@ -143,22 +143,15 @@ fn msgs(n: u8, blob: &[u8]) -> Vec<Msg> {
             num_procs: 3,
             scheme: n % 5,
             seed: u64::from(n),
-            total_posts: 12,
-            ad_interval_ms: 60_000,
             trace_text: "# sos-trace v1\n".into(),
             hosts: (0..n % 4).map(|_| text()).collect(),
         },
-        Msg::Encounter {
-            a: 0,
-            b: u32::from(n),
-            up: n.is_multiple_of(2),
-        },
-        Msg::Post {
-            node: 2,
-            number: 9,
+        Msg::Step {
             now_ms: u64::from(n),
+            encounters: vec![(0, u32::from(n), n.is_multiple_of(2)), (3, 4, true)],
+            posts: vec![(2, 9)],
+            wakes: (0..u32::from(n % 5)).collect(),
         },
-        Msg::Tick { now_ms: 60_000 },
         Msg::Collect,
         Msg::CollectAck { sent: 10, recv: 9 },
         Msg::Process,
@@ -303,13 +296,15 @@ proptest! {
 /// never writes.
 #[test]
 fn the_known_violators_are_rejected() {
-    let encounter = Msg::Encounter {
-        a: 1,
-        b: 2,
-        up: true,
+    let step = Msg::Step {
+        now_ms: 1,
+        encounters: vec![(1, 2, true)],
+        posts: vec![],
+        wakes: vec![],
     };
-    let mut bytes = encounter.encode();
-    *bytes.last_mut().unwrap() = 2;
+    let mut bytes = step.encode();
+    // Tag, time, count, two ids: then the `up` flag.
+    bytes[1 + 8 + 4 + 4 + 4] = 2;
     assert!(Msg::decode(&bytes).is_err());
 
     let mut ad = Advertisement::new(PeerId(1), uid(9));

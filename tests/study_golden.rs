@@ -87,8 +87,9 @@ impl Digest {
 /// Folds everything a run returned, and everything its observer saw,
 /// into `digest`.
 fn fold_run(mut digest: Digest, run: &StudyRun, observer: &RunObserver) -> Digest {
-    // Field by field: `DeliveryRecorder` keeps a `HashMap`, whose
-    // `Debug` order differs from process to process.
+    // Field by field, as the digests were pinned when
+    // `DeliveryRecorder` kept a `HashMap` (whose `Debug` order differed
+    // from process to process): the ratios in subscription order.
     let m = &run.metrics;
     digest = digest.text(&format!(
         "{} {} {} {} {:?} {:?} {:?}",

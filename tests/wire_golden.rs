@@ -3,7 +3,10 @@
 //! fixed instance of each form, its encoded length and the SHA-256 of
 //! its bytes. A codec may change how it writes a layout, never what it
 //! writes. Frames and bundles also report the pinned length as their
-//! `wire_size`, and every vector decodes back to its instance.
+//! `wire_size`, and every vector decodes back to its instance. Two
+//! rows are younger: `msg_tag_2` (`Assign`) and `msg_tag_3` (`Step`)
+//! were pinned when one `Step` replaced the per-event schedule
+//! messages and `Assign` stopped carrying the workload and cadence.
 
 use sos::core::sync::{AuthorWant, SyncMsg};
 use sos::core::SosStats;
@@ -27,10 +30,8 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     ("binary_trace", 2216, "a89196572fcfe1a57ad4ce4e99bc47a64790afdf4c4efeb2f3850438a18913e1"),
     ("certificate", 190, "08633c00cfbe6adad8913ef08fec8053f4121dda35d32f2b0e938c8ab52b4368"),
     ("msg_tag_1", 19, "ad52a00726c82b8b031c94d2197113a7d6b604cd7fcf7c289c1767f19d54cad3"),
-    ("msg_tag_2", 100, "129767768f2e1288d73bb8054a3d602c0f7adf6beed2171c6faca376f854c9f8"),
-    ("msg_tag_3", 10, "9c50d96961237bfd1abbc13dd2450d335ea766d88445d08fba2a6277a5ebabba"),
-    ("msg_tag_4", 21, "8fe0fd4fab8a4fa58990064c3acf7fde5bcac7a4a89a3b10de77a7a6bbec8eb5"),
-    ("msg_tag_5", 9, "c9f6f58a06545b5a00915acc424f0defc745a27c6f09a6ec42c15637161e132b"),
+    ("msg_tag_2", 84, "248751455f947355ea87d26cb75222c56aafce418046bf562184d723f5933d0c"),
+    ("msg_tag_3", 59, "16f6a5abd6f9b484d740de3c22a1647a103728ca38682ce9082ff15d83be4ca2"),
     ("msg_tag_6", 1, "67586e98fad27da0b9968bc039a1ef34c939b9b8e523a8bef89d478608c5ecf6"),
     ("msg_tag_7", 17, "76019835123c4f9aa23ccbb55c1e0a994bc309521b9e6ce85b0d5c9a7bdc849c"),
     ("msg_tag_8", 1, "beead77994cf573341ec17b58bbf7eb34d2711c993c1d976b128b3188dc1829a"),
@@ -242,8 +243,10 @@ fn the_certificate() {
     assert_eq!(Certificate::from_bytes(&bytes).unwrap(), cert);
 }
 
+/// Tags 4 and 5 are retired: one `Step` (tag 3) carries what three
+/// per-event messages did.
 #[test]
-fn the_fourteen_control_messages_and_the_stream_framing() {
+fn the_twelve_control_messages_and_the_stream_framing() {
     let msgs = [
         Msg::Hello {
             data_addr: "127.0.0.1:4321".into(),
@@ -253,22 +256,15 @@ fn the_fourteen_control_messages_and_the_stream_framing() {
             num_procs: 3,
             scheme: 2,
             seed: 20_170_605,
-            total_posts: 12,
-            ad_interval_ms: 60_000,
             trace_text: "# sos-trace v1\n0 0 1 up 3.5\n".into(),
             hosts: vec!["127.0.0.1:1".into(), "[::1]:2".into(), String::new()],
         },
-        Msg::Encounter {
-            a: 0,
-            b: 5,
-            up: true,
+        Msg::Step {
+            now_ms: 60_000,
+            encounters: vec![(0, 5, true), (1, 2, false)],
+            posts: vec![(2, 9)],
+            wakes: vec![0, 5],
         },
-        Msg::Post {
-            node: 2,
-            number: 9,
-            now_ms: 1_234,
-        },
-        Msg::Tick { now_ms: 60_000 },
         Msg::Collect,
         Msg::CollectAck { sent: 10, recv: 9 },
         Msg::Process,
@@ -288,7 +284,8 @@ fn the_fourteen_control_messages_and_the_stream_framing() {
             frame: Frame::Invite { from: PeerId(1) }.encode(),
         },
     ];
-    for (tag, msg) in (1u8..).zip(msgs) {
+    let tags = [1u8, 2, 3].into_iter().chain(6..);
+    for (tag, msg) in tags.zip(msgs) {
         let bytes = msg.encode();
         assert_eq!(bytes[0], tag, "{msg:?}");
         check(&format!("msg_tag_{tag}"), &bytes);
