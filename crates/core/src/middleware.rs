@@ -1294,6 +1294,7 @@ mod tests {
     use sos_crypto::ca::{CertificateAuthority, Validator};
     use sos_crypto::ed25519::SigningKey;
     use sos_crypto::x25519::AgreementKey;
+    use sos_obs::{GlobalTimeline, Provenance};
     use std::sync::Arc;
 
     fn identity(ca: &mut CertificateAuthority, seed: u8, name: &str) -> DeviceIdentity {
@@ -2082,27 +2083,6 @@ mod tests {
         );
     }
 
-    /// The sessions a journal leaves open. Panics unless, for each
-    /// `(node, peer)`, opens and closes alternate starting with an open.
-    fn unclosed_sessions(journal: &sos_obs::journal::JournalHandle) -> usize {
-        let snapshot = journal.snapshot();
-        let mut open = BTreeMap::new();
-        for e in snapshot.entries() {
-            let (peer, opens) = match e.event {
-                ObsEvent::SessionOpen { peer, .. } => (peer, true),
-                ObsEvent::SessionClose { peer, .. } => (peer, false),
-                _ => continue,
-            };
-            let was_open = open.insert((e.node, peer), opens).unwrap_or(false);
-            assert_ne!(
-                was_open, opens,
-                "node {}: {:?} out of turn",
-                e.node, e.event
-            );
-        }
-        open.values().filter(|&&open| open).count()
-    }
-
     /// A duplicate (or forged — it is unauthenticated) `HandshakeResponse`
     /// reaching an initiator whose session is already up used to remove
     /// the live slot silently: no `SessionClose`, request state leaked,
@@ -2137,7 +2117,9 @@ mod tests {
         assert_eq!(bob.store.len(), 1, "the bundle arrived");
         assert_eq!((bob.session_count(), alice.session_count()), (0, 0));
         assert!(bob.adhoc.browse_mut(alice.peer_id()).is_none());
-        assert_eq!(unclosed_sessions(&journal), 0, "no open without its close");
+        let walk = Provenance::build(&GlobalTimeline::merge([&journal.snapshot()]));
+        assert_eq!(walk.violations, []);
+        assert_eq!(walk.open_sessions.len(), 0, "no open without its close");
         assert_eq!(bob.stats().security_alerts, 0);
     }
 
@@ -2174,7 +2156,9 @@ mod tests {
         let _lost = alice.handle_frame(bob.peer_id(), init[0].1.clone(), now, &mut rng);
         alice.on_peer_lost(bob.peer_id());
         bob.on_peer_lost(alice.peer_id());
-        assert_eq!(unclosed_sessions(&journal), 0);
+        let walk = Provenance::build(&GlobalTimeline::merge([&journal.snapshot()]));
+        assert_eq!(walk.violations, []);
+        assert_eq!(walk.open_sessions.len(), 0);
 
         // Third meeting: Miss → full, all in one session.
         let before = journal.snapshot().entries().count();
@@ -2194,7 +2178,9 @@ mod tests {
             e.event,
             ObsEvent::SessionClose { reason, .. } if reason != "done"
         )));
-        assert_eq!(unclosed_sessions(&journal), 0);
+        let walk = Provenance::build(&GlobalTimeline::merge([&journal.snapshot()]));
+        assert_eq!(walk.violations, []);
+        assert_eq!(walk.open_sessions.len(), 0);
         assert_eq!(
             bob.stats().security_alerts + alice.stats().security_alerts,
             0
@@ -2326,6 +2312,7 @@ mod tests {
         let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::Epidemic);
         let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::Epidemic);
         let journal = sos_obs::journal::JournalHandle::new();
+        alice.attach_obs(NodeObs::new(0, journal.clone()));
         bob.attach_obs(NodeObs::new(1, journal.clone()));
         alice
             .post(MessageKind::Post, b"hello".to_vec(), SimTime::ZERO)
@@ -2356,7 +2343,9 @@ mod tests {
 
         browse(&mut alice, &mut bob, SimTime::from_secs(2));
         assert_eq!(bob.store.len(), 1, "the second browse delivered");
-        assert_eq!(unclosed_sessions(&journal), 0);
+        let walk = Provenance::build(&GlobalTimeline::merge([&journal.snapshot()]));
+        assert_eq!(walk.violations, []);
+        assert_eq!(walk.open_sessions.len(), 0);
     }
 
     /// A chunked (multi-frame) request is answered with one Done per

@@ -52,7 +52,7 @@ use sos_experiments::report;
 use sos_experiments::scenario::{
     field_study, field_study_engine, run_field_study, FieldStudyConfig,
 };
-use sos_obs::DropCause;
+use sos_obs::{DropCause, Violation};
 use sos_trace::corpora::{import_bytes, CorpusFormat};
 use sos_trace::{codec_binary, TraceAnalytics};
 use std::num::{NonZeroU64, NonZeroUsize};
@@ -106,8 +106,19 @@ fn fail(what: &str, error: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// Reports the record's broken invariants on stderr and exits 1 if
+/// there are any.
+fn require_sound(what: &str, violations: &[Violation]) {
+    if let Some(first) = violations.first() {
+        fail(
+            what,
+            format!("{} violation(s), the first: {first}", violations.len()),
+        );
+    }
+}
+
 /// One observed eviction study: its outcome, its journal counted by
-/// kind, and why things were dropped.
+/// kind, why things were dropped, and the invariants its record breaks.
 fn eviction(seed: u64) {
     let config = EvictionStudyConfig {
         seed,
@@ -115,13 +126,17 @@ fn eviction(seed: u64) {
     };
     let observer = RunObserver::new();
     let outcome = run_eviction_study(&config, Some(&observer));
-    let journal = observer.finish().journal;
+    let observation = observer.finish();
+    let journal = &observation.journal;
+    let violations = observation.provenance().violations;
     print!(
-        "{}\n{}\n{}",
+        "{}\n{}\n{}violations: {}\n",
         outcome.format_report(),
-        report::journal_summary(&journal),
-        report::drop_cause_breakdown(&journal)
+        report::journal_summary(journal),
+        report::drop_cause_breakdown(journal),
+        violations.len()
     );
+    require_sound("eviction", &violations);
 }
 
 /// Per committed fixture: the import report, the analytics, and one
@@ -149,7 +164,8 @@ fn corpus(config: &FieldStudyConfig) {
             let run = run_study(corpus_study(trace, &plan), Some(&observer));
             let observation = observer.finish();
             let traits = report::scheme_traits(scheme);
-            let forensics = observation.provenance().classify(&destinations, traits);
+            let provenance = observation.provenance();
+            let forensics = provenance.classify(&destinations, traits);
             let causes = forensics.cause_counts();
             let count = |cause| {
                 causes
@@ -159,17 +175,22 @@ fn corpus(config: &FieldStudyConfig) {
             };
             let died: Vec<u64> = std::iter::once(forensics.delivered() as u64)
                 .chain(DropCause::ALL.map(count))
+                .chain([provenance.violations.len() as u64])
                 .collect();
             let path = (scheme == config.scheme)
                 .then(|| report::path_report(file, &observation, &followers, scheme, 3));
-            ((vec![scheme.name().to_string()], run.summary()), died, path)
+            let run = (vec![scheme.name().to_string()], run.summary());
+            (run, died, path, provenance.violations)
         });
         // Why messages died: one column per scheme, one row per verdict
-        // that occurred under any of them.
-        let verdicts = std::iter::once("delivered").chain(DropCause::ALL.map(|c| c.label()));
+        // that occurred under any of them, and the invariants broken.
+        let verdicts = std::iter::once("delivered")
+            .chain(DropCause::ALL.map(|c| c.label()))
+            .chain(["violations"]);
+        let last = DropCause::ALL.len() + 1;
         let died: Vec<Vec<String>> = verdicts
             .enumerate()
-            .filter(|&(k, _)| k == 0 || runs.iter().any(|r| r.1[k] > 0))
+            .filter(|&(k, _)| k == 0 || k == last || runs.iter().any(|r| r.1[k] > 0))
             .map(|(k, verdict)| {
                 let counts = runs.iter().map(|r| r.1[k].to_string());
                 std::iter::once(verdict.to_string()).chain(counts).collect()
@@ -185,6 +206,8 @@ fn corpus(config: &FieldStudyConfig) {
             report::summary_table("scheme", &summaries),
             report::table(&format!("verdict {}", schemes.join(" ")), &died),
         );
+        let violations: Vec<Violation> = runs.into_iter().flat_map(|r| r.3).collect();
+        require_sound(file, &violations);
     }
 }
 

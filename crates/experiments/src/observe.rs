@@ -222,9 +222,11 @@ mod tests {
 
     /// The eviction study drives three bare middlewares, not the
     /// driver, but takes its observer the same way — and as passively.
-    /// Its journal sees the capped relay evict, its registry mirrors the
-    /// author's post counter, and a second observed run dumps the same
-    /// JSONL.
+    /// Its journal sees the capped relay evict and breaks no invariant,
+    /// the custody it records is what each node holds at the end (the
+    /// author its posts, the relay its cap, the subscriber every post),
+    /// its registry mirrors the author's post counter, and a second
+    /// observed run dumps the same JSONL.
     #[test]
     fn observed_eviction_study_matches_the_blind_one() {
         let config = EvictionStudyConfig::default();
@@ -235,6 +237,16 @@ mod tests {
         let journal = &observation.journal;
         assert!(!journal.is_empty());
         assert!(journal.evicted_total() > 0, "the capped relay evicts");
+        let provenance = observation.provenance();
+        assert_eq!(provenance.violations, []);
+        let mut held = [0u64; 3];
+        for path in provenance.paths.values() {
+            for &node in &path.custody {
+                held[node as usize] += 1;
+            }
+        }
+        let cap = config.relay_capacity as u64;
+        assert_eq!(held, [outcome.posts, cap, outcome.delivered_final]);
         assert_eq!(
             observation.metrics.counters["node0/sos/posts"],
             outcome.posts

@@ -17,7 +17,7 @@
 
 use crate::driver::StudyRun;
 use crate::scenario::{field_study_world, FieldStudyConfig};
-use sos_core::message::MessageId;
+use sos_node::proto::author_hex;
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
 use std::collections::BTreeSet;
@@ -32,14 +32,16 @@ pub fn record_field_study_trace(config: &FieldStudyConfig) -> ContactTrace {
         .expect("geometric sources emit valid timelines")
 }
 
-/// The delivered set of a run: every `(node, message)` pair present in
-/// a node's local store at the end — the ground truth that replay
-/// determinism is asserted on.
-pub fn delivered_set(run: &StudyRun) -> BTreeSet<(usize, MessageId)> {
+/// The delivered set of a run: every bundle present in a node's local
+/// store at the end, as `(node, author hex, number)` — the shape of the
+/// lockstep plane's `Outcome::delivered`, and the ground truth that
+/// replay determinism is asserted on.
+pub fn delivered_set(run: &StudyRun) -> BTreeSet<(u32, String, u64)> {
     let mut set = BTreeSet::new();
-    for (node, app) in run.apps.iter().enumerate() {
+    for (node, app) in (0u32..).zip(&run.apps) {
         for bundle in app.middleware().store().iter() {
-            set.insert((node, bundle.message.id));
+            let id = bundle.message.id;
+            set.insert((node, author_hex(id.author.as_bytes()), id.number));
         }
     }
     set
@@ -60,7 +62,7 @@ mod tests {
     fn assert_replay_is_exact(
         cfg: &FieldStudyConfig,
         tape: ContactTrace,
-    ) -> BTreeSet<(usize, MessageId)> {
+    ) -> BTreeSet<(u32, String, u64)> {
         let mut live = run_field_study(cfg);
         let replayed = run_study(field_study(cfg, tape), None);
         let delivered = delivered_set(&live);

@@ -805,7 +805,7 @@ mod tests {
             scheme_traits(cfg.scheme),
         );
         assert_eq!(forensics.authored() as u64, outcome.totals.posts);
-        assert!(forensics.accounts_for_everything());
+        assert_eq!(provenance.violations, []);
         assert_eq!(forensics.truncated, 0);
     }
 

@@ -92,6 +92,10 @@ impl Config {
                 // The Fig. 4d recorder: its per-subscription ratios
                 // come out in key order, which the study goldens pin.
                 "/sim/src/metrics.rs",
+                // Provenance: verdicts, violations and the PATH-REPORT
+                // built on them are report output, in walk and key
+                // order.
+                "/provenance.rs",
             ]),
             // Everything that parses or emits wire bytes or imports
             // foreign corpora (R4/R5 motivation: the PR 5 `as u64`

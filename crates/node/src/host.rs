@@ -243,11 +243,12 @@ impl Host {
 mod tests {
     use super::*;
     use crate::lockstep::{conduct, Fleet, Outcome};
-    use crate::proto::InVivoError;
+    use crate::proto::{author_hex, InVivoError};
     use crate::provision::load_trace_bytes;
     use sos_core::routing::SchemeKind;
-    use sos_obs::JournalEntry;
+    use sos_obs::{GlobalTimeline, Journal, JournalEntry, Provenance};
     use sos_sim::SimDuration;
+    use std::collections::BTreeSet;
 
     /// K hosts in one address space — the conductor's seam with plain
     /// queues where the daemons have sockets. Frames a host reports as
@@ -289,18 +290,28 @@ mod tests {
         }
     }
 
-    /// The folded outcome of a run on `k` hosts, and its journal stably
-    /// sorted by node: each node's own event order survives, which is
-    /// stricter than the sorted lines the outcome compares.
-    fn run_sharded(trace: &ContactTrace, plan: &RunPlan, k: usize) -> (Outcome, Vec<JournalEntry>) {
+    /// The folded outcome of a run on `k` hosts.
+    fn run_sharded(trace: &ContactTrace, plan: &RunPlan, k: usize) -> Outcome {
         let mut shards = Shards((0..k).map(|i| Host::new(trace, plan, i, k)).collect());
-        let outcome = conduct(&mut shards, trace, plan).expect("lockstep run");
-        let mut journal = Vec::new();
-        for host in &shards.0 {
-            journal.extend(host.journal.snapshot().entries().cloned());
+        conduct(&mut shards, trace, plan).expect("lockstep run")
+    }
+
+    /// An outcome's journal breaks no invariant, and the custody it
+    /// records is the delivered set.
+    fn assert_sound(outcome: &Outcome, cell: &str) {
+        let mut journal = Journal::with_capacity(outcome.journal.len());
+        for line in &outcome.journal {
+            journal.push(JournalEntry::from_jsonl(line).expect("the fold parsed it"));
         }
-        journal.sort_by_key(|e| e.node);
-        (outcome, journal)
+        let provenance = Provenance::build(&GlobalTimeline::merge([&journal]));
+        assert_eq!(provenance.violations, [], "{cell}");
+        let custody: BTreeSet<(u32, String, u64)> = (provenance.paths.iter())
+            .flat_map(|(key, path)| {
+                let author = author_hex(&key.author.to_le_bytes()[..10]);
+                (path.custody.iter()).map(move |&node| (node, author.clone(), key.seq))
+            })
+            .collect();
+        assert_eq!(custody, outcome.delivered, "{cell}");
     }
 
     /// Seven nodes, every pair in contact at once: each advertiser is
@@ -346,11 +357,14 @@ mod tests {
                 };
                 let one = run_sharded(&trace, &plan, 1);
                 assert!(
-                    one.0.stats.iter().any(|s| s.bundles_received > 0),
+                    one.stats.iter().any(|s| s.bundles_received > 0),
                     "{scheme}: bundles must move"
                 );
+                assert_sound(&one, &format!("{scheme}, K = 1"));
                 for k in [2, 3] {
-                    assert_eq!(run_sharded(&trace, &plan, k), one, "{scheme}, K = {k}");
+                    let sharded = run_sharded(&trace, &plan, k);
+                    assert_sound(&sharded, &format!("{scheme}, K = {k}"));
+                    assert_eq!(sharded, one, "{scheme}, K = {k}");
                 }
             }
         }

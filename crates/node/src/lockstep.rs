@@ -36,6 +36,7 @@ use crate::host::Reports;
 use crate::proto::{author_hex, InVivoError, Msg, Report};
 use crate::provision::{post_schedule, schedule, RunPlan, Step};
 use sos_core::middleware::SosStats;
+use sos_obs::JournalEntry;
 use sos_sim::world::ContactPhase;
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
@@ -63,8 +64,11 @@ pub struct Outcome {
     pub delivered: BTreeSet<(u32, String, u64)>,
     /// Per-node middleware counters, by node index.
     pub stats: Vec<SosStats>,
-    /// Journal JSONL lines, sorted (socket runs interleave processes'
-    /// lines arbitrarily; the sorted multiset is the invariant).
+    /// Journal JSONL lines, grouped by node in ascending node order and,
+    /// within a node, in the order that node emitted them: each node
+    /// runs in one process, so every sharding and the socket run return
+    /// the same lines in the same order, and the lines merge into a
+    /// timeline whose sessions still open before they close.
     pub journal: Vec<String>,
     /// Posts injected by the schedule.
     pub posts: u64,
@@ -149,7 +153,8 @@ pub(crate) fn conduct<F: Fleet>(
 /// report its stats exactly once across the fleet, and only nodes of the
 /// population may report: a node missing, reported twice or unknown is
 /// a protocol violation, not a row of zeros, a silent overwrite or a
-/// stray entry.
+/// stray entry. So is a journal line that does not parse. Journal lines
+/// are ordered stably by their node, keeping each node's own order.
 pub(crate) fn fold(
     node_count: usize,
     posts: u64,
@@ -183,7 +188,15 @@ pub(crate) fn fold(
                     }
                     delivered.insert((node, author_hex(author.as_bytes()), number));
                 }
-                Report::Journal { line } => journal.push(line),
+                Report::Journal { line } => {
+                    let Some(entry) = JournalEntry::from_jsonl(&line) else {
+                        return violation(format!("unparseable journal line {line:?}"));
+                    };
+                    if entry.node as usize >= node_count {
+                        return violation(format!("journal line for unknown node {}", entry.node));
+                    }
+                    journal.push((entry.node, line));
+                }
             }
         }
     }
@@ -192,11 +205,11 @@ pub(crate) fn fold(
             s.ok_or_else(|| InVivoError::Protocol(format!("no stats for node {node}")))
         })
         .collect::<Result<Vec<SosStats>, InVivoError>>()?;
-    journal.sort();
+    journal.sort_by_key(|&(node, _)| node);
     Ok(Outcome {
         delivered,
         stats,
-        journal,
+        journal: journal.into_iter().map(|(_, line)| line).collect(),
         posts,
         frames,
         rounds,
@@ -384,9 +397,20 @@ mod tests {
         }
     }
 
+    /// A journal line of `node` at `secs`.
+    fn line(node: u32, secs: u64) -> String {
+        JournalEntry {
+            time: SimTime::from_secs(secs),
+            node,
+            event: sos_obs::ObsEvent::StoreEvict { count: 1 },
+        }
+        .to_jsonl()
+    }
+
     /// One process's reports: stats for `nodes` (node `i` with
-    /// `posts = i + 1`), a stored bundle for each of `holders`, a
-    /// journal line per stats entry, and `frames` processed.
+    /// `posts = i + 1`), a stored bundle for each of `holders`, two
+    /// journal lines per node, emitted at 5 s then at 3 s and
+    /// interleaved across the nodes, and `frames` processed.
     fn reports(nodes: &[u32], holders: &[u32], frames: u64) -> Reports {
         let stats = nodes.iter().map(|&node| Report::Stats {
             node,
@@ -400,8 +424,10 @@ mod tests {
             author: sos_crypto::UserId([0xab; 10]),
             number: 1,
         });
-        let journal = nodes.iter().map(|node| Report::Journal {
-            line: format!("line of {node}"),
+        let journal = [5, 3].into_iter().flat_map(|secs| {
+            (nodes.iter()).map(move |&node| Report::Journal {
+                line: line(node, secs),
+            })
         });
         Reports {
             entries: stats.chain(delivered).chain(journal).collect(),
@@ -420,9 +446,20 @@ mod tests {
             .map(|(node, by, number)| (*node, by.as_str(), *number))
             .collect();
         assert_eq!(held, [(0, author.as_str(), 1), (1, author.as_str(), 1)]);
-        assert_eq!(outcome.journal, ["line of 0", "line of 1"]);
+        // By node, each node's lines in the order it emitted them (not
+        // sorted as text, which would put 3 s first), whatever process
+        // hosted it.
+        let by_node = [line(0, 5), line(0, 3), line(1, 5), line(1, 3)];
+        assert_eq!(outcome.journal, by_node);
+        let one_process = fold(2, 3, 4, vec![reports(&[0, 1], &[0, 1, 1], 12)]);
+        assert_eq!(one_process.expect("complete reports"), outcome);
         assert_eq!((outcome.posts, outcome.frames, outcome.rounds), (3, 12, 4));
 
+        let with_line = |line: String| {
+            let mut process = reports(&[0, 1], &[], 0);
+            process.entries.push(Report::Journal { line });
+            vec![process]
+        };
         for (processes, violation) in [
             (
                 vec![reports(&[0, 1], &[], 0), reports(&[1], &[], 0)],
@@ -436,6 +473,11 @@ mod tests {
             (
                 vec![reports(&[0, 1], &[2], 0)],
                 "delivered entry for unknown node 2",
+            ),
+            (with_line(line(2, 1)), "journal line for unknown node 2"),
+            (
+                with_line("line of 0".into()),
+                r#"unparseable journal line "line of 0""#,
             ),
         ] {
             match fold(2, 0, 0, processes) {

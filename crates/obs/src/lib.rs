@@ -27,7 +27,8 @@
 //!   ([`BundlePath`]: author → relay → … → destination, with
 //!   wait-vs-transfer latency splits per hop), and classify every
 //!   undelivered bundle with exactly one [`DropCause`] (delivery
-//!   forensics).
+//!   forensics). The same walk checks the run's invariants and lists
+//!   each broken one as a [`Violation`].
 //!
 //! ## Determinism rules
 //!
@@ -52,6 +53,6 @@ pub use journal::{author_tag, Journal, JournalEntry, JournalHandle, NodeObs, Obs
 pub use profile::{Profile, StageStats};
 pub use provenance::{
     Arrival, BundleKey, BundlePath, Contact, DropCause, Forensics, GlobalTimeline, Provenance,
-    SchemeTraits, TimelineEvent, Verdict,
+    Rule, SchemeTraits, TimelineEvent, Verdict, Violation,
 };
 pub use registry::{Counter, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};

@@ -17,7 +17,9 @@
 //! 2. [`Provenance::build`] replays the timeline once, reconstructing
 //!    contact intervals and a [`BundlePath`] per bundle: the author →
 //!    relay → … → destination DAG, each hop tagged with the contact it
-//!    rode, the hop count, and a wait-vs-transfer latency split.
+//!    rode, the hop count, and a wait-vs-transfer latency split. The
+//!    same walk checks the run's invariants ([`Rule`]) and lists every
+//!    entry that breaks one as a [`Violation`].
 //! 3. [`Provenance::classify`] runs delivery forensics: every authored
 //!    bundle gets exactly one [`Verdict`], and every undelivered bundle
 //!    exactly one root-cause [`DropCause`] — including the honest
@@ -422,17 +424,74 @@ impl Forensics {
         map.into_iter().collect()
     }
 
-    /// The exhaustiveness invariant: delivered + root-caused-undelivered
-    /// = authored. Structurally guaranteed (every verdict is one of the
-    /// two variants); exposed so experiments can assert it end-to-end.
+    /// `delivered + root-caused undelivered = authored`: true by
+    /// construction, since every verdict is one of the two variants, so
+    /// it checks nothing about a run. The record's invariants are
+    /// [`Provenance::violations`].
     pub fn accounts_for_everything(&self) -> bool {
         self.delivered() + self.undelivered() == self.authored()
     }
 }
 
+/// An invariant of a run's record, checked by [`Provenance::build`] as
+/// it walks the timeline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Rule {
+    /// The record is the whole run: no journal dropped an entry.
+    Complete,
+    /// Per `(node, peer)`, `SessionOpen` and `SessionClose` alternate,
+    /// starting with an open.
+    SessionsAlternate,
+    /// Every bundle accept, duplicate or reject from a peer, and every
+    /// want sent or want served to one, falls inside the node's open
+    /// session with that peer.
+    InSession,
+    /// An accepted bundle was posted earlier on the timeline.
+    PostedFirst,
+    /// A node holds a bundle from its post or a stored accept until its
+    /// eviction; it accepts no bundle it holds and evicts none it does
+    /// not hold.
+    Holdings,
+    /// An accept from the origin has 1 hop; one from a relay has at
+    /// least 2, and at most one more than the relay's own first
+    /// arrival.
+    Hops,
+}
+
+impl Rule {
+    /// Stable snake_case label (for reports).
+    fn label(&self) -> &'static str {
+        match self {
+            Rule::Complete => "complete",
+            Rule::SessionsAlternate => "sessions_alternate",
+            Rule::InSession => "in_session",
+            Rule::PostedFirst => "posted_first",
+            Rule::Holdings => "holdings",
+            Rule::Hops => "hops",
+        }
+    }
+}
+
+/// One broken invariant: the rule, and the timeline entry (time, node
+/// and event) that broke it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Violation {
+    /// The invariant broken.
+    pub rule: Rule,
+    /// The entry that broke it. For [`Rule::Complete`], the first entry
+    /// the truncated record retained.
+    pub entry: TimelineEvent,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.rule.label(), self.entry.to_jsonl())
+    }
+}
+
 /// The full provenance reconstruction of one run: contact intervals
 /// plus a [`BundlePath`] per bundle, with the forensics classifier on
-/// top.
+/// top, and every invariant the record breaks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Provenance {
     /// Propagation state per bundle, in key order.
@@ -444,6 +503,11 @@ pub struct Provenance {
     pub dropped: u64,
     /// The analysis horizon (timestamp of the last merged event).
     pub end: SimTime,
+    /// Every entry that breaks a [`Rule`], in walk order: empty on a
+    /// sound record.
+    pub violations: Vec<Violation>,
+    /// The `(node, peer)` sessions still open at the timeline's end.
+    pub open_sessions: BTreeSet<(u32, u32)>,
 }
 
 fn pair(a: u32, b: u32) -> (u32, u32) {
@@ -452,13 +516,43 @@ fn pair(a: u32, b: u32) -> (u32, u32) {
 
 impl Provenance {
     /// Replays a merged timeline once, reconstructing contact intervals
-    /// and per-bundle propagation DAGs.
+    /// and per-bundle propagation DAGs, and checking every [`Rule`] on
+    /// the way.
     pub fn build(timeline: &GlobalTimeline) -> Provenance {
         let mut open: BTreeMap<(u32, u32), SimTime> = BTreeMap::new();
         let mut contacts: Vec<Contact> = Vec::new();
         let mut paths: BTreeMap<BundleKey, BundlePath> = BTreeMap::new();
+        let mut sessions: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let mut violations = Vec::new();
+        if timeline.dropped() > 0 {
+            if let Some(first) = timeline.events().first() {
+                violations.push(Violation {
+                    rule: Rule::Complete,
+                    entry: first.clone(),
+                });
+            }
+        }
         for ev in timeline.events() {
+            let mut broken = |rule: Rule, holds: bool| {
+                if !holds {
+                    violations.push(Violation {
+                        rule,
+                        entry: ev.clone(),
+                    });
+                }
+            };
             match &ev.event {
+                ObsEvent::SessionOpen { peer, .. } => {
+                    broken(Rule::SessionsAlternate, sessions.insert((ev.node, *peer)));
+                }
+                ObsEvent::SessionClose { peer, .. } => {
+                    broken(Rule::SessionsAlternate, sessions.remove(&(ev.node, *peer)));
+                }
+                ObsEvent::WantSent { peer, .. }
+                | ObsEvent::Served { peer, .. }
+                | ObsEvent::BundleDuplicate { from: peer, .. } => {
+                    broken(Rule::InSession, sessions.contains(&(ev.node, *peer)));
+                }
                 ObsEvent::ContactUp { a, b } => {
                     open.entry(pair(*a, *b)).or_insert(ev.time);
                 }
@@ -495,12 +589,24 @@ impl Provenance {
                     stored,
                     carried: _,
                 } => {
+                    broken(Rule::InSession, sessions.contains(&(ev.node, *from)));
                     let path = paths
                         .entry(BundleKey {
                             author: *author,
                             seq: *seq,
                         })
                         .or_default();
+                    broken(Rule::PostedFirst, path.posted.is_some());
+                    broken(Rule::Holdings, !path.custody.contains(&ev.node));
+                    let hops_follow_the_dag = match path.origin {
+                        Some(origin) if origin == *from => *hops == 1,
+                        Some(_) => path
+                            .arrivals
+                            .get(from)
+                            .is_some_and(|relay| (2..=relay.hops.saturating_add(1)).contains(hops)),
+                        None => true, // the missing post is the violation
+                    };
+                    broken(Rule::Hops, hops_follow_the_dag);
                     let now = ev.time.as_millis();
                     // When the sender acquired its copy: post time for
                     // the origin, its own first arrival for a relay.
@@ -536,7 +642,10 @@ impl Provenance {
                         path.stored_ever.insert(ev.node);
                     }
                 }
-                ObsEvent::BundleReject { author, seq, .. } => {
+                ObsEvent::BundleReject {
+                    from, author, seq, ..
+                } => {
+                    broken(Rule::InSession, sessions.contains(&(ev.node, *from)));
                     paths
                         .entry(BundleKey {
                             author: *author,
@@ -552,10 +661,10 @@ impl Provenance {
                             seq: *seq,
                         })
                         .or_default();
-                    path.custody.remove(&ev.node);
+                    broken(Rule::Holdings, path.custody.remove(&ev.node));
                     path.evicted.insert(ev.node, cause);
                 }
-                _ => {}
+                ObsEvent::StoreEvict { .. } => {}
             }
         }
         let end = timeline.end();
@@ -573,6 +682,8 @@ impl Provenance {
             contacts,
             dropped: timeline.dropped(),
             end,
+            violations,
+            open_sessions: sessions,
         }
     }
 
@@ -741,40 +852,232 @@ mod tests {
         }
     }
 
-    /// nodes: 0 author, 1 relay, 2 destination, 3 isolated.
+    fn accept(from: u32, seq: u64, hops: u32) -> ObsEvent {
+        ObsEvent::BundleAccept {
+            from,
+            author: key().author,
+            seq,
+            hops,
+            stored: true,
+            carried: 1,
+        }
+    }
+
+    fn open(peer: u32) -> ObsEvent {
+        ObsEvent::SessionOpen {
+            peer,
+            initiated: true,
+            resumed: false,
+        }
+    }
+
+    fn close(peer: u32) -> ObsEvent {
+        ObsEvent::SessionClose {
+            peer,
+            reason: "done",
+        }
+    }
+
+    /// nodes: 0 author, 1 relay, 2 destination, 3 isolated. Each
+    /// receiver browses its sender in a session of its own.
     fn relay_journal() -> Journal {
         let author = key().author;
         let mut j = Journal::default();
         j.push(entry(10, 0, ObsEvent::ContactUp { a: 0, b: 1 }));
         j.push(entry(5, 0, ObsEvent::BundlePost { author, seq: 1 }));
-        j.push(entry(
-            12,
-            1,
-            ObsEvent::BundleAccept {
+        j.push(entry(11, 1, open(0)));
+        j.push(entry(12, 1, accept(0, 1, 1)));
+        j.push(entry(13, 1, close(0)));
+        j.push(entry(20, 0, ObsEvent::ContactDown { a: 0, b: 1 }));
+        j.push(entry(30, 1, ObsEvent::ContactUp { a: 1, b: 2 }));
+        j.push(entry(31, 2, open(1)));
+        j.push(entry(32, 2, accept(1, 1, 2)));
+        j.push(entry(33, 2, close(1)));
+        j.push(entry(40, 1, ObsEvent::ContactDown { a: 1, b: 2 }));
+        j
+    }
+
+    /// The violations `relay_journal` plus `extra` reads, as
+    /// `(rule, t_ms, node)`.
+    fn broken_by(extra: Vec<JournalEntry>) -> Vec<(Rule, u64, u32)> {
+        let mut j = relay_journal();
+        for e in extra {
+            j.push(e);
+        }
+        let prov = Provenance::build(&GlobalTimeline::merge([&j]));
+        (prov.violations.iter())
+            .map(|v| (v.rule, v.entry.time.as_millis(), v.entry.node))
+            .collect()
+    }
+
+    #[test]
+    fn a_sound_record_breaks_no_rule() {
+        let prov = Provenance::build(&GlobalTimeline::merge([&relay_journal()]));
+        assert_eq!(prov.violations, []);
+        assert!(prov.open_sessions.is_empty());
+        let custody: Vec<u32> = prov.paths[&key()].custody.iter().copied().collect();
+        assert_eq!(custody, [0, 1, 2]);
+    }
+
+    #[test]
+    fn an_incomplete_record_is_one_violation_at_its_first_entry() {
+        let mut j = Journal::with_capacity(4);
+        for e in relay_journal().entries() {
+            j.push(e.clone());
+        }
+        let prov = Provenance::build(&GlobalTimeline::merge([&j]));
+        let first = &prov.violations[0];
+        assert_eq!((first.rule, first.entry.time), (Rule::Complete, t(31)));
+        assert_eq!(
+            first.to_string(),
+            r#"complete: {"t_ms":31,"node":2,"seq":0,"event":"session_open","peer":1,"initiated":true,"resumed":false}"#
+        );
+        assert_eq!(
+            (prov.violations.iter())
+                .filter(|v| v.rule == Rule::Complete)
+                .count(),
+            1
+        );
+    }
+
+    #[test]
+    fn sessions_alternate_starting_with_an_open() {
+        assert_eq!(
+            broken_by(vec![entry(50, 1, close(0))]),
+            [(Rule::SessionsAlternate, 50, 1)],
+            "a close with no session open"
+        );
+        assert_eq!(
+            broken_by(vec![entry(50, 1, open(0)), entry(51, 1, open(0))]),
+            [(Rule::SessionsAlternate, 51, 1)],
+            "an open while one is open"
+        );
+        let mut j = relay_journal();
+        j.push(entry(50, 3, open(2)));
+        let prov = Provenance::build(&GlobalTimeline::merge([&j]));
+        assert_eq!(prov.violations, [], "the run's end may leave one open");
+        assert_eq!(prov.open_sessions, BTreeSet::from([(3, 2)]));
+    }
+
+    #[test]
+    fn bundle_traffic_stays_in_a_session() {
+        let author = key().author;
+        let outside = [
+            ObsEvent::BundleDuplicate {
                 from: 0,
                 author,
                 seq: 1,
-                hops: 1,
-                stored: true,
-                carried: 1,
             },
-        ));
-        j.push(entry(20, 0, ObsEvent::ContactDown { a: 0, b: 1 }));
-        j.push(entry(30, 1, ObsEvent::ContactUp { a: 1, b: 2 }));
-        j.push(entry(
-            32,
-            2,
-            ObsEvent::BundleAccept {
-                from: 1,
+            ObsEvent::BundleReject {
+                from: 0,
                 author,
                 seq: 1,
-                hops: 2,
-                stored: true,
-                carried: 1,
+                cause: "verify_failed",
             },
-        ));
-        j.push(entry(40, 1, ObsEvent::ContactDown { a: 1, b: 2 }));
-        j
+            ObsEvent::WantSent {
+                peer: 0,
+                authors: 1,
+                chunks: 1,
+            },
+            ObsEvent::Served {
+                peer: 0,
+                bundles: 1,
+                frames: 1,
+            },
+        ];
+        for event in outside {
+            let kind = event.kind();
+            assert_eq!(
+                broken_by(vec![entry(50, 1, event)]),
+                [(Rule::InSession, 50, 1)],
+                "{kind}"
+            );
+        }
+        // A session with another peer does not cover it.
+        assert_eq!(
+            broken_by(vec![entry(50, 3, open(2)), entry(51, 3, accept(0, 1, 1))]),
+            [(Rule::InSession, 51, 3)]
+        );
+    }
+
+    #[test]
+    fn an_accepted_bundle_was_posted_first() {
+        assert_eq!(
+            broken_by(vec![entry(50, 3, open(0)), entry(51, 3, accept(0, 2, 1))]),
+            [(Rule::PostedFirst, 51, 3)]
+        );
+        // Posted on the same node later on the timeline is still late.
+        let author = key().author;
+        assert_eq!(
+            broken_by(vec![
+                entry(50, 3, open(0)),
+                entry(51, 3, accept(0, 2, 1)),
+                entry(52, 0, ObsEvent::BundlePost { author, seq: 2 }),
+            ]),
+            [(Rule::PostedFirst, 51, 3)]
+        );
+    }
+
+    #[test]
+    fn holdings_are_consistent() {
+        let author = key().author;
+        let evict = |seq| ObsEvent::BundleEvict {
+            author,
+            seq,
+            cause: "capacity",
+        };
+        assert_eq!(
+            broken_by(vec![entry(50, 1, open(0)), entry(51, 1, accept(0, 1, 1))]),
+            [(Rule::Holdings, 51, 1)],
+            "an accept of a held bundle"
+        );
+        assert_eq!(
+            broken_by(vec![entry(50, 3, evict(1))]),
+            [(Rule::Holdings, 50, 3)],
+            "an evict of a bundle never held"
+        );
+        assert_eq!(
+            broken_by(vec![entry(50, 2, evict(1)), entry(51, 2, evict(1))]),
+            [(Rule::Holdings, 51, 2)],
+            "an evict of a bundle already evicted"
+        );
+        // Evicted, then accepted again: held once more, no violation.
+        assert_eq!(
+            broken_by(vec![
+                entry(50, 1, evict(1)),
+                entry(51, 1, open(0)),
+                entry(52, 1, accept(0, 1, 1)),
+                entry(53, 1, close(0)),
+            ]),
+            []
+        );
+    }
+
+    #[test]
+    fn hop_counts_follow_the_dag() {
+        let via = |node, from, hops| {
+            vec![
+                entry(50, node, open(from)),
+                entry(51, node, accept(from, 1, hops)),
+            ]
+        };
+        assert_eq!(
+            broken_by(via(3, 0, 2)),
+            [(Rule::Hops, 51, 3)],
+            "origin: 1 hop"
+        );
+        assert_eq!(broken_by(via(3, 1, 1)), [(Rule::Hops, 51, 3)], "relay: ≥ 2");
+        assert_eq!(
+            broken_by(via(3, 1, 3)),
+            [(Rule::Hops, 51, 3)],
+            "relay 1 has 1"
+        );
+        assert_eq!(broken_by(via(3, 2, 3)), [], "relay 2 has 2");
+        assert_eq!(
+            broken_by(via(3, 4, 2)),
+            [(Rule::Hops, 51, 3)],
+            "a relay with no arrival on record"
+        );
     }
 
     #[test]
@@ -789,14 +1092,15 @@ mod tests {
         let mut sorted = times.clone();
         sorted.sort_unstable();
         assert_eq!(times, sorted, "merge must sort by time");
-        assert_eq!(timeline.len(), 7);
+        assert_eq!(timeline.len(), 11);
         assert_eq!(timeline.end(), t(40));
         assert_eq!(timeline.dropped(), 0);
-        // Splitting the same events across journals changes nothing.
+        // Splitting the same events across journals, each node's events
+        // kept in their order, changes nothing.
         let mut a = Journal::default();
         let mut b = Journal::default();
-        for (i, e) in j.entries().enumerate() {
-            if i % 2 == 0 {
+        for e in j.entries() {
+            if e.node % 2 == 0 {
                 a.push(e.clone());
             } else {
                 b.push(e.clone());
@@ -842,7 +1146,7 @@ mod tests {
             forensics.verdicts[&key()],
             Verdict::Undelivered(DropCause::NoContactPath)
         );
-        assert!(forensics.accounts_for_everything());
+        assert_eq!(prov.violations, []);
         // Only reached destinations ⇒ Delivered.
         dests.insert(0u32, vec![2u32]);
         let forensics = prov.classify(&dests, SchemeTraits::default());

@@ -11,14 +11,16 @@
 //! broker and daemons carries a read timeout or a retry cap, so a hung
 //! or killed peer surfaces as a named error here instead of a stuck CI
 //! job. The run must shut down cleanly (all daemons exit zero after
-//! `Shutdown`) and deliver bundles, and its whole outcome — delivered
+//! `Shutdown`) and deliver bundles, its whole outcome — delivered
 //! set, per-node stats, journal, posts, rounds and frames — must equal
-//! `run_mesh` on the same plan.
+//! `run_mesh` on the same plan, and the fleet's journal, merged into one
+//! timeline, must break no invariant `Provenance::build` checks.
 
 use sos_core::routing::SchemeKind;
 use sos_node::broker::{Broker, BrokerConfig};
 use sos_node::mesh::run_mesh;
 use sos_node::provision::{load_trace_bytes, RunPlan};
+use sos_obs::{GlobalTimeline, Journal, JournalEntry, Provenance};
 use sos_sim::SimDuration;
 use std::path::PathBuf;
 use std::process::{Child, Command};
@@ -109,8 +111,18 @@ fn main() -> Result<(), String> {
     if vivo != mesh {
         return Err("in-vivo outcome diverged from the in-process mesh".into());
     }
+    let mut journal = Journal::with_capacity(vivo.journal.len());
+    for line in &vivo.journal {
+        let entry = JournalEntry::from_jsonl(line).ok_or(format!("unparseable line {line}"))?;
+        journal.push(entry);
+    }
+    let violations = Provenance::build(&GlobalTimeline::merge([&journal])).violations;
+    if let Some(first) = violations.first() {
+        let n = violations.len();
+        return Err(format!("{n} invariant violation(s), the first: {first}"));
+    }
     println!(
-        "in_vivo: OK — {} deliveries over real sockets, byte-equal to the in-process mesh",
+        "in_vivo: OK — {} deliveries over real sockets, byte-equal to the in-process mesh, 0 violations",
         vivo.delivered.len()
     );
     Ok(())

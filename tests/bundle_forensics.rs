@@ -1,8 +1,8 @@
-//! Acceptance test for delivery forensics (PR 9): on every committed
-//! corpus fixture, for **all five** routing schemes, every authored
-//! bundle is either delivered or assigned exactly one root cause —
-//! `delivered + root-caused undelivered = authored`, no bundle
-//! unaccounted for — and the classification is deterministic.
+//! Acceptance test for delivery forensics: on every committed corpus
+//! fixture, for **all five** routing schemes, the run's record breaks
+//! no invariant `Provenance::build` checks, every authored bundle gets
+//! one verdict, every undelivered one exactly one root cause, and the
+//! classification is deterministic.
 
 use sos::core::routing::SchemeKind;
 use sos::experiments::corpus::{run_corpus_study_full, CorpusStudyConfig};
@@ -41,25 +41,15 @@ fn forensics_is_exhaustive_for_every_scheme_on_every_fixture() {
             let observer = RunObserver::new();
             let run = run_corpus_study_full(trace, &cfg, Some(&observer));
             let observation = observer.finish();
-            let forensics = observation
-                .provenance()
-                .classify(&destinations, scheme_traits(scheme));
+            let provenance = observation.provenance();
+            assert_eq!(provenance.violations, [], "{name}/{scheme:?}");
+            let forensics = provenance.classify(&destinations, scheme_traits(scheme));
 
-            // Exhaustive: one verdict per authored bundle, and the
-            // delivered/undelivered split covers all of them.
+            // Exhaustive: one verdict per authored bundle.
             assert_eq!(
                 forensics.authored() as u64,
                 run.metrics.posts,
                 "{name}/{scheme:?}: authored != posts"
-            );
-            assert!(
-                forensics.accounts_for_everything(),
-                "{name}/{scheme:?}: forensics lost bundles"
-            );
-            assert_eq!(
-                forensics.delivered() + forensics.undelivered(),
-                forensics.authored(),
-                "{name}/{scheme:?}: delivered + undelivered != authored"
             );
             // Every undelivered verdict carries exactly one cause, and
             // the per-cause counts sum back to the undelivered total.

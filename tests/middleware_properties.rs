@@ -54,9 +54,6 @@ proptest! {
         bob.process_events_at(SimTime::from_secs(100));
         let feed = bob.feed();
         prop_assert_eq!(feed.len(), payloads.len());
-        // Feed is newest-first; reverse into posting order.
-        let mut got: Vec<String> = feed.iter().map(|p| p.text.clone()).collect();
-        got.reverse();
         // Posts at identical creation times keep number order within the
         // store; compare as multisets by number instead.
         let mut by_number: Vec<(u64, String)> =

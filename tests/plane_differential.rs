@@ -33,14 +33,13 @@ use sos::core::middleware::SosStats;
 use sos::core::routing::SchemeKind;
 use sos::experiments::corpus::{corpus_study, CorpusStudyConfig};
 use sos::experiments::driver::{run_study, StudyRun};
+use sos::experiments::replay::delivered_set;
 use sos::net::Medium;
 use sos::node::mesh::run_mesh;
-use sos::node::proto::author_hex;
 use sos::sim::world::{ContactEvent, ContactPhase};
 use sos::sim::{SimDuration, SimTime};
 use sos::trace::corpora::{import_bytes, CorpusFormat};
 use sos::trace::ContactTrace;
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// The first seed of every golden, and the ledger's.
@@ -104,18 +103,6 @@ fn driver_run(trace: &ContactTrace, plan: &CorpusStudyConfig, air: Medium) -> St
     run_study(study, None)
 }
 
-/// Every bundle the driver's nodes hold at the end of the study.
-fn stores(run: &StudyRun) -> BTreeSet<(u32, String, u64)> {
-    let mut held = BTreeSet::new();
-    for (node, app) in run.apps.iter().enumerate() {
-        for bundle in app.middleware().store().iter() {
-            let id = bundle.message.id;
-            held.insert((node as u32, author_hex(id.author.as_bytes()), id.number));
-        }
-    }
-    held
-}
-
 /// Runs every scheme and seed of `trace` on the instant air and on the
 /// mesh, and requires the two runs to be one.
 fn assert_instant_air_is_the_mesh(
@@ -128,7 +115,11 @@ fn assert_instant_air_is_the_mesh(
         let driver = driver_run(trace, &plan, Medium::Instant);
         let mesh = run_mesh(trace, &plan).expect("mesh run");
         assert!(mesh.frames > 0, "{cell}: an idle run");
-        assert_eq!(stores(&driver), mesh.delivered, "{cell}: delivered sets");
+        assert_eq!(
+            delivered_set(&driver),
+            mesh.delivered,
+            "{cell}: delivered sets"
+        );
         let stats: Vec<SosStats> = (driver.apps.iter())
             .map(|app| app.middleware().stats())
             .collect();
@@ -148,7 +139,7 @@ fn assert_radio_air_is_within_the_mesh(name: &str, format: CorpusFormat) {
     let trace = fixture(name, format);
     for plan in fixture_plans() {
         let cell = format!("{name}, {:?}, seed {}", plan.scheme, plan.seed);
-        let driver = stores(&driver_run(&trace, &plan, Medium::Radio { infra: false }));
+        let driver = delivered_set(&driver_run(&trace, &plan, Medium::Radio { infra: false }));
         let mesh = run_mesh(&trace, &plan).expect("mesh run").delivered;
         let driver_only = driver.difference(&mesh).count();
         let mesh_only = mesh.difference(&driver).count();

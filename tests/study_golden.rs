@@ -33,26 +33,35 @@
 //! One row holds the other plane: `mesh_outcomes_are_pinned` digests
 //! whole lockstep `run_mesh` outcomes, pinned before the runtime gave
 //! up its own advertisement clock to the schedule. On an instant air the
-//! driver computes those runs (`tests/plane_differential.rs`).
+//! driver computes those runs (`tests/plane_differential.rs`). That row
+//! was re-pinned once, when the outcome's journal stopped being sorted
+//! as text and kept each node's event order: the same journal sorted as
+//! text reproduces the former digests.
+//!
+//! Every run here also reads its journal once through
+//! `Provenance::build`: it must break no invariant, and the custody the
+//! journal records must be what the nodes hold at the end.
 
 use sos::core::routing::SchemeKind;
 use sos::experiments::corpus::{run_corpus_study_full, CorpusStudyConfig};
 use sos::experiments::density::{density_study, DensityConfig};
 use sos::experiments::driver::{run_study, Study, StudyRun};
 use sos::experiments::observe::RunObserver;
+use sos::experiments::replay::delivered_set;
 use sos::experiments::scenario::{
     field_study, field_study_engine, field_study_world, small_test_config,
 };
 use sos::net::Medium;
 use sos::node::mesh::run_mesh;
+use sos::node::proto::author_hex;
 use sos::node::provision::{followers_from_trace, provision_apps};
 use sos::node::Outcome;
-use sos::obs::journal::{Journal, ObsEvent};
+use sos::obs::{GlobalTimeline, Journal, JournalEntry, Provenance};
 use sos::sim::world::{ContactEvent, ContactPhase};
 use sos::sim::{EncounterSource, SimDuration, SimTime};
 use sos::trace::corpora::{import_bytes, CorpusFormat};
 use sos::trace::{generate_social_trace, ContactTrace, SocialTraceConfig};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// Seed 99 was not used while the fast path was sized.
@@ -115,27 +124,30 @@ fn fold_run(mut digest: Digest, run: &StudyRun, observer: &RunObserver) -> Diges
         }
     }
     let journal = observer.finish().journal;
-    assert_sessions_pair(&journal);
+    assert_sound(&journal, &delivered_set(run));
     digest.text(&journal.to_jsonl())
 }
 
-/// For each `(node, peer)`, `SessionOpen` and `SessionClose` alternate,
-/// starting with an open; only the run's end may leave one open.
-fn assert_sessions_pair(journal: &Journal) {
-    let mut open = BTreeMap::new();
-    for e in journal.entries() {
-        let (peer, opens) = match e.event {
-            ObsEvent::SessionOpen { peer, .. } => (peer, true),
-            ObsEvent::SessionClose { peer, .. } => (peer, false),
-            _ => continue,
-        };
-        let was_open = open.insert((e.node, peer), opens).unwrap_or(false);
-        assert_ne!(
-            was_open, opens,
-            "node {}: {:?} out of turn",
-            e.node, e.event
-        );
-    }
+/// A run's record breaks no invariant (`Provenance::build` checks them
+/// as it walks the timeline), and the custody its journal records is
+/// what the nodes hold at the end.
+fn assert_sound(journal: &Journal, held: &BTreeSet<(u32, String, u64)>) {
+    let provenance = Provenance::build(&GlobalTimeline::merge([journal]));
+    let shown: Vec<String> = (provenance.violations.iter().take(5))
+        .map(|v| v.to_string())
+        .collect();
+    assert_eq!(
+        provenance.violations.len(),
+        0,
+        "violations, the first five: {shown:#?}"
+    );
+    let custody: BTreeSet<(u32, String, u64)> = (provenance.paths.iter())
+        .flat_map(|(key, path)| {
+            let author = author_hex(&key.author.to_le_bytes()[..10]);
+            (path.custody.iter()).map(move |&node| (node, author.clone(), key.seq))
+        })
+        .collect();
+    assert_eq!(&custody, held, "journal custody against the final stores");
 }
 
 /// The digest of `run(scheme)` over all five schemes, each observed.
@@ -273,6 +285,11 @@ fn mesh_outcomes_are_pinned() {
                 };
                 let outcome = run_mesh(&trace, &plan).expect("mesh run");
                 assert!(outcome.frames > 0, "{name}, {scheme:?}: an idle run");
+                let mut journal = Journal::with_capacity(outcome.journal.len());
+                for line in &outcome.journal {
+                    journal.push(JournalEntry::from_jsonl(line).expect("the fold parsed it"));
+                }
+                assert_sound(&journal, &outcome.delivered);
                 digest = fold_outcome(digest, &outcome);
             }
             digest.hex()
@@ -280,7 +297,7 @@ fn mesh_outcomes_are_pinned() {
         .collect();
     assert_eq!(
         computed,
-        ["04c746d465de28b0", "1bdcf78b7aa3bec3", "977b5270981cd4e7"],
+        ["70b89bc3c3ec8658", "60de715b4f4a2547", "f45439c6f6255d15"],
         "a lockstep run no longer returns what it did (haggle, reality, sassy)"
     );
 }
