@@ -39,9 +39,14 @@
 //!   that went back to one shift–compare–subtract per bit reads ≈ 37;
 //! * `sha2/sha512_112B` must be ≤ 0.30 × `sha2/sha512_1024B`: two
 //!   compressions against nine, so ≈ 0.22 when the padding is written
-//!   in one step, 0.40 when it was fed one zero byte at a time.
+//!   in one step, 0.40 when it was fed one zero byte at a time;
+//! * `ed25519/prepared_table_bytes` (the bytes one prepared key's table
+//!   holds, so what each of the prepared-key cache's 256 entries costs)
+//!   must not rise above 15 360, the 4-tooth affine comb's 128 × 120 B.
+//!   It is a count, so the gate is exact and fires on any machine; the
+//!   projective radix-16 table before the comb read 81 920.
 //!
-//! All ten invariants are asserted — a run that violates them fails loudly
+//! All eleven invariants are asserted — a run that violates them fails loudly
 //! — and every measurement is written to `BENCH_crypto.json` at the
 //! workspace root so the perf trajectory is tracked across PRs. Set
 //! `SOS_BENCH_SMOKE=1` (as CI does) for a few-iteration smoke run.
@@ -70,6 +75,12 @@ const ENCOUNTER_BUNDLES: u64 = 200;
 /// splits a batch of `n` into `min(cores, n / 20)` sub-batches (its
 /// private `PAR_MIN`), so from 40 signatures on.
 const BELOW_FORK: usize = 39;
+
+/// Ceiling on `ed25519/prepared_table_bytes`, the memory one cached
+/// author's table holds: the 4-tooth affine comb's 128 × 120 B. It may
+/// fall, never rise (the projective radix-16 table before it held
+/// 81 920 B).
+const PREPARED_TABLE_BYTES: usize = 15_360;
 
 /// The shared recorder behind every `measure` call and the JSON write.
 static SUITE: Suite = Suite::new("crypto");
@@ -195,6 +206,14 @@ fn bench_signatures(_c: &mut Criterion) {
     measure("ed25519/prepared_new", || {
         PreparedVerifyingKey::new(std::hint::black_box(&vk)).expect("key decompresses")
     });
+    // What each cached author holds: a count, so the gate is exact.
+    let table_bytes = prepared.table_bytes();
+    SUITE.record("ed25519/prepared_table_bytes", table_bytes as f64);
+    println!("prepared-key table: {table_bytes} B (gate: <= {PREPARED_TABLE_BYTES})");
+    assert!(
+        table_bytes <= PREPARED_TABLE_BYTES,
+        "a prepared-key table grew to {table_bytes} B"
+    );
 
     measure("ed25519/sign_256B", || sk.sign(std::hint::black_box(&msg)));
     // The default path (process-wide prepared cache, warm after the

@@ -2425,13 +2425,16 @@ mod tests {
         fn should_carry(&mut self, ctx: &RoutingContext<'_>, bundle: &Bundle) -> bool {
             let line = format!("carry {:?} seeing {:?}", bundle.message.id, ctx.summary);
             self.0.lock().unwrap().push(line);
-            true
+            bundle.message.payload != NOT_CARRIED
         }
         fn on_security_incident(&mut self, peer_user: &UserId, now: SimTime) {
             let line = format!("incident {} at {now:?}", peer_user.display());
             self.0.lock().unwrap().push(line);
         }
     }
+
+    /// The one payload [`Recorder`] refuses to carry.
+    const NOT_CARRIED: &[u8] = b"not carried";
 
     /// Everything a delivery can leave behind, rendered comparable.
     #[derive(Debug, PartialEq)]
@@ -2447,6 +2450,14 @@ mod tests {
         fn stored(&self, like: &Bundle) -> &Bundle {
             let held = self.store.iter().find(|b| b.message.id == like.message.id);
             held.expect("bundle is stored")
+        }
+
+        /// The journaled events, in order.
+        fn journaled(&self) -> Vec<ObsEvent> {
+            let entries = self.journal.lines().map(sos_obs::JournalEntry::from_jsonl);
+            entries
+                .map(|e| e.expect("journal lines parse").event)
+                .collect()
         }
     }
 
@@ -2703,6 +2714,60 @@ mod tests {
             .iter()
             .filter(|c| c.starts_with("incident"));
         assert_eq!(incidents.count(), 1, "only the forgery charges the relay");
+    }
+
+    /// A held bundle arriving again, byte for byte, over a shorter path:
+    /// journaled as a duplicate from the relay that delivered it (node
+    /// 0), not from the receiver, and its hop count merged down to the
+    /// new path's.
+    #[test]
+    fn a_content_equal_duplicate_names_its_relay_and_merges_hops() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let (alice, carol) = (
+            Author::new(&mut ca, 2, "alice", 0),
+            Author::new(&mut ca, 4, "carol", 0),
+        );
+        let mut held = twelve(&alice, &carol);
+        held[4].hops = 6;
+        let mut again = held[4].clone();
+        again.hops = 1;
+        let got = assert_frame_equals_singles(&mut ca, &held, &[again], SimTime::from_secs(30));
+        assert_eq!(got.stats.bundles_duplicate, 1);
+        assert_eq!(got.stored(&held[4]).hops, 2, "min(6 + 1, 1 + 1)");
+        let duplicates: Vec<(u32, u64)> = (got.journaled().into_iter())
+            .filter_map(|e| match e {
+                ObsEvent::BundleDuplicate { from, seq, .. } => Some((from, seq)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(duplicates, [(0, held[4].message.id.number)]);
+    }
+
+    /// A valid bundle the scheme refuses to carry, from an author the
+    /// receiver does not follow, is accepted (surfaced to the
+    /// application) but not stored, and journaled as such; the carried
+    /// one beside it is stored.
+    #[test]
+    fn an_uncarried_bundle_is_journaled_as_accepted_unstored() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let alice = Author::new(&mut ca, 2, "alice", 0);
+        let frame = [alice.bundle(1, NOT_CARRIED), alice.bundle(2, b"carried")];
+        let got = assert_frame_equals_singles(&mut ca, &[], &frame, SimTime::from_secs(30));
+        let held: Vec<u64> = got.store.iter().map(|b| b.message.id.number).collect();
+        assert_eq!(held, [2]);
+        let accepts: Vec<(u64, bool)> = (got.journaled().into_iter())
+            .filter_map(|e| match e {
+                ObsEvent::BundleAccept { seq, stored, .. } => Some((seq, stored)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(accepts, [(1, false), (2, true)]);
+        let received = got
+            .events
+            .iter()
+            .filter(|e| e.starts_with("MessageReceived"));
+        let carried: Vec<bool> = received.map(|e| e.contains("carried: true")).collect();
+        assert_eq!(carried, [false, true]);
     }
 
     #[test]

@@ -52,8 +52,8 @@
 //!   making `[s]B` a sum of at most 32 additions with **zero**
 //!   doublings (half the additions of the radix-16 table it replaced).
 //!   Its entries are stored in *affine* Niels form (`Z = 1`: `y+x, y−x,
-//!   2d·x·y`), normalised at build with one inversion shared by each
-//!   window's row, so each addition is 7 field multiplications instead
+//!   2d·x·y`), normalised at build with one inversion shared by the
+//!   whole table, so each addition is 7 field multiplications instead
 //!   of 8. A sum gathers its entries before the first addition, so the
 //!   cache misses of a table evicted from L2 overlap instead of each
 //!   waiting for the addition before it. Every `[s]B` goes through it:
@@ -61,12 +61,18 @@
 //!   flavour — and, mapped to
 //!   Montgomery form, every X25519 public key
 //!   ([`crate::x25519::x25519_base`]: both ephemeral keys of a
-//!   handshake). Per-author tables stay radix 16 and projective: at
-//!   480 KiB a key the 256-entry cache would hold 120 MiB, and
-//!   normalising one costs three quarters of building it (~3 600
-//!   multiplications and an inversion) to save one multiplication in
-//!   each of ~60 additions per verification, which only some sixty
-//!   signatures by one author per cache entry would repay.
+//!   handshake). At 480 KiB a key it is no per-author table: the
+//!   256-entry cache would hold 120 MiB.
+//! * [`FixedWindowTable`] — the per-author table: a 4-tooth comb, 16
+//!   rows of 8 affine entries (15 KiB), so `[k]A` is at most 64 mixed
+//!   additions of 7 multiplications plus 12 doublings (~507
+//!   multiplications). It replaced a 64 × 8 projective radix-16 table
+//!   (80 KiB, ≤ 64 additions of 8 and no doublings, ~480): a tie per
+//!   verification, a fifth of the memory per cached author, and a
+//!   cheaper build (112 additions, 195 doublings and one batch
+//!   normalisation of 128 entries, ~3 500 multiplications, against 448
+//!   additions and 512 conversions, ~4 600), since normalising 128
+//!   entries costs a quarter of normalising 512.
 //! * [`EdwardsPoint::mul_scalar`] — 4-bit sliding-window (w-NAF)
 //!   variable-base multiplication (≈ 51 additions instead of ≈ 128). A
 //!   doubling whose result only feeds another doubling skips the
@@ -76,16 +82,16 @@
 //!   `[s]B + [k]A` of [`VerifyingKey::verify_uncached`]: a basepoint
 //!   table sum plus a w-NAF `[k]A`, where an interleaved Straus chain
 //!   spent ≈ 51 additions on the `B` half.
-//! * [`PreparedVerifyingKey`] — caches the decompressed public key *and*
-//!   a fixed-window table of `-A`, so repeat verifications by the same
-//!   author cost two table sums plus one addition. A bounded
+//! * [`PreparedVerifyingKey`] — caches the comb table of `-A`, so
+//!   repeat verifications by the same author cost two table sums plus
+//!   one addition. A bounded
 //!   process-wide cache makes [`VerifyingKey::verify`] hit this path
 //!   automatically, and admits by second chance: a hit marks its entry,
 //!   and a miss on a *full* cache looks at the oldest entry. A marked
 //!   one is unmarked and requeued while the newcomer is checked with
 //!   [`VerifyingKey::verify_uncached`] (~63 µs, no table built); an
-//!   unmarked one is evicted and the newcomer's table (~130 µs) built
-//!   and inserted. A key met once therefore costs one one-shot check
+//!   unmarked one is evicted and the newcomer's table (~120–140 µs)
+//!   built and inserted. A key met once therefore costs one one-shot check
 //!   instead of a table nobody reuses, while keys that earn hits stay.
 //!   [`verify_batch`] always takes tables (its per-author sums need
 //!   them), evicting the oldest entry as a plain insert does.
@@ -449,9 +455,9 @@ struct PNiels {
 
 /// A point in "affine Niels" form `(y+x, y−x, 2d·x·y)`: a [`PNiels`]
 /// normalised to `Z = 1`, which saves its additions the `Z₁·Z₂`
-/// product. Normalising costs an inversion, so only the static
-/// basepoint table — built once per process, with one inversion shared
-/// by each row of 128 entries — is kept in this form.
+/// product. Both fixed tables keep their entries in this form, each
+/// normalised with one inversion at build; only the short-lived odd
+/// multiples of a w-NAF chain stay projective.
 #[derive(Clone, Copy, Debug)]
 struct AffineNiels {
     y_plus_x: Fe,
@@ -487,24 +493,6 @@ impl AffineNiels {
     }
 }
 
-/// A table entry: the precomputed operand of a mixed addition.
-trait Addend {
-    /// `q + self`, or `q − self` when `negate`.
-    fn add_to(&self, q: &EdwardsPoint, negate: bool) -> EdwardsPoint;
-}
-
-impl Addend for PNiels {
-    fn add_to(&self, q: &EdwardsPoint, negate: bool) -> EdwardsPoint {
-        q.add_pniels(self, negate)
-    }
-}
-
-impl Addend for AffineNiels {
-    fn add_to(&self, q: &EdwardsPoint, negate: bool) -> EdwardsPoint {
-        q.add_affine_niels(self, negate)
-    }
-}
-
 /// Odd multiples `[P, 3P, 5P, 7P]` backing the 4-bit sliding windows.
 struct OddMultiples([PNiels; 4]);
 
@@ -523,33 +511,46 @@ impl OddMultiples {
     }
 }
 
-/// Calls `emit` once per window `i` of the `256 / w`, with the row
-/// `(j+1)·2^(w·i)·P` for `j < 2^(w−1)`, in the order the window tables
-/// store them: the signed radix-2^w digits of a canonical scalar lie in
-/// `[−2^(w−1), 2^(w−1))`.
-fn window_multiples(p: &EdwardsPoint, w: usize, mut emit: impl FnMut(&[EdwardsPoint])) {
-    let per_row = 1 << (w - 1);
-    let mut row = Vec::with_capacity(per_row);
+/// The entries of a signed-digit table of `p`, normalised together with
+/// one inversion: row `i < rows` holds `(j+1)·2^(spacing·i)·P` for
+/// `j < per_row` (a power of two), rows in order. A row costs
+/// `per_row − 1` additions, and the next row's base `spacing −
+/// log₂(per_row)` doublings of the row's last entry.
+fn table_entries(
+    p: &EdwardsPoint,
+    rows: usize,
+    per_row: usize,
+    spacing: usize,
+) -> Vec<AffineNiels> {
+    let mut multiples: Vec<EdwardsPoint> = Vec::with_capacity(rows * per_row);
     let mut base = *p;
-    for _ in 0..256 / w {
-        let step = base.to_pniels();
-        row.clear();
-        row.push(base);
-        while row.len() < per_row {
-            row.push(row[row.len() - 1].add_pniels(&step, false));
+    for i in 0..rows {
+        if i > 0 {
+            let top = multiples[multiples.len() - 1]; // per_row·base
+            base = top.doublings(spacing - per_row.trailing_zeros() as usize);
         }
-        emit(&row);
-        base = row[row.len() - 1].double(); // 2^w·base from 2^(w−1)·base
+        let step = base.to_pniels();
+        multiples.push(base);
+        for _ in 1..per_row {
+            multiples.push(multiples[multiples.len() - 1].add_pniels(&step, false));
+        }
     }
+    AffineNiels::batch(&multiples)
 }
 
-/// `[s]P` as a doubling-free sum, one addition per non-zero digit, from
-/// a table holding `entries[n·i + j] = (j+1)·(2n)^i·P` and the `N`
-/// signed radix-2n digits of `s`. The entries are gathered before the
-/// first addition: their loads depend on the digits alone, so the cache
-/// misses of a table larger than the L2 cache overlap instead of each
-/// waiting for the addition before it.
-fn window_sum<E: Addend + Copy, const N: usize>(entries: &[E], digits: &[i8; N]) -> EdwardsPoint {
+/// `q + Σ digits[i]·(row i's unit)`, one mixed addition per non-zero
+/// digit, from `entries` whose row `i` holds the `(j+1)`-fold multiples
+/// of that unit and `N` signed digits, none larger in magnitude than a
+/// row is long.
+/// The entries are gathered before the first addition: their loads
+/// depend on the digits alone, so the cache misses of a table larger
+/// than the L2 cache overlap instead of each waiting for the addition
+/// before it.
+fn window_sum<const N: usize>(
+    q: EdwardsPoint,
+    entries: &[AffineNiels],
+    digits: &[i8; N],
+) -> EdwardsPoint {
     let n = entries.len() / N;
     let mut picked = [(entries[0], false); N];
     let mut count = 0;
@@ -559,57 +560,63 @@ fn window_sum<E: Addend + Copy, const N: usize>(entries: &[E], digits: &[i8; N])
             count += 1;
         }
     }
-    picked[..count]
-        .iter()
-        .fold(EdwardsPoint::identity(), |q, (entry, negate)| {
-            entry.add_to(&q, *negate)
-        })
+    (picked[..count].iter()).fold(q, |q, (entry, negate)| q.add_affine_niels(entry, *negate))
 }
 
-/// A signed radix-16 fixed-window table: every `(j+1)·16^i·P` for 64
-/// windows `i` and `j < 8`, so `[s]P` is a sum of at most 64
-/// precomputed points with **no doublings** at multiplication time.
+/// Rows of a per-author table: one per four radix-16 digits.
+const COMB_ROWS: usize = 16;
+
+/// The per-author table behind [`PreparedVerifyingKey`] and
+/// [`verify_batch`]'s per-key sums: a 4-tooth comb over the signed
+/// radix-16 digits of the scalar. Row `i` holds `(j+1)·2^(16i)·P` for
+/// `i < 16` and `j < 8`, in affine Niels form: 128 entries of 120 B,
+/// 15 KiB, normalised at build with one inversion.
 ///
-/// Building costs ~520 point operations (~120 µs); one multiplication
-/// through it costs at most 64 mixed additions (~11 µs; the 255-step
-/// X25519 ladder takes ~43 µs). It pays for itself within a handful of
-/// reuses, which is why it backs the per-author [`PreparedVerifyingKey`],
-/// and at 80 KiB it is small enough for 256 of them to be cached, which
-/// is why it stays radix 16 where the basepoint's is radix 2^8.
+/// Digit `4i + t` of a scalar weighs `2^(16i)·16^t`, so `[s]P` is four
+/// passes `t = 3, …, 0`, each adding row `i`'s entry for digit `4i + t`
+/// to the running sum, with four doublings between passes: at most 64
+/// mixed additions of 7 field multiplications and 12 doublings.
+/// Building costs 112 additions, 195 doublings and one batch
+/// normalisation (~3 500 multiplications). The table fits in the L1
+/// cache, and 256 of them — the prepared-key cache's cap — take 3.75
+/// MiB.
 pub struct FixedWindowTable {
-    entries: Vec<PNiels>,
+    entries: Vec<AffineNiels>,
 }
 
 impl std::fmt::Debug for FixedWindowTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FixedWindowTable({} windows)", self.entries.len() / 8)
+        write!(f, "FixedWindowTable({} entries)", self.entries.len())
     }
 }
 
 impl FixedWindowTable {
     /// Precomputes the table for `p`.
     pub fn new(p: &EdwardsPoint) -> FixedWindowTable {
-        let mut entries = Vec::with_capacity(512);
-        window_multiples(p, 4, |row| {
-            entries.extend(row.iter().map(|multiple| multiple.to_pniels()))
-        });
-        FixedWindowTable { entries }
+        FixedWindowTable {
+            entries: table_entries(p, COMB_ROWS, 8, 16),
+        }
     }
 
-    /// Computes `[s]P` as a doubling-free sum over the signed radix-16
-    /// digits of `s`.
+    /// Computes `[s]P` over the signed radix-16 digits of `s`: four comb
+    /// passes, only the last of each four doublings computing `T`.
     pub fn mul(&self, s: &Scalar) -> EdwardsPoint {
-        window_sum(&self.entries, &s.to_radix16())
+        let digits = s.to_radix16();
+        let pass = |t: usize| -> [i8; COMB_ROWS] { std::array::from_fn(|i| digits[4 * i + t]) };
+        let top = window_sum(EdwardsPoint::identity(), &self.entries, &pass(3));
+        (0..3).rev().fold(top, |q, t| {
+            window_sum(q.doublings(4), &self.entries, &pass(t))
+        })
     }
 }
 
 /// The fixed-window table of the RFC 8032 basepoint at radix 2^8: every
-/// `(j+1)·256^i·B` for 32 windows `i` and `j < 128`, normalised to
-/// affine Niels form (`Z = 1`) with one inversion per window. A `[s]B` is
-/// then at most 32 mixed additions of 7 multiplications each, half the
-/// additions of a radix-16 table (~5.8 µs against ~10.1 µs on a 2-core
-/// Xeon container). The 4 096 entries take 480 KiB and ~3 ms to build,
-/// once per process. Obtained from [`basepoint_table`].
+/// `(j+1)·256^i·B` for 32 windows `i` and `j < 128`, in affine Niels form
+/// (`Z = 1`), normalised with one inversion. A `[s]B` is then at most 32
+/// mixed additions of 7 multiplications each, half the additions of a
+/// radix-16 table (~5.8 µs against ~10.1 µs on a 2-core Xeon
+/// container). The 4 096 entries take 480 KiB and ~3 ms to build, once
+/// per process. Obtained from [`basepoint_table`].
 pub struct BasepointTable {
     entries: Vec<AffineNiels>,
 }
@@ -618,7 +625,7 @@ impl BasepointTable {
     /// Computes `[s]B` as a doubling-free sum over the signed radix-2^8
     /// digits of `s`.
     pub fn mul(&self, s: &Scalar) -> EdwardsPoint {
-        window_sum(&self.entries, &s.to_radix256())
+        window_sum(EdwardsPoint::identity(), &self.entries, &s.to_radix256())
     }
 }
 
@@ -627,12 +634,8 @@ impl BasepointTable {
 /// `[s]B` half of every verification flavour.
 pub fn basepoint_table() -> &'static BasepointTable {
     static TABLE: OnceLock<BasepointTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut entries = Vec::with_capacity(4096);
-        window_multiples(&EdwardsPoint::basepoint(), 8, |row| {
-            entries.extend(AffineNiels::batch(row))
-        });
-        BasepointTable { entries }
+    TABLE.get_or_init(|| BasepointTable {
+        entries: table_entries(&EdwardsPoint::basepoint(), 32, 128, 8),
     })
 }
 
@@ -856,13 +859,16 @@ fn residue_accepted(r_prime: &EdwardsPoint, r_enc: &[u8; 32]) -> bool {
     }
 }
 
-/// A verifying key prepared for repeat use: the decompressed point plus
-/// a fixed-window table of `-A`, so each verification is two
-/// doubling-free table sums and one addition (~24 µs, about 6x faster
-/// than the naive path; see `cargo bench -p sos-bench --bench crypto`).
+/// A verifying key prepared for repeat use: the compressed key plus
+/// the comb table of `-A` ([`FixedWindowTable`], 15 360 bytes), so each
+/// verification is a doubling-free basepoint table sum, a comb sum with
+/// 12 doublings and one addition (~24 µs on an idle core, about 6x
+/// faster than the naive path; see `cargo bench -p sos-bench --bench
+/// crypto`).
 ///
-/// Building one costs ~130 µs (`ed25519/prepared_new`: five to six
-/// prepared verifications), against ~63 µs for a one-shot
+/// Building one costs ~120–140 µs (`ed25519/prepared_new`, 0.6 of the
+/// projective table before the comb; about five prepared
+/// verifications), against ~63 µs for a one-shot
 /// [`VerifyingKey::verify_uncached`] — amortized away by an author's
 /// fourth signature, which is exactly the SOS workload: a sync encounter
 /// delivers an author's bundles in batches (~200 per session). A key
@@ -901,6 +907,11 @@ impl PreparedVerifyingKey {
         VerifyingKey(self.compressed)
     }
 
+    /// Bytes its table's entries occupy: what one cached author costs.
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(self.neg_table.entries.as_slice())
+    }
+
     /// Verifies `signature` over `message`; exactly equivalent to
     /// [`VerifyingKey::verify_naive`] on a decompressible key.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
@@ -916,8 +927,9 @@ impl PreparedVerifyingKey {
 }
 
 /// Cap on the process-wide prepared-key cache. Each entry holds a
-/// 64×8-point table (~80 KiB), so the cap bounds memory at ~20 MiB while
-/// covering far more concurrent authors than a node meets per session.
+/// 128-entry comb table (15 360 bytes), so the cap bounds the tables at
+/// 3.75 MiB while covering far more concurrent authors than a node
+/// meets per session.
 /// Only bundle authors and the CA key fill it: a handshake peer's key is
 /// checked through [`VerifyingKey::verify_without_admission`], which
 /// never inserts.
@@ -1260,6 +1272,7 @@ impl Signature {
 mod tests {
     use super::*;
     use crate::hex;
+    use crate::sha2::{sha256, sha512};
 
     fn seed(s: &str) -> [u8; 32] {
         hex::decode_array::<32>(s).unwrap()
@@ -1528,12 +1541,7 @@ mod tests {
             assert_basepoint_table_matches_mul_bytes(&bytes);
         }
         assert_basepoint_table_matches_mul_bytes(&[0u8; 32]);
-        let l_minus_one = hex::decode_array::<32>(
-            "ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010",
-        )
-        .unwrap();
-        let l_minus_one = Scalar::from_canonical_bytes(&l_minus_one).expect("ℓ − 1 is canonical");
-        assert_eq!(l_minus_one.add(&Scalar::ONE), Scalar::ZERO);
+        let l_minus_one = l_minus_one();
         assert_basepoint_table_matches_mul_bytes(&l_minus_one.to_bytes());
         // [ℓ − 1]B = −B.
         assert!(basepoint_table()
@@ -1541,15 +1549,19 @@ mod tests {
             .equals(&EdwardsPoint::basepoint().neg()));
     }
 
-    #[test]
-    fn affine_basepoint_entries_are_normalised_curve_points() {
-        // −x² + y² = 1 + d·x²·y², the third coordinate is 2d·x·y, and
-        // entry (i, j) of the 32 × 128 layout is (j+1)·256^i·B.
-        let table = basepoint_table();
-        assert_eq!(table.entries.len(), 32 * 128);
+    /// Asserts that `entries` is the `rows × per_row` layout of
+    /// `table_entries(p, rows, per_row, spacing)`: each entry a curve
+    /// point (−x² + y² = 1 + d·x²·y²) with third coordinate 2d·x·y, and
+    /// entry (i, j) equal to (j+1)·2^(spacing·i)·P.
+    fn assert_affine_layout(
+        entries: &[AffineNiels],
+        p: &EdwardsPoint,
+        (rows, per_row, spacing): (usize, usize, usize),
+    ) {
+        assert_eq!(entries.len(), rows * per_row);
         let half = Fe::from_u64(2).invert();
-        let mut base = EdwardsPoint::basepoint(); // 256^i·B
-        for row in table.entries.chunks_exact(128) {
+        let mut base = *p; // 2^(spacing·i)·P
+        for row in entries.chunks_exact(per_row) {
             let mut expected = base;
             for n in row {
                 let x = n.y_plus_x.sub(&n.y_minus_x).mul(&half);
@@ -1561,7 +1573,171 @@ mod tests {
                 assert_eq!(y.mul(&expected.z), expected.y);
                 expected = expected.add(&base);
             }
-            base = base.mul_bytes(&Scalar::from_u64(256).to_bytes());
+            base = base.mul_bytes(&Scalar::from_u64(1 << spacing).to_bytes());
+        }
+    }
+
+    #[test]
+    fn affine_basepoint_entries_are_normalised_curve_points() {
+        let layout = (32, 128, 8);
+        assert_affine_layout(
+            &basepoint_table().entries,
+            &EdwardsPoint::basepoint(),
+            layout,
+        );
+    }
+
+    /// The per-author table's layout and its size, the memory each
+    /// prepared-key cache entry holds: 16 rows of 8 affine entries of
+    /// 120 bytes, 15 360 bytes (the projective radix-16 table it replaced
+    /// held 512 entries of 160 bytes, 81 920).
+    #[test]
+    fn comb_table_is_128_affine_entries_in_15_kib() {
+        let p = EdwardsPoint::basepoint().mul_scalar_naive(&Scalar::from_u64(99));
+        let prepared = PreparedVerifyingKey::new(&VerifyingKey(p.neg().compress())).unwrap();
+        let entries = &prepared.neg_table.entries;
+        assert_affine_layout(entries, &p, (COMB_ROWS, 8, 16));
+        assert_eq!(std::mem::size_of::<AffineNiels>(), 120);
+        assert_eq!(std::mem::size_of_val(entries.as_slice()), 15_360);
+        assert_eq!(prepared.table_bytes(), 15_360);
+        assert_eq!(entries.capacity(), entries.len());
+    }
+
+    /// ℓ − 1, the largest canonical scalar.
+    fn l_minus_one() -> Scalar {
+        let bytes = hex::decode_array::<32>(
+            "ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010",
+        )
+        .unwrap();
+        let l_minus_one = Scalar::from_canonical_bytes(&bytes).expect("ℓ − 1 is canonical");
+        assert_eq!(l_minus_one.add(&Scalar::ONE), Scalar::ZERO);
+        l_minus_one
+    }
+
+    /// The scalars at the comb's edges: 0, 1, ℓ − 1; the canonical
+    /// scalar whose radix-16 digits 0–62 are all −8 (nibbles 8, 7, …, 7,
+    /// 0; digit 63 is then 1, since −8 there would leave a carry out of
+    /// the top); and 2^252 − 1, whose digit-0 borrow carries through 62
+    /// zero digits into digit 63. Each recoding is checked.
+    fn comb_edge_scalars() -> Vec<Scalar> {
+        let mut all_minus_eight = [0x77u8; 32];
+        all_minus_eight[0] = 0x78;
+        all_minus_eight[31] = 0x07;
+        let all_minus_eight = Scalar::from_canonical_bytes(&all_minus_eight).unwrap();
+        let digits = all_minus_eight.to_radix16();
+        assert!(digits[..63].iter().all(|&d| d == -8), "{digits:?}");
+        assert_eq!(digits[63], 1);
+        let mut top_carry = [0xffu8; 32];
+        top_carry[31] = 0x0f;
+        let top_carry = Scalar::from_canonical_bytes(&top_carry).unwrap();
+        let digits = top_carry.to_radix16();
+        assert_eq!((digits[0], digits[63]), (-1, 1));
+        assert!(digits[1..63].iter().all(|&d| d == 0));
+        vec![
+            Scalar::ZERO,
+            Scalar::ONE,
+            l_minus_one(),
+            all_minus_eight,
+            top_carry,
+        ]
+    }
+
+    /// `[i]T` for `i < 8` and `T` the order-8 point the batch tests
+    /// also use.
+    fn torsion() -> Vec<EdwardsPoint> {
+        let enc = hex::decode_array::<32>(
+            "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        )
+        .unwrap();
+        let t = EdwardsPoint::decompress(&enc).unwrap();
+        assert!(t.is_small_order() && !t.doublings(2).equals(&EdwardsPoint::identity()));
+        let mut points = vec![EdwardsPoint::identity()];
+        for i in 1..8 {
+            points.push(points[i - 1].add(&t));
+        }
+        points
+    }
+
+    /// Points of prime order, with every small-order component added,
+    /// and points decompressed from arbitrary bytes (mostly of mixed
+    /// order).
+    fn comb_edge_points() -> Vec<EdwardsPoint> {
+        let prime = basepoint_table().mul(&Scalar::from_bytes_mod_order(&sha512(b"comb point")));
+        let mut points: Vec<EdwardsPoint> = torsion().iter().map(|t| prime.add(t)).collect();
+        points.extend(
+            (0u8..=255)
+                .filter_map(|y| {
+                    let mut enc = sha256(&[y]);
+                    enc[31] &= 0x7f;
+                    EdwardsPoint::decompress(&enc)
+                })
+                .take(4),
+        );
+        points
+    }
+
+    /// The comb against the double-and-add oracle on the raw bytes of
+    /// each edge scalar, through the table `PreparedVerifyingKey::verify`
+    /// and `verify_batch`'s per-key sums read (`neg_table` of the key).
+    #[test]
+    fn comb_matches_mul_bytes_on_edge_scalars_and_mixed_order_points() {
+        let scalars = comb_edge_scalars();
+        for p in comb_edge_points() {
+            let prepared = PreparedVerifyingKey::new(&VerifyingKey(p.compress())).unwrap();
+            let (table, neg) = (FixedWindowTable::new(&p), p.neg());
+            for s in &scalars {
+                let bytes = s.to_bytes();
+                assert_eq!(table.mul(s).compress(), p.mul_bytes(&bytes).compress());
+                let want = neg.mul_bytes(&bytes).compress();
+                assert_eq!(prepared.neg_table.mul(s).compress(), want);
+            }
+        }
+    }
+
+    /// A key with a small-order component signs: `A = [a]B + T`, `R =
+    /// [r]B`, `s = r + k·a`, so the residue `[s]B − [k]A − R = −[k]T` is
+    /// small-order and the cofactored predicate accepts, unless `s` is
+    /// off by one. The prepared verification and a batch of the key's
+    /// signatures — its per-key sum through the comb — agree with the
+    /// oracle on every torsion component.
+    #[test]
+    fn mixed_order_keys_verify_alike_through_the_comb() {
+        let a = Scalar::from_bytes_mod_order(&sha512(b"mixed key"));
+        for (i, t) in torsion().iter().enumerate() {
+            let key = VerifyingKey(basepoint_table().mul(&a).add(t).compress());
+            let signed: Vec<(Vec<u8>, Signature)> = (0..6u8)
+                .map(|m| {
+                    let msg = vec![m; 9];
+                    let r = Scalar::from_bytes_mod_order(&sha512(&[m, i as u8]));
+                    let r_enc = basepoint_table().mul(&r).compress();
+                    let mut sig = [0u8; 64];
+                    sig[..32].copy_from_slice(&r_enc);
+                    let mut h = Sha512::new();
+                    h.update(&r_enc);
+                    h.update(&key.0);
+                    h.update(&msg);
+                    let k = Scalar::from_bytes_mod_order(&h.finalize());
+                    let s = if m == 5 {
+                        k.muladd(&a, &r).add(&Scalar::ONE)
+                    } else {
+                        k.muladd(&a, &r)
+                    };
+                    sig[32..].copy_from_slice(&s.to_bytes());
+                    (msg, Signature(sig))
+                })
+                .collect();
+            let prepared = PreparedVerifyingKey::new(&key).unwrap();
+            for (m, (msg, sig)) in signed.iter().enumerate() {
+                let expect = key.verify_naive(msg, sig);
+                assert_eq!(expect, m != 5, "[{i}]T, message {m}");
+                assert_eq!(prepared.verify(msg, sig), expect, "[{i}]T, message {m}");
+            }
+            let items: Vec<_> = signed
+                .iter()
+                .map(|(msg, sig)| (&key, msg.as_slice(), sig))
+                .collect();
+            assert!(verify_split(&items[..5], 1), "[{i}]T: five honest");
+            assert!(!verify_split(&items, 1), "[{i}]T: one off by one");
         }
     }
 

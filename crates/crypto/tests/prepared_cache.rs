@@ -6,7 +6,8 @@
 //! otherwise. `verify_batch` always takes tables, one per distinct key
 //! however many cores it splits the batch across.
 //! `verify_without_admission` never builds or inserts: a miss is checked
-//! one-shot, and a hit marks its entry as any hit does.
+//! one-shot, and a hit marks its entry as any hit does. A full cache
+//! holds `CAP` tables of 15 360 bytes each (3.75 MiB).
 //!
 //! The cache is one per process, so this file is its own test binary and
 //! holds exactly one `#[test]`: nothing else may verify a signature
@@ -14,7 +15,7 @@
 
 use sos_crypto::ed25519::{
     clear_prepared_cache, one_shot_verifies, prepared_cache_builds, prepared_cache_len,
-    verify_batch, Signature, SigningKey, VerifyingKey,
+    verify_batch, PreparedVerifyingKey, Signature, SigningKey, VerifyingKey,
 };
 
 /// The cap is private to the crate; it is pinned here so that changing
@@ -99,6 +100,13 @@ fn a_full_cache_admits_newcomers_by_second_chance() {
         assert_eq!(honest(a), 1, "author {i} was never seen before");
         assert_eq!(prepared_cache_len(), i + 1);
     }
+    // What the full cache's tables hold (a table built outside the
+    // cache, so nothing above is counted twice).
+    let builds_before = prepared_cache_builds();
+    let table = PreparedVerifyingKey::new(&authors[0].key).expect("decompresses");
+    assert_eq!(CAP * table.table_bytes(), 3_932_160, "3.75 MiB");
+    assert_eq!(prepared_cache_builds(), builds_before);
+    assert_eq!(prepared_cache_len(), CAP);
 
     // A hit marks the oldest entry; the newcomer is then declined: no
     // table, the length stays CAP, the signature still verifies. The

@@ -24,9 +24,10 @@
 //! [`VerifyingKey::verify_without_admission`]: through the peer's table
 //! when the bundle path has already built one, one-shot otherwise, and
 //! never building a table itself. A peer's key signs once per full
-//! handshake (the pair's next meetings resume from the ticket), so an
-//! 80 KiB table of it would be used once; a first contact between
-//! strangers therefore builds none.
+//! handshake (the pair's next meetings resume from the ticket), so a
+//! table of it (15 KiB, and a build that costs about two one-shot
+//! checks) would be used once; a first contact between strangers
+//! therefore builds none.
 //!
 //! [`VerifyingKey::verify_without_admission`]: sos_crypto::ed25519::VerifyingKey::verify_without_admission
 //!

@@ -145,11 +145,12 @@ fn run() -> Result<(), String> {
     let outcome = result.map_err(|e| e.to_string())?;
 
     println!(
-        "sos-broker: {} posts, {} rounds, {} bundle deliveries, {} journal lines",
+        "sos-broker: {} posts, {} rounds, {} bundle deliveries, {} journal lines ({} dropped)",
         outcome.posts,
         outcome.rounds,
         outcome.delivered.len(),
         outcome.journal.len(),
+        outcome.journal_dropped,
     );
     for (node, stats) in outcome.stats.iter().enumerate() {
         println!(

@@ -258,7 +258,16 @@ impl Fleet for SocketFleet {
             loop {
                 match control.recv()? {
                     Msg::Report(entry) => entries.push(entry),
-                    Msg::ReportDone { frames } => return Ok(Reports { entries, frames }),
+                    Msg::ReportDone {
+                        frames,
+                        journal_dropped,
+                    } => {
+                        return Ok(Reports {
+                            entries,
+                            frames,
+                            journal_dropped,
+                        })
+                    }
                     other => {
                         return Err(InVivoError::Protocol(format!(
                             "expected Report, got {other:?}"

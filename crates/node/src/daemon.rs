@@ -23,6 +23,7 @@
 use crate::host::{Flushed, Host, WireFrame};
 use crate::proto::{scheme_from_byte, InVivoError, Msg, MsgStream};
 use crate::provision::{load_trace_bytes, require_population, RunPlan};
+use sos_obs::JournalHandle;
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -120,7 +121,7 @@ fn build_world(assign: Msg) -> Result<World, InVivoError> {
         )));
     }
     Ok(World {
-        host: Host::new(&trace, &plan, proc_index, num_procs),
+        host: Host::new(&trace, &plan, proc_index, num_procs, JournalHandle::new()),
         hosts,
         dials: BTreeMap::new(),
         sent_remote: 0,
@@ -226,6 +227,7 @@ pub fn run_daemon(broker_addr: &str) -> Result<(), InVivoError> {
                 }
                 control.send(&Msg::ReportDone {
                     frames: reports.frames,
+                    journal_dropped: reports.journal_dropped,
                 })?;
             }
             Msg::Shutdown => return Ok(()),

@@ -52,6 +52,9 @@ pub(crate) struct Reports {
     pub(crate) entries: Vec<Report>,
     /// Frames processed across all rounds (dropped ones included).
     pub(crate) frames: u64,
+    /// Journal entries the process's ring dropped before the lines in
+    /// `entries`.
+    pub(crate) journal_dropped: u64,
 }
 
 /// The round engine; see the module documentation.
@@ -75,14 +78,15 @@ impl Host {
     /// Provisions the whole population of `(trace, plan)` — the same CA
     /// everywhere, so certificates issued in one process validate in
     /// every other — and keeps the slice process `proc_index` of
-    /// `num_procs` hosts.
+    /// `num_procs` hosts. The hosted nodes journal into `journal`'s
+    /// ring; what it drops is reported with the lines it keeps.
     pub(crate) fn new(
         trace: &ContactTrace,
         plan: &RunPlan,
         proc_index: usize,
         num_procs: usize,
+        journal: JournalHandle,
     ) -> Host {
-        let journal = JournalHandle::new();
         let nodes = provision_apps(trace, plan)
             .into_iter()
             .enumerate()
@@ -227,7 +231,8 @@ impl Host {
                 });
             }
         }
-        for entry in self.journal.snapshot().entries() {
+        let journal = self.journal.snapshot();
+        for entry in journal.entries() {
             entries.push(Report::Journal {
                 line: entry.to_jsonl(),
             });
@@ -235,6 +240,7 @@ impl Host {
         Reports {
             entries,
             frames: self.frames,
+            journal_dropped: journal.dropped(),
         }
     }
 }
@@ -246,7 +252,7 @@ mod tests {
     use crate::proto::{author_hex, InVivoError};
     use crate::provision::load_trace_bytes;
     use sos_core::routing::SchemeKind;
-    use sos_obs::{GlobalTimeline, Journal, JournalEntry, Provenance};
+    use sos_obs::{GlobalTimeline, Provenance, Rule};
     use sos_sim::SimDuration;
     use std::collections::BTreeSet;
 
@@ -290,20 +296,33 @@ mod tests {
         }
     }
 
+    /// The folded outcome of a run on `k` hosts, each journaling into a
+    /// ring of `ring` entries (`None`: the default ring).
+    fn run_on_rings(
+        trace: &ContactTrace,
+        plan: &RunPlan,
+        k: usize,
+        ring: Option<usize>,
+    ) -> Outcome {
+        let journal = || ring.map_or_else(JournalHandle::new, JournalHandle::with_capacity);
+        let hosts = (0..k).map(|i| Host::new(trace, plan, i, k, journal()));
+        conduct(&mut Shards(hosts.collect()), trace, plan).expect("lockstep run")
+    }
+
     /// The folded outcome of a run on `k` hosts.
     fn run_sharded(trace: &ContactTrace, plan: &RunPlan, k: usize) -> Outcome {
-        let mut shards = Shards((0..k).map(|i| Host::new(trace, plan, i, k)).collect());
-        conduct(&mut shards, trace, plan).expect("lockstep run")
+        run_on_rings(trace, plan, k, None)
+    }
+
+    /// The provenance of an outcome's journal.
+    fn provenance(outcome: &Outcome) -> Provenance {
+        Provenance::build(&GlobalTimeline::merge([&outcome.to_journal()]))
     }
 
     /// An outcome's journal breaks no invariant, and the custody it
     /// records is the delivered set.
     fn assert_sound(outcome: &Outcome, cell: &str) {
-        let mut journal = Journal::with_capacity(outcome.journal.len());
-        for line in &outcome.journal {
-            journal.push(JournalEntry::from_jsonl(line).expect("the fold parsed it"));
-        }
-        let provenance = Provenance::build(&GlobalTimeline::merge([&journal]));
+        let provenance = provenance(outcome);
         assert_eq!(provenance.violations, [], "{cell}");
         let custody: BTreeSet<(u32, String, u64)> = (provenance.paths.iter())
             .flat_map(|(key, path)| {
@@ -367,6 +386,30 @@ mod tests {
                     assert_eq!(sharded, one, "{scheme}, K = {k}");
                 }
             }
+        }
+    }
+
+    /// A ring too small for the run drops entries, and the count reaches
+    /// the outcome on every sharding: its journal reads as incomplete,
+    /// one `complete` violation ahead of whatever the truncation breaks.
+    #[test]
+    fn an_overflowing_journal_ring_reaches_the_outcome() {
+        let plan = RunPlan {
+            total_posts: 12,
+            ad_interval: SimDuration::from_secs(60),
+            ..RunPlan::default()
+        };
+        let whole = run_sharded(&clique(), &plan, 1);
+        assert_eq!(whole.journal_dropped, 0);
+        for k in [1, 2] {
+            let outcome = run_on_rings(&clique(), &plan, k, Some(100));
+            let lines = outcome.journal.len() as u64;
+            assert_eq!(lines, 100 * k as u64, "K = {k}: every ring is full");
+            assert_eq!(outcome.journal_dropped + lines, whole.journal.len() as u64);
+            let violations = provenance(&outcome).violations;
+            let complete = violations.iter().filter(|v| v.rule == Rule::Complete);
+            assert_eq!(complete.count(), 1, "K = {k}");
+            assert_eq!(violations[0].rule, Rule::Complete, "K = {k}");
         }
     }
 }

@@ -36,7 +36,7 @@ use crate::host::Reports;
 use crate::proto::{author_hex, InVivoError, Msg, Report};
 use crate::provision::{post_schedule, schedule, RunPlan, Step};
 use sos_core::middleware::SosStats;
-use sos_obs::JournalEntry;
+use sos_obs::{Journal, JournalEntry};
 use sos_sim::world::ContactPhase;
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
@@ -70,12 +70,35 @@ pub struct Outcome {
     /// the same lines in the same order, and the lines merge into a
     /// timeline whose sessions still open before they close.
     pub journal: Vec<String>,
+    /// Journal entries the processes' rings dropped before the lines in
+    /// `journal`: nonzero means the record is not the whole run.
+    pub journal_dropped: u64,
     /// Posts injected by the schedule.
     pub posts: u64,
     /// Frames processed across all rounds and processes.
     pub frames: u64,
     /// Exchange rounds run across all steps.
     pub rounds: u64,
+}
+
+impl Outcome {
+    /// The journal lines as one [`Journal`], with the entries the rings
+    /// dropped counted, so that [`Provenance::build`] over it reports a
+    /// truncated record as its `complete` violation. A line that does
+    /// not parse (the fold refuses them, so only a line edited since)
+    /// is left out.
+    ///
+    /// [`Provenance::build`]: sos_obs::Provenance::build
+    pub fn to_journal(&self) -> Journal {
+        let entries = self
+            .journal
+            .iter()
+            .filter_map(|l| JournalEntry::from_jsonl(l));
+        let mut journal = Journal::with_capacity(self.journal.len());
+        entries.for_each(|entry| journal.push(entry));
+        journal.count_dropped(self.journal_dropped);
+        journal
+    }
 }
 
 /// Rounds a single step may run before the exchange is declared
@@ -154,7 +177,8 @@ pub(crate) fn conduct<F: Fleet>(
 /// population may report: a node missing, reported twice or unknown is
 /// a protocol violation, not a row of zeros, a silent overwrite or a
 /// stray entry. So is a journal line that does not parse. Journal lines
-/// are ordered stably by their node, keeping each node's own order.
+/// are ordered stably by their node, keeping each node's own order, and
+/// the entries each process's ring dropped are summed.
 pub(crate) fn fold(
     node_count: usize,
     posts: u64,
@@ -165,9 +189,10 @@ pub(crate) fn fold(
     let mut stats: Vec<Option<SosStats>> = vec![None; node_count];
     let mut delivered = BTreeSet::new();
     let mut journal = Vec::new();
-    let mut frames = 0;
+    let (mut frames, mut journal_dropped) = (0, 0);
     for process in reports {
         frames += process.frames;
+        journal_dropped += process.journal_dropped;
         for entry in process.entries {
             match entry {
                 Report::Stats { node, stats: s } => {
@@ -210,6 +235,7 @@ pub(crate) fn fold(
         delivered,
         stats,
         journal: journal.into_iter().map(|(_, line)| line).collect(),
+        journal_dropped,
         posts,
         frames,
         rounds,
@@ -410,7 +436,8 @@ mod tests {
     /// One process's reports: stats for `nodes` (node `i` with
     /// `posts = i + 1`), a stored bundle for each of `holders`, two
     /// journal lines per node, emitted at 5 s then at 3 s and
-    /// interleaved across the nodes, and `frames` processed.
+    /// interleaved across the nodes, and `frames` processed (and as
+    /// many journal entries dropped, so that the sums agree too).
     fn reports(nodes: &[u32], holders: &[u32], frames: u64) -> Reports {
         let stats = nodes.iter().map(|&node| Report::Stats {
             node,
@@ -432,6 +459,7 @@ mod tests {
         Reports {
             entries: stats.chain(delivered).chain(journal).collect(),
             frames,
+            journal_dropped: frames,
         }
     }
 
@@ -454,6 +482,9 @@ mod tests {
         let one_process = fold(2, 3, 4, vec![reports(&[0, 1], &[0, 1, 1], 12)]);
         assert_eq!(one_process.expect("complete reports"), outcome);
         assert_eq!((outcome.posts, outcome.frames, outcome.rounds), (3, 12, 4));
+        assert_eq!(outcome.journal_dropped, 12);
+        assert_eq!(outcome.to_journal().dropped(), 12);
+        assert_eq!(outcome.to_journal().to_jsonl(), by_node.join("\n") + "\n");
 
         let with_line = |line: String| {
             let mut process = reports(&[0, 1], &[], 0);

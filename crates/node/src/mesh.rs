@@ -11,6 +11,7 @@ use crate::host::{Host, Reports};
 use crate::lockstep::{conduct, Fleet, Outcome};
 use crate::proto::{InVivoError, Msg};
 use crate::provision::RunPlan;
+use sos_obs::JournalHandle;
 use sos_trace::ContactTrace;
 
 /// A host of every node is a whole fleet: nothing it emits is remote.
@@ -37,7 +38,8 @@ impl Fleet for Host {
 /// [`InVivoError::Codec`] if a frame the mesh itself produced fails to
 /// decode (a codec bug, not an input condition).
 pub fn run_mesh(trace: &ContactTrace, plan: &RunPlan) -> Result<Outcome, InVivoError> {
-    conduct(&mut Host::new(trace, plan, 0, 1), trace, plan)
+    let mut host = Host::new(trace, plan, 0, 1, JournalHandle::new());
+    conduct(&mut host, trace, plan)
 }
 
 #[cfg(test)]

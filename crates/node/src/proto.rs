@@ -89,6 +89,9 @@ pub enum Msg {
         /// Frames this process processed across all rounds (dropped
         /// ones included).
         frames: u64,
+        /// Journal entries this process's ring dropped: the streamed
+        /// lines are its tail only when nonzero.
+        journal_dropped: u64,
     },
     /// Broker → daemon: exit cleanly.
     Shutdown,
@@ -406,9 +409,13 @@ impl Msg {
                     }
                 }
             }
-            Msg::ReportDone { frames } => {
+            Msg::ReportDone {
+                frames,
+                journal_dropped,
+            } => {
                 out.u8(TAG_REPORT_DONE);
                 out.u64(*frames);
+                out.u64(*journal_dropped);
             }
             Msg::Shutdown => out.u8(TAG_SHUTDOWN),
             Msg::Data {
@@ -509,7 +516,10 @@ impl Msg {
                 },
                 _ => return Err(NetError::BadFrame),
             }),
-            TAG_REPORT_DONE => Msg::ReportDone { frames: r.u64()? },
+            TAG_REPORT_DONE => Msg::ReportDone {
+                frames: r.u64()?,
+                journal_dropped: r.u64()?,
+            },
             TAG_SHUTDOWN => Msg::Shutdown,
             TAG_DATA => Msg::Data {
                 from: r.u32()?,
@@ -582,7 +592,10 @@ mod tests {
                 number: 2,
             }),
             Msg::Report(Report::Journal { line: "{}".into() }),
-            Msg::ReportDone { frames: 41 },
+            Msg::ReportDone {
+                frames: 41,
+                journal_dropped: 3,
+            },
             Msg::Shutdown,
             Msg::Data {
                 from: 1,

@@ -517,6 +517,13 @@ impl Journal {
         self.dropped
     }
 
+    /// Counts `n` more entries as lost before the retained ones: how a
+    /// journal rebuilt from lines another ring retained keeps that
+    /// ring's [`Journal::dropped`].
+    pub fn count_dropped(&mut self, n: u64) {
+        self.dropped += n;
+    }
+
     /// Maximum entries this ring retains before dropping the oldest.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -20,7 +20,7 @@ use sos_core::routing::SchemeKind;
 use sos_node::broker::{Broker, BrokerConfig};
 use sos_node::mesh::run_mesh;
 use sos_node::provision::{load_trace_bytes, RunPlan};
-use sos_obs::{GlobalTimeline, Journal, JournalEntry, Provenance};
+use sos_obs::{GlobalTimeline, Provenance};
 use sos_sim::SimDuration;
 use std::path::PathBuf;
 use std::process::{Child, Command};
@@ -111,12 +111,7 @@ fn main() -> Result<(), String> {
     if vivo != mesh {
         return Err("in-vivo outcome diverged from the in-process mesh".into());
     }
-    let mut journal = Journal::with_capacity(vivo.journal.len());
-    for line in &vivo.journal {
-        let entry = JournalEntry::from_jsonl(line).ok_or(format!("unparseable line {line}"))?;
-        journal.push(entry);
-    }
-    let violations = Provenance::build(&GlobalTimeline::merge([&journal])).violations;
+    let violations = Provenance::build(&GlobalTimeline::merge([&vivo.to_journal()])).violations;
     if let Some(first) = violations.first() {
         let n = violations.len();
         return Err(format!("{n} invariant violation(s), the first: {first}"));

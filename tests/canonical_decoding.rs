@@ -173,6 +173,7 @@ fn msgs(n: u8, blob: &[u8]) -> Vec<Msg> {
         Msg::Report(Report::Journal { line: text() }),
         Msg::ReportDone {
             frames: u64::from(n) * 1_000,
+            journal_dropped: u64::from(n),
         },
         Msg::Shutdown,
         Msg::Data {

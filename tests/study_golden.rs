@@ -56,7 +56,7 @@ use sos::node::mesh::run_mesh;
 use sos::node::proto::author_hex;
 use sos::node::provision::{followers_from_trace, provision_apps};
 use sos::node::Outcome;
-use sos::obs::{GlobalTimeline, Journal, JournalEntry, Provenance};
+use sos::obs::{GlobalTimeline, Journal, Provenance};
 use sos::sim::world::{ContactEvent, ContactPhase};
 use sos::sim::{EncounterSource, SimDuration, SimTime};
 use sos::trace::corpora::{import_bytes, CorpusFormat};
@@ -285,11 +285,7 @@ fn mesh_outcomes_are_pinned() {
                 };
                 let outcome = run_mesh(&trace, &plan).expect("mesh run");
                 assert!(outcome.frames > 0, "{name}, {scheme:?}: an idle run");
-                let mut journal = Journal::with_capacity(outcome.journal.len());
-                for line in &outcome.journal {
-                    journal.push(JournalEntry::from_jsonl(line).expect("the fold parsed it"));
-                }
-                assert_sound(&journal, &outcome.delivered);
+                assert_sound(&outcome.to_journal(), &outcome.delivered);
                 digest = fold_outcome(digest, &outcome);
             }
             digest.hex()

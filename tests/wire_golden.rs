@@ -40,7 +40,7 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     ("msg_tag_11", 24, "0dceb039cd4dcc220a29c346335e4d80aed7be9345405ef32bf0ba4692aa88d2"),
     ("msg_tag_11_kind_0", 102, "7a7cefdaecf595af7bcd85f14e8fe3803cd933897fc46123ef8ed0e9bbb0c4a0"),
     ("msg_tag_11_kind_2", 43, "312c7fdec09fe73ad9b14e91e1f1a7f342793cc2e4ad575c450e7aadfe62893f"),
-    ("msg_tag_12", 9, "6cd22afe245aa5305a7d36c8ebadea6561a2d6c74a8e374f4fdfe93c0baf30e9"),
+    ("msg_tag_12", 17, "d9f0f202efc81743d12fe4727e4ee22d03c816893db6b42baf2a54a5064e0e4d"),
     ("msg_tag_13", 1, "9d1e0e2d9459d06523ad13e28a4093c2316baafe7aec5b25f30eba2e113599c4"),
     ("msg_tag_14", 26, "ea7abc7877892d400455ec3d7d9258fa3e0bcfe83c86022d16459f727a6f14e2"),
     ("encode_wire", 14, "2a842aafef027657652a42bbbd35c48451139834091e03c8133073f7d8f4d9e6"),
@@ -275,7 +275,10 @@ fn the_twelve_control_messages_and_the_stream_framing() {
             author: uid("alice"),
             number: 1,
         }),
-        Msg::ReportDone { frames: 286 },
+        Msg::ReportDone {
+            frames: 286,
+            journal_dropped: 7,
+        },
         Msg::Shutdown,
         Msg::Data {
             from: 1,
