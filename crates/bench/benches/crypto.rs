@@ -46,13 +46,15 @@
 //!   It is a count, so the gate is exact and fires on any machine; the
 //!   projective radix-16 table before the comb read 81 920.
 //!
-//! All eleven invariants are asserted — a run that violates them fails loudly
-//! — and every measurement is written to `BENCH_crypto.json` at the
-//! workspace root so the perf trajectory is tracked across PRs. Set
-//! `SOS_BENCH_SMOKE=1` (as CI does) for a few-iteration smoke run.
+//! All eleven invariants are gates: each is judged where it is measured
+//! and its verdict kept, so one that fails never hides a later one.
+//! After the last group every measurement is written to
+//! `BENCH_crypto.json` at the workspace root (full runs), every verdict
+//! prints, the two counts first, and a run with any failed gate fails.
+//! Set `SOS_BENCH_SMOKE=1` (as CI does) for a few-iteration smoke run.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sos_bench::emit::{window, Suite};
+use sos_bench::emit::{window, Gate, Suite};
 use sos_core::message::{Bundle, SosMessage};
 use sos_core::MessageKind;
 use sos_crypto::aead;
@@ -149,12 +151,8 @@ fn bench_floor(_c: &mut Criterion) {
     measure("point/double", || black_box(&p).double());
 
     let ratio = scalar_mul / fe_mul;
-    SUITE.record("scalar/mul_over_fe_mul", ratio);
+    SUITE.gate("scalar/mul_over_fe_mul", ratio, Gate::AtMost, 8.0);
     println!("scalar product mod l / field product mod p: {ratio:.1} (gate: <= 8)");
-    assert!(
-        ratio <= 8.0,
-        "scalar reduction regressed: a product mod l costs {ratio:.1} field multiplications"
-    );
 }
 
 fn bench_hashes(c: &mut Criterion) {
@@ -186,12 +184,8 @@ fn bench_hashes(c: &mut Criterion) {
         ],
     );
     let ratio = short / long;
-    SUITE.record("sha2/sha512_112B_over_1024B", ratio);
+    SUITE.gate("sha2/sha512_112B_over_1024B", ratio, Gate::AtMost, 0.30);
     println!("sha512 112 B / 1 024 B: {ratio:.2} (gate: <= 0.30)");
-    assert!(
-        ratio <= 0.30,
-        "SHA-2 padding regressed: a 112-byte SHA-512 costs {ratio:.2} of a 1 024-byte one"
-    );
 }
 
 /// Signing and every verification flavour, with the fast-vs-naive
@@ -208,12 +202,13 @@ fn bench_signatures(_c: &mut Criterion) {
     });
     // What each cached author holds: a count, so the gate is exact.
     let table_bytes = prepared.table_bytes();
-    SUITE.record("ed25519/prepared_table_bytes", table_bytes as f64);
-    println!("prepared-key table: {table_bytes} B (gate: <= {PREPARED_TABLE_BYTES})");
-    assert!(
-        table_bytes <= PREPARED_TABLE_BYTES,
-        "a prepared-key table grew to {table_bytes} B"
+    SUITE.gate(
+        "ed25519/prepared_table_bytes",
+        table_bytes as f64,
+        Gate::CountAtMost,
+        PREPARED_TABLE_BYTES as f64,
     );
+    println!("prepared-key table: {table_bytes} B (gate: <= {PREPARED_TABLE_BYTES})");
 
     measure("ed25519/sign_256B", || sk.sign(std::hint::black_box(&msg)));
     // The default path (process-wide prepared cache, warm after the
@@ -243,12 +238,8 @@ fn bench_signatures(_c: &mut Criterion) {
     // the floor went word-level, 5.0 after — the oracle, all doublings,
     // gained 11 %, the windowed path with its scalar recodings 16 %).
     let speedup = naive / fast;
-    SUITE.record("ed25519/verify_speedup", speedup);
+    SUITE.gate("ed25519/verify_speedup", speedup, Gate::AtLeast, 4.0);
     println!("ed25519 verify fast-path speedup: {speedup:.1}x (gate: >= 4x)");
-    assert!(
-        speedup >= 4.0,
-        "verify fast path regressed: only {speedup:.1}x over naive"
-    );
 
     // One author's frame through the random-linear-combination check,
     // recorded per signature so the sizes compare with each other and
@@ -283,24 +274,17 @@ fn bench_signatures(_c: &mut Criterion) {
     batch_per_sig(64);
     let per_sig_forked = batch_per_sig(200);
     let ratio = per_sig_one_thread / fast;
-    SUITE.record("ed25519/batch_39_over_single", ratio);
+    SUITE.gate("ed25519/batch_39_over_single", ratio, Gate::AtMost, 0.8);
     println!("ed25519 batch-39 per signature / warm single: {ratio:.2} (gate: <= 0.8)");
-    assert!(
-        ratio <= 0.8,
-        "batch verification regressed: {ratio:.2} of a warm single verify per signature"
-    );
 
     let fork = per_sig_forked / per_sig_one_thread;
-    SUITE.record("ed25519/batch_200_over_39", fork);
     if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
+        SUITE.record("ed25519/batch_200_over_39", fork);
         println!("ed25519 batch-200 / batch-39 per signature: {fork:.2} (gate: skipped: 1 core)");
         return;
     }
+    SUITE.gate("ed25519/batch_200_over_39", fork, Gate::AtMost, 0.75);
     println!("ed25519 batch-200 / batch-39 per signature: {fork:.2} (gate: <= 0.75)");
-    assert!(
-        fork <= 0.75,
-        "a batch split across cores costs {fork:.2} of a one-thread batch per signature"
-    );
 }
 
 fn bench_agreement(_c: &mut Criterion) {
@@ -325,12 +309,13 @@ fn bench_agreement(_c: &mut Criterion) {
         ],
     );
     let ratio = basepoint / agree;
-    SUITE.record("ed25519/basepoint_mul_over_agree", ratio);
-    println!("ed25519 fixed-base [s]B / ladder agreement: {ratio:.2} (gate: <= 0.16)");
-    assert!(
-        ratio <= 0.16,
-        "fixed-base multiplication regressed: {ratio:.2} of a ladder multiplication"
+    SUITE.gate(
+        "ed25519/basepoint_mul_over_agree",
+        ratio,
+        Gate::AtMost,
+        0.16,
     );
+    println!("ed25519 fixed-base [s]B / ladder agreement: {ratio:.2} (gate: <= 0.16)");
     // Both ephemeral keys of every handshake and every provisioned
     // identity: fixed base, so no ladder.
     // (A hashed secret: a repeated-byte one has patterned digits, at
@@ -340,12 +325,8 @@ fn bench_agreement(_c: &mut Criterion) {
         AgreementKey::from_secret(std::hint::black_box(secret))
     });
     let ratio = keygen / agree;
-    SUITE.record("x25519/keygen_over_agree", ratio);
+    SUITE.gate("x25519/keygen_over_agree", ratio, Gate::AtMost, 0.6);
     println!("x25519 fixed-base keygen / ladder agreement: {ratio:.2} (gate: <= 0.6)");
-    assert!(
-        ratio <= 0.6,
-        "fixed-base key generation regressed: {ratio:.2} of a ladder multiplication"
-    );
 }
 
 fn identity(ca: &mut CertificateAuthority, seed: u8, name: &str) -> DeviceIdentity {
@@ -400,12 +381,8 @@ fn bench_handshake(_c: &mut Criterion) {
         handshake(&alice, &bob, Some(&tickets))
     });
     let ratio = resumed / full;
-    SUITE.record("handshake/resumed_over_full_warm", ratio);
+    SUITE.gate("handshake/resumed_over_full_warm", ratio, Gate::AtMost, 0.2);
     println!("resumed handshake / full warm handshake: {ratio:.2} (gate: <= 0.2)");
-    assert!(
-        ratio <= 0.2,
-        "a resumed handshake costs {ratio:.2} of a full one: resumption no longer pays"
-    );
     // Cold: strangers on both sides and empty caches — each validator
     // proves the peer's certificate, the CA's table is built (the one
     // table a handshake builds), and each peer's signature is checked
@@ -448,12 +425,13 @@ fn bench_handshake(_c: &mut Criterion) {
     );
     SUITE.record("handshake/first_contact", mean);
     let builds = (ed25519::prepared_cache_builds() - builds) as f64 / contacts;
-    SUITE.record("handshake/first_contact_builds", builds);
-    println!("prepared-key tables built per first contact: {builds:.2} (gate: == 0)");
-    assert!(
-        builds == 0.0,
-        "a first contact builds {builds:.2} key tables: the handshake admits its peers"
+    SUITE.gate(
+        "handshake/first_contact_builds",
+        builds,
+        Gate::CountAtMost,
+        0.0,
     );
+    println!("prepared-key tables built per first contact: {builds:.2} (gate: == 0)");
 }
 
 fn bench_aead(c: &mut Criterion) {
@@ -626,21 +604,18 @@ fn bench_encounter(_c: &mut Criterion) {
 
     let warm_speedup = naive / warm;
     let cold_speedup = naive / cold;
-    SUITE.record("encounter/warm_speedup", warm_speedup);
+    SUITE.gate("encounter/warm_speedup", warm_speedup, Gate::AtLeast, 3.0);
     SUITE.record("encounter/cold_speedup", cold_speedup);
     println!(
         "encounter speedup: {cold_speedup:.1}x cold, {warm_speedup:.1}x warm (gate: >= 3x warm)"
     );
-    assert!(
-        warm_speedup >= 3.0,
-        "warm encounter fast path regressed: only {warm_speedup:.1}x over naive"
-    );
 }
 
 /// Writes every recorded measurement to `BENCH_crypto.json` at the
-/// workspace root via the shared emitter (skipped in smoke mode).
+/// workspace root via the shared emitter (skipped in smoke mode), then
+/// prints every gate's verdict and fails the run if any gate failed.
 fn emit_json(_c: &mut Criterion) {
-    SUITE.write_json("ns_mean");
+    SUITE.finish("ns_mean");
 }
 
 criterion_group!(

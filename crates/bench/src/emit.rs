@@ -72,11 +72,25 @@ pub fn pretty_ns(mean: f64) -> String {
     }
 }
 
+/// How a gate holds its value to its bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Gate {
+    /// A timing ratio that must not rise above the bound.
+    AtMost,
+    /// A timing ratio that must not fall below the bound.
+    AtLeast,
+    /// A count that must not rise above the bound: exact on any
+    /// machine, so its verdict prints first.
+    CountAtMost,
+}
+
 /// One bench target's named measurements, flushed to
-/// `BENCH_<suite>.json` at the end of the run.
+/// `BENCH_<suite>.json` at the end of the run, and its gates' verdicts.
 pub struct Suite {
     suite: &'static str,
     results: Mutex<Vec<(String, f64)>>,
+    /// `(name, value, gate, bound)` per gate, in the order judged.
+    gates: Mutex<Vec<(String, f64, Gate, f64)>>,
 }
 
 impl Suite {
@@ -85,7 +99,39 @@ impl Suite {
         Suite {
             suite,
             results: Mutex::new(Vec::new()),
+            gates: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Records `value` under `name` as a gate held to `bound` the way
+    /// `gate` says. [`Suite::finish`] gives the verdict, so a gate that
+    /// fails leaves every later one judged.
+    pub fn gate(&self, name: &str, value: f64, gate: Gate, bound: f64) {
+        self.record(name, value);
+        let entry = (name.to_string(), value, gate, bound);
+        self.gates.lock().unwrap().push(entry);
+    }
+
+    /// Ends the run: writes the JSON as [`Suite::write_json`] does, then
+    /// prints every gate's verdict, the counts first, and panics, failing
+    /// the run, if any gate failed.
+    pub fn finish(&self, unit: &str) {
+        self.write_json(unit);
+        let mut gates = self.gates.lock().unwrap().clone();
+        gates.sort_by_key(|&(_, _, gate, _)| gate != Gate::CountAtMost);
+        println!("gates ({}):", gates.len());
+        let failed: Vec<String> = (gates.into_iter())
+            .filter_map(|(name, value, gate, bound)| {
+                let (op, pass) = match gate {
+                    Gate::AtLeast => (">=", value >= bound),
+                    Gate::AtMost | Gate::CountAtMost => ("<=", value <= bound),
+                };
+                let verdict = if pass { "pass" } else { "FAIL" };
+                println!("  {name:<40} {value:>12.4} {op} {bound:<10} {verdict}");
+                (!pass).then_some(name)
+            })
+            .collect();
+        assert!(failed.is_empty(), "gates failed: {}", failed.join(", "));
     }
 
     /// Times `f` (≥ 5 iterations), prints the standard line, records

@@ -17,6 +17,7 @@
 
 use crate::driver::StudyRun;
 use crate::scenario::{field_study_world, FieldStudyConfig};
+use sos_node::host::delivered;
 use sos_node::proto::author_hex;
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
@@ -37,14 +38,10 @@ pub fn record_field_study_trace(config: &FieldStudyConfig) -> ContactTrace {
 /// lockstep plane's `Outcome::delivered`, and the ground truth that
 /// replay determinism is asserted on.
 pub fn delivered_set(run: &StudyRun) -> BTreeSet<(u32, String, u64)> {
-    let mut set = BTreeSet::new();
-    for (node, app) in (0u32..).zip(&run.apps) {
-        for bundle in app.middleware().store().iter() {
-            let id = bundle.message.id;
-            set.insert((node, author_hex(id.author.as_bytes()), id.number));
-        }
-    }
-    set
+    let stores = (0u32..).zip(&run.apps).flat_map(|(node, app)| {
+        delivered(app).map(move |(author, number)| (node, author_hex(author.as_bytes()), number))
+    });
+    stores.collect()
 }
 
 #[cfg(test)]

@@ -71,13 +71,14 @@ impl Config {
                 // reports (stats / delivered / journal) that
                 // cross-process comparisons check for equality.
                 "/proto.rs",
-                // The lockstep round engine: its `(to, from, seq)`
-                // processing order is the cross-process determinism
-                // contract, so no hash order may reach it.
+                // The round engine: it holds the hosted runtimes by
+                // node and encodes the frames bound for other
+                // processes, so no hash order may reach it.
                 "/host.rs",
-                // The air: its (arrival, send order) pop order is the
-                // simulation driver's determinism contract, so no hash
-                // order may reach it.
+                // The air: its one round order, `(to, from, send
+                // number)`, is the determinism contract of the driver
+                // and of every lockstep sharding, so no hash order may
+                // reach it.
                 "/air.rs",
                 // The metropolis generator and evaluator: METRO-REPORT
                 // is byte-compared across shard counts.

@@ -1,5 +1,6 @@
 //! The air: the one medium every harness moves frames through — the
-//! simulation driver, the two-node encounter helper and the unit-test
+//! round engine `sos_node::host::Host` behind the simulation driver and
+//! the lockstep plane, the two-node encounter helper and the unit-test
 //! pumps alike.
 //!
 //! Multipeer Connectivity gave the paper's phones a reliable, in-order
@@ -13,14 +14,15 @@
 //! instant air ([`Air::instant`]) links every pair with no latency, no
 //! loss and no draw.
 //!
-//! Frames land in rounds: every frame due at one instant is a round,
-//! delivered in `(to, from, send number)` order, and replies that land
-//! at that same instant — only an instant air's do — form the next
-//! round. An instant air is therefore a lockstep round, the
-//! `(to, from, seq)` order of `sos_node`'s `Host`, which is what lets
-//! the simulation driver compute the lockstep mesh's run. That order is
-//! the driver's determinism contract, so no hash order may reach this
-//! file.
+//! Frames land in rounds ([`Air::round`]): every frame due at one
+//! instant is a round, delivered in `(to, from, send number)` order, and
+//! replies that land at that same instant — only an instant air's do —
+//! form the next round. This is the one round order in the workspace: a
+//! `Host` lands every frame through it, in a study and in a lockstep run
+//! alike, and a frame from another process takes its place in it by its
+//! sender's number ([`Air::land`]). Any sharding of a lockstep run, and
+//! the study on an instant air, compute one run because of it, so no
+//! hash order may reach this file.
 
 use crate::{Frame, PeerId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -128,7 +130,6 @@ impl Air {
             if bearer.is_none() && self.medium != Medium::Instant {
                 continue; // no open contact, or none in reach
             }
-            self.totals.0 += 1;
             if let Some(h) = &self.frame_bytes {
                 h.record(frame.wire_size() as u64);
             }
@@ -138,27 +139,71 @@ impl Air {
                 let stream =
                     (self.loss.entry((src, dst))).or_insert_with(|| StdRng::seed_from_u64(seed));
                 if stream.gen_bool(tech.loss_probability()) {
+                    self.totals.0 += 1;
                     self.totals.1 += 1;
                     continue;
                 }
                 arrival += crate::link::delay(tech, frame.wire_size());
             }
             // In order per directed link (see `order`): never before the
-            // frame sent ahead; equal times land by send number.
-            let number = self.totals.0;
+            // frame sent ahead; equal times land by send number, its place
+            // among the frames carried.
+            let number = self.totals.0 + 1;
             let slot = self.order.entry((src, dst)).or_insert((arrival, number));
             *slot = (slot.0.max(arrival), number);
-            self.queue
-                .schedule(slot.0, (src, dst, frame, number))
-                // sos-lint: allow(no-panic) reason="frames leave at or after the instant being processed, never behind the last delivery (see # Panics)"
-                .expect("frames are never sent into the past");
+            let at = slot.0;
+            self.land(at, src, dst, frame, number);
         }
     }
 
-    /// Delivers every frame due before `until`, a round at a time (see
-    /// the module documentation): `deliver(at, src, dst, frame)` hands
-    /// one over and returns `dst`'s replies, which go back on the air
-    /// from `dst` at `at`. Returns the frames delivered.
+    /// Queues a frame sent from `src` to `dst` as frame `number` to land
+    /// at `at`, counted as carried and never drawn for. [`Air::send`]
+    /// lands what it carries through here, numbered in send order; a
+    /// frame from another process lands with its sender's number. A
+    /// round orders a pair's frames by their numbers, so they land in the
+    /// order they were sent, whatever order they came in.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is before the last frame this air delivered.
+    pub fn land(&mut self, at: SimTime, src: PeerId, dst: PeerId, frame: Frame, number: u64) {
+        self.totals.0 += 1;
+        self.queue
+            .schedule(at, (src, dst, frame, number))
+            // sos-lint: allow(no-panic) reason="frames leave at or after the instant being processed, never behind the last delivery (see # Panics)"
+            .expect("frames are never sent into the past");
+    }
+
+    /// Lands one round: every frame due at the earliest instant before
+    /// `until`, in `(to, from, send number)` order (see the module
+    /// documentation). `deliver(at, src, dst, frame)` hands one over and
+    /// returns `dst`'s replies, which go back on the air from `dst` at
+    /// `at`. Returns the frames landed: 0 when none is due.
+    pub fn round<F>(&mut self, until: SimTime, deliver: &mut F) -> u64
+    where
+        F: FnMut(SimTime, PeerId, PeerId, Frame) -> Vec<(PeerId, Frame)>,
+    {
+        let Some((at, first)) = self.queue.pop_before(until) else {
+            return 0;
+        };
+        // Time counts whole milliseconds: the instant ends before `next`.
+        let next = at + SimDuration::from_millis(1);
+        let rest = std::iter::from_fn(|| self.queue.pop_before(next).map(|(_, f)| f));
+        let mut round: Vec<_> = std::iter::once(first).chain(rest).collect();
+        round.sort_by_key(|&(src, dst, _, number)| (dst, src, number));
+        let landed = round.len() as u64;
+        for (src, dst, frame, number) in round {
+            if self.order.get(&(src, dst)) == Some(&(at, number)) {
+                self.order.remove(&(src, dst)); // the link's last frame
+            }
+            let replies = deliver(at, src, dst, frame);
+            self.send(at, dst, replies);
+        }
+        landed
+    }
+
+    /// Lands every frame due before `until`, one [`Air::round`] after
+    /// another. Returns the frames delivered.
     ///
     /// # Panics
     ///
@@ -168,21 +213,9 @@ impl Air {
         F: FnMut(SimTime, PeerId, PeerId, Frame) -> Vec<(PeerId, Frame)>,
     {
         let mut delivered = 0;
-        while let Some((at, first)) = self.queue.pop_before(until) {
-            // Time counts whole milliseconds: the instant ends before `next`.
-            let next = at + SimDuration::from_millis(1);
-            let rest = std::iter::from_fn(|| self.queue.pop_before(next).map(|(_, f)| f));
-            let mut round: Vec<_> = std::iter::once(first).chain(rest).collect();
-            round.sort_by_key(|&(src, dst, _, number)| (dst, src, number));
-            for (src, dst, frame, number) in round {
-                if self.order.get(&(src, dst)) == Some(&(at, number)) {
-                    self.order.remove(&(src, dst)); // the link's last frame
-                }
-                delivered += 1;
-                assert!(delivered <= STORM, "frame storm: {delivered} frames");
-                let replies = deliver(at, src, dst, frame);
-                self.send(at, dst, replies);
-            }
+        while let landed @ 1.. = self.round(until, &mut deliver) {
+            delivered += landed;
+            assert!(delivered <= STORM, "frame storm: {delivered} frames");
         }
         delivered
     }
@@ -363,6 +396,23 @@ mod tests {
             }
         });
         assert_eq!(order, [3, 1, 2, 4]);
+        // One round at a time, and a frame from another process takes its
+        // place among its pair's frames by its sender's number, whatever
+        // order it came in.
+        air.land(SimTime::ZERO, C, B, data(6, 1), 9);
+        air.land(SimTime::ZERO, C, B, data(5, 1), 8);
+        air.send(SimTime::ZERO, A, [(B, data(7, 1))]);
+        let mut order = Vec::new();
+        let mut note = |_, _, _, frame| {
+            if let Frame::Data { seq, .. } = frame {
+                order.push(seq);
+            }
+            Vec::new()
+        };
+        assert_eq!(air.round(SimTime::from_secs(1), &mut note), 3);
+        assert_eq!(air.round(SimTime::from_secs(1), &mut note), 0);
+        assert_eq!(order, [7, 5, 6]);
+        assert_eq!(air.totals(), (59, 0), "landed frames count as carried");
     }
 
     #[test]

@@ -19,7 +19,8 @@
 use crate::host::Reports;
 use crate::lockstep::{conduct, Fleet, Outcome};
 use crate::proto::{scheme_to_byte, InVivoError, Msg, MsgStream};
-use crate::provision::{require_ad_interval, require_population, RunPlan};
+use crate::provision::{require_ad_interval, require_population, RunPlan, Step};
+use sos_sim::SimTime;
 use sos_trace::{codec_text, ContactTrace};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
@@ -195,11 +196,18 @@ struct SocketFleet {
 }
 
 impl Fleet for SocketFleet {
-    fn step(&mut self, msg: &Msg) -> Result<(), InVivoError> {
-        if let Msg::Step { now_ms, .. } = *msg {
-            self.now_ms = now_ms;
-        }
-        broadcast(&mut self.daemons, msg)
+    fn step(&mut self, now: SimTime, step: &Step) -> Result<(), InVivoError> {
+        self.now_ms = now.as_millis();
+        let contact =
+            |&(a, b, up): &(usize, usize, Option<f64>)| (a as u32, b as u32, up.is_some());
+        let post = |&(node, number): &(usize, u64)| (node as u32, number);
+        let msg = Msg::Step {
+            now_ms: self.now_ms,
+            encounters: step.encounters.iter().map(contact).collect(),
+            posts: step.posts.iter().map(post).collect(),
+            wakes: step.wakes.iter().map(|&node| node as u32).collect(),
+        };
+        broadcast(&mut self.daemons, &msg)
     }
 
     fn round(&mut self) -> Result<u64, InVivoError> {

@@ -1,9 +1,9 @@
 //! The `sos-node` daemon: one OS process hosting a slice of the node
-//! population — a `Host` of the nodes `i % num_procs == proc_index` —
-//! exchanging real middleware frames over TCP and obeying the broker's
-//! lockstep conducting. The daemon itself is only sockets: every
-//! control message maps to one `Host` call, and the frames a flush
-//! reports as remote ride the data plane.
+//! population — a [`Host`] of the nodes `i % num_procs == proc_index`
+//! on an instant air — exchanging real middleware frames over TCP and
+//! obeying the broker's lockstep conducting. The daemon itself is only
+//! sockets: every control message maps to one `Host` call, and the
+//! frames the host encodes for other processes ride the data plane.
 //!
 //! Two planes:
 //!
@@ -13,19 +13,21 @@
 //!   frames. A listener thread accepts, per-connection reader threads
 //!   decode and forward onto an `mpsc` channel, and the main loop
 //!   drains that channel **only** at `Collect` — frames that arrive
-//!   mid-round wait for the next barrier, which is what makes a
-//!   socket run reproduce the in-process mesh exactly.
+//!   mid-round wait for the next barrier. Each frame lands on the host's
+//!   air by its `seq`, its sender's emission number, so the order the
+//!   connections deliver frames in never reaches the run: a socket run
+//!   reproduces the in-process mesh exactly.
 //!
 //! No wall clock and no cadence anywhere: virtual time and the nodes
 //! due to advertise arrive in `Step` messages, and hang protection is
 //! socket read timeouts, not `Instant::now`.
 
-use crate::host::{Flushed, Host, WireFrame};
+use crate::host::{Host, WireFrame};
 use crate::proto::{scheme_from_byte, InVivoError, Msg, MsgStream};
-use crate::provision::{load_trace_bytes, require_population, RunPlan};
+use crate::provision::{load_trace_bytes, provision_apps, require_population, RunPlan};
+use sos_net::Air;
 use sos_obs::JournalHandle;
 use std::collections::BTreeMap;
-use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -43,7 +45,7 @@ struct World {
     /// checks it against the process count).
     hosts: Vec<String>,
     /// Cached outbound data connections, by remote process index.
-    dials: BTreeMap<usize, TcpStream>,
+    dials: BTreeMap<usize, MsgStream>,
     /// Cumulative frames sent to *other* processes.
     sent_remote: u64,
     /// Cumulative frames received from *other* processes.
@@ -51,34 +53,32 @@ struct World {
 }
 
 impl World {
-    /// Puts the remote frames of one flush on their data connections.
-    /// Returns the number of frames the flush emitted, local included.
-    fn ship(&mut self, flushed: Flushed) -> Result<u64, InVivoError> {
-        for frame in flushed.remote {
+    /// Puts the frames the host encoded for other processes on their
+    /// data connections.
+    fn ship(&mut self) -> Result<(), InVivoError> {
+        for frame in self.host.take_remote() {
             self.send_data(frame)?;
         }
-        Ok(flushed.emitted)
+        Ok(())
     }
 
     /// Ships one frame to the process hosting its destination, dialing
     /// (and caching) the data connection on first use.
     fn send_data(&mut self, (from, to, seq, frame): WireFrame) -> Result<(), InVivoError> {
-        use std::io::Write;
         let proc = to as usize % self.hosts.len();
         if !self.dials.contains_key(&proc) {
             let stream = TcpStream::connect(self.hosts[proc].as_str())?;
             stream.set_nodelay(true)?;
-            self.dials.insert(proc, stream);
+            self.dials.insert(proc, MsgStream::new(stream));
         }
-        let msg = Msg::Data {
+        let data = Msg::Data {
             from,
             to,
             seq,
             frame,
         };
-        let framed = sos_net::encode_wire(&msg.encode())?;
         if let Some(stream) = self.dials.get_mut(&proc) {
-            stream.write_all(&framed)?;
+            stream.send(&data)?;
         }
         self.sent_remote += 1;
         Ok(())
@@ -120,8 +120,10 @@ fn build_world(assign: Msg) -> Result<World, InVivoError> {
             hosts.len()
         )));
     }
+    let (apps, journal) = (provision_apps(&trace, &plan), JournalHandle::new());
+    let shard = (proc_index, num_procs);
     Ok(World {
-        host: Host::new(&trace, &plan, proc_index, num_procs, JournalHandle::new()),
+        host: Host::new(apps, seed, Air::instant(), shard, Some(&journal)),
         hosts,
         dials: BTreeMap::new(),
         sent_remote: 0,
@@ -141,33 +143,19 @@ fn spawn_data_plane(listener: TcpListener, tx: mpsc::Sender<WireFrame>) {
     });
 }
 
-/// Reads one data connection to EOF, forwarding frames.
-fn read_data_conn(mut stream: TcpStream, tx: &mpsc::Sender<WireFrame>) {
-    let mut reader = sos_net::WireReader::new();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match reader.next_message() {
-            Ok(Some(payload)) => {
-                if let Ok(Msg::Data {
-                    from,
-                    to,
-                    seq,
-                    frame,
-                }) = Msg::decode(&payload)
-                {
-                    if tx.send((from, to, seq, frame)).is_err() {
-                        return;
-                    }
-                }
-                continue;
-            }
-            Ok(None) => {}
-            // A malformed peer poisons only its own connection.
-            Err(_) => return,
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => reader.push_bytes(&chunk[..n]),
+/// Reads one data connection until it closes or breaks, forwarding its
+/// frames: a malformed peer poisons only its own connection.
+fn read_data_conn(stream: TcpStream, tx: &mpsc::Sender<WireFrame>) {
+    let mut stream = MsgStream::new(stream);
+    while let Ok(Msg::Data {
+        from,
+        to,
+        seq,
+        frame,
+    }) = stream.recv()
+    {
+        if tx.send((from, to, seq, frame)).is_err() {
+            return;
         }
     }
 }
@@ -195,15 +183,16 @@ pub fn run_daemon(broker_addr: &str) -> Result<(), InVivoError> {
 
     loop {
         let msg = control.recv()?;
-        if let Some(flushed) = world.host.apply(&msg) {
-            world.ship(flushed)?;
+        if let Some((now, step)) = msg.to_step() {
+            world.host.apply(now, &step, &mut ());
+            world.ship()?;
             continue;
         }
         match msg {
             Msg::Collect => {
                 while let Ok(frame) = rx.try_recv() {
                     let to = frame.1;
-                    if !world.host.accept(frame) {
+                    if !world.host.accept(frame)? {
                         return Err(InVivoError::Protocol(format!(
                             "data frame for node {to}, which this process does not host"
                         )));
@@ -216,8 +205,8 @@ pub fn run_daemon(broker_addr: &str) -> Result<(), InVivoError> {
                 })?;
             }
             Msg::Process => {
-                let flushed = world.host.process_round()?;
-                let emitted = world.ship(flushed)?;
+                let emitted = world.host.round();
+                world.ship()?;
                 control.send(&Msg::ProcessAck { emitted })?;
             }
             Msg::Finish => {

@@ -1,47 +1,49 @@
-//! The per-process round engine of a lockstep run: the runtimes one
-//! process hosts, each node's own seeded randomness, the wire codec at
-//! the edge, and the exchange-round buffer.
+//! The round engine: the one place a run of the SOS middleware is made.
 //!
-//! A [`Host`] that hosts every node *is* the in-process
-//! [`mesh`](crate::mesh); a [`Host`] that hosts the nodes
-//! `i % num_procs == proc_index` plus sockets for the frames
-//! [`Flushed::remote`] names is the TCP [`daemon`](crate::daemon).
-//! Either way a frame is encoded when it leaves a runtime, carries the
-//! next sequence number of its `(from, to)` directed pair, and is
-//! decoded, in `(to, from, seq)` order, when its round is processed.
-//! That order does not depend on which process hosts which node, which
-//! is the whole cross-process determinism contract: any sharding of
-//! the population computes the byte-identical run.
+//! A [`Host`] holds the runtimes of the nodes it hosts, each with its own
+//! session randomness ([`node_seed`] of the run's seed), and one
+//! [`Air`] every frame among them crosses. It applies the steps of the
+//! one [`schedule`](crate::provision::schedule) — each step's contact
+//! transitions, then its posts, then `advertise` on its wakes — and lands
+//! frames in the air's rounds, in the air's one `(to, from, send number)`
+//! order. Three planes are this engine:
 //!
-//! A `Host` knows no schedule and no cadence: it executes the
-//! conductor's steps, each one [`Msg::Step`] naming an instant's
-//! contact transitions, posts and wakes, and applies the share that
-//! names its hosted nodes. A node advertises when a step wakes it and
-//! at no other time.
+//! - the simulation driver (`sos_experiments::driver`): a `Host` of every
+//!   node on a radio or an instant air, settled up to each step, with a
+//!   [`Watch`] that records the paper's metrics;
+//! - the in-process [`mesh`](crate::mesh): a `Host` of every node on an
+//!   instant air, landing one round at a time under the
+//!   [`lockstep`](crate::lockstep) conductor;
+//! - a TCP [`daemon`](crate::daemon): a `Host` of the nodes
+//!   `i % num_procs == proc_index` under the same conductor.
+//!
+//! Hosted frames cross the air as typed values and never meet the codec.
+//! Only a frame to a node another process hosts is encoded. It leaves
+//! with its sender's emission number as its `seq`, and the receiving
+//! host lands it on its air by that number ([`Air::land`]), so a pair's
+//! frames keep their order whatever order the sockets deliver them in.
+//! Any sharding of the population therefore computes the byte-identical
+//! run, which is the whole cross-process determinism contract.
+//!
+//! A host knows no cadence: a node advertises when a step wakes it and
+//! at no other time. Its profile spans keep the names the simulation
+//! driver gave them (`driver/contact`, `driver/post`, `driver/advertise`,
+//! `driver/deliver`), which the perf ledger's layer shares read.
 
-use crate::proto::{Msg, Report};
-use crate::provision::{node_seed, post_text, provision_apps, RunPlan};
+use crate::proto::Report;
+use crate::provision::{node_seed, post_text, Step};
 use crate::runtime::NodeRuntime;
+use alleyoop::app::AlleyOopApp;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sos_net::{Frame, NetError, PeerId};
+use sos_core::middleware::SosEvent;
+use sos_crypto::UserId;
+use sos_net::{Air, Frame, NetError, PeerId};
 use sos_obs::{JournalHandle, NodeObs};
-use sos_sim::SimTime;
-use sos_trace::ContactTrace;
-use std::collections::BTreeMap;
+use sos_sim::{SimDuration, SimTime};
 
-/// One encoded frame in flight: `(from, to, seq, frame bytes)`.
+/// One encoded frame between processes: `(from, to, seq, frame bytes)`.
 pub(crate) type WireFrame = (u32, u32, u64, Vec<u8>);
-
-/// What one drain of the hosted outboxes produced.
-#[derive(Default)]
-pub(crate) struct Flushed {
-    /// Frames emitted, local and remote.
-    pub(crate) emitted: u64,
-    /// The emitted frames addressed to nodes another process hosts; the
-    /// caller owns getting them there before the next round. Frames to
-    /// hosted nodes are already in the round buffer.
-    pub(crate) remote: Vec<WireFrame>,
-}
 
 /// What the hosted nodes hold at the end of a run: the report a daemon
 /// streams home, entry by entry, after `Finish`.
@@ -50,197 +52,258 @@ pub(crate) struct Reports {
     /// stores; after them the hosted nodes' journal lines, in the order
     /// events happened here.
     pub(crate) entries: Vec<Report>,
-    /// Frames processed across all rounds (dropped ones included).
+    /// Frames landed across all rounds (dropped ones included): each is
+    /// counted by the air it lands on.
     pub(crate) frames: u64,
     /// Journal entries the process's ring dropped before the lines in
     /// `entries`.
     pub(crate) journal_dropped: u64,
 }
 
+/// What a caller sees of the run a [`Host`] makes, as the host makes
+/// it. Every hook does nothing by default, and `()` watches nothing.
+pub trait Watch {
+    /// The `a`–`b` contact came up (`up`) or went down at `now`, before
+    /// either end's runtime learns of it.
+    fn contact(&mut self, _now: SimTime, _a: usize, _b: usize, _up: bool) {}
+
+    /// Hosted node `node` has just authored a post at `now`.
+    fn post(&mut self, _now: SimTime, _node: usize) {}
+
+    /// The events hosted node `node` raised handling one landed frame,
+    /// each stamped with the time the frame landed.
+    fn events(&mut self, _node: usize, _events: Vec<(SimTime, SosEvent)>) {}
+}
+
+impl Watch for () {}
+
+/// The bundles `app` stores, as `(author, number)`: what a run delivered
+/// to it, on every plane.
+pub fn delivered(app: &AlleyOopApp) -> impl Iterator<Item = (UserId, u64)> + '_ {
+    let store = app.middleware().store().iter();
+    store.map(|bundle| (bundle.message.id.author, bundle.message.id.number))
+}
+
 /// The round engine; see the module documentation.
-pub(crate) struct Host {
-    /// Hosted runtimes with their session randomness, by node index.
-    nodes: BTreeMap<u32, (NodeRuntime, rand::rngs::StdRng)>,
-    /// Shared journal behind every hosted node's `NodeObs`.
-    journal: JournalHandle,
-    /// Next sequence number per `(from, to)` directed pair.
-    seqs: BTreeMap<(u32, u32), u64>,
-    /// Frames awaiting the next round.
-    buffer: Vec<WireFrame>,
-    /// Frames processed across all rounds (dropped ones included).
-    frames: u64,
-    /// The time of the last step: every frame of its rounds is handled
-    /// at it.
+pub struct Host {
+    /// The medium every hosted frame crosses.
+    air: Air,
+    /// The hosted runtimes, apart from the air so that it can hand them
+    /// each frame it lands.
+    nodes: Hosted,
+    /// The time of the last step: lockstep rounds land at it, and so do
+    /// frames from other processes.
     now: SimTime,
+    /// The ring the hosted nodes journal into, if they do.
+    journal: Option<JournalHandle>,
+}
+
+/// The hosted runtimes and the frames that leave them for other
+/// processes.
+struct Hosted {
+    /// By node: its runtime and session randomness if it is hosted here.
+    runtimes: Vec<Option<(NodeRuntime, StdRng)>>,
+    /// Frames emitted so far, hosted and remote: a remote frame's `seq`
+    /// is its place in this count.
+    emitted: u64,
+    /// Frames to other processes, encoded, awaiting the caller.
+    remote: Vec<WireFrame>,
+}
+
+impl Hosted {
+    /// Node `node`'s runtime and randomness, if it is hosted here.
+    fn get(&mut self, node: usize) -> Option<&mut (NodeRuntime, StdRng)> {
+        self.runtimes.get_mut(node)?.as_mut()
+    }
+
+    /// Counts the frames `from` emitted and encodes those to nodes hosted
+    /// elsewhere into `remote`; returns the rest, for the air.
+    fn route(&mut self, from: u32, mut frames: Vec<(PeerId, Frame)>) -> Vec<(PeerId, Frame)> {
+        let (runtimes, emitted, remote) = (&self.runtimes, &mut self.emitted, &mut self.remote);
+        frames.retain(|(to, frame)| {
+            let hosted = matches!(runtimes.get(to.0 as usize), Some(Some(_)));
+            if !hosted {
+                remote.push((from, to.0, *emitted, frame.encode()));
+            }
+            *emitted += 1;
+            hosted
+        });
+        frames
+    }
+
+    /// Hands a landed frame to its runtime, its events to `watch`, and
+    /// returns the replies that stay on this host's air. The runtime's
+    /// gate drops a frame whose contact closed while it was in flight.
+    fn land(
+        &mut self,
+        at: SimTime,
+        src: PeerId,
+        dst: PeerId,
+        frame: Frame,
+        watch: &mut impl Watch,
+    ) -> Vec<(PeerId, Frame)> {
+        let _span = sos_obs::profile::span("driver/deliver");
+        let node = dst.0 as usize;
+        let Some((rt, rng)) = self.get(node) else {
+            return Vec::new();
+        };
+        let Some(replies) = rt.push_frame(src, frame, at, rng) else {
+            return Vec::new();
+        };
+        watch.events(node, rt.take_events());
+        self.route(dst.0, replies)
+    }
 }
 
 impl Host {
-    /// Provisions the whole population of `(trace, plan)` — the same CA
-    /// everywhere, so certificates issued in one process validate in
-    /// every other — and keeps the slice process `proc_index` of
-    /// `num_procs` hosts. The hosted nodes journal into `journal`'s
-    /// ring; what it drops is reported with the lines it keeps.
-    pub(crate) fn new(
-        trace: &ContactTrace,
-        plan: &RunPlan,
-        proc_index: usize,
-        num_procs: usize,
-        journal: JournalHandle,
+    /// Hosts the nodes `i % num_procs == proc_index` of the population
+    /// `apps` (all of them on `(0, 1)`), node `i` drawing its session
+    /// randomness from `node_seed(seed, i)`; their frames cross `air`.
+    /// With `journal`, the hosted nodes journal into it and the reports
+    /// carry its lines.
+    pub fn new(
+        apps: Vec<AlleyOopApp>,
+        seed: u64,
+        air: Air,
+        (proc_index, num_procs): (usize, usize),
+        journal: Option<&JournalHandle>,
     ) -> Host {
-        let nodes = provision_apps(trace, plan)
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| i % num_procs == proc_index)
+        let runtimes = (apps.into_iter().enumerate())
             .map(|(i, mut app)| {
-                app.middleware_mut()
-                    .attach_obs(NodeObs::new(i as u32, journal.clone()));
-                let rng = rand::rngs::StdRng::seed_from_u64(node_seed(plan.seed, i));
-                (i as u32, (NodeRuntime::new(app), rng))
+                (i % num_procs == proc_index).then(|| {
+                    if let Some(journal) = journal {
+                        let obs = NodeObs::new(i as u32, journal.clone());
+                        app.middleware_mut().attach_obs(obs);
+                    }
+                    let rng = StdRng::seed_from_u64(node_seed(seed, i));
+                    (NodeRuntime::new(app), rng)
+                })
             })
             .collect();
         Host {
-            nodes,
-            journal,
-            seqs: BTreeMap::new(),
-            buffer: Vec::new(),
-            frames: 0,
+            air,
+            nodes: Hosted {
+                runtimes,
+                emitted: 0,
+                remote: Vec::new(),
+            },
             now: SimTime::ZERO,
+            journal: journal.cloned(),
         }
     }
 
-    /// Applies one [`Msg::Step`] to the nodes it names that are hosted
-    /// here, in the step's order: the contact transitions, the posts,
-    /// then `advertise` on the hosted wakes. When the step wakes anyone
-    /// the outboxes drain and their frames are returned; otherwise
-    /// nothing is. The step's time is kept: its rounds run at it.
-    /// `None`, nothing done, for any other message.
-    pub(crate) fn apply(&mut self, msg: &Msg) -> Option<Flushed> {
-        let Msg::Step {
-            now_ms,
-            encounters,
-            posts,
-            wakes,
-        } = msg
-        else {
-            return None;
-        };
-        self.now = SimTime::from_millis(*now_ms);
-        for &(a, b, up) in encounters {
-            for (node, peer) in [(a, b), (b, a)] {
-                if let Some((rt, _)) = self.nodes.get_mut(&node) {
-                    if up {
-                        rt.on_encounter_up(PeerId(peer));
-                    } else {
-                        rt.on_encounter_down(PeerId(peer));
-                    }
+    /// Applies one schedule step at `now` to the hosted nodes it names,
+    /// in the step's order: each contact transition (to `watch`, then
+    /// the air, then both ends' runtimes), each post (authored through
+    /// [`post_text`], then told to `watch`), then each wake, whose node
+    /// advertises and puts its frames on the air.
+    pub fn apply(&mut self, now: SimTime, step: &Step, watch: &mut impl Watch) {
+        self.now = now;
+        for &(a, b, up) in &step.encounters {
+            let _span = sos_obs::profile::span("driver/contact");
+            watch.contact(now, a, b, up.is_some());
+            let (peer_a, peer_b) = (PeerId(a as u32), PeerId(b as u32));
+            self.air.contact(peer_a, peer_b, up);
+            for (node, peer) in [(a, peer_b), (b, peer_a)] {
+                match self.nodes.get(node) {
+                    Some((rt, _)) if up.is_some() => rt.on_encounter_up(peer),
+                    Some((rt, _)) => rt.on_encounter_down(peer),
+                    None => {}
                 }
             }
         }
-        for &(node, number) in posts {
-            if let Some((rt, _)) = self.nodes.get_mut(&node) {
+        for &(node, number) in &step.posts {
+            let _span = sos_obs::profile::span("driver/post");
+            if let Some((rt, _)) = self.nodes.get(node) {
                 let text = post_text(number, rt.app().handle());
-                rt.post(&text, self.now);
+                rt.post(&text, now);
+                watch.post(now, node);
             }
         }
-        if wakes.is_empty() {
-            return Some(Flushed::default());
-        }
-        for node in wakes {
-            if let Some((rt, _)) = self.nodes.get_mut(node) {
-                rt.advertise(self.now);
+        for &node in &step.wakes {
+            let _span = sos_obs::profile::span("driver/advertise");
+            if let Some((rt, _)) = self.nodes.get(node) {
+                let frames = rt.advertise(now);
+                let frames = self.nodes.route(node as u32, frames);
+                self.air.send(now, PeerId(node as u32), frames);
             }
         }
-        Some(self.flush())
     }
 
-    /// Drains every hosted outbox, ascending by node: each frame is
-    /// encoded and numbered; frames to hosted nodes join the round
-    /// buffer, the rest are handed back.
-    fn flush(&mut self) -> Flushed {
-        let mut flushed = Flushed::default();
-        let out: Vec<(u32, PeerId, Frame)> = self
-            .nodes
-            .iter_mut()
-            .flat_map(|(&from, (rt, _))| {
-                let frames = rt.poll_frames().into_iter();
-                frames.map(move |(to, frame)| (from, to, frame))
-            })
-            .collect();
-        for (from, PeerId(to), frame) in out {
-            let seq = self.seqs.entry((from, to)).or_insert(0);
-            let wire = (from, to, *seq, frame.encode());
-            *seq += 1;
-            flushed.emitted += 1;
-            if self.nodes.contains_key(&to) {
-                self.buffer.push(wire);
-            } else {
-                flushed.remote.push(wire);
-            }
-        }
-        flushed
+    /// Lands every frame due before `until`, round after round
+    /// ([`Air::settle`]); a step runs after the frames due before it and
+    /// before those due at its instant.
+    pub fn settle(&mut self, until: SimTime, watch: &mut impl Watch) {
+        let land = |at, src, dst, frame| self.nodes.land(at, src, dst, frame, watch);
+        self.air.settle(until, land);
+    }
+
+    /// Lands one round at the last step's time ([`Air::round`]) and
+    /// returns the frames that round emitted, to this air and to other
+    /// processes: none means the step is quiescent here.
+    pub(crate) fn round(&mut self) -> u64 {
+        let (emitted, until) = (self.nodes.emitted, self.now + SimDuration::from_millis(1));
+        let mut land = |at, src, dst, frame| self.nodes.land(at, src, dst, frame, &mut ());
+        self.air.round(until, &mut land);
+        self.nodes.emitted - emitted
     }
 
     /// Queues a frame that arrived from another process for the next
-    /// round. Returns `false`, queueing nothing, if its destination is
-    /// not hosted here.
-    pub(crate) fn accept(&mut self, frame: WireFrame) -> bool {
-        let hosted = self.nodes.contains_key(&frame.1);
-        if hosted {
-            self.buffer.push(frame);
-        }
-        hosted
-    }
-
-    /// Runs one exchange round at the last step's time: the buffered
-    /// frames are decoded and fed to their runtimes in `(to, from, seq)`
-    /// order, then the replies are drained. A frame whose contact closed
-    /// while it was in flight is dropped, exactly as the simulation drops
-    /// it.
+    /// round, in its pair's order by its `seq`. Returns `false`, queueing
+    /// nothing, if its destination is not hosted here.
     ///
     /// # Errors
     ///
-    /// The codec's error if a frame does not decode — a bug in the
-    /// sending process, not an input condition.
-    pub(crate) fn process_round(&mut self) -> Result<Flushed, NetError> {
-        self.buffer
-            .sort_by_key(|&(from, to, seq, _)| (to, from, seq));
-        let round = std::mem::take(&mut self.buffer);
-        self.frames += round.len() as u64;
-        for (from, to, _seq, bytes) in round {
-            let frame = Frame::decode(&bytes)?;
-            if let Some((rt, rng)) = self.nodes.get_mut(&to) {
-                rt.push_frame(PeerId(from), frame, self.now, rng);
-            }
+    /// The codec's error if the frame does not decode.
+    pub(crate) fn accept(&mut self, (from, to, seq, bytes): WireFrame) -> Result<bool, NetError> {
+        if self.nodes.get(to as usize).is_none() {
+            return Ok(false);
         }
-        Ok(self.flush())
+        let frame = Frame::decode(&bytes)?;
+        (self.air).land(self.now, PeerId(from), PeerId(to), frame, seq);
+        Ok(true)
+    }
+
+    /// The frames to other processes emitted since the last call; the
+    /// caller owns getting them there before the next round.
+    pub(crate) fn take_remote(&mut self) -> Vec<WireFrame> {
+        std::mem::take(&mut self.nodes.remote)
+    }
+
+    /// Frames this host's air carried, and how many of them it lost.
+    pub fn totals(&self) -> (u64, u64) {
+        self.air.totals()
+    }
+
+    /// The hosted apps, ascending by node.
+    pub fn into_apps(self) -> Vec<AlleyOopApp> {
+        let runtimes = self.nodes.runtimes.into_iter().flatten();
+        runtimes.map(|(rt, _)| rt.into_app()).collect()
     }
 
     /// The end-of-run reports of the hosted nodes.
-    pub(crate) fn reports(&mut self) -> Reports {
+    pub(crate) fn reports(&self) -> Reports {
         let mut entries = Vec::new();
-        for (&node, (rt, _)) in &mut self.nodes {
-            rt.take_events();
-            let stats = rt.stats();
+        for (node, hosted) in (0u32..).zip(&self.nodes.runtimes) {
+            let Some((rt, _)) = hosted else { continue };
+            let stats = rt.app().middleware().stats();
             entries.push(Report::Stats { node, stats });
-            for bundle in rt.app().middleware().store().iter() {
-                let id = &bundle.message.id;
-                entries.push(Report::Delivered {
-                    node,
-                    author: id.author,
-                    number: id.number,
-                });
-            }
+            let stored = delivered(rt.app());
+            entries.extend(stored.map(|(author, number)| Report::Delivered {
+                node,
+                author,
+                number,
+            }));
         }
-        let journal = self.journal.snapshot();
-        for entry in journal.entries() {
-            entries.push(Report::Journal {
-                line: entry.to_jsonl(),
-            });
-        }
+        let journal = self.journal.as_ref().map(JournalHandle::snapshot);
+        let lines = journal.iter().flat_map(|j| j.entries());
+        entries.extend(lines.map(|entry| Report::Journal {
+            line: entry.to_jsonl(),
+        }));
         Reports {
             entries,
-            frames: self.frames,
-            journal_dropped: journal.dropped(),
+            frames: self.air.totals().0,
+            journal_dropped: journal.map_or(0, |j| j.dropped()),
         }
     }
 }
@@ -250,49 +313,45 @@ mod tests {
     use super::*;
     use crate::lockstep::{conduct, Fleet, Outcome};
     use crate::proto::{author_hex, InVivoError};
-    use crate::provision::load_trace_bytes;
+    use crate::provision::{load_trace_bytes, provision_apps, RunPlan};
     use sos_core::routing::SchemeKind;
     use sos_obs::{GlobalTimeline, Provenance, Rule};
-    use sos_sim::SimDuration;
+    use sos_trace::ContactTrace;
     use std::collections::BTreeSet;
 
     /// K hosts in one address space — the conductor's seam with plain
-    /// queues where the daemons have sockets. Frames a host reports as
-    /// remote reach their host's round buffer only after every host has
-    /// finished the step that emitted them, which is what the broker's
-    /// collect barrier guarantees.
+    /// queues where the daemons have sockets. Frames a host emits for
+    /// another reach it only after every host has finished the step or
+    /// round that emitted them, which is what the broker's collect
+    /// barrier guarantees, and in reverse order: a pair's order must
+    /// come from the frames' `seq`, not from the order they arrive in.
     struct Shards(Vec<Host>);
 
     impl Shards {
-        fn deliver(&mut self, flushed: Vec<Flushed>) -> u64 {
-            let mut emitted = 0;
-            for f in flushed {
-                emitted += f.emitted;
-                for frame in f.remote {
-                    let proc = frame.1 as usize % self.0.len();
-                    assert!(self.0[proc].accept(frame), "misrouted frame");
-                }
+        fn deliver(&mut self) -> Result<(), InVivoError> {
+            let remote: Vec<WireFrame> = self.0.iter_mut().flat_map(Host::take_remote).collect();
+            for frame in remote.into_iter().rev() {
+                let proc = frame.1 as usize % self.0.len();
+                assert!(self.0[proc].accept(frame)?, "misrouted frame");
             }
-            emitted
+            Ok(())
         }
     }
 
     impl Fleet for Shards {
-        fn step(&mut self, msg: &Msg) -> Result<(), InVivoError> {
-            let flushed = self.0.iter_mut().filter_map(|h| h.apply(msg)).collect();
-            self.deliver(flushed);
-            Ok(())
+        fn step(&mut self, now: SimTime, step: &Step) -> Result<(), InVivoError> {
+            self.0.iter_mut().for_each(|h| h.apply(now, step, &mut ()));
+            self.deliver()
         }
 
         fn round(&mut self) -> Result<u64, InVivoError> {
-            let flushed = (self.0.iter_mut())
-                .map(Host::process_round)
-                .collect::<Result<_, _>>()?;
-            Ok(self.deliver(flushed))
+            let emitted = self.0.iter_mut().map(Host::round).sum();
+            self.deliver()?;
+            Ok(emitted)
         }
 
         fn finish(&mut self) -> Result<Vec<Reports>, InVivoError> {
-            Ok(self.0.iter_mut().map(Host::reports).collect())
+            Ok(self.0.iter().map(Host::reports).collect())
         }
     }
 
@@ -304,8 +363,11 @@ mod tests {
         k: usize,
         ring: Option<usize>,
     ) -> Outcome {
-        let journal = || ring.map_or_else(JournalHandle::new, JournalHandle::with_capacity);
-        let hosts = (0..k).map(|i| Host::new(trace, plan, i, k, journal()));
+        let hosts = (0..k).map(|i| {
+            let journal = ring.map_or_else(JournalHandle::new, JournalHandle::with_capacity);
+            let apps = provision_apps(trace, plan);
+            Host::new(apps, plan.seed, Air::instant(), (i, k), Some(&journal))
+        });
         conduct(&mut Shards(hosts.collect()), trace, plan).expect("lockstep run")
     }
 
@@ -335,7 +397,7 @@ mod tests {
 
     /// Seven nodes, every pair in contact at once: each advertiser is
     /// answered by six peers in the same round, so the order frames
-    /// reach one runtime — the thing the `(to, from, seq)` sort fixes —
+    /// reach one runtime — the thing the air's round order fixes —
     /// shows in that node's journal. (`haggle_mini` never overlaps two
     /// contacts of one node, so on it alone any order passes: the test
     /// was run with the sort removed to find that out.)

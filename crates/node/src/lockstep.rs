@@ -9,11 +9,12 @@
 //! instant's encounter transitions, post injections and advertisement
 //! wakes — and after each step that wakes anyone drives frame exchange
 //! in barrier-synchronized **rounds**: everything sent in round *r* is
-//! delivered, sorted, and processed before round *r+1* begins. Frames
-//! are processed in `(to, from, seq)` order, which is invariant to how
-//! nodes are sharded across processes — so a 2-process TCP run, a
-//! 16-process run, and the in-process [`mesh`](crate::mesh) all
-//! produce the byte-identical outcome.
+//! delivered and processed before round *r+1* begins. Every host lands
+//! a round in its air's one `(to, from, send number)` order, a frame
+//! from another process placed by its sender's number, and that order
+//! is invariant to how nodes are sharded across processes — so a
+//! 2-process TCP run, a 16-process run, and the in-process
+//! [`mesh`](crate::mesh) all produce the byte-identical outcome.
 //!
 //! The steps are the one [`schedule`] the simulation driver walks
 //! too, and the only place that decides who advertises when.
@@ -25,19 +26,21 @@
 //! doc).
 //!
 //! The walk over that schedule is written once, `conduct`, against
-//! the crate-private `Fleet` seam: the in-process `Host` and the
-//! broker's socket fleet are its two transports, and each step reaches
-//! them whole, wakes included, as the control codec's own
-//! [`Msg::Step`]. The result path is written once too: every process's
-//! end-of-run reports go through one fold into the one [`Outcome`]
-//! both transports return.
+//! the crate-private `Fleet` seam: the mesh's one [`Host`] and the
+//! broker's socket fleet are its two transports. The mesh applies each
+//! step as it is; the socket fleet sends it whole, wakes included, as
+//! one [`Msg::Step`](crate::proto::Msg::Step), which each daemon turns
+//! back into the step. The result path is written once too: every
+//! process's end-of-run reports go through one fold into the one
+//! [`Outcome`] both transports return.
+//!
+//! [`Host`]: crate::host::Host
 
 use crate::host::Reports;
-use crate::proto::{author_hex, InVivoError, Msg, Report};
+use crate::proto::{author_hex, InVivoError, Report};
 use crate::provision::{post_schedule, schedule, RunPlan, Step};
 use sos_core::middleware::SosStats;
 use sos_obs::{Journal, JournalEntry};
-use sos_sim::world::ContactPhase;
 use sos_sim::SimTime;
 use sos_trace::ContactTrace;
 use std::collections::BTreeSet;
@@ -108,14 +111,14 @@ impl Outcome {
 pub(crate) const MAX_ROUNDS_PER_STEP: u64 = 10_000;
 
 /// The whole node population as the conductor sees it: something that
-/// hands a schedule step to every process, runs one
-/// barrier-synchronized exchange round at a time, and at the end hands
-/// back what every process holds.
+/// applies a schedule step wherever the nodes it names are hosted, runs
+/// one barrier-synchronized exchange round at a time, and at the end
+/// hands back what every process holds.
 pub(crate) trait Fleet {
-    /// Applies one [`Msg::Step`] wherever the nodes it names are hosted.
-    fn step(&mut self, msg: &Msg) -> Result<(), InVivoError>;
+    /// Applies one schedule step wherever the nodes it names are hosted.
+    fn step(&mut self, now: SimTime, step: &Step) -> Result<(), InVivoError>;
 
-    /// One exchange round: every frame emitted so far is delivered and
+    /// One exchange round: every frame emitted so far lands and is
     /// processed everywhere. Returns how many frames that emitted.
     fn round(&mut self) -> Result<u64, InVivoError>;
 
@@ -124,9 +127,9 @@ pub(crate) trait Fleet {
 }
 
 /// Walks the schedule of `(trace, plan)` over `fleet`: each step goes
-/// out whole as one [`Msg::Step`], and a step that wakes anyone is
-/// followed by exchange rounds until one emits nothing. Then folds the
-/// fleet's reports into the outcome.
+/// out whole, and a step that wakes anyone is followed by exchange
+/// rounds until one emits nothing. Then folds the fleet's reports into
+/// the outcome.
 ///
 /// # Errors
 ///
@@ -139,34 +142,22 @@ pub(crate) fn conduct<F: Fleet>(
 ) -> Result<Outcome, InVivoError> {
     let mut posts = 0u64;
     let mut rounds = 0u64;
-    for (now, step) in build_schedule(trace, plan) {
-        let now_ms = now.as_millis();
+    'steps: for (now, step) in build_schedule(trace, plan) {
         posts += step.posts.len() as u64;
-        fleet.step(&Msg::Step {
-            now_ms,
-            encounters: (step.encounters.iter())
-                .map(|ev| (ev.a as u32, ev.b as u32, ev.phase == ContactPhase::Up))
-                .collect(),
-            posts: (step.posts.iter())
-                .map(|&(node, number)| (node as u32, number))
-                .collect(),
-            wakes: step.wakes.iter().map(|&node| node as u32).collect(),
-        })?;
+        fleet.step(now, &step)?;
         if step.wakes.is_empty() {
             continue;
         }
-        let cap = rounds + MAX_ROUNDS_PER_STEP;
-        loop {
-            if rounds == cap {
-                return Err(InVivoError::Protocol(format!(
-                    "exchange rounds at t={now_ms}ms exceeded {MAX_ROUNDS_PER_STEP}"
-                )));
-            }
+        for _ in 0..MAX_ROUNDS_PER_STEP {
             rounds += 1;
             if fleet.round()? == 0 {
-                break;
+                continue 'steps;
             }
         }
+        return Err(InVivoError::Protocol(format!(
+            "exchange rounds at t={}ms exceeded {MAX_ROUNDS_PER_STEP}",
+            now.as_millis()
+        )));
     }
     fold(trace.node_count(), posts, rounds, fleet.finish()?)
 }
@@ -245,7 +236,7 @@ pub(crate) fn fold(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sos_sim::world::ContactEvent;
+    use sos_sim::world::{ContactEvent, ContactPhase};
     use sos_sim::SimDuration;
     use std::collections::BTreeMap;
 
@@ -412,7 +403,7 @@ mod tests {
                     .into_iter()
                     .map(|(t, step)| {
                         let encounters = (step.encounters.iter())
-                            .map(|ev| (ev.a, ev.b, ev.phase == ContactPhase::Up))
+                            .map(|&(a, b, up)| (a, b, up.is_some()))
                             .collect();
                         let tick = !step.wakes.is_empty();
                         (t, FormerStep { encounters, posts: step.posts, tick })
@@ -523,7 +514,7 @@ mod tests {
     struct Chatter;
 
     impl Fleet for Chatter {
-        fn step(&mut self, _: &Msg) -> Result<(), InVivoError> {
+        fn step(&mut self, _: SimTime, _: &Step) -> Result<(), InVivoError> {
             Ok(())
         }
 

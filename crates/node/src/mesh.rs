@@ -1,28 +1,32 @@
-//! The in-process reference transport: one `Host` hosting every
-//! node, conducted by the same [`lockstep`](crate::lockstep) walk the
-//! broker runs over sockets.
+//! The in-process reference transport: one [`Host`] hosting every node
+//! on an instant air, conducted by the same
+//! [`lockstep`](crate::lockstep) walk the broker runs over sockets.
 //!
 //! This is the oracle the loopback test compares a real-socket run
 //! against: same provisioning, same schedule, same round engine, same
 //! report fold — so the two [`Outcome`]s must be equal, field for
-//! field.
+//! field. It is also the simulation driver's run on an instant air:
+//! the driver is this engine settled up to each step instead of
+//! conducted round by round.
 
 use crate::host::{Host, Reports};
 use crate::lockstep::{conduct, Fleet, Outcome};
-use crate::proto::{InVivoError, Msg};
-use crate::provision::RunPlan;
+use crate::proto::InVivoError;
+use crate::provision::{provision_apps, RunPlan, Step};
+use sos_net::Air;
 use sos_obs::JournalHandle;
+use sos_sim::SimTime;
 use sos_trace::ContactTrace;
 
 /// A host of every node is a whole fleet: nothing it emits is remote.
 impl Fleet for Host {
-    fn step(&mut self, msg: &Msg) -> Result<(), InVivoError> {
-        self.apply(msg);
+    fn step(&mut self, now: SimTime, step: &Step) -> Result<(), InVivoError> {
+        self.apply(now, step, &mut ());
         Ok(())
     }
 
     fn round(&mut self) -> Result<u64, InVivoError> {
-        Ok(self.process_round()?.emitted)
+        Ok(Host::round(self))
     }
 
     fn finish(&mut self) -> Result<Vec<Reports>, InVivoError> {
@@ -34,11 +38,12 @@ impl Fleet for Host {
 ///
 /// # Errors
 ///
-/// [`InVivoError::Protocol`] if a step's rounds never quiesce;
-/// [`InVivoError::Codec`] if a frame the mesh itself produced fails to
-/// decode (a codec bug, not an input condition).
+/// [`InVivoError::Protocol`] if a step's rounds never quiesce. No frame
+/// of an in-process run crosses the codec, so none can fail to decode.
 pub fn run_mesh(trace: &ContactTrace, plan: &RunPlan) -> Result<Outcome, InVivoError> {
-    let mut host = Host::new(trace, plan, 0, 1, JournalHandle::new());
+    let apps = provision_apps(trace, plan);
+    let journal = JournalHandle::new();
+    let mut host = Host::new(apps, plan.seed, Air::instant(), (0, 1), Some(&journal));
     conduct(&mut host, trace, plan)
 }
 
@@ -46,7 +51,7 @@ pub fn run_mesh(trace: &ContactTrace, plan: &RunPlan) -> Result<Outcome, InVivoE
 mod tests {
     use super::*;
     use crate::proto::author_hex;
-    use crate::provision::{post_schedule, provision_apps};
+    use crate::provision::post_schedule;
     use sos_core::routing::SchemeKind;
     use sos_sim::world::{ContactEvent, ContactPhase};
     use sos_sim::{SimDuration, SimTime};

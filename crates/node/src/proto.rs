@@ -12,11 +12,13 @@
 //! bytes never panic, truncated messages fail with
 //! [`NetError::BadFrame`], trailing bytes are rejected.
 
+use crate::provision::Step;
 use sos_core::middleware::SosStats;
 use sos_core::routing::SchemeKind;
 use sos_crypto::UserId;
 use sos_net::{encode_wire, NetError, WireReader, MAX_WIRE_FRAME};
 use sos_sim::codec::{Reader, Writer};
+use sos_sim::SimTime;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -62,8 +64,8 @@ pub enum Msg {
         /// The nodes that advertise at `now_ms`, ascending.
         wakes: Vec<u32>,
     },
-    /// Broker → daemon: drain received data frames into the round
-    /// buffer and report cumulative counters.
+    /// Broker → daemon: queue the received data frames for the next
+    /// round and report cumulative counters.
     Collect,
     /// Daemon → broker: cumulative remote frames sent / received.
     CollectAck {
@@ -72,8 +74,8 @@ pub enum Msg {
         /// Frames received from other processes.
         recv: u64,
     },
-    /// Broker → daemon: process the round buffer in `(to, from, seq)`
-    /// order, then flush.
+    /// Broker → daemon: land one round, in the host's air order
+    /// `(to, from, send number)`.
     Process,
     /// Daemon → broker: frames (local + remote) emitted by this round.
     ProcessAck {
@@ -96,14 +98,15 @@ pub enum Msg {
     /// Broker → daemon: exit cleanly.
     Shutdown,
     /// Daemon ⇄ daemon: one middleware frame from `from` to `to`, with
-    /// the per-directed-pair sequence number that fixes processing
-    /// order inside a round.
+    /// the number that fixes its place among its pair's frames in a
+    /// round.
     Data {
         /// Sending node.
         from: u32,
         /// Receiving node.
         to: u32,
-        /// Per-`(from, to)` sequence number.
+        /// The sender's order: its emission number in the sending
+        /// process, increasing along each `(from, to)` pair.
         seq: u64,
         /// The encoded middleware [`Frame`](sos_net::Frame).
         frame: Vec<u8>,
@@ -322,6 +325,30 @@ fn read_stats(r: &mut Reader<'_>) -> Result<SosStats, NetError> {
 }
 
 impl Msg {
+    /// The schedule step a [`Msg::Step`] carries, at its time, as a
+    /// daemon applies it; `None` for any other message. Its contacts come
+    /// up at no distance: the instant air of a lockstep run links a pair
+    /// at any.
+    pub(crate) fn to_step(&self) -> Option<(SimTime, Step)> {
+        let Msg::Step {
+            now_ms,
+            encounters,
+            posts,
+            wakes,
+        } = self
+        else {
+            return None;
+        };
+        let contact = |&(a, b, up): &(u32, u32, bool)| (a as usize, b as usize, up.then_some(0.0));
+        let post = |&(node, number): &(u32, u64)| (node as usize, number);
+        let step = Step {
+            encounters: encounters.iter().map(contact).collect(),
+            posts: posts.iter().map(post).collect(),
+            wakes: wakes.iter().map(|&node| node as usize).collect(),
+        };
+        Some((SimTime::from_millis(*now_ms), step))
+    }
+
     /// Serializes the message (excluding the wire length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();

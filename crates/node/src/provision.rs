@@ -8,16 +8,14 @@
 //! assigned slice: certificates issued on one host validate on every
 //! other because the issuing CA is byte-identical everywhere.
 //!
-//! The [`schedule`] of a run is built here too, once, for both planes
-//! that drive [`NodeRuntime`](crate::runtime::NodeRuntime): the
-//! simulation driver in `sos-experiments` walks its steps between frame
-//! deliveries, and the lockstep conductor walks them over
-//! [`build_schedule`](crate::lockstep::build_schedule). Its doc holds
-//! the one end-of-run rule. The advertisement cadence lives here and
-//! nowhere else: a runtime keeps no clock and advertises when its
-//! caller says, and both callers say so on the schedule's wakes — the
-//! driver as it walks the steps, the lockstep `Host` as each step
-//! reaches it whole.
+//! The [`schedule`] of a run is built here too, once, for both planes:
+//! the simulation driver in `sos-experiments` settles its air up to each
+//! step, and the lockstep conductor walks the steps over
+//! [`build_schedule`](crate::lockstep::build_schedule); either way a
+//! [`Host`](crate::host::Host) applies each [`Step`]. Its doc holds the
+//! one end-of-run rule. The advertisement cadence lives here and nowhere
+//! else: a runtime keeps no clock and advertises when the host applying
+//! a step's wakes says so.
 
 use crate::proto::InVivoError;
 use alleyoop::app::AlleyOopApp;
@@ -149,8 +147,10 @@ pub(crate) fn ad_phase(ad_interval: SimDuration, node: usize, n: usize) -> SimDu
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Step {
     /// The source's contact transitions at this time, in source order,
-    /// each with the distance a transport may freeze link quality at.
-    pub encounters: Vec<ContactEvent>,
+    /// as `(a, b, up)`: `up` is the distance the `a`–`b` contact came up
+    /// at, which a transport may freeze link quality at, or `None` when
+    /// it went down.
+    pub encounters: Vec<(usize, usize, Option<f64>)>,
     /// Posts at this time: `(author node, post number)`, numbered 1..
     /// in schedule order.
     pub posts: Vec<(usize, u64)>,
@@ -203,7 +203,9 @@ pub fn schedule(
         }
     }
     for ev in events {
-        steps.entry(ev.time).or_default().encounters.push(ev);
+        let up = (ev.phase == ContactPhase::Up).then_some(ev.distance_m);
+        let step = steps.entry(ev.time).or_default();
+        step.encounters.push((ev.a, ev.b, up));
     }
     let mut posts: Vec<(SimTime, usize)> = posts.into_iter().filter(|&(at, _)| at <= end).collect();
     posts.sort_by_key(|&(at, _)| at);
@@ -564,7 +566,7 @@ mod tests {
             SimDuration::from_millis(2),
         );
         let at_2 = Step {
-            encounters: vec![up(2, 1, 2), up(2, 0, 1)],
+            encounters: vec![(1, 2, Some(5.0)), (0, 1, Some(5.0))],
             posts: vec![(0, 1)],
             wakes: vec![0, 1],
         };

@@ -4,26 +4,25 @@
 //! injected.
 //!
 //! There is one frame surface — [`push_frame`](NodeRuntime::push_frame)
-//! in, [`poll_frames`](NodeRuntime::poll_frames) out — and the caller
-//! injects both the time and the randomness of every call. Both callers
-//! inject the same randomness: node `i`'s own stream, seeded by
-//! [`provision::node_seed`](crate::provision::node_seed). The lockstep
-//! `Host` (`host.rs`) behind the mesh and the TCP daemon also owns the
-//! wire codec, so the runtime never sees bytes; the simulation driver
-//! (`sos_experiments::driver`, downstream of this crate) hands it typed
-//! frames over a `sos_net::Air`.
+//! in, its replies and [`advertise`](NodeRuntime::advertise)'s broadcast
+//! out — and the caller injects both the time and the randomness of
+//! every call. There is one
+//! caller too: the round engine, [`Host`](crate::host::Host), which gives
+//! node `i` its own stream, seeded by
+//! [`provision::node_seed`](crate::provision::node_seed), and moves typed
+//! frames over a `sos_net::Air`, so the runtime never sees bytes.
 //!
-//! The runtime keeps no clock and no cadence: the caller says when it
-//! [`advertise`](NodeRuntime::advertise)s, and both callers take that
-//! from [`provision::schedule`](crate::provision::schedule), the one
-//! owner of the advertisement cadence. Nothing here reads a wall clock,
-//! so the no-wallclock lint holds for in-vivo builds exactly as for
+//! The runtime keeps no clock and no cadence: the host says when it
+//! [`advertise`](NodeRuntime::advertise)s, on the wakes of
+//! [`provision::schedule`](crate::provision::schedule), the one owner of
+//! the advertisement cadence. Nothing here reads a wall clock, so the
+//! no-wallclock lint holds for in-vivo builds exactly as for
 //! simulation.
 
 use alleyoop::app::AlleyOopApp;
 use rand::RngCore;
 use sos_core::message::MessageId;
-use sos_core::middleware::{SosEvent, SosStats};
+use sos_core::middleware::SosEvent;
 use sos_net::{Frame, PeerId};
 use sos_sim::SimTime;
 use std::collections::{BTreeSet, VecDeque};
@@ -32,17 +31,15 @@ use std::collections::{BTreeSet, VecDeque};
 ///
 /// Owns the [`AlleyOopApp`] (and through it the `Sos` middleware and
 /// every `SessionEndpoint`), the set of peers an encounter currently
-/// connects and the outbox of frames awaiting the transport. All
-/// methods are synchronous and deterministic; the transport decides
-/// *when* to call them.
-pub struct NodeRuntime {
+/// connects. All methods are synchronous and deterministic; the
+/// transport decides *when* to call them, and takes the frames each call
+/// emits from its return value.
+pub(crate) struct NodeRuntime {
     app: AlleyOopApp,
     /// Peers inside an open contact, ascending — the emission order for
     /// advertisement broadcasts, and the only record of connectivity:
     /// the frame gate in [`push_frame`](Self::push_frame) reads it.
     peers: BTreeSet<u32>,
-    /// Frames awaiting the transport, in emission order.
-    outbox: VecDeque<(PeerId, Frame)>,
     /// Application events drained from the middleware, stamped with the
     /// injected time they were processed at.
     events: VecDeque<(SimTime, SosEvent)>,
@@ -50,58 +47,55 @@ pub struct NodeRuntime {
 
 impl NodeRuntime {
     /// Wraps an app in a runtime.
-    pub fn new(app: AlleyOopApp) -> NodeRuntime {
+    pub(crate) fn new(app: AlleyOopApp) -> NodeRuntime {
         NodeRuntime {
             app,
             peers: BTreeSet::new(),
-            outbox: VecDeque::new(),
             events: VecDeque::new(),
         }
     }
 
     /// An encounter opened: `peer` is now reachable. Idempotent.
-    pub fn on_encounter_up(&mut self, peer: PeerId) {
+    pub(crate) fn on_encounter_up(&mut self, peer: PeerId) {
         self.peers.insert(peer.0);
     }
 
     /// An encounter closed: the middleware tears down any session with
     /// `peer` (journaling the `out_of_range` cause) and the peer leaves
     /// the reachable set. Idempotent.
-    pub fn on_encounter_down(&mut self, peer: PeerId) {
+    pub(crate) fn on_encounter_down(&mut self, peer: PeerId) {
         if self.peers.remove(&peer.0) {
             self.app.middleware_mut().on_peer_lost(peer);
         }
     }
 
-    /// Queues the advertisement broadcast of `now`: one
-    /// `Frame::Advertisement` per peer in range, ascending, and nothing
-    /// when the node is alone. Whether `now` is one of the node's
-    /// advertisement boundaries is the caller's to know.
-    pub fn advertise(&mut self, now: SimTime) {
+    /// The advertisement broadcast of `now`: one `Frame::Advertisement`
+    /// per peer in range, ascending, and nothing when the node is alone.
+    /// Whether `now` is one of the node's advertisement boundaries is the
+    /// caller's to know.
+    pub(crate) fn advertise(&mut self, now: SimTime) -> Vec<(PeerId, Frame)> {
         if self.peers.is_empty() {
-            return;
+            return Vec::new();
         }
         let ad = self.app.middleware().advertisement(now);
-        for &p in &self.peers {
-            self.outbox
-                .push_back((PeerId(p), Frame::Advertisement(ad.clone())));
-        }
+        let copy = |&peer: &u32| (PeerId(peer), Frame::Advertisement(ad.clone()));
+        self.peers.iter().map(copy).collect()
     }
 
     /// Feeds `frame` from `peer` through the middleware at `now` with
-    /// the caller's RNG, queueing replies on the outbox and application
-    /// events (stamped `now`) on the event buffer. Returns `false`
-    /// (frame dropped) when no open encounter connects the peer — the
-    /// contact closed while the frame was in flight.
-    pub fn push_frame<R: RngCore>(
+    /// the caller's RNG, queueing application events (stamped `now`) on
+    /// the event buffer, and returns the replies in emission order.
+    /// Returns `None` (frame dropped) when no open encounter connects
+    /// the peer — the contact closed while the frame was in flight.
+    pub(crate) fn push_frame<R: RngCore>(
         &mut self,
         peer: PeerId,
         frame: Frame,
         now: SimTime,
         rng: &mut R,
-    ) -> bool {
+    ) -> Option<Vec<(PeerId, Frame)>> {
         if !self.peers.contains(&peer.0) {
-            return false;
+            return None;
         }
         let replies = self
             .app
@@ -110,44 +104,28 @@ impl NodeRuntime {
         for event in self.app.process_events_at(now) {
             self.events.push_back((now, event));
         }
-        self.outbox.extend(replies);
-        true
-    }
-
-    /// Drains the outbox in emission order.
-    pub fn poll_frames(&mut self) -> Vec<(PeerId, Frame)> {
-        self.outbox.drain(..).collect()
+        Some(replies)
     }
 
     /// Drains buffered application events with the injected time each
     /// was processed at.
-    pub fn take_events(&mut self) -> Vec<(SimTime, SosEvent)> {
+    pub(crate) fn take_events(&mut self) -> Vec<(SimTime, SosEvent)> {
         self.events.drain(..).collect()
     }
 
     /// Authors a post at `now`.
-    pub fn post(&mut self, text: &str, now: SimTime) -> MessageId {
+    pub(crate) fn post(&mut self, text: &str, now: SimTime) -> MessageId {
         self.app.post(text, now)
     }
 
     /// The wrapped application.
-    pub fn app(&self) -> &AlleyOopApp {
+    pub(crate) fn app(&self) -> &AlleyOopApp {
         &self.app
     }
 
-    /// Mutable application access (observer attachment, subscriptions).
-    pub fn app_mut(&mut self) -> &mut AlleyOopApp {
-        &mut self.app
-    }
-
     /// Unwraps the application (end of run).
-    pub fn into_app(self) -> AlleyOopApp {
+    pub(crate) fn into_app(self) -> AlleyOopApp {
         self.app
-    }
-
-    /// The middleware's live counters.
-    pub fn stats(&self) -> SosStats {
-        self.app.middleware().stats()
     }
 }
 
@@ -180,23 +158,28 @@ mod tests {
     }
 
     /// Shuttles frames between two runtimes (nodes 0 and 1) over an
-    /// instant air at `now` until it is quiet, each frame crossing the
-    /// wire codec the way the lockstep host carries it. After `budget`
-    /// frames have landed, replies stay in their sender's outbox. Returns
-    /// the frames that landed.
-    fn pump(a: &mut NodeRuntime, b: &mut NodeRuntime, now: SimTime, budget: u64) -> u64 {
+    /// instant air at `now` until it is quiet, starting from `sent`, which
+    /// node 0 emitted, each frame crossing the wire codec the way a frame
+    /// between two processes does. After `budget` frames have landed,
+    /// replies never leave. Returns the frames that landed.
+    fn pump(
+        a: &mut NodeRuntime,
+        b: &mut NodeRuntime,
+        now: SimTime,
+        sent: Vec<(PeerId, Frame)>,
+        budget: u64,
+    ) -> u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(100);
         let mut air = sos_net::Air::instant();
-        air.send(now, PeerId(0), a.poll_frames());
-        air.send(now, PeerId(1), b.poll_frames());
+        air.send(now, PeerId(0), sent);
         let mut landed = 0;
         air.settle(now + SimDuration::from_millis(1), |now, src, dst, frame| {
             let to = if dst == PeerId(0) { &mut *a } else { &mut *b };
             let frame = Frame::decode(&frame.encode()).expect("own frames decode");
-            to.push_frame(src, frame, now, &mut rng);
+            let replies = to.push_frame(src, frame, now, &mut rng);
             landed += 1;
             if landed < budget {
-                to.poll_frames()
+                replies.unwrap_or_default()
             } else {
                 Vec::new()
             }
@@ -208,8 +191,8 @@ mod tests {
         let (mut alice, mut bob) = two_nodes(SchemeKind::Epidemic);
         let bob_user = bob.app().user_id();
         let alice_user = alice.app().user_id();
-        alice.app_mut().follow(bob_user);
-        bob.app_mut().follow(alice_user);
+        alice.app.follow(bob_user);
+        bob.app.follow(alice_user);
 
         alice.post("hello in vivo", SimTime::from_secs(10));
         alice.on_encounter_up(PeerId(1));
@@ -218,10 +201,10 @@ mod tests {
         // Alice advertises at t=60; the session handshake, browse, and
         // transfer all cross as encoded frames.
         let now = SimTime::from_secs(60);
-        alice.advertise(now);
-        pump(&mut alice, &mut bob, now, u64::MAX);
+        let ads = alice.advertise(now);
+        pump(&mut alice, &mut bob, now, ads, u64::MAX);
 
-        assert_eq!(bob.stats().bundles_received, 1);
+        assert_eq!(bob.app.middleware().stats().bundles_received, 1);
         let delivered: Vec<_> = bob
             .take_events()
             .into_iter()
@@ -235,13 +218,11 @@ mod tests {
     fn ads_skip_when_alone() {
         let (mut alice, _) = two_nodes(SchemeKind::Epidemic);
         // No peers: nothing emitted.
-        alice.advertise(SimTime::from_secs(60));
-        assert!(alice.poll_frames().is_empty());
+        assert!(alice.advertise(SimTime::from_secs(60)).is_empty());
         // In range of two: one copy each, ascending by peer.
         alice.on_encounter_up(PeerId(2));
         alice.on_encounter_up(PeerId(1));
-        alice.advertise(SimTime::from_secs(120));
-        let out = alice.poll_frames();
+        let out = alice.advertise(SimTime::from_secs(120));
         let to: Vec<PeerId> = out.iter().map(|&(peer, _)| peer).collect();
         assert_eq!(to, [PeerId(1), PeerId(2)]);
         assert!(out
@@ -255,8 +236,7 @@ mod tests {
         alice.post("news", SimTime::from_secs(1));
         alice.on_encounter_up(PeerId(1));
         bob.on_encounter_up(PeerId(0));
-        alice.advertise(SimTime::from_secs(60));
-        let out = alice.poll_frames();
+        let out = alice.advertise(SimTime::from_secs(60));
         assert_eq!(out.len(), 1);
 
         // Contact closes at bob before the ad arrives: dropped, nothing
@@ -264,42 +244,47 @@ mod tests {
         bob.on_encounter_down(PeerId(0));
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let (_, ad) = out.into_iter().next().expect("one ad");
-        assert!(!bob.push_frame(PeerId(0), ad.clone(), SimTime::from_secs(60), &mut rng));
-        assert!(bob.poll_frames().is_empty());
-        assert_eq!(bob.stats().sessions_initiated, 0);
+        let dropped = bob.push_frame(PeerId(0), ad.clone(), SimTime::from_secs(60), &mut rng);
+        assert!(dropped.is_none());
+        assert_eq!(bob.app.middleware().stats().sessions_initiated, 0);
 
         // Back in contact, the same frame is handled.
         bob.on_encounter_up(PeerId(0));
-        assert!(bob.push_frame(PeerId(0), ad, SimTime::from_secs(60), &mut rng));
-        assert_eq!(bob.stats().sessions_initiated, 1);
+        let handled = bob.push_frame(PeerId(0), ad, SimTime::from_secs(60), &mut rng);
+        assert!(handled.is_some());
+        assert_eq!(bob.app.middleware().stats().sessions_initiated, 1);
     }
 
     #[test]
     fn encounter_down_journals_out_of_range_via_middleware() {
         let (mut alice, mut bob) = two_nodes(SchemeKind::Epidemic);
         let journal = JournalHandle::new();
-        bob.app_mut()
+        bob.app
             .middleware_mut()
             .attach_obs(NodeObs::new(1, journal.clone()));
         alice.post("x", SimTime::from_secs(1));
         alice.on_encounter_up(PeerId(1));
         bob.on_encounter_up(PeerId(0));
         let now = SimTime::from_secs(60);
-        alice.advertise(now);
+        let ads = alice.advertise(now);
 
         // Ad → bob's handshake init → alice's handshake reply: bob now
-        // holds an established session and has a request queued for
-        // alice. The contact tears before that request leaves.
-        assert_eq!(pump(&mut alice, &mut bob, now, 3), 3);
-        assert_eq!(bob.stats().sessions_initiated, 1);
-        assert_eq!(bob.stats().bundles_received, 0, "torn before any transfer");
+        // holds an established session and a request for alice, which
+        // the pump holds back. The contact tears before it leaves.
+        assert_eq!(pump(&mut alice, &mut bob, now, ads, 3), 3);
+        assert_eq!(bob.app.middleware().stats().sessions_initiated, 1);
+        assert_eq!(
+            bob.app.middleware().stats().bundles_received,
+            0,
+            "torn before any transfer"
+        );
 
         bob.on_encounter_down(PeerId(0));
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let invite = Frame::Invite { from: PeerId(0) };
         assert!(
-            !bob.push_frame(PeerId(0), invite, now, &mut rng),
+            bob.push_frame(PeerId(0), invite, now, &mut rng).is_none(),
             "out of contact"
         );
         let closes: Vec<_> = journal
