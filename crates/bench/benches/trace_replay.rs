@@ -5,8 +5,8 @@
 //! recorded tape (`ContactTrace`'s `encounter_events`) must emit
 //! events at ≥ 5x the rate of the live naive scan (`World`'s) on the
 //! same workload — the floor is deliberately conservative; replay
-//! skips geometry entirely and measures orders of magnitude faster. The gate is asserted (a run
-//! that violates it fails loudly) and every measurement is written to
+//! skips geometry entirely and measures orders of magnitude faster. The gate is judged after
+//! the last measurement (a run that violates it fails loudly) and every measurement is written to
 //! `BENCH_trace.json` at the workspace root. Set `SOS_BENCH_SMOKE=1`
 //! (as CI does) for a few-iteration smoke run.
 //!
@@ -25,7 +25,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
-use sos_bench::emit::Suite;
+use sos_bench::emit::{Gate, Suite};
 use sos_sim::mobility::random_waypoint::RandomWaypoint;
 use sos_sim::mobility::trace::Trajectory;
 use sos_sim::world::ContactPhase;
@@ -111,7 +111,7 @@ fn bench_trace_replay(_c: &mut Criterion) {
     record("timeline/live_events_per_sec", live_rate);
     record("timeline/replay_events_per_sec", replay_rate);
     let speedup = replay_rate / live_rate;
-    record("timeline/replay_speedup", speedup);
+    SUITE.gate("timeline/replay_speedup", speedup, Gate::AtLeast, 5.0);
     println!(
         "replay throughput: {:.2e} events/s vs live {:.2e} events/s ({speedup:.0}x; gate >= 5x)\n",
         replay_rate, live_rate
@@ -147,7 +147,7 @@ fn bench_trace_replay(_c: &mut Criterion) {
     });
     record("import/conn_ns_per_line", import_ns / events);
     let import_ratio = import_ns / text_decode_ns;
-    record("import/over_text_decode", import_ratio);
+    SUITE.gate("import/over_text_decode", import_ratio, Gate::AtMost, 2.5);
     println!(
         "import: {:.0} ns/line, {import_ratio:.2}x strict text decode (gate <= 2.5)\n",
         import_ns / events
@@ -156,30 +156,24 @@ fn bench_trace_replay(_c: &mut Criterion) {
         TraceAnalytics::compute(std::hint::black_box(&tape)).contacts
     });
 
-    // --- Acceptance gates (checked in smoke runs too: CI executes this
-    // with SOS_BENCH_SMOKE=1, so a rotted replay path fails CI).
+    // --- Byte-level acceptance checks (in smoke runs too: CI executes
+    // this with SOS_BENCH_SMOKE=1, so a rotted replay path fails CI).
+    // The two timing gates are judged with the rest at the end.
     assert!(
         tape.encounter_events(SimTime::ZERO, end) == world.encounter_events(SimTime::ZERO, end),
         "replayed timeline must equal the recorded one"
     );
     assert!(
-        speedup >= 5.0,
-        "replay must beat live timeline production >= 5x, got {speedup:.1}x"
-    );
-    assert!(
         binary.len() < text.len(),
         "binary codec must be more compact than text"
-    );
-    assert!(
-        import_ratio <= 2.5,
-        "sanitizing import must cost <= 2.5x strict text decode per event, got {import_ratio:.2}x"
     );
 }
 
 /// Writes every recorded measurement to `BENCH_trace.json` at the
-/// workspace root via the shared emitter (skipped in smoke mode).
+/// workspace root via the shared emitter (skipped in smoke mode), then
+/// judges both gates: one that fails leaves the other's verdict printed.
 fn emit_json(_c: &mut Criterion) {
-    SUITE.write_json("ns_mean (rates/ratios as named)");
+    SUITE.finish("ns_mean (rates/ratios as named)");
 }
 
 criterion_group!(benches, bench_trace_replay, emit_json);

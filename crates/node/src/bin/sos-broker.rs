@@ -1,6 +1,7 @@
 //! Conducts an in-vivo run: feeds encounter events from a contact
-//! trace to N `sos-node` daemon processes over TCP and prints the
-//! outcome.
+//! trace to N `sos-node` daemon processes, each on one TCP connection
+//! to the broker, relays the frames they send one another, and prints
+//! the outcome.
 //!
 //! ```text
 //! # daemons started by hand:

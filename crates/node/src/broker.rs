@@ -3,13 +3,16 @@
 //!
 //! The broker owns no middleware state. Its daemons are the socket
 //! fleet the [`lockstep`](crate::lockstep) conductor walks the schedule
-//! over: each schedule step — its encounter transitions, posts and
-//! advertisement wakes — is one `Msg::Step` broadcast on one control
-//! connection per daemon, and one exchange round is
-//!
-//! 1. `Collect` until the cumulative remote sent/received counters
-//!    balance (nothing in flight anywhere);
-//! 2. `Process` everywhere, summing what the daemons emitted.
+//! over, each on one connection, the broker at the centre of the star.
+//! Each schedule step — its encounter transitions, posts and
+//! advertisement wakes — is one `Msg::Step` broadcast, and one exchange
+//! round is one `Process` broadcast. Every daemon answers a step with
+//! wakes and every `Process` with the frames it encoded for other
+//! processes, as `Msg::Data`, then a `ProcessAck`; the broker checks
+//! each answer and relays every frame to the daemon hosting its
+//! destination, ahead of that daemon's next command. Each connection's
+//! FIFO order is the round barrier: no frame is in flight when a round
+//! begins.
 //!
 //! At the end each daemon streams its typed reports (stats, stored
 //! bundles, journal lines, frames processed) home, and the conductor
@@ -25,13 +28,6 @@ use sos_trace::{codec_text, ContactTrace};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-/// Collect-barrier retries per round before the broker declares the
-/// fleet wedged (each retry sleeps [`COLLECT_RETRY_SLEEP`]).
-const MAX_COLLECT_RETRIES: u64 = 20_000;
-
-/// Sleep between collect retries while frames drain through loopback.
-const COLLECT_RETRY_SLEEP: Duration = Duration::from_millis(1);
-
 /// Accept-loop polls (at [`ACCEPT_POLL_SLEEP`] each) while waiting for
 /// daemons to connect.
 const MAX_ACCEPT_POLLS: u64 = 60_000;
@@ -42,7 +38,7 @@ const ACCEPT_POLL_SLEEP: Duration = Duration::from_millis(5);
 /// Broker parameters.
 #[derive(Clone, Debug)]
 pub struct BrokerConfig {
-    /// Address to listen for daemon control connections on.
+    /// Address to listen for daemon connections on.
     pub listen: String,
     /// Daemons to wait for before starting the run.
     pub num_procs: usize,
@@ -69,7 +65,7 @@ pub struct Broker {
 }
 
 impl Broker {
-    /// Binds the control listener.
+    /// Binds the listener.
     ///
     /// # Errors
     ///
@@ -86,7 +82,7 @@ impl Broker {
         Ok(Broker { listener, config })
     }
 
-    /// The bound control address daemons should connect to.
+    /// The bound address daemons should connect to.
     ///
     /// # Errors
     ///
@@ -99,46 +95,55 @@ impl Broker {
     ///
     /// # Errors
     ///
-    /// [`InVivoError`] when daemons fail to connect in time, violate
-    /// the protocol, or a barrier never converges.
+    /// [`InVivoError`] when daemons fail to connect in time or violate
+    /// the protocol, or a socket fails.
     pub fn run(self, trace: &ContactTrace) -> Result<Outcome, InVivoError> {
         require_population(trace)?;
-        let mut daemons = self.accept_daemons()?;
-        self.assign(trace, &mut daemons)?;
-        let mut fleet = SocketFleet { daemons, now_ms: 0 };
+        let mut fleet = SocketFleet {
+            daemons: self.accept_daemons(trace)?,
+            node_count: trace.node_count(),
+        };
         let outcome = conduct(&mut fleet, trace, &self.config.plan)?;
         broadcast(&mut fleet.daemons, &Msg::Shutdown)?;
         Ok(outcome)
     }
 
-    /// Waits (bounded) for `num_procs` control connections + `Hello`s.
-    fn accept_daemons(&self) -> Result<Vec<(MsgStream, String)>, InVivoError> {
+    /// Waits (bounded) for `num_procs` connections, sending each its
+    /// assignment (trace inline, native text) as it arrives.
+    fn accept_daemons(&self, trace: &ContactTrace) -> Result<Vec<MsgStream>, InVivoError> {
+        let (plan, num_procs) = (&self.config.plan, self.config.num_procs);
+        let scheme = scheme_to_byte(plan.scheme).ok_or_else(|| {
+            InVivoError::Protocol(format!(
+                "scheme {:?} has no wire encoding (custom schemes cannot run in vivo)",
+                plan.scheme
+            ))
+        })?;
+        let trace_text = codec_text::to_text(trace);
         self.listener.set_nonblocking(true)?;
-        let mut daemons = Vec::with_capacity(self.config.num_procs);
+        let mut daemons = Vec::with_capacity(num_procs);
         let mut polls = 0u64;
-        while daemons.len() < self.config.num_procs {
+        while daemons.len() < num_procs {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     stream.set_nonblocking(false)?;
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(Duration::from_secs(120)))?;
                     let mut control = MsgStream::new(stream);
-                    match control.recv()? {
-                        Msg::Hello { data_addr } => daemons.push((control, data_addr)),
-                        other => {
-                            return Err(InVivoError::Protocol(format!(
-                                "expected Hello, got {other:?}"
-                            )))
-                        }
-                    }
+                    control.send(&Msg::Assign {
+                        proc_index: daemons.len() as u32,
+                        num_procs: num_procs as u32,
+                        scheme,
+                        seed: plan.seed,
+                        trace_text: trace_text.clone(),
+                    })?;
+                    daemons.push(control);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     polls += 1;
                     if polls > MAX_ACCEPT_POLLS {
                         return Err(InVivoError::Protocol(format!(
-                            "only {}/{} daemons connected",
+                            "only {}/{num_procs} daemons connected",
                             daemons.len(),
-                            self.config.num_procs
                         )));
                     }
                     std::thread::sleep(ACCEPT_POLL_SLEEP);
@@ -148,120 +153,93 @@ impl Broker {
         }
         Ok(daemons)
     }
-
-    /// Ships every daemon its assignment (trace inline, native text).
-    fn assign(
-        &self,
-        trace: &ContactTrace,
-        daemons: &mut [(MsgStream, String)],
-    ) -> Result<(), InVivoError> {
-        let plan = &self.config.plan;
-        let scheme = scheme_to_byte(plan.scheme).ok_or_else(|| {
-            InVivoError::Protocol(format!(
-                "scheme {:?} has no wire encoding (custom schemes cannot run in vivo)",
-                plan.scheme
-            ))
-        })?;
-        let trace_text = codec_text::to_text(trace);
-        let hosts: Vec<String> = daemons.iter().map(|(_, addr)| addr.clone()).collect();
-        for (i, (control, _)) in daemons.iter_mut().enumerate() {
-            control.send(&Msg::Assign {
-                proc_index: i as u32,
-                num_procs: hosts.len() as u32,
-                scheme,
-                seed: plan.seed,
-                trace_text: trace_text.clone(),
-                hosts: hosts.clone(),
-            })?;
-        }
-        Ok(())
-    }
 }
 
-/// Sends `msg` on every control connection.
-fn broadcast(daemons: &mut [(MsgStream, String)], msg: &Msg) -> Result<(), InVivoError> {
-    for (control, _) in daemons.iter_mut() {
+/// Sends `msg` on every daemon's connection.
+fn broadcast(daemons: &mut [MsgStream], msg: &Msg) -> Result<(), InVivoError> {
+    for control in daemons.iter_mut() {
         control.send(msg)?;
     }
     Ok(())
 }
 
-/// The daemons as the conductor's fleet: every schedule step is a
-/// broadcast, every round a collect barrier plus a `Process`, and the
-/// end a `Finish` answered by each daemon's report stream.
+/// The daemons as the conductor's fleet: every schedule step and every
+/// round is a broadcast, answered when it can emit, and the end a
+/// `Finish` answered by each daemon's report stream.
 struct SocketFleet {
-    daemons: Vec<(MsgStream, String)>,
-    /// The last step, for naming a barrier that never converges.
-    now_ms: u64,
+    daemons: Vec<MsgStream>,
+    /// Nodes in the population: a frame for any other is refused.
+    node_count: usize,
 }
 
-impl Fleet for SocketFleet {
-    fn step(&mut self, now: SimTime, step: &Step) -> Result<(), InVivoError> {
-        self.now_ms = now.as_millis();
-        let contact =
-            |&(a, b, up): &(usize, usize, Option<f64>)| (a as u32, b as u32, up.is_some());
-        let post = |&(node, number): &(usize, u64)| (node as u32, number);
-        let msg = Msg::Step {
-            now_ms: self.now_ms,
-            encounters: step.encounters.iter().map(contact).collect(),
-            posts: step.posts.iter().map(post).collect(),
-            wakes: step.wakes.iter().map(|&node| node as u32).collect(),
-        };
-        broadcast(&mut self.daemons, &msg)
-    }
-
-    fn round(&mut self) -> Result<u64, InVivoError> {
-        // Collect barrier: cumulative remote sent == received means no
-        // frame is still inside a socket buffer or reader thread.
-        let mut retries = 0u64;
-        loop {
-            broadcast(&mut self.daemons, &Msg::Collect)?;
-            let mut sent = 0u64;
-            let mut recv = 0u64;
-            for (control, _) in self.daemons.iter_mut() {
+impl SocketFleet {
+    /// Reads every daemon's answer to the command just broadcast — its
+    /// frames for other processes, then its `ProcessAck` — and, once all
+    /// have answered, relays each frame to the daemon hosting its
+    /// destination. Returns the frames the daemons emitted. (Relaying
+    /// to a daemon still writing its answer could fill both directions
+    /// of its connection at once, and neither end would read.)
+    fn relay(&mut self) -> Result<u64, InVivoError> {
+        let (mut frames, mut emitted) = (Vec::new(), 0);
+        for control in &mut self.daemons {
+            loop {
                 match control.recv()? {
-                    Msg::CollectAck { sent: s, recv: r } => {
-                        sent += s;
-                        recv += r;
+                    data @ Msg::Data { to, .. } if (to as usize) < self.node_count => {
+                        frames.push((to as usize, data));
+                    }
+                    Msg::Data { to, .. } => {
+                        return Err(InVivoError::Protocol(format!(
+                            "Data for node {to}, outside the {}-node population",
+                            self.node_count
+                        )))
+                    }
+                    Msg::ProcessAck { emitted: e } => {
+                        emitted += e;
+                        break;
                     }
                     other => {
                         return Err(InVivoError::Protocol(format!(
-                            "expected CollectAck, got {other:?}"
+                            "expected Data or ProcessAck, got {other:?}"
                         )))
                     }
                 }
             }
-            if sent == recv {
-                break;
-            }
-            retries += 1;
-            if retries > MAX_COLLECT_RETRIES {
-                return Err(InVivoError::Protocol(format!(
-                    "collect barrier never converged at t={}ms ({sent} sent, {recv} received)",
-                    self.now_ms
-                )));
-            }
-            std::thread::sleep(COLLECT_RETRY_SLEEP);
         }
-
-        broadcast(&mut self.daemons, &Msg::Process)?;
-        let mut emitted = 0u64;
-        for (control, _) in self.daemons.iter_mut() {
-            match control.recv()? {
-                Msg::ProcessAck { emitted: e } => emitted += e,
-                other => {
-                    return Err(InVivoError::Protocol(format!(
-                        "expected ProcessAck, got {other:?}"
-                    )))
-                }
-            }
+        let procs = self.daemons.len();
+        for (to, data) in frames {
+            self.daemons[to % procs].send(&data)?;
         }
         Ok(emitted)
+    }
+}
+
+impl Fleet for SocketFleet {
+    fn step(&mut self, now: SimTime, step: &Step) -> Result<(), InVivoError> {
+        let contact =
+            |&(a, b, up): &(usize, usize, Option<f64>)| (a as u32, b as u32, up.is_some());
+        let post = |&(node, number): &(usize, u64)| (node as u32, number);
+        let msg = Msg::Step {
+            now_ms: now.as_millis(),
+            encounters: step.encounters.iter().map(contact).collect(),
+            posts: step.posts.iter().map(post).collect(),
+            wakes: step.wakes.iter().map(|&node| node as u32).collect(),
+        };
+        broadcast(&mut self.daemons, &msg)?;
+        // A step that wakes nobody emits nothing, and is not answered.
+        if !step.wakes.is_empty() {
+            self.relay()?;
+        }
+        Ok(())
+    }
+
+    fn round(&mut self) -> Result<u64, InVivoError> {
+        broadcast(&mut self.daemons, &Msg::Process)?;
+        self.relay()
     }
 
     fn finish(&mut self) -> Result<Vec<Reports>, InVivoError> {
         broadcast(&mut self.daemons, &Msg::Finish)?;
-        let streams = self.daemons.iter_mut().map(|(control, _)| {
+        let streams = self.daemons.iter_mut().map(|control| {
             let mut entries = Vec::new();
             loop {
                 match control.recv()? {
@@ -310,6 +288,53 @@ mod tests {
                 assert_eq!(what, "advertisement interval must be at least 1 ms");
             }
             other => panic!("expected the refusal, got {other:?}"),
+        }
+    }
+
+    /// A daemon's answer is input from another process: a frame for a
+    /// node outside the population, or a message that is no answer, is a
+    /// protocol violation that names it, and nothing of that answer is
+    /// relayed — not even the good frame ahead of it.
+    #[test]
+    fn a_misbehaving_daemon_is_refused_and_relays_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = std::net::TcpStream::connect(listener.local_addr().expect("addr"));
+        let mut daemon = MsgStream::new(stream.expect("connect"));
+        let (stream, _) = listener.accept().expect("accept");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let mut fleet = SocketFleet {
+            daemons: vec![MsgStream::new(stream)],
+            node_count: 4,
+        };
+        let data = |to| Msg::Data {
+            from: 0,
+            to,
+            seq: 1,
+            frame: vec![7],
+        };
+
+        // A well-formed answer: its frame comes back after the command.
+        daemon.send(&data(3)).expect("send");
+        daemon.send(&Msg::ProcessAck { emitted: 2 }).expect("send");
+        assert_eq!(fleet.round().expect("a good answer"), 2);
+        assert_eq!(daemon.recv().expect("command"), Msg::Process);
+        assert_eq!(daemon.recv().expect("relayed"), data(3));
+
+        for (bad, named) in [(data(4), "Data for node 4"), (Msg::Finish, "Finish")] {
+            daemon.send(&data(3)).expect("send");
+            daemon.send(&bad).expect("send");
+            match fleet.round() {
+                Err(InVivoError::Protocol(what)) => assert!(what.contains(named), "{what}"),
+                other => panic!("{named}: expected a violation, got {other:?}"),
+            }
+            assert_eq!(daemon.recv().expect("command"), Msg::Process);
+        }
+        drop(fleet);
+        match daemon.recv() {
+            Err(InVivoError::Protocol(what)) => assert!(what.contains("closed"), "{what}"),
+            other => panic!("nothing may follow the commands, got {other:?}"),
         }
     }
 }

@@ -19,9 +19,10 @@
 //!
 //! Hosted frames cross the air as typed values and never meet the codec.
 //! Only a frame to a node another process hosts is encoded. It leaves
-//! with its sender's emission number as its `seq`, and the receiving
-//! host lands it on its air by that number ([`Air::land`]), so a pair's
-//! frames keep their order whatever order the sockets deliver them in.
+//! with its sender's emission number as its `seq` (the daemon sends it
+//! to the broker, which relays it to the receiving daemon), and the
+//! receiving host lands it on its air by that number ([`Air::land`]), so
+//! a pair's frames keep their order whatever order they arrive in.
 //! Any sharding of the population therefore computes the byte-identical
 //! run, which is the whole cross-process determinism contract.
 //!
@@ -264,8 +265,9 @@ impl Host {
         Ok(true)
     }
 
-    /// The frames to other processes emitted since the last call; the
-    /// caller owns getting them there before the next round.
+    /// The frames to other processes emitted since the last call, for
+    /// the caller to deliver to their hosts' [`Host::accept`] before the
+    /// next round: a daemon sends them to the broker, which relays them.
     pub(crate) fn take_remote(&mut self) -> Vec<WireFrame> {
         std::mem::take(&mut self.nodes.remote)
     }
@@ -322,8 +324,8 @@ mod tests {
     /// K hosts in one address space — the conductor's seam with plain
     /// queues where the daemons have sockets. Frames a host emits for
     /// another reach it only after every host has finished the step or
-    /// round that emitted them, which is what the broker's collect
-    /// barrier guarantees, and in reverse order: a pair's order must
+    /// round that emitted them, which is what the broker's relay
+    /// guarantees, and in reverse order: a pair's order must
     /// come from the frames' `seq`, not from the order they arrive in.
     struct Shards(Vec<Host>);
 

@@ -31,13 +31,13 @@
 //! - [`mesh`] — the in-process reference transport
 //!   ([`mesh::run_mesh`]): one `Host` of every node on an instant air
 //!   under the conductor.
-//! - [`proto`] — the broker⇄daemon control codec, typed end-of-run
-//!   reports included.
+//! - [`proto`] — the broker⇄daemon codec, frames between processes and
+//!   typed end-of-run reports included.
 //! - [`daemon`] / [`broker`] — the real-socket transport: N OS
 //!   processes (`sos-node` binaries), each a `Host` of the nodes
-//!   `i % N == k` plus TCP for the frames addressed elsewhere,
-//!   conducted by a broker (`sos-broker`) that feeds them encounter
-//!   events from any contact trace.
+//!   `i % N == k` on one TCP connection to a broker (`sos-broker`) that
+//!   feeds them encounter events from any contact trace and relays the
+//!   frames addressed to another process.
 
 pub mod broker;
 pub mod daemon;

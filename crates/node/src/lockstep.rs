@@ -30,7 +30,10 @@
 //! broker's socket fleet are its two transports. The mesh applies each
 //! step as it is; the socket fleet sends it whole, wakes included, as
 //! one [`Msg::Step`](crate::proto::Msg::Step), which each daemon turns
-//! back into the step. The result path is written once too: every
+//! back into the step, and each round as one `Process`. The daemons
+//! answer both with their frames for other processes, which the broker
+//! relays before its next command, so each daemon's one FIFO connection
+//! is its round barrier. The result path is written once too: every
 //! process's end-of-run reports go through one fold into the one
 //! [`Outcome`] both transports return.
 //!

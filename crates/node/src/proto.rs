@@ -1,12 +1,13 @@
-//! The broker⇄daemon control protocol and the daemon⇄daemon data
-//! protocol, hand-rolled over [`sos_net::wire`] length-prefixed
-//! framing.
+//! The broker⇄daemon protocol, hand-rolled over [`sos_net::wire`]
+//! length-prefixed framing. It is the only protocol in vivo: each
+//! daemon's one socket is its connection to the broker, and a frame
+//! between processes rides it as a [`Msg::Data`] the broker relays.
 //!
-//! The control plane carries no schedule logic: `Assign` hands a daemon
-//! its slot, the scheme, the seed and the trace to provision from, and
-//! each step of the run then arrives whole as one [`Msg::Step`] — its
-//! time, contact transitions, posts and the nodes it wakes — so a daemon
-//! never re-derives the workload or the advertisement cadence.
+//! The protocol carries no schedule logic: `Assign` hands a daemon its
+//! slot, the scheme, the seed and the trace to provision from, and each
+//! step of the run then arrives whole as one [`Msg::Step`] — its time,
+//! contact transitions, posts and the nodes it wakes — so a daemon never
+//! re-derives the workload or the advertisement cadence.
 //!
 //! Decoding follows the frame codec's robustness rules: arbitrary
 //! bytes never panic, truncated messages fail with
@@ -22,19 +23,12 @@ use sos_sim::SimTime;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-/// A message on a broker⇄daemon control connection or a daemon⇄daemon
-/// data connection.
+/// A message on a broker⇄daemon connection.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
-    /// Daemon → broker, first message: where this process accepts data
-    /// connections.
-    Hello {
-        /// The daemon's data listener address (`host:port`).
-        data_addr: String,
-    },
-    /// Broker → daemon: the run assignment. Node `i` is hosted by
-    /// process `i % num_procs`; the daemon rebuilds the full world from
-    /// `(trace_text, plan)` and keeps its share.
+    /// Broker → daemon, first message: the run assignment. Node `i` is
+    /// hosted by process `i % num_procs`; the daemon rebuilds the full
+    /// world from `(trace_text, plan)` and keeps its share.
     Assign {
         /// This process's index.
         proc_index: u32,
@@ -47,8 +41,6 @@ pub enum Msg {
         seed: u64,
         /// The full trace in the native text codec.
         trace_text: String,
-        /// Data addresses of every process, indexed by process.
-        hosts: Vec<String>,
     },
     /// Broker → daemon: one step of the run's schedule, whole. The
     /// daemon applies it to its hosted nodes in a fixed order: the
@@ -64,22 +56,16 @@ pub enum Msg {
         /// The nodes that advertise at `now_ms`, ascending.
         wakes: Vec<u32>,
     },
-    /// Broker → daemon: queue the received data frames for the next
-    /// round and report cumulative counters.
-    Collect,
-    /// Daemon → broker: cumulative remote frames sent / received.
-    CollectAck {
-        /// Frames sent to other processes since the start of the run.
-        sent: u64,
-        /// Frames received from other processes.
-        recv: u64,
-    },
     /// Broker → daemon: land one round, in the host's air order
     /// `(to, from, send number)`.
     Process,
-    /// Daemon → broker: frames (local + remote) emitted by this round.
+    /// Daemon → broker: the end of its answer to a `Process` or to a
+    /// `Step` with wakes, after that command's frames for other
+    /// processes as [`Msg::Data`].
     ProcessAck {
-        /// Emission count (0 everywhere ⇒ the step is quiescent).
+        /// Frames (local + remote) the round emitted; 0 everywhere ⇒ the
+        /// step is quiescent. A step's answer carries 0: rounds follow
+        /// every step with wakes.
         emitted: u64,
     },
     /// Broker → daemon: the run is over; stream the per-node reports.
@@ -97,9 +83,10 @@ pub enum Msg {
     },
     /// Broker → daemon: exit cleanly.
     Shutdown,
-    /// Daemon ⇄ daemon: one middleware frame from `from` to `to`, with
+    /// One middleware frame from `from` to `to` between processes, with
     /// the number that fixes its place among its pair's frames in a
-    /// round.
+    /// round: daemon → broker in an answer, then broker → the daemon
+    /// hosting `to`, ahead of its next command.
     Data {
         /// Sending node.
         from: u32,
@@ -140,7 +127,7 @@ pub enum Report {
     },
 }
 
-/// In-vivo transport failures (both sides of both planes).
+/// In-vivo transport failures (both ends of a connection).
 #[derive(Debug)]
 pub enum InVivoError {
     /// A socket operation failed (includes read timeouts on a hung
@@ -148,8 +135,8 @@ pub enum InVivoError {
     Io(std::io::Error),
     /// Bytes on a connection did not frame or decode.
     Codec(NetError),
-    /// The peer violated the control protocol (wrong message, early
-    /// close, barrier that never converged).
+    /// The peer violated the protocol (wrong message, a frame for a
+    /// node outside the population, early close).
     Protocol(String),
     /// The assigned trace did not load.
     Trace(sos_trace::TraceError),
@@ -247,11 +234,9 @@ pub(crate) fn scheme_from_byte(b: u8) -> Option<SchemeKind> {
     SchemeKind::ALL.get(b as usize).copied()
 }
 
-const TAG_HELLO: u8 = 1;
+// Tags 1, 4, 5, 6 and 7 are retired: they decode as nothing.
 const TAG_ASSIGN: u8 = 2;
 const TAG_STEP: u8 = 3;
-const TAG_COLLECT: u8 = 6;
-const TAG_COLLECT_ACK: u8 = 7;
 const TAG_PROCESS: u8 = 8;
 const TAG_PROCESS_ACK: u8 = 9;
 const TAG_FINISH: u8 = 10;
@@ -263,10 +248,6 @@ const TAG_DATA: u8 = 14;
 const REPORT_STATS: u8 = 0;
 const REPORT_DELIVERED: u8 = 1;
 const REPORT_JOURNAL: u8 = 2;
-
-/// Hosts in one [`Msg::Assign`]: a count above it is refused before a
-/// vector is sized for it.
-const MAX_FLEET: usize = 4096;
 
 /// A length-prefixed UTF-8 field. A message arrives through
 /// [`sos_net::wire`], so no field of it is longer than a wire frame —
@@ -353,17 +334,12 @@ impl Msg {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Msg::Hello { data_addr } => {
-                out.u8(TAG_HELLO);
-                out.bytes32(data_addr.as_bytes());
-            }
             Msg::Assign {
                 proc_index,
                 num_procs,
                 scheme,
                 seed,
                 trace_text,
-                hosts,
             } => {
                 out.u8(TAG_ASSIGN);
                 out.u32(*proc_index);
@@ -371,10 +347,6 @@ impl Msg {
                 out.u8(*scheme);
                 out.u64(*seed);
                 out.bytes32(trace_text.as_bytes());
-                let count = out.len32(hosts.len());
-                for host in &hosts[..count] {
-                    out.bytes32(host.as_bytes());
-                }
             }
             Msg::Step {
                 now_ms,
@@ -399,12 +371,6 @@ impl Msg {
                 for &node in &wakes[..count] {
                     out.u32(node);
                 }
-            }
-            Msg::Collect => out.u8(TAG_COLLECT),
-            Msg::CollectAck { sent, recv } => {
-                out.u8(TAG_COLLECT_ACK);
-                out.u64(*sent);
-                out.u64(*recv);
             }
             Msg::Process => out.u8(TAG_PROCESS),
             Msg::ProcessAck { emitted } => {
@@ -472,33 +438,13 @@ impl Msg {
     pub fn decode(bytes: &[u8]) -> Result<Msg, NetError> {
         let mut r = Reader::new(bytes);
         let msg = match r.u8()? {
-            TAG_HELLO => Msg::Hello {
-                data_addr: read_string(&mut r)?,
+            TAG_ASSIGN => Msg::Assign {
+                proc_index: r.u32()?,
+                num_procs: r.u32()?,
+                scheme: r.u8()?,
+                seed: r.u64()?,
+                trace_text: read_string(&mut r)?,
             },
-            TAG_ASSIGN => {
-                let proc_index = r.u32()?;
-                let num_procs = r.u32()?;
-                let scheme = r.u8()?;
-                let seed = r.u64()?;
-                let trace_text = read_string(&mut r)?;
-                // A host is at least its length prefix.
-                let count = r.count32(4)?;
-                if count > MAX_FLEET {
-                    return Err(NetError::BadFrame);
-                }
-                let mut hosts = Vec::with_capacity(count.min(MAX_FLEET));
-                for _ in 0..count {
-                    hosts.push(read_string(&mut r)?);
-                }
-                Msg::Assign {
-                    proc_index,
-                    num_procs,
-                    scheme,
-                    seed,
-                    trace_text,
-                    hosts,
-                }
-            }
             TAG_STEP => {
                 let now_ms = r.u64()?;
                 let count = r.count32(4 + 4 + 1)?;
@@ -520,11 +466,6 @@ impl Msg {
                     wakes,
                 }
             }
-            TAG_COLLECT => Msg::Collect,
-            TAG_COLLECT_ACK => Msg::CollectAck {
-                sent: r.u64()?,
-                recv: r.u64()?,
-            },
             TAG_PROCESS => Msg::Process,
             TAG_PROCESS_ACK => Msg::ProcessAck { emitted: r.u64()? },
             TAG_FINISH => Msg::Finish,
@@ -578,16 +519,12 @@ mod tests {
     #[test]
     fn every_variant_round_trips() {
         let msgs = vec![
-            Msg::Hello {
-                data_addr: "127.0.0.1:4321".into(),
-            },
             Msg::Assign {
                 proc_index: 1,
                 num_procs: 3,
                 scheme: 0,
                 seed: 7,
                 trace_text: "# sos-trace v1\n".into(),
-                hosts: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
             },
             Msg::Step {
                 now_ms: 60_000,
@@ -601,8 +538,6 @@ mod tests {
                 posts: vec![],
                 wakes: vec![],
             },
-            Msg::Collect,
-            Msg::CollectAck { sent: 10, recv: 9 },
             Msg::Process,
             Msg::ProcessAck { emitted: 4 },
             Msg::Finish,
@@ -717,15 +652,19 @@ mod tests {
     }
 
     /// Tags 4 and 5 carried per-event schedule messages before one
-    /// `Step` (tag 3) replaced them; they decode as nothing now.
+    /// `Step` (tag 3) replaced them, and tags 1, 6 and 7 the data plane's
+    /// address exchange and barrier before frames rode the broker's
+    /// connections; they decode as nothing now.
     #[test]
     fn retired_tags_are_refused() {
-        for tag in [4, 5] {
-            let bytes = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
-            assert!(
-                matches!(Msg::decode(&bytes), Err(NetError::BadFrame)),
-                "tag {tag}"
-            );
+        for tag in [1, 4, 5, 6, 7] {
+            for len in 0..32 {
+                let bytes: Vec<u8> = std::iter::once(tag).chain([0; 32]).take(1 + len).collect();
+                assert!(
+                    matches!(Msg::decode(&bytes), Err(NetError::BadFrame)),
+                    "tag {tag}, {len} bytes"
+                );
+            }
         }
     }
 
@@ -734,7 +673,7 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Arbitrary control/data bytes never panic the decoder.
+            /// Arbitrary bytes never panic the decoder.
             #[test]
             fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
                 let _ = Msg::decode(&bytes);

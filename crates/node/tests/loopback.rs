@@ -2,9 +2,10 @@
 //! in-process run exactly.
 //!
 //! Two `sos-node` daemons launched as genuine OS processes exchange
-//! middleware frames over TCP loopback under the broker's lockstep
-//! conducting, on the imported `haggle_mini` CRAWDAD fixture. For both
-//! a flooding and a quota scheme, the whole outcome — delivered set,
+//! middleware frames over TCP loopback, each frame relayed by the
+//! broker that conducts them in lockstep, on the imported `haggle_mini`
+//! CRAWDAD fixture. For both a flooding and a quota scheme, and for a
+//! flooding scheme on three processes, the whole outcome — delivered set,
 //! every node's `SosStats`, the journal (as a sorted line multiset),
 //! posts, rounds and frames — must equal the in-process [`run_mesh`]
 //! oracle: the paper's in-vivo claim made checkable, simulation and
@@ -82,4 +83,25 @@ fn two_process_loopback_reproduces_the_mesh_exactly() {
             "{scheme}: outcome diverged between sockets and mesh"
         );
     }
+}
+
+/// Three processes: a daemon's frames now go to two different
+/// processes, each relayed by the broker to the one hosting its
+/// destination, and the outcome is still the mesh's.
+#[test]
+fn three_process_loopback_reproduces_the_mesh_exactly() {
+    let trace = haggle_trace();
+    let plan = RunPlan {
+        scheme: SchemeKind::Epidemic,
+        seed: 7,
+        total_posts: 12,
+        ad_interval: SimDuration::from_secs(600),
+    };
+    let mesh = run_mesh(&trace, &plan).expect("mesh oracle");
+    assert!(
+        !mesh.delivered.is_empty(),
+        "oracle run must deliver bundles"
+    );
+    let vivo = run_in_vivo(&trace, plan, 3);
+    assert_eq!(vivo, mesh, "outcome diverged between 3 processes and mesh");
 }

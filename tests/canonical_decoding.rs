@@ -132,19 +132,17 @@ fn frames(n: u8, blob: &[u8]) -> Vec<Frame> {
     ]
 }
 
-/// The twelve control messages, tag 11 in each of its three report
+/// The nine control messages, tag 11 in each of its three report
 /// kinds.
 fn msgs(n: u8, blob: &[u8]) -> Vec<Msg> {
     let text = || format!("host-{n}:é");
     vec![
-        Msg::Hello { data_addr: text() },
         Msg::Assign {
             proc_index: 1,
             num_procs: 3,
             scheme: n % 5,
             seed: u64::from(n),
             trace_text: "# sos-trace v1\n".into(),
-            hosts: (0..n % 4).map(|_| text()).collect(),
         },
         Msg::Step {
             now_ms: u64::from(n),
@@ -152,8 +150,6 @@ fn msgs(n: u8, blob: &[u8]) -> Vec<Msg> {
             posts: vec![(2, 9)],
             wakes: (0..u32::from(n % 5)).collect(),
         },
-        Msg::Collect,
-        Msg::CollectAck { sent: 10, recv: 9 },
         Msg::Process,
         Msg::ProcessAck { emitted: 4 },
         Msg::Finish,
@@ -307,6 +303,13 @@ fn the_known_violators_are_rejected() {
     // Tag, time, count, two ids: then the `up` flag.
     bytes[1 + 8 + 4 + 4 + 4] = 2;
     assert!(Msg::decode(&bytes).is_err());
+    // Retired tags: per-event schedule messages (4, 5), the data
+    // plane's address exchange and barrier (1, 6, 7).
+    for tag in [1, 4, 5, 6, 7] {
+        bytes[0] = tag;
+        assert!(Msg::decode(&bytes).is_err(), "retired tag {tag}");
+        assert!(Msg::decode(&[tag]).is_err(), "retired tag {tag} alone");
+    }
 
     let mut ad = Advertisement::new(PeerId(1), uid(9));
     ad.insert(uid(1), 5).insert(uid(2), 6);
