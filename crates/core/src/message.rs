@@ -6,9 +6,11 @@
 //! (paper Fig. 3b) so any receiver can verify provenance end-to-end — and
 //! a hop counter used for the paper's "1-hop" vs "All" analysis.
 //!
-//! The relayed certificate is per bundle on the wire, but not in memory:
-//! a bundle holds it behind an [`Arc`], and a decoded frame and a
-//! store hand every bundle of one author the same one.
+//! The relayed certificate and the payload are per bundle on the wire,
+//! but not per copy in memory: a bundle holds both behind an [`Arc`]. A
+//! decoded frame and a store hand every bundle of one author the same
+//! certificate, and the payload decoded once is the one the store keeps
+//! and the application is handed.
 
 use crate::error::BundleRejection;
 use sos_crypto::ca::Validator;
@@ -78,8 +80,10 @@ pub struct SosMessage {
     /// Action kind.
     pub kind: MessageKind,
     /// Application payload (opaque to the middleware; already encrypted
-    /// by the app for [`MessageKind::Direct`]).
-    pub payload: Vec<u8>,
+    /// by the app for [`MessageKind::Direct`]). Immutable and shared:
+    /// every clone of the message, and the middleware's
+    /// `MessageReceived` event, points at one allocation.
+    pub payload: Arc<[u8]>,
     /// Author's Ed25519 signature over [`SosMessage::signing_bytes`].
     pub signature: Signature,
 }
@@ -93,9 +97,21 @@ impl SosMessage {
         payload: &[u8],
     ) -> Vec<u8> {
         let mut buf = Vec::with_capacity(40 + payload.len());
-        buf.bytes(b"SOSMSG1");
-        write_signed_fields(&mut buf, id, created_at, kind, payload);
+        Self::append_signing_bytes(&mut buf, id, created_at, kind, payload);
         buf
+    }
+
+    /// Appends [`SosMessage::signing_bytes`] to `buf`, so the signed
+    /// strings of a whole frame can share one buffer.
+    pub(crate) fn append_signing_bytes(
+        buf: &mut Vec<u8>,
+        id: &MessageId,
+        created_at: SimTime,
+        kind: MessageKind,
+        payload: &[u8],
+    ) {
+        buf.bytes(b"SOSMSG1");
+        write_signed_fields(buf, id, created_at, kind, payload);
     }
 
     /// Creates and signs a message.
@@ -119,7 +135,7 @@ impl SosMessage {
             id,
             created_at,
             kind,
-            payload,
+            payload: payload.into(),
             signature,
         }
     }
@@ -143,7 +159,7 @@ impl SosMessage {
 /// author's held bundles carry when the certificates are equal. Sharing
 /// never changes which certificate a bundle holds, only how many copies
 /// of it exist: a store of 200 bundles by one author keeps one parsed
-/// certificate, not 200, and a `Bundle` is 152 bytes inline, not 360.
+/// certificate, not 200, and a `Bundle` is 144 bytes inline, not 360.
 ///
 /// [`SyncMsg::decode`]: crate::sync::SyncMsg::decode
 /// [`MessageStore::insert`]: crate::store::MessageStore::insert
@@ -160,9 +176,10 @@ pub struct Bundle {
     pub copies: Option<u32>,
 }
 
-// A store keeps every bundle it holds inline in its B-tree leaves; the
-// certificate behind its `Arc` is what keeps this small.
-const _: () = assert!(size_of::<Bundle>() <= 160);
+// A store keeps one of these per bundle it holds, and every clone
+// copies it; the certificate and the payload behind their `Arc`s keep
+// it small.
+const _: () = assert!(size_of::<Bundle>() <= 144);
 
 impl Bundle {
     /// Wraps a freshly authored message (hops = 0).
@@ -235,9 +252,11 @@ impl Bundle {
 
     /// The bundle's layout with copy budget `copies`, written once: on
     /// a `Vec<u8>` it is [`Bundle::encode`], on a [`Count`] it is
-    /// [`Bundle::wire_size`]. The certificate is streamed in behind its
-    /// `u16` length (at most a few hundred bytes, far inside it).
-    fn write(&self, copies: Option<u32>, w: &mut impl Writer) {
+    /// [`Bundle::wire_size`]. The serve path writes a stored bundle
+    /// through it with the budget it grants, straight into the frame.
+    /// The certificate is streamed in behind its `u16` length (at most a
+    /// few hundred bytes, far inside it).
+    pub(crate) fn write(&self, copies: Option<u32>, w: &mut impl Writer) {
         let m = &self.message;
         write_signed_fields(w, &m.id, m.created_at, m.kind, &m.payload);
         w.bytes(m.signature.as_bytes());
@@ -255,17 +274,10 @@ impl Bundle {
 
     /// Wire encoding.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with_copies(self.copies)
-    }
-
-    /// The wire encoding of this bundle with its copy budget replaced by
-    /// `copies`: what the serve path sends of a stored bundle, without
-    /// cloning it to change one field.
-    pub(crate) fn encode_with_copies(&self, copies: Option<u32>) -> Vec<u8> {
         let mut buf = Vec::with_capacity(
             128 + self.message.payload.len() + self.author_certificate.encoded_len(),
         );
-        self.write(copies, &mut buf);
+        self.write(self.copies, &mut buf);
         buf
     }
 
@@ -298,7 +310,7 @@ impl Bundle {
         }
         let created_at = SimTime::from_millis(r.u64()?);
         let kind = MessageKind::from_byte(r.u8()?).ok_or(BundleRejection::Malformed)?;
-        let payload = r.bytes32(MAX_PAYLOAD)?.to_vec();
+        let payload = Arc::from(r.bytes32(MAX_PAYLOAD)?);
         let signature = Signature(r.array()?);
         let cert_bytes = r.bytes16(NO_CAP)?;
         let author_certificate = match last {
@@ -334,7 +346,12 @@ impl Bundle {
     /// nothing is copied or allocated — the payload and the certificate
     /// are counted where they lie.
     pub fn wire_size(&self) -> usize {
-        Count::of(|w| self.write(self.copies, w))
+        self.wire_size_with(self.copies)
+    }
+
+    /// [`Bundle::wire_size`] with the copy budget replaced by `copies`.
+    pub(crate) fn wire_size_with(&self, copies: Option<u32>) -> usize {
+        Count::of(|w| self.write(copies, w))
     }
 }
 
@@ -415,7 +432,9 @@ mod tests {
     #[test]
     fn tampered_payload_rejected() {
         let (mut bundle, validator, _) = sample_bundle();
-        bundle.message.payload[0] ^= 1;
+        let mut payload = bundle.message.payload.to_vec();
+        payload[0] ^= 1;
+        bundle.message.payload = payload.into();
         assert_eq!(
             bundle.verify(&validator, 100).unwrap_err(),
             BundleRejection::BadSignature

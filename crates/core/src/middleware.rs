@@ -18,7 +18,7 @@ use crate::error::{BundleRejection, SosError};
 use crate::message::{Bundle, MessageId, MessageKind, SosMessage, MAX_PAYLOAD};
 use crate::routing::{RoutingContext, RoutingScheme, SchemeKind};
 use crate::store::{InsertOutcome, MessageStore};
-use crate::sync::{AuthorWant, SyncMsg};
+use crate::sync::{AuthorWant, BundleBatch, SyncMsg};
 use sos_crypto::bounded::FifoMap;
 use sos_crypto::{CertError, Certificate, DeviceIdentity, UserId};
 use sos_net::frame::DisconnectReason;
@@ -28,6 +28,8 @@ use sos_obs::journal::ObsEvent;
 use sos_obs::{Counter, NodeObs, Registry};
 use sos_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Middleware configuration.
 #[derive(Clone, Debug)]
@@ -119,101 +121,57 @@ pub struct SosStats {
     pub security_alerts: u64,
 }
 
-impl SosStats {
-    /// Adds another node's counters field-by-field (used by the
-    /// experiment drivers to aggregate fleets; keeping the sum here
-    /// means a new counter cannot be silently dropped from aggregates).
-    pub fn merge(&mut self, other: &SosStats) {
-        self.posts += other.posts;
-        self.bundles_sent += other.bundles_sent;
-        self.bundles_received += other.bundles_received;
-        self.bundles_duplicate += other.bundles_duplicate;
-        self.security_rejections += other.security_rejections;
-        self.sessions_initiated += other.sessions_initiated;
-        self.sessions_accepted += other.sessions_accepted;
-        self.sessions_resumed += other.sessions_resumed;
-        self.resume_misses += other.resume_misses;
-        self.requests_served += other.requests_served;
-        self.sync_frames_sent += other.sync_frames_sent;
-        self.security_alerts += other.security_alerts;
-    }
-}
-
-/// The live cells behind [`SosStats`]: lock-free [`Counter`]s that can
-/// be adopted by a [`Registry`] (per-node named views) while the
-/// middleware keeps incrementing the very same cells — the "registry-
-/// backed view" that lets [`Sos::stats`] keep returning the plain
-/// [`SosStats`] value type.
-#[derive(Clone, Debug, Default)]
-struct StatCells {
-    posts: Counter,
-    bundles_sent: Counter,
-    bundles_received: Counter,
-    bundles_duplicate: Counter,
-    security_rejections: Counter,
-    sessions_initiated: Counter,
-    sessions_accepted: Counter,
-    sessions_resumed: Counter,
-    resume_misses: Counter,
-    requests_served: Counter,
-    sync_frames_sent: Counter,
-    security_alerts: Counter,
-}
-
-impl StatCells {
-    fn snapshot(&self) -> SosStats {
-        SosStats {
-            posts: self.posts.get(),
-            bundles_sent: self.bundles_sent.get(),
-            bundles_received: self.bundles_received.get(),
-            bundles_duplicate: self.bundles_duplicate.get(),
-            security_rejections: self.security_rejections.get(),
-            sessions_initiated: self.sessions_initiated.get(),
-            sessions_accepted: self.sessions_accepted.get(),
-            sessions_resumed: self.sessions_resumed.get(),
-            resume_misses: self.resume_misses.get(),
-            requests_served: self.requests_served.get(),
-            sync_frames_sent: self.sync_frames_sent.get(),
-            security_alerts: self.security_alerts.get(),
+/// Declares the live cells behind [`SosStats`] from its field list, so
+/// a counter is named once for the cells, the snapshot, the registry and
+/// the fleet sum.
+macro_rules! stat_cells {
+    ($($name:ident),* $(,)?) => {
+        impl SosStats {
+            /// Adds another node's counters field-by-field (used by the
+            /// experiment drivers to aggregate fleets; keeping the sum
+            /// here means a new counter cannot be silently dropped from
+            /// aggregates).
+            pub fn merge(&mut self, other: &SosStats) {
+                $(self.$name += other.$name;)*
+            }
         }
-    }
 
-    fn register_in(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}/posts"), &self.posts);
-        registry.register_counter(&format!("{prefix}/bundles_sent"), &self.bundles_sent);
-        registry.register_counter(
-            &format!("{prefix}/bundles_received"),
-            &self.bundles_received,
-        );
-        registry.register_counter(
-            &format!("{prefix}/bundles_duplicate"),
-            &self.bundles_duplicate,
-        );
-        registry.register_counter(
-            &format!("{prefix}/security_rejections"),
-            &self.security_rejections,
-        );
-        registry.register_counter(
-            &format!("{prefix}/sessions_initiated"),
-            &self.sessions_initiated,
-        );
-        registry.register_counter(
-            &format!("{prefix}/sessions_accepted"),
-            &self.sessions_accepted,
-        );
-        registry.register_counter(
-            &format!("{prefix}/sessions_resumed"),
-            &self.sessions_resumed,
-        );
-        registry.register_counter(&format!("{prefix}/resume_misses"), &self.resume_misses);
-        registry.register_counter(&format!("{prefix}/requests_served"), &self.requests_served);
-        registry.register_counter(
-            &format!("{prefix}/sync_frames_sent"),
-            &self.sync_frames_sent,
-        );
-        registry.register_counter(&format!("{prefix}/security_alerts"), &self.security_alerts);
-    }
+        /// The live cells behind [`SosStats`]: lock-free [`Counter`]s
+        /// that can be adopted by a [`Registry`] (per-node named views)
+        /// while the middleware keeps incrementing the very same cells
+        /// — the "registry-backed view" that lets [`Sos::stats`] keep
+        /// returning the plain [`SosStats`] value type.
+        #[derive(Clone, Debug, Default)]
+        struct StatCells {
+            $($name: Counter,)*
+        }
+
+        impl StatCells {
+            fn snapshot(&self) -> SosStats {
+                SosStats { $($name: self.$name.get(),)* }
+            }
+
+            fn register_in(&self, registry: &Registry, prefix: &str) {
+                $(registry.register_counter(&format!("{prefix}/{}", stringify!($name)), &self.$name);)*
+            }
+        }
+    };
 }
+
+stat_cells!(
+    posts,
+    bundles_sent,
+    bundles_received,
+    bundles_duplicate,
+    security_rejections,
+    sessions_initiated,
+    sessions_accepted,
+    sessions_resumed,
+    resume_misses,
+    requests_served,
+    sync_frames_sent,
+    security_alerts,
+);
 
 /// Why a session ends: what [`Sos::end_session`] is told.
 enum Teardown {
@@ -272,8 +230,8 @@ pub enum SosEvent {
         id: MessageId,
         /// Action kind.
         kind: MessageKind,
-        /// Application payload.
-        payload: Vec<u8>,
+        /// Application payload: the stored bundle's own allocation.
+        payload: Arc<[u8]>,
         /// Creation time at the author.
         created_at: SimTime,
         /// D2D hops this copy travelled (1 = directly from the author).
@@ -489,17 +447,13 @@ impl Sos {
         let me = self.user_id();
         let number = self.store.latest_for(&me) + 1;
         let identity = self.adhoc.identity();
+        let id = MessageId { author: me, number };
         let message = SosMessage {
-            id: MessageId { author: me, number },
+            id,
             created_at: now,
             kind,
-            payload: payload.clone(),
-            signature: identity.sign(&SosMessage::signing_bytes(
-                &MessageId { author: me, number },
-                now,
-                kind,
-                &payload,
-            )),
+            signature: identity.sign(&SosMessage::signing_bytes(&id, now, kind, &payload)),
+            payload: payload.into(),
         };
         let mut bundle = Bundle::new(message, identity.certificate().clone());
         bundle.copies = self.scheme.initial_copies();
@@ -952,24 +906,25 @@ impl Sos {
         // failed flush burns at most the current batch's budgets without
         // delivery — the budget analogue of losing the frame tail;
         // ranged wants re-fetch the bundles themselves next encounter.
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        let mut batch_bytes = 0usize;
+        // A failed send closes the session and ends the serve, instead
+        // of leaving the peer idling for a `Done` that will never come.
+        let mut batch = BundleBatch::default();
         for id in to_send {
             let Some(stored) = self.store.get_mut(&id) else {
                 continue;
             };
             let granted_copies = self.scheme.on_serve(stored);
-            let body = stored.encode_with_copies(granted_copies);
-            if !batch.is_empty() && batch_bytes + body.len() > sos_net::SYNC_BATCH_BUDGET {
-                if !self.flush_batch(from, now, &mut batch, out) {
-                    return;
-                }
-                batch_bytes = 0;
+            if !batch.fits(stored.wire_size_with(granted_copies))
+                && !Self::send_batch(&mut self.adhoc, &self.stats, from, &mut batch, out)
+            {
+                self.end_session(from, Teardown::SendFailed, now, out);
+                return;
             }
-            batch_bytes += body.len();
-            batch.push(body);
+            batch.push(stored, granted_copies);
         }
-        if !batch.is_empty() && !self.flush_batch(from, now, &mut batch, out) {
+        if batch.len() > 0 && !Self::send_batch(&mut self.adhoc, &self.stats, from, &mut batch, out)
+        {
+            self.end_session(from, Teardown::SendFailed, now, out);
             return;
         }
         let done = SyncMsg::encode_done();
@@ -990,32 +945,24 @@ impl Sos {
         }
     }
 
-    /// Sends one batched bundle frame, draining `batch`. Returns false —
-    /// after closing the session — if the send path failed, so the
-    /// caller stops serving instead of leaving the peer idling for a
-    /// `Done` that will never come.
-    fn flush_batch(
-        &mut self,
+    /// Sends `batch` as one bundle frame, which empties it; false if the
+    /// send path failed. It borrows only what sending needs, so the
+    /// serve loop can hold a stored bundle across it.
+    fn send_batch(
+        adhoc: &mut AdHocManager,
+        stats: &StatCells,
         peer: PeerId,
-        now: SimTime,
-        batch: &mut Vec<Vec<u8>>,
+        batch: &mut BundleBatch,
         out: &mut Vec<(PeerId, Frame)>,
     ) -> bool {
         let count = batch.len() as u64;
-        let payload = SyncMsg::encode_bundle_batch(batch);
-        batch.clear();
-        match self.adhoc.send_payload(peer, &payload) {
-            Ok(frame) => {
-                self.stats.bundles_sent.add(count);
-                self.stats.sync_frames_sent.inc();
-                out.push((peer, frame));
-                true
-            }
-            Err(_) => {
-                self.end_session(peer, Teardown::SendFailed, now, out);
-                false
-            }
-        }
+        let Ok(frame) = adhoc.send_payload(peer, batch.finish()) else {
+            return false;
+        };
+        stats.bundles_sent.add(count);
+        stats.sync_frames_sent.inc();
+        out.push((peer, frame));
+        true
     }
 
     /// Receives one frame's bundles: the signatures of everything that
@@ -1050,7 +997,9 @@ impl Sos {
         let _span = sos_obs::profile::span("core/verify_frame");
         let validator = self.adhoc.identity().validator();
         let mut validated: Vec<(&Certificate, Result<(), CertError>)> = Vec::new();
-        let candidates: Vec<(usize, Vec<u8>)> = bundles
+        // The candidates' signed strings, back to back in one buffer.
+        let mut signed = Vec::new();
+        let candidates: Vec<(usize, Range<usize>)> = bundles
             .iter()
             .enumerate()
             .filter(|(_, b)| {
@@ -1070,18 +1019,24 @@ impl Sos {
                     .is_ok()
             })
             .map(|(i, b)| {
-                let m = &b.message;
-                let signed = SosMessage::signing_bytes(&m.id, m.created_at, m.kind, &m.payload);
-                (i, signed)
+                let (m, start) = (&b.message, signed.len());
+                SosMessage::append_signing_bytes(
+                    &mut signed,
+                    &m.id,
+                    m.created_at,
+                    m.kind,
+                    &m.payload,
+                );
+                (i, start..signed.len())
             })
             .collect();
         let items: Vec<_> = candidates
             .iter()
-            .map(|(i, signed)| {
+            .map(|(i, range)| {
                 let b = &bundles[*i];
                 (
                     &b.author_certificate.ed25519_public,
-                    signed.as_slice(),
+                    &signed[range.clone()],
                     &b.message.signature,
                 )
             })
@@ -1106,6 +1061,45 @@ impl Sos {
             return Ok(());
         }
         bundle.verify(self.adhoc.identity().validator(), now.as_secs())
+    }
+
+    /// Counts and journals a duplicate of a held bundle.
+    fn note_duplicate(&mut self, from: PeerId, id: MessageId, now: SimTime) {
+        self.stats.bundles_duplicate.inc();
+        let author = sos_obs::author_tag(id.author.as_bytes());
+        self.note(
+            now,
+            ObsEvent::BundleDuplicate {
+                from: from.0,
+                author,
+                seq: id.number,
+            },
+        );
+    }
+
+    /// Counts and journals a rejected bundle and alerts the application.
+    fn reject(
+        &mut self,
+        from: PeerId,
+        id: MessageId,
+        cause: &'static str,
+        detail: String,
+        now: SimTime,
+    ) {
+        self.stats.security_rejections.inc();
+        self.stats.security_alerts.inc();
+        let author = sos_obs::author_tag(id.author.as_bytes());
+        self.note(
+            now,
+            ObsEvent::BundleReject {
+                from: from.0,
+                author,
+                seq: id.number,
+                cause,
+            },
+        );
+        self.events
+            .push_back(SosEvent::SecurityAlert { peer: from, detail });
     }
 
     /// Receiver side: deduplicate against the store, verify (§IV) only
@@ -1139,15 +1133,7 @@ impl Sos {
         let author = sos_obs::author_tag(id.author.as_bytes());
         if let Some(held) = self.store.get(&id) {
             if bundle.content_matches(held) {
-                self.stats.bundles_duplicate.inc();
-                self.note(
-                    now,
-                    ObsEvent::BundleDuplicate {
-                        from: from.0,
-                        author,
-                        seq: id.number,
-                    },
-                );
+                self.note_duplicate(from, id, now);
                 // Same signed bytes we already verified. A duplicate
                 // that arrived over a shorter path still improves what
                 // we know (and relay) about the message: keep the
@@ -1169,15 +1155,7 @@ impl Sos {
                     // lives longer — a copy stuck with the expiring
                     // certificate would be rejected as a forgery by
                     // every peer once it lapses.
-                    self.stats.bundles_duplicate.inc();
-                    self.note(
-                        now,
-                        ObsEvent::BundleDuplicate {
-                            from: from.0,
-                            author,
-                            seq: id.number,
-                        },
-                    );
+                    self.note_duplicate(from, id, now);
                     bundle.hops += 1;
                     if let Some(held) = self.store.get_mut(&id) {
                         held.hops = held.hops.min(bundle.hops);
@@ -1207,40 +1185,14 @@ impl Sos {
                     (rejection.to_string(), "forged_duplicate")
                 }
             };
-            self.stats.security_rejections.inc();
-            self.stats.security_alerts.inc();
-            self.note(
-                now,
-                ObsEvent::BundleReject {
-                    from: from.0,
-                    author,
-                    seq: id.number,
-                    cause,
-                },
-            );
-            self.events
-                .push_back(SosEvent::SecurityAlert { peer: from, detail });
+            self.reject(from, id, cause, detail, now);
             return;
         }
         if let Err(rejection) = self.verify_unless(verified, &bundle, now) {
-            self.stats.security_rejections.inc();
-            self.stats.security_alerts.inc();
-            self.note(
-                now,
-                ObsEvent::BundleReject {
-                    from: from.0,
-                    author,
-                    seq: id.number,
-                    cause: "verify_failed",
-                },
-            );
             if let Some(user) = self.adhoc.peer_user(from) {
                 self.scheme.on_security_incident(&user, now);
             }
-            self.events.push_back(SosEvent::SecurityAlert {
-                peer: from,
-                detail: rejection.to_string(),
-            });
+            self.reject(from, id, "verify_failed", rejection.to_string(), now);
             return;
         }
         bundle.hops += 1;
@@ -1255,7 +1207,7 @@ impl Sos {
         let event = SosEvent::MessageReceived {
             id,
             kind: bundle.message.kind,
-            payload: bundle.message.payload.clone(),
+            payload: Arc::clone(&bundle.message.payload),
             created_at: bundle.message.created_at,
             hops: bundle.hops,
             from,
@@ -1413,11 +1365,11 @@ mod tests {
         assert_eq!(bob.store.get(&id).unwrap().hops, 6);
 
         let mut forged = genuine.clone();
-        forged.message.payload = b"forgery".to_vec();
+        forged.message.payload = b"forgery".to_vec().into();
         forged.hops = 0;
         bob.receive_frame(PeerId(9), vec![forged], SimTime::from_secs(3));
         assert_eq!(bob.store.get(&id).unwrap().hops, 6, "hop count poisoned");
-        assert_eq!(bob.store.get(&id).unwrap().message.payload, b"genuine");
+        assert_eq!(&*bob.store.get(&id).unwrap().message.payload, b"genuine");
         assert_eq!(bob.stats().security_rejections, 1);
         assert_eq!(bob.stats().bundles_duplicate, 0, "forgery is not a dup");
     }
@@ -1579,7 +1531,10 @@ mod tests {
             author: alice,
             number: 1,
         };
-        assert_eq!(bob.store.get(&id).unwrap().message.payload, b"version one");
+        assert_eq!(
+            &*bob.store.get(&id).unwrap().message.payload,
+            b"version one"
+        );
         assert_eq!(bob.stats().security_rejections, 1);
         let alerts: Vec<String> = bob
             .poll_events()
@@ -1658,7 +1613,7 @@ mod tests {
             .collect();
         assert_eq!(received.len(), 1);
         assert_eq!(received[0].0, uid("alice"));
-        assert_eq!(received[0].1, b"hello followers");
+        assert_eq!(&*received[0].1, b"hello followers");
         assert_eq!(received[0].2, 1, "direct from author = 1 hop");
         assert_eq!(bob.store().latest_for(&uid("alice")), 1);
         assert_eq!(bob.stats().bundles_received, 1);
@@ -1666,6 +1621,34 @@ mod tests {
         // Sessions are cleaned up.
         assert_eq!(alice.session_count(), 0);
         assert_eq!(bob.session_count(), 0);
+    }
+
+    /// A received payload is decoded once: the stored bundle and the
+    /// `MessageReceived` event the app polls share that one allocation.
+    #[test]
+    fn a_received_payload_is_one_allocation_for_store_and_event() {
+        let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+        let mut alice = node(&mut ca, 0, 10, "alice", SchemeKind::InterestBased);
+        let mut bob = node(&mut ca, 1, 20, "bob", SchemeKind::InterestBased);
+        bob.subscribe(uid("alice"));
+        let t = SimTime::from_secs(100);
+        let id = alice
+            .post(MessageKind::Post, b"shared".to_vec(), t)
+            .unwrap();
+        browse(&mut alice, &mut bob, t);
+
+        let stored = Arc::clone(&bob.store().get(&id).unwrap().message.payload);
+        let events = bob.poll_events();
+        let delivered: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                SosEvent::MessageReceived { payload, .. } => Some(payload),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered.len(), 1);
+        assert!(Arc::ptr_eq(delivered[0], &stored), "one allocation");
+        assert_eq!(&*stored, b"shared");
     }
 
     #[test]
@@ -1784,7 +1767,7 @@ mod tests {
             author: uid("alice"),
             number: 1,
         };
-        alice.store.get_mut(&id).unwrap().message.payload = b"tampered".to_vec();
+        alice.store.get_mut(&id).unwrap().message.payload = b"tampered".to_vec().into();
         browse(&mut alice, &mut bob, SimTime::ZERO);
         assert_eq!(bob.store().len(), 0, "tampered bundle not stored");
         assert_eq!(bob.stats().security_rejections, 1);
@@ -2425,7 +2408,7 @@ mod tests {
         fn should_carry(&mut self, ctx: &RoutingContext<'_>, bundle: &Bundle) -> bool {
             let line = format!("carry {:?} seeing {:?}", bundle.message.id, ctx.summary);
             self.0.lock().unwrap().push(line);
-            bundle.message.payload != NOT_CARRIED
+            *bundle.message.payload != *NOT_CARRIED
         }
         fn on_security_incident(&mut self, peer_user: &UserId, now: SimTime) {
             let line = format!("incident {} at {now:?}", peer_user.display());
@@ -2586,7 +2569,7 @@ mod tests {
             Author::new(&mut ca, 4, "carol", 0),
         );
         let mut frame = twelve(&alice, &carol);
-        frame[6].message.payload = b"tampered in transit".to_vec();
+        frame[6].message.payload = b"tampered in transit".to_vec().into();
         let got = assert_frame_equals_singles(&mut ca, &[], &frame, SimTime::from_secs(20));
         assert_eq!(got.store.len(), 11, "everything but the forgery lands");
         assert_eq!(got.stats.security_rejections, 1);
@@ -2624,7 +2607,7 @@ mod tests {
         let mut frame: Vec<Bundle> = (1..=67u64)
             .map(|n| alice.bundle(n, format!("backlog {n}").as_bytes()))
             .collect();
-        frame[60].message.payload = b"tampered in transit".to_vec();
+        frame[60].message.payload = b"tampered in transit".to_vec().into();
         let got = assert_frame_equals_singles(&mut ca, &[], &frame, SimTime::from_secs(100));
         assert_eq!(got.store.len(), 66, "everything but the forgery lands");
         assert_eq!(got.stats.bundles_received, 67);
@@ -2692,7 +2675,7 @@ mod tests {
             // Forged duplicate: a held id with tampered bytes.
             {
                 let mut forged = held[3].clone();
-                forged.message.payload = b"poison".to_vec();
+                forged.message.payload = b"poison".to_vec().into();
                 forged.hops = 0;
                 forged
             },

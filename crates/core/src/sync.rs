@@ -30,7 +30,8 @@
 use crate::error::SosError;
 use crate::message::Bundle;
 use sos_crypto::UserId;
-use sos_sim::codec::{Count, Reader, Writer, NO_CAP};
+use sos_net::SYNC_BATCH_BUDGET;
+use sos_sim::codec::{Reader, Writer, NO_CAP};
 
 /// Maximum authors in one encoded request (u16 count field).
 pub const MAX_REQUEST_AUTHORS: usize = u16::MAX as usize;
@@ -158,24 +159,15 @@ impl SyncMsg {
         out
     }
 
-    /// Encodes a batched bundle frame from pre-encoded bundle bodies —
-    /// the serve path sizes its batches by encoded length, so it has the
-    /// bodies already. Serve batches are sized under
-    /// [`sos_net::SYNC_BATCH_BUDGET`] and a body is a header,
-    /// [`MAX_PAYLOAD`](crate::MAX_PAYLOAD) and a certificate, far inside
-    /// the `u32` count and length fields.
+    /// Encodes a batched bundle frame from pre-encoded bundle bodies,
+    /// which need not decode: the bytes the serve path writes for the
+    /// bundles they encode.
     pub fn encode_bundle_batch(bodies: &[Vec<u8>]) -> Vec<u8> {
-        fn write(w: &mut impl Writer, bodies: &[Vec<u8>]) {
-            w.u8(TAG_BUNDLES);
-            let count = w.len32(bodies.len());
-            for body in &bodies[..count] {
-                w.bytes32(body);
-            }
+        let mut batch = BundleBatch::default();
+        for body in bodies {
+            batch.push_with(|w| w.bytes(body));
         }
-        // sos-lint: allow(no-unbounded-prealloc) reason="the size counts in-memory bodies through the layout itself, not an attacker-controlled wire length"
-        let mut buf = Vec::with_capacity(Count::of(|w| write(w, bodies)));
-        write(&mut buf, bodies);
-        buf
+        batch.finish().to_vec()
     }
 
     /// Decodes a session payload.
@@ -242,6 +234,70 @@ impl SyncMsg {
         r.finish()?;
         Ok(msg)
     }
+}
+
+/// A [`SyncMsg::Bundles`] frame written in place: each body goes
+/// straight into the frame's buffer behind its length, and the count is
+/// filled in when the frame is taken. The serve path fills one frame
+/// after another in the same buffer. Batches are sized under
+/// [`sos_net::SYNC_BATCH_BUDGET`] and a body is a header,
+/// [`MAX_PAYLOAD`](crate::MAX_PAYLOAD) and a certificate, far inside the
+/// `u32` count and length fields.
+#[derive(Default)]
+pub(crate) struct BundleBatch {
+    buf: Vec<u8>,
+    /// Bodies written since the last frame was taken.
+    count: usize,
+}
+
+impl BundleBatch {
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True when a body of `size` bytes belongs in this frame: the frame
+    /// is empty, or its bodies (the buffer less the tag and the length
+    /// fields) stay within the batch budget.
+    pub(crate) fn fits(&self, size: usize) -> bool {
+        self.count == 0 || self.buf.len() + size <= SYNC_BATCH_BUDGET + 5 + 4 * self.count
+    }
+
+    /// Writes `bundle`'s body with copy budget `copies`.
+    pub(crate) fn push(&mut self, bundle: &Bundle, copies: Option<u32>) {
+        self.push_with(|w| bundle.write(copies, w));
+    }
+
+    fn push_with(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
+        self.open();
+        let at = self.buf.len();
+        self.buf.u32(0);
+        body(&mut self.buf);
+        let len = self.buf.len() - at - 4;
+        set_u32(&mut self.buf[at..], len);
+        self.count += 1;
+    }
+
+    /// The frame of every body written since the last call; the next
+    /// write starts a new frame.
+    pub(crate) fn finish(&mut self) -> &[u8] {
+        self.open();
+        set_u32(&mut self.buf[1..], std::mem::take(&mut self.count));
+        &self.buf
+    }
+
+    /// Starts a new frame unless this one holds a body.
+    fn open(&mut self) {
+        if self.count == 0 {
+            self.buf.clear();
+            self.buf.extend_from_slice(&[TAG_BUNDLES, 0, 0, 0, 0]);
+        }
+    }
+}
+
+/// Overwrites the `u32` field at the start of `field` with `n`.
+fn set_u32(field: &mut [u8], n: usize) {
+    let n = u32::try_from(n).unwrap_or(u32::MAX);
+    field[..4].copy_from_slice(&n.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -349,7 +405,7 @@ mod tests {
             },
             created_at: SimTime::from_secs(n),
             kind: MessageKind::Post,
-            payload: vec![n as u8; 3],
+            payload: vec![n as u8; 3].into(),
             signature: sos_crypto::Signature([0; 64]),
         };
         Bundle::new(m, cert.clone())

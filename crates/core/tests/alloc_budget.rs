@@ -7,11 +7,13 @@
 //!   per `Bundles` frame (its bundles share one `Arc<Certificate>`), not
 //!   one per bundle;
 //! - heap allocations made inside `Sos::handle_frame`, per bundle, on
-//!   each side.
+//!   each side;
+//! - heap bytes a subscriber keeps per delivered bundle: its store's
+//!   entry and the `MessageReceived` event it holds until the app polls.
 //!
-//! The allocations are counted by this file's global allocator, which
-//! hands every call to [`System`] unchanged. The file holds one test, so
-//! nothing else runs in the process while it counts.
+//! The allocations and live bytes are counted by this file's global
+//! allocator, which hands every call to [`System`] unchanged. The file
+//! holds one test, so nothing else runs in the process while it counts.
 
 use rand::SeedableRng;
 use sos_core::{MessageKind, SchemeKind, Sos};
@@ -21,33 +23,48 @@ use sos_crypto::{AgreementKey, DeviceIdentity, SigningKey, UserId};
 use sos_net::{Air, Frame, PeerId};
 use sos_sim::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) since start-up.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes handed out and not yet handed back, as the layouts ask for
+/// them (the system allocator's own headers are not counted).
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
 struct Counting;
 
+/// Counts one allocation of `size` bytes that `System` answered with `ptr`.
+fn counted(ptr: *mut u8, size: usize) -> *mut u8 {
+    ALLOCATIONS.fetch_add(1, Relaxed);
+    if !ptr.is_null() {
+        LIVE.fetch_add(size, Relaxed);
+    }
+    ptr
+}
+
 // SAFETY: every method forwards its arguments to `System` unchanged and
-// returns what `System` returned; the counter touches no memory it hands
+// returns what `System` returned; the counters touch no memory it hands
 // out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc(layout)
+        counted(System.alloc(layout), layout.size())
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
+        counted(System.alloc_zeroed(layout), layout.size())
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let moved = counted(System.realloc(ptr, layout, new_size), new_size);
+        if !moved.is_null() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
         System.dealloc(ptr, layout);
     }
 }
@@ -102,18 +119,39 @@ fn encounter(author: &mut Sos, subscriber: &mut Sos, now: SimTime) -> Encounter 
     cost
 }
 
-#[test]
-fn a_bulk_encounter_parses_one_certificate_per_frame_and_allocates_within_budget() {
-    let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
-    let mut author = node(&mut ca, 0, 10, "author");
-    let mut subscriber = node(&mut ca, 1, 20, "subscriber");
+/// A fresh author (node 0) with `posts` 140-byte posts, and a fresh
+/// subscriber (node 1) following it; `seed` keeps each pair's keys its
+/// own.
+fn pair(ca: &mut CertificateAuthority, seed: u8, posts: u64) -> (Sos, Sos) {
+    let mut author = node(ca, 0, seed, "author");
+    let mut subscriber = node(ca, 1, seed + 10, "subscriber");
     subscriber.subscribe(author.user_id());
-    for n in 0..POSTS {
+    for n in 0..posts {
         let payload = vec![n as u8; 140];
         author
             .post(MessageKind::Post, payload, SimTime::from_secs(n))
             .expect("a 140-byte post fits");
     }
+    (author, subscriber)
+}
+
+/// The heap bytes a fresh pair leaves behind once the author is gone:
+/// the subscriber with its `posts` stored bundles and unpolled events,
+/// plus what the encounter cached for good (the author's prepared key).
+fn retained(ca: &mut CertificateAuthority, seed: u8, posts: u64) -> usize {
+    let before = LIVE.load(Relaxed);
+    let (mut author, mut subscriber) = pair(ca, seed, posts);
+    encounter(&mut author, &mut subscriber, SimTime::from_secs(1_000));
+    drop(author);
+    let kept = LIVE.load(Relaxed) - before;
+    assert_eq!(subscriber.store().len() as u64, posts, "every post arrived");
+    kept
+}
+
+#[test]
+fn a_bulk_encounter_parses_one_certificate_per_frame_and_allocates_within_budget() {
+    let mut ca = CertificateAuthority::new("Root", [1u8; 32], 0, u64::MAX);
+    let (mut author, mut subscriber) = pair(&mut ca, 10, POSTS);
 
     let cost = encounter(&mut author, &mut subscriber, SimTime::from_secs(1_000));
     assert_eq!(subscriber.store().len() as u64, POSTS, "every post arrived");
@@ -124,20 +162,40 @@ fn a_bulk_encounter_parses_one_certificate_per_frame_and_allocates_within_budget
     assert_eq!(cost.certificates_parsed, 2 + 3);
 
     // Allocations per bundle inside `handle_frame`, the same in debug
-    // and release. Serving: 1.335 (267: a body per bundle), 6.345 when
-    // every served bundle was cloned and its certificate encoded through
-    // two temporary vectors. Receiving: 3.72 on one core, 3.84 on two (a
-    // frame verified on a second thread spends 8 on the fork), 5.715 and
-    // 5.835 when every bundle parsed its own certificate. The ceilings
-    // sit between.
+    // and release. Serving: 0.345 (69: the bodies are written straight
+    // into one frame buffer per serve), 1.325 when every body was a
+    // vector of its own copied into the frame, 6.345 when every served
+    // bundle was cloned and its certificate encoded through two
+    // temporary vectors. Receiving: 2.90 on one core, 3.02 on two (a
+    // frame verified on a second thread spends 8 on the fork); 3.72 and
+    // 3.84 when every candidate's signed string was a vector of its own,
+    // 5.715 and 5.835 when every bundle also parsed its own certificate.
+    // The boxed store entry costs one and the event's shared payload
+    // saves one. The ceilings sit just above.
     let per_bundle = |allocations: u64| allocations as f64 / POSTS as f64;
     let (served, received) = (
         per_bundle(cost.author_allocations),
         per_bundle(cost.subscriber_allocations),
     );
-    assert!(served <= 2.5, "author: {served:.2} allocations per bundle");
+    assert!(served <= 0.5, "author: {served:.2} allocations per bundle");
     assert!(
-        received <= 4.5,
+        received <= 3.2,
         "subscriber: {received:.2} allocations per bundle"
+    );
+
+    // Heap bytes a subscriber keeps per delivered bundle: fresh pairs
+    // with 100 and 200 posts after the encounter above (which built the
+    // CA key's table), so what every pair keeps once (the author's
+    // 15 360-byte prepared table, the subscriber's identity and
+    // session state) cancels in the difference. 420.5: a 144-byte boxed
+    // `Bundle` behind a pointer slot, its payload and its event; 660.2
+    // when the store kept each `Bundle` inline in a half-full B-tree
+    // leaf and the event held a second copy of the payload.
+    let small = retained(&mut ca, 30, POSTS / 2);
+    let large = retained(&mut ca, 50, POSTS);
+    let marginal = (large - small) as f64 / (POSTS / 2) as f64;
+    assert!(
+        marginal <= 430.0,
+        "{marginal:.1} B kept per delivered bundle"
     );
 }

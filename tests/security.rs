@@ -147,7 +147,7 @@ fn tampered_forwarded_bundle_rejected() {
     // bundle with a modified payload but the original signature.
     let stored = bob.middleware().store().get(&id).unwrap().clone();
     let mut tampered = stored.clone();
-    tampered.message.payload = b"fake news".to_vec();
+    tampered.message.payload = b"fake news".to_vec().into();
     // Re-inject through Carol's verification path.
     let validator = Validator::new(cloud.root_certificate().clone());
     assert!(stored.verify(&validator, 10).is_ok());
