@@ -242,7 +242,7 @@ fn bench_padded_span(_c: &mut Criterion) {
     .expect("valid synthetic trace");
     // Four idle weeks, then two phones in range for one second.
     let sentinel = plain.end_time() + SimDuration::from_hours(28 * 24);
-    let mut events = plain.events().to_vec();
+    let mut events: Vec<ContactEvent> = plain.events().collect();
     for (at, phase) in [
         (sentinel, ContactPhase::Up),
         (sentinel + SimDuration::from_secs(1), ContactPhase::Down),

@@ -11,9 +11,10 @@
 //! - heap bytes a subscriber keeps per delivered bundle: its store's
 //!   entry and the `MessageReceived` event it holds until the app polls.
 //!
-//! The allocations and live bytes are counted by this file's global
-//! allocator, which hands every call to [`System`] unchanged. The file
-//! holds one test, so nothing else runs in the process while it counts.
+//! The allocations and live bytes are counted by the global allocator
+//! of `support/counting.rs`, which hands every call to the system
+//! allocator unchanged. The file holds one test, so nothing else runs
+//! in the process while it counts.
 
 use rand::SeedableRng;
 use sos_core::{MessageKind, SchemeKind, Sos};
@@ -22,55 +23,11 @@ use sos_crypto::cert::certificates_parsed;
 use sos_crypto::{AgreementKey, DeviceIdentity, SigningKey, UserId};
 use sos_net::{Air, Frame, PeerId};
 use sos_sim::{SimDuration, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
-/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) since start-up.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Bytes handed out and not yet handed back, as the layouts ask for
-/// them (the system allocator's own headers are not counted).
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-/// Counts one allocation of `size` bytes that `System` answered with `ptr`.
-fn counted(ptr: *mut u8, size: usize) -> *mut u8 {
-    ALLOCATIONS.fetch_add(1, Relaxed);
-    if !ptr.is_null() {
-        LIVE.fetch_add(size, Relaxed);
-    }
-    ptr
-}
-
-// SAFETY: every method forwards its arguments to `System` unchanged and
-// returns what `System` returned; the counters touch no memory it hands
-// out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        counted(System.alloc(layout), layout.size())
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        counted(System.alloc_zeroed(layout), layout.size())
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let moved = counted(System.realloc(ptr, layout, new_size), new_size);
-        if !moved.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-        }
-        moved
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
+#[path = "support/counting.rs"]
+mod counting;
+use counting::{ALLOCATIONS, LIVE};
 
 const POSTS: u64 = 200;
 

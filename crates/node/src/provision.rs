@@ -355,10 +355,10 @@ mod tests {
         let text = codec_text::to_text(&trace);
         let reloaded = load_trace_bytes(text.as_bytes()).expect("text reload");
         assert_eq!(reloaded.node_count(), 3);
-        assert_eq!(reloaded.events(), trace.events());
+        assert!(reloaded.events().eq(trace.events()));
         let bin = codec_binary::to_binary(&trace);
         let reloaded = load_trace_bytes(&bin).expect("binary reload");
-        assert_eq!(reloaded.events(), trace.events());
+        assert!(reloaded.events().eq(trace.events()));
     }
 
     mod boundaries {

@@ -47,7 +47,7 @@ pub trait EncounterSource {
     /// Closed contact intervals over `[start, end]`; contacts still
     /// open at `end` are closed there.
     fn encounter_intervals(&self, start: SimTime, end: SimTime) -> Vec<ContactInterval> {
-        collapse_intervals(&self.encounter_events(start, end), end)
+        collapse_intervals(self.encounter_events(start, end), end)
     }
 
     /// Where `node` is at `t`, if the source knows geometry at all.
@@ -105,7 +105,7 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(
             w.encounter_intervals(SimTime::ZERO, end),
-            collapse_intervals(&events, end)
+            collapse_intervals(events, end)
         );
         assert_eq!(w.range_hint_m(), Some(60.0));
         assert_eq!(

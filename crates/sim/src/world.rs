@@ -53,34 +53,25 @@ impl ContactInterval {
 /// Collapses a time-ordered contact-event stream into closed intervals;
 /// contacts still open at `end` are closed there. Output is sorted by
 /// `(start, a, b)`.
-pub fn collapse_intervals(events: &[ContactEvent], end: SimTime) -> Vec<ContactInterval> {
-    let mut open: std::collections::HashMap<(usize, usize), SimTime> =
-        std::collections::HashMap::new();
+pub fn collapse_intervals(
+    events: impl IntoIterator<Item = ContactEvent>,
+    end: SimTime,
+) -> Vec<ContactInterval> {
+    let interval = |(a, b), start, end| ContactInterval { a, b, start, end };
+    let mut open = std::collections::HashMap::new();
     let mut intervals = Vec::new();
     for ev in events {
+        let pair = (ev.a, ev.b);
         match ev.phase {
-            ContactPhase::Up => {
-                open.insert((ev.a, ev.b), ev.time);
-            }
-            ContactPhase::Down => {
-                if let Some(s) = open.remove(&(ev.a, ev.b)) {
-                    intervals.push(ContactInterval {
-                        a: ev.a,
-                        b: ev.b,
-                        start: s,
-                        end: ev.time,
-                    });
-                }
-            }
+            ContactPhase::Up => _ = open.insert(pair, ev.time),
+            ContactPhase::Down => intervals.extend(
+                open.remove(&pair)
+                    .map(|start| interval(pair, start, ev.time)),
+            ),
         }
     }
-    for ((a, b), s) in open {
-        intervals.push(ContactInterval {
-            a,
-            b,
-            start: s,
-            end,
-        });
+    for (pair, start) in open {
+        intervals.push(interval(pair, start, end));
     }
     intervals.sort_by_key(|iv| (iv.start, iv.a, iv.b));
     intervals

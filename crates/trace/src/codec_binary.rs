@@ -36,7 +36,7 @@
 //! bit-for-bit — the round-trip guarantee the property tests assert.
 
 use crate::error::TraceError;
-use crate::record::ContactTrace;
+use crate::record::{ContactTrace, Packed};
 use sos_sim::codec::{Reader, Writer, NO_CAP};
 use sos_sim::world::{ContactEvent, ContactPhase};
 use sos_sim::SimTime;
@@ -50,14 +50,9 @@ pub fn to_binary(trace: &ContactTrace) -> Vec<u8> {
     let _span = sos_obs::profile::span("trace/binary_encode");
     let mut out = Vec::with_capacity(32 + trace.len() * 14);
     out.bytes(MAGIC);
-    let mut flags = 0u8;
-    if trace.range_m().is_some() {
-        flags |= FLAG_RANGE;
-    }
-    if trace.node_labels().is_some() {
-        flags |= FLAG_LABELS;
-    }
-    out.u8(flags);
+    let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+    out.u8(flag(trace.range_m().is_some(), FLAG_RANGE)
+        | flag(trace.node_labels().is_some(), FLAG_LABELS));
     if let Some(r) = trace.range_m() {
         out.f64(r);
     }
@@ -92,11 +87,7 @@ pub fn from_binary(buf: &[u8]) -> Result<ContactTrace, TraceError> {
     if flags & !(FLAG_RANGE | FLAG_LABELS) != 0 {
         return Err(TraceError::UnknownFlags { flags });
     }
-    let range_m = if flags & FLAG_RANGE != 0 {
-        Some(r.f64()?)
-    } else {
-        None
-    };
+    let range_m = (flags & FLAG_RANGE != 0).then(|| r.f64()).transpose()?;
     let (nodes, labels) = if flags & FLAG_LABELS != 0 {
         // A hostile node count must not drive label-loop allocations:
         // every label costs ≥ 1 byte (its length varint).
@@ -121,26 +112,25 @@ pub fn from_binary(buf: &[u8]) -> Result<ContactTrace, TraceError> {
     let count = r.count_varint(11)?;
     let mut events = Vec::with_capacity(count.min(buf.len() / 11));
     let mut t = 0u64;
-    for _ in 0..count {
+    for index in 0..count {
         let dt = r.varint()?;
         t = t.checked_add(dt).ok_or(TraceError::VarintOverflow)?;
         let a_phase = r.varint()?;
-        let b = r.varint()? as usize;
-        let distance_m = r.f64()?;
-        events.push(ContactEvent {
+        let ev = ContactEvent {
             time: SimTime::from_millis(t),
             a: (a_phase >> 1) as usize,
-            b,
+            b: r.varint()? as usize,
             phase: if a_phase & 1 == 1 {
                 ContactPhase::Up
             } else {
                 ContactPhase::Down
             },
-            distance_m,
-        });
+            distance_m: r.f64()?,
+        };
+        events.push(Packed::pack(index, ev)?);
     }
     r.finish()?;
-    ContactTrace::new_labeled(nodes, range_m, labels, events)
+    ContactTrace::from_packed(nodes, range_m, labels, events)
 }
 
 #[cfg(test)]
@@ -292,6 +282,40 @@ mod tests {
         assert!(TraceError::TrailingBytes { extra: 3 }
             .to_string()
             .contains("3 bytes"));
+    }
+
+    #[test]
+    fn values_beyond_the_packed_limits_are_named_errors() {
+        let limit = |index, what, value| TraceError::Unrepresentable { index, what, value };
+        let header = |nodes: u64, count: u64| {
+            let mut buf = MAGIC.to_vec();
+            buf.push(0); // no range
+            buf.varint(nodes);
+            buf.varint(count);
+            buf
+        };
+        assert_eq!(
+            from_binary(&header(1 << 32, 0)),
+            Err(limit(None, "node count", 1 << 32))
+        );
+        // One `Up` of pair (0, b) at `t_ms`.
+        let one = |t_ms: u64, b: u64| {
+            let mut buf = header(2, 1);
+            buf.varint(t_ms);
+            buf.varint(1);
+            buf.varint(b);
+            buf.f64(1.0);
+            buf
+        };
+        assert_eq!(
+            from_binary(&one(1 << 63, 1)),
+            Err(limit(Some(0), "time", 1 << 63))
+        );
+        assert_eq!(
+            from_binary(&one(0, 1 << 32)),
+            Err(limit(Some(0), "node", 1 << 32))
+        );
+        assert!(from_binary(&one((1 << 63) - 1, 1)).is_ok());
     }
 
     #[test]

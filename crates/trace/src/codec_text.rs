@@ -28,13 +28,23 @@
 //! seconds, fractional allowed, no distance — recorded as 0). Node
 //! count is taken from the header when present, otherwise inferred as
 //! `max index + 1`.
+//!
+//! Limits: a trace holds at most `u32::MAX` nodes and times below 2^63
+//! ms (see [`record`](crate::record)). A node id, node count or time
+//! beyond them parses as a number but is
+//! [`TraceError::Unrepresentable`] (inside `InvalidAtLine` when an
+//! event line carries it), never truncated. Each line is packed as it
+//! is parsed; no `ContactEvent` list is built.
+//! [`to_text`] writes into one buffer sized for the trace's longest
+//! possible line, so it allocates once.
 
 use crate::error::TraceError;
-use crate::record::ContactTrace;
+use crate::record::{ContactTrace, Packed};
 use crate::scan::{split, Lines};
 use sos_sim::world::{ContactEvent, ContactPhase};
 use sos_sim::SimTime;
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 /// Largest millisecond count exactly representable as an `f64` integer
 /// (2^53). Beyond this, `as u64` conversions silently saturate or lose
@@ -72,7 +82,10 @@ fn map_timeline_error(err: TraceError, text: &str) -> TraceError {
         | TraceError::UnorderedPair { index }
         | TraceError::UnorderedEvents { index }
         | TraceError::PhaseViolation { index }
-        | TraceError::BadDistance { index } => Some(*index),
+        | TraceError::BadDistance { index }
+        | TraceError::Unrepresentable {
+            index: Some(index), ..
+        } => Some(*index),
         _ => None,
     };
     let mut lines = Lines::new(text);
@@ -102,14 +115,33 @@ fn push_decimal(out: &mut String, mut value: u64) {
     out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
 }
 
-/// Serializes a trace to the canonical text format.
+/// The longest `{:?}` of a finite, non-negative `f64`: 17 significant
+/// digits, a point and a three-digit negative exponent
+/// (`2.2250738585072014e-308`).
+const MAX_DISTANCE_CHARS: usize = 23;
+
+/// Serializes a trace to the canonical text format, in one allocation:
+/// the buffer is sized for every line as long as the trace's last time,
+/// its node count and the longest distance can print, so it never
+/// grows.
 pub fn to_text(trace: &ContactTrace) -> String {
     let _span = sos_obs::profile::span("trace/text_encode");
-    let mut out = String::with_capacity(64 + trace.len() * 32);
+    let digits = |value: u64| value.max(1).ilog10() as usize + 1;
+    let labels = trace.node_labels().unwrap_or_default();
+    // The three fixed header lines, `# range_m` at its longest.
+    let header = 96 + labels.iter().map(|label| label.len() + 1).sum::<usize>();
+    // Two spaces, ` down ` and the newline around the three integers.
+    let line = digits(trace.end_time().as_millis()) + 2 * digits(trace.node_count() as u64) + 9;
+    let mut out = String::with_capacity(header + trace.len() * (line + MAX_DISTANCE_CHARS));
     out.push_str("# sos-trace v1\n");
     let _ = writeln!(out, "# nodes {}", trace.node_count());
-    if let Some(labels) = trace.node_labels() {
-        let _ = writeln!(out, "# node_ids {}", labels.join(" "));
+    if trace.node_labels().is_some() {
+        out.push_str("# node_ids ");
+        for (i, label) in labels.iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { " " });
+            out.push_str(label);
+        }
+        out.push('\n');
     }
     if let Some(r) = trace.range_m() {
         let _ = writeln!(out, "# range_m {r:?}");
@@ -158,11 +190,17 @@ pub(crate) fn parse_secs_as_millis(token: &str, line: usize) -> Result<u64, Trac
     })
 }
 
-fn parse_num<T: std::str::FromStr>(token: &str, line: usize, what: &str) -> Result<T, TraceError> {
+fn parse_num<T: FromStr>(token: &str, line: usize, what: &str) -> Result<T, TraceError> {
     token.parse().map_err(|_| TraceError::Parse {
         line,
         reason: format!("bad {what} {token:?}"),
     })
+}
+
+/// Parses the value of a `# <key> <value>` header line.
+fn parse_value<T: FromStr>(token: Option<&str>, line: usize, what: &str) -> Result<T, TraceError> {
+    let reason = format!("missing {what}");
+    parse_num(token.ok_or(TraceError::Parse { line, reason })?, line, what)
 }
 
 /// Parses the canonical text format (and ONE-style `CONN` lines).
@@ -172,7 +210,7 @@ pub fn from_text(text: &str) -> Result<ContactTrace, TraceError> {
     let mut range_m: Option<f64> = None;
     let mut labels: Option<Vec<String>> = None;
     let mut labels_line = 0usize;
-    let mut events: Vec<ContactEvent> = Vec::new();
+    let mut events: Vec<Packed> = Vec::new();
     let mut max_node = 0usize;
 
     let mut lines = Lines::new(text);
@@ -180,24 +218,11 @@ pub fn from_text(text: &str) -> Result<ContactTrace, TraceError> {
         if let Some(comment) = content.strip_prefix('#') {
             let mut it = comment.split_whitespace();
             match it.next() {
-                Some("nodes") => {
-                    let n = it.next().ok_or_else(|| TraceError::Parse {
-                        line,
-                        reason: "missing node count".into(),
-                    })?;
-                    nodes = Some(parse_num(n, line, "node count")?);
-                }
+                Some("nodes") => nodes = Some(parse_value(it.next(), line, "node count")?),
                 Some("node_ids") => {
-                    labels = Some(it.map(str::to_string).collect());
-                    labels_line = line;
+                    (labels, labels_line) = (Some(it.map(str::to_string).collect()), line)
                 }
-                Some("range_m") => {
-                    let r = it.next().ok_or_else(|| TraceError::Parse {
-                        line,
-                        reason: "missing range".into(),
-                    })?;
-                    range_m = Some(parse_num(r, line, "range")?);
-                }
+                Some("range_m") => range_m = Some(parse_value(it.next(), line, "range")?),
                 _ => {} // free-form comment
             }
             continue;
@@ -241,13 +266,13 @@ pub fn from_text(text: &str) -> Result<ContactTrace, TraceError> {
             });
         };
         max_node = max_node.max(ev.b).max(ev.a);
-        events.push(ev);
+        events.push(Packed::pack(events.len(), ev).map_err(|e| map_timeline_error(e, text))?);
     }
 
     let nodes = nodes
         .or(labels.as_ref().map(Vec::len))
         .unwrap_or(if events.is_empty() { 0 } else { max_node + 1 });
-    ContactTrace::new_labeled(nodes, range_m, labels, events).map_err(|err| match err {
+    ContactTrace::from_packed(nodes, range_m, labels, events).map_err(|err| match err {
         // Label failures come from the `# node_ids` header line.
         TraceError::InvalidLabels { .. } => TraceError::InvalidAtLine {
             line: labels_line,
@@ -294,7 +319,10 @@ mod tests {
         let trace = from_text(text).unwrap();
         assert_eq!(trace.node_count(), 8); // inferred
         assert_eq!(trace.range_m(), None);
-        assert_eq!(trace.events()[1].time, SimTime::from_millis(12_500));
+        assert_eq!(
+            trace.events().nth(1).unwrap().time,
+            SimTime::from_millis(12_500)
+        );
     }
 
     #[test]
@@ -367,7 +395,10 @@ mod tests {
         }
         // Huge-but-exact millisecond values still parse.
         let ok = from_text("9000000000000 CONN 0 1 up\n").unwrap();
-        assert_eq!(ok.events()[0].time.as_millis(), 9_000_000_000_000_000);
+        assert_eq!(
+            ok.events().next().unwrap().time.as_millis(),
+            9_000_000_000_000_000
+        );
     }
 
     #[test]
@@ -461,6 +492,67 @@ mod tests {
             let mut out = String::from("x");
             push_decimal(&mut out, value);
             assert_eq!(out, format!("x{value}"));
+        }
+    }
+
+    #[test]
+    fn values_beyond_the_packed_limits_are_named_errors() {
+        let limit = |index, what, value| TraceError::Unrepresentable { index, what, value };
+        let at_line = |line, error| TraceError::InvalidAtLine {
+            line,
+            error: Box::new(error),
+        };
+        assert_eq!(
+            from_text("# nodes 4294967296\n").unwrap_err(),
+            limit(None, "node count", 1 << 32)
+        );
+        // An id of u32::MAX makes an inferred count of 2^32.
+        assert_eq!(
+            from_text("0 0 4294967295 up 1.0\n").unwrap_err(),
+            limit(None, "node count", 1 << 32)
+        );
+        assert_eq!(
+            from_text("0 0 4294967296 up 1.0\n").unwrap_err(),
+            at_line(1, limit(Some(0), "node", 1 << 32))
+        );
+        let text = "# nodes 2\n0 0 1 up 1.0\n9223372036854775808 0 1 down 1.0\n";
+        assert_eq!(
+            from_text(text).unwrap_err(),
+            at_line(3, limit(Some(1), "time", 1 << 63))
+        );
+        // The largest time that fits and a negative zero round-trip.
+        let edge = from_text("9223372036854775807 0 1 up -0.0\n").unwrap();
+        assert_eq!(from_text(&to_text(&edge)).unwrap(), edge);
+    }
+
+    #[test]
+    fn the_longest_distances_fit_the_buffer_bound() {
+        for distance in [
+            2.2250738585072014e-308,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.00012345678901234567,
+            9999999999999998.0,
+            f64::MAX,
+        ] {
+            let printed = format!("{distance:?}");
+            assert!(printed.len() <= MAX_DISTANCE_CHARS, "{printed}");
+        }
+        assert_eq!(
+            format!("{:?}", 2.2250738585072014e-308).len(),
+            MAX_DISTANCE_CHARS
+        );
+    }
+
+    proptest::proptest! {
+        /// No finite, non-negative distance prints longer than the bound
+        /// `to_text` sizes its buffer by.
+        #[test]
+        fn no_distance_prints_longer_than_the_bound(bits in proptest::prelude::any::<u64>()) {
+            let distance = f64::from_bits(bits).abs();
+            if distance.is_finite() {
+                proptest::prop_assert!(format!("{distance:?}").len() <= MAX_DISTANCE_CHARS);
+            }
         }
     }
 

@@ -19,7 +19,7 @@
 //! counting each repair in the returned [`ImportReport`].
 
 use crate::codec_text::{parse_phase, parse_secs_as_millis};
-use crate::corpora::sanitize::{sanitize_interned, IdTable, Transition};
+use crate::corpora::sanitize::{IdTable, Transition};
 use crate::corpora::{ImportReport, ImportedCorpus};
 use crate::error::TraceError;
 use crate::scan::{split, Lines};
@@ -56,27 +56,14 @@ pub fn import_str(text: &str) -> Result<ImportedCorpus, TraceError> {
             line,
         });
     }
-    let (lines_total, lines_skipped) = (lines.lines_read(), lines.lines_skipped());
-
-    let records = raw.len();
-    let (trace, id_map, sanitize) = sanitize_interned(&ids, raw, None)?;
     let report = ImportReport {
         format: "crawdad-conn",
-        lines_total,
-        lines_skipped,
-        records,
-        records_dropped: 0,
-        records_out_of_order: 0,
-        raw_events: records,
-        sanitize,
-        nodes: trace.node_count(),
-        final_events: trace.len(),
+        lines_total: lines.lines_read(),
+        lines_skipped: lines.lines_skipped(),
+        records: raw.len(),
+        ..ImportReport::default()
     };
-    Ok(ImportedCorpus {
-        trace,
-        id_map,
-        report,
-    })
+    report.finish(&ids, raw)
 }
 
 #[cfg(test)]
@@ -99,7 +86,10 @@ mod tests {
         );
         assert_eq!(corpus.trace.node_count(), 3);
         assert_eq!(corpus.id_map.labels(), ["1", "3", "9"]);
-        assert_eq!(corpus.trace.events()[1].time.as_millis(), 120_500);
+        assert_eq!(
+            corpus.trace.events().nth(1).unwrap().time.as_millis(),
+            120_500
+        );
     }
 
     #[test]

@@ -52,19 +52,10 @@ use crate::analytics::TraceAnalytics;
 use crate::error::TraceError;
 use crate::record::ContactTrace;
 use crate::scan::{split, Lines};
+use sanitize::{sanitize_interned, IdTable, Transition};
 use std::fmt::Write as _;
 
-pub use sanitize::{raw_events_from_trace, NodeIdMap, RawEvent, SanitizeReport};
-
-/// Runs the sanitizer pipeline (see [`sanitize`](mod@sanitize) for the
-/// steps): noisy raw transitions → valid labeled [`ContactTrace`] +
-/// id mapping + repair accounting.
-pub fn sanitize(
-    raw: Vec<RawEvent>,
-    range_m: Option<f64>,
-) -> Result<(ContactTrace, NodeIdMap, SanitizeReport), TraceError> {
-    sanitize::sanitize(raw, range_m)
-}
+pub use sanitize::{raw_events_from_trace, sanitize, NodeIdMap, RawEvent, SanitizeReport};
 
 /// The supported corpus formats, for byte-level dispatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +83,7 @@ pub struct ImportedCorpus {
 
 /// Everything an import did, fully accounting for every input line:
 /// no record is repaired or dropped without a counter incrementing.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ImportReport {
     /// Which adapter produced this import.
     pub format: &'static str,
@@ -120,6 +111,25 @@ pub struct ImportReport {
 }
 
 impl ImportReport {
+    /// Runs an adapter's interned transitions through the sanitizer
+    /// and completes this report, whose parse counters the adapter
+    /// filled, with what the pipeline did.
+    pub(crate) fn finish(
+        mut self,
+        ids: &IdTable,
+        raw: Vec<Transition>,
+    ) -> Result<ImportedCorpus, TraceError> {
+        self.raw_events = raw.len();
+        let (trace, id_map, sanitize) = sanitize_interned(ids, raw, None)?;
+        (self.sanitize, self.nodes) = (sanitize, trace.node_count());
+        self.final_events = trace.len();
+        Ok(ImportedCorpus {
+            trace,
+            id_map,
+            report: self,
+        })
+    }
+
     /// The bookkeeping identity: every input line is either skipped or
     /// a record, and every raw event is either in the final timeline
     /// or counted as dropped (dangling closes are the only additions).
@@ -159,28 +169,21 @@ impl ImportReport {
             (s.dangling_contacts_closed, "dangling contacts closed"),
             (s.bad_distances_zeroed, "bad distances zeroed"),
         ];
-        let noisy: Vec<String> = repairs
-            .iter()
-            .filter(|(n, _)| *n > 0)
-            .map(|(n, what)| format!("{n} {what}"))
-            .collect();
-        if noisy.is_empty() {
+        let mut clean = true;
+        for (n, what) in repairs.into_iter().filter(|&(n, _)| n > 0) {
+            clean = false;
+            let _ = writeln!(out, "  {n} {what}");
+        }
+        if clean {
             let _ = writeln!(out, "  clean: no repairs needed");
-        } else {
-            for item in noisy {
-                let _ = writeln!(out, "  {item}");
-            }
         }
         // Provenance: which source lines lost events (capped display).
         let lines: Vec<usize> = s.dropped_lines.iter().copied().filter(|&l| l > 0).collect();
         if !lines.is_empty() {
             let shown: Vec<String> = lines.iter().take(8).map(usize::to_string).collect();
             let more = lines.len().saturating_sub(8);
-            let suffix = if more > 0 {
-                format!(" (+{more} more)")
-            } else {
-                String::new()
-            };
+            let suffix = (more > 0).then(|| format!(" (+{more} more)"));
+            let suffix = suffix.unwrap_or_default();
             let _ = writeln!(out, "  dropped from lines: {}{}", shown.join(", "), suffix);
         }
         out

@@ -18,7 +18,7 @@
 //! pipeline like every other corpus.
 
 use crate::codec_text::{exact_millis_from_secs, parse_secs_as_millis};
-use crate::corpora::sanitize::{sanitize_interned, IdTable, Transition};
+use crate::corpora::sanitize::{IdTable, Transition};
 use crate::corpora::{ImportReport, ImportedCorpus};
 use crate::error::TraceError;
 use crate::scan::{split, Lines};
@@ -184,25 +184,15 @@ pub fn import_str(text: &str, config: &RealityConfig) -> Result<ImportedCorpus, 
         )
     });
 
-    let raw_events = raw.len();
-    let (trace, id_map, sanitize) = sanitize_interned(&ids, raw, None)?;
     let report = ImportReport {
         format: "reality-scans",
         lines_total,
         lines_skipped,
         records,
-        records_dropped: 0,
         records_out_of_order,
-        raw_events,
-        sanitize,
-        nodes: trace.node_count(),
-        final_events: trace.len(),
+        ..ImportReport::default()
     };
-    Ok(ImportedCorpus {
-        trace,
-        id_map,
-        report,
-    })
+    report.finish(&ids, raw)
 }
 
 #[cfg(test)]

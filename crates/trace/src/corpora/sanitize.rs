@@ -59,10 +59,10 @@
 use crate::corpora::validate_device_id;
 use crate::error::TraceError;
 use crate::pair_table::PairTable;
-use crate::record::ContactTrace;
+use crate::record::{ContactTrace, Packed};
 use sos_sim::world::{ContactEvent, ContactPhase};
 use sos_sim::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// One parsed-but-unvalidated contact transition from a real-world
 /// log, carrying the original device identifiers and source line.
@@ -112,16 +112,6 @@ impl SanitizeReport {
     pub fn is_clean(&self) -> bool {
         *self == SanitizeReport::default()
     }
-
-    /// Total repaired-or-dropped event count across all classes.
-    pub fn repairs(&self) -> usize {
-        self.self_contacts_dropped
-            + self.out_of_order_events
-            + self.duplicate_ups_dropped
-            + self.orphan_downs_dropped
-            + self.dangling_contacts_closed
-            + self.bad_distances_zeroed
-    }
 }
 
 /// The dense-index ↔ original-device-id mapping an import produced.
@@ -133,29 +123,9 @@ impl SanitizeReport {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeIdMap {
     labels: Vec<String>,
-    index: BTreeMap<String, usize>,
 }
 
 impl NodeIdMap {
-    fn from_labels(labels: Vec<String>) -> NodeIdMap {
-        let index = labels
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.clone(), i))
-            .collect();
-        NodeIdMap { labels, index }
-    }
-
-    /// Number of distinct devices.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// True when no device was seen.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
     /// Original ids in index order (`labels()[i]` is node `i`).
     pub fn labels(&self) -> &[String] {
         &self.labels
@@ -163,7 +133,7 @@ impl NodeIdMap {
 
     /// The dense index assigned to an original id.
     pub fn index_of(&self, id: &str) -> Option<usize> {
-        self.index.get(id).copied()
+        self.labels.iter().position(|label| label == id)
     }
 }
 
@@ -251,11 +221,12 @@ pub(crate) struct Transition {
     pub(crate) line: usize,
 }
 
-// Step 6 of the pipeline collects `ContactEvent`s from `Transition`s in
-// place; that needs equal size and alignment, and without them the
-// collection silently allocates a second buffer.
-const _: () = assert!(size_of::<Transition>() == size_of::<ContactEvent>());
-const _: () = assert!(align_of::<Transition>() == align_of::<ContactEvent>());
+// Step 6 of the pipeline packs `Transition`s into the trace's events in
+// place; that needs equal alignment and a source no smaller than the
+// target, and without them the collection silently allocates a second
+// buffer.
+const _: () = assert!(align_of::<Transition>() == align_of::<Packed>());
+const _: () = assert!(size_of::<Transition>() >= size_of::<Packed>());
 
 /// The ids that `events` mention, in [`NodeIdMap`] order: lexical, or
 /// numeric when every one of them parses as an integer (a stable sort
@@ -404,21 +375,23 @@ pub(crate) fn sanitize_interned(
     //    pass sees the same id population).
     let order = node_order(ids, &raw);
     let node = invert(&order, ids.labels.len());
-    //    `into_iter` turns each `Transition` into its `ContactEvent` in
-    //    the same allocation (the two are asserted the same size).
-    let events: Vec<ContactEvent> = raw
+    //    `into_iter` packs each `Transition` into the trace's event in
+    //    the same allocation (see the guard beside `Transition`).
+    let events: Vec<Packed> = raw
         .into_iter()
-        .map(|ev| {
+        .enumerate()
+        .map(|(index, ev)| {
             let (x, y) = (node[ev.a as usize], node[ev.b as usize]);
-            ContactEvent {
+            let ev = ContactEvent {
                 time: SimTime::from_millis(ev.time_ms),
                 a: x.min(y),
                 b: x.max(y),
                 phase: ev.phase,
                 distance_m: ev.distance_m,
-            }
+            };
+            Packed::pack(index, ev)
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     let labels: Vec<String> = order
         .iter()
         .map(|&id| ids.labels[id as usize].clone())
@@ -426,22 +399,21 @@ pub(crate) fn sanitize_interned(
 
     // The constructor validates the timeline again: the sanitizer's
     // output gets no trusted path into a `ContactTrace`.
-    let trace = ContactTrace::new_labeled(labels.len(), range_m, Some(labels.clone()), events)?;
-    Ok((trace, NodeIdMap::from_labels(labels), report))
+    let trace = ContactTrace::from_packed(labels.len(), range_m, Some(labels.clone()), events)?;
+    Ok((trace, NodeIdMap { labels }, report))
 }
 
 /// Re-expands a trace into raw events (labels as device ids), so a
 /// sanitized trace can be fed back through [`sanitize`] — the fixpoint
 /// check: the second pass must change nothing and report zero repairs.
 pub fn raw_events_from_trace(trace: &ContactTrace) -> Vec<RawEvent> {
-    let label = |i: usize| -> String {
+    let label = |i: usize| {
         trace
             .node_label(i)
             .map_or_else(|| i.to_string(), str::to_string)
     };
     trace
         .events()
-        .iter()
         .map(|ev| RawEvent {
             time_ms: ev.time.as_millis(),
             a: label(ev.a),
@@ -495,7 +467,6 @@ mod tests {
                 dropped_lines: vec![0, 0, 0],
             }
         );
-        assert_eq!(report.repairs(), 6);
         assert!(!report.is_clean());
         // Ids are dense, numeric-sorted, label-preserved.
         assert_eq!(map.labels(), ["3", "7", "21"]);
@@ -538,7 +509,7 @@ mod tests {
     fn empty_input_sanitizes_to_an_empty_trace() {
         let (trace, map, report) = sanitize(Vec::new(), None).unwrap();
         assert!(trace.is_empty());
-        assert!(map.is_empty());
+        assert!(map.labels().is_empty());
         assert!(report.is_clean());
     }
 }

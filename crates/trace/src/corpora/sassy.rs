@@ -23,7 +23,7 @@
 //! unioned into a longer contact.
 
 use crate::codec_text::parse_secs_as_millis;
-use crate::corpora::sanitize::{sanitize_interned, IdTable, Transition};
+use crate::corpora::sanitize::{IdTable, Transition};
 use crate::corpora::{ImportReport, ImportedCorpus};
 use crate::error::TraceError;
 use crate::scan::{first_n, Lines};
@@ -116,8 +116,6 @@ pub fn import_str(text: &str) -> Result<ImportedCorpus, TraceError> {
         )
     });
 
-    let raw_events = raw.len();
-    let (trace, id_map, sanitize) = sanitize_interned(&ids, raw, None)?;
     let report = ImportReport {
         format: "sassy-ranging",
         lines_total,
@@ -125,16 +123,9 @@ pub fn import_str(text: &str) -> Result<ImportedCorpus, TraceError> {
         records,
         records_dropped,
         records_out_of_order,
-        raw_events,
-        sanitize,
-        nodes: trace.node_count(),
-        final_events: trace.len(),
+        ..ImportReport::default()
     };
-    Ok(ImportedCorpus {
-        trace,
-        id_map,
-        report,
-    })
+    report.finish(&ids, raw)
 }
 
 #[cfg(test)]
@@ -158,7 +149,7 @@ mod tests {
         assert_eq!(corpus.trace.node_count(), 3);
         assert_eq!(corpus.trace.len(), 6);
         assert_eq!(corpus.id_map.labels(), ["T01", "T02", "T03"]);
-        let up = &corpus.trace.events()[0];
+        let up = corpus.trace.events().next().unwrap();
         assert!((up.distance_m - 4.5).abs() < 1e-12);
     }
 

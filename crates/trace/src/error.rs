@@ -43,6 +43,17 @@ pub enum TraceError {
         /// Index of the offending event.
         index: usize,
     },
+    /// A value a trace's packed events cannot hold: a node count above
+    /// `u32::MAX` (which bounds every node index too), or a time at or
+    /// above 2^63 ms (the top bit of an event's time carries its phase).
+    Unrepresentable {
+        /// Index of the offending event; `None` for the node count.
+        index: Option<usize>,
+        /// Which value: `"node count"`, `"node"` or `"time"`.
+        what: &'static str,
+        /// The value as given.
+        value: u64,
+    },
     /// A text line could not be parsed.
     Parse {
         /// 1-based line number.
@@ -115,6 +126,10 @@ impl fmt::Display for TraceError {
             }
             TraceError::BadDistance { index } => {
                 write!(f, "event {index}: distance must be finite and non-negative")
+            }
+            TraceError::Unrepresentable { index, what, value } => {
+                let at = index.map(|i| format!("event {i}: ")).unwrap_or_default();
+                write!(f, "{at}{what} {value} does not fit in a trace")
             }
             TraceError::Parse { line, reason } => write!(f, "line {line}: {reason}"),
             TraceError::InvalidAtLine { line, error } => write!(f, "line {line}: {error}"),

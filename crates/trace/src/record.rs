@@ -3,12 +3,106 @@
 //! This is the interchange value of the whole subsystem: recorders
 //! produce it, codecs serialize it, the experiment driver replays it
 //! (it is an [`EncounterSource`] itself), analytics summarize it.
+//!
+//! # Representation and limits
+//!
+//! A trace keeps each transition in 24 bytes rather than the 40 of a
+//! [`ContactEvent`] (two `usize` ids and a padded one-byte phase): the
+//! time in milliseconds with the phase in its top bit, the distance as
+//! an `f64`, and the pair as two `u32`s. [`ContactTrace::events`]
+//! unpacks them one at a time into [`ContactEvent`]s. Every constructor
+//! packs as it goes, so no whole-trace `Vec<ContactEvent>` is built on
+//! the way, and [`ContactTrace::new`] packs the `Vec` it is given in
+//! its own allocation.
+//!
+//! The packed form bounds what a trace can hold: at most `u32::MAX`
+//! nodes, which bounds every node index too, and times below 2^63 ms
+//! (about 292 million years). A value beyond these is
+//! [`TraceError::Unrepresentable`], never truncated.
 
 use crate::error::TraceError;
 use crate::pair_table::PairTable;
 use sos_sim::world::{collapse_intervals, ContactEvent, ContactInterval, ContactPhase};
 use sos_sim::{EncounterSource, SimTime};
 use std::collections::BTreeMap;
+
+/// The phase bit of [`Packed::time_up`]: set for `Up`.
+const UP: u64 = 1 << 63;
+
+/// One transition as a trace stores it (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Packed {
+    /// Milliseconds below [`UP`], the phase in [`UP`].
+    time_up: u64,
+    distance_m: f64,
+    a: u32,
+    b: u32,
+}
+
+const _: () = assert!(size_of::<Packed>() == 24);
+
+impl Packed {
+    /// Packs event `index`, or names the value the packed form cannot
+    /// hold. Nothing else is checked here: [`ContactTrace`]'s
+    /// constructors validate the packed timeline as a whole.
+    pub(crate) fn pack(index: usize, ev: ContactEvent) -> Result<Packed, TraceError> {
+        let too_large = |what, value| TraceError::Unrepresentable {
+            index: Some(index),
+            what,
+            value,
+        };
+        let time = ev.time.as_millis();
+        if time >= UP {
+            return Err(too_large("time", time));
+        }
+        let node = |id: usize| u32::try_from(id).map_err(|_| too_large("node", id as u64));
+        Ok(Packed {
+            time_up: time | u64::from(ev.phase == ContactPhase::Up) << 63,
+            distance_m: ev.distance_m,
+            a: node(ev.a)?,
+            b: node(ev.b)?,
+        })
+    }
+
+    /// The transition as the rest of the workspace sees it.
+    pub(crate) fn event(self) -> ContactEvent {
+        ContactEvent {
+            time: SimTime::from_millis(self.time_up & !UP),
+            a: self.a as usize,
+            b: self.b as usize,
+            phase: [ContactPhase::Down, ContactPhase::Up][usize::from(self.time_up >= UP)],
+            distance_m: self.distance_m,
+        }
+    }
+}
+
+/// A trace's events in timeline order, each unpacked into a
+/// [`ContactEvent`] as it is read: what [`ContactTrace::events`]
+/// returns. The view is its own iterator.
+#[derive(Clone, Debug)]
+pub struct Events<'a>(std::slice::Iter<'a, Packed>);
+
+impl<'a> Events<'a> {
+    /// A copy of this view, from where it stands: on a fresh view, every
+    /// event.
+    pub fn iter(&self) -> Events<'a> {
+        self.clone()
+    }
+}
+
+impl Iterator for Events<'_> {
+    type Item = ContactEvent;
+
+    fn next(&mut self) -> Option<ContactEvent> {
+        self.0.next().copied().map(Packed::event)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
 
 /// A recorded (or synthesized, or imported) encounter timeline: every
 /// pairwise contact transition of a node population over a window,
@@ -17,8 +111,8 @@ use std::collections::BTreeMap;
 /// Invariants (checked by [`ContactTrace::new`], upheld by every
 /// constructor in this crate):
 ///
-/// * every event satisfies `a < b < nodes`;
-/// * timestamps are non-decreasing in event order;
+/// * every event satisfies `a < b < nodes`, and `nodes <= u32::MAX`;
+/// * timestamps are non-decreasing in event order, and below 2^63 ms;
 /// * per pair, phases strictly alternate starting with `Up`;
 /// * distances are finite and non-negative.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,7 +122,8 @@ pub struct ContactTrace {
     /// Original per-node device identifiers (imported corpora only):
     /// `labels[i]` is the real-world id that was remapped to index `i`.
     labels: Option<Vec<String>>,
-    events: Vec<ContactEvent>,
+    /// The timeline, packed; equal traces compare distances as `f64`.
+    events: Vec<Packed>,
 }
 
 impl ContactTrace {
@@ -46,36 +141,54 @@ impl ContactTrace {
     ///
     /// Labels, when present, must be one per node, non-empty, unique,
     /// and free of whitespace/control characters (they are round-tripped
-    /// through the whitespace-delimited text header).
+    /// through the whitespace-delimited text header). Every event is
+    /// packed before any is validated, so a value the packed form cannot
+    /// hold is reported ahead of a timeline fault.
     pub fn new_labeled(
         nodes: usize,
         range_m: Option<f64>,
         labels: Option<Vec<String>>,
         events: Vec<ContactEvent>,
     ) -> Result<ContactTrace, TraceError> {
+        // `into_iter` packs each event into the allocation it came in.
+        let packed = events
+            .into_iter()
+            .enumerate()
+            .map(|(i, ev)| Packed::pack(i, ev));
+        ContactTrace::from_packed(nodes, range_m, labels, packed.collect::<Result<_, _>>()?)
+    }
+
+    /// What every constructor ends in: validates the node count, the
+    /// labels and the packed timeline, then keeps exactly the events.
+    pub(crate) fn from_packed(
+        nodes: usize,
+        range_m: Option<f64>,
+        labels: Option<Vec<String>>,
+        mut events: Vec<Packed>,
+    ) -> Result<ContactTrace, TraceError> {
+        u32::try_from(nodes).map_err(|_| TraceError::Unrepresentable {
+            index: None,
+            what: "node count",
+            value: nodes as u64,
+        })?;
+        let invalid = |reason| Err(TraceError::InvalidLabels { reason });
         if let Some(labels) = &labels {
             if labels.len() != nodes {
-                return Err(TraceError::InvalidLabels {
-                    reason: format!("{} labels for {} nodes", labels.len(), nodes),
-                });
+                return invalid(format!("{} labels for {} nodes", labels.len(), nodes));
             }
             let mut seen = std::collections::BTreeSet::new();
             for label in labels {
                 if label.is_empty() || label.chars().any(|c| c.is_whitespace() || c.is_control()) {
-                    return Err(TraceError::InvalidLabels {
-                        reason: format!("label {label:?} is empty or contains whitespace"),
-                    });
+                    return invalid(format!("label {label:?} is empty or contains whitespace"));
                 }
                 if !seen.insert(label) {
-                    return Err(TraceError::InvalidLabels {
-                        reason: format!("duplicate label {label:?}"),
-                    });
+                    return invalid(format!("duplicate label {label:?}"));
                 }
             }
         }
         let mut last_time = SimTime::ZERO;
         let mut open: PairTable<bool> = PairTable::new();
-        for (index, ev) in events.iter().enumerate() {
+        for (index, ev) in Events(events.iter()).enumerate() {
             if ev.a >= ev.b {
                 return Err(TraceError::UnorderedPair { index });
             }
@@ -100,6 +213,7 @@ impl ContactTrace {
                 _ => return Err(TraceError::PhaseViolation { index }),
             }
         }
+        events.shrink_to_fit();
         Ok(ContactTrace {
             nodes,
             range_m,
@@ -146,9 +260,9 @@ impl ContactTrace {
         self.labels.as_ref()?.get(node).map(String::as_str)
     }
 
-    /// The full event timeline.
-    pub fn events(&self) -> &[ContactEvent] {
-        &self.events
+    /// The full event timeline, unpacked as it is read.
+    pub fn events(&self) -> Events<'_> {
+        Events(self.events.iter())
     }
 
     /// Number of events.
@@ -163,13 +277,13 @@ impl ContactTrace {
 
     /// Timestamp of the last event (`SimTime::ZERO` when empty).
     pub fn end_time(&self) -> SimTime {
-        self.events.last().map_or(SimTime::ZERO, |ev| ev.time)
+        self.events.last().map_or(SimTime::ZERO, |p| p.event().time)
     }
 
     /// Closed contact intervals; contacts still open at the end of the
     /// timeline are closed at `end`.
     pub fn intervals(&self, end: SimTime) -> Vec<ContactInterval> {
-        collapse_intervals(&self.events, end)
+        collapse_intervals(self.events(), end)
     }
 }
 
@@ -191,32 +305,19 @@ impl EncounterSource for ContactTrace {
         if start > end {
             return Vec::new();
         }
+        let first_in = self.events.partition_point(|p| p.event().time < start);
+        let last_in = self.events.partition_point(|p| p.event().time <= end);
         // State strictly before the window: pairs still open carry
-        // their up-distance into a synthetic Up at `start`.
-        let mut open: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-        let first_in = self.events.partition_point(|ev| ev.time < start);
-        for ev in &self.events[..first_in] {
+        // their up-distance into a synthetic Up at `start`, in pair order.
+        let mut open = BTreeMap::new();
+        for ev in Events(self.events[..first_in].iter()) {
             match ev.phase {
-                ContactPhase::Up => {
-                    open.insert((ev.a, ev.b), ev.distance_m);
-                }
-                ContactPhase::Down => {
-                    open.remove(&(ev.a, ev.b));
-                }
-            }
+                ContactPhase::Up => open.insert((ev.a, ev.b), ContactEvent { time: start, ..ev }),
+                ContactPhase::Down => open.remove(&(ev.a, ev.b)),
+            };
         }
-        let mut out: Vec<ContactEvent> = open
-            .into_iter()
-            .map(|((a, b), distance_m)| ContactEvent {
-                time: start,
-                a,
-                b,
-                phase: ContactPhase::Up,
-                distance_m,
-            })
-            .collect();
-        let last_in = self.events.partition_point(|ev| ev.time <= end);
-        out.extend_from_slice(&self.events[first_in..last_in]);
+        let mut out: Vec<ContactEvent> = open.into_values().collect();
+        out.extend(Events(self.events[first_in..last_in].iter()));
         out
     }
 
@@ -262,7 +363,10 @@ mod tests {
         let trace = ContactTrace::record(&world, SimTime::ZERO, end).unwrap();
         assert_eq!(trace.node_count(), 2);
         assert_eq!(trace.range_m(), Some(60.0));
-        assert_eq!(trace.events(), world.encounter_events(SimTime::ZERO, end));
+        assert_eq!(
+            trace.events().collect::<Vec<_>>(),
+            world.encounter_events(SimTime::ZERO, end)
+        );
         assert_eq!(
             trace.intervals(end),
             world.encounter_intervals(SimTime::ZERO, end)
@@ -428,11 +532,78 @@ mod tests {
             let want = reference_validate(nodes, &events);
             let got = ContactTrace::new(nodes, Some(60.0), events.clone());
             match (got, want) {
-                (Ok(trace), Ok(())) => prop_assert_eq!(trace.events(), &events[..]),
+                (Ok(trace), Ok(())) => prop_assert_eq!(trace.events().collect::<Vec<_>>(), events),
                 (Err(got), Err(want)) => prop_assert_eq!(got, want),
                 (got, want) => prop_assert!(false, "{:?} vs reference {:?}", got.err(), want),
             }
         }
+    }
+
+    proptest! {
+        /// Packing then viewing gives the event back bit for bit: any
+        /// time that fits, any ids, either phase and every distance bit
+        /// pattern, with one case in five at an edge (the largest time,
+        /// −0.0, the largest id).
+        #[test]
+        fn packing_then_viewing_is_the_identity(
+            time in any::<u64>(),
+            ids in (any::<u32>(), any::<u32>()),
+            up in any::<bool>(),
+            bits in any::<u64>(),
+            edge in 0u32..5,
+        ) {
+            let time = if edge == 0 { UP - 1 } else { time & !UP };
+            let distance_m = if edge == 1 { -0.0 } else { f64::from_bits(bits) };
+            let a = if edge == 2 { u32::MAX } else { ids.0 };
+            let ev = ContactEvent {
+                time: SimTime::from_millis(time),
+                a: a as usize,
+                b: ids.1 as usize,
+                phase: if up { ContactPhase::Up } else { ContactPhase::Down },
+                distance_m,
+            };
+            let back = Packed::pack(7, ev).unwrap().event();
+            prop_assert_eq!((back.time, back.a, back.b, back.phase), (ev.time, ev.a, ev.b, ev.phase));
+            prop_assert_eq!(back.distance_m.to_bits(), distance_m.to_bits());
+        }
+    }
+
+    #[test]
+    fn values_the_packed_form_cannot_hold_are_named_errors() {
+        let limit = |index, what, value| TraceError::Unrepresentable { index, what, value };
+        let at = |time_ms, b, distance_m| ContactEvent {
+            time: SimTime::from_millis(time_ms),
+            a: 0,
+            b,
+            phase: ContactPhase::Up,
+            distance_m,
+        };
+        assert_eq!(
+            ContactTrace::new(1 << 32, None, Vec::new()).unwrap_err(),
+            limit(None, "node count", 1 << 32)
+        );
+        assert!(ContactTrace::new(u32::MAX as usize, None, Vec::new()).is_ok());
+        // The phase bit: 2^63 ms is the first time a trace cannot hold.
+        for time in [UP, u64::MAX] {
+            assert_eq!(
+                ContactTrace::new(2, None, vec![at(time, 1, 1.0)]).unwrap_err(),
+                limit(Some(0), "time", time)
+            );
+        }
+        assert_eq!(
+            ContactTrace::new(2, None, vec![at(0, 1, 1.0), at(0, 1 << 32, 1.0)]).unwrap_err(),
+            limit(Some(1), "node", 1 << 32)
+        );
+        // The largest time that fits and a negative zero survive, and
+        // equality still compares distances as `f64`.
+        let edge = ContactTrace::new(2, None, vec![at(UP - 1, 1, -0.0)]).unwrap();
+        let back = edge.events().next().unwrap();
+        assert_eq!(back.time.as_millis(), UP - 1);
+        assert_eq!(back.distance_m.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            edge,
+            ContactTrace::new(2, None, vec![at(UP - 1, 1, 0.0)]).unwrap()
+        );
     }
 
     #[test]
@@ -458,7 +629,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             trace.encounter_events(SimTime::ZERO, SimTime::from_secs(1000)),
-            trace.events()
+            trace.events().collect::<Vec<_>>()
         );
         assert_eq!(trace.range_hint_m(), Some(60.0));
         assert_eq!(EncounterSource::node_count(&trace), 3);

@@ -15,7 +15,7 @@
 //! Everything is a pure function of `(config, seed)`.
 
 use crate::error::TraceError;
-use crate::record::ContactTrace;
+use crate::record::{ContactTrace, Packed};
 use rand::{Rng, SeedableRng};
 use sos_sim::world::{ContactEvent, ContactPhase};
 use sos_sim::SimTime;
@@ -80,7 +80,7 @@ fn exp_sample<R: Rng>(rng: &mut R, mean: f64) -> f64 {
 /// nodes — the timeline itself is valid by construction).
 pub fn generate_social_trace(cfg: &SocialTraceConfig) -> Result<ContactTrace, TraceError> {
     let communities = cfg.communities.max(1);
-    let mut events: Vec<ContactEvent> = Vec::new();
+    let mut events: Vec<Packed> = Vec::new();
     let window_start_ms = (cfg.active_start_hour.clamp(0.0, 24.0) * 3.6e6) as u64;
     let window_end_ms = (cfg.active_end_hour.clamp(0.0, 24.0) * 3.6e6) as u64;
     let window_ms = window_end_ms.saturating_sub(window_start_ms).max(1);
@@ -131,20 +131,19 @@ pub fn generate_social_trace(cfg: &SocialTraceConfig) -> Result<ContactTrace, Tr
                         (exp_sample(&mut rng, cfg.mean_contact_mins) * 60_000.0) as u64;
                     let end = start + duration_ms.max(60_000);
                     let distance = rng.gen_range(1.0..cfg.range_m.max(2.0) * 0.9);
-                    events.push(ContactEvent {
-                        time: SimTime::from_millis(start),
-                        a,
-                        b,
-                        phase: ContactPhase::Up,
-                        distance_m: distance,
-                    });
-                    events.push(ContactEvent {
-                        time: SimTime::from_millis(end),
-                        a,
-                        b,
-                        phase: ContactPhase::Down,
-                        distance_m: cfg.range_m.max(distance),
-                    });
+                    for (time, phase, distance_m) in [
+                        (start, ContactPhase::Up, distance),
+                        (end, ContactPhase::Down, cfg.range_m.max(distance)),
+                    ] {
+                        let ev = ContactEvent {
+                            time: SimTime::from_millis(time),
+                            a,
+                            b,
+                            phase,
+                            distance_m,
+                        };
+                        events.push(Packed::pack(events.len(), ev)?);
+                    }
                     // Next meeting strictly after this one ends.
                     cursor = end + 60_000;
                     t = t.max(end);
@@ -153,12 +152,12 @@ pub fn generate_social_trace(cfg: &SocialTraceConfig) -> Result<ContactTrace, Tr
         }
     }
 
-    // Merge pair streams into one timeline. Stable sort on (time, a, b)
-    // preserves each pair's up-before-down order at equal timestamps
-    // (a pair never has two transitions at the same instant, separate
-    // pairs may — "simultaneous up/down" in codec terms).
-    events.sort_by_key(|ev| (ev.time, ev.a, ev.b));
-    ContactTrace::new(cfg.nodes, Some(cfg.range_m), events)
+    // Merge pair streams into one timeline. A pair's transitions are at
+    // least a minute apart, so no two events share (time, a, b) and an
+    // unstable sort on it is the stable one (separate pairs may share
+    // a time — "simultaneous up/down" in codec terms).
+    events.sort_unstable_by_key(|p| (p.event().time, p.event().a, p.event().b));
+    ContactTrace::from_packed(cfg.nodes, Some(cfg.range_m), None, events)
 }
 
 #[cfg(test)]
@@ -242,6 +241,21 @@ mod tests {
         let analytics = TraceAnalytics::compute(&trace);
         assert_eq!(analytics.nodes, 10);
         assert!(analytics.graph.connected, "a week should connect everyone");
+    }
+
+    /// The keys the merge sorts on never tie, so its unstable sort
+    /// orders the timeline exactly as a stable one would.
+    #[test]
+    fn merged_keys_strictly_increase() {
+        let trace = generate_social_trace(&SocialTraceConfig {
+            nodes: 30,
+            days: 14,
+            ..SocialTraceConfig::default()
+        })
+        .unwrap();
+        let keys: Vec<_> = trace.events().map(|ev| (ev.time, ev.a, ev.b)).collect();
+        assert!(keys.len() > 1_000, "only {} events", keys.len());
+        assert!(keys.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn conn_log(trace: &ContactTrace, style: Ids, seed: u64) -> String {
     // Cutting the tail leaves the contacts open there dangling.
     let kept = trace.len() - trace.len() / 40;
     let mut lines: Vec<String> = Vec::with_capacity(kept + kept / 20);
-    for (i, ev) in trace.events()[..kept].iter().enumerate() {
+    for (i, ev) in trace.events().take(kept).enumerate() {
         let ms = ev.time.as_millis();
         let secs = match rng.gen_range(0u32..10) {
             0 if ms % 1000 == 0 => format!("{}", ms / 1000),
@@ -388,7 +388,8 @@ fn the_ghost_id_changes_the_order_of_dangling_closes_only() {
     let closes = plain.report.sanitize.dangling_contacts_closed;
     assert!(closes >= 10, "{closes} dangling contacts");
     assert_eq!(closes, ghost.report.sanitize.dangling_contacts_closed);
-    let (p, g) = (plain.trace.events(), ghost.trace.events());
+    let p: Vec<_> = plain.trace.events().collect();
+    let g: Vec<_> = ghost.trace.events().collect();
     let body = p.len() - closes;
     assert_eq!(p[..body], g[..body]);
     assert_ne!(p[body..], g[body..]);

@@ -61,7 +61,7 @@ const ALLOW_CEILINGS: [(&str, u32); 5] = [
 /// The scoreboard's ceilings: non-test lines of code and public items.
 /// Like the allows, a ratchet: a PR that grows either number raises the
 /// constant in its own diff.
-const SCOREBOARD_CEILINGS: (usize, usize) = (17_006, 1_082);
+const SCOREBOARD_CEILINGS: (usize, usize) = (17_005, 1_080);
 
 /// The scoreboard, counted over `crates/*/src` and `src`: in each file,
 /// the lines before the first `#[cfg(test)]` that are neither blank nor

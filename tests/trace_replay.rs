@@ -105,8 +105,9 @@ fn codecs_round_trip_via_facade() {
     let one = "10 CONN 5 2 up\n400.5 CONN 5 2 down\n";
     let imported = codec_text::from_text(one).unwrap();
     assert_eq!(imported.node_count(), 6);
-    assert_eq!(imported.events()[0].a, 2);
-    assert_eq!(imported.events()[0].b, 5);
+    let first = imported.events().next().expect("one event");
+    assert_eq!(first.a, 2);
+    assert_eq!(first.b, 5);
 }
 
 /// Malformed external inputs surface as errors, never panics.
